@@ -15,22 +15,108 @@
 //! - **exports** — records of *our* owned data currently replicated at
 //!   other localities; a write lock cannot be granted while an export of
 //!   the region is outstanding (the model's exclusive-writes property).
+//!
+//! ## Wait lists
+//!
+//! A task the (start) rule refuses suspends *on the object it waits for*:
+//! the refusal names a [`Blocker`] — a region of an item at one locality —
+//! and the runtime enqueues the task, FIFO, on that locality's manager
+//! ([`DataItemManager::enqueue_waiter`]). Every mutation that can turn a
+//! refusal into a grant — [`unlock_all`](DataItemManager::unlock_all),
+//! [`release_exports_of`](DataItemManager::release_exports_of),
+//! [`release_persistent_exports`](DataItemManager::release_persistent_exports),
+//! [`release_inbound`](DataItemManager::release_inbound) — hands back the
+//! waiters whose region overlaps what it released, in enqueue order, and
+//! drops them from the list. Refusing is side-effect free; with no waiter
+//! registered the release paths do exactly the work they did before wait
+//! lists existed.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::dynamic::{DynFragment, DynRegion, ItemDescriptor};
 use crate::task::{AccessMode, ItemId, Requirement, TaskId};
 
-/// Why a lock could not be granted.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// What a refused task is blocked on: `region` of `item` at `locality`'s
+/// data item manager — the key of the wait list it is enqueued on.
+#[derive(Debug, Clone)]
+pub struct Blocker {
+    /// The locality whose manager holds the blocking lock, export or fence.
+    pub locality: usize,
+    /// The contended data item.
+    pub item: ItemId,
+    /// The contended part of the item.
+    pub region: Box<dyn DynRegion>,
+}
+
+/// Why a lock could not be granted; each variant carries the overlap of
+/// the request with the lock or export that refused it.
+#[derive(Debug, Clone)]
 pub enum LockConflict {
     /// The region overlaps a write lock held by another task.
-    WriteLocked(ItemId),
+    WriteLocked(Blocker),
     /// A write was requested on a region overlapping a read lock.
-    ReadLocked(ItemId),
+    ReadLocked(Blocker),
     /// A write was requested while replicas of the region are outstanding
     /// at other localities.
-    Exported(ItemId),
+    Exported(Blocker),
+}
+
+impl LockConflict {
+    /// What the refused task has to wait for.
+    pub fn into_blocker(self) -> Blocker {
+        match self {
+            LockConflict::WriteLocked(b)
+            | LockConflict::ReadLocked(b)
+            | LockConflict::Exported(b) => b,
+        }
+    }
+}
+
+/// A task suspended until something overlapping `region` is released.
+struct Waiter {
+    task: TaskId,
+    region: Box<dyn DynRegion>,
+}
+
+fn overlaps(a: &dyn DynRegion, b: &dyn DynRegion) -> bool {
+    !a.intersect_dyn(b).is_empty_dyn()
+}
+
+/// Move the waiters overlapping any of the `released` regions from
+/// `waiters` to `woken`, preserving enqueue order on both sides. With no
+/// waiter registered — the uncontended path — it returns at once:
+/// `released` is never walked, no region is intersected and nothing is
+/// allocated. The work itself is kept out of line so that path stays the
+/// loop it was (measured: +0.8 ns on a 37.6 ns uncontended
+/// `try_lock` + `unlock_all`, against +2.7 ns inlined).
+#[inline]
+fn wake_overlapping<'a>(
+    waiters: &mut Vec<Waiter>,
+    woken: &mut Vec<TaskId>,
+    released: impl Iterator<Item = &'a dyn DynRegion>,
+) {
+    if !waiters.is_empty() {
+        wake_overlapping_slow(waiters, woken, released);
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn wake_overlapping_slow<'a>(
+    waiters: &mut Vec<Waiter>,
+    woken: &mut Vec<TaskId>,
+    released: impl Iterator<Item = &'a dyn DynRegion>,
+) {
+    // Collected once: the held-lock list this is filtered out of can be
+    // thousands long above the serving knee, the result is a handful.
+    let released: Vec<&dyn DynRegion> = released.collect();
+    waiters.retain(|w| {
+        let hit = released.iter().any(|r| overlaps(*r, w.region.as_ref()));
+        if hit {
+            woken.push(w.task);
+        }
+        !hit
+    });
 }
 
 struct ItemSlot {
@@ -55,6 +141,16 @@ struct ItemSlot {
     /// primary into existence), but the data has not landed: any task
     /// needing the region must park until the arrival lifts the fence.
     inbound: Vec<(TaskId, Box<dyn DynRegion>)>,
+    /// Tasks refused because of a lock, export or inbound fence held
+    /// *here*, in enqueue order (see the module docs).
+    waiters: Vec<Waiter>,
+}
+
+impl ItemSlot {
+    fn drop_locks_of(&mut self, task: TaskId) {
+        self.rlocks.retain(|(t, _)| *t != task);
+        self.wlocks.retain(|(t, _)| *t != task);
+    }
 }
 
 /// The data item manager of one locality.
@@ -112,6 +208,7 @@ impl DataItemManager {
                 holds: Vec::new(),
                 persistent,
                 inbound: Vec::new(),
+                waiters: Vec::new(),
             },
         );
     }
@@ -318,16 +415,40 @@ impl DataItemManager {
 
     /// Lift one inbound-migration fence of `task` matching `region`
     /// exactly (its transfer arrived). Other in-flight pieces of the
-    /// same task stay fenced.
-    pub fn release_inbound(&mut self, item: ItemId, task: TaskId, region: &dyn DynRegion) {
+    /// same task stay fenced. Returns the waiters overlapping the lifted
+    /// fence.
+    pub fn release_inbound(
+        &mut self,
+        item: ItemId,
+        task: TaskId,
+        region: &dyn DynRegion,
+    ) -> Vec<TaskId> {
         let slot = self.slot_mut(item);
+        let mut woken = Vec::new();
         if let Some(i) = slot.inbound.iter().position(|(t, r)| {
             *t == task
                 && r.difference_dyn(region).is_empty_dyn()
                 && region.difference_dyn(r.as_ref()).is_empty_dyn()
         }) {
             slot.inbound.remove(i);
+            wake_overlapping(&mut slot.waiters, &mut woken, std::iter::once(region));
         }
+        woken
+    }
+
+    /// What the index must advertise for this locality: the owned region
+    /// plus every region still behind an inbound-migration fence. Each
+    /// index update replaces the locality's whole leaf, so advertising
+    /// `owned` alone while a migration is on the wire would un-publish
+    /// its destination — and the next planner would first-touch a second
+    /// primary into existence.
+    pub fn advertised_region(&self, item: ItemId) -> Box<dyn DynRegion> {
+        let slot = self.slot(item);
+        slot.inbound
+            .iter()
+            .fold(slot.owned.clone_box(), |acc, (_, r)| {
+                acc.union_dyn(r.as_ref())
+            })
     }
 
     /// Whether any part of `region` is behind an inbound-migration fence.
@@ -349,12 +470,18 @@ impl DataItemManager {
     }
 
     /// Release the export records of `task` (its replicas elsewhere were
-    /// dropped). Returns whether anything was released.
-    pub fn release_exports_of(&mut self, item: ItemId, task: TaskId) -> bool {
+    /// dropped). Returns the waiters overlapping a released export.
+    pub fn release_exports_of(&mut self, item: ItemId, task: TaskId) -> Vec<TaskId> {
         let slot = self.slot_mut(item);
-        let before = slot.exports.len();
+        let mut woken = Vec::new();
+        let released = slot.exports.iter().filter(|(_, t, _)| *t == task);
+        wake_overlapping(
+            &mut slot.waiters,
+            &mut woken,
+            released.map(|(_, _, e)| e.as_ref()),
+        );
         slot.exports.retain(|(_, t, _)| *t != task);
-        slot.exports.len() != before
+        woken
     }
 
     /// Release `task`'s transient replica holds of `item`; physical data is
@@ -392,33 +519,39 @@ impl DataItemManager {
     /// Try to acquire the locks for all `reqs` on behalf of `task`
     /// (atomically: either all granted or none).
     pub fn try_lock(&mut self, task: TaskId, reqs: &[Requirement]) -> Result<(), LockConflict> {
-        // Validation pass.
+        // Validation pass. A refusal reports the overlap it already had to
+        // compute, and nothing else happens: the caller decides whether
+        // the task waits.
+        let locality = self.locality;
         for req in reqs {
             let slot = self.slot(req.item);
             let region = req.region.as_ref();
-            match req.mode {
-                AccessMode::Read => {
-                    for (t, w) in &slot.wlocks {
-                        if *t != task && !w.intersect_dyn(region).is_empty_dyn() {
-                            return Err(LockConflict::WriteLocked(req.item));
+            let clash = |held: &dyn DynRegion| {
+                let overlap = held.intersect_dyn(region);
+                (!overlap.is_empty_dyn()).then_some(Blocker {
+                    locality,
+                    item: req.item,
+                    region: overlap,
+                })
+            };
+            for (t, w) in &slot.wlocks {
+                if *t != task {
+                    if let Some(b) = clash(w.as_ref()) {
+                        return Err(LockConflict::WriteLocked(b));
+                    }
+                }
+            }
+            if req.mode == AccessMode::Write {
+                for (t, r) in &slot.rlocks {
+                    if *t != task {
+                        if let Some(b) = clash(r.as_ref()) {
+                            return Err(LockConflict::ReadLocked(b));
                         }
                     }
                 }
-                AccessMode::Write => {
-                    for (t, w) in &slot.wlocks {
-                        if *t != task && !w.intersect_dyn(region).is_empty_dyn() {
-                            return Err(LockConflict::WriteLocked(req.item));
-                        }
-                    }
-                    for (t, r) in &slot.rlocks {
-                        if *t != task && !r.intersect_dyn(region).is_empty_dyn() {
-                            return Err(LockConflict::ReadLocked(req.item));
-                        }
-                    }
-                    for (_, _, e) in &slot.exports {
-                        if !e.intersect_dyn(region).is_empty_dyn() {
-                            return Err(LockConflict::Exported(req.item));
-                        }
+                for (_, _, e) in &slot.exports {
+                    if let Some(b) = clash(e.as_ref()) {
+                        return Err(LockConflict::Exported(b));
                     }
                 }
             }
@@ -535,8 +668,16 @@ impl DataItemManager {
     /// transient (per-task) exports intact. The counterpart of
     /// [`DataItemManager::drop_persistent_region`] on the owner side; the
     /// two must be applied together or the fenced-writes invariant breaks.
-    pub fn release_persistent_exports(&mut self, item: ItemId, region: &dyn DynRegion) {
+    ///
+    /// Returns the waiters overlapping `region`.
+    pub fn release_persistent_exports(
+        &mut self,
+        item: ItemId,
+        region: &dyn DynRegion,
+    ) -> Vec<TaskId> {
         let slot = self.slot_mut(item);
+        let mut woken = Vec::new();
+        wake_overlapping(&mut slot.waiters, &mut woken, std::iter::once(region));
         let mut kept = Vec::with_capacity(slot.exports.len());
         for (holder, task, r) in slot.exports.drain(..) {
             if task == TaskId(u64::MAX) {
@@ -549,6 +690,7 @@ impl DataItemManager {
             }
         }
         slot.exports = kept;
+        woken
     }
 
     /// Whether an outstanding export intersects `region`.
@@ -559,12 +701,90 @@ impl DataItemManager {
             .any(|(_, _, r)| !r.intersect_dyn(region).is_empty_dyn())
     }
 
-    /// Release every lock held by `task` (the model's (end) rule).
-    pub fn unlock_all(&mut self, task: TaskId) {
+    /// Release every lock held by `task` (the model's (end) rule). Returns
+    /// the waiters overlapping a released lock.
+    pub fn unlock_all(&mut self, task: TaskId) -> Vec<TaskId> {
+        let mut woken = Vec::new();
         for slot in self.items.values_mut() {
-            slot.rlocks.retain(|(t, _)| *t != task);
-            slot.wlocks.retain(|(t, _)| *t != task);
+            let released = slot.rlocks.iter().chain(&slot.wlocks);
+            wake_overlapping(
+                &mut slot.waiters,
+                &mut woken,
+                released
+                    .filter(|(t, _)| *t == task)
+                    .map(|(_, l)| l.as_ref()),
+            );
+            slot.drop_locks_of(task);
         }
+        woken
+    }
+
+    /// Back out of the locks a [`try_lock`](DataItemManager::try_lock) of
+    /// the *current* event granted `task` (its transfer plan proved
+    /// infeasible). No other task can have been refused because of them,
+    /// so nobody is woken.
+    pub fn abort_locks(&mut self, task: TaskId) {
+        for slot in self.items.values_mut() {
+            slot.drop_locks_of(task);
+        }
+    }
+
+    // ---- wait lists ----------------------------------------------------
+
+    /// Suspend `task` until something overlapping `region` of `item` is
+    /// released here (FIFO behind earlier waiters of the item).
+    pub fn enqueue_waiter(&mut self, item: ItemId, task: TaskId, region: Box<dyn DynRegion>) {
+        self.slot_mut(item).waiters.push(Waiter { task, region });
+    }
+
+    /// Wake every waiter of `item` regardless of region — for the rare
+    /// item-wide events (a persistent broadcast changes what every
+    /// locality can read locally *and* raises a new write fence) where
+    /// computing the exact set is not worth it.
+    pub fn wake_item(&mut self, item: ItemId) -> Vec<TaskId> {
+        let waiters = std::mem::take(&mut self.slot_mut(item).waiters);
+        waiters.into_iter().map(|w| w.task).collect()
+    }
+
+    /// Drop every wait list (the waiting tasks were discarded by a
+    /// recovery).
+    pub fn forget_waiters(&mut self) {
+        for slot in self.items.values_mut() {
+            slot.waiters.clear();
+        }
+    }
+
+    /// Every waiter enqueued here, per item in enqueue order (deadlock
+    /// diagnostics).
+    pub fn waiters(&self) -> impl Iterator<Item = (ItemId, TaskId, &dyn DynRegion)> {
+        self.items.iter().flat_map(|(&item, slot)| {
+            slot.waiters
+                .iter()
+                .map(move |w| (item, w.task, w.region.as_ref()))
+        })
+    }
+
+    /// The tasks holding a lock, export or inbound fence overlapping
+    /// `region` of `item`, labelled by kind (deadlock diagnostics; the
+    /// persistent-broadcast sentinel shows as `TaskId(u64::MAX)`).
+    pub fn holders(&self, item: ItemId, region: &dyn DynRegion) -> Vec<(&'static str, TaskId)> {
+        let slot = self.slot(item);
+        let of = |kind, held: &[(TaskId, Box<dyn DynRegion>)]| {
+            held.iter()
+                .filter(|(_, r)| overlaps(r.as_ref(), region))
+                .map(|(t, _)| (kind, *t))
+                .collect::<Vec<_>>()
+        };
+        let mut out = of("wlock", &slot.wlocks);
+        out.extend(of("rlock", &slot.rlocks));
+        out.extend(
+            slot.exports
+                .iter()
+                .filter(|(_, _, r)| overlaps(r.as_ref(), region))
+                .map(|(_, t, _)| ("export", *t)),
+        );
+        out.extend(of("inbound", &slot.inbound));
+        out
     }
 
     /// Type-erased fragment access for [`crate::task::TaskCtx`].
@@ -627,8 +847,8 @@ impl DataItemManager {
     ///
     /// The fragment is replaced wholesale by the snapshot's owned data, so
     /// every piece of transient state layered on top — locks, exports,
-    /// replica holds, persistent-replica coverage — is reset: the bytes
-    /// backing those claims are gone.
+    /// replica holds, persistent-replica coverage, wait lists — is reset:
+    /// the bytes backing those claims are gone.
     pub fn restore(&mut self, snapshot: &[(ItemId, Vec<u8>)]) {
         for (id, bytes) in snapshot {
             self.cow_capture(*id);
@@ -643,6 +863,7 @@ impl DataItemManager {
             slot.holds.clear();
             slot.persistent = (slot.desc.empty_region)();
             slot.inbound.clear();
+            slot.waiters.clear();
         }
     }
 
@@ -765,13 +986,13 @@ mod tests {
             .unwrap();
         // Writer overlapping a read lock: rejected.
         let w = dim.try_lock(TaskId(3), &[Requirement::write(ItemId(0), r2([3, 3], [5, 5]))]);
-        assert_eq!(w, Err(LockConflict::ReadLocked(ItemId(0))));
+        assert!(matches!(w, Err(LockConflict::ReadLocked(b)) if b.item == ItemId(0)));
         // Disjoint writer: granted.
         dim.try_lock(TaskId(3), &[Requirement::write(ItemId(0), r2([6, 6], [8, 8]))])
             .unwrap();
         // Reader overlapping the write: rejected.
         let r = dim.try_lock(TaskId(4), &[Requirement::read(ItemId(0), r2([7, 7], [8, 8]))]);
-        assert_eq!(r, Err(LockConflict::WriteLocked(ItemId(0))));
+        assert!(matches!(r, Err(LockConflict::WriteLocked(b)) if b.item == ItemId(0)));
         // Unlock the readers; now the writer over their region succeeds.
         dim.unlock_all(t1);
         dim.unlock_all(t2);
@@ -810,12 +1031,12 @@ mod tests {
         assert!(!bytes.is_empty());
         // Writing the exported region is fenced.
         let res = dim.try_lock(TaskId(1), &[Requirement::write(ItemId(0), r2([1, 1], [3, 3]))]);
-        assert_eq!(res, Err(LockConflict::Exported(ItemId(0))));
+        assert!(matches!(res, Err(LockConflict::Exported(b)) if b.item == ItemId(0)));
         // Reads are fine.
         dim.try_lock(TaskId(2), &[Requirement::read(ItemId(0), r2([1, 1], [3, 3]))])
             .unwrap();
         // After release (and the reader finishing), the writer proceeds.
-        assert!(dim.release_exports_of(ItemId(0), TaskId(9)));
+        assert!(dim.release_exports_of(ItemId(0), TaskId(9)).is_empty(), "nobody waits");
         dim.unlock_all(TaskId(2));
         dim.try_lock(TaskId(1), &[Requirement::write(ItemId(0), r2([1, 1], [3, 3]))])
             .unwrap();
@@ -915,6 +1136,143 @@ mod tests {
         assert!(dim.covers(ItemId(0), &r2([1, 1], [3, 3])));
     }
 
+    fn dim_at(locality: usize) -> DataItemManager {
+        let mut dim = DataItemManager::new(locality);
+        dim.register(ItemId(0), ItemDescriptor::of::<G2>("grid"));
+        dim
+    }
+
+    /// Refuse `task`'s `req` and enqueue it on what refused it, as the
+    /// runtime does.
+    fn refuse_and_wait(dim: &mut DataItemManager, task: TaskId, req: Requirement) {
+        let on = dim.try_lock(task, &[req]).unwrap_err().into_blocker();
+        assert_eq!(on.locality, dim.locality());
+        dim.enqueue_waiter(on.item, task, on.region);
+    }
+
+    #[test]
+    fn refusal_reports_the_overlap_and_registers_nothing() {
+        let mut dim = mk();
+        dim.init_owned(ItemId(0), &r2([0, 0], [8, 8]));
+        dim.try_lock(TaskId(1), &[Requirement::write(ItemId(0), r2([0, 0], [4, 4]))])
+            .unwrap();
+        let on = dim
+            .try_lock(TaskId(2), &[Requirement::read(ItemId(0), r2([2, 2], [6, 6]))])
+            .unwrap_err()
+            .into_blocker();
+        assert_eq!((on.locality, on.item), (0, ItemId(0)));
+        assert!(on.region.eq_dyn(&r2([2, 2], [4, 4])));
+        // Refusing is side-effect free: nobody is handed back on release.
+        assert_eq!(dim.waiters().count(), 0);
+        assert!(dim.unlock_all(TaskId(1)).is_empty());
+    }
+
+    #[test]
+    fn release_wakes_only_overlapping_waiters_in_fifo_order() {
+        let mut dim = mk();
+        dim.init_owned(ItemId(0), &r2([0, 0], [8, 8]));
+        let left = r2([0, 0], [4, 8]);
+        let right = r2([4, 0], [8, 8]);
+        dim.try_lock(TaskId(1), &[Requirement::write(ItemId(0), left)]).unwrap();
+        dim.try_lock(TaskId(2), &[Requirement::write(ItemId(0), right)]).unwrap();
+        // Enqueue order 12, 10, 11; 10 waits on the right half only.
+        refuse_and_wait(&mut dim, TaskId(12), Requirement::read(ItemId(0), r2([1, 1], [2, 2])));
+        refuse_and_wait(&mut dim, TaskId(10), Requirement::read(ItemId(0), r2([5, 5], [6, 6])));
+        refuse_and_wait(&mut dim, TaskId(11), Requirement::write(ItemId(0), r2([3, 3], [4, 4])));
+        assert_eq!(dim.unlock_all(TaskId(1)), vec![TaskId(12), TaskId(11)]);
+        assert_eq!(dim.waiters().map(|(_, t, _)| t).collect::<Vec<_>>(), vec![TaskId(10)]);
+        // A woken waiter is off the list: releasing again returns nothing new.
+        assert!(dim.unlock_all(TaskId(1)).is_empty());
+        assert_eq!(dim.unlock_all(TaskId(2)), vec![TaskId(10)]);
+        assert_eq!(dim.waiters().count(), 0);
+    }
+
+    #[test]
+    fn backing_out_of_locks_wakes_nobody() {
+        let mut dim = mk();
+        dim.init_owned(ItemId(0), &r2([0, 0], [4, 4]));
+        dim.try_lock(TaskId(1), &[Requirement::read(ItemId(0), r2([0, 0], [4, 4]))])
+            .unwrap();
+        refuse_and_wait(&mut dim, TaskId(9), Requirement::write(ItemId(0), r2([0, 0], [2, 2])));
+        // A second reader locks and backs out within one event.
+        dim.try_lock(TaskId(2), &[Requirement::read(ItemId(0), r2([0, 0], [4, 4]))])
+            .unwrap();
+        dim.abort_locks(TaskId(2));
+        assert_eq!(dim.waiters().count(), 1);
+        assert_eq!(dim.unlock_all(TaskId(1)), vec![TaskId(9)]);
+    }
+
+    #[test]
+    fn export_and_fence_releases_wake_their_waiters() {
+        let mut dim = mk();
+        dim.init_owned(ItemId(0), &r2([0, 0], [8, 8]));
+        let _ = dim.export_replica(ItemId(0), &r2([0, 0], [2, 8]), 1, TaskId(7));
+        let _ = dim.export_replica(ItemId(0), &r2([2, 0], [4, 8]), 2, TaskId(u64::MAX));
+        refuse_and_wait(&mut dim, TaskId(20), Requirement::write(ItemId(0), r2([0, 0], [1, 1])));
+        refuse_and_wait(&mut dim, TaskId(21), Requirement::write(ItemId(0), r2([2, 0], [3, 1])));
+        refuse_and_wait(&mut dim, TaskId(22), Requirement::write(ItemId(0), r2([3, 0], [4, 1])));
+        // A transient release spares the waiters behind the broadcast fence.
+        assert_eq!(dim.release_exports_of(ItemId(0), TaskId(7)), vec![TaskId(20)]);
+        // A region-precise invalidation wakes exactly the overlapped one.
+        assert_eq!(
+            dim.release_persistent_exports(ItemId(0), &r2([3, 0], [4, 8])),
+            vec![TaskId(22)]
+        );
+        // An inbound fence wakes its waiters when (and only when) it lifts.
+        dim.fence_inbound(ItemId(0), TaskId(30), &r2([8, 0], [9, 8]));
+        dim.enqueue_waiter(ItemId(0), TaskId(23), Box::new(r2([8, 0], [9, 1])));
+        assert!(dim.release_inbound(ItemId(0), TaskId(31), &r2([8, 0], [9, 8])).is_empty());
+        assert_eq!(
+            dim.release_inbound(ItemId(0), TaskId(30), &r2([8, 0], [9, 8])),
+            vec![TaskId(23)]
+        );
+        // The item-wide wake takes whoever is left.
+        assert_eq!(dim.wake_item(ItemId(0)), vec![TaskId(21)]);
+        assert_eq!(dim.waiters().count(), 0);
+    }
+
+    #[test]
+    fn waiter_blocked_at_a_remote_source_is_woken_by_that_sources_release() {
+        // Task 5 lives at locality 1 and needs data locality 0 owns; a
+        // writer holds it there. The wait list is the *source's*.
+        let mut src = dim_at(0);
+        let home = dim_at(1);
+        src.init_owned(ItemId(0), &r2([0, 0], [4, 4]));
+        src.try_lock(TaskId(1), &[Requirement::write(ItemId(0), r2([0, 0], [4, 4]))])
+            .unwrap();
+        let piece = r2([1, 1], [2, 2]);
+        assert!(src.write_locked(ItemId(0), &piece));
+        src.enqueue_waiter(ItemId(0), TaskId(5), Box::new(piece.clone()));
+        assert_eq!(home.waiters().count(), 0);
+        assert_eq!(src.holders(ItemId(0), &piece), vec![("wlock", TaskId(1))]);
+        assert_eq!(src.unlock_all(TaskId(1)), vec![TaskId(5)]);
+        assert!(src.holders(ItemId(0), &piece).is_empty());
+    }
+
+    #[test]
+    fn recovery_paths_leave_no_waiter_behind() {
+        let held = Requirement::write(ItemId(0), r2([0, 0], [2, 2]));
+        let park_one = |dim: &mut DataItemManager| {
+            dim.init_owned(ItemId(0), &r2([0, 0], [2, 2]));
+            dim.try_lock(TaskId(1), std::slice::from_ref(&held)).unwrap();
+            refuse_and_wait(dim, TaskId(2), Requirement::read(ItemId(0), r2([0, 0], [1, 1])));
+            assert_eq!(dim.waiters().count(), 1);
+        };
+        let mut dim = mk();
+        let snap = dim.checkpoint();
+        park_one(&mut dim);
+        dim.restore(&snap);
+        assert_eq!(dim.waiters().count(), 0, "restore");
+        park_one(&mut dim);
+        dim.wipe_all();
+        assert_eq!(dim.waiters().count(), 0, "wipe_all");
+        park_one(&mut dim);
+        dim.forget_waiters();
+        assert_eq!(dim.waiters().count(), 0, "forget_waiters");
+        // The lock itself survives forget_waiters; releasing it wakes nobody.
+        assert!(dim.unlock_all(TaskId(1)).is_empty());
+    }
+
     #[test]
     fn peek_bytes_is_side_effect_free() {
         let mut owner = mk();
@@ -964,7 +1322,7 @@ mod tests {
         holder.import_persistent(ItemId(0), &bytes);
         // A writer to any part is fenced while the broadcast stands.
         let res = owner.try_lock(TaskId(1), &[Requirement::write(ItemId(0), r2([0, 0], [2, 4]))]);
-        assert_eq!(res, Err(LockConflict::Exported(ItemId(0))));
+        assert!(matches!(res, Err(LockConflict::Exported(b)) if b.item == ItemId(0)));
         // Invalidate just the written half, on both sides.
         owner.release_persistent_exports(ItemId(0), &r2([0, 0], [2, 4]));
         holder.drop_persistent_region(ItemId(0), &r2([0, 0], [2, 4]));
@@ -974,7 +1332,7 @@ mod tests {
             .try_lock(TaskId(1), &[Requirement::write(ItemId(0), r2([0, 0], [2, 4]))])
             .unwrap();
         let res = owner.try_lock(TaskId(2), &[Requirement::write(ItemId(0), r2([2, 0], [4, 4]))]);
-        assert_eq!(res, Err(LockConflict::Exported(ItemId(0))));
+        assert!(matches!(res, Err(LockConflict::Exported(b)) if b.item == ItemId(0)));
         assert!(holder.covers_stable(ItemId(0), &r2([2, 0], [4, 4])));
         assert!(!holder.covers(ItemId(0), &r2([0, 0], [2, 4])));
         // Fenced-writes invariant shape: holder persistent == owner fences.

@@ -89,7 +89,7 @@ pub mod slo;
 pub mod task;
 
 pub use cost::CostModel;
-pub use dim::{DataItemManager, LockConflict};
+pub use dim::{Blocker, DataItemManager, LockConflict};
 pub use dynamic::{DynFragment, DynRegion, ItemDescriptor};
 pub use facade::{
     bisect, bisect_axis, pfor, position_hint, DistMap, Grid, GridItem, MapItem, PforSpec,

@@ -30,7 +30,11 @@ pub struct LocalityStats {
     pub migrations_in: u64,
     /// First-touch allocations performed.
     pub first_touch: u64,
-    /// Times a task had to be parked on a lock conflict.
+    /// Refused prepares of tasks resident here: a task's first park on a
+    /// lock, export or fence, plus each re-park after a wake-up that found
+    /// it still blocked. (Before wake-on-release wait lists this was bumped
+    /// for every parked task after every completion anywhere — it measured
+    /// poll rounds, not contention.)
     pub lock_conflicts: u64,
 }
 

@@ -39,7 +39,7 @@ use allscale_trace::{
 };
 
 use crate::cost::CostModel;
-use crate::dim::DataItemManager;
+use crate::dim::{Blocker, DataItemManager, LockConflict};
 use crate::dynamic::{DynRegion, ItemDescriptor};
 use crate::index::{CentralIndex, DistIndex, Hop, Resolution};
 use crate::integrity::{IntegrityConfig, IntegrityManager};
@@ -106,6 +106,25 @@ struct Inflight {
     replicas: Vec<(ItemId, usize, Box<dyn DynRegion>)>,
     pending_transfers: usize,
     pending_done: Option<(Done, usize)>,
+    /// Drawn from [`Wakeups::next_ticket`] the first time the task is
+    /// refused and kept across later refusals: woken tasks retry in
+    /// ticket order.
+    ticket: Option<u64>,
+}
+
+/// Bookkeeping for tasks the (start) rule refused. The tasks themselves
+/// sit on the wait list of the [`DataItemManager`] holding what blocks
+/// them; a release there hands them back and they collect in `woken`
+/// until the retry tick (see [`schedule_wakeups`]).
+#[derive(Default)]
+struct Wakeups {
+    next_ticket: u64,
+    /// Tasks currently on some locality's wait list.
+    waiting: usize,
+    /// Tasks a release handed back, not yet retried.
+    woken: Vec<TaskId>,
+    /// Whether the retry tick is scheduled.
+    tick_armed: bool,
 }
 
 struct ParentRecord {
@@ -241,8 +260,7 @@ pub struct RtWorld {
     item_descs: BTreeMap<ItemId, ItemDescriptor>,
     inflight: BTreeMap<TaskId, Inflight>,
     parents: BTreeMap<TaskId, ParentRecord>,
-    parked: Vec<TaskId>,
-    retry_scheduled: bool,
+    wakeups: Wakeups,
     next_task: u64,
     next_item: u32,
     /// The pluggable scheduler subsystem (decision-only; this module
@@ -413,6 +431,15 @@ impl RtCtx<'_> {
             rot_payload(self.world, &mut data);
             self.world.localities[dst].dim.import_persistent(item, &data);
             self.world.monitor.per_locality[dst].replicas_in += 1;
+        }
+        // An item-wide event for anyone waiting on `item`: a reader
+        // waiting at a remote source may now be covered by its *own*
+        // locality's new replica, and a serving writer waiting behind
+        // anything must meet the new export fence at its next retry so it
+        // invalidates it (`unfence_serving_writes`). Wake them all.
+        for p in 0..nodes {
+            let woken = self.world.localities[p].dim.wake_item(item);
+            wake(self.world, woken);
         }
     }
 
@@ -787,8 +814,7 @@ impl Runtime {
             item_descs: BTreeMap::new(),
             inflight: BTreeMap::new(),
             parents: BTreeMap::new(),
-            parked: Vec::new(),
-            retry_scheduled: false,
+            wakeups: Wakeups::default(),
             next_task: 0,
             next_item: 0,
             scheduler,
@@ -849,10 +875,8 @@ impl Runtime {
         let w = &self.sim.world;
         assert!(
             w.inflight.is_empty() && w.parents.is_empty(),
-            "runtime deadlock: {} tasks in flight, {} parents pending, {} parked",
-            w.inflight.len(),
-            w.parents.len(),
-            w.parked.len()
+            "{}",
+            deadlock_report(w)
         );
         RunReport {
             finish_time: w.finish_time,
@@ -870,6 +894,37 @@ impl Runtime {
             trace: w.trace.take(),
         }
     }
+}
+
+/// The panic message of a run whose event queue drained with work left:
+/// the three counts, then up to 8 parked tasks with what each waits on
+/// and who currently holds it, so a missed wake-up (a waiter whose
+/// holders list is empty) is diagnosable from the message alone.
+fn deadlock_report(w: &RtWorld) -> String {
+    use std::fmt::Write;
+    const SHOWN: usize = 8;
+    let mut out = format!(
+        "runtime deadlock: {} tasks in flight, {} parents pending, {} parked ({} woken but never retried)",
+        w.inflight.len(),
+        w.parents.len(),
+        w.wakeups.waiting,
+        w.wakeups.woken.len()
+    );
+    let waiters = w
+        .localities
+        .iter()
+        .flat_map(|l| l.dim.waiters().map(|(i, t, r)| (&l.dim, i, t, r)));
+    for (dim, item, task, region) in waiters.take(SHOWN) {
+        let (at, holders) = (dim.locality(), dim.holders(item, region));
+        let _ = write!(
+            out,
+            "\n  {task:?} -> (locality {at}, {item:?}, {region:?}) held by {holders:?}"
+        );
+    }
+    if w.wakeups.waiting > SHOWN {
+        let _ = write!(out, "\n  ... and {} more", w.wakeups.waiting - SHOWN);
+    }
+    out
 }
 
 // ------------------------------------------------------------------ billing
@@ -1926,9 +1981,10 @@ fn invalidate_persistent(sim: &mut RtSim, item: ItemId, region: &dyn DynRegion) 
             continue;
         }
         any = true;
-        sim.world.localities[p]
+        let woken = sim.world.localities[p]
             .dim
             .release_persistent_exports(item, overlap.as_ref());
+        wake(&mut sim.world, woken);
         for q in 0..nodes {
             if q == p || sim.world.dead[q] {
                 continue;
@@ -2537,8 +2593,10 @@ fn detect_and_recover(sim: &mut RtSim, dead: usize) {
     // disarmed by the epoch bump above.
     w.inflight.clear();
     w.parents.clear();
-    w.parked.clear();
-    w.retry_scheduled = false;
+    w.wakeups = Wakeups::default();
+    for l in w.localities.iter_mut() {
+        l.dim.forget_waiters();
+    }
     // Buffered-but-unflushed messages belong to the abandoned run; their
     // flush timers are already disarmed by the epoch bump.
     w.coalescer.clear();
@@ -2727,6 +2785,7 @@ fn assign_task(
                     replicas: Vec::new(),
                     pending_transfers: 0,
                     pending_done: None,
+                    ticket: None,
                 },
             );
             if target != at {
@@ -3067,37 +3126,22 @@ fn do_split(
 
 /// Acquire locks and stage data for a process task; parks on conflict.
 fn prepare_task(sim: &mut RtSim, tid: TaskId) {
-    let loc = sim.world.inflight[&tid].loc;
     let now = sim.now();
-
-    // 1. Locks (atomic). On conflict, park and retry after completions.
-    {
+    // The requirements leave the inflight record for the duration of
+    // the two borrowing steps, so neither clones a region.
+    let (loc, reqs) = {
         let inf = sim.world.inflight.get_mut(&tid).unwrap();
-        let dim = &mut sim.world.localities[loc].dim;
-        if dim.try_lock(tid, &inf.reqs).is_err() {
-            if unfence_serving_writes(sim, tid) {
-                return prepare_task(sim, tid);
-            }
-            sim.world.monitor.per_locality[loc].lock_conflicts += 1;
-            sim.world.parked.push(tid);
-            trace_instant(&sim.world, now, loc, EventKind::TaskParked { task: tid.0 });
-            return;
-        }
-    }
-
-    // 2. Plan transfers: check feasibility first (sources unlocked),
-    //    releasing our locks and parking if anything is fenced.
-    let plan = match plan_transfers(&mut sim.world, now, tid, loc) {
+        (inf.loc, std::mem::take(&mut inf.reqs))
+    };
+    let staged = lock_and_plan(&mut sim.world, now, tid, loc, &reqs);
+    sim.world.inflight.get_mut(&tid).unwrap().reqs = reqs;
+    let plan = match staged {
         Ok(plan) => plan,
-        Err(()) => {
-            sim.world.localities[loc].dim.unlock_all(tid);
+        Err(on) => {
             if unfence_serving_writes(sim, tid) {
                 return prepare_task(sim, tid);
             }
-            sim.world.monitor.per_locality[loc].lock_conflicts += 1;
-            sim.world.parked.push(tid);
-            trace_instant(&sim.world, now, loc, EventKind::TaskParked { task: tid.0 });
-            return;
+            return park(sim, tid, loc, on);
         }
     };
 
@@ -3107,7 +3151,7 @@ fn prepare_task(sim: &mut RtSim, tid: TaskId) {
         match mv {
             Move::FirstTouch { item, region } => {
                 sim.world.localities[loc].dim.init_owned(item, region.as_ref());
-                let owned = sim.world.localities[loc].dim.owned_region(item);
+                let owned = sim.world.localities[loc].dim.advertised_region(item);
                 let hops = index_update(&mut sim.world, now, item, loc, owned);
                 bill_hops(&mut sim.world, now, &hops, Some(item));
                 sim.world.monitor.per_locality[loc].first_touch += 1;
@@ -3136,7 +3180,7 @@ fn prepare_task(sim: &mut RtSim, tid: TaskId) {
                     .dim
                     .export_migration(item, region.as_ref());
                 let bytes = seal_payload(&sim.world, bytes);
-                let src_owned = sim.world.localities[src].dim.owned_region(item);
+                let src_owned = sim.world.localities[src].dim.advertised_region(item);
                 let hops = index_update(&mut sim.world, now, item, src, src_owned);
                 bill_hops(&mut sim.world, now, &hops, Some(item));
                 // Advertise the destination in the index immediately and
@@ -3153,10 +3197,7 @@ fn prepare_task(sim: &mut RtSim, tid: TaskId) {
                 sim.world.localities[loc]
                     .dim
                     .fence_inbound(item, tid, region.as_ref());
-                let dst_adv = sim.world.localities[loc]
-                    .dim
-                    .owned_region(item)
-                    .union_dyn(region.as_ref());
+                let dst_adv = sim.world.localities[loc].dim.advertised_region(item);
                 let hops = index_update(&mut sim.world, now, item, loc, dst_adv);
                 bill_hops(&mut sim.world, now, &hops, Some(item));
                 let ctrl = sim.world.cost.control_msg_bytes;
@@ -3174,10 +3215,11 @@ fn prepare_task(sim: &mut RtSim, tid: TaskId) {
                         let data = open_payload(&mut sim.world, &bytes, d.intact);
                         let loc2 = sim.world.inflight[&tid].loc;
                         sim.world.localities[loc2].dim.import_owned(item, &data);
-                        sim.world.localities[loc]
+                        let woken = sim.world.localities[loc]
                             .dim
                             .release_inbound(item, tid, fence_region.as_ref());
-                        let owned = sim.world.localities[loc2].dim.owned_region(item);
+                        wake(&mut sim.world, woken);
+                        let owned = sim.world.localities[loc2].dim.advertised_region(item);
                         let t = sim.now();
                         let hops = index_update(&mut sim.world, t, item, loc2, owned);
                         bill_hops(&mut sim.world, t, &hops, Some(item));
@@ -3247,23 +3289,64 @@ enum Move {
     },
 }
 
-/// Compute the data movements needed to satisfy `tid`'s requirements at
-/// `loc`. Errors when a source is fenced by locks or exports.
-fn plan_transfers(
+/// Steps 1–2 of preparation: take `reqs`' locks at `loc` (atomically),
+/// then plan the transfers. A plan that finds a source fenced backs the
+/// locks out again; either refusal names what the task has to wait for.
+fn lock_and_plan(
     w: &mut RtWorld,
     now: SimTime,
     tid: TaskId,
     loc: usize,
-) -> Result<Vec<Move>, ()> {
+    reqs: &[Requirement],
+) -> Result<Vec<Move>, Blocker> {
+    w.localities[loc]
+        .dim
+        .try_lock(tid, reqs)
+        .map_err(LockConflict::into_blocker)?;
+    let plan = plan_transfers(w, now, loc, reqs);
+    if plan.is_err() {
+        w.localities[loc].dim.abort_locks(tid);
+    }
+    plan
+}
+
+/// Park `tid` (resident at `loc`) on the wait list of what refused it.
+/// Counted once per refusal: the first park plus each re-park after a
+/// wake-up that found the task still (or newly) blocked.
+fn park(sim: &mut RtSim, tid: TaskId, loc: usize, on: Blocker) {
+    let now = sim.now();
+    let w = &mut sim.world;
+    w.monitor.per_locality[loc].lock_conflicts += 1;
+    let inf = w.inflight.get_mut(&tid).unwrap();
+    if inf.ticket.is_none() {
+        inf.ticket = Some(w.wakeups.next_ticket);
+        w.wakeups.next_ticket += 1;
+    }
+    w.wakeups.waiting += 1;
+    w.localities[on.locality]
+        .dim
+        .enqueue_waiter(on.item, tid, on.region);
+    trace_instant(w, now, loc, EventKind::TaskParked { task: tid.0 });
+}
+
+/// Compute the data movements needed to satisfy `reqs` at `loc`. Errors
+/// with the fenced source when one is behind locks, exports or an
+/// inbound-migration fence.
+fn plan_transfers(
+    w: &mut RtWorld,
+    now: SimTime,
+    loc: usize,
+    reqs: &[Requirement],
+) -> Result<Vec<Move>, Blocker> {
     let mut plan = Vec::new();
-    // Collect requirement facts first to appease the borrow checker.
-    let reqs: Vec<(ItemId, Box<dyn DynRegion>, AccessMode)> = w.inflight[&tid]
-        .reqs
-        .iter()
-        .map(|r| (r.item, r.region.clone_box(), r.mode))
-        .collect();
-    for (item, region, mode) in reqs {
-        match mode {
+    for req in reqs {
+        let (item, region) = (req.item, req.region.as_ref());
+        let blocked_at = |locality: usize, region: Box<dyn DynRegion>| Blocker {
+            locality,
+            item,
+            region,
+        };
+        match req.mode {
             AccessMode::Write => {
                 let owned = w.localities[loc].dim.owned_region(item);
                 let missing = region.difference_dyn(owned.as_ref());
@@ -3274,7 +3357,7 @@ fn plan_transfers(
                 // here: park until the fence lifts, never plan against
                 // (or first-touch over) data still on the wire.
                 if w.localities[loc].dim.inbound_fenced(item, missing.as_ref()) {
-                    return Err(());
+                    return Err(blocked_at(loc, missing));
                 }
                 let (pieces, _hops) = index_resolve(w, now, item, loc, missing.as_ref());
                 let mut found: Option<Box<dyn DynRegion>> = None;
@@ -3294,7 +3377,7 @@ fn plan_transfers(
                         || sdim.exported(item, piece.as_ref())
                         || sdim.inbound_fenced(item, piece.as_ref())
                     {
-                        return Err(());
+                        return Err(blocked_at(src, piece));
                     }
                     found = Some(match found {
                         None => piece.clone_box(),
@@ -3326,7 +3409,7 @@ fn plan_transfers(
                 // Data migrating here is still on the wire: park until
                 // it lands rather than replicate a stale copy.
                 if w.localities[loc].dim.inbound_fenced(item, missing.as_ref()) {
-                    return Err(());
+                    return Err(blocked_at(loc, missing));
                 }
                 let (pieces, _hops) = index_resolve(w, now, item, loc, missing.as_ref());
                 let mut found: Option<Box<dyn DynRegion>> = None;
@@ -3344,7 +3427,7 @@ fn plan_transfers(
                     if w.localities[src].dim.write_locked(item, piece.as_ref())
                         || w.localities[src].dim.inbound_fenced(item, piece.as_ref())
                     {
-                        return Err(());
+                        return Err(blocked_at(src, piece));
                     }
                     found = Some(match found {
                         None => piece.clone_box(),
@@ -3477,7 +3560,8 @@ fn finish_execution(sim: &mut RtSim, tid: TaskId) {
 
     // Release locks (model rule (end)) and drop imported replicas
     // (runtime replica removal), notifying owners so write fences lift.
-    sim.world.localities[loc].dim.unlock_all(tid);
+    let woken = sim.world.localities[loc].dim.unlock_all(tid);
+    wake(&mut sim.world, woken);
     let mut dropped_items: Vec<ItemId> = Vec::new();
     for (item, owner, region) in replicas {
         if !dropped_items.contains(&item) {
@@ -3494,8 +3578,9 @@ fn finish_execution(sim: &mut RtSim, tid: TaskId) {
                 // recovery clears the slate.
                 return;
             }
-            sim.world.localities[owner].dim.release_exports_of(item, tid);
-            schedule_retries(sim);
+            let woken = sim.world.localities[owner].dim.release_exports_of(item, tid);
+            wake(&mut sim.world, woken);
+            schedule_wakeups(sim);
         });
     }
     sim.world.inflight.remove(&tid);
@@ -3532,7 +3617,7 @@ fn finish_execution(sim: &mut RtSim, tid: TaskId) {
             }
         }
     }
-    schedule_retries(sim);
+    schedule_wakeups(sim);
 }
 
 // --------------------------------------------------------------- completion
@@ -3639,18 +3724,32 @@ fn child_done(sim: &mut RtSim, ptid: TaskId, idx: usize, value: TaskValue) {
     }
 }
 
-// ------------------------------------------------------------------ retries
+// ----------------------------------------------------------------- wake-ups
 
-fn schedule_retries(sim: &mut RtSim) {
-    if sim.world.parked.is_empty() || sim.world.retry_scheduled {
+/// Collect tasks a DIM release handed back; they retry at the next tick.
+fn wake(w: &mut RtWorld, woken: Vec<TaskId>) {
+    w.wakeups.waiting -= woken.len();
+    w.wakeups.woken.extend(woken);
+}
+
+/// Arm the retry tick: 1 ns after a completion (or an export release
+/// reaching its owner), every task woken by then retries its preparation
+/// in ticket order, unbilled. The tick is armed whenever any task is
+/// waiting, woken or not, so the event sequence does not depend on who
+/// happens to be woken.
+fn schedule_wakeups(sim: &mut RtSim) {
+    let q = &mut sim.world.wakeups;
+    if q.tick_armed || (q.waiting == 0 && q.woken.is_empty()) {
         return;
     }
-    sim.world.retry_scheduled = true;
+    q.tick_armed = true;
     let at = sim.now() + SimDuration::from_nanos(1);
     schedule_task_event(sim, at, |sim| {
-        sim.world.retry_scheduled = false;
-        let parked = std::mem::take(&mut sim.world.parked);
-        for tid in parked {
+        let w = &mut sim.world;
+        w.wakeups.tick_armed = false;
+        let mut woken = std::mem::take(&mut w.wakeups.woken);
+        woken.sort_by_cached_key(|tid| w.inflight[tid].ticket);
+        for tid in woken {
             prepare_task(sim, tid);
         }
     });

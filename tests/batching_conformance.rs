@@ -570,9 +570,8 @@ fn batch_counters_are_consistent() {
 /// fail-stop kill, message drops AND wire corruption, with batching and
 /// verified transfers on — recovery must still produce exact readback
 /// (asserted inside the program) and no poison may ever be consumed.
-/// Ignored locally; CI runs it with `-- --ignored`.
+/// Finishes in well under a second, so it runs with the suite.
 #[test]
-#[ignore = "corruption+death+batching soak; CI runs it via -- --ignored"]
 fn batching_fault_soak() {
     let mut corruptions = 0u64;
     for seed in 0..12u64 {

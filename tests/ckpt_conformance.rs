@@ -149,9 +149,9 @@ fn kill_mid_run_recovery_is_bit_identical() {
 /// Soak: sweep the kill across the whole run — boundaries, mid-phase,
 /// mid-drain — with a slow remote tier keeping drains in flight most of
 /// the time. Every point must recover to the exact result, and the
-/// sweep as a whole must hit at least one torn drain.
+/// sweep as a whole must hit at least one torn drain. Finishes in under
+/// two seconds, so it runs with the suite.
 #[test]
-#[ignore = "soak: run with --ignored"]
 fn mid_drain_kill_sweep_never_restores_torn_state() {
     let cfg = stencil(6);
     let slow = CheckpointConfig {

@@ -665,10 +665,9 @@ proptest! {
 }
 
 /// Seeded fault-injection soak: many deterministic seeds sweeping victim,
-/// kill time, and chaos layout. Ignored locally (it is slow); CI runs it
-/// with `-- --ignored`.
+/// kill time, and chaos layout. Finishes in well under a second, so it
+/// runs with the suite.
 #[test]
-#[ignore = "fault-injection soak; CI runs it via -- --ignored"]
 fn fault_injection_soak() {
     for seed in 0..24u64 {
         chaos_roundtrip(seed);

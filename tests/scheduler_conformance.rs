@@ -500,10 +500,9 @@ proptest! {
 }
 
 /// Seeded conformance soak: wide seed sweep with full chaos plus a kill
-/// under every scheduler. Ignored locally (slow); CI runs it via
-/// `-- --ignored`.
+/// under every scheduler. Finishes in well under a second, so it runs
+/// with the suite.
 #[test]
-#[ignore = "scheduler-conformance soak; CI runs it via -- --ignored"]
 fn scheduler_conformance_soak() {
     for seed in 0..12u64 {
         family_agrees(

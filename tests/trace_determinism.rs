@@ -216,10 +216,9 @@ fn work_stealing_tracing_does_not_perturb_the_run() {
 /// work-stealing run calibrates the kill time, then the same
 /// configuration is run twice with a fail-stop kill and checkpointed
 /// recovery — the two faulty runs must still export byte-identical
-/// Chrome JSON, and the recovery must actually have happened. Ignored
-/// locally (slow); CI runs it via `-- --ignored`.
+/// Chrome JSON, and the recovery must actually have happened. Finishes
+/// in under two seconds, so it runs with the suite.
 #[test]
-#[ignore = "steal+kill+recover soak; CI runs it via -- --ignored"]
 fn steal_kill_recover_soak() {
     const NODES: usize = 4;
     for seed in 0..6u64 {
