@@ -11,7 +11,7 @@ use allscale_core::{
     WorkItem,
 };
 use allscale_des::SimTime;
-use allscale_region::{BoxRegion, GridBox, GridFragment, Point};
+use allscale_region::{BoxRegion, Fragment, GridBox, GridFragment, Point};
 
 use super::{
     checksum_cell, checksum_fold, initial, oracle, oracle_checksum, update, StencilConfig,
@@ -136,13 +136,14 @@ pub fn run_with_report(cfg: &StencilConfig, rt_cfg: RtConfig) -> (StencilResult,
             let mut acc = 0u64;
             for loc in 0..ctx.nodes() {
                 let frag = ctx.fragment_at::<GridFragment<f64, 2>>(loc, final_grid.id);
-                let owned = ctx.owned_region_at(loc, final_grid.id);
-                frag.for_each(|p, v| {
-                    // Only owned cells count (replicas are transient, but
-                    // by wrap-up they are all dropped anyway).
-                    let _ = &owned;
-                    acc = checksum_fold(acc, checksum_cell(p[0], p[1], *v));
-                });
+                // Every held cell counts: read replicas die with the task
+                // that imported them, so none outlives the last phase.
+                debug_assert!(
+                    ctx.owned_region_at(loc, final_grid.id)
+                        .eq_dyn(&frag.region()),
+                    "locality {loc} holds cells of the final grid it does not own"
+                );
+                frag.for_each(|p, v| acc = checksum_fold(acc, checksum_cell(p[0], p[1], *v)));
             }
             s.checksum = acc;
             None

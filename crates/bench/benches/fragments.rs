@@ -1,11 +1,13 @@
 //! Microbenchmarks of fragment operations: extract/insert (the data paths
-//! of replica and migration transfers) and the wire codec round-trip that
-//! every inter-locality transfer pays.
+//! of replica and migration transfers), element access through a chunk
+//! list shaped like the stencil's, region algebra against a fragmented
+//! region, and the wire codec round-trip that every inter-locality
+//! transfer pays.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use allscale_net::wire;
-use allscale_region::{BoxRegion, Fragment, GridFragment};
+use allscale_region::{BoxRegion, Fragment, GridBox, GridFragment, Point, Region};
 
 fn filled(n: i64) -> GridFragment<f64, 2> {
     let mut f = GridFragment::new(&BoxRegion::cuboid([0, 0], [n, n]));
@@ -39,6 +41,87 @@ fn bench_extract_insert(c: &mut Criterion) {
     g.finish();
 }
 
+/// One node's share of `stencil_64` as first touch leaves it: a 96×256
+/// block in 64 chunks of 24×16, one per leaf task. `halo` appends the two
+/// replica rows a time step imports from the neighbouring nodes.
+const ROWS: i64 = 96;
+const COLS: i64 = 256;
+
+fn tiled(halo: bool) -> GridFragment<f64, 2> {
+    let mut f = GridFragment::<f64, 2>::empty();
+    for r in (0..ROWS).step_by(24) {
+        for c in (0..COLS).step_by(16) {
+            f.insert(&GridFragment::new(&BoxRegion::cuboid(
+                [r, c],
+                [r + 24, c + 16],
+            )));
+        }
+    }
+    if halo {
+        for r in [-1, ROWS] {
+            f.insert(&GridFragment::new(&BoxRegion::cuboid(
+                [r, 0],
+                [r + 1, COLS],
+            )));
+        }
+    }
+    f.for_each_mut(|p, v| *v = (p[0] * COLS + p[1]) as f64);
+    f
+}
+
+/// A time step over the block, tile by tile in task order: five reads of
+/// `src` (centre, left, right, up, down) and one write of `dst` per cell.
+fn five_point_sweep(src: &GridFragment<f64, 2>, dst: &mut GridFragment<f64, 2>) {
+    let at = |x, y| *src.get(&Point([x, y])).expect("covered cell");
+    for r in (0..ROWS).step_by(24) {
+        for c in (0..COLS).step_by(16) {
+            for x in r..r + 24 {
+                for y in c.max(1)..(c + 16).min(COLS - 1) {
+                    let v = at(x, y) + at(x, y - 1) + at(x, y + 1) + at(x - 1, y) + at(x + 1, y);
+                    dst.set(&Point([x, y]), v);
+                }
+            }
+        }
+    }
+}
+
+fn bench_get_set(c: &mut Criterion) {
+    let mut g = c.benchmark_group("get_set");
+    g.throughput(criterion::Throughput::Elements(
+        6 * (ROWS * (COLS - 2)) as u64,
+    ));
+    // The shape hostbench's probe (40 full-width chunks, sequential sweep)
+    // does not cover: neighbours in other chunks on all four sides.
+    let (src, mut dst) = (tiled(true), tiled(false));
+    g.bench_function("tiled_64", |b| {
+        b.iter(|| five_point_sweep(black_box(&src), black_box(&mut dst)))
+    });
+    // One chunk: nothing for a lookup shortcut to win, only its overhead.
+    let whole = BoxRegion::cuboid([-1, 0], [ROWS + 1, COLS]);
+    let (src, mut dst) = (
+        GridFragment::<f64, 2>::new(&whole),
+        GridFragment::<f64, 2>::new(&whole),
+    );
+    g.bench_function("one_chunk", |b| {
+        b.iter(|| five_point_sweep(black_box(&src), black_box(&mut dst)))
+    });
+    g.finish();
+}
+
+fn bench_box_union(c: &mut Criterion) {
+    // What `DistIndex::update_leaf` mostly sees: a fragmented region
+    // against a box that touches none of it.
+    let spaced = BoxRegion::from_boxes((0..64).map(|i| {
+        let (r, c) = (i / 16 * 48, i % 16 * 32);
+        GridBox::new(Point([r, c]), Point([r + 24, c + 16])).expect("non-empty")
+    }));
+    assert_eq!(spaced.boxes().len(), 64);
+    let apart = BoxRegion::cuboid([1000, 0], [1024, 16]);
+    c.bench_function("box_union/disjoint_64", |b| {
+        b.iter(|| black_box(&spaced).union(black_box(&apart)))
+    });
+}
+
 fn bench_wire_codec(c: &mut Criterion) {
     let mut g = c.benchmark_group("wire");
     for &n in &[64i64, 256] {
@@ -55,5 +138,11 @@ fn bench_wire_codec(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_extract_insert, bench_wire_codec);
+criterion_group!(
+    benches,
+    bench_extract_insert,
+    bench_get_set,
+    bench_box_union,
+    bench_wire_codec
+);
 criterion_main!(benches);

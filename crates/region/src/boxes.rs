@@ -38,11 +38,18 @@ impl<const D: usize> BoxRegion<D> {
 
     /// Build from arbitrary (possibly overlapping) boxes.
     pub fn from_boxes<I: IntoIterator<Item = GridBox<D>>>(boxes: I) -> Self {
-        let mut r = Self::empty();
+        // A fold of single-box unions, run in place: `out` takes the part
+        // of each box it does not hold yet, then re-coalesces.
+        let mut out = Vec::new();
+        let mut fresh = Vec::new();
+        let mut scratch = Scratch::default();
         for b in boxes {
-            r = r.union(&Self::from_box(b));
+            scratch.subtract_all(b, &out, &mut fresh);
+            let settled = out.len();
+            out.append(&mut fresh);
+            out = scratch.coalesce(out, settled);
         }
-        r
+        BoxRegion { boxes: out }
     }
 
     /// The disjoint boxes making up this region.
@@ -80,34 +87,131 @@ impl<const D: usize> BoxRegion<D> {
     /// Grow the region by `r` in every direction, clamped to `universe` —
     /// the neighbourhood operator used for stencil read requirements.
     pub fn dilate_within(&self, r: i64, universe: &GridBox<D>) -> Self {
-        let mut out = Self::empty();
-        for b in &self.boxes {
-            if let Some(g) = b.dilate(r).intersect(universe) {
-                out = out.union(&Self::from_box(g));
+        Self::from_boxes(
+            self.boxes
+                .iter()
+                .filter_map(|b| b.dilate(r).intersect(universe)),
+        )
+    }
+}
+
+/// One step of [`Scratch::coalesce`]: `merged` replaces box `i`, the last
+/// box moves into slot `j`, and `dirty` (ascending indices) follows suit.
+fn merge_pair<const D: usize>(
+    boxes: &mut Vec<GridBox<D>>,
+    dirty: &mut Vec<usize>,
+    i: usize,
+    j: usize,
+    merged: GridBox<D>,
+) {
+    let last = boxes.len() - 1;
+    let last_was_dirty = dirty.last() == Some(&last);
+    let mut mark = |k: usize, on: bool| match (dirty.binary_search(&k), on) {
+        (Err(at), true) => dirty.insert(at, k),
+        (Ok(at), false) => drop(dirty.remove(at)),
+        _ => {}
+    };
+    boxes[i] = merged;
+    boxes.swap_remove(j);
+    mark(last, false);
+    if j != last {
+        mark(j, last_was_dirty);
+    }
+    mark(i, true);
+}
+
+/// Working buffers of one region operation, so that only growth allocates:
+/// the two a chain of box subtractions alternates between, and the indices
+/// (ascending) of the boxes [`Scratch::coalesce`] still has to test.
+#[derive(Default)]
+struct Scratch<const D: usize> {
+    parts: Vec<GridBox<D>>,
+    next: Vec<GridBox<D>>,
+    dirty: Vec<usize>,
+}
+
+impl<const D: usize> Scratch<D> {
+    /// Append `b \ ⋃cut` to `out`: the pieces that subtracting the boxes of
+    /// `cut` one after another leaves of `b`, in slab-decomposition order.
+    /// A `b` that no box of `cut` touches — the common case between tiles —
+    /// costs one overlap test per box and touches no buffer.
+    fn subtract_all(&mut self, b: GridBox<D>, cut: &[GridBox<D>], out: &mut Vec<GridBox<D>>) {
+        let Some(first) = cut.iter().position(|a| a.overlaps(&b)) else {
+            out.push(b);
+            return;
+        };
+        self.parts.clear();
+        b.subtract_into(&cut[first], &mut self.parts);
+        for a in &cut[first + 1..] {
+            if self.parts.is_empty() {
+                break;
             }
+            self.next.clear();
+            for p in &self.parts {
+                p.subtract_into(a, &mut self.next);
+            }
+            std::mem::swap(&mut self.parts, &mut self.next);
         }
-        out
+        out.extend_from_slice(&self.parts);
     }
 
     /// Greedy merge of face-adjacent boxes (equal extent on all axes but
     /// one, and touching on that one). Keeps representations compact.
-    fn coalesce(mut boxes: Vec<GridBox<D>>) -> Vec<GridBox<D>> {
-        loop {
-            let mut merged_any = false;
-            'outer: for i in 0..boxes.len() {
-                for j in i + 1..boxes.len() {
-                    if let Some(m) = try_merge(&boxes[i], &boxes[j]) {
-                        boxes[i] = m;
-                        boxes.swap_remove(j);
-                        merged_any = true;
-                        break 'outer;
-                    }
-                }
+    ///
+    /// The result is the one this loop produces: merge the first pair
+    /// `(i, j)`, `i < j` in lexicographic order, that tiles a box (into slot
+    /// `i`, the last box moving into slot `j`), and start over until no pair
+    /// merges. Which pairs merge, and in which order, decides the boxes a
+    /// region ends up with, and those are billed bytes. Two things make that
+    /// loop cheap without changing its outcome:
+    ///
+    /// - `boxes[..settled]` is a list this function returned earlier, so no
+    ///   two of its boxes merge; only pairs involving a later box or a merge
+    ///   product (`dirty`) are tested. A region gaining one disjoint box
+    ///   costs one test per box it holds, not one per pair.
+    /// - After merging at `(i, j)` every pair before `(i, j)` is still known
+    ///   not to merge except `(a, i)` for `a < i`, so the search resumes
+    ///   there instead of at `(0, 1)`.
+    fn coalesce(&mut self, mut boxes: Vec<GridBox<D>>, settled: usize) -> Vec<GridBox<D>> {
+        debug_assert!(
+            (0..settled).all(|i| (i..settled).all(|j| try_merge(&boxes[i], &boxes[j]).is_none())),
+            "settled prefix is not coalesced"
+        );
+        // Until the first merge the dirty boxes are `settled..` and
+        // `self.dirty` is not touched.
+        let dirty = &mut self.dirty;
+        let mut tracking = false;
+        let mut i = 0;
+        while i < boxes.len() {
+            let probe = |j: usize| Some((j, try_merge(&boxes[i], &boxes[j])?));
+            let hit = if !tracking && i < settled {
+                (settled..boxes.len()).find_map(probe)
+            } else if tracking && dirty.binary_search(&i).is_err() {
+                let later = dirty.partition_point(|&k| k <= i);
+                dirty[later..].iter().copied().find_map(probe)
+            } else {
+                (i + 1..boxes.len()).find_map(probe)
+            };
+            let Some((j, merged)) = hit else {
+                i += 1;
+                continue;
+            };
+            if !tracking {
+                dirty.clear();
+                dirty.extend(settled..boxes.len());
+                tracking = true;
             }
-            if !merged_any {
-                return boxes;
+            merge_pair(&mut boxes, dirty, i, j, merged);
+            // The new box may merge with an earlier one, and that product
+            // with a yet earlier one.
+            while let Some((a, merged)) =
+                (0..i).find_map(|a| Some((a, try_merge(&boxes[a], &boxes[i])?)))
+            {
+                merge_pair(&mut boxes, dirty, a, i, merged);
+                i = a;
             }
         }
+        boxes
     }
 }
 
@@ -176,23 +280,14 @@ impl<const D: usize> Region for BoxRegion<D> {
     fn union(&self, other: &Self) -> Self {
         // A ∪ B = A ⊎ (B \ A): keep A's boxes, add the parts of B's boxes
         // that survive subtracting every box of A.
-        let mut out = self.boxes.clone();
+        let mut out = Vec::with_capacity(self.boxes.len() + other.boxes.len());
+        out.extend_from_slice(&self.boxes);
+        let mut scratch = Scratch::default();
         for b in &other.boxes {
-            let mut parts = vec![*b];
-            for a in &self.boxes {
-                let mut next = Vec::with_capacity(parts.len());
-                for p in parts {
-                    next.extend(p.subtract(a));
-                }
-                parts = next;
-                if parts.is_empty() {
-                    break;
-                }
-            }
-            out.extend(parts);
+            scratch.subtract_all(*b, &self.boxes, &mut out);
         }
         BoxRegion {
-            boxes: Self::coalesce(out),
+            boxes: scratch.coalesce(out, self.boxes.len()),
         }
     }
 
@@ -207,35 +302,25 @@ impl<const D: usize> Region for BoxRegion<D> {
         }
         // Disjointness of inputs makes outputs disjoint automatically.
         BoxRegion {
-            boxes: Self::coalesce(out),
+            boxes: Scratch::default().coalesce(out, 0),
         }
     }
 
     fn difference(&self, other: &Self) -> Self {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.boxes.len());
+        let mut scratch = Scratch::default();
         for a in &self.boxes {
-            let mut parts = vec![*a];
-            for b in &other.boxes {
-                let mut next = Vec::with_capacity(parts.len());
-                for p in parts {
-                    next.extend(p.subtract(b));
-                }
-                parts = next;
-                if parts.is_empty() {
-                    break;
-                }
-            }
-            out.extend(parts);
+            scratch.subtract_all(*a, &other.boxes, &mut out);
         }
         BoxRegion {
-            boxes: Self::coalesce(out),
+            boxes: scratch.coalesce(out, 0),
         }
     }
 
     fn is_disjoint(&self, other: &Self) -> bool {
         self.boxes
             .iter()
-            .all(|a| other.boxes.iter().all(|b| a.intersect(b).is_none()))
+            .all(|a| other.boxes.iter().all(|b| !a.overlaps(b)))
     }
 }
 

@@ -200,19 +200,32 @@ impl<const D: usize> GridBox<D> {
         GridBox::new(self.lo.cmax(&other.lo), self.hi.cmin(&other.hi))
     }
 
+    /// Whether the two boxes share at least one lattice point — the test
+    /// [`GridBox::intersect`] makes, without building the overlap.
+    #[inline]
+    pub(crate) fn overlaps(&self, other: &GridBox<D>) -> bool {
+        (0..D).all(|d| self.lo[d] < other.hi[d] && other.lo[d] < self.hi[d])
+    }
+
     /// `self \ other` as a set of disjoint boxes (at most `2·D`).
     ///
     /// Classic slab decomposition: for each axis in turn, peel off the parts
     /// of `self` lying outside `other`'s extent on that axis, then shrink to
     /// the overlap and continue with the next axis.
     pub fn subtract(&self, other: &GridBox<D>) -> Vec<GridBox<D>> {
-        let Some(overlap) = self.intersect(other) else {
-            return vec![*self];
-        };
-        if overlap == *self {
-            return Vec::new();
-        }
         let mut out = Vec::new();
+        self.subtract_into(other, &mut out);
+        out
+    }
+
+    /// [`GridBox::subtract`], appending the pieces to `out` instead of
+    /// returning a fresh vector — what lets the region algebra run a whole
+    /// subtraction chain in two reused buffers.
+    pub(crate) fn subtract_into(&self, other: &GridBox<D>, out: &mut Vec<GridBox<D>>) {
+        let Some(overlap) = self.intersect(other) else {
+            out.push(*self);
+            return;
+        };
         let mut lo = self.lo;
         let mut hi = self.hi;
         for d in 0..D {
@@ -229,7 +242,6 @@ impl<const D: usize> GridBox<D> {
                 hi[d] = overlap.hi[d];
             }
         }
-        out
     }
 
     /// Iterate all lattice points of the box in lexicographic order.
@@ -319,6 +331,20 @@ mod tests {
         assert_eq!(a.intersect(&b), Some(bx([2, 2], [4, 4])));
         let c = bx([4, 0], [5, 4]);
         assert_eq!(a.intersect(&c), None); // adjacency is not overlap
+    }
+
+    #[test]
+    fn overlaps_agrees_with_intersect() {
+        let a = bx([0, 0], [4, 4]);
+        for b in [
+            bx([2, 2], [6, 6]),
+            bx([4, 0], [5, 4]),
+            bx([0, 4], [4, 9]),
+            bx([1, 1], [2, 2]),
+        ] {
+            assert_eq!(a.overlaps(&b), a.intersect(&b).is_some(), "{b:?}");
+            assert_eq!(b.overlaps(&a), a.overlaps(&b));
+        }
     }
 
     #[test]

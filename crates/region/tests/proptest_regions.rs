@@ -65,6 +65,208 @@ proptest! {
     }
 }
 
+// ------------------------------------ box regions: representation is pinned
+
+/// The box algebra as it was before the disjoint fast paths, on plain box
+/// lists. Serialized fragment and region bytes are billed on the virtual
+/// clock, so the optimised code must return the *same boxes in the same
+/// order*, not merely the same point set. Kept verbatim as the oracle; do
+/// not "tidy" it.
+mod pre_change {
+    use allscale_region::GridBox;
+
+    pub fn subtract<const D: usize>(a: &GridBox<D>, other: &GridBox<D>) -> Vec<GridBox<D>> {
+        let Some(overlap) = a.intersect(other) else {
+            return vec![*a];
+        };
+        if overlap == *a {
+            return Vec::new();
+        }
+        let mut out = Vec::new();
+        let mut lo = a.lo();
+        let mut hi = a.hi();
+        for d in 0..D {
+            if lo[d] < overlap.lo()[d] {
+                let mut slab_hi = hi;
+                slab_hi[d] = overlap.lo()[d];
+                out.push(GridBox::new(lo, slab_hi).unwrap());
+                lo[d] = overlap.lo()[d];
+            }
+            if overlap.hi()[d] < hi[d] {
+                let mut slab_lo = lo;
+                slab_lo[d] = overlap.hi()[d];
+                out.push(GridBox::new(slab_lo, hi).unwrap());
+                hi[d] = overlap.hi()[d];
+            }
+        }
+        out
+    }
+
+    fn try_merge<const D: usize>(a: &GridBox<D>, b: &GridBox<D>) -> Option<GridBox<D>> {
+        let mut diff_axis = None;
+        for d in 0..D {
+            if a.lo()[d] == b.lo()[d] && a.hi()[d] == b.hi()[d] {
+                continue;
+            }
+            if diff_axis.is_some() {
+                return None;
+            }
+            diff_axis = Some(d);
+        }
+        let d = diff_axis?;
+        if a.hi()[d] == b.lo()[d] {
+            GridBox::new(a.lo(), {
+                let mut h = a.hi();
+                h[d] = b.hi()[d];
+                h
+            })
+        } else if b.hi()[d] == a.lo()[d] {
+            GridBox::new(b.lo(), {
+                let mut h = b.hi();
+                h[d] = a.hi()[d];
+                h
+            })
+        } else {
+            None
+        }
+    }
+
+    pub fn coalesce<const D: usize>(mut boxes: Vec<GridBox<D>>) -> Vec<GridBox<D>> {
+        loop {
+            let mut merged_any = false;
+            'outer: for i in 0..boxes.len() {
+                for j in i + 1..boxes.len() {
+                    if let Some(m) = try_merge(&boxes[i], &boxes[j]) {
+                        boxes[i] = m;
+                        boxes.swap_remove(j);
+                        merged_any = true;
+                        break 'outer;
+                    }
+                }
+            }
+            if !merged_any {
+                return boxes;
+            }
+        }
+    }
+
+    pub fn union<const D: usize>(this: &[GridBox<D>], other: &[GridBox<D>]) -> Vec<GridBox<D>> {
+        let mut out = this.to_vec();
+        for b in other {
+            let mut parts = vec![*b];
+            for a in this {
+                let mut next = Vec::with_capacity(parts.len());
+                for p in parts {
+                    next.extend(subtract(&p, a));
+                }
+                parts = next;
+                if parts.is_empty() {
+                    break;
+                }
+            }
+            out.extend(parts);
+        }
+        coalesce(out)
+    }
+
+    pub fn difference<const D: usize>(
+        this: &[GridBox<D>],
+        other: &[GridBox<D>],
+    ) -> Vec<GridBox<D>> {
+        let mut out = Vec::new();
+        for a in this {
+            let mut parts = vec![*a];
+            for b in other {
+                let mut next = Vec::with_capacity(parts.len());
+                for p in parts {
+                    next.extend(subtract(&p, b));
+                }
+                parts = next;
+                if parts.is_empty() {
+                    break;
+                }
+            }
+            out.extend(parts);
+        }
+        coalesce(out)
+    }
+
+    pub fn from_boxes<const D: usize>(boxes: &[GridBox<D>]) -> Vec<GridBox<D>> {
+        let mut r = Vec::new();
+        for b in boxes {
+            r = union(&r, &[*b]);
+        }
+        r
+    }
+
+    /// Chunk boxes of a `GridFragment` after `remove(region)`.
+    pub fn remove<const D: usize>(chunks: &[GridBox<D>], region: &[GridBox<D>]) -> Vec<GridBox<D>> {
+        let mut new_chunks = Vec::new();
+        for c in chunks {
+            let keep = difference(&[*c], region);
+            if keep.len() == 1 && keep[0] == *c {
+                new_chunks.push(*c);
+                continue;
+            }
+            new_chunks.extend(keep);
+        }
+        new_chunks
+    }
+}
+
+/// Boxes on a coarse lattice, so that exact adjacency (coalescing) and
+/// exact disjointness (the fast paths) both come up often.
+fn arb_lattice_box() -> impl Strategy<Value = GridBox<2>> {
+    (0i64..6, 0i64..6, 1i64..3, 1i64..3).prop_map(|(x, y, w, h)| {
+        GridBox::new(Point([3 * x, 3 * y]), Point([3 * (x + w), 3 * (y + h)])).expect("non-empty")
+    })
+}
+
+fn arb_box_list() -> impl Strategy<Value = Vec<GridBox<2>>> {
+    prop_oneof![
+        prop::collection::vec(arb_box2(), 0..7),
+        prop::collection::vec(arb_lattice_box(), 0..16),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn box_algebra_keeps_the_pre_change_representation(
+        xs in arb_box_list(),
+        ys in arb_box_list()
+    ) {
+        let a = BoxRegion::from_boxes(xs.iter().copied());
+        let b = BoxRegion::from_boxes(ys.iter().copied());
+        prop_assert_eq!(a.boxes().to_vec(), pre_change::from_boxes(&xs));
+        prop_assert_eq!(b.boxes().to_vec(), pre_change::from_boxes(&ys));
+        prop_assert_eq!(
+            a.union(&b).boxes().to_vec(),
+            pre_change::union(a.boxes(), b.boxes())
+        );
+        prop_assert_eq!(
+            a.difference(&b).boxes().to_vec(),
+            pre_change::difference(a.boxes(), b.boxes())
+        );
+        let universe = GridBox::<2>::from_shape([20, 20]).unwrap();
+        let dilated: Vec<_> = a
+            .boxes()
+            .iter()
+            .filter_map(|bx| bx.dilate(1).intersect(&universe))
+            .collect();
+        prop_assert_eq!(
+            a.dilate_within(1, &universe).boxes().to_vec(),
+            pre_change::from_boxes(&dilated)
+        );
+    }
+
+    #[test]
+    fn box_subtract_keeps_the_pre_change_pieces(a in arb_box2(), b in arb_box2()) {
+        prop_assert_eq!(a.subtract(&b), pre_change::subtract(&a, &b));
+    }
+}
+
 // -------------------------------------------------------- interval regions
 
 fn arb_interval_region() -> impl Strategy<Value = IntervalRegion> {
@@ -182,49 +384,129 @@ proptest! {
 
 #[derive(Debug, Clone)]
 enum Edit {
-    Insert(GridBox<2>, i64),
-    Remove(GridBox<2>),
+    /// Insert a piece covering these boxes, every element set to the value.
+    Insert(Vec<GridBox<2>>, i64),
+    Remove(Vec<GridBox<2>>),
+    Extract(GridBox<2>),
+    Get(Point<2>),
+    Set(Point<2>, i64),
+}
+
+fn arb_point2() -> impl Strategy<Value = Point<2>> {
+    (0i64..18, 0i64..18).prop_map(|(x, y)| Point([x, y]))
 }
 
 fn arb_edit() -> impl Strategy<Value = Edit> {
+    let boxes = || {
+        prop_oneof![
+            prop::collection::vec(arb_box2(), 1..3),
+            prop::collection::vec(arb_lattice_box(), 1..4),
+        ]
+    };
     prop_oneof![
-        (arb_box2(), -100i64..100).prop_map(|(b, v)| Edit::Insert(b, v)),
-        arb_box2().prop_map(Edit::Remove),
+        (boxes(), -100i64..100).prop_map(|(b, v)| Edit::Insert(b, v)),
+        boxes().prop_map(Edit::Remove),
+        arb_box2().prop_map(Edit::Extract),
+        arb_point2().prop_map(Edit::Get),
+        arb_point2().prop_map(Edit::Get),
+        (arb_point2(), -100i64..100).prop_map(|(p, v)| Edit::Set(p, v)),
     ]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+type CellMap = std::collections::BTreeMap<[i64; 2], i64>;
 
-    /// Apply a random edit script to both a fragment and a plain map
-    /// oracle; they must agree on coverage and values throughout.
+/// What a front-to-back scan of the chunks finds at `p`.
+fn scan(frag: &GridFragment<i64, 2>, p: &Point<2>) -> Option<i64> {
+    let mut found = None;
+    frag.for_each(|q, v| {
+        if q == *p && found.is_none() {
+            found = Some(*v);
+        }
+    });
+    found
+}
+
+fn chunk_list(chunks: &[GridBox<2>]) -> String {
+    let items: Vec<String> = chunks.iter().map(|c| format!("{c:?}")).collect();
+    format!("GridFragment({})", items.join(", "))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Apply a random script of edits and element accesses to a fragment, a
+    /// plain map of its cells and a list of its chunk boxes maintained with
+    /// the pre-change algebra. Lookups (which go through the finger, kept
+    /// warm across edits that reorder, split and drop chunks) must agree
+    /// with the map and with a plain scan; the chunk list and `region()`
+    /// must keep the pre-change structure.
     #[test]
-    fn fragment_tracks_map_oracle(edits in prop::collection::vec(arb_edit(), 1..10)) {
+    fn fragment_tracks_map_oracle(edits in prop::collection::vec(arb_edit(), 1..24)) {
         let mut frag = GridFragment::<i64, 2>::empty();
-        let mut oracle: std::collections::BTreeMap<[i64; 2], i64> = Default::default();
+        let mut oracle = CellMap::new();
+        let mut chunks: Vec<GridBox<2>> = Vec::new();
         for e in &edits {
             match e {
-                Edit::Insert(bx, v) => {
-                    let mut piece = GridFragment::new(&BoxRegion::from_box(*bx));
+                Edit::Insert(boxes, v) => {
+                    let region = pre_change::from_boxes(boxes);
+                    let mut piece = GridFragment::new(&BoxRegion::from_boxes(boxes.iter().copied()));
                     piece.for_each_mut(|_, slot| *slot = *v);
                     frag.insert(&piece);
-                    for p in bx.points() {
+                    chunks = pre_change::remove(&chunks, &region);
+                    chunks.extend(&region);
+                    for p in region.iter().flat_map(|b| b.points()) {
                         oracle.insert(p.0, *v);
                     }
                 }
-                Edit::Remove(bx) => {
-                    frag.remove(&BoxRegion::from_box(*bx));
-                    for p in bx.points() {
+                Edit::Remove(boxes) => {
+                    let region = pre_change::from_boxes(boxes);
+                    frag.remove(&BoxRegion::from_boxes(boxes.iter().copied()));
+                    chunks = pre_change::remove(&chunks, &region);
+                    for p in region.iter().flat_map(|b| b.points()) {
                         oracle.remove(&p.0);
                     }
                 }
+                Edit::Extract(bx) => {
+                    let piece = frag.extract(&BoxRegion::from_box(*bx));
+                    let expect: CellMap = oracle
+                        .iter()
+                        .filter(|(p, _)| bx.contains(&Point(**p)))
+                        .map(|(p, v)| (*p, *v))
+                        .collect();
+                    prop_assert_eq!(piece.len(), expect.len());
+                    for (p, v) in &expect {
+                        prop_assert_eq!(piece.get(&Point(*p)), Some(v));
+                    }
+                    let held = pre_change::from_boxes(&chunks);
+                    let covered: Vec<_> = held.iter().filter_map(|c| c.intersect(bx)).collect();
+                    prop_assert_eq!(format!("{piece:?}"), chunk_list(&pre_change::coalesce(covered)));
+                }
+                Edit::Get(p) => {
+                    prop_assert_eq!(frag.get(p), oracle.get(&p.0));
+                    prop_assert_eq!(frag.get(p).copied(), scan(&frag, p));
+                }
+                Edit::Set(p, v) => {
+                    let covered = oracle.contains_key(&p.0);
+                    prop_assert_eq!(frag.set(p, *v), covered);
+                    if covered {
+                        oracle.insert(p.0, *v);
+                    }
+                    prop_assert_eq!(frag.get(p), oracle.get(&p.0));
+                }
             }
+            prop_assert_eq!(format!("{frag:?}"), chunk_list(&chunks));
+            prop_assert_eq!(frag.region().boxes().to_vec(), pre_change::from_boxes(&chunks));
         }
         // Same coverage and values.
         prop_assert_eq!(frag.len(), oracle.len());
         frag.for_each(|p, v| {
             assert_eq!(oracle.get(&p.0), Some(v), "at {p:?}");
         });
+        for x in 0..18 {
+            for y in 0..18 {
+                prop_assert_eq!(frag.get(&Point([x, y])), oracle.get(&[x, y]));
+            }
+        }
     }
 
     /// `extract` then `insert` into an empty fragment reproduces exactly
