@@ -59,11 +59,6 @@ impl CostModel {
         SimDuration::from_nanos_f64(flops as f64 * self.ns_per_flop / self.speed(locality))
     }
 
-    /// Duration of `n` particle updates on `locality`.
-    pub fn particle_updates(&self, locality: usize, n: u64) -> SimDuration {
-        SimDuration::from_nanos_f64(n as f64 * self.ns_per_particle_update / self.speed(locality))
-    }
-
     /// Duration of visiting `n` tree nodes on `locality`.
     pub fn tree_nodes(&self, locality: usize, n: u64) -> SimDuration {
         SimDuration::from_nanos_f64(n as f64 * self.ns_per_tree_node / self.speed(locality))

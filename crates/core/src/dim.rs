@@ -310,11 +310,6 @@ impl DataItemManager {
         self.slot(item).owned.clone_box()
     }
 
-    /// The full coverage of the local fragment (owned + replicas).
-    pub fn covered_region(&self, item: ItemId) -> Box<dyn DynRegion> {
-        self.slot(item).frag.region_dyn()
-    }
-
     /// Whether `region` is fully covered by local data.
     pub fn covers(&self, item: ItemId, region: &dyn DynRegion) -> bool {
         region
@@ -823,11 +818,6 @@ impl DataItemManager {
         // SAFETY: `a != b`, so the two references point into different map
         // slots; the shared ref for `a` cannot alias the unique ref for `b`.
         (unsafe { &*fa }, fb.as_any_mut())
-    }
-
-    /// All registered items.
-    pub fn item_ids(&self) -> Vec<ItemId> {
-        self.items.keys().copied().collect()
     }
 
     /// Serialize the *owned* portion of every item — the checkpointing

@@ -280,11 +280,6 @@ where
         }
     }
 
-    /// The region of one bucket.
-    pub fn bucket_region(&self, b: u32) -> BucketRegion {
-        BucketRegion::of_bucket(self.buckets, b)
-    }
-
     /// The region of a contiguous bucket range `[lo, hi)`.
     pub fn range_region(&self, lo: u32, hi: u32) -> BucketRegion {
         BucketRegion::of_range(self.buckets, lo, hi)

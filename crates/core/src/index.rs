@@ -301,6 +301,11 @@ impl CentralIndex {
             .insert(item, (0..self.procs).map(|_| empty.clone_box()).collect());
     }
 
+    /// Remove a data item from the directory.
+    pub fn remove_item(&mut self, item: ItemId) {
+        self.items.remove(&item);
+    }
+
     /// Update process `p`'s region; one message to the directory.
     pub fn update_leaf(
         &mut self,
@@ -533,6 +538,8 @@ mod tests {
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].1, 2);
         assert_eq!(hops, vec![(3, 0), (0, 3)]);
+        idx.remove_item(item);
+        assert!(idx.resolve(item, 3, &r1(2, 8)).0.is_empty());
     }
 
     #[test]

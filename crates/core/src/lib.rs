@@ -99,9 +99,7 @@ pub use index::{CentralIndex, DistIndex};
 pub use integrity::{IntegrityConfig, IntegrityStats};
 pub use loc_cache::{CacheStats, LocationCache};
 pub use monitor::{LocalityStats, Monitor, RunReport, SchedulerStats, ServeStats};
-pub use policy::{
-    DataAwarePolicy, PolicyEnv, RandomPolicy, RoundRobinPolicy, SchedulingPolicy, Variant,
-};
+pub use policy::{DataAwarePolicy, PolicyEnv, RoundRobinPolicy, SchedulingPolicy, Variant};
 pub use rebalance::{plan_rebalance, split_off_cells, MoveSuggestion};
 pub use resilience::{CheckpointConfig, CkptMode, ResilienceConfig, ResilienceStats};
 pub use runtime::{AppDriver, Checkpoint, Locality, RtConfig, RtCtx, Runtime};

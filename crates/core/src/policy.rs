@@ -11,11 +11,8 @@
 //! localities — which is what makes first-touch initialization lay data
 //! out in blocks ("during the initialization phase of applications, it is
 //! responsible for spreading out tasks such that data items get evenly
-//! distributed throughout the system"). [`RoundRobinPolicy`] and
-//! [`RandomPolicy`] serve as ablation baselines (DESIGN.md, A2).
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+//! distributed throughout the system"). [`RoundRobinPolicy`] is the
+//! ablation baseline (DESIGN.md, A2).
 
 /// Which variant of a task to run (paper Def. 2.3 / Section 3.3: each task
 /// has a serial *process* variant and, where possible, a parallel *split*
@@ -169,66 +166,6 @@ impl SchedulingPolicy for RoundRobinPolicy {
     }
 }
 
-/// Ablation: uniformly random placement (seeded, deterministic).
-///
-/// This is the "no information" baseline for scheduling experiments: it
-/// measures what locality hints and load feedback buy by *discarding
-/// both*. [`RandomPolicy::pick_target`] therefore ignores the position
-/// hint, the spawning locality, and the load vector **on purpose** — the
-/// only inputs are the node count and the policy's own seeded RNG stream.
-/// Making it hint- or origin-sensitive would silently turn the ablation
-/// into a weaker data-aware policy and corrupt any comparison against
-/// [`DataAwarePolicy`].
-///
-/// The stream is deterministic per seed and advances exactly once per
-/// `pick_target` call, so runs are reproducible and two policies built
-/// from the same seed make identical decisions (pinned by
-/// `random_policy_is_a_pure_seeded_ablation` below).
-pub struct RandomPolicy {
-    rng: StdRng,
-    oversubscription: usize,
-}
-
-impl RandomPolicy {
-    /// A random policy with the given seed.
-    pub fn new(seed: u64) -> Self {
-        RandomPolicy {
-            rng: StdRng::seed_from_u64(seed),
-            oversubscription: 2,
-        }
-    }
-}
-
-impl SchedulingPolicy for RandomPolicy {
-    fn pick_variant(
-        &mut self,
-        depth: u32,
-        can_split: bool,
-        _hint: Option<f64>,
-        env: &PolicyEnv<'_>,
-    ) -> Variant {
-        if !can_split {
-            return Variant::Process;
-        }
-        let target = (env.nodes * env.cores_per_node * self.oversubscription).max(1) as u64;
-        if (1u64 << depth.min(62)) < target {
-            Variant::Split
-        } else {
-            Variant::Process
-        }
-    }
-
-    // Intentionally blind: `_hint`, `_origin`, and `env.load` must not
-    // influence the draw (see the type-level docs for why).
-    fn pick_target(&mut self, _hint: Option<f64>, _origin: usize, env: &PolicyEnv<'_>) -> usize {
-        self.rng.gen_range(0..env.nodes)
-    }
-
-    fn name(&self) -> &'static str {
-        "random"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,62 +201,6 @@ mod tests {
         assert_eq!(p.pick_target(Some(1.0), 0, &e), 0);
     }
 
-    /// Pins the ablation semantics of `RandomPolicy::pick_target`: the
-    /// draw depends *only* on `(seed, call index, env.nodes)`. Hints,
-    /// origin, and load must all be invisible, and the stream must be
-    /// reproducible per seed.
-    #[test]
-    fn random_policy_is_a_pure_seeded_ablation() {
-        const NODES: usize = 5;
-        const DRAWS: usize = 64;
-
-        // Reference stream: no hint, origin 0, idle cluster.
-        let idle = vec![0usize; NODES];
-        let mut reference = RandomPolicy::new(42);
-        let expected: Vec<usize> = (0..DRAWS)
-            .map(|_| reference.pick_target(None, 0, &env(NODES, 2, &idle)))
-            .collect();
-
-        // Same seed, wildly different hints / origins / loads: the
-        // stream must be identical draw for draw.
-        let skewed = vec![9999, 0, 17, 3, 250];
-        let mut blind = RandomPolicy::new(42);
-        for (i, &want) in expected.iter().enumerate() {
-            let hint = Some(i as f64 / DRAWS as f64);
-            let origin = i % NODES;
-            let got = blind.pick_target(hint, origin, &env(NODES, 2, &skewed));
-            assert_eq!(got, want, "draw {i}: hint/origin/load leaked in");
-        }
-
-        // Every draw lands in range, and over a modest window the policy
-        // actually spreads (it is random placement, not a constant).
-        assert!(expected.iter().all(|&t| t < NODES));
-        let mut seen = [false; NODES];
-        for &t in &expected {
-            seen[t] = true;
-        }
-        assert!(
-            seen.iter().all(|&s| s),
-            "64 uniform draws over 5 nodes must cover all nodes: {expected:?}"
-        );
-
-        // A different seed gives a different stream (ablation runs are
-        // seed-keyed, not accidentally identical).
-        let mut other = RandomPolicy::new(43);
-        let other_stream: Vec<usize> = (0..DRAWS)
-            .map(|_| other.pick_target(None, 0, &env(NODES, 2, &idle)))
-            .collect();
-        assert_ne!(expected, other_stream, "seeds must key distinct streams");
-
-        // Variant selection is the shared saturation rule, untouched by
-        // the ablation: split until ~2x oversubscription, then process.
-        let mut p = RandomPolicy::new(7);
-        let e = env(4, 2, &idle[..4]); // target 16 leaves
-        assert_eq!(p.pick_variant(0, true, None, &e), Variant::Split);
-        assert_eq!(p.pick_variant(4, true, None, &e), Variant::Process);
-        assert_eq!(p.pick_variant(0, false, None, &e), Variant::Process);
-    }
-
     #[test]
     fn unhinted_tasks_go_to_least_loaded() {
         let mut p = DataAwarePolicy::default();
@@ -338,17 +219,5 @@ mod tests {
         let e = env(3, 1, &load);
         let ts: Vec<usize> = (0..6).map(|_| p.pick_target(Some(0.9), 0, &e)).collect();
         assert_eq!(ts, vec![0, 1, 2, 0, 1, 2]);
-    }
-
-    #[test]
-    fn random_policy_is_deterministic_per_seed() {
-        let run = |seed| {
-            let mut p = RandomPolicy::new(seed);
-            let load = vec![0; 16];
-            let e = env(16, 1, &load);
-            (0..32).map(|_| p.pick_target(None, 0, &e)).collect::<Vec<_>>()
-        };
-        assert_eq!(run(5), run(5));
-        assert_ne!(run(5), run(6));
     }
 }

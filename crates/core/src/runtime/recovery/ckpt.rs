@@ -1,0 +1,398 @@
+//! The checkpoint pipeline: arm a copy-on-write capture at a phase
+//! boundary, drain it to the two storage tiers in the background, commit
+//! it — and, for a recovery, tear what is in flight and reconstruct the
+//! newest checkpoint that still verifies.
+
+use std::collections::BTreeMap;
+
+use allscale_des::{SimDuration, SimTime};
+use allscale_net::StorageTier;
+use allscale_region::fnv1a_64;
+use allscale_trace::EventKind;
+
+use crate::resilience::{reconstruct, CkptKind, CkptMode, SavedCkpt};
+use crate::runtime::{schedule_task_event, trace_instant, trace_span, Checkpoint, RtSim, RtWorld};
+use crate::task::ItemId;
+
+/// An asynchronous checkpoint in flight: the copy-on-write capture was
+/// armed at a phase boundary, the storage drain is running in the
+/// background, and a scheduled event commits the checkpoint when the
+/// slower tier finishes. Discarded as *torn* if a recovery strikes
+/// first — a partially drained checkpoint is never restored from.
+pub(super) struct PendingCkpt {
+    /// Phase counter at the arming boundary.
+    phase: usize,
+    /// Full anchor or delta against the previous checkpoint.
+    kind: CkptKind,
+    /// Items each locality will store (changed shards only, for a
+    /// delta), ascending.
+    plan: Vec<Vec<ItemId>>,
+    /// Boundary fingerprints per locality: `item -> (fp, len)` — becomes
+    /// the manager's change-detection reference at commit.
+    fps: Vec<BTreeMap<ItemId, (u64, u64)>>,
+    /// When the capture was armed.
+    started: SimTime,
+    /// When the slower storage tier finishes draining.
+    completes_at: SimTime,
+    /// `Monitor::total_tasks()` at the boundary.
+    tasks_done: u64,
+    /// Full boundary-state bytes the checkpoint represents.
+    logical_bytes: u64,
+    /// Bytes actually written to each tier (delta shards only).
+    stored_bytes: u64,
+    /// Shards actually written (sum over localities).
+    stored_shards: u64,
+}
+
+/// Drive the checkpoint pipeline at a phase boundary. Returns `Some(t)`
+/// when the boundary must stall until `t` (a synchronous drain, the
+/// incremental change-detection scan, or a write-fence on a still-
+/// running previous drain) — the caller reschedules itself and re-enters.
+/// Returns `None` when the phase may proceed immediately.
+///
+/// Boundaries whose phase value is `Some` never checkpoint: `TaskValue`
+/// is an opaque `Box<dyn Any>` that cannot be serialized into the
+/// checkpoint, so the replay (which feeds `None`) would not be faithful.
+/// Drivers that thread values between phases simply get coarser
+/// checkpoints.
+pub(in crate::runtime) fn maybe_checkpoint(sim: &mut RtSim, prev_is_none: bool) -> Option<SimTime> {
+    let now = sim.now();
+    let phase = sim.world.phases.phase();
+    if let Some(p) = &sim.world.recovery.pending_ckpt {
+        if p.phase == phase {
+            // Re-entry into the boundary that armed this capture (stall
+            // resume, or a same-instant scheduling race with the commit
+            // event): commit if the drain is done, else let the phase
+            // run alongside its own background drain.
+            if p.completes_at <= now {
+                commit_pending_ckpt(sim);
+            }
+            return None;
+        }
+        if p.completes_at > now {
+            // The previous drain has not landed by this boundary:
+            // write-fence. The boundary stalls until the commit, which
+            // also keeps captures strictly one-at-a-time.
+            let wait = p.completes_at - now;
+            let (pphase, until) = (p.phase, p.completes_at);
+            let w = &mut sim.world;
+            w.monitor.resilience.ckpt_fence_ns += wait.as_nanos();
+            let host = w.recovery.detector_host();
+            let fence = EventKind::CheckpointFence {
+                phase: pphase as u32,
+            };
+            trace_span(w, now, wait, host, fence);
+            return Some(until);
+        }
+        // Drain finished but its commit event has not fired yet at this
+        // exact instant: commit inline (the scheduled event no-ops).
+        commit_pending_ckpt(sim);
+    }
+    let w = &mut sim.world;
+    let mgr = w.recovery.manager.as_mut()?;
+    if !(prev_is_none && mgr.due(phase)) {
+        return None;
+    }
+    // ---- capture: fingerprint the boundary and arm the COW snapshot.
+    let fps: Vec<BTreeMap<ItemId, (u64, u64)>> = w
+        .localities
+        .iter()
+        .map(|l| {
+            l.dim
+                .owned_fingerprints()
+                .into_iter()
+                .map(|(id, fp, len)| (id, (fp, len)))
+                .collect()
+        })
+        .collect();
+    let logical_bytes: u64 = fps
+        .iter()
+        .flat_map(|m| m.values().map(|&(_, len)| len))
+        .sum();
+    let kind = mgr.next_kind();
+    let mode = mgr.cfg.ckpt.mode;
+    // The change-detection scan is billed (at memory-bandwidth rate)
+    // only when incremental checkpointing actually consumes it.
+    let fp_ns = if mgr.cfg.ckpt.incremental {
+        mgr.storage.fingerprint_ns(logical_bytes)
+    } else {
+        0
+    };
+    let plan: Vec<Vec<ItemId>> = match kind {
+        CkptKind::Anchor => fps.iter().map(|m| m.keys().copied().collect()).collect(),
+        CkptKind::Delta => fps
+            .iter()
+            .zip(&mgr.last_fps)
+            .map(|(cur, last)| {
+                cur.iter()
+                    .filter(|(id, sig)| last.get(id) != Some(sig))
+                    .map(|(id, _)| *id)
+                    .collect()
+            })
+            .collect(),
+    };
+    // Both tiers are written (fast local restore + death-surviving
+    // remote replica); one locality's shards drain sequentially through
+    // each tier channel, distinct localities drain in parallel — the
+    // drain completes when the slowest locality's slower tier does.
+    let mut drain_ns = 0u64;
+    let mut stored_bytes = 0u64;
+    let mut stored_shards = 0u64;
+    for (loc, ids) in plan.iter().enumerate() {
+        let bytes: u64 = ids.iter().map(|id| fps[loc][id].1).sum();
+        let shards = ids.len() as u64;
+        stored_bytes += bytes;
+        stored_shards += shards;
+        let local = mgr.storage.write_ns(StorageTier::Local, shards, bytes);
+        let remote = mgr.storage.write_ns(StorageTier::Remote, shards, bytes);
+        drain_ns = drain_ns.max(local.max(remote));
+    }
+    w.monitor.resilience.ckpt_fp_ns += fp_ns;
+    w.monitor.resilience.ckpt_drain_ns += drain_ns;
+    let completes_at = now + SimDuration::from_nanos(fp_ns + drain_ns);
+    for l in w.localities.iter_mut() {
+        l.dim.arm_snapshot();
+    }
+    w.recovery.pending_ckpt = Some(PendingCkpt {
+        phase,
+        kind,
+        plan,
+        fps,
+        started: now,
+        completes_at,
+        tasks_done: w.monitor.total_tasks(),
+        logical_bytes,
+        stored_bytes,
+        stored_shards,
+    });
+    let host = w.recovery.detector_host();
+    trace_instant(
+        w,
+        now,
+        host,
+        EventKind::Checkpoint {
+            phase: phase as u32,
+            bytes: logical_bytes,
+        },
+    );
+    schedule_task_event(sim, completes_at, commit_pending_ckpt);
+    match mode {
+        CkptMode::Sync => {
+            // The classic blocking checkpoint: the boundary stalls for
+            // the scan plus the full drain.
+            sim.world.monitor.resilience.ckpt_stall_ns += fp_ns + drain_ns;
+            Some(completes_at)
+        }
+        // Only the change-detection scan happens at the boundary; the
+        // drain overlaps the next phase's compute.
+        CkptMode::Async => (fp_ns > 0).then(|| now + SimDuration::from_nanos(fp_ns)),
+    }
+}
+
+/// Commit the in-flight checkpoint: finish the copy-on-write capture
+/// (lazily serializing everything the phase never touched), keep only
+/// the planned shards, checksum them pre-rot, and hand the link to the
+/// resilience manager. Scheduled at the drain's completion time;
+/// idempotent (the boundary may have committed inline already) and
+/// epoch-guarded (a recovery tears the drain instead).
+fn commit_pending_ckpt(sim: &mut RtSim) {
+    let now = sim.now();
+    let w = &mut sim.world;
+    let (Some(p), Some(mgr)) = (w.recovery.pending_ckpt.take(), &mut w.recovery.manager) else {
+        return;
+    };
+    debug_assert!(
+        p.completes_at <= now,
+        "commit fired before the drain finished"
+    );
+    let full: Vec<Vec<(ItemId, Vec<u8>)>> = w
+        .localities
+        .iter_mut()
+        .map(|l| l.dim.finish_snapshot())
+        .collect();
+    let cow: u64 = w
+        .localities
+        .iter_mut()
+        .map(|l| l.dim.take_cow_captures())
+        .sum();
+    let stats = &mut w.monitor.resilience;
+    stats.cow_captures += cow;
+    // Roster and stored shards come from the *boundary* state; checksums
+    // are computed over the in-memory bytes before the stored copy is
+    // exposed to at-rest rot, so a rotted shard fails verification at
+    // reconstruction time.
+    let roster: Vec<Vec<ItemId>> = full
+        .iter()
+        .map(|shards| shards.iter().map(|(id, _)| *id).collect())
+        .collect();
+    let planned = |(row, plan): (&Vec<(ItemId, Vec<u8>)>, &Vec<ItemId>)| {
+        let kept = row.iter().filter(|(id, _)| plan.binary_search(id).is_ok());
+        kept.cloned().collect::<Vec<_>>()
+    };
+    let shards: Vec<Vec<(ItemId, Vec<u8>)>> = full.iter().zip(&p.plan).map(planned).collect();
+    let sums: Vec<Vec<u64>> = shards
+        .iter()
+        .map(|row| row.iter().map(|(_, bytes)| fnv1a_64(bytes)).collect())
+        .collect();
+    stats.checkpoints += 1;
+    stats.checkpoint_bytes += p.stored_bytes;
+    stats.ckpt_logical_bytes += p.logical_bytes;
+    match p.kind {
+        CkptKind::Anchor => stats.ckpt_anchors += 1,
+        CkptKind::Delta => stats.ckpt_deltas += 1,
+    }
+    let entry = SavedCkpt {
+        phase: p.phase,
+        kind: p.kind,
+        shards,
+        sums,
+        roster,
+    };
+    mgr.save(entry, p.tasks_done);
+    mgr.last_fps = p.fps;
+    if mgr.cfg.ckpt.validate_reconstruction {
+        // Test/debug aid (meaningful without rot injection): the
+        // anchor+delta chain must reconstruct the boundary state
+        // bit-for-bit.
+        let upto = mgr.saved.len() - 1;
+        let (snap, _) =
+            reconstruct(&mgr.saved, upto, false).expect("committed chain must reconstruct");
+        assert_eq!(
+            snap.per_locality, full,
+            "delta reconstruction diverged from the full boundary snapshot"
+        );
+    }
+    // At-rest rot strikes the *stored* copy only, after checksums and
+    // validation.
+    let stored = mgr.saved.last_mut().expect("entry just saved");
+    for (_, bytes) in stored.shards.iter_mut().flatten() {
+        w.comms.rot(&mut w.monitor.integrity, bytes);
+    }
+    let host = w.recovery.detector_host();
+    trace_span(
+        w,
+        p.started,
+        now - p.started,
+        host,
+        EventKind::CheckpointDrain {
+            phase: p.phase as u32,
+            shards: p.stored_shards as u32,
+            bytes: p.stored_bytes,
+        },
+    );
+}
+
+/// A drain still in flight when a recovery strikes is torn: its capture
+/// is abandoned on every locality and recovery proceeds from the last
+/// *committed* checkpoint — a partially drained snapshot is never
+/// restored from.
+pub(super) fn tear_pending(w: &mut RtWorld, now: SimTime) {
+    let Some(p) = w.recovery.pending_ckpt.take() else {
+        return;
+    };
+    w.monitor.resilience.ckpt_torn += 1;
+    let mut cow = 0u64;
+    for l in w.localities.iter_mut() {
+        l.dim.abort_snapshot();
+        cow += l.dim.take_cow_captures();
+    }
+    w.monitor.resilience.cow_captures += cow;
+    let host = w.recovery.detector_host();
+    trace_instant(
+        w,
+        now,
+        host,
+        EventKind::CheckpointTorn {
+            phase: p.phase as u32,
+        },
+    );
+}
+
+/// Where a recovery resumes from.
+pub(super) struct RestorePoint {
+    /// The boundary state to rewind to; `None` = restart from scratch.
+    pub snapshot: Option<Checkpoint>,
+    /// The phase to request from the driver again.
+    pub phase: usize,
+    /// Simulated ns the restore spends reading the storage tiers.
+    pub read_ns: u64,
+}
+
+/// Pick the newest retained checkpoint that still verifies, falling back
+/// newest-first across the retained points: each candidate is the full
+/// reconstruction of its anchor+delta chain, and with checkpoint
+/// verification on every link is checksum-verified — a delta is only as
+/// good as the links under it. Rejected points stay dropped so a later
+/// recovery does not re-try them. Also resets the detector's suspicion
+/// counters, re-points incremental change detection at what was actually
+/// restored, and counts the tasks the rewind discards.
+pub(super) fn restore_point(w: &mut RtWorld) -> RestorePoint {
+    let mut point = RestorePoint {
+        snapshot: None,
+        phase: 0,
+        read_ns: 0,
+    };
+    let Some(mgr) = &mut w.recovery.manager else {
+        return point;
+    };
+    mgr.misses.fill(0);
+    let verify = w
+        .integrity
+        .as_ref()
+        .is_some_and(|m| m.cfg.verify_checkpoints);
+    while let Some(upto) = mgr.saved.len().checked_sub(1) {
+        match reconstruct(&mgr.saved, upto, verify) {
+            Ok((snap, cost)) => {
+                if verify {
+                    w.monitor.integrity.ckpt_links_verified += cost.links;
+                }
+                // Bill the restore reads: survivors pull their shards
+                // from the fast local tier, a dead locality's shards
+                // only survive on the remote tier. Localities read in
+                // parallel; the restore completes at the slowest.
+                for (loc, &is_dead) in w.recovery.dead.iter().enumerate() {
+                    let tier = if is_dead {
+                        StorageTier::Remote
+                    } else {
+                        StorageTier::Local
+                    };
+                    let ns = mgr.storage.read_ns(tier, cost.shards[loc], cost.bytes[loc]);
+                    point.read_ns = point.read_ns.max(ns);
+                }
+                w.monitor.resilience.recovery_read_ns += point.read_ns;
+                point.phase = mgr.saved[upto].phase;
+                point.snapshot = Some(snap);
+                break;
+            }
+            Err(bad) => {
+                w.monitor.integrity.checkpoint_shards_rejected += bad;
+                w.monitor.integrity.checkpoint_fallbacks += 1;
+                mgr.saved.pop();
+            }
+        }
+    }
+    mgr.since_anchor = mgr
+        .saved
+        .iter()
+        .rev()
+        .take_while(|s| s.kind == CkptKind::Delta)
+        .count();
+    mgr.last_fps = match &point.snapshot {
+        Some(snap) => snap
+            .per_locality
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .map(|(id, b)| (*id, (fnv1a_64(b), b.len() as u64)))
+                    .collect()
+            })
+            .collect(),
+        None => vec![BTreeMap::new(); w.localities.len()],
+    };
+    let reexecuted = w
+        .monitor
+        .total_tasks()
+        .saturating_sub(mgr.tasks_at_checkpoint);
+    w.monitor.resilience.tasks_reexecuted += reexecuted;
+    point
+}

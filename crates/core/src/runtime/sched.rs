@@ -1,0 +1,388 @@
+//! Scheduling effects: Algorithm 2's task assignment, the split variant,
+//! and the queue/steal protocol of the work-stealing family. The
+//! [`Scheduler`](crate::Scheduler) in `RtWorld` only decides; this module
+//! executes its decisions and bills their traffic.
+
+use allscale_des::SimTime;
+use allscale_trace::{EventKind, SpawnVariant, TransferPurpose};
+
+use super::comms::{bill_hops, deliver, send_deferred, Payload};
+use super::directory::index_resolve;
+use super::{exec, schedule_task_event, tasks, trace_core_span, trace_instant, RtSim, RtWorld};
+use crate::dynamic::DynRegion;
+use crate::policy::{PolicyEnv, Variant};
+use crate::scheduler::Placement;
+use crate::task::{AccessMode, Requirement, TaskId, WorkItem};
+
+// -------------------------------------------------------------- Algorithm 2
+
+/// Assign a task to a node (paper Algorithm 2); returns the new task's
+/// id (the serving subsystem keys in-flight requests by it).
+pub(super) fn assign_task(
+    sim: &mut RtSim,
+    at: usize,
+    wi: Box<dyn WorkItem>,
+    parent: Option<(TaskId, usize)>,
+) -> TaskId {
+    let now = sim.now();
+    let w = &mut sim.world;
+    let tid = w.tasks.next_id();
+
+    // Line 3: pick the variant.
+    let load: Vec<usize> = w.localities.iter().map(|l| l.load).collect();
+    let env = PolicyEnv {
+        nodes: w.localities.len(),
+        cores_per_node: w.spec.cores_per_node,
+        load: &load,
+    };
+    let hint = wi.placement_hint();
+    let variant = w
+        .scheduler
+        .pick_variant(wi.depth(), wi.can_split(), hint, &env);
+    let spawn = |variant, target: usize| EventKind::TaskSpawn {
+        task: tid.0,
+        parent: parent.map(|(p, _)| p.0),
+        variant,
+        target: target as u32,
+    };
+    let tag = Payload::task(TransferPurpose::TaskForward, tid);
+    let bytes = wi.descriptor_bytes();
+
+    match variant {
+        Variant::Split => {
+            // Pure decomposition: the policy chooses where it runs
+            // (remapped off localities known dead).
+            let target = w.scheduler.pick_target(hint, at, &env);
+            let target = w.recovery.live_target(target);
+            trace_instant(w, now, at, spawn(SpawnVariant::Split, target));
+            w.localities[target].load += 1;
+            deliver(sim, at, target, bytes, tag, true, move |sim, arrived| {
+                if !arrived {
+                    // The task descriptor is lost (undetected dead
+                    // target or exhausted retries): the phase stalls
+                    // until the failure detector triggers recovery.
+                    sim.world.localities[target].load -= 1;
+                    return;
+                }
+                do_split(sim, target, tid, wi, parent);
+            });
+        }
+        Variant::Process => {
+            let reqs = wi.requirements();
+            let preferred = pick_process_target(w, now, at, wi.as_ref(), &reqs, &env);
+            let preferred = w.recovery.live_target(preferred);
+            // The scheduler routes the admitted task: directly to its
+            // data-aware locality, or into a (possibly spilled) queue.
+            let placement = w.scheduler.admit(preferred, w.recovery.dead());
+            let target = placement.loc();
+            let queued = matches!(placement, Placement::Enqueue(_));
+            trace_instant(w, now, at, spawn(SpawnVariant::Process, target));
+            w.localities[target].load += 1;
+            w.tasks.admit(tid, target, wi, parent, reqs);
+            deliver(sim, at, target, bytes, tag, true, move |sim, arrived| {
+                if !arrived {
+                    // Lost task descriptor: drop the assignment and
+                    // stall until recovery.
+                    sim.world.tasks.remove(tid);
+                    sim.world.localities[target].load -= 1;
+                    return;
+                }
+                if queued {
+                    enqueue_task(sim, target, tid);
+                } else {
+                    exec::prepare_task(sim, tid);
+                }
+            });
+        }
+    }
+    tid
+}
+
+/// Algorithm 2 lines 4-13: find the execution locality for a process task.
+fn pick_process_target(
+    w: &mut RtWorld,
+    now: SimTime,
+    at: usize,
+    wi: &dyn WorkItem,
+    reqs: &[Requirement],
+    env: &PolicyEnv<'_>,
+) -> usize {
+    if reqs.is_empty() {
+        return w.scheduler.pick_target(wi.placement_hint(), at, env);
+    }
+    // Fast path: everything already available right here (covers
+    // persistent replicas, e.g. the broadcast tree top).
+    let dim = &w.localities[at].dim;
+    let local_ok = reqs.iter().all(|r| match r.mode {
+        AccessMode::Read => dim.covers_stable(r.item, r.region.as_ref()),
+        AccessMode::Write => r
+            .region
+            .difference_dyn(dim.owned_region(r.item).as_ref())
+            .is_empty_dyn(),
+    });
+    if local_ok {
+        return at;
+    }
+    // Line 4: a process covering ALL requirements.
+    if let Some(p) = common_owner(w, now, at, reqs.iter()) {
+        return p;
+    }
+    // Line 7: a process covering all WRITE requirements.
+    let writes = reqs.iter().filter(|r| r.mode == AccessMode::Write);
+    if let Some(p) = common_owner(w, now, at, writes) {
+        return p;
+    }
+    // Line 12: the policy decides.
+    w.scheduler.pick_target(wi.placement_hint(), at, env)
+}
+
+/// The single process owning every requirement in `iter`, if one exists.
+/// Bills the index lookups used to find out.
+fn common_owner<'r>(
+    w: &mut RtWorld,
+    now: SimTime,
+    at: usize,
+    iter: impl Iterator<Item = &'r Requirement>,
+) -> Option<usize> {
+    let mut owner: Option<usize> = None;
+    for req in iter {
+        let (pieces, hops) = index_resolve(w, now, req.item, at, req.region.as_ref());
+        bill_hops(w, now, &hops, Some(req.item));
+        // Coverage check: pieces must tile the region with one owner.
+        let mut covered: Option<Box<dyn DynRegion>> = None;
+        for (piece, host) in &pieces {
+            match owner {
+                None => owner = Some(*host),
+                Some(o) if o != *host => return None,
+                _ => {}
+            }
+            covered = Some(match covered {
+                None => piece.clone_box(),
+                Some(c) => c.union_dyn(piece.as_ref()),
+            });
+        }
+        let fully = match covered {
+            None => false,
+            Some(c) => req.region.difference_dyn(c.as_ref()).is_empty_dyn(),
+        };
+        if !fully {
+            return None;
+        }
+    }
+    owner
+}
+
+// ------------------------------------------------------------ work stealing
+//
+// The queue-family driver. A process task admitted as `Enqueue` lands in
+// its locality's bounded queue; the pump activates queued tasks while
+// execution slots (one per core) are free. A locality whose queue runs
+// dry starts a *steal round*: a billed control request to a victim
+// (chosen by the scheduler's victim policy), answered either by a grant
+// — the task descriptor travels back as a billed `TaskForward`, and the
+// thief re-resolves the task's data requirements locally through the
+// normal staging path (location cache included) — or by a billed deny.
+// After `max_attempts` denies the thief parks as a *waiter*; a later
+// surplus enqueue anywhere hands it work directly. Every leg is a
+// normal runtime message: batching coalesces it, fault injection can
+// drop it (a lost request or deny counts as a deny; a lost handoff
+// strands the task until recovery, exactly like a lost forward), and
+// the trace records `StealRequest`/`StealGrant`/`StealDeny` instants.
+//
+// Liveness without timers: the protocol advances only on message
+// continuations and enqueue/finish events, so a run with no faults
+// cannot livelock (each round either moves a task or parks the thief),
+// and the event queue still drains when the application completes.
+
+/// Enqueue an admitted (or stolen) task at `loc`, activate what fits,
+/// and hand surplus queued work to any parked waiter.
+fn enqueue_task(sim: &mut RtSim, loc: usize, tid: TaskId) {
+    sim.world.scheduler.enqueue(loc, tid);
+    sim.world.monitor.scheduler.tasks_queued += 1;
+    pump_queue(sim, loc);
+    // Surplus push: a queue still backed up after pumping feeds parked
+    // waiters directly — no request leg, just the handoff.
+    while let Some((waiter, task)) = sim
+        .world
+        .scheduler
+        .take_handoff(loc, sim.world.recovery.dead())
+    {
+        sim.world.monitor.scheduler.handoffs += 1;
+        grant_steal(sim, loc, waiter, task);
+    }
+}
+
+/// A slot at `loc` freed (queue family only): activate the next queued
+/// task there, and steal if the queue is dry.
+#[inline]
+pub(super) fn slot_freed(sim: &mut RtSim, loc: usize) {
+    if sim.world.scheduler.uses_queues() {
+        sim.world.scheduler.release_slot(loc);
+        pump_queue(sim, loc);
+    }
+}
+
+/// Activate queued tasks at `loc` while slots are free; steal when dry.
+fn pump_queue(sim: &mut RtSim, loc: usize) {
+    while let Some(tid) = sim.world.scheduler.next_runnable(loc) {
+        exec::prepare_task(sim, tid);
+    }
+    maybe_steal(sim, loc);
+}
+
+/// Start a steal round from `thief` if it is idle with a dry queue.
+fn maybe_steal(sim: &mut RtSim, thief: usize) {
+    if !sim.world.scheduler.should_steal(thief) {
+        return;
+    }
+    sim.world.scheduler.begin_steal(thief);
+    steal_attempt(sim, thief, 0);
+}
+
+/// One victim attempt of a steal round (`attempt` victims already tried).
+fn steal_attempt(sim: &mut RtSim, thief: usize, attempt: usize) {
+    let victim = sim
+        .world
+        .scheduler
+        .steal_victim(thief, sim.world.recovery.dead());
+    let Some(victim) = victim else {
+        // Nothing to steal anywhere: park as a waiter until surplus
+        // work shows up.
+        sim.world.scheduler.enlist_waiter(thief);
+        return;
+    };
+    let now = sim.now();
+    sim.world.monitor.scheduler.steal_requests += 1;
+    trace_instant(
+        &sim.world,
+        now,
+        thief,
+        EventKind::StealRequest {
+            thief: thief as u32,
+            victim: victim as u32,
+        },
+    );
+    let ctrl = sim.world.cost.control_msg_bytes;
+    let tag = Payload::CONTROL;
+    send_deferred(sim, thief, victim, ctrl, tag, move |sim, arr| {
+        if arr.is_none() {
+            // A lost request (undetected-dead victim, exhausted
+            // retries) is indistinguishable from a deny to the thief.
+            steal_denied(sim, thief, attempt);
+            return;
+        }
+        match sim.world.scheduler.steal_task(victim) {
+            Some(tid) => grant_steal(sim, victim, thief, tid),
+            None => {
+                let t = sim.now();
+                sim.world.monitor.scheduler.steal_denies += 1;
+                trace_instant(
+                    &sim.world,
+                    t,
+                    victim,
+                    EventKind::StealDeny {
+                        victim: victim as u32,
+                        thief: thief as u32,
+                    },
+                );
+                send_deferred(sim, victim, thief, ctrl, tag, move |sim, _arr| {
+                    // A lost deny reply times out into the same path.
+                    steal_denied(sim, thief, attempt);
+                });
+            }
+        }
+    });
+}
+
+/// The thief's attempt came back empty: try the next victim, or park.
+fn steal_denied(sim: &mut RtSim, thief: usize, attempt: usize) {
+    sim.world.scheduler.end_steal(thief);
+    if !sim.world.scheduler.should_steal(thief) {
+        // Work arrived (or a slot filled) while the request was in
+        // flight; the enqueue's pump already took over.
+        return;
+    }
+    let next = attempt + 1;
+    if next >= sim.world.scheduler.max_attempts() {
+        sim.world.scheduler.enlist_waiter(thief);
+        return;
+    }
+    sim.world.scheduler.begin_steal(thief);
+    steal_attempt(sim, thief, next);
+}
+
+/// Hand the queued task `tid` from `victim` to `thief`: re-home its
+/// inflight record and ship the descriptor as a billed `TaskForward`.
+/// On arrival the thief enqueues it and its staging re-resolves the
+/// task's data requirements from the thief's side (through the location
+/// cache), migrating or replicating whatever the new home is missing.
+fn grant_steal(sim: &mut RtSim, victim: usize, thief: usize, tid: TaskId) {
+    let now = sim.now();
+    sim.world.monitor.scheduler.steal_grants += 1;
+    trace_instant(
+        &sim.world,
+        now,
+        victim,
+        EventKind::StealGrant {
+            victim: victim as u32,
+            thief: thief as u32,
+            task: tid.0,
+        },
+    );
+    let inf = sim.world.tasks.get_mut(tid);
+    inf.loc = thief;
+    let bytes = inf
+        .wi
+        .as_ref()
+        .expect("queued task holds its descriptor")
+        .descriptor_bytes();
+    sim.world.localities[victim].load -= 1;
+    sim.world.localities[thief].load += 1;
+    let tag = Payload::task(TransferPurpose::TaskForward, tid);
+    send_deferred(sim, victim, thief, bytes, tag, move |sim, arr| {
+        sim.world.scheduler.end_steal(thief);
+        if arr.is_none() {
+            // The stolen descriptor is lost — same fate as a lost
+            // forward: the task strands until recovery reaps it, and
+            // the thief goes back to stealing (finitely: every loss
+            // removes a task from the run).
+            sim.world.tasks.remove(tid);
+            sim.world.localities[thief].load -= 1;
+            maybe_steal(sim, thief);
+            return;
+        }
+        enqueue_task(sim, thief, tid);
+    });
+}
+
+// -------------------------------------------------------------------- split
+
+fn do_split(
+    sim: &mut RtSim,
+    loc: usize,
+    tid: TaskId,
+    wi: Box<dyn WorkItem>,
+    parent: Option<(TaskId, usize)>,
+) {
+    let overhead = sim.world.cost.task_overhead(loc);
+    let now = sim.now();
+    let (core, start, end) = sim.world.localities[loc]
+        .cores
+        .acquire_indexed(now, overhead);
+    sim.world.monitor.per_locality[loc].busy_ns += overhead.as_nanos();
+    sim.world.monitor.per_locality[loc].tasks_split += 1;
+    trace_core_span(
+        &sim.world,
+        start,
+        end - start,
+        loc,
+        core,
+        EventKind::TaskSplit { task: tid.0 },
+    );
+    schedule_task_event(sim, end, move |sim| {
+        let result_bytes = wi.result_bytes();
+        let outcome = wi.split();
+        sim.world.localities[loc].load -= 1;
+        tasks::spawn_children(sim, loc, tid, parent, outcome, result_bytes);
+    });
+}

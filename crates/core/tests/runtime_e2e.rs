@@ -984,6 +984,39 @@ fn detector_host_death_fails_over_and_recovers() {
     );
 }
 
+/// The phase driver runs on the detector host, so what it does — item
+/// creation here, replayed from scratch after locality 0 died before the
+/// first checkpoint — is traced there, not on the dead locality's track.
+#[test]
+fn driver_events_after_host_death_land_on_the_new_host() {
+    let (_, clean) = bump_roundtrip(config(4, 2), 2);
+    let total = clean.finish_time.as_nanos();
+    let mut plan = FaultPlan::new(0xdead0);
+    plan.kill_at(0, SimTime::from_nanos(total / 4));
+    let mut cfg = config(4, 2);
+    cfg.faults = Some(plan);
+    cfg.resilience = Some(ResilienceConfig {
+        checkpoint_every: 100,
+        heartbeat_period: SimDuration::from_nanos((total / 50).max(500)),
+        ..ResilienceConfig::default()
+    });
+    cfg.trace = Some(allscale_core::TraceConfig::default());
+    let (seen, report) = bump_roundtrip(cfg, 2);
+    assert_eq!(seen, 96, "readback ran after the restart");
+    let trace = report.trace.expect("tracing was enabled");
+    let replayed: Vec<u32> = trace
+        .events
+        .iter()
+        .filter(|e| e.epoch >= 1 && matches!(e.kind, allscale_core::EventKind::ItemCreate { .. }))
+        .map(|e| e.loc)
+        .collect();
+    assert!(!replayed.is_empty(), "the restart must re-create the grid");
+    assert!(
+        replayed.iter().all(|&loc| loc == 1),
+        "item creation after locality 0's death is traced on the new host ({replayed:?})"
+    );
+}
+
 /// Regression for a post-recovery livelock: a driver-initiated
 /// `migrate_region` whose destination the detector has declared dead
 /// must be remapped to a live locality (the `live_target` rule task

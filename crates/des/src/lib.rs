@@ -20,6 +20,8 @@
 //! - [`Tally`] / [`LogHistogram`]: measurement plumbing;
 //! - [`rng`]: the shared seeded generators (xorshift64 family, Zipf) every
 //!   randomized subsystem draws from;
+//! - [`fnv`]: the shared FNV-1a 64-bit hash behind every fingerprint,
+//!   checksum and digest;
 //! - [`ArrivalGen`]: open-loop request arrival processes (Poisson and
 //!   trace-driven) for the serving subsystem.
 //!
@@ -42,6 +44,7 @@
 
 pub mod arrivals;
 mod cores;
+pub mod fnv;
 pub mod rng;
 mod sim;
 mod stats;

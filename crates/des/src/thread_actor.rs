@@ -15,7 +15,7 @@
 //! event schedule, so simulations involving dozens of rank threads remain
 //! bit-reproducible.
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
 
 /// What an actor thread reports when it suspends.
@@ -28,7 +28,7 @@ pub enum Suspended<Q, T> {
 
 /// Handle given to the blocking actor body for talking to the simulator.
 pub struct ThreadCtx<Q, A, T> {
-    req_tx: Sender<Suspended<Q, T>>,
+    req_tx: SyncSender<Suspended<Q, T>>,
     ans_rx: Receiver<A>,
 }
 
@@ -50,7 +50,7 @@ impl<Q, A, T> ThreadCtx<Q, A, T> {
 
 /// The simulator-side handle of a blocking actor.
 pub struct ThreadActor<Q, A, T> {
-    ans_tx: Sender<A>,
+    ans_tx: SyncSender<A>,
     req_rx: Receiver<Suspended<Q, T>>,
     handle: Option<JoinHandle<()>>,
     finished: bool,
@@ -71,8 +71,8 @@ where
     {
         // Capacity-1 channels: with strict hand-off there is at most one
         // in-flight message per direction, so sends never block.
-        let (ans_tx, ans_rx) = bounded::<A>(1);
-        let (req_tx, req_rx) = bounded::<Suspended<Q, T>>(1);
+        let (ans_tx, ans_rx) = sync_channel::<A>(1);
+        let (req_tx, req_rx) = sync_channel::<Suspended<Q, T>>(1);
         let handle = std::thread::Builder::new()
             .name(name)
             .spawn(move || {
@@ -125,7 +125,7 @@ impl<Q, A, T> Drop for ThreadActor<Q, A, T> {
         // in its own thread, which we swallow on join. This only happens
         // when a simulation is abandoned mid-flight (e.g. a failing test).
         if let Some(h) = self.handle.take() {
-            drop(std::mem::replace(&mut self.ans_tx, bounded(1).0));
+            drop(std::mem::replace(&mut self.ans_tx, sync_channel(1).0));
             let _ = h.join();
         }
     }

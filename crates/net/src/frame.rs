@@ -6,14 +6,13 @@
 //! 64-bit FNV-1a checksum of its bytes — and *opened* on the other side,
 //! where a mismatch proves the bytes were mangled in transit or at rest.
 //!
-//! FNV-1a is the same stable, dependency-free hash the location cache
-//! uses for region fingerprints (`allscale-region::fingerprint`): cheap
-//! enough for the hot path, stable across runs and processes so sealed
-//! frames are deterministic, and with 64 bits of state the chance of a
-//! random bit-flip going unnoticed is negligible for the frame sizes the
-//! runtime moves. It is **not** cryptographic — the threat model is
-//! silent corruption (bit rot, DMA errors, misbehaving NICs), not an
-//! adversary.
+//! FNV-1a ([`allscale_des::fnv`]) is the same stable, dependency-free
+//! hash the location cache uses for region fingerprints: cheap enough
+//! for the hot path, stable across runs and processes so sealed frames
+//! are deterministic, and with 64 bits of state the chance of a random
+//! bit-flip going unnoticed is negligible for the frame sizes the runtime
+//! moves. It is **not** cryptographic — the threat model is silent
+//! corruption (bit rot, DMA errors, misbehaving NICs), not an adversary.
 //!
 //! The frame layout is simply `checksum (8 bytes, little-endian) ‖
 //! payload`; [`FRAME_OVERHEAD`] is what the runtime adds to the billed
@@ -21,24 +20,10 @@
 
 use std::fmt;
 
+use allscale_des::fnv::fnv1a_64;
+
 /// Bytes a sealed frame adds on top of its payload (the checksum prefix).
 pub const FRAME_OVERHEAD: usize = 8;
-
-/// FNV-1a 64-bit offset basis.
-const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// FNV-1a 64-bit prime.
-const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Hash a byte slice with the canonical FNV-1a 64-bit function.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = FNV64_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV64_PRIME);
-    }
-    h
-}
 
 /// Why [`open`] refused a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,11 +51,11 @@ impl fmt::Display for FrameError {
     }
 }
 
-/// Seal `payload` into a checksummed frame: `fnv1a64(payload)` in
+/// Seal `payload` into a checksummed frame: `fnv1a_64(payload)` in
 /// little-endian followed by the payload bytes.
 pub fn seal(payload: &[u8]) -> Vec<u8> {
     let mut framed = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
-    framed.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    framed.extend_from_slice(&fnv1a_64(payload).to_le_bytes());
     framed.extend_from_slice(payload);
     framed
 }
@@ -86,7 +71,7 @@ pub fn open(framed: &[u8]) -> Result<&[u8], FrameError> {
     }
     let (header, payload) = framed.split_at(FRAME_OVERHEAD);
     let stored = u64::from_le_bytes(header.try_into().expect("8-byte header"));
-    let computed = fnv1a64(payload);
+    let computed = fnv1a_64(payload);
     if stored != computed {
         return Err(FrameError::ChecksumMismatch { stored, computed });
     }
@@ -115,13 +100,6 @@ pub fn corrupt_in_place(bytes: &mut [u8], salt: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_matches_known_vectors() {
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
-    }
 
     #[test]
     fn seal_open_roundtrip() {

@@ -21,7 +21,6 @@
 
 mod bitmask;
 mod boxes;
-mod fingerprint;
 mod fragment;
 mod grid_fragment;
 mod interval;
@@ -35,7 +34,7 @@ mod treepath;
 
 pub use bitmask::BitmaskTreeRegion;
 pub use boxes::BoxRegion;
-pub use fingerprint::{fnv1a_64, Fnv64};
+pub use allscale_des::fnv::fnv1a_64;
 pub use fragment::{Fragment, ItemType};
 pub use grid_fragment::GridFragment;
 pub use interval::IntervalRegion;
