@@ -213,14 +213,16 @@ fn build_rec(
         return;
     }
     let dim = (depth as usize) % DIMS;
-    // Stable, deterministic ordering: by coordinate, ties by point index.
-    idxs.sort_unstable_by(|&a, &b| {
+    let mid = idxs.len() / 2;
+    // Only the median and the two sides as *sets* matter, and the order —
+    // by coordinate, ties by point index — is total, so a selection yields
+    // the tree a full sort would.
+    idxs.select_nth_unstable_by(mid, |&a, &b| {
         points[a][dim]
             .partial_cmp(&points[b][dim])
             .unwrap()
             .then(a.cmp(&b))
     });
-    let mid = idxs.len() / 2;
     out[path.bfs_index() as usize] = Some(KdNode {
         point: points[idxs[mid]],
         dim: dim as u8,
@@ -272,6 +274,54 @@ mod tests {
         assert_eq!(t1.nodes.len(), 127);
         assert_eq!(t1.levels, 7);
         assert_eq!(t1.nodes, t2.nodes);
+    }
+
+    /// `build_rec` as it was when it sorted every level, kept verbatim as
+    /// the reference for the selecting version.
+    fn build_rec_sorting(
+        points: &[[f64; DIMS]],
+        idxs: &mut [usize],
+        depth: u8,
+        path: TreePath,
+        out: &mut [Option<KdNode>],
+    ) {
+        if idxs.is_empty() {
+            return;
+        }
+        let dim = (depth as usize) % DIMS;
+        // Stable, deterministic ordering: by coordinate, ties by point index.
+        idxs.sort_unstable_by(|&a, &b| {
+            points[a][dim]
+                .partial_cmp(&points[b][dim])
+                .unwrap()
+                .then(a.cmp(&b))
+        });
+        let mid = idxs.len() / 2;
+        out[path.bfs_index() as usize] = Some(KdNode {
+            point: points[idxs[mid]],
+            dim: dim as u8,
+        });
+        let (left, rest) = idxs.split_at_mut(mid);
+        let right = &mut rest[1..];
+        build_rec_sorting(points, left, depth + 1, path.left(), out);
+        build_rec_sorting(points, right, depth + 1, path.right(), out);
+    }
+
+    #[test]
+    fn selecting_build_equals_sorting_build() {
+        for k in 1..=12u32 {
+            let mut pts = gen_points((1u64 << k) - 1);
+            // Force coordinate ties, which only the index tie-break orders.
+            for i in (0..pts.len()).step_by(3) {
+                pts[i] = pts[i / 2];
+            }
+            let n = pts.len();
+            let mut reference: Vec<Option<KdNode>> = vec![None; n];
+            let mut idxs: Vec<usize> = (0..n).collect();
+            build_rec_sorting(&pts, &mut idxs, 0, TreePath::ROOT, &mut reference);
+            let reference: Vec<KdNode> = reference.into_iter().map(Option::unwrap).collect();
+            assert_eq!(KdTree::build(&pts).nodes, reference, "2^{k} - 1 points");
+        }
     }
 
     #[test]

@@ -1,13 +1,16 @@
 //! Microbenchmarks of fragment operations: extract/insert (the data paths
 //! of replica and migration transfers), element access through a chunk
 //! list shaped like the stencil's, region algebra against a fragmented
-//! region, and the wire codec round-trip that every inter-locality
-//! transfer pays.
+//! region, node lookup in a tree fragment shaped like TPC's, and the wire
+//! codec round-trip that every inter-locality transfer pays.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use allscale_net::wire;
-use allscale_region::{BoxRegion, Fragment, GridBox, GridFragment, Point, Region};
+use allscale_region::{
+    BitmaskTreeRegion, BoxRegion, Fragment, GridBox, GridFragment, Point, Region, TreeFragment,
+    TreePath,
+};
 
 fn filled(n: i64) -> GridFragment<f64, 2> {
     let mut f = GridFragment::new(&BoxRegion::cuboid([0, 0], [n, n]));
@@ -122,6 +125,51 @@ fn bench_box_union(c: &mut Criterion) {
     });
 }
 
+/// What a TPC locality holds (`paper_scaled`: split depth 7, 17 levels):
+/// the replicated 7-level root block and two 10-level subtree blocks, and
+/// what a query task does to them — a depth-first walk of one subtree with
+/// an explicit stack, one `get` per visit.
+fn bench_tree_get(c: &mut Criterion) {
+    const H: u8 = 7;
+    const LEVELS: u8 = 17;
+    let region = BitmaskTreeRegion::full(H);
+    let mut frag = TreeFragment::<[f64; 8], BitmaskTreeRegion>::new(region.clone());
+    let fill = |frag: &mut TreeFragment<_, _>, base: TreePath, levels: u8| {
+        let mut stack = vec![base];
+        while let Some(path) = stack.pop() {
+            frag.set(path, [path.depth() as f64; 8]);
+            if path.depth() + 1 < base.depth() + levels {
+                stack.push(path.left());
+                stack.push(path.right());
+            }
+        }
+    };
+    fill(&mut frag, region.subtree_root(40), LEVELS - H);
+    fill(&mut frag, region.subtree_root(41), LEVELS - H);
+    fill(&mut frag, TreePath::ROOT, H);
+    assert_eq!(frag.len(), 127 + 2 * 1023);
+
+    let mut g = c.benchmark_group("tree_fragment_get");
+    g.throughput(criterion::Throughput::Elements(1023));
+    let root = region.subtree_root(41);
+    let mut stack = Vec::with_capacity(32);
+    g.bench_function("dfs_10_levels", |b| {
+        b.iter(|| {
+            let mut sum = 0.0;
+            stack.push(root);
+            while let Some(path) = stack.pop() {
+                sum += black_box(&frag).get(&path).expect("stored node")[0];
+                if path.depth() + 1 < LEVELS {
+                    stack.push(path.left());
+                    stack.push(path.right());
+                }
+            }
+            sum
+        })
+    });
+    g.finish();
+}
+
 fn bench_wire_codec(c: &mut Criterion) {
     let mut g = c.benchmark_group("wire");
     for &n in &[64i64, 256] {
@@ -143,6 +191,7 @@ criterion_group!(
     bench_extract_insert,
     bench_get_set,
     bench_box_union,
+    bench_tree_get,
     bench_wire_codec
 );
 criterion_main!(benches);

@@ -325,11 +325,17 @@ impl DataItemManager {
         slot.owned.union_dyn(slot.persistent.as_ref())
     }
 
-    /// Whether `region` is covered by the stable read base.
+    /// Whether `region` is covered by the stable read base. Asked once per
+    /// read requirement of every task, so it never builds the base:
+    /// `region ⊆ owned ∪ persistent` ⇔ `(region ∖ owned) ∖ persistent = ∅`,
+    /// and the replicas are consulted only for what ownership leaves over.
     pub fn covers_stable(&self, item: ItemId, region: &dyn DynRegion) -> bool {
-        region
-            .difference_dyn(self.read_base(item).as_ref())
-            .is_empty_dyn()
+        let slot = self.slot(item);
+        let unowned = region.difference_dyn(slot.owned.as_ref());
+        unowned.is_empty_dyn()
+            || unowned
+                .difference_dyn(slot.persistent.as_ref())
+                .is_empty_dyn()
     }
 
     /// First-touch allocation (the model's (init) rule): extend ownership
@@ -1297,6 +1303,28 @@ mod tests {
         assert!(holder.persistent_region(ItemId(0)).is_empty_dyn());
         assert!(!holder.covers(ItemId(0), &r2([0, 0], [2, 2])));
         assert!(holder.covers(ItemId(0), &r2([4, 0], [6, 2])), "owned data survives");
+    }
+
+    #[test]
+    fn covers_stable_needs_owned_and_replica_together() {
+        let mut owner = mk();
+        let mut holder = {
+            let mut dim = DataItemManager::new(1);
+            dim.register(ItemId(0), ItemDescriptor::of::<G2>("grid"));
+            dim
+        };
+        owner.init_owned(ItemId(0), &r2([0, 0], [2, 2]));
+        holder.init_owned(ItemId(0), &r2([2, 0], [4, 2]));
+        let both = r2([0, 0], [4, 2]);
+        assert!(!holder.covers_stable(ItemId(0), &both), "owned half only");
+        let bytes = owner.export_replica(ItemId(0), &r2([0, 0], [2, 2]), 1, TaskId(u64::MAX));
+        holder.import_persistent(ItemId(0), &bytes);
+        assert!(holder.covers_stable(ItemId(0), &both), "owned ∪ replica");
+        assert!(holder.covers_stable(ItemId(0), &r2([1, 0], [3, 2])));
+        assert!(!holder.covers_stable(ItemId(0), &r2([0, 0], [5, 2])), "neither");
+        assert!(both.eq_dyn(holder.read_base(ItemId(0)).as_ref()));
+        holder.drop_persistent(ItemId(0));
+        assert!(!holder.covers_stable(ItemId(0), &both), "replica half gone");
     }
 
     #[test]

@@ -712,7 +712,7 @@ fn tree_facade_distributes_and_reads() {
                             let mut s = 0u64;
                             let region = BitmaskTreeRegion::new(H);
                             for (path, v) in frag.iter() {
-                                let in_block = match BitmaskTreeRegion::block_of(H, path) {
+                                let in_block = match BitmaskTreeRegion::block_of(H, &path) {
                                     None => p[0] == 0,
                                     Some(b) => p[0] as usize == b + 1,
                                 };

@@ -50,11 +50,7 @@ impl BucketRegion {
 
     /// The region covering every bucket.
     pub fn full(buckets: u32) -> Self {
-        let mut r = Self::new(buckets);
-        for b in 0..buckets {
-            r.set(b, true);
-        }
-        r
+        Self::of_range(buckets, 0, buckets)
     }
 
     /// A region of one bucket.
@@ -68,8 +64,15 @@ impl BucketRegion {
     /// building block.
     pub fn of_range(buckets: u32, lo: u32, hi: u32) -> Self {
         let mut r = Self::new(buckets);
-        for b in lo..hi.min(buckets) {
-            r.set(b, true);
+        let (lo, hi) = (lo as u64, hi.min(buckets) as u64);
+        for (w, word) in r.words.iter_mut().enumerate() {
+            // The part of [lo, hi) inside this word's 64 buckets.
+            let base = w as u64 * 64;
+            let from = lo.max(base) - base;
+            let to = hi.min(base + 64).saturating_sub(base);
+            if from < to {
+                *word = (u64::MAX >> (64 - (to - from))) << from;
+            }
         }
         r
     }
@@ -100,7 +103,14 @@ impl BucketRegion {
 
     /// Iterate covered buckets.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.buckets).filter(|&b| self.contains(b))
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                let bit = (rest != 0).then(|| rest.trailing_zeros())?;
+                rest &= rest - 1;
+                Some(w as u32 * 64 + bit)
+            })
+        })
     }
 
     /// Number of covered buckets.
@@ -119,35 +129,33 @@ impl BucketRegion {
         (h % buckets as u64) as u32
     }
 
+    /// Word-wise for every operand pair. The canonical `Region::empty()`
+    /// has one bucket whatever the item's count — a data item manager's
+    /// replica coverage is that value until a replica arrives — so an empty
+    /// operand of another count reads as zero words of the larger count.
     fn zip(&self, other: &Self, op: fn(u64, u64) -> u64) -> Self {
         if self.buckets != other.buckets {
-            // Semantic escape hatches for the canonical empty value.
-            if self.is_empty() || other.is_empty() {
-                let buckets = self.buckets.max(other.buckets);
-                let a = self.resized(buckets);
-                let b = other.resized(buckets);
-                return a.zip(&b, op);
-            }
-            panic!("bucket regions with different bucket counts");
+            assert!(
+                self.is_empty() || other.is_empty(),
+                "bucket regions with different bucket counts"
+            );
         }
+        // An operand has no buckets beyond its own end. Equal lengths — every
+        // pair but those with the canonical empty — skip the padding, which
+        // costs 20 % on hostbench's `region.bucket` probe.
+        fn padded(r: &BucketRegion, len: usize) -> impl Iterator<Item = u64> + '_ {
+            r.words.iter().copied().chain(std::iter::repeat(0)).take(len)
+        }
+        let len = self.words.len().max(other.words.len());
+        let words = if self.words.len() == other.words.len() {
+            self.words.iter().zip(&other.words).map(|(&a, &b)| op(a, b)).collect()
+        } else {
+            padded(self, len).zip(padded(other, len)).map(|(a, b)| op(a, b)).collect()
+        };
         BucketRegion {
-            buckets: self.buckets,
-            words: self
-                .words
-                .iter()
-                .zip(&other.words)
-                .map(|(&a, &b)| op(a, b))
-                .collect(),
+            buckets: self.buckets.max(other.buckets),
+            words,
         }
-    }
-
-    fn resized(&self, buckets: u32) -> Self {
-        debug_assert!(self.is_empty() || self.buckets == buckets);
-        let mut r = Self::new(buckets);
-        for b in self.iter() {
-            r.set(b, true);
-        }
-        r
     }
 }
 
@@ -510,6 +518,61 @@ mod tests {
             for b in &cases {
                 check_laws(a, b, oracle);
             }
+        }
+    }
+
+    #[test]
+    fn algebra_with_the_canonical_empty_matches_sets() {
+        // 130 buckets: three words, the last one partial.
+        const N: u32 = 130;
+        let mut sparse = BucketRegion::new(N);
+        for b in [0, 63, 64, 100, 129] {
+            sparse.set(b, true);
+        }
+        let operands = [
+            BucketRegion::empty(),
+            BucketRegion::new(N),
+            sparse,
+            BucketRegion::of_range(N, 60, 70),
+            BucketRegion::full(N),
+        ];
+        type RegionOp = fn(&BucketRegion, &BucketRegion) -> BucketRegion;
+        type SetOp = fn(&BTreeSet<u32>, &BTreeSet<u32>) -> BTreeSet<u32>;
+        let ops: [(RegionOp, SetOp); 3] = [
+            (BucketRegion::union, |a, b| a | b),
+            (BucketRegion::intersect, |a, b| a & b),
+            (BucketRegion::difference, |a, b| a - b),
+        ];
+        for a in &operands {
+            for b in &operands {
+                for (op, set_op) in &ops {
+                    let r = op(a, b);
+                    assert_eq!(oracle(&r), set_op(&oracle(a), &oracle(b)), "{a:?} {b:?}");
+                    assert_eq!(r.buckets(), a.buckets().max(b.buckets()));
+                    assert_eq!(r.words.len(), (r.buckets() as usize).div_ceil(64));
+                    assert_eq!(r.cardinality() as usize, oracle(&r).len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "different bucket counts")]
+    fn mixing_non_empty_bucket_counts_panics() {
+        let _ = BucketRegion::full(8).union(&BucketRegion::full(16));
+    }
+
+    #[test]
+    fn ranges_and_iteration_cross_word_boundaries() {
+        for buckets in [1, 63, 64, 65, 130, 512] {
+            for (lo, hi) in [(0, 0), (0, 1), (3, 64), (60, 70), (64, 128), (0, 600), (70, 60)] {
+                let r = BucketRegion::of_range(buckets, lo, hi);
+                let want: Vec<u32> = (lo..hi.min(buckets)).collect();
+                assert_eq!(r.iter().collect::<Vec<_>>(), want, "{buckets}: [{lo}, {hi})");
+                assert!(want.iter().all(|&b| r.contains(b)));
+                assert_eq!(r.cardinality() as usize, want.len());
+            }
+            assert_eq!(BucketRegion::full(buckets).cardinality(), buckets);
         }
     }
 

@@ -1,12 +1,23 @@
 //! Fragments of binary-tree data items (paper Fig. 4b/4c).
 //!
-//! A [`TreeFragment`] stores a sparse map from node paths to values and is
-//! generic over the region scheme: the flexible [`TreeRegion`] or the
-//! blocked [`BitmaskTreeRegion`], both of which implement [`PathRegion`].
-//! The TPC evaluation code distributes its kd-tree with the blocked scheme.
+//! A [`TreeFragment`] stores the nodes of its region in dense heap-layout
+//! blocks and is generic over the region scheme: the flexible
+//! [`TreeRegion`] or the blocked [`BitmaskTreeRegion`], both of which
+//! implement [`PathRegion`]. The TPC evaluation code distributes its
+//! kd-tree with the blocked scheme.
+//!
+//! A traversal reads one node per visit, so a lookup is one prefix test and
+//! one index while consecutive visits stay in a block. What is observable
+//! does not depend on the blocks: serialized fragment bytes are billed on
+//! the virtual clock, and the wire form is the map of nodes in path order.
 
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::cell::Cell;
+use std::fmt;
+use std::marker::PhantomData;
+
+use serde::de::{MapAccess, Visitor};
+use serde::ser::SerializeMap;
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
 use crate::bitmask::BitmaskTreeRegion;
 use crate::fragment::Fragment;
@@ -33,13 +44,237 @@ impl PathRegion for BitmaskTreeRegion {
     }
 }
 
+/// Most levels a block holds below its root (the `H` of DESIGN.md §5.3),
+/// which bounds what a sparse block can waste (see [`TreeFragment`]). A
+/// constant, not a knob: nothing observable depends on it, and 12 holds the
+/// deepest block any configuration in the tree distributes (10 levels).
+const SPAN: u8 = 12;
+
+/// A subtree of `levels` ≤ [`SPAN`] levels below `root`. `slots` is its
+/// heap layout — the node `n` levels down along steps `s` has slot
+/// `(1 << n) - 1 + s` — and holds 0 for "no node", else 1 + the node's
+/// position in `nodes`. It always ends on a level boundary: the block
+/// *claims* every path of its `levels` levels, stored or not. Values sit
+/// out of line so that an empty slot costs four bytes.
+#[derive(Clone)]
+struct Block<T> {
+    root: TreePath,
+    slots: Vec<u32>,
+    /// The stored nodes with their slots, in arrival order.
+    nodes: Vec<(u32, T)>,
+}
+
+/// The slot `levels` down from a block's root along `steps`.
+#[inline]
+fn slot_at(levels: u8, steps: u64) -> usize {
+    (1usize << levels) - 1 + steps as usize
+}
+
+/// The path heap slot `slot` of a block rooted at `root` stands for.
+fn path_at(root: TreePath, slot: u32) -> TreePath {
+    let levels = (slot + 1).ilog2();
+    let steps = slot + 1 - (1 << levels);
+    root.descend(levels as u8, steps as u64)
+}
+
+impl<T> Block<T> {
+    /// The slot of `path` if this block claims it.
+    #[inline]
+    fn slot_of(&self, path: &TreePath) -> Option<usize> {
+        let (levels, steps) = path.below(&self.root)?;
+        if levels >= SPAN {
+            return None;
+        }
+        let slot = slot_at(levels, steps);
+        (slot < self.slots.len()).then_some(slot)
+    }
+
+    #[inline]
+    fn get(&self, slot: usize) -> Option<&T> {
+        let at = self.slots[slot].checked_sub(1)?;
+        Some(&self.nodes[at as usize].1)
+    }
+
+    fn store(&mut self, slot: usize, value: T) {
+        match self.slots[slot].checked_sub(1) {
+            Some(at) => self.nodes[at as usize].1 = value,
+            None => {
+                self.nodes.push((slot as u32, value));
+                self.slots[slot] = self.nodes.len() as u32;
+            }
+        }
+    }
+
+    fn entries(&self) -> impl Iterator<Item = (TreePath, &T)> {
+        self.nodes.iter().map(|(slot, v)| (path_at(self.root, *slot), v))
+    }
+
+    fn retain(&mut self, mut keep: impl FnMut(&TreePath) -> bool) {
+        let root = self.root;
+        let before = self.nodes.len();
+        self.nodes.retain(|(slot, _)| keep(&path_at(root, *slot)));
+        if self.nodes.len() < before {
+            self.slots.fill(0);
+            for (at, (slot, _)) in self.nodes.iter().enumerate() {
+                self.slots[*slot as usize] = at as u32 + 1;
+            }
+        }
+    }
+}
+
+/// The node storage of a [`TreeFragment`].
+///
+/// **One home per path**: no block's root lies among the paths another
+/// block claims, so the claims are disjoint and whichever block claims a
+/// path is the one a scan would find. A block grows a level only where
+/// that stays true; otherwise the path opens a block of its own. Which
+/// blocks exist therefore follows the order nodes arrived in — a subtree
+/// filled from its root down is one block — and shows in nothing but
+/// lookup cost.
+#[derive(Clone)]
+struct Nodes<T> {
+    blocks: Vec<Block<T>>,
+    /// Index of the block that served the latest lookup: a hint
+    /// [`Nodes::locate`] validates before use, so edits to `blocks` need
+    /// not maintain it. Not part of the wire form.
+    finger: Cell<usize>,
+}
+
+impl<T> Nodes<T> {
+    fn new() -> Self {
+        Nodes {
+            blocks: Vec::new(),
+            finger: Cell::new(0),
+        }
+    }
+
+    /// The home of `path` as (block index, slot), if a block claims it.
+    #[inline]
+    fn locate(&self, path: &TreePath) -> Option<(usize, usize)> {
+        let hint = self.finger.get();
+        match self.blocks.get(hint).and_then(|b| b.slot_of(path)) {
+            Some(slot) => Some((hint, slot)),
+            None => self.locate_by_scan(path),
+        }
+    }
+
+    #[inline(never)]
+    fn locate_by_scan(&self, path: &TreePath) -> Option<(usize, usize)> {
+        let hit = (0..self.blocks.len()).find_map(|b| Some((b, self.blocks[b].slot_of(path)?)))?;
+        self.finger.set(hit.0);
+        Some(hit)
+    }
+
+    #[inline]
+    fn get(&self, path: &TreePath) -> Option<&T> {
+        let (block, slot) = self.locate(path)?;
+        self.blocks[block].get(slot)
+    }
+
+    fn put(&mut self, path: TreePath, value: T) {
+        let (block, slot) = match self.locate(&path).or_else(|| self.grow_to(&path)) {
+            Some(home) => home,
+            None => {
+                self.blocks.push(Block {
+                    root: path,
+                    slots: vec![0],
+                    nodes: Vec::new(),
+                });
+                (self.blocks.len() - 1, 0)
+            }
+        };
+        self.blocks[block].store(slot, value);
+    }
+
+    /// Give `path`, which no block claims, a home in a block above it: one
+    /// within [`SPAN`] whose claim can reach down to `path`'s level without
+    /// taking in another block's root.
+    fn grow_to(&mut self, path: &TreePath) -> Option<(usize, usize)> {
+        let (block, levels, steps) = self.blocks.iter().enumerate().find_map(|(b, block)| {
+            let (levels, steps) = path.below(&block.root)?;
+            let roots = || self.blocks.iter().filter_map(|other| other.root.below(&block.root));
+            // `down == 0` is the block's own root. Of nested candidates
+            // only the deepest can pass: it is a root under the others.
+            let free = levels < SPAN && roots().all(|(down, _)| down == 0 || down > levels);
+            free.then_some((b, levels, steps))
+        })?;
+        self.blocks[block].slots.resize((2 << levels) - 1, 0);
+        Some((block, slot_at(levels, steps)))
+    }
+
+    fn len(&self) -> usize {
+        self.blocks.iter().map(|b| b.nodes.len()).sum()
+    }
+
+    /// Stored nodes, each block's in arrival order.
+    fn entries(&self) -> impl Iterator<Item = (TreePath, &T)> {
+        self.blocks.iter().flat_map(Block::entries)
+    }
+
+    /// Stored nodes in path order — `(bits, len)`, the order of the wire.
+    fn sorted(&self) -> Vec<(TreePath, &T)> {
+        let mut nodes: Vec<_> = self.entries().collect();
+        nodes.sort_unstable_by_key(|&(path, _)| path);
+        nodes
+    }
+
+    fn retain(&mut self, mut keep: impl FnMut(&TreePath) -> bool) {
+        for block in &mut self.blocks {
+            block.retain(&mut keep);
+        }
+        self.blocks.retain(|b| !b.nodes.is_empty());
+    }
+}
+
+// Hand-written so that the wire form stays the map of nodes in path order
+// that the `BTreeMap` this storage replaced produced.
+impl<T: Serialize> Serialize for Nodes<T> {
+    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        let nodes = self.sorted();
+        let mut map = s.serialize_map(Some(nodes.len()))?;
+        for (path, value) in nodes {
+            map.serialize_key(&path)?;
+            map.serialize_value(value)?;
+        }
+        map.end()
+    }
+}
+
+impl<'de, T: Deserialize<'de>> Deserialize<'de> for Nodes<T> {
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        struct NodesVisitor<T>(PhantomData<T>);
+        impl<'de, T: Deserialize<'de>> Visitor<'de> for NodesVisitor<T> {
+            type Value = Nodes<T>;
+            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                write!(f, "a map of tree nodes")
+            }
+            fn visit_map<A: MapAccess<'de>>(self, mut map: A) -> Result<Self::Value, A::Error> {
+                let mut nodes = Nodes::new();
+                while let Some(path) = map.next_key()? {
+                    nodes.put(path, map.next_value()?);
+                }
+                Ok(nodes)
+            }
+        }
+        d.deserialize_map(NodesVisitor(PhantomData))
+    }
+}
+
 /// The nodes of one region of a binary-tree data item, held in a single
 /// address space.
 ///
-/// Storage is sparse: a node exists once the application stores a value at
-/// its path and the path lies inside the fragment's region. This fits both
-/// incomplete trees (kd-trees over arbitrary point sets) and staged
-/// construction.
+/// A node exists once the application stores a value at its path and the
+/// path lies inside the fragment's region, which fits both incomplete trees
+/// (kd-trees over arbitrary point sets) and staged construction.
+///
+/// Storage is dense per block of up to `H` = 12 levels, allocated down to
+/// the deepest level in use, at four bytes per slot plus the stored values:
+/// a complete subtree costs its nodes, a path of `n` nodes from a block's
+/// root costs `2^n − 1` slots, and the worst case — a lone node `H − 1`
+/// levels under its block's root — keeps `2^H − 1` = 4 095 slots (16 KiB)
+/// for one value. Lookups that stay in one block (a depth-first traversal
+/// does) cost one prefix test and one index; a lookup that changes block
+/// tests every block once.
 #[derive(Clone, Serialize, Deserialize)]
 #[serde(bound(
     serialize = "T: Serialize, R: Serialize",
@@ -47,7 +282,7 @@ impl PathRegion for BitmaskTreeRegion {
 ))]
 pub struct TreeFragment<T, R: PathRegion> {
     region: R,
-    nodes: BTreeMap<TreePath, T>,
+    nodes: Nodes<T>,
 }
 
 impl<T, R> TreeFragment<T, R>
@@ -59,11 +294,12 @@ where
     pub fn new(region: R) -> Self {
         TreeFragment {
             region,
-            nodes: BTreeMap::new(),
+            nodes: Nodes::new(),
         }
     }
 
     /// Read the node at `path`, if present.
+    #[inline]
     pub fn get(&self, path: &TreePath) -> Option<&T> {
         self.nodes.get(path)
     }
@@ -74,7 +310,7 @@ where
         if !self.region.contains_path(&path) {
             return false;
         }
-        self.nodes.insert(path, value);
+        self.nodes.put(path, value);
         true
     }
 
@@ -85,12 +321,12 @@ where
 
     /// Whether no nodes are stored.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.len() == 0
     }
 
     /// Iterate over `(path, value)` pairs in path order.
-    pub fn iter(&self) -> impl Iterator<Item = (&TreePath, &T)> {
-        self.nodes.iter()
+    pub fn iter(&self) -> impl Iterator<Item = (TreePath, &T)> {
+        self.nodes.sorted().into_iter()
     }
 }
 
@@ -102,10 +338,7 @@ where
     type Region = R;
 
     fn empty() -> Self {
-        TreeFragment {
-            region: R::empty(),
-            nodes: BTreeMap::new(),
-        }
+        TreeFragment::new(R::empty())
     }
 
     fn alloc(region: &R) -> Self {
@@ -117,36 +350,35 @@ where
     }
 
     fn extract(&self, region: &R) -> Self {
-        let r = self.region.intersect(region);
-        let nodes = self
-            .nodes
-            .iter()
-            .filter(|(p, _)| r.contains_path(p))
-            .map(|(p, v)| (*p, v.clone()))
-            .collect();
-        TreeFragment { region: r, nodes }
+        let mut out = TreeFragment::new(self.region.intersect(region));
+        for (path, value) in self.nodes.entries() {
+            if out.region.contains_path(&path) {
+                out.nodes.put(path, value.clone());
+            }
+        }
+        out
     }
 
     fn insert(&mut self, other: &Self) {
         self.region = self.region.union(&other.region);
-        for (p, v) in &other.nodes {
-            self.nodes.insert(*p, v.clone());
+        for (path, value) in other.nodes.entries() {
+            self.nodes.put(path, value.clone());
         }
     }
 
     fn remove(&mut self, region: &R) {
         self.region = self.region.difference(region);
         let keep = &self.region;
-        self.nodes.retain(|p, _| keep.contains_path(p));
+        self.nodes.retain(|path| keep.contains_path(path));
     }
 
     fn approx_bytes(&self) -> usize {
-        self.nodes.len() * (std::mem::size_of::<T>() + std::mem::size_of::<TreePath>() + 16)
+        self.len() * (std::mem::size_of::<T>() + std::mem::size_of::<TreePath>() + 16)
     }
 }
 
-impl<T, R: PathRegion> std::fmt::Debug for TreeFragment<T, R> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl<T, R: PathRegion> fmt::Debug for TreeFragment<T, R> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
             "TreeFragment(region={:?}, nodes={})",
@@ -254,6 +486,64 @@ mod tests {
         let lr = p(&[false, true]);
         assert!(dst.get(&lr).is_some());
         assert!(src.get(&lr).is_none());
+    }
+
+    fn whole() -> TreeFragment<u32, TreeRegion> {
+        TreeFragment::new(TreeRegion::subtree(TreePath::ROOT))
+    }
+
+    #[test]
+    fn a_subtree_filled_from_its_root_is_one_block() {
+        let mut f = whole();
+        let base = p(&[true, false, true]);
+        let mut stack = vec![base];
+        while let Some(path) = stack.pop() {
+            f.set(path, path.depth() as u32);
+            if path.depth() < base.depth() + 9 {
+                stack.push(path.left());
+                stack.push(path.right());
+            }
+        }
+        assert_eq!(f.len(), 1023);
+        assert_eq!(f.nodes.blocks.len(), 1);
+        assert_eq!(f.nodes.blocks[0].slots.len(), 1023);
+        // A block above it stops growing where this one's root lies.
+        f.set(TreePath::ROOT, 0);
+        f.set(p(&[true]), 1);
+        f.set(p(&[true, false]), 2);
+        f.set(p(&[false, false, false]), 3);
+        assert_eq!(f.nodes.blocks.len(), 3);
+        assert_eq!(f.get(&base), Some(&3));
+        assert_eq!(f.get(&p(&[false, false, false])), Some(&3));
+        assert_eq!(f.get(&p(&[false, false, true])), None);
+        assert_eq!(f.len(), 1027);
+    }
+
+    #[test]
+    fn a_chain_opens_a_block_every_span_levels() {
+        let mut f = whole();
+        let mut path = TreePath::ROOT;
+        for depth in 0..30u32 {
+            f.set(path, depth);
+            path = path.right();
+        }
+        assert_eq!(f.nodes.blocks.len(), 3);
+        let order: Vec<u32> = f.iter().map(|(_, v)| *v).collect();
+        assert_eq!(order, (0..30).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn finger_survives_edits_as_a_hint() {
+        let mut f = sample_flexible();
+        let deep = p(&[false; 20]);
+        f.set(deep, 7);
+        assert_eq!(f.get(&deep), Some(&7)); // finger on the second block
+        let g = f.clone();
+        f.remove(&TreeRegion::subtree(p(&[false])));
+        assert_eq!(f.nodes.blocks.len(), 1);
+        assert_eq!(f.get(&deep), None);
+        assert_eq!(f.get(&p(&[true])), Some(&20));
+        assert_eq!(g.get(&deep), Some(&7));
     }
 
     #[test]

@@ -102,6 +102,30 @@ impl TreePath {
         (self.bits & mask) == (other.bits & mask)
     }
 
+    /// Where this node sits in the subtree rooted at `root`: how many
+    /// levels down, and the steps taken below `root` (bit `i` is the step at
+    /// depth `root.depth() + i`). `None` when `root` is not an ancestor.
+    #[inline]
+    pub(crate) fn below(&self, root: &TreePath) -> Option<(u8, u64)> {
+        if !root.is_prefix_of(self) {
+            return None;
+        }
+        // A root at depth 64 has only itself below it: no steps.
+        let steps = self.bits.checked_shr(root.len as u32).unwrap_or(0);
+        Some((self.len - root.len, steps))
+    }
+
+    /// Inverse of [`TreePath::below`]: the node `levels` down from this one
+    /// along `steps`.
+    #[inline]
+    pub(crate) fn descend(&self, levels: u8, steps: u64) -> TreePath {
+        debug_assert!(self.len + levels <= 64);
+        TreePath {
+            bits: self.bits | steps.checked_shl(self.len as u32).unwrap_or(0),
+            len: self.len + levels,
+        }
+    }
+
     /// The index of this node in breadth-first order (root = 0, its
     /// children 1 and 2, …) — the classic heap layout.
     pub fn bfs_index(&self) -> u64 {
@@ -162,6 +186,27 @@ mod tests {
         assert!(TreePath::ROOT.is_prefix_of(&q));
         let sib = TreePath::from_steps(&[true, true]);
         assert!(!p.is_prefix_of(&sib));
+    }
+
+    #[test]
+    fn below_and_descend_are_inverse() {
+        let root = TreePath::from_steps(&[true, false, true]);
+        for idx in 0..63u64 {
+            let rel = TreePath::from_bfs_index(idx);
+            let mut node = root;
+            for i in 0..rel.depth() {
+                node = node.child(rel.step(i));
+            }
+            let (levels, steps) = node.below(&root).expect("descendant");
+            assert_eq!((levels, steps), (rel.depth(), rel.bits));
+            assert_eq!(root.descend(levels, steps), node);
+        }
+        assert_eq!(root.below(&root), Some((0, 0)));
+        assert_eq!(TreePath::ROOT.below(&root), None);
+        assert_eq!(root.right().below(&root.left()), None);
+        let deepest = TreePath::from_steps(&[true; 64]);
+        assert_eq!(deepest.below(&deepest), Some((0, 0)));
+        assert_eq!(deepest.descend(0, 0), deepest);
     }
 
     #[test]

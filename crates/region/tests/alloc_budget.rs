@@ -1,12 +1,17 @@
-//! Allocation budget of the grid data plane's disjoint paths, as a count:
-//! region algebra between a fragmented region and a box that touches none
-//! of it allocates the result and nothing per box pair. A timing would say
-//! the same thing with noise; `malloc` calls repeat exactly.
+//! Allocation budgets of the data planes, as counts: grid region algebra
+//! between a fragmented region and a box that touches none of it allocates
+//! the result and nothing per box pair; a tree fragment allocates per level
+//! of a block, never per node or per lookup; bucket algebra with the
+//! canonical empty region allocates its result. A timing would say the same
+//! things with noise; `malloc` calls repeat exactly.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use allscale_region::{BoxRegion, Fragment, GridBox, GridFragment, Point, Region};
+use allscale_region::{
+    BoxRegion, BucketRegion, Fragment, GridBox, GridFragment, Point, Region, TreeFragment,
+    TreePath, TreeRegion,
+};
 
 thread_local! {
     /// Allocations made by this thread (the test harness runs tests on
@@ -82,4 +87,52 @@ fn removing_a_region_that_misses_every_chunk_allocates_only_the_chunk_list() {
     let (n, ()) = allocations_of(|| frag.remove(&apart));
     assert_eq!(n, 1, "remove: the new chunk list, nothing per chunk");
     assert_eq!(format!("{frag:?}"), before);
+}
+
+/// The ten-level subtree under `base`, depth first from its root.
+fn subtree_top_down(base: TreePath) -> Vec<TreePath> {
+    let mut out = Vec::with_capacity(1023);
+    let mut stack = vec![base];
+    while let Some(path) = stack.pop() {
+        out.push(path);
+        if path.depth() < base.depth() + 9 {
+            stack.push(path.left());
+            stack.push(path.right());
+        }
+    }
+    out
+}
+
+#[test]
+fn tree_fragment_allocates_per_level_and_never_on_lookup() {
+    let paths = subtree_top_down(TreePath::from_steps(&[true; 7]));
+    assert_eq!(paths.len(), 1023);
+    let mut frag = TreeFragment::<u64, TreeRegion>::new(TreeRegion::subtree(TreePath::ROOT));
+    let (n, ()) = allocations_of(|| {
+        for (i, path) in paths.iter().enumerate() {
+            frag.set(*path, i as u64);
+        }
+    });
+    assert_eq!(frag.len(), 1023);
+    // The block, its slot table once per level, its values by doubling.
+    assert!(n <= 3 * 10, "{n} allocations for 1 023 nodes on 10 levels");
+
+    let (n, sum) = allocations_of(|| paths.iter().map(|p| frag.get(p).unwrap()).sum::<u64>());
+    assert_eq!(sum, 1022 * 1023 / 2);
+    assert_eq!(n, 0, "get allocates nothing");
+}
+
+#[test]
+fn bucket_algebra_with_the_canonical_empty_allocates_only_its_result() {
+    let owned = BucketRegion::of_range(512, 64, 128);
+    let nothing = BucketRegion::empty();
+    let (n, u) = allocations_of(|| owned.union(&nothing));
+    assert_eq!(u, owned);
+    assert_eq!(n, 1, "union with the 1-bucket empty region: the result's words");
+    let (n, d) = allocations_of(|| owned.difference(&nothing));
+    assert_eq!(d, owned);
+    assert_eq!(n, 1, "difference: the result's words");
+    let (n, i) = allocations_of(|| nothing.intersect(&owned));
+    assert!(i.is_empty() && i.buckets() == 512);
+    assert_eq!(n, 1, "intersection: the result's words");
 }
