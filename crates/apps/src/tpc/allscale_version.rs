@@ -326,9 +326,7 @@ pub fn run_with(cfg: &TpcConfig, rt_cfg: RtConfig) -> TpcResult {
                     let root_region = BitmaskTreeRegion::of_root_block(h);
                     let owner = (0..ctx.nodes())
                         .find(|&loc| {
-                            !ctx.owned_region_at(loc, item)
-                                .intersect_dyn(&root_region)
-                                .is_empty_dyn()
+                            !ctx.owned_region_at(loc, item).is_disjoint_dyn(&root_region)
                         })
                         .expect("root block owned somewhere");
                     ctx.broadcast_replicate(item, owner, &root_region);

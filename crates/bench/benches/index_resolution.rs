@@ -6,7 +6,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use allscale_core::{CentralIndex, DistIndex, ItemId, LocationCache};
-use allscale_region::{BoxRegion, Region};
+use allscale_region::{BoxRegion, BucketRegion, Region};
 
 fn r1(lo: i64, hi: i64) -> BoxRegion<1> {
     BoxRegion::cuboid([lo], [hi])
@@ -60,7 +60,7 @@ fn bench_resolution(c: &mut Criterion) {
 /// Repeat-resolution of a stable distribution: the scheduler's steady-state
 /// access pattern. The cached variant should beat the uncached traversal by
 /// a wide margin (acceptance: ≥ 5× at 64 processes) because a warm hit is a
-/// hash lookup plus a piece-list clone, with zero control-message hops.
+/// fingerprint and one hash probe, with zero control-message hops.
 fn bench_cached_resolution(c: &mut Criterion) {
     let mut g = c.benchmark_group("index_resolve_cached");
     for &procs in &[8usize, 64, 256] {
@@ -86,6 +86,30 @@ fn bench_cached_resolution(c: &mut Criterion) {
             b.iter(|| cache.resolve(&dist, ItemId(0), 0, black_box(&spread)))
         });
     }
+    // The serving shape: a 512-bucket store in 8 shards over 4 processes,
+    // every request a one-bucket region resolved from its frontend — 76
+    // encoded bytes behind each fingerprint, against `BoxRegion<1>`'s 24.
+    let mut store = DistIndex::new(4);
+    store.register_item(ItemId(0), &BucketRegion::empty());
+    for p in 0..4u32 {
+        let owned = BucketRegion::of_range(512, p * 128, (p + 1) * 128);
+        store.update_leaf(ItemId(0), p as usize, Box::new(owned));
+    }
+    let keys: Vec<(usize, BucketRegion)> = (0..512u32)
+        .map(|b| ((b % 4) as usize, BucketRegion::of_bucket(512, (b * 37) % 512)))
+        .collect();
+    g.bench_function("bucket_512", |b| {
+        let mut cache = LocationCache::new();
+        for (start, key) in &keys {
+            cache.resolve(&store, ItemId(0), *start, key); // warm
+        }
+        let mut i = 0;
+        b.iter(|| {
+            i = (i + 1) % keys.len();
+            let (start, key) = &keys[i];
+            cache.resolve(&store, ItemId(0), *start, black_box(key))
+        })
+    });
     g.finish();
 }
 

@@ -79,7 +79,7 @@ struct Waiter {
 }
 
 fn overlaps(a: &dyn DynRegion, b: &dyn DynRegion) -> bool {
-    !a.intersect_dyn(b).is_empty_dyn()
+    !a.is_disjoint_dyn(b)
 }
 
 /// Move the waiters overlapping any of the `released` regions from
@@ -306,15 +306,13 @@ impl DataItemManager {
     }
 
     /// The region this locality owns (primary copies).
-    pub fn owned_region(&self, item: ItemId) -> Box<dyn DynRegion> {
-        self.slot(item).owned.clone_box()
+    pub fn owned_region(&self, item: ItemId) -> &dyn DynRegion {
+        self.slot(item).owned.as_ref()
     }
 
     /// Whether `region` is fully covered by local data.
     pub fn covers(&self, item: ItemId, region: &dyn DynRegion) -> bool {
-        region
-            .difference_dyn(self.slot(item).frag.region_dyn().as_ref())
-            .is_empty_dyn()
+        region.is_subset_dyn(self.slot(item).frag.region_dyn().as_ref())
     }
 
     /// The region a *new* task may rely on for reads without fetching:
@@ -326,16 +324,17 @@ impl DataItemManager {
     }
 
     /// Whether `region` is covered by the stable read base. Asked once per
-    /// read requirement of every task, so it never builds the base:
-    /// `region ⊆ owned ∪ persistent` ⇔ `(region ∖ owned) ∖ persistent = ∅`,
-    /// and the replicas are consulted only for what ownership leaves over.
+    /// read requirement of every task, so it never builds the base, and a
+    /// region that is all owned or touches no replica — every task's, bar
+    /// the few straddling a broadcast — builds nothing at all:
+    /// `region ⊆ owned ∪ persistent` ⇔ `(region ∖ owned) ⊆ persistent`,
+    /// which fails outright when `region ⊄ owned` misses `persistent`.
     pub fn covers_stable(&self, item: ItemId, region: &dyn DynRegion) -> bool {
         let slot = self.slot(item);
-        let unowned = region.difference_dyn(slot.owned.as_ref());
-        unowned.is_empty_dyn()
-            || unowned
-                .difference_dyn(slot.persistent.as_ref())
-                .is_empty_dyn()
+        let (owned, persistent) = (slot.owned.as_ref(), slot.persistent.as_ref());
+        region.is_subset_dyn(owned)
+            || (!region.is_disjoint_dyn(persistent)
+                && region.difference_dyn(owned).is_subset_dyn(persistent))
     }
 
     /// First-touch allocation (the model's (init) rule): extend ownership
@@ -427,9 +426,7 @@ impl DataItemManager {
         let slot = self.slot_mut(item);
         let mut woken = Vec::new();
         if let Some(i) = slot.inbound.iter().position(|(t, r)| {
-            *t == task
-                && r.difference_dyn(region).is_empty_dyn()
-                && region.difference_dyn(r.as_ref()).is_empty_dyn()
+            *t == task && r.is_subset_dyn(region) && region.is_subset_dyn(r.as_ref())
         }) {
             slot.inbound.remove(i);
             wake_overlapping(&mut slot.waiters, &mut woken, std::iter::once(region));
@@ -457,7 +454,7 @@ impl DataItemManager {
         self.slot(item)
             .inbound
             .iter()
-            .any(|(_, r)| !r.intersect_dyn(region).is_empty_dyn())
+            .any(|(_, r)| overlaps(r.as_ref(), region))
     }
 
     /// Import serialized fragment data as owned (migration arrival).
@@ -520,19 +517,18 @@ impl DataItemManager {
     /// Try to acquire the locks for all `reqs` on behalf of `task`
     /// (atomically: either all granted or none).
     pub fn try_lock(&mut self, task: TaskId, reqs: &[Requirement]) -> Result<(), LockConflict> {
-        // Validation pass. A refusal reports the overlap it already had to
-        // compute, and nothing else happens: the caller decides whether
-        // the task waits.
+        // Validation pass. Held locks are only asked whether they overlap;
+        // the one that does has the overlap built for the refusal, and
+        // nothing else happens: the caller decides whether the task waits.
         let locality = self.locality;
         for req in reqs {
             let slot = self.slot(req.item);
             let region = req.region.as_ref();
             let clash = |held: &dyn DynRegion| {
-                let overlap = held.intersect_dyn(region);
-                (!overlap.is_empty_dyn()).then_some(Blocker {
+                overlaps(held, region).then(|| Blocker {
                     locality,
                     item: req.item,
-                    region: overlap,
+                    region: held.intersect_dyn(region),
                 })
             };
             for (t, w) in &slot.wlocks {
@@ -580,7 +576,7 @@ impl DataItemManager {
         slot.wlocks
             .iter()
             .chain(slot.rlocks.iter())
-            .any(|(_, r)| !r.intersect_dyn(region).is_empty_dyn())
+            .any(|(_, r)| overlaps(r.as_ref(), region))
     }
 
     /// Whether a write lock intersects `region`.
@@ -588,13 +584,13 @@ impl DataItemManager {
         let slot = self.slot(item);
         slot.wlocks
             .iter()
-            .any(|(_, r)| !r.intersect_dyn(region).is_empty_dyn())
+            .any(|(_, r)| overlaps(r.as_ref(), region))
     }
 
     /// The persistent-replica coverage of `item` held here (broadcast
     /// read-mostly data imported via [`DataItemManager::import_persistent`]).
-    pub fn persistent_region(&self, item: ItemId) -> Box<dyn DynRegion> {
-        self.slot(item).persistent.clone_box()
+    pub fn persistent_region(&self, item: ItemId) -> &dyn DynRegion {
+        self.slot(item).persistent.as_ref()
     }
 
     /// The union of *persistent* export records of `item` — regions of our
@@ -699,7 +695,7 @@ impl DataItemManager {
         let slot = self.slot(item);
         slot.exports
             .iter()
-            .any(|(_, _, r)| !r.intersect_dyn(region).is_empty_dyn())
+            .any(|(_, _, r)| overlaps(r.as_ref(), region))
     }
 
     /// Release every lock held by `task` (the model's (end) rule). Returns

@@ -30,15 +30,23 @@ pub trait DynRegion: fmt::Debug {
     fn difference_dyn(&self, other: &dyn DynRegion) -> Box<dyn DynRegion>;
     /// Whether the region is empty.
     fn is_empty_dyn(&self) -> bool;
+    /// Whether `self ⊆ other` (same concrete type). Like
+    /// [`is_disjoint_dyn`](DynRegion::is_disjoint_dyn) this is the question
+    /// to ask when only the verdict matters: the schemes the runtime ships
+    /// answer it without building `self ∖ other`.
+    fn is_subset_dyn(&self, other: &dyn DynRegion) -> bool;
+    /// Whether `self ∩ other = ∅` (same concrete type).
+    fn is_disjoint_dyn(&self, other: &dyn DynRegion) -> bool;
     /// Semantic equality with a region of the same concrete type.
     fn eq_dyn(&self, other: &dyn DynRegion) -> bool;
     /// Serialize for transmission (control-plane sizing is billed off the
     /// encoded length).
     fn encode(&self) -> Vec<u8>;
     /// A cheap, stable 64-bit fingerprint of the region value, used as the
-    /// location-cache key. Computed over the canonical wire encoding, so
-    /// equal *representations* always agree; semantically equal regions
-    /// with different internal structure may fingerprint differently, and
+    /// location-cache key. Computed over the canonical wire encoding (the
+    /// serializer feeds the hash; no bytes are stored), so equal
+    /// *representations* always agree; semantically equal regions with
+    /// different internal structure may fingerprint differently, and
     /// distinct regions may collide — consumers needing exactness (the
     /// cache does) must confirm with [`DynRegion::eq_dyn`]. Either way the
     /// cost is a cache miss, never a wrong answer.
@@ -63,6 +71,12 @@ impl<R: Region> DynRegion for R {
     fn is_empty_dyn(&self) -> bool {
         self.is_empty()
     }
+    fn is_subset_dyn(&self, other: &dyn DynRegion) -> bool {
+        self.is_subset_of(downcast::<R>(other))
+    }
+    fn is_disjoint_dyn(&self, other: &dyn DynRegion) -> bool {
+        self.is_disjoint(downcast::<R>(other))
+    }
     fn eq_dyn(&self, other: &dyn DynRegion) -> bool {
         self == downcast::<R>(other)
     }
@@ -70,7 +84,7 @@ impl<R: Region> DynRegion for R {
         wire::encode(self).expect("region serialization cannot fail")
     }
     fn fingerprint_dyn(&self) -> u64 {
-        allscale_region::fnv1a_64(&wire::encode(self).expect("region serialization cannot fail"))
+        wire::fingerprint(self).expect("region serialization cannot fail")
     }
     fn as_any(&self) -> &dyn Any {
         self
@@ -227,6 +241,8 @@ mod tests {
         assert!(i.eq_dyn(&r2([2, 2], [4, 4])));
         assert!(d.eq_dyn(&r2([0, 0], [4, 4]).difference(&r2([2, 2], [4, 4]))));
         assert!(!u.is_empty_dyn());
+        assert!(i.is_subset_dyn(a.as_ref()) && !a.is_subset_dyn(b.as_ref()));
+        assert!(d.is_disjoint_dyn(b.as_ref()) && !a.is_disjoint_dyn(b.as_ref()));
     }
 
     #[test]
@@ -275,6 +291,11 @@ mod tests {
         assert_eq!(a.fingerprint_dyn(), a.clone_box().fingerprint_dyn());
         // Different values (almost surely) fingerprint differently.
         assert_ne!(a.fingerprint_dyn(), b.fingerprint_dyn());
+        // The streamed hash is the hash of the encoding.
+        assert_eq!(
+            a.fingerprint_dyn(),
+            allscale_region::fnv1a_64(&DynRegion::encode(a.as_ref()))
+        );
     }
 
     #[test]

@@ -33,8 +33,11 @@ use crate::task::ItemId;
 /// A `(from, to)` control-message edge crossed during an index operation.
 pub type Hop = (usize, usize);
 
+/// One piece of a resolved region and the process hosting it.
+pub type Piece = (Box<dyn DynRegion>, usize);
+
 /// Pieces of a resolved region: which process hosts which part.
-pub type Resolution = Vec<(Box<dyn DynRegion>, usize)>;
+pub type Resolution = Vec<Piece>;
 
 /// Left/right subtree regions of one inner node.
 type NodeEntry = (Box<dyn DynRegion>, Box<dyn DynRegion>);
@@ -198,32 +201,30 @@ impl DistIndex {
         m: &mut Resolution,
         hops: &mut Vec<Hop>,
     ) -> Box<dyn DynRegion> {
+        // Each share is built only where `r` reaches into the subtree;
+        // everywhere else the overlap test is the whole visit.
         if l == 1 {
             // Leaf level: contribute the local share.
-            let ri = &idx.leaf[i];
-            let share = r.intersect_dyn(ri.as_ref());
-            if !share.is_empty_dyn() {
-                m.push((share.clone_box(), i));
-                r = r.difference_dyn(ri.as_ref());
+            let ri = idx.leaf[i].as_ref();
+            if !r.is_disjoint_dyn(ri) {
+                m.push((r.intersect_dyn(ri), i));
+                r = r.difference_dyn(ri);
             }
         } else {
             let half = 1usize << (l - 2);
-            let (rl, rr) = {
-                let (left, right) = &idx.nodes[&(l, i)];
-                (left.clone_box(), right.clone_box())
-            };
+            let (rl, rr) = &idx.nodes[&(l, i)];
             // Left subtree (hosted here: no hop).
-            let left_part = r.intersect_dyn(rl.as_ref());
-            if !left_part.is_empty_dyn() {
+            if !r.is_disjoint_dyn(rl.as_ref()) {
+                let left_part = r.intersect_dyn(rl.as_ref());
                 self.resolve_rec(idx, i, l - 1, left_part, false, m, hops);
                 r = r.difference_dyn(rl.as_ref());
             }
             // Right subtree (hosted at i + 2^(l-2): one hop out, and the
             // reply path is billed by the caller symmetric to request).
-            let right_part = r.intersect_dyn(rr.as_ref());
-            if !right_part.is_empty_dyn() {
+            if !r.is_disjoint_dyn(rr.as_ref()) {
                 let right_host = i + half;
                 if right_host < self.procs {
+                    let right_part = r.intersect_dyn(rr.as_ref());
                     hops.push((i, right_host));
                     self.resolve_rec(idx, right_host, l - 1, right_part, false, m, hops);
                 }
@@ -259,24 +260,31 @@ impl DistIndex {
 /// The single process hosting every piece of a resolution that also fully
 /// covers `region`, if any — shared by [`DistIndex::sole_owner`] and the
 /// location cache's cached variant.
-pub(crate) fn sole_owner_from(region: &dyn DynRegion, pieces: &Resolution) -> Option<usize> {
-    let mut owner: Option<usize> = None;
-    let mut covered: Option<Box<dyn DynRegion>> = None;
-    for (piece, host) in pieces {
-        match owner {
-            None => owner = Some(*host),
-            Some(o) if o != *host => return None,
-            _ => {}
-        }
-        covered = Some(match covered {
-            None => piece.clone_box(),
-            Some(c) => c.union_dyn(piece.as_ref()),
-        });
+pub(crate) fn sole_owner_from(region: &dyn DynRegion, pieces: &[Piece]) -> Option<usize> {
+    let (_, owner) = pieces.first()?;
+    if pieces.iter().any(|(_, host)| host != owner) {
+        return None;
     }
-    match covered {
-        Some(c) if region.difference_dyn(c.as_ref()).is_empty_dyn() => owner,
-        _ => None,
+    covered_by(region, pieces).then_some(*owner)
+}
+
+/// Whether the pieces of a resolution cover all of `region`. One piece —
+/// what a task-sized region resolves to — is asked directly; the union is
+/// built only for several.
+pub(crate) fn covered_by(region: &dyn DynRegion, pieces: &[Piece]) -> bool {
+    match pieces {
+        [(piece, _)] => region.is_subset_dyn(piece.as_ref()),
+        _ => union_of(pieces).is_some_and(|all| region.is_subset_dyn(all.as_ref())),
     }
+}
+
+/// The union of a resolution's pieces, folded in piece order; `None` for
+/// no pieces.
+pub(crate) fn union_of(pieces: &[Piece]) -> Option<Box<dyn DynRegion>> {
+    let ((first, _), rest) = pieces.split_first()?;
+    Some(rest.iter().fold(first.clone_box(), |all, (piece, _)| {
+        all.union_dyn(piece.as_ref())
+    }))
 }
 
 /// Ablation baseline: a central directory at process 0. Every lookup and
@@ -343,10 +351,10 @@ impl CentralIndex {
         let mut m = Vec::new();
         let mut r = region.clone_box();
         for (p, owned) in dir.iter().enumerate() {
-            let share = r.intersect_dyn(owned.as_ref());
-            if !share.is_empty_dyn() {
-                m.push((share.clone_box(), p));
+            if !r.is_disjoint_dyn(owned.as_ref()) {
+                let share = r.intersect_dyn(owned.as_ref());
                 r = r.difference_dyn(share.as_ref());
+                m.push((share, p));
                 if r.is_empty_dyn() {
                     break;
                 }

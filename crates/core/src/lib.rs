@@ -87,6 +87,7 @@ pub mod runtime;
 pub mod scheduler;
 pub mod slo;
 pub mod task;
+mod task_map;
 
 pub use cost::CostModel;
 pub use dim::{Blocker, DataItemManager, LockConflict};

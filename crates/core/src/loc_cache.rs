@@ -41,10 +41,15 @@
 //! [`Monitor`]: crate::monitor::Monitor
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use crate::dynamic::DynRegion;
-use crate::index::{sole_owner_from, DistIndex, Hop, Resolution};
+use crate::index::{sole_owner_from, DistIndex, Hop, Piece};
 use crate::task::ItemId;
+
+/// A memoized resolution, shared between the cache and everyone it was
+/// handed to: a hit clones the handle, never the pieces.
+pub type SharedResolution = Rc<[Piece]>;
 
 /// Counters describing the cache's effectiveness over a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -78,7 +83,7 @@ struct Entry {
     /// The exact region that was resolved (collision guard).
     region: Box<dyn DynRegion>,
     /// The memoized resolution.
-    pieces: Resolution,
+    pieces: SharedResolution,
     /// Hops the uncached resolution cost (saved-hop accounting).
     hops: usize,
 }
@@ -86,8 +91,9 @@ struct Entry {
 /// Memoizes [`DistIndex`] resolutions with epoch-based invalidation. See
 /// the module docs for the protocol.
 pub struct LocationCache {
-    /// Per-item generation counter; bumped on every distribution change.
-    epochs: HashMap<ItemId, u64>,
+    /// Per-item generation counter, indexed by item id (ids are dense);
+    /// bumped on every distribution change, 0 where never bumped.
+    epochs: Vec<u64>,
     entries: HashMap<(ItemId, usize, u64), Entry>,
     capacity: usize,
     stats: CacheStats,
@@ -109,7 +115,7 @@ impl LocationCache {
     /// device, never a correctness dependency.
     pub fn with_capacity(capacity: usize) -> Self {
         LocationCache {
-            epochs: HashMap::new(),
+            epochs: Vec::new(),
             entries: HashMap::new(),
             capacity: capacity.max(1),
             stats: CacheStats::default(),
@@ -118,20 +124,26 @@ impl LocationCache {
 
     /// The current epoch of `item` (0 until first bumped).
     pub fn epoch(&self, item: ItemId) -> u64 {
-        self.epochs.get(&item).copied().unwrap_or(0)
+        self.epochs.get(item.0 as usize).copied().unwrap_or(0)
     }
 
     /// Record a distribution change of `item`: all cached resolutions of
     /// it become stale and will be dropped lazily on their next lookup.
     /// Must be called alongside every `DistIndex::update_leaf`.
     pub fn bump(&mut self, item: ItemId) {
-        *self.epochs.entry(item).or_insert(0) += 1;
+        let i = item.0 as usize;
+        if self.epochs.len() <= i {
+            self.epochs.resize(i + 1, 0);
+        }
+        self.epochs[i] += 1;
     }
 
     /// Forget everything about `item` (its epoch and all entries) — the
     /// `destroy` path. A later item with a recycled id starts fresh.
     pub fn forget(&mut self, item: ItemId) {
-        self.epochs.remove(&item);
+        if let Some(epoch) = self.epochs.get_mut(item.0 as usize) {
+            *epoch = 0;
+        }
         self.entries.retain(|&(it, _, _), _| it != item);
     }
 
@@ -159,40 +171,42 @@ impl LocationCache {
     /// a hit returns the memoized resolution with **no hops** (no control
     /// messages are needed); a miss runs [`DistIndex::resolve`], memoizes
     /// the answer, and returns its hops for billing.
+    ///
+    /// A hit is the fingerprint, one probe of the entry map, the equality
+    /// check and a reference-count increment; it allocates nothing.
     pub fn resolve(
         &mut self,
         index: &DistIndex,
         item: ItemId,
         start: usize,
         region: &dyn DynRegion,
-    ) -> (Resolution, Vec<Hop>) {
+    ) -> (SharedResolution, Vec<Hop>) {
         let key = (item, start, region.fingerprint_dyn());
         let epoch = self.epoch(item);
-        let stale = matches!(self.entries.get(&key), Some(e) if e.epoch != epoch);
-        if stale {
-            self.entries.remove(&key);
-            self.stats.invalidations += 1;
-        }
-        if let Some(e) = self.entries.get(&key) {
-            if e.region.eq_dyn(region) {
-                let pieces = e.pieces.clone();
-                let saved = e.hops as u64;
-                self.stats.hits += 1;
-                self.stats.saved_hops += saved;
-                return (pieces, Vec::new());
+        match self.entries.get(&key) {
+            Some(e) if e.epoch != epoch => {
+                self.entries.remove(&key);
+                self.stats.invalidations += 1;
             }
-            // Fingerprint collision with a different region: treat as a
-            // miss; the fresh entry below overwrites the colliding one.
+            Some(e) if e.region.eq_dyn(region) => {
+                self.stats.hits += 1;
+                self.stats.saved_hops += e.hops as u64;
+                return (Rc::clone(&e.pieces), Vec::new());
+            }
+            // Absent, or a fingerprint collision with a different region:
+            // a miss; the fresh entry below overwrites a colliding one.
+            _ => {}
         }
         self.stats.misses += 1;
         let (pieces, hops) = index.resolve(item, start, region);
+        let pieces: SharedResolution = pieces.into();
         self.make_room();
         self.entries.insert(
             key,
             Entry {
                 epoch,
                 region: region.clone_box(),
-                pieces: pieces.clone(),
+                pieces: Rc::clone(&pieces),
                 hops: hops.len(),
             },
         );
@@ -224,7 +238,7 @@ impl LocationCache {
         }
         let epochs = &self.epochs;
         self.entries
-            .retain(|&(it, _, _), e| e.epoch == epochs.get(&it).copied().unwrap_or(0));
+            .retain(|&(it, _, _), e| e.epoch == epochs.get(it.0 as usize).copied().unwrap_or(0));
         if self.entries.len() >= self.capacity {
             self.entries.clear();
         }

@@ -71,7 +71,10 @@ impl RtCtx<'_> {
 
     /// The region `loc` currently owns of `item`.
     pub fn owned_region_at(&self, loc: usize, item: ItemId) -> Box<dyn DynRegion> {
-        self.world.localities[loc].dim.owned_region(item)
+        self.world.localities[loc]
+            .dim
+            .owned_region(item)
+            .clone_box()
     }
 
     /// Replicate `region` of `item` (owned by `owner`) to every other
@@ -124,10 +127,10 @@ impl RtCtx<'_> {
             return;
         }
         let bytes = w.localities[from].dim.export_migration(item, region);
-        let new_src_owned = w.localities[from].dim.owned_region(item);
+        let new_src_owned = w.localities[from].dim.owned_region(item).clone_box();
         let hops1 = index_update(w, now, item, from, new_src_owned);
         w.localities[to].dim.import_owned(item, &bytes);
-        let new_dst_owned = w.localities[to].dim.owned_region(item);
+        let new_dst_owned = w.localities[to].dim.owned_region(item).clone_box();
         let hops2 = index_update(w, now, item, to, new_dst_owned);
         // Driver-initiated migration is synchronous bookkeeping; a lost
         // transfer only truncates the billing (recovery restores any
@@ -224,8 +227,8 @@ impl RtCtx<'_> {
                 let ra = la.dim.owned_region(item);
                 for (b, lb) in localities.iter().enumerate().skip(a + 1) {
                     let rb = lb.dim.owned_region(item);
-                    let overlap = ra.intersect_dyn(rb.as_ref());
-                    if !overlap.is_empty_dyn() {
+                    if !ra.is_disjoint_dyn(rb) {
+                        let overlap = ra.intersect_dyn(rb);
                         violations.push(format!(
                             "item {item:?}: localities {a} and {b} both own {overlap:?}"
                         ));
@@ -236,7 +239,7 @@ impl RtCtx<'_> {
                 // 2. Index leaves match DIM ownership.
                 if let Some(advertised) = self.world.directory.advertised_leaf(item, p) {
                     let owned = loc.dim.owned_region(item);
-                    if !advertised.eq_dyn(owned.as_ref()) {
+                    if !advertised.eq_dyn(owned) {
                         violations.push(format!(
                             "item {item:?}: index leaf of locality {p} disagrees with DIM                              (index {advertised:?} vs owned {owned:?})"
                         ));
@@ -256,8 +259,8 @@ impl RtCtx<'_> {
             let mut fences: Option<Box<dyn DynRegion>> = None;
             for (p, loc) in localities.iter().enumerate() {
                 let fence = loc.dim.persistent_export_region(item);
-                let stray = fence.difference_dyn(loc.dim.owned_region(item).as_ref());
-                if !stray.is_empty_dyn() {
+                if !fence.is_subset_dyn(loc.dim.owned_region(item)) {
+                    let stray = fence.difference_dyn(loc.dim.owned_region(item));
                     violations.push(format!(
                         "item {item:?}: locality {p} exported {stray:?} as a persistent replica but no longer owns it (fenced region migrated or written away)"
                     ));
@@ -269,11 +272,9 @@ impl RtCtx<'_> {
             }
             if let Some(fences) = fences {
                 for (p, loc) in localities.iter().enumerate() {
-                    let orphan = loc
-                        .dim
-                        .persistent_region(item)
-                        .difference_dyn(fences.as_ref());
-                    if !orphan.is_empty_dyn() {
+                    let held = loc.dim.persistent_region(item);
+                    if !held.is_subset_dyn(fences.as_ref()) {
+                        let orphan = held.difference_dyn(fences.as_ref());
                         violations.push(format!(
                             "item {item:?}: locality {p} holds persistent replica {orphan:?} with no backing export fence"
                         ));

@@ -9,8 +9,8 @@ use allscale_trace::EventKind;
 
 use super::{trace_instant, RtWorld};
 use crate::dynamic::{DynRegion, ItemDescriptor};
-use crate::index::{CentralIndex, DistIndex, Hop, Resolution};
-use crate::loc_cache::{CacheStats, LocationCache};
+use crate::index::{CentralIndex, DistIndex, Hop};
+use crate::loc_cache::{CacheStats, LocationCache, SharedResolution};
 use crate::task::ItemId;
 
 /// Either index implementation (experiment A1 toggles them).
@@ -108,11 +108,14 @@ pub(super) fn index_resolve(
     item: ItemId,
     at: usize,
     region: &dyn DynRegion,
-) -> (Resolution, Vec<Hop>) {
+) -> (SharedResolution, Vec<Hop>) {
     let d = &mut w.directory;
     let (pieces, hops) = match &d.index {
         IndexImpl::Dist(idx) => d.loc_cache.resolve(idx, item, at, region),
-        IndexImpl::Central(idx) => idx.resolve(item, at, region),
+        IndexImpl::Central(idx) => {
+            let (pieces, hops) = idx.resolve(item, at, region);
+            (pieces.into(), hops)
+        }
     };
     w.monitor.index_lookups += 1;
     w.monitor.index_lookup_hops += hops.len() as u64;
@@ -163,7 +166,7 @@ pub(super) fn readvertise(w: &mut RtWorld) {
     for item in w.directory.items() {
         w.directory.loc_cache.bump(item);
         for (p, loc) in w.localities.iter().enumerate() {
-            let owned = loc.dim.owned_region(item);
+            let owned = loc.dim.owned_region(item).clone_box();
             w.directory.index.update_leaf(item, p, owned);
         }
     }

@@ -11,6 +11,7 @@ use super::{sched, schedule_task_event, serving, tasks, trace_core_span, trace_i
 use super::{RtSim, RtWorld};
 use crate::dim::{Blocker, DataItemManager, LockConflict};
 use crate::dynamic::DynRegion;
+use crate::index::{covered_by, union_of};
 use crate::task::{AccessMode, Done, ItemId, Requirement, TaskCtx, TaskId};
 
 // ------------------------------------------------------------- preparation
@@ -233,16 +234,22 @@ fn plan_transfers(
             region,
         };
         // A write needs the region owned here, a read needs it readable
-        // here (owned or replicated).
+        // here (owned or replicated). Nearly every requirement is met
+        // where its task was sent, so that is asked first and the missing
+        // part is built only when there is one.
         let dim = &w.localities[loc].dim;
-        let (kind, base) = match req.mode {
-            AccessMode::Write => (Fetch::Migrate, dim.owned_region(item)),
-            AccessMode::Read => (Fetch::Replicate, dim.read_base(item)),
+        let (kind, missing) = match req.mode {
+            AccessMode::Write if region.is_subset_dyn(dim.owned_region(item)) => continue,
+            AccessMode::Read if dim.covers_stable(item, region) => continue,
+            AccessMode::Write => (
+                Fetch::Migrate,
+                region.difference_dyn(dim.owned_region(item)),
+            ),
+            AccessMode::Read => (
+                Fetch::Replicate,
+                region.difference_dyn(dim.read_base(item).as_ref()),
+            ),
         };
-        let missing = region.difference_dyn(base.as_ref());
-        if missing.is_empty_dyn() {
-            continue;
-        }
         // Another task's migration is already landing this data here:
         // park until the fence lifts, never plan against (first-touch
         // over, or replicate a stale copy of) data still on the wire.
@@ -250,32 +257,28 @@ fn plan_transfers(
             return Err(blocked_at(loc, missing));
         }
         let (pieces, _hops) = index_resolve(w, now, item, loc, missing.as_ref());
-        let mut found: Option<Box<dyn DynRegion>> = None;
-        for (piece, src) in pieces {
+        for (piece, src) in pieces.iter() {
             // `src == loc`: the index says we own it; treat as present.
-            if src != loc && source_fenced(&w.localities[src].dim, kind, item, piece.as_ref()) {
-                return Err(blocked_at(src, piece));
+            if *src == loc {
+                continue;
             }
-            found = Some(match found {
-                None => piece.clone_box(),
-                Some(f) => f.union_dyn(piece.as_ref()),
+            if source_fenced(&w.localities[*src].dim, kind, item, piece.as_ref()) {
+                return Err(blocked_at(*src, piece.clone_box()));
+            }
+            plan.push(Move {
+                fetch: Some(kind),
+                item,
+                region: piece.clone_box(),
+                src: *src,
             });
-            if src != loc {
-                plan.push(Move {
-                    fetch: Some(kind),
-                    item,
-                    region: piece,
-                    src,
-                });
-            }
         }
-        let nowhere = match found {
-            None => missing,
-            Some(f) => missing.difference_dyn(f.as_ref()),
-        };
-        if !nowhere.is_empty_dyn() {
+        if !covered_by(missing.as_ref(), &pieces) {
             // Data that exists nowhere: first-touch it (default values
             // for a read, mirroring lazy initialization).
+            let nowhere = match union_of(&pieces) {
+                Some(found) => missing.difference_dyn(found.as_ref()),
+                None => missing,
+            };
             plan.push(Move {
                 fetch: None,
                 item,
@@ -383,7 +386,7 @@ fn finish_execution(sim: &mut RtSim, tid: TaskId) {
         });
     }
     sim.world.tasks.remove(tid);
-    sim.world.localities[loc].load -= 1;
+    sim.world.load[loc] -= 1;
     sched::slot_freed(sim, loc);
 
     match done {

@@ -64,8 +64,6 @@ pub struct Locality {
     pub cores: CorePool,
     /// The node's data item manager.
     pub dim: DataItemManager,
-    /// Tasks currently assigned here (queued, preparing, or running).
-    pub load: usize,
     /// Busy-until time of the node's communication thread (HPX dedicates
     /// a network thread; control messages are handled there rather than
     /// queueing behind long compute tasks on the core pool).
@@ -181,6 +179,9 @@ pub struct RtWorld {
     pub cost: CostModel,
     /// One entry per cluster node.
     pub localities: Vec<Locality>,
+    /// Tasks currently assigned to each node (queued, preparing, or
+    /// running), kept as the slice the scheduling policy reads.
+    pub load: Vec<usize>,
     /// Monitoring counters.
     pub monitor: Monitor,
     /// Trace recording handle; a disabled sink unless `RtConfig::trace`
@@ -225,7 +226,6 @@ impl Runtime {
             .map(|i| Locality {
                 cores: CorePool::new(config.spec.cores_per_node),
                 dim: DataItemManager::new(i),
-                load: 0,
                 comm_busy: SimTime::ZERO,
             })
             .collect();
@@ -242,6 +242,7 @@ impl Runtime {
             spec: config.spec,
             cost: config.cost,
             localities,
+            load: vec![0; nodes],
             monitor: Monitor::new(nodes),
             trace,
             comms,

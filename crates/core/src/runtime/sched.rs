@@ -9,12 +9,25 @@ use allscale_trace::{EventKind, SpawnVariant, TransferPurpose};
 use super::comms::{bill_hops, deliver, send_deferred, Payload};
 use super::directory::index_resolve;
 use super::{exec, schedule_task_event, tasks, trace_core_span, trace_instant, RtSim, RtWorld};
-use crate::dynamic::DynRegion;
+use crate::index::sole_owner_from;
 use crate::policy::{PolicyEnv, Variant};
 use crate::scheduler::Placement;
 use crate::task::{AccessMode, Requirement, TaskId, WorkItem};
 
 // -------------------------------------------------------------- Algorithm 2
+
+/// What the scheduling policy may consult, borrowed from the fields of the
+/// world `$w` (a macro, not a function: the scheduler next to them is
+/// borrowed mutably for the same call).
+macro_rules! policy_env {
+    ($w:expr) => {
+        PolicyEnv {
+            nodes: $w.localities.len(),
+            cores_per_node: $w.spec.cores_per_node,
+            load: &$w.load,
+        }
+    };
+}
 
 /// Assign a task to a node (paper Algorithm 2); returns the new task's
 /// id (the serving subsystem keys in-flight requests by it).
@@ -29,16 +42,10 @@ pub(super) fn assign_task(
     let tid = w.tasks.next_id();
 
     // Line 3: pick the variant.
-    let load: Vec<usize> = w.localities.iter().map(|l| l.load).collect();
-    let env = PolicyEnv {
-        nodes: w.localities.len(),
-        cores_per_node: w.spec.cores_per_node,
-        load: &load,
-    };
     let hint = wi.placement_hint();
     let variant = w
         .scheduler
-        .pick_variant(wi.depth(), wi.can_split(), hint, &env);
+        .pick_variant(wi.depth(), wi.can_split(), hint, &policy_env!(w));
     let spawn = |variant, target: usize| EventKind::TaskSpawn {
         task: tid.0,
         parent: parent.map(|(p, _)| p.0),
@@ -52,16 +59,16 @@ pub(super) fn assign_task(
         Variant::Split => {
             // Pure decomposition: the policy chooses where it runs
             // (remapped off localities known dead).
-            let target = w.scheduler.pick_target(hint, at, &env);
+            let target = w.scheduler.pick_target(hint, at, &policy_env!(w));
             let target = w.recovery.live_target(target);
             trace_instant(w, now, at, spawn(SpawnVariant::Split, target));
-            w.localities[target].load += 1;
+            w.load[target] += 1;
             deliver(sim, at, target, bytes, tag, true, move |sim, arrived| {
                 if !arrived {
                     // The task descriptor is lost (undetected dead
                     // target or exhausted retries): the phase stalls
                     // until the failure detector triggers recovery.
-                    sim.world.localities[target].load -= 1;
+                    sim.world.load[target] -= 1;
                     return;
                 }
                 do_split(sim, target, tid, wi, parent);
@@ -69,7 +76,7 @@ pub(super) fn assign_task(
         }
         Variant::Process => {
             let reqs = wi.requirements();
-            let preferred = pick_process_target(w, now, at, wi.as_ref(), &reqs, &env);
+            let preferred = pick_process_target(w, now, at, hint, &reqs);
             let preferred = w.recovery.live_target(preferred);
             // The scheduler routes the admitted task: directly to its
             // data-aware locality, or into a (possibly spilled) queue.
@@ -77,14 +84,14 @@ pub(super) fn assign_task(
             let target = placement.loc();
             let queued = matches!(placement, Placement::Enqueue(_));
             trace_instant(w, now, at, spawn(SpawnVariant::Process, target));
-            w.localities[target].load += 1;
+            w.load[target] += 1;
             w.tasks.admit(tid, target, wi, parent, reqs);
             deliver(sim, at, target, bytes, tag, true, move |sim, arrived| {
                 if !arrived {
                     // Lost task descriptor: drop the assignment and
                     // stall until recovery.
                     sim.world.tasks.remove(tid);
-                    sim.world.localities[target].load -= 1;
+                    sim.world.load[target] -= 1;
                     return;
                 }
                 if queued {
@@ -103,22 +110,18 @@ fn pick_process_target(
     w: &mut RtWorld,
     now: SimTime,
     at: usize,
-    wi: &dyn WorkItem,
+    hint: Option<f64>,
     reqs: &[Requirement],
-    env: &PolicyEnv<'_>,
 ) -> usize {
     if reqs.is_empty() {
-        return w.scheduler.pick_target(wi.placement_hint(), at, env);
+        return w.scheduler.pick_target(hint, at, &policy_env!(w));
     }
     // Fast path: everything already available right here (covers
     // persistent replicas, e.g. the broadcast tree top).
     let dim = &w.localities[at].dim;
     let local_ok = reqs.iter().all(|r| match r.mode {
         AccessMode::Read => dim.covers_stable(r.item, r.region.as_ref()),
-        AccessMode::Write => r
-            .region
-            .difference_dyn(dim.owned_region(r.item).as_ref())
-            .is_empty_dyn(),
+        AccessMode::Write => r.region.is_subset_dyn(dim.owned_region(r.item)),
     });
     if local_ok {
         return at;
@@ -133,7 +136,7 @@ fn pick_process_target(
         return p;
     }
     // Line 12: the policy decides.
-    w.scheduler.pick_target(wi.placement_hint(), at, env)
+    w.scheduler.pick_target(hint, at, &policy_env!(w))
 }
 
 /// The single process owning every requirement in `iter`, if one exists.
@@ -148,26 +151,11 @@ fn common_owner<'r>(
     for req in iter {
         let (pieces, hops) = index_resolve(w, now, req.item, at, req.region.as_ref());
         bill_hops(w, now, &hops, Some(req.item));
-        // Coverage check: pieces must tile the region with one owner.
-        let mut covered: Option<Box<dyn DynRegion>> = None;
-        for (piece, host) in &pieces {
-            match owner {
-                None => owner = Some(*host),
-                Some(o) if o != *host => return None,
-                _ => {}
-            }
-            covered = Some(match covered {
-                None => piece.clone_box(),
-                Some(c) => c.union_dyn(piece.as_ref()),
-            });
-        }
-        let fully = match covered {
-            None => false,
-            Some(c) => req.region.difference_dyn(c.as_ref()).is_empty_dyn(),
-        };
-        if !fully {
+        let sole = sole_owner_from(req.region.as_ref(), &pieces)?;
+        if owner.is_some_and(|o| o != sole) {
             return None;
         }
+        owner = Some(sole);
     }
     owner
 }
@@ -336,8 +324,8 @@ fn grant_steal(sim: &mut RtSim, victim: usize, thief: usize, tid: TaskId) {
         .as_ref()
         .expect("queued task holds its descriptor")
         .descriptor_bytes();
-    sim.world.localities[victim].load -= 1;
-    sim.world.localities[thief].load += 1;
+    sim.world.load[victim] -= 1;
+    sim.world.load[thief] += 1;
     let tag = Payload::task(TransferPurpose::TaskForward, tid);
     send_deferred(sim, victim, thief, bytes, tag, move |sim, arr| {
         sim.world.scheduler.end_steal(thief);
@@ -347,7 +335,7 @@ fn grant_steal(sim: &mut RtSim, victim: usize, thief: usize, tid: TaskId) {
             // the thief goes back to stealing (finitely: every loss
             // removes a task from the run).
             sim.world.tasks.remove(tid);
-            sim.world.localities[thief].load -= 1;
+            sim.world.load[thief] -= 1;
             maybe_steal(sim, thief);
             return;
         }
@@ -382,7 +370,7 @@ fn do_split(
     schedule_task_event(sim, end, move |sim| {
         let result_bytes = wi.result_bytes();
         let outcome = wi.split();
-        sim.world.localities[loc].load -= 1;
+        sim.world.load[loc] -= 1;
         tasks::spawn_children(sim, loc, tid, parent, outcome, result_bytes);
     });
 }

@@ -42,7 +42,7 @@ pub(super) fn scrub_tick(sim: &mut RtSim) {
         let mut audited = 0u32;
         let mut divergent = 0u32;
         for &item in &items {
-            let held = w.localities[holder].dim.persistent_region(item);
+            let held = w.localities[holder].dim.persistent_region(item).clone_box();
             if held.is_empty_dyn() {
                 continue;
             }
@@ -50,13 +50,11 @@ pub(super) fn scrub_tick(sim: &mut RtSim) {
                 if owner == holder || w.recovery.dead()[owner] {
                     continue;
                 }
-                let overlap = w.localities[owner]
-                    .dim
-                    .persistent_export_region(item)
-                    .intersect_dyn(held.as_ref());
-                if overlap.is_empty_dyn() {
+                let fenced = w.localities[owner].dim.persistent_export_region(item);
+                if fenced.is_disjoint_dyn(held.as_ref()) {
                     continue;
                 }
+                let overlap = fenced.intersect_dyn(held.as_ref());
                 audited += 1;
                 w.monitor.integrity.replicas_scrubbed += 1;
                 // Fingerprint exchange: request + digest reply, both

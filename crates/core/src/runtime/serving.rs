@@ -190,13 +190,11 @@ fn invalidate_persistent(
         if w.recovery.dead()[p] {
             continue;
         }
-        let overlap = w.localities[p]
-            .dim
-            .persistent_export_region(item)
-            .intersect_dyn(region);
-        if overlap.is_empty_dyn() {
+        let fenced = w.localities[p].dim.persistent_export_region(item);
+        if fenced.is_disjoint_dyn(region) {
             continue;
         }
+        let overlap = fenced.intersect_dyn(region);
         any = true;
         let woken = w.localities[p]
             .dim
@@ -242,7 +240,7 @@ pub(super) fn unfence_writes(w: &mut RtWorld, now: SimTime, tid: TaskId) -> bool
         w.monitor.serve.invalidations += 1;
         for s in 0..session.shard_regions.len() {
             let shard = session.shard_regions[s].as_ref();
-            let hit = |r: &dyn DynRegion| !shard.intersect_dyn(r).is_empty_dyn();
+            let hit = |r: &dyn DynRegion| !shard.is_disjoint_dyn(r);
             if session.replicated[s] && writes.iter().any(|r| hit(r.as_ref())) {
                 session.eroded[s] = true;
             }
@@ -260,7 +258,7 @@ pub(super) fn root_done(sim: &mut RtSim, tid: TaskId) -> bool {
     let Some(session) = sim.world.serving.session.as_mut() else {
         return false;
     };
-    let Some(p) = session.roots.remove(&tid) else {
+    let Some(p) = session.roots.remove(tid) else {
         return false;
     };
     let lat = now - p.arrival;
@@ -360,10 +358,7 @@ fn replicate_shard(w: &mut RtWorld, now: SimTime, session: &ServeSession, s: usi
     // ring-successor graft ownership stays whole, but a shard somehow
     // fragmented across owners is simply skipped this round.
     let owner = (0..w.localities.len()).find(|&p| {
-        !w.recovery.dead()[p]
-            && region
-                .difference_dyn(w.localities[p].dim.owned_region(item).as_ref())
-                .is_empty_dyn()
+        !w.recovery.dead()[p] && region.is_subset_dyn(w.localities[p].dim.owned_region(item))
     });
     let Some(owner) = owner else {
         return;

@@ -2,8 +2,6 @@
 //! children, and the wake-up bookkeeping of tasks the (start) rule
 //! refused — plus the completion path that walks results up the tree.
 
-use std::collections::BTreeMap;
-
 use allscale_des::SimDuration;
 use allscale_trace::{EventKind, TransferPurpose};
 
@@ -11,6 +9,7 @@ use super::comms::{deliver, Payload};
 use super::{exec, phases, sched, schedule_task_event, serving, trace_instant, RtSim, RtWorld};
 use crate::dim::Blocker;
 use crate::task::{Done, ItemId, Requirement, SplitOutcome, TaskId, TaskValue, WorkItem};
+use crate::task_map::TaskMap;
 
 /// A process task between admission and completion.
 pub(super) struct Inflight {
@@ -54,8 +53,8 @@ struct ParentRecord {
 
 #[derive(Default)]
 pub(super) struct TaskTable {
-    inflight: BTreeMap<TaskId, Inflight>,
-    parents: BTreeMap<TaskId, ParentRecord>,
+    inflight: TaskMap<Inflight>,
+    parents: TaskMap<ParentRecord>,
     wakeups: Wakeups,
     next_task: u64,
 }
@@ -92,11 +91,11 @@ impl TaskTable {
 
     #[inline]
     pub(super) fn get_mut(&mut self, tid: TaskId) -> &mut Inflight {
-        self.inflight.get_mut(&tid).expect("task in flight")
+        self.inflight.get_mut(tid).expect("task in flight")
     }
 
     pub(super) fn remove(&mut self, tid: TaskId) {
-        self.inflight.remove(&tid);
+        self.inflight.remove(tid);
     }
 
     /// Nothing in flight and no parent waiting: the run is complete.
@@ -114,8 +113,8 @@ pub(super) fn reset_for_recovery(w: &mut RtWorld) {
     w.tasks.wakeups = Wakeups::default();
     for l in w.localities.iter_mut() {
         l.dim.forget_waiters();
-        l.load = 0;
     }
+    w.load.fill(0);
 }
 
 /// The panic message of a run whose event queue drained with work left:
@@ -160,7 +159,7 @@ pub(super) fn park(sim: &mut RtSim, tid: TaskId, loc: usize, on: Blocker) {
     let w = &mut sim.world;
     w.monitor.per_locality[loc].lock_conflicts += 1;
     let t = &mut w.tasks;
-    let inf = t.inflight.get_mut(&tid).expect("task in flight");
+    let inf = t.inflight.get_mut(tid).expect("task in flight");
     if inf.ticket.is_none() {
         inf.ticket = Some(t.wakeups.next_ticket);
         t.wakeups.next_ticket += 1;
@@ -195,7 +194,7 @@ pub(super) fn schedule_wakeups(sim: &mut RtSim) {
         let t = &mut sim.world.tasks;
         t.wakeups.tick_armed = false;
         let mut woken = std::mem::take(&mut t.wakeups.woken);
-        woken.sort_by_cached_key(|tid| t.inflight[tid].ticket);
+        woken.sort_by_cached_key(|&tid| t.inflight.get(tid).expect("task in flight").ticket);
         for tid in woken {
             exec::prepare_task(sim, tid);
         }
@@ -261,7 +260,7 @@ pub(super) fn finish_task(
         }
         return;
     };
-    let p = &sim.world.tasks.parents[&ptid];
+    let p = sim.world.tasks.parents.get(ptid).expect("parent record");
     let (p_loc, bytes) = (p.loc, p.result_bytes);
     // A lost result message orphans the parent; the phase stalls until
     // the failure detector triggers recovery.
@@ -277,13 +276,13 @@ pub(super) fn finish_task(
 /// the combiner and finishes the parent in turn.
 fn child_done(sim: &mut RtSim, ptid: TaskId, idx: usize, value: TaskValue) {
     let parents = &mut sim.world.tasks.parents;
-    let p = parents.get_mut(&ptid).expect("parent record");
+    let p = parents.get_mut(ptid).expect("parent record");
     p.results[idx] = Some(value);
     p.pending -= 1;
     if p.pending > 0 {
         return;
     }
-    let p = parents.remove(&ptid).expect("parent record");
+    let p = parents.remove(ptid).expect("parent record");
     let values: Vec<TaskValue> = p
         .results
         .into_iter()

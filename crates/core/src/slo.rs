@@ -23,12 +23,11 @@
 //! everywhere so the single-writer discipline of the data-item manager
 //! is preserved.
 
-use std::collections::BTreeMap;
-
 use allscale_des::{ArrivalGen, ArrivalProcess, LogHistogram, SimDuration, SimTime};
 
 use crate::dynamic::DynRegion;
-use crate::task::{ItemId, TaskId, WorkItem};
+use crate::task::{ItemId, WorkItem};
+use crate::task_map::TaskMap;
 
 /// The service-level objective and controller policy of a serving phase.
 #[derive(Debug, Clone)]
@@ -165,7 +164,7 @@ pub(crate) struct ServeSession {
     /// Virtual time the phase started.
     pub started: SimTime,
     /// In-flight request roots, keyed by root task id.
-    pub roots: BTreeMap<TaskId, PendingReq>,
+    pub roots: TaskMap<PendingReq>,
     /// Whether all arrivals have been injected.
     pub arrivals_done: bool,
     /// Per-shard latency window of the current control period.
@@ -196,7 +195,7 @@ impl ServeSession {
             max_requests: spec.max_requests,
             next_req: 0,
             started: now,
-            roots: BTreeMap::new(),
+            roots: TaskMap::default(),
             arrivals_done: false,
             window: vec![LogHistogram::new(); shards],
             replicated: vec![false; shards],

@@ -23,7 +23,14 @@ pub const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Hash a byte slice with FNV-1a 64-bit.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h = FNV64_OFFSET;
+    fnv1a_64_extend(FNV64_OFFSET, bytes)
+}
+
+/// Continue an FNV-1a 64-bit hash: the hash of the bytes hashed into
+/// `state` so far (starting from [`FNV64_OFFSET`]) followed by `bytes`.
+#[inline]
+pub fn fnv1a_64_extend(state: u64, bytes: &[u8]) -> u64 {
+    let mut h = state;
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(FNV64_PRIME);
@@ -41,6 +48,13 @@ mod tests {
         assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a_64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn extending_equals_hashing_the_concatenation() {
+        let whole = fnv1a_64(b"foobar");
+        assert_eq!(fnv1a_64_extend(fnv1a_64(b"foo"), b"bar"), whole);
+        assert_eq!(fnv1a_64_extend(whole, b""), whole);
     }
 
     #[test]

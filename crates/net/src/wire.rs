@@ -16,6 +16,8 @@ use serde::ser::{self, Serialize};
 use serde::Deserialize;
 use std::fmt;
 
+use allscale_des::fnv::{fnv1a_64_extend, FNV64_OFFSET, FNV64_PRIME};
+
 /// Errors arising during encoding or decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
@@ -56,10 +58,19 @@ impl de::Error for WireError {
 
 /// Serialize `value` into a byte vector.
 pub fn encode<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, WireError> {
-    let mut out = Vec::new();
-    let mut ser = WireSerializer { out: &mut out };
+    let mut ser = WireSerializer { out: Vec::new() };
     value.serialize(&mut ser)?;
-    Ok(out)
+    Ok(ser.out)
+}
+
+/// FNV-1a 64 of `value`'s encoding — `fnv1a_64(&encode(value)?)` without
+/// the byte vector: the serializer feeds the hash as it goes.
+pub fn fingerprint<T: Serialize + ?Sized>(value: &T) -> Result<u64, WireError> {
+    let mut ser = WireSerializer {
+        out: Fnv1a(FNV64_OFFSET),
+    };
+    value.serialize(&mut ser)?;
+    Ok(ser.out.0)
 }
 
 /// Deserialize a value of type `T` from `bytes`, requiring full consumption.
@@ -75,26 +86,66 @@ pub fn decode<'a, T: Deserialize<'a>>(bytes: &'a [u8]) -> Result<T, WireError> {
 
 // ---------------------------------------------------------------- serializer
 
-struct WireSerializer<'o> {
-    out: &'o mut Vec<u8>,
+/// Where encoded bytes go.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
 }
 
-impl<'o> WireSerializer<'o> {
+impl Sink for Vec<u8> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// A running FNV-1a 64 state.
+struct Fnv1a(u64);
+
+/// `FNV64_PRIME⁸`: hashing a zero byte multiplies the state by the prime
+/// (`h ^ 0 = h`), so hashing eight of them multiplies it by this.
+const FNV64_PRIME_POW8: u64 = {
+    let mut power = 1u64;
+    let mut i = 0;
+    while i < 8 {
+        power = power.wrapping_mul(FNV64_PRIME);
+        i += 1;
+    }
+    power
+};
+
+impl Sink for Fnv1a {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        // The value hashed on every location-cache probe is a task-sized
+        // bitmask region: all but one of its words are zero, and a zero
+        // word is one multiplication instead of a chain of eight.
+        self.0 = match bytes {
+            [0, 0, 0, 0, 0, 0, 0, 0] => self.0.wrapping_mul(FNV64_PRIME_POW8),
+            _ => fnv1a_64_extend(self.0, bytes),
+        };
+    }
+}
+
+struct WireSerializer<S> {
+    out: S,
+}
+
+impl<S: Sink> WireSerializer<S> {
     fn put_len(&mut self, len: usize) {
-        self.out.extend_from_slice(&(len as u64).to_le_bytes());
+        self.out.put(&(len as u64).to_le_bytes());
     }
 }
 
 macro_rules! ser_prim {
     ($name:ident, $ty:ty) => {
         fn $name(self, v: $ty) -> Result<(), WireError> {
-            self.out.extend_from_slice(&v.to_le_bytes());
+            self.out.put(&v.to_le_bytes());
             Ok(())
         }
     };
 }
 
-impl<'a, 'o> ser::Serializer for &'a mut WireSerializer<'o> {
+impl<S: Sink> ser::Serializer for &mut WireSerializer<S> {
     type Ok = ();
     type Error = WireError;
     type SerializeSeq = Self;
@@ -106,7 +157,7 @@ impl<'a, 'o> ser::Serializer for &'a mut WireSerializer<'o> {
     type SerializeStructVariant = Self;
 
     fn serialize_bool(self, v: bool) -> Result<(), WireError> {
-        self.out.push(v as u8);
+        self.out.put(&[v as u8]);
         Ok(())
     }
     ser_prim!(serialize_i8, i8);
@@ -125,20 +176,20 @@ impl<'a, 'o> ser::Serializer for &'a mut WireSerializer<'o> {
     }
     fn serialize_str(self, v: &str) -> Result<(), WireError> {
         self.put_len(v.len());
-        self.out.extend_from_slice(v.as_bytes());
+        self.out.put(v.as_bytes());
         Ok(())
     }
     fn serialize_bytes(self, v: &[u8]) -> Result<(), WireError> {
         self.put_len(v.len());
-        self.out.extend_from_slice(v);
+        self.out.put(v);
         Ok(())
     }
     fn serialize_none(self) -> Result<(), WireError> {
-        self.out.push(0);
+        self.out.put(&[0]);
         Ok(())
     }
     fn serialize_some<T: Serialize + ?Sized>(self, value: &T) -> Result<(), WireError> {
-        self.out.push(1);
+        self.out.put(&[1]);
         value.serialize(self)
     }
     fn serialize_unit(self) -> Result<(), WireError> {
@@ -221,7 +272,7 @@ impl<'a, 'o> ser::Serializer for &'a mut WireSerializer<'o> {
 
 macro_rules! ser_compound {
     ($trait:path { $($fn:ident ( $($arg:ident : $argty:ty),* ))* }) => {
-        impl<'a, 'o> $trait for &'a mut WireSerializer<'o> {
+        impl<S: Sink> $trait for &mut WireSerializer<S> {
             type Ok = ();
             type Error = WireError;
             $(
@@ -242,7 +293,7 @@ ser_compound!(ser::SerializeTupleVariant { serialize_field() });
 ser_compound!(ser::SerializeStruct { serialize_field(key: &'static str) });
 ser_compound!(ser::SerializeStructVariant { serialize_field(key: &'static str) });
 
-impl<'a, 'o> ser::SerializeMap for &'a mut WireSerializer<'o> {
+impl<S: Sink> ser::SerializeMap for &mut WireSerializer<S> {
     type Ok = ();
     type Error = WireError;
     fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) -> Result<(), WireError> {
@@ -599,6 +650,30 @@ mod tests {
     fn invalid_bool_rejected() {
         let r: Result<bool, _> = decode(&[7]);
         assert!(matches!(r, Err(WireError::InvalidData(_))));
+    }
+
+    #[test]
+    fn fingerprint_is_the_hash_of_the_encoding() {
+        use allscale_des::fnv::fnv1a_64;
+        fn check<T: Serialize>(v: &T) {
+            assert_eq!(fingerprint(v).unwrap(), fnv1a_64(&encode(v).unwrap()));
+        }
+        // Zero words take the one-multiplication path, in every position.
+        check(&vec![0u64; 9]);
+        check(&vec![0u64, 1 << 40, 0, 0, u64::MAX, 0]);
+        check(&(0u32, 0i64, 0u8, 0u64, [0u8; 8], 0.0f64));
+        check(&String::from("\0\0\0\0\0\0\0\0"));
+        check(&String::from("\0\0\0\0\0\0\0\0, then more"));
+        check(&Msg::Data {
+            from: 0,
+            body: vec![0; 17],
+        });
+        check(&Some(Particle {
+            pos: [0.0, -0.0, 1.5],
+            vel: [0.0; 3],
+            charge: 0.0,
+            id: 0,
+        }));
     }
 
     #[test]

@@ -6,7 +6,8 @@ use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-use allscale_net::wire::{decode, encode, WireError};
+use allscale_des::fnv::fnv1a_64;
+use allscale_net::wire::{decode, encode, fingerprint, WireError};
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct Inner {
@@ -78,6 +79,18 @@ proptest! {
         let bytes = encode(&v).unwrap();
         let back: Outer = decode(&bytes).unwrap();
         prop_assert_eq!(back, v);
+    }
+
+    /// The streamed fingerprint hashes the very bytes `encode` produces —
+    /// through nested structs, sequences, maps, options and enums.
+    #[test]
+    fn fingerprint_is_the_hash_of_the_encoding(
+        v in arb_outer(),
+        words in prop::collection::vec(prop_oneof![Just(0u64), any::<u64>()], 0..24)
+    ) {
+        prop_assert_eq!(fingerprint(&v).unwrap(), fnv1a_64(&encode(&v).unwrap()));
+        // Zero words take the sink's one-multiplication path.
+        prop_assert_eq!(fingerprint(&words).unwrap(), fnv1a_64(&encode(&words).unwrap()));
     }
 
     #[test]

@@ -193,6 +193,13 @@ impl BitmaskTreeRegion {
         (self.words[w] >> b) & 1 == 1
     }
 
+    fn assert_one_empty(&self, other: &Self) {
+        assert!(
+            self.is_empty() || other.is_empty(),
+            "bitmask regions with different split depths are incompatible"
+        );
+    }
+
     fn zip(&self, other: &Self, op: fn(u64, u64) -> u64) -> Self {
         assert_eq!(
             self.h, other.h,
@@ -260,6 +267,25 @@ impl Region for BitmaskTreeRegion {
             return Self::new(self.h);
         }
         self.zip(other, |a, b| a & !b)
+    }
+
+    // The predicates read the words in place; across split depths they
+    // give the algebra's answer for an empty operand and panic like it
+    // for two non-empty ones.
+    fn is_disjoint(&self, other: &Self) -> bool {
+        if self.h != other.h {
+            self.assert_one_empty(other);
+            return true;
+        }
+        self.words.iter().zip(&other.words).all(|(&a, &b)| a & b == 0)
+    }
+
+    fn is_subset_of(&self, other: &Self) -> bool {
+        if self.h != other.h {
+            self.assert_one_empty(other);
+            return self.is_empty();
+        }
+        self.words.iter().zip(&other.words).all(|(&a, &b)| a & !b == 0)
     }
 }
 
@@ -391,6 +417,28 @@ mod tests {
         let a = BitmaskTreeRegion::full(2);
         let b = BitmaskTreeRegion::full(3);
         let _ = a.union(&b);
+    }
+
+    #[test]
+    fn canonical_empty_combines_with_any_depth() {
+        // `Region::empty()` has depth 0 whatever the item's split depth.
+        let nothing = BitmaskTreeRegion::empty();
+        for x in [
+            BitmaskTreeRegion::new(8),
+            BitmaskTreeRegion::of_subtree(8, 200),
+            BitmaskTreeRegion::full(8),
+        ] {
+            for (a, b) in [(&x, &nothing), (&nothing, &x)] {
+                assert_eq!(a.is_subset_of(b), a.difference(b).is_empty(), "{a:?} ⊆ {b:?}");
+                assert_eq!(a.is_disjoint(b), a.intersect(b).is_empty(), "{a:?} ∩ {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "different split depths")]
+    fn predicates_on_non_empty_depths_panic_like_the_algebra() {
+        let _ = BitmaskTreeRegion::full(2).is_disjoint(&BitmaskTreeRegion::full(3));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::region::Region;
 /// and a greedy merge pass fuses face-adjacent boxes to curb fragmentation
 /// (important for long-running simulations that repeatedly migrate halos).
 /// Semantic equality is still *set* equality, implemented by mutual
-/// difference, so structurally different decompositions compare equal.
+/// inclusion, so structurally different decompositions compare equal.
 #[derive(Clone, Serialize, Deserialize)]
 pub struct BoxRegion<const D: usize> {
     boxes: Vec<GridBox<D>>,
@@ -248,7 +248,7 @@ fn try_merge<const D: usize>(a: &GridBox<D>, b: &GridBox<D>) -> Option<GridBox<D
 
 impl<const D: usize> PartialEq for BoxRegion<D> {
     fn eq(&self, other: &Self) -> bool {
-        // Semantic set equality via mutual difference. Fast path: identical
+        // Semantic set equality via mutual inclusion. Fast path: identical
         // normalized representations.
         if self.boxes == other.boxes {
             return true;
@@ -256,7 +256,7 @@ impl<const D: usize> PartialEq for BoxRegion<D> {
         if self.cardinality() != other.cardinality() {
             return false;
         }
-        self.difference(other).is_empty() && other.difference(self).is_empty()
+        self.is_subset_of(other) && other.is_subset_of(self)
     }
 }
 
@@ -322,6 +322,22 @@ impl<const D: usize> Region for BoxRegion<D> {
             .iter()
             .all(|a| other.boxes.iter().all(|b| !a.overlaps(b)))
     }
+
+    fn is_subset_of(&self, other: &Self) -> bool {
+        self.boxes.iter().all(|a| covered(*a, &other.boxes))
+    }
+}
+
+/// Whether `a ⊆ ⋃cover`, without building `a \ ⋃cover`: what the first
+/// overlapping box leaves of `a` must be covered by the boxes after it
+/// (those before it touch no part of `a`). A tile inside one box of its
+/// owner's region — the scheduler's question — costs one overlap test per
+/// box up to that one.
+fn covered<const D: usize>(a: GridBox<D>, cover: &[GridBox<D>]) -> bool {
+    let Some(first) = cover.iter().position(|b| b.overlaps(&a)) else {
+        return false;
+    };
+    a.all_outside(&cover[first], |piece| covered(piece, &cover[first + 1..]))
 }
 
 #[cfg(test)]

@@ -129,17 +129,23 @@ impl BucketRegion {
         (h % buckets as u64) as u32
     }
 
-    /// Word-wise for every operand pair. The canonical `Region::empty()`
-    /// has one bucket whatever the item's count — a data item manager's
-    /// replica coverage is that value until a replica arrives — so an empty
-    /// operand of another count reads as zero words of the larger count.
-    fn zip(&self, other: &Self, op: fn(u64, u64) -> u64) -> Self {
+    /// Regions of different bucket counts combine only when one is empty.
+    #[inline]
+    fn check_counts(&self, other: &Self) {
         if self.buckets != other.buckets {
             assert!(
                 self.is_empty() || other.is_empty(),
                 "bucket regions with different bucket counts"
             );
         }
+    }
+
+    /// Word-wise for every operand pair. The canonical `Region::empty()`
+    /// has one bucket whatever the item's count — a data item manager's
+    /// replica coverage is that value until a replica arrives — so an empty
+    /// operand of another count reads as zero words of the larger count.
+    fn zip(&self, other: &Self, op: fn(u64, u64) -> u64) -> Self {
+        self.check_counts(other);
         // An operand has no buckets beyond its own end. Equal lengths — every
         // pair but those with the canonical empty — skip the padding, which
         // costs 20 % on hostbench's `region.bucket` probe.
@@ -185,6 +191,18 @@ impl Region for BucketRegion {
     }
     fn difference(&self, other: &Self) -> Self {
         self.zip(other, |a, b| a & !b)
+    }
+    // The predicates read the words in place. An operand has no buckets
+    // beyond its own end, so against the shorter canonical empty region
+    // the missing words count as zero, as in `zip`.
+    fn is_disjoint(&self, other: &Self) -> bool {
+        self.check_counts(other);
+        self.words.iter().zip(&other.words).all(|(&a, &b)| a & b == 0)
+    }
+    fn is_subset_of(&self, other: &Self) -> bool {
+        self.check_counts(other);
+        let theirs = other.words.iter().copied().chain(std::iter::repeat(0));
+        self.words.iter().zip(theirs).all(|(&a, b)| a & !b == 0)
     }
 }
 
@@ -545,6 +563,9 @@ mod tests {
         ];
         for a in &operands {
             for b in &operands {
+                // The predicates never index past the shorter operand.
+                assert_eq!(a.is_subset_of(b), oracle(a).is_subset(&oracle(b)), "{a:?} ⊆ {b:?}");
+                assert_eq!(a.is_disjoint(b), oracle(a).is_disjoint(&oracle(b)), "{a:?} ∩ {b:?}");
                 for (op, set_op) in &ops {
                     let r = op(a, b);
                     assert_eq!(oracle(&r), set_op(&oracle(a), &oracle(b)), "{a:?} {b:?}");
@@ -560,6 +581,12 @@ mod tests {
     #[should_panic(expected = "different bucket counts")]
     fn mixing_non_empty_bucket_counts_panics() {
         let _ = BucketRegion::full(8).union(&BucketRegion::full(16));
+    }
+
+    #[test]
+    #[should_panic(expected = "different bucket counts")]
+    fn predicates_on_non_empty_bucket_counts_panic_like_the_algebra() {
+        let _ = BucketRegion::full(8).is_subset_of(&BucketRegion::full(16));
     }
 
     #[test]

@@ -222,9 +222,23 @@ impl<const D: usize> GridBox<D> {
     /// returning a fresh vector — what lets the region algebra run a whole
     /// subtraction chain in two reused buffers.
     pub(crate) fn subtract_into(&self, other: &GridBox<D>, out: &mut Vec<GridBox<D>>) {
+        self.all_outside(other, |piece| {
+            out.push(piece);
+            true
+        });
+    }
+
+    /// Whether every box of the slab decomposition of `self \ other`
+    /// satisfies `keep`, asked in decomposition order and stopping at the
+    /// first that does not. Nothing is stored, so a caller that only needs
+    /// a verdict on the pieces allocates nothing.
+    pub(crate) fn all_outside(
+        &self,
+        other: &GridBox<D>,
+        mut keep: impl FnMut(GridBox<D>) -> bool,
+    ) -> bool {
         let Some(overlap) = self.intersect(other) else {
-            out.push(*self);
-            return;
+            return keep(*self);
         };
         let mut lo = self.lo;
         let mut hi = self.hi;
@@ -232,16 +246,21 @@ impl<const D: usize> GridBox<D> {
             if lo[d] < overlap.lo[d] {
                 let mut slab_hi = hi;
                 slab_hi[d] = overlap.lo[d];
-                out.push(GridBox { lo, hi: slab_hi });
+                if !keep(GridBox { lo, hi: slab_hi }) {
+                    return false;
+                }
                 lo[d] = overlap.lo[d];
             }
             if overlap.hi[d] < hi[d] {
                 let mut slab_lo = lo;
                 slab_lo[d] = overlap.hi[d];
-                out.push(GridBox { lo: slab_lo, hi });
+                if !keep(GridBox { lo: slab_lo, hi }) {
+                    return false;
+                }
                 hi[d] = overlap.hi[d];
             }
         }
+        true
     }
 
     /// Iterate all lattice points of the box in lexicographic order.

@@ -107,12 +107,28 @@ where
         "is_subset_of inconsistent for {a:?}, {b:?}"
     );
 
+    // The predicates may be overridden with something that builds no
+    // region; they must still be the algebra's verdicts — also against the
+    // canonical empty region, whose size need not be the operands'.
+    let empty = R::empty();
+    for (x, y) in [(a, b), (b, a), (a, &empty), (&empty, a), (&empty, &empty)] {
+        assert_eq!(
+            x.is_subset_of(y),
+            x.difference(y).is_empty(),
+            "is_subset_of is not `difference(..).is_empty()` for {x:?}, {y:?}"
+        );
+        assert_eq!(
+            x.is_disjoint(y),
+            x.intersect(y).is_empty(),
+            "is_disjoint is not `intersect(..).is_empty()` for {x:?}, {y:?}"
+        );
+    }
+
     // Algebraic laws via semantic equality.
     assert_eq!(a.union(a), *a, "union not idempotent for {a:?}");
     assert_eq!(a.intersect(a), *a, "intersection not idempotent for {a:?}");
     assert_eq!(a.union(b), b.union(a), "union not commutative");
     assert_eq!(a.intersect(b), b.intersect(a), "intersection not commutative");
-    let empty = R::empty();
     assert!(empty.is_empty(), "R::empty() must be empty");
     assert_eq!(a.union(&empty), *a, "a ∪ ∅ ≠ a for {a:?}");
     assert_eq!(a.intersect(&empty), empty, "a ∩ ∅ ≠ ∅ for {a:?}");

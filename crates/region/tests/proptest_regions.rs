@@ -5,9 +5,10 @@
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
+use allscale_net::wire;
 use allscale_region::{
-    check_laws, BitmaskTreeRegion, BoxRegion, Fragment, GridBox, GridFragment, IntervalRegion,
-    Point, Region, TreePath, TreeRegion,
+    check_laws, fnv1a_64, BitmaskTreeRegion, BoxRegion, BucketRegion, Fragment, GridBox,
+    GridFragment, IntervalRegion, Point, Region, TreePath, TreeRegion,
 };
 
 // ------------------------------------------------------------- box regions
@@ -377,6 +378,74 @@ proptest! {
                 stack.push(p.right());
             }
         }
+    }
+}
+
+// ---------------------------------------------------------- bucket regions
+
+/// 130 buckets: three words, the last one partial.
+const BUCKETS: u32 = 130;
+
+fn arb_bucket_region() -> impl Strategy<Value = BucketRegion> {
+    prop_oneof![
+        // Sparse (task-sized), dense, and the canonical 1-bucket empty
+        // region a manager's replica coverage starts out as.
+        prop::collection::vec(0..BUCKETS, 0..4),
+        prop::collection::vec(0..BUCKETS, 40..120),
+    ]
+    .prop_map(|bs| {
+        if bs.is_empty() {
+            return BucketRegion::empty();
+        }
+        let mut r = BucketRegion::new(BUCKETS);
+        for b in bs {
+            r.set(b, true);
+        }
+        r
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn bucket_region_laws(a in arb_bucket_region(), b in arb_bucket_region()) {
+        check_laws(&a, &b, |r| r.iter().collect::<BTreeSet<u32>>());
+    }
+}
+
+// ---------------------------------------- fingerprints: every region scheme
+
+/// The streamed fingerprint (the location-cache key) is the FNV-1a of the
+/// wire encoding, byte for byte: a key that moved would turn hits into
+/// misses, and misses are billed.
+fn fingerprint_matches_encoding<R: Region>(r: &R) {
+    let bytes = wire::encode(r).expect("regions encode");
+    assert_eq!(
+        wire::fingerprint(r).expect("regions encode"),
+        fnv1a_64(&bytes),
+        "{r:?}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn fingerprints_hash_the_encoding(
+        boxes in arb_box_region(),
+        intervals in arb_interval_region(),
+        tree in arb_tree_region(),
+        bitmask in arb_bitmask(7),
+        buckets in arb_bucket_region()
+    ) {
+        fingerprint_matches_encoding(&boxes);
+        fingerprint_matches_encoding(&intervals);
+        fingerprint_matches_encoding(&tree);
+        fingerprint_matches_encoding(&bitmask);
+        fingerprint_matches_encoding(&buckets);
+        fingerprint_matches_encoding(&BoxRegion::<2>::empty());
+        fingerprint_matches_encoding(&BitmaskTreeRegion::empty());
     }
 }
 

@@ -77,6 +77,122 @@ fn assert_same_coverage(
     }
 }
 
+// ------------------------------------------- the cache as it was: an oracle
+
+/// `LocationCache` as it was before hits became one probe handing out a
+/// shared resolution (three map lookups, a deep clone per hit). Hits and
+/// misses are billed hops and epoch invalidations are reported, so the
+/// rewritten cache must take the same branch on every single call. Kept
+/// verbatim as the oracle; do not "tidy" it.
+mod pre_change {
+    use std::collections::HashMap;
+
+    use allscale_core::index::{Hop, Resolution};
+    use allscale_core::{CacheStats, DistIndex, DynRegion, ItemId};
+
+    struct Entry {
+        epoch: u64,
+        region: Box<dyn DynRegion>,
+        pieces: Resolution,
+        hops: usize,
+    }
+
+    pub struct LocationCache {
+        epochs: HashMap<ItemId, u64>,
+        entries: HashMap<(ItemId, usize, u64), Entry>,
+        capacity: usize,
+        stats: CacheStats,
+    }
+
+    impl LocationCache {
+        pub fn with_capacity(capacity: usize) -> Self {
+            LocationCache {
+                epochs: HashMap::new(),
+                entries: HashMap::new(),
+                capacity: capacity.max(1),
+                stats: CacheStats::default(),
+            }
+        }
+
+        pub fn epoch(&self, item: ItemId) -> u64 {
+            self.epochs.get(&item).copied().unwrap_or(0)
+        }
+
+        pub fn bump(&mut self, item: ItemId) {
+            *self.epochs.entry(item).or_insert(0) += 1;
+        }
+
+        pub fn forget(&mut self, item: ItemId) {
+            self.epochs.remove(&item);
+            self.entries.retain(|&(it, _, _), _| it != item);
+        }
+
+        pub fn len(&self) -> usize {
+            self.entries.len()
+        }
+
+        pub fn stats(&self) -> CacheStats {
+            self.stats
+        }
+
+        pub fn resolve(
+            &mut self,
+            index: &DistIndex,
+            item: ItemId,
+            start: usize,
+            region: &dyn DynRegion,
+        ) -> (Resolution, Vec<Hop>) {
+            let key = (item, start, region.fingerprint_dyn());
+            let epoch = self.epoch(item);
+            let stale = matches!(self.entries.get(&key), Some(e) if e.epoch != epoch);
+            if stale {
+                self.entries.remove(&key);
+                self.stats.invalidations += 1;
+            }
+            if let Some(e) = self.entries.get(&key) {
+                if e.region.eq_dyn(region) {
+                    let pieces = e.pieces.clone();
+                    let saved = e.hops as u64;
+                    self.stats.hits += 1;
+                    self.stats.saved_hops += saved;
+                    return (pieces, Vec::new());
+                }
+                // Fingerprint collision with a different region: treat as a
+                // miss; the fresh entry below overwrites the colliding one.
+            }
+            self.stats.misses += 1;
+            let (pieces, hops) = index.resolve(item, start, region);
+            self.make_room();
+            self.entries.insert(
+                key,
+                Entry {
+                    epoch,
+                    region: region.clone_box(),
+                    pieces: pieces.clone(),
+                    hops: hops.len(),
+                },
+            );
+            (pieces, hops)
+        }
+
+        fn make_room(&mut self) {
+            if self.entries.len() < self.capacity {
+                return;
+            }
+            let epochs = &self.epochs;
+            self.entries
+                .retain(|&(it, _, _), e| e.epoch == epochs.get(&it).copied().unwrap_or(0));
+            if self.entries.len() >= self.capacity {
+                self.entries.clear();
+            }
+        }
+    }
+}
+
+/// Small enough that the random programs fill it: purges and wholesale
+/// clears are part of what must not move.
+const CACHE_CAPACITY: usize = 48;
+
 // ------------------------------------------------------- the random driver
 
 const DOMAIN_BLOCKS: i64 = 16;
@@ -92,6 +208,8 @@ struct World {
     dist: DistIndex,
     central: CentralIndex,
     cache: LocationCache,
+    /// The pre-change cache, driven in lockstep with `cache`.
+    old_cache: pre_change::LocationCache,
     /// Ground truth: per live item, the region each process owns.
     owned: BTreeMap<ItemId, Vec<BoxRegion<1>>>,
     next_item: u32,
@@ -104,7 +222,8 @@ impl World {
             procs,
             dist: DistIndex::new(procs),
             central: CentralIndex::new(procs),
-            cache: LocationCache::new(),
+            cache: LocationCache::with_capacity(CACHE_CAPACITY),
+            old_cache: pre_change::LocationCache::with_capacity(CACHE_CAPACITY),
             owned: BTreeMap::new(),
             next_item: 0,
             resolutions: 0,
@@ -115,6 +234,7 @@ impl World {
     /// the same order `runtime::index_update` uses.
     fn update_leaf(&mut self, item: ItemId, p: usize, region: &BoxRegion<1>) {
         self.cache.bump(item);
+        self.old_cache.bump(item);
         self.dist.update_leaf(item, p, Box::new(region.clone()));
         self.central.update_leaf(item, p, Box::new(region.clone()));
     }
@@ -169,6 +289,7 @@ impl World {
         }
         self.dist.remove_item(item);
         self.cache.forget(item);
+        self.old_cache.forget(item);
         self.owned.remove(&item);
     }
 
@@ -186,6 +307,7 @@ impl World {
         let q = random_interval(rng);
 
         let (cached, cached_hops) = self.cache.resolve(&self.dist, item, start, &q);
+        self.check_against_pre_change(item, start, &q, &cached, &cached_hops, ctx);
         let (uncached, uncached_hops) = self.dist.resolve(item, start, &q);
         let (central, _) = self.central.resolve(item, start, &q);
         self.resolutions += 1;
@@ -212,12 +334,39 @@ impl World {
         );
 
         // The cached sole-owner answer must agree with the uncached one.
+        // It resolves the (never empty) query once more, so the oracle
+        // does too.
         let (owner_cached, _) = self.cache.sole_owner(&self.dist, item, start, &q);
+        self.old_cache.resolve(&self.dist, item, start, &q);
+        assert_eq!(self.cache.stats(), self.old_cache.stats(), "stats moved ({ctx})");
         assert_eq!(
             owner_cached,
             self.dist.sole_owner(item, start, &q),
             "sole_owner diverges ({ctx})"
         );
+    }
+
+    /// Repeat on the pre-change cache the `resolve` that just returned
+    /// `(pieces, hops)` and require the same answer in the same
+    /// representation, the same hops, counters, epoch and occupancy.
+    fn check_against_pre_change(
+        &mut self,
+        item: ItemId,
+        start: usize,
+        q: &BoxRegion<1>,
+        pieces: &[(Box<dyn DynRegion>, usize)],
+        hops: &[(usize, usize)],
+        ctx: &str,
+    ) {
+        let (old_pieces, old_hops) = self.old_cache.resolve(&self.dist, item, start, q);
+        let wire = |ps: &[(Box<dyn DynRegion>, usize)]| -> Vec<(Vec<u8>, usize)> {
+            ps.iter().map(|(r, host)| (r.encode(), *host)).collect()
+        };
+        assert_eq!(wire(pieces), wire(&old_pieces), "pieces moved ({ctx})");
+        assert_eq!(hops, old_hops, "hops moved ({ctx})");
+        assert_eq!(self.cache.stats(), self.old_cache.stats(), "stats moved ({ctx})");
+        assert_eq!(self.cache.epoch(item), self.old_cache.epoch(item), "epoch ({ctx})");
+        assert_eq!(self.cache.len(), self.old_cache.len(), "occupancy moved ({ctx})");
     }
 
     fn pick_item(&self, rng: &mut XorShift) -> Option<ItemId> {
@@ -255,6 +404,8 @@ fn random_interval(rng: &mut XorShift) -> BoxRegion<1> {
 fn randomized_interleavings_never_diverge() {
     let mut total_resolutions = 0u64;
     let mut total_hits = 0u64;
+    let mut total_invalidations = 0u64;
+    let mut evictions = false;
     for seed in 0..6u64 {
         for &procs in &[5usize, 8, 16] {
             let mut rng = XorShift::new(seed * 1000 + procs as u64);
@@ -271,6 +422,8 @@ fn randomized_interleavings_never_diverge() {
             }
             total_resolutions += w.resolutions;
             total_hits += w.cache.stats().hits;
+            total_invalidations += w.cache.stats().invalidations;
+            evictions |= w.cache.stats().misses > CACHE_CAPACITY as u64;
         }
     }
     assert!(
@@ -280,6 +433,10 @@ fn randomized_interleavings_never_diverge() {
     assert!(
         total_hits > 0,
         "the schedule must actually exercise the hit path"
+    );
+    assert!(
+        total_invalidations > 0 && evictions,
+        "the schedule must exercise stale entries and a full cache"
     );
 }
 
