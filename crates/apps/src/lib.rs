@@ -15,6 +15,7 @@
 //! Every application ships a sequential oracle; the AllScale and MPI
 //! versions are validated against it (and against each other) in tests.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ipic3d;

@@ -7,8 +7,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use allscale_core::{
-    pfor, CostModel, Grid, PforSpec, Requirement, RtConfig, RtCtx, RunReport, Runtime, TaskValue,
-    WorkItem,
+    pfor_tiles, CostModel, Grid, PforSpec, Requirement, RtConfig, RtCtx, RunReport, Runtime,
+    TaskCtx, TaskValue, WorkItem,
 };
 use allscale_des::SimTime;
 use allscale_region::{BoxRegion, Fragment, GridBox, GridFragment, Point};
@@ -41,6 +41,40 @@ pub fn run_with(cfg: &StencilConfig, rt_cfg: RtConfig) -> StencilResult {
 /// counters (checkpoints, detections, recoveries, retries) alongside the
 /// application-level result.
 pub fn run_with_report(cfg: &StencilConfig, rt_cfg: RtConfig) -> (StencilResult, RunReport) {
+    run_with_kernel(cfg, rt_cfg, step_rows)
+}
+
+/// The body of a time step's leaf task: update `tile` of `dst` from `src`.
+type StepKernel = fn(&mut TaskCtx<'_>, &GridBox<2>, Grid<f64, 2>, Grid<f64, 2>);
+
+/// One time step over `tile`, a row at a time through a rolling window of
+/// three source rows (each one column wider than the tile on both sides):
+/// the same [`update`] call per cell as Fig. 6b's per-point body, but one
+/// façade access per row instead of six per cell.
+fn step_rows(tctx: &mut TaskCtx<'_>, tile: &GridBox<2>, src: Grid<f64, 2>, dst: Grid<f64, 2>) {
+    let (lo, hi) = (tile.lo(), tile.hi());
+    let width = (hi[1] - lo[1]) as usize;
+    let mut window = [(); 3].map(|_| vec![0.0; width + 2]);
+    let mut out = vec![0.0; width];
+    let [up, mid, down] = &mut window;
+    src.read_row(tctx, [lo[0] - 1, lo[1] - 1], mid);
+    src.read_row(tctx, [lo[0], lo[1] - 1], down);
+    for x in lo[0]..hi[0] {
+        std::mem::swap(up, mid);
+        std::mem::swap(mid, down);
+        src.read_row(tctx, [x + 1, lo[1] - 1], down);
+        for (((m, u), d), o) in mid.windows(3).zip(&up[1..]).zip(&down[1..]).zip(&mut out) {
+            *o = update(m[1], m[0], m[2], *u, *d);
+        }
+        dst.write_row(tctx, [x, lo[1]], &out);
+    }
+}
+
+fn run_with_kernel(
+    cfg: &StencilConfig,
+    rt_cfg: RtConfig,
+    step: StepKernel,
+) -> (StencilResult, RunReport) {
     let cfg = cfg.clone();
     let cfg_out = cfg.clone();
     let rows = cfg.total_rows();
@@ -72,7 +106,7 @@ pub fn run_with_report(cfg: &StencilConfig, rt_cfg: RtConfig) -> (StencilResult,
                 }
                 // Initialize both buffers over the full grid (Fig. 6b
                 // lines 5-7); first touch distributes the data.
-                return Some(pfor(
+                return Some(pfor_tiles(
                     PforSpec {
                         name: "stencil-init",
                         range: a.full_box(),
@@ -86,10 +120,16 @@ pub fn run_with_report(cfg: &StencilConfig, rt_cfg: RtConfig) -> (StencilResult,
                             Requirement::write(b.id, BoxRegion::from_box(*tile)),
                         ]
                     },
-                    move |tctx, p| {
-                        let v = initial(p[0], p[1]);
-                        a.set(tctx, p.0, v);
-                        b.set(tctx, p.0, v);
+                    move |tctx, tile| {
+                        let (lo, hi) = (tile.lo(), tile.hi());
+                        let mut row = vec![0.0; (hi[1] - lo[1]) as usize];
+                        for x in lo[0]..hi[0] {
+                            for (y, v) in (lo[1]..).zip(&mut row) {
+                                *v = initial(x, y);
+                            }
+                            a.write_row(tctx, [x, lo[1]], &row);
+                            b.write_row(tctx, [x, lo[1]], &row);
+                        }
                     },
                 ));
             }
@@ -104,7 +144,7 @@ pub fn run_with_report(cfg: &StencilConfig, rt_cfg: RtConfig) -> (StencilResult,
                 drop(s);
                 let universe = GridBox::from_shape([rows, cols]).unwrap();
                 let interior = GridBox::new(Point([1, 1]), Point([rows - 1, cols - 1])).unwrap();
-                return Some(pfor(
+                return Some(pfor_tiles(
                     PforSpec {
                         name: "stencil-step",
                         range: interior,
@@ -119,14 +159,7 @@ pub fn run_with_report(cfg: &StencilConfig, rt_cfg: RtConfig) -> (StencilResult,
                             Requirement::write(dst.id, BoxRegion::from_box(*tile)),
                         ]
                     },
-                    move |tctx, p| {
-                        let c = src.get(tctx, p.0);
-                        let l = src.get(tctx, [p[0], p[1] - 1]);
-                        let r = src.get(tctx, [p[0], p[1] + 1]);
-                        let u = src.get(tctx, [p[0] - 1, p[1]]);
-                        let d = src.get(tctx, [p[0] + 1, p[1]]);
-                        dst.set(tctx, p.0, update(c, l, r, u, d));
-                    },
+                    move |tctx, tile| step(tctx, tile, src, dst),
                 ));
             }
             // Wrap-up: record times and checksum the final field.
@@ -179,6 +212,42 @@ fn tile_grain(cfg: &StencilConfig) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-point body of Fig. 6b, as it ran before the row kernel: the
+    /// oracle [`step_rows`] must be indistinguishable from.
+    fn step_per_point(
+        tctx: &mut TaskCtx<'_>,
+        tile: &GridBox<2>,
+        src: Grid<f64, 2>,
+        dst: Grid<f64, 2>,
+    ) {
+        for p in tile.points() {
+            let c = src.get(tctx, p.0);
+            let l = src.get(tctx, [p[0], p[1] - 1]);
+            let r = src.get(tctx, [p[0], p[1] + 1]);
+            let u = src.get(tctx, [p[0] - 1, p[1]]);
+            let d = src.get(tctx, [p[0] + 1, p[1]]);
+            dst.set(tctx, p.0, update(c, l, r, u, d));
+        }
+    }
+
+    #[test]
+    fn row_kernel_is_indistinguishable_from_the_per_point_body() {
+        // `small(4)`, and a shape whose step tiles (shifted by one against
+        // the first-touch tiles) straddle chunks along both axes.
+        let straddling = StencilConfig {
+            rows_per_node: 24,
+            cols: 50,
+            ..StencilConfig::small(4)
+        };
+        for cfg in [StencilConfig::small(4), straddling] {
+            let (rows, rows_report) = run_with_kernel(&cfg, RtConfig::test(4, 2), step_rows);
+            let (cells, cells_report) = run_with_kernel(&cfg, RtConfig::test(4, 2), step_per_point);
+            assert!(rows.validated && cells.validated);
+            assert_eq!(rows.checksum, cells.checksum);
+            assert_eq!(rows_report.to_json(), cells_report.to_json());
+        }
+    }
 
     #[test]
     fn validates_against_oracle_small() {

@@ -41,6 +41,23 @@ fn bench_extract_insert(c: &mut Criterion) {
             })
         });
     }
+    // One replica's life at a node holding its share as first touch left it
+    // (64 chunks): import the neighbour's boundary row, ask what is covered
+    // (the scheduler's question), export the own boundary row, drop the
+    // replica. Two of the four steps start from the covered region and two
+    // change it.
+    let mut f = tiled(false);
+    let replica = GridFragment::<f64, 2>::new(&BoxRegion::cuboid([ROWS, 0], [ROWS + 1, COLS]));
+    let own = BoxRegion::cuboid([ROWS - 1, 0], [ROWS, COLS]);
+    g.bench_function("halo_cycle/tiled_64", |b| {
+        b.iter(|| {
+            f.insert(black_box(&replica));
+            let covered = f.region();
+            let sent = f.extract(black_box(&own));
+            f.remove(&replica.region());
+            (covered, sent)
+        })
+    });
     g.finish();
 }
 
@@ -88,6 +105,32 @@ fn five_point_sweep(src: &GridFragment<f64, 2>, dst: &mut GridFragment<f64, 2>) 
     }
 }
 
+/// The same time step as the stencil's leaf tasks run it: per tile a rolling
+/// window of three source rows, one `read_row` per source row and one
+/// `write_row` per result row.
+fn five_point_sweep_rows(src: &GridFragment<f64, 2>, dst: &mut GridFragment<f64, 2>) {
+    for r in (0..ROWS).step_by(24) {
+        for c in (0..COLS).step_by(16) {
+            let (lo, hi) = (c.max(1), (c + 16).min(COLS - 1));
+            let mut window = [(); 3].map(|_| vec![0.0; (hi - lo) as usize + 2]);
+            let mut out = vec![0.0; (hi - lo) as usize];
+            let [up, mid, down] = &mut window;
+            let read = |x, row: &mut [f64]| assert!(src.read_row(&Point([x, lo - 1]), row));
+            read(r - 1, mid);
+            read(r, down);
+            for x in r..r + 24 {
+                std::mem::swap(up, mid);
+                std::mem::swap(mid, down);
+                read(x + 1, down);
+                for (((m, u), d), o) in mid.windows(3).zip(&up[1..]).zip(&down[1..]).zip(&mut out) {
+                    *o = m[1] + m[0] + m[2] + u + d;
+                }
+                assert!(dst.write_row(&Point([x, lo]), &out));
+            }
+        }
+    }
+}
+
 fn bench_get_set(c: &mut Criterion) {
     let mut g = c.benchmark_group("get_set");
     g.throughput(criterion::Throughput::Elements(
@@ -98,6 +141,16 @@ fn bench_get_set(c: &mut Criterion) {
     let (src, mut dst) = (tiled(true), tiled(false));
     g.bench_function("tiled_64", |b| {
         b.iter(|| five_point_sweep(black_box(&src), black_box(&mut dst)))
+    });
+    let mut by_rows = tiled(false);
+    five_point_sweep_rows(&src, &mut by_rows);
+    assert_eq!(
+        wire::encode(&by_rows).unwrap(),
+        wire::encode(&dst).unwrap(),
+        "the row sweep must compute the per-cell sweep's field"
+    );
+    g.bench_function("tiled_64_rows", |b| {
+        b.iter(|| five_point_sweep_rows(black_box(&src), black_box(&mut dst)))
     });
     // One chunk: nothing for a lookup shortcut to win, only its overhead.
     let whole = BoxRegion::cuboid([-1, 0], [ROWS + 1, COLS]);

@@ -10,6 +10,7 @@
 //! Criterion microbenches for the runtime's building blocks live under
 //! `benches/`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod calib;

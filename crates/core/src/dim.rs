@@ -157,18 +157,18 @@ impl ItemSlot {
 pub struct DataItemManager {
     locality: usize,
     items: BTreeMap<ItemId, ItemSlot>,
-    /// Copy-on-write snapshot capture (asynchronous checkpointing).
-    /// While a snapshot is armed, every item whose owned data is about
-    /// to mutate has its boundary-time pre-image serialized first —
-    /// the clone-on-first-write half of the hold machinery; untouched
-    /// items are serialized lazily when the drain finishes.
-    snap_armed: BTreeSet<ItemId>,
-    /// Pre-images captured by first writes since the snapshot was armed.
-    snap_captured: BTreeMap<ItemId, Vec<u8>>,
-    /// Whether a snapshot capture is currently armed.
-    snap_active: bool,
-    /// Pre-image clones taken by first writes (drained by the runtime's
-    /// resilience accounting).
+    /// The boundary state an armed snapshot holds until it is finished or
+    /// aborted: every item's owned data as serialized at arming, ascending.
+    /// Copy-on-write is a property of the *modelled* runtime, which would
+    /// clone an item at its first write after the boundary; the simulator
+    /// already serialized everything to fingerprint the boundary, keeps
+    /// those bytes, and only counts the first writes.
+    snap: Option<Vec<(ItemId, Vec<u8>)>>,
+    /// Items not yet written since the snapshot was armed.
+    snap_unwritten: BTreeSet<ItemId>,
+    /// First writes to items under an armed snapshot — the pre-image clones
+    /// the modelled runtime takes (drained by the runtime's resilience
+    /// accounting).
     cow_captures: u64,
 }
 
@@ -178,9 +178,8 @@ impl DataItemManager {
         DataItemManager {
             locality,
             items: BTreeMap::new(),
-            snap_armed: BTreeSet::new(),
-            snap_captured: BTreeMap::new(),
-            snap_active: false,
+            snap: None,
+            snap_unwritten: BTreeSet::new(),
             cow_captures: 0,
         }
     }
@@ -219,80 +218,56 @@ impl DataItemManager {
         self.items.remove(&item);
     }
 
-    // ---- copy-on-write snapshot capture ---------------------------------
+    // ---- boundary snapshots ---------------------------------------------
 
-    /// Arm a copy-on-write snapshot of the current boundary state: every
-    /// registered item is marked, and its pre-image is serialized on the
-    /// first subsequent mutation (or lazily at
-    /// [`DataItemManager::finish_snapshot`] if it is never touched).
-    /// Arming is O(items) — no data is copied up front.
-    pub fn arm_snapshot(&mut self) {
-        self.snap_armed = self.items.keys().copied().collect();
-        self.snap_captured.clear();
-        self.snap_active = true;
+    /// Arm a snapshot of the current boundary state and fingerprint it:
+    /// every item's owned data is serialized once, the bytes are kept for
+    /// [`DataItemManager::finish_snapshot`], and `(item, fnv1a-64 of those
+    /// bytes, their length)` comes back in ascending [`ItemId`] order — the
+    /// change-detection input of incremental checkpointing.
+    pub fn arm_snapshot(&mut self) -> Vec<(ItemId, u64, u64)> {
+        let snap = self.checkpoint();
+        let fps = snap
+            .iter()
+            .map(|(id, bytes)| (*id, allscale_region::fnv1a_64(bytes), bytes.len() as u64))
+            .collect();
+        self.snap_unwritten = snap.iter().map(|(id, _)| *id).collect();
+        self.snap = Some(snap);
+        fps
     }
 
-    /// Whether a copy-on-write snapshot capture is currently armed.
+    /// Whether a snapshot is currently armed.
     pub fn snapshot_active(&self) -> bool {
-        self.snap_active
+        self.snap.is_some()
     }
 
-    /// Capture `item`'s boundary-time pre-image if a snapshot is armed and
-    /// the item has not been captured yet (clone-on-first-write).
+    /// Count `item`'s first write under an armed snapshot — where the
+    /// modelled runtime clones the boundary-time pre-image.
     fn cow_capture(&mut self, item: ItemId) {
-        if !self.snap_active || !self.snap_armed.remove(&item) {
-            return;
-        }
-        if let Some(slot) = self.items.get(&item) {
-            let bytes = slot.frag.extract_dyn(slot.owned.as_ref()).encode();
-            self.snap_captured.insert(item, bytes);
+        if self.snap_unwritten.remove(&item) {
             self.cow_captures += 1;
         }
     }
 
-    /// Complete the armed snapshot: lazily serialize every item that was
-    /// never mutated since arming and return the full boundary state —
-    /// bit-identical to what [`DataItemManager::checkpoint`] would have
-    /// produced at arm time (ascending [`ItemId`] order). Items created
-    /// after arming are excluded; items destroyed after arming appear
-    /// with their pre-destruction data.
+    /// Complete the armed snapshot: hand back the boundary state, equal to
+    /// what [`DataItemManager::checkpoint`] returned at arm time. Items
+    /// created after arming are excluded; items destroyed after arming
+    /// appear with their pre-destruction data.
     pub fn finish_snapshot(&mut self) -> Vec<(ItemId, Vec<u8>)> {
-        let armed = std::mem::take(&mut self.snap_armed);
-        for id in armed {
-            if let Some(slot) = self.items.get(&id) {
-                let bytes = slot.frag.extract_dyn(slot.owned.as_ref()).encode();
-                self.snap_captured.insert(id, bytes);
-            }
-        }
-        self.snap_active = false;
-        std::mem::take(&mut self.snap_captured).into_iter().collect()
+        self.snap_unwritten.clear();
+        self.snap.take().unwrap_or_default()
     }
 
     /// Abandon the armed snapshot without producing it (the drain it was
     /// feeding was torn by a failure).
     pub fn abort_snapshot(&mut self) {
-        self.snap_armed.clear();
-        self.snap_captured.clear();
-        self.snap_active = false;
+        self.finish_snapshot();
     }
 
-    /// Drain the count of pre-image clones taken by first writes since the
+    /// Drain the count of first writes under an armed snapshot since the
     /// last call (resilience accounting).
     pub fn take_cow_captures(&mut self) -> u64 {
         std::mem::take(&mut self.cow_captures)
-    }
-
-    /// Per-item fingerprint of the owned data: `(item, fnv1a-64 of the
-    /// serialized owned region, serialized length)`, ascending [`ItemId`]
-    /// order — the change-detection input of incremental checkpointing.
-    pub fn owned_fingerprints(&self) -> Vec<(ItemId, u64, u64)> {
-        self.items
-            .iter()
-            .map(|(&id, slot)| {
-                let bytes = slot.frag.extract_dyn(slot.owned.as_ref()).encode();
-                (id, allscale_region::fnv1a_64(&bytes), bytes.len() as u64)
-            })
-            .collect()
     }
 
     /// Whether the item is registered here.
@@ -793,33 +768,6 @@ impl DataItemManager {
     pub(crate) fn fragment_any_mut(&mut self, item: ItemId) -> &mut dyn std::any::Any {
         self.cow_capture(item);
         self.slot_mut(item).frag.as_any_mut()
-    }
-
-    /// Split-borrow two distinct items.
-    pub(crate) fn fragment_pair_any(
-        &mut self,
-        a: ItemId,
-        b: ItemId,
-    ) -> (&dyn std::any::Any, &mut dyn std::any::Any) {
-        assert_ne!(a, b, "fragment_pair_mut requires distinct items");
-        self.cow_capture(b);
-        // Obtain two mutable references via a double lookup on the map.
-        // BTreeMap has no get_many_mut; use pointer juggling through
-        // iter_mut, which yields disjoint &mut.
-        let mut fa: Option<*const dyn std::any::Any> = None;
-        let mut fb: Option<&mut Box<dyn DynFragment>> = None;
-        for (k, slot) in self.items.iter_mut() {
-            if *k == a {
-                fa = Some(slot.frag.as_any() as *const _);
-            } else if *k == b {
-                fb = Some(&mut slot.frag);
-            }
-        }
-        let fa = fa.expect("unknown item in fragment_pair");
-        let fb = fb.expect("unknown item in fragment_pair");
-        // SAFETY: `a != b`, so the two references point into different map
-        // slots; the shared ref for `a` cannot alias the unique ref for `b`.
-        (unsafe { &*fa }, fb.as_any_mut())
     }
 
     /// Serialize the *owned* portion of every item — the checkpointing
@@ -1443,24 +1391,32 @@ mod tests {
     }
 
     #[test]
-    fn owned_fingerprints_track_owned_changes_only() {
+    fn arm_snapshot_fingerprints_hash_the_owned_bytes() {
         let mut dim = mk();
+        dim.register(ItemId(1), ItemDescriptor::of::<G2>("grid2"));
         dim.init_owned(ItemId(0), &r2([0, 0], [3, 3]));
-        let before = dim.owned_fingerprints();
+        let hashed = |dim: &DataItemManager| -> Vec<(ItemId, u64, u64)> {
+            let hash = |(id, b): (ItemId, Vec<u8>)| (id, allscale_region::fnv1a_64(&b), b.len() as u64);
+            dim.checkpoint().into_iter().map(hash).collect()
+        };
+        let before = dim.arm_snapshot();
+        assert_eq!(before, hashed(&dim), "one entry per item, empty ones included");
         // A replica import of remote data leaves the owned bytes alone.
         let mut owner = DataItemManager::new(1);
         owner.register(ItemId(0), ItemDescriptor::of::<G2>("grid"));
         owner.init_owned(ItemId(0), &r2([4, 0], [6, 2]));
         let bytes = owner.export_replica(ItemId(0), &r2([4, 0], [6, 2]), 0, TaskId(1));
         dim.import_replica(ItemId(0), &bytes, TaskId(1));
-        assert_eq!(dim.owned_fingerprints(), before);
+        assert_eq!(dim.arm_snapshot(), before);
         // An owned-data write changes the fingerprint but not the length.
         dim.fragment_any_mut(ItemId(0))
             .downcast_mut::<GridFragment<f64, 2>>()
             .unwrap()
             .set(&Point([2, 2]), 13.0);
-        let after = dim.owned_fingerprints();
+        let after = dim.arm_snapshot();
+        assert_eq!(after, hashed(&dim));
         assert_ne!(after[0].1, before[0].1);
         assert_eq!(after[0].2, before[0].2);
+        assert_eq!(after[1], before[1]);
     }
 }

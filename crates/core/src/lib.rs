@@ -70,6 +70,7 @@
 //! assert!(report.monitor.total_tasks() >= 8);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cost;
@@ -93,7 +94,7 @@ pub use cost::CostModel;
 pub use dim::{Blocker, DataItemManager, LockConflict};
 pub use dynamic::{DynFragment, DynRegion, ItemDescriptor};
 pub use facade::{
-    bisect, bisect_axis, pfor, position_hint, DistMap, Grid, GridItem, MapItem, PforSpec,
+    bisect, bisect_axis, pfor, pfor_tiles, position_hint, DistMap, Grid, GridItem, MapItem, PforSpec,
     Scalar, ScalarItem, Tree, TreeItem,
 };
 pub use index::{CentralIndex, DistIndex};

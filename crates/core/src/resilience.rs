@@ -169,8 +169,9 @@ pub struct ResilienceStats {
     /// In-flight drains discarded because a failure struck before commit
     /// (recovery never restores from a torn checkpoint).
     pub ckpt_torn: u64,
-    /// Pre-image clones taken by first writes under an armed
-    /// copy-on-write capture.
+    /// Pre-image clones the modelled runtime takes: first writes to an
+    /// item under an armed copy-on-write capture (counted, not re-enacted —
+    /// DESIGN.md §5.5b).
     pub cow_captures: u64,
     /// Simulated ns recoveries spent reading checkpoint data back from
     /// the storage tiers.
@@ -235,6 +236,10 @@ pub(crate) struct SavedCkpt {
 /// Byte/shard accounting of one chain reconstruction, per locality —
 /// the recovery restore path bills these against the storage tiers.
 pub(crate) struct ReconstructCost {
+    /// The stored checksum of each reconstructed shard, aligned with
+    /// `Checkpoint::per_locality[loc][k]`. A reconstruction that verified
+    /// has just shown each to be the hash of its shard's bytes.
+    pub sums: Vec<Vec<u64>>,
     /// Chain links (anchor + deltas) read and applied.
     pub links: u64,
     /// Stored bytes read per locality across all links used.
@@ -278,29 +283,28 @@ pub(crate) fn reconstruct(
     }
     let nloc = links[0].shards.len();
     let mut cost = ReconstructCost {
+        sums: Vec::with_capacity(nloc),
         links: links.len() as u64,
         bytes: vec![0; nloc],
         shards: vec![0; nloc],
     };
-    let mut acc: Vec<BTreeMap<ItemId, Vec<u8>>> = vec![BTreeMap::new(); nloc];
+    let mut acc: Vec<BTreeMap<ItemId, (&Vec<u8>, u64)>> = vec![BTreeMap::new(); nloc];
     for link in links {
-        for (loc, shards) in link.shards.iter().enumerate() {
-            for (id, bytes) in shards {
+        for (loc, (shards, sums)) in link.shards.iter().zip(&link.sums).enumerate() {
+            for ((id, bytes), &sum) in shards.iter().zip(sums) {
                 cost.bytes[loc] += bytes.len() as u64;
                 cost.shards[loc] += 1;
-                acc[loc].insert(*id, bytes.clone());
+                acc[loc].insert(*id, (bytes, sum));
             }
         }
     }
     let top = &chain[upto];
-    let per_locality = acc
-        .into_iter()
-        .enumerate()
-        .map(|(loc, mut items)| {
-            items.retain(|id, _| top.roster[loc].binary_search(id).is_ok());
-            items.into_iter().collect()
-        })
-        .collect();
+    let mut per_locality = Vec::with_capacity(nloc);
+    for (loc, mut items) in acc.into_iter().enumerate() {
+        items.retain(|id, _| top.roster[loc].binary_search(id).is_ok());
+        cost.sums.push(items.values().map(|&(_, sum)| sum).collect());
+        per_locality.push(items.into_iter().map(|(id, (bytes, _))| (id, bytes.clone())).collect());
+    }
     Ok((Checkpoint { per_locality }, cost))
 }
 

@@ -93,13 +93,14 @@ pub(in crate::runtime) fn maybe_checkpoint(sim: &mut RtSim, prev_is_none: bool) 
     if !(prev_is_none && mgr.due(phase)) {
         return None;
     }
-    // ---- capture: fingerprint the boundary and arm the COW snapshot.
+    // ---- capture: arm the snapshot, which serializes the boundary once
+    // and fingerprints those bytes.
     let fps: Vec<BTreeMap<ItemId, (u64, u64)>> = w
         .localities
-        .iter()
+        .iter_mut()
         .map(|l| {
             l.dim
-                .owned_fingerprints()
+                .arm_snapshot()
                 .into_iter()
                 .map(|(id, fp, len)| (id, (fp, len)))
                 .collect()
@@ -150,9 +151,6 @@ pub(in crate::runtime) fn maybe_checkpoint(sim: &mut RtSim, prev_is_none: bool) 
     w.monitor.resilience.ckpt_fp_ns += fp_ns;
     w.monitor.resilience.ckpt_drain_ns += drain_ns;
     let completes_at = now + SimDuration::from_nanos(fp_ns + drain_ns);
-    for l in w.localities.iter_mut() {
-        l.dim.arm_snapshot();
-    }
     w.recovery.pending_ckpt = Some(PendingCkpt {
         phase,
         kind,
@@ -189,12 +187,12 @@ pub(in crate::runtime) fn maybe_checkpoint(sim: &mut RtSim, prev_is_none: bool) 
     }
 }
 
-/// Commit the in-flight checkpoint: finish the copy-on-write capture
-/// (lazily serializing everything the phase never touched), keep only
-/// the planned shards, checksum them pre-rot, and hand the link to the
-/// resilience manager. Scheduled at the drain's completion time;
-/// idempotent (the boundary may have committed inline already) and
-/// epoch-guarded (a recovery tears the drain instead).
+/// Commit the in-flight checkpoint: take the boundary state back from
+/// the armed snapshots, keep only the planned shards — moved, not copied,
+/// and checksummed by their boundary fingerprints, which hashed these very
+/// bytes — and hand the link to the resilience manager. Scheduled at the
+/// drain's completion time; idempotent (the boundary may have committed
+/// inline already) and epoch-guarded (a recovery tears the drain instead).
 fn commit_pending_ckpt(sim: &mut RtSim) {
     let now = sim.now();
     let w = &mut sim.world;
@@ -217,22 +215,31 @@ fn commit_pending_ckpt(sim: &mut RtSim) {
         .sum();
     let stats = &mut w.monitor.resilience;
     stats.cow_captures += cow;
-    // Roster and stored shards come from the *boundary* state; checksums
-    // are computed over the in-memory bytes before the stored copy is
-    // exposed to at-rest rot, so a rotted shard fails verification at
-    // reconstruction time.
+    // Roster, stored shards and checksums all come from the *boundary*
+    // state, before the stored copy is exposed to at-rest rot, so a rotted
+    // shard fails verification at reconstruction time.
     let roster: Vec<Vec<ItemId>> = full
         .iter()
         .map(|shards| shards.iter().map(|(id, _)| *id).collect())
         .collect();
-    let planned = |(row, plan): (&Vec<(ItemId, Vec<u8>)>, &Vec<ItemId>)| {
-        let kept = row.iter().filter(|(id, _)| plan.binary_search(id).is_ok());
-        kept.cloned().collect::<Vec<_>>()
+    let boundary = mgr.cfg.ckpt.validate_reconstruction.then(|| full.clone());
+    let planned = |(row, plan): (Vec<(ItemId, Vec<u8>)>, &Vec<ItemId>)| {
+        let kept = row.into_iter().filter(|(id, _)| plan.binary_search(id).is_ok());
+        kept.collect::<Vec<_>>()
     };
-    let shards: Vec<Vec<(ItemId, Vec<u8>)>> = full.iter().zip(&p.plan).map(planned).collect();
+    let shards: Vec<Vec<(ItemId, Vec<u8>)>> =
+        full.into_iter().zip(&p.plan).map(planned).collect();
     let sums: Vec<Vec<u64>> = shards
         .iter()
-        .map(|row| row.iter().map(|(_, bytes)| fnv1a_64(bytes)).collect())
+        .zip(&p.fps)
+        .map(|(row, fps)| {
+            let sum = |(id, bytes): &(ItemId, Vec<u8>)| {
+                let fp = fps[id].0;
+                debug_assert_eq!(fp, fnv1a_64(bytes), "{id:?} changed since the boundary");
+                fp
+            };
+            row.iter().map(sum).collect()
+        })
         .collect();
     stats.checkpoints += 1;
     stats.checkpoint_bytes += p.stored_bytes;
@@ -250,7 +257,7 @@ fn commit_pending_ckpt(sim: &mut RtSim) {
     };
     mgr.save(entry, p.tasks_done);
     mgr.last_fps = p.fps;
-    if mgr.cfg.ckpt.validate_reconstruction {
+    if let Some(boundary) = boundary {
         // Test/debug aid (meaningful without rot injection): the
         // anchor+delta chain must reconstruct the boundary state
         // bit-for-bit.
@@ -258,7 +265,7 @@ fn commit_pending_ckpt(sim: &mut RtSim) {
         let (snap, _) =
             reconstruct(&mgr.saved, upto, false).expect("committed chain must reconstruct");
         assert_eq!(
-            snap.per_locality, full,
+            snap.per_locality, boundary,
             "delta reconstruction diverged from the full boundary snapshot"
         );
     }
@@ -340,6 +347,8 @@ pub(super) fn restore_point(w: &mut RtWorld) -> RestorePoint {
         .integrity
         .as_ref()
         .is_some_and(|m| m.cfg.verify_checkpoints);
+    // Stored checksums of the shards of `point.snapshot`, aligned with it.
+    let mut sums = Vec::new();
     while let Some(upto) = mgr.saved.len().checked_sub(1) {
         match reconstruct(&mgr.saved, upto, verify) {
             Ok((snap, cost)) => {
@@ -362,6 +371,7 @@ pub(super) fn restore_point(w: &mut RtWorld) -> RestorePoint {
                 w.monitor.resilience.recovery_read_ns += point.read_ns;
                 point.phase = mgr.saved[upto].phase;
                 point.snapshot = Some(snap);
+                sums = cost.sums;
                 break;
             }
             Err(bad) => {
@@ -377,18 +387,34 @@ pub(super) fn restore_point(w: &mut RtWorld) -> RestorePoint {
         .rev()
         .take_while(|s| s.kind == CkptKind::Delta)
         .count();
+    // A shard `reconstruct` verified hashes to its stored checksum;
+    // unverified bytes may have rotted since that was taken, so they are
+    // hashed as restored.
     mgr.last_fps = match &point.snapshot {
         Some(snap) => snap
             .per_locality
             .iter()
-            .map(|row| {
+            .zip(&sums)
+            .map(|(row, sums)| {
                 row.iter()
-                    .map(|(id, b)| (*id, (fnv1a_64(b), b.len() as u64)))
+                    .zip(sums)
+                    .map(|((id, b), &sum)| {
+                        let fp = if verify { sum } else { fnv1a_64(b) };
+                        (*id, (fp, b.len() as u64))
+                    })
                     .collect()
             })
             .collect(),
         None => vec![BTreeMap::new(); w.localities.len()],
     };
+    debug_assert!(
+        point
+            .snapshot
+            .iter()
+            .flat_map(|snap| snap.per_locality.iter().zip(&mgr.last_fps))
+            .all(|(row, fps)| row.iter().all(|(id, b)| fps[id].0 == fnv1a_64(b))),
+        "change detection must restart from the hash of what was restored"
+    );
     let reexecuted = w
         .monitor
         .total_tasks()

@@ -115,20 +115,6 @@ impl TaskCtx<'_> {
             .downcast_mut::<F>()
             .expect("wrong fragment type for item")
     }
-
-    /// Split-borrow two distinct items mutably (the common "read A, write
-    /// B" pattern of double-buffered kernels needs both at once).
-    pub fn fragment_pair_mut<FA: 'static, FB: 'static>(
-        &mut self,
-        a: ItemId,
-        b: ItemId,
-    ) -> (&FA, &mut FB) {
-        let (fa, fb) = self.dim.fragment_pair_any(a, b);
-        (
-            fa.downcast_ref::<FA>().expect("wrong fragment type"),
-            fb.downcast_mut::<FB>().expect("wrong fragment type"),
-        )
-    }
 }
 
 /// What a finished process variant yields.

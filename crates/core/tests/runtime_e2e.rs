@@ -3,7 +3,7 @@
 //! against sequential oracles.
 
 use allscale_core::{
-    pfor, CostModel, DataAwarePolicy, FaultPlan, Grid, IntegrityConfig, PforSpec, Requirement,
+    pfor, pfor_tiles, CostModel, DataAwarePolicy, FaultPlan, Grid, IntegrityConfig, PforSpec, Requirement,
     ResilienceConfig, RtConfig, RtCtx, Runtime, TaskValue, WorkItem,
 };
 use allscale_des::{SimDuration, SimTime};
@@ -781,6 +781,52 @@ fn run_report_summary_renders()  {
     assert!(s.contains("virtual time"));
     assert!(s.contains("loc   0"));
     assert!(s.contains("first-touch"));
+}
+
+/// One task whose only requirement is a write of its 8 × 4 tile moves a row
+/// of five elements: the fifth was never required, let alone allocated.
+fn row_overrunning_its_requirement(write: bool) {
+    let rt = Runtime::new(config(2, 2));
+    rt.run(
+        move |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
+            if phase > 0 {
+                return None;
+            }
+            let g = Grid::<f64, 2>::create(ctx, "A", [8, 8]);
+            Some(pfor_tiles(
+                PforSpec {
+                    name: "overrun",
+                    range: GridBox::new(Point([0, 0]), Point([8, 4])).unwrap(),
+                    grain: 64,
+                    ns_per_point: 1.0,
+                    axis0_pieces: 0,
+                },
+                move |tile| vec![Requirement::write(g.id, BoxRegion::from_box(*tile))],
+                move |tctx, tile| {
+                    let mut row = [0.0; 5];
+                    if write {
+                        g.write_row(tctx, tile.lo().0, &row);
+                    } else {
+                        g.read_row(tctx, tile.lo().0, &mut row);
+                    }
+                },
+            ))
+        },
+    );
+}
+
+/// A run reaching past what the task declared is a requirement violation,
+/// exactly as a single uncovered element is.
+#[test]
+#[should_panic(expected = "missing requirement")]
+fn read_row_past_the_requirement_panics() {
+    row_overrunning_its_requirement(false);
+}
+
+#[test]
+#[should_panic(expected = "missing requirement")]
+fn write_row_past_the_requirement_panics() {
+    row_overrunning_its_requirement(true);
 }
 
 /// Restoring a checkpoint into a runtime with a different locality count

@@ -40,6 +40,7 @@
 //! assert_eq!(end.as_nanos(), 10_000);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arrivals;

@@ -20,6 +20,7 @@
 //! components in distributed form; integration tests replay its decisions
 //! against these rules.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arch;

@@ -13,6 +13,7 @@
 //! with strict deterministic hand-off (see
 //! [`allscale_des::ThreadActor`]).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod ctx;

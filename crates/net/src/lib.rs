@@ -15,6 +15,7 @@
 //!   survives deaths), billed on the same simulated clock;
 //! - [`ClusterSpec`]: one machine description used by both systems.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cluster;

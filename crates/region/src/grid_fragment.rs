@@ -8,9 +8,10 @@
 //! How many chunks a fragment holds depends on its history (one per
 //! first-touch tile, plus halo rows), and the chunk layout is observable:
 //! serialized fragment bytes are billed on the virtual clock. Element access
-//! therefore never reorganizes chunks; it remembers where it last hit.
+//! therefore never reorganizes chunks; it remembers where it last hit, and
+//! row access cuts its run at chunk edges instead of merging the chunks.
 
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
 use std::fmt;
 
 use serde::de::{self, SeqAccess, Visitor};
@@ -70,6 +71,12 @@ pub struct GridFragment<T, const D: usize> {
     /// hence whichever chunk contains a point is the one a scan would find.
     /// Not part of the wire form.
     finger: [Cell<usize>; FINGERS],
+    /// The covered region, folded from the chunk boxes when first asked for
+    /// and dropped by every edit of the chunk list. Always the same function
+    /// of the same list: [`BoxRegion::from_boxes`] is an order-dependent fold
+    /// and the boxes it yields are billed bytes, so it is never maintained
+    /// incrementally. Not part of the wire form.
+    region: OnceCell<BoxRegion<D>>,
 }
 
 // Hand-written so that the wire form stays the one-field struct
@@ -110,7 +117,14 @@ impl<T, const D: usize> GridFragment<T, D> {
         GridFragment {
             chunks,
             finger: Default::default(),
+            region: OnceCell::new(),
         }
+    }
+
+    /// The covered region, borrowed (see the `region` field).
+    fn covered(&self) -> &BoxRegion<D> {
+        self.region
+            .get_or_init(|| BoxRegion::from_boxes(self.chunks.iter().map(|c| c.bx)))
     }
 
     /// Where `p` lives, as (chunk index, offset in the chunk's data): in one
@@ -140,6 +154,17 @@ impl<T, const D: usize> GridFragment<T, D> {
         }
         self.finger[0].set(hit.0);
         Some(hit)
+    }
+
+    /// Where the innermost-axis run starting at `p` lives, as (chunk index,
+    /// offset in the chunk's data, length): cut at the chunk's edge and at
+    /// `max` elements. Runs never reach across chunks, whose layout stays
+    /// what the fragment's history made it.
+    #[inline]
+    fn locate_run(&self, p: &Point<D>, max: usize) -> Option<(usize, usize, usize)> {
+        let (i, off) = self.locate(p)?;
+        let to_edge = (self.chunks[i].bx.hi()[D - 1] - p[D - 1]) as usize;
+        Some((i, off, to_edge.min(max)))
     }
 }
 
@@ -181,6 +206,53 @@ where
             }
             None => false,
         }
+    }
+
+    /// Copy the innermost-axis run of `out.len()` elements starting at
+    /// `start` into `out`, chunk by chunk: one lookup per chunk the run
+    /// crosses, each element's coverage decided as [`GridFragment::get`]
+    /// would. Returns `false` when some element is not covered; its slot in
+    /// `out` is left alone.
+    pub fn read_row(&self, start: &Point<D>, out: &mut [T]) -> bool {
+        let (mut p, mut done, mut all) = (*start, 0, true);
+        while done < out.len() {
+            let run = match self.locate_run(&p, out.len() - done) {
+                Some((i, off, run)) => {
+                    out[done..done + run].clone_from_slice(&self.chunks[i].data[off..off + run]);
+                    run
+                }
+                None => {
+                    all = false;
+                    1
+                }
+            };
+            done += run;
+            p[D - 1] += run as i64;
+        }
+        all
+    }
+
+    /// Overwrite the innermost-axis run of `src.len()` elements starting at
+    /// `start` with `src`, as [`GridFragment::set`] would element by element.
+    /// Returns `false` when some element is not covered; the covered ones
+    /// are written all the same.
+    pub fn write_row(&mut self, start: &Point<D>, src: &[T]) -> bool {
+        let (mut p, mut done, mut all) = (*start, 0, true);
+        while done < src.len() {
+            let run = match self.locate_run(&p, src.len() - done) {
+                Some((i, off, run)) => {
+                    self.chunks[i].data[off..off + run].clone_from_slice(&src[done..done + run]);
+                    run
+                }
+                None => {
+                    all = false;
+                    1
+                }
+            };
+            done += run;
+            p[D - 1] += run as i64;
+        }
+        all
     }
 
     /// Number of elements held.
@@ -267,11 +339,11 @@ where
     }
 
     fn region(&self) -> BoxRegion<D> {
-        BoxRegion::from_boxes(self.chunks.iter().map(|c| c.bx))
+        self.covered().clone()
     }
 
     fn extract(&self, region: &BoxRegion<D>) -> Self {
-        let covered = self.region().intersect(region);
+        let covered = self.covered().intersect(region);
         let mut out = GridFragment::new(&covered);
         out.copy_covered_from(self);
         out
@@ -280,8 +352,9 @@ where
     fn insert(&mut self, other: &Self) {
         // Last-writer-wins on overlap: clear the overlap, then adopt
         // other's chunks wholesale (they are disjoint among themselves).
-        self.remove(&other.region());
+        self.remove(other.covered());
         self.chunks.extend(other.chunks.iter().cloned());
+        self.region.take();
     }
 
     fn remove(&mut self, region: &BoxRegion<D>) {
@@ -302,6 +375,7 @@ where
             }
         }
         self.chunks = new_chunks;
+        self.region.take();
     }
 
     fn approx_bytes(&self) -> usize {

@@ -17,6 +17,7 @@
 //! [`TreeFragment`]) implementing the [`Fragment`] contract used by the
 //! runtime's data item manager.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bitmask;

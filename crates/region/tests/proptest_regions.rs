@@ -459,6 +459,14 @@ enum Edit {
     Extract(GridBox<2>),
     Get(Point<2>),
     Set(Point<2>, i64),
+    /// Read the run starting here, then overwrite it with these values.
+    Row(Point<2>, Vec<i64>),
+}
+
+fn arb_box3() -> impl Strategy<Value = GridBox<3>> {
+    (0i64..5, 0i64..5, 0i64..8, 1i64..4, 1i64..4, 1i64..6).prop_map(|(x, y, z, w, h, d)| {
+        GridBox::new(Point([x, y, z]), Point([x + w, y + h, z + d])).expect("non-empty")
+    })
 }
 
 fn arb_point2() -> impl Strategy<Value = Point<2>> {
@@ -479,7 +487,48 @@ fn arb_edit() -> impl Strategy<Value = Edit> {
         arb_point2().prop_map(Edit::Get),
         arb_point2().prop_map(Edit::Get),
         (arb_point2(), -100i64..100).prop_map(|(p, v)| Edit::Set(p, v)),
+        (arb_point2(), arb_row()).prop_map(|(p, vals)| Edit::Row(p, vals)),
     ]
+}
+
+/// Long enough to cross two or three of the 1-to-5-wide chunks.
+fn arb_row() -> impl Strategy<Value = Vec<i64>> {
+    prop::collection::vec(-100i64..100, 1..12)
+}
+
+/// `read_row` against element-wise `get` and `write_row` against
+/// element-wise `set` (each on its own clone) over the run of `vals.len()`
+/// elements from `start`: the same values, `false` iff some element is
+/// uncovered, uncovered slots left alone, and the same chunks afterwards.
+fn rows_match_elements<const D: usize>(
+    frag: &GridFragment<i64, D>,
+    start: Point<D>,
+    vals: &[i64],
+) -> Result<(), TestCaseError> {
+    const UNTOUCHED: i64 = i64::MIN;
+    let run: Vec<Point<D>> = (0..vals.len() as i64)
+        .map(|k| {
+            let mut p = start;
+            p[D - 1] += k;
+            p
+        })
+        .collect();
+    let mut read = vec![UNTOUCHED; vals.len()];
+    let all_read = frag.read_row(&start, &mut read);
+    let expect: Vec<Option<i64>> = run.iter().map(|p| frag.get(p).copied()).collect();
+    prop_assert_eq!(all_read, expect.iter().all(Option::is_some));
+    let expect: Vec<i64> = expect.iter().map(|v| v.unwrap_or(UNTOUCHED)).collect();
+    prop_assert_eq!(read, expect);
+
+    let (mut by_row, mut by_cell) = (frag.clone(), frag.clone());
+    let all_written = by_row.write_row(&start, vals);
+    let mut all_set = true;
+    for (p, v) in run.iter().zip(vals) {
+        all_set &= by_cell.set(p, *v);
+    }
+    prop_assert_eq!(all_written, all_set);
+    prop_assert_eq!(wire::encode(&by_row).unwrap(), wire::encode(&by_cell).unwrap());
+    Ok(())
 }
 
 type CellMap = std::collections::BTreeMap<[i64; 2], i64>;
@@ -507,8 +556,9 @@ proptest! {
     /// plain map of its cells and a list of its chunk boxes maintained with
     /// the pre-change algebra. Lookups (which go through the finger, kept
     /// warm across edits that reorder, split and drop chunks) must agree
-    /// with the map and with a plain scan; the chunk list and `region()`
-    /// must keep the pre-change structure.
+    /// with the map and with a plain scan, row access with element access;
+    /// the chunk list and `region()` — memoized between edits, so asked for
+    /// after each one — must keep the pre-change structure.
     #[test]
     fn fragment_tracks_map_oracle(edits in prop::collection::vec(arb_edit(), 1..24)) {
         let mut frag = GridFragment::<i64, 2>::empty();
@@ -562,6 +612,13 @@ proptest! {
                     }
                     prop_assert_eq!(frag.get(p), oracle.get(&p.0));
                 }
+                Edit::Row(start, vals) => {
+                    rows_match_elements(&frag, *start, vals)?;
+                    frag.write_row(start, vals);
+                    for (y, v) in (start[1]..).zip(vals) {
+                        oracle.entry([start[0], y]).and_modify(|slot| *slot = *v);
+                    }
+                }
             }
             prop_assert_eq!(format!("{frag:?}"), chunk_list(&chunks));
             prop_assert_eq!(frag.region().boxes().to_vec(), pre_change::from_boxes(&chunks));
@@ -575,6 +632,30 @@ proptest! {
             for y in 0..18 {
                 prop_assert_eq!(frag.get(&Point([x, y])), oracle.get(&[x, y]));
             }
+        }
+    }
+
+    /// Row access on a 3-D fragment grown and cut by random inserts and
+    /// removes: runs lie along the last axis and cross chunks split along
+    /// any of the three.
+    #[test]
+    fn rows_match_elements_in_three_dimensions(
+        edits in prop::collection::vec((any::<bool>(), arb_box3()), 1..8),
+        rows in prop::collection::vec(((0i64..6, 0i64..6, 0i64..10), arb_row()), 1..6),
+    ) {
+        let mut frag = GridFragment::<i64, 3>::empty();
+        for (insert, bx) in &edits {
+            let region = BoxRegion::from_box(*bx);
+            if *insert {
+                let mut piece = GridFragment::new(&region);
+                piece.for_each_mut(|p, slot| *slot = p[0] * 100 + p[1] * 10 + p[2]);
+                frag.insert(&piece);
+            } else {
+                frag.remove(&region);
+            }
+        }
+        for ((x, y, z), vals) in &rows {
+            rows_match_elements(&frag, Point([*x, *y, *z]), vals)?;
         }
     }
 

@@ -36,6 +36,7 @@
 //! assert_eq!(critical_path(&trace).total_ns, 500);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod chrome;

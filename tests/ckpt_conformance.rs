@@ -12,13 +12,19 @@
 //! 3. **Bit-identical recovery** — a fail-stop kill mid-run recovers to
 //!    the exact clean-run checksum, and two identical faulted runs
 //!    serialize to identical reports.
-//! 4. **Torn-drain soak** (`--ignored`) — kills swept across the whole
-//!    run, including mid-drain, always recover from the last *committed*
-//!    checkpoint with exact results.
+//! 4. **Torn-drain soak** — kills swept across the whole run, including
+//!    mid-drain, always recover from the last *committed* checkpoint with
+//!    exact results.
+//! 5. **One hash per byte** — a commit's checksums are its boundary
+//!    fingerprints and a recovery's change-detection reference is what
+//!    `reconstruct` verified; debug assertions at both sites compare them
+//!    with a fresh hash of the bytes, on all four pipelines (the sweep of
+//!    1.) and across rotted chains with checkpoint verification on and off.
 
 use allscale_apps::stencil::{allscale_version, StencilConfig};
 use allscale_core::{
-    CheckpointConfig, CkptMode, FaultPlan, ResilienceConfig, RtConfig, StorageParams,
+    CheckpointConfig, CkptMode, FaultPlan, IntegrityConfig, ResilienceConfig, RtConfig,
+    StorageParams,
 };
 use allscale_des::{SimDuration, SimTime};
 
@@ -44,17 +50,26 @@ fn resilience(ckpt: CheckpointConfig, every: usize) -> ResilienceConfig {
 fn delta_chains_reconstruct_full_snapshots_bit_for_bit() {
     // `validate_reconstruction` makes every commit reassemble the
     // anchor+delta chain and assert it equals the full boundary
-    // snapshot; the sweep varies the chain shapes it must survive.
+    // snapshot; the sweep varies the chain shapes it must survive, and
+    // its last three rows the pipeline (all four are covered). In debug
+    // builds every commit also asserts that each shard it stores hashes
+    // to the boundary fingerprint that became its checksum.
+    use CkptMode::{Async, Sync};
     let mut deltas = 0;
-    for (anchor_every, keep, every) in [
-        (1, 1, 1),
-        (2, 2, 1),
-        (3, 2, 2),
-        (4, 3, 1),
-        (5, 4, 1),
-        (4, 1, 3),
+    for (mode, incremental, anchor_every, keep, every) in [
+        (Async, true, 1, 1, 1),
+        (Async, true, 2, 2, 1),
+        (Async, true, 3, 2, 2),
+        (Async, true, 4, 3, 1),
+        (Async, true, 5, 4, 1),
+        (Async, true, 4, 1, 3),
+        (Sync, true, 3, 2, 1),
+        (Sync, false, 3, 2, 1),
+        (Async, false, 3, 2, 1),
     ] {
         let ckpt = CheckpointConfig {
+            mode,
+            incremental,
             anchor_every,
             keep,
             validate_reconstruction: true,
@@ -68,9 +83,10 @@ fn delta_chains_reconstruct_full_snapshots_bit_for_bit() {
         assert!(r.checkpoints > 0);
         deltas += r.ckpt_deltas;
         if anchor_every > 1 && r.checkpoints > 1 {
-            assert!(
+            assert_eq!(
                 r.ckpt_deltas > 0,
-                "anchor_every {anchor_every} must produce deltas ({r:?})"
+                incremental,
+                "{mode:?}, incremental {incremental}, anchor_every {anchor_every}: {r:?}"
             );
         }
     }
@@ -188,4 +204,61 @@ fn mid_drain_kill_sweep_never_restores_torn_state() {
         torn >= 1,
         "a 19-point sweep over drain-dominated phases must tear at least one drain"
     );
+}
+
+/// After a recovery, incremental change detection restarts from the hash of
+/// the bytes that were restored (a debug assertion inside the recovery
+/// compares the two). With verification on that hash is the checksum
+/// `reconstruct` just verified, and the recovery falls back past a rotted
+/// link onto one that still verifies; with verification off a rotted shard
+/// is restored as it is, and its stored checksum no longer describes it.
+#[test]
+fn change_detection_restarts_from_what_a_rotted_chain_restored() {
+    let cfg = stencil(6);
+    let ckpt = CheckpointConfig {
+        anchor_every: 2,
+        keep: 4,
+        ..CheckpointConfig::default()
+    };
+    let mut rt = RtConfig::test(4, 2);
+    rt.resilience = Some(resilience(ckpt, 1));
+    let (clean, clean_report) = allscale_version::run_with_report(&cfg, rt);
+    let total = clean_report.finish_time.as_nanos();
+
+    let faulted = |seed: u64, rot: f64, verify_checkpoints: bool| {
+        let mut plan = FaultPlan::new(seed).with_rot(rot);
+        plan.kill_at(2, SimTime::from_nanos(total * 70 / 100));
+        let mut rt = RtConfig::test(4, 2).with_integrity(IntegrityConfig {
+            verify_checkpoints,
+            scrub_period: None,
+            ..IntegrityConfig::default()
+        });
+        rt.faults = Some(plan);
+        rt.resilience = Some(ResilienceConfig {
+            heartbeat_period: SimDuration::from_nanos((total / 100).max(1_000)),
+            ..resilience(ckpt, 1)
+        });
+        allscale_version::run_with_report(&cfg, rt)
+    };
+
+    // Verification off, every stored shard rotted: the newest chain is
+    // restored, poison and all.
+    let (_, report) = faulted(1, 1.0, false);
+    let (r, i) = (&report.monitor.resilience, &report.monitor.integrity);
+    assert!(r.recoveries >= 1 && r.restored_bytes > 0, "{r:?}");
+    assert!(i.rot_injected > 0 && i.checkpoint_fallbacks == 0, "{i:?}");
+
+    // Verification on, some shards rotted: exact results throughout, and
+    // at least one seed restores an older link behind a rejected one.
+    let mut fell_back_onto_a_checkpoint = 0;
+    for seed in 0..9 {
+        let (res, report) = faulted(seed, 0.04, true);
+        let (r, i) = (&report.monitor.resilience, &report.monitor.integrity);
+        assert!(r.recoveries >= 1, "seed {seed}: the kill must land");
+        assert_eq!(res.checksum, clean.checksum, "seed {seed}");
+        if i.checkpoint_fallbacks > 0 && r.restored_bytes > 0 {
+            fell_back_onto_a_checkpoint += 1;
+        }
+    }
+    assert!(fell_back_onto_a_checkpoint > 0, "no seed fell back onto a verified link");
 }
