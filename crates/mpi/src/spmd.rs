@@ -370,24 +370,31 @@ mod tests {
         }
     }
 
+    /// The baseline's virtual clock, pinned across commits: every literal
+    /// was captured on the thread-per-rank implementation.
     #[test]
     fn determinism() {
-        let run = || {
-            let report = run_spmd(&spec(6), |ctx: &mut RankCtx<'_, f64>| {
-                let x = ctx.allreduce_sum(1.0);
-                ctx.compute(SimDuration::from_micros(5));
-                let partner = ctx.size() - 1 - ctx.rank();
-                if partner != ctx.rank() {
-                    ctx.send(partner, 3, &(ctx.rank() as f64));
-                    let y: f64 = ctx.recv(partner, 3);
-                    x + y
-                } else {
-                    x
-                }
-            });
-            (report.finish_time, report.p2p_msgs)
-        };
-        assert_eq!(run(), run());
+        let report = run_spmd(&spec(6), |ctx: &mut RankCtx<'_, f64>| {
+            let (me, n) = (ctx.rank(), ctx.size());
+            let x = ctx.allreduce_sum(1.0);
+            ctx.compute(SimDuration::from_micros(5 + me as u64));
+            let partner = n - 1 - me;
+            ctx.send(partner, 3, &vec![me as f64; 100 * (me + 1)]);
+            let y: Vec<f64> = ctx.recv(partner, 3);
+            let inbox = ctx.alltoall(4, (0..n).map(|dst| (me * n + dst) as u64).collect());
+            x + y[0] + inbox.iter().sum::<u64>() as f64
+        });
+        assert_eq!(report.results, [101.0, 106.0, 111.0, 116.0, 121.0, 126.0]);
+        assert_eq!(
+            (
+                report.finish_time.as_nanos(),
+                report.p2p_msgs,
+                report.collectives,
+                report.traffic.remote_msgs(),
+                report.traffic.remote_bytes(),
+            ),
+            (22_572, 36, 1, 36, 17_088)
+        );
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!
 //! TPC and iPiC3D hand back only their result struct, so their rows
 //! digest that (it carries the virtual compute time and the remote
-//! message and byte counts) and have no trace digest.
+//! message and byte counts) and have no trace digest. The three
+//! `*_mpi_small` rows pin the MPI baseline of Fig. 7 the same way.
 //!
 //! A row changes only when the virtual behaviour of the runtime changes
 //! on purpose. To re-capture, run the suite: each mismatching test prints
@@ -26,7 +27,7 @@ use std::rc::Rc;
 
 use allscale_apps::ipic3d::{self, PicConfig};
 use allscale_apps::serve::{self, ServeAppConfig};
-use allscale_apps::stencil::{allscale_version as stencil, StencilConfig};
+use allscale_apps::stencil::{allscale_version as stencil, mpi_version as stencil_mpi, StencilConfig};
 use allscale_apps::tpc::{self, TpcConfig};
 use allscale_core::{
     pfor, BatchParams, CheckpointConfig, CkptMode, FaultPlan, Grid, IntegrityConfig, PforSpec,
@@ -34,6 +35,7 @@ use allscale_core::{
     TaskValue, TraceConfig, VictimPolicy, WorkItem,
 };
 use allscale_des::{SimDuration, SimTime};
+use allscale_net::ClusterSpec;
 use allscale_region::{fnv1a_64, BoxRegion};
 
 #[derive(Debug, PartialEq, Eq)]
@@ -68,6 +70,9 @@ const GOLDEN: &[Row] = &[
     Row { name: "serve_replicate_retire", digest: 0xad4513b13596c9d2, trace: 0x20c325e1cedb63d6, finish_ns: 5466138, answer: 0x200 },
     Row { name: "serve_shed_overload", digest: 0xfa904aad493064db, trace: 0x49c443a4b1acfe10, finish_ns: 5441710, answer: 0x200 },
     Row { name: "loadbalance_auto_rebalance", digest: 0xe2021d9a38cebdad, trace: 0x3da700ef12d9a357, finish_ns: 1236954, answer: 0x3 },
+    Row { name: "stencil_mpi_small", digest: 0x6945261dcfdaad44, trace: 0x0000000000000000, finish_ns: 13860, answer: 0x51b26882f80394ac },
+    Row { name: "tpc_mpi_small", digest: 0x0101ab0fc8e15add, trace: 0x0000000000000000, finish_ns: 12728, answer: 0x1b4 },
+    Row { name: "ipic3d_mpi_small", digest: 0x76c05f63de1edb3d, trace: 0x0000000000000000, finish_ns: 22412, answer: 0xf059e857ddcc7f69 },
     Row { name: "scrub_repair_quarantine", digest: 0x2395984e844c1824, trace: 0x24d3effe7e239d95, finish_ns: 101372, answer: 0x32 },
 ];
 
@@ -350,30 +355,51 @@ fn stencil_kill_before_first_ckpt() {
     assert!(m.recoveries == 1 && m.restored_bytes == 0, "must restart from scratch");
 }
 
+/// A row of a run that hands back only its result struct: the digest of
+/// its `Debug` form, its compute time and its answer.
+fn result_row(name: &'static str, res: &impl std::fmt::Debug, compute_seconds: f64, answer: u64) -> Row {
+    Row {
+        name,
+        digest: fnv1a_64(format!("{res:?}").as_bytes()),
+        trace: 0,
+        finish_ns: (compute_seconds * 1e9).round() as u64,
+        answer,
+    }
+}
+
 #[test]
 fn tpc_small() {
     let res = tpc::allscale_version::run_with(&TpcConfig::small(4), RtConfig::test(4, 2));
     assert!(res.validated, "tpc: oracle");
-    check(Row {
-        name: "tpc_small",
-        digest: fnv1a_64(format!("{res:?}").as_bytes()),
-        trace: 0,
-        finish_ns: (res.compute_seconds * 1e9).round() as u64,
-        answer: res.total_count,
-    });
+    check(result_row("tpc_small", &res, res.compute_seconds, res.total_count));
 }
 
 #[test]
 fn ipic3d_small() {
     let res = ipic3d::allscale_version::run_with(&PicConfig::small(4), RtConfig::test(4, 2));
     assert!(res.validated, "ipic3d: oracle");
-    check(Row {
-        name: "ipic3d_small",
-        digest: fnv1a_64(format!("{res:?}").as_bytes()),
-        trace: 0,
-        finish_ns: (res.compute_seconds * 1e9).round() as u64,
-        answer: res.checksum,
-    });
+    check(result_row("ipic3d_small", &res, res.compute_seconds, res.checksum));
+}
+
+#[test]
+fn stencil_mpi_small() {
+    let res = stencil_mpi::run_with(&StencilConfig::small(4), &ClusterSpec::test(4, 2));
+    assert!(res.validated, "stencil mpi: oracle");
+    check(result_row("stencil_mpi_small", &res, res.compute_seconds, res.checksum));
+}
+
+#[test]
+fn tpc_mpi_small() {
+    let res = tpc::mpi_version::run_with(&TpcConfig::small(4), &ClusterSpec::test(4, 2));
+    assert!(res.validated, "tpc mpi: oracle");
+    check(result_row("tpc_mpi_small", &res, res.compute_seconds, res.total_count));
+}
+
+#[test]
+fn ipic3d_mpi_small() {
+    let res = ipic3d::mpi_version::run_with(&PicConfig::small(4), &ClusterSpec::test(4, 2));
+    assert!(res.validated, "ipic3d mpi: oracle");
+    check(result_row("ipic3d_mpi_small", &res, res.compute_seconds, res.checksum));
 }
 
 /// Above the knee of a 4×2 cluster, so the controller acts; a short
