@@ -4,7 +4,7 @@
 //! runtime-managed AllScale version.
 
 use allscale_des::SimDuration;
-use allscale_mpi::{run_spmd, RankCtx};
+use allscale_mpi::run_spmd;
 use allscale_net::ClusterSpec;
 
 use super::{
@@ -24,8 +24,6 @@ pub fn run(cfg: &PicConfig) -> PicResult {
 
 /// Run with a custom cluster spec.
 pub fn run_with(cfg: &PicConfig, spec: &ClusterSpec) -> PicResult {
-    let cfg = cfg.clone();
-    let cfg_out = cfg.clone();
     let shape = cfg.shape();
     let (nx, ny, nz) = (shape[0], shape[1], shape[2]);
     let extent = [nx as f64, ny as f64, nz as f64];
@@ -36,7 +34,7 @@ pub fn run_with(cfg: &PicConfig, spec: &ClusterSpec) -> PicResult {
     let ns_field = cost.ns_per_flop * 10.0 * cfg.work_scale;
     let ns_particle = cost.ns_per_particle_update * cfg.work_scale;
 
-    let report = run_spmd(spec, move |ctx: &mut RankCtx<'_, (u64, u64, u64, u64)>| {
+    let report = run_spmd(spec, async |ctx| {
         let me = ctx.rank();
         let n = ctx.size();
         let lx = (nx as usize) / n; // x-layers per rank
@@ -79,27 +77,28 @@ pub fn run_with(cfg: &PicConfig, spec: &ClusterSpec) -> PicResult {
         let mut rho_cells: Vec<u64> = vec![0; lx * plane];
         ctx.compute(SimDuration::from_nanos_f64(
             (lx * plane) as f64 * ns_particle * ppc as f64 / 4.0 / cores,
-        ));
-        ctx.barrier();
-        let t0 = ctx.now();
+        ))
+        .await;
+        ctx.barrier().await;
+        let t0 = ctx.now().await;
 
         for _ in 0..steps {
             // ------------------------------------------------ field phase
             // Exchange E ghost planes.
             if me > 0 {
                 let first: Vec<f64> = e[idx(1, 0, 0)..idx(1, 0, 0) + plane].to_vec();
-                ctx.send(me - 1, TAG_FIELD_DOWN, &first);
+                ctx.send(me - 1, TAG_FIELD_DOWN, &first).await;
             }
             if me < n - 1 {
                 let last: Vec<f64> = e[idx(lx, 0, 0)..idx(lx, 0, 0) + plane].to_vec();
-                ctx.send(me + 1, TAG_FIELD_UP, &last);
+                ctx.send(me + 1, TAG_FIELD_UP, &last).await;
             }
             if me > 0 {
-                let ghost: Vec<f64> = ctx.recv(me - 1, TAG_FIELD_UP);
+                let ghost: Vec<f64> = ctx.recv(me - 1, TAG_FIELD_UP).await;
                 e[idx(0, 0, 0)..idx(0, 0, 0) + plane].copy_from_slice(&ghost);
             }
             if me < n - 1 {
-                let ghost: Vec<f64> = ctx.recv(me + 1, TAG_FIELD_DOWN);
+                let ghost: Vec<f64> = ctx.recv(me + 1, TAG_FIELD_DOWN).await;
                 e[idx(lx + 1, 0, 0)..idx(lx + 1, 0, 0) + plane].copy_from_slice(&ghost);
             }
             // Update E over the local block.
@@ -140,7 +139,8 @@ pub fn run_with(cfg: &PicConfig, spec: &ClusterSpec) -> PicResult {
             std::mem::swap(&mut e, &mut e2);
             ctx.compute(SimDuration::from_nanos_f64(
                 (lx * plane) as f64 * ns_field / cores,
-            ));
+            ))
+            .await;
 
             // --------------------------------------------- particle phase
             let mut next: Vec<Cell> = vec![Vec::new(); cells.len()];
@@ -169,20 +169,21 @@ pub fn run_with(cfg: &PicConfig, spec: &ClusterSpec) -> PicResult {
             }
             ctx.compute(SimDuration::from_nanos_f64(
                 pushed as f64 * ns_particle / cores,
-            ));
+            ))
+            .await;
             // Exchange migrants (one hop is enough: displacement < 1 cell).
             if me > 0 {
-                ctx.send(me - 1, TAG_PART_UP, &up);
+                ctx.send(me - 1, TAG_PART_UP, &up).await;
             }
             if me < n - 1 {
-                ctx.send(me + 1, TAG_PART_DOWN, &down);
+                ctx.send(me + 1, TAG_PART_DOWN, &down).await;
             }
             let mut arrivals: Vec<Particle> = Vec::new();
             if me > 0 {
-                arrivals.extend(ctx.recv::<Vec<Particle>>(me - 1, TAG_PART_DOWN));
+                arrivals.extend(ctx.recv::<Vec<Particle>>(me - 1, TAG_PART_DOWN).await);
             }
             if me < n - 1 {
-                arrivals.extend(ctx.recv::<Vec<Particle>>(me + 1, TAG_PART_UP));
+                arrivals.extend(ctx.recv::<Vec<Particle>>(me + 1, TAG_PART_UP).await);
             }
             for q in arrivals {
                 let c = cell_of(q.pos);
@@ -203,9 +204,10 @@ pub fn run_with(cfg: &PicConfig, spec: &ClusterSpec) -> PicResult {
                 .collect();
             ctx.compute(SimDuration::from_nanos_f64(
                 cells.iter().map(Vec::len).sum::<usize>() as f64 * ns_particle / 4.0 / cores,
-            ));
+            ))
+            .await;
         }
-        ctx.barrier();
+        ctx.barrier().await;
 
         // Local count + checksum + rho total.
         let mut count = 0u64;
@@ -233,15 +235,15 @@ pub fn run_with(cfg: &PicConfig, spec: &ClusterSpec) -> PicResult {
         .fold(0u64, |a, &(_, _, r, _)| a.wrapping_add(r));
     let t0 = report.results.iter().map(|&(_, _, _, t)| t).max().unwrap_or(0);
     let seconds = (report.finish_time.as_nanos() - t0) as f64 / 1e9;
-    let validated = if cfg_out.validate {
-        let (oc, osum) = oracle(&cfg_out);
-        particles == oc && checksum == osum && rho_total == oracle_rho_total(&cfg_out)
+    let validated = if cfg.validate {
+        let (oc, osum) = oracle(cfg);
+        particles == oc && checksum == osum && rho_total == oracle_rho_total(cfg)
     } else {
-        particles == cfg_out.total_particles()
+        particles == cfg.total_particles()
     };
     PicResult {
         compute_seconds: seconds,
-        updates_per_sec: cfg_out.total_updates() / seconds,
+        updates_per_sec: cfg.total_updates() / seconds,
         particles,
         checksum,
         rho_total,

@@ -1,11 +1,11 @@
 //! The MPI reference port of the stencil: explicit row-block
-//! decomposition, user-managed ghost rows, `sendrecv` halo exchange per
-//! time step — the style the paper compares against ("state-of-the-art
-//! MPI based implementations depending on explicit user-managed data
-//! distributions").
+//! decomposition, user-managed ghost rows, a halo exchange of buffered
+//! sends and blocking receives per time step — the style the paper
+//! compares against ("state-of-the-art MPI based implementations depending
+//! on explicit user-managed data distributions").
 
 use allscale_des::SimDuration;
-use allscale_mpi::{run_spmd, RankCtx};
+use allscale_mpi::run_spmd;
 use allscale_net::ClusterSpec;
 
 use super::{
@@ -23,7 +23,6 @@ pub fn run(cfg: &StencilConfig) -> StencilResult {
 
 /// Run with a custom cluster spec.
 pub fn run_with(cfg: &StencilConfig, spec: &ClusterSpec) -> StencilResult {
-    let cfg = cfg.clone();
     let rows = cfg.total_rows() as usize;
     let cols = cfg.cols as usize;
     let steps = cfg.steps;
@@ -31,8 +30,7 @@ pub fn run_with(cfg: &StencilConfig, spec: &ClusterSpec) -> StencilResult {
     let ns_per_flop = allscale_core::CostModel::default().ns_per_flop;
     let scale = cfg.work_scale;
 
-    let cfg2 = cfg.clone();
-    let report = run_spmd(spec, move |ctx: &mut RankCtx<'_, (u64, u64)>| {
+    let report = run_spmd(spec, async |ctx| {
         let me = ctx.rank();
         let n = ctx.size();
         let rows_local = rows / n;
@@ -54,23 +52,24 @@ pub fn run_with(cfg: &StencilConfig, spec: &ClusterSpec) -> StencilResult {
         // Charge initialization, matching the AllScale version's init pfor.
         ctx.compute(SimDuration::from_nanos_f64(
             (rows_local * width) as f64 * scale.max(1.0) / cores,
-        ));
-        ctx.barrier();
-        let t0 = ctx.now();
+        ))
+        .await;
+        ctx.barrier().await;
+        let t0 = ctx.now().await;
 
         for _ in 0..steps {
             // Halo exchange: my first real row goes up, my last goes down.
             if !is_first {
-                ctx.send(me - 1, TAG_DOWN, &a[1]);
+                ctx.send(me - 1, TAG_DOWN, &a[1]).await;
             }
             if !is_last {
-                ctx.send(me + 1, TAG_UP, &a[rows_local]);
+                ctx.send(me + 1, TAG_UP, &a[rows_local]).await;
             }
             if !is_first {
-                a[0] = ctx.recv(me - 1, TAG_UP);
+                a[0] = ctx.recv(me - 1, TAG_UP).await;
             }
             if !is_last {
-                a[rows_local + 1] = ctx.recv(me + 1, TAG_DOWN);
+                a[rows_local + 1] = ctx.recv(me + 1, TAG_DOWN).await;
             }
 
             // Compute: interior cells of my block (global interior only).
@@ -88,10 +87,11 @@ pub fn run_with(cfg: &StencilConfig, spec: &ClusterSpec) -> StencilResult {
             }
             ctx.compute(SimDuration::from_nanos_f64(
                 cells as f64 * FLOPS_PER_CELL as f64 * ns_per_flop * scale / cores,
-            ));
+            ))
+            .await;
             std::mem::swap(&mut a, &mut b);
         }
-        ctx.barrier();
+        ctx.barrier().await;
 
         // Local checksum over owned (non-ghost) rows.
         let mut acc = 0u64;
@@ -111,14 +111,14 @@ pub fn run_with(cfg: &StencilConfig, spec: &ClusterSpec) -> StencilResult {
         .fold(0u64, |a, &(c, _)| a.wrapping_add(c));
     let t0 = report.results.iter().map(|&(_, t)| t).max().unwrap_or(0);
     let seconds = (report.finish_time.as_nanos() - t0) as f64 / 1e9;
-    let validated = if cfg2.validate {
-        oracle_checksum(&oracle(&cfg2)) == checksum
+    let validated = if cfg.validate {
+        oracle_checksum(&oracle(cfg)) == checksum
     } else {
         true
     };
     StencilResult {
         compute_seconds: seconds,
-        gflops: cfg2.total_flops() / seconds / 1e9,
+        gflops: cfg.total_flops() / seconds / 1e9,
         checksum,
         validated,
         remote_msgs: report.traffic.remote_msgs(),

@@ -10,7 +10,7 @@
 //! utilization").
 
 use allscale_des::SimDuration;
-use allscale_mpi::{run_spmd, RankCtx};
+use allscale_mpi::run_spmd;
 use allscale_net::ClusterSpec;
 use allscale_region::TreePath;
 
@@ -29,8 +29,6 @@ pub fn run(cfg: &TpcConfig) -> TpcResult {
 
 /// Run with a custom cluster spec.
 pub fn run_with(cfg: &TpcConfig, spec: &ClusterSpec) -> TpcResult {
-    let cfg = cfg.clone();
-    let cfg_out = cfg.clone();
     let h = cfg.split_depth;
     let levels = cfg.levels;
     let nsub = 1usize << h;
@@ -38,17 +36,18 @@ pub fn run_with(cfg: &TpcConfig, spec: &ClusterSpec) -> TpcResult {
     let radius = cfg.radius;
     let cores = spec.cores_per_node as f64;
     let ns_node = allscale_core::CostModel::default().ns_per_tree_node * cfg.work_scale;
-    let points_n = cfg.total_points();
+    // Build the tree deterministically, once, and lend it to every rank
+    // (each reads only the root block and its own subtrees); in a real MPI
+    // code the build is itself distributed — here it is outside the
+    // measured window, matching the AllScale version's pre-built
+    // distribution phase.
+    let tree = KdTree::build(&gen_points(cfg.total_points()));
 
-    let report = run_spmd(spec, move |ctx: &mut RankCtx<'_, (u64, u64)>| {
+    let report = run_spmd(spec, async |ctx| {
         let me = ctx.rank();
         let n = ctx.size();
-        // Build the tree deterministically; in a real MPI code the build
-        // is itself distributed — here it is outside the measured window,
-        // matching the AllScale version's pre-built distribution phase.
-        let tree = KdTree::build(&gen_points(points_n));
-        ctx.barrier(); // measurement starts here
-        let t0 = ctx.now();
+        ctx.barrier().await; // measurement starts here
+        let t0 = ctx.now().await;
 
         // My query share (contiguous).
         let q_lo = q_total * me as u64 / n as u64;
@@ -124,11 +123,11 @@ pub fn run_with(cfg: &TpcConfig, spec: &ClusterSpec) -> TpcResult {
                 }
             }
         }
-        ctx.compute(SimDuration::from_nanos_f64(visits as f64 * ns_node / cores));
+        ctx.compute(SimDuration::from_nanos_f64(visits as f64 * ns_node / cores)).await;
 
         // One aggregated exchange round: subtree blocks are leaves of the
         // block decomposition, so no further crossings can occur.
-        let inbox = ctx.alltoall(1, outbox);
+        let inbox = ctx.alltoall(1, outbox).await;
         let mut visits2: u64 = 0;
         for batch in inbox {
             for (qid, block) in batch {
@@ -140,17 +139,18 @@ pub fn run_with(cfg: &TpcConfig, spec: &ClusterSpec) -> TpcResult {
         }
         ctx.compute(SimDuration::from_nanos_f64(
             visits2 as f64 * ns_node / cores,
-        ));
+        ))
+        .await;
 
         // Global total.
-        (ctx.allreduce_sum(local_count as f64) as u64, t0.as_nanos())
+        (ctx.allreduce_sum(local_count as f64).await as u64, t0.as_nanos())
     });
 
     let total = report.results[0].0;
     let t0 = report.results.iter().map(|&(_, t)| t).max().unwrap_or(0);
     let seconds = (report.finish_time.as_nanos() - t0) as f64 / 1e9;
-    let validated = if cfg_out.validate {
-        oracle(&cfg_out).iter().sum::<u64>() == total
+    let validated = if cfg.validate {
+        oracle(cfg).iter().sum::<u64>() == total
     } else {
         true
     };

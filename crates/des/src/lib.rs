@@ -15,8 +15,6 @@
 //!   construction (stable FIFO tie-breaking);
 //! - [`CorePool`]: per-node k-core FCFS accounting for intra-node
 //!   parallelism and saturation;
-//! - [`ThreadActor`]: a strict-hand-off bridge that lets blocking SPMD code
-//!   (the MPI baseline) participate in the sequential simulation;
 //! - [`Tally`] / [`LogHistogram`]: measurement plumbing;
 //! - [`rng`]: the shared seeded generators (xorshift64 family, Zipf) every
 //!   randomized subsystem draws from;
@@ -49,12 +47,10 @@ pub mod fnv;
 pub mod rng;
 mod sim;
 mod stats;
-mod thread_actor;
 mod time;
 
 pub use arrivals::{ArrivalGen, ArrivalProcess};
 pub use cores::CorePool;
 pub use sim::{Event, Sim};
 pub use stats::{LogHistogram, Tally};
-pub use thread_actor::{Suspended, ThreadActor, ThreadCtx};
 pub use time::{SimDuration, SimTime};

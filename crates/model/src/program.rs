@@ -124,11 +124,6 @@ impl Program {
     pub fn tasks(&self) -> impl Iterator<Item = TaskId> + '_ {
         self.tasks.keys().copied()
     }
-
-    /// All variants.
-    pub fn all_variants(&self) -> impl Iterator<Item = VariantId> + '_ {
-        self.variants.keys().copied()
-    }
 }
 
 /// Builder enforcing the model's well-formedness restrictions.

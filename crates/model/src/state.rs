@@ -102,16 +102,6 @@ impl SystemState {
     pub fn any_write_lock(&self, m: MemId, d: ItemId, e: Elem) -> bool {
         self.lw.iter().any(|&(_, lm, ld, le)| (lm, ld, le) == (m, d, e))
     }
-
-    /// The `v(s)` accessor of Definition A.1: variants currently running
-    /// or blocked.
-    pub fn active_variants(&self) -> BTreeSet<VariantId> {
-        self.r
-            .iter()
-            .map(|&(_, v, _)| v)
-            .chain(self.b.iter().map(|&(_, v, _, _)| v))
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -1,16 +1,22 @@
 //! The rank-side API of the MPI-flavoured baseline.
 //!
-//! Application code runs blocking-style on a dedicated thread per rank
-//! (via [`allscale_des::ThreadActor`]); every call suspends the rank and
-//! hands control to the coordinator, which accounts virtual time on the
-//! shared network model.
+//! A rank body is an `async` block written in blocking style; every call
+//! posts one [`MpiCall`] into the rank's [`Slot`] and suspends until the
+//! coordinator, which accounts virtual time on the shared network model,
+//! has put its answer there and polls the rank again.
 
-use allscale_des::{SimDuration, ThreadCtx};
+use std::cell::RefCell;
+use std::future::poll_fn;
+use std::rc::Rc;
+use std::task::Poll;
+
+use allscale_des::SimDuration;
 use allscale_net::wire;
 use serde::{de::DeserializeOwned, Serialize};
 
 /// Requests a rank can issue to the coordinator.
-pub enum MpiCall {
+#[derive(Debug)]
+pub(crate) enum MpiCall {
     /// Buffered send: returns once the message is handed to the NIC.
     Send {
         /// Destination rank.
@@ -42,7 +48,7 @@ pub enum MpiCall {
     },
 }
 
-/// Reduction operators for [`MpiCall::AllReduce`].
+/// Reduction operators for [`RankCtx::allreduce`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceOp {
     /// Element-wise sum.
@@ -54,7 +60,7 @@ pub enum ReduceOp {
 }
 
 /// Replies from the coordinator.
-pub enum MpiReply {
+pub(crate) enum MpiReply {
     /// Acknowledge a send/compute/barrier.
     Ok,
     /// The rank's current virtual time.
@@ -65,14 +71,22 @@ pub enum MpiReply {
     Reduced(Vec<f64>),
 }
 
+/// The hand-off between one rank and the coordinator: the call the rank is
+/// suspended in, and the coordinator's answer to it.
+#[derive(Default)]
+pub(crate) struct Slot {
+    pub(crate) call: RefCell<Option<MpiCall>>,
+    pub(crate) reply: RefCell<Option<MpiReply>>,
+}
+
 /// The per-rank context handed to SPMD application code.
-pub struct RankCtx<'a, T> {
-    pub(crate) inner: &'a ThreadCtx<MpiCall, MpiReply, T>,
+pub struct RankCtx {
+    pub(crate) slot: Rc<Slot>,
     pub(crate) rank: usize,
     pub(crate) size: usize,
 }
 
-impl<T> RankCtx<'_, T> {
+impl RankCtx {
     /// This rank's id.
     pub fn rank(&self) -> usize {
         self.rank
@@ -83,18 +97,29 @@ impl<T> RankCtx<'_, T> {
         self.size
     }
 
+    /// Post `call` and suspend until the coordinator has answered it.
+    async fn call(&self, call: MpiCall) -> MpiReply {
+        let outstanding = self.slot.call.replace(Some(call));
+        assert!(outstanding.is_none(), "a rank has one call in flight at a time");
+        poll_fn(|_| match self.slot.reply.take() {
+            Some(reply) => Poll::Ready(reply),
+            None => Poll::Pending,
+        })
+        .await
+    }
+
     /// Send a serializable value to `to` with `tag`.
-    pub fn send<V: Serialize>(&self, to: usize, tag: u32, value: &V) {
+    pub async fn send<V: Serialize>(&self, to: usize, tag: u32, value: &V) {
         let bytes = wire::encode(value).expect("mpi payload serialization");
-        match self.inner.call(MpiCall::Send { to, tag, bytes }) {
+        match self.call(MpiCall::Send { to, tag, bytes }).await {
             MpiReply::Ok => {}
             _ => unreachable!("protocol violation: send reply"),
         }
     }
 
     /// Receive a value from `from` with `tag` (blocking, FIFO per channel).
-    pub fn recv<V: DeserializeOwned>(&self, from: usize, tag: u32) -> V {
-        match self.inner.call(MpiCall::Recv { from, tag }) {
+    pub async fn recv<V: DeserializeOwned>(&self, from: usize, tag: u32) -> V {
+        match self.call(MpiCall::Recv { from, tag }).await {
             MpiReply::Msg(bytes) => {
                 wire::decode(&bytes).expect("mpi payload deserialization")
             }
@@ -102,21 +127,9 @@ impl<T> RankCtx<'_, T> {
         }
     }
 
-    /// Combined send+receive with a partner rank (halo-exchange idiom;
-    /// deadlock-free because sends are buffered).
-    pub fn sendrecv<V: Serialize, W: DeserializeOwned>(
-        &self,
-        partner: usize,
-        tag: u32,
-        value: &V,
-    ) -> W {
-        self.send(partner, tag, value);
-        self.recv(partner, tag)
-    }
-
     /// Charge `dur` of local computation to this rank's clock.
-    pub fn compute(&self, dur: SimDuration) {
-        match self.inner.call(MpiCall::Compute(dur)) {
+    pub async fn compute(&self, dur: SimDuration) {
+        match self.call(MpiCall::Compute(dur)).await {
             MpiReply::Ok => {}
             _ => unreachable!("protocol violation: compute reply"),
         }
@@ -124,43 +137,38 @@ impl<T> RankCtx<'_, T> {
 
     /// This rank's current virtual time (e.g. to exclude setup phases
     /// from measured windows).
-    pub fn now(&self) -> allscale_des::SimTime {
-        match self.inner.call(MpiCall::Now) {
+    pub async fn now(&self) -> allscale_des::SimTime {
+        match self.call(MpiCall::Now).await {
             MpiReply::Time(t) => t,
             _ => unreachable!("protocol violation: now reply"),
         }
     }
 
     /// Synchronize all ranks.
-    pub fn barrier(&self) {
-        match self.inner.call(MpiCall::Barrier) {
+    pub async fn barrier(&self) {
+        match self.call(MpiCall::Barrier).await {
             MpiReply::Ok => {}
             _ => unreachable!("protocol violation: barrier reply"),
         }
     }
 
     /// Element-wise all-reduce over all ranks.
-    pub fn allreduce(&self, vals: Vec<f64>, op: ReduceOp) -> Vec<f64> {
-        match self.inner.call(MpiCall::AllReduce { vals, op }) {
+    pub async fn allreduce(&self, vals: Vec<f64>, op: ReduceOp) -> Vec<f64> {
+        match self.call(MpiCall::AllReduce { vals, op }).await {
             MpiReply::Reduced(v) => v,
             _ => unreachable!("protocol violation: allreduce reply"),
         }
     }
 
     /// Scalar sum all-reduce.
-    pub fn allreduce_sum(&self, v: f64) -> f64 {
-        self.allreduce(vec![v], ReduceOp::Sum)[0]
-    }
-
-    /// Scalar max all-reduce.
-    pub fn allreduce_max(&self, v: f64) -> f64 {
-        self.allreduce(vec![v], ReduceOp::Max)[0]
+    pub async fn allreduce_sum(&self, v: f64) -> f64 {
+        self.allreduce(vec![v], ReduceOp::Sum).await[0]
     }
 
     /// Personalized all-to-all: element `i` of `outbox` goes to rank `i`;
     /// returns the inbox indexed by source rank. Built from point-to-point
     /// messages (ring schedule), like a small MPI_Alltoallv.
-    pub fn alltoall<V: Serialize + DeserializeOwned>(
+    pub async fn alltoall<V: Serialize + DeserializeOwned>(
         &self,
         tag: u32,
         outbox: Vec<V>,
@@ -174,14 +182,14 @@ impl<T> RankCtx<'_, T> {
             if dst == me {
                 mine = Some(v);
             } else {
-                self.send(dst, tag, &v);
+                self.send(dst, tag, &v).await;
             }
         }
         inbox[me] = mine;
         #[allow(clippy::needless_range_loop)] // rank order is the protocol
         for src in 0..n {
             if src != me {
-                inbox[src] = Some(self.recv(src, tag));
+                inbox[src] = Some(self.recv(src, tag).await);
             }
         }
         inbox.into_iter().map(|v| v.expect("all received")).collect()

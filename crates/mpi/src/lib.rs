@@ -9,9 +9,12 @@
 //! comparisons isolate the programming/runtime model rather than the
 //! machine.
 //!
-//! Rank code is written blocking-style and runs on one OS thread per rank
-//! with strict deterministic hand-off (see
-//! [`allscale_des::ThreadActor`]).
+//! Rank code is written blocking-style as an `async` body. A rank is a
+//! coroutine: it suspends in each [`RankCtx`] call and the coordinator in
+//! [`run_spmd`] polls it again, on the caller's thread, once the call is
+//! answered — `std::future` only, no executor, no OS thread. So the baseline
+//! is as single-threaded and deterministic as the simulator beside it, and
+//! a rank body may borrow its inputs and panics as itself.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,5 +22,5 @@
 mod ctx;
 mod spmd;
 
-pub use ctx::{MpiCall, MpiReply, RankCtx, ReduceOp};
+pub use ctx::{RankCtx, ReduceOp};
 pub use spmd::{run_spmd, MpiReport};

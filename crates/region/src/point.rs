@@ -190,11 +190,6 @@ impl<const D: usize> GridBox<D> {
         (0..D).all(|d| self.lo[d] <= p[d] && p[d] < self.hi[d])
     }
 
-    /// Whether `other` is entirely inside `self`.
-    pub fn contains_box(&self, other: &GridBox<D>) -> bool {
-        (0..D).all(|d| self.lo[d] <= other.lo[d] && other.hi[d] <= self.hi[d])
-    }
-
     /// The overlap of two boxes, if non-empty.
     pub fn intersect(&self, other: &GridBox<D>) -> Option<GridBox<D>> {
         GridBox::new(self.lo.cmax(&other.lo), self.hi.cmin(&other.hi))

@@ -6,12 +6,12 @@
 //! through it is a single well-predicted branch and the event-constructing
 //! closure is never evaluated, which is what makes tracing free to leave
 //! compiled in. An enabled sink shares one [`TraceBuffer`] through an
-//! `Arc<Mutex<_>>`: the simulation is single-threaded, so the lock is
-//! never contended, but the handle stays `Send + Sync` for the
-//! thread-actor-based MPI baseline.
+//! `Rc<RefCell<_>>`: everything that records runs on the one thread of
+//! the simulation.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use crate::event::TraceEvent;
 
@@ -84,7 +84,7 @@ impl TraceBuffer {
 /// A cloneable recording handle; disabled by default.
 #[derive(Debug, Clone, Default)]
 pub struct TraceSink {
-    inner: Option<Arc<Mutex<TraceBuffer>>>,
+    inner: Option<Rc<RefCell<TraceBuffer>>>,
 }
 
 impl TraceSink {
@@ -96,14 +96,8 @@ impl TraceSink {
     /// An enabled sink with one ring buffer per locality.
     pub fn enabled(nodes: usize, cfg: &TraceConfig) -> Self {
         TraceSink {
-            inner: Some(Arc::new(Mutex::new(TraceBuffer::new(nodes, cfg)))),
+            inner: Some(Rc::new(RefCell::new(TraceBuffer::new(nodes, cfg)))),
         }
-    }
-
-    /// Whether events are being recorded.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
     }
 
     /// Record one event. The closure building the event runs only when the
@@ -112,7 +106,8 @@ impl TraceSink {
     #[inline]
     pub fn record(&self, build: impl FnOnce() -> TraceEvent) {
         if let Some(buf) = &self.inner {
-            buf.lock().expect("trace buffer poisoned").push(build());
+            let event = build();
+            buf.borrow_mut().push(event);
         }
     }
 
@@ -120,7 +115,7 @@ impl TraceSink {
     /// sink empty (but still enabled). Returns `None` on a disabled sink.
     pub fn take(&self) -> Option<Trace> {
         let buf = self.inner.as_ref()?;
-        let mut b = buf.lock().expect("trace buffer poisoned");
+        let mut b = buf.borrow_mut();
         let nodes = b.rings.len();
         let mut events: Vec<TraceEvent> = Vec::new();
         let mut dropped = Vec::with_capacity(nodes);
