@@ -123,7 +123,8 @@ pub fn run_with(cfg: &TpcConfig, spec: &ClusterSpec) -> TpcResult {
                 }
             }
         }
-        ctx.compute(SimDuration::from_nanos_f64(visits as f64 * ns_node / cores)).await;
+        ctx.compute(SimDuration::from_nanos_f64(visits as f64 * ns_node / cores))
+            .await;
 
         // One aggregated exchange round: subtree blocks are leaves of the
         // block decomposition, so no further crossings can occur.
@@ -143,7 +144,8 @@ pub fn run_with(cfg: &TpcConfig, spec: &ClusterSpec) -> TpcResult {
         .await;
 
         // Global total.
-        (ctx.allreduce_sum(local_count as f64).await as u64, t0.as_nanos())
+        let total = ctx.allreduce_sum(local_count as f64).await as u64;
+        (total, t0.as_nanos())
     });
 
     let total = report.results[0].0;

@@ -100,7 +100,10 @@ impl RankCtx {
     /// Post `call` and suspend until the coordinator has answered it.
     async fn call(&self, call: MpiCall) -> MpiReply {
         let outstanding = self.slot.call.replace(Some(call));
-        assert!(outstanding.is_none(), "a rank has one call in flight at a time");
+        assert!(
+            outstanding.is_none(),
+            "a rank has one call in flight at a time"
+        );
         poll_fn(|_| match self.slot.reply.take() {
             Some(reply) => Poll::Ready(reply),
             None => Poll::Pending,
@@ -120,9 +123,7 @@ impl RankCtx {
     /// Receive a value from `from` with `tag` (blocking, FIFO per channel).
     pub async fn recv<V: DeserializeOwned>(&self, from: usize, tag: u32) -> V {
         match self.call(MpiCall::Recv { from, tag }).await {
-            MpiReply::Msg(bytes) => {
-                wire::decode(&bytes).expect("mpi payload deserialization")
-            }
+            MpiReply::Msg(bytes) => wire::decode(&bytes).expect("mpi payload deserialization"),
             _ => unreachable!("protocol violation: recv reply"),
         }
     }
@@ -192,6 +193,9 @@ impl RankCtx {
                 inbox[src] = Some(self.recv(src, tag).await);
             }
         }
-        inbox.into_iter().map(|v| v.expect("all received")).collect()
+        inbox
+            .into_iter()
+            .map(|v| v.expect("all received"))
+            .collect()
     }
 }

@@ -59,7 +59,11 @@ struct Rank<'a, T> {
 impl<T> Rank<'_, T> {
     /// Run the rank until it suspends in its next call or returns.
     fn poll(&mut self) -> RankState<T> {
-        match self.body.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
+        match self
+            .body
+            .as_mut()
+            .poll(&mut Context::from_waker(Waker::noop()))
+        {
             Poll::Ready(result) => RankState::Done(result),
             Poll::Pending => RankState::Waiting(self.slot.call.take().expect(
                 "a rank body awaited a future that is not one of its RankCtx calls; \
@@ -275,7 +279,8 @@ mod tests {
     #[test]
     fn compute_advances_clocks() {
         let report = run_spmd(&spec(2), async |ctx| {
-            ctx.compute(SimDuration::from_micros(ctx.rank() as u64 * 100 + 10)).await;
+            ctx.compute(SimDuration::from_micros(ctx.rank() as u64 * 100 + 10))
+                .await;
             ctx.barrier().await;
         });
         // Finish dominated by the slower rank + barrier cost.
@@ -296,7 +301,8 @@ mod tests {
     #[test]
     fn allreduce_max_and_vectors() {
         let report = run_spmd(&spec(4), async |ctx| {
-            ctx.allreduce(vec![ctx.rank() as f64, -(ctx.rank() as f64)], ReduceOp::Max).await
+            ctx.allreduce(vec![ctx.rank() as f64, -(ctx.rank() as f64)], ReduceOp::Max)
+                .await
         });
         for r in report.results {
             assert_eq!(r, vec![3.0, 0.0]);
@@ -396,7 +402,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rank 0 in Recv { from: 1, tag: 7 }, rank 1 in Recv { from: 0, tag: 8 }")]
+    #[should_panic(
+        expected = "rank 0 in Recv { from: 1, tag: 7 }, rank 1 in Recv { from: 0, tag: 8 }"
+    )]
     fn unmatched_receives_panic_with_what_each_rank_waits_for() {
         run_spmd(&spec(2), async |ctx| {
             let other = 1 - ctx.rank();
@@ -409,7 +417,10 @@ mod tests {
     fn a_rank_panic_keeps_its_message() {
         run_spmd(&spec(2), async |ctx| {
             ctx.barrier().await;
-            assert!(ctx.rank() == 0, "migrant 7 landed outside its neighbour block");
+            assert!(
+                ctx.rank() == 0,
+                "migrant 7 landed outside its neighbour block"
+            );
         });
     }
 

@@ -27,7 +27,9 @@ use std::rc::Rc;
 
 use allscale_apps::ipic3d::{self, PicConfig};
 use allscale_apps::serve::{self, ServeAppConfig};
-use allscale_apps::stencil::{allscale_version as stencil, mpi_version as stencil_mpi, StencilConfig};
+use allscale_apps::stencil::{
+    allscale_version as stencil, mpi_version as stencil_mpi, StencilConfig,
+};
 use allscale_apps::tpc::{self, TpcConfig};
 use allscale_core::{
     pfor, BatchParams, CheckpointConfig, CkptMode, FaultPlan, Grid, IntegrityConfig, PforSpec,
@@ -357,7 +359,12 @@ fn stencil_kill_before_first_ckpt() {
 
 /// A row of a run that hands back only its result struct: the digest of
 /// its `Debug` form, its compute time and its answer.
-fn result_row(name: &'static str, res: &impl std::fmt::Debug, compute_seconds: f64, answer: u64) -> Row {
+fn result_row(
+    name: &'static str,
+    res: &impl std::fmt::Debug,
+    compute_seconds: f64,
+    answer: u64,
+) -> Row {
     Row {
         name,
         digest: fnv1a_64(format!("{res:?}").as_bytes()),
@@ -371,35 +378,60 @@ fn result_row(name: &'static str, res: &impl std::fmt::Debug, compute_seconds: f
 fn tpc_small() {
     let res = tpc::allscale_version::run_with(&TpcConfig::small(4), RtConfig::test(4, 2));
     assert!(res.validated, "tpc: oracle");
-    check(result_row("tpc_small", &res, res.compute_seconds, res.total_count));
+    check(result_row(
+        "tpc_small",
+        &res,
+        res.compute_seconds,
+        res.total_count,
+    ));
 }
 
 #[test]
 fn ipic3d_small() {
     let res = ipic3d::allscale_version::run_with(&PicConfig::small(4), RtConfig::test(4, 2));
     assert!(res.validated, "ipic3d: oracle");
-    check(result_row("ipic3d_small", &res, res.compute_seconds, res.checksum));
+    check(result_row(
+        "ipic3d_small",
+        &res,
+        res.compute_seconds,
+        res.checksum,
+    ));
 }
 
 #[test]
 fn stencil_mpi_small() {
     let res = stencil_mpi::run_with(&StencilConfig::small(4), &ClusterSpec::test(4, 2));
     assert!(res.validated, "stencil mpi: oracle");
-    check(result_row("stencil_mpi_small", &res, res.compute_seconds, res.checksum));
+    check(result_row(
+        "stencil_mpi_small",
+        &res,
+        res.compute_seconds,
+        res.checksum,
+    ));
 }
 
 #[test]
 fn tpc_mpi_small() {
     let res = tpc::mpi_version::run_with(&TpcConfig::small(4), &ClusterSpec::test(4, 2));
     assert!(res.validated, "tpc mpi: oracle");
-    check(result_row("tpc_mpi_small", &res, res.compute_seconds, res.total_count));
+    check(result_row(
+        "tpc_mpi_small",
+        &res,
+        res.compute_seconds,
+        res.total_count,
+    ));
 }
 
 #[test]
 fn ipic3d_mpi_small() {
     let res = ipic3d::mpi_version::run_with(&PicConfig::small(4), &ClusterSpec::test(4, 2));
     assert!(res.validated, "ipic3d mpi: oracle");
-    check(result_row("ipic3d_mpi_small", &res, res.compute_seconds, res.checksum));
+    check(result_row(
+        "ipic3d_mpi_small",
+        &res,
+        res.compute_seconds,
+        res.checksum,
+    ));
 }
 
 /// Above the knee of a 4×2 cluster, so the controller acts; a short
