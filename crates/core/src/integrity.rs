@@ -35,14 +35,14 @@ use allscale_des::SimDuration;
 
 use crate::task::ItemId;
 
-/// Configuration of the data-integrity service.
+/// Configuration of the data-integrity service. With the service on,
+/// every runtime payload is framed with a checksum and verified on
+/// receipt: a detected corruption is re-requested under the retry policy
+/// instead of delivered. The ablation baseline — poisoned bytes consumed
+/// silently under a corrupting fault plan — is the service off
+/// (`RtConfig::integrity = None`).
 #[derive(Debug, Clone, Copy)]
 pub struct IntegrityConfig {
-    /// Frame every runtime payload with a checksum and verify on receipt;
-    /// a detected corruption is re-requested under the retry policy
-    /// instead of delivered. With this off (and a corrupting fault plan),
-    /// poisoned bytes are consumed silently — the ablation baseline.
-    pub verify_transfers: bool,
     /// Store per-shard checksums with every checkpoint and verify them
     /// during recovery, falling back to an older checkpoint (or a full
     /// restart) when a shard fails its check.
@@ -57,7 +57,6 @@ pub struct IntegrityConfig {
 impl Default for IntegrityConfig {
     fn default() -> Self {
         IntegrityConfig {
-            verify_transfers: true,
             verify_checkpoints: true,
             scrub_period: Some(SimDuration::from_micros(100)),
             quarantine_after: 3,
@@ -75,7 +74,7 @@ pub struct IntegrityStats {
     /// `TrafficStats::corrupt_detected`).
     pub wire_detected: u64,
     /// Wire corruptions delivered unverified — nonzero only when a
-    /// corrupting fault plan runs without `verify_transfers` (mirrors
+    /// corrupting fault plan runs with the integrity service off (mirrors
     /// `TrafficStats::corrupt_undetected`).
     pub wire_undetected: u64,
     /// Transfer re-requests issued after a detected corruption (mirrors
@@ -141,7 +140,6 @@ mod tests {
     #[test]
     fn default_config_is_sane() {
         let cfg = IntegrityConfig::default();
-        assert!(cfg.verify_transfers);
         assert!(cfg.verify_checkpoints);
         assert!(cfg.scrub_period.unwrap() > SimDuration::ZERO);
         assert!(cfg.quarantine_after >= 1);

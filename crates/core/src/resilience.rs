@@ -21,8 +21,8 @@
 //!   *anchor* snapshots bounding the reconstruction chain;
 //! - a **heartbeat failure detector** — the host locality pings every
 //!   other live locality each `heartbeat_period` on the simulated clock;
-//!   a locality missing `suspicion_threshold` consecutive heartbeats is
-//!   declared dead (fail-stop);
+//!   a locality missing three consecutive heartbeats
+//!   (`SUSPICION_THRESHOLD`) is declared dead (fail-stop);
 //! - the **retry policy** the runtime applies to its own messages on a
 //!   faulty fabric (bounded attempts, exponential backoff — see
 //!   [`allscale_net::RetryPolicy`]).
@@ -107,6 +107,9 @@ impl Default for CheckpointConfig {
     }
 }
 
+/// Consecutive missed heartbeats before a locality is declared dead.
+pub(crate) const SUSPICION_THRESHOLD: u32 = 3;
+
 /// Configuration of the resilience manager.
 #[derive(Debug, Clone, Copy)]
 pub struct ResilienceConfig {
@@ -117,8 +120,6 @@ pub struct ResilienceConfig {
     pub ckpt: CheckpointConfig,
     /// Period of the failure detector's heartbeat round.
     pub heartbeat_period: SimDuration,
-    /// Consecutive missed heartbeats before a locality is declared dead.
-    pub suspicion_threshold: u32,
     /// Retry policy applied to runtime messages on the faulty fabric.
     pub retry: RetryPolicy,
 }
@@ -129,7 +130,6 @@ impl Default for ResilienceConfig {
             checkpoint_every: 2,
             ckpt: CheckpointConfig::default(),
             heartbeat_period: SimDuration::from_micros(50),
-            suspicion_threshold: 3,
             retry: RetryPolicy {
                 // A little more persistent than the network default: a
                 // lost runtime message strands a task until recovery.
@@ -403,7 +403,6 @@ mod tests {
     fn default_config_is_sane() {
         let cfg = ResilienceConfig::default();
         assert!(cfg.checkpoint_every >= 1);
-        assert!(cfg.suspicion_threshold >= 1);
         assert!(cfg.heartbeat_period > SimDuration::ZERO);
         assert!(cfg.retry.max_attempts >= 1);
         assert_eq!(cfg.ckpt.mode, CkptMode::Async);

@@ -271,35 +271,29 @@ fn handle_msg(w: &mut RtWorld, to: usize, arrival: SimTime) -> SimTime {
 
 // ---------------------------------------------------------------- integrity
 
-/// Whether transfer verification is on: data payloads are framed with a
-/// checksum and opened at the receiver.
-fn verify_on(w: &RtWorld) -> bool {
-    w.integrity.as_ref().is_some_and(|m| m.cfg.verify_transfers)
-}
-
-/// Wrap a data payload for the wire. With transfer verification on, the
+/// Wrap a data payload for the wire. With the integrity service on, the
 /// payload is sealed under its FNV-1a checksum (the framed length —
 /// payload plus [`frame::FRAME_OVERHEAD`] — is what gets billed);
 /// otherwise the bytes travel bare. Control messages are not sealed
 /// individually: their fixed `control_msg_bytes` size already stands for
 /// a fully framed wire message.
 pub(super) fn seal_payload(w: &RtWorld, payload: Vec<u8>) -> Vec<u8> {
-    if verify_on(w) {
+    if w.integrity.is_some() {
         frame::seal(&payload)
     } else {
         payload
     }
 }
 
-/// Recover the payload of an arrived data transfer. With verification
-/// on, the frame is opened and checked — the network never delivers a
-/// corrupt message in that mode (it re-requests instead), so a mismatch
-/// here would be an *undetected* corruption and the check is the
-/// zero-undetected oracle. With verification off, a delivery flagged
+/// Recover the payload of an arrived data transfer. With the integrity
+/// service on, the frame is opened and checked — the network never
+/// delivers a corrupt message in that mode (it re-requests instead), so a
+/// mismatch here would be an *undetected* corruption and the check is the
+/// zero-undetected oracle. With the service off, a delivery flagged
 /// non-intact has the wire's bit flip applied to the raw bytes: the
 /// receiver consumes poison without noticing (the ablation baseline).
 pub(super) fn open_payload(w: &mut RtWorld, wire: &[u8], intact: bool) -> Vec<u8> {
-    if verify_on(w) {
+    if w.integrity.is_some() {
         return frame::open(wire)
             .expect("verified transfer delivered a corrupt frame (undetected corruption)")
             .to_vec();

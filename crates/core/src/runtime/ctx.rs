@@ -83,6 +83,12 @@ impl RtCtx<'_> {
     /// TPC kd-tree. Writers to the region will be fenced permanently, so
     /// only use this for data that is read-only from here on.
     ///
+    /// Only the part of `region` that `owner` *owns* is replicated and
+    /// fenced: a caller may pass the whole item while `owner` holds half
+    /// of it, and the other half keeps being served (and written) by its
+    /// own owner. A fence over data the recorder never held would break
+    /// the fenced-writes invariant ([`Self::verify_consistency`], check 4).
+    ///
     /// Billed as a binomial broadcast on the simulated network.
     pub fn broadcast_replicate(&mut self, item: ItemId, owner: usize, region: &dyn DynRegion) {
         broadcast_replicate(self.world, self.now, item, owner, region);
@@ -216,8 +222,13 @@ impl RtCtx<'_> {
     ///    bookkeeping — or a driver migrating a broadcast region — trips
     ///    this check.
     ///
-    /// Returns a list of violations (empty = consistent). Used by the
-    /// cross-crate model-conformance tests.
+    /// Returns a list of violations (empty = consistent). The runtime calls
+    /// this itself: in a debug-profile build `advance_phase` checks every
+    /// phase boundary of every run — first, replayed after a recovery,
+    /// after a serving phase, final — and panics on a violation; release
+    /// builds carry no call. It stays public for tests that are *about*
+    /// the check: asserting it mid-boundary (right after a driver-side
+    /// migration) or asserting that a deliberate corruption is flagged.
     pub fn verify_consistency(&self) -> Vec<String> {
         let mut violations = Vec::new();
         let localities = &self.world.localities;
@@ -332,10 +343,10 @@ pub(super) fn broadcast_replicate(
     region: &dyn DynRegion,
 ) {
     let nodes = w.localities.len();
+    let dim = &mut w.localities[owner].dim;
+    let region = region.intersect_dyn(dim.owned_region(item));
     // Sentinel task id marks the export as persistent.
-    let bytes = w.localities[owner]
-        .dim
-        .export_replica(item, region, usize::MAX, TaskId(u64::MAX));
+    let bytes = dim.export_replica(item, region.as_ref(), usize::MAX, TaskId(u64::MAX));
     let wire = seal_payload(w, bytes);
     let mut t = now;
     for dst in (0..nodes).filter(|&dst| dst != owner) {

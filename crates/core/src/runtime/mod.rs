@@ -83,7 +83,7 @@ pub struct RtConfig {
     pub policy: Box<dyn SchedulingPolicy>,
     /// Switch the scheduler family to per-locality bounded task queues
     /// with work stealing (see [`StealConfig`] for the knobs: queue
-    /// threshold, victim policy, attempts, seed). `None` (the default)
+    /// threshold, victim policy, seed). `None` (the default)
     /// keeps the paper's direct data-aware placement.
     pub stealing: Option<StealConfig>,
     /// Use the central-directory index instead of the hierarchical one
@@ -218,7 +218,7 @@ impl Runtime {
         let comms = comms::Comms::new(
             &config.spec,
             config.faults,
-            config.integrity.is_some_and(|i| i.verify_transfers),
+            config.integrity.is_some(),
             config.resilience.map(|cfg| cfg.retry).unwrap_or_default(),
             trace.clone(),
         );

@@ -95,7 +95,17 @@ pub(super) fn advance_phase(sim: &mut RtSim, prev: TaskValue) {
     }
     let mut driver = sim.world.phases.driver.take().expect("driver present");
     let world = &mut sim.world;
-    let next = driver.next_phase(phase, &mut RtCtx { world, now }, prev);
+    let mut ctx = RtCtx { world, now };
+    // The §2.5 oracle, `debug_assert!`-style: every boundary of every
+    // debug-profile run is checked here, and release builds carry no call.
+    if cfg!(debug_assertions) {
+        let violations = ctx.verify_consistency();
+        assert!(
+            violations.is_empty(),
+            "model invariants (§2.5) violated at the boundary before phase {phase}: {violations:#?}"
+        );
+    }
+    let next = driver.next_phase(phase, &mut ctx, prev);
     sim.world.phases.driver = Some(driver);
     match next {
         Some(root) => {

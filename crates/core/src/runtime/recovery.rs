@@ -11,7 +11,7 @@ use allscale_trace::EventKind;
 
 use super::{directory, phases, schedule_task_event, tasks, trace_instant, RtSim, RtWorld};
 use crate::dim::DataItemManager;
-use crate::resilience::{ResilienceConfig, ResilienceManager};
+use crate::resilience::{ResilienceConfig, ResilienceManager, SUSPICION_THRESHOLD};
 
 pub(super) use ckpt::maybe_checkpoint;
 
@@ -122,7 +122,7 @@ impl Recovery {
 /// survivor, locality 0 until it dies) pings every live peer, the next
 /// live locality pings the host in turn — so a dead host is itself
 /// detected instead of silencing the detector — and localities silent
-/// for `suspicion_threshold` consecutive rounds are declared dead. Then
+/// for [`SUSPICION_THRESHOLD`] consecutive rounds are declared dead. Then
 /// the tick rearms itself.
 pub(super) fn heartbeat_tick(sim: &mut RtSim) {
     if sim.world.phases.done() {
@@ -163,7 +163,7 @@ pub(super) fn heartbeat_tick(sim: &mut RtSim) {
 
 /// `from` pings `to` (ping + ack, no retries; the suspicion counter *is*
 /// the retry). A silent round is a miss, traced at the prober; returns
-/// whether `to` has now been silent for `suspicion_threshold` rounds in
+/// whether `to` has now been silent for [`SUSPICION_THRESHOLD`] rounds in
 /// a row.
 fn probe_finds_dead(w: &mut RtWorld, now: SimTime, from: usize, to: usize) -> bool {
     let Some(mgr) = &mut w.recovery.manager else {
@@ -176,7 +176,6 @@ fn probe_finds_dead(w: &mut RtWorld, now: SimTime, from: usize, to: usize) -> bo
     }
     mgr.misses[to] += 1;
     let misses = mgr.misses[to];
-    let threshold = mgr.cfg.suspicion_threshold;
     trace_instant(
         w,
         now,
@@ -186,7 +185,7 @@ fn probe_finds_dead(w: &mut RtWorld, now: SimTime, from: usize, to: usize) -> bo
             misses,
         },
     );
-    misses >= threshold
+    misses >= SUSPICION_THRESHOLD
 }
 
 /// Declare `dead` failed and orchestrate recovery: discard the in-flight

@@ -11,7 +11,7 @@ use super::tasks::wake;
 use super::{ctx, phases, sched, schedule_task_event, trace_instant, trace_span};
 use super::{RtSim, RtWorld};
 use crate::dynamic::DynRegion;
-use crate::slo::{PendingReq, ServeSession, ServeSpec};
+use crate::slo::{PendingReq, ServeSession, ServeSpec, MIN_WINDOW};
 use crate::task::{AccessMode, ItemId, TaskId};
 
 #[derive(Default)]
@@ -316,9 +316,7 @@ fn slo_tick(sim: &mut RtSim) {
     for s in 0..shards {
         let count = session.window[s].tally().count();
         let p99 = session.window[s].p99();
-        // Small windows are too noisy to act on (a single straggler
-        // would trigger a broadcast).
-        let hot = count >= session.slo.min_window && p99 > session.slo.p99_slo_ns;
+        let hot = count >= MIN_WINDOW && p99 > session.slo.p99_slo_ns;
         if hot {
             w.monitor.serve.slo_violations += 1;
         }

@@ -224,6 +224,10 @@ pub enum VictimPolicy {
     Random,
 }
 
+/// Victims a thief of the stealing family tries per steal round before
+/// it parks as a waiter.
+const STEAL_ATTEMPTS: usize = 3;
+
 /// Knobs of the work-stealing scheduler family.
 #[derive(Debug, Clone, Copy)]
 pub struct StealConfig {
@@ -232,8 +236,6 @@ pub struct StealConfig {
     pub queue_threshold: usize,
     /// Victim selection strategy.
     pub victim: VictimPolicy,
-    /// Victims tried per steal round before the thief parks as a waiter.
-    pub max_attempts: usize,
     /// Seed of the [`VictimPolicy::Random`] draw stream.
     pub seed: u64,
 }
@@ -243,7 +245,6 @@ impl Default for StealConfig {
         StealConfig {
             queue_threshold: 4,
             victim: VictimPolicy::RoundRobin,
-            max_attempts: 3,
             seed: 0x5eed_0bad_cafe,
         }
     }
@@ -463,7 +464,7 @@ impl Scheduler for WorkStealingScheduler {
     }
 
     fn max_attempts(&self) -> usize {
-        self.cfg.max_attempts.max(1)
+        STEAL_ATTEMPTS
     }
 
     fn clear(&mut self) {

@@ -29,6 +29,11 @@ use crate::dynamic::DynRegion;
 use crate::task::{ItemId, WorkItem};
 use crate::task_map::TaskMap;
 
+/// Minimum completed requests in a shard's window before its p99 is
+/// trusted; smaller windows are too noisy to act on (a single straggler
+/// would trigger a broadcast).
+pub(crate) const MIN_WINDOW: u64 = 16;
+
 /// The service-level objective and controller policy of a serving phase.
 #[derive(Debug, Clone)]
 pub struct SloConfig {
@@ -45,9 +50,6 @@ pub struct SloConfig {
     /// Shed read requests to shards that are currently violating the
     /// SLO (writes are never shed).
     pub shed_overload: bool,
-    /// Minimum completed requests in a window before its p99 is
-    /// trusted; smaller windows are ignored (too noisy to act on).
-    pub min_window: u64,
     /// A replicated shard with at most this many completions in a
     /// period counts as cold.
     pub cold_window: u64,
@@ -63,7 +65,6 @@ impl Default for SloConfig {
             replicate_hot: true,
             retire_cold: true,
             shed_overload: false,
-            min_window: 16,
             cold_window: 2,
             cold_periods: 4,
         }

@@ -3,11 +3,15 @@
 //! against sequential oracles.
 
 use allscale_core::{
-    pfor, pfor_tiles, CostModel, DataAwarePolicy, FaultPlan, Grid, IntegrityConfig, PforSpec, Requirement,
-    ResilienceConfig, RtConfig, RtCtx, Runtime, TaskValue, WorkItem,
+    pfor, pfor_tiles, CostModel, DataAwarePolicy, FaultPlan, Grid, IntegrityConfig, ItemId,
+    PforSpec, Requirement, ResilienceConfig, RtConfig, RtCtx, Runtime, TaskValue, WorkItem,
 };
 use allscale_des::{SimDuration, SimTime};
 use allscale_region::{BoxRegion, GridBox, GridFragment, Point, Region};
+use common::{Program, ProgramSpec, Scenario};
+
+#[path = "../../../tests/common/mod.rs"]
+mod common;
 
 fn config(nodes: usize, cores: usize) -> RtConfig {
     RtConfig::test(nodes, cores)
@@ -874,24 +878,20 @@ fn restore_rejects_mismatched_cluster_shape() {
     );
 }
 
-/// The fenced-writes invariant (consistency check 4): a persistent
-/// replica's backing export fence must stay within its recorder's owned
-/// region. Migrating fenced data away from the recorder without dropping
-/// the broadcast is exactly the corruption the check exists to catch.
-#[test]
-fn verify_consistency_flags_migrated_fenced_region() {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    let cell: Rc<RefCell<Option<Grid<f64, 1>>>> = Rc::new(RefCell::new(None));
-    let cell2 = cell.clone();
-    let rt = Runtime::new(config(3, 2));
-    rt.run(
+/// Broadcast a single-owner grid, then migrate part of the fenced region
+/// away from its recorder without dropping the broadcast: the fence no
+/// longer lies in the recorder's owned region — exactly the corruption
+/// consistency check 4 (fenced writes) exists to catch. With `by_hand`
+/// the driver asserts `verify_consistency` around the migration and
+/// stops; without, it says nothing and asks for one more phase.
+fn migrate_a_fenced_region(by_hand: bool) {
+    let mut grid: Option<Grid<f64, 1>> = None;
+    Runtime::new(config(3, 2)).run(
         move |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
             match phase {
                 0 => {
                     let g = Grid::<f64, 1>::create(ctx, "shared", [64]);
-                    *cell2.borrow_mut() = Some(g);
+                    grid = Some(g);
                     // Keep all data on one owner (no axis-0 spreading).
                     Some(pfor(
                         PforSpec {
@@ -906,95 +906,136 @@ fn verify_consistency_flags_migrated_fenced_region() {
                     ))
                 }
                 1 => {
-                    let g = cell2.borrow().unwrap();
+                    let g = grid.unwrap();
                     let owner = (0..ctx.nodes())
                         .find(|&l| !ctx.owned_region_at(l, g.id).is_empty_dyn())
                         .expect("grid owned somewhere");
                     ctx.broadcast_replicate(g.id, owner, &g.full_region());
-                    // A clean broadcast satisfies all four checks.
-                    let violations = ctx.verify_consistency();
-                    assert!(violations.is_empty(), "after broadcast: {violations:?}");
-
-                    // Now migrate part of the fenced region away from its
-                    // recorder: the fence no longer lies in the recorder's
-                    // owned region, and check 4 must say so.
+                    if by_hand {
+                        // A clean broadcast satisfies all four checks.
+                        let violations = ctx.verify_consistency();
+                        assert!(violations.is_empty(), "after broadcast: {violations:?}");
+                    }
                     let dst = (owner + 1) % ctx.nodes();
                     let slice = BoxRegion::<1>::cuboid([0], [16]);
                     ctx.migrate_region(g.id, &slice, owner, dst);
-                    let violations = ctx.verify_consistency();
-                    assert!(
-                        violations.iter().any(|v| v.contains("no longer owns")),
-                        "check 4 must flag the migrated fence, got: {violations:?}"
-                    );
-                    None
+                    if by_hand {
+                        let violations = ctx.verify_consistency();
+                        assert!(
+                            violations.iter().any(|v| v.contains("no longer owns")),
+                            "check 4 must flag the migrated fence, got: {violations:?}"
+                        );
+                        return None;
+                    }
+                    Some(pfor(
+                        PforSpec {
+                            name: "read",
+                            range: g.full_box(),
+                            grain: 16,
+                            ns_per_point: 2.0,
+                            axis0_pieces: 4,
+                        },
+                        move |tile| vec![Requirement::read(g.id, BoxRegion::from_box(*tile))],
+                        move |ctx2, p| assert_eq!(g.get(ctx2, p.0), p[0] as f64),
+                    ))
                 }
-                _ => unreachable!(),
+                _ => unreachable!("no boundary is passed on a broken invariant"),
             }
         },
     );
 }
 
-/// A small phased program for the fault/integrity tests: fill
-/// `g[i] = i`, bump every cell once per step phase, then read back the
-/// exact expected values. Returns the number of cells verified (driver
-/// side, after the last phase) plus the report.
-fn bump_roundtrip(cfg: RtConfig, steps: usize) -> (u64, allscale_core::RunReport) {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-    const N: i64 = 96;
-    let st: Rc<RefCell<(Option<Grid<f64, 1>>, u64)>> = Rc::new(RefCell::new((None, 0)));
-    let s2 = st.clone();
-    let rt = Runtime::new(cfg);
-    let report = rt.run(
+#[test]
+fn verify_consistency_flags_migrated_fenced_region() {
+    migrate_a_fenced_region(true);
+}
+
+/// The oracle bites on its own: the driver never calls
+/// `verify_consistency`, and a debug-profile runtime stops the run at the
+/// first boundary after the bad migration (`advance_phase`). Release
+/// builds compile the check out, so the test exists only where it is on.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "no longer owns")]
+fn boundary_oracle_stops_a_run_that_broke_an_invariant() {
+    migrate_a_fenced_region(false);
+}
+
+/// A broadcast replicates and fences only what its `owner` owns: with the
+/// grid first-touched across two localities and the *whole* item named,
+/// locality 0's export fence must stop at its own half (fenced-writes
+/// check 4 — the fence used to cover the caller's region), and readers
+/// of the other half are still served by its owner.
+#[test]
+fn broadcast_of_a_split_grid_fences_only_the_owners_half() {
+    let mut grid: Option<Grid<f64, 1>> = None;
+    let report = Runtime::new(config(2, 2)).run(
         move |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
-            if phase == 0 {
-                let g = Grid::<f64, 1>::create(ctx, "v", [N]);
-                s2.borrow_mut().0 = Some(g);
-                return Some(pfor(
-                    PforSpec {
-                        name: "fill",
-                        range: g.full_box(),
-                        grain: 12,
-                        ns_per_point: 4.0,
-                        axis0_pieces: 8,
-                    },
-                    move |tile| vec![Requirement::write(g.id, BoxRegion::from_box(*tile))],
-                    move |tctx, p| g.set(tctx, p.0, p[0] as f64),
-                ));
+            match phase {
+                0 => {
+                    let g = Grid::<f64, 1>::create(ctx, "split", [64]);
+                    grid = Some(g);
+                    Some(pfor(
+                        PforSpec {
+                            name: "init",
+                            range: g.full_box(),
+                            grain: 32,
+                            ns_per_point: 2.0,
+                            axis0_pieces: 2,
+                        },
+                        move |tile| vec![Requirement::write(g.id, BoxRegion::from_box(*tile))],
+                        move |tctx, p| g.set(tctx, p.0, p[0] as f64),
+                    ))
+                }
+                1 => {
+                    let g = grid.unwrap();
+                    let half = BoxRegion::<1>::cuboid([0], [32]);
+                    assert!(
+                        ctx.owned_region_at(0, g.id).eq_dyn(&half),
+                        "first touch splits the grid between the two localities"
+                    );
+                    ctx.broadcast_replicate(g.id, 0, &g.full_region());
+                    let violations = ctx.verify_consistency();
+                    assert!(violations.is_empty(), "after broadcast: {violations:?}");
+                    // Every tile reads the whole grid: [0,32) from the
+                    // broadcast replica (or its owner), [32,64) from
+                    // locality 1, which the broadcast never touched.
+                    Some(pfor(
+                        PforSpec {
+                            name: "read-everywhere",
+                            range: g.full_box(),
+                            grain: 8,
+                            ns_per_point: 2.0,
+                            axis0_pieces: 8,
+                        },
+                        move |_tile| vec![Requirement::read(g.id, g.full_region())],
+                        move |tctx, p| {
+                            assert_eq!(g.get(tctx, [63 - p[0]]), (63 - p[0]) as f64);
+                        },
+                    ))
+                }
+                _ => None,
             }
-            let g = s2.borrow().0.unwrap();
-            if phase <= steps {
-                return Some(pfor(
-                    PforSpec {
-                        name: "bump",
-                        range: g.full_box(),
-                        grain: 12,
-                        ns_per_point: 4.0,
-                        axis0_pieces: 8,
-                    },
-                    move |tile| vec![Requirement::write(g.id, BoxRegion::from_box(*tile))],
-                    move |tctx, p| {
-                        let v = g.get(tctx, p.0);
-                        g.set(tctx, p.0, v + 1.0);
-                    },
-                ));
-            }
-            // Driver-side readback: data preservation + single execution.
-            let mut seen = 0u64;
-            for loc in 0..ctx.nodes() {
-                let frag = ctx.fragment_at::<GridFragment<f64, 1>>(loc, g.id);
-                frag.for_each(|p, v| {
-                    assert_eq!(*v, p[0] as f64 + steps as f64, "cell {p:?}");
-                    seen += 1;
-                });
-            }
-            assert_eq!(seen, N as u64, "grid fully covered after faults");
-            s2.borrow_mut().1 = seen;
-            None
         },
     );
-    let seen = st.borrow().1;
-    (seen, report)
+    let broadcast_in = report.monitor.per_locality[1].replicas_in;
+    assert!(broadcast_in >= 1, "locality 1 received the owner's half");
+}
+
+/// The phased program of the fault/integrity tests — fill `g[i] = i`,
+/// `steps` add phases, exact read-back — on the caller's configuration.
+/// `Scenario::run_on` checks every cell against the sequential oracle
+/// (data preservation + single execution), so returning at all means the
+/// grid was fully covered with exact values after whatever faults struck.
+fn bump_roundtrip(cfg: RtConfig, steps: usize) -> allscale_core::RunReport {
+    bumps(steps).run_on(cfg).1
+}
+
+fn bumps(steps: usize) -> Scenario {
+    Scenario {
+        program: Program::Grid(ProgramSpec::bumps(steps)),
+        ..Scenario::new(0)
+    }
 }
 
 /// Regression for the detector single point of failure: killing locality
@@ -1005,7 +1046,7 @@ fn bump_roundtrip(cfg: RtConfig, steps: usize) -> (u64, allscale_core::RunReport
 #[test]
 fn detector_host_death_fails_over_and_recovers() {
     // Size the kill against a clean run of the same program.
-    let (_, clean) = bump_roundtrip(config(4, 2), 2);
+    let clean = bump_roundtrip(config(4, 2), 2);
     let total = clean.finish_time.as_nanos();
 
     let mut plan = FaultPlan::new(0xdead0);
@@ -1017,8 +1058,7 @@ fn detector_host_death_fails_over_and_recovers() {
         heartbeat_period: SimDuration::from_nanos((total / 50).max(500)),
         ..ResilienceConfig::default()
     });
-    let (seen, report) = bump_roundtrip(cfg, 2);
-    assert_eq!(seen, 96, "readback ran after recovery");
+    let report = bump_roundtrip(cfg, 2);
     let r = &report.monitor.resilience;
     assert!(
         r.detections >= 1 && r.recoveries >= 1,
@@ -1035,7 +1075,7 @@ fn detector_host_death_fails_over_and_recovers() {
 /// first checkpoint — is traced there, not on the dead locality's track.
 #[test]
 fn driver_events_after_host_death_land_on_the_new_host() {
-    let (_, clean) = bump_roundtrip(config(4, 2), 2);
+    let clean = bump_roundtrip(config(4, 2), 2);
     let total = clean.finish_time.as_nanos();
     let mut plan = FaultPlan::new(0xdead0);
     plan.kill_at(0, SimTime::from_nanos(total / 4));
@@ -1047,8 +1087,7 @@ fn driver_events_after_host_death_land_on_the_new_host() {
         ..ResilienceConfig::default()
     });
     cfg.trace = Some(allscale_core::TraceConfig::default());
-    let (seen, report) = bump_roundtrip(cfg, 2);
-    assert_eq!(seen, 96, "readback ran after the restart");
+    let report = bump_roundtrip(cfg, 2);
     let trace = report.trace.expect("tracing was enabled");
     let replayed: Vec<u32> = trace
         .events
@@ -1072,99 +1111,47 @@ fn driver_events_after_host_death_land_on_the_new_host() {
 /// further death for the detector to recover from.
 #[test]
 fn driver_migration_to_dead_locality_is_remapped() {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-    const N: i64 = 96;
     const STEPS: usize = 3;
     const VICTIM: usize = 1;
 
-    fn run(cfg: RtConfig, victim_dies: bool) -> (u64, allscale_core::RunReport) {
-        let st: Rc<RefCell<(Option<Grid<f64, 1>>, u64)>> = Rc::new(RefCell::new((None, 0)));
-        let s2 = st.clone();
-        let report = Runtime::new(cfg).run(
-            move |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
-                if phase == 0 {
-                    let g = Grid::<f64, 1>::create(ctx, "v", [N]);
-                    s2.borrow_mut().0 = Some(g);
-                    return Some(pfor(
-                        PforSpec {
-                            name: "fill",
-                            range: g.full_box(),
-                            grain: 12,
-                            ns_per_point: 4.0,
-                            axis0_pieces: 8,
-                        },
-                        move |tile| vec![Requirement::write(g.id, BoxRegion::from_box(*tile))],
-                        move |tctx, p| g.set(tctx, p.0, p[0] as f64),
-                    ));
-                }
-                let g = s2.borrow().0.unwrap();
-                if phase <= STEPS {
-                    // Stubbornly migrate a slice into the victim at every
-                    // boundary — exactly what a dead-host-oblivious
-                    // balancing policy does. Post-recovery boundaries
-                    // must be remapped off the corpse.
-                    let slice = BoxRegion::<1>::cuboid([0], [24]);
-                    for src in 0..ctx.nodes() {
-                        if src == VICTIM {
-                            continue;
-                        }
-                        let owned = ctx.owned_region_at(src, g.id);
-                        let owned = owned
-                            .as_any()
-                            .downcast_ref::<BoxRegion<1>>()
-                            .expect("1-D grid region")
-                            .clone();
-                        let moved = owned.intersect(&slice);
-                        if !moved.is_empty() {
-                            ctx.migrate_region(g.id, &moved, src, VICTIM);
-                            break;
-                        }
-                    }
-                    return Some(pfor(
-                        PforSpec {
-                            name: "bump",
-                            range: g.full_box(),
-                            grain: 12,
-                            ns_per_point: 4.0,
-                            axis0_pieces: 8,
-                        },
-                        move |tile| vec![Requirement::write(g.id, BoxRegion::from_box(*tile))],
-                        move |tctx, p| {
-                            let v = g.get(tctx, p.0);
-                            g.set(tctx, p.0, v + 1.0);
-                        },
-                    ));
-                }
-                let mut seen = 0u64;
-                for loc in 0..ctx.nodes() {
-                    let frag = ctx.fragment_at::<GridFragment<f64, 1>>(loc, g.id);
-                    frag.for_each(|p, v| {
-                        assert_eq!(*v, p[0] as f64 + STEPS as f64, "cell {p:?}");
-                        seen += 1;
-                    });
-                }
-                assert_eq!(seen, N as u64, "grid fully covered after faults");
+    fn run(cfg: RtConfig, victim_dies: bool) -> allscale_core::RunReport {
+        let stubborn = move |phase: usize, ctx: &mut RtCtx<'_>, grid: ItemId| {
+            if phase > STEPS {
                 // The detector knows the victim is dead: no post-recovery
                 // migration may have handed it ownership back. (In the
                 // clean sizing run the victim is a legitimate target.)
                 if victim_dies {
                     assert!(
-                        ctx.owned_region_at(VICTIM, g.id).is_empty_dyn(),
+                        ctx.owned_region_at(VICTIM, grid).is_empty_dyn(),
                         "dead locality must not own data after recovery"
                     );
                 }
-                s2.borrow_mut().1 = seen;
-                None
-            },
-        );
-        let seen = st.borrow().1;
-        (seen, report)
+                return;
+            }
+            // Stubbornly migrate a slice into the victim at every
+            // boundary — exactly what a dead-host-oblivious balancing
+            // policy does. Post-recovery boundaries must be remapped off
+            // the corpse.
+            let slice = BoxRegion::<1>::cuboid([0], [24]);
+            for src in (0..ctx.nodes()).filter(|&src| src != VICTIM) {
+                let owned = ctx.owned_region_at(src, grid);
+                let owned = owned
+                    .as_any()
+                    .downcast_ref::<BoxRegion<1>>()
+                    .expect("1-D grid region");
+                let moved = owned.intersect(&slice);
+                if !moved.is_empty() {
+                    ctx.migrate_region(grid, &moved, src, VICTIM);
+                    break;
+                }
+            }
+        };
+        bumps(STEPS).run_hooked(cfg, stubborn).1
     }
 
     // Size the kill early against a clean run: the death lands before
     // most migration boundaries, so several of them target the corpse.
-    let (_, clean) = run(config(4, 2), false);
+    let clean = run(config(4, 2), false);
     let total = clean.finish_time.as_nanos();
 
     let mut plan = FaultPlan::new(0xdead2);
@@ -1176,8 +1163,9 @@ fn driver_migration_to_dead_locality_is_remapped() {
         heartbeat_period: SimDuration::from_nanos((total / 50).max(500)),
         ..ResilienceConfig::default()
     });
-    let (seen, report) = run(cfg, true);
-    assert_eq!(seen, 96, "run must complete — a stalled phase here is the livelock");
+    // Completing at all is the assertion — a stalled phase here is the
+    // livelock.
+    let report = run(cfg, true);
     let r = &report.monitor.resilience;
     assert!(
         r.detections >= 1 && r.recoveries >= 1,
@@ -1191,18 +1179,15 @@ fn driver_migration_to_dead_locality_is_remapped() {
 /// run — zero undetected corruptions reach application state.
 #[test]
 fn checksummed_transfers_mask_wire_corruption() {
-    let (clean_seen, _) = bump_roundtrip(config(4, 2), 2);
-
     let mut cfg = config(4, 2);
     cfg.faults = Some(FaultPlan::new(0xc0ffee).with_corruption(0.1));
     cfg = cfg.with_integrity(IntegrityConfig {
         scrub_period: None, // isolate the wire-verification path
         ..IntegrityConfig::default()
     });
-    // bump_roundtrip asserts exact values internally, so completing at
-    // all proves the corrupted run computed the same data.
-    let (seen, report) = bump_roundtrip(cfg, 2);
-    assert_eq!(seen, clean_seen);
+    // bump_roundtrip asserts exact values, so completing at all proves
+    // the corrupted run computed the same data as a fault-free one.
+    let report = bump_roundtrip(cfg, 2);
     let g = &report.monitor.integrity;
     assert!(
         g.wire_corruptions > 0 && g.wire_detected > 0,
@@ -1323,7 +1308,7 @@ fn scrubber_repairs_and_quarantines_rotting_replicas() {
 /// run still produces exact results.
 #[test]
 fn recovery_rejects_rotted_checkpoints_and_restarts() {
-    let (_, clean) = bump_roundtrip(config(4, 2), 2);
+    let clean = bump_roundtrip(config(4, 2), 2);
     let total = clean.finish_time.as_nanos();
 
     let mut plan = FaultPlan::new(0xbad_cafe).with_rot(1.0);
@@ -1339,8 +1324,7 @@ fn recovery_rejects_rotted_checkpoints_and_restarts() {
         scrub_period: None,
         ..IntegrityConfig::default()
     });
-    let (seen, report) = bump_roundtrip(cfg, 2);
-    assert_eq!(seen, 96, "restart still yields exact results");
+    let report = bump_roundtrip(cfg, 2);
     let g = &report.monitor.integrity;
     assert!(
         g.checkpoint_shards_rejected > 0 && g.checkpoint_fallbacks >= 1,
@@ -1386,75 +1370,24 @@ fn torus_cluster_end_to_end() {
 #[test]
 fn recovery_falls_back_the_configured_retention_depth() {
     use allscale_core::{CheckpointConfig, CkptMode};
-    use std::cell::RefCell;
+    use std::cell::Cell;
     use std::rc::Rc;
-    const N: i64 = 96;
     const STEPS: usize = 4;
 
-    // Like `bump_roundtrip`, but the driver flips a byte in the two
-    // newest retained checkpoints at the last bump boundary — targeted
-    // at-rest corruption via the test hook, no random rot arm.
-    fn run(cfg: RtConfig, corrupt: bool) -> (u64, usize, allscale_core::RunReport) {
-        type DriverState = (Option<Grid<f64, 1>>, u64, usize);
-        let st: Rc<RefCell<DriverState>> = Rc::new(RefCell::new((None, 0, 0)));
-        let s2 = st.clone();
-        let rt = Runtime::new(cfg);
-        let report = rt.run(
-            move |phase: usize,
-                  ctx: &mut RtCtx<'_>,
-                  _prev: TaskValue|
-                  -> Option<Box<dyn WorkItem>> {
-                if phase == 0 {
-                    let g = Grid::<f64, 1>::create(ctx, "v", [N]);
-                    s2.borrow_mut().0 = Some(g);
-                    return Some(pfor(
-                        PforSpec {
-                            name: "fill",
-                            range: g.full_box(),
-                            grain: 12,
-                            ns_per_point: 4.0,
-                            axis0_pieces: 8,
-                        },
-                        move |tile| vec![Requirement::write(g.id, BoxRegion::from_box(*tile))],
-                        move |tctx, p| g.set(tctx, p.0, p[0] as f64),
-                    ));
-                }
-                let g = s2.borrow().0.unwrap();
-                if phase <= STEPS {
-                    if corrupt && phase == STEPS {
-                        s2.borrow_mut().2 = ctx.retained_checkpoints();
-                        ctx.corrupt_newest_checkpoints(2);
-                    }
-                    return Some(pfor(
-                        PforSpec {
-                            name: "bump",
-                            range: g.full_box(),
-                            grain: 12,
-                            ns_per_point: 4.0,
-                            axis0_pieces: 8,
-                        },
-                        move |tile| vec![Requirement::write(g.id, BoxRegion::from_box(*tile))],
-                        move |tctx, p| {
-                            let v = g.get(tctx, p.0);
-                            g.set(tctx, p.0, v + 1.0);
-                        },
-                    ));
-                }
-                let mut seen = 0u64;
-                for loc in 0..ctx.nodes() {
-                    let frag = ctx.fragment_at::<GridFragment<f64, 1>>(loc, g.id);
-                    frag.for_each(|p, v| {
-                        assert_eq!(*v, p[0] as f64 + STEPS as f64, "cell {p:?}");
-                        seen += 1;
-                    });
-                }
-                assert_eq!(seen, N as u64, "grid fully covered after faults");
-                s2.borrow_mut().1 = seen;
-                None
-            },
-        );
-        let (seen, retained) = (st.borrow().1, st.borrow().2);
-        (seen, retained, report)
+    // `bump_roundtrip`, but the driver flips a byte in the two newest
+    // retained checkpoints at the last bump boundary — targeted at-rest
+    // corruption via the test hook, no random rot arm. Returns how many
+    // checkpoints were retained at that boundary, and the report.
+    fn run(cfg: RtConfig, corrupt: bool) -> (usize, allscale_core::RunReport) {
+        let retained = Rc::new(Cell::new(0));
+        let seen = retained.clone();
+        let (_, report) = bumps(STEPS).run_hooked(cfg, move |phase, ctx, _grid| {
+            if corrupt && phase == STEPS {
+                seen.set(ctx.retained_checkpoints());
+                ctx.corrupt_newest_checkpoints(2);
+            }
+        });
+        (retained.get(), report)
     }
 
     // Blocking full snapshots keep the commit/corruption ordering at the
@@ -1472,21 +1405,22 @@ fn recovery_falls_back_the_configured_retention_depth() {
     };
     // Size the kill against the identically billed clean run: right
     // after the last bump boundary's corruption, early enough that
-    // detection and recovery land before the wrap-up boundary.
+    // detection and recovery land before the read-back boundary commits
+    // a fresh checkpoint (any kill in 68–82 % of the run does).
     let mut cfg = config(4, 2);
     cfg.resilience = Some(res(4, SimDuration::from_micros(50)));
     cfg = cfg.with_integrity(IntegrityConfig {
         scrub_period: None,
         ..IntegrityConfig::default()
     });
-    let (_, _, clean) = run(cfg, false);
+    let (_, clean) = run(cfg, false);
     let total = clean.finish_time.as_nanos();
     let hb = SimDuration::from_nanos((total / 200).max(100));
 
     // Depth 4: fall back across the two rejected checkpoints onto the
     // third-newest and restore from it.
     let mut plan = FaultPlan::new(0x4ee9);
-    plan.kill_at(2, SimTime::from_nanos(total * 85 / 100));
+    plan.kill_at(2, SimTime::from_nanos(total * 75 / 100));
     let mut cfg4 = config(4, 2);
     cfg4.faults = Some(plan.clone());
     cfg4.resilience = Some(res(4, hb));
@@ -1494,8 +1428,7 @@ fn recovery_falls_back_the_configured_retention_depth() {
         scrub_period: None,
         ..IntegrityConfig::default()
     });
-    let (seen, retained, report) = run(cfg4, true);
-    assert_eq!(seen, 96, "exact results after the deep fallback");
+    let (retained, report) = run(cfg4, true);
     assert_eq!(retained, 4, "keep=4 retains four checkpoints");
     let g = &report.monitor.integrity;
     assert!(
@@ -1518,8 +1451,7 @@ fn recovery_falls_back_the_configured_retention_depth() {
         scrub_period: None,
         ..IntegrityConfig::default()
     });
-    let (seen, retained, report) = run(cfg2, true);
-    assert_eq!(seen, 96, "the restarted run still produces exact results");
+    let (retained, report) = run(cfg2, true);
     assert_eq!(retained, 2, "keep=2 retains two checkpoints");
     let r = &report.monitor.resilience;
     assert_eq!(
@@ -1556,7 +1488,7 @@ fn mid_drain_kill_recovers_from_last_committed_checkpoint() {
     };
     let mut cfg = config(4, 2);
     cfg.resilience = Some(res(SimDuration::from_micros(50)));
-    let (_, clean) = bump_roundtrip(cfg, 2);
+    let clean = bump_roundtrip(cfg, 2);
     let total = clean.finish_time.as_nanos();
 
     let mut plan = FaultPlan::new(0x70c4);
@@ -1564,8 +1496,7 @@ fn mid_drain_kill_recovers_from_last_committed_checkpoint() {
     let mut cfg = config(4, 2);
     cfg.faults = Some(plan);
     cfg.resilience = Some(res(SimDuration::from_nanos((total / 100).max(100))));
-    let (seen, report) = bump_roundtrip(cfg, 2);
-    assert_eq!(seen, 96, "exact results after the torn drain");
+    let report = bump_roundtrip(cfg, 2);
     let r = &report.monitor.resilience;
     assert!(
         r.ckpt_torn >= 1,

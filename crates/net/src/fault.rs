@@ -21,14 +21,14 @@
 //!   otherwise identical run, and the three arms are statistically
 //!   independent.
 //!
-//! The plan is consulted by [`Network::try_transfer`] and the
-//! retry wrapper [`Network::transfer_with_retry`]; the plain infallible
+//! The plan is consulted by [`Network::try_transfer_frame`] and the
+//! retry wrapper [`Network::transfer_with_retry_frame`]; the plain infallible
 //! [`Network::transfer`] ignores it, so baselines that model a reliable
 //! fabric (e.g. the MPI port) are unaffected.
 //!
 //! [`Network::transfer`]: crate::Network::transfer
-//! [`Network::try_transfer`]: crate::Network::try_transfer
-//! [`Network::transfer_with_retry`]: crate::Network::transfer_with_retry
+//! [`Network::try_transfer_frame`]: crate::Network::try_transfer_frame
+//! [`Network::transfer_with_retry_frame`]: crate::Network::transfer_with_retry_frame
 
 use std::collections::BTreeMap;
 
@@ -216,9 +216,9 @@ impl FaultPlan {
 /// A failed attempt is detected after `ack_timeout` (the sender waited
 /// for an acknowledgement that never came), then the sender backs off
 /// `base_backoff · 2^(attempt-1)` before retrying — all billed on the
-/// simulated clock by [`Network::transfer_with_retry`].
+/// simulated clock by [`Network::transfer_with_retry_frame`].
 ///
-/// [`Network::transfer_with_retry`]: crate::Network::transfer_with_retry
+/// [`Network::transfer_with_retry_frame`]: crate::Network::transfer_with_retry_frame
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
     /// Maximum number of attempts (including the first). At least 1.

@@ -97,7 +97,7 @@ pub struct TrafficStats {
     pub dropped: u64,
     /// Messages delivered late because of an injected delay.
     pub delayed: u64,
-    /// Retry attempts made by [`Network::transfer_with_retry`].
+    /// Retry attempts made by [`Network::transfer_with_retry_frame`].
     pub retries: u64,
     /// Simulated nanoseconds spent in ack timeouts and backoff.
     pub backoff_ns: u64,
@@ -275,23 +275,13 @@ impl<T: Topology> Network<T> {
     ///   [`TransferFault::Dropped`].
     /// - An injected delay postpones arrival past the cost model's time.
     ///
+    /// - A corruption is made visible: the returned [`Delivered`] carries
+    ///   an `intact` flag, and with integrity enabled a corrupt arrival is
+    ///   refused as [`TransferFault::Corrupted`] after billing the full
+    ///   transfer (the bytes did cross the wire — the receiver just
+    ///   refuses to consume them once the checksum fails).
+    ///
     /// Without a fault plan this is exactly [`Network::transfer`].
-    pub fn try_transfer(
-        &mut self,
-        now: SimTime,
-        src: NodeId,
-        dst: NodeId,
-        bytes: usize,
-    ) -> Result<SimTime, TransferFault> {
-        self.try_transfer_frame(now, src, dst, bytes).map(|d| d.at)
-    }
-
-    /// [`Network::try_transfer`] with corruption made visible: the
-    /// returned [`Delivered`] carries an `intact` flag, and with
-    /// integrity enabled a corrupt arrival is refused as
-    /// [`TransferFault::Corrupted`] after billing the full transfer (the
-    /// bytes did cross the wire — the receiver just refuses to consume
-    /// them once the checksum fails).
     pub fn try_transfer_frame(
         &mut self,
         now: SimTime,
@@ -380,7 +370,7 @@ impl<T: Topology> Network<T> {
     /// tiny priority datagram that bypasses both NIC queues — it never
     /// waits behind bulk data and occupies no serialization resources —
     /// paying wire latency only. The fault plan applies exactly as for
-    /// [`Network::try_transfer`] (dead endpoints refuse it, drops lose
+    /// [`Network::try_transfer_frame`] (dead endpoints refuse it, drops lose
     /// it, injected delays postpone it, and the generator draws advance
     /// identically), so probes and data see the same fault schedule.
     ///
@@ -440,27 +430,14 @@ impl<T: Topology> Network<T> {
         }
     }
 
-    /// [`Network::try_transfer`] wrapped in bounded retry with exponential
-    /// backoff: every failed attempt is noticed after the policy's ack
-    /// timeout, the sender backs off, and the retry is billed at the later
-    /// simulated time. Transient drops are masked up to
+    /// [`Network::try_transfer_frame`] wrapped in bounded retry with
+    /// exponential backoff: every failed attempt is noticed after the
+    /// policy's ack timeout, the sender backs off, and the retry is billed
+    /// at the later simulated time. Transient drops are masked up to
     /// `policy.max_attempts`; dead endpoints fail immediately — telling a
     /// crashed peer from a lossy link is the failure detector's job, not
-    /// the transport's.
-    pub fn transfer_with_retry(
-        &mut self,
-        now: SimTime,
-        src: NodeId,
-        dst: NodeId,
-        bytes: usize,
-        policy: &RetryPolicy,
-    ) -> Result<SimTime, TransferFault> {
-        self.transfer_with_retry_frame(now, src, dst, bytes, policy)
-            .map(|d| d.at)
-    }
-
-    /// [`Network::transfer_with_retry`] with corruption made visible.
-    /// Detected corruptions ([`TransferFault::Corrupted`], integrity on)
+    /// the transport's. Detected corruptions
+    /// ([`TransferFault::Corrupted`], integrity on)
     /// are re-requested under the same bounded backoff as drops — the
     /// receiver noticed the bad checksum after the full transfer, so the
     /// re-request is billed from the (later) failed arrival, counted
@@ -515,26 +492,9 @@ impl<T: Topology> Network<T> {
     /// covers every byte, and the fault plan's verdict applies to the
     /// batch as a unit (a retry re-bills the entire flush; a definitive
     /// loss fails every member). Accounted under the batch counters in
-    /// [`TrafficStats`] on top of the ordinary remote tally.
-    #[allow(clippy::too_many_arguments)]
-    pub fn transfer_batch(
-        &mut self,
-        now: SimTime,
-        src: NodeId,
-        dst: NodeId,
-        total_bytes: usize,
-        msgs: u64,
-        cause: FlushCause,
-        policy: &RetryPolicy,
-    ) -> Result<SimTime, TransferFault> {
-        self.transfer_batch_frame(now, src, dst, total_bytes, msgs, cause, policy)
-            .map(|d| d.at)
-    }
-
-    /// [`Network::transfer_batch`] with corruption made visible. The
-    /// fault plan's verdict — including a corruption — applies to the
-    /// whole flush: a detected corrupt batch is re-requested as a unit,
-    /// and an undetected one poisons every member.
+    /// [`TrafficStats`] on top of the ordinary remote tally. A corruption
+    /// verdict applies to the whole flush too: a detected corrupt batch is
+    /// re-requested as a unit, and an undetected one poisons every member.
     #[allow(clippy::too_many_arguments)]
     pub fn transfer_batch_frame(
         &mut self,
@@ -638,7 +598,7 @@ mod tests {
     fn try_transfer_without_plan_matches_transfer() {
         let mut a = net(2);
         let mut b = net(2);
-        let r1 = a.try_transfer(t(0), 0, 1, 4096).unwrap();
+        let r1 = a.try_transfer_frame(t(0), 0, 1, 4096).unwrap().at;
         let r2 = b.transfer(t(0), 0, 1, 4096);
         assert_eq!(r1, r2);
     }
@@ -650,13 +610,13 @@ mod tests {
         let mut plan = FaultPlan::new(1);
         plan.kill_at(3, t(100));
         n.install_faults(plan);
-        assert!(n.try_transfer(t(0), 0, 3, 64).is_ok());
+        assert!(n.try_transfer_frame(t(0), 0, 3, 64).is_ok());
         assert_eq!(
-            n.try_transfer(t(100), 0, 3, 64),
+            n.try_transfer_frame(t(100), 0, 3, 64),
             Err(TransferFault::ReceiverDead)
         );
         assert_eq!(
-            n.try_transfer(t(100), 3, 0, 64),
+            n.try_transfer_frame(t(100), 3, 0, 64),
             Err(TransferFault::SenderDead)
         );
         assert_eq!(n.stats().undeliverable, 2);
@@ -675,7 +635,7 @@ mod tests {
         };
         let mut delivered = 0;
         for i in 0..50 {
-            if n.transfer_with_retry(t(i * 10_000), 0, 1, 256, &policy).is_ok() {
+            if n.transfer_with_retry_frame(t(i * 10_000), 0, 1, 256, &policy).is_ok() {
                 delivered += 1;
             }
         }
@@ -696,7 +656,7 @@ mod tests {
             ..RetryPolicy::default()
         };
         assert_eq!(
-            n.transfer_with_retry(t(0), 0, 1, 256, &policy),
+            n.transfer_with_retry_frame(t(0), 0, 1, 256, &policy),
             Err(TransferFault::Dropped)
         );
         assert_eq!(n.stats().dropped, 3);
@@ -709,8 +669,8 @@ mod tests {
         let clean = net(2).estimate(t(0), 0, 1, 1_000);
         let mut n = net(2);
         n.install_faults(FaultPlan::new(2).with_delay(1.0, SimDuration::from_nanos(5_000)));
-        let arrival = n.try_transfer(t(0), 0, 1, 1_000).unwrap();
-        assert_eq!(arrival.as_nanos(), clean.as_nanos() + 5_000);
+        let arrival = n.try_transfer_frame(t(0), 0, 1, 1_000).unwrap();
+        assert_eq!(arrival.at.as_nanos(), clean.as_nanos() + 5_000);
         assert_eq!(n.stats().delayed, 1);
     }
 
@@ -726,7 +686,7 @@ mod tests {
             max_attempts: 3,
             ..RetryPolicy::default()
         };
-        let _ = n.transfer_with_retry(t(0), 0, 1, 256, &policy);
+        let _ = n.transfer_with_retry_frame(t(0), 0, 1, 256, &policy);
         let trace = sink.take().unwrap();
         let drops = trace.events.iter().filter(|e| e.kind.name() == "drop").count();
         let retries = trace.events.iter().filter(|e| e.kind.name() == "retry").count();
@@ -749,8 +709,9 @@ mod tests {
         // Batched: one latency over the summed payload.
         let mut batched = net(2);
         let one = batched
-            .transfer_batch(t(0), 0, 1, n_msgs * b, n_msgs as u64, FlushCause::Window, &policy)
+            .transfer_batch_frame(t(0), 0, 1, n_msgs * b, n_msgs as u64, FlushCause::Window, &policy)
             .unwrap()
+            .at
             .as_nanos();
         // (n-1) wire latencies are saved; NIC occupancy still covers every
         // byte (serialization of n·b differs from n·ser(b) only by ns-level
@@ -775,9 +736,11 @@ mod tests {
         let policy = RetryPolicy::default();
         let mut a = net(2);
         let mut b = net(2);
-        let single = a.transfer_with_retry(t(0), 0, 1, 4_096, &policy).unwrap();
+        let single = a
+            .transfer_with_retry_frame(t(0), 0, 1, 4_096, &policy)
+            .unwrap();
         let batch = b
-            .transfer_batch(t(0), 0, 1, 4_096, 1, FlushCause::Msgs, &policy)
+            .transfer_batch_frame(t(0), 0, 1, 4_096, 1, FlushCause::Msgs, &policy)
             .unwrap();
         assert_eq!(single, batch);
         assert_eq!(b.stats().flushes_by_cause, [0, 0, 1]);
@@ -793,7 +756,7 @@ mod tests {
         let mut n = net(2);
         n.install_faults(FaultPlan::new(4).with_drop_rate(1.0));
         assert_eq!(
-            n.transfer_batch(t(0), 0, 1, 8_192, 4, FlushCause::Bytes, &policy),
+            n.transfer_batch_frame(t(0), 0, 1, 8_192, 4, FlushCause::Bytes, &policy),
             Err(TransferFault::Dropped)
         );
         let s = n.stats();
@@ -818,7 +781,7 @@ mod tests {
         let s = n.stats();
         assert_eq!((s.corrupted, s.corrupt_undetected, s.corrupt_detected), (1, 1, 0));
         // The legacy API consumes it silently — the pre-integrity world.
-        assert!(n.try_transfer(t(0), 0, 1, 1_000).is_ok());
+        assert!(n.try_transfer_frame(t(0), 0, 1, 1_000).is_ok());
         assert_eq!(n.stats().corrupt_undetected, 2);
     }
 

@@ -106,7 +106,7 @@ proptest! {
         let total: usize = sizes.iter().sum();
         let mut nb = net(64);
         let batch_end = nb
-            .transfer_batch(
+            .transfer_batch_frame(
                 t(0),
                 src,
                 dst,
@@ -115,7 +115,8 @@ proptest! {
                 FlushCause::Window,
                 &RetryPolicy::default(),
             )
-            .expect("no faults installed");
+            .expect("no faults installed")
+            .at;
         let batch_price = (batch_end - t(0)).as_nanos();
         let sum_of_parts: u64 = sizes.iter().map(|&b| solo_price(src, dst, b)).sum();
         prop_assert!(
@@ -144,7 +145,7 @@ proptest! {
         }
         let mut nb = net(64);
         let batch_end = nb
-            .transfer_batch(
+            .transfer_batch_frame(
                 t(0),
                 src,
                 dst,
@@ -153,7 +154,8 @@ proptest! {
                 FlushCause::Msgs,
                 &RetryPolicy::default(),
             )
-            .expect("no faults installed");
+            .expect("no faults installed")
+            .at;
         prop_assert_eq!((batch_end - t(0)).as_nanos(), solo_price(src, dst, bytes));
     }
 }

@@ -2,25 +2,20 @@
 //! `crates/net` plus region coalescing in the staging planner): batching
 //! is a *pricing* optimization and must be invisible to the application.
 //! Batched and unbatched runs of the same program produce bit-identical
-//! results and identical task monitors; the randomized program family
-//! exercised here satisfies the five model properties of Section 2.5; and
-//! on the TPC-shaped workload — the one the paper blames on per-message
+//! results and identical task monitors (the Section 2.5 invariants are
+//! checked by the runtime itself at every boundary of every run here);
+//! and on the TPC-shaped workload — the one the paper blames on per-message
 //! overhead (Section 4.2) — batching must never make the simulated
 //! makespan worse.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+mod common;
 
 use allscale_apps::{stencil, tpc};
-use allscale_core::{
-    pfor, BatchParams, FaultPlan, Grid, IntegrityConfig, PforSpec, Requirement, ResilienceConfig,
-    RoundRobinPolicy, RtConfig, RtCtx, RunReport, Runtime, TaskValue, TraceConfig, WorkItem,
-};
-use allscale_des::{SimDuration, SimTime};
+use allscale_core::{BatchParams, FaultPlan, RoundRobinPolicy, RtConfig, RunReport, TraceConfig};
+use allscale_des::SimTime;
 use allscale_net::{FatTree, FlushCause, NetParams, Network, RetryPolicy, Verdict};
-use allscale_model as model;
-use allscale_region::{BoxRegion, Region};
 use allscale_trace::{EventKind, TransferPurpose};
+use common::{Program, ProgramSpec, Scenario};
 
 /// Deterministic xorshift64 PRNG — the shared kernel, stream-compatible
 /// with the copy this harness historically inlined.
@@ -136,121 +131,27 @@ fn randomized_programs_agree_under_chaotic_placement() {
 
 // ------------------------------------------------ chaos program (migrations)
 
-const CHAOS_N: i64 = 96;
-const CHAOS_STEPS: usize = 4;
-
-/// A randomized program with spontaneous migrations at every phase
-/// boundary (the runtime analogue of the model driver's chaos schedules):
-/// fill, bump every cell once per step with a random region migration
-/// before each step, then read back exact values. The readback fails loud
-/// if batching ever lost, duplicated, or stale-served a byte.
-fn run_chaos(
-    seed: u64,
-    batching: Option<BatchParams>,
-    faults: Option<FaultPlan>,
-    resilience: Option<ResilienceConfig>,
-    integrity: Option<IntegrityConfig>,
-) -> RunReport {
-    let nodes = 4usize;
-    let grid: Rc<RefCell<Option<Grid<f64, 1>>>> = Rc::new(RefCell::new(None));
-    let gc = grid.clone();
-    let mut cfg = RtConfig::test(nodes, 2);
-    cfg.faults = faults;
-    cfg.resilience = resilience;
-    cfg.integrity = integrity;
-    if let Some(bp) = batching {
-        cfg = cfg.with_batching(bp);
+/// A program with spontaneous migrations at every phase boundary (the
+/// runtime analogue of the model driver's chaos schedules): fill, four
+/// add phases with a random region migration before each, then an exact
+/// read-back — `Scenario::run` fails loud if batching ever lost,
+/// duplicated, or stale-served a byte.
+fn chaos(seed: u64, batching: bool) -> Scenario {
+    Scenario {
+        program: Program::Grid(ProgramSpec::bumps(4)),
+        migrations: true,
+        batching,
+        ..Scenario::new(seed)
     }
-    let runtime = Runtime::new(cfg);
-    runtime.run(
-        move |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
-            let violations = ctx.verify_consistency();
-            assert!(
-                violations.is_empty(),
-                "seed {seed}, phase {phase}: {violations:?}"
-            );
-            if phase == 0 {
-                let g = Grid::<f64, 1>::create(ctx, "chaos", [CHAOS_N]);
-                *gc.borrow_mut() = Some(g);
-                return Some(pfor(
-                    PforSpec {
-                        name: "fill",
-                        range: g.full_box(),
-                        grain: 12,
-                        ns_per_point: 3.0,
-                        axis0_pieces: 8,
-                    },
-                    move |tile| vec![Requirement::write(g.id, BoxRegion::from_box(*tile))],
-                    move |tctx, p| g.set(tctx, p.0, p[0] as f64),
-                ));
-            }
-            let g = gc.borrow().unwrap();
-            if phase <= CHAOS_STEPS {
-                let mut rng = XorShift::new(seed.wrapping_mul(0x9e3779b9) ^ phase as u64);
-                let src = rng.below(nodes as u64) as usize;
-                let dst = rng.below(nodes as u64) as usize;
-                if src != dst {
-                    let lo = rng.below(CHAOS_N as u64) as i64;
-                    let len = 1 + rng.below(48) as i64;
-                    let slice = BoxRegion::<1>::cuboid([lo], [(lo + len).min(CHAOS_N)]);
-                    let owned = ctx.owned_region_at(src, g.id);
-                    let owned = owned
-                        .as_any()
-                        .downcast_ref::<BoxRegion<1>>()
-                        .expect("1-D grid region")
-                        .clone();
-                    let moved = owned.intersect(&slice);
-                    if !moved.is_empty() {
-                        ctx.migrate_region(g.id, &moved, src, dst);
-                    }
-                }
-                return Some(pfor(
-                    PforSpec {
-                        name: "bump",
-                        range: g.full_box(),
-                        grain: 12,
-                        ns_per_point: 3.0,
-                        axis0_pieces: 8,
-                    },
-                    move |tile| vec![Requirement::write(g.id, BoxRegion::from_box(*tile))],
-                    move |tctx, p| {
-                        let v = g.get(tctx, p.0);
-                        g.set(tctx, p.0, v + 1.0);
-                    },
-                ));
-            }
-            if phase == CHAOS_STEPS + 1 {
-                return Some(pfor(
-                    PforSpec {
-                        name: "readback",
-                        range: g.full_box(),
-                        grain: 12,
-                        ns_per_point: 1.0,
-                        axis0_pieces: 8,
-                    },
-                    move |tile| vec![Requirement::read(g.id, BoxRegion::from_box(*tile))],
-                    move |tctx, p| {
-                        assert_eq!(
-                            g.get(tctx, p.0),
-                            p[0] as f64 + CHAOS_STEPS as f64,
-                            "seed {seed}: wrong value at {p:?}"
-                        );
-                    },
-                ));
-            }
-            None
-        },
-    )
 }
 
 /// Spontaneous random migrations every phase, batched vs unbatched: exact
-/// readback in both, identical task monitors, and the model invariants
-/// hold at every phase boundary (checked inside `run_chaos`).
+/// readback in both and identical task monitors.
 #[test]
 fn chaotic_migrations_agree_across_batching() {
     for seed in 0..6u64 {
-        let un = run_chaos(seed, None, None, None, None);
-        let ba = run_chaos(seed, Some(BatchParams::default()), None, None, None);
+        let (_, un) = chaos(seed, false).run();
+        let (_, ba) = chaos(seed, true).run();
         assert_task_monitors_identical(&un, &ba, &format!("chaos seed {seed}"));
         assert_eq!(un.traffic.batches, 0);
         assert!(ba.traffic.batches > 0, "seed {seed}: nothing batched");
@@ -258,7 +159,7 @@ fn chaotic_migrations_agree_across_batching() {
 }
 
 /// Verified transfers under a corrupting wire, batching on: the chaos
-/// program still reads back exact values (asserted in-program), the task
+/// program still reads back exact values (asserted by `run`), the task
 /// monitors match the fault-free batched run, every injected corruption
 /// is detected, and detections surface as re-requests — a corrupt flush
 /// is retried, never consumed.
@@ -266,18 +167,13 @@ fn chaotic_migrations_agree_across_batching() {
 fn corrupted_batch_flushes_rerequest_and_agree() {
     let mut corruptions = 0u64;
     for seed in 0..4u64 {
-        let clean = run_chaos(seed, Some(BatchParams::default()), None, None, None);
-        let plan = FaultPlan::new(seed ^ 0xbad_c0de).with_corruption(0.08);
-        let dirty = run_chaos(
-            seed,
-            Some(BatchParams::default()),
-            Some(plan),
-            None,
-            Some(IntegrityConfig {
-                scrub_period: None,
-                ..IntegrityConfig::default()
-            }),
-        );
+        let (_, clean) = chaos(seed, true).run();
+        let (_, dirty) = Scenario {
+            faults: Some(FaultPlan::new(seed ^ 0xbad_c0de).with_corruption(0.08)),
+            integrity: true,
+            ..chaos(seed, true)
+        }
+        .run();
         assert_task_monitors_identical(&clean, &dirty, &format!("corrupt seed {seed}"));
         assert!(dirty.traffic.batches > 0, "seed {seed}: nothing batched");
         let g = &dirty.monitor.integrity;
@@ -317,7 +213,8 @@ fn corrupted_batch_flush_rerequests_as_a_unit() {
         n
     };
     let flush = |n: &mut Network<FatTree>| {
-        n.transfer_batch(t0, 0, 1, 48_000, 6, FlushCause::Window, &policy)
+        n.transfer_batch_frame(t0, 0, 1, 48_000, 6, FlushCause::Window, &policy)
+            .map(|d| d.at)
     };
 
     // Fault-free reference, and the pricing identity: verification is
@@ -358,88 +255,11 @@ fn corrupted_batch_flush_rerequests_as_a_unit() {
     // plain infallible transfer.
     let mut one = mk(None, true);
     let batched_one = one
-        .transfer_batch(t0, 0, 1, 9_000, 1, FlushCause::Msgs, &policy)
-        .expect("no faults installed");
+        .transfer_batch_frame(t0, 0, 1, 9_000, 1, FlushCause::Msgs, &policy)
+        .expect("no faults installed")
+        .at;
     let mut plain = mk(None, false);
     assert_eq!(batched_one, plain.transfer(t0, 0, 1, 9_000));
-}
-
-// ----------------------------------------------------- model properties
-
-/// Random fork-join program over partitioned items, same family as the
-/// runtime programs above: per phase, writers over a random disjoint
-/// partition, then readers over random overlapping subsets.
-fn random_phased_program(rng: &mut XorShift) -> model::Program {
-    use model::{Action, ItemId, ProgramBuilder, TaskId, VariantSpec};
-    let mut b = ProgramBuilder::new();
-    let elems = 8 + 4 * rng.below(3) as u32;
-    b.item(ItemId(0), elems);
-    let mut next_task = 1u32;
-    let mut actions = vec![Action::Create(ItemId(0))];
-    for _phase in 0..1 + rng.below(3) {
-        let k = 2 + rng.below(4);
-        let mut parts: Vec<Vec<u32>> = vec![Vec::new(); k as usize];
-        for e in 0..elems {
-            parts[rng.below(k) as usize].push(e);
-        }
-        let mut wave = Vec::new();
-        for part in parts.into_iter().filter(|p| !p.is_empty()) {
-            let t = TaskId(next_task);
-            next_task += 1;
-            b.variant(
-                t,
-                VariantSpec {
-                    writes: model::program::req(&[(ItemId(0), &part)]),
-                    ..Default::default()
-                },
-            );
-            wave.push(t);
-        }
-        actions.extend(wave.iter().map(|&t| Action::Spawn(t)));
-        actions.extend(wave.iter().map(|&t| Action::Sync(t)));
-        let mut subset: Vec<u32> = (0..elems).filter(|_| rng.below(2) == 0).collect();
-        if subset.is_empty() {
-            subset.push(0);
-        }
-        let t = TaskId(next_task);
-        next_task += 1;
-        b.variant(
-            t,
-            VariantSpec {
-                reads: model::program::req(&[(ItemId(0), &subset)]),
-                ..Default::default()
-            },
-        );
-        actions.push(Action::Spawn(t));
-        actions.push(Action::Sync(t));
-    }
-    b.variant(
-        TaskId(0),
-        VariantSpec {
-            actions,
-            ..Default::default()
-        },
-    );
-    b.build(TaskId(0))
-}
-
-/// The randomized program family exercised by this suite satisfies all
-/// five Section 2.5 properties under chaos schedules — batching lives
-/// strictly below the model's observation level, so conformance of the
-/// family plus bit-identical runtime results pins the layer as sound.
-#[test]
-fn randomized_program_family_satisfies_model_properties() {
-    for seed in 0..8u64 {
-        let mut rng = XorShift::new(seed ^ 0xba7c);
-        let program = random_phased_program(&mut rng);
-        let mut driver = model::Driver::new(seed ^ 0xdead_beef);
-        driver.chaos_percent = 60;
-        let (trace, outcome) =
-            driver.run(&program, model::Architecture::cluster(2 + (seed % 3) as u32, 2));
-        assert_eq!(outcome, model::Outcome::Terminated, "seed {seed}");
-        model::properties::check_all(&program, &trace)
-            .unwrap_or_else(|v| panic!("seed {seed}: {v:?}"));
-    }
 }
 
 // ------------------------------------------------------------- makespan
@@ -569,38 +389,22 @@ fn batch_counters_are_consistent() {
 /// Seeded corruption+death+batching soak: random migrations, a
 /// fail-stop kill, message drops AND wire corruption, with batching and
 /// verified transfers on — recovery must still produce exact readback
-/// (asserted inside the program) and no poison may ever be consumed.
+/// (asserted by `run_killed`) and no poison may ever be consumed.
 /// Finishes in well under a second, so it runs with the suite.
 #[test]
 fn batching_fault_soak() {
     let mut corruptions = 0u64;
     for seed in 0..12u64 {
-        let clean = run_chaos(seed, Some(BatchParams::default()), None, None, None);
-        let total_ns = clean.finish_time.as_nanos();
         let victim = 1 + (seed % 3) as usize;
-        let frac = 25 + (seed % 6) * 11;
-        let mut plan = FaultPlan::new(seed ^ 0x5eed_fa57)
+        let percent = 25 + (seed % 6) * 11;
+        let lossy = FaultPlan::new(seed ^ 0x5eed_fa57)
             .with_drop_rate(0.005)
             .with_corruption(0.01);
-        plan.kill_at(victim, SimTime::from_nanos(total_ns * frac / 100));
-        let resil = ResilienceConfig {
-            checkpoint_every: 1,
-            heartbeat_period: SimDuration::from_nanos((total_ns / 100).max(500)),
-            ..ResilienceConfig::default()
+        let scenario = Scenario {
+            integrity: true,
+            ..chaos(seed, true)
         };
-        let report = run_chaos(
-            seed,
-            Some(BatchParams::default()),
-            Some(plan),
-            Some(resil),
-            Some(IntegrityConfig {
-                scrub_period: None,
-                ..IntegrityConfig::default()
-            }),
-        );
-        let r = &report.monitor.resilience;
-        assert!(r.detections >= 1, "seed {seed}: death undetected ({r:?})");
-        assert!(r.recoveries >= 1, "seed {seed}: no recovery ran ({r:?})");
+        let (_, report) = scenario.run_killed(victim, percent, lossy);
         let g = &report.monitor.integrity;
         assert_eq!(
             g.wire_undetected, 0,

@@ -21,12 +21,14 @@
 //!    with a fresh hash of the bytes, on all four pipelines (the sweep of
 //!    1.) and across rotted chains with checkpoint verification on and off.
 
+mod common;
+
 use allscale_apps::stencil::{allscale_version, StencilConfig};
 use allscale_core::{
-    CheckpointConfig, CkptMode, FaultPlan, IntegrityConfig, ResilienceConfig, RtConfig,
+    CheckpointConfig, CkptMode, FaultPlan, IntegrityConfig, ResilienceConfig, RtConfig, RunReport,
     StorageParams,
 };
-use allscale_des::{SimDuration, SimTime};
+use common::kill_plan;
 
 /// A stencil sized so one time step outlasts a full remote-tier drain
 /// (the regime where an asynchronous drain can hide completely).
@@ -44,6 +46,17 @@ fn resilience(ckpt: CheckpointConfig, every: usize) -> ResilienceConfig {
         ckpt,
         ..ResilienceConfig::default()
     }
+}
+
+/// The test cluster with locality 2 fail-stopping at `percent` % of the
+/// `clean` run (the one kill plan) on top of `lossy`, checkpointing
+/// through `ckpt` at every boundary.
+fn killed(clean: &RunReport, percent: u64, lossy: FaultPlan, ckpt: CheckpointConfig) -> RtConfig {
+    let (faults, resilience) = kill_plan(clean, 2, percent, lossy, resilience(ckpt, 1));
+    let mut rt = RtConfig::test(4, 2);
+    rt.faults = Some(faults);
+    rt.resilience = Some(resilience);
+    rt
 }
 
 #[test]
@@ -133,17 +146,14 @@ fn kill_mid_run_recovery_is_bit_identical() {
     let mut rt = RtConfig::test(4, 2);
     rt.resilience = Some(resilience(CheckpointConfig::default(), 1));
     let (clean, clean_report) = allscale_version::run_with_report(&cfg, rt);
-    let total = clean_report.finish_time.as_nanos();
 
     let faulted = || {
-        let mut plan = FaultPlan::new(0xc4a7);
-        plan.kill_at(2, SimTime::from_nanos(total * 55 / 100));
-        let mut rt = RtConfig::test(4, 2);
-        rt.faults = Some(plan);
-        rt.resilience = Some(ResilienceConfig {
-            heartbeat_period: SimDuration::from_nanos((total / 100).max(1_000)),
-            ..resilience(CheckpointConfig::default(), 1)
-        });
+        let rt = killed(
+            &clean_report,
+            55,
+            FaultPlan::new(0xc4a7),
+            CheckpointConfig::default(),
+        );
         allscale_version::run_with_report(&cfg, rt)
     };
     let (a, ra) = faulted();
@@ -180,18 +190,10 @@ fn mid_drain_kill_sweep_never_restores_torn_state() {
     let mut rt = RtConfig::test(4, 2);
     rt.resilience = Some(resilience(slow, 1));
     let (clean, clean_report) = allscale_version::run_with_report(&cfg, rt);
-    let total = clean_report.finish_time.as_nanos();
 
     let mut torn = 0u64;
     for i in 1..20 {
-        let mut plan = FaultPlan::new(0x50a0 + i);
-        plan.kill_at(2, SimTime::from_nanos(total * i / 20));
-        let mut rt = RtConfig::test(4, 2);
-        rt.faults = Some(plan);
-        rt.resilience = Some(ResilienceConfig {
-            heartbeat_period: SimDuration::from_nanos((total / 200).max(1_000)),
-            ..resilience(slow, 1)
-        });
+        let rt = killed(&clean_report, 5 * i, FaultPlan::new(0x50a0 + i), slow);
         let (res, report) = allscale_version::run_with_report(&cfg, rt);
         assert_eq!(
             res.checksum, clean.checksum,
@@ -223,20 +225,13 @@ fn change_detection_restarts_from_what_a_rotted_chain_restored() {
     let mut rt = RtConfig::test(4, 2);
     rt.resilience = Some(resilience(ckpt, 1));
     let (clean, clean_report) = allscale_version::run_with_report(&cfg, rt);
-    let total = clean_report.finish_time.as_nanos();
 
     let faulted = |seed: u64, rot: f64, verify_checkpoints: bool| {
-        let mut plan = FaultPlan::new(seed).with_rot(rot);
-        plan.kill_at(2, SimTime::from_nanos(total * 70 / 100));
-        let mut rt = RtConfig::test(4, 2).with_integrity(IntegrityConfig {
+        let rt = killed(&clean_report, 70, FaultPlan::new(seed).with_rot(rot), ckpt);
+        let rt = rt.with_integrity(IntegrityConfig {
             verify_checkpoints,
             scrub_period: None,
             ..IntegrityConfig::default()
-        });
-        rt.faults = Some(plan);
-        rt.resilience = Some(ResilienceConfig {
-            heartbeat_period: SimDuration::from_nanos((total / 100).max(1_000)),
-            ..resilience(ckpt, 1)
         });
         allscale_version::run_with_report(&cfg, rt)
     };

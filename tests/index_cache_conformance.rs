@@ -477,8 +477,9 @@ fn migration_invalidates_cached_owner() {
 }
 
 /// End-to-end: a real multi-phase runtime run on the hierarchical index
-/// populates the cache counters in the report, and the distributed state
-/// still satisfies the model invariants.
+/// populates the cache counters in the report (and the distributed state
+/// still satisfies the model invariants: the runtime checks them at every
+/// boundary).
 #[test]
 fn runtime_run_reports_cache_effectiveness() {
     use allscale_core::{
@@ -492,8 +493,6 @@ fn runtime_run_reports_cache_effectiveness() {
     let runtime = Runtime::new(RtConfig::test(4, 2));
     let report = runtime.run(
         move |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
-            let violations = ctx.verify_consistency();
-            assert!(violations.is_empty(), "phase {phase}: {violations:?}");
             if phase >= 4 {
                 return None;
             }

@@ -14,14 +14,22 @@
 //!    every planned write still lands (the oracle again) and the
 //!    offered = completed + shed identity holds.
 
+mod common;
+
 use allscale_apps::serve::{run_with, ServeAppConfig, ServeOutcome};
-use allscale_core::{
-    FaultPlan, ResilienceConfig, RtConfig, SloConfig, StealConfig, TraceConfig,
-};
-use allscale_des::{SimDuration, SimTime};
+use allscale_core::{FaultPlan, ResilienceConfig, RtConfig, SloConfig};
+use common::{kill_plan, Scenario, STEALING};
 
 fn small_cfg() -> ServeAppConfig {
     ServeAppConfig::small()
+}
+
+fn stealing() -> RtConfig {
+    Scenario {
+        sched: STEALING,
+        ..Scenario::new(0)
+    }
+    .rt()
 }
 
 fn run(cfg: &ServeAppConfig, rt: RtConfig) -> ServeOutcome {
@@ -47,9 +55,8 @@ fn same_seed_is_bit_identical_data_aware() {
 #[test]
 fn same_seed_is_bit_identical_work_stealing() {
     let cfg = small_cfg();
-    let rt = || RtConfig::test(4, 2).with_work_stealing(StealConfig::default());
-    let a = run(&cfg, rt()).report.to_json();
-    let b = run(&cfg, rt()).report.to_json();
+    let a = run(&cfg, stealing()).report.to_json();
+    let b = run(&cfg, stealing()).report.to_json();
     assert_eq!(a, b, "work-stealing serving runs must be deterministic too");
 }
 
@@ -60,10 +67,7 @@ fn schedulers_disagree_on_placement_not_on_accounting() {
     // asserts them — and serve the identical request population.
     let cfg = small_cfg();
     let da = run(&cfg, RtConfig::test(4, 2));
-    let ws = run(
-        &cfg,
-        RtConfig::test(4, 2).with_work_stealing(StealConfig::default()),
-    );
+    let ws = run(&cfg, stealing());
     let (a, b) = (&da.report.monitor.serve, &ws.report.monitor.serve);
     assert_eq!(a.offered, b.offered);
     assert_eq!(a.reads, b.reads);
@@ -75,9 +79,11 @@ fn schedulers_disagree_on_placement_not_on_accounting() {
 fn traced_run_equals_untraced_run() {
     let cfg = small_cfg();
     let plain = run(&cfg, RtConfig::test(4, 2));
-    let mut rt = RtConfig::test(4, 2);
-    rt.trace = Some(TraceConfig::default());
-    let traced = run(&cfg, rt);
+    let traced = Scenario {
+        traced: true,
+        ..Scenario::new(0)
+    };
+    let traced = run(&cfg, traced.rt());
     assert_eq!(
         plain.report.to_json(),
         traced.report.to_json(),
@@ -99,18 +105,18 @@ fn failstop_kill_mid_serving_loses_no_acknowledged_write() {
     // Clean run first, to learn the duration and place the kill inside
     // the serving phase (which dominates the run).
     let clean = run(&cfg, RtConfig::test(4, 2));
-    let total_ns = clean.report.finish_time.as_nanos();
-    let kill_at = SimTime::from_nanos(total_ns * 6 / 10);
-
-    let mut plan = FaultPlan::new(7);
-    plan.kill_at(2, kill_at);
-    let mut rt = RtConfig::test(4, 2);
-    rt.faults = Some(plan);
-    rt.resilience = Some(ResilienceConfig {
-        checkpoint_every: 1,
-        heartbeat_period: SimDuration::from_nanos((total_ns / 100).max(1_000)),
-        ..ResilienceConfig::default()
-    });
+    let (faults, ckpt) = kill_plan(
+        &clean.report,
+        2,
+        60,
+        FaultPlan::new(7),
+        ResilienceConfig::default(),
+    );
+    let faulty = Scenario {
+        faults: Some(faults),
+        ckpt: Some(ckpt),
+        ..Scenario::new(0)
+    };
 
     // `run_with` asserts the write oracle over the surviving localities'
     // owned regions — a lost acknowledged write panics in there. The
@@ -118,7 +124,7 @@ fn failstop_kill_mid_serving_loses_no_acknowledged_write() {
     // the rewound phase's replay (like the other re-execution counters),
     // so `offered` exceeds the configured request count by however many
     // arrivals the aborted first attempt had already injected.
-    let out = run_with(&cfg, rt);
+    let out = run_with(&cfg, faulty.rt());
     let v = &out.report.monitor.serve;
     assert!(
         v.offered > cfg.requests,
@@ -175,34 +181,30 @@ fn mid_drain_kill_loses_no_acknowledged_write() {
     // recover from the last *committed* checkpoint — and the write
     // oracle inside `run_with` still proves no acknowledged write lost.
     let cfg = small_cfg();
-    let ckpt = |storage: StorageParams| CheckpointConfig {
-        storage,
-        ..CheckpointConfig::default()
-    };
-    let slow = StorageParams {
-        remote_write_bps: 0.5e6,
-        ..StorageParams::default()
-    };
-    let mut rt = RtConfig::test(4, 2);
-    rt.resilience = Some(ResilienceConfig {
+    let slow_drains = ResilienceConfig {
         checkpoint_every: 1,
-        ckpt: ckpt(slow),
+        ckpt: CheckpointConfig {
+            storage: StorageParams {
+                remote_write_bps: 0.5e6,
+                ..StorageParams::default()
+            },
+            ..CheckpointConfig::default()
+        },
         ..ResilienceConfig::default()
-    });
-    let clean = run_with(&cfg, rt);
-    let total_ns = clean.report.finish_time.as_nanos();
+    };
+    let checkpointed = Scenario {
+        ckpt: Some(slow_drains),
+        ..Scenario::new(0)
+    };
+    let clean = run_with(&cfg, checkpointed.rt());
 
-    let mut plan = FaultPlan::new(0xd4a1);
-    plan.kill_at(2, SimTime::from_nanos(total_ns * 15 / 100));
-    let mut rt = RtConfig::test(4, 2);
-    rt.faults = Some(plan);
-    rt.resilience = Some(ResilienceConfig {
-        checkpoint_every: 1,
-        ckpt: ckpt(slow),
-        heartbeat_period: SimDuration::from_nanos((total_ns / 100).max(1_000)),
-        ..ResilienceConfig::default()
-    });
-    let out = run_with(&cfg, rt);
+    let (faults, ckpt) = kill_plan(&clean.report, 2, 15, FaultPlan::new(0xd4a1), slow_drains);
+    let faulty = Scenario {
+        faults: Some(faults),
+        ckpt: Some(ckpt),
+        ..checkpointed
+    };
+    let out = run_with(&cfg, faulty.rt());
     let v = &out.report.monitor.serve;
     assert!(
         v.completed + v.shed >= cfg.requests,

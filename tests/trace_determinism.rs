@@ -13,42 +13,45 @@
 //! batched run must be exactly as deterministic and observer-free as an
 //! unbatched one.
 
+mod common;
+
 use allscale_apps::serve::{run_with as run_serve, ServeAppConfig};
 use allscale_apps::stencil::{allscale_version, StencilConfig};
-use allscale_core::{
-    BatchParams, FaultPlan, ResilienceConfig, RtConfig, RunReport, StealConfig, TraceConfig,
-};
-use allscale_des::{SimDuration, SimTime};
+use allscale_core::{FaultPlan, ResilienceConfig, RtConfig, RunReport, TraceConfig};
+use common::{kill_plan, Scenario, STEALING};
 
 fn run_stencil(nodes: usize, traced: bool) -> RunReport {
     run_stencil_batched(nodes, traced, false)
 }
 
-fn run_stencil_batched(nodes: usize, traced: bool, batched: bool) -> RunReport {
+fn run_stencil_batched(nodes: usize, traced: bool, batching: bool) -> RunReport {
+    let services = Scenario {
+        traced,
+        batching,
+        ..Scenario::new(0)
+    };
     let cfg = StencilConfig::small(nodes);
-    let mut rt_cfg = RtConfig::meggie(nodes);
-    if traced {
-        rt_cfg.trace = Some(TraceConfig::default());
-    }
-    if batched {
-        rt_cfg = rt_cfg.with_batching(BatchParams::default());
-    }
+    let rt_cfg = services.configure(RtConfig::meggie(nodes));
     let (result, report) = allscale_version::run_with_report(&cfg, rt_cfg);
     assert!(result.validated, "stencil must match the oracle");
     report
 }
 
+/// The services of the work-stealing variant.
+fn stealing(traced: bool) -> Scenario {
+    Scenario {
+        sched: STEALING,
+        traced,
+        ..Scenario::new(0)
+    }
+}
+
 /// The work-stealing variant: one node degraded to quarter speed so the
 /// steal protocol genuinely engages (requests, grants, denies on the
-/// wire), optionally with fault injection + checkpointed resilience.
-fn run_stencil_stealing(
-    nodes: usize,
-    traced: bool,
-    faults: Option<FaultPlan>,
-    resilience: Option<ResilienceConfig>,
-) -> RunReport {
+/// wire), with whatever fault plan and checkpointing `services` carries.
+fn run_stencil_stealing(nodes: usize, services: &Scenario) -> RunReport {
     let cfg = StencilConfig::small(nodes);
-    let mut rt_cfg = RtConfig::meggie(nodes).with_work_stealing(StealConfig::default());
+    let mut rt_cfg = services.configure(RtConfig::meggie(nodes));
     // Few slots per node so per-locality queues actually back up (the
     // meggie spec's 20 cores would swallow the whole phase into slots).
     rt_cfg.spec.cores_per_node = 2;
@@ -57,11 +60,6 @@ fn run_stencil_stealing(
         f[nodes - 1] = 0.25;
         f
     };
-    if traced {
-        rt_cfg.trace = Some(TraceConfig::default());
-    }
-    rt_cfg.faults = faults;
-    rt_cfg.resilience = resilience;
     let (result, report) = allscale_version::run_with_report(&cfg, rt_cfg);
     assert!(result.validated, "stencil must match the oracle");
     report
@@ -175,8 +173,8 @@ fn batched_tracing_does_not_perturb_the_run() {
 
 #[test]
 fn work_stealing_runs_export_byte_identical_chrome_json() {
-    let a = run_stencil_stealing(4, true, None, None);
-    let b = run_stencil_stealing(4, true, None, None);
+    let a = run_stencil_stealing(4, &stealing(true));
+    let b = run_stencil_stealing(4, &stealing(true));
     let (ta, tb) = (a.trace.as_ref().unwrap(), b.trace.as_ref().unwrap());
     assert_eq!(ta.len(), tb.len(), "event counts must match");
     let json = ta.to_chrome_json();
@@ -197,8 +195,8 @@ fn work_stealing_runs_export_byte_identical_chrome_json() {
 
 #[test]
 fn work_stealing_tracing_does_not_perturb_the_run() {
-    let traced = run_stencil_stealing(4, true, None, None);
-    let untraced = run_stencil_stealing(4, false, None, None);
+    let traced = run_stencil_stealing(4, &stealing(true));
+    let untraced = run_stencil_stealing(4, &stealing(false));
     assert!(traced.trace.is_some() && untraced.trace.is_none());
     assert_eq!(traced.finish_time, untraced.finish_time);
     assert_eq!(traced.phases, untraced.phases);
@@ -222,27 +220,22 @@ fn work_stealing_tracing_does_not_perturb_the_run() {
 fn steal_kill_recover_soak() {
     const NODES: usize = 4;
     for seed in 0..6u64 {
-        let clean = run_stencil_stealing(NODES, false, None, None);
-        let total_ns = clean.finish_time.as_nanos();
-        assert!(total_ns > 0);
+        let clean = run_stencil_stealing(NODES, &stealing(false));
 
         // Kill a random non-detector, non-degraded locality somewhere
         // in 25%–75% of the failure-free duration.
         let victim = 1 + (seed % (NODES as u64 - 2)) as usize;
-        let frac = 25 + (seed % 6) * 10;
-        let faults = || {
-            let mut plan = FaultPlan::new(seed ^ 0x57ea_1f00d).with_drop_rate(0.003);
-            plan.kill_at(victim, SimTime::from_nanos(total_ns * frac / 100));
-            plan
-        };
-        let resil = ResilienceConfig {
-            checkpoint_every: 1,
-            heartbeat_period: SimDuration::from_nanos((total_ns / 100).max(500)),
-            ..ResilienceConfig::default()
+        let percent = 25 + (seed % 6) * 10;
+        let lossy = FaultPlan::new(seed ^ 0x57ea_1f00d).with_drop_rate(0.003);
+        let (faults, ckpt) = kill_plan(&clean, victim, percent, lossy, ResilienceConfig::default());
+        let faulty = Scenario {
+            faults: Some(faults),
+            ckpt: Some(ckpt),
+            ..stealing(true)
         };
 
-        let a = run_stencil_stealing(NODES, true, Some(faults()), Some(resil));
-        let b = run_stencil_stealing(NODES, true, Some(faults()), Some(resil));
+        let a = run_stencil_stealing(NODES, &faulty);
+        let b = run_stencil_stealing(NODES, &faulty);
         let r = &a.monitor.resilience;
         assert!(
             r.detections >= 1 && r.recoveries >= 1,

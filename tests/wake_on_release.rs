@@ -14,18 +14,20 @@
 //!   with exact results under batching, work stealing, lossy links and
 //!   fail-stop kills, where a missed wake source would deadlock.
 
+mod common;
+
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use allscale_apps::serve::{run_with, ServeAppConfig};
 use allscale_apps::stencil::{self, StencilConfig};
 use allscale_core::{
-    pfor, BatchParams, FaultPlan, Grid, IntegrityConfig, PforSpec, Requirement, ResilienceConfig,
-    RtConfig, RtCtx, RunReport, Runtime, SloConfig, StealConfig, TaskValue, WorkItem,
+    pfor, FaultPlan, Grid, PforSpec, Requirement, ResilienceConfig, RtConfig, RtCtx, RunReport,
+    Runtime, SloConfig, TaskValue, WorkItem,
 };
-use allscale_des::rng::XorShift64;
-use allscale_des::{SimDuration, SimTime};
-use allscale_region::{fnv1a_64, BoxRegion, GridBox, Region};
+use allscale_des::SimDuration;
+use allscale_region::{fnv1a_64, BoxRegion};
+use common::{Contended, Program, Scenario, STEALING};
 
 fn total_conflicts(r: &RunReport) -> u64 {
     r.monitor
@@ -157,186 +159,34 @@ const PINNED_SMALL: Pinned = Pinned {
 
 // ------------------------------------------------------ (c) no lost wake-ups
 
-/// One randomized, *contended* multi-phase program. Two grids ping-pong
-/// a 3-point sum (each tile reads its neighbours' cells — replicas, so
-/// the next phase's writers wait behind export fences), and every point
-/// also increments one of a handful of shared counter cells (tiles on
-/// different localities write the same cell — the cell's ownership
-/// migrates from task to task and everybody else waits behind the
-/// holder's lock or the inbound-migration fence). All values are small
-/// integers, exact in `f64`, and increments commute, so the result is a
-/// pure function of the spec whatever order tasks are woken in.
-#[derive(Clone, Debug)]
-struct Contended {
-    n: i64,
-    grain: u64,
-    pieces: u64,
-    counters: i64,
-    stride: i64,
-    phases: usize,
-}
-
-impl Contended {
-    fn draw(seed: u64) -> Self {
-        let mut rng = XorShift64::new(seed ^ 0xa11_5ca1e);
-        Contended {
-            n: 48 + 16 * rng.below(3) as i64,
-            grain: 6 + 2 * rng.below(3),
-            pieces: 4 + rng.below(5),
-            counters: 1 + rng.below(3) as i64,
-            stride: 5 + rng.below(7) as i64,
-            phases: 2 + rng.below(3) as usize,
-        }
-    }
-
-    fn counter_of(&self, i: i64) -> i64 {
-        (i / self.stride) % self.counters
-    }
-
-    /// The counter cells the points of `tile` increment.
-    fn counter_region(&self, tile: &GridBox<1>) -> BoxRegion<1> {
-        (tile.lo()[0]..tile.hi()[0])
-            .map(|i| self.counter_of(i))
-            .fold(BoxRegion::empty(), |acc, k| {
-                acc.union(&BoxRegion::cuboid([k], [k + 1]))
-            })
-    }
-
-    /// Final field and counters, computed sequentially.
-    fn expected(&self) -> (Vec<f64>, Vec<f64>) {
-        let n = self.n as usize;
-        let mut cur: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        for _ in 0..self.phases {
-            cur = (0..n)
-                .map(|i| {
-                    let left = if i > 0 { cur[i - 1] } else { 0.0 };
-                    let right = if i + 1 < n { cur[i + 1] } else { 0.0 };
-                    left + cur[i] + right
-                })
-                .collect();
-        }
-        let mut counts = vec![0.0; self.counters as usize];
-        for i in 0..self.n {
-            counts[self.counter_of(i) as usize] += self.phases as f64;
-        }
-        (cur, counts)
-    }
-}
-
-/// Run the contended program of `seed` on 4×2 cores and check it against
-/// the sequential oracle. Returning at all is the no-deadlock assertion:
+/// The contended program of `seed` (`common::Contended`: neighbour reads
+/// behind export fences, shared counter cells whose ownership hops from
+/// writer to writer). `Scenario::run` checks it against the sequential
+/// oracle, and returning at all is the no-deadlock assertion:
 /// `Runtime::run` panics with the wait-for listing when the event queue
 /// drains with tasks left.
-fn run_contended(seed: u64, rt: RtConfig) -> RunReport {
-    let spec = Contended::draw(seed);
-    let (n, phases) = (spec.n, spec.phases);
-    let grids: Rc<RefCell<Option<[Grid<f64, 1>; 3]>>> = Rc::new(RefCell::new(None));
-    let field = Rc::new(RefCell::new(vec![f64::NAN; n as usize]));
-    let counts = Rc::new(RefCell::new(vec![f64::NAN; spec.counters as usize]));
-    let (gc, fc, cc, sp) = (grids.clone(), field.clone(), counts.clone(), spec.clone());
-
-    let report = Runtime::new(rt).run(
-        move |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
-            let violations = ctx.verify_consistency();
-            assert!(
-                violations.is_empty(),
-                "seed {seed}, phase {phase}: {violations:?}"
-            );
-            let universe = GridBox::from_shape([n]).expect("non-empty grid");
-            let tiles = |name, ns_per_point| PforSpec {
-                name,
-                range: universe,
-                grain: sp.grain,
-                ns_per_point,
-                axis0_pieces: sp.pieces,
-            };
-            if phase == 0 {
-                let a = Grid::<f64, 1>::create(ctx, "a", [n]);
-                let b = Grid::<f64, 1>::create(ctx, "b", [n]);
-                let c = Grid::<f64, 1>::create(ctx, "counters", [sp.counters]);
-                *gc.borrow_mut() = Some([a, b, c]);
-                return Some(pfor(
-                    tiles("fill", 2.0),
-                    move |tile| vec![Requirement::write(a.id, BoxRegion::from_box(*tile))],
-                    move |t, p| a.set(t, p.0, p[0] as f64),
-                ));
-            }
-            let [a, b, c] = gc.borrow().expect("grids created in phase 0");
-            // Phase k reads the grid phase k-1 wrote.
-            let (src, dst) = if phase % 2 == 1 { (a, b) } else { (b, a) };
-            if phase <= phases {
-                let (s1, s2) = (sp.clone(), sp.clone());
-                return Some(pfor(
-                    tiles("sum3", 3.0),
-                    move |tile| {
-                        let own = BoxRegion::from_box(*tile);
-                        vec![
-                            Requirement::read(src.id, own.dilate_within(1, &universe)),
-                            Requirement::write(dst.id, own),
-                            Requirement::write(c.id, s1.counter_region(tile)),
-                        ]
-                    },
-                    move |t, p| {
-                        let i = p[0];
-                        let at = |j: i64| {
-                            if (0..n).contains(&j) {
-                                src.get(t, [j])
-                            } else {
-                                0.0
-                            }
-                        };
-                        let v = at(i - 1) + at(i) + at(i + 1);
-                        dst.set(t, [i], v);
-                        let k = s2.counter_of(i);
-                        let seen = c.get(t, [k]);
-                        c.set(t, [k], seen + 1.0);
-                    },
-                ));
-            }
-            if phase == phases + 1 {
-                let (fc, cc, counters) = (fc.clone(), cc.clone(), sp.counters);
-                return Some(pfor(
-                    tiles("readback", 1.0),
-                    move |tile| {
-                        vec![
-                            Requirement::read(src.id, BoxRegion::from_box(*tile)),
-                            Requirement::read(c.id, BoxRegion::cuboid([0], [counters])),
-                        ]
-                    },
-                    move |t, p| {
-                        fc.borrow_mut()[p[0] as usize] = src.get(t, p.0);
-                        for k in 0..counters {
-                            cc.borrow_mut()[k as usize] = c.get(t, [k]);
-                        }
-                    },
-                ));
-            }
-            None
-        },
-    );
-    let (want_field, want_counts) = spec.expected();
-    assert_eq!(*field.borrow(), want_field, "seed {seed}: field ({spec:?})");
-    assert_eq!(
-        *counts.borrow(),
-        want_counts,
-        "seed {seed}: counters ({spec:?})"
-    );
-    report
+fn contended(seed: u64) -> Scenario {
+    Scenario {
+        program: Program::Contended(Contended::draw(seed)),
+        ..Scenario::new(seed)
+    }
 }
 
-fn stealing(rt: RtConfig) -> RtConfig {
-    rt.with_work_stealing(StealConfig::default())
+/// Stealing plus batching.
+fn chaotic(seed: u64) -> Scenario {
+    Scenario {
+        sched: STEALING,
+        batching: true,
+        ..contended(seed)
+    }
 }
 
 #[test]
 fn contended_programs_terminate_exactly() {
     let mut parked = 0;
     for seed in 0..12u64 {
-        let plain = run_contended(seed, RtConfig::test(4, 2));
-        let chaos = run_contended(
-            seed,
-            stealing(RtConfig::test(4, 2)).with_batching(BatchParams::default()),
-        );
+        let (_, plain) = contended(seed).run();
+        let (_, chaos) = chaotic(seed).run();
         // No bound on refusals here: with every tile behind one counter
         // cell each release wakes the whole queue and all but one re-park
         // (a herd, quadratic in the queue — but driven by releases, not
@@ -357,7 +207,7 @@ fn parked_behind_inbound_fence_is_woken() {
         if spec.counters != 1 {
             continue;
         }
-        let r = run_contended(seed, RtConfig::test(4, 2));
+        let (_, r) = contended(seed).run();
         let hops: u64 = r.monitor.per_locality.iter().map(|l| l.migrations_in).sum();
         assert!(
             hops >= 2,
@@ -375,29 +225,16 @@ fn parked_behind_inbound_fence_is_woken() {
 #[test]
 fn contended_programs_survive_lossy_links_and_a_kill() {
     for seed in 0..6u64 {
-        let clean = run_contended(seed, RtConfig::test(4, 2));
-        let total_ns = clean.finish_time.as_nanos();
-        let mut plan = FaultPlan::new(seed + 1)
+        let lossy = FaultPlan::new(seed + 1)
             .with_drop_rate(0.01)
             .with_corruption(0.01);
-        plan.kill_at(
-            1 + (seed % 3) as usize,
-            SimTime::from_nanos(total_ns * (3 + seed % 5) / 10),
-        );
-        let mut rt = stealing(RtConfig::test(4, 2))
-            .with_batching(BatchParams::default())
-            .with_integrity(IntegrityConfig::default());
-        rt.faults = Some(plan);
-        rt.resilience = Some(ResilienceConfig {
-            checkpoint_every: 1,
-            heartbeat_period: SimDuration::from_nanos((total_ns / 50).max(1_000)),
-            ..ResilienceConfig::default()
-        });
-        let r = run_contended(seed, rt);
-        assert!(
-            r.monitor.resilience.recoveries >= 1,
-            "seed {seed}: the kill must bite"
-        );
+        let scenario = Scenario {
+            integrity: true,
+            ..chaotic(seed)
+        };
+        // `run_killed` asserts the kill bit (detected, recovered) and
+        // that the recovered result is the clean one.
+        scenario.run_killed(1 + (seed % 3) as usize, (3 + seed % 5) * 10, lossy);
     }
 }
 
@@ -499,19 +336,20 @@ fn lossy_stencil_seeds_finish_with_bounded_refusals() {
         ..base
     };
     for seed in 1..=10u64 {
-        let mut rt = stealing(RtConfig::meggie(16))
-            .with_batching(BatchParams::default())
-            .with_integrity(IntegrityConfig::default());
-        rt.resilience = Some(ResilienceConfig {
-            checkpoint_every: 2,
-            heartbeat_period: SimDuration::from_millis(4),
-            ..ResilienceConfig::default()
-        });
-        rt.faults = Some(
-            FaultPlan::new(seed)
-                .with_drop_rate(0.001)
-                .with_corruption(0.001),
-        );
+        let lossy = FaultPlan::new(seed)
+            .with_drop_rate(0.001)
+            .with_corruption(0.001);
+        let services = Scenario {
+            integrity: true,
+            faults: Some(lossy),
+            ckpt: Some(ResilienceConfig {
+                checkpoint_every: 2,
+                heartbeat_period: SimDuration::from_millis(4),
+                ..ResilienceConfig::default()
+            }),
+            ..chaotic(seed)
+        };
+        let rt = services.configure(RtConfig::meggie(16));
         let (res, report) = stencil::allscale_version::run_with_report(&cfg, rt);
         assert!(res.validated, "fault seed {seed}: wrong field");
         let (conflicts, tasks) = (total_conflicts(&report), report.monitor.total_tasks());
