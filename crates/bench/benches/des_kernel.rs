@@ -1,9 +1,10 @@
 //! Microbenchmarks of the discrete-event simulation kernel: event
-//! scheduling/dispatch throughput and core-pool accounting — the substrate
-//! everything else's wall-clock cost rests on.
+//! scheduling/dispatch throughput, core-pool accounting and the workspace's
+//! one hash — the substrate everything else's wall-clock cost rests on.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
+use allscale_des::fnv::fnv1a_64_batch;
 use allscale_des::{CorePool, Sim, SimDuration, SimTime};
 
 fn bench_event_dispatch(c: &mut Criterion) {
@@ -54,5 +55,35 @@ fn bench_core_pool(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_event_dispatch, bench_core_pool);
+/// `fnv1a_64_batch` over 1, 2, 4 and 32 shard-sized buffers: one buffer is
+/// the serial function (one multiply latency per byte), four fill the
+/// lanes, 32 is a checkpoint's worth with lane refills. `hostbench`'s
+/// `region.fingerprint` and `net.frame` probes time one-buffer calls, so
+/// this group is the only direct measurement of the batch kernel.
+fn bench_fnv_batch(c: &mut Criterion) {
+    const SHARD: usize = 64 * 1024;
+    let shards: Vec<Vec<u8>> = (0..32u32)
+        .map(|s| {
+            (0..SHARD as u32)
+                .map(|i| (i.wrapping_mul(2_654_435_761) >> 7).wrapping_add(s) as u8)
+                .collect()
+        })
+        .collect();
+    let shards: Vec<&[u8]> = shards.iter().map(Vec::as_slice).collect();
+    let mut g = c.benchmark_group("fnv");
+    for n in [1usize, 2, 4, 32] {
+        g.throughput(Throughput::Bytes((n * SHARD) as u64));
+        g.bench_function(format!("batch/{n}x64KiB"), |b| {
+            b.iter(|| fnv1a_64_batch(black_box(&shards[..n])))
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_event_dispatch,
+    bench_core_pool,
+    bench_fnv_batch
+);
 criterion_main!(benches);

@@ -6,7 +6,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use allscale_net::wire;
+use allscale_net::{frame, wire};
 use allscale_region::{
     BitmaskTreeRegion, BoxRegion, Fragment, GridBox, GridFragment, Point, Region, TreeFragment,
     TreePath,
@@ -56,6 +56,22 @@ fn bench_extract_insert(c: &mut Criterion) {
             let sent = f.extract(black_box(&own));
             f.remove(&replica.region());
             (covered, sent)
+        })
+    });
+    // The same boundary row's trip to the neighbouring node under the
+    // integrity service: serialized from the owner's chunks into its frame,
+    // sealed, opened, decoded and adopted by a reader holding its own 64
+    // chunks — then dropped again, as the reading task's end does.
+    let owner = tiled(false);
+    let mut reader = tiled(false);
+    reader.remove(&own);
+    g.bench_function("export_import/halo_row", |b| {
+        b.iter(|| {
+            let view = owner.extract_view(black_box(&own));
+            let framed = frame::Payload::encode(&view).expect("encodes").seal();
+            let payload = frame::open(&framed).expect("intact frame");
+            reader.insert_owned(wire::decode(payload).expect("decodes"));
+            reader.remove(&own);
         })
     });
     g.finish();

@@ -33,6 +33,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use allscale_net::frame::Payload;
+
 use crate::dynamic::{DynFragment, DynRegion, ItemDescriptor};
 use crate::task::{AccessMode, ItemId, Requirement, TaskId};
 
@@ -220,20 +222,16 @@ impl DataItemManager {
 
     // ---- boundary snapshots ---------------------------------------------
 
-    /// Arm a snapshot of the current boundary state and fingerprint it:
-    /// every item's owned data is serialized once, the bytes are kept for
-    /// [`DataItemManager::finish_snapshot`], and `(item, fnv1a-64 of those
-    /// bytes, their length)` comes back in ascending [`ItemId`] order — the
-    /// change-detection input of incremental checkpointing.
-    pub fn arm_snapshot(&mut self) -> Vec<(ItemId, u64, u64)> {
+    /// Arm a snapshot of the current boundary state: every item's owned
+    /// data is serialized once and the bytes are kept for
+    /// [`DataItemManager::finish_snapshot`]. They are also lent to the
+    /// caller, in ascending [`ItemId`] order, to be fingerprinted — the
+    /// change-detection input of incremental checkpointing — together with
+    /// every other locality's in one batch.
+    pub fn arm_snapshot(&mut self) -> &[(ItemId, Vec<u8>)] {
         let snap = self.checkpoint();
-        let fps = snap
-            .iter()
-            .map(|(id, bytes)| (*id, allscale_region::fnv1a_64(bytes), bytes.len() as u64))
-            .collect();
         self.snap_unwritten = snap.iter().map(|(id, _)| *id).collect();
-        self.snap = Some(snap);
-        fps
+        self.snap.insert(snap)
     }
 
     /// Whether a snapshot is currently armed.
@@ -317,13 +315,14 @@ impl DataItemManager {
     pub fn init_owned(&mut self, item: ItemId, region: &dyn DynRegion) {
         self.cow_capture(item);
         let slot = self.slot_mut(item);
-        let fresh = (slot.desc.alloc_fragment)(region);
-        // Do not clobber data we already hold: only insert the truly new
-        // part, then union ownership.
+        // Do not clobber data we already hold: only allocate the truly new
+        // part, then union ownership. The fragment's layout is billed
+        // bytes, so the new part keeps the box structure it has always
+        // had — that of `region` cut down to it.
         let missing = region.difference_dyn(slot.frag.region_dyn().as_ref());
         if !missing.is_empty_dyn() {
-            let fresh_missing = fresh.extract_dyn(missing.as_ref());
-            slot.frag.insert_dyn(fresh_missing.as_ref());
+            let fresh = (slot.desc.alloc_fragment)(region.intersect_dyn(missing.as_ref()).as_ref());
+            slot.frag.insert_dyn(fresh);
         }
         slot.owned = slot.owned.union_dyn(region);
     }
@@ -337,21 +336,19 @@ impl DataItemManager {
         region: &dyn DynRegion,
         holder: usize,
         task: TaskId,
-    ) -> Vec<u8> {
+    ) -> Payload {
         let slot = self.slot_mut(item);
-        let sub = slot.frag.extract_dyn(region);
-        let bytes = sub.encode();
+        let bytes = slot.frag.export(region);
         slot.exports.push((holder, task, region.clone_box()));
         bytes
     }
 
     /// Extract `region` for a migration: data and ownership leave this
     /// locality.
-    pub fn export_migration(&mut self, item: ItemId, region: &dyn DynRegion) -> Vec<u8> {
+    pub fn export_migration(&mut self, item: ItemId, region: &dyn DynRegion) -> Payload {
         self.cow_capture(item);
         let slot = self.slot_mut(item);
-        let sub = slot.frag.extract_dyn(region);
-        let bytes = sub.encode();
+        let bytes = slot.frag.export(region);
         slot.frag.remove_dyn(region);
         slot.owned = slot.owned.difference_dyn(region);
         bytes
@@ -364,7 +361,7 @@ impl DataItemManager {
         let slot = self.slot_mut(item);
         let frag = (slot.desc.decode_fragment)(bytes);
         let region = frag.region_dyn();
-        slot.frag.insert_dyn(frag.as_ref());
+        slot.frag.insert_dyn(frag);
         slot.holds.push((task, region));
     }
 
@@ -375,7 +372,7 @@ impl DataItemManager {
         let slot = self.slot_mut(item);
         let frag = (slot.desc.decode_fragment)(bytes);
         let region = frag.region_dyn();
-        slot.frag.insert_dyn(frag.as_ref());
+        slot.frag.insert_dyn(frag);
         slot.persistent = slot.persistent.union_dyn(region.as_ref());
     }
 
@@ -438,7 +435,7 @@ impl DataItemManager {
         let slot = self.slot_mut(item);
         let frag = (slot.desc.decode_fragment)(bytes);
         let region = frag.region_dyn();
-        slot.frag.insert_dyn(frag.as_ref());
+        slot.frag.insert_dyn(frag);
         slot.owned = slot.owned.union_dyn(region.as_ref());
     }
 
@@ -587,8 +584,8 @@ impl DataItemManager {
     /// export or touching any bookkeeping — the read-only audit primitive
     /// of the integrity scrubber (fingerprint comparison and repair
     /// payloads).
-    pub fn peek_bytes(&self, item: ItemId, region: &dyn DynRegion) -> Vec<u8> {
-        self.slot(item).frag.extract_dyn(region).encode()
+    pub fn peek_bytes(&self, item: ItemId, region: &dyn DynRegion) -> Payload {
+        self.slot(item).frag.export(region)
     }
 
     /// Evict the persistent-replica coverage of `item` (the integrity
@@ -775,10 +772,7 @@ impl DataItemManager {
     pub fn checkpoint(&self) -> Vec<(ItemId, Vec<u8>)> {
         self.items
             .iter()
-            .map(|(&id, slot)| {
-                let owned_data = slot.frag.extract_dyn(slot.owned.as_ref());
-                (id, owned_data.encode())
-            })
+            .map(|(&id, slot)| (id, slot.frag.encode_part(slot.owned.as_ref())))
             .collect()
     }
 
@@ -789,11 +783,11 @@ impl DataItemManager {
     /// every piece of transient state layered on top — locks, exports,
     /// replica holds, persistent-replica coverage, wait lists — is reset:
     /// the bytes backing those claims are gone.
-    pub fn restore(&mut self, snapshot: &[(ItemId, Vec<u8>)]) {
+    pub fn restore<B: AsRef<[u8]>>(&mut self, snapshot: &[(ItemId, B)]) {
         for (id, bytes) in snapshot {
             self.cow_capture(*id);
             let slot = self.slot_mut(*id);
-            let frag = (slot.desc.decode_fragment)(bytes);
+            let frag = (slot.desc.decode_fragment)(bytes.as_ref());
             let region = frag.region_dyn();
             slot.frag = frag;
             slot.owned = region;
@@ -1395,11 +1389,14 @@ mod tests {
         let mut dim = mk();
         dim.register(ItemId(1), ItemDescriptor::of::<G2>("grid2"));
         dim.init_owned(ItemId(0), &r2([0, 0], [3, 3]));
+        let hash = |(id, b): &(ItemId, Vec<u8>)| (*id, allscale_region::fnv1a_64(b), b.len() as u64);
         let hashed = |dim: &DataItemManager| -> Vec<(ItemId, u64, u64)> {
-            let hash = |(id, b): (ItemId, Vec<u8>)| (id, allscale_region::fnv1a_64(&b), b.len() as u64);
-            dim.checkpoint().into_iter().map(hash).collect()
+            dim.checkpoint().iter().map(hash).collect()
         };
-        let before = dim.arm_snapshot();
+        let armed = |dim: &mut DataItemManager| -> Vec<(ItemId, u64, u64)> {
+            dim.arm_snapshot().iter().map(hash).collect()
+        };
+        let before = armed(&mut dim);
         assert_eq!(before, hashed(&dim), "one entry per item, empty ones included");
         // A replica import of remote data leaves the owned bytes alone.
         let mut owner = DataItemManager::new(1);
@@ -1407,13 +1404,13 @@ mod tests {
         owner.init_owned(ItemId(0), &r2([4, 0], [6, 2]));
         let bytes = owner.export_replica(ItemId(0), &r2([4, 0], [6, 2]), 0, TaskId(1));
         dim.import_replica(ItemId(0), &bytes, TaskId(1));
-        assert_eq!(dim.arm_snapshot(), before);
+        assert_eq!(armed(&mut dim), before);
         // An owned-data write changes the fingerprint but not the length.
         dim.fragment_any_mut(ItemId(0))
             .downcast_mut::<GridFragment<f64, 2>>()
             .unwrap()
             .set(&Point([2, 2]), 13.0);
-        let after = dim.arm_snapshot();
+        let after = armed(&mut dim);
         assert_eq!(after, hashed(&dim));
         assert_ne!(after[0].1, before[0].1);
         assert_eq!(after[0].2, before[0].2);

@@ -12,6 +12,7 @@ use std::any::Any;
 use std::fmt;
 use std::sync::Arc;
 
+use allscale_net::frame::Payload;
 use allscale_net::wire;
 use allscale_region::{Fragment, ItemType, Region};
 
@@ -112,41 +113,49 @@ pub fn downcast<R: Region>(r: &dyn DynRegion) -> &R {
 pub trait DynFragment {
     /// The region currently covered.
     fn region_dyn(&self) -> Box<dyn DynRegion>;
-    /// Copy out a sub-fragment (type-erased [`Fragment::extract`]).
-    fn extract_dyn(&self, region: &dyn DynRegion) -> Box<dyn DynFragment>;
-    /// Merge another fragment of the same concrete type.
-    fn insert_dyn(&mut self, other: &dyn DynFragment);
+    /// Serialize the sub-fragment covering `region` for transmission
+    /// between address spaces: the bytes of [`Fragment::extract`]'s copy,
+    /// written from this fragment's own storage
+    /// ([`Fragment::extract_view`]) behind room for the frame header.
+    fn export(&self, region: &dyn DynRegion) -> Payload;
+    /// The bytes of [`DynFragment::export`], bare — a checkpoint shard.
+    fn encode_part(&self, region: &dyn DynRegion) -> Vec<u8>;
+    /// Merge another fragment of the same concrete type, taking over its
+    /// storage ([`Fragment::insert_owned`]).
+    fn insert_dyn(&mut self, other: Box<dyn DynFragment>);
     /// Drop coverage of a region.
     fn remove_dyn(&mut self, region: &dyn DynRegion);
-    /// Serialize the fragment for transmission between address spaces.
-    fn encode(&self) -> Vec<u8>;
     /// Approximate serialized size (transfer-cost estimation).
     fn approx_bytes(&self) -> usize;
     /// Downcasting support.
     fn as_any(&self) -> &dyn Any;
     /// Mutable downcasting support.
     fn as_any_mut(&mut self) -> &mut dyn Any;
+    /// Owning downcasting support.
+    fn into_any(self: Box<Self>) -> Box<dyn Any>;
 }
 
 impl<F: Fragment> DynFragment for F {
     fn region_dyn(&self) -> Box<dyn DynRegion> {
         Box::new(self.region())
     }
-    fn extract_dyn(&self, region: &dyn DynRegion) -> Box<dyn DynFragment> {
-        Box::new(self.extract(downcast::<F::Region>(region)))
+    fn export(&self, region: &dyn DynRegion) -> Payload {
+        Payload::encode(&self.extract_view(downcast::<F::Region>(region)))
+            .expect("fragment serialization cannot fail")
     }
-    fn insert_dyn(&mut self, other: &dyn DynFragment) {
+    fn encode_part(&self, region: &dyn DynRegion) -> Vec<u8> {
+        wire::encode(&self.extract_view(downcast::<F::Region>(region)))
+            .expect("fragment serialization cannot fail")
+    }
+    fn insert_dyn(&mut self, other: Box<dyn DynFragment>) {
         let other = other
-            .as_any()
-            .downcast_ref::<F>()
+            .into_any()
+            .downcast::<F>()
             .expect("mixed fragment types in a single data item operation");
-        self.insert(other);
+        self.insert_owned(*other);
     }
     fn remove_dyn(&mut self, region: &dyn DynRegion) {
         self.remove(downcast::<F::Region>(region));
-    }
-    fn encode(&self) -> Vec<u8> {
-        wire::encode(self).expect("fragment serialization cannot fail")
     }
     fn approx_bytes(&self) -> usize {
         Fragment::approx_bytes(self)
@@ -155,6 +164,9 @@ impl<F: Fragment> DynFragment for F {
         self
     }
     fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+    fn into_any(self: Box<Self>) -> Box<dyn Any> {
         self
     }
 }
@@ -250,7 +262,8 @@ mod tests {
         let desc = ItemDescriptor::of::<Grid2>("grid");
         let mut f = GridFragment::<f64, 2>::new(&r2([0, 0], [3, 3]));
         f.set(&allscale_region::Point([1, 2]), 7.5);
-        let bytes = DynFragment::encode(&f);
+        let bytes = f.export(&r2([0, 0], [3, 3]));
+        assert_eq!(&*bytes, &wire::encode(&f).unwrap()[..]);
         let back = (desc.decode_fragment)(&bytes);
         let typed = back.as_any().downcast_ref::<GridFragment<f64, 2>>().unwrap();
         assert_eq!(typed.get(&allscale_region::Point([1, 2])), Some(&7.5));
@@ -275,9 +288,14 @@ mod tests {
                 .unwrap();
             typed.set(&allscale_region::Point([3, 3]), 9.0);
         }
-        let sub = f.extract_dyn(&r2([3, 3], [4, 4]));
-        let mut g: Box<dyn DynFragment> = (ItemDescriptor::of::<Grid2>("grid").empty_fragment)();
-        g.insert_dyn(sub.as_ref());
+        let desc = ItemDescriptor::of::<Grid2>("grid");
+        let sub = (desc.decode_fragment)(&f.export(&r2([3, 3], [4, 4])));
+        assert_eq!(
+            &*f.export(&r2([3, 3], [4, 4])),
+            &f.encode_part(&r2([3, 3], [4, 4]))[..]
+        );
+        let mut g: Box<dyn DynFragment> = (desc.empty_fragment)();
+        g.insert_dyn(sub);
         let typed = g.as_any().downcast_ref::<GridFragment<f64, 2>>().unwrap();
         assert_eq!(typed.get(&allscale_region::Point([3, 3])), Some(&9.0));
         assert!(g.region_dyn().eq_dyn(&r2([3, 3], [4, 4])));

@@ -50,11 +50,10 @@
 
 use std::collections::BTreeMap;
 
+use allscale_des::fnv::fnv1a_64_batch;
 use allscale_des::SimDuration;
 use allscale_net::{RetryPolicy, StorageModel, StorageParams};
-use allscale_region::fnv1a_64;
 
-use crate::runtime::Checkpoint;
 use crate::task::ItemId;
 
 /// When checkpoint serialization and storage writes are billed relative
@@ -233,12 +232,17 @@ pub(crate) struct SavedCkpt {
     pub roster: Vec<Vec<ItemId>>,
 }
 
+/// The boundary state a chain reconstructs to — per locality, ascending
+/// `ItemId` — lent from the chain's stored shards: a restore decodes each
+/// shard from where it is stored.
+pub(crate) type LentSnapshot<'a> = Vec<Vec<(ItemId, &'a [u8])>>;
+
 /// Byte/shard accounting of one chain reconstruction, per locality —
 /// the recovery restore path bills these against the storage tiers.
 pub(crate) struct ReconstructCost {
     /// The stored checksum of each reconstructed shard, aligned with
-    /// `Checkpoint::per_locality[loc][k]`. A reconstruction that verified
-    /// has just shown each to be the hash of its shard's bytes.
+    /// `LentSnapshot[loc][k]`. A reconstruction that verified has just
+    /// shown each to be the hash of its shard's bytes.
     pub sums: Vec<Vec<u64>>,
     /// Chain links (anchor + deltas) read and applied.
     pub links: u64,
@@ -254,15 +258,16 @@ pub(crate) struct ReconstructCost {
 /// Scans back from `upto` to the nearest anchor, then applies each
 /// link's shards forward (newer shards overwrite older ones) and prunes
 /// the result to `chain[upto]`'s roster. With `verify`, every link's
-/// shards are checksummed first and the reconstruction fails with the
-/// number of rejected shards if any link is corrupt — a delta chain is
-/// only as trustworthy as its weakest link. Fails with 0 rejected
-/// shards if no anchor supports `upto` (evicted or never taken).
+/// shards are checksummed first — all of them in one batch, hashed
+/// abreast — and the reconstruction fails with the number of rejected
+/// shards if any link is corrupt: a delta chain is only as trustworthy as
+/// its weakest link. Fails with 0 rejected shards if no anchor supports
+/// `upto` (evicted or never taken).
 pub(crate) fn reconstruct(
     chain: &[SavedCkpt],
     upto: usize,
     verify: bool,
-) -> Result<(Checkpoint, ReconstructCost), u64> {
+) -> Result<(LentSnapshot<'_>, ReconstructCost), u64> {
     let Some(base) = chain[..=upto]
         .iter()
         .rposition(|s| s.kind == CkptKind::Anchor)
@@ -271,12 +276,11 @@ pub(crate) fn reconstruct(
     };
     let links = &chain[base..=upto];
     if verify {
-        let bad: u64 = links
-            .iter()
-            .flat_map(|link| link.shards.iter().zip(&link.sums))
-            .flat_map(|(shards, sums)| shards.iter().zip(sums))
-            .filter(|((_, bytes), &sum)| fnv1a_64(bytes) != sum)
-            .count() as u64;
+        let stored = links.iter().flat_map(|link| link.shards.iter().flatten());
+        let stored: Vec<&[u8]> = stored.map(|(_, bytes)| bytes.as_slice()).collect();
+        let sums = links.iter().flat_map(|link| link.sums.iter().flatten());
+        let hashed = fnv1a_64_batch(&stored);
+        let bad = hashed.iter().zip(sums).filter(|(h, sum)| h != sum).count() as u64;
         if bad > 0 {
             return Err(bad);
         }
@@ -288,13 +292,13 @@ pub(crate) fn reconstruct(
         bytes: vec![0; nloc],
         shards: vec![0; nloc],
     };
-    let mut acc: Vec<BTreeMap<ItemId, (&Vec<u8>, u64)>> = vec![BTreeMap::new(); nloc];
+    let mut acc: Vec<BTreeMap<ItemId, (&[u8], u64)>> = vec![BTreeMap::new(); nloc];
     for link in links {
         for (loc, (shards, sums)) in link.shards.iter().zip(&link.sums).enumerate() {
             for ((id, bytes), &sum) in shards.iter().zip(sums) {
                 cost.bytes[loc] += bytes.len() as u64;
                 cost.shards[loc] += 1;
-                acc[loc].insert(*id, (bytes, sum));
+                acc[loc].insert(*id, (bytes.as_slice(), sum));
             }
         }
     }
@@ -303,9 +307,10 @@ pub(crate) fn reconstruct(
     for (loc, mut items) in acc.into_iter().enumerate() {
         items.retain(|id, _| top.roster[loc].binary_search(id).is_ok());
         cost.sums.push(items.values().map(|&(_, sum)| sum).collect());
-        per_locality.push(items.into_iter().map(|(id, (bytes, _))| (id, bytes.clone())).collect());
+        let lent = items.into_iter().map(|(id, (bytes, _))| (id, bytes));
+        per_locality.push(lent.collect());
     }
-    Ok((Checkpoint { per_locality }, cost))
+    Ok((per_locality, cost))
 }
 
 /// Live state of the resilience manager, owned by the runtime world.
@@ -398,6 +403,7 @@ impl ResilienceManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use allscale_des::fnv::fnv1a_64;
 
     #[test]
     fn default_config_is_sane() {
@@ -563,6 +569,11 @@ mod tests {
         pairs.iter().map(|&(id, b)| (ItemId(id), b.to_vec())).collect()
     }
 
+    /// What a reconstruction lends when it amounts to `pairs`.
+    fn lent<'a>(pairs: &[(u32, &'a [u8])]) -> Vec<(ItemId, &'a [u8])> {
+        pairs.iter().map(|&(id, b)| (ItemId(id), b)).collect()
+    }
+
     #[test]
     fn reconstruction_replays_anchor_plus_deltas() {
         // Both items stay live across the chain, so every link's roster
@@ -577,12 +588,12 @@ mod tests {
             d3,
         ];
         let (snap, cost) = reconstruct(&chain, 2, true).unwrap();
-        assert_eq!(snap.per_locality[0], sh(&[(0, b"A3"), (1, b"B2")]));
+        assert_eq!(snap[0], lent(&[(0, b"A3"), (1, b"B2")]));
         assert_eq!(cost.links, 3);
         assert_eq!(cost.shards[0], 4);
         // Stopping earlier in the chain replays less.
         let (snap1, _) = reconstruct(&chain, 1, true).unwrap();
-        assert_eq!(snap1.per_locality[0], sh(&[(0, b"aa"), (1, b"B2")]));
+        assert_eq!(snap1[0], lent(&[(0, b"aa"), (1, b"B2")]));
     }
 
     #[test]
@@ -596,7 +607,7 @@ mod tests {
             delta,
         ];
         let (snap, _) = reconstruct(&chain, 1, true).unwrap();
-        assert_eq!(snap.per_locality[0], sh(&[(0, b"A2")]));
+        assert_eq!(snap[0], lent(&[(0, b"A2")]));
     }
 
     #[test]

@@ -6,6 +6,9 @@
 //! on delivery) or [`deliver`] (local-or-remote), and wraps data
 //! payloads with [`seal_payload`] / [`open_payload`].
 
+use std::borrow::Cow;
+
+use allscale_des::fnv::fnv1a_64_batch;
 use allscale_des::SimTime;
 use allscale_net::{
     frame, AnyTopology, Batch, BatchParams, ClusterSpec, Coalescer, Delivered, Enqueue, FaultPlan,
@@ -93,17 +96,15 @@ impl Comms {
 
     /// Draw from the fault plan's at-rest rot arm for a buffer entering
     /// long-lived storage (a persistent replica or a checkpoint shard); a
-    /// strike flips one bit. No-op (and no generator advance) unless the
+    /// strike hands back the salt [`frame::corrupt_in_place`] flips one of
+    /// the buffer's bits with. `None` (and no generator advance) unless the
     /// fault plan configures rot.
-    pub(super) fn rot(&mut self, stats: &mut IntegrityStats, bytes: &mut [u8]) {
-        let Some(f) = self.net.faults_mut() else {
-            return;
-        };
-        if f.rot_strikes() {
-            let salt = f.corruption_salt();
-            frame::corrupt_in_place(bytes, salt);
+    pub(super) fn rot_strike(&mut self, stats: &mut IntegrityStats) -> Option<u64> {
+        let f = self.net.faults_mut()?;
+        f.rot_strikes().then(|| {
             stats.rot_injected += 1;
-        }
+            f.corruption_salt()
+        })
     }
 
     /// Buffered-but-unflushed messages belong to the abandoned run; their
@@ -271,40 +272,75 @@ fn handle_msg(w: &mut RtWorld, to: usize, arrival: SimTime) -> SimTime {
 
 // ---------------------------------------------------------------- integrity
 
+/// A data payload as it crosses the wire: sealed under its checksum when
+/// the integrity service is on, bare otherwise. Either way the payload
+/// bytes stay where the export wrote them.
+pub(super) enum Wire {
+    /// A checksummed frame ([`frame::Payload::seal`]).
+    Sealed(Vec<u8>),
+    /// The payload alone; its reserved header stays home.
+    Bare(frame::Payload),
+}
+
+impl Wire {
+    /// The bytes billed for this transfer.
+    pub(super) fn len(&self) -> usize {
+        match self {
+            Wire::Sealed(framed) => framed.len(),
+            Wire::Bare(payload) => payload.len(),
+        }
+    }
+}
+
 /// Wrap a data payload for the wire. With the integrity service on, the
 /// payload is sealed under its FNV-1a checksum (the framed length —
 /// payload plus [`frame::FRAME_OVERHEAD`] — is what gets billed);
 /// otherwise the bytes travel bare. Control messages are not sealed
 /// individually: their fixed `control_msg_bytes` size already stands for
 /// a fully framed wire message.
-pub(super) fn seal_payload(w: &RtWorld, payload: Vec<u8>) -> Vec<u8> {
+pub(super) fn seal_payload(w: &RtWorld, payload: frame::Payload) -> Wire {
     if w.integrity.is_some() {
-        frame::seal(&payload)
+        Wire::Sealed(payload.seal())
     } else {
-        payload
+        Wire::Bare(payload)
     }
 }
 
-/// Recover the payload of an arrived data transfer. With the integrity
-/// service on, the frame is opened and checked — the network never
-/// delivers a corrupt message in that mode (it re-requests instead), so a
-/// mismatch here would be an *undetected* corruption and the check is the
-/// zero-undetected oracle. With the service off, a delivery flagged
-/// non-intact has the wire's bit flip applied to the raw bytes: the
-/// receiver consumes poison without noticing (the ablation baseline).
-pub(super) fn open_payload(w: &mut RtWorld, wire: &[u8], intact: bool) -> Vec<u8> {
-    if w.integrity.is_some() {
-        return frame::open(wire)
-            .expect("verified transfer delivered a corrupt frame (undetected corruption)")
-            .to_vec();
+/// [`seal_payload`] for the payloads one event puts on the wire together
+/// (a staging plan's fetches): their checksums are computed abreast.
+pub(super) fn seal_payloads(w: &RtWorld, payloads: Vec<frame::Payload>) -> Vec<Wire> {
+    if w.integrity.is_none() {
+        return payloads.into_iter().map(Wire::Bare).collect();
     }
-    let mut payload = wire.to_vec();
-    if !intact {
-        let faults = w.comms.net.faults_mut();
-        let salt = faults.map(|f| f.corruption_salt()).unwrap_or(1);
-        frame::corrupt_in_place(&mut payload, salt);
+    let bytes: Vec<&[u8]> = payloads.iter().map(|p| &**p).collect();
+    let checksums = fnv1a_64_batch(&bytes);
+    let seal = |(p, sum): (frame::Payload, u64)| Wire::Sealed(p.seal_with(sum));
+    payloads.into_iter().zip(checksums).map(seal).collect()
+}
+
+/// Recover the payload of an arrived data transfer, lent out of the buffer
+/// it travelled in. With the integrity service on, the frame is opened and
+/// checked — the network never delivers a corrupt message in that mode (it
+/// re-requests instead), so a mismatch here would be an *undetected*
+/// corruption and the check is the zero-undetected oracle. With the
+/// service off, a delivery flagged non-intact is copied and has the wire's
+/// bit flip applied: the receiver consumes poison without noticing (the
+/// ablation baseline).
+pub(super) fn open_payload<'a>(w: &mut RtWorld, wire: &'a Wire, intact: bool) -> Cow<'a, [u8]> {
+    match wire {
+        Wire::Sealed(framed) => Cow::Borrowed(
+            frame::open(framed)
+                .expect("verified transfer delivered a corrupt frame (undetected corruption)"),
+        ),
+        Wire::Bare(payload) if intact => Cow::Borrowed(payload),
+        Wire::Bare(payload) => {
+            let mut poisoned = payload.to_vec();
+            let faults = w.comms.net.faults_mut();
+            let salt = faults.map(|f| f.corruption_salt()).unwrap_or(1);
+            frame::corrupt_in_place(&mut poisoned, salt);
+            Cow::Owned(poisoned)
+        }
     }
-    payload
 }
 
 /// Ship the sealed copy `wire` of (part of) `item` from `owner` to `dst`
@@ -317,13 +353,15 @@ pub(super) fn ship_persistent(
     owner: usize,
     dst: usize,
     item: ItemId,
-    wire: &[u8],
+    wire: &Wire,
     purpose: TransferPurpose,
 ) -> Option<(SimTime, usize)> {
     let tag = Payload::data(purpose, None, item);
     let d = send_msg(w, now, owner, dst, wire.len(), tag, false)?;
     let mut data = open_payload(w, wire, d.intact);
-    w.comms.rot(&mut w.monitor.integrity, &mut data);
+    if let Some(salt) = w.comms.rot_strike(&mut w.monitor.integrity) {
+        frame::corrupt_in_place(data.to_mut(), salt);
+    }
     w.localities[dst].dim.import_persistent(item, &data);
     Some((d.at, data.len()))
 }

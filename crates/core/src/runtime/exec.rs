@@ -4,7 +4,7 @@
 use allscale_des::{SimDuration, SimTime};
 use allscale_trace::{EventKind, TransferPurpose};
 
-use super::comms::{bill_hops, open_payload, seal_payload, send_deferred, Payload};
+use super::comms::{bill_hops, open_payload, seal_payloads, send_deferred, Payload, Wire};
 use super::directory::{index_resolve, index_update};
 use super::tasks::{park, schedule_wakeups, wake};
 use super::{sched, schedule_task_event, serving, tasks, trace_core_span, trace_instant};
@@ -57,15 +57,42 @@ pub(super) fn prepare_task(sim: &mut RtSim, tid: TaskId) {
     // run without its data), so the phase stalls until recovery reaps it.
     let pending = plan.iter().filter(|mv| mv.fetch.is_some()).count();
     sim.world.tasks.get_mut(tid).pending_transfers = pending;
+    // Most tasks find their data where they were sent and fetch nothing.
+    let mut wires = match pending {
+        0 => Vec::new(),
+        _ => export_fetches(&mut sim.world, tid, loc, &plan),
+    }
+    .into_iter();
     for mv in plan {
         match mv.fetch {
-            Some(kind) => fetch(sim, tid, loc, kind, mv.item, mv.region, mv.src),
+            Some(kind) => {
+                let wire = wires.next().expect("one payload per fetch");
+                fetch(sim, tid, loc, kind, mv, wire)
+            }
             None => first_touch(&mut sim.world, now, tid, loc, mv.item, mv.region.as_ref()),
         }
     }
     if pending == 0 {
         start_execution(sim, tid);
     }
+}
+
+/// Export what `plan` fetches, in plan order, and seal it for the wire.
+/// Export (and fence) happens at plan time, before any request goes out:
+/// a source must be fenced before any other plan can run during a batching
+/// window, or two tasks could stage overlapping migrations of the same
+/// region. Exporting the whole plan first also puts its payloads side by
+/// side, so their checksums are computed abreast.
+fn export_fetches(w: &mut RtWorld, tid: TaskId, loc: usize, plan: &[Move]) -> Vec<Wire> {
+    let exported = plan.iter().filter_map(|mv| {
+        let sdim = &mut w.localities[mv.src].dim;
+        Some(match mv.fetch? {
+            Fetch::Migrate => sdim.export_migration(mv.item, mv.region.as_ref()),
+            Fetch::Replicate => sdim.export_replica(mv.item, mv.region.as_ref(), loc, tid),
+        })
+    });
+    let exported = exported.collect();
+    seal_payloads(w, exported)
 }
 
 /// Allocate `region` of `item`, which exists nowhere yet, at `loc` and
@@ -90,32 +117,17 @@ fn first_touch(
     trace_instant(w, now, loc, kind);
 }
 
-/// Stage `region` of `item` from `src` for `tid` at `loc`: export at the
-/// source now, then a control request there and the payload back, each a
-/// runtime message; the landing imports the data and counts the transfer
-/// done. A lost leg strands the task (and what was exported for it)
-/// until recovery.
-fn fetch(
-    sim: &mut RtSim,
-    tid: TaskId,
-    loc: usize,
-    kind: Fetch,
-    item: ItemId,
-    region: Box<dyn DynRegion>,
-    src: usize,
-) {
+/// Stage the fetch `mv` for `tid` at `loc`: `bytes` is what the source
+/// just exported; a control request goes there and the payload comes
+/// back, each a runtime message; the landing imports the data and counts
+/// the transfer done. A lost leg strands the task (and what was exported
+/// for it) until recovery.
+fn fetch(sim: &mut RtSim, tid: TaskId, loc: usize, kind: Fetch, mv: Move, bytes: Wire) {
+    let Move {
+        item, region, src, ..
+    } = mv;
     let now = sim.now();
     let w = &mut sim.world;
-    // Export (and fence) at plan time, before the request goes out: the
-    // source must be fenced before any other plan can run during a
-    // batching window, or two tasks could stage overlapping migrations
-    // of the same region.
-    let sdim = &mut w.localities[src].dim;
-    let bytes = match kind {
-        Fetch::Migrate => sdim.export_migration(item, region.as_ref()),
-        Fetch::Replicate => sdim.export_replica(item, region.as_ref(), loc, tid),
-    };
-    let bytes = seal_payload(w, bytes);
     let purpose = match kind {
         Fetch::Migrate => {
             let src_owned = w.localities[src].dim.advertised_region(item);

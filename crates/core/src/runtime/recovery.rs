@@ -227,17 +227,17 @@ fn detect_and_recover(sim: &mut RtSim, dead: usize) {
     w.scheduler.clear();
     w.serving.reset_for_recovery();
     let nodes = w.localities.len();
-    let restored = point.snapshot.is_some();
+    let restored = point.restored;
     let mut grafted = 0u64;
-    match point.snapshot {
+    match restored.then(|| ckpt::newest_snapshot(&w.recovery)) {
         Some(snap) => {
             // Pass 1: rewind every survivor, wipe every dead locality
             // (fail-stop: a crashed process loses its volatile data).
-            for p in 0..nodes {
+            for (p, shards) in snap.iter().enumerate() {
                 if w.recovery.dead[p] {
                     w.localities[p].dim.wipe_all();
                 } else {
-                    w.localities[p].dim.restore(&snap.per_locality[p]);
+                    w.localities[p].dim.restore(shards);
                 }
             }
             // Pass 2: graft each dead locality's checkpointed shards onto
@@ -245,7 +245,7 @@ fn detect_and_recover(sim: &mut RtSim, dead: usize) {
             // so the graft is not clobbered.
             for p in (0..nodes).filter(|&p| w.recovery.dead[p]) {
                 let heir = w.recovery.live_successor(p);
-                for (item, bytes) in &snap.per_locality[p] {
+                for (item, bytes) in &snap[p] {
                     w.localities[heir].dim.import_owned(*item, bytes);
                     grafted += bytes.len() as u64;
                 }

@@ -5,13 +5,14 @@
 
 use std::collections::BTreeMap;
 
+use allscale_des::fnv::{fnv1a_64, fnv1a_64_batch};
 use allscale_des::{SimDuration, SimTime};
-use allscale_net::StorageTier;
-use allscale_region::fnv1a_64;
+use allscale_net::{frame, StorageTier};
 use allscale_trace::EventKind;
 
-use crate::resilience::{reconstruct, CkptKind, CkptMode, SavedCkpt};
-use crate::runtime::{schedule_task_event, trace_instant, trace_span, Checkpoint, RtSim, RtWorld};
+use super::Recovery;
+use crate::resilience::{reconstruct, CkptKind, CkptMode, LentSnapshot, SavedCkpt};
+use crate::runtime::{schedule_task_event, trace_instant, trace_span, RtSim, RtWorld};
 use crate::task::ItemId;
 
 /// An asynchronous checkpoint in flight: the copy-on-write capture was
@@ -93,17 +94,24 @@ pub(in crate::runtime) fn maybe_checkpoint(sim: &mut RtSim, prev_is_none: bool) 
     if !(prev_is_none && mgr.due(phase)) {
         return None;
     }
-    // ---- capture: arm the snapshot, which serializes the boundary once
-    // and fingerprints those bytes.
-    let fps: Vec<BTreeMap<ItemId, (u64, u64)>> = w
+    // ---- capture: arm the snapshots, which serializes the boundary once,
+    // and fingerprint those bytes — every locality's shards in one batch,
+    // hashed abreast.
+    let armed: Vec<&[(ItemId, Vec<u8>)]> = w
         .localities
         .iter_mut()
-        .map(|l| {
-            l.dim
-                .arm_snapshot()
-                .into_iter()
-                .map(|(id, fp, len)| (id, (fp, len)))
-                .collect()
+        .map(|l| l.dim.arm_snapshot())
+        .collect();
+    let shards: Vec<&[u8]> = armed
+        .iter()
+        .flat_map(|row| row.iter().map(|(_, bytes)| bytes.as_slice()))
+        .collect();
+    let mut hashed = fnv1a_64_batch(&shards).into_iter();
+    let fps: Vec<BTreeMap<ItemId, (u64, u64)>> = armed
+        .iter()
+        .map(|row| {
+            let signed = row.iter().zip(hashed.by_ref());
+            signed.map(|((id, bytes), fp)| (*id, (fp, bytes.len() as u64))).collect()
         })
         .collect();
     let logical_bytes: u64 = fps
@@ -264,8 +272,13 @@ fn commit_pending_ckpt(sim: &mut RtSim) {
         let upto = mgr.saved.len() - 1;
         let (snap, _) =
             reconstruct(&mgr.saved, upto, false).expect("committed chain must reconstruct");
-        assert_eq!(
-            snap.per_locality, boundary,
+        let lent = snap.iter().map(|row| row.iter().copied());
+        fn lend(shard: &(ItemId, Vec<u8>)) -> (ItemId, &[u8]) {
+            (shard.0, &shard.1)
+        }
+        let full = boundary.iter().map(|row| row.iter().map(lend));
+        assert!(
+            lent.len() == full.len() && lent.zip(full).all(|(lent, full)| lent.eq(full)),
             "delta reconstruction diverged from the full boundary snapshot"
         );
     }
@@ -273,7 +286,9 @@ fn commit_pending_ckpt(sim: &mut RtSim) {
     // validation.
     let stored = mgr.saved.last_mut().expect("entry just saved");
     for (_, bytes) in stored.shards.iter_mut().flatten() {
-        w.comms.rot(&mut w.monitor.integrity, bytes);
+        if let Some(salt) = w.comms.rot_strike(&mut w.monitor.integrity) {
+            frame::corrupt_in_place(bytes, salt);
+        }
     }
     let host = w.recovery.detector_host();
     trace_span(
@@ -317,8 +332,9 @@ pub(super) fn tear_pending(w: &mut RtWorld, now: SimTime) {
 
 /// Where a recovery resumes from.
 pub(super) struct RestorePoint {
-    /// The boundary state to rewind to; `None` = restart from scratch.
-    pub snapshot: Option<Checkpoint>,
+    /// Whether a retained checkpoint verified — [`newest_snapshot`] lends
+    /// its boundary state; `false` = restart from scratch.
+    pub restored: bool,
     /// The phase to request from the driver again.
     pub phase: usize,
     /// Simulated ns the restore spends reading the storage tiers.
@@ -330,12 +346,13 @@ pub(super) struct RestorePoint {
 /// reconstruction of its anchor+delta chain, and with checkpoint
 /// verification on every link is checksum-verified — a delta is only as
 /// good as the links under it. Rejected points stay dropped so a later
-/// recovery does not re-try them. Also resets the detector's suspicion
-/// counters, re-points incremental change detection at what was actually
-/// restored, and counts the tasks the rewind discards.
+/// recovery does not re-try them (which leaves the chosen one the newest
+/// retained). Also resets the detector's suspicion counters, re-points
+/// incremental change detection at what is about to be restored, and
+/// counts the tasks the rewind discards.
 pub(super) fn restore_point(w: &mut RtWorld) -> RestorePoint {
     let mut point = RestorePoint {
-        snapshot: None,
+        restored: false,
         phase: 0,
         read_ns: 0,
     };
@@ -343,12 +360,11 @@ pub(super) fn restore_point(w: &mut RtWorld) -> RestorePoint {
         return point;
     };
     mgr.misses.fill(0);
+    mgr.last_fps = vec![BTreeMap::new(); w.localities.len()];
     let verify = w
         .integrity
         .as_ref()
         .is_some_and(|m| m.cfg.verify_checkpoints);
-    // Stored checksums of the shards of `point.snapshot`, aligned with it.
-    let mut sums = Vec::new();
     while let Some(upto) = mgr.saved.len().checked_sub(1) {
         match reconstruct(&mgr.saved, upto, verify) {
             Ok((snap, cost)) => {
@@ -370,8 +386,27 @@ pub(super) fn restore_point(w: &mut RtWorld) -> RestorePoint {
                 }
                 w.monitor.resilience.recovery_read_ns += point.read_ns;
                 point.phase = mgr.saved[upto].phase;
-                point.snapshot = Some(snap);
-                sums = cost.sums;
+                point.restored = true;
+                // A shard `reconstruct` verified hashes to its stored
+                // checksum; unverified bytes may have rotted since that
+                // was taken, so they are hashed as restored — abreast.
+                let hashed: Vec<u64> = if verify {
+                    cost.sums.into_iter().flatten().collect()
+                } else {
+                    let shards: Vec<&[u8]> = snap.iter().flatten().map(|(_, b)| *b).collect();
+                    fnv1a_64_batch(&shards)
+                };
+                let mut hashed = hashed.into_iter();
+                for (fps, row) in mgr.last_fps.iter_mut().zip(&snap) {
+                    let sig = |(&(id, b), fp): (&(ItemId, &[u8]), u64)| (id, (fp, b.len() as u64));
+                    *fps = row.iter().zip(hashed.by_ref()).map(sig).collect();
+                }
+                debug_assert!(
+                    snap.iter()
+                        .zip(&mgr.last_fps)
+                        .all(|(row, fps)| row.iter().all(|(id, b)| fps[id].0 == fnv1a_64(b))),
+                    "change detection must restart from the hash of what was restored"
+                );
                 break;
             }
             Err(bad) => {
@@ -387,38 +422,19 @@ pub(super) fn restore_point(w: &mut RtWorld) -> RestorePoint {
         .rev()
         .take_while(|s| s.kind == CkptKind::Delta)
         .count();
-    // A shard `reconstruct` verified hashes to its stored checksum;
-    // unverified bytes may have rotted since that was taken, so they are
-    // hashed as restored.
-    mgr.last_fps = match &point.snapshot {
-        Some(snap) => snap
-            .per_locality
-            .iter()
-            .zip(&sums)
-            .map(|(row, sums)| {
-                row.iter()
-                    .zip(sums)
-                    .map(|((id, b), &sum)| {
-                        let fp = if verify { sum } else { fnv1a_64(b) };
-                        (*id, (fp, b.len() as u64))
-                    })
-                    .collect()
-            })
-            .collect(),
-        None => vec![BTreeMap::new(); w.localities.len()],
-    };
-    debug_assert!(
-        point
-            .snapshot
-            .iter()
-            .flat_map(|snap| snap.per_locality.iter().zip(&mgr.last_fps))
-            .all(|(row, fps)| row.iter().all(|(id, b)| fps[id].0 == fnv1a_64(b))),
-        "change detection must restart from the hash of what was restored"
-    );
     let reexecuted = w
         .monitor
         .total_tasks()
         .saturating_sub(mgr.tasks_at_checkpoint);
     w.monitor.resilience.tasks_reexecuted += reexecuted;
     point
+}
+
+/// The boundary state of the newest retained checkpoint — the one
+/// [`restore_point`] settled on — lent from the stored shards.
+pub(super) fn newest_snapshot(recovery: &Recovery) -> LentSnapshot<'_> {
+    let mgr = recovery.manager.as_ref().expect("a checkpoint was restored");
+    let newest = mgr.saved.len() - 1;
+    let (snap, _) = reconstruct(&mgr.saved, newest, false).expect("verified a moment ago");
+    snap
 }

@@ -1,6 +1,6 @@
 //! The background replica scrubber of the integrity service.
 
-use allscale_region::fnv1a_64;
+use allscale_des::fnv::fnv1a_64_batch;
 use allscale_trace::{EventKind, TransferPurpose};
 
 use super::comms::{seal_payload, send_msg, ship_persistent, Payload};
@@ -70,7 +70,9 @@ pub(super) fn scrub_tick(sim: &mut RtSim) {
                 let t = d.at;
                 let mine = w.localities[holder].dim.peek_bytes(item, overlap.as_ref());
                 let theirs = w.localities[owner].dim.peek_bytes(item, overlap.as_ref());
-                if fnv1a_64(&mine) == fnv1a_64(&theirs) {
+                // The two digests the round-trip exchanged, computed abreast.
+                let digests = fnv1a_64_batch(&[&mine, &theirs]);
+                if digests[0] == digests[1] {
                     continue;
                 }
                 divergent += 1;

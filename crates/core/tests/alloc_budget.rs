@@ -2,18 +2,21 @@
 //! whether regions overlap or cover one another allocates nothing, a
 //! location-cache hit allocates nothing, locking allocates the granted
 //! locks and a refusal the one overlap it reports — and a served request
-//! costs a bounded number of allocations end to end. A timing would say
-//! the same things with noise; `malloc` calls repeat exactly.
+//! costs a bounded number of allocations end to end. The byte path has
+//! budgets too: a halo row crossing the wire and a checkpoint round trip
+//! allocate what they keep, not a chain of intermediate copies. A timing
+//! would say the same things with noise; `malloc` calls repeat exactly.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use allscale_apps::serve::{self, ServeAppConfig};
 use allscale_core::{
-    DataItemManager, DistIndex, ItemDescriptor, ItemId, LocationCache, LockConflict, MapItem,
-    Requirement, RtConfig, TaskId,
+    DataItemManager, DistIndex, GridItem, ItemDescriptor, ItemId, LocationCache, LockConflict,
+    MapItem, Requirement, RtConfig, TaskId,
 };
-use allscale_region::{BucketRegion, Region};
+use allscale_net::frame;
+use allscale_region::{BoxRegion, BucketRegion, Region};
 
 thread_local! {
     /// Allocations made by this thread (the test harness runs tests on
@@ -180,4 +183,60 @@ fn a_served_request_stays_within_its_allocation_budget() {
         marginal <= 20.0,
         "{marginal:.1} allocations per additional request (budget: 20)"
     );
+}
+
+// ----------------------------------------------------------- the byte path
+
+/// Rows of a node's stencil block, and of each first-touch tile in it.
+const BLOCK_ROWS: i64 = 512;
+const TILE_ROWS: i64 = 8;
+const COLS: i64 = 256;
+
+/// A manager holding the block of rows `[first, first + 512)` the way first
+/// touch leaves it: 64 tiles of 8 rows, one chunk each.
+fn block_dim(locality: usize, first: i64) -> DataItemManager {
+    let mut dim = DataItemManager::new(locality);
+    dim.register(ITEM, ItemDescriptor::of::<GridItem<f64, 2>>("A"));
+    for tile in (first..first + BLOCK_ROWS).step_by(TILE_ROWS as usize) {
+        dim.init_owned(ITEM, &BoxRegion::cuboid([tile, 0], [tile + TILE_ROWS, COLS]));
+    }
+    dim
+}
+
+#[test]
+fn a_halo_row_crosses_the_wire_within_its_allocation_budget() {
+    let mut owner = block_dim(0, 0);
+    let mut reader = block_dim(1, BLOCK_ROWS);
+    let halo = BoxRegion::cuboid([BLOCK_ROWS - 1, 0], [BLOCK_ROWS, COLS]);
+    // Export, seal, open and import under the integrity service, then the
+    // release; the second trip runs with every list at its capacity.
+    let mut trip = |task: TaskId| {
+        let n = allocations_of(|| {
+            let framed = owner.export_replica(ITEM, &halo, 1, task).seal();
+            let data = frame::open(&framed).expect("intact frame");
+            reader.import_replica(ITEM, data, task);
+        });
+        reader.drop_replica_holds(ITEM, task);
+        owner.release_exports_of(ITEM, task);
+        n.0
+    };
+    trip(TaskId(1));
+    let n = trip(TaskId(2));
+    // 28 before the export wrote its frame in place and the import adopted
+    // what it decoded: a zeroed extract, an encoding grown by doubling, a
+    // sealed copy, an opened copy, and the decoded chunk cloned into the
+    // slot.
+    assert!(n <= 13, "{n} allocations for one halo row (budget: 13)");
+}
+
+#[test]
+fn a_checkpoint_round_trip_stays_within_its_allocation_budget() {
+    let mut dim = block_dim(0, 0);
+    let n = allocations_of(|| {
+        let snapshot = dim.checkpoint();
+        dim.restore(&snapshot);
+    });
+    // 40 before: the block copied into a zeroed extract, then encoded into
+    // a buffer grown by doubling.
+    assert!(n.0 <= 14, "{} allocations for checkpoint + restore (budget: 14)", n.0);
 }

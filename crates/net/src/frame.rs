@@ -17,10 +17,19 @@
 //! The frame layout is simply `checksum (8 bytes, little-endian) ‖
 //! payload`; [`FRAME_OVERHEAD`] is what the runtime adds to the billed
 //! byte count of a sealed transfer.
+//!
+//! A payload that is going to be sealed is built as a [`Payload`]: encoded
+//! behind eight reserved bytes, so that sealing writes the checksum into
+//! them instead of copying the payload behind a new header, and opening
+//! lends the payload out of the frame it arrived in.
 
 use std::fmt;
+use std::ops::Deref;
 
 use allscale_des::fnv::fnv1a_64;
+use serde::Serialize;
+
+use crate::wire::{self, WireError};
 
 /// Bytes a sealed frame adds on top of its payload (the checksum prefix).
 pub const FRAME_OVERHEAD: usize = 8;
@@ -51,13 +60,63 @@ impl fmt::Display for FrameError {
     }
 }
 
+/// The bytes of one transfer, held behind room for their frame header.
+/// Reads as the payload alone ([`Deref`]) until it is sealed.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Payload {
+    /// [`FRAME_OVERHEAD`] bytes the seal fills in, then the payload.
+    buf: Vec<u8>,
+}
+
+impl Payload {
+    /// The wire encoding of `value` ([`wire::encode`]) as a payload.
+    pub fn encode<T: Serialize + ?Sized>(value: &T) -> Result<Self, WireError> {
+        let buf = wire::encode_behind(FRAME_OVERHEAD, value)?;
+        Ok(Payload { buf })
+    }
+
+    /// A copy of `bytes` as a payload.
+    pub fn from_bytes(bytes: &[u8]) -> Self {
+        let mut buf = Vec::with_capacity(FRAME_OVERHEAD + bytes.len());
+        buf.resize(FRAME_OVERHEAD, 0);
+        buf.extend_from_slice(bytes);
+        Payload { buf }
+    }
+
+    /// Seal into a checksummed frame: `fnv1a_64(payload)` in little-endian
+    /// followed by the payload bytes, which do not move.
+    pub fn seal(self) -> Vec<u8> {
+        let checksum = fnv1a_64(&self);
+        self.seal_with(checksum)
+    }
+
+    /// [`Payload::seal`] for a caller that already holds the payload's
+    /// `fnv1a_64` — one of a batch hashed abreast
+    /// ([`allscale_des::fnv::fnv1a_64_batch`]).
+    pub fn seal_with(mut self, checksum: u64) -> Vec<u8> {
+        debug_assert_eq!(checksum, fnv1a_64(&self), "not this payload's checksum");
+        self.buf[..FRAME_OVERHEAD].copy_from_slice(&checksum.to_le_bytes());
+        self.buf
+    }
+}
+
+impl Deref for Payload {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.buf[FRAME_OVERHEAD..]
+    }
+}
+
+impl fmt::Debug for Payload {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Payload").field(&&**self).finish()
+    }
+}
+
 /// Seal `payload` into a checksummed frame: `fnv1a_64(payload)` in
 /// little-endian followed by the payload bytes.
 pub fn seal(payload: &[u8]) -> Vec<u8> {
-    let mut framed = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
-    framed.extend_from_slice(&fnv1a_64(payload).to_le_bytes());
-    framed.extend_from_slice(payload);
-    framed
+    Payload::from_bytes(payload).seal()
 }
 
 /// Verify and strip the checksum prefix, returning the payload slice.
@@ -109,6 +168,24 @@ mod tests {
         assert_eq!(open(&framed).unwrap(), &payload[..]);
         // Empty payloads seal and open too.
         assert_eq!(open(&seal(&[])).unwrap(), &[] as &[u8]);
+    }
+
+    #[test]
+    fn a_payload_seals_in_place_into_the_frame_seal_builds() {
+        let value = (7u32, vec![1.5f64, -2.0], String::from("halo"));
+        let payload = Payload::encode(&value).unwrap();
+        let bytes = wire::encode(&value).unwrap();
+        assert_eq!(&*payload, &bytes[..], "reads as the bare encoding");
+        assert_eq!(payload, Payload::from_bytes(&bytes));
+        let at = payload.as_ptr();
+        let framed = payload.clone().seal();
+        assert_eq!(framed, seal(&bytes));
+        assert_eq!(framed, payload.clone().seal_with(fnv1a_64(&bytes)));
+        assert_eq!(open(&framed).unwrap(), &bytes[..]);
+        // Sealing the original moves no byte: same allocation, same spot.
+        let sealed = payload.seal();
+        assert_eq!(sealed[FRAME_OVERHEAD..].as_ptr(), at);
+        assert_eq!(Payload::from_bytes(&[]).seal(), seal(&[]));
     }
 
     #[test]

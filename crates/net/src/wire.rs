@@ -58,8 +58,24 @@ impl de::Error for WireError {
 
 /// Serialize `value` into a byte vector.
 pub fn encode<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, WireError> {
-    let mut ser = WireSerializer { out: Vec::new() };
+    encode_behind(0, value)
+}
+
+/// Serialize `value` behind `prefix` zero bytes the caller fills in later
+/// (a frame header). The buffer is allocated once, at its final size: a
+/// first pass over `value` adds up the sequence lengths and fixed widths
+/// the second one writes, so no encoding grows by reallocation.
+pub fn encode_behind<T: Serialize + ?Sized>(
+    prefix: usize,
+    value: &T,
+) -> Result<Vec<u8>, WireError> {
+    let mut sizer = WireSerializer { out: Count(prefix) };
+    value.serialize(&mut sizer)?;
+    let mut out = Vec::with_capacity(sizer.out.0);
+    out.resize(prefix, 0);
+    let mut ser = WireSerializer { out };
     value.serialize(&mut ser)?;
+    debug_assert_eq!(ser.out.len(), sizer.out.0, "the two passes disagree");
     Ok(ser.out)
 }
 
@@ -95,6 +111,16 @@ impl Sink for Vec<u8> {
     #[inline]
     fn put(&mut self, bytes: &[u8]) {
         self.extend_from_slice(bytes);
+    }
+}
+
+/// The length of the encoding, and nothing else.
+struct Count(usize);
+
+impl Sink for Count {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
     }
 }
 
@@ -674,6 +700,22 @@ mod tests {
             charge: 0.0,
             id: 0,
         }));
+    }
+
+    #[test]
+    fn buffers_are_allocated_once_at_their_final_size() {
+        let nested = vec![vec![1.5f64; 300], vec![], vec![-2.0; 7]];
+        let msg = Msg::Data {
+            from: 9,
+            body: vec![3; 1000],
+        };
+        let bare = encode(&nested).unwrap();
+        assert_eq!(bare.capacity(), bare.len(), "sized by the first pass");
+        assert_eq!(encode(&msg).unwrap().capacity(), 4 + 4 + 8 + 1000);
+        let behind = encode_behind(8, &nested).unwrap();
+        assert_eq!(behind.capacity(), behind.len());
+        assert_eq!(behind[..8], [0; 8]);
+        assert_eq!(behind[8..], bare[..]);
     }
 
     #[test]

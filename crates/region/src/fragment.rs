@@ -47,8 +47,23 @@ pub trait Fragment: Serialize + DeserializeOwned + Clone + 'static {
     /// Copy out the sub-fragment covering `region ∩ self.region()`.
     fn extract(&self, region: &Self::Region) -> Self;
 
+    /// What [`Fragment::extract`] would copy out, as a value that
+    /// serializes to the same bytes as that copy — what an export puts on
+    /// the wire. A fragment that can serialize the sub-region from its own
+    /// storage overrides this with a borrowed view and skips the copy.
+    fn extract_view(&self, region: &Self::Region) -> impl Serialize {
+        self.extract(region)
+    }
+
     /// Merge `other` into `self`; on overlap, `other`'s values win.
     fn insert(&mut self, other: &Self);
+
+    /// [`Fragment::insert`] of a fragment the caller is done with — what an
+    /// import does with the one it decoded. A fragment that can adopt
+    /// `other`'s storage overrides this and skips copying it.
+    fn insert_owned(&mut self, other: Self) {
+        self.insert(&other);
+    }
 
     /// Drop coverage of `region` (and the elements within).
     fn remove(&mut self, region: &Self::Region);

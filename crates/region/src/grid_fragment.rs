@@ -10,12 +10,16 @@
 //! serialized fragment bytes are billed on the virtual clock. Element access
 //! therefore never reorganizes chunks; it remembers where it last hit, and
 //! row access cuts its run at chunk edges instead of merging the chunks.
+//! An export serializes a sub-region straight from the chunks that hold it
+//! ([`Fragment::extract_view`]) and so has to lay the bytes out exactly as
+//! [`Fragment::extract`]'s copy would: one chunk per box of `covered ∩
+//! region`, in that intersection's box order, each in row-major order.
 
 use std::cell::{Cell, OnceCell};
 use std::fmt;
 
 use serde::de::{self, SeqAccess, Visitor};
-use serde::ser::SerializeStruct;
+use serde::ser::{SerializeSeq, SerializeStruct};
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
 use crate::boxes::BoxRegion;
@@ -297,30 +301,103 @@ where
     }
 }
 
+/// The first point of every innermost-axis row of `bx`, in row-major
+/// order.
+fn row_starts<const D: usize>(bx: GridBox<D>) -> impl Iterator<Item = Point<D>> {
+    let (lo, hi) = (bx.lo(), bx.hi());
+    std::iter::successors(Some(lo), move |&row| {
+        // Odometer over axes 0..D-1.
+        let mut next = row;
+        for d in (0..D - 1).rev() {
+            next[d] += 1;
+            if next[d] < hi[d] {
+                return Some(next);
+            }
+            next[d] = lo[d];
+        }
+        None
+    })
+}
+
 /// Copy the elements of `overlap` from chunk `src` to chunk `dst` using
 /// contiguous innermost-axis row slices.
 fn copy_box<T: Clone, const D: usize>(src: &Chunk<T, D>, dst: &mut Chunk<T, D>, overlap: &GridBox<D>) {
     let run = (overlap.hi()[D - 1] - overlap.lo()[D - 1]) as usize;
-    // Iterate row starts: all points of the overlap with last coord fixed
-    // at its low value.
-    let mut row_lo = overlap.lo();
-    loop {
+    for row_lo in row_starts(*overlap) {
         let s_off = src.offset(&row_lo);
         let d_off = dst.offset(&row_lo);
         dst.data[d_off..d_off + run].clone_from_slice(&src.data[s_off..s_off + run]);
-        // Odometer over axes 0..D-1.
-        let mut d = D - 1;
-        loop {
-            if d == 0 {
-                return;
-            }
-            d -= 1;
-            row_lo[d] += 1;
-            if row_lo[d] < overlap.hi()[d] {
-                break;
-            }
-            row_lo[d] = overlap.lo()[d];
+    }
+}
+
+/// The sub-fragment [`Fragment::extract`] would build for `covered` (a
+/// subset of `frag`'s coverage), serialized from `frag`'s own chunks.
+struct ExtractView<'a, T, const D: usize> {
+    frag: &'a GridFragment<T, D>,
+    covered: BoxRegion<D>,
+}
+
+impl<T: Serialize, const D: usize> Serialize for ExtractView<'_, T, D> {
+    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        let mut st = s.serialize_struct("GridFragment", 1)?;
+        st.serialize_field("chunks", &ChunkViews(self))?;
+        st.end()
+    }
+}
+
+/// The chunk list of an [`ExtractView`]: one chunk per box of `covered`.
+struct ChunkViews<'a, T, const D: usize>(&'a ExtractView<'a, T, D>);
+
+impl<T: Serialize, const D: usize> Serialize for ChunkViews<'_, T, D> {
+    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        let ExtractView { frag, covered } = self.0;
+        let mut seq = s.serialize_seq(Some(covered.boxes().len()))?;
+        for &bx in covered.boxes() {
+            seq.serialize_element(&ChunkView { frag, bx })?;
         }
+        seq.end()
+    }
+}
+
+/// The chunk [`GridFragment::new`] + `copy_covered_from` would fill for
+/// `bx`, which `frag` covers: the wire form of `Chunk { bx, data }`.
+struct ChunkView<'a, T, const D: usize> {
+    frag: &'a GridFragment<T, D>,
+    bx: GridBox<D>,
+}
+
+impl<T: Serialize, const D: usize> Serialize for ChunkView<'_, T, D> {
+    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        let mut st = s.serialize_struct("Chunk", 2)?;
+        st.serialize_field("bx", &self.bx)?;
+        st.serialize_field("data", &Rows(self))?;
+        st.end()
+    }
+}
+
+/// The elements of a [`ChunkView`] in row-major order, each row gathered
+/// run by run from the source chunks it crosses.
+struct Rows<'a, T, const D: usize>(&'a ChunkView<'a, T, D>);
+
+impl<T: Serialize, const D: usize> Serialize for Rows<'_, T, D> {
+    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        let ChunkView { frag, bx } = *self.0;
+        let width = (bx.hi()[D - 1] - bx.lo()[D - 1]) as usize;
+        let mut seq = s.serialize_seq(Some(bx.cardinality() as usize))?;
+        for mut p in row_starts(bx) {
+            let mut left = width;
+            while left > 0 {
+                let (i, off, run) = frag
+                    .locate_run(&p, left)
+                    .expect("an extract view stays inside the fragment's coverage");
+                for v in &frag.chunks[i].data[off..off + run] {
+                    seq.serialize_element(v)?;
+                }
+                left -= run;
+                p[D - 1] += run as i64;
+            }
+        }
+        seq.end()
     }
 }
 
@@ -349,11 +426,22 @@ where
         out
     }
 
+    fn extract_view(&self, region: &BoxRegion<D>) -> impl Serialize {
+        ExtractView {
+            frag: self,
+            covered: self.covered().intersect(region),
+        }
+    }
+
     fn insert(&mut self, other: &Self) {
+        self.insert_owned(other.clone());
+    }
+
+    fn insert_owned(&mut self, mut other: Self) {
         // Last-writer-wins on overlap: clear the overlap, then adopt
         // other's chunks wholesale (they are disjoint among themselves).
         self.remove(other.covered());
-        self.chunks.extend(other.chunks.iter().cloned());
+        self.chunks.append(&mut other.chunks);
         self.region.take();
     }
 

@@ -531,6 +531,17 @@ fn rows_match_elements<const D: usize>(
     Ok(())
 }
 
+/// The extract view serializes to the bytes of the copy `extract` builds:
+/// the same chunks in the same order, the same boxes, the same elements.
+fn view_matches_extract<const D: usize>(
+    frag: &GridFragment<i64, D>,
+    region: &BoxRegion<D>,
+) -> Result<(), TestCaseError> {
+    let copy = wire::encode(&frag.extract(region)).unwrap();
+    prop_assert_eq!(wire::encode(&frag.extract_view(region)).unwrap(), copy);
+    Ok(())
+}
+
 type CellMap = std::collections::BTreeMap<[i64; 2], i64>;
 
 /// What a front-to-back scan of the chunks finds at `p`.
@@ -570,7 +581,14 @@ proptest! {
                     let region = pre_change::from_boxes(boxes);
                     let mut piece = GridFragment::new(&BoxRegion::from_boxes(boxes.iter().copied()));
                     piece.for_each_mut(|_, slot| *slot = *v);
-                    frag.insert(&piece);
+                    // By value and by reference are one operation; the
+                    // by-value one runs on the fragment whose `region()`
+                    // memo the previous edit left warm.
+                    let mut by_ref = frag.clone();
+                    by_ref.insert(&piece);
+                    frag.insert_owned(piece);
+                    prop_assert_eq!(frag.region(), by_ref.region());
+                    prop_assert_eq!(wire::encode(&frag).unwrap(), wire::encode(&by_ref).unwrap());
                     chunks = pre_change::remove(&chunks, &region);
                     chunks.extend(&region);
                     for p in region.iter().flat_map(|b| b.points()) {
@@ -587,6 +605,7 @@ proptest! {
                 }
                 Edit::Extract(bx) => {
                     let piece = frag.extract(&BoxRegion::from_box(*bx));
+                    view_matches_extract(&frag, &BoxRegion::from_box(*bx))?;
                     let expect: CellMap = oracle
                         .iter()
                         .filter(|(p, _)| bx.contains(&Point(**p)))
@@ -623,6 +642,17 @@ proptest! {
             prop_assert_eq!(format!("{frag:?}"), chunk_list(&chunks));
             prop_assert_eq!(frag.region().boxes().to_vec(), pre_change::from_boxes(&chunks));
         }
+        // Exports of the final, many-chunk fragment: nothing, everything,
+        // a box wholly outside coverage, and every multi-box region the
+        // script used (partly outside, across chunks).
+        view_matches_extract(&frag, &BoxRegion::empty())?;
+        view_matches_extract(&frag, &frag.region())?;
+        view_matches_extract(&frag, &BoxRegion::cuboid([40, 40], [45, 45]))?;
+        for e in &edits {
+            if let Edit::Insert(boxes, _) | Edit::Remove(boxes) = e {
+                view_matches_extract(&frag, &BoxRegion::from_boxes(boxes.iter().copied()))?;
+            }
+        }
         // Same coverage and values.
         prop_assert_eq!(frag.len(), oracle.len());
         frag.for_each(|p, v| {
@@ -642,6 +672,7 @@ proptest! {
     fn rows_match_elements_in_three_dimensions(
         edits in prop::collection::vec((any::<bool>(), arb_box3()), 1..8),
         rows in prop::collection::vec(((0i64..6, 0i64..6, 0i64..10), arb_row()), 1..6),
+        cuts in prop::collection::vec(prop::collection::vec(arb_box3(), 1..3), 1..4),
     ) {
         let mut frag = GridFragment::<i64, 3>::empty();
         for (insert, bx) in &edits {
@@ -657,6 +688,13 @@ proptest! {
         for ((x, y, z), vals) in &rows {
             rows_match_elements(&frag, Point([*x, *y, *z]), vals)?;
         }
+        // Exports gather each row of an output box from the chunks it
+        // crosses, whichever axis those were split along.
+        for cut in &cuts {
+            view_matches_extract(&frag, &BoxRegion::from_boxes(cut.iter().copied()))?;
+        }
+        view_matches_extract(&frag, &BoxRegion::empty())?;
+        view_matches_extract(&frag, &frag.region())?;
     }
 
     /// `extract` then `insert` into an empty fragment reproduces exactly
