@@ -21,10 +21,10 @@
 pub mod allscale_version;
 pub mod mpi_version;
 
-use serde::{Deserialize, Serialize};
+use allscale_net::wire::wire_struct;
 
 /// One charged particle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Particle {
     /// Unique id (checksums, debugging).
     pub id: u64,
@@ -33,6 +33,7 @@ pub struct Particle {
     /// Velocity in domain units per time unit.
     pub vel: [f64; 3],
 }
+wire_struct!(Particle { id, pos, vel });
 
 /// The particle list of one grid cell.
 pub type Cell = Vec<Particle>;

@@ -18,8 +18,7 @@
 pub mod allscale_version;
 pub mod mpi_version;
 
-use serde::{Deserialize, Serialize};
-
+use allscale_net::wire::wire_struct;
 use allscale_region::TreePath;
 
 /// Dimensionality of the point space.
@@ -28,13 +27,14 @@ pub const DIMS: usize = 7;
 pub const EXTENT: f64 = 100.0;
 
 /// One kd-tree node: the splitting point and its dimension.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KdNode {
     /// The point stored at this node (the median of its subtree).
     pub point: [f64; DIMS],
     /// The splitting dimension (depth mod 7).
     pub dim: u8,
 }
+wire_struct!(KdNode { point, dim });
 
 /// Benchmark configuration.
 #[derive(Debug, Clone)]

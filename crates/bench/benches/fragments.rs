@@ -68,7 +68,7 @@ fn bench_extract_insert(c: &mut Criterion) {
     g.bench_function("export_import/halo_row", |b| {
         b.iter(|| {
             let view = owner.extract_view(black_box(&own));
-            let framed = frame::Payload::encode(&view).expect("encodes").seal();
+            let framed = frame::Payload::encode(&view).seal();
             let payload = frame::open(&framed).expect("intact frame");
             reader.insert_owned(wire::decode(payload).expect("decodes"));
             reader.remove(&own);
@@ -161,8 +161,8 @@ fn bench_get_set(c: &mut Criterion) {
     let mut by_rows = tiled(false);
     five_point_sweep_rows(&src, &mut by_rows);
     assert_eq!(
-        wire::encode(&by_rows).unwrap(),
-        wire::encode(&dst).unwrap(),
+        wire::encode(&by_rows),
+        wire::encode(&dst),
         "the row sweep must compute the per-cell sweep's field"
     );
     g.bench_function("tiled_64_rows", |b| {
@@ -243,9 +243,9 @@ fn bench_wire_codec(c: &mut Criterion) {
     let mut g = c.benchmark_group("wire");
     for &n in &[64i64, 256] {
         let f = filled(n);
-        let bytes = wire::encode(&f).unwrap();
+        let bytes = wire::encode(&f);
         g.bench_with_input(BenchmarkId::new("encode_fragment", n), &n, |b, _| {
-            b.iter(|| wire::encode(black_box(&f)).unwrap())
+            b.iter(|| wire::encode(black_box(&f)))
         });
         g.bench_with_input(BenchmarkId::new("decode_fragment", n), &n, |b, _| {
             b.iter(|| wire::decode::<GridFragment<f64, 2>>(black_box(&bytes)).unwrap())

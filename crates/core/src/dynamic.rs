@@ -44,8 +44,8 @@ pub trait DynRegion: fmt::Debug {
     /// encoded length).
     fn encode(&self) -> Vec<u8>;
     /// A cheap, stable 64-bit fingerprint of the region value, used as the
-    /// location-cache key. Computed over the canonical wire encoding (the
-    /// serializer feeds the hash; no bytes are stored), so equal
+    /// location-cache key. Computed over the canonical wire encoding (`put`
+    /// feeds the hash; no bytes are stored), so equal
     /// *representations* always agree; semantically equal regions with
     /// different internal structure may fingerprint differently, and
     /// distinct regions may collide — consumers needing exactness (the
@@ -82,10 +82,10 @@ impl<R: Region> DynRegion for R {
         self == downcast::<R>(other)
     }
     fn encode(&self) -> Vec<u8> {
-        wire::encode(self).expect("region serialization cannot fail")
+        wire::encode(self)
     }
     fn fingerprint_dyn(&self) -> u64 {
-        wire::fingerprint(self).expect("region serialization cannot fail")
+        wire::fingerprint(self)
     }
     fn as_any(&self) -> &dyn Any {
         self
@@ -141,11 +141,9 @@ impl<F: Fragment> DynFragment for F {
     }
     fn export(&self, region: &dyn DynRegion) -> Payload {
         Payload::encode(&self.extract_view(downcast::<F::Region>(region)))
-            .expect("fragment serialization cannot fail")
     }
     fn encode_part(&self, region: &dyn DynRegion) -> Vec<u8> {
         wire::encode(&self.extract_view(downcast::<F::Region>(region)))
-            .expect("fragment serialization cannot fail")
     }
     fn insert_dyn(&mut self, other: Box<dyn DynFragment>) {
         let other = other
@@ -263,7 +261,7 @@ mod tests {
         let mut f = GridFragment::<f64, 2>::new(&r2([0, 0], [3, 3]));
         f.set(&allscale_region::Point([1, 2]), 7.5);
         let bytes = f.export(&r2([0, 0], [3, 3]));
-        assert_eq!(&*bytes, &wire::encode(&f).unwrap()[..]);
+        assert_eq!(&*bytes, &wire::encode(&f)[..]);
         let back = (desc.decode_fragment)(&bytes);
         let typed = back.as_any().downcast_ref::<GridFragment<f64, 2>>().unwrap();
         assert_eq!(typed.get(&allscale_region::Point([1, 2])), Some(&7.5));

@@ -13,11 +13,11 @@
 use std::sync::Arc;
 
 use allscale_des::SimDuration;
+use allscale_net::wire::Wire;
 use allscale_region::{
     BoxRegion, BucketRegion, GridBox, GridFragment, ItemType, KeyedFragment, PathRegion, Point,
     ScalarFragment, TreeFragment, TreePath, UnitRegion,
 };
-use serde::{de::DeserializeOwned, Serialize};
 
 use crate::cost::CostModel;
 use crate::runtime::RtCtx;
@@ -28,7 +28,7 @@ pub struct GridItem<T, const D: usize>(std::marker::PhantomData<T>);
 
 impl<T, const D: usize> ItemType for GridItem<T, D>
 where
-    T: Clone + Default + Serialize + DeserializeOwned + 'static,
+    T: Clone + Default + Wire + 'static,
 {
     type Region = BoxRegion<D>;
     type Fragment = GridFragment<T, D>;
@@ -54,7 +54,7 @@ impl<T, const D: usize> Copy for Grid<T, D> {}
 
 impl<T, const D: usize> Grid<T, D>
 where
-    T: Clone + Default + Serialize + DeserializeOwned + 'static,
+    T: Clone + Default + Wire + 'static,
 {
     /// Create a grid data item of the given shape (paper Fig. 6b, lines
     /// 1-2). Registers the item on every locality; storage appears on
@@ -138,7 +138,7 @@ pub struct ScalarItem<T>(std::marker::PhantomData<T>);
 
 impl<T> ItemType for ScalarItem<T>
 where
-    T: Clone + Default + Serialize + DeserializeOwned + 'static,
+    T: Clone + Default + Wire + 'static,
 {
     type Region = UnitRegion;
     type Fragment = ScalarFragment<T>;
@@ -162,7 +162,7 @@ impl<T> Copy for Scalar<T> {}
 
 impl<T> Scalar<T>
 where
-    T: Clone + Default + Serialize + DeserializeOwned + 'static,
+    T: Clone + Default + Wire + 'static,
 {
     /// Create a scalar data item.
     pub fn create(ctx: &mut RtCtx<'_>, name: &'static str) -> Self {
@@ -206,7 +206,7 @@ pub struct TreeItem<T, R>(std::marker::PhantomData<(T, R)>);
 
 impl<T, R> ItemType for TreeItem<T, R>
 where
-    T: Clone + Serialize + DeserializeOwned + 'static,
+    T: Clone + Wire + 'static,
     R: PathRegion,
 {
     type Region = R;
@@ -232,7 +232,7 @@ impl<T, R: PathRegion> Copy for Tree<T, R> {}
 
 impl<T, R> Tree<T, R>
 where
-    T: Clone + Serialize + DeserializeOwned + 'static,
+    T: Clone + Wire + 'static,
     R: PathRegion,
 {
     /// Create a tree data item.
@@ -269,8 +269,8 @@ pub struct MapItem<K, V>(std::marker::PhantomData<(K, V)>);
 
 impl<K, V> ItemType for MapItem<K, V>
 where
-    K: Ord + Clone + Serialize + DeserializeOwned + 'static,
-    V: Clone + Serialize + DeserializeOwned + 'static,
+    K: Ord + Clone + Wire + 'static,
+    V: Clone + Wire + 'static,
 {
     type Region = BucketRegion;
     type Fragment = KeyedFragment<K, V>;
@@ -297,8 +297,8 @@ impl<K, V> Copy for DistMap<K, V> {}
 
 impl<K, V> DistMap<K, V>
 where
-    K: Ord + Clone + Serialize + DeserializeOwned + 'static,
-    V: Clone + Serialize + DeserializeOwned + 'static,
+    K: Ord + Clone + Wire + 'static,
+    V: Clone + Wire + 'static,
 {
     /// Create a distributed map with `buckets` hash buckets.
     pub fn create(ctx: &mut RtCtx<'_>, name: &'static str, buckets: u32) -> Self {

@@ -20,6 +20,9 @@
 //!   randomized subsystem draws from;
 //! - [`fnv`]: the shared FNV-1a 64-bit hash behind every fingerprint,
 //!   checksum and digest;
+//! - [`wire`]: the one serialization format — what a value costs to move is
+//!   the length of its encoding, so the codec sits beside the hash that
+//!   fingerprints it, below every crate that sends or stores bytes;
 //! - [`ArrivalGen`]: open-loop request arrival processes (Poisson and
 //!   trace-driven) for the serving subsystem.
 //!
@@ -48,6 +51,7 @@ pub mod rng;
 mod sim;
 mod stats;
 mod time;
+pub mod wire;
 
 pub use arrivals::{ArrivalGen, ArrivalProcess};
 pub use cores::CorePool;

@@ -7,9 +7,7 @@
 //! properties of paper Section 2.5 are asserted (see
 //! [`crate::properties`]).
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use allscale_des::rng::XorShift64;
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::ids::{CoreId, Elem, ItemId, MemId, TaskId, VariantId};
@@ -49,9 +47,16 @@ pub enum Outcome {
     Stuck,
 }
 
+/// Fisher–Yates.
+fn shuffle<T>(rng: &mut XorShift64, items: &mut [T]) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+}
+
 /// Drives programs to completion with a seeded RNG.
 pub struct Driver {
-    rng: StdRng,
+    rng: XorShift64,
     /// Probability (percent) of injecting a gratuitous migrate/replicate
     /// between progress steps — chaos for the property tests.
     pub chaos_percent: u32,
@@ -63,7 +68,7 @@ impl Driver {
     /// A driver with the given seed and default chaos (20%).
     pub fn new(seed: u64) -> Self {
         Driver {
-            rng: StdRng::seed_from_u64(seed),
+            rng: XorShift64::new(seed),
             chaos_percent: 20,
             max_steps: 10_000,
         }
@@ -100,19 +105,19 @@ impl Driver {
     /// (step/continue), otherwise starting a queued task (staging data as
     /// needed), otherwise a staging move toward a future start.
     fn choose(&mut self, program: &Program, state: &SystemState) -> Option<Transition> {
-        if self.rng.gen_range(0u32..100) < self.chaos_percent {
+        if self.rng.below(100) < self.chaos_percent as u64 {
             if let Some(t) = self.random_data_move(program, state) {
                 return Some(t);
             }
         }
         let mut progress = enabled_progress(program, state);
         if !progress.is_empty() {
-            progress.shuffle(&mut self.rng);
+            shuffle(&mut self.rng, &mut progress);
             return progress.pop();
         }
         // Try to start a queued task (with data staging).
         let mut queued: Vec<TaskId> = state.q.iter().copied().collect();
-        queued.shuffle(&mut self.rng);
+        shuffle(&mut self.rng, &mut queued);
         for t in queued {
             if let Some(tr) = self.try_start(program, state, t) {
                 return Some(tr);
@@ -130,7 +135,7 @@ impl Driver {
         task: TaskId,
     ) -> Option<Transition> {
         let mut variants: Vec<VariantId> = program.variants_of(task).to_vec();
-        variants.shuffle(&mut self.rng);
+        shuffle(&mut self.rng, &mut variants);
         // Stable per-task core preference: staging must aim at a fixed
         // target across retries, or data ping-pongs between memories and
         // the run never converges.
@@ -259,18 +264,18 @@ impl Driver {
             return None;
         }
         let placed: Vec<_> = state.d.iter().copied().collect();
-        let &(src, item, e) = placed.get(self.rng.gen_range(0..placed.len()))?;
+        let &(src, item, e) = placed.get(self.rng.below(placed.len() as u64) as usize)?;
         if !state.live_items.contains(&item) {
             return None;
         }
         let mems: Vec<MemId> = state.arch.mems().collect();
-        let dst = mems[self.rng.gen_range(0..mems.len())];
+        let dst = mems[self.rng.below(mems.len() as u64) as usize];
         if dst == src {
             return None;
         }
         let elems: BTreeSet<Elem> = [e].into_iter().collect();
         let _ = program;
-        if self.rng.gen_bool(0.5) {
+        if self.rng.below(2) == 0 {
             if state.any_lock(src, item, e) || state.any_lock(dst, item, e) {
                 return None;
             }
@@ -377,5 +382,15 @@ mod tests {
         assert_eq!(outcome, Outcome::Terminated);
         // start + end.
         assert_eq!(trace.steps.len(), 2);
+    }
+
+    #[test]
+    fn shuffle_is_a_permutation() {
+        let mut rng = XorShift64::new(11);
+        let mut v: Vec<u32> = (0..50).collect();
+        shuffle(&mut rng, &mut v);
+        assert_ne!(v, (0..50).collect::<Vec<_>>(), "moved something");
+        v.sort_unstable();
+        assert_eq!(v, (0..50).collect::<Vec<_>>());
     }
 }

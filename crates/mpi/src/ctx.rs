@@ -11,8 +11,7 @@ use std::rc::Rc;
 use std::task::Poll;
 
 use allscale_des::SimDuration;
-use allscale_net::wire;
-use serde::{de::DeserializeOwned, Serialize};
+use allscale_net::wire::{self, Wire};
 
 /// Requests a rank can issue to the coordinator.
 #[derive(Debug)]
@@ -112,8 +111,8 @@ impl RankCtx {
     }
 
     /// Send a serializable value to `to` with `tag`.
-    pub async fn send<V: Serialize>(&self, to: usize, tag: u32, value: &V) {
-        let bytes = wire::encode(value).expect("mpi payload serialization");
+    pub async fn send<V: Wire>(&self, to: usize, tag: u32, value: &V) {
+        let bytes = wire::encode(value);
         match self.call(MpiCall::Send { to, tag, bytes }).await {
             MpiReply::Ok => {}
             _ => unreachable!("protocol violation: send reply"),
@@ -121,7 +120,7 @@ impl RankCtx {
     }
 
     /// Receive a value from `from` with `tag` (blocking, FIFO per channel).
-    pub async fn recv<V: DeserializeOwned>(&self, from: usize, tag: u32) -> V {
+    pub async fn recv<V: Wire>(&self, from: usize, tag: u32) -> V {
         match self.call(MpiCall::Recv { from, tag }).await {
             MpiReply::Msg(bytes) => wire::decode(&bytes).expect("mpi payload deserialization"),
             _ => unreachable!("protocol violation: recv reply"),
@@ -169,11 +168,7 @@ impl RankCtx {
     /// Personalized all-to-all: element `i` of `outbox` goes to rank `i`;
     /// returns the inbox indexed by source rank. Built from point-to-point
     /// messages (ring schedule), like a small MPI_Alltoallv.
-    pub async fn alltoall<V: Serialize + DeserializeOwned>(
-        &self,
-        tag: u32,
-        outbox: Vec<V>,
-    ) -> Vec<V> {
+    pub async fn alltoall<V: Wire>(&self, tag: u32, outbox: Vec<V>) -> Vec<V> {
         assert_eq!(outbox.len(), self.size, "one outbox entry per rank");
         let me = self.rank;
         let n = self.size;

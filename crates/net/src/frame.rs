@@ -27,9 +27,8 @@ use std::fmt;
 use std::ops::Deref;
 
 use allscale_des::fnv::fnv1a_64;
-use serde::Serialize;
 
-use crate::wire::{self, WireError};
+use crate::wire::{self, Wire};
 
 /// Bytes a sealed frame adds on top of its payload (the checksum prefix).
 pub const FRAME_OVERHEAD: usize = 8;
@@ -70,9 +69,10 @@ pub struct Payload {
 
 impl Payload {
     /// The wire encoding of `value` ([`wire::encode`]) as a payload.
-    pub fn encode<T: Serialize + ?Sized>(value: &T) -> Result<Self, WireError> {
-        let buf = wire::encode_behind(FRAME_OVERHEAD, value)?;
-        Ok(Payload { buf })
+    pub fn encode<T: Wire + ?Sized>(value: &T) -> Self {
+        Payload {
+            buf: wire::encode_behind(FRAME_OVERHEAD, value),
+        }
     }
 
     /// A copy of `bytes` as a payload.
@@ -173,8 +173,8 @@ mod tests {
     #[test]
     fn a_payload_seals_in_place_into_the_frame_seal_builds() {
         let value = (7u32, vec![1.5f64, -2.0], String::from("halo"));
-        let payload = Payload::encode(&value).unwrap();
-        let bytes = wire::encode(&value).unwrap();
+        let payload = Payload::encode(&value);
+        let bytes = wire::encode(&value);
         assert_eq!(&*payload, &bytes[..], "reads as the bare encoding");
         assert_eq!(payload, Payload::from_bytes(&bytes));
         let at = payload.as_ptr();

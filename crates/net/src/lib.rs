@@ -3,8 +3,9 @@
 //! Replaces the paper's Intel OmniPath fat-tree (and HPX's communication
 //! layer) with a deterministic cost model over [`allscale_des`]:
 //!
-//! - [`wire`]: a compact binary serde format — all inter-locality data
-//!   movement is real serialized bytes, enforcing address-space separation;
+//! - [`wire`]: the binary format every value crosses the fabric in
+//!   (re-exported from [`allscale_des`]) — all inter-locality data movement
+//!   is real serialized bytes, enforcing address-space separation;
 //! - [`frame`]: FNV-1a checksum framing over those bytes — the
 //!   end-to-end integrity boundary for transfers and checkpoint shards;
 //! - [`FatTree`] / [`SingleSwitch`]: hop-count topologies;
@@ -25,8 +26,8 @@ pub mod frame;
 mod network;
 mod storage;
 mod topology;
-pub mod wire;
 
+pub use allscale_des::wire;
 pub use cluster::{ClusterSpec, TopologyKind};
 pub use coalesce::{Batch, BatchParams, Coalescer, Enqueue, FlushCause};
 pub use fault::{FaultPlan, RetryPolicy, TransferFault, Verdict};

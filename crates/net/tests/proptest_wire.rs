@@ -1,22 +1,27 @@
 //! Property-based tests of the wire codec: arbitrary nested values must
-//! round-trip exactly, and the encoding must be a prefix-free function of
-//! the value (deterministic, no trailing garbage accepted).
+//! round-trip exactly, the encoding must be a prefix-free function of the
+//! value (deterministic, no trailing garbage accepted), and decoding is a
+//! boundary: whatever bytes arrive, `decode` answers with a value or a
+//! `WireError`, never a panic and never an allocation sized by the input.
 
 use proptest::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use allscale_des::fnv::fnv1a_64;
-use allscale_net::wire::{decode, encode, fingerprint, WireError};
+use allscale_net::wire::{
+    decode, encode, fingerprint, wire_struct, Reader, Sink, Wire, WireError,
+};
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct Inner {
     id: u64,
     weight: f64,
     tag: Option<String>,
 }
+wire_struct!(Inner { id, weight, tag });
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One variant of each shape: newtype, tuple, struct and unit.
+#[derive(Debug, Clone, PartialEq)]
 enum Node {
     Leaf(i32),
     Pair(Box<Node>, Box<Node>),
@@ -24,13 +29,48 @@ enum Node {
     Nothing,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+impl Wire for Node {
+    fn put(&self, out: &mut impl Sink) {
+        match self {
+            Node::Leaf(v) => {
+                0u32.put(out);
+                v.put(out);
+            }
+            Node::Pair(a, b) => {
+                1u32.put(out);
+                a.put(out);
+                b.put(out);
+            }
+            Node::Tagged { name, value } => {
+                2u32.put(out);
+                name.put(out);
+                value.put(out);
+            }
+            Node::Nothing => 3u32.put(out),
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(match u32::get(r)? {
+            0 => Node::Leaf(Wire::get(r)?),
+            1 => Node::Pair(Wire::get(r)?, Wire::get(r)?),
+            2 => Node::Tagged {
+                name: Wire::get(r)?,
+                value: Wire::get(r)?,
+            },
+            3 => Node::Nothing,
+            n => return Err(WireError::InvalidData(format!("invalid Node variant {n}"))),
+        })
+    }
+}
+
+#[derive(Debug, Clone, PartialEq)]
 struct Outer {
     items: Vec<Inner>,
     lookup: BTreeMap<u32, Vec<u8>>,
     tree: Node,
     flags: (bool, bool, char),
 }
+wire_struct!(Outer { items, lookup, tree, flags });
 
 fn arb_inner() -> impl Strategy<Value = Inner> {
     (any::<u64>(), any::<f64>(), proptest::option::of(".{0,12}")).prop_map(
@@ -76,7 +116,7 @@ proptest! {
 
     #[test]
     fn round_trip(v in arb_outer()) {
-        let bytes = encode(&v).unwrap();
+        let bytes = encode(&v);
         let back: Outer = decode(&bytes).unwrap();
         prop_assert_eq!(back, v);
     }
@@ -88,42 +128,74 @@ proptest! {
         v in arb_outer(),
         words in prop::collection::vec(prop_oneof![Just(0u64), any::<u64>()], 0..24)
     ) {
-        prop_assert_eq!(fingerprint(&v).unwrap(), fnv1a_64(&encode(&v).unwrap()));
+        prop_assert_eq!(fingerprint(&v), fnv1a_64(&encode(&v)));
         // Zero words take the sink's one-multiplication path.
-        prop_assert_eq!(fingerprint(&words).unwrap(), fnv1a_64(&encode(&words).unwrap()));
+        prop_assert_eq!(fingerprint(&words), fnv1a_64(&encode(&words)));
     }
 
     #[test]
     fn encoding_is_deterministic(v in arb_outer()) {
-        prop_assert_eq!(encode(&v).unwrap(), encode(&v).unwrap());
+        prop_assert_eq!(encode(&v), encode(&v));
     }
 
     #[test]
     fn trailing_bytes_always_rejected(v in arb_outer(), junk in 1u8..=255) {
-        let mut bytes = encode(&v).unwrap();
+        let mut bytes = encode(&v);
         bytes.push(junk);
         let r: Result<Outer, _> = decode(&bytes);
         prop_assert!(matches!(r, Err(WireError::TrailingBytes(1))));
     }
 
+    /// Every strict prefix of an encoding ends inside some field: `Eof`,
+    /// whatever the cut, and never a panic.
     #[test]
-    fn truncation_never_panics(v in arb_outer(), cut in 0usize..64) {
-        let bytes = encode(&v).unwrap();
-        if cut < bytes.len() {
-            // Any truncation either fails cleanly or — if the prefix
-            // happens to decode — must not be accepted with leftovers.
-            let r: Result<Outer, _> = decode(&bytes[..bytes.len() - cut - 1]);
-            if cut < bytes.len() {
-                prop_assert!(r.is_err());
-            }
+    fn truncation_never_panics(v in arb_outer()) {
+        let bytes = encode(&v);
+        for cut in 0..bytes.len() {
+            prop_assert_eq!(decode::<Outer>(&bytes[..cut]), Err(WireError::Eof), "cut at {}", cut);
         }
+    }
+
+    /// A tag byte other than 0 or 1 is no `bool` and no `Option`, and a
+    /// variant index past the last variant is no `Node`.
+    #[test]
+    fn bad_tags_and_variant_indices_are_invalid_data(
+        v in arb_outer(), tag in 2u8..=255, variant in 4u32..=u32::MAX
+    ) {
+        prop_assert!(matches!(decode::<bool>(&[tag]), Err(WireError::InvalidData(_))));
+        prop_assert!(matches!(decode::<Option<u8>>(&[tag, 0]), Err(WireError::InvalidData(_))));
+        // `flags` ends the encoding: bool, bool, char.
+        let mut bytes = encode(&v);
+        let at = bytes.len() - 6;
+        bytes[at] = tag;
+        prop_assert!(matches!(decode::<Outer>(&bytes), Err(WireError::InvalidData(_))));
+        let mut bytes = encode(&Node::Nothing);
+        bytes.copy_from_slice(&variant.to_le_bytes());
+        prop_assert!(matches!(decode::<Node>(&bytes), Err(WireError::InvalidData(_))));
     }
 
     #[test]
     fn primitive_vectors_round_trip(v in prop::collection::vec(any::<f64>(), 0..64)) {
         let clean: Vec<f64> = v.into_iter().map(|x| if x.is_nan() { 0.0 } else { x }).collect();
-        let bytes = encode(&clean).unwrap();
+        let bytes = encode(&clean);
         let back: Vec<f64> = decode(&bytes).unwrap();
         prop_assert_eq!(back, clean);
+    }
+}
+
+/// A length prefix is the input's claim. Whatever it says, decoding ends
+/// where the bytes do — `Vec::with_capacity` of any of these claims would
+/// abort instead (what is reserved, at most 1 MiB, is pinned beside
+/// `cautious` in the codec's unit tests).
+#[test]
+fn a_hostile_length_prefix_is_eof() {
+    for claim in [u64::MAX, u64::MAX / 8, 1 << 48, 1 << 31] {
+        let mut hostile = claim.to_le_bytes().to_vec();
+        hostile.extend_from_slice(&[0; 40]);
+        assert_eq!(decode::<Vec<f64>>(&hostile), Err(WireError::Eof));
+        assert_eq!(decode::<Vec<u8>>(&hostile), Err(WireError::Eof));
+        assert_eq!(decode::<Vec<Vec<String>>>(&hostile), Err(WireError::Eof));
+        assert_eq!(decode::<String>(&hostile), Err(WireError::Eof));
+        assert_eq!(decode::<BTreeMap<u64, u32>>(&hostile), Err(WireError::Eof));
     }
 }

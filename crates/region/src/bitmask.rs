@@ -9,7 +9,7 @@
 //! this is the scheme the TPC evaluation code uses to distribute its
 //! kd-tree.
 
-use serde::{Deserialize, Serialize};
+use allscale_des::wire::wire_struct;
 
 use crate::region::Region;
 use crate::tree::TreeRegion;
@@ -19,12 +19,13 @@ use crate::treepath::TreePath;
 ///
 /// Two regions are only compatible (for set operations) if they share the
 /// same split depth `h`; mixing depths is a programming error and panics.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct BitmaskTreeRegion {
     h: u8,
     /// Bit 0: root block; bits 1..=2^h: subtrees, packed into u64 words.
     words: Vec<u64>,
 }
+wire_struct!(BitmaskTreeRegion { h, words });
 
 impl PartialEq for BitmaskTreeRegion {
     fn eq(&self, other: &Self) -> bool {

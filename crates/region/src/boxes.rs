@@ -5,7 +5,7 @@
 //! region scheme the AllScale prototype ships for its `Grid` data item and
 //! the one used by the stencil and iPiC3D evaluation codes.
 
-use serde::{Deserialize, Serialize};
+use allscale_des::wire::{Reader, Sink, Wire, WireError};
 
 use crate::point::{GridBox, Point};
 use crate::region::Region;
@@ -17,9 +17,18 @@ use crate::region::Region;
 /// (important for long-running simulations that repeatedly migrate halos).
 /// Semantic equality is still *set* equality, implemented by mutual
 /// inclusion, so structurally different decompositions compare equal.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct BoxRegion<const D: usize> {
     boxes: Vec<GridBox<D>>,
+}
+
+impl<const D: usize> Wire for BoxRegion<D> {
+    fn put(&self, out: &mut impl Sink) {
+        self.boxes.put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(BoxRegion { boxes: Wire::get(r)? })
+    }
 }
 
 impl<const D: usize> BoxRegion<D> {

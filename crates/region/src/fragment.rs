@@ -15,7 +15,7 @@
 //! covered elements, and fragments are serializable, so the runtime can
 //! ship them between simulated address spaces as bytes.
 
-use serde::{de::DeserializeOwned, Serialize};
+use allscale_des::wire::Wire;
 
 use crate::region::Region;
 
@@ -29,7 +29,7 @@ use crate::region::Region;
 ///   covered by `g` take `g`'s values (last writer wins);
 /// - after `f.remove(&r)`, `f.region() == old \ r`, all surviving elements
 ///   unchanged.
-pub trait Fragment: Serialize + DeserializeOwned + Clone + 'static {
+pub trait Fragment: Wire + Clone + 'static {
     /// The region scheme addressing this fragment's elements.
     type Region: Region;
 
@@ -48,10 +48,10 @@ pub trait Fragment: Serialize + DeserializeOwned + Clone + 'static {
     fn extract(&self, region: &Self::Region) -> Self;
 
     /// What [`Fragment::extract`] would copy out, as a value that
-    /// serializes to the same bytes as that copy — what an export puts on
-    /// the wire. A fragment that can serialize the sub-region from its own
+    /// encodes to the same bytes as that copy — what an export puts on
+    /// the wire. A fragment that can write the sub-region from its own
     /// storage overrides this with a borrowed view and skips the copy.
-    fn extract_view(&self, region: &Self::Region) -> impl Serialize {
+    fn extract_view(&self, region: &Self::Region) -> impl Wire {
         self.extract(region)
     }
 

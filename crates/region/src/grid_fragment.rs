@@ -18,9 +18,7 @@
 use std::cell::{Cell, OnceCell};
 use std::fmt;
 
-use serde::de::{self, SeqAccess, Visitor};
-use serde::ser::{SerializeSeq, SerializeStruct};
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use allscale_des::wire::{Reader, Sink, Wire, WireError};
 
 use crate::boxes::BoxRegion;
 use crate::fragment::Fragment;
@@ -33,10 +31,23 @@ use crate::region::Region;
 const FINGERS: usize = 4;
 
 /// A dense row-major block of grid elements covering one box.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 struct Chunk<T, const D: usize> {
     bx: GridBox<D>,
     data: Vec<T>,
+}
+
+impl<T: Wire, const D: usize> Wire for Chunk<T, D> {
+    fn put(&self, out: &mut impl Sink) {
+        self.bx.put(out);
+        self.data.put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(Chunk {
+            bx: Wire::get(r)?,
+            data: Wire::get(r)?,
+        })
+    }
 }
 
 impl<T, const D: usize> Chunk<T, D> {
@@ -83,36 +94,13 @@ pub struct GridFragment<T, const D: usize> {
     region: OnceCell<BoxRegion<D>>,
 }
 
-// Hand-written so that the wire form stays the one-field struct
-// `{ chunks }` (the vendored derive has no `#[serde(skip)]`).
-impl<T: Serialize, const D: usize> Serialize for GridFragment<T, D> {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        let mut st = s.serialize_struct("GridFragment", 1)?;
-        st.serialize_field("chunks", &self.chunks)?;
-        st.end()
+/// The wire form is the chunk list; finger and region start afresh.
+impl<T: Wire, const D: usize> Wire for GridFragment<T, D> {
+    fn put(&self, out: &mut impl Sink) {
+        self.chunks.put(out);
     }
-}
-
-impl<'de, T: Deserialize<'de>, const D: usize> Deserialize<'de> for GridFragment<T, D> {
-    fn deserialize<Dz: Deserializer<'de>>(d: Dz) -> Result<Self, Dz::Error> {
-        struct FragmentVisitor<T, const D: usize>(std::marker::PhantomData<T>);
-        impl<'de, T: Deserialize<'de>, const D: usize> Visitor<'de> for FragmentVisitor<T, D> {
-            type Value = GridFragment<T, D>;
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, "struct GridFragment")
-            }
-            fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<Self::Value, A::Error> {
-                let chunks = seq
-                    .next_element()?
-                    .ok_or_else(|| de::Error::invalid_length(0, &self))?;
-                Ok(GridFragment::from_chunks(chunks))
-            }
-        }
-        d.deserialize_struct(
-            "GridFragment",
-            &["chunks"],
-            FragmentVisitor(std::marker::PhantomData),
-        )
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Wire::get(r).map(GridFragment::from_chunks)
     }
 }
 
@@ -174,7 +162,7 @@ impl<T, const D: usize> GridFragment<T, D> {
 
 impl<T, const D: usize> GridFragment<T, D>
 where
-    T: Clone + Default + Serialize + for<'a> Deserialize<'a> + 'static,
+    T: Clone + Default + Wire + 'static,
 {
     /// Allocate a fragment covering `region`, elements default-initialized.
     pub fn new(region: &BoxRegion<D>) -> Self {
@@ -331,79 +319,45 @@ fn copy_box<T: Clone, const D: usize>(src: &Chunk<T, D>, dst: &mut Chunk<T, D>, 
 }
 
 /// The sub-fragment [`Fragment::extract`] would build for `covered` (a
-/// subset of `frag`'s coverage), serialized from `frag`'s own chunks.
-struct ExtractView<'a, T, const D: usize> {
+/// subset of `frag`'s coverage), written from `frag`'s own chunks: one
+/// chunk per box of `covered`, each in row-major order, its rows gathered
+/// run by run from the source chunks they cross.
+struct Export<'a, T, const D: usize> {
     frag: &'a GridFragment<T, D>,
     covered: BoxRegion<D>,
 }
 
-impl<T: Serialize, const D: usize> Serialize for ExtractView<'_, T, D> {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        let mut st = s.serialize_struct("GridFragment", 1)?;
-        st.serialize_field("chunks", &ChunkViews(self))?;
-        st.end()
-    }
-}
-
-/// The chunk list of an [`ExtractView`]: one chunk per box of `covered`.
-struct ChunkViews<'a, T, const D: usize>(&'a ExtractView<'a, T, D>);
-
-impl<T: Serialize, const D: usize> Serialize for ChunkViews<'_, T, D> {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        let ExtractView { frag, covered } = self.0;
-        let mut seq = s.serialize_seq(Some(covered.boxes().len()))?;
-        for &bx in covered.boxes() {
-            seq.serialize_element(&ChunkView { frag, bx })?;
-        }
-        seq.end()
-    }
-}
-
-/// The chunk [`GridFragment::new`] + `copy_covered_from` would fill for
-/// `bx`, which `frag` covers: the wire form of `Chunk { bx, data }`.
-struct ChunkView<'a, T, const D: usize> {
-    frag: &'a GridFragment<T, D>,
-    bx: GridBox<D>,
-}
-
-impl<T: Serialize, const D: usize> Serialize for ChunkView<'_, T, D> {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        let mut st = s.serialize_struct("Chunk", 2)?;
-        st.serialize_field("bx", &self.bx)?;
-        st.serialize_field("data", &Rows(self))?;
-        st.end()
-    }
-}
-
-/// The elements of a [`ChunkView`] in row-major order, each row gathered
-/// run by run from the source chunks it crosses.
-struct Rows<'a, T, const D: usize>(&'a ChunkView<'a, T, D>);
-
-impl<T: Serialize, const D: usize> Serialize for Rows<'_, T, D> {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        let ChunkView { frag, bx } = *self.0;
-        let width = (bx.hi()[D - 1] - bx.lo()[D - 1]) as usize;
-        let mut seq = s.serialize_seq(Some(bx.cardinality() as usize))?;
-        for mut p in row_starts(bx) {
-            let mut left = width;
-            while left > 0 {
-                let (i, off, run) = frag
-                    .locate_run(&p, left)
-                    .expect("an extract view stays inside the fragment's coverage");
-                for v in &frag.chunks[i].data[off..off + run] {
-                    seq.serialize_element(v)?;
+impl<T: Wire, const D: usize> Wire for Export<'_, T, D> {
+    fn put(&self, out: &mut impl Sink) {
+        out.put_len(self.covered.boxes().len());
+        for &bx in self.covered.boxes() {
+            bx.put(out);
+            out.put_len(bx.cardinality() as usize);
+            let width = (bx.hi()[D - 1] - bx.lo()[D - 1]) as usize;
+            for mut p in row_starts(bx) {
+                let mut left = width;
+                while left > 0 {
+                    let (i, off, run) = self
+                        .frag
+                        .locate_run(&p, left)
+                        .expect("an extract view stays inside the fragment's coverage");
+                    for v in &self.frag.chunks[i].data[off..off + run] {
+                        v.put(out);
+                    }
+                    left -= run;
+                    p[D - 1] += run as i64;
                 }
-                left -= run;
-                p[D - 1] += run as i64;
             }
         }
-        seq.end()
+    }
+    fn get(_: &mut Reader<'_>) -> Result<Self, WireError> {
+        Err(WireError::InvalidData("a view is written, never read".into()))
     }
 }
 
 impl<T, const D: usize> Fragment for GridFragment<T, D>
 where
-    T: Clone + Default + Serialize + for<'a> Deserialize<'a> + 'static,
+    T: Clone + Default + Wire + 'static,
 {
     type Region = BoxRegion<D>;
 
@@ -426,8 +380,8 @@ where
         out
     }
 
-    fn extract_view(&self, region: &BoxRegion<D>) -> impl Serialize {
-        ExtractView {
+    fn extract_view(&self, region: &BoxRegion<D>) -> impl Wire {
+        Export {
             frag: self,
             covered: self.covered().intersect(region),
         }

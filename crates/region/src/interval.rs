@@ -1,17 +1,18 @@
 //! One-dimensional interval-set regions — the natural region type for
 //! arrays and other linearly addressed data items (paper Example 2.1).
 
-use serde::{Deserialize, Serialize};
+use allscale_des::wire::wire_struct;
 
 use crate::region::Region;
 
 /// A set of disjoint, non-adjacent, sorted half-open intervals `[lo, hi)`
 /// over `u64` element indices.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct IntervalRegion {
     /// Sorted, pairwise disjoint, non-touching intervals.
     ivs: Vec<(u64, u64)>,
 }
+wire_struct!(IntervalRegion { ivs });
 
 impl IntervalRegion {
     /// The single interval `[lo, hi)`; empty when `lo >= hi`.

@@ -8,7 +8,8 @@
 //! pairs of the covered buckets. Distribution therefore follows consistent
 //! hashing: the runtime can migrate or replicate any subset of buckets.
 
-use serde::{Deserialize, Serialize};
+use allscale_des::fnv::{fnv1a_64, fnv1a_64_extend, FNV64_OFFSET};
+use allscale_des::wire::{wire_struct, Sink, Wire};
 use std::collections::BTreeMap;
 
 use crate::fragment::Fragment;
@@ -18,11 +19,12 @@ use crate::region::Region;
 ///
 /// All regions of one item must use the same bucket count; mixing counts
 /// panics (it is a programming error, like mixing items).
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct BucketRegion {
     buckets: u32,
     words: Vec<u64>,
 }
+wire_struct!(BucketRegion { buckets, words });
 
 impl PartialEq for BucketRegion {
     fn eq(&self, other: &Self) -> bool {
@@ -118,15 +120,10 @@ impl BucketRegion {
         self.words.iter().map(|w| w.count_ones()).sum()
     }
 
-    /// The bucket a key hashes into (splitmix64 over the serde bytes is
-    /// overkill; a seeded FNV-1a keeps this dependency-free and stable).
+    /// The bucket a key hashes into (FNV-1a 64 of its bytes: stable across
+    /// runs and processes, like every other hash of the workspace).
     pub fn bucket_of_bytes(buckets: u32, key_bytes: &[u8]) -> u32 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in key_bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        (h % buckets as u64) as u32
+        (fnv1a_64(key_bytes) % buckets as u64) as u32
     }
 
     /// Regions of different bucket counts combine only when one is empty.
@@ -207,20 +204,17 @@ impl Region for BucketRegion {
 }
 
 /// The key-value pairs of a keyed data item's covered buckets.
-#[derive(Clone, Serialize, Deserialize)]
-#[serde(bound(
-    serialize = "K: Serialize, V: Serialize",
-    deserialize = "K: serde::de::DeserializeOwned + Ord, V: serde::de::DeserializeOwned"
-))]
+#[derive(Clone)]
 pub struct KeyedFragment<K: Ord, V> {
     region: BucketRegion,
     entries: BTreeMap<K, (u32, V)>, // key -> (bucket, value)
 }
+wire_struct!(KeyedFragment<K: Ord, V> { region, entries });
 
 impl<K, V> KeyedFragment<K, V>
 where
-    K: Ord + Clone + Serialize + for<'a> Deserialize<'a> + 'static,
-    V: Clone + Serialize + for<'a> Deserialize<'a> + 'static,
+    K: Ord + Clone + Wire + 'static,
+    V: Clone + Wire + 'static,
 {
     /// An empty fragment covering `region`.
     pub fn new(region: BucketRegion) -> Self {
@@ -232,8 +226,9 @@ where
 
     /// The bucket a key belongs to.
     pub fn bucket_of(&self, key: &K) -> u32 {
-        let bytes = allscale_key_bytes(key);
-        BucketRegion::bucket_of_bytes(self.region.buckets(), &bytes)
+        let mut hash = KeyHash(FNV64_OFFSET);
+        key.put(&mut hash);
+        (hash.0 % self.region.buckets() as u64) as u32
     }
 
     /// Insert a key-value pair. Returns `false` (dropping the value) when
@@ -273,186 +268,23 @@ where
     }
 }
 
-/// Stable serialized key bytes for hashing.
-fn allscale_key_bytes<K: Serialize>(key: &K) -> Vec<u8> {
-    // A tiny standalone encoding (the wire codec lives in allscale-net,
-    // which this crate must not depend on): serde → JSON-free canonical
-    // bytes via the debug of a minimal hand encoder would be fragile, so
-    // we use the pragmatic route — serde into a Vec through the compact
-    // `serde` "bincode-like" encoding implemented by `postcard`-style
-    // hand rolling is unnecessary: keys used by the runtime must simply
-    // provide stable bytes, which `serde`'s derive of `Serialize` into
-    // this minimal writer guarantees.
-    struct W(Vec<u8>);
-    impl W {
-        fn push(&mut self, b: &[u8]) {
-            self.0.extend_from_slice(b);
-        }
-    }
-    // Minimal serializer: only what keys need (ints, strings, tuples,
-    // newtypes). Anything else panics loudly.
-    use serde::ser::{Impossible, Serializer};
-    struct KeySer<'a>(&'a mut W);
-    #[derive(Debug)]
-    struct KeyErr(String);
-    impl std::fmt::Display for KeyErr {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "{}", self.0)
-        }
-    }
-    impl std::error::Error for KeyErr {}
-    impl serde::ser::Error for KeyErr {
-        fn custom<T: std::fmt::Display>(m: T) -> Self {
-            KeyErr(m.to_string())
-        }
-    }
-    macro_rules! prim {
-        ($f:ident, $t:ty) => {
-            fn $f(self, v: $t) -> Result<(), KeyErr> {
-                self.0.push(&v.to_le_bytes());
-                Ok(())
-            }
-        };
-    }
-    impl<'a> Serializer for KeySer<'a> {
-        type Ok = ();
-        type Error = KeyErr;
-        type SerializeSeq = Impossible<(), KeyErr>;
-        type SerializeTuple = KeyTuple<'a>;
-        type SerializeTupleStruct = Impossible<(), KeyErr>;
-        type SerializeTupleVariant = Impossible<(), KeyErr>;
-        type SerializeMap = Impossible<(), KeyErr>;
-        type SerializeStruct = Impossible<(), KeyErr>;
-        type SerializeStructVariant = Impossible<(), KeyErr>;
-        prim!(serialize_i8, i8);
-        prim!(serialize_i16, i16);
-        prim!(serialize_i32, i32);
-        prim!(serialize_i64, i64);
-        prim!(serialize_u8, u8);
-        prim!(serialize_u16, u16);
-        prim!(serialize_u32, u32);
-        prim!(serialize_u64, u64);
-        prim!(serialize_f32, f32);
-        prim!(serialize_f64, f64);
-        fn serialize_bool(self, v: bool) -> Result<(), KeyErr> {
-            self.0.push(&[v as u8]);
-            Ok(())
-        }
-        fn serialize_char(self, v: char) -> Result<(), KeyErr> {
-            self.0.push(&(v as u32).to_le_bytes());
-            Ok(())
-        }
-        fn serialize_str(self, v: &str) -> Result<(), KeyErr> {
-            self.0.push(v.as_bytes());
-            Ok(())
-        }
-        fn serialize_bytes(self, v: &[u8]) -> Result<(), KeyErr> {
-            self.0.push(v);
-            Ok(())
-        }
-        fn serialize_none(self) -> Result<(), KeyErr> {
-            self.0.push(&[0]);
-            Ok(())
-        }
-        fn serialize_some<T: Serialize + ?Sized>(self, v: &T) -> Result<(), KeyErr> {
-            self.0.push(&[1]);
-            v.serialize(KeySer(self.0))
-        }
-        fn serialize_unit(self) -> Result<(), KeyErr> {
-            Ok(())
-        }
-        fn serialize_unit_struct(self, _: &'static str) -> Result<(), KeyErr> {
-            Ok(())
-        }
-        fn serialize_unit_variant(
-            self,
-            _: &'static str,
-            idx: u32,
-            _: &'static str,
-        ) -> Result<(), KeyErr> {
-            self.0.push(&idx.to_le_bytes());
-            Ok(())
-        }
-        fn serialize_newtype_struct<T: Serialize + ?Sized>(
-            self,
-            _: &'static str,
-            v: &T,
-        ) -> Result<(), KeyErr> {
-            v.serialize(self)
-        }
-        fn serialize_newtype_variant<T: Serialize + ?Sized>(
-            self,
-            _: &'static str,
-            idx: u32,
-            _: &'static str,
-            v: &T,
-        ) -> Result<(), KeyErr> {
-            self.0.push(&idx.to_le_bytes());
-            v.serialize(KeySer(self.0))
-        }
-        fn serialize_seq(self, _: Option<usize>) -> Result<Self::SerializeSeq, KeyErr> {
-            Err(serde::ser::Error::custom("seq keys unsupported"))
-        }
-        fn serialize_tuple(self, _: usize) -> Result<Self::SerializeTuple, KeyErr> {
-            Ok(KeyTuple(self.0))
-        }
-        fn serialize_tuple_struct(
-            self,
-            _: &'static str,
-            _: usize,
-        ) -> Result<Self::SerializeTupleStruct, KeyErr> {
-            Err(serde::ser::Error::custom("tuple-struct keys unsupported"))
-        }
-        fn serialize_tuple_variant(
-            self,
-            _: &'static str,
-            _: u32,
-            _: &'static str,
-            _: usize,
-        ) -> Result<Self::SerializeTupleVariant, KeyErr> {
-            Err(serde::ser::Error::custom("tuple-variant keys unsupported"))
-        }
-        fn serialize_map(self, _: Option<usize>) -> Result<Self::SerializeMap, KeyErr> {
-            Err(serde::ser::Error::custom("map keys unsupported"))
-        }
-        fn serialize_struct(
-            self,
-            _: &'static str,
-            _: usize,
-        ) -> Result<Self::SerializeStruct, KeyErr> {
-            Err(serde::ser::Error::custom("struct keys unsupported"))
-        }
-        fn serialize_struct_variant(
-            self,
-            _: &'static str,
-            _: u32,
-            _: &'static str,
-            _: usize,
-        ) -> Result<Self::SerializeStructVariant, KeyErr> {
-            Err(serde::ser::Error::custom("struct-variant keys unsupported"))
-        }
-    }
-    struct KeyTuple<'a>(&'a mut W);
-    impl serde::ser::SerializeTuple for KeyTuple<'_> {
-        type Ok = ();
-        type Error = KeyErr;
-        fn serialize_element<T: Serialize + ?Sized>(&mut self, v: &T) -> Result<(), KeyErr> {
-            v.serialize(KeySer(self.0))
-        }
-        fn end(self) -> Result<(), KeyErr> {
-            Ok(())
-        }
-    }
+/// A key hashes as its wire form without the length prefixes, so that a
+/// `String` key lands in the bucket of [`BucketRegion::bucket_of_bytes`]
+/// over its UTF-8 bytes and an integer key in that of its little-endian
+/// ones.
+struct KeyHash(u64);
 
-    let mut w = W(Vec::new());
-    key.serialize(KeySer(&mut w)).expect("hashable key type");
-    w.0
+impl Sink for KeyHash {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a_64_extend(self.0, bytes);
+    }
+    fn put_len(&mut self, _: usize) {}
 }
 
 impl<K, V> Fragment for KeyedFragment<K, V>
 where
-    K: Ord + Clone + Serialize + for<'a> Deserialize<'a> + 'static,
-    V: Clone + Serialize + for<'a> Deserialize<'a> + 'static,
+    K: Ord + Clone + Wire + 'static,
+    V: Clone + Wire + 'static,
 {
     type Region = BucketRegion;
 
@@ -636,7 +468,7 @@ mod tests {
         let mut hit = None;
         let mut miss = None;
         for k in 0..1000u64 {
-            let b = BucketRegion::bucket_of_bytes(B, &allscale_key_bytes(&k));
+            let b = f.bucket_of(&k);
             if b == 3 && hit.is_none() {
                 hit = Some(k);
             }
@@ -676,6 +508,10 @@ mod tests {
         let mut f: KeyedFragment<String, u32> = KeyedFragment::new(BucketRegion::full(B));
         assert!(f.insert("alpha".into(), 1));
         assert_eq!(f.get(&"alpha".to_string()), Some(&1));
+        // A key hashes without its length prefix: callers that hold the
+        // bytes (`examples/wordcount.rs`) find the same bucket.
+        let of_bytes = BucketRegion::bucket_of_bytes(B, b"alpha");
+        assert_eq!(f.bucket_of(&"alpha".to_string()), of_bytes);
         let mut g: KeyedFragment<(u32, u32), u32> = KeyedFragment::new(BucketRegion::full(B));
         assert!(g.insert((3, 4), 7));
         assert_eq!(g.get(&(3, 4)), Some(&7));

@@ -1,8 +1,7 @@
 //! Integer points and axis-aligned boxes in `D` dimensions — the element
 //! addresses of grid data items (paper Example 2.2).
 
-use serde::de::{SeqAccess, Visitor};
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use allscale_des::wire::{Reader, Sink, Wire, WireError};
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Sub};
 
@@ -10,38 +9,12 @@ use std::ops::{Add, Index, IndexMut, Sub};
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Point<const D: usize>(pub [i64; D]);
 
-// serde's derive only covers arrays up to length 32 and not const-generic
-// ones, so points encode manually as fixed-size tuples.
-impl<const D: usize> Serialize for Point<D> {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeTuple;
-        let mut t = s.serialize_tuple(D)?;
-        for c in &self.0 {
-            t.serialize_element(c)?;
-        }
-        t.end()
+impl<const D: usize> Wire for Point<D> {
+    fn put(&self, out: &mut impl Sink) {
+        self.0.put(out);
     }
-}
-
-impl<'de, const D: usize> Deserialize<'de> for Point<D> {
-    fn deserialize<Dz: Deserializer<'de>>(d: Dz) -> Result<Self, Dz::Error> {
-        struct PointVisitor<const D: usize>;
-        impl<'de, const D: usize> Visitor<'de> for PointVisitor<D> {
-            type Value = Point<D>;
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, "a tuple of {D} coordinates")
-            }
-            fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<Point<D>, A::Error> {
-                let mut out = [0i64; D];
-                for (i, slot) in out.iter_mut().enumerate() {
-                    *slot = seq
-                        .next_element()?
-                        .ok_or_else(|| serde::de::Error::invalid_length(i, &self))?;
-                }
-                Ok(Point(out))
-            }
-        }
-        d.deserialize_tuple(D, PointVisitor::<D>)
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Wire::get(r).map(Point)
     }
 }
 
@@ -142,10 +115,23 @@ impl<const D: usize> fmt::Display for Point<D> {
 }
 
 /// A non-empty axis-aligned box `[lo, hi)` (inclusive low, exclusive high).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GridBox<const D: usize> {
     lo: Point<D>,
     hi: Point<D>,
+}
+
+impl<const D: usize> Wire for GridBox<D> {
+    fn put(&self, out: &mut impl Sink) {
+        self.lo.put(out);
+        self.hi.put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(GridBox {
+            lo: Wire::get(r)?,
+            hi: Wire::get(r)?,
+        })
+    }
 }
 
 impl<const D: usize> GridBox<D> {

@@ -10,7 +10,7 @@
 //! Every implementation in this crate is property-tested against a
 //! brute-force element-set oracle; see [`check_laws`].
 
-use serde::{de::DeserializeOwned, Serialize};
+use allscale_des::wire::{self, Wire};
 use std::collections::BTreeSet;
 use std::fmt::Debug;
 
@@ -26,7 +26,7 @@ use std::fmt::Debug;
 ///
 /// Equality must be *semantic*: two differently-structured representations
 /// of the same element set compare equal.
-pub trait Region: Clone + PartialEq + Debug + Serialize + DeserializeOwned + 'static {
+pub trait Region: Clone + PartialEq + Debug + Wire + 'static {
     /// The empty region.
     fn empty() -> Self;
 
@@ -145,9 +145,6 @@ where
     );
     assert_eq!(a.difference(b).intersect(b), R::empty());
 
-    // Round-trip through the wire-independent serde data model using the
-    // canonical token-less path: Clone + PartialEq suffices here; actual
-    // byte-level round-trips are exercised by the net crate's codec tests.
-    let cloned = a.clone();
-    assert_eq!(cloned, *a);
+    let back: R = wire::decode(&wire::encode(a)).expect("a region's encoding decodes");
+    assert_eq!(back, *a, "the wire form does not round-trip for {a:?}");
 }

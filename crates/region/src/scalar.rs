@@ -5,17 +5,18 @@
 //! A scalar has exactly one element; its region algebra is the two-element
 //! Boolean algebra {∅, {•}}, and its fragment holds at most one value.
 
-use serde::{Deserialize, Serialize};
+use allscale_des::wire::{wire_struct, Wire};
 
 use crate::fragment::Fragment;
 use crate::region::Region;
 
 /// The region scheme of a single-element data item: either empty or the
 /// whole element.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnitRegion {
     present: bool,
 }
+wire_struct!(UnitRegion { present });
 
 impl UnitRegion {
     /// The region containing the scalar.
@@ -52,14 +53,15 @@ impl Region for UnitRegion {
 }
 
 /// Fragment of a scalar data item: at most one value.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScalarFragment<T> {
     value: Option<T>,
 }
+wire_struct!(ScalarFragment<T> { value });
 
 impl<T> ScalarFragment<T>
 where
-    T: Clone + Default + Serialize + for<'a> Deserialize<'a> + 'static,
+    T: Clone + Default + Wire + 'static,
 {
     /// Read the value, if held locally.
     pub fn get(&self) -> Option<&T> {
@@ -79,7 +81,7 @@ where
 
 impl<T> Fragment for ScalarFragment<T>
 where
-    T: Clone + Default + Serialize + for<'a> Deserialize<'a> + 'static,
+    T: Clone + Default + Wire + 'static,
 {
     type Region = UnitRegion;
 

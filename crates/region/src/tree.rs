@@ -11,18 +11,19 @@
 //! set operations, and its normalized shape is canonical, making structural
 //! equality semantic.
 
-use serde::{Deserialize, Serialize};
+use allscale_des::wire::{wire_struct, Reader, Sink, Wire, WireError};
 
 use crate::region::Region;
 use crate::treepath::TreePath;
 
 /// A region over the nodes of a (conceptually unbounded) binary tree.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct TreeRegion {
     root: Trie,
 }
+wire_struct!(TreeRegion { root });
 
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 enum Trie {
     /// The whole subtree (including its root) is in the region.
     Full,
@@ -34,6 +35,34 @@ enum Trie {
         left: Box<Trie>,
         right: Box<Trie>,
     },
+}
+
+/// A `u32` variant index, then the variant's fields.
+impl Wire for Trie {
+    fn put(&self, out: &mut impl Sink) {
+        match self {
+            Trie::Full => 0u32.put(out),
+            Trie::Empty => 1u32.put(out),
+            Trie::Node { self_in, left, right } => {
+                2u32.put(out);
+                self_in.put(out);
+                left.put(out);
+                right.put(out);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(match u32::get(r)? {
+            0 => Trie::Full,
+            1 => Trie::Empty,
+            2 => Trie::Node {
+                self_in: Wire::get(r)?,
+                left: Wire::get(r)?,
+                right: Wire::get(r)?,
+            },
+            n => return Err(WireError::InvalidData(format!("invalid Trie variant {n}"))),
+        })
+    }
 }
 
 impl Trie {

@@ -13,11 +13,8 @@
 
 use std::cell::Cell;
 use std::fmt;
-use std::marker::PhantomData;
 
-use serde::de::{MapAccess, Visitor};
-use serde::ser::SerializeMap;
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use allscale_des::wire::{wire_struct, Reader, Sink, Wire, WireError};
 
 use crate::bitmask::BitmaskTreeRegion;
 use crate::fragment::Fragment;
@@ -171,7 +168,7 @@ impl<T> Nodes<T> {
         self.blocks[block].get(slot)
     }
 
-    fn put(&mut self, path: TreePath, value: T) {
+    fn set(&mut self, path: TreePath, value: T) {
         let (block, slot) = match self.locate(&path).or_else(|| self.grow_to(&path)) {
             Some(home) => home,
             None => {
@@ -226,37 +223,22 @@ impl<T> Nodes<T> {
     }
 }
 
-// Hand-written so that the wire form stays the map of nodes in path order
-// that the `BTreeMap` this storage replaced produced.
-impl<T: Serialize> Serialize for Nodes<T> {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+/// The wire form is the map of nodes in path order, whatever the blocks.
+impl<T: Wire> Wire for Nodes<T> {
+    fn put(&self, out: &mut impl Sink) {
         let nodes = self.sorted();
-        let mut map = s.serialize_map(Some(nodes.len()))?;
+        out.put_len(nodes.len());
         for (path, value) in nodes {
-            map.serialize_key(&path)?;
-            map.serialize_value(value)?;
+            path.put(out);
+            value.put(out);
         }
-        map.end()
     }
-}
-
-impl<'de, T: Deserialize<'de>> Deserialize<'de> for Nodes<T> {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        struct NodesVisitor<T>(PhantomData<T>);
-        impl<'de, T: Deserialize<'de>> Visitor<'de> for NodesVisitor<T> {
-            type Value = Nodes<T>;
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, "a map of tree nodes")
-            }
-            fn visit_map<A: MapAccess<'de>>(self, mut map: A) -> Result<Self::Value, A::Error> {
-                let mut nodes = Nodes::new();
-                while let Some(path) = map.next_key()? {
-                    nodes.put(path, map.next_value()?);
-                }
-                Ok(nodes)
-            }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let mut nodes = Nodes::new();
+        for _ in 0..r.get_len()? {
+            nodes.set(Wire::get(r)?, Wire::get(r)?);
         }
-        d.deserialize_map(NodesVisitor(PhantomData))
+        Ok(nodes)
     }
 }
 
@@ -275,19 +257,16 @@ impl<'de, T: Deserialize<'de>> Deserialize<'de> for Nodes<T> {
 /// for one value. Lookups that stay in one block (a depth-first traversal
 /// does) cost one prefix test and one index; a lookup that changes block
 /// tests every block once.
-#[derive(Clone, Serialize, Deserialize)]
-#[serde(bound(
-    serialize = "T: Serialize, R: Serialize",
-    deserialize = "T: serde::de::DeserializeOwned, R: serde::de::DeserializeOwned"
-))]
+#[derive(Clone)]
 pub struct TreeFragment<T, R: PathRegion> {
     region: R,
     nodes: Nodes<T>,
 }
+wire_struct!(TreeFragment<T, R: PathRegion> { region, nodes });
 
 impl<T, R> TreeFragment<T, R>
 where
-    T: Clone + Serialize + for<'a> Deserialize<'a> + 'static,
+    T: Clone + Wire + 'static,
     R: PathRegion,
 {
     /// An empty fragment covering `region` (no nodes stored yet).
@@ -310,7 +289,7 @@ where
         if !self.region.contains_path(&path) {
             return false;
         }
-        self.nodes.put(path, value);
+        self.nodes.set(path, value);
         true
     }
 
@@ -332,7 +311,7 @@ where
 
 impl<T, R> Fragment for TreeFragment<T, R>
 where
-    T: Clone + Serialize + for<'a> Deserialize<'a> + 'static,
+    T: Clone + Wire + 'static,
     R: PathRegion,
 {
     type Region = R;
@@ -353,7 +332,7 @@ where
         let mut out = TreeFragment::new(self.region.intersect(region));
         for (path, value) in self.nodes.entries() {
             if out.region.contains_path(&path) {
-                out.nodes.put(path, value.clone());
+                out.nodes.set(path, value.clone());
             }
         }
         out
@@ -362,7 +341,7 @@ where
     fn insert(&mut self, other: &Self) {
         self.region = self.region.union(&other.region);
         for (path, value) in other.nodes.entries() {
-            self.nodes.put(path, value.clone());
+            self.nodes.set(path, value.clone());
         }
     }
 

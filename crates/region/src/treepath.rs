@@ -4,7 +4,7 @@
 //! identifies subtrees "by its respective root node"). Paths support at
 //! most 64 levels, far beyond any practical tree height.
 
-use serde::{Deserialize, Serialize};
+use allscale_des::wire::wire_struct;
 use std::fmt;
 
 /// The path from the root of a binary tree to one of its nodes.
@@ -12,11 +12,12 @@ use std::fmt;
 /// Bit `i` (little-endian within `bits`) is 0 for "left child" and 1 for
 /// "right child" at depth `i`. `len` is the node's depth; the root has
 /// `len == 0`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TreePath {
     bits: u64,
     len: u8,
 }
+wire_struct!(TreePath { bits, len });
 
 impl TreePath {
     /// The root node.

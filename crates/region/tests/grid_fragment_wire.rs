@@ -42,11 +42,11 @@ fn hex(bytes: &[u8]) -> String {
 #[test]
 fn wire_form_is_unchanged_and_ignores_the_finger() {
     let f = three_chunks();
-    assert_eq!(hex(&wire::encode(&f).unwrap()), PRE_CHANGE_HEX);
+    assert_eq!(hex(&wire::encode(&f)), PRE_CHANGE_HEX);
     // Warm the finger on every chunk in turn: same bytes.
     for (p, v) in cells(&f) {
         assert_eq!(f.get(&p), Some(&v));
-        assert_eq!(hex(&wire::encode(&f).unwrap()), PRE_CHANGE_HEX);
+        assert_eq!(hex(&wire::encode(&f)), PRE_CHANGE_HEX);
     }
 }
 
@@ -54,7 +54,7 @@ fn wire_form_is_unchanged_and_ignores_the_finger() {
 fn decoded_fragment_looks_up_with_a_fresh_finger() {
     let f = three_chunks();
     assert_eq!(f.get(&Point([-3, 2])), Some(&0)); // finger on the last chunk
-    let g: GridFragment<u8, 2> = wire::decode(&wire::encode(&f).unwrap()).unwrap();
+    let g: GridFragment<u8, 2> = wire::decode(&wire::encode(&f)).unwrap();
     assert_eq!(format!("{g:?}"), format!("{f:?}"));
     assert_eq!(cells(&g), cells(&f));
     for (p, v) in cells(&f) {

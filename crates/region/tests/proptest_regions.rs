@@ -420,9 +420,9 @@ proptest! {
 /// wire encoding, byte for byte: a key that moved would turn hits into
 /// misses, and misses are billed.
 fn fingerprint_matches_encoding<R: Region>(r: &R) {
-    let bytes = wire::encode(r).expect("regions encode");
+    let bytes = wire::encode(r);
     assert_eq!(
-        wire::fingerprint(r).expect("regions encode"),
+        wire::fingerprint(r),
         fnv1a_64(&bytes),
         "{r:?}"
     );
@@ -527,7 +527,7 @@ fn rows_match_elements<const D: usize>(
         all_set &= by_cell.set(p, *v);
     }
     prop_assert_eq!(all_written, all_set);
-    prop_assert_eq!(wire::encode(&by_row).unwrap(), wire::encode(&by_cell).unwrap());
+    prop_assert_eq!(wire::encode(&by_row), wire::encode(&by_cell));
     Ok(())
 }
 
@@ -537,8 +537,8 @@ fn view_matches_extract<const D: usize>(
     frag: &GridFragment<i64, D>,
     region: &BoxRegion<D>,
 ) -> Result<(), TestCaseError> {
-    let copy = wire::encode(&frag.extract(region)).unwrap();
-    prop_assert_eq!(wire::encode(&frag.extract_view(region)).unwrap(), copy);
+    let copy = wire::encode(&frag.extract(region));
+    prop_assert_eq!(wire::encode(&frag.extract_view(region)), copy);
     Ok(())
 }
 
@@ -588,7 +588,7 @@ proptest! {
                     by_ref.insert(&piece);
                     frag.insert_owned(piece);
                     prop_assert_eq!(frag.region(), by_ref.region());
-                    prop_assert_eq!(wire::encode(&frag).unwrap(), wire::encode(&by_ref).unwrap());
+                    prop_assert_eq!(wire::encode(&frag), wire::encode(&by_ref));
                     chunks = pre_change::remove(&chunks, &region);
                     chunks.extend(&region);
                     for p in region.iter().flat_map(|b| b.points()) {
