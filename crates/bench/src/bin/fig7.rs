@@ -4,20 +4,17 @@
 //! ```text
 //! cargo run --release -p allscale-bench --bin fig7            # all apps
 //! cargo run --release -p allscale-bench --bin fig7 -- --app tpc
-//! cargo run --release -p allscale-bench --bin fig7 -- --app tpc --batched
 //! cargo run --release -p allscale-bench --bin fig7 -- --ablations
 //! cargo run --release -p allscale-bench --bin fig7 -- --max-nodes 16
 //! ```
 
-use allscale_bench::{fmt_throughput, sweep_on, App, Sample, System, NODE_COUNTS};
-use allscale_net::TopologyKind;
+use allscale_bench::{fmt_throughput, sweep, App, Sample, System, NODE_COUNTS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut apps = vec![App::Stencil, App::Ipic3d, App::Tpc];
     let mut extra_systems: Vec<System> = Vec::new();
     let mut max_nodes = 64usize;
-    let mut topology = TopologyKind::FatTree;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -29,27 +26,10 @@ fn main() {
                 });
                 apps = vec![app];
             }
-            "--batched" => extra_systems.push(System::AllScaleBatched),
             "--ablations" => {
                 extra_systems.push(System::AllScaleCentralIndex);
                 extra_systems.push(System::AllScaleRoundRobin);
                 extra_systems.push(System::AllScaleBatched);
-            }
-            "--topology" => {
-                i += 1;
-                topology = match args[i].as_str() {
-                    "fattree" => TopologyKind::FatTree,
-                    "torus" => TopologyKind::Torus,
-                    "single" => TopologyKind::Single,
-                    other => {
-                        eprintln!("unknown topology {other:?} (fattree|torus|single)");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--calib" => {
-                allscale_bench::calib::print();
-                return;
             }
             "--max-nodes" => {
                 i += 1;
@@ -84,7 +64,7 @@ fn main() {
         }
         let sweeps: Vec<(System, Vec<Sample>)> = systems
             .iter()
-            .map(|&s| (s, sweep_on(app, s, &nodes, topology)))
+            .map(|&s| (s, sweep(app, s, &nodes)))
             .collect();
         // Linear reference anchored at the 1-node AllScale throughput.
         let base = sweeps[0].1[0].throughput;

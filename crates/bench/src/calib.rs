@@ -1,78 +1,35 @@
-//! Calibration notes and sanity checks for the virtual-time cost model.
+//! Sanity checks on the virtual-time cost model.
 //!
 //! The constants in [`allscale_core::CostModel`] and
 //! [`allscale_net::NetParams`] are chosen so the simulated machine behaves
 //! like the paper's testbed (RRZE Meggie: 2× Xeon E5-2630 v4 per node,
-//! Intel OmniPath). This module derives the headline figures those
-//! constants imply and asserts they stay in the right ranges — a tripwire
+//! Intel OmniPath). These tests derive the headline figures those
+//! constants imply and assert they stay in the right ranges — a tripwire
 //! against accidental recalibration.
 
-use allscale_core::CostModel;
-use allscale_net::NetParams;
-
-/// Derived machine characteristics implied by the cost model.
-#[derive(Debug, Clone)]
-pub struct DerivedFigures {
-    /// Sustained GFLOPS per core on a memory-bound kernel.
-    pub gflops_per_core: f64,
-    /// Sustained GFLOPS of a full 20-core node.
-    pub gflops_per_node: f64,
-    /// End-to-end latency of a small message across the spine, µs.
-    pub small_msg_latency_us: f64,
-    /// Wire time of a 1 MiB transfer (one NIC crossing), µs.
-    pub mib_transfer_us: f64,
-    /// Tasks per second one core can dispatch (1/overhead).
-    pub tasks_per_core_per_sec: f64,
-}
-
-/// Compute the derived figures from the default models.
-pub fn derived() -> DerivedFigures {
-    let cost = CostModel::default();
-    let net = NetParams::default();
-    let gflops_per_core = 1.0 / cost.ns_per_flop;
-    DerivedFigures {
-        gflops_per_core,
-        gflops_per_node: gflops_per_core * 20.0,
-        small_msg_latency_us: (net.base_latency_ns + 4 * net.per_hop_latency_ns) as f64 / 1e3,
-        mib_transfer_us: (1 << 20) as f64 / net.bandwidth_bps * 1e6,
-        tasks_per_core_per_sec: 1e9 / cost.task_overhead_ns as f64,
-    }
-}
-
-/// Print the calibration table (used by `fig7 --calib` style inspection
-/// and EXPERIMENTS.md).
-pub fn print() {
-    let d = derived();
-    println!("# cost-model calibration (derived figures)");
-    println!("  sustained GFLOPS/core : {:8.2}", d.gflops_per_core);
-    println!("  sustained GFLOPS/node : {:8.2}", d.gflops_per_node);
-    println!("  small-msg latency     : {:8.2} us", d.small_msg_latency_us);
-    println!("  1 MiB NIC crossing    : {:8.2} us", d.mib_transfer_us);
-    println!("  task dispatch rate    : {:8.0} /core/s", d.tasks_per_core_per_sec);
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use allscale_core::CostModel;
+    use allscale_net::NetParams;
 
     #[test]
     fn figures_stay_in_testbed_ranges() {
-        let d = derived();
-        // E5-2630 v4 class, memory-bound kernel: 2-4 GFLOPS/core.
-        assert!(
-            (2.0..4.0).contains(&d.gflops_per_core),
-            "{}",
-            d.gflops_per_core
-        );
+        let cost = CostModel::default();
+        let net = NetParams::default();
+        // E5-2630 v4 class, memory-bound kernel: 2-4 sustained GFLOPS/core.
+        let gflops_per_core = 1.0 / cost.ns_per_flop;
+        assert!((2.0..4.0).contains(&gflops_per_core), "{gflops_per_core}");
         // Node-level peak comparable to the paper's ~47 GFLOPS/node
         // observed at 64 nodes.
-        assert!((40.0..80.0).contains(&d.gflops_per_node));
-        // OmniPath MPI latency ~1-2 µs.
-        assert!((0.8..2.0).contains(&d.small_msg_latency_us));
-        // 100 Gbit/s → ~84 µs per MiB.
-        assert!((70.0..100.0).contains(&d.mib_transfer_us));
-        // HPX-class task overhead: 0.5-5 µs.
-        assert!((2e5..2e6).contains(&d.tasks_per_core_per_sec));
+        assert!((40.0..80.0).contains(&(gflops_per_core * 20.0)));
+        // OmniPath MPI latency ~1-2 µs for a small message across the spine.
+        let small_msg_latency_us = (net.base_latency_ns + 4 * net.per_hop_latency_ns) as f64 / 1e3;
+        assert!((0.8..2.0).contains(&small_msg_latency_us));
+        // 100 Gbit/s → ~84 µs per MiB (one NIC crossing).
+        let mib_transfer_us = (1 << 20) as f64 / net.bandwidth_bps * 1e6;
+        assert!((70.0..100.0).contains(&mib_transfer_us));
+        // HPX-class task overhead: 0.5-5 µs, as dispatches per core-second.
+        let tasks_per_core_per_sec = 1e9 / cost.task_overhead_ns as f64;
+        assert!((2e5..2e6).contains(&tasks_per_core_per_sec));
     }
 
     #[test]

@@ -13,11 +13,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod calib;
+#[cfg(test)]
+mod calib;
 
 use allscale_apps::{ipic3d, stencil, tpc};
 use allscale_core::RtConfig;
-use allscale_net::TopologyKind;
+use allscale_net::ClusterSpec;
 
 /// Which application to sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,9 +93,8 @@ pub struct Sample {
     pub remote_bytes: u64,
 }
 
-fn rt_config(system: System, nodes: usize, topology: TopologyKind) -> RtConfig {
+fn rt_config(system: System, nodes: usize) -> RtConfig {
     let mut cfg = RtConfig::meggie(nodes);
-    cfg.spec.topology = topology;
     match system {
         System::AllScaleCentralIndex => cfg.central_index = true,
         System::AllScaleRoundRobin => {
@@ -106,22 +106,13 @@ fn rt_config(system: System, nodes: usize, topology: TopologyKind) -> RtConfig {
 }
 
 /// Run one (app, system, nodes) cell of the sweep at paper-scaled size.
-pub fn measure(app: App, system: System, nodes: usize) -> Sample {
-    measure_on(app, system, nodes, TopologyKind::FatTree)
-}
-
-/// Like [`measure`], on a chosen interconnect topology (ablation A4).
-pub fn measure_on(app: App, system: System, nodes: usize, topology: TopologyKind) -> Sample {
+fn measure(app: App, system: System, nodes: usize) -> Sample {
     match app {
         App::Stencil => {
             let cfg = stencil::StencilConfig::paper_scaled(nodes);
             let r = match system {
-                System::Mpi => {
-                    let mut spec = allscale_net::ClusterSpec::meggie(nodes);
-                    spec.topology = topology;
-                    stencil::mpi_version::run_with(&cfg, &spec)
-                }
-                s => stencil::allscale_version::run_with(&cfg, rt_config(s, nodes, topology)),
+                System::Mpi => stencil::mpi_version::run_with(&cfg, &ClusterSpec::meggie(nodes)),
+                s => stencil::allscale_version::run_with(&cfg, rt_config(s, nodes)),
             };
             Sample {
                 nodes,
@@ -133,12 +124,8 @@ pub fn measure_on(app: App, system: System, nodes: usize, topology: TopologyKind
         App::Ipic3d => {
             let cfg = ipic3d::PicConfig::paper_scaled(nodes);
             let r = match system {
-                System::Mpi => {
-                    let mut spec = allscale_net::ClusterSpec::meggie(nodes);
-                    spec.topology = topology;
-                    ipic3d::mpi_version::run_with(&cfg, &spec)
-                }
-                s => ipic3d::allscale_version::run_with(&cfg, rt_config(s, nodes, topology)),
+                System::Mpi => ipic3d::mpi_version::run_with(&cfg, &ClusterSpec::meggie(nodes)),
+                s => ipic3d::allscale_version::run_with(&cfg, rt_config(s, nodes)),
             };
             Sample {
                 nodes,
@@ -153,12 +140,8 @@ pub fn measure_on(app: App, system: System, nodes: usize, topology: TopologyKind
                 cfg.batch = 32;
             }
             let r = match system {
-                System::Mpi => {
-                    let mut spec = allscale_net::ClusterSpec::meggie(nodes);
-                    spec.topology = topology;
-                    tpc::mpi_version::run_with(&cfg, &spec)
-                }
-                s => tpc::allscale_version::run_with(&cfg, rt_config(s, nodes, topology)),
+                System::Mpi => tpc::mpi_version::run_with(&cfg, &ClusterSpec::meggie(nodes)),
+                s => tpc::allscale_version::run_with(&cfg, rt_config(s, nodes)),
             };
             Sample {
                 nodes,
@@ -175,20 +158,7 @@ pub const NODE_COUNTS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 
 /// Run a full scaling sweep.
 pub fn sweep(app: App, system: System, nodes: &[usize]) -> Vec<Sample> {
-    sweep_on(app, system, nodes, TopologyKind::FatTree)
-}
-
-/// Run a full scaling sweep on a chosen topology.
-pub fn sweep_on(
-    app: App,
-    system: System,
-    nodes: &[usize],
-    topology: TopologyKind,
-) -> Vec<Sample> {
-    nodes
-        .iter()
-        .map(|&n| measure_on(app, system, n, topology))
-        .collect()
+    nodes.iter().map(|&n| measure(app, system, n)).collect()
 }
 
 /// Format a throughput with engineering suffixes.

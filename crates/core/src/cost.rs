@@ -59,11 +59,6 @@ impl CostModel {
         SimDuration::from_nanos_f64(flops as f64 * self.ns_per_flop / self.speed(locality))
     }
 
-    /// Duration of visiting `n` tree nodes on `locality`.
-    pub fn tree_nodes(&self, locality: usize, n: u64) -> SimDuration {
-        SimDuration::from_nanos_f64(n as f64 * self.ns_per_tree_node / self.speed(locality))
-    }
-
     /// Fixed per-task overhead on `locality`.
     pub fn task_overhead(&self, locality: usize) -> SimDuration {
         SimDuration::from_nanos_f64(self.task_overhead_ns as f64 / self.speed(locality))
@@ -105,6 +100,6 @@ mod tests {
     fn nonzero_work_has_nonzero_cost() {
         let c = CostModel::default();
         assert!(c.flops(0, 1).as_nanos() >= 1);
-        assert!(c.tree_nodes(0, 1).as_nanos() >= 1);
+        assert!(c.task_overhead(0).as_nanos() >= 1);
     }
 }

@@ -333,21 +333,6 @@ where
     pub fn get(&self, ctx: &TaskCtx<'_>, key: &K) -> Option<V> {
         ctx.fragment::<KeyedFragment<K, V>>(self.id).get(key).cloned()
     }
-
-    /// Fold over the locally covered `(key, value)` pairs.
-    pub fn fold_local<A>(
-        &self,
-        ctx: &TaskCtx<'_>,
-        init: A,
-        mut f: impl FnMut(A, &K, &V) -> A,
-    ) -> A {
-        let frag = ctx.fragment::<KeyedFragment<K, V>>(self.id);
-        let mut acc = init;
-        for (k, v) in frag.iter() {
-            acc = f(acc, k, v);
-        }
-        acc
-    }
 }
 
 /// Requirements builder result for a `pfor` tile: what the body needs.

@@ -246,20 +246,11 @@ impl DistIndex {
         r
     }
 
-    /// Convenience: the single process owning *all* of `region`, if any —
-    /// the coverage test of scheduler Algorithm 2 lines 4/7.
-    pub fn sole_owner(&self, item: ItemId, start: usize, region: &dyn DynRegion) -> Option<usize> {
-        if region.is_empty_dyn() {
-            return None;
-        }
-        let (pieces, _) = self.resolve(item, start, region);
-        sole_owner_from(region, &pieces)
-    }
 }
 
 /// The single process hosting every piece of a resolution that also fully
-/// covers `region`, if any — shared by [`DistIndex::sole_owner`] and the
-/// location cache's cached variant.
+/// covers `region`, if any — the coverage test of scheduler Algorithm 2
+/// lines 4/7.
 pub(crate) fn sole_owner_from(region: &dyn DynRegion, pieces: &[Piece]) -> Option<usize> {
     let (_, owner) = pieces.first()?;
     if pieces.iter().any(|(_, host)| host != owner) {
@@ -385,6 +376,17 @@ mod tests {
         (idx, item)
     }
 
+    /// The coverage test as the scheduler runs it: resolve, then ask.
+    fn sole_owner(
+        idx: &DistIndex,
+        item: ItemId,
+        start: usize,
+        region: &BoxRegion<1>,
+    ) -> Option<usize> {
+        let (pieces, _) = idx.resolve(item, start, region);
+        sole_owner_from(region, &pieces)
+    }
+
     #[test]
     fn hierarchy_shape_matches_fig5() {
         let idx = DistIndex::new(8);
@@ -465,7 +467,7 @@ mod tests {
         let (m, hops) = idx.resolve(ghost, 1, &r1(0, 10));
         assert!(m.is_empty());
         assert!(hops.is_empty());
-        assert_eq!(idx.sole_owner(ghost, 1, &r1(0, 10)), None);
+        assert_eq!(sole_owner(&idx, ghost, 1, &r1(0, 10)), None);
         // The destroy path goes through the same code.
         idx.remove_item(item);
         let (m, _) = idx.resolve(item, 0, &r1(0, 10));
@@ -500,10 +502,10 @@ mod tests {
     #[test]
     fn sole_owner_detection() {
         let (idx, item) = populated(8, 10);
-        assert_eq!(idx.sole_owner(item, 2, &r1(30, 40)), Some(3));
-        assert_eq!(idx.sole_owner(item, 2, &r1(30, 45)), None); // spans 2
-        assert_eq!(idx.sole_owner(item, 2, &r1(100, 110)), None); // nowhere
-        assert_eq!(idx.sole_owner(item, 2, &BoxRegion::<1>::empty()), None);
+        assert_eq!(sole_owner(&idx, item, 2, &r1(30, 40)), Some(3));
+        assert_eq!(sole_owner(&idx, item, 2, &r1(30, 45)), None); // spans 2
+        assert_eq!(sole_owner(&idx, item, 2, &r1(100, 110)), None); // nowhere
+        assert_eq!(sole_owner(&idx, item, 2, &BoxRegion::<1>::empty()), None);
     }
 
     #[test]
@@ -512,7 +514,7 @@ mod tests {
         // Move p3's block to p0.
         idx.update_leaf(item, 3, Box::new(BoxRegion::<1>::empty()));
         idx.update_leaf(item, 0, Box::new(r1(0, 10).union(&r1(30, 40))));
-        assert_eq!(idx.sole_owner(item, 1, &r1(30, 40)), Some(0));
+        assert_eq!(sole_owner(&idx, item, 1, &r1(30, 40)), Some(0));
     }
 
     #[test]
@@ -521,7 +523,7 @@ mod tests {
         for p in 0..6 {
             let lo = p as i64 * 10;
             assert_eq!(
-                idx.sole_owner(item, (p + 1) % 6, &r1(lo, lo + 10)),
+                sole_owner(&idx, item, (p + 1) % 6, &r1(lo, lo + 10)),
                 Some(p),
                 "process {p}"
             );

@@ -49,17 +49,18 @@ pub struct IntegrityConfig {
     pub verify_checkpoints: bool,
     /// Period of the background replica scrubber (`None` disables it).
     pub scrub_period: Option<SimDuration>,
-    /// Strikes (divergences found by the scrubber) after which a replica
-    /// is quarantined out of the replica set instead of repaired again.
-    pub quarantine_after: u32,
 }
+
+/// Strikes (divergences found by the scrubber) after which a replica is
+/// quarantined out of the replica set instead of repaired again — like
+/// the failure detector's `SUSPICION_THRESHOLD`, a constant.
+pub(crate) const QUARANTINE_AFTER: u32 = 3;
 
 impl Default for IntegrityConfig {
     fn default() -> Self {
         IntegrityConfig {
             verify_checkpoints: true,
             scrub_period: Some(SimDuration::from_micros(100)),
-            quarantine_after: 3,
         }
     }
 }
@@ -142,7 +143,6 @@ mod tests {
         let cfg = IntegrityConfig::default();
         assert!(cfg.verify_checkpoints);
         assert!(cfg.scrub_period.unwrap() > SimDuration::ZERO);
-        assert!(cfg.quarantine_after >= 1);
     }
 
     #[test]

@@ -44,7 +44,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::dynamic::DynRegion;
-use crate::index::{sole_owner_from, DistIndex, Hop, Piece};
+use crate::index::{DistIndex, Hop, Piece};
 use crate::task::ItemId;
 
 /// A memoized resolution, shared between the cache and everyone it was
@@ -213,23 +213,6 @@ impl LocationCache {
         (pieces, hops)
     }
 
-    /// Cached counterpart of [`DistIndex::sole_owner`]: the single process
-    /// owning *all* of `region`, if any, plus the hops the answer cost
-    /// (empty on a hit).
-    pub fn sole_owner(
-        &mut self,
-        index: &DistIndex,
-        item: ItemId,
-        start: usize,
-        region: &dyn DynRegion,
-    ) -> (Option<usize>, Vec<Hop>) {
-        if region.is_empty_dyn() {
-            return (None, Vec::new());
-        }
-        let (pieces, hops) = self.resolve(index, item, start, region);
-        (sole_owner_from(region, &pieces), hops)
-    }
-
     /// Ensure one more entry fits: purge stale-epoch entries first, then
     /// fall back to clearing everything.
     fn make_room(&mut self) {
@@ -254,6 +237,7 @@ impl Default for LocationCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::sole_owner_from;
     use allscale_region::{BoxRegion, Region};
 
     fn r1(lo: i64, hi: i64) -> BoxRegion<1> {
@@ -329,17 +313,18 @@ mod tests {
     fn sole_owner_through_cache_matches_index() {
         let (idx, item) = populated(8, 10);
         let mut cache = LocationCache::new();
-        let (o1, h1) = cache.sole_owner(&idx, item, 2, &r1(30, 40));
+        let mut sole_owner = |region: &BoxRegion<1>| {
+            let (pieces, hops) = cache.resolve(&idx, item, 2, region);
+            (sole_owner_from(region, &pieces), hops)
+        };
+        let (o1, h1) = sole_owner(&r1(30, 40));
         assert_eq!(o1, Some(3));
         assert!(!h1.is_empty());
-        let (o2, h2) = cache.sole_owner(&idx, item, 2, &r1(30, 40));
+        let (o2, h2) = sole_owner(&r1(30, 40));
         assert_eq!(o2, Some(3));
         assert!(h2.is_empty(), "second answer comes from the cache");
-        assert_eq!(cache.sole_owner(&idx, item, 2, &r1(30, 45)).0, None);
-        assert_eq!(
-            cache.sole_owner(&idx, item, 2, &BoxRegion::<1>::empty()).0,
-            None
-        );
+        assert_eq!(sole_owner(&r1(30, 45)).0, None);
+        assert_eq!(sole_owner(&BoxRegion::<1>::empty()).0, None);
     }
 
     #[test]

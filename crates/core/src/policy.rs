@@ -38,14 +38,24 @@ pub struct PolicyEnv<'a> {
 /// A task-scheduling policy.
 pub trait SchedulingPolicy: 'static {
     /// Choose the variant for a task at recursion `depth` with the given
-    /// split capability and placement hint.
+    /// split capability and placement hint. Unless a policy says
+    /// otherwise: split until the (complete, binary) task tree has two
+    /// leaves per core (`OVERSUBSCRIPTION`).
     fn pick_variant(
         &mut self,
         depth: u32,
         can_split: bool,
-        hint: Option<f64>,
+        _hint: Option<f64>,
         env: &PolicyEnv<'_>,
-    ) -> Variant;
+    ) -> Variant {
+        let target_leaves = (env.nodes * env.cores_per_node * OVERSUBSCRIPTION).max(1) as u64;
+        // A complete binary split tree has 2^depth tasks at this depth.
+        if can_split && (1u64 << depth.min(62)) < target_leaves {
+            Variant::Split
+        } else {
+            Variant::Process
+        }
+    }
 
     /// Choose a target locality for a task whose requirements pin it
     /// nowhere (Algorithm 2 line 12).
@@ -55,48 +65,22 @@ pub trait SchedulingPolicy: 'static {
     fn name(&self) -> &'static str;
 }
 
-/// Map a placement hint in `[0, 1)` to a locality.
-pub fn hint_to_node(hint: f64, nodes: usize) -> usize {
-    ((hint.clamp(0.0, 1.0)) * nodes as f64) as usize % nodes.max(1)
+/// Target number of leaf tasks per core: a policy splits a task tree
+/// until the cluster holds this many leaves per core.
+const OVERSUBSCRIPTION: usize = 2;
+
+/// Map a placement hint in `[0, 1]` to a locality; a hint of exactly 1
+/// lands on the last one.
+fn hint_to_node(hint: f64, nodes: usize) -> usize {
+    ((hint.clamp(0.0, 1.0) * nodes as f64) as usize).min(nodes.saturating_sub(1))
 }
 
-/// The default policy: split until ~`oversubscription` leaf tasks exist
-/// per core, place hinted tasks by hint, unhinted ones on the least-loaded
-/// locality.
-pub struct DataAwarePolicy {
-    /// Target number of leaf tasks per core (default 2).
-    pub oversubscription: usize,
-}
-
-impl Default for DataAwarePolicy {
-    fn default() -> Self {
-        DataAwarePolicy {
-            oversubscription: 2,
-        }
-    }
-}
+/// The default policy: split until the cluster is saturated, place hinted
+/// tasks by hint, unhinted ones on the least-loaded locality.
+#[derive(Default)]
+pub struct DataAwarePolicy;
 
 impl SchedulingPolicy for DataAwarePolicy {
-    fn pick_variant(
-        &mut self,
-        depth: u32,
-        can_split: bool,
-        _hint: Option<f64>,
-        env: &PolicyEnv<'_>,
-    ) -> Variant {
-        if !can_split {
-            return Variant::Process;
-        }
-        let target_leaves =
-            (env.nodes * env.cores_per_node * self.oversubscription).max(1) as u64;
-        // A complete binary split tree has 2^depth tasks at this depth.
-        if (1u64 << depth.min(62)) < target_leaves {
-            Variant::Split
-        } else {
-            Variant::Process
-        }
-    }
-
     fn pick_target(&mut self, hint: Option<f64>, origin: usize, env: &PolicyEnv<'_>) -> usize {
         match hint {
             Some(h) => hint_to_node(h, env.nodes),
@@ -122,39 +106,12 @@ impl SchedulingPolicy for DataAwarePolicy {
 }
 
 /// Ablation: ignore hints, place tasks round-robin.
+#[derive(Default)]
 pub struct RoundRobinPolicy {
     next: usize,
-    oversubscription: usize,
-}
-
-impl Default for RoundRobinPolicy {
-    fn default() -> Self {
-        RoundRobinPolicy {
-            next: 0,
-            oversubscription: 2,
-        }
-    }
 }
 
 impl SchedulingPolicy for RoundRobinPolicy {
-    fn pick_variant(
-        &mut self,
-        depth: u32,
-        can_split: bool,
-        _hint: Option<f64>,
-        env: &PolicyEnv<'_>,
-    ) -> Variant {
-        if !can_split {
-            return Variant::Process;
-        }
-        let target = (env.nodes * env.cores_per_node * self.oversubscription).max(1) as u64;
-        if (1u64 << depth.min(62)) < target {
-            Variant::Split
-        } else {
-            Variant::Process
-        }
-    }
-
     fn pick_target(&mut self, _hint: Option<f64>, _origin: usize, env: &PolicyEnv<'_>) -> usize {
         let t = self.next % env.nodes;
         self.next = self.next.wrapping_add(1);
@@ -180,7 +137,7 @@ mod tests {
 
     #[test]
     fn data_aware_splits_until_saturation() {
-        let mut p = DataAwarePolicy::default();
+        let mut p = DataAwarePolicy;
         let load = vec![0; 4];
         let e = env(4, 2, &load); // target 16 leaves
         assert_eq!(p.pick_variant(0, true, None, &e), Variant::Split);
@@ -191,19 +148,19 @@ mod tests {
 
     #[test]
     fn hints_spread_blockwise() {
-        let mut p = DataAwarePolicy::default();
+        let mut p = DataAwarePolicy;
         let load = vec![0; 8];
         let e = env(8, 1, &load);
         assert_eq!(p.pick_target(Some(0.0), 0, &e), 0);
         assert_eq!(p.pick_target(Some(0.49), 0, &e), 3);
         assert_eq!(p.pick_target(Some(0.99), 0, &e), 7);
         // Hint 1.0 clamps into the last node.
-        assert_eq!(p.pick_target(Some(1.0), 0, &e), 0);
+        assert_eq!(p.pick_target(Some(1.0), 0, &e), 7);
     }
 
     #[test]
     fn unhinted_tasks_go_to_least_loaded() {
-        let mut p = DataAwarePolicy::default();
+        let mut p = DataAwarePolicy;
         let load = vec![5, 2, 9, 2];
         let e = env(4, 1, &load);
         assert_eq!(p.pick_target(None, 0, &e), 1); // first least-loaded

@@ -8,8 +8,7 @@
 //!
 //! - a **checkpoint cadence** — every `checkpoint_every` phase
 //!   boundaries, the runtime snapshots the owned data of every item on
-//!   every locality (the passive primitive already exposed through
-//!   [`crate::RtCtx::checkpoint`]);
+//!   every locality;
 //! - a **checkpoint pipeline** ([`CheckpointConfig`]) — checkpoints are
 //!   billed on the simulated clock against the two-tier store of
 //!   [`allscale_net::StorageModel`] (a fast node-local tier lost with
@@ -23,9 +22,10 @@
 //!   other live locality each `heartbeat_period` on the simulated clock;
 //!   a locality missing three consecutive heartbeats
 //!   (`SUSPICION_THRESHOLD`) is declared dead (fail-stop);
-//! - the **retry policy** the runtime applies to its own messages on a
-//!   faulty fabric (bounded attempts, exponential backoff — see
-//!   [`allscale_net::RetryPolicy`]).
+//! - a more persistent **retry policy** for the runtime's own messages
+//!   on a faulty fabric (bounded attempts, exponential backoff — see
+//!   [`allscale_net::RetryPolicy`]), chosen by the runtime's comms layer
+//!   whenever the manager is on.
 //!
 //! The *mechanism* — arming the copy-on-write capture, scheduling the
 //! drain-completion events, driving the heartbeats off the DES clock,
@@ -52,7 +52,7 @@ use std::collections::BTreeMap;
 
 use allscale_des::fnv::fnv1a_64_batch;
 use allscale_des::SimDuration;
-use allscale_net::{RetryPolicy, StorageModel, StorageParams};
+use allscale_net::{StorageModel, StorageParams};
 
 use crate::task::ItemId;
 
@@ -88,9 +88,6 @@ pub struct CheckpointConfig {
     pub keep: usize,
     /// Cost envelope of the two-tier checkpoint store.
     pub storage: StorageParams,
-    /// Debug/test aid: after every delta commit, reconstruct the chain
-    /// and assert it is bit-identical to the full boundary snapshot.
-    pub validate_reconstruction: bool,
 }
 
 impl Default for CheckpointConfig {
@@ -101,7 +98,6 @@ impl Default for CheckpointConfig {
             anchor_every: 4,
             keep: 2,
             storage: StorageParams::default(),
-            validate_reconstruction: false,
         }
     }
 }
@@ -119,8 +115,6 @@ pub struct ResilienceConfig {
     pub ckpt: CheckpointConfig,
     /// Period of the failure detector's heartbeat round.
     pub heartbeat_period: SimDuration,
-    /// Retry policy applied to runtime messages on the faulty fabric.
-    pub retry: RetryPolicy,
 }
 
 impl Default for ResilienceConfig {
@@ -129,12 +123,6 @@ impl Default for ResilienceConfig {
             checkpoint_every: 2,
             ckpt: CheckpointConfig::default(),
             heartbeat_period: SimDuration::from_micros(50),
-            retry: RetryPolicy {
-                // A little more persistent than the network default: a
-                // lost runtime message strands a task until recovery.
-                max_attempts: 6,
-                ..RetryPolicy::default()
-            },
         }
     }
 }
@@ -410,7 +398,6 @@ mod tests {
         let cfg = ResilienceConfig::default();
         assert!(cfg.checkpoint_every >= 1);
         assert!(cfg.heartbeat_period > SimDuration::ZERO);
-        assert!(cfg.retry.max_attempts >= 1);
         assert_eq!(cfg.ckpt.mode, CkptMode::Async);
         assert!(cfg.ckpt.incremental);
         assert!(cfg.ckpt.anchor_every >= 1);

@@ -24,7 +24,7 @@ use crate::task::{ItemId, TaskId};
 pub(super) struct Comms {
     /// The interconnect cost engine.
     net: Network<AnyTopology>,
-    /// Retry policy for runtime messages (default when no resilience).
+    /// Retry policy for runtime messages.
     retry_policy: RetryPolicy,
     /// Batching knobs (`None` = every runtime message is sent
     /// individually, the ablation baseline).
@@ -40,13 +40,19 @@ pub(super) struct Comms {
 impl Comms {
     /// The fabric of `spec` with `faults` installed; `verify` makes the
     /// network re-request corrupt deliveries instead of handing them up.
+    /// A `resilient` runtime retries a little longer than the network
+    /// default: a lost runtime message strands a task until recovery.
     pub(super) fn new(
         spec: &ClusterSpec,
         faults: Option<FaultPlan>,
         verify: bool,
-        retry_policy: RetryPolicy,
+        resilient: bool,
         trace: TraceSink,
     ) -> Self {
+        let mut retry_policy = RetryPolicy::default();
+        if resilient {
+            retry_policy.max_attempts = 6;
+        }
         let mut net = Network::new(spec.build_topology(), spec.net.clone());
         if let Some(plan) = faults {
             net.install_faults(plan);
@@ -105,6 +111,11 @@ impl Comms {
             stats.rot_injected += 1;
             f.corruption_salt()
         })
+    }
+
+    /// Whether the fault plan can rot stored bytes at rest.
+    pub(super) fn rot_configured(&self) -> bool {
+        self.net.faults().is_some_and(|f| f.rot_ppm() > 0)
     }
 
     /// Buffered-but-unflushed messages belong to the abandoned run; their

@@ -1,13 +1,12 @@
 //! [`RtCtx`]: what an application driver may do to the runtime between
-//! phases — create and destroy items, broadcast, migrate, checkpoint,
-//! inspect.
+//! phases — create and destroy items, broadcast, migrate, inspect.
 
 use allscale_des::SimTime;
 use allscale_region::ItemType;
 use allscale_trace::{EventKind, TransferPurpose};
 
 use super::comms::{bill_hops, open_payload, seal_payload, send_msg, ship_persistent, Payload};
-use super::directory::{index_update, readvertise};
+use super::directory::index_update;
 use super::tasks::wake;
 use super::{trace_instant, RtWorld};
 use crate::dynamic::{DynRegion, ItemDescriptor};
@@ -158,34 +157,6 @@ impl RtCtx<'_> {
         w.monitor.per_locality[to].migrations_in += 1;
     }
 
-    /// Snapshot the owned data of every item on every locality — the
-    /// resilience manager's checkpoint.
-    pub fn checkpoint(&self) -> Checkpoint {
-        let localities = self.world.localities.iter();
-        Checkpoint {
-            per_locality: localities.map(|l| l.dim.checkpoint()).collect(),
-        }
-    }
-
-    /// Restore a checkpoint taken earlier in this run.
-    ///
-    /// # Panics
-    /// Panics if the snapshot's locality count differs from the runtime's
-    /// — restoring such a snapshot would silently drop (or skip) shards.
-    pub fn restore(&mut self, snap: &Checkpoint) {
-        assert_eq!(
-            snap.per_locality.len(),
-            self.world.localities.len(),
-            "checkpoint shape mismatch: snapshot has {} locality shards, runtime has {} localities",
-            snap.per_locality.len(),
-            self.world.localities.len(),
-        );
-        for (loc, data) in self.world.localities.iter_mut().zip(&snap.per_locality) {
-            loc.dim.restore(data);
-        }
-        readvertise(self.world);
-    }
-
     /// Test hook: flip a byte in the first non-empty stored shard of each
     /// of the newest `n` retained checkpoints — simulated targeted
     /// at-rest corruption, for exercising the recovery fallback chain
@@ -252,7 +223,8 @@ impl RtCtx<'_> {
                     let owned = loc.dim.owned_region(item);
                     if !advertised.eq_dyn(owned) {
                         violations.push(format!(
-                            "item {item:?}: index leaf of locality {p} disagrees with DIM                              (index {advertised:?} vs owned {owned:?})"
+                            "item {item:?}: index leaf of locality {p} disagrees with DIM \
+                             (index {advertised:?} vs owned {owned:?})"
                         ));
                     }
                 }
@@ -368,21 +340,5 @@ pub(super) fn broadcast_replicate(
     for p in 0..nodes {
         let woken = w.localities[p].dim.wake_item(item);
         wake(w, woken);
-    }
-}
-
-/// A full-application data snapshot (resilience manager payload).
-#[derive(Clone)]
-pub struct Checkpoint {
-    pub(crate) per_locality: Vec<Vec<(ItemId, Vec<u8>)>>,
-}
-
-impl Checkpoint {
-    /// Total serialized size of the snapshot.
-    pub fn bytes(&self) -> usize {
-        self.per_locality
-            .iter()
-            .flat_map(|l| l.iter().map(|(_, b)| b.len()))
-            .sum()
     }
 }

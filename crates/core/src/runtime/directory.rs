@@ -188,7 +188,7 @@ pub(super) fn reset_for_recovery(w: &mut RtWorld, restored: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use allscale_region::BoxRegion;
+    use allscale_region::{BoxRegion, Region};
 
     /// `destroy` must remove the item from whichever index is active: a
     /// central directory that kept the entry would go on resolving a
@@ -215,5 +215,30 @@ mod tests {
                 "central={central}: a destroyed item still resolves"
             );
         }
+    }
+
+    /// Check 2 of `verify_consistency`, wording included: one index leaf
+    /// advertises what its locality's data item manager does not own.
+    #[test]
+    fn desynchronised_index_leaf_is_reported_on_one_line() {
+        use crate::runtime::{RtConfig, RtCtx, Runtime};
+        let mut rt = Runtime::new(RtConfig::test(2, 1));
+        let mut ctx = RtCtx {
+            world: &mut rt.sim.world,
+            now: SimTime::ZERO,
+        };
+        let item = ctx.create_item::<crate::facade::GridItem<f64, 1>>("g");
+        assert!(ctx.verify_consistency().is_empty());
+        let stray = BoxRegion::<1>::cuboid([0], [8]);
+        let index = &mut ctx.world.directory.index;
+        index.update_leaf(item, 1, Box::new(stray.clone()));
+        let owned = BoxRegion::<1>::empty();
+        assert_eq!(
+            ctx.verify_consistency(),
+            [format!(
+                "item {item:?}: index leaf of locality 1 disagrees with DIM \
+                 (index {stray:?} vs owned {owned:?})"
+            )]
+        );
     }
 }

@@ -55,7 +55,7 @@ use crate::policy::{DataAwarePolicy, SchedulingPolicy};
 use crate::resilience::ResilienceConfig;
 use crate::scheduler::{DataAwareScheduler, Scheduler, StealConfig, WorkStealingScheduler};
 
-pub use ctx::{Checkpoint, RtCtx};
+pub use ctx::RtCtx;
 pub use phases::AppDriver;
 
 /// A simulated cluster node: cores plus its data item manager.
@@ -128,7 +128,7 @@ impl RtConfig {
         RtConfig {
             spec,
             cost: CostModel::default(),
-            policy: Box::new(DataAwarePolicy::default()),
+            policy: Box::new(DataAwarePolicy),
             stealing: None,
             central_index: false,
             faults: None,
@@ -219,7 +219,7 @@ impl Runtime {
             &config.spec,
             config.faults,
             config.integrity.is_some(),
-            config.resilience.map(|cfg| cfg.retry).unwrap_or_default(),
+            config.resilience.is_some(),
             trace.clone(),
         );
         let localities = (0..nodes)

@@ -5,16 +5,16 @@ use allscale_trace::{EventKind, TransferPurpose};
 
 use super::comms::{seal_payload, send_msg, ship_persistent, Payload};
 use super::{trace_instant, RtSim};
+use crate::integrity::QUARANTINE_AFTER;
 
 /// One pass of the background replica scrubber: every live locality
 /// holding persistent replicas fingerprints them against the owning
 /// locality's authoritative copy (FNV-1a over the serialized overlap,
 /// exchanged as a billed control round-trip). A divergent replica is
 /// repaired with a fresh, billed copy from the owner; a replica that
-/// diverges [`IntegrityConfig::quarantine_after`](crate::IntegrityConfig)
-/// times is evicted instead — a holder that keeps rotting the same item
-/// is not worth re-shipping to, and readers fall back to on-demand
-/// replication.
+/// diverges [`QUARANTINE_AFTER`] times is evicted instead — a holder
+/// that keeps rotting the same item is not worth re-shipping to, and
+/// readers fall back to on-demand replication.
 ///
 /// The scrubber runs on the simulated clock independently of phase
 /// boundaries, so long phases still get audited; like the heartbeat it
@@ -78,7 +78,7 @@ pub(super) fn scrub_tick(sim: &mut RtSim) {
                 divergent += 1;
                 w.monitor.integrity.scrub_divergent += 1;
                 let strikes = w.integrity.as_mut().map_or(0, |m| m.strike(holder, item));
-                if strikes >= cfg.quarantine_after {
+                if strikes >= QUARANTINE_AFTER {
                     w.localities[holder].dim.drop_persistent(item);
                     w.monitor.integrity.quarantines += 1;
                     trace_instant(

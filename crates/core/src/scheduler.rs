@@ -484,7 +484,7 @@ mod tests {
 
     fn ws(nodes: usize, cores: usize, victim: VictimPolicy, seed: u64) -> WorkStealingScheduler {
         WorkStealingScheduler::new(
-            Box::new(DataAwarePolicy::default()),
+            Box::new(DataAwarePolicy),
             StealConfig {
                 victim,
                 seed,

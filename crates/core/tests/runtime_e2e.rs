@@ -279,70 +279,6 @@ fn tasks_follow_their_data() {
     assert_eq!(migrations, 0, "steady-state phases must not migrate data");
 }
 
-/// Checkpoint/restore: wind the data back between phases.
-#[test]
-fn checkpoint_restores_data() {
-    let cell: std::rc::Rc<std::cell::RefCell<Option<Grid<f64, 1>>>> =
-        std::rc::Rc::new(std::cell::RefCell::new(None));
-    let cp: std::rc::Rc<std::cell::RefCell<Option<allscale_core::Checkpoint>>> =
-        std::rc::Rc::new(std::cell::RefCell::new(None));
-    let (cell2, cp2) = (cell.clone(), cp.clone());
-    let rt = Runtime::new(config(2, 2));
-    rt.run(
-        move |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
-            match phase {
-                0 => {
-                    let g = Grid::<f64, 1>::create(ctx, "v", [64]);
-                    *cell2.borrow_mut() = Some(g);
-                    Some(pfor(
-                        PforSpec {
-                            name: "init",
-                            range: g.full_box(),
-                            grain: 8,
-                            ns_per_point: 2.0,
-                            axis0_pieces: 0,
-                        },
-                        move |tile| vec![Requirement::write(g.id, BoxRegion::from_box(*tile))],
-                        move |ctx, p| g.set(ctx, p.0, 1.0),
-                    ))
-                }
-                1 => {
-                    // Snapshot, then clobber.
-                    *cp2.borrow_mut() = Some(ctx.checkpoint());
-                    let g = cell2.borrow().unwrap();
-                    Some(pfor(
-                        PforSpec {
-                            name: "clobber",
-                            range: g.full_box(),
-                            grain: 8,
-                            ns_per_point: 2.0,
-                            axis0_pieces: 0,
-                        },
-                        move |tile| vec![Requirement::write(g.id, BoxRegion::from_box(*tile))],
-                        move |ctx, p| g.set(ctx, p.0, -99.0),
-                    ))
-                }
-                2 => {
-                    // Restore and verify.
-                    ctx.restore(cp2.borrow().as_ref().unwrap());
-                    let g = cell2.borrow().unwrap();
-                    let mut seen = 0;
-                    for loc in 0..ctx.nodes() {
-                        let frag = ctx.fragment_at::<GridFragment<f64, 1>>(loc, g.id);
-                        frag.for_each(|_, v| {
-                            assert_eq!(*v, 1.0, "restored value");
-                            seen += 1;
-                        });
-                    }
-                    assert_eq!(seen, 64);
-                    None
-                }
-                _ => unreachable!(),
-            }
-        },
-    );
-}
-
 /// Single-node runs work and use no network.
 #[test]
 fn single_node_runs_entirely_local() {
@@ -378,7 +314,7 @@ fn speed_factors_shift_completion_time() {
         if slow {
             cfg.cost.speed_factors = vec![1.0, 0.25];
         }
-        cfg.policy = Box::new(DataAwarePolicy::default());
+        cfg.policy = Box::new(DataAwarePolicy);
         let rt = Runtime::new(cfg);
         let report = rt.run(
             move |phase: usize,
@@ -833,51 +769,6 @@ fn write_row_past_the_requirement_panics() {
     row_overrunning_its_requirement(true);
 }
 
-/// Restoring a checkpoint into a runtime with a different locality count
-/// must fail loudly instead of silently truncating the restore.
-#[test]
-#[should_panic(expected = "checkpoint shape mismatch")]
-fn restore_rejects_mismatched_cluster_shape() {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    // Take a checkpoint on a 2-node cluster…
-    let cp: Rc<RefCell<Option<allscale_core::Checkpoint>>> = Rc::new(RefCell::new(None));
-    let cp2 = cp.clone();
-    let rt = Runtime::new(config(2, 2));
-    rt.run(
-        move |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
-            if phase > 0 {
-                *cp2.borrow_mut() = Some(ctx.checkpoint());
-                return None;
-            }
-            let g = Grid::<f64, 1>::create(ctx, "v", [32]);
-            Some(pfor(
-                PforSpec {
-                    name: "init",
-                    range: g.full_box(),
-                    grain: 8,
-                    ns_per_point: 2.0,
-                    axis0_pieces: 0,
-                },
-                move |tile| vec![Requirement::write(g.id, BoxRegion::from_box(*tile))],
-                move |ctx2, p| g.set(ctx2, p.0, 1.0),
-            ))
-        },
-    );
-    let snap = cp.borrow_mut().take().expect("checkpoint taken");
-
-    // …and feed it to a 3-node cluster: two shards cannot describe three
-    // localities, so restore must panic rather than truncate.
-    let rt = Runtime::new(config(3, 2));
-    rt.run(
-        move |_phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
-            ctx.restore(&snap);
-            None
-        },
-    );
-}
-
 /// Broadcast a single-owner grid, then migrate part of the fenced region
 /// away from its recorder without dropping the broadcast: the fence no
 /// longer lies in the recorder's owned region — exactly the corruption
@@ -1203,7 +1094,7 @@ fn checksummed_transfers_mask_wire_corruption() {
 /// Replica rot, scrubbed: broadcast replicas rot at rest (rot arm at
 /// 100%), the background scrubber detects the divergence against the
 /// owner, repairs it, and — when the holder's storage keeps striking —
-/// quarantines the replica after `quarantine_after` divergences. The
+/// quarantines the replica after three divergences. The
 /// owner's authoritative copy stays pristine throughout.
 #[test]
 fn scrubber_repairs_and_quarantines_rotting_replicas() {
@@ -1334,34 +1225,6 @@ fn recovery_rejects_rotted_checkpoints_and_restarts() {
     assert!(report.monitor.resilience.recoveries >= 1);
 }
 
-/// Torus-topology clusters run the full stack too (ablation A4 plumbing).
-#[test]
-fn torus_cluster_end_to_end() {
-    let mut cfg = config(4, 2);
-    cfg.spec.topology = allscale_net::TopologyKind::Torus;
-    let rt = Runtime::new(cfg);
-    let report = rt.run(
-        move |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
-            if phase > 0 {
-                return None;
-            }
-            let g = Grid::<f64, 1>::create(ctx, "v", [64]);
-            Some(pfor(
-                PforSpec {
-                    name: "t",
-                    range: g.full_box(),
-                    grain: 4,
-                    ns_per_point: 2.0,
-                    axis0_pieces: 16,
-                },
-                move |tile| vec![Requirement::write(g.id, BoxRegion::from_box(*tile))],
-                move |ctx2, p| g.set(ctx2, p.0, 1.0),
-            ))
-        },
-    );
-    assert!(report.remote_msgs > 0);
-}
-
 /// Retention-depth regression (`CheckpointConfig::keep`): with the two
 /// newest retained checkpoints corrupted at rest, recovery must fall
 /// back past both rejected links. A depth of 4 lands on the
@@ -1401,7 +1264,6 @@ fn recovery_falls_back_the_configured_retention_depth() {
             ..CheckpointConfig::default()
         },
         heartbeat_period: heartbeat,
-        ..ResilienceConfig::default()
     };
     // Size the kill against the identically billed clean run: right
     // after the last bump boundary's corruption, early enough that
@@ -1483,7 +1345,6 @@ fn mid_drain_kill_recovers_from_last_committed_checkpoint() {
             checkpoint_every: 1,
             ckpt: ck,
             heartbeat_period: heartbeat,
-            ..ResilienceConfig::default()
         }
     };
     let mut cfg = config(4, 2);

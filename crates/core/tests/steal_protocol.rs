@@ -65,7 +65,7 @@ impl Harness {
         };
         Harness {
             sched: WorkStealingScheduler::new(
-                Box::new(DataAwarePolicy::default()),
+                Box::new(DataAwarePolicy),
                 cfg,
                 nodes,
                 cores,

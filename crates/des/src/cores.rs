@@ -20,9 +20,6 @@ pub struct CorePool {
     /// The index is the tie-breaker (lowest-numbered idle core wins), which
     /// keeps core assignment deterministic for trace attribution.
     busy_until: BinaryHeap<Reverse<(SimTime, usize)>>,
-    cores: usize,
-    /// Total core-nanoseconds of work accepted (for utilization reports).
-    busy_ns: u64,
 }
 
 impl CorePool {
@@ -33,17 +30,7 @@ impl CorePool {
         for i in 0..cores {
             busy_until.push(Reverse((SimTime::ZERO, i)));
         }
-        CorePool {
-            busy_until,
-            cores,
-            busy_ns: 0,
-        }
-    }
-
-    /// Number of cores in the pool.
-    #[inline]
-    pub fn cores(&self) -> usize {
-        self.cores
+        CorePool { busy_until }
     }
 
     /// Reserve `work` of core time starting no earlier than `now`.
@@ -67,36 +54,7 @@ impl CorePool {
         let start = free_at.max(now);
         let end = start + work;
         self.busy_until.push(Reverse((end, core)));
-        self.busy_ns += work.as_nanos();
         (core, start, end)
-    }
-
-    /// The earliest time at which some core is (or becomes) free.
-    pub fn earliest_free(&self) -> SimTime {
-        self.busy_until.peek().expect("pool is never empty").0 .0
-    }
-
-    /// Number of cores idle at time `now`.
-    pub fn idle_at(&self, now: SimTime) -> usize {
-        self.busy_until
-            .iter()
-            .filter(|Reverse((t, _))| *t <= now)
-            .count()
-    }
-
-    /// Total accepted work in core-nanoseconds.
-    #[inline]
-    pub fn total_busy_ns(&self) -> u64 {
-        self.busy_ns
-    }
-
-    /// Core utilization over the window `[0, now]` (may exceed 1.0 only if
-    /// work was accepted that ends beyond `now`).
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        if now.as_nanos() == 0 {
-            return 0.0;
-        }
-        self.busy_ns as f64 / (now.as_nanos() as f64 * self.cores as f64)
     }
 }
 
@@ -135,29 +93,19 @@ mod tests {
         p.acquire(at(0), ns(1000));
         // At t=500 the second core is still idle.
         assert_eq!(p.acquire(at(500), ns(10)), (at(500), at(510)));
-        assert_eq!(p.idle_at(at(505)), 0);
-        assert_eq!(p.idle_at(at(511)), 1);
-        assert_eq!(p.idle_at(at(1001)), 2);
-    }
-
-    #[test]
-    fn utilization_accounting() {
-        let mut p = CorePool::new(2);
-        p.acquire(at(0), ns(100));
-        p.acquire(at(0), ns(100));
-        assert!((p.utilization(at(100)) - 1.0).abs() < 1e-12);
-        assert!((p.utilization(at(200)) - 0.5).abs() < 1e-12);
-        assert_eq!(p.total_busy_ns(), 200);
+        // At t=505 both are busy: the next piece queues behind the short one.
+        assert_eq!(p.acquire(at(505), ns(10)), (at(510), at(520)));
     }
 
     #[test]
     fn earliest_free_tracks_min() {
+        // A zero-length piece starts when the earliest core frees up.
         let mut p = CorePool::new(2);
-        assert_eq!(p.earliest_free(), at(0));
+        assert_eq!(p.acquire(at(0), ns(0)).0, at(0));
         p.acquire(at(0), ns(50));
-        assert_eq!(p.earliest_free(), at(0));
+        assert_eq!(p.acquire(at(0), ns(0)).0, at(0));
         p.acquire(at(0), ns(80));
-        assert_eq!(p.earliest_free(), at(50));
+        assert_eq!(p.acquire(at(0), ns(0)).0, at(50));
     }
 
     #[test]
@@ -175,14 +123,13 @@ mod tests {
         assert_eq!(p.acquire_indexed(at(0), ns(80)), (2, at(0), at(80)));
         // Next work goes to the earliest-free core (core 1 at t=50).
         assert_eq!(p.acquire_indexed(at(0), ns(10)), (1, at(50), at(60)));
-        // Tie at t=60 vs t=80: among frees, earliest time still wins; a
-        // plain acquire sees the same (start, end) schedule.
+        // A plain acquire sees the same (start, end) schedule.
         let mut q = CorePool::new(3);
         for (now, work) in [(0, 100), (0, 50), (0, 80), (0, 10)] {
             q.acquire(at(now), ns(work));
         }
-        assert_eq!(q.earliest_free(), p.earliest_free());
-        assert_eq!(q.total_busy_ns(), p.total_busy_ns());
+        let (_, start, end) = p.acquire_indexed(at(0), ns(5));
+        assert_eq!(q.acquire(at(0), ns(5)), (start, end));
     }
 
     #[test]

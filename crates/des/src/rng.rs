@@ -166,11 +166,6 @@ impl ZipfSampler {
         ZipfSampler { cdf }
     }
 
-    /// Number of ranks.
-    pub fn ranks(&self) -> usize {
-        self.cdf.len()
-    }
-
     /// The rank of a uniform draw `u ∈ [0, 1)`.
     pub fn rank_of(&self, u: f64) -> usize {
         // First index whose cdf strictly exceeds u.
@@ -300,6 +295,5 @@ mod tests {
         let z = ZipfSampler::new(4, 1.0);
         assert_eq!(z.rank_of(0.0), 0);
         assert_eq!(z.rank_of(0.999_999_999), 3);
-        assert_eq!(z.ranks(), 4);
     }
 }

@@ -75,12 +75,6 @@ impl<W> Sim<W> {
         self.events_run
     }
 
-    /// Number of events still pending.
-    #[inline]
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Schedule `event` to fire `delay` after the current time.
     pub fn schedule<F>(&mut self, delay: SimDuration, event: F)
     where
@@ -116,7 +110,7 @@ impl<W> Sim<W> {
     /// Execute the single next event, advancing virtual time to it.
     ///
     /// Returns `false` if the queue was empty.
-    pub fn step(&mut self) -> bool {
+    fn step(&mut self) -> bool {
         match self.queue.pop() {
             Some(Reverse(s)) => {
                 debug_assert!(s.at >= self.now);
@@ -133,36 +127,6 @@ impl<W> Sim<W> {
     pub fn run(&mut self) -> SimTime {
         while self.step() {}
         self.now
-    }
-
-    /// Run until the event queue drains or `limit` events have executed.
-    ///
-    /// Returns `true` if the queue drained. The limit is a safety net
-    /// against accidental livelock in tests.
-    pub fn run_bounded(&mut self, limit: u64) -> bool {
-        let start = self.events_run;
-        while self.events_run - start < limit {
-            if !self.step() {
-                return true;
-            }
-        }
-        self.queue.is_empty()
-    }
-
-    /// Run until the predicate over the world becomes true (checked after
-    /// each event) or the queue drains. Returns `true` if the predicate held.
-    pub fn run_until<P>(&mut self, mut pred: P) -> bool
-    where
-        P: FnMut(&W) -> bool,
-    {
-        loop {
-            if pred(&self.world) {
-                return true;
-            }
-            if !self.step() {
-                return false;
-            }
-        }
     }
 }
 
@@ -233,31 +197,6 @@ mod tests {
             sim.schedule_at(SimTime::from_nanos(5), |_| {});
         });
         sim.run();
-    }
-
-    #[test]
-    fn run_bounded_stops_infinite_chains() {
-        fn rearm(sim: &mut Sim<u64>) {
-            sim.world += 1;
-            sim.schedule(SimDuration::from_nanos(1), rearm);
-        }
-        let mut sim = Sim::new(0u64);
-        sim.schedule(SimDuration::ZERO, rearm);
-        let drained = sim.run_bounded(100);
-        assert!(!drained);
-        assert_eq!(sim.world, 100);
-    }
-
-    #[test]
-    fn run_until_predicate() {
-        fn tick(sim: &mut Sim<u64>) {
-            sim.world += 1;
-            sim.schedule(SimDuration::from_nanos(1), tick);
-        }
-        let mut sim = Sim::new(0u64);
-        sim.schedule(SimDuration::ZERO, tick);
-        assert!(sim.run_until(|w| *w == 42));
-        assert_eq!(sim.world, 42);
     }
 
     #[test]

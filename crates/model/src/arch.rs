@@ -70,16 +70,6 @@ impl Architecture {
             .range((c, MemId(0))..=(c, MemId(u32::MAX)))
             .map(|&(_, m)| m)
     }
-
-    /// Number of compute units.
-    pub fn core_count(&self) -> usize {
-        self.cores.len()
-    }
-
-    /// Number of address spaces.
-    pub fn mem_count(&self) -> usize {
-        self.mems.len()
-    }
 }
 
 impl Default for Architecture {
@@ -96,8 +86,8 @@ mod tests {
     fn paper_example_2_4() {
         // 2 nodes × 4 cores: cores of node A link only to mA.
         let a = Architecture::cluster(2, 4);
-        assert_eq!(a.core_count(), 8);
-        assert_eq!(a.mem_count(), 2);
+        assert_eq!(a.cores().count(), 8);
+        assert_eq!(a.mems().count(), 2);
         assert!(a.linked(CoreId(0), MemId(0)));
         assert!(a.linked(CoreId(3), MemId(0)));
         assert!(!a.linked(CoreId(3), MemId(1)));
@@ -108,7 +98,7 @@ mod tests {
     #[test]
     fn shared_memory_node() {
         let a = Architecture::shared(4);
-        assert_eq!(a.mem_count(), 1);
+        assert_eq!(a.mems().count(), 1);
         for c in a.cores().collect::<Vec<_>>() {
             assert!(a.linked(c, MemId(0)));
         }

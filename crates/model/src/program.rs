@@ -90,15 +90,6 @@ impl Program {
         self.tasks.get(&t).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// The task owning a variant (well-defined because variant sets are
-    /// disjoint across tasks).
-    pub fn task_of(&self, v: VariantId) -> Option<TaskId> {
-        self.tasks
-            .iter()
-            .find(|(_, vs)| vs.contains(&v))
-            .map(|(&t, _)| t)
-    }
-
     /// The script and requirements of a variant.
     pub fn variant(&self, v: VariantId) -> &VariantSpec {
         &self.variants[&v]
@@ -313,16 +304,6 @@ mod tests {
         assert_eq!(p.step(par, 0), Some(Action::Spawn(TaskId(1))));
         assert_eq!(p.step(par, 3), Some(Action::Sync(TaskId(2))));
         assert_eq!(p.step(par, 4), None); // end
-    }
-
-    #[test]
-    fn task_of_inverts_variants_of() {
-        let p = example_2_3();
-        for t in p.tasks().collect::<Vec<_>>() {
-            for &v in p.variants_of(t) {
-                assert_eq!(p.task_of(v), Some(t));
-            }
-        }
     }
 
     #[test]

@@ -90,7 +90,7 @@ where
 {
     let n = spec.nodes;
     let mut net = Network::new(spec.build_topology(), spec.net.clone());
-    let overhead = SimDuration::from_nanos(spec.net.sw_overhead_ns);
+    let overhead = spec.net.sw_overhead();
 
     let mut ranks: Vec<Rank<'_, T>> = (0..n)
         .map(|rank| {

@@ -6,19 +6,10 @@
 //! both versions on the same RRZE Meggie nodes.
 
 use crate::network::NetParams;
-use crate::topology::{AnyTopology, FatTree, SingleSwitch, Torus2D};
+use crate::topology::{AnyTopology, FatTree};
 
-/// Which interconnect topology to simulate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TopologyKind {
-    /// Two-level fat-tree (the paper's OmniPath testbed). The associated
-    /// value is the leaf-switch radix.
-    FatTree,
-    /// 2-D torus (network-sensitivity ablation).
-    Torus,
-    /// Single crossbar (tests).
-    Single,
-}
+/// Nodes per leaf switch of the fat-tree (Meggie's OmniPath edge switches).
+const LEAF_RADIX: usize = 16;
 
 /// Description of the simulated machine.
 #[derive(Debug, Clone)]
@@ -28,33 +19,21 @@ pub struct ClusterSpec {
     /// CPU cores per node. The paper's nodes carry 2× Xeon E5-2630 v4
     /// (10 cores each), hence the default of 20.
     pub cores_per_node: usize,
-    /// Nodes per leaf switch of the fat-tree.
-    pub leaf_radix: usize,
-    /// Interconnect topology.
-    pub topology: TopologyKind,
     /// Interconnect cost parameters.
     pub net: NetParams,
 }
 
 impl ClusterSpec {
-    /// Instantiate the configured topology.
+    /// The cluster's fat-tree.
     pub fn build_topology(&self) -> AnyTopology {
-        match self.topology {
-            TopologyKind::FatTree => AnyTopology::FatTree(FatTree::new(self.nodes, self.leaf_radix)),
-            TopologyKind::Torus => AnyTopology::Torus(Torus2D::square(self.nodes)),
-            TopologyKind::Single => AnyTopology::Single(SingleSwitch::new(self.nodes)),
-        }
+        FatTree::new(self.nodes, LEAF_RADIX)
     }
-}
 
-impl ClusterSpec {
     /// A Meggie-like cluster of `nodes` nodes (20 cores, OmniPath fat-tree).
     pub fn meggie(nodes: usize) -> Self {
         ClusterSpec {
             nodes,
             cores_per_node: 20,
-            leaf_radix: 16,
-            topology: TopologyKind::FatTree,
             net: NetParams::default(),
         }
     }
@@ -64,27 +43,21 @@ impl ClusterSpec {
         ClusterSpec {
             nodes,
             cores_per_node: cores,
-            leaf_radix: 16,
-            topology: TopologyKind::FatTree,
             net: NetParams::default(),
         }
-    }
-
-    /// Total core count across the cluster.
-    pub fn total_cores(&self) -> usize {
-        self.nodes * self.cores_per_node
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::Topology;
 
     #[test]
     fn meggie_defaults() {
         let c = ClusterSpec::meggie(64);
         assert_eq!(c.nodes, 64);
         assert_eq!(c.cores_per_node, 20);
-        assert_eq!(c.total_cores(), 1280);
+        assert_eq!(c.build_topology().hops(0, 63), 4, "64 nodes span four 16-node leaves");
     }
 }

@@ -8,7 +8,7 @@
 //!   is real serialized bytes, enforcing address-space separation;
 //! - [`frame`]: FNV-1a checksum framing over those bytes — the
 //!   end-to-end integrity boundary for transfers and checkpoint shards;
-//! - [`FatTree`] / [`SingleSwitch`]: hop-count topologies;
+//! - [`FatTree`]: the hop-count topology;
 //! - [`Network`]: LogGP-style accounting (latency + bandwidth + per-NIC
 //!   occupancy) shared by the AllScale runtime and the MPI baseline;
 //! - [`StorageModel`]: the two-tier checkpoint store (fast node-local
@@ -28,10 +28,10 @@ mod storage;
 mod topology;
 
 pub use allscale_des::wire;
-pub use cluster::{ClusterSpec, TopologyKind};
+pub use cluster::ClusterSpec;
 pub use coalesce::{Batch, BatchParams, Coalescer, Enqueue, FlushCause};
 pub use fault::{FaultPlan, RetryPolicy, TransferFault, Verdict};
 pub use frame::{FrameError, FRAME_OVERHEAD};
 pub use network::{Delivered, NetParams, Network, TrafficStats};
 pub use storage::{StorageModel, StorageParams, StorageStats, StorageTier};
-pub use topology::{AnyTopology, FatTree, NodeId, SingleSwitch, Topology, Torus2D};
+pub use topology::{AnyTopology, FatTree, NodeId, Topology};

@@ -232,11 +232,6 @@ impl<T: Topology> Network<T> {
         &self.stats
     }
 
-    /// The topology in use.
-    pub fn topology(&self) -> &T {
-        &self.topology
-    }
-
     /// The time at which `src`'s transmit NIC frees up (now or earlier
     /// means idle). The coalescer's eager-flush policy keys off this: a
     /// batch is held only while the NIC is busy anyway, so batching under
@@ -512,19 +507,6 @@ impl<T: Topology> Network<T> {
         self.stats.flushes_by_cause[cause as usize] += 1;
         self.transfer_with_retry_frame(now, src, dst, total_bytes, policy)
     }
-
-    /// Like [`Network::transfer`] but without occupying the NICs — used to
-    /// *estimate* a transfer's cost for scheduling decisions without
-    /// committing resources.
-    pub fn estimate(&self, now: SimTime, src: NodeId, dst: NodeId, bytes: usize) -> SimTime {
-        if src == dst {
-            return now + self.params.local_copy(bytes);
-        }
-        let ser = self.params.serialization(bytes);
-        let depart_end = self.tx_busy[src].max(now) + ser;
-        let wire = depart_end + self.params.latency(self.topology.hops(src, dst));
-        self.rx_busy[dst].max(wire) + ser
-    }
 }
 
 #[cfg(test)]
@@ -563,9 +545,8 @@ mod tests {
 
     #[test]
     fn bandwidth_term_scales_with_size() {
-        let n = net(2);
-        let small = n.estimate(t(0), 0, 1, 1_000);
-        let large = n.estimate(t(0), 0, 1, 1_000_000);
+        let small = net(2).transfer(t(0), 0, 1, 1_000);
+        let large = net(2).transfer(t(0), 0, 1, 1_000_000);
         // 1 MB at 12.5 GB/s = 80 µs per NIC crossing (×2 for tx+rx).
         let delta = large.as_nanos() - small.as_nanos();
         assert!((delta as i64 - 2 * 79_920).abs() < 200, "delta={delta}");
@@ -666,7 +647,7 @@ mod tests {
     #[test]
     fn injected_delay_postpones_arrival() {
         use crate::fault::FaultPlan;
-        let clean = net(2).estimate(t(0), 0, 1, 1_000);
+        let clean = net(2).transfer(t(0), 0, 1, 1_000);
         let mut n = net(2);
         n.install_faults(FaultPlan::new(2).with_delay(1.0, SimDuration::from_nanos(5_000)));
         let arrival = n.try_transfer_frame(t(0), 0, 1, 1_000).unwrap();
@@ -855,17 +836,5 @@ mod tests {
         assert_eq!(corrupts, vec![false, true]);
         // Corruption is noticed (or not) at the receiver.
         assert!(trace.events.iter().all(|e| e.loc == 1));
-    }
-
-    #[test]
-    fn estimate_does_not_commit_resources() {
-        let mut n = net(2);
-        let e1 = n.estimate(t(0), 0, 1, 125_000);
-        let e2 = n.estimate(t(0), 0, 1, 125_000);
-        assert_eq!(e1, e2);
-        let a = n.transfer(t(0), 0, 1, 125_000);
-        assert_eq!(a, e1);
-        // After a committed transfer the estimate shifts.
-        assert!(n.estimate(t(0), 0, 1, 125_000) > e1);
     }
 }

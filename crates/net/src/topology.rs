@@ -59,109 +59,9 @@ impl Topology for FatTree {
     }
 }
 
-/// A degenerate single-switch topology (all distinct pairs two hops apart);
-/// useful for isolating latency effects in tests and ablations.
-#[derive(Debug, Clone)]
-pub struct SingleSwitch {
-    nodes: usize,
-}
-
-impl SingleSwitch {
-    /// A crossbar over `nodes` nodes.
-    pub fn new(nodes: usize) -> Self {
-        assert!(nodes > 0);
-        SingleSwitch { nodes }
-    }
-}
-
-impl Topology for SingleSwitch {
-    fn nodes(&self) -> usize {
-        self.nodes
-    }
-    fn hops(&self, a: NodeId, b: NodeId) -> u32 {
-        if a == b {
-            0
-        } else {
-            2
-        }
-    }
-}
-
-/// A 2-D torus (mesh with wraparound): node `i` sits at
-/// `(i % width, i / width)`; hop count is the wrap-around Manhattan
-/// distance. Included as a network-sensitivity ablation — tori have
-/// distance-dependent latency unlike the (nearly) flat fat-tree.
-#[derive(Debug, Clone)]
-pub struct Torus2D {
-    width: usize,
-    height: usize,
-}
-
-impl Torus2D {
-    /// A `width × height` torus.
-    pub fn new(width: usize, height: usize) -> Self {
-        assert!(width > 0 && height > 0);
-        Torus2D { width, height }
-    }
-
-    /// A roughly square torus over `nodes` nodes.
-    pub fn square(nodes: usize) -> Self {
-        assert!(nodes > 0);
-        let mut w = (nodes as f64).sqrt().ceil() as usize;
-        while !nodes.is_multiple_of(w) {
-            w += 1;
-        }
-        Torus2D::new(w, nodes / w)
-    }
-
-    fn coords(&self, n: NodeId) -> (usize, usize) {
-        (n % self.width, n / self.width)
-    }
-}
-
-impl Topology for Torus2D {
-    fn nodes(&self) -> usize {
-        self.width * self.height
-    }
-    fn hops(&self, a: NodeId, b: NodeId) -> u32 {
-        if a == b {
-            return 0;
-        }
-        let (ax, ay) = self.coords(a);
-        let (bx, by) = self.coords(b);
-        let dx = ax.abs_diff(bx).min(self.width - ax.abs_diff(bx));
-        let dy = ay.abs_diff(by).min(self.height - ay.abs_diff(by));
-        (dx + dy) as u32
-    }
-}
-
-/// A topology chosen at runtime (cluster configuration).
-#[derive(Debug, Clone)]
-pub enum AnyTopology {
-    /// Two-level fat-tree (the paper's testbed).
-    FatTree(FatTree),
-    /// 2-D torus (ablation).
-    Torus(Torus2D),
-    /// Single crossbar switch (ablation / tests).
-    Single(SingleSwitch),
-}
-
-impl Topology for AnyTopology {
-    fn nodes(&self) -> usize {
-        match self {
-            AnyTopology::FatTree(t) => t.nodes(),
-            AnyTopology::Torus(t) => t.nodes(),
-            AnyTopology::Single(t) => t.nodes(),
-        }
-    }
-    fn hops(&self, a: NodeId, b: NodeId) -> u32 {
-        match self {
-            AnyTopology::FatTree(t) => t.hops(a, b),
-            AnyTopology::Torus(t) => t.hops(a, b),
-            AnyTopology::Single(t) => t.hops(a, b),
-        }
-    }
-}
+/// The name `hostbench/` spells for the cluster's topology
+/// (`Network<allscale_net::AnyTopology>`); there is one, the fat-tree.
+pub type AnyTopology = FatTree;
 
 #[cfg(test)]
 mod tests {
@@ -185,55 +85,6 @@ mod tests {
                 assert_eq!(t.hops(a, b), t.hops(b, a));
             }
         }
-    }
-
-    #[test]
-    fn single_switch() {
-        let t = SingleSwitch::new(4);
-        assert_eq!(t.hops(1, 1), 0);
-        assert_eq!(t.hops(0, 3), 2);
-        assert_eq!(t.nodes(), 4);
-    }
-
-    #[test]
-    fn torus_wraparound_distances() {
-        let t = Torus2D::new(4, 4);
-        assert_eq!(t.nodes(), 16);
-        assert_eq!(t.hops(0, 0), 0);
-        assert_eq!(t.hops(0, 1), 1);
-        assert_eq!(t.hops(0, 3), 1, "wraps around the row");
-        assert_eq!(t.hops(0, 12), 1, "wraps around the column");
-        assert_eq!(t.hops(0, 5), 2);
-        // Farthest point on a 4x4 torus is 4 hops away.
-        assert_eq!(t.hops(0, 10), 4);
-    }
-
-    #[test]
-    fn torus_symmetry() {
-        let t = Torus2D::square(12);
-        for a in 0..12 {
-            for b in 0..12 {
-                assert_eq!(t.hops(a, b), t.hops(b, a));
-            }
-        }
-    }
-
-    #[test]
-    fn square_factorization_covers_all_nodes() {
-        for n in [1usize, 2, 6, 12, 16, 30, 64] {
-            let t = Torus2D::square(n);
-            assert_eq!(t.nodes(), n, "n={n}");
-        }
-    }
-
-    #[test]
-    fn any_topology_dispatches() {
-        let any = AnyTopology::FatTree(FatTree::new(8, 4));
-        assert_eq!(any.hops(0, 7), 4);
-        let any = AnyTopology::Torus(Torus2D::new(2, 2));
-        assert_eq!(any.hops(0, 3), 2);
-        let any = AnyTopology::Single(SingleSwitch::new(3));
-        assert_eq!(any.hops(0, 2), 2);
     }
 
     #[test]

@@ -76,18 +76,6 @@ impl<const D: usize> BoxRegion<D> {
         self.boxes.iter().any(|b| b.contains(p))
     }
 
-    /// The smallest box enclosing the region, or `None` when empty.
-    pub fn bounding_box(&self) -> Option<GridBox<D>> {
-        let first = self.boxes.first()?;
-        let mut lo = first.lo();
-        let mut hi = first.hi();
-        for b in &self.boxes[1..] {
-            lo = lo.cmin(&b.lo());
-            hi = hi.cmax(&b.hi());
-        }
-        GridBox::new(lo, hi)
-    }
-
     /// Iterate over every point of the region.
     pub fn points(&self) -> impl Iterator<Item = Point<D>> + '_ {
         self.boxes.iter().flat_map(|b| b.points())
@@ -431,15 +419,6 @@ mod tests {
         let g = r.dilate_within(1, &u);
         // Clamped at the low corner, grown at the high corner.
         assert_eq!(g, r2([0, 0], [3, 3]));
-    }
-
-    #[test]
-    fn bounding_box() {
-        let r = r2([0, 0], [1, 1]).union(&r2([5, 7], [6, 8]));
-        let bb = r.bounding_box().unwrap();
-        assert_eq!(bb.lo().0, [0, 0]);
-        assert_eq!(bb.hi().0, [6, 8]);
-        assert!(BoxRegion::<2>::empty().bounding_box().is_none());
     }
 
     #[test]

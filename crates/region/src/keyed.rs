@@ -247,11 +247,6 @@ where
         self.entries.get(key).map(|(_, v)| v)
     }
 
-    /// Remove a key.
-    pub fn remove_key(&mut self, key: &K) -> Option<V> {
-        self.entries.remove(key).map(|(_, v)| v)
-    }
-
     /// Number of stored pairs.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -456,8 +451,6 @@ mod tests {
         assert_eq!(f.get(&7).map(String::as_str), Some("seven"));
         assert_eq!(f.get(&99), None);
         assert_eq!(f.len(), 2);
-        assert_eq!(f.remove_key(&7).as_deref(), Some("seven"));
-        assert_eq!(f.len(), 1);
     }
 
     #[test]

@@ -103,10 +103,8 @@ fn main() {
                             )]
                         },
                         move |tctx, _p| {
-                            // Fold runs once per point; the per-bucket work
-                            // is trivial here, so fold only on bucket 0 of
-                            // the tile (fold_local sees the whole covered
-                            // range anyway, so do nothing per point).
+                            // The read requirement is the point of this
+                            // phase; the totals are taken driver-side below.
                             let _ = tctx;
                         },
                     ))

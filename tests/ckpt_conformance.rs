@@ -4,8 +4,8 @@
 //! 1. **Delta soundness** — across a randomized sweep of anchor
 //!    cadences, retention depths and checkpoint cadences, every
 //!    committed anchor+delta chain reconstructs the full boundary
-//!    snapshot bit-for-bit (`validate_reconstruction` asserts it inside
-//!    every commit).
+//!    snapshot bit-for-bit (debug builds assert it inside every commit
+//!    of every rot-free run; nothing switches that on or off).
 //! 2. **Frontier shape** — the async+incremental pipeline's makespan
 //!    overhead is at most a third of the billed synchronous-full
 //!    baseline at the same cadence (EXPERIMENTS.md C1).
@@ -61,12 +61,12 @@ fn killed(clean: &RunReport, percent: u64, lossy: FaultPlan, ckpt: CheckpointCon
 
 #[test]
 fn delta_chains_reconstruct_full_snapshots_bit_for_bit() {
-    // `validate_reconstruction` makes every commit reassemble the
-    // anchor+delta chain and assert it equals the full boundary
-    // snapshot; the sweep varies the chain shapes it must survive, and
-    // its last three rows the pipeline (all four are covered). In debug
-    // builds every commit also asserts that each shard it stores hashes
-    // to the boundary fingerprint that became its checksum.
+    // In debug builds every commit reassembles the anchor+delta chain
+    // and asserts it equals the full boundary snapshot; the sweep varies
+    // the chain shapes it must survive, and its last three rows the
+    // pipeline (all four are covered). Every commit also asserts that
+    // each shard it stores hashes to the boundary fingerprint that became
+    // its checksum.
     use CkptMode::{Async, Sync};
     let mut deltas = 0;
     for (mode, incremental, anchor_every, keep, every) in [
@@ -85,7 +85,6 @@ fn delta_chains_reconstruct_full_snapshots_bit_for_bit() {
             incremental,
             anchor_every,
             keep,
-            validate_reconstruction: true,
             ..CheckpointConfig::default()
         };
         let mut rt = RtConfig::test(4, 2);
@@ -231,7 +230,6 @@ fn change_detection_restarts_from_what_a_rotted_chain_restored() {
         let rt = rt.with_integrity(IntegrityConfig {
             verify_checkpoints,
             scrub_period: None,
-            ..IntegrityConfig::default()
         });
         allscale_version::run_with_report(&cfg, rt)
     };

@@ -333,17 +333,12 @@ impl World {
             uncached_hops.len()
         );
 
-        // The cached sole-owner answer must agree with the uncached one.
-        // It resolves the (never empty) query once more, so the oracle
-        // does too.
-        let (owner_cached, _) = self.cache.sole_owner(&self.dist, item, start, &q);
+        // Asked again, the (never empty) query gets the same answer; the
+        // pre-change cache is asked too, so the counters stay comparable.
+        let (again, _) = self.cache.resolve(&self.dist, item, start, &q);
         self.old_cache.resolve(&self.dist, item, start, &q);
         assert_eq!(self.cache.stats(), self.old_cache.stats(), "stats moved ({ctx})");
-        assert_eq!(
-            owner_cached,
-            self.dist.sole_owner(item, start, &q),
-            "sole_owner diverges ({ctx})"
-        );
+        assert_same_coverage(&coverage(&again), &want, "repeated vs oracle", &ctx);
     }
 
     /// Repeat on the pre-change cache the `resolve` that just returned
@@ -470,8 +465,7 @@ fn migration_invalidates_cached_owner() {
         let (m, _) = cache.resolve(&dist, item, start, &q);
         assert_eq!(m.len(), 1, "start {start}");
         assert_eq!(m[0].1, 5, "start {start}: stale owner served");
-        let (owner, _) = cache.sole_owner(&dist, item, start, &q);
-        assert_eq!(owner, Some(5), "start {start}");
+        assert!(q.is_subset_dyn(m[0].0.as_ref()), "start {start}: p5 owns all of it");
     }
     assert!(cache.stats().invalidations >= procs as u64);
 }

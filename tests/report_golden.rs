@@ -121,7 +121,6 @@ fn resilient(ckpt: CheckpointConfig, every: usize, kill: Option<(usize, u64)>) -
         checkpoint_every: every,
         ckpt,
         heartbeat_period: SimDuration::from_micros(20),
-        ..ResilienceConfig::default()
     });
     if let Some((loc, at_ns)) = kill {
         let mut plan = FaultPlan::new(0xc4a7);

@@ -13,6 +13,9 @@
 //! 4. **Admission control** — overload shedding turns away reads only;
 //!    every planned write still lands (the oracle again) and the
 //!    offered = completed + shed identity holds.
+//! 5. **The recorded sweep** — what EXPERIMENTS.md SV1 says about
+//!    `BENCH_serve.json` (CI compares its virtual columns with a fresh
+//!    `serve_bench` run), held against the file; runs nothing.
 
 mod common;
 
@@ -217,4 +220,35 @@ fn mid_drain_kill_loses_no_acknowledged_write() {
         "the kill must land mid-drain and tear the capture ({r:?})"
     );
     assert_eq!(out.keys_checked, cfg.keys, "full key space verified");
+}
+
+#[test]
+fn recorded_slo_replication_beats_static_placement_past_the_knee() {
+    let field = |row: &str, key: &str| -> f64 {
+        let key = format!("\"{key}\":");
+        let tail = &row[row.find(&key).expect("column") + key.len()..];
+        tail[..tail.find([',', '}']).unwrap()].parse().unwrap()
+    };
+    let recorded = include_str!("../BENCH_serve.json");
+    let at = |placement: &str, rate: f64| {
+        let placement = format!("\"placement\":\"{placement}\"");
+        let mut rows = recorded.lines().filter(|row| row.contains(&placement));
+        rows.find(|row| field(row, "offered_rps") == rate).expect("row")
+    };
+    for rate in [100_000.0, 200_000.0] {
+        let (fixed, slo) = (at("static", rate), at("slo", rate));
+        for column in ["achieved_rps", "p50_ns", "p99_ns", "replications"] {
+            assert_eq!(field(fixed, column), field(slo, column), "{column} at {rate}");
+        }
+    }
+    // Static placement pins at one node's capacity past the knee …
+    for rate in [800_000.0, 1_200_000.0] {
+        let achieved = field(at("static", rate), "achieved_rps");
+        assert!((390e3..410e3).contains(&achieved), "{achieved} at {rate}");
+    }
+    // … where replication carries the cluster further, at a lower p99.
+    let (fixed, slo) = (at("static", 800_000.0), at("slo", 800_000.0));
+    assert!(field(slo, "replications") > 0.0);
+    assert!(field(slo, "achieved_rps") > 1.5 * field(fixed, "achieved_rps"));
+    assert!(1.3 * field(slo, "p99_ns") <= field(fixed, "p99_ns"));
 }
