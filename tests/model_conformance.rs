@@ -203,11 +203,11 @@ fn conformance_matrix() {
                     faults: Some(lossy()),
                     ..scenario.clone()
                 };
-                // Victim (never the detector host) and kill instant walk
-                // with the matrix point. `run_killed` runs the clean arm
-                // and asserts the recovered result equals it.
+                // Victim and kill instant walk with the matrix point.
+                // `run_killed` runs the clean arm and asserts the
+                // recovered result equals it.
                 point += 1;
-                let (victim, percent) = (1 + (point % 3) as usize, 25 + (point % 6) * 11);
+                let (victim, percent) = ((point % 4) as usize, 25 + (point % 6) * 11);
                 for bits in [
                     on_lossy_fabric.run().0,
                     scenario.run_killed(victim, percent, lossy()).0,
@@ -527,10 +527,10 @@ fn randomized_migrations_preserve_data_and_invariants() {
 /// including those reached while a locality is dead but not yet detected
 /// and those replayed after the recovery.
 fn chaos_roundtrip(seed: u64) {
-    // Kill a random victim (never locality 0, which hosts the detector)
-    // at 25%–80% of the failure-free duration — anywhere from "before the
-    // first checkpoint" (full-restart path) to "deep into the run".
-    let victim = 1 + (seed % 3) as usize;
+    // Kill a random victim at 25%–80% of the failure-free duration —
+    // anywhere from "before the first checkpoint" (full-restart path) to
+    // "deep into the run".
+    let victim = (seed % 4) as usize;
     let percent = 25 + (seed % 6) * 11;
     let lossy = FaultPlan::new(seed ^ 0x5eed_fa57).with_drop_rate(0.005);
     let scenario = Scenario {
@@ -558,6 +558,17 @@ proptest! {
     fn checkpointed_runs_survive_fail_stop_faults(seed in 0u64..(1 << 32)) {
         chaos_roundtrip(seed);
     }
+}
+
+/// The detector's host dies while three rounds' acks are in flight (a
+/// heartbeat period shorter than the probe round trip): the acks it can no
+/// longer receive are no evidence against its peers, so the host is the
+/// only locality convicted.
+#[test]
+fn a_dying_prober_convicts_nobody_but_itself() {
+    let lossy = FaultPlan::new(1 ^ 0x5eed_fa57).with_drop_rate(0.005);
+    let (_, report) = Scenario::new(1).run_killed(0, 36, lossy);
+    assert_eq!(report.monitor.resilience.detections, 1);
 }
 
 /// Seeded fault-injection soak: many deterministic seeds sweeping victim,
