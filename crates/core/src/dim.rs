@@ -153,6 +153,23 @@ impl ItemSlot {
         self.rlocks.retain(|(t, _)| *t != task);
         self.wlocks.retain(|(t, _)| *t != task);
     }
+
+    /// Remove `drop` from the fragment where nothing else here still
+    /// covers it: not the owned region, not the persistent-replica
+    /// coverage, not any task's transient hold.
+    fn evict(&mut self, mut drop: Box<dyn DynRegion>) {
+        drop = drop.difference_dyn(self.owned.as_ref());
+        drop = drop.difference_dyn(self.persistent.as_ref());
+        for (_, r) in &self.holds {
+            if drop.is_empty_dyn() {
+                return;
+            }
+            drop = drop.difference_dyn(r.as_ref());
+        }
+        if !drop.is_empty_dyn() {
+            self.frag.remove_dyn(drop.as_ref());
+        }
+    }
 }
 
 /// The data item manager of one locality.
@@ -452,17 +469,8 @@ impl DataItemManager {
                 true
             }
         });
-        let Some(mut drop) = released else { return };
-        drop = drop.difference_dyn(slot.owned.as_ref());
-        drop = drop.difference_dyn(slot.persistent.as_ref());
-        for (_, r) in &slot.holds {
-            if drop.is_empty_dyn() {
-                break;
-            }
-            drop = drop.difference_dyn(r.as_ref());
-        }
-        if !drop.is_empty_dyn() {
-            slot.frag.remove_dyn(drop.as_ref());
+        if let Some(drop) = released {
+            slot.evict(drop);
         }
     }
 
@@ -576,17 +584,8 @@ impl DataItemManager {
     pub fn drop_persistent(&mut self, item: ItemId) {
         self.cow_capture(item);
         let slot = self.slot_mut(item);
-        let mut drop = std::mem::replace(&mut slot.persistent, (slot.desc.empty_region)());
-        drop = drop.difference_dyn(slot.owned.as_ref());
-        for (_, r) in &slot.holds {
-            if drop.is_empty_dyn() {
-                break;
-            }
-            drop = drop.difference_dyn(r.as_ref());
-        }
-        if !drop.is_empty_dyn() {
-            slot.frag.remove_dyn(drop.as_ref());
-        }
+        let drop = std::mem::replace(&mut slot.persistent, (slot.desc.empty_region)());
+        slot.evict(drop);
     }
 
     /// Shrink the persistent-replica coverage of `item` by `region` — the
@@ -597,18 +596,9 @@ impl DataItemManager {
     pub fn drop_persistent_region(&mut self, item: ItemId, region: &dyn DynRegion) {
         self.cow_capture(item);
         let slot = self.slot_mut(item);
-        let mut drop = slot.persistent.intersect_dyn(region);
+        let drop = slot.persistent.intersect_dyn(region);
         slot.persistent = slot.persistent.difference_dyn(region);
-        drop = drop.difference_dyn(slot.owned.as_ref());
-        for (_, r) in &slot.holds {
-            if drop.is_empty_dyn() {
-                break;
-            }
-            drop = drop.difference_dyn(r.as_ref());
-        }
-        if !drop.is_empty_dyn() {
-            slot.frag.remove_dyn(drop.as_ref());
-        }
+        slot.evict(drop);
     }
 
     /// Shrink the *persistent* (sentinel-task) export records of `item` by

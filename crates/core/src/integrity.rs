@@ -65,46 +65,39 @@ impl Default for IntegrityConfig {
     }
 }
 
-/// Integrity metrics, aggregated into [`crate::Monitor`].
-#[derive(Debug, Clone, Default)]
-pub struct IntegrityStats {
-    /// Transfers corrupted on the wire by fault injection (mirrors
-    /// `TrafficStats::corrupted`).
-    pub wire_corruptions: u64,
-    /// Wire corruptions caught by checksum verification (mirrors
-    /// `TrafficStats::corrupt_detected`).
-    pub wire_detected: u64,
-    /// Wire corruptions delivered unverified — nonzero only when a
-    /// corrupting fault plan runs with the integrity service off (mirrors
-    /// `TrafficStats::corrupt_undetected`).
-    pub wire_undetected: u64,
-    /// Transfer re-requests issued after a detected corruption (mirrors
-    /// `TrafficStats::re_requests`).
-    pub re_requests: u64,
-    /// At-rest corruption events injected by the fault plan's rot arm
-    /// (persistent replicas and checkpoint shards).
-    pub rot_injected: u64,
-    /// Checkpoint shards refused during recovery because their stored
-    /// checksum no longer matched.
-    pub checkpoint_shards_rejected: u64,
-    /// Recoveries that had to fall back past a corrupt checkpoint to an
-    /// older one (or to a full restart).
-    pub checkpoint_fallbacks: u64,
-    /// Anchor/delta chain links checksum-verified during recovery
-    /// reconstructions (each link's shards are verified before the delta
-    /// is applied).
-    pub ckpt_links_verified: u64,
-    /// Completed scrubber passes over the cluster.
-    pub scrub_passes: u64,
-    /// Replica audits performed (one per replica region per pass).
-    pub replicas_scrubbed: u64,
-    /// Audits that found the replica diverging from its owner.
-    pub scrub_divergent: u64,
-    /// Divergent replicas repaired with a fresh transfer from the owner.
-    pub scrub_repairs: u64,
-    /// Replicas quarantined out of the replica set after repeated
-    /// divergence.
-    pub quarantines: u64,
+allscale_des::stat_struct! {
+    /// Integrity metrics, aggregated into [`crate::Monitor`].
+    #[derive(Debug, Clone, Default)]
+    pub struct IntegrityStats {
+        /// Wire corruptions caught by checksum verification: a copy of
+        /// `TrafficStats::corrupt_detected`, kept only because `hostbench/`
+        /// reads it here (its frozen surface); goes when that may change.
+        pub wire_detected: u64,
+        /// At-rest corruption events injected by the fault plan's rot arm
+        /// (persistent replicas and checkpoint shards).
+        pub rot_injected: u64,
+        /// Checkpoint shards refused during recovery because their stored
+        /// checksum no longer matched.
+        pub checkpoint_shards_rejected: u64,
+        /// Recoveries that had to fall back past a corrupt checkpoint to an
+        /// older one (or to a full restart).
+        pub checkpoint_fallbacks: u64,
+        /// Anchor/delta chain links checksum-verified during recovery
+        /// reconstructions (each link's shards are verified before the delta
+        /// is applied).
+        pub ckpt_links_verified: u64,
+        /// Completed scrubber passes over the cluster.
+        pub scrub_passes: u64,
+        /// Replica audits performed (one per replica region per pass).
+        pub replicas_scrubbed: u64,
+        /// Audits that found the replica diverging from its owner.
+        pub scrub_divergent: u64,
+        /// Divergent replicas repaired with a fresh transfer from the owner.
+        pub scrub_repairs: u64,
+        /// Replicas quarantined out of the replica set after repeated
+        /// divergence.
+        pub quarantines: u64,
+    }
 }
 
 /// Live state of the integrity service, owned by the runtime world.

@@ -51,18 +51,20 @@ use crate::task::ItemId;
 /// handed to: a hit clones the handle, never the pieces.
 pub type SharedResolution = Rc<[Piece]>;
 
-/// Counters describing the cache's effectiveness over a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from the cache (no index traversal, no hops).
-    pub hits: u64,
-    /// Lookups that fell through to the index.
-    pub misses: u64,
-    /// Entries dropped because their item's epoch had moved on.
-    pub invalidations: u64,
-    /// Control-message hops avoided by hits (each hit saves the hop count
-    /// the original miss paid).
-    pub saved_hops: u64,
+allscale_des::stat_struct! {
+    /// Counters describing the cache's effectiveness over a run.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CacheStats {
+        /// Lookups answered from the cache (no index traversal, no hops).
+        pub hits: u64,
+        /// Lookups that fell through to the index.
+        pub misses: u64,
+        /// Entries dropped because their item's epoch had moved on.
+        pub invalidations: u64,
+        /// Control-message hops avoided by hits (each hit saves the hop count
+        /// the original miss paid).
+        pub saved_hops: u64,
+    }
 }
 
 impl CacheStats {

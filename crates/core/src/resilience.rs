@@ -127,61 +127,59 @@ impl Default for ResilienceConfig {
     }
 }
 
-/// Recovery metrics, aggregated into [`crate::Monitor`].
-#[derive(Debug, Clone, Default)]
-pub struct ResilienceStats {
-    /// Checkpoints committed.
-    pub checkpoints: u64,
-    /// Serialized bytes actually written per checkpoint (delta shards
-    /// only, for incremental checkpoints), summed across all commits.
-    pub checkpoint_bytes: u64,
-    /// Full boundary-state bytes each checkpoint represents (what a
-    /// non-incremental checkpoint would have written), summed.
-    pub ckpt_logical_bytes: u64,
-    /// Committed full anchor snapshots.
-    pub ckpt_anchors: u64,
-    /// Committed delta checkpoints.
-    pub ckpt_deltas: u64,
-    /// Simulated ns the application stalled inside `Sync` checkpoints.
-    pub ckpt_stall_ns: u64,
-    /// Simulated ns boundaries stalled on a write-fence because the
-    /// previous asynchronous drain had not finished.
-    pub ckpt_fence_ns: u64,
-    /// Simulated ns of background drain time (capture to commit), summed
-    /// over checkpoints — overlapped with compute in `Async` mode.
-    pub ckpt_drain_ns: u64,
-    /// Simulated ns spent fingerprinting boundary state for incremental
-    /// change detection.
-    pub ckpt_fp_ns: u64,
-    /// In-flight drains discarded because a failure struck before commit
-    /// (recovery never restores from a torn checkpoint).
-    pub ckpt_torn: u64,
-    /// Pre-image clones the modelled runtime takes: first writes to an
-    /// item under an armed copy-on-write capture (counted, not re-enacted —
-    /// DESIGN.md §5.5b).
-    pub cow_captures: u64,
-    /// Simulated ns recoveries spent reading checkpoint data back from
-    /// the storage tiers.
-    pub recovery_read_ns: u64,
-    /// Heartbeat probes sent by the failure detector.
-    pub heartbeats: u64,
-    /// Localities declared dead by the detector.
-    pub detections: u64,
-    /// Simulated nanoseconds between each death and its detection.
-    pub detection_latency_ns: u64,
-    /// Recovery orchestrations performed.
-    pub recoveries: u64,
-    /// Bytes of dead localities' shards restored onto survivors.
-    pub restored_bytes: u64,
-    /// Process-task executions discarded and re-run due to recoveries.
-    pub tasks_reexecuted: u64,
-    /// Runtime messages lost even after retrying (dead endpoint or
-    /// exhausted attempts); each strands work until recovery reaps it.
-    pub failed_transfers: u64,
-    /// Network-level retransmissions (mirrors `TrafficStats::retries`).
-    pub net_retries: u64,
-    /// Network-level message drops (mirrors `TrafficStats::dropped`).
-    pub net_dropped: u64,
+allscale_des::stat_struct! {
+    /// Recovery metrics, aggregated into [`crate::Monitor`].
+    #[derive(Debug, Clone, Default)]
+    pub struct ResilienceStats {
+        /// Checkpoints committed.
+        pub checkpoints: u64,
+        /// Serialized bytes actually written per checkpoint (delta shards
+        /// only, for incremental checkpoints), summed across all commits.
+        pub checkpoint_bytes: u64,
+        /// Full boundary-state bytes each checkpoint represents (what a
+        /// non-incremental checkpoint would have written), summed.
+        pub ckpt_logical_bytes: u64,
+        /// Committed full anchor snapshots.
+        pub ckpt_anchors: u64,
+        /// Committed delta checkpoints.
+        pub ckpt_deltas: u64,
+        /// Simulated ns the application stalled inside `Sync` checkpoints.
+        pub ckpt_stall_ns: u64,
+        /// Simulated ns boundaries stalled on a write-fence because the
+        /// previous asynchronous drain had not finished.
+        pub ckpt_fence_ns: u64,
+        /// Simulated ns of background drain time (capture to commit), summed
+        /// over checkpoints — overlapped with compute in `Async` mode.
+        pub ckpt_drain_ns: u64,
+        /// Simulated ns spent fingerprinting boundary state for incremental
+        /// change detection.
+        pub ckpt_fp_ns: u64,
+        /// In-flight drains discarded because a failure struck before commit
+        /// (recovery never restores from a torn checkpoint).
+        pub ckpt_torn: u64,
+        /// Pre-image clones the modelled runtime takes: first writes to an
+        /// item under an armed copy-on-write capture (counted, not re-enacted —
+        /// DESIGN.md §5.5b).
+        pub cow_captures: u64,
+        /// Simulated ns recoveries spent reading checkpoint data back from
+        /// the storage tiers.
+        pub recovery_read_ns: u64,
+        /// Heartbeat probes sent by the failure detector.
+        pub heartbeats: u64,
+        /// Localities declared dead by the detector.
+        pub detections: u64,
+        /// Simulated nanoseconds between each death and its detection.
+        pub detection_latency_ns: u64,
+        /// Recovery orchestrations performed.
+        pub recoveries: u64,
+        /// Bytes of dead localities' shards restored onto survivors.
+        pub restored_bytes: u64,
+        /// Process-task executions discarded and re-run due to recoveries.
+        pub tasks_reexecuted: u64,
+        /// Runtime messages lost even after retrying (dead endpoint or
+        /// exhausted attempts); each strands work until recovery reaps it.
+        pub failed_transfers: u64,
+    }
 }
 
 /// Whether a retained checkpoint is a full snapshot or a delta.

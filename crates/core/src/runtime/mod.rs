@@ -279,13 +279,9 @@ impl Runtime {
         let w = &mut self.sim.world;
         let traffic = w.comms.stats().clone();
         w.monitor.cache = w.directory.cache_stats();
-        w.monitor.resilience.net_retries = traffic.retries;
-        w.monitor.resilience.net_dropped = traffic.dropped;
-        let g = &mut w.monitor.integrity;
-        g.wire_corruptions = traffic.corrupted;
-        g.wire_detected = traffic.corrupt_detected;
-        g.wire_undetected = traffic.corrupt_undetected;
-        g.re_requests = traffic.re_requests;
+        // Frozen duplicates of `traffic` counters: `hostbench/` reads them
+        // where they are, and nothing else does.
+        w.monitor.integrity.wire_detected = traffic.corrupt_detected;
         assert!(w.tasks.is_idle(), "{}", tasks::deadlock_report(w));
         RunReport {
             finish_time: w.phases.finish_time(),

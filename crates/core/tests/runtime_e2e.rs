@@ -718,9 +718,10 @@ fn run_report_summary_renders()  {
         },
     );
     let s = report.summary();
-    assert!(s.contains("virtual time"));
-    assert!(s.contains("loc   0"));
-    assert!(s.contains("first-touch"));
+    let finish = report.finish_time.as_nanos();
+    assert!(s.starts_with(&format!("finish_time={finish} phases=")), "{s}");
+    assert!(s.contains("\nmonitor.per_locality[0]: tasks_executed="), "{s}");
+    assert!(s.contains(" first_touch="), "{s}");
 }
 
 /// One task whose only requirement is a write of its 8 × 4 tile moves a row
@@ -1079,15 +1080,15 @@ fn checksummed_transfers_mask_wire_corruption() {
     // bump_roundtrip asserts exact values, so completing at all proves
     // the corrupted run computed the same data as a fault-free one.
     let report = bump_roundtrip(cfg, 2);
-    let g = &report.monitor.integrity;
+    let t = &report.traffic;
     assert!(
-        g.wire_corruptions > 0 && g.wire_detected > 0,
-        "the 2% corruption arm must have struck and been caught ({g:?})"
+        t.corrupted > 0 && t.corrupt_detected > 0,
+        "the 2% corruption arm must have struck and been caught ({t:?})"
     );
-    assert_eq!(g.wire_undetected, 0, "verification must catch every hit ({g:?})");
+    assert_eq!(t.corrupt_undetected, 0, "verification must catch every hit ({t:?})");
     assert!(
-        g.re_requests > 0,
-        "detected corruptions are re-requested, not consumed ({g:?})"
+        t.re_requests > 0,
+        "detected corruptions are re-requested, not consumed ({t:?})"
     );
 }
 

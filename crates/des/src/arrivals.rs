@@ -25,61 +25,27 @@ pub enum ArrivalProcess {
         /// Seed of the gap stream.
         seed: u64,
     },
-    /// Trace-driven arrivals: an explicit list of inter-arrival gaps,
-    /// replayed verbatim and cyclically (request `k` uses
-    /// `gaps[k % gaps.len()]`). Lets experiments replay recorded traffic
-    /// or construct adversarial bursts.
-    Trace {
-        /// Inter-arrival gaps, replayed cyclically (must be non-empty).
-        gaps: Vec<SimDuration>,
-    },
-}
-
-impl ArrivalProcess {
-    /// The long-run offered load of the process, requests per second.
-    pub fn offered_rps(&self) -> f64 {
-        match self {
-            ArrivalProcess::Poisson { rate_rps, .. } => *rate_rps,
-            ArrivalProcess::Trace { gaps } => {
-                let total: u64 = gaps.iter().map(|g| g.as_nanos()).sum();
-                if total == 0 {
-                    0.0
-                } else {
-                    gaps.len() as f64 * 1e9 / total as f64
-                }
-            }
-        }
-    }
 }
 
 /// Iterator state of one arrival stream.
 #[derive(Debug, Clone)]
 pub struct ArrivalGen {
-    process: ArrivalProcess,
+    /// Offered load, requests per simulated second.
+    rate_rps: f64,
     rng: XorShift64Star,
-    emitted: u64,
 }
 
 impl ArrivalGen {
     /// Instantiate a generator for `process`.
     ///
     /// # Panics
-    /// Panics on a non-positive Poisson rate or an empty trace.
+    /// Panics on a non-positive Poisson rate.
     pub fn new(process: ArrivalProcess) -> Self {
-        let seed = match &process {
-            ArrivalProcess::Poisson { rate_rps, seed } => {
-                assert!(*rate_rps > 0.0, "Poisson rate must be positive");
-                *seed
-            }
-            ArrivalProcess::Trace { gaps } => {
-                assert!(!gaps.is_empty(), "trace must contain at least one gap");
-                0
-            }
-        };
+        let ArrivalProcess::Poisson { rate_rps, seed } = process;
+        assert!(rate_rps > 0.0, "Poisson rate must be positive");
         ArrivalGen {
-            process,
+            rate_rps,
             rng: XorShift64Star::new(seed),
-            emitted: 0,
         }
     }
 
@@ -87,28 +53,11 @@ impl ArrivalGen {
     /// next one. Gaps are at least 1 ns so distinct requests occupy
     /// distinct simulated instants (FIFO tie-breaking stays trivial).
     pub fn next_gap(&mut self) -> SimDuration {
-        let gap = match &self.process {
-            ArrivalProcess::Poisson { rate_rps, .. } => {
-                // Inverse-CDF exponential; 1-u keeps ln's argument in
-                // (0, 1] so the draw is always finite.
-                let u = self.rng.next_f64();
-                let secs = -(1.0 - u).ln() / rate_rps;
-                SimDuration::from_nanos_f64(secs * 1e9)
-            }
-            ArrivalProcess::Trace { gaps } => gaps[(self.emitted as usize) % gaps.len()],
-        };
-        self.emitted += 1;
+        // Inverse-CDF exponential; 1-u keeps ln's argument in (0, 1] so
+        // the draw is always finite.
+        let u = self.rng.next_f64();
+        let gap = SimDuration::from_nanos_f64(-(1.0 - u).ln() / self.rate_rps * 1e9);
         gap.max(SimDuration::from_nanos(1))
-    }
-
-    /// Arrivals emitted so far.
-    pub fn emitted(&self) -> u64 {
-        self.emitted
-    }
-
-    /// The long-run offered load, requests per second.
-    pub fn offered_rps(&self) -> f64 {
-        self.process.offered_rps()
     }
 }
 
@@ -140,29 +89,10 @@ mod tests {
             (900.0..1100.0).contains(&mean),
             "mean inter-arrival {mean} ns, expected ~1000"
         );
-        assert_eq!(g.emitted(), n);
-    }
-
-    #[test]
-    fn trace_replays_cyclically_and_reports_rate() {
-        let gaps = vec![
-            SimDuration::from_nanos(100),
-            SimDuration::from_nanos(300),
-        ];
-        let mut g = ArrivalGen::new(ArrivalProcess::Trace { gaps: gaps.clone() });
-        assert_eq!(g.next_gap().as_nanos(), 100);
-        assert_eq!(g.next_gap().as_nanos(), 300);
-        assert_eq!(g.next_gap().as_nanos(), 100);
-        // 2 requests per 400 ns = 5M rps.
-        assert!((g.offered_rps() - 5e6).abs() < 1.0);
     }
 
     #[test]
     fn gaps_are_never_zero() {
-        let mut g = ArrivalGen::new(ArrivalProcess::Trace {
-            gaps: vec![SimDuration::ZERO],
-        });
-        assert_eq!(g.next_gap().as_nanos(), 1);
         let mut p = ArrivalGen::new(ArrivalProcess::Poisson {
             rate_rps: 1e12, // absurd rate: raw draws round to 0 ns often
             seed: 1,
@@ -174,11 +104,5 @@ mod tests {
     #[should_panic(expected = "rate must be positive")]
     fn zero_rate_rejected() {
         let _ = ArrivalGen::new(ArrivalProcess::Poisson { rate_rps: 0.0, seed: 1 });
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one gap")]
-    fn empty_trace_rejected() {
-        let _ = ArrivalGen::new(ArrivalProcess::Trace { gaps: vec![] });
     }
 }

@@ -15,7 +15,9 @@
 //!   construction (stable FIFO tie-breaking);
 //! - [`CorePool`]: per-node k-core FCFS accounting for intra-node
 //!   parallelism and saturation;
-//! - [`Tally`] / [`LogHistogram`]: measurement plumbing;
+//! - [`Tally`] / [`LogHistogram`]: measurement plumbing, and [`Stat`]: the
+//!   one walk over a run's named statistics that both renderings of a
+//!   report ([`stats::to_json`], [`stats::summary`]) are made from;
 //! - [`rng`]: the shared seeded generators (xorshift64 family, Zipf) every
 //!   randomized subsystem draws from;
 //! - [`fnv`]: the shared FNV-1a 64-bit hash behind every fingerprint,
@@ -23,8 +25,8 @@
 //! - [`wire`]: the one serialization format — what a value costs to move is
 //!   the length of its encoding, so the codec sits beside the hash that
 //!   fingerprints it, below every crate that sends or stores bytes;
-//! - [`ArrivalGen`]: open-loop request arrival processes (Poisson and
-//!   trace-driven) for the serving subsystem.
+//! - [`ArrivalGen`]: open-loop (Poisson) request arrivals for the serving
+//!   subsystem.
 //!
 //! ## Example
 //!
@@ -49,12 +51,12 @@ mod cores;
 pub mod fnv;
 pub mod rng;
 mod sim;
-mod stats;
+pub mod stats;
 mod time;
 pub mod wire;
 
 pub use arrivals::{ArrivalGen, ArrivalProcess};
 pub use cores::CorePool;
 pub use sim::{Event, Sim};
-pub use stats::{LogHistogram, Tally};
+pub use stats::{LogHistogram, Stat, Tally, Visit};
 pub use time::{SimDuration, SimTime};

@@ -1,7 +1,35 @@
 //! Lightweight measurement helpers shared by the runtime's monitoring
-//! component and the experiment harness.
+//! component and the experiment harness, and the one walk over a run's
+//! statistics.
+//!
+//! ## The walk
+//!
+//! A run's statistics are plain structs of counters, [`Tally`]s,
+//! [`LogHistogram`]s, arrays and nested structs, each declared through
+//! [`stat_struct!`](crate::stat_struct), which writes its [`Stat`]
+//! implementation from the same field list. [`to_json`] and [`summary`] are
+//! two visitors of that one walk, so a counter added to a struct is one
+//! line and shows up in both — under the same path, which is the Rust
+//! expression that reads it:
+//!
+//! ```
+//! use allscale_des::{stat_struct, stats};
+//!
+//! stat_struct! {
+//!     struct Run {
+//!         tasks: Vec<u64>,
+//!         msgs: u64,
+//!     }
+//! }
+//!
+//! let run = Run { tasks: vec![2, 0], msgs: 0 };
+//! assert_eq!(stats::to_json(&run), r#"{"tasks":[2,0],"msgs":0}"#);
+//! assert_eq!(stats::summary(&run), "tasks: [0]=2 [1]=0\n");
+//! ```
 
-use std::fmt;
+use std::fmt::Write;
+
+use crate::time::SimTime;
 
 /// A streaming counter with min/max/mean over `u64` samples.
 #[derive(Debug, Clone, Default)]
@@ -65,20 +93,6 @@ impl Tally {
         if let Some(m) = other.max {
             self.max = Some(self.max.map_or(m, |x| x.max(m)));
         }
-    }
-}
-
-impl fmt::Display for Tally {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} sum={} mean={:.1} min={} max={}",
-            self.count,
-            self.sum,
-            self.mean(),
-            self.min.unwrap_or(0),
-            self.max.unwrap_or(0)
-        )
     }
 }
 
@@ -160,18 +174,225 @@ impl LogHistogram {
     }
 }
 
-impl fmt::Display for LogHistogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.1} p50≤{} p90≤{} p99≤{} max={}",
-            self.tally.count(),
-            self.tally.mean(),
-            self.p50(),
-            self.p90(),
-            self.p99(),
-            self.tally.max().unwrap_or(0)
-        )
+// ------------------------------------------------------------------ the walk
+
+/// A statistic of a run: a counter, a [`Tally`], a [`LogHistogram`], an
+/// array of statistics, or a group of named ones (a struct declared with
+/// [`stat_struct!`](crate::stat_struct)).
+pub trait Stat {
+    /// Present `self`, named `name` (empty for an array element), to `v`.
+    fn walk(&self, name: &str, v: &mut dyn Visit);
+}
+
+/// What a walk presents, in declaration order.
+pub trait Visit {
+    /// A counter.
+    fn counter(&mut self, name: &str, value: u64);
+    /// A group of named statistics, or with `array` an array of them, each
+    /// element under an empty name; `body` walks what it holds.
+    fn nest(&mut self, name: &str, array: bool, body: &dyn Fn(&mut dyn Visit));
+}
+
+impl Stat for u64 {
+    fn walk(&self, name: &str, v: &mut dyn Visit) {
+        v.counter(name, *self);
+    }
+}
+
+impl Stat for usize {
+    fn walk(&self, name: &str, v: &mut dyn Visit) {
+        v.counter(name, *self as u64);
+    }
+}
+
+/// An instant walks as its nanoseconds.
+impl Stat for SimTime {
+    fn walk(&self, name: &str, v: &mut dyn Visit) {
+        v.counter(name, self.as_nanos());
+    }
+}
+
+/// An absent statistic walks as nothing.
+impl<T: Stat> Stat for Option<T> {
+    fn walk(&self, name: &str, v: &mut dyn Visit) {
+        if let Some(s) = self {
+            s.walk(name, v);
+        }
+    }
+}
+
+impl<T: Stat> Stat for [T] {
+    fn walk(&self, name: &str, v: &mut dyn Visit) {
+        v.nest(name, true, &|v| self.iter().for_each(|s| s.walk("", v)));
+    }
+}
+
+impl<T: Stat> Stat for Vec<T> {
+    fn walk(&self, name: &str, v: &mut dyn Visit) {
+        self.as_slice().walk(name, v);
+    }
+}
+
+impl<T: Stat, const N: usize> Stat for [T; N] {
+    fn walk(&self, name: &str, v: &mut dyn Visit) {
+        self.as_slice().walk(name, v);
+    }
+}
+
+impl Tally {
+    fn walk_fields(&self, v: &mut dyn Visit) {
+        v.counter("count", self.count);
+        v.counter("sum", self.sum);
+        v.counter("min", self.min.unwrap_or(0));
+        v.counter("max", self.max.unwrap_or(0));
+    }
+}
+
+/// A tally walks as the group of its count, sum, min and max (an empty
+/// tally's extremes read 0).
+impl Stat for Tally {
+    fn walk(&self, name: &str, v: &mut dyn Visit) {
+        v.nest(name, false, &|v| self.walk_fields(v));
+    }
+}
+
+/// A histogram walks as its tally plus the p50, p90 and p99 bucket bounds.
+impl Stat for LogHistogram {
+    fn walk(&self, name: &str, v: &mut dyn Visit) {
+        v.nest(name, false, &|v| {
+            self.tally.walk_fields(v);
+            v.counter("p50", self.p50());
+            v.counter("p90", self.p90());
+            v.counter("p99", self.p99());
+        });
+    }
+}
+
+/// Declare structs of statistics: each struct is written out as given and
+/// gains a [`Stat`] implementation that walks it as a group of its fields,
+/// in declaration order, under their field names. See the [module
+/// documentation](crate::stats) for an example.
+#[macro_export]
+macro_rules! stat_struct {
+    ($(
+        $(#[$attr:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$fattr:meta])* $fvis:vis $field:ident : $ty:ty),* $(,)?
+        }
+    )+) => {$(
+        $(#[$attr])*
+        $vis struct $name {
+            $($(#[$fattr])* $fvis $field: $ty),*
+        }
+
+        impl $crate::Stat for $name {
+            fn walk(&self, name: &str, v: &mut dyn $crate::Visit) {
+                v.nest(name, false, &|v| {
+                    $($crate::Stat::walk(&self.$field, stringify!($field), v);)*
+                });
+            }
+        }
+    )+};
+}
+
+/// Render `stat` as deterministic, integer-only JSON on one line: a group
+/// is an object keyed by field name in declaration order, an array a list.
+pub fn to_json(stat: &(impl Stat + ?Sized)) -> String {
+    let mut json = Json::default();
+    stat.walk("", &mut json);
+    json.out
+}
+
+#[derive(Default)]
+struct Json {
+    out: String,
+    /// A value precedes in the innermost object or list.
+    comma: bool,
+}
+
+impl Json {
+    fn key(&mut self, name: &str) {
+        if std::mem::replace(&mut self.comma, true) {
+            self.out.push(',');
+        }
+        if !name.is_empty() {
+            let _ = write!(self.out, "\"{name}\":");
+        }
+    }
+}
+
+impl Visit for Json {
+    fn counter(&mut self, name: &str, value: u64) {
+        self.key(name);
+        let _ = write!(self.out, "{value}");
+    }
+
+    fn nest(&mut self, name: &str, array: bool, body: &dyn Fn(&mut dyn Visit)) {
+        self.key(name);
+        self.out.push(if array { '[' } else { '{' });
+        self.comma = false;
+        body(self);
+        self.out.push(if array { ']' } else { '}' });
+        self.comma = true;
+    }
+}
+
+/// Render `stat` as text: one line per group within it (struct, array, or
+/// array element) that has a non-zero counter of its own — its path, then
+/// each of its counters as `name=value`.
+pub fn summary(stat: &(impl Stat + ?Sized)) -> String {
+    let mut root = Summary::default();
+    stat.walk("", &mut root);
+    root.nested
+}
+
+/// One group being rendered for [`summary`].
+#[derive(Default)]
+struct Summary {
+    path: String,
+    /// Its own counters, each as ` name=value`, and whether one is non-zero.
+    counters: String,
+    nonzero: bool,
+    /// The lines of the groups inside it.
+    nested: String,
+    /// While it is an array: the next element's index, which is its name.
+    index: Option<usize>,
+}
+
+impl Summary {
+    fn name(&mut self, name: &str) -> String {
+        let Some(i) = &mut self.index else {
+            return name.to_owned();
+        };
+        *i += 1;
+        format!("[{}]", *i - 1)
+    }
+}
+
+impl Visit for Summary {
+    fn counter(&mut self, name: &str, value: u64) {
+        let name = self.name(name);
+        let _ = write!(self.counters, " {name}={value}");
+        self.nonzero |= value != 0;
+    }
+
+    fn nest(&mut self, name: &str, array: bool, body: &dyn Fn(&mut dyn Visit)) {
+        let name = self.name(name);
+        let path = match (self.path.as_str(), name.starts_with('[')) {
+            ("", _) | (_, true) => format!("{}{name}", self.path),
+            (parent, false) => format!("{parent}.{name}"),
+        };
+        let mut inner = Summary {
+            path,
+            index: array.then_some(0),
+            ..Summary::default()
+        };
+        body(&mut inner);
+        if inner.nonzero {
+            let line = format!("{}:{}", inner.path, inner.counters);
+            let _ = writeln!(self.nested, "{}", line.trim_start_matches(':').trim_start());
+        }
+        self.nested += &inner.nested;
     }
 }
 
@@ -273,8 +494,8 @@ mod tests {
         assert_eq!(a.tally().max(), Some(1_000_000));
         assert_eq!(a.p50(), 15); // bucket of 10
         assert_eq!(a.p99(), a.percentile(100.0));
-        let shown = format!("{a}");
-        assert!(shown.contains("n=3"), "display carries the count: {shown}");
+        let shown = summary(&a);
+        assert!(shown.starts_with("count=3 "), "the walk carries the count: {shown}");
     }
 
     #[test]

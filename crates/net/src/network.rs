@@ -86,43 +86,45 @@ impl NetParams {
     }
 }
 
-/// Per-run traffic statistics.
-#[derive(Debug, Clone, Default)]
-pub struct TrafficStats {
-    /// Count and size distribution of inter-node messages.
-    pub remote: Tally,
-    /// Count and size distribution of intra-node messages.
-    pub local: Tally,
-    /// Messages lost to transient faults (each retry attempt counts).
-    pub dropped: u64,
-    /// Messages delivered late because of an injected delay.
-    pub delayed: u64,
-    /// Retry attempts made by [`Network::transfer_with_retry_frame`].
-    pub retries: u64,
-    /// Simulated nanoseconds spent in ack timeouts and backoff.
-    pub backoff_ns: u64,
-    /// Messages refused because an endpoint was dead.
-    pub undeliverable: u64,
-    /// Coalesced batches flushed onto the wire (each is one remote message).
-    pub batches: u64,
-    /// Logical messages that rode inside those batches.
-    pub batched_msgs: u64,
-    /// Payload bytes that rode inside those batches.
-    pub batched_bytes: u64,
-    /// Flush counts by cause, indexed by `FlushCause as usize`
-    /// (window, bytes, msgs).
-    pub flushes_by_cause: [u64; 3],
-    /// Messages whose payload was silently mangled in transit (each
-    /// attempt counts, whether or not anyone noticed).
-    pub corrupted: u64,
-    /// Corrupted arrivals caught by checksum verification (integrity on).
-    pub corrupt_detected: u64,
-    /// Corrupted arrivals consumed unnoticed (integrity off — the
-    /// silent-corruption baseline the integrity layer exists to kill).
-    pub corrupt_undetected: u64,
-    /// Re-requests issued after a detected corruption (the integrity
-    /// analogue of [`TrafficStats::retries`]).
-    pub re_requests: u64,
+allscale_des::stat_struct! {
+    /// Per-run traffic statistics.
+    #[derive(Debug, Clone, Default)]
+    pub struct TrafficStats {
+        /// Count and size distribution of inter-node messages.
+        pub remote: Tally,
+        /// Count and size distribution of intra-node messages.
+        pub local: Tally,
+        /// Messages lost to transient faults (each retry attempt counts).
+        pub dropped: u64,
+        /// Messages delivered late because of an injected delay.
+        pub delayed: u64,
+        /// Retry attempts made by [`Network::transfer_with_retry_frame`].
+        pub retries: u64,
+        /// Simulated nanoseconds spent in ack timeouts and backoff.
+        pub backoff_ns: u64,
+        /// Messages refused because an endpoint was dead.
+        pub undeliverable: u64,
+        /// Coalesced batches flushed onto the wire (each is one remote message).
+        pub batches: u64,
+        /// Logical messages that rode inside those batches.
+        pub batched_msgs: u64,
+        /// Payload bytes that rode inside those batches.
+        pub batched_bytes: u64,
+        /// Flush counts by cause, indexed by `FlushCause as usize`
+        /// (window, bytes, msgs).
+        pub flushes_by_cause: [u64; 3],
+        /// Messages whose payload was silently mangled in transit (each
+        /// attempt counts, whether or not anyone noticed).
+        pub corrupted: u64,
+        /// Corrupted arrivals caught by checksum verification (integrity on).
+        pub corrupt_detected: u64,
+        /// Corrupted arrivals consumed unnoticed (integrity off — the
+        /// silent-corruption baseline the integrity layer exists to kill).
+        pub corrupt_undetected: u64,
+        /// Re-requests issued after a detected corruption (the integrity
+        /// analogue of [`TrafficStats::retries`]).
+        pub re_requests: u64,
+    }
 }
 
 impl TrafficStats {

@@ -69,28 +69,30 @@ impl Default for StorageParams {
     }
 }
 
-/// Accumulated storage-tier traffic of a run. All zeros when the run
-/// never checkpointed.
-#[derive(Debug, Clone, Default)]
-pub struct StorageStats {
-    /// Bytes written to the local tier.
-    pub local_bytes_written: u64,
-    /// Bytes written to the remote tier.
-    pub remote_bytes_written: u64,
-    /// Simulated ns spent writing to the local tier (sum over localities).
-    pub local_write_ns: u64,
-    /// Simulated ns spent writing to the remote tier (sum over localities).
-    pub remote_write_ns: u64,
-    /// Bytes read back from the local tier (survivor restores).
-    pub local_bytes_read: u64,
-    /// Bytes read back from the remote tier (dead localities' shards).
-    pub remote_bytes_read: u64,
-    /// Simulated ns spent reading checkpoints back during recoveries.
-    pub read_ns: u64,
-    /// Bytes scanned by incremental change detection.
-    pub fingerprint_bytes: u64,
-    /// Simulated ns spent scanning for changed shards.
-    pub fingerprint_ns: u64,
+allscale_des::stat_struct! {
+    /// Accumulated storage-tier traffic of a run. All zeros when the run
+    /// never checkpointed.
+    #[derive(Debug, Clone, Default)]
+    pub struct StorageStats {
+        /// Bytes written to the local tier.
+        pub local_bytes_written: u64,
+        /// Bytes written to the remote tier.
+        pub remote_bytes_written: u64,
+        /// Simulated ns spent writing to the local tier (sum over localities).
+        pub local_write_ns: u64,
+        /// Simulated ns spent writing to the remote tier (sum over localities).
+        pub remote_write_ns: u64,
+        /// Bytes read back from the local tier (survivor restores).
+        pub local_bytes_read: u64,
+        /// Bytes read back from the remote tier (dead localities' shards).
+        pub remote_bytes_read: u64,
+        /// Simulated ns spent reading checkpoints back during recoveries.
+        pub read_ns: u64,
+        /// Bytes scanned by incremental change detection.
+        pub fingerprint_bytes: u64,
+        /// Simulated ns spent scanning for changed shards.
+        pub fingerprint_ns: u64,
+    }
 }
 
 /// The two-tier checkpoint store: cost math plus traffic accounting.

@@ -13,6 +13,8 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
+use allscale_des::{Stat, Visit};
+
 use crate::event::TraceEvent;
 
 /// Tracing configuration.
@@ -159,6 +161,13 @@ impl Trace {
     pub fn total_dropped(&self) -> u64 {
         self.dropped.iter().sum()
     }
+}
+
+/// A trace is not a statistic: it is exported on its own
+/// ([`Trace::to_chrome_json`]) and walks as nothing, so a traced and an
+/// untraced run render the same report.
+impl Stat for Trace {
+    fn walk(&self, _: &str, _: &mut dyn Visit) {}
 }
 
 #[cfg(test)]

@@ -104,8 +104,7 @@ fn main() {
         "messages to/from the dead locality must have been lost"
     );
     assert!(
-        report.monitor.resilience.net_dropped >= 1
-            && report.monitor.resilience.net_retries >= 1,
+        report.traffic.dropped >= 1 && report.traffic.retries >= 1,
         "the lossy fabric must have dropped and retried messages"
     );
     println!("\nautomatic recovery reproduced the failure-free run bit-identically ✓");

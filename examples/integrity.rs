@@ -81,7 +81,7 @@ fn main() {
         CORRUPT_RATE * 100.0
     );
     let (poisoned, poisoned_report) = allscale_version::run_with_report(&cfg, unprotected);
-    let pg = &poisoned_report.monitor.integrity;
+    let pg = &poisoned_report.traffic;
     println!(
         "  checksum {:#018x} ({}), {} corruptions delivered undetected",
         poisoned.checksum,
@@ -90,7 +90,7 @@ fn main() {
         } else {
             "diverged"
         },
-        pg.wire_undetected,
+        pg.corrupt_undetected,
     );
 
     // The verified run: identical fault plan, integrity on. Detected
@@ -106,7 +106,7 @@ fn main() {
     let (repaired, report) = allscale_version::run_with_report(&cfg, verified);
     print!("{}", report.summary());
 
-    let g = &report.monitor.integrity;
+    let t = &report.traffic;
     println!(
         "\n  clean    checksum: {:#018x}\n  verified checksum: {:#018x}",
         clean.checksum, repaired.checksum,
@@ -117,22 +117,22 @@ fn main() {
         "verified transfers must reproduce the failure-free result bit-identically"
     );
     assert!(
-        g.wire_corruptions >= 1,
+        t.corrupted >= 1,
         "the fault plan must actually have corrupted something \
-         (got {g:?}; raise CORRUPT_RATE or steps if this trips)"
+         (got {t:?}; raise CORRUPT_RATE or steps if this trips)"
     );
     assert_eq!(
-        g.wire_detected, g.wire_corruptions,
+        t.corrupt_detected, t.corrupted,
         "every injected corruption must be caught by the checksum"
     );
-    assert_eq!(g.wire_undetected, 0, "no poison may reach the application");
+    assert_eq!(t.corrupt_undetected, 0, "no poison may reach the application");
     assert!(
-        g.re_requests >= 1,
+        t.re_requests >= 1,
         "detected corruptions must be repaired by re-requesting the transfer"
     );
     println!(
         "\n{} corruptions injected, {} detected, {} re-requests, 0 undetected — \
          bit-identical result ✓",
-        g.wire_corruptions, g.wire_detected, g.re_requests,
+        t.corrupted, t.corrupt_detected, t.re_requests,
     );
 }

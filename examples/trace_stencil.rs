@@ -1,7 +1,9 @@
 //! Tracing walkthrough: run the 2D stencil with the structured trace
 //! sink enabled, export a Chrome trace-event JSON (load it at
 //! `ui.perfetto.dev` or `chrome://tracing`), and explain the makespan
-//! with the critical-path analyzer.
+//! with the critical-path analyzer. The run report's JSON
+//! (`RunReport::to_json`) is written next to the trace, with the extension
+//! `.report.json`.
 //!
 //! ```text
 //! cargo run --release --example trace_stencil                 # 4 nodes
@@ -86,6 +88,9 @@ fn main() {
     let json = trace.to_chrome_json();
     std::fs::write(&out, &json).expect("write Chrome trace JSON");
     println!("wrote {} ({} bytes) — load it at ui.perfetto.dev", out.display(), json.len());
+    let report_out = out.with_extension("report.json");
+    std::fs::write(&report_out, report.to_json()).expect("write the report JSON");
+    println!("wrote {}", report_out.display());
 
     // ---- critical-path analysis -------------------------------------
     let cp = report.critical_path().expect("traced run has a critical path");

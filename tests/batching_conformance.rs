@@ -176,20 +176,20 @@ fn corrupted_batch_flushes_rerequest_and_agree() {
         .run();
         assert_task_monitors_identical(&clean, &dirty, &format!("corrupt seed {seed}"));
         assert!(dirty.traffic.batches > 0, "seed {seed}: nothing batched");
-        let g = &dirty.monitor.integrity;
+        let t = &dirty.traffic;
         assert_eq!(
-            g.wire_undetected, 0,
-            "seed {seed}: verified run consumed poison ({g:?})"
+            t.corrupt_undetected, 0,
+            "seed {seed}: verified run consumed poison ({t:?})"
         );
         assert_eq!(
-            g.wire_detected, g.wire_corruptions,
+            t.corrupt_detected, t.corrupted,
             "seed {seed}: detection must account every corruption"
         );
         assert!(
-            g.re_requests >= g.wire_detected,
-            "seed {seed}: detected corruptions must be re-requested ({g:?})"
+            t.re_requests >= t.corrupt_detected,
+            "seed {seed}: detected corruptions must be re-requested ({t:?})"
         );
-        corruptions += g.wire_corruptions;
+        corruptions += t.corrupted;
     }
     assert!(corruptions > 0, "no corruption ever struck; rate too low to test anything");
 }
@@ -405,12 +405,12 @@ fn batching_fault_soak() {
             ..chaos(seed, true)
         };
         let (_, report) = scenario.run_killed(victim, percent, lossy);
-        let g = &report.monitor.integrity;
+        let t = &report.traffic;
         assert_eq!(
-            g.wire_undetected, 0,
-            "seed {seed}: verified soak consumed poison ({g:?})"
+            t.corrupt_undetected, 0,
+            "seed {seed}: verified soak consumed poison ({t:?})"
         );
-        corruptions += g.wire_corruptions;
+        corruptions += t.corrupted;
     }
     assert!(corruptions > 0, "soak never saw a corruption; rates too low");
 }

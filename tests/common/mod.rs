@@ -14,6 +14,8 @@
 // Each test binary uses a subset.
 #![allow(dead_code)]
 
+pub mod report_json;
+
 use std::cell::RefCell;
 use std::rc::Rc;
 

@@ -517,7 +517,8 @@ fn runtime_run_reports_cache_effectiveness() {
         "repeated identical pfor phases must produce cache hits: {c:?}"
     );
     // The summary renders the cache line.
-    assert!(report.summary().contains("location cache"));
+    let line = format!("\nmonitor.cache: hits={} misses={}", c.hits, c.misses);
+    assert!(report.summary().contains(&line));
 }
 
 /// The central-directory ablation bypasses the cache entirely: its runs

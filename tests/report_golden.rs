@@ -39,6 +39,10 @@ use allscale_core::{
 use allscale_des::{SimDuration, SimTime};
 use allscale_net::ClusterSpec;
 use allscale_region::{fnv1a_64, BoxRegion};
+use common::report_json::{flatten, pre_walk_json};
+use common::{Scenario, STEALING};
+
+mod common;
 
 #[derive(Debug, PartialEq, Eq)]
 struct Row {
@@ -57,25 +61,50 @@ struct Row {
 
 #[rustfmt::skip]
 const GOLDEN: &[Row] = &[
-    Row { name: "stencil_default", digest: 0x8386992d6d59ba3e, trace: 0x77716b184bd0ba9d, finish_ns: 1251740, answer: 0x4f1bb0e4cf53112f },
-    Row { name: "stencil_central_index", digest: 0x09b67ddea063c4dc, trace: 0xdc0388e1de61960f, finish_ns: 1251740, answer: 0x4f1bb0e4cf53112f },
-    Row { name: "stencil_batching", digest: 0x612264fabd8da80c, trace: 0x51cef06e8931340c, finish_ns: 1250226, answer: 0x4f1bb0e4cf53112f },
-    Row { name: "stencil_steal_round_robin", digest: 0xbe04fad963d771da, trace: 0xf995ad028d21f343, finish_ns: 1351463, answer: 0x4f1bb0e4cf53112f },
-    Row { name: "stencil_steal_least_loaded", digest: 0x4d7dc75580f88ee0, trace: 0x1f7305a04af8c5c0, finish_ns: 1373921, answer: 0x4f1bb0e4cf53112f },
-    Row { name: "stencil_steal_random", digest: 0x4955eee9b376e186, trace: 0x6abdb4df8e641ccc, finish_ns: 1340299, answer: 0x4f1bb0e4cf53112f },
-    Row { name: "stencil_integrity_corrupt_rot_kill", digest: 0xa39eb8d93983c399, trace: 0x25166eecec71f253, finish_ns: 2697828, answer: 0x4f1bb0e4cf53112f },
-    Row { name: "stencil_ckpt_sync_full_kill", digest: 0x92dda4b78b2ffa66, trace: 0x384443e4c2e7e6f9, finish_ns: 3505860, answer: 0x4f1bb0e4cf53112f },
-    Row { name: "stencil_ckpt_async_incremental_kill", digest: 0x72b3b9427ab7f8be, trace: 0x5e7acf2d5866d7b7, finish_ns: 2066672, answer: 0x4f1bb0e4cf53112f },
-    Row { name: "stencil_kill_before_first_ckpt", digest: 0x4e0f7d2a09375545, trace: 0xc4547ecd5b005924, finish_ns: 2851104, answer: 0x4f1bb0e4cf53112f },
+    Row { name: "stencil_default", digest: 0xd31a4c9025c9bfb1, trace: 0x77716b184bd0ba9d, finish_ns: 1251740, answer: 0x4f1bb0e4cf53112f },
+    Row { name: "stencil_central_index", digest: 0xab5b1a9379ce25bf, trace: 0xdc0388e1de61960f, finish_ns: 1251740, answer: 0x4f1bb0e4cf53112f },
+    Row { name: "stencil_batching", digest: 0x28898b5e823f755b, trace: 0x51cef06e8931340c, finish_ns: 1250226, answer: 0x4f1bb0e4cf53112f },
+    Row { name: "stencil_steal_round_robin", digest: 0x61fa806281b61dd8, trace: 0xf995ad028d21f343, finish_ns: 1351463, answer: 0x4f1bb0e4cf53112f },
+    Row { name: "stencil_steal_least_loaded", digest: 0x667c9bdf64d63484, trace: 0x1f7305a04af8c5c0, finish_ns: 1373921, answer: 0x4f1bb0e4cf53112f },
+    Row { name: "stencil_steal_random", digest: 0x5cd9afd232b3f7d2, trace: 0x6abdb4df8e641ccc, finish_ns: 1340299, answer: 0x4f1bb0e4cf53112f },
+    Row { name: "stencil_integrity_corrupt_rot_kill", digest: 0xb96cf2ceaa724c19, trace: 0x25166eecec71f253, finish_ns: 2697828, answer: 0x4f1bb0e4cf53112f },
+    Row { name: "stencil_ckpt_sync_full_kill", digest: 0x3c4bc0996e304745, trace: 0x384443e4c2e7e6f9, finish_ns: 3505860, answer: 0x4f1bb0e4cf53112f },
+    Row { name: "stencil_ckpt_async_incremental_kill", digest: 0xab9ed350fa9e1566, trace: 0x5e7acf2d5866d7b7, finish_ns: 2066672, answer: 0x4f1bb0e4cf53112f },
+    Row { name: "stencil_kill_before_first_ckpt", digest: 0xb52d059991166e09, trace: 0xc4547ecd5b005924, finish_ns: 2851104, answer: 0x4f1bb0e4cf53112f },
     Row { name: "tpc_small", digest: 0x4216959a62e4bd36, trace: 0x0000000000000000, finish_ns: 60661, answer: 0x1b4 },
     Row { name: "ipic3d_small", digest: 0xff6d58878e641a4b, trace: 0x0000000000000000, finish_ns: 123810, answer: 0xf059e857ddcc7f69 },
-    Row { name: "serve_replicate_retire", digest: 0xad4513b13596c9d2, trace: 0x20c325e1cedb63d6, finish_ns: 5466138, answer: 0x200 },
-    Row { name: "serve_shed_overload", digest: 0xfa904aad493064db, trace: 0x49c443a4b1acfe10, finish_ns: 5441710, answer: 0x200 },
-    Row { name: "loadbalance_auto_rebalance", digest: 0xe2021d9a38cebdad, trace: 0x3da700ef12d9a357, finish_ns: 1236954, answer: 0x3 },
+    Row { name: "serve_replicate_retire", digest: 0x3caea0d814f77859, trace: 0x20c325e1cedb63d6, finish_ns: 5466138, answer: 0x200 },
+    Row { name: "serve_shed_overload", digest: 0x273a5fd9a4931ec3, trace: 0x49c443a4b1acfe10, finish_ns: 5441710, answer: 0x200 },
+    Row { name: "loadbalance_auto_rebalance", digest: 0x385b3ffaaa6d5936, trace: 0x3da700ef12d9a357, finish_ns: 1236954, answer: 0x3 },
     Row { name: "stencil_mpi_small", digest: 0x6945261dcfdaad44, trace: 0x0000000000000000, finish_ns: 13860, answer: 0x51b26882f80394ac },
     Row { name: "tpc_mpi_small", digest: 0x0101ab0fc8e15add, trace: 0x0000000000000000, finish_ns: 12728, answer: 0x1b4 },
     Row { name: "ipic3d_mpi_small", digest: 0x76c05f63de1edb3d, trace: 0x0000000000000000, finish_ns: 22412, answer: 0xf059e857ddcc7f69 },
-    Row { name: "scrub_repair_quarantine", digest: 0x2395984e844c1824, trace: 0x24d3effe7e239d95, finish_ns: 101372, answer: 0x32 },
+    Row { name: "scrub_repair_quarantine", digest: 0x61135dcba8081477, trace: 0x24d3effe7e239d95, finish_ns: 101372, answer: 0x32 },
+];
+
+/// The `digest` column as it was pinned while a hand-maintained renderer
+/// wrote the report instead of the statistics walk. [`report_row`] renames
+/// each run's JSON back to that layout ([`pre_walk_json`], the key renaming
+/// of DESIGN.md §5.7 as data) and checks it hashes to the digest here:
+/// every number the old report carried sits unchanged at its new path, and
+/// every other number is a counter the old report lacked. A row whose
+/// virtual behaviour changes on purpose drops its entry.
+#[rustfmt::skip]
+const PRE_WALK_DIGESTS: &[(&str, u64)] = &[
+    ("stencil_default", 0x8386992d6d59ba3e),
+    ("stencil_central_index", 0x09b67ddea063c4dc),
+    ("stencil_batching", 0x612264fabd8da80c),
+    ("stencil_steal_round_robin", 0xbe04fad963d771da),
+    ("stencil_steal_least_loaded", 0x4d7dc75580f88ee0),
+    ("stencil_steal_random", 0x4955eee9b376e186),
+    ("stencil_integrity_corrupt_rot_kill", 0xa39eb8d93983c399),
+    ("stencil_ckpt_sync_full_kill", 0x92dda4b78b2ffa66),
+    ("stencil_ckpt_async_incremental_kill", 0x72b3b9427ab7f8be),
+    ("stencil_kill_before_first_ckpt", 0x4e0f7d2a09375545),
+    ("serve_replicate_retire", 0xad4513b13596c9d2),
+    ("serve_shed_overload", 0xfa904aad493064db),
+    ("loadbalance_auto_rebalance", 0xe2021d9a38cebdad),
+    ("scrub_repair_quarantine", 0x2395984e844c1824),
 ];
 
 fn traced(mut rt: RtConfig) -> RtConfig {
@@ -85,9 +114,14 @@ fn traced(mut rt: RtConfig) -> RtConfig {
 
 fn report_row(name: &'static str, report: &mut RunReport, answer: u64) -> Row {
     let trace = report.trace.take().expect("tracing was enabled");
+    let json = report.to_json();
+    if let Some(&(_, pinned)) = PRE_WALK_DIGESTS.iter().find(|(n, _)| *n == name) {
+        let renamed = fnv1a_64(pre_walk_json(&json).as_bytes());
+        assert!(renamed == pinned, "{name}: renamed back, the report is not the pre-walk one");
+    }
     Row {
         name,
-        digest: fnv1a_64(report.to_json().as_bytes()),
+        digest: fnv1a_64(json.as_bytes()),
         trace: fnv1a_64(trace.to_chrome_json().as_bytes()),
         finish_ns: report.finish_time.as_nanos(),
         answer,
@@ -315,7 +349,7 @@ fn stencil_integrity_corrupt_rot_kill() {
     );
     let g = &r.monitor.integrity;
     assert!(
-        g.re_requests >= 1
+        r.traffic.re_requests >= 1
             && g.checkpoint_fallbacks >= 1
             && g.ckpt_links_verified >= 1
             && r.monitor.resilience.restored_bytes > 0,
@@ -486,4 +520,57 @@ fn loadbalance_auto_rebalance() {
 #[test]
 fn scrub_repair_quarantine() {
     check(scrub_row());
+}
+
+/// Every key path of `RunReport::to_json` on a run with every service on —
+/// serving, work stealing, batching, integrity, checkpoints and a lossy
+/// fabric — one line per group, array indices written `[*]`. A schema
+/// change is a reviewed diff of this list.
+#[rustfmt::skip]
+const KEY_PATHS: &[&str] = &[
+    "RunReport: finish_time phases remote_msgs remote_bytes events",
+    "monitor.per_locality[*]: tasks_executed tasks_split busy_ns msgs_sent bytes_sent replicas_in migrations_in first_touch lock_conflicts",
+    "monitor.scheduler: tasks_queued steal_requests steal_grants steal_denies handoffs",
+    "monitor: index_lookup_hops index_update_hops index_lookups",
+    "monitor.cache: hits misses invalidations saved_hops",
+    "monitor.resilience: checkpoints checkpoint_bytes ckpt_logical_bytes ckpt_anchors ckpt_deltas ckpt_stall_ns ckpt_fence_ns ckpt_drain_ns ckpt_fp_ns ckpt_torn cow_captures recovery_read_ns heartbeats detections detection_latency_ns recoveries restored_bytes tasks_reexecuted failed_transfers",
+    "monitor.integrity: wire_detected rot_injected checkpoint_shards_rejected checkpoint_fallbacks ckpt_links_verified scrub_passes replicas_scrubbed scrub_divergent scrub_repairs quarantines",
+    "monitor.task_durations: count sum min max p50 p90 p99",
+    "monitor.transfer_latency: count sum min max p50 p90 p99",
+    "monitor.serve: offered admitted completed shed reads writes slo_violations replications retirements invalidations serve_ns",
+    "monitor.serve.latency: count sum min max p50 p90 p99",
+    "monitor.serve.per_shard[*]: count sum min max p50 p90 p99",
+    "traffic.remote: count sum min max",
+    "traffic.local: count sum min max",
+    "traffic: dropped delayed retries backoff_ns undeliverable batches batched_msgs batched_bytes flushes_by_cause[*] corrupted corrupt_detected corrupt_undetected re_requests",
+    "storage: local_bytes_written remote_bytes_written local_write_ns remote_write_ns local_bytes_read remote_bytes_read read_ns fingerprint_bytes fingerprint_ns",
+];
+
+#[test]
+fn json_key_paths() {
+    let services = Scenario {
+        sched: STEALING,
+        batching: true,
+        integrity: true,
+        faults: Some(FaultPlan::new(5).with_drop_rate(0.01).with_corruption(0.01)),
+        ckpt: Some(ResilienceConfig::default()),
+        ..Scenario::new(0)
+    };
+    let out = serve::run_with(&hot_serve(), services.configure(RtConfig::test(4, 2)));
+    let mut groups: Vec<(String, Vec<String>)> = Vec::new();
+    for path in flatten(&out.report.to_json()).key_paths() {
+        let (group, leaf) = path.rsplit_once('.').unwrap_or(("RunReport", &path));
+        match groups.iter_mut().find(|(g, _)| g == group) {
+            Some((_, leaves)) => leaves.push(leaf.to_owned()),
+            None => groups.push((group.to_owned(), vec![leaf.to_owned()])),
+        }
+    }
+    let lines: Vec<String> = groups
+        .iter()
+        .map(|(group, leaves)| format!("{group}: {}", leaves.join(" ")))
+        .collect();
+    assert!(
+        lines == KEY_PATHS,
+        "the report's schema changed; as it is now:\n{lines:#?}"
+    );
 }

@@ -27,6 +27,7 @@ use allscale_core::{
 };
 use allscale_des::SimDuration;
 use allscale_region::{fnv1a_64, BoxRegion};
+use common::report_json::pre_walk_json;
 use common::{Contended, Program, Scenario, STEALING};
 
 fn total_conflicts(r: &RunReport) -> u64 {
@@ -71,12 +72,11 @@ fn overload_counts_contention_not_poll_rounds() {
 
 // ------------------------------------------- (b) the virtual clock stood still
 
-/// The report's canonical JSON with every `lock_conflicts` value blanked.
-fn json_sans_conflicts(r: &RunReport) -> String {
+/// A report's JSON with every `lock_conflicts` value blanked.
+fn sans_conflicts(json: &str) -> String {
     const KEY: &str = "\"lock_conflicts\":";
-    let json = r.to_json();
     let mut out = String::with_capacity(json.len());
-    let mut rest = json.as_str();
+    let mut rest = json;
     while let Some(i) = rest.find(KEY) {
         out.push_str(&rest[..i + KEY.len()]);
         rest = rest[i + KEY.len()..].trim_start_matches(|c: char| c.is_ascii_digit());
@@ -94,8 +94,13 @@ struct Pinned {
     latency_count: u64,
     latency_mean_ns: f64,
     latency_p99_ns: u64,
-    /// FNV-1a of [`json_sans_conflicts`]: every other field at once.
+    /// FNV-1a of [`sans_conflicts`] of the report's JSON: every other
+    /// field at once.
     digest: u64,
+    /// The same digest as pinned under the report layout of the
+    /// hand-written renderer before the statistics walk; checked against
+    /// the JSON renamed back to that layout (`report_json::pre_walk_json`).
+    pre_walk_digest: u64,
     /// The parent's `lock_conflicts` total, for the record.
     parent_conflicts: u64,
 }
@@ -116,8 +121,14 @@ fn assert_pinned(name: &str, r: &RunReport, want: &Pinned) {
         "{name}: latency mean"
     );
     assert_eq!(lat.p99(), want.latency_p99_ns, "{name}: latency p99 bucket");
+    let json = r.to_json();
     assert_eq!(
-        fnv1a_64(json_sans_conflicts(r).as_bytes()),
+        fnv1a_64(sans_conflicts(&pre_walk_json(&json)).as_bytes()),
+        want.pre_walk_digest,
+        "{name}: renamed back, the report is not the pre-walk one"
+    );
+    assert_eq!(
+        fnv1a_64(sans_conflicts(&json).as_bytes()),
         want.digest,
         "{name}: some RunReport field other than lock_conflicts moved"
     );
@@ -142,7 +153,8 @@ const PINNED_OVERLOAD: Pinned = Pinned {
     latency_count: 3_000,
     latency_mean_ns: 571_352.364_666_666_7,
     latency_p99_ns: 4_194_303,
-    digest: 0x85a8_17d7_50e2_572e,
+    digest: 0x0957_d191_3959_3cd0,
+    pre_walk_digest: 0x85a8_17d7_50e2_572e,
     parent_conflicts: 84_289,
 };
 
@@ -153,7 +165,8 @@ const PINNED_SMALL: Pinned = Pinned {
     latency_count: 3_000,
     latency_mean_ns: 9_539.789,
     latency_p99_ns: 32_767,
-    digest: 0xea23_c00a_7b85_cb2c,
+    digest: 0xeb57_6214_312a_416c,
+    pre_walk_digest: 0xea23_c00a_7b85_cb2c,
     parent_conflicts: 8,
 };
 
