@@ -18,9 +18,7 @@ use allscale_core::{
     TaskCtx, TaskValue, WorkItem,
 };
 use allscale_des::{SimDuration, SimTime};
-use allscale_region::{
-    BitmaskTreeRegion, GridBox, ItemType, TreeFragment, TreePath,
-};
+use allscale_region::{BitmaskTreeRegion, GridBox, ItemType, Subtree, TreeFragment, TreePath};
 
 use super::{dist2, gen_points, oracle, query_point, KdNode, KdTree, TpcConfig, TpcResult, DIMS};
 
@@ -38,6 +36,8 @@ type TreeFrag = TreeFragment<KdNode, BitmaskTreeRegion>;
 struct TpcShared {
     item: ItemId,
     h: u8,
+    /// An empty region split at `h`, which names each subtree's root.
+    split: BitmaskTreeRegion,
     levels: u8,
     radius: f64,
     total_queries: u64,
@@ -112,46 +112,27 @@ impl WorkItem for TpcWork {
     fn process(self: Box<Self>, ctx: &mut TaskCtx<'_>) -> Done {
         let sh = &self.shared;
         let ns = sh.ns_per_node;
+        let mut walk = Walk {
+            shared: sh,
+            stack: Vec::with_capacity(2 * sh.levels as usize),
+            count: 0,
+            visits: 0,
+        };
         match &self.param {
             TpcParam::Queries { lo, hi } => {
                 // Traverse the root block for each query; collect the
                 // subtree crossings.
-                let mut local: u64 = 0;
-                let mut visits: u64 = 0;
                 let mut crossings: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
-                {
-                    let frag = ctx.fragment::<TreeFrag>(sh.item);
-                    for qid in *lo..*hi {
-                        let q = query_point(qid);
-                        let r2 = sh.radius * sh.radius;
-                        let mut stack = vec![TreePath::ROOT];
-                        while let Some(path) = stack.pop() {
-                            if path.depth() == sh.h {
-                                let block =
-                                    BitmaskTreeRegion::block_of(sh.h, &path).expect("below split");
-                                crossings.entry(block).or_default().push(qid);
-                                continue;
-                            }
-                            visits += 1;
-                            let node = frag.get(&path).expect("root block replicated");
-                            if dist2(&node.point, &q) <= r2 {
-                                local += 1;
-                            }
-                            if path.depth() + 1 >= sh.levels {
-                                continue;
-                            }
-                            let d = node.dim as usize;
-                            let diff = q[d] - node.point[d];
-                            if diff <= sh.radius {
-                                stack.push(path.left());
-                            }
-                            if diff >= -sh.radius {
-                                stack.push(path.right());
-                            }
-                        }
-                    }
+                let tree = ctx.fragment::<TreeFrag>(sh.item).subtree(TreePath::ROOT);
+                for qid in *lo..*hi {
+                    walk.query(&tree, 0, sh.h, qid, |steps| {
+                        let root = TreePath::ROOT.descend(sh.h, steps);
+                        let block = BitmaskTreeRegion::block_of(sh.h, &root).expect("below split");
+                        crossings.entry(block).or_default().push(qid);
+                    });
                 }
-                ctx.charge(SimDuration::from_nanos_f64(visits as f64 * ns));
+                let local = walk.count;
+                ctx.charge(SimDuration::from_nanos_f64(walk.visits as f64 * ns));
                 let depth = self.depth + 1;
                 let children: Vec<Box<dyn WorkItem>> = crossings
                     .into_iter()
@@ -175,38 +156,15 @@ impl WorkItem for TpcWork {
                 })
             }
             TpcParam::Sub { subtree, qids } => {
-                let mut count: u64 = 0;
-                let mut visits: u64 = 0;
-                {
-                    let frag = ctx.fragment::<TreeFrag>(sh.item);
-                    let region = BitmaskTreeRegion::new(sh.h);
-                    let root = region.subtree_root(*subtree);
-                    for &qid in qids {
-                        let q = query_point(qid);
-                        let r2 = sh.radius * sh.radius;
-                        let mut stack = vec![root];
-                        while let Some(path) = stack.pop() {
-                            visits += 1;
-                            let node = frag.get(&path).expect("subtree block local");
-                            if dist2(&node.point, &q) <= r2 {
-                                count += 1;
-                            }
-                            if path.depth() + 1 >= sh.levels {
-                                continue;
-                            }
-                            let d = node.dim as usize;
-                            let diff = q[d] - node.point[d];
-                            if diff <= sh.radius {
-                                stack.push(path.left());
-                            }
-                            if diff >= -sh.radius {
-                                stack.push(path.right());
-                            }
-                        }
-                    }
+                let root = sh.split.subtree_root(*subtree);
+                let tree = ctx.fragment::<TreeFrag>(sh.item).subtree(root);
+                // Subtrees are the leaves of the block decomposition: the
+                // walk crosses nothing (it never gets `levels` down).
+                for &qid in qids {
+                    walk.query(&tree, sh.h, sh.levels, qid, |_| unreachable!());
                 }
-                ctx.charge(SimDuration::from_nanos_f64(visits as f64 * ns));
-                Done::Value(Some(Box::new(count)))
+                ctx.charge(SimDuration::from_nanos_f64(walk.visits as f64 * ns));
+                Done::Value(Some(Box::new(walk.count)))
             }
         }
     }
@@ -218,6 +176,62 @@ impl WorkItem for TpcWork {
     }
     fn result_bytes(&self) -> usize {
         8
+    }
+}
+
+/// One task's pruned kd-tree traversals: a stack sized once, and the
+/// running count and visit tally.
+struct Walk<'a> {
+    shared: &'a TpcShared,
+    /// `(levels, steps)` below the traversal's root still to visit.
+    stack: Vec<(u8, u64)>,
+    count: u64,
+    visits: u64,
+}
+
+impl Walk<'_> {
+    /// Traverse below `tree`'s root, which sits at `depth`, for query
+    /// `qid`: count the nodes within the radius, and hand each path that
+    /// reaches `cross_at` levels down to `cross` (as its steps) instead of
+    /// visiting it.
+    fn query(
+        &mut self,
+        tree: &Subtree<'_, KdNode>,
+        depth: u8,
+        cross_at: u8,
+        qid: u64,
+        mut cross: impl FnMut(u64),
+    ) {
+        let (radius, leaves) = (self.shared.radius, self.shared.levels - 1 - depth);
+        let q = query_point(qid);
+        let r2 = radius * radius;
+        let (mut count, mut visits) = (0, 0);
+        let stack = &mut self.stack;
+        stack.push((0, 0));
+        while let Some((down, steps)) = stack.pop() {
+            if down == cross_at {
+                cross(steps);
+                continue;
+            }
+            visits += 1;
+            let node = tree.get(down, steps).expect("a task's blocks are local");
+            if dist2(&node.point, &q) <= r2 {
+                count += 1;
+            }
+            if down == leaves {
+                continue;
+            }
+            let d = node.dim as usize;
+            let diff = q[d] - node.point[d];
+            if diff <= radius {
+                stack.push((down + 1, steps));
+            }
+            if diff >= -radius {
+                stack.push((down + 1, steps | 1 << down));
+            }
+        }
+        self.count += count;
+        self.visits += visits;
     }
 }
 
@@ -340,6 +354,7 @@ pub fn run_with(cfg: &TpcConfig, rt_cfg: RtConfig) -> TpcResult {
                         shared: Arc::new(TpcShared {
                             item,
                             h,
+                            split: BitmaskTreeRegion::new(h),
                             levels,
                             radius,
                             total_queries: q_total,

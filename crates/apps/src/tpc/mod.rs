@@ -164,8 +164,8 @@ impl KdTree {
         assert!((n + 1).is_power_of_two(), "need 2^k - 1 points");
         let levels = (n + 1).trailing_zeros() as u8;
         let mut nodes: Vec<Option<KdNode>> = vec![None; n];
-        let mut idxs: Vec<usize> = (0..n).collect();
-        build_rec(points, &mut idxs, 0, TreePath::ROOT, &mut nodes);
+        let mut keyed: Vec<(u64, usize)> = (0..n).map(|i| (0, i)).collect();
+        build_rec(points, &mut keyed, 0, 0, &mut nodes);
         KdTree {
             nodes: nodes.into_iter().map(|n| n.expect("complete tree")).collect(),
             levels,
@@ -177,8 +177,10 @@ impl KdTree {
         &self.nodes[path.bfs_index() as usize]
     }
 
-    /// Sequential pruned traversal: points within `radius` of `q`.
-    pub fn count_within(&self, q: &[f64; DIMS], radius: f64) -> u64 {
+    /// Sequential pruned traversal: points within `radius` of `q` (the
+    /// reference the unit tests hold the tree against).
+    #[cfg(test)]
+    fn count_within(&self, q: &[f64; DIMS], radius: f64) -> u64 {
         let mut count = 0;
         let mut stack = vec![TreePath::ROOT];
         let r2 = radius * radius;
@@ -202,35 +204,45 @@ impl KdTree {
     }
 }
 
+/// A coordinate as a key whose unsigned order is the coordinate's
+/// `partial_cmp` order, with −0.0 equal to +0.0.
+fn coordinate_key(x: f64) -> u64 {
+    assert!(!x.is_nan(), "a NaN coordinate has no place in a kd-tree");
+    let bits = if x == 0.0 { 0 } else { x.to_bits() };
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// Build the subtree at heap index `at` over the points `keyed` indexes.
 fn build_rec(
     points: &[[f64; DIMS]],
-    idxs: &mut [usize],
+    keyed: &mut [(u64, usize)],
     depth: u8,
-    path: TreePath,
+    at: usize,
     out: &mut [Option<KdNode>],
 ) {
-    if idxs.is_empty() {
+    if keyed.is_empty() {
         return;
     }
     let dim = (depth as usize) % DIMS;
-    let mid = idxs.len() / 2;
+    for entry in keyed.iter_mut() {
+        entry.0 = coordinate_key(points[entry.1][dim]);
+    }
+    let mid = keyed.len() / 2;
     // Only the median and the two sides as *sets* matter, and the order —
     // by coordinate, ties by point index — is total, so a selection yields
     // the tree a full sort would.
-    idxs.select_nth_unstable_by(mid, |&a, &b| {
-        points[a][dim]
-            .partial_cmp(&points[b][dim])
-            .unwrap()
-            .then(a.cmp(&b))
-    });
-    out[path.bfs_index() as usize] = Some(KdNode {
-        point: points[idxs[mid]],
+    keyed.select_nth_unstable(mid);
+    out[at] = Some(KdNode {
+        point: points[keyed[mid].1],
         dim: dim as u8,
     });
-    let (left, rest) = idxs.split_at_mut(mid);
-    let right = &mut rest[1..];
-    build_rec(points, left, depth + 1, path.left(), out);
-    build_rec(points, right, depth + 1, path.right(), out);
+    let (left, rest) = keyed.split_at_mut(mid);
+    build_rec(points, left, depth + 1, 2 * at + 1, out);
+    build_rec(points, &mut rest[1..], depth + 1, 2 * at + 2, out);
 }
 
 /// Brute-force oracle: exact counts for each query.
@@ -311,6 +323,18 @@ mod tests {
     fn selecting_build_equals_sorting_build() {
         for k in 1..=12u32 {
             let mut pts = gen_points((1u64 << k) - 1);
+            // Negative coordinates, and zeros of both signs, which compare
+            // equal.
+            for (i, p) in pts.iter_mut().enumerate() {
+                let d = i % DIMS;
+                match i % 5 {
+                    0 => p[d] = -p[d],
+                    1 => p[d] = 0.0,
+                    2 => p[d] = -0.0,
+                    3 => p[(d + 1) % DIMS] -= EXTENT / 2.0,
+                    _ => {}
+                }
+            }
             // Force coordinate ties, which only the index tie-break orders.
             for i in (0..pts.len()).step_by(3) {
                 pts[i] = pts[i / 2];
@@ -320,8 +344,20 @@ mod tests {
             let mut idxs: Vec<usize> = (0..n).collect();
             build_rec_sorting(&pts, &mut idxs, 0, TreePath::ROOT, &mut reference);
             let reference: Vec<KdNode> = reference.into_iter().map(Option::unwrap).collect();
-            assert_eq!(KdTree::build(&pts).nodes, reference, "2^{k} - 1 points");
+            // Bit for bit, so that −0.0 and +0.0 tell which point was chosen.
+            let bits = |nodes: &[KdNode]| -> Vec<(u8, [u64; DIMS])> {
+                nodes.iter().map(|n| (n.dim, n.point.map(f64::to_bits))).collect()
+            };
+            assert_eq!(bits(&KdTree::build(&pts).nodes), bits(&reference), "2^{k} - 1 points");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN coordinate")]
+    fn a_nan_coordinate_panics() {
+        let mut pts = gen_points(15);
+        pts[6][0] = f64::NAN;
+        KdTree::build(&pts);
     }
 
     #[test]

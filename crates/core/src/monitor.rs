@@ -197,27 +197,6 @@ impl Monitor {
     pub fn total_bytes(&self) -> u64 {
         self.per_locality.iter().map(|l| l.bytes_sent).sum()
     }
-
-    /// Coefficient of variation of per-locality busy time (load
-    /// imbalance).
-    pub fn busy_imbalance(&self) -> f64 {
-        let n = self.per_locality.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let mean =
-            self.per_locality.iter().map(|l| l.busy_ns as f64).sum::<f64>() / n as f64;
-        if mean == 0.0 {
-            return 0.0;
-        }
-        let var = self
-            .per_locality
-            .iter()
-            .map(|l| (l.busy_ns as f64 - mean).powi(2))
-            .sum::<f64>()
-            / n as f64;
-        var.sqrt() / mean
-    }
 }
 
 impl RunReport {
@@ -272,23 +251,6 @@ mod tests {
         let line = detected.summary();
         assert!(line.starts_with("monitor.resilience: checkpoints=0 "), "{line}");
         assert!(line.ends_with(" detection_latency_ns=673 recoveries=0 restored_bytes=0 tasks_reexecuted=0 failed_transfers=0\n"), "{line}");
-    }
-
-    #[test]
-    fn imbalance_of_uniform_load_is_zero() {
-        let mut m = Monitor::new(4);
-        for l in &mut m.per_locality {
-            l.busy_ns = 1000;
-        }
-        assert!(m.busy_imbalance() < 1e-12);
-    }
-
-    #[test]
-    fn imbalance_detects_skew() {
-        let mut m = Monitor::new(2);
-        m.per_locality[0].busy_ns = 1000;
-        m.per_locality[1].busy_ns = 3000;
-        assert!(m.busy_imbalance() > 0.4);
     }
 
     #[test]

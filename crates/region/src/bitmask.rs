@@ -120,24 +120,13 @@ impl BitmaskTreeRegion {
     /// level `h`).
     pub fn subtree_root(&self, i: usize) -> TreePath {
         assert!(i < self.subtree_count());
-        let steps: Vec<bool> = (0..self.h)
-            .rev()
-            .map(|b| (i >> b) & 1 == 1)
-            .collect();
-        TreePath::from_steps(&steps)
+        TreePath::at_level(self.h, i as u64)
     }
 
     /// Which block a node path belongs to: `None` = root block, `Some(i)` =
     /// subtree `i`.
     pub fn block_of(h: u8, path: &TreePath) -> Option<usize> {
-        if path.depth() < h {
-            return None;
-        }
-        let mut i = 0usize;
-        for d in 0..h {
-            i = (i << 1) | (path.step(d) as usize);
-        }
-        Some(i)
+        (path.depth() >= h).then(|| path.ancestor(h).level_index() as usize)
     }
 
     /// Whether the node at `path` is in the region.
@@ -364,6 +353,46 @@ mod tests {
             BitmaskTreeRegion::block_of(3, &TreePath::from_steps(&[true])),
             None
         );
+    }
+
+    /// `subtree_root` and `block_of` as they were when they looped over the
+    /// steps, kept verbatim as the references for the arithmetic versions.
+    fn subtree_root_by_loop(h: u8, i: usize) -> TreePath {
+        let steps: Vec<bool> = (0..h).rev().map(|b| (i >> b) & 1 == 1).collect();
+        TreePath::from_steps(&steps)
+    }
+
+    fn block_of_by_loop(h: u8, path: &TreePath) -> Option<usize> {
+        if path.depth() < h {
+            return None;
+        }
+        let mut i = 0usize;
+        for d in 0..h {
+            i = (i << 1) | (path.step(d) as usize);
+        }
+        Some(i)
+    }
+
+    #[test]
+    fn arithmetic_naming_equals_the_loops_on_every_path_to_depth_20() {
+        for h in 0..=20u8 {
+            let r = BitmaskTreeRegion::new(h);
+            for i in 0..r.subtree_count() {
+                let root = r.subtree_root(i);
+                assert_eq!(root, subtree_root_by_loop(h, i), "h={h} i={i}");
+                assert_eq!(BitmaskTreeRegion::block_of(h, &root), Some(i));
+                // Every path to depth 20 is some level's subtree root; read it
+                // at every split depth up to 4 and at its own.
+                for split in (0..=h.min(4)).chain([h]) {
+                    assert_eq!(
+                        BitmaskTreeRegion::block_of(split, &root),
+                        block_of_by_loop(split, &root),
+                        "split={split} {root:?}"
+                    );
+                }
+                assert_eq!(BitmaskTreeRegion::block_of(h + 1, &root), None);
+            }
+        }
     }
 
     #[test]

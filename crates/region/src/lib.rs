@@ -44,5 +44,5 @@ pub use point::{BoxPoints, GridBox, Point};
 pub use region::{check_laws, Region};
 pub use scalar::{ScalarFragment, UnitRegion};
 pub use tree::TreeRegion;
-pub use tree_fragment::{PathRegion, TreeFragment};
+pub use tree_fragment::{PathRegion, Subtree, TreeFragment};
 pub use treepath::TreePath;

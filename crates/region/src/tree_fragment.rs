@@ -6,13 +6,17 @@
 //! implement [`PathRegion`]. The TPC evaluation code distributes its
 //! kd-tree with the blocked scheme.
 //!
-//! A traversal reads one node per visit, so a lookup is one prefix test and
-//! one index while consecutive visits stay in a block. What is observable
-//! does not depend on the blocks: serialized fragment bytes are billed on
-//! the virtual clock, and the wire form is the map of nodes in path order.
+//! A traversal reads one node per visit. [`TreeFragment::subtree`] resolves
+//! the block of a traversal's root once, after which a visit inside that
+//! block is one index; any other lookup probes at most `H` ancestors in an
+//! index of block roots. What is observable does not depend on the blocks:
+//! serialized fragment bytes are billed on the virtual clock, and the wire
+//! form is the map of nodes in path order.
 
 use std::cell::Cell;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use allscale_des::wire::{wire_struct, Reader, Sink, Wire, WireError};
 
@@ -42,9 +46,9 @@ impl PathRegion for BitmaskTreeRegion {
 }
 
 /// Most levels a block holds below its root (the `H` of DESIGN.md §5.3),
-/// which bounds what a sparse block can waste (see [`TreeFragment`]). A
-/// constant, not a knob: nothing observable depends on it, and 12 holds the
-/// deepest block any configuration in the tree distributes (10 levels).
+/// which bounds what a sparse block can waste (see [`TreeFragment`]) and
+/// how many ancestors a lookup probes. A constant, not a knob: nothing
+/// observable depends on it.
 const SPAN: u8 = 12;
 
 /// A subtree of `levels` ≤ [`SPAN`] levels below `root`. `slots` is its
@@ -119,18 +123,70 @@ impl<T> Block<T> {
     }
 }
 
+/// Hashes the [`TreePath`] keys of a fragment's index with two
+/// multiply-xor rounds: SipHash would cost as much as the probe it serves,
+/// and paths are not adversarial input.
+#[derive(Default)]
+struct PathHasher(u64);
+
+impl Hasher for PathHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(n as u64);
+    }
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(29) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The table indexes by the low bits; fold the well-mixed high ones in.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+type PathMap<V> = HashMap<TreePath, V, BuildHasherDefault<PathHasher>>;
+
+#[cfg(test)]
+thread_local! {
+    /// Index probes made by this thread, for the complexity guard.
+    static PROBES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// One probe of a fragment's index.
+#[inline]
+fn probe<V: Copy>(map: &PathMap<V>, path: &TreePath) -> Option<V> {
+    #[cfg(test)]
+    PROBES.with(|n| n.set(n.get() + 1));
+    map.get(path).copied()
+}
+
 /// The node storage of a [`TreeFragment`].
 ///
 /// **One home per path**: no block's root lies among the paths another
-/// block claims, so the claims are disjoint and whichever block claims a
-/// path is the one a scan would find. A block grows a level only where
-/// that stays true; otherwise the path opens a block of its own. Which
-/// blocks exist therefore follows the order nodes arrived in — a subtree
-/// filled from its root down is one block — and shows in nothing but
-/// lookup cost.
+/// block claims. So the claims are disjoint, and the only block that can
+/// claim a path is rooted at the path's nearest ancestor (itself included)
+/// that roots any block — an ancestor fewer than [`SPAN`] levels up, found
+/// by at most `SPAN` probes of `roots`. A block grows a level only where
+/// that stays true, which its root's fence answers in one probe; otherwise
+/// the path opens a block of its own. Which blocks exist therefore follows
+/// the order nodes arrived in — a subtree filled from its root down is one
+/// block — and shows in nothing but lookup cost.
 #[derive(Clone)]
 struct Nodes<T> {
     blocks: Vec<Block<T>>,
+    /// Each block's index in `blocks`, by its root.
+    roots: PathMap<u32>,
+    /// A path's **fence**: the fewest levels below it (at least one) at
+    /// which a block's root lies, for every path where that is fewer than
+    /// [`SPAN`]. A block may grow while its claim stays above its root's
+    /// fence.
+    fences: PathMap<u8>,
     /// Index of the block that served the latest lookup: a hint
     /// [`Nodes::locate`] validates before use, so edits to `blocks` need
     /// not maintain it. Not part of the wire form.
@@ -141,6 +197,8 @@ impl<T> Nodes<T> {
     fn new() -> Self {
         Nodes {
             blocks: Vec::new(),
+            roots: PathMap::default(),
+            fences: PathMap::default(),
             finger: Cell::new(0),
         }
     }
@@ -151,15 +209,27 @@ impl<T> Nodes<T> {
         let hint = self.finger.get();
         match self.blocks.get(hint).and_then(|b| b.slot_of(path)) {
             Some(slot) => Some((hint, slot)),
-            None => self.locate_by_scan(path),
+            None => self.locate_indexed(path),
         }
     }
 
+    /// [`Nodes::locate`] past a finger miss: the block rooted at the
+    /// nearest root above `path`, if its claim reaches `path`.
     #[inline(never)]
-    fn locate_by_scan(&self, path: &TreePath) -> Option<(usize, usize)> {
-        let hit = (0..self.blocks.len()).find_map(|b| Some((b, self.blocks[b].slot_of(path)?)))?;
-        self.finger.set(hit.0);
-        Some(hit)
+    fn locate_indexed(&self, path: &TreePath) -> Option<(usize, usize)> {
+        let (block, _) = self.nearest_root(path, 0)?;
+        let slot = self.blocks[block].slot_of(path)?;
+        self.finger.set(block);
+        Some((block, slot))
+    }
+
+    /// The block rooted at the nearest ancestor of `path` that roots one,
+    /// `from` to `SPAN − 1` levels up, and how many levels up it is.
+    fn nearest_root(&self, path: &TreePath, from: u8) -> Option<(usize, u8)> {
+        (from..SPAN.min(path.depth() + 1)).find_map(|up| {
+            let block = probe(&self.roots, &path.ancestor(path.depth() - up))?;
+            Some((block as usize, up))
+        })
     }
 
     #[inline]
@@ -177,26 +247,45 @@ impl<T> Nodes<T> {
                     slots: vec![0],
                     nodes: Vec::new(),
                 });
+                self.index(self.blocks.len() - 1);
                 (self.blocks.len() - 1, 0)
             }
         };
         self.blocks[block].store(slot, value);
     }
 
-    /// Give `path`, which no block claims, a home in a block above it: one
-    /// within [`SPAN`] whose claim can reach down to `path`'s level without
-    /// taking in another block's root.
+    /// Give `path`, which no block claims, a home in a block above it: the
+    /// one rooted at the nearest root above it, if that block's claim can
+    /// reach down to `path`'s level without taking in another block's root.
+    /// Of the roots above, only the nearest can: it is a root under the
+    /// others.
     fn grow_to(&mut self, path: &TreePath) -> Option<(usize, usize)> {
-        let (block, levels, steps) = self.blocks.iter().enumerate().find_map(|(b, block)| {
-            let (levels, steps) = path.below(&block.root)?;
-            let roots = || self.blocks.iter().filter_map(|other| other.root.below(&block.root));
-            // `down == 0` is the block's own root. Of nested candidates
-            // only the deepest can pass: it is a root under the others.
-            let free = levels < SPAN && roots().all(|(down, _)| down == 0 || down > levels);
-            free.then_some((b, levels, steps))
-        })?;
+        let (block, levels) = self.nearest_root(path, 1)?;
+        let root = self.blocks[block].root;
+        if probe(&self.fences, &root).is_some_and(|fence| fence <= levels) {
+            return None;
+        }
+        let (_, steps) = path.below(&root)?;
         self.blocks[block].slots.resize((2 << levels) - 1, 0);
         Some((block, slot_at(levels, steps)))
+    }
+
+    /// Enter block `b` in the index: its root, and that root as a fence of
+    /// each ancestor fewer than [`SPAN`] levels up. Where an ancestor's
+    /// fence is already as near, so is every fence above it.
+    fn index(&mut self, b: usize) {
+        let root = self.blocks[b].root;
+        self.roots.insert(root, b as u32);
+        for up in 1..SPAN.min(root.depth() + 1) {
+            let fence = self
+                .fences
+                .entry(root.ancestor(root.depth() - up))
+                .or_insert(SPAN);
+            if *fence <= up {
+                break;
+            }
+            *fence = up;
+        }
     }
 
     fn len(&self) -> usize {
@@ -219,7 +308,15 @@ impl<T> Nodes<T> {
         for block in &mut self.blocks {
             block.retain(&mut keep);
         }
+        let before = self.blocks.len();
         self.blocks.retain(|b| !b.nodes.is_empty());
+        if self.blocks.len() < before {
+            self.roots.clear();
+            self.fences.clear();
+            for b in 0..self.blocks.len() {
+                self.index(b);
+            }
+        }
     }
 }
 
@@ -256,7 +353,9 @@ impl<T: Wire> Wire for Nodes<T> {
 /// levels under its block's root — keeps `2^H − 1` = 4 095 slots (16 KiB)
 /// for one value. Lookups that stay in one block (a depth-first traversal
 /// does) cost one prefix test and one index; a lookup that changes block
-/// tests every block once.
+/// probes at most `H` ancestors in an index of block roots. A traversal
+/// reads through [`TreeFragment::subtree`], which finds its root's block
+/// once.
 #[derive(Clone)]
 pub struct TreeFragment<T, R: PathRegion> {
     region: R,
@@ -283,6 +382,34 @@ where
         self.nodes.get(path)
     }
 
+    /// A read view of the subtree below `root`, for a traversal: the block
+    /// claiming `root` is found here, once, and every node of that block's
+    /// claim is then read by one index.
+    pub fn subtree(&self, root: TreePath) -> Subtree<'_, T> {
+        let mut view = Subtree {
+            nodes: &self.nodes,
+            root,
+            slots: &[],
+            values: &[],
+            reach: 0,
+            down: 0,
+            base: 0,
+        };
+        if let Some((b, _)) = self.nodes.locate(&root) {
+            let block = &self.nodes.blocks[b];
+            let (down, base) = root
+                .below(&block.root)
+                .expect("a block claims only its descendants");
+            let claimed = (block.slots.len() + 1).ilog2() as u8;
+            view.slots = &block.slots;
+            view.values = &block.nodes;
+            view.reach = claimed - down;
+            view.down = down;
+            view.base = base;
+        }
+        view
+    }
+
     /// Store a value at `path`. Returns `false` (and drops the value) when
     /// `path` is outside the fragment's region.
     pub fn set(&mut self, path: TreePath, value: T) -> bool {
@@ -306,6 +433,43 @@ where
     /// Iterate over `(path, value)` pairs in path order.
     pub fn iter(&self) -> impl Iterator<Item = (TreePath, &T)> {
         self.nodes.sorted().into_iter()
+    }
+}
+
+/// The nodes below one path of a [`TreeFragment`], addressed relative to
+/// it (see [`TreeFragment::subtree`]).
+pub struct Subtree<'a, T> {
+    nodes: &'a Nodes<T>,
+    root: TreePath,
+    /// The slots and values of the block claiming `root` (empty if none).
+    slots: &'a [u32],
+    values: &'a [(u32, T)],
+    /// How many levels from `root` down that block claims (0 if none).
+    reach: u8,
+    /// Where `root` sits below that block's root: levels and steps.
+    down: u8,
+    base: u64,
+}
+
+impl<'a, T> Subtree<'a, T> {
+    /// The node `levels` below the view's root along `steps` — the node
+    /// [`TreePath::descend`]`(levels, steps)` names — if present. Inside the
+    /// claim of the root's block this is one index; below it, the
+    /// fragment's own lookup.
+    #[inline]
+    pub fn get(&self, levels: u8, steps: u64) -> Option<&'a T> {
+        if levels >= self.reach {
+            return self.get_below(levels, steps);
+        }
+        let steps = steps & ((1 << levels) - 1);
+        let slot = slot_at(self.down + levels, self.base | steps << self.down);
+        let at = self.slots[slot].checked_sub(1)?;
+        Some(&self.values[at as usize].1)
+    }
+
+    #[inline(never)]
+    fn get_below(&self, levels: u8, steps: u64) -> Option<&'a T> {
+        self.nodes.get(&self.root.descend(levels, steps))
     }
 }
 
@@ -523,6 +687,114 @@ mod tests {
         assert_eq!(f.get(&deep), None);
         assert_eq!(f.get(&p(&[true])), Some(&20));
         assert_eq!(g.get(&deep), Some(&7));
+    }
+
+    /// The paths of the `levels`-level subtree under `base`, depth first
+    /// from its root.
+    fn top_down(base: TreePath, levels: u8) -> Vec<TreePath> {
+        let mut out = Vec::new();
+        let mut stack = vec![base];
+        while let Some(path) = stack.pop() {
+            out.push(path);
+            if path.depth() + 1 < base.depth() + levels {
+                stack.push(path.right());
+                stack.push(path.left());
+            }
+        }
+        out
+    }
+
+    fn probes_of<R>(f: impl FnOnce() -> R) -> (u64, R) {
+        let before = PROBES.with(Cell::get);
+        let out = f();
+        (PROBES.with(Cell::get) - before, out)
+    }
+
+    /// Store `value` at `path`, returning the index probes of the lookup
+    /// that misses and of the growth that follows it.
+    fn set_counting(
+        f: &mut TreeFragment<u32, TreeRegion>,
+        path: TreePath,
+        value: u32,
+    ) -> (u64, u64) {
+        f.nodes.finger.set(usize::MAX);
+        let (located, home) = probes_of(|| f.nodes.locate(&path));
+        let grown = match home {
+            Some(_) => 0,
+            None => probes_of(|| f.nodes.grow_to(&path)).0,
+        };
+        f.set(path, value);
+        (located, grown)
+    }
+
+    #[test]
+    fn lookups_and_growth_probe_at_most_span_ancestors() {
+        // TPC's deepest rung: a 14-level subtree below depth 7, filled from
+        // its root down, is one 12-level block over 4 096 two-level ones;
+        // then the 7 levels above it arrive, then a few chains below it.
+        let mut f = whole();
+        let base = TreePath::from_bfs_index(200);
+        assert_eq!(base.depth(), 7);
+        let mut paths = top_down(base, 14);
+        let leaves: Vec<TreePath> = paths.iter().copied().filter(|p| p.depth() == 20).collect();
+        paths.extend(top_down(TreePath::ROOT, 7));
+        for (n, leaf) in [leaves[0], leaves[1], leaves[4_000], leaves[8_191]]
+            .into_iter()
+            .enumerate()
+        {
+            // Bottom-up and top-down chains, 30 levels long.
+            let mut chain: Vec<TreePath> = (0..30)
+                .scan(leaf, |p, _| {
+                    *p = p.left();
+                    Some(*p)
+                })
+                .collect();
+            if n % 2 == 0 {
+                chain.reverse();
+            }
+            paths.extend(chain);
+        }
+        let (mut most_located, mut most_grown) = (0, 0);
+        for (i, path) in paths.iter().enumerate() {
+            let (located, grown) = set_counting(&mut f, *path, i as u32);
+            most_located = most_located.max(located);
+            most_grown = most_grown.max(grown);
+        }
+        assert!(f.nodes.blocks.len() > 4_096, "{} blocks", f.nodes.blocks.len());
+        assert!(most_located <= SPAN as u64, "{most_located} probes for a lookup");
+        assert!(most_grown <= SPAN as u64, "{most_grown} probes for a growth");
+        for (i, path) in paths.iter().enumerate() {
+            f.nodes.finger.set(usize::MAX);
+            let (n, got) = probes_of(|| f.get(path));
+            assert_eq!(got, Some(&(i as u32)), "{path:?}");
+            assert!(n <= SPAN as u64, "{n} probes for {path:?}");
+            // Present or not, two levels down.
+            let (n, _) = probes_of(|| f.get(&path.right().right()));
+            assert!(n <= SPAN as u64, "{n} probes below {path:?}");
+        }
+    }
+
+    #[test]
+    fn a_view_reads_what_get_reads() {
+        let mut f = whole();
+        let base = p(&[true, false, true]);
+        // The root block first: it grows over `base`'s top levels, and the
+        // rest of `base`'s subtree opens blocks below its claim.
+        let below = top_down(base, 14);
+        let paths = top_down(TreePath::ROOT, 3).into_iter().chain(below.clone());
+        for (i, path) in paths.enumerate() {
+            f.set(path, i as u32);
+        }
+        assert_eq!(f.nodes.blocks.len(), 1 + 512);
+        for root in [TreePath::ROOT, base, base.left(), below[20], below[16_382]] {
+            let view = f.subtree(root);
+            for levels in 0..16u8 {
+                for steps in [0, 1, 0x2a5, u64::MAX >> 1] {
+                    let path = root.descend(levels, steps);
+                    assert_eq!(view.get(levels, steps), f.get(&path), "{path:?}");
+                }
+            }
+        }
     }
 
     #[test]

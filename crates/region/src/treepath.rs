@@ -90,17 +90,19 @@ impl TreePath {
         })
     }
 
+    /// The ancestor of this node (or the node itself) at `depth` ≤ its own.
+    #[inline]
+    pub(crate) fn ancestor(&self, depth: u8) -> TreePath {
+        debug_assert!(depth <= self.len);
+        TreePath {
+            bits: self.bits & low_mask(depth),
+            len: depth,
+        }
+    }
+
     /// Whether `self` is an ancestor of (or equal to) `other`.
     pub fn is_prefix_of(&self, other: &TreePath) -> bool {
-        if self.len > other.len {
-            return false;
-        }
-        let mask = if self.len == 0 {
-            0
-        } else {
-            u64::MAX >> (64 - self.len)
-        };
-        (self.bits & mask) == (other.bits & mask)
+        self.len <= other.len && (self.bits ^ other.bits) & low_mask(self.len) == 0
     }
 
     /// Where this node sits in the subtree rooted at `root`: how many
@@ -116,37 +118,62 @@ impl TreePath {
         Some((self.len - root.len, steps))
     }
 
-    /// Inverse of [`TreePath::below`]: the node `levels` down from this one
-    /// along `steps`.
+    /// The node `levels` down from this one along `steps`, where bit `i` of
+    /// `steps` is the step out of the node `i` levels down (`1` = right;
+    /// bits from `levels` up are ignored). Inverse of `below`, and the
+    /// `(levels, steps)` encoding [`crate::TreeFragment::subtree`] reads by.
     #[inline]
-    pub(crate) fn descend(&self, levels: u8, steps: u64) -> TreePath {
+    pub fn descend(&self, levels: u8, steps: u64) -> TreePath {
         debug_assert!(self.len + levels <= 64);
+        let steps = steps & low_mask(levels);
         TreePath {
             bits: self.bits | steps.checked_shl(self.len as u32).unwrap_or(0),
             len: self.len + levels,
         }
     }
 
+    /// The node `index`-th from the left at `depth` (`index < 2^depth`).
+    #[inline]
+    pub(crate) fn at_level(depth: u8, index: u64) -> TreePath {
+        debug_assert!(depth <= 64);
+        TreePath {
+            bits: reverse_low(index, depth),
+            len: depth,
+        }
+    }
+
+    /// This node's position from the left within its level: its steps
+    /// read root first as a binary number.
+    #[inline]
+    pub(crate) fn level_index(&self) -> u64 {
+        reverse_low(self.bits, self.len)
+    }
+
     /// The index of this node in breadth-first order (root = 0, its
     /// children 1 and 2, …) — the classic heap layout.
+    #[inline]
     pub fn bfs_index(&self) -> u64 {
-        let mut idx: u64 = 0;
-        for i in 0..self.len {
-            idx = 2 * idx + 1 + (self.step(i) as u64);
-        }
-        idx
+        low_mask(self.len).wrapping_add(self.level_index())
     }
 
     /// Inverse of [`TreePath::bfs_index`].
-    pub fn from_bfs_index(mut idx: u64) -> TreePath {
-        let mut steps = Vec::new();
-        while idx > 0 {
-            steps.push(idx.is_multiple_of(2)); // right children have even indices
-            idx = (idx - 1) / 2;
-        }
-        steps.reverse();
-        TreePath::from_steps(&steps)
+    pub fn from_bfs_index(idx: u64) -> TreePath {
+        let heap = idx as u128 + 1;
+        let depth = heap.ilog2();
+        TreePath::at_level(depth as u8, (heap - (1 << depth)) as u64)
     }
+}
+
+/// The low `n` bits set (`n ≤ 64`): `2^n − 1`.
+#[inline]
+fn low_mask(n: u8) -> u64 {
+    u64::MAX.checked_shr(64 - n as u32).unwrap_or(0)
+}
+
+/// The low `n` bits of `x` in reverse order (`n ≤ 64`).
+#[inline]
+fn reverse_low(x: u64, n: u8) -> u64 {
+    x.reverse_bits().checked_shr(64 - n as u32).unwrap_or(0)
 }
 
 impl fmt::Debug for TreePath {
@@ -221,6 +248,47 @@ mod tests {
         assert_eq!(TreePath::ROOT.left().bfs_index(), 1);
         assert_eq!(TreePath::ROOT.right().bfs_index(), 2);
         assert_eq!(TreePath::ROOT.left().right().bfs_index(), 4);
+    }
+
+    /// `bfs_index` as it was when it looped once per level, kept verbatim
+    /// as the reference for the arithmetic version.
+    fn bfs_index_by_loop(path: &TreePath) -> u64 {
+        let mut idx: u64 = 0;
+        for i in 0..path.len {
+            idx = 2 * idx + 1 + (path.step(i) as u64);
+        }
+        idx
+    }
+
+    /// `from_bfs_index` as it was when it collected its steps, kept
+    /// verbatim as the reference.
+    fn from_bfs_index_by_loop(mut idx: u64) -> TreePath {
+        let mut steps = Vec::new();
+        while idx > 0 {
+            steps.push(idx.is_multiple_of(2)); // right children have even indices
+            idx = (idx - 1) / 2;
+        }
+        steps.reverse();
+        TreePath::from_steps(&steps)
+    }
+
+    #[test]
+    fn arithmetic_naming_equals_the_loops_on_every_path_to_depth_20() {
+        for idx in 0..(1u64 << 21) - 1 {
+            let path = TreePath::from_bfs_index(idx);
+            assert_eq!(path, from_bfs_index_by_loop(idx), "from_bfs_index({idx})");
+            assert_eq!(path.bfs_index(), idx, "{path:?}");
+            assert_eq!(bfs_index_by_loop(&path), idx, "{path:?}");
+            assert_eq!(TreePath::at_level(path.depth(), path.level_index()), path);
+        }
+        // The ends of the range the loops share with the arithmetic.
+        let deepest_left = TreePath::from_steps(&[false; 64]);
+        assert_eq!(TreePath::from_bfs_index(u64::MAX), deepest_left);
+        assert_eq!(from_bfs_index_by_loop(u64::MAX), deepest_left);
+        assert_eq!(deepest_left.bfs_index(), u64::MAX);
+        let deep = TreePath::from_steps(&[true; 63]);
+        assert_eq!(deep.bfs_index(), bfs_index_by_loop(&deep));
+        assert_eq!(TreePath::from_bfs_index(deep.bfs_index()), deep);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Allocation budgets of the data planes, as counts: grid region algebra
 //! between a fragmented region and a box that touches none of it allocates
 //! the result and nothing per box pair; a tree fragment allocates per level
-//! of a block, never per node or per lookup; bucket algebra with the
+//! of a block, never per node, per lookup or per subtree view; bucket
+//! algebra with the
 //! canonical empty region allocates its result. A timing would say the same
 //! things with noise; `malloc` calls repeat exactly.
 
@@ -120,6 +121,43 @@ fn tree_fragment_allocates_per_level_and_never_on_lookup() {
     let (n, sum) = allocations_of(|| paths.iter().map(|p| frag.get(p).unwrap()).sum::<u64>());
     assert_eq!(sum, 1022 * 1023 / 2);
     assert_eq!(n, 0, "get allocates nothing");
+}
+
+#[test]
+fn a_subtree_view_allocates_nothing_even_past_its_block() {
+    // A root block filled first grows over the top five levels of the
+    // ten-level subtree below depth 7; the subtree's last five levels are
+    // blocks of their own, which the view reaches through its fallback.
+    let base = TreePath::from_steps(&[true; 7]);
+    let mut frag = TreeFragment::<u64, TreeRegion>::new(TreeRegion::subtree(TreePath::ROOT));
+    let mut stack = vec![TreePath::ROOT];
+    while let Some(path) = stack.pop() {
+        frag.set(path, 0);
+        if path.depth() < 6 {
+            stack.push(path.left());
+            stack.push(path.right());
+        }
+    }
+    for (i, path) in subtree_top_down(base).iter().enumerate() {
+        frag.set(*path, i as u64);
+    }
+    let mut stack: Vec<(u8, u64)> = Vec::with_capacity(20);
+    let (n, (sum, visits)) = allocations_of(|| {
+        let view = frag.subtree(base);
+        let (mut sum, mut visits) = (0, 0);
+        stack.push((0, 0));
+        while let Some((levels, steps)) = stack.pop() {
+            sum += view.get(levels, steps).unwrap();
+            visits += 1;
+            if levels < 9 {
+                stack.push((levels + 1, steps));
+                stack.push((levels + 1, steps | 1 << levels));
+            }
+        }
+        (sum, visits)
+    });
+    assert_eq!((sum, visits), (1022 * 1023 / 2, 1023));
+    assert_eq!(n, 0, "the view and its walk allocate nothing");
 }
 
 #[test]

@@ -259,6 +259,8 @@ struct Pair<R: Scheme> {
     old: pre_change::TreeFragment<u32, R>,
     touched: Vec<TreePath>,
     stamp: u32,
+    /// Picks the ancestors `check` reads each touched path below.
+    seed: u64,
 }
 
 impl<R: Scheme> Pair<R> {
@@ -268,6 +270,7 @@ impl<R: Scheme> Pair<R> {
             old: pre_change::TreeFragment::new(region),
             touched: Vec::new(),
             stamp: 0,
+            seed: 0,
         }
     }
 
@@ -304,6 +307,7 @@ impl<R: Scheme> Pair<R> {
                     old: self.old.extract(&part),
                     touched: self.touched.clone(),
                     stamp: self.stamp,
+                    seed: self.seed,
                 };
                 cut.check();
                 if keep {
@@ -313,6 +317,7 @@ impl<R: Scheme> Pair<R> {
             Op::Insert { sel, base, levels } => {
                 let mut other = Pair::over(R::part(sel));
                 other.stamp = self.stamp;
+                other.seed = self.seed;
                 other.set_all(subtree_paths(base, levels));
                 other.check();
                 self.new.insert(&other.new);
@@ -340,8 +345,19 @@ impl<R: Scheme> Pair<R> {
         assert_eq!(self.new.len(), self.old.len());
         assert_eq!(self.new.is_empty(), self.old.is_empty());
         assert_eq!(self.new.approx_bytes(), self.old.approx_bytes());
-        for p in &self.touched {
-            assert_eq!(self.new.get(p), self.old.get(p), "get {p:?}");
+        for (i, p) in self.touched.iter().enumerate() {
+            let want = self.old.get(p);
+            assert_eq!(self.new.get(p), want, "get {p:?}");
+            // Again through the view rooted at some ancestor.
+            let pick = splitmix(self.seed ^ (self.stamp as u64) << 32 ^ i as u64);
+            let up = pick % (p.depth() as u64 + 1);
+            let mut root = *p;
+            for _ in 0..up {
+                root = root.parent().unwrap();
+            }
+            let steps = (0..up as u8).fold(0, |s, i| s | (p.step(root.depth() + i) as u64) << i);
+            assert_eq!(root.descend(up as u8, steps), *p);
+            assert_eq!(self.new.subtree(root).get(up as u8, steps), want, "{p:?} below {root:?}");
         }
         let new: Vec<(TreePath, u32)> = self.new.iter().map(|(p, v)| (p, *v)).collect();
         let old: Vec<(TreePath, u32)> = self.old.iter().map(|(p, v)| (*p, *v)).collect();
@@ -354,8 +370,16 @@ impl<R: Scheme> Pair<R> {
     }
 }
 
-fn run_program<R: Scheme>(ops: &[Op]) {
+fn splitmix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+fn run_program<R: Scheme>(ops: &[Op], seed: u64) {
     let mut pair = Pair::<R>::over(R::whole());
+    pair.seed = seed;
     for op in ops {
         pair.apply(op);
         pair.check();
@@ -366,13 +390,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     #[test]
-    fn flexible_scheme_matches_the_map(ops in prop::collection::vec(arb_op(), 1..12)) {
-        run_program::<TreeRegion>(&ops);
+    fn flexible_scheme_matches_the_map(
+        ops in prop::collection::vec(arb_op(), 1..12),
+        seed in any::<u64>(),
+    ) {
+        run_program::<TreeRegion>(&ops, seed);
     }
 
     #[test]
-    fn blocked_scheme_matches_the_map(ops in prop::collection::vec(arb_op(), 1..12)) {
-        run_program::<BitmaskTreeRegion>(&ops);
+    fn blocked_scheme_matches_the_map(
+        ops in prop::collection::vec(arb_op(), 1..12),
+        seed in any::<u64>(),
+    ) {
+        run_program::<BitmaskTreeRegion>(&ops, seed);
     }
 }
 
@@ -441,4 +471,28 @@ fn root_block_first_then_subtree_block() {
     get_and_reset_everything(&mut pair);
     pair.set_all(ordered(subtree_block(6), Order::BottomUp));
     get_and_reset_everything(&mut pair);
+}
+
+/// TPC's deepest rung (`levels: 21`): subtrees of 14 levels, deeper than a
+/// block spans, so a subtree filled from its root down is one block over
+/// thousands, and a root block that arrives first grows over the top of
+/// each subtree. `check` reads every node through views rooted above,
+/// inside and below those blocks.
+#[test]
+fn deepest_tpc_rung_in_both_orders() {
+    let deep_subtree = |i| subtree_paths(tpc_region().subtree_root(i), 21 - H);
+    for root_block_first in [false, true] {
+        let mut pair = Pair::over(tpc_region());
+        pair.seed = 21;
+        if root_block_first {
+            pair.set_all(root_block());
+        }
+        pair.set_all(deep_subtree(9));
+        if !root_block_first {
+            pair.set_all(root_block());
+        }
+        get_and_reset_everything(&mut pair);
+        pair.set_all(deep_subtree(10));
+        get_and_reset_everything(&mut pair);
+    }
 }

@@ -183,6 +183,24 @@ fn tpc_large_tree_validates() {
     assert_eq!(a.total_count, m.total_count);
 }
 
+/// TPC's top problem-size rung (2^21 points, `work_scale` 1): its 14-level
+/// subtrees are deeper than a tree-fragment block spans, so every locality
+/// holds thousands of blocks. Pins the answer and the virtual throughput;
+/// `time` the command to see the host cost.
+#[test]
+#[ignore = "slow: a 2^21-point kd-tree on 64 nodes"]
+fn tpc_deepest_rung_keeps_its_answer() {
+    let cfg = tpc::TpcConfig {
+        levels: 21,
+        work_scale: 1.0,
+        queries_per_node: 64,
+        ..tpc::TpcConfig::paper_scaled(64)
+    };
+    let r = tpc::allscale_version::run_with(&cfg, RtConfig::meggie(64));
+    assert_eq!(r.total_count, 351_849);
+    assert_eq!(r.queries_per_sec, 784_209.963_027_640_1);
+}
+
 /// Longer stencil with validation at a larger grid.
 #[test]
 #[ignore = "slow: large oracle computation"]
