@@ -20,7 +20,10 @@
 //! - **runtime** — remaining gaps (queueing, scheduling overhead).
 //!
 //! The walk is defensive: a trace truncated by ring overflow yields a
-//! partial chain rather than a panic.
+//! partial chain rather than a panic. It sorts the root end times and
+//! each locality's index-event times once, so linking a root to the one
+//! before it and classifying a gap are binary searches, and the whole
+//! analysis is O(n log n) in the trace's events.
 
 use std::collections::BTreeMap;
 use std::fmt::Write;
@@ -165,6 +168,9 @@ struct TaskRec {
     exec: Option<(u64, u64, u32)>,
     end: Option<(u64, u32)>,
     park: Option<u64>,
+    /// Changed hands via work stealing: its latest forward hop is the
+    /// victim→thief handoff and is labeled as such.
+    stolen: bool,
     children: Vec<u64>,
     /// (start, dur, purpose, src, dst, bytes) of transfers tagged with
     /// this task.
@@ -175,7 +181,8 @@ struct TaskRec {
 struct Walker<'a> {
     cursor: u64,
     segments: Vec<PathSegment>,
-    index_events: &'a [(u64, u32)],
+    /// Each locality's index-event times, sorted.
+    index_ts: &'a BTreeMap<u32, Vec<u64>>,
 }
 
 impl Walker<'_> {
@@ -200,10 +207,10 @@ impl Walker<'_> {
             return;
         }
         let (start, end) = (to, self.cursor);
-        let indexed = self
-            .index_events
-            .iter()
-            .any(|&(ts, l)| l == loc && ts > start && ts <= end);
+        let indexed = self.index_ts.get(&loc).is_some_and(|ts| {
+            let after = ts.partition_point(|&t| t <= start);
+            ts.get(after).is_some_and(|&t| t <= end)
+        });
         self.segments.push(PathSegment {
             start_ns: start,
             end_ns: end,
@@ -227,12 +234,9 @@ impl Walker<'_> {
 /// taskless trace yields an empty report.
 pub fn critical_path(trace: &Trace) -> CriticalPathReport {
     let mut tasks: BTreeMap<u64, TaskRec> = BTreeMap::new();
-    let mut index_events: Vec<(u64, u32)> = Vec::new();
+    let mut index_ts: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
     let mut phase_begins: Vec<(u32, u64)> = Vec::new();
     let mut recoveries: Vec<u64> = Vec::new();
-    // Tasks that changed hands via work stealing: their latest forward
-    // hop is the victim→thief handoff and is labeled as such.
-    let mut stolen: Vec<u64> = Vec::new();
 
     for ev in &trace.events {
         match ev.kind {
@@ -253,10 +257,7 @@ pub fn critical_path(trace: &Trace) -> CriticalPathReport {
                 let rec = tasks.entry(task).or_default();
                 rec.end = Some((ev.ts_ns, ev.loc));
                 if let Some(p) = parent {
-                    let prec = tasks.entry(p).or_default();
-                    if !prec.children.contains(&task) {
-                        prec.children.push(task);
-                    }
+                    tasks.entry(p).or_default().children.push(task);
                 }
             }
             EventKind::TaskParked { task } => {
@@ -280,14 +281,33 @@ pub fn critical_path(trace: &Trace) -> CriticalPathReport {
                     .push((ev.ts_ns, ev.dur_ns, purpose, src, dst, bytes));
             }
             EventKind::IndexLookup { .. } | EventKind::IndexUpdate { .. } => {
-                index_events.push((ev.ts_ns, ev.loc));
+                index_ts.entry(ev.loc).or_default().push(ev.ts_ns);
             }
             EventKind::PhaseBegin { phase } => phase_begins.push((phase, ev.ts_ns)),
             EventKind::Recovery { .. } => recoveries.push(ev.ts_ns),
-            EventKind::StealGrant { task, .. } => stolen.push(task),
+            EventKind::StealGrant { task, .. } => tasks.entry(task).or_default().stolen = true,
             _ => {}
         }
     }
+
+    // A child is named by its spawn and again by its end; the gating
+    // child is a maximum, so the order of a parent's children is free.
+    for rec in tasks.values_mut() {
+        rec.children.sort_unstable();
+        rec.children.dedup();
+    }
+    index_ts.values_mut().for_each(|ts| ts.sort_unstable());
+    // Completed roots by end time: a root's spawn chains to the latest
+    // other root ending at or before it.
+    let mut roots: Vec<(u64, u64)> = tasks
+        .iter()
+        .filter_map(|(id, r)| {
+            let (end, _) = r.end?;
+            let parent = r.spawn.and_then(|(_, _, parent)| parent);
+            parent.is_none().then_some((end, *id))
+        })
+        .collect();
+    roots.sort_unstable();
 
     // The chain's anchor: the task end that explains the finish time.
     let last = tasks
@@ -305,7 +325,7 @@ pub fn critical_path(trace: &Trace) -> CriticalPathReport {
     let mut walker = Walker {
         cursor: total_ns,
         segments: Vec::new(),
-        index_events: &index_events,
+        index_ts: &index_ts,
     };
 
     // Walk phase by phase (each phase root's completion explains the next
@@ -412,7 +432,7 @@ pub fn critical_path(trace: &Trace) -> CriticalPathReport {
             .filter(|x| x.2 == TransferPurpose::TaskForward)
             .max_by_key(|x| x.0 + x.1)
         {
-            let verb = if stolen.contains(&leaf) { "steal" } else { "forward" };
+            let verb = if leaf_rec.stolen { "steal" } else { "forward" };
             walker.push(PathSegment {
                 start_ns: ts,
                 end_ns: ts + dur,
@@ -454,21 +474,11 @@ pub fn critical_path(trace: &Trace) -> CriticalPathReport {
         // ---- chain into the previous phase: the root's spawn was caused
         // by the completion of the latest root task ending at or before it.
         let root = descent[0];
-        let root_spawn = tasks[&root].spawn.map(|(ts, _, _)| ts);
-        let prev = tasks
-            .iter()
-            .filter_map(|(id, r)| {
-                let (end, _) = r.end?;
-                let (_, _, parent) = r.spawn.or(Some((0, 0, None)))?;
-                if parent.is_none() && *id != root && end <= root_spawn.unwrap_or(0) {
-                    Some((end, *id))
-                } else {
-                    None
-                }
-            })
-            .max();
+        let root_spawn = tasks[&root].spawn.map_or(0, |(ts, _, _)| ts);
+        let before = roots.partition_point(|&(end, _)| end <= root_spawn);
+        let prev = roots[..before].iter().rev().find(|&&(_, id)| id != root);
         match prev {
-            Some((_, prev_root)) if walker.cursor > 0 => current = prev_root,
+            Some(&(_, prev_root)) if walker.cursor > 0 => current = prev_root,
             _ => break,
         }
     }
@@ -590,6 +600,42 @@ mod tests {
             .iter()
             .any(|s| s.category == PathCategory::Transfer && s.label.starts_with("replicate")));
         assert_eq!(report.category_ns(PathCategory::RecoveryReplay), 0);
+    }
+
+    /// A serving-shaped run: one root per request, each forwarding one
+    /// leaf, every third leaf stolen. The chain links every root to the
+    /// one before it.
+    #[test]
+    fn chain_links_every_request_root() {
+        let sink = TraceSink::enabled(2, &TraceConfig::default());
+        for r in 0..50u64 {
+            let (t0, root, leaf) = (r * 1000, 2 * r, 2 * r + 1);
+            let spawn = |task, parent| EventKind::TaskSpawn { task, parent, variant: SpawnVariant::Process, target: 1 };
+            sink.record(|| TraceEvent::instant(t0, 0, spawn(root, None)));
+            sink.record(|| TraceEvent::instant(t0 + 10, 0, spawn(leaf, Some(root))));
+            if r % 3 == 0 {
+                sink.record(|| TraceEvent::instant(t0 + 10, 0, EventKind::StealGrant { victim: 0, thief: 1, task: leaf }));
+            }
+            sink.record(|| {
+                TraceEvent::span(t0 + 10, 90, 1, EventKind::Transfer {
+                    purpose: TransferPurpose::TaskForward, src: 0, dst: 1, bytes: 64, task: Some(leaf), item: None, batch: None,
+                })
+            });
+            sink.record(|| TraceEvent::span(t0 + 100, 500, 1, EventKind::TaskExec { task: leaf }).on_core(0));
+            sink.record(|| TraceEvent::instant(t0 + 600, 1, EventKind::TaskEnd { task: leaf, parent: Some(root) }));
+            sink.record(|| TraceEvent::instant(t0 + 700, 0, EventKind::TaskEnd { task: root, parent: None }));
+        }
+        let report = critical_path(&sink.take().unwrap());
+        assert_eq!(report.total_ns, 49_700);
+        assert_eq!(report.category_ns(PathCategory::Compute), 50 * 500);
+        for r in 0..50u64 {
+            let verb = if r % 3 == 0 { "steal" } else { "forward" };
+            let labels = [format!("exec task {}", 2 * r + 1), format!("{verb} 64 B 0→1")];
+            for label in labels {
+                let within = |s: &PathSegment| s.start_ns >= r * 1000 && s.end_ns <= r * 1000 + 600;
+                assert!(report.segments.iter().any(|s| s.label == label && within(s)), "{label}");
+            }
+        }
     }
 
     #[test]
