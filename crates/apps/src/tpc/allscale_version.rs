@@ -15,21 +15,15 @@ use std::sync::Arc;
 
 use allscale_core::{
     pfor, CostModel, Done, ItemId, PforSpec, Requirement, RtConfig, RtCtx, Runtime, SplitOutcome,
-    TaskCtx, TaskValue, WorkItem,
+    TaskCtx, TaskValue, TreeItem, WorkItem,
 };
 use allscale_des::{SimDuration, SimTime};
-use allscale_region::{BitmaskTreeRegion, GridBox, ItemType, Subtree, TreeFragment, TreePath};
+use allscale_region::{BitmaskTreeRegion, GridBox, Subtree, TreeFragment, TreePath};
 
-use super::{dist2, gen_points, oracle, query_point, KdNode, KdTree, TpcConfig, TpcResult, DIMS};
+use super::{dist2, gen_points, oracle, query_point, KdNode, KdTree, TpcConfig, TpcResult};
 
 /// The kd-tree data item type: blocked tree regions over [`KdNode`]s.
-pub struct TpcTreeItem;
-
-impl ItemType for TpcTreeItem {
-    type Region = BitmaskTreeRegion;
-    type Fragment = TreeFragment<KdNode, BitmaskTreeRegion>;
-    const BYTES_PER_ELEMENT: usize = 8 * DIMS + 8;
-}
+type KdTreeItem = TreeItem<KdNode, BitmaskTreeRegion>;
 
 type TreeFrag = TreeFragment<KdNode, BitmaskTreeRegion>;
 
@@ -288,7 +282,7 @@ pub fn run_with(cfg: &TpcConfig, rt_cfg: RtConfig) -> TpcResult {
                     // Distribute the prebuilt tree: one pfor index per
                     // block (0 = root block, 1+i = subtree i); first touch
                     // places each block at its hint target.
-                    let item = ctx.create_item::<TpcTreeItem>("kdtree");
+                    let item = ctx.create_item::<KdTreeItem>("kdtree");
                     st.borrow_mut().item = Some(item);
                     let tree = tree.clone();
                     Some(pfor(

@@ -809,7 +809,6 @@ mod tests {
     impl ItemType for G2 {
         type Region = BoxRegion<2>;
         type Fragment = GridFragment<f64, 2>;
-        const BYTES_PER_ELEMENT: usize = 8;
     }
 
     /// Probes of the tests below; the runtime asks `covers_stable`.

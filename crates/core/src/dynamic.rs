@@ -125,8 +125,6 @@ pub trait DynFragment {
     fn insert_dyn(&mut self, other: Box<dyn DynFragment>);
     /// Drop coverage of a region.
     fn remove_dyn(&mut self, region: &dyn DynRegion);
-    /// Approximate serialized size (transfer-cost estimation).
-    fn approx_bytes(&self) -> usize;
     /// Downcasting support.
     fn as_any(&self) -> &dyn Any;
     /// Mutable downcasting support.
@@ -155,9 +153,6 @@ impl<F: Fragment> DynFragment for F {
     fn remove_dyn(&mut self, region: &dyn DynRegion) {
         self.remove(downcast::<F::Region>(region));
     }
-    fn approx_bytes(&self) -> usize {
-        Fragment::approx_bytes(self)
-    }
     fn as_any(&self) -> &dyn Any {
         self
     }
@@ -176,8 +171,6 @@ impl<F: Fragment> DynFragment for F {
 pub struct ItemDescriptor {
     /// Human-readable name for reports.
     pub name: &'static str,
-    /// Estimated serialized bytes per element.
-    pub bytes_per_element: usize,
     /// Construct an empty fragment.
     pub empty_fragment: Arc<dyn Fn() -> Box<dyn DynFragment>>,
     /// Allocate a default-initialized fragment over a region (first-touch
@@ -187,8 +180,6 @@ pub struct ItemDescriptor {
     pub empty_region: Arc<dyn Fn() -> Box<dyn DynRegion>>,
     /// Decode a fragment received from another locality.
     pub decode_fragment: Arc<dyn Fn(&[u8]) -> Box<dyn DynFragment>>,
-    /// Decode a region received from another locality.
-    pub decode_region: Arc<dyn Fn(&[u8]) -> Box<dyn DynRegion>>,
 }
 
 impl ItemDescriptor {
@@ -196,7 +187,6 @@ impl ItemDescriptor {
     pub fn of<I: ItemType>(name: &'static str) -> Self {
         ItemDescriptor {
             name,
-            bytes_per_element: I::BYTES_PER_ELEMENT,
             empty_fragment: Arc::new(|| Box::new(I::Fragment::empty())),
             alloc_fragment: Arc::new(|region| {
                 Box::new(I::Fragment::alloc(downcast::<I::Region>(region)))
@@ -206,12 +196,6 @@ impl ItemDescriptor {
                 Box::new(
                     wire::decode::<I::Fragment>(bytes)
                         .expect("fragment decode failed: corrupted transfer"),
-                )
-            }),
-            decode_region: Arc::new(|bytes| {
-                Box::new(
-                    wire::decode::<I::Region>(bytes)
-                        .expect("region decode failed: corrupted transfer"),
                 )
             }),
         }
@@ -233,7 +217,6 @@ mod tests {
     impl ItemType for Grid2 {
         type Region = BoxRegion<2>;
         type Fragment = GridFragment<f64, 2>;
-        const BYTES_PER_ELEMENT: usize = 8;
     }
 
     fn r2(lo: [i64; 2], hi: [i64; 2]) -> BoxRegion<2> {
@@ -265,15 +248,6 @@ mod tests {
         let back = (desc.decode_fragment)(&bytes);
         let typed = back.as_any().downcast_ref::<GridFragment<f64, 2>>().unwrap();
         assert_eq!(typed.get(&allscale_region::Point([1, 2])), Some(&7.5));
-    }
-
-    #[test]
-    fn descriptor_round_trips_regions() {
-        let desc = ItemDescriptor::of::<Grid2>("grid");
-        let r = r2([0, 0], [5, 5]).difference(&r2([1, 1], [2, 2]));
-        let bytes = DynRegion::encode(&r);
-        let back = (desc.decode_region)(&bytes);
-        assert!(back.eq_dyn(&r));
     }
 
     #[test]
@@ -318,7 +292,7 @@ mod tests {
     #[should_panic(expected = "mixed region types")]
     fn mixing_region_types_panics() {
         let a: Box<dyn DynRegion> = Box::new(r2([0, 0], [1, 1]));
-        let b: Box<dyn DynRegion> = Box::new(allscale_region::IntervalRegion::span(0, 5));
+        let b: Box<dyn DynRegion> = Box::new(allscale_region::BucketRegion::new(8));
         let _ = a.union_dyn(b.as_ref());
     }
 }

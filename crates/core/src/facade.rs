@@ -16,7 +16,7 @@ use allscale_des::SimDuration;
 use allscale_net::wire::Wire;
 use allscale_region::{
     BoxRegion, BucketRegion, GridBox, GridFragment, ItemType, KeyedFragment, PathRegion, Point,
-    ScalarFragment, TreeFragment, TreePath, UnitRegion,
+    TreeFragment,
 };
 
 use crate::cost::CostModel;
@@ -32,7 +32,6 @@ where
 {
     type Region = BoxRegion<D>;
     type Fragment = GridFragment<T, D>;
-    const BYTES_PER_ELEMENT: usize = std::mem::size_of::<T>();
 }
 
 /// A typed handle on a grid data item (the façade). Cheap to copy; the
@@ -133,72 +132,6 @@ where
     }
 }
 
-/// Marker type describing a scalar data item holding `T`.
-pub struct ScalarItem<T>(std::marker::PhantomData<T>);
-
-impl<T> ItemType for ScalarItem<T>
-where
-    T: Clone + Default + Wire + 'static,
-{
-    type Region = UnitRegion;
-    type Fragment = ScalarFragment<T>;
-    const BYTES_PER_ELEMENT: usize = std::mem::size_of::<T>();
-}
-
-/// A typed handle on a scalar data item (a single runtime-managed value,
-/// e.g. a global simulation parameter or a reduction target).
-pub struct Scalar<T> {
-    /// The underlying data item id.
-    pub id: ItemId,
-    _marker: std::marker::PhantomData<T>,
-}
-
-impl<T> Clone for Scalar<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for Scalar<T> {}
-
-impl<T> Scalar<T>
-where
-    T: Clone + Default + Wire + 'static,
-{
-    /// Create a scalar data item.
-    pub fn create(ctx: &mut RtCtx<'_>, name: &'static str) -> Self {
-        let id = ctx.create_item::<ScalarItem<T>>(name);
-        Scalar {
-            id,
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Read the scalar from the executing task's locality.
-    ///
-    /// # Panics
-    /// Panics when the task lacks a requirement covering the scalar.
-    pub fn get(&self, ctx: &TaskCtx<'_>) -> T {
-        ctx.fragment::<ScalarFragment<T>>(self.id)
-            .get()
-            .expect("scalar not present — missing requirement?")
-            .clone()
-    }
-
-    /// Write the scalar at the executing task's locality.
-    ///
-    /// # Panics
-    /// Panics when the task lacks a write requirement on the scalar.
-    pub fn set(&self, ctx: &mut TaskCtx<'_>, v: T) {
-        let ok = ctx.fragment_mut::<ScalarFragment<T>>(self.id).set(v);
-        assert!(ok, "scalar not allocated here — missing write requirement?");
-    }
-
-    /// The full (single-element) region, for building requirements.
-    pub fn region(&self) -> UnitRegion {
-        UnitRegion::FULL
-    }
-}
-
 /// Marker type describing a binary-tree data item holding `T` with region
 /// scheme `R` (flexible [`allscale_region::TreeRegion`] or blocked
 /// [`allscale_region::BitmaskTreeRegion`]).
@@ -211,57 +144,6 @@ where
 {
     type Region = R;
     type Fragment = TreeFragment<T, R>;
-    const BYTES_PER_ELEMENT: usize = std::mem::size_of::<T>() + 16;
-}
-
-/// A typed handle on a binary-tree data item (the façade of paper
-/// Fig. 4b/4c): nodes addressed by [`TreePath`], subsets by the chosen
-/// tree region scheme.
-pub struct Tree<T, R: PathRegion> {
-    /// The underlying data item id.
-    pub id: ItemId,
-    _marker: std::marker::PhantomData<(T, R)>,
-}
-
-impl<T, R: PathRegion> Clone for Tree<T, R> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T, R: PathRegion> Copy for Tree<T, R> {}
-
-impl<T, R> Tree<T, R>
-where
-    T: Clone + Wire + 'static,
-    R: PathRegion,
-{
-    /// Create a tree data item.
-    pub fn create(ctx: &mut RtCtx<'_>, name: &'static str) -> Self {
-        let id = ctx.create_item::<TreeItem<T, R>>(name);
-        Tree {
-            id,
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Read the node at `path` from the local fragment, if present.
-    pub fn get(&self, ctx: &TaskCtx<'_>, path: &TreePath) -> Option<T> {
-        ctx.fragment::<TreeFragment<T, R>>(self.id)
-            .get(path)
-            .cloned()
-    }
-
-    /// Store a node at `path` in the local fragment.
-    ///
-    /// # Panics
-    /// Panics when `path` lies outside the locally covered region
-    /// (missing write requirement).
-    pub fn set(&self, ctx: &mut TaskCtx<'_>, path: TreePath, value: T) {
-        let ok = ctx
-            .fragment_mut::<TreeFragment<T, R>>(self.id)
-            .set(path, value);
-        assert!(ok, "path not covered here — missing write requirement?");
-    }
 }
 
 /// Marker type describing a keyed map data item (`K → V`, hash-bucketed).
@@ -274,7 +156,6 @@ where
 {
     type Region = BucketRegion;
     type Fragment = KeyedFragment<K, V>;
-    const BYTES_PER_ELEMENT: usize = std::mem::size_of::<K>() + std::mem::size_of::<V>();
 }
 
 /// A typed handle on a distributed map data item: key-value pairs

@@ -95,7 +95,7 @@ pub use dim::{Blocker, DataItemManager, LockConflict};
 pub use dynamic::{DynFragment, DynRegion, ItemDescriptor};
 pub use facade::{
     bisect, bisect_axis, pfor, pfor_tiles, position_hint, DistMap, Grid, GridItem, MapItem, PforSpec,
-    Scalar, ScalarItem, Tree, TreeItem,
+    TreeItem,
 };
 pub use index::{CentralIndex, DistIndex};
 pub use integrity::{IntegrityConfig, IntegrityStats};

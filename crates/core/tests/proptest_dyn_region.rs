@@ -10,8 +10,7 @@ use proptest::prelude::*;
 
 use allscale_core::DynRegion;
 use allscale_region::{
-    BitmaskTreeRegion, BoxRegion, BucketRegion, GridBox, IntervalRegion, Point, Region, TreePath,
-    TreeRegion,
+    BitmaskTreeRegion, BoxRegion, BucketRegion, GridBox, Point, Region, TreePath, TreeRegion,
 };
 
 fn predicates_agree_with_algebra<R: Region>(a: &R, b: &R) {
@@ -38,11 +37,6 @@ fn arb_boxes() -> impl Strategy<Value = BoxRegion<2>> {
         GridBox::new(Point([x, y]), Point([x + w, y + h])).expect("non-empty")
     });
     prop::collection::vec(one, 0..5).prop_map(BoxRegion::from_boxes)
-}
-
-fn arb_intervals() -> impl Strategy<Value = IntervalRegion> {
-    prop::collection::vec((0u64..40, 1u64..10), 0..6)
-        .prop_map(|ivs| IntervalRegion::from_intervals(ivs.into_iter().map(|(l, w)| (l, l + w))))
 }
 
 fn arb_tree() -> impl Strategy<Value = TreeRegion> {
@@ -87,11 +81,6 @@ proptest! {
 
     #[test]
     fn box_predicates(a in arb_boxes(), b in arb_boxes()) {
-        predicates_agree_with_algebra(&a, &b);
-    }
-
-    #[test]
-    fn interval_predicates(a in arb_intervals(), b in arb_intervals()) {
         predicates_agree_with_algebra(&a, &b);
     }
 

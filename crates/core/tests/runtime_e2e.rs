@@ -466,96 +466,19 @@ fn broadcast_replicas_serve_reads_without_traffic() {
     assert_eq!(replicas, 3, "only the broadcast itself replicates");
 }
 
-/// Scalar data items: a runtime-managed global parameter, first-touched
-/// by a setup task, broadcast, then read by every compute task.
-#[test]
-fn scalar_items_flow_through_the_runtime() {
-    use allscale_core::Scalar;
-    use allscale_region::UnitRegion;
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    type St = Rc<RefCell<Option<(Scalar<f64>, Grid<f64, 1>)>>>;
-    let st: St = Rc::new(RefCell::new(None));
-    let s2 = st.clone();
-    let rt = Runtime::new(config(4, 2));
-    rt.run(
-        move |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
-            match phase {
-                0 => {
-                    let c = Scalar::<f64>::create(ctx, "coefficient");
-                    let g = Grid::<f64, 1>::create(ctx, "out", [64]);
-                    *s2.borrow_mut() = Some((c, g));
-                    // A single task sets the scalar (first touch).
-                    Some(pfor(
-                        PforSpec {
-                            name: "set-coeff",
-                            range: allscale_region::GridBox::<1>::from_shape([1]).unwrap(),
-                            grain: 1,
-                            ns_per_point: 5.0,
-                            axis0_pieces: 0,
-                        },
-                        move |_| vec![Requirement::write(c.id, UnitRegion::FULL)],
-                        move |tctx, _| c.set(tctx, 2.5),
-                    ))
-                }
-                1 => {
-                    let (c, g) = s2.borrow().unwrap();
-                    let owner = (0..ctx.nodes())
-                        .find(|&l| !ctx.owned_region_at(l, c.id).is_empty_dyn())
-                        .expect("scalar owned somewhere");
-                    ctx.broadcast_replicate(c.id, owner, &UnitRegion::FULL);
-                    Some(pfor(
-                        PforSpec {
-                            name: "scale",
-                            range: g.full_box(),
-                            grain: 4,
-                            ns_per_point: 2.0,
-                            axis0_pieces: 16,
-                        },
-                        move |tile| {
-                            vec![
-                                Requirement::read(c.id, UnitRegion::FULL),
-                                Requirement::write(g.id, BoxRegion::from_box(*tile)),
-                            ]
-                        },
-                        move |tctx, p| {
-                            let k = c.get(tctx);
-                            g.set(tctx, p.0, k * p[0] as f64);
-                        },
-                    ))
-                }
-                _ => {
-                    let (_, g) = s2.borrow().unwrap();
-                    let mut seen = 0;
-                    for loc in 0..ctx.nodes() {
-                        let frag = ctx.fragment_at::<GridFragment<f64, 1>>(loc, g.id);
-                        frag.for_each(|p, v| {
-                            assert_eq!(*v, 2.5 * p[0] as f64);
-                            seen += 1;
-                        });
-                    }
-                    assert_eq!(seen, 64);
-                    None
-                }
-            }
-        },
-    );
-}
-
-/// Tree data items through the facade: distribute blocks by first touch,
-/// then run read tasks pinned to the block owners.
+/// Tree data items through the facade's `TreeItem`: distribute blocks by
+/// first touch, then run read tasks pinned to the block owners.
 #[test]
 fn tree_facade_distributes_and_reads() {
-    use allscale_core::Tree;
-    use allscale_region::{BitmaskTreeRegion, TreePath};
+    use allscale_core::{ItemId, TreeItem};
+    use allscale_region::{BitmaskTreeRegion, TreeFragment, TreePath};
     use std::cell::RefCell;
     use std::rc::Rc;
 
     const H: u8 = 2; // 4 subtree blocks
     const LEVELS: u8 = 5;
-    type T = Tree<u64, BitmaskTreeRegion>;
-    let st: Rc<RefCell<Option<T>>> = Rc::new(RefCell::new(None));
+    type Frag = TreeFragment<u64, BitmaskTreeRegion>;
+    let st: Rc<RefCell<Option<ItemId>>> = Rc::new(RefCell::new(None));
     let s2 = st.clone();
     let total: Rc<RefCell<u64>> = Rc::new(RefCell::new(0));
     let t2 = total.clone();
@@ -565,7 +488,7 @@ fn tree_facade_distributes_and_reads() {
         move |phase: usize, ctx: &mut RtCtx<'_>, prev: TaskValue| -> Option<Box<dyn WorkItem>> {
             match phase {
                 0 => {
-                    let tree = T::create(ctx, "tree");
+                    let tree = ctx.create_item::<TreeItem<u64, BitmaskTreeRegion>>("tree");
                     *s2.borrow_mut() = Some(tree);
                     // Distribute: one pfor index per block (0 = root
                     // block, 1..=4 subtrees), writing node values = their
@@ -587,7 +510,7 @@ fn tree_facade_distributes_and_reads() {
                                     region.set_subtree(idx[0] as usize - 1, true);
                                 }
                             }
-                            vec![Requirement::write(tree.id, region)]
+                            vec![Requirement::write(tree, region)]
                         },
                         move |tctx, p| {
                             let write_all = |tctx: &mut allscale_core::TaskCtx<'_>,
@@ -595,7 +518,8 @@ fn tree_facade_distributes_and_reads() {
                                              max_depth: u8| {
                                 let mut stack = vec![root];
                                 while let Some(path) = stack.pop() {
-                                    tree.set(tctx, path, path.bfs_index());
+                                    let frag = tctx.fragment_mut::<Frag>(tree);
+                                    assert!(frag.set(path, path.bfs_index()));
                                     if path.depth() + 1 < max_depth {
                                         stack.push(path.left());
                                         stack.push(path.right());
@@ -606,7 +530,8 @@ fn tree_facade_distributes_and_reads() {
                                 // Root block: depths 0..H.
                                 let mut stack = vec![TreePath::ROOT];
                                 while let Some(path) = stack.pop() {
-                                    tree.set(tctx, path, path.bfs_index());
+                                    let frag = tctx.fragment_mut::<Frag>(tree);
+                                    assert!(frag.set(path, path.bfs_index()));
                                     if path.depth() + 1 < H {
                                         stack.push(path.left());
                                         stack.push(path.right());
@@ -640,15 +565,11 @@ fn tree_facade_distributes_and_reads() {
                                     region.set_subtree(idx[0] as usize - 1, true);
                                 }
                             }
-                            vec![Requirement::read(tree.id, region)]
+                            vec![Requirement::read(tree, region)]
                         },
                         move |tctx, p| {
                             // Sum whatever this task's block holds.
-                            let frag = tctx
-                                .fragment::<allscale_region::TreeFragment<
-                                    u64,
-                                    BitmaskTreeRegion,
-                                >>(tree.id);
+                            let frag = tctx.fragment::<Frag>(tree);
                             let mut s = 0u64;
                             let region = BitmaskTreeRegion::new(H);
                             for (path, v) in frag.iter() {
@@ -672,10 +593,7 @@ fn tree_facade_distributes_and_reads() {
                     let mut sum = 0u64;
                     let mut count = 0u64;
                     for loc in 0..ctx.nodes() {
-                        let frag = ctx.fragment_at::<allscale_region::TreeFragment<
-                            u64,
-                            BitmaskTreeRegion,
-                        >>(loc, tree.id);
+                        let frag = ctx.fragment_at::<Frag>(loc, tree);
                         for (_, v) in frag.iter() {
                             sum += v;
                             count += 1;

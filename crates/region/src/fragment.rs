@@ -67,21 +67,14 @@ pub trait Fragment: Wire + Clone + 'static {
 
     /// Drop coverage of `region` (and the elements within).
     fn remove(&mut self, region: &Self::Region);
-
-    /// Approximate payload size in bytes, for transfer-cost estimation.
-    fn approx_bytes(&self) -> usize;
 }
 
 /// Compile-time description of a data item implementation: its region
-/// scheme, fragment type, and sizing information. The runtime's data item
-/// manager is instantiated per `ItemType`.
+/// scheme and fragment type. The runtime's data item manager is
+/// instantiated per `ItemType`.
 pub trait ItemType: 'static {
     /// Region scheme used to address element subsets.
     type Region: Region;
     /// Fragment container for element storage.
     type Fragment: Fragment<Region = Self::Region>;
-
-    /// Estimated serialized bytes per element (drives the network cost of
-    /// migrating a region before the actual byte count is known).
-    const BYTES_PER_ELEMENT: usize;
 }

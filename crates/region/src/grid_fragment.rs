@@ -419,10 +419,6 @@ where
         self.chunks = new_chunks;
         self.region.take();
     }
-
-    fn approx_bytes(&self) -> usize {
-        self.len() * std::mem::size_of::<T>() + self.chunks.len() * 64
-    }
 }
 
 impl<T, const D: usize> fmt::Debug for GridFragment<T, D> {
@@ -545,13 +541,6 @@ mod tests {
         let sub = f.extract(&BoxRegion::cuboid([1, 1, 1], [3, 3, 3]));
         assert_eq!(sub.len(), 8);
         assert_eq!(sub.get(&Point([2, 1, 2])), Some(&38.0));
-    }
-
-    #[test]
-    fn approx_bytes_scales_with_len() {
-        let small = GridFragment::<f64, 2>::new(&r2([0, 0], [2, 2]));
-        let large = GridFragment::<f64, 2>::new(&r2([0, 0], [20, 20]));
-        assert!(large.approx_bytes() > small.approx_bytes() * 10);
     }
 
     #[test]

@@ -321,10 +321,6 @@ where
         let keep = self.region.clone();
         self.entries.retain(|_, (b, _)| keep.contains(*b));
     }
-
-    fn approx_bytes(&self) -> usize {
-        self.entries.len() * (std::mem::size_of::<K>() + std::mem::size_of::<V>() + 24)
-    }
 }
 
 impl<K: Ord, V> std::fmt::Debug for KeyedFragment<K, V> {

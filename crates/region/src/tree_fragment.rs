@@ -514,10 +514,6 @@ where
         let keep = &self.region;
         self.nodes.retain(|path| keep.contains_path(path));
     }
-
-    fn approx_bytes(&self) -> usize {
-        self.len() * (std::mem::size_of::<T>() + std::mem::size_of::<TreePath>() + 16)
-    }
 }
 
 impl<T, R: PathRegion> fmt::Debug for TreeFragment<T, R> {

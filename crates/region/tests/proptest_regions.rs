@@ -8,7 +8,7 @@ use std::collections::BTreeSet;
 use allscale_net::wire;
 use allscale_region::{
     check_laws, fnv1a_64, BitmaskTreeRegion, BoxRegion, BucketRegion, Fragment, GridBox,
-    GridFragment, IntervalRegion, Point, Region, TreePath, TreeRegion,
+    GridFragment, Point, Region, TreePath, TreeRegion,
 };
 
 // ------------------------------------------------------------- box regions
@@ -268,33 +268,6 @@ proptest! {
     }
 }
 
-// -------------------------------------------------------- interval regions
-
-fn arb_interval_region() -> impl Strategy<Value = IntervalRegion> {
-    prop::collection::vec((0u64..40, 1u64..10), 0..6)
-        .prop_map(|ivs| IntervalRegion::from_intervals(ivs.into_iter().map(|(l, w)| (l, l + w))))
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn interval_region_laws(a in arb_interval_region(), b in arb_interval_region()) {
-        check_laws(&a, &b, |r| r.indices().collect::<BTreeSet<u64>>());
-    }
-
-    #[test]
-    fn interval_normalization_is_canonical(a in arb_interval_region()) {
-        // No empty, touching, or out-of-order intervals survive.
-        for w in a.intervals().windows(2) {
-            prop_assert!(w[0].1 < w[1].0, "{:?}", a);
-        }
-        for &(l, h) in a.intervals() {
-            prop_assert!(l < h);
-        }
-    }
-}
-
 // ------------------------------------------------------------ tree regions
 
 fn arb_path(max_depth: u8) -> impl Strategy<Value = TreePath> {
@@ -434,13 +407,11 @@ proptest! {
     #[test]
     fn fingerprints_hash_the_encoding(
         boxes in arb_box_region(),
-        intervals in arb_interval_region(),
         tree in arb_tree_region(),
         bitmask in arb_bitmask(7),
         buckets in arb_bucket_region()
     ) {
         fingerprint_matches_encoding(&boxes);
-        fingerprint_matches_encoding(&intervals);
         fingerprint_matches_encoding(&tree);
         fingerprint_matches_encoding(&bitmask);
         fingerprint_matches_encoding(&buckets);

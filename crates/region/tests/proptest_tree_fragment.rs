@@ -109,10 +109,6 @@ mod pre_change {
             let keep = &self.region;
             self.nodes.retain(|p, _| keep.contains_path(p));
         }
-
-        fn approx_bytes(&self) -> usize {
-            self.nodes.len() * (std::mem::size_of::<T>() + std::mem::size_of::<TreePath>() + 16)
-        }
     }
 }
 
@@ -344,7 +340,6 @@ impl<R: Scheme> Pair<R> {
         assert_eq!(self.new.region(), self.old.region());
         assert_eq!(self.new.len(), self.old.len());
         assert_eq!(self.new.is_empty(), self.old.is_empty());
-        assert_eq!(self.new.approx_bytes(), self.old.approx_bytes());
         for (i, p) in self.touched.iter().enumerate() {
             let want = self.old.get(p);
             assert_eq!(self.new.get(p), want, "get {p:?}");
