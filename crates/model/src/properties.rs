@@ -21,6 +21,13 @@ pub struct PropertyViolation {
     pub detail: String,
 }
 
+impl std::fmt::Display for PropertyViolation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (property, step, detail) = (self.property, self.at_step, &self.detail);
+        write!(f, "{property} violated at step {step}: {detail}")
+    }
+}
+
 type Check = Result<(), PropertyViolation>;
 
 fn fail(property: &'static str, at_step: usize, detail: String) -> Check {

@@ -87,18 +87,18 @@ proptest! {
         // need many staging steps, but it must not *violate* anything.
         if outcome == Outcome::Terminated {
             properties::check_all(&program, &trace)
-                .map_err(|v| TestCaseError::fail(format!("{v:?}")))?;
+                .map_err(|v| TestCaseError::fail(format!("{v}")))?;
         } else {
             // Even unfinished traces must satisfy the safety properties
             // (termination is the only liveness property).
             properties::check_single_execution(&trace)
-                .map_err(|v| TestCaseError::fail(format!("{v:?}")))?;
+                .map_err(|v| TestCaseError::fail(format!("{v}")))?;
             properties::check_satisfied_requirements(&program, &trace)
-                .map_err(|v| TestCaseError::fail(format!("{v:?}")))?;
+                .map_err(|v| TestCaseError::fail(format!("{v}")))?;
             properties::check_exclusive_writes(&trace)
-                .map_err(|v| TestCaseError::fail(format!("{v:?}")))?;
+                .map_err(|v| TestCaseError::fail(format!("{v}")))?;
             properties::check_data_preservation(&program, &trace)
-                .map_err(|v| TestCaseError::fail(format!("{v:?}")))?;
+                .map_err(|v| TestCaseError::fail(format!("{v}")))?;
         }
     }
 
@@ -122,7 +122,7 @@ proptest! {
         let (trace, outcome) = driver.run(&program, Architecture::cluster(nodes, 2));
         prop_assert_eq!(outcome, Outcome::Terminated);
         properties::check_all(&program, &trace)
-            .map_err(|v| TestCaseError::fail(format!("{v:?}")))?;
+            .map_err(|v| TestCaseError::fail(format!("{v}")))?;
     }
 
     /// The rule checker rejects any attempt to start a task twice.
@@ -171,6 +171,6 @@ fn numa_architectures_satisfy_properties() {
         driver.max_steps = 50_000;
         let (trace, outcome) = driver.run(&program, arch.clone());
         assert_eq!(outcome, Outcome::Terminated, "seed {seed}");
-        properties::check_all(&program, &trace).unwrap_or_else(|v| panic!("seed {seed}: {v:?}"));
+        properties::check_all(&program, &trace).unwrap_or_else(|v| panic!("seed {seed}: {v}"));
     }
 }

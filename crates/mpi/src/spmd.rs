@@ -29,10 +29,6 @@ pub struct MpiReport<T> {
     pub results: Vec<T>,
     /// Network traffic stats.
     pub traffic: TrafficStats,
-    /// Total point-to-point messages.
-    pub p2p_msgs: u64,
-    /// Total collective operations.
-    pub collectives: u64,
 }
 
 /// A message in the destination's mailbox, queued in send order.
@@ -109,8 +105,6 @@ where
 
     let mut clock = vec![SimTime::ZERO; n];
     let mut mailbox: Vec<VecDeque<Pending>> = (0..n).map(|_| VecDeque::new()).collect();
-    let mut p2p_msgs = 0u64;
-    let mut collectives = 0u64;
 
     // Run every rank to its first call.
     let mut states: Vec<RankState<T>> = ranks.iter_mut().map(Rank::poll).collect();
@@ -133,7 +127,6 @@ where
             .iter()
             .all(|&r| matches!(states[r], RankState::Waiting(MpiCall::AllReduce { .. })));
         if all_barrier || all_reduce {
-            collectives += 1;
             // Cost: a reduce+broadcast tree of small messages.
             let depth = (n.max(2) as f64).log2().ceil() as u64;
             let hop = SimDuration::from_nanos(
@@ -190,7 +183,6 @@ where
                 MpiCall::Send { to, tag, bytes } => {
                     clock[r] += overhead;
                     let arrival = net.transfer(clock[r], r, *to, bytes.len());
-                    p2p_msgs += 1;
                     mailbox[*to].push_back(Pending {
                         from: r,
                         tag: *tag,
@@ -243,8 +235,6 @@ where
         finish_time,
         results,
         traffic: net.stats().clone(),
-        p2p_msgs,
-        collectives,
     }
 }
 
@@ -272,7 +262,7 @@ mod tests {
         });
         // Rank 0 receives the token after it passed all ranks.
         assert_eq!(report.results[0], 4);
-        assert_eq!(report.p2p_msgs, 4);
+        assert_eq!(report.traffic.remote_msgs(), 4);
         assert!(report.finish_time.as_nanos() > 4 * 900);
     }
 
@@ -285,7 +275,6 @@ mod tests {
         });
         // Finish dominated by the slower rank + barrier cost.
         assert!(report.finish_time.as_nanos() >= 110_000);
-        assert_eq!(report.collectives, 1);
     }
 
     #[test]
@@ -362,12 +351,10 @@ mod tests {
         assert_eq!(
             (
                 report.finish_time.as_nanos(),
-                report.p2p_msgs,
-                report.collectives,
                 report.traffic.remote_msgs(),
                 report.traffic.remote_bytes(),
             ),
-            (22_572, 36, 1, 36, 17_088)
+            (22_572, 36, 17_088)
         );
     }
 

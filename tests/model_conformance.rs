@@ -270,7 +270,7 @@ fn pfor_shaped_model_programs_satisfy_all_properties() {
             "seed {seed} on {nodes}x{cores}"
         );
         model::properties::check_all(&program, &trace)
-            .unwrap_or_else(|v| panic!("seed {seed}: {v:?}"));
+            .unwrap_or_else(|v| panic!("seed {seed}: {v}"));
     }
 }
 
@@ -328,7 +328,7 @@ fn deep_task_trees_satisfy_all_properties() {
         let (trace, outcome) = driver.run(&program, model::Architecture::cluster(4, 2));
         assert_eq!(outcome, model::Outcome::Terminated, "seed {seed}");
         model::properties::check_all(&program, &trace)
-            .unwrap_or_else(|v| panic!("seed {seed}: {v:?}"));
+            .unwrap_or_else(|v| panic!("seed {seed}: {v}"));
     }
 }
 
@@ -428,7 +428,7 @@ fn randomized_phased_programs_satisfy_all_properties() {
         let (trace, outcome) = driver.run(&program, arch);
         assert_eq!(outcome, model::Outcome::Terminated, "seed {seed}");
         model::properties::check_all(&program, &trace)
-            .unwrap_or_else(|v| panic!("seed {seed}: {v:?}"));
+            .unwrap_or_else(|v| panic!("seed {seed}: {v}"));
         assert!(trace.terminated(), "seed {seed}");
     }
 }
