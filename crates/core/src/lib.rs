@@ -104,11 +104,11 @@ pub use monitor::{LocalityStats, Monitor, RunReport, SchedulerStats, ServeStats}
 pub use policy::{DataAwarePolicy, PolicyEnv, RoundRobinPolicy, SchedulingPolicy, Variant};
 pub use rebalance::{plan_rebalance, split_off_cells, MoveSuggestion};
 pub use resilience::{CheckpointConfig, CkptMode, ResilienceConfig, ResilienceStats};
-pub use runtime::{AppDriver, Locality, RtConfig, RtCtx, Runtime};
+pub use runtime::{Locality, RtConfig, RtCtx, Runtime};
 pub use scheduler::{
-    DataAwareScheduler, Placement, Scheduler, StealConfig, VictimPolicy, WorkStealingScheduler,
+    DataAwareScheduler, Scheduler, StealConfig, VictimPolicy, WorkStealingScheduler,
 };
-pub use slo::{Request, RequestFactory, ServeSpec, SloConfig};
+pub use slo::{Request, ServeSpec, SloConfig};
 
 // Fault-injection types, re-exported so applications configuring
 // `RtConfig::faults` need not depend on `allscale-net` directly.

@@ -35,39 +35,30 @@ pub struct PolicyEnv<'a> {
     pub load: &'a [usize],
 }
 
-/// A task-scheduling policy.
+/// A task-scheduling policy: the one decision of Algorithm 2 its
+/// implementations make differently (ablation A2).
 pub trait SchedulingPolicy: 'static {
-    /// Choose the variant for a task at recursion `depth` with the given
-    /// split capability and placement hint. Unless a policy says
-    /// otherwise: split until the (complete, binary) task tree has two
-    /// leaves per core (`OVERSUBSCRIPTION`).
-    fn pick_variant(
-        &mut self,
-        depth: u32,
-        can_split: bool,
-        _hint: Option<f64>,
-        env: &PolicyEnv<'_>,
-    ) -> Variant {
-        let target_leaves = (env.nodes * env.cores_per_node * OVERSUBSCRIPTION).max(1) as u64;
-        // A complete binary split tree has 2^depth tasks at this depth.
-        if can_split && (1u64 << depth.min(62)) < target_leaves {
-            Variant::Split
-        } else {
-            Variant::Process
-        }
-    }
-
     /// Choose a target locality for a task whose requirements pin it
     /// nowhere (Algorithm 2 line 12).
     fn pick_target(&mut self, hint: Option<f64>, origin: usize, env: &PolicyEnv<'_>) -> usize;
-
-    /// Policy name for reports.
-    fn name(&self) -> &'static str;
 }
 
-/// Target number of leaf tasks per core: a policy splits a task tree
-/// until the cluster holds this many leaves per core.
+/// Target number of leaf tasks per core: a task tree is split until the
+/// cluster holds this many leaves per core.
 const OVERSUBSCRIPTION: usize = 2;
+
+/// Choose the variant for a task at recursion `depth` with the given
+/// split capability (Algorithm 2 line 3): split until the (complete,
+/// binary) task tree has `OVERSUBSCRIPTION` leaves per core.
+pub(crate) fn pick_variant(depth: u32, can_split: bool, env: &PolicyEnv<'_>) -> Variant {
+    let target_leaves = (env.nodes * env.cores_per_node * OVERSUBSCRIPTION).max(1) as u64;
+    // A complete binary split tree has 2^depth tasks at this depth.
+    if can_split && (1u64 << depth.min(62)) < target_leaves {
+        Variant::Split
+    } else {
+        Variant::Process
+    }
+}
 
 /// Map a placement hint in `[0, 1]` to a locality; a hint of exactly 1
 /// lands on the last one.
@@ -99,10 +90,6 @@ impl SchedulingPolicy for DataAwarePolicy {
             }
         }
     }
-
-    fn name(&self) -> &'static str {
-        "data-aware"
-    }
 }
 
 /// Ablation: ignore hints, place tasks round-robin.
@@ -116,10 +103,6 @@ impl SchedulingPolicy for RoundRobinPolicy {
         let t = self.next % env.nodes;
         self.next = self.next.wrapping_add(1);
         t
-    }
-
-    fn name(&self) -> &'static str {
-        "round-robin"
     }
 }
 
@@ -137,13 +120,12 @@ mod tests {
 
     #[test]
     fn data_aware_splits_until_saturation() {
-        let mut p = DataAwarePolicy;
         let load = vec![0; 4];
         let e = env(4, 2, &load); // target 16 leaves
-        assert_eq!(p.pick_variant(0, true, None, &e), Variant::Split);
-        assert_eq!(p.pick_variant(3, true, None, &e), Variant::Split);
-        assert_eq!(p.pick_variant(4, true, None, &e), Variant::Process);
-        assert_eq!(p.pick_variant(0, false, None, &e), Variant::Process);
+        assert_eq!(pick_variant(0, true, &e), Variant::Split);
+        assert_eq!(pick_variant(3, true, &e), Variant::Split);
+        assert_eq!(pick_variant(4, true, &e), Variant::Process);
+        assert_eq!(pick_variant(0, false, &e), Variant::Process);
     }
 
     #[test]

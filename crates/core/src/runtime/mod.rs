@@ -22,9 +22,10 @@
 //!    their owners), the result travels to the parent, and combiners fire
 //!    when all children are done.
 //!
-//! Applications are sequences of *phases* (an [`AppDriver`]): the root
-//! work item of phase *k+1* is requested once phase *k*'s task tree has
-//! fully completed — the `sync` points of the application's main function.
+//! Applications are sequences of *phases* (the driver closure of
+//! [`Runtime::run`]): the root work item of phase *k+1* is requested once
+//! phase *k*'s task tree has fully completed — the `sync` points of the
+//! application's main function.
 //!
 //! One module per tenant of [`RtWorld`]: each owns a state struct whose
 //! fields are private to it, so a sibling reaches another tenant's state
@@ -53,10 +54,10 @@ use crate::integrity::{IntegrityConfig, IntegrityManager};
 use crate::monitor::{Monitor, RunReport};
 use crate::policy::{DataAwarePolicy, SchedulingPolicy};
 use crate::resilience::ResilienceConfig;
-use crate::scheduler::{DataAwareScheduler, Scheduler, StealConfig, WorkStealingScheduler};
+use crate::scheduler::{DataAwareScheduler, StealConfig, WorkStealingScheduler};
+use crate::task::{TaskValue, WorkItem};
 
 pub use ctx::RtCtx;
-pub use phases::AppDriver;
 
 /// A simulated cluster node: cores plus its data item manager.
 pub struct Locality {
@@ -190,9 +191,9 @@ pub struct RtWorld {
     comms: comms::Comms,
     directory: directory::Directory,
     tasks: tasks::TaskTable,
-    /// The pluggable scheduler subsystem (decision-only; `sched`
-    /// executes its decisions and bills their traffic).
-    scheduler: Box<dyn Scheduler>,
+    /// The scheduler family (decision-only; `sched` executes its
+    /// decisions and bills their traffic).
+    scheduler: sched::Family,
     phases: phases::Phases,
     recovery: recovery::Recovery,
     /// Integrity-service state (`None` when the service is disabled).
@@ -229,14 +230,14 @@ impl Runtime {
                 comm_busy: SimTime::ZERO,
             })
             .collect();
-        let scheduler: Box<dyn Scheduler> = match config.stealing {
-            Some(cfg) => Box::new(WorkStealingScheduler::new(
+        let scheduler = match config.stealing {
+            Some(cfg) => sched::Family::Stealing(WorkStealingScheduler::new(
                 config.policy,
                 cfg,
                 nodes,
                 config.spec.cores_per_node,
             )),
-            None => Box::new(DataAwareScheduler::new(config.policy)),
+            None => sched::Family::Direct(DataAwareScheduler::new(config.policy)),
         };
         let world = RtWorld {
             spec: config.spec,
@@ -261,9 +262,19 @@ impl Runtime {
 
     /// Run an application to completion; returns the run report.
     ///
+    /// The application is a sequence of phases: `driver(phase, ctx,
+    /// prev)` returns the root work item of `phase` (0-based), or `None`
+    /// when the application is finished; `prev` is the value of the
+    /// previous phase's root task (`None` for phase 0). Phase *k+1*
+    /// begins only after phase *k*'s entire task tree has completed (the
+    /// application's `sync`).
+    ///
     /// # Panics
     /// Panics if the application deadlocks (tasks parked forever).
-    pub fn run(mut self, driver: impl AppDriver) -> RunReport {
+    pub fn run(
+        mut self,
+        driver: impl FnMut(usize, &mut RtCtx<'_>, TaskValue) -> Option<Box<dyn WorkItem>> + 'static,
+    ) -> RunReport {
         self.sim.world.phases.install(Box::new(driver));
         let sim = &mut self.sim;
         sim.schedule(SimDuration::ZERO, |sim| phases::advance_phase(sim, None));

@@ -7,37 +7,13 @@ use allscale_trace::EventKind;
 use super::{recovery, sched, schedule_task_event, serving, trace_instant, RtCtx, RtSim};
 use crate::task::{TaskValue, WorkItem};
 
-/// An application as a sequence of phases. Phase *k+1* begins only after
-/// phase *k*'s entire task tree has completed (the application's `sync`).
-pub trait AppDriver: 'static {
-    /// Produce the root work item of `phase` (0-based), or `None` when the
-    /// application is finished. `prev` is the value of the previous
-    /// phase's root task (`None` for phase 0).
-    fn next_phase(
-        &mut self,
-        phase: usize,
-        ctx: &mut RtCtx<'_>,
-        prev: TaskValue,
-    ) -> Option<Box<dyn WorkItem>>;
-}
-
-impl<F> AppDriver for F
-where
-    F: FnMut(usize, &mut RtCtx<'_>, TaskValue) -> Option<Box<dyn WorkItem>> + 'static,
-{
-    fn next_phase(
-        &mut self,
-        phase: usize,
-        ctx: &mut RtCtx<'_>,
-        prev: TaskValue,
-    ) -> Option<Box<dyn WorkItem>> {
-        self(phase, ctx, prev)
-    }
-}
+/// The application: the closure [`Runtime::run`](super::Runtime::run)
+/// asks for each phase's root work item.
+type Driver = dyn FnMut(usize, &mut RtCtx<'_>, TaskValue) -> Option<Box<dyn WorkItem>>;
 
 #[derive(Default)]
 pub(super) struct Phases {
-    driver: Option<Box<dyn AppDriver>>,
+    driver: Option<Box<Driver>>,
     /// The next phase to request from the driver.
     phase: usize,
     finish_time: SimTime,
@@ -45,7 +21,7 @@ pub(super) struct Phases {
 }
 
 impl Phases {
-    pub(super) fn install(&mut self, driver: Box<dyn AppDriver>) {
+    pub(super) fn install(&mut self, driver: Box<Driver>) {
         self.driver = Some(driver);
     }
 
@@ -105,7 +81,7 @@ pub(super) fn advance_phase(sim: &mut RtSim, prev: TaskValue) {
             "model invariants (§2.5) violated at the boundary before phase {phase}: {violations:#?}"
         );
     }
-    let next = driver.next_phase(phase, &mut ctx, prev);
+    let next = driver(phase, &mut ctx, prev);
     sim.world.phases.driver = Some(driver);
     match next {
         Some(root) => {

@@ -228,7 +228,7 @@ fn detect_and_recover(sim: &mut RtSim, dead: usize) {
     // scheduled events are disarmed by the epoch bump above.
     tasks::reset_for_recovery(w);
     w.comms.reset_for_recovery();
-    w.scheduler.clear();
+    w.scheduler.reset_for_recovery();
     w.serving.reset_for_recovery();
     let nodes = w.localities.len();
     let restored = point.restored;

@@ -1,12 +1,12 @@
 //! The scheduler subsystem: a swappable layer between Algorithm 2's
 //! variant/target decisions and the task lifecycle in [`crate::runtime`].
 //!
-//! Two families implement the [`Scheduler`] trait:
+//! Two families implement the [`Scheduler`] trait, which holds just those
+//! two decisions:
 //!
-//! - [`DataAwareScheduler`] — the paper's behavior, unchanged: every
-//!   process task executes directly at the locality its data
-//!   requirements (or the [`SchedulingPolicy`]) picked. This is the
-//!   default; with it the runtime is exactly the pre-refactor one.
+//! - [`DataAwareScheduler`] — the paper's behavior: every process task
+//!   executes directly at the locality its data requirements (or the
+//!   [`SchedulingPolicy`]) picked. This is the default.
 //! - [`WorkStealingScheduler`] — per-locality bounded task queues with a
 //!   local-queue-threshold trigger and work stealing (the HPX-style
 //!   decentralized alternative). Admission still honors the data-aware
@@ -18,10 +18,10 @@
 //!   queue. Stolen tasks re-resolve their data requirements at the thief
 //!   through the normal staging machinery (location cache included).
 //!
-//! The trait only *decides*; all effects — billing steal messages,
+//! Both families only *decide*; all effects — billing steal messages,
 //! moving descriptors, tracing — stay in the runtime, which drives the
-//! queue family through the `enqueue`/`next_runnable`/`steal_*` hooks.
-//! Direct schedulers leave those hooks at their no-op defaults.
+//! stealing family's queues through its `enqueue`/`next_runnable`/`steal_*`
+//! methods. The direct family has no queues, so it has none of them.
 //!
 //! Everything here is deterministic: queues are `VecDeque`s, victim
 //! cursors are per-thief counters, and the `Random` victim policy draws
@@ -32,37 +32,14 @@ use std::collections::VecDeque;
 
 use allscale_des::rng::XorShift64;
 
-use crate::policy::{PolicyEnv, SchedulingPolicy, Variant};
+use crate::policy::{self, PolicyEnv, SchedulingPolicy, Variant};
 use crate::task::TaskId;
 
-/// Where an admitted process task goes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Placement {
-    /// Execute directly at the locality (data-aware family).
-    Execute(usize),
-    /// Enqueue in the locality's bounded task queue (stealing family).
-    Enqueue(usize),
-}
-
-impl Placement {
-    /// The locality the task was routed to, either way.
-    pub fn loc(self) -> usize {
-        match self {
-            Placement::Execute(l) | Placement::Enqueue(l) => l,
-        }
-    }
-}
-
-/// A pluggable scheduler. Decision-only: the runtime owns all effects.
-///
-/// The queue-family hooks default to no-ops so direct schedulers (which
-/// return [`Placement::Execute`] from [`Scheduler::admit`]) implement
-/// just the three Algorithm-2 decisions.
+/// Algorithm 2's two decisions, made by either scheduler family.
+/// Decision-only: the runtime owns all effects.
 pub trait Scheduler: 'static {
-    /// Scheduler name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Choose the variant for a task (Algorithm 2 line 3).
+    /// Choose the variant for a task (Algorithm 2 line 3). No family
+    /// reads the placement `hint`.
     fn pick_variant(
         &mut self,
         depth: u32,
@@ -74,109 +51,13 @@ pub trait Scheduler: 'static {
     /// Choose a target locality for a task pinned nowhere (Algorithm 2
     /// line 12).
     fn pick_target(&mut self, hint: Option<f64>, origin: usize, env: &PolicyEnv<'_>) -> usize;
-
-    /// Route a process task whose data-aware `preferred` locality is
-    /// already decided (and live). Direct schedulers execute there;
-    /// queueing schedulers may spill past a full queue — but only to a
-    /// locality not flagged in `dead`.
-    fn admit(&mut self, preferred: usize, dead: &[bool]) -> Placement {
-        let _ = dead;
-        Placement::Execute(preferred)
-    }
-
-    /// Whether this scheduler routes tasks through per-locality queues
-    /// (the runtime then drives the hooks below).
-    fn uses_queues(&self) -> bool {
-        false
-    }
-
-    /// Append a task to `loc`'s queue.
-    fn enqueue(&mut self, loc: usize, task: TaskId) {
-        let _ = (loc, task);
-        unreachable!("direct schedulers never enqueue");
-    }
-
-    /// Pop the next task to activate at `loc`, if a slot is free — the
-    /// scheduler takes the slot. `None` when the queue is empty or every
-    /// slot is taken.
-    fn next_runnable(&mut self, loc: usize) -> Option<TaskId> {
-        let _ = loc;
-        None
-    }
-
-    /// Return the slot an activated task held (called at completion).
-    fn release_slot(&mut self, loc: usize) {
-        let _ = loc;
-    }
-
-    /// Tasks queued (not yet activated) at `loc`.
-    fn queue_len(&self, loc: usize) -> usize {
-        let _ = loc;
-        0
-    }
-
-    /// Whether `loc` should start a steal round: it has a free slot, an
-    /// empty queue, and no steal already in flight.
-    fn should_steal(&self, loc: usize) -> bool {
-        let _ = loc;
-        false
-    }
-
-    /// Mark a steal round in flight from `loc`.
-    fn begin_steal(&mut self, loc: usize) {
-        let _ = loc;
-    }
-
-    /// Clear `loc`'s steal/wait state (round over, grant arrived, or
-    /// handoff lost).
-    fn end_steal(&mut self, loc: usize) {
-        let _ = loc;
-    }
-
-    /// Pick a steal victim for `thief`: a live locality (never one
-    /// flagged in `dead`, never the thief) with a non-empty queue.
-    fn steal_victim(&mut self, thief: usize, dead: &[bool]) -> Option<usize> {
-        let _ = (thief, dead);
-        None
-    }
-
-    /// Give up the back of `victim`'s queue (the coldest task — its
-    /// data was staged least recently, so it is the cheapest to move).
-    fn steal_task(&mut self, victim: usize) -> Option<TaskId> {
-        let _ = victim;
-        None
-    }
-
-    /// Register `loc` as an idle waiter after an exhausted steal round;
-    /// a later surplus enqueue hands it work via [`Scheduler::take_handoff`].
-    fn enlist_waiter(&mut self, loc: usize) {
-        let _ = loc;
-    }
-
-    /// After `loc` gained surplus queued work: pop the oldest live
-    /// waiter (never `loc` itself, never a locality flagged in `dead`)
-    /// and the back of `loc`'s queue for a direct handoff.
-    fn take_handoff(&mut self, loc: usize, dead: &[bool]) -> Option<(usize, TaskId)> {
-        let _ = (loc, dead);
-        None
-    }
-
-    /// Steal attempts (victims tried) before a thief parks as a waiter.
-    fn max_attempts(&self) -> usize {
-        0
-    }
-
-    /// Drop all queued tasks, slots, and steal/wait state (recovery
-    /// rewinds the phase; the queues' tasks no longer exist).
-    fn clear(&mut self) {}
 }
 
 // --------------------------------------------------------------- data-aware
 
 /// The direct family: every admitted task executes at its preferred
-/// locality immediately — the paper's Algorithm 2, with the variant and
-/// fallback-target decisions delegated to the wrapped
-/// [`SchedulingPolicy`] exactly as before the scheduler refactor.
+/// locality immediately — the paper's Algorithm 2, with the
+/// fallback-target decision delegated to the wrapped [`SchedulingPolicy`].
 pub struct DataAwareScheduler {
     policy: Box<dyn SchedulingPolicy>,
 }
@@ -189,18 +70,14 @@ impl DataAwareScheduler {
 }
 
 impl Scheduler for DataAwareScheduler {
-    fn name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     fn pick_variant(
         &mut self,
         depth: u32,
         can_split: bool,
-        hint: Option<f64>,
+        _hint: Option<f64>,
         env: &PolicyEnv<'_>,
     ) -> Variant {
-        self.policy.pick_variant(depth, can_split, hint, env)
+        policy::pick_variant(depth, can_split, env)
     }
 
     fn pick_target(&mut self, hint: Option<f64>, origin: usize, env: &PolicyEnv<'_>) -> usize {
@@ -226,7 +103,7 @@ pub enum VictimPolicy {
 
 /// Victims a thief of the stealing family tries per steal round before
 /// it parks as a waiter.
-const STEAL_ATTEMPTS: usize = 3;
+pub(crate) const STEAL_ATTEMPTS: usize = 3;
 
 /// Knobs of the work-stealing scheduler family.
 #[derive(Debug, Clone, Copy)]
@@ -321,34 +198,14 @@ impl WorkStealingScheduler {
     fn drop_waiter(&mut self, loc: usize) {
         self.waiters.retain(|&w| w != loc);
     }
-}
 
-impl Scheduler for WorkStealingScheduler {
-    fn name(&self) -> &'static str {
-        match self.cfg.victim {
-            VictimPolicy::RoundRobin => "work-stealing(round-robin)",
-            VictimPolicy::LeastLoaded => "work-stealing(least-loaded)",
-            VictimPolicy::Random => "work-stealing(random)",
-        }
-    }
-
-    fn pick_variant(
-        &mut self,
-        depth: u32,
-        can_split: bool,
-        hint: Option<f64>,
-        env: &PolicyEnv<'_>,
-    ) -> Variant {
-        self.policy.pick_variant(depth, can_split, hint, env)
-    }
-
-    fn pick_target(&mut self, hint: Option<f64>, origin: usize, env: &PolicyEnv<'_>) -> usize {
-        self.policy.pick_target(hint, origin, env)
-    }
-
-    fn admit(&mut self, preferred: usize, dead: &[bool]) -> Placement {
+    /// The queue a process task goes to, given its data-aware
+    /// `preferred` locality (already decided, and live): that locality's,
+    /// or past a full one the shortest queue of a locality not flagged
+    /// in `dead`.
+    pub fn admit(&mut self, preferred: usize, dead: &[bool]) -> usize {
         if self.locs[preferred].queue.len() < self.cfg.queue_threshold {
-            return Placement::Enqueue(preferred);
+            return preferred;
         }
         // Threshold spill: the shortest live queue (ties toward the
         // lowest index), which is usually an idle locality — the
@@ -364,14 +221,11 @@ impl Scheduler for WorkStealingScheduler {
                 best_len = l.queue.len();
             }
         }
-        Placement::Enqueue(best)
+        best
     }
 
-    fn uses_queues(&self) -> bool {
-        true
-    }
-
-    fn enqueue(&mut self, loc: usize, task: TaskId) {
+    /// Append a task to `loc`'s queue.
+    pub fn enqueue(&mut self, loc: usize, task: TaskId) {
         self.locs[loc].queue.push_back(task);
         // Local work ends a wait: the pump activates it right after.
         if self.locs[loc].mode == Mode::Waiting {
@@ -380,7 +234,10 @@ impl Scheduler for WorkStealingScheduler {
         }
     }
 
-    fn next_runnable(&mut self, loc: usize) -> Option<TaskId> {
+    /// Pop the next task to activate at `loc`, if a slot is free — the
+    /// scheduler takes the slot. `None` when the queue is empty or every
+    /// slot is taken.
+    pub fn next_runnable(&mut self, loc: usize) -> Option<TaskId> {
         let l = &mut self.locs[loc];
         if l.active >= self.slots {
             return None;
@@ -390,34 +247,42 @@ impl Scheduler for WorkStealingScheduler {
         Some(task)
     }
 
-    fn release_slot(&mut self, loc: usize) {
+    /// Return the slot an activated task held (called at completion).
+    pub fn release_slot(&mut self, loc: usize) {
         self.locs[loc].active = self.locs[loc].active.saturating_sub(1);
     }
 
-    fn queue_len(&self, loc: usize) -> usize {
+    /// Tasks queued (not yet activated) at `loc`.
+    pub fn queue_len(&self, loc: usize) -> usize {
         self.locs[loc].queue.len()
     }
 
-    fn should_steal(&self, loc: usize) -> bool {
+    /// Whether `loc` should start a steal round: it has a free slot, an
+    /// empty queue, and no steal already in flight.
+    pub fn should_steal(&self, loc: usize) -> bool {
         self.locs.len() > 1
             && self.locs[loc].mode == Mode::Idle
             && self.locs[loc].queue.is_empty()
             && self.locs[loc].active < self.slots
     }
 
-    fn begin_steal(&mut self, loc: usize) {
+    /// Mark a steal round in flight from `loc`.
+    pub fn begin_steal(&mut self, loc: usize) {
         self.locs[loc].mode = Mode::Stealing;
     }
 
-    fn end_steal(&mut self, loc: usize) {
+    /// Clear `loc`'s steal/wait state (round over, grant arrived, or
+    /// handoff lost).
+    pub fn end_steal(&mut self, loc: usize) {
         self.locs[loc].mode = Mode::Idle;
         self.drop_waiter(loc);
     }
 
-    fn steal_victim(&mut self, thief: usize, dead: &[bool]) -> Option<usize> {
+    /// Pick a steal victim for `thief`: a live locality (never one
+    /// flagged in `dead`, never the thief) with a non-empty queue.
+    pub fn steal_victim(&mut self, thief: usize, dead: &[bool]) -> Option<usize> {
         let nodes = self.locs.len();
-        let eligible =
-            |n: usize| n != thief && !dead[n] && !self.locs[n].queue.is_empty();
+        let eligible = |n: usize| n != thief && !dead[n] && !self.locs[n].queue.is_empty();
         match self.cfg.victim {
             VictimPolicy::RoundRobin => {
                 let start = self.cursors[thief];
@@ -439,18 +304,26 @@ impl Scheduler for WorkStealingScheduler {
         }
     }
 
-    fn steal_task(&mut self, victim: usize) -> Option<TaskId> {
+    /// Give up the back of `victim`'s queue (the coldest task — its
+    /// data was staged least recently, so it is the cheapest to move).
+    pub fn steal_task(&mut self, victim: usize) -> Option<TaskId> {
         self.locs[victim].queue.pop_back()
     }
 
-    fn enlist_waiter(&mut self, loc: usize) {
+    /// Register `loc` as an idle waiter after an exhausted steal round;
+    /// a later surplus enqueue hands it work via
+    /// [`WorkStealingScheduler::take_handoff`].
+    pub fn enlist_waiter(&mut self, loc: usize) {
         self.locs[loc].mode = Mode::Waiting;
         if !self.waiters.contains(&loc) {
             self.waiters.push_back(loc);
         }
     }
 
-    fn take_handoff(&mut self, loc: usize, dead: &[bool]) -> Option<(usize, TaskId)> {
+    /// After `loc` gained surplus queued work: pop the oldest live
+    /// waiter (never `loc` itself, never a locality flagged in `dead`)
+    /// and the back of `loc`'s queue for a direct handoff.
+    pub fn take_handoff(&mut self, loc: usize, dead: &[bool]) -> Option<(usize, TaskId)> {
         if self.locs[loc].queue.is_empty() {
             return None;
         }
@@ -463,17 +336,31 @@ impl Scheduler for WorkStealingScheduler {
         Some((waiter, task))
     }
 
-    fn max_attempts(&self) -> usize {
-        STEAL_ATTEMPTS
-    }
-
-    fn clear(&mut self) {
+    /// Drop all queued tasks, slots, and steal/wait state (recovery
+    /// rewinds the phase; the queues' tasks no longer exist).
+    pub fn clear(&mut self) {
         for l in &mut self.locs {
             l.queue.clear();
             l.active = 0;
             l.mode = Mode::Idle;
         }
         self.waiters.clear();
+    }
+}
+
+impl Scheduler for WorkStealingScheduler {
+    fn pick_variant(
+        &mut self,
+        depth: u32,
+        can_split: bool,
+        _hint: Option<f64>,
+        env: &PolicyEnv<'_>,
+    ) -> Variant {
+        policy::pick_variant(depth, can_split, env)
+    }
+
+    fn pick_target(&mut self, hint: Option<f64>, origin: usize, env: &PolicyEnv<'_>) -> usize {
+        self.policy.pick_target(hint, origin, env)
     }
 }
 
@@ -519,12 +406,12 @@ mod tests {
         let dead = vec![false, false, false];
         fill(&mut s, 0, 4); // at the default threshold
         fill(&mut s, 1, 1);
-        assert_eq!(s.admit(0, &dead), Placement::Enqueue(2), "spill to the empty queue");
-        assert_eq!(s.admit(1, &dead), Placement::Enqueue(1), "below threshold stays");
+        assert_eq!(s.admit(0, &dead), 2, "spill to the empty queue");
+        assert_eq!(s.admit(1, &dead), 1, "below threshold stays");
         let dead2 = vec![false, true, true];
         assert_eq!(
             s.admit(0, &dead2),
-            Placement::Enqueue(0),
+            0,
             "no live spill target: stay at the preferred locality"
         );
     }

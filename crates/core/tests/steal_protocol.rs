@@ -20,10 +20,7 @@
 
 use std::collections::HashSet;
 
-use allscale_core::{
-    DataAwarePolicy, Placement, Scheduler, StealConfig, TaskId, VictimPolicy,
-    WorkStealingScheduler,
-};
+use allscale_core::{DataAwarePolicy, StealConfig, TaskId, VictimPolicy, WorkStealingScheduler};
 use proptest::prelude::*;
 
 /// Deterministic xorshift64 driving the op sequence (so a failure
@@ -103,11 +100,7 @@ impl Harness {
 
     fn admit(&mut self, rng: &mut XorShift) {
         let preferred = self.random_live(rng);
-        let placement = self.sched.admit(preferred, &self.dead);
-        let loc = match placement {
-            Placement::Execute(_) => panic!("queue family must enqueue, got {placement:?}"),
-            Placement::Enqueue(l) => l,
-        };
+        let loc = self.sched.admit(preferred, &self.dead);
         assert!(!self.dead[loc], "admission spilled to dead locality {loc}");
         let tid = TaskId(self.next_id);
         self.next_id += 1;
