@@ -11,12 +11,12 @@ use std::rc::Rc;
 use allscale_core::{
     pfor, CostModel, Grid, PforSpec, Requirement, RtConfig, RtCtx, Runtime, TaskValue, WorkItem,
 };
-use allscale_des::{SimDuration, SimTime};
+use allscale_des::SimTime;
 use allscale_region::{BoxRegion, GridBox, GridFragment};
 
 use super::{
-    b_init, cell_of, deposit_quantized, e_init, field_update, oracle, oracle_rho_total,
-    particle_checksum, push, seed_cell, Cell, PicConfig, PicResult,
+    b_init, cell_of, deposit_quantized, e_init, field_update, oracle, particle_checksum, push,
+    seed_cell, Cell, PicConfig, PicResult,
 };
 
 struct Items {
@@ -96,7 +96,7 @@ pub fn run_with(cfg: &PicConfig, rt_cfg: RtConfig) -> PicResult {
                         range: GridBox::from_shape(shape).unwrap(),
                         grain,
                         ns_per_point: ns_particle * ppc as f64 / 4.0,
-                            axis0_pieces: cfg.nodes as u64 * 4,
+                        axis0_pieces: cfg.nodes as u64 * 4,
                     },
                     move |tile| {
                         let r = BoxRegion::from_box(*tile);
@@ -226,7 +226,7 @@ pub fn run_with(cfg: &PicConfig, rt_cfg: RtConfig) -> PicResult {
                         range: universe,
                         grain,
                         ns_per_point: ns_particle * ppc as f64,
-                            axis0_pieces: cfg.nodes as u64 * 4,
+                        axis0_pieces: cfg.nodes as u64 * 4,
                     },
                     move |tile| {
                         let r = BoxRegion::from_box(*tile);
@@ -299,12 +299,10 @@ pub fn run_with(cfg: &PicConfig, rt_cfg: RtConfig) -> PicResult {
     let s = state.borrow();
     let compute_seconds = (s.compute_end - s.compute_start).as_secs_f64();
     let validated = if cfg_out.validate {
-        let (oc, osum) = oracle(&cfg_out);
-        s.count == oc && s.checksum == osum && s.rho_total == oracle_rho_total(&cfg_out)
+        (s.count, s.checksum, s.rho_total) == oracle(&cfg_out)
     } else {
         s.count == cfg_out.total_particles()
     };
-    let _ = SimDuration::ZERO;
     PicResult {
         compute_seconds,
         updates_per_sec: cfg_out.total_updates() / compute_seconds,

@@ -275,8 +275,11 @@ pub struct PicResult {
 }
 
 /// Sequential oracle: the whole simulation on flat vectors. Returns
-/// `(particle count, checksum)`.
-pub fn oracle(cfg: &PicConfig) -> (u64, u64) {
+/// `(particle count, checksum, total deposited charge)` of the final
+/// state; the charge is quantized per particle before summation
+/// ([`deposit_quantized`]), so it is exactly order-independent across
+/// distributed fragments.
+pub fn oracle(cfg: &PicConfig) -> (u64, u64, u64) {
     let shape = cfg.shape();
     let (nx, ny, nz) = (shape[0], shape[1], shape[2]);
     let extent = [nx as f64, ny as f64, nz as f64];
@@ -341,90 +344,13 @@ pub fn oracle(cfg: &PicConfig) -> (u64, u64) {
         cells = next;
     }
 
-    let mut count = 0u64;
-    let mut acc = 0u64;
-    for cell in &cells {
-        for p in cell {
-            count += 1;
-            acc = acc.wrapping_add(particle_checksum(p));
-        }
+    let (mut count, mut acc, mut rho_total) = (0u64, 0u64, 0u64);
+    for p in cells.iter().flatten() {
+        count += 1;
+        acc = acc.wrapping_add(particle_checksum(p));
+        rho_total = rho_total.wrapping_add(deposit_quantized(p));
     }
-    (count, acc)
-}
-
-/// Total deposited charge of the final oracle state — used to validate the
-/// moment-deposition phase (order-independent: per-cell sums are folded
-/// through bit-exact u64 accumulation of rounded milli-units).
-pub fn oracle_rho_total(cfg: &PicConfig) -> u64 {
-    // Re-run the oracle and deposit.
-    let shape = cfg.shape();
-    let (nx, ny, nz) = (shape[0], shape[1], shape[2]);
-    let extent = [nx as f64, ny as f64, nz as f64];
-    let idx = |x: i64, y: i64, z: i64| -> usize { (((x * ny) + y) * nz + z) as usize };
-    let mut e: Vec<f64> = Vec::new();
-    let mut b: Vec<f64> = Vec::new();
-    let mut cells: Vec<Cell> = Vec::new();
-    for x in 0..nx {
-        for y in 0..ny {
-            for z in 0..nz {
-                e.push(e_init(x, y, z));
-                b.push(b_init(x, y, z));
-                cells.push(seed_cell(x, y, z, shape, cfg.particles_per_cell));
-            }
-        }
-    }
-    for _ in 0..cfg.steps {
-        let mut e2 = e.clone();
-        for x in 0..nx {
-            for y in 0..ny {
-                for z in 0..nz {
-                    let c = e[idx(x, y, z)];
-                    let nb = |xx: i64, yy: i64, zz: i64| -> f64 {
-                        if xx < 0 || xx >= nx || yy < 0 || yy >= ny || zz < 0 || zz >= nz {
-                            c
-                        } else {
-                            e[idx(xx, yy, zz)]
-                        }
-                    };
-                    e2[idx(x, y, z)] = field_update(
-                        c,
-                        [
-                            nb(x - 1, y, z),
-                            nb(x + 1, y, z),
-                            nb(x, y - 1, z),
-                            nb(x, y + 1, z),
-                            nb(x, y, z - 1),
-                            nb(x, y, z + 1),
-                        ],
-                        b[idx(x, y, z)],
-                    );
-                }
-            }
-        }
-        e = e2;
-        let mut next: Vec<Cell> = vec![Vec::new(); cells.len()];
-        for x in 0..nx {
-            for y in 0..ny {
-                for z in 0..nz {
-                    for p in &cells[idx(x, y, z)] {
-                        let q = push(p, e[idx(x, y, z)], extent);
-                        let c = cell_of(q.pos);
-                        next[idx(c[0], c[1], c[2])].push(q);
-                    }
-                }
-            }
-        }
-        cells = next;
-    }
-    // Quantized per particle BEFORE summation, so the result is exactly
-    // order-independent across distributed fragments.
-    let mut total = 0u64;
-    for cell in &cells {
-        for p in cell {
-            total = total.wrapping_add(deposit_quantized(p));
-        }
-    }
-    total
+    (count, acc, rho_total)
 }
 
 /// Per-particle deposit in exact milli-units (order-independent sums).
@@ -470,7 +396,7 @@ mod tests {
     #[test]
     fn oracle_conserves_particles() {
         let cfg = PicConfig::small(2);
-        let (count, _) = oracle(&cfg);
+        let (count, _, _) = oracle(&cfg);
         assert_eq!(count, cfg.total_particles());
     }
 

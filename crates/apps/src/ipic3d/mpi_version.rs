@@ -8,8 +8,8 @@ use allscale_mpi::run_spmd;
 use allscale_net::ClusterSpec;
 
 use super::{
-    b_init, cell_of, deposit_quantized, e_init, field_update, oracle, oracle_rho_total,
-    particle_checksum, push, seed_cell, Cell, Particle, PicConfig, PicResult,
+    b_init, cell_of, deposit_quantized, e_init, field_update, oracle, particle_checksum, push,
+    seed_cell, Cell, Particle, PicConfig, PicResult,
 };
 
 const TAG_FIELD_UP: u32 = 1;
@@ -236,8 +236,7 @@ pub fn run_with(cfg: &PicConfig, spec: &ClusterSpec) -> PicResult {
     let t0 = report.results.iter().map(|&(_, _, _, t)| t).max().unwrap_or(0);
     let seconds = (report.finish_time.as_nanos() - t0) as f64 / 1e9;
     let validated = if cfg.validate {
-        let (oc, osum) = oracle(cfg);
-        particles == oc && checksum == osum && rho_total == oracle_rho_total(cfg)
+        (particles, checksum, rho_total) == oracle(cfg)
     } else {
         particles == cfg.total_particles()
     };
