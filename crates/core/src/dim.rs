@@ -38,6 +38,10 @@ use allscale_net::frame::Payload;
 use crate::dynamic::{DynFragment, DynRegion, ItemDescriptor};
 use crate::task::{AccessMode, ItemId, Requirement, TaskId};
 
+/// The task of a persistent export record: a broadcast replica is held by
+/// no task, and fences writers until it is invalidated.
+const PERSISTENT: TaskId = TaskId(u64::MAX);
+
 /// What a refused task is blocked on: `region` of `item` at `locality`'s
 /// data item manager — the key of the wait list it is enqueued on.
 #[derive(Debug, Clone)]
@@ -340,6 +344,13 @@ impl DataItemManager {
         bytes
     }
 
+    /// Export `region` of our data as a *persistent* replica (a broadcast
+    /// to every other locality): the export fences writers until
+    /// [`DataItemManager::release_persistent_exports`] lifts it.
+    pub fn export_persistent(&mut self, item: ItemId, region: &dyn DynRegion) -> Payload {
+        self.export_replica(item, region, usize::MAX, PERSISTENT)
+    }
+
     /// Extract `region` for a migration: data and ownership leave this
     /// locality.
     pub fn export_migration(&mut self, item: ItemId, region: &dyn DynRegion) -> Payload {
@@ -554,14 +565,15 @@ impl DataItemManager {
     }
 
     /// The union of *persistent* export records of `item` — regions of our
-    /// owned data replicated elsewhere for the rest of the run (sentinel
-    /// task id), which must stay write-fenced and owned here as long as
-    /// those replicas exist. Input to the fenced-writes consistency check.
+    /// owned data replicated elsewhere for the rest of the run
+    /// ([`DataItemManager::export_persistent`]), which must stay
+    /// write-fenced and owned here as long as those replicas exist. Input
+    /// to the fenced-writes consistency check.
     pub fn persistent_export_region(&self, item: ItemId) -> Box<dyn DynRegion> {
         let slot = self.slot(item);
         let mut acc = (slot.desc.empty_region)();
         for (_, task, region) in &slot.exports {
-            if *task == TaskId(u64::MAX) {
+            if *task == PERSISTENT {
                 acc = acc.union_dyn(region.as_ref());
             }
         }
@@ -601,7 +613,7 @@ impl DataItemManager {
         slot.evict(drop);
     }
 
-    /// Shrink the *persistent* (sentinel-task) export records of `item` by
+    /// Shrink the *persistent* export records of `item` by
     /// `region` at the owner — lifts the broadcast write fence for exactly
     /// the invalidated part, leaving other persistent fences and all
     /// transient (per-task) exports intact. The counterpart of
@@ -619,7 +631,7 @@ impl DataItemManager {
         wake_overlapping(&mut slot.waiters, &mut woken, std::iter::once(region));
         let mut kept = Vec::with_capacity(slot.exports.len());
         for (holder, task, r) in slot.exports.drain(..) {
-            if task == TaskId(u64::MAX) {
+            if task == PERSISTENT {
                 let rest = r.difference_dyn(region);
                 if !rest.is_empty_dyn() {
                     kept.push((holder, task, rest));
@@ -1026,7 +1038,7 @@ mod tests {
         dim.init_owned(ItemId(0), &r2([0, 0], [2, 2]));
         let snap = dim.checkpoint();
         // Layer transient state on top: a persistent import and an export.
-        let bytes = dim.export_replica(ItemId(0), &r2([0, 0], [1, 1]), 1, TaskId(u64::MAX));
+        let bytes = dim.export_persistent(ItemId(0), &r2([0, 0], [1, 1]));
         dim.import_persistent(ItemId(0), &bytes);
         assert!(!dim.persistent_region(ItemId(0)).is_empty_dyn());
         assert!(!dim.persistent_export_region(ItemId(0)).is_empty_dyn());
@@ -1122,7 +1134,7 @@ mod tests {
         let mut dim = mk();
         dim.init_owned(ItemId(0), &r2([0, 0], [8, 8]));
         let _ = dim.export_replica(ItemId(0), &r2([0, 0], [2, 8]), 1, TaskId(7));
-        let _ = dim.export_replica(ItemId(0), &r2([2, 0], [4, 8]), 2, TaskId(u64::MAX));
+        let _ = dim.export_persistent(ItemId(0), &r2([2, 0], [4, 8]));
         refuse_and_wait(&mut dim, TaskId(20), Requirement::write(ItemId(0), r2([0, 0], [1, 1])));
         refuse_and_wait(&mut dim, TaskId(21), Requirement::write(ItemId(0), r2([2, 0], [3, 1])));
         refuse_and_wait(&mut dim, TaskId(22), Requirement::write(ItemId(0), r2([3, 0], [4, 1])));
@@ -1215,7 +1227,7 @@ mod tests {
         };
         owner.init_owned(ItemId(0), &r2([0, 0], [2, 2]));
         holder.init_owned(ItemId(0), &r2([4, 0], [6, 2]));
-        let bytes = owner.export_replica(ItemId(0), &r2([0, 0], [2, 2]), 1, TaskId(u64::MAX));
+        let bytes = owner.export_persistent(ItemId(0), &r2([0, 0], [2, 2]));
         holder.import_persistent(ItemId(0), &bytes);
         assert!(holder.covers_stable(ItemId(0), &r2([0, 0], [2, 2])));
         holder.drop_persistent(ItemId(0));
@@ -1236,7 +1248,7 @@ mod tests {
         holder.init_owned(ItemId(0), &r2([2, 0], [4, 2]));
         let both = r2([0, 0], [4, 2]);
         assert!(!holder.covers_stable(ItemId(0), &both), "owned half only");
-        let bytes = owner.export_replica(ItemId(0), &r2([0, 0], [2, 2]), 1, TaskId(u64::MAX));
+        let bytes = owner.export_persistent(ItemId(0), &r2([0, 0], [2, 2]));
         holder.import_persistent(ItemId(0), &bytes);
         assert!(holder.covers_stable(ItemId(0), &both), "owned ∪ replica");
         assert!(holder.covers_stable(ItemId(0), &r2([1, 0], [3, 2])));
@@ -1255,7 +1267,7 @@ mod tests {
             dim
         };
         owner.init_owned(ItemId(0), &r2([0, 0], [4, 4]));
-        let bytes = owner.export_replica(ItemId(0), &r2([0, 0], [4, 4]), 1, TaskId(u64::MAX));
+        let bytes = owner.export_persistent(ItemId(0), &r2([0, 0], [4, 4]));
         holder.import_persistent(ItemId(0), &bytes);
         // A writer to any part is fenced while the broadcast stands.
         let res = owner.try_lock(TaskId(1), &[Requirement::write(ItemId(0), r2([0, 0], [2, 4]))]);
@@ -1283,7 +1295,7 @@ mod tests {
         let mut owner = mk();
         owner.init_owned(ItemId(0), &r2([0, 0], [4, 4]));
         let _ = owner.export_replica(ItemId(0), &r2([0, 0], [2, 2]), 1, TaskId(7));
-        let _ = owner.export_replica(ItemId(0), &r2([0, 0], [4, 4]), 2, TaskId(u64::MAX));
+        let _ = owner.export_persistent(ItemId(0), &r2([0, 0], [4, 4]));
         owner.release_persistent_exports(ItemId(0), &r2([0, 0], [4, 4]));
         assert!(owner.persistent_export_region(ItemId(0)).is_empty_dyn());
         // Task 7's transient export still fences its region.

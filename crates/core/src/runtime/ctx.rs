@@ -11,7 +11,7 @@ use super::tasks::wake;
 use super::{trace_instant, RtWorld};
 use crate::dynamic::{DynRegion, ItemDescriptor};
 use crate::slo::ServeSpec;
-use crate::task::{ItemId, TaskId};
+use crate::task::ItemId;
 
 /// Driver-facing handle on the runtime between phases.
 pub struct RtCtx<'a> {
@@ -317,8 +317,7 @@ pub(super) fn broadcast_replicate(
     let nodes = w.localities.len();
     let dim = &mut w.localities[owner].dim;
     let region = region.intersect_dyn(dim.owned_region(item));
-    // Sentinel task id marks the export as persistent.
-    let bytes = dim.export_replica(item, region.as_ref(), usize::MAX, TaskId(u64::MAX));
+    let bytes = dim.export_persistent(item, region.as_ref());
     let wire = seal_payload(w, bytes);
     let mut t = now;
     for dst in (0..nodes).filter(|&dst| dst != owner) {
