@@ -2,7 +2,7 @@
 //! of each — the index (hierarchical, or the central ablation) behind
 //! the location cache.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 use allscale_des::SimTime;
 use allscale_trace::EventKind;
@@ -46,7 +46,8 @@ pub(super) struct Directory {
     /// locality, so it behaves as one private cache per locality). Unused
     /// when the central-directory ablation is active.
     loc_cache: LocationCache,
-    item_descs: BTreeMap<ItemId, ItemDescriptor>,
+    /// The items created and not yet destroyed.
+    live: BTreeSet<ItemId>,
     next_item: u32,
 }
 
@@ -59,28 +60,29 @@ impl Directory {
                 IndexImpl::Dist(DistIndex::new(nodes))
             },
             loc_cache: LocationCache::new(),
-            item_descs: BTreeMap::new(),
+            live: BTreeSet::new(),
             next_item: 0,
         }
     }
 
-    /// Allocate the next item id and register `desc` under it.
+    /// Allocate the next item id and register an item of `desc`'s type
+    /// under it.
     pub(super) fn create(&mut self, desc: &ItemDescriptor) -> ItemId {
         let id = ItemId(self.next_item);
         self.next_item += 1;
         self.index.register_item(id, (desc.empty_region)().as_ref());
-        self.item_descs.insert(id, desc.clone());
+        self.live.insert(id);
         id
     }
 
     pub(super) fn destroy(&mut self, item: ItemId) {
         self.index.remove_item(item);
         self.loc_cache.forget(item);
-        self.item_descs.remove(&item);
+        self.live.remove(&item);
     }
 
     pub(super) fn items(&self) -> Vec<ItemId> {
-        self.item_descs.keys().copied().collect()
+        self.live.iter().copied().collect()
     }
 
     /// The region locality `p` advertises for `item` in the hierarchical
