@@ -32,6 +32,7 @@
 //! lists existed.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 use allscale_net::frame::Payload;
 
@@ -130,10 +131,10 @@ struct ItemSlot {
     frag: Box<dyn DynFragment>,
     /// Primary-ownership region (what the index advertises for us).
     owned: Box<dyn DynRegion>,
-    /// Granted read locks.
-    rlocks: Vec<(TaskId, Box<dyn DynRegion>)>,
-    /// Granted write locks.
-    wlocks: Vec<(TaskId, Box<dyn DynRegion>)>,
+    /// Granted read locks, each sharing its requirement's region.
+    rlocks: Vec<(TaskId, Rc<dyn DynRegion>)>,
+    /// Granted write locks, each sharing its requirement's region.
+    wlocks: Vec<(TaskId, Rc<dyn DynRegion>)>,
     /// Replicas of our owned data held elsewhere: (holder, reading task,
     /// region).
     exports: Vec<(usize, TaskId, Box<dyn DynRegion>)>,
@@ -524,12 +525,13 @@ impl DataItemManager {
                 }
             }
         }
-        // Grant pass.
+        // Grant pass: a lock shares its requirement's region.
         for req in reqs {
             let slot = self.slot_mut(req.item);
+            let held = (task, Rc::clone(&req.region));
             match req.mode {
-                AccessMode::Read => slot.rlocks.push((task, req.region.clone_box())),
-                AccessMode::Write => slot.wlocks.push((task, req.region.clone_box())),
+                AccessMode::Read => slot.rlocks.push(held),
+                AccessMode::Write => slot.wlocks.push(held),
             }
         }
         Ok(())
@@ -720,22 +722,17 @@ impl DataItemManager {
     /// persistent-broadcast sentinel shows as `TaskId(u64::MAX)`).
     pub fn holders(&self, item: ItemId, region: &dyn DynRegion) -> Vec<(&'static str, TaskId)> {
         let slot = self.slot(item);
-        let of = |kind, held: &[(TaskId, Box<dyn DynRegion>)]| {
-            held.iter()
-                .filter(|(_, r)| overlaps(r.as_ref(), region))
-                .map(|(t, _)| (kind, *t))
-                .collect::<Vec<_>>()
-        };
-        let mut out = of("wlock", &slot.wlocks);
-        out.extend(of("rlock", &slot.rlocks));
-        out.extend(
-            slot.exports
-                .iter()
-                .filter(|(_, _, r)| overlaps(r.as_ref(), region))
-                .map(|(_, t, _)| ("export", *t)),
-        );
-        out.extend(of("inbound", &slot.inbound));
-        out
+        let wlocks = slot.wlocks.iter().map(|(t, r)| ("wlock", *t, r.as_ref()));
+        let rlocks = slot.rlocks.iter().map(|(t, r)| ("rlock", *t, r.as_ref()));
+        let exports = slot.exports.iter().map(|(_, t, r)| ("export", *t, r.as_ref()));
+        let inbound = slot.inbound.iter().map(|(t, r)| ("inbound", *t, r.as_ref()));
+        wlocks
+            .chain(rlocks)
+            .chain(exports)
+            .chain(inbound)
+            .filter(|&(_, _, r)| overlaps(r, region))
+            .map(|(kind, t, _)| (kind, t))
+            .collect()
     }
 
     /// Type-erased fragment access for [`crate::task::TaskCtx`].

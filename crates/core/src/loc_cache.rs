@@ -40,8 +40,9 @@
 //! [`DistIndex::resolve`]: crate::index::DistIndex::resolve
 //! [`Monitor`]: crate::monitor::Monitor
 
-use std::collections::HashMap;
 use std::rc::Rc;
+
+use allscale_des::hash::MulXorMap;
 
 use crate::dynamic::DynRegion;
 use crate::index::{DistIndex, Hop, Piece};
@@ -96,7 +97,8 @@ pub struct LocationCache {
     /// Per-item generation counter, indexed by item id (ids are dense);
     /// bumped on every distribution change, 0 where never bumped.
     epochs: Vec<u64>,
-    entries: HashMap<(ItemId, usize, u64), Entry>,
+    /// Keyed by (item, start locality, region fingerprint).
+    entries: MulXorMap<(ItemId, usize, u64), Entry>,
     capacity: usize,
     stats: CacheStats,
 }
@@ -118,7 +120,7 @@ impl LocationCache {
     pub fn with_capacity(capacity: usize) -> Self {
         LocationCache {
             epochs: Vec::new(),
-            entries: HashMap::new(),
+            entries: MulXorMap::default(),
             capacity: capacity.max(1),
             stats: CacheStats::default(),
         }

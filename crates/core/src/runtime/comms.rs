@@ -10,13 +10,15 @@ use std::borrow::Cow;
 
 use allscale_des::fnv::fnv1a_64_batch;
 use allscale_des::SimTime;
+use allscale_net::coalesce::Entry;
 use allscale_net::{
     frame, AnyTopology, Batch, BatchParams, ClusterSpec, Coalescer, Delivered, Enqueue, FaultPlan,
     Network, RetryPolicy, TrafficStats, TransferFault,
 };
 use allscale_trace::{EventKind, TraceSink, TransferPurpose};
 
-use super::{schedule_task_event, trace_instant, trace_span, RtSim, RtWorld};
+use super::events::{schedule, RtEvent};
+use super::{trace_instant, trace_span, RtSim, RtWorld};
 use crate::index::Hop;
 use crate::integrity::IntegrityStats;
 use crate::task::{ItemId, TaskId};
@@ -386,41 +388,35 @@ pub(super) fn ship_persistent(
 // ----------------------------------------------------------------- batching
 
 /// A runtime message parked in the coalescer: its semantic tag plus the
-/// continuation to run once the batch carrying it is delivered (`Some`
-/// handling-complete time) or definitively lost (`None`).
-struct PendingMsg {
+/// continuation to run once the batch carrying it is delivered or
+/// definitively lost.
+pub(super) struct PendingMsg {
     tag: Payload,
-    deliver: DeliverFn,
+    then: RtEvent,
 }
-
-/// Continuation run when a batched message is delivered or lost.
-type DeliverFn = Box<dyn FnOnce(&mut RtSim, Option<Delivered>)>;
 
 /// Send a runtime message through the batching layer. With batching off
 /// it is billed immediately ([`send_msg`] gated on the destination's
-/// comm thread) and `deliver` is scheduled for the handling-complete
-/// time; with batching on it is enqueued in the per-(src, dst) coalescer
-/// and `deliver` fires when the batch flushes — at the flush-window
-/// deadline, or immediately when a byte or message cap closes the batch.
-/// `deliver` receives `None` when the message (or the whole batch
-/// carrying it) is definitively lost; loss continuations run
-/// synchronously.
+/// comm thread) and `then` is scheduled for the handling-complete time;
+/// with batching on it is enqueued in the per-(src, dst) coalescer and
+/// `then` fires when the batch flushes — at the flush-window deadline, or
+/// immediately when a byte or message cap closes the batch. When the
+/// message (or the whole batch carrying it) is definitively lost, `then`
+/// runs at once, told so.
 pub(super) fn send_deferred(
     sim: &mut RtSim,
     from: usize,
     to: usize,
     bytes: usize,
     tag: Payload,
-    deliver: impl FnOnce(&mut RtSim, Option<Delivered>) + 'static,
+    then: RtEvent,
 ) {
     debug_assert_ne!(from, to, "deferred sends are remote-only");
     let now = sim.now();
     if sim.world.comms.batching.is_none() {
         match send_msg(&mut sim.world, now, from, to, bytes, tag, true) {
-            Some(handled) => {
-                schedule_task_event(sim, handled.at, move |sim| deliver(sim, Some(handled)))
-            }
-            None => deliver(sim, None),
+            Some(handled) => schedule(sim, handled.at, then.landed(handled.intact)),
+            None => then.run(sim, false),
         }
         return;
     }
@@ -428,10 +424,7 @@ pub(super) fn send_deferred(
     // once per flush.
     sim.world.monitor.per_locality[from].msgs_sent += 1;
     sim.world.monitor.per_locality[from].bytes_sent += bytes as u64;
-    let msg = PendingMsg {
-        tag,
-        deliver: Box::new(deliver),
-    };
+    let msg = PendingMsg { tag, then };
     match sim.world.comms.coalescer.enqueue(now, from, to, bytes, msg) {
         Enqueue::Joined => {}
         Enqueue::Opened { deadline, gen } => {
@@ -446,11 +439,7 @@ pub(super) fn send_deferred(
             // none at all when the wire is idle.
             let eager = sim.world.comms.net.tx_free_at(from).max(now);
             let fire = eager.min(deadline);
-            schedule_task_event(sim, fire, move |sim| {
-                if let Some(batch) = sim.world.comms.coalescer.take_if_gen(from, to, gen) {
-                    flush_batch(sim, batch);
-                }
-            });
+            schedule(sim, fire, RtEvent::BatchFlush { from, to, gen });
         }
         Enqueue::Full => {
             let batch = sim
@@ -461,6 +450,14 @@ pub(super) fn send_deferred(
                 .expect("cap-flushed batch present");
             flush_batch(sim, batch);
         }
+    }
+}
+
+/// The flush timer of batch `gen` from `from` to `to`: flush it, unless a
+/// cap flushed it first.
+pub(super) fn flush_timer(sim: &mut RtSim, from: usize, to: usize, gen: u64) {
+    if let Some(batch) = sim.world.comms.coalescer.take_if_gen(from, to, gen) {
+        flush_batch(sim, batch);
     }
 }
 
@@ -512,30 +509,31 @@ fn flush_batch(sim: &mut RtSim, batch: Batch<PendingMsg>) {
             }
             // The wire verdict applies to the whole flush: one frame
             // carried every member.
-            let arrival = Delivered {
-                at: handled,
-                intact: delivered.intact,
-            };
-            schedule_task_event(sim, handled, move |sim| {
-                for e in batch.entries {
-                    (e.payload.deliver)(sim, Some(arrival));
-                }
-            });
+            let (members, intact) = (batch.entries, delivered.intact);
+            schedule(sim, handled, RtEvent::BatchDelivery { members, intact });
         }
         Err(_) => {
             for e in batch.entries {
                 lost(&mut sim.world, now, src, dst, e.bytes, e.payload.tag);
-                (e.payload.deliver)(sim, None);
+                e.payload.then.run(sim, false);
             }
         }
     }
 }
 
+/// Run the continuation of every member of a batch its destination has
+/// handled, in enqueue order.
+pub(super) fn deliver_batch(sim: &mut RtSim, members: Vec<Entry<PendingMsg>>, intact: bool) {
+    for e in members {
+        e.payload.then.landed(intact).run(sim, true);
+    }
+}
+
 /// Run `then` at locality `to` on behalf of `from`: after a billed
-/// message through the batching layer when the two differ (`then` gets
-/// `false` if the message was lost for good), without one otherwise —
-/// as an event of its own at the current instant when `own_event` is
-/// set, else inline.
+/// message through the batching layer when the two differ (`then` is
+/// told if the message was lost for good), without one otherwise — as an
+/// event of its own at the current instant when `own_event` is set, else
+/// inline.
 pub(super) fn deliver(
     sim: &mut RtSim,
     from: usize,
@@ -543,17 +541,15 @@ pub(super) fn deliver(
     bytes: usize,
     tag: Payload,
     own_event: bool,
-    then: impl FnOnce(&mut RtSim, bool) + 'static,
+    then: RtEvent,
 ) {
     if from != to {
-        send_deferred(sim, from, to, bytes, tag, move |sim, arrival| {
-            then(sim, arrival.is_some())
-        });
+        send_deferred(sim, from, to, bytes, tag, then);
     } else if own_event {
         let now = sim.now();
-        schedule_task_event(sim, now, move |sim| then(sim, true));
+        schedule(sim, now, then);
     } else {
-        then(sim, true);
+        then.run(sim, true);
     }
 }
 

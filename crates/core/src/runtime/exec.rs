@@ -6,8 +6,9 @@ use allscale_trace::{EventKind, TransferPurpose};
 
 use super::comms::{bill_hops, open_payload, seal_payloads, send_deferred, Payload, Wire};
 use super::directory::{index_resolve, index_update};
+use super::events::{schedule, RtEvent};
 use super::tasks::{park, schedule_wakeups, wake};
-use super::{sched, schedule_task_event, serving, tasks, trace_core_span, trace_instant};
+use super::{sched, serving, tasks, trace_core_span, trace_instant};
 use super::{RtSim, RtWorld};
 use crate::dim::{Blocker, DataItemManager, LockConflict};
 use crate::dynamic::DynRegion;
@@ -31,6 +32,19 @@ struct Move {
     item: ItemId,
     region: Box<dyn DynRegion>,
     src: usize,
+}
+
+/// A fetch in flight for task `tid`, planned at `loc`: `region` of `item`
+/// travels from `src` as `wire`. A lost leg strands the task (and what was
+/// exported for it) until recovery.
+pub(super) struct FetchLeg {
+    tid: TaskId,
+    loc: usize,
+    src: usize,
+    kind: Fetch,
+    item: ItemId,
+    region: Box<dyn DynRegion>,
+    wire: Wire,
 }
 
 /// Acquire locks and stage data for a process task; parks on conflict.
@@ -117,82 +131,102 @@ fn first_touch(
     trace_instant(w, now, loc, kind);
 }
 
-/// Stage the fetch `mv` for `tid` at `loc`: `bytes` is what the source
+/// Stage the fetch `mv` for `tid` at `loc`: `wire` is what the source
 /// just exported; a control request goes there and the payload comes
 /// back, each a runtime message; the landing imports the data and counts
-/// the transfer done. A lost leg strands the task (and what was exported
-/// for it) until recovery.
-fn fetch(sim: &mut RtSim, tid: TaskId, loc: usize, kind: Fetch, mv: Move, bytes: Wire) {
+/// the transfer done.
+fn fetch(sim: &mut RtSim, tid: TaskId, loc: usize, kind: Fetch, mv: Move, wire: Wire) {
     let Move {
         item, region, src, ..
     } = mv;
     let now = sim.now();
     let w = &mut sim.world;
-    let purpose = match kind {
-        Fetch::Migrate => {
-            let src_owned = w.localities[src].dim.advertised_region(item);
-            let hops = index_update(w, now, item, src, src_owned);
-            bill_hops(w, now, &hops, Some(item));
-            // Advertise the destination in the index immediately and
-            // fence the region as in-flight. Between the source giving
-            // the region up and the transfer landing, the region must
-            // still resolve to *someone* — a planner finding no owner
-            // would first-touch a second primary into existence (and a
-            // later migration would serve its default-initialized copy,
-            // silently dropping every write committed to the real one).
-            // The fence makes the advertised owner refuse to serve the
-            // region until the data actually arrives.
-            w.localities[loc]
-                .dim
-                .fence_inbound(item, tid, region.as_ref());
-            let dst_adv = w.localities[loc].dim.advertised_region(item);
-            let hops = index_update(w, now, item, loc, dst_adv);
-            bill_hops(w, now, &hops, Some(item));
-            TransferPurpose::Migrate
-        }
-        Fetch::Replicate => TransferPurpose::Replicate,
-    };
+    if kind == Fetch::Migrate {
+        let src_owned = w.localities[src].dim.advertised_region(item);
+        let hops = index_update(w, now, item, src, src_owned);
+        bill_hops(w, now, &hops, Some(item));
+        // Advertise the destination in the index immediately and
+        // fence the region as in-flight. Between the source giving
+        // the region up and the transfer landing, the region must
+        // still resolve to *someone* — a planner finding no owner
+        // would first-touch a second primary into existence (and a
+        // later migration would serve its default-initialized copy,
+        // silently dropping every write committed to the real one).
+        // The fence makes the advertised owner refuse to serve the
+        // region until the data actually arrives.
+        w.localities[loc]
+            .dim
+            .fence_inbound(item, tid, region.as_ref());
+        let dst_adv = w.localities[loc].dim.advertised_region(item);
+        let hops = index_update(w, now, item, loc, dst_adv);
+        bill_hops(w, now, &hops, Some(item));
+    }
     let ctrl = w.cost.control_msg_bytes;
     let req_tag = Payload::data(TransferPurpose::Control, Some(tid), item);
-    send_deferred(sim, loc, src, ctrl, req_tag, move |sim, arr| {
-        if arr.is_none() {
-            return;
+    let leg = FetchLeg {
+        tid,
+        loc,
+        src,
+        kind,
+        item,
+        region,
+        wire,
+    };
+    send_deferred(sim, loc, src, ctrl, req_tag, RtEvent::FetchRequest(Box::new(leg)));
+}
+
+/// A fetch's request reached its source: the payload goes back.
+pub(super) fn fetch_requested(sim: &mut RtSim, leg: Box<FetchLeg>) {
+    let purpose = match leg.kind {
+        Fetch::Migrate => TransferPurpose::Migrate,
+        Fetch::Replicate => TransferPurpose::Replicate,
+    };
+    let tag = Payload::data(purpose, Some(leg.tid), leg.item);
+    let (src, loc, bytes) = (leg.src, leg.loc, leg.wire.len());
+    let then = RtEvent::FetchData { leg, intact: true };
+    send_deferred(sim, src, loc, bytes, tag, then);
+}
+
+/// A fetch's payload landed (`intact` is the wire's verdict): import it
+/// where the task lives now and count the transfer done.
+pub(super) fn fetch_landed(sim: &mut RtSim, leg: FetchLeg, intact: bool) {
+    let FetchLeg {
+        tid,
+        loc,
+        src,
+        kind,
+        item,
+        region,
+        wire,
+    } = leg;
+    let t = sim.now();
+    let w = &mut sim.world;
+    let data = open_payload(w, &wire, intact);
+    // The task may have been stolen since it planned.
+    let home = w.tasks.get_mut(tid).loc;
+    match kind {
+        Fetch::Migrate => {
+            w.localities[home].dim.import_owned(item, &data);
+            let woken = w.localities[loc]
+                .dim
+                .release_inbound(item, tid, region.as_ref());
+            wake(w, woken);
+            let owned = w.localities[home].dim.advertised_region(item);
+            let hops = index_update(w, t, item, home, owned);
+            bill_hops(w, t, &hops, Some(item));
+            w.monitor.per_locality[home].migrations_in += 1;
         }
-        let tag = Payload::data(purpose, Some(tid), item);
-        send_deferred(sim, src, loc, bytes.len(), tag, move |sim, arr| {
-            let Some(d) = arr else {
-                return;
-            };
-            let t = sim.now();
-            let w = &mut sim.world;
-            let data = open_payload(w, &bytes, d.intact);
-            // The task may have been stolen since it planned.
-            let home = w.tasks.get_mut(tid).loc;
-            match kind {
-                Fetch::Migrate => {
-                    w.localities[home].dim.import_owned(item, &data);
-                    let woken = w.localities[loc]
-                        .dim
-                        .release_inbound(item, tid, region.as_ref());
-                    wake(w, woken);
-                    let owned = w.localities[home].dim.advertised_region(item);
-                    let hops = index_update(w, t, item, home, owned);
-                    bill_hops(w, t, &hops, Some(item));
-                    w.monitor.per_locality[home].migrations_in += 1;
-                }
-                Fetch::Replicate => {
-                    w.localities[home].dim.import_replica(item, &data, tid);
-                    w.monitor.per_locality[home].replicas_in += 1;
-                    w.tasks.get_mut(tid).replicas.push((item, src));
-                }
-            }
-            let inf = w.tasks.get_mut(tid);
-            inf.pending_transfers -= 1;
-            if inf.pending_transfers == 0 {
-                start_execution(sim, tid);
-            }
-        });
-    });
+        Fetch::Replicate => {
+            w.localities[home].dim.import_replica(item, &data, tid);
+            w.monitor.per_locality[home].replicas_in += 1;
+            w.tasks.get_mut(tid).replicas.push((item, src));
+        }
+    }
+    let inf = w.tasks.get_mut(tid);
+    inf.pending_transfers -= 1;
+    if inf.pending_transfers == 0 {
+        start_execution(sim, tid);
+    }
 }
 
 /// Steps 1–2 of preparation: take `reqs`' locks at `loc` (atomically),
@@ -360,10 +394,10 @@ fn start_execution(sim: &mut RtSim, tid: TaskId) {
         core,
         EventKind::TaskExec { task: tid.0 },
     );
-    schedule_task_event(sim, end, move |sim| finish_execution(sim, tid));
+    schedule(sim, end, RtEvent::FinishExecution(tid));
 }
 
-fn finish_execution(sim: &mut RtSim, tid: TaskId) {
+pub(super) fn finish_execution(sim: &mut RtSim, tid: TaskId) {
     let inf = sim.world.tasks.get_mut(tid);
     let loc = inf.loc;
     let (done, result_bytes) = inf.pending_done.take().expect("process ran");
@@ -383,19 +417,8 @@ fn finish_execution(sim: &mut RtSim, tid: TaskId) {
         }
         let bytes = sim.world.cost.control_msg_bytes;
         let tag = Payload::data(TransferPurpose::Control, Some(tid), item);
-        send_deferred(sim, loc, owner, bytes, tag, move |sim, arr| {
-            if arr.is_none() {
-                // A lost release leaves the owner's export fence
-                // standing; any writer it blocks stays parked until
-                // recovery clears the slate.
-                return;
-            }
-            let woken = sim.world.localities[owner]
-                .dim
-                .release_exports_of(item, tid);
-            wake(&mut sim.world, woken);
-            schedule_wakeups(sim);
-        });
+        let then = RtEvent::ReplicaRelease { owner, item, tid };
+        send_deferred(sim, loc, owner, bytes, tag, then);
     }
     sim.world.tasks.remove(tid);
     sim.world.load[loc] -= 1;
@@ -409,5 +432,16 @@ fn finish_execution(sim: &mut RtSim, tid: TaskId) {
             }
         }
     }
+    schedule_wakeups(sim);
+}
+
+/// Task `tid`'s release of its replica of `item` reached `owner`: the
+/// export fences it held there lift. (A lost release leaves them standing;
+/// any writer they block stays parked until recovery clears the slate.)
+pub(super) fn replica_released(sim: &mut RtSim, owner: usize, item: ItemId, tid: TaskId) {
+    let woken = sim.world.localities[owner]
+        .dim
+        .release_exports_of(item, tid);
+    wake(&mut sim.world, woken);
     schedule_wakeups(sim);
 }

@@ -36,6 +36,7 @@
 mod comms;
 mod ctx;
 mod directory;
+mod events;
 mod exec;
 mod phases;
 mod recovery;
@@ -56,6 +57,8 @@ use crate::policy::{DataAwarePolicy, SchedulingPolicy};
 use crate::resilience::ResilienceConfig;
 use crate::scheduler::{DataAwareScheduler, StealConfig, WorkStealingScheduler};
 use crate::task::{TaskValue, WorkItem};
+
+use events::RtEvent;
 
 pub use ctx::RtCtx;
 
@@ -201,7 +204,7 @@ pub struct RtWorld {
     serving: serving::Serving,
 }
 
-type RtSim = Sim<RtWorld>;
+type RtSim = Sim<RtWorld, events::Scheduled>;
 
 /// The runtime entry point.
 pub struct Runtime {
@@ -277,13 +280,14 @@ impl Runtime {
     ) -> RunReport {
         self.sim.world.phases.install(Box::new(driver));
         let sim = &mut self.sim;
-        sim.schedule(SimDuration::ZERO, |sim| phases::advance_phase(sim, None));
+        let start = SimTime::ZERO;
+        events::schedule(sim, start, RtEvent::PhaseResume(None));
         if let Some(period) = sim.world.recovery.heartbeat_period() {
-            sim.schedule(period, recovery::heartbeat_tick);
+            events::schedule(sim, start + period, RtEvent::HeartbeatTick);
         }
         let integrity = sim.world.integrity.as_ref();
         if let Some(period) = integrity.and_then(|m| m.cfg.scrub_period) {
-            sim.schedule(period, scrub::scrub_tick);
+            events::schedule(sim, start + period, RtEvent::ScrubTick);
         }
         self.sim.run();
         let events = self.sim.events_run();
@@ -344,19 +348,5 @@ fn trace_core_span(
         TraceEvent::span(start.as_nanos(), dur.as_nanos(), loc as u32, kind)
             .on_core(core)
             .in_epoch(epoch)
-    });
-}
-
-/// Schedule a task-lifecycle event guarded by the current recovery epoch:
-/// if a recovery happens before the event fires, it becomes a no-op. This
-/// is how an entire in-flight phase is discarded — its completions,
-/// transfer arrivals, and retries are all stale after the world is
-/// rewound to the checkpoint.
-fn schedule_task_event(sim: &mut RtSim, at: SimTime, f: impl FnOnce(&mut RtSim) + 'static) {
-    let epoch = sim.world.recovery.epoch();
-    sim.schedule_at(at, move |sim| {
-        if sim.world.recovery.epoch() == epoch {
-            f(sim);
-        }
     });
 }

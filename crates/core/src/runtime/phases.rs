@@ -4,7 +4,8 @@
 use allscale_des::SimTime;
 use allscale_trace::EventKind;
 
-use super::{recovery, sched, schedule_task_event, serving, trace_instant, RtCtx, RtSim};
+use super::events::{schedule, RtEvent};
+use super::{recovery, sched, serving, trace_instant, RtCtx, RtSim};
 use crate::task::{TaskValue, WorkItem};
 
 /// The application: the closure [`Runtime::run`](super::Runtime::run)
@@ -51,7 +52,7 @@ pub(super) fn advance_phase(sim: &mut RtSim, prev: TaskValue) {
         // The boundary stalls — a synchronous drain, an incremental
         // change-detection scan, or a write-fence on the previous drain
         // — and re-enters itself once the stall lifts.
-        schedule_task_event(sim, resume, move |sim| advance_phase(sim, prev));
+        schedule(sim, resume, RtEvent::PhaseResume(prev));
         return;
     }
     let phase = sim.world.phases.phase;

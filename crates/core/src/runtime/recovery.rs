@@ -9,11 +9,12 @@ use allscale_des::{SimDuration, SimTime};
 use allscale_net::StorageStats;
 use allscale_trace::EventKind;
 
-use super::{directory, phases, schedule_task_event, tasks, trace_instant, RtSim, RtWorld};
+use super::events::{schedule, RtEvent};
+use super::{directory, tasks, trace_instant, RtSim, RtWorld};
 use crate::dim::DataItemManager;
 use crate::resilience::{ResilienceConfig, ResilienceManager, SUSPICION_THRESHOLD};
 
-pub(super) use ckpt::maybe_checkpoint;
+pub(super) use ckpt::{commit_pending_ckpt, maybe_checkpoint};
 
 pub(super) struct Recovery {
     /// Resilience-manager state (`None` when the service is disabled).
@@ -25,9 +26,9 @@ pub(super) struct Recovery {
     pending_ckpt: Option<ckpt::PendingCkpt>,
     /// Localities declared dead by the failure detector.
     dead: Vec<bool>,
-    /// Bumped on every recovery; events scheduled through
-    /// [`schedule_task_event`] in an older epoch become no-ops, which is
-    /// how the in-flight phase's stale work is discarded wholesale.
+    /// Bumped on every recovery; events scheduled in an older epoch become
+    /// no-ops when they fire (`events::Scheduled`), which is how the
+    /// in-flight phase's stale work is discarded wholesale.
     run_epoch: u64,
 }
 
@@ -158,7 +159,7 @@ pub(super) fn heartbeat_tick(sim: &mut RtSim) {
     for p in detected {
         detect_and_recover(sim, p);
     }
-    sim.schedule(period, heartbeat_tick);
+    schedule(sim, now + period, RtEvent::HeartbeatTick);
 }
 
 /// `from` pings `to` (ping + ack, no retries; the suspicion counter *is*
@@ -279,5 +280,5 @@ fn detect_and_recover(sim: &mut RtSim, dead: usize) {
     // Replay from the restored boundary once the tier reads land
     // (guarded: a second recovery before this fires would supersede it).
     let resume = now + SimDuration::from_nanos(point.read_ns);
-    schedule_task_event(sim, resume, |sim| phases::advance_phase(sim, None));
+    schedule(sim, resume, RtEvent::PhaseResume(None));
 }

@@ -12,7 +12,8 @@ use allscale_trace::EventKind;
 
 use super::Recovery;
 use crate::resilience::{reconstruct, CkptKind, CkptMode, LentSnapshot, SavedCkpt};
-use crate::runtime::{schedule_task_event, trace_instant, trace_span, RtSim, RtWorld};
+use crate::runtime::events::{schedule, RtEvent};
+use crate::runtime::{trace_instant, trace_span, RtSim, RtWorld};
 use crate::task::ItemId;
 
 /// An asynchronous checkpoint in flight: the copy-on-write capture was
@@ -181,7 +182,7 @@ pub(in crate::runtime) fn maybe_checkpoint(sim: &mut RtSim, prev_is_none: bool) 
             bytes: logical_bytes,
         },
     );
-    schedule_task_event(sim, completes_at, commit_pending_ckpt);
+    schedule(sim, completes_at, RtEvent::CheckpointCommit);
     match mode {
         CkptMode::Sync => {
             // The classic blocking checkpoint: the boundary stalls for
@@ -201,7 +202,7 @@ pub(in crate::runtime) fn maybe_checkpoint(sim: &mut RtSim, prev_is_none: bool) 
 /// bytes — and hand the link to the resilience manager. Scheduled at the
 /// drain's completion time; idempotent (the boundary may have committed
 /// inline already) and epoch-guarded (a recovery tears the drain instead).
-fn commit_pending_ckpt(sim: &mut RtSim) {
+pub(in crate::runtime) fn commit_pending_ckpt(sim: &mut RtSim) {
     let now = sim.now();
     let w = &mut sim.world;
     let (Some(p), Some(mgr)) = (w.recovery.pending_ckpt.take(), &mut w.recovery.manager) else {

@@ -8,7 +8,8 @@ use allscale_trace::{EventKind, SpawnVariant, TransferPurpose};
 
 use super::comms::{bill_hops, deliver, send_deferred, Payload};
 use super::directory::index_resolve;
-use super::{exec, schedule_task_event, tasks, trace_core_span, trace_instant, RtSim, RtWorld};
+use super::events::{schedule, RtEvent};
+use super::{exec, tasks, trace_core_span, trace_instant, RtSim, RtWorld};
 use crate::index::sole_owner_from;
 use crate::policy::{PolicyEnv, Variant};
 use crate::scheduler::{DataAwareScheduler, Scheduler, WorkStealingScheduler, STEAL_ATTEMPTS};
@@ -100,16 +101,13 @@ pub(super) fn assign_task(
             let target = w.recovery.live_target(target);
             trace_instant(w, now, at, spawn(SpawnVariant::Split, target));
             w.load[target] += 1;
-            deliver(sim, at, target, bytes, tag, true, move |sim, arrived| {
-                if !arrived {
-                    // The task descriptor is lost (undetected dead
-                    // target or exhausted retries): the phase stalls
-                    // until the failure detector triggers recovery.
-                    sim.world.load[target] -= 1;
-                    return;
-                }
-                do_split(sim, target, tid, wi, parent);
-            });
+            let then = RtEvent::SplitForward {
+                target,
+                tid,
+                wi,
+                parent,
+            };
+            deliver(sim, at, target, bytes, tag, true, then);
         }
         Variant::Process => {
             let reqs = wi.requirements();
@@ -124,23 +122,54 @@ pub(super) fn assign_task(
             trace_instant(w, now, at, spawn(SpawnVariant::Process, target));
             w.load[target] += 1;
             w.tasks.admit(tid, target, wi, parent, reqs);
-            deliver(sim, at, target, bytes, tag, true, move |sim, arrived| {
-                if !arrived {
-                    // Lost task descriptor: drop the assignment and
-                    // stall until recovery.
-                    sim.world.tasks.remove(tid);
-                    sim.world.load[target] -= 1;
-                    return;
-                }
-                if queued {
-                    enqueue_task(sim, target, tid);
-                } else {
-                    exec::prepare_task(sim, tid);
-                }
-            });
+            let then = RtEvent::ProcessForward {
+                target,
+                tid,
+                queued,
+            };
+            deliver(sim, at, target, bytes, tag, true, then);
         }
     }
     tid
+}
+
+/// A split task's descriptor reached `target`, or was lost (undetected
+/// dead target or exhausted retries): the phase then stalls until the
+/// failure detector triggers recovery.
+pub(super) fn split_arrived(
+    sim: &mut RtSim,
+    target: usize,
+    tid: TaskId,
+    wi: Box<dyn WorkItem>,
+    parent: Option<(TaskId, usize)>,
+    arrived: bool,
+) {
+    if !arrived {
+        sim.world.load[target] -= 1;
+        return;
+    }
+    do_split(sim, target, tid, wi, parent);
+}
+
+/// A process task's descriptor reached `target`: queue or prepare it. A
+/// lost descriptor drops the assignment and stalls until recovery.
+pub(super) fn process_arrived(
+    sim: &mut RtSim,
+    target: usize,
+    tid: TaskId,
+    queued: bool,
+    arrived: bool,
+) {
+    if !arrived {
+        sim.world.tasks.remove(tid);
+        sim.world.load[target] -= 1;
+        return;
+    }
+    if queued {
+        enqueue_task(sim, target, tid);
+    } else {
+        exec::prepare_task(sim, tid);
+    }
 }
 
 /// Algorithm 2 lines 4-13: find the execution locality for a process task.
@@ -288,39 +317,41 @@ fn steal_attempt(sim: &mut RtSim, thief: usize, attempt: usize) {
         },
     );
     let ctrl = sim.world.cost.control_msg_bytes;
-    let tag = Payload::CONTROL;
-    send_deferred(sim, thief, victim, ctrl, tag, move |sim, arr| {
-        if arr.is_none() {
-            // A lost request (undetected-dead victim, exhausted
-            // retries) is indistinguishable from a deny to the thief.
-            steal_denied(sim, thief, attempt);
-            return;
+    let then = RtEvent::StealRequest {
+        thief,
+        victim,
+        attempt,
+    };
+    send_deferred(sim, thief, victim, ctrl, Payload::CONTROL, then);
+}
+
+/// A steal request of `thief` reached `victim`: grant a queued task, or
+/// deny. (A lost request — undetected-dead victim, exhausted retries — is
+/// indistinguishable from a deny to the thief, and so is a lost deny.)
+pub(super) fn steal_requested(sim: &mut RtSim, thief: usize, victim: usize, attempt: usize) {
+    match sim.world.scheduler.queues().steal_task(victim) {
+        Some(tid) => grant_steal(sim, victim, thief, tid),
+        None => {
+            let t = sim.now();
+            sim.world.monitor.scheduler.steal_denies += 1;
+            trace_instant(
+                &sim.world,
+                t,
+                victim,
+                EventKind::StealDeny {
+                    victim: victim as u32,
+                    thief: thief as u32,
+                },
+            );
+            let ctrl = sim.world.cost.control_msg_bytes;
+            let then = RtEvent::StealDeny { thief, attempt };
+            send_deferred(sim, victim, thief, ctrl, Payload::CONTROL, then);
         }
-        match sim.world.scheduler.queues().steal_task(victim) {
-            Some(tid) => grant_steal(sim, victim, thief, tid),
-            None => {
-                let t = sim.now();
-                sim.world.monitor.scheduler.steal_denies += 1;
-                trace_instant(
-                    &sim.world,
-                    t,
-                    victim,
-                    EventKind::StealDeny {
-                        victim: victim as u32,
-                        thief: thief as u32,
-                    },
-                );
-                send_deferred(sim, victim, thief, ctrl, tag, move |sim, _arr| {
-                    // A lost deny reply times out into the same path.
-                    steal_denied(sim, thief, attempt);
-                });
-            }
-        }
-    });
+    }
 }
 
 /// The thief's attempt came back empty: try the next victim, or park.
-fn steal_denied(sim: &mut RtSim, thief: usize, attempt: usize) {
+pub(super) fn steal_denied(sim: &mut RtSim, thief: usize, attempt: usize) {
     let queues = sim.world.scheduler.queues();
     queues.end_steal(thief);
     if !queues.should_steal(thief) {
@@ -365,20 +396,23 @@ fn grant_steal(sim: &mut RtSim, victim: usize, thief: usize, tid: TaskId) {
     sim.world.load[victim] -= 1;
     sim.world.load[thief] += 1;
     let tag = Payload::task(TransferPurpose::TaskForward, tid);
-    send_deferred(sim, victim, thief, bytes, tag, move |sim, arr| {
-        sim.world.scheduler.queues().end_steal(thief);
-        if arr.is_none() {
-            // The stolen descriptor is lost — same fate as a lost
-            // forward: the task strands until recovery reaps it, and
-            // the thief goes back to stealing (finitely: every loss
-            // removes a task from the run).
-            sim.world.tasks.remove(tid);
-            sim.world.load[thief] -= 1;
-            maybe_steal(sim, thief);
-            return;
-        }
-        enqueue_task(sim, thief, tid);
-    });
+    let then = RtEvent::StealGrant { thief, tid };
+    send_deferred(sim, victim, thief, bytes, tag, then);
+}
+
+/// The descriptor of the stolen task `tid` reached `thief`, which queues
+/// it — or was lost, with the same fate as a lost forward: the task
+/// strands until recovery reaps it, and the thief goes back to stealing
+/// (finitely: every loss removes a task from the run).
+pub(super) fn steal_granted(sim: &mut RtSim, thief: usize, tid: TaskId, arrived: bool) {
+    sim.world.scheduler.queues().end_steal(thief);
+    if !arrived {
+        sim.world.tasks.remove(tid);
+        sim.world.load[thief] -= 1;
+        maybe_steal(sim, thief);
+        return;
+    }
+    enqueue_task(sim, thief, tid);
 }
 
 // -------------------------------------------------------------------- split
@@ -405,10 +439,26 @@ fn do_split(
         core,
         EventKind::TaskSplit { task: tid.0 },
     );
-    schedule_task_event(sim, end, move |sim| {
-        let result_bytes = wi.result_bytes();
-        let outcome = wi.split();
-        sim.world.load[loc] -= 1;
-        tasks::spawn_children(sim, loc, tid, parent, outcome, result_bytes);
-    });
+    let then = RtEvent::SplitEnd {
+        loc,
+        tid,
+        wi,
+        parent,
+    };
+    schedule(sim, end, then);
+}
+
+/// The split variant's overhead elapsed: decompose, and assign the
+/// children from here.
+pub(super) fn split_end(
+    sim: &mut RtSim,
+    loc: usize,
+    tid: TaskId,
+    wi: Box<dyn WorkItem>,
+    parent: Option<(TaskId, usize)>,
+) {
+    let result_bytes = wi.result_bytes();
+    let outcome = wi.split();
+    sim.world.load[loc] -= 1;
+    tasks::spawn_children(sim, loc, tid, parent, outcome, result_bytes);
 }

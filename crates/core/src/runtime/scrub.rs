@@ -4,6 +4,7 @@ use allscale_des::fnv::fnv1a_64_batch;
 use allscale_trace::{EventKind, TransferPurpose};
 
 use super::comms::{seal_payload, send_msg, ship_persistent, Payload};
+use super::events::{schedule, RtEvent};
 use super::{trace_instant, RtSim};
 use crate::integrity::QUARANTINE_AFTER;
 
@@ -129,5 +130,5 @@ pub(super) fn scrub_tick(sim: &mut RtSim) {
         }
     }
     w.monitor.integrity.scrub_passes += 1;
-    sim.schedule(period, scrub_tick);
+    schedule(sim, now + period, RtEvent::ScrubTick);
 }

@@ -3,12 +3,15 @@
 //! controller that replicates hot shards, sheds reads and retires cold
 //! replica sets.
 
+use std::rc::Rc;
+
 use allscale_des::{LogHistogram, SimTime};
 use allscale_trace::{EventKind, TransferPurpose};
 
 use super::comms::{send_msg, Payload};
+use super::events::{schedule, RtEvent};
 use super::tasks::wake;
-use super::{ctx, phases, sched, schedule_task_event, trace_instant, trace_span};
+use super::{ctx, phases, sched, trace_instant, trace_span};
 use super::{RtSim, RtWorld};
 use crate::dynamic::DynRegion;
 use crate::slo::{PendingReq, ServeSession, ServeSpec, MIN_WINDOW};
@@ -63,8 +66,8 @@ pub(super) fn start(sim: &mut RtSim, spec: ServeSpec) {
     let first = session.gen.next_gap();
     let period = session.spec.slo.control_period;
     sim.world.serving.session = Some(session);
-    schedule_task_event(sim, now + first, serve_arrival);
-    schedule_task_event(sim, now + period, slo_tick);
+    schedule(sim, now + first, RtEvent::ServeArrival);
+    schedule(sim, now + period, RtEvent::SloTick);
 }
 
 /// One open-loop arrival: build the request, admit or shed it, and
@@ -72,7 +75,7 @@ pub(super) fn start(sim: &mut RtSim, spec: ServeSpec) {
 /// completion. This independence is what makes saturation observable:
 /// past the capacity knee, in-flight requests pile up and tail latency
 /// diverges instead of the arrival rate slowing down.
-fn serve_arrival(sim: &mut RtSim) {
+pub(super) fn serve_arrival(sim: &mut RtSim) {
     let now = sim.now();
     let Some(mut session) = sim.world.serving.session.take() else {
         return;
@@ -164,7 +167,7 @@ fn serve_arrival(sim: &mut RtSim) {
     if session.next_req < session.spec.max_requests {
         let gap = session.gen.next_gap();
         sim.world.serving.session = Some(session);
-        schedule_task_event(sim, now + gap, serve_arrival);
+        schedule(sim, now + gap, RtEvent::ServeArrival);
     } else {
         session.arrivals_done = true;
         sim.world.serving.session = Some(session);
@@ -227,10 +230,10 @@ pub(super) fn unfence_writes(w: &mut RtWorld, now: SimTime, tid: TaskId) -> bool
         return false;
     };
     let reqs = &w.tasks.get_mut(tid).reqs;
-    let writes: Vec<Box<dyn DynRegion>> = reqs
+    let writes: Vec<Rc<dyn DynRegion>> = reqs
         .iter()
         .filter(|r| r.item == item && r.mode == AccessMode::Write)
-        .map(|r| r.region.clone_box())
+        .map(|r| Rc::clone(&r.region))
         .collect();
     let mut any = false;
     for region in &writes {
@@ -299,7 +302,7 @@ fn maybe_finish(sim: &mut RtSim) {
 /// latency windows to the controller host (billed control messages), and
 /// the controller acts on each shard — replicating hot ones, arming read
 /// shedding, retiring replica sets that stayed cold — then rearms.
-fn slo_tick(sim: &mut RtSim) {
+pub(super) fn slo_tick(sim: &mut RtSim) {
     let Some(mut session) = sim.world.serving.session.take() else {
         return; // phase over: stop rearming, let the queue drain
     };
@@ -343,7 +346,7 @@ fn slo_tick(sim: &mut RtSim) {
     }
     let period = slo.control_period;
     w.serving.session = Some(session);
-    schedule_task_event(sim, now + period, slo_tick);
+    schedule(sim, now + period, RtEvent::SloTick);
 }
 
 /// Broadcast-replicate a hot shard from its owner to every live

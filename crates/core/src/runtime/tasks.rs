@@ -6,7 +6,8 @@ use allscale_des::SimDuration;
 use allscale_trace::{EventKind, TransferPurpose};
 
 use super::comms::{deliver, Payload};
-use super::{exec, phases, sched, schedule_task_event, serving, trace_instant, RtSim, RtWorld};
+use super::events::{schedule, RtEvent};
+use super::{exec, phases, sched, serving, trace_instant, RtSim, RtWorld};
 use crate::dim::Blocker;
 use crate::task::{Done, ItemId, Requirement, SplitOutcome, TaskId, TaskValue, WorkItem};
 use crate::task_map::TaskMap;
@@ -190,15 +191,19 @@ pub(super) fn schedule_wakeups(sim: &mut RtSim) {
     }
     q.tick_armed = true;
     let at = sim.now() + SimDuration::from_nanos(1);
-    schedule_task_event(sim, at, |sim| {
-        let t = &mut sim.world.tasks;
-        t.wakeups.tick_armed = false;
-        let mut woken = std::mem::take(&mut t.wakeups.woken);
-        woken.sort_by_cached_key(|&tid| t.inflight.get(tid).expect("task in flight").ticket);
-        for tid in woken {
-            exec::prepare_task(sim, tid);
-        }
-    });
+    schedule(sim, at, RtEvent::WakeupTick);
+}
+
+/// The retry tick [`schedule_wakeups`] armed: every task woken since
+/// retries its preparation, in ticket order.
+pub(super) fn wakeup_tick(sim: &mut RtSim) {
+    let t = &mut sim.world.tasks;
+    t.wakeups.tick_armed = false;
+    let mut woken = std::mem::take(&mut t.wakeups.woken);
+    woken.sort_by_cached_key(|&tid| t.inflight.get(tid).expect("task in flight").ticket);
+    for tid in woken {
+        exec::prepare_task(sim, tid);
+    }
 }
 
 // --------------------------------------------------------------- completion
@@ -262,19 +267,18 @@ pub(super) fn finish_task(
     };
     let p = sim.world.tasks.parents.get(ptid).expect("parent record");
     let (p_loc, bytes) = (p.loc, p.result_bytes);
-    // A lost result message orphans the parent; the phase stalls until
-    // the failure detector triggers recovery.
     let tag = Payload::task(TransferPurpose::Result, tid);
-    deliver(sim, loc, p_loc, bytes, tag, false, move |sim, arrived| {
-        if arrived {
-            child_done(sim, ptid, idx, value);
-        }
-    });
+    let then = RtEvent::ResultArrival {
+        parent: ptid,
+        idx,
+        value,
+    };
+    deliver(sim, loc, p_loc, bytes, tag, false, then);
 }
 
 /// Child `idx` of `ptid` reported `value`; the last one to report fires
 /// the combiner and finishes the parent in turn.
-fn child_done(sim: &mut RtSim, ptid: TaskId, idx: usize, value: TaskValue) {
+pub(super) fn child_done(sim: &mut RtSim, ptid: TaskId, idx: usize, value: TaskValue) {
     let parents = &mut sim.world.tasks.parents;
     let p = parents.get_mut(ptid).expect("parent record");
     p.results[idx] = Some(value);

@@ -11,6 +11,7 @@
 
 use std::any::Any;
 use std::fmt;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use allscale_des::SimDuration;
@@ -41,8 +42,9 @@ pub enum AccessMode {
 pub struct Requirement {
     /// The accessed data item.
     pub item: ItemId,
-    /// The accessed region (type-erased).
-    pub region: Box<dyn DynRegion>,
+    /// The accessed region (type-erased), shared with the lock a data item
+    /// manager grants for it.
+    pub region: Rc<dyn DynRegion>,
     /// Access mode.
     pub mode: AccessMode,
 }
@@ -52,7 +54,7 @@ impl Requirement {
     pub fn read(item: ItemId, region: impl DynRegion + 'static) -> Self {
         Requirement {
             item,
-            region: Box::new(region),
+            region: Rc::new(region),
             mode: AccessMode::Read,
         }
     }
@@ -61,7 +63,7 @@ impl Requirement {
     pub fn write(item: ItemId, region: impl DynRegion + 'static) -> Self {
         Requirement {
             item,
-            region: Box::new(region),
+            region: Rc::new(region),
             mode: AccessMode::Write,
         }
     }

@@ -8,7 +8,7 @@ use allscale_core::{
 };
 use allscale_des::{SimDuration, SimTime};
 use allscale_region::{BoxRegion, GridBox, GridFragment, Point, Region};
-use common::{Program, ProgramSpec, Scenario};
+use common::{Contended, Program, ProgramSpec, Scenario};
 
 #[path = "../../../tests/common/mod.rs"]
 mod common;
@@ -1008,6 +1008,21 @@ fn checksummed_transfers_mask_wire_corruption() {
         t.re_requests > 0,
         "detected corruptions are re-requested, not consumed ({t:?})"
     );
+}
+
+/// The ablation baseline of the test above, on a program whose tasks read
+/// their neighbours' cells through replicas: with the integrity service
+/// off, a payload the wire flagged corrupt is imported as it arrived, and
+/// the result is poisoned.
+#[test]
+#[should_panic(expected = "result differs from the oracle")]
+fn unverified_transfers_consume_wire_corruption() {
+    Scenario {
+        program: Program::Contended(Contended::draw(7)),
+        faults: Some(FaultPlan::new(0xc0ffee).with_corruption(0.1)),
+        ..Scenario::new(7)
+    }
+    .run();
 }
 
 /// Replica rot, scrubbed: broadcast replicas rot at rest (rot arm at

@@ -11,8 +11,8 @@
 //!
 //! Components:
 //! - [`SimTime`] / [`SimDuration`]: virtual clock types (nanoseconds);
-//! - [`Sim`]: the event queue and dispatch loop, deterministic by
-//!   construction (stable FIFO tie-breaking);
+//! - [`Sim`]: the event queue and dispatch loop over any [`Event`] type,
+//!   deterministic by construction (stable FIFO tie-breaking);
 //! - [`CorePool`]: per-node k-core FCFS accounting for intra-node
 //!   parallelism and saturation;
 //! - [`Tally`] / [`LogHistogram`]: measurement plumbing, and [`Stat`]: the
@@ -21,7 +21,8 @@
 //! - [`rng`]: the shared seeded generators (xorshift64 family, Zipf) every
 //!   randomized subsystem draws from;
 //! - [`fnv`]: the shared FNV-1a 64-bit hash behind every fingerprint,
-//!   checksum and digest;
+//!   checksum and digest, and [`hash`]: the one hasher of in-memory tables
+//!   keyed by a few words;
 //! - [`wire`]: the one serialization format — what a value costs to move is
 //!   the length of its encoding, so the codec sits beside the hash that
 //!   fingerprints it, below every crate that sends or stores bytes;
@@ -49,6 +50,7 @@
 pub mod arrivals;
 mod cores;
 pub mod fnv;
+pub mod hash;
 pub mod rng;
 mod sim;
 pub mod stats;
@@ -57,6 +59,6 @@ pub mod wire;
 
 pub use arrivals::{ArrivalGen, ArrivalProcess};
 pub use cores::CorePool;
-pub use sim::{Event, Sim};
+pub use sim::{Closure, Event, Sim};
 pub use stats::{LogHistogram, Stat, Tally, Visit};
 pub use time::{SimDuration, SimTime};

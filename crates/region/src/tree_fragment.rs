@@ -14,10 +14,9 @@
 //! form is the map of nodes in path order.
 
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
+use allscale_des::hash::MulXorMap;
 use allscale_des::wire::{wire_struct, Reader, Sink, Wire, WireError};
 
 use crate::bitmask::BitmaskTreeRegion;
@@ -123,34 +122,10 @@ impl<T> Block<T> {
     }
 }
 
-/// Hashes the [`TreePath`] keys of a fragment's index with two
-/// multiply-xor rounds: SipHash would cost as much as the probe it serves,
-/// and paths are not adversarial input.
-#[derive(Default)]
-struct PathHasher(u64);
-
-impl Hasher for PathHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b as u64);
-        }
-    }
-    #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.write_u64(n as u64);
-    }
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(29) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-    #[inline]
-    fn finish(&self) -> u64 {
-        // The table indexes by the low bits; fold the well-mixed high ones in.
-        self.0 ^ (self.0 >> 32)
-    }
-}
-
-type PathMap<V> = HashMap<TreePath, V, BuildHasherDefault<PathHasher>>;
+/// A fragment's index by [`TreePath`]: two multiply-xor rounds per path
+/// (SipHash would cost as much as the probe it serves, and paths are not
+/// adversarial input).
+type PathMap<V> = MulXorMap<TreePath, V>;
 
 #[cfg(test)]
 thread_local! {
