@@ -236,10 +236,11 @@ impl DataItemManager {
         );
     }
 
-    /// Remove a data item entirely (the paper's `destroy` action).
-    pub fn destroy(&mut self, item: ItemId) {
+    /// Remove a data item entirely (the paper's `destroy` action);
+    /// returns its descriptor, `None` for an unknown item.
+    pub fn destroy(&mut self, item: ItemId) -> Option<ItemDescriptor> {
         self.cow_capture(item);
-        self.items.remove(&item);
+        self.items.remove(&item).map(|slot| slot.desc)
     }
 
     // ---- boundary snapshots ---------------------------------------------

@@ -50,10 +50,11 @@ impl RtCtx<'_> {
     /// Destroy a data item everywhere (paper action `destroy`).
     pub fn destroy_item(&mut self, item: ItemId) {
         let w = &mut *self.world;
+        let mut desc = None;
         for loc in &mut w.localities {
-            loc.dim.destroy(item);
+            desc = loc.dim.destroy(item).or(desc);
         }
-        w.directory.destroy(item);
+        w.directory.bury(item, desc);
         let host = w.recovery.detector_host();
         trace_instant(w, self.now, host, EventKind::ItemDestroy { item: item.0 });
     }

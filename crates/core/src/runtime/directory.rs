@@ -2,7 +2,7 @@
 //! of each — the index (hierarchical, or the central ablation) behind
 //! the location cache.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use allscale_des::SimTime;
 use allscale_trace::EventKind;
@@ -48,6 +48,9 @@ pub(super) struct Directory {
     loc_cache: LocationCache,
     /// The items created and not yet destroyed.
     live: BTreeSet<ItemId>,
+    /// The types of the destroyed items: a recovery to a checkpoint taken
+    /// before the destruction brings them back ([`Directory::revive`]).
+    graves: BTreeMap<ItemId, ItemDescriptor>,
     next_item: u32,
 }
 
@@ -61,6 +64,7 @@ impl Directory {
             },
             loc_cache: LocationCache::new(),
             live: BTreeSet::new(),
+            graves: BTreeMap::new(),
             next_item: 0,
         }
     }
@@ -79,6 +83,23 @@ impl Directory {
         self.index.remove_item(item);
         self.loc_cache.forget(item);
         self.live.remove(&item);
+    }
+
+    /// [`Directory::destroy`], keeping the item's type for a revival.
+    pub(super) fn bury(&mut self, item: ItemId, desc: Option<ItemDescriptor>) {
+        self.destroy(item);
+        if let Some(desc) = desc {
+            self.graves.insert(item, desc);
+        }
+    }
+
+    /// Register the destroyed `item` again under its id and return its
+    /// type; `None` when it was not destroyed.
+    pub(super) fn revive(&mut self, item: ItemId) -> Option<ItemDescriptor> {
+        let desc = self.graves.remove(&item)?;
+        self.index.register_item(item, (desc.empty_region)().as_ref());
+        self.live.insert(item);
+        Some(desc)
     }
 
     pub(super) fn items(&self) -> Vec<ItemId> {
@@ -184,6 +205,7 @@ pub(super) fn reset_for_recovery(w: &mut RtWorld, restored: bool) {
     for item in w.directory.items() {
         w.directory.destroy(item);
     }
+    w.directory.graves.clear();
     w.directory.next_item = 0;
 }
 

@@ -236,6 +236,15 @@ fn detect_and_recover(sim: &mut RtSim, dead: usize) {
     let mut grafted = 0u64;
     match restored.then(|| ckpt::newest_snapshot(&w.recovery)) {
         Some(snap) => {
+            // An item destroyed since the checkpoint comes back with it
+            // (the replayed driver destroys it again).
+            for (item, _) in &snap[0] {
+                if let Some(desc) = w.directory.revive(*item) {
+                    for loc in &mut w.localities {
+                        loc.dim.register(*item, desc.clone());
+                    }
+                }
+            }
             // Pass 1: rewind every survivor, wipe every dead locality
             // (fail-stop: a crashed process loses its volatile data).
             for (p, shards) in snap.iter().enumerate() {

@@ -15,7 +15,7 @@ use allscale_core::{BatchParams, FaultPlan, RoundRobinPolicy, RtConfig, RunRepor
 use allscale_des::SimTime;
 use allscale_net::{FatTree, FlushCause, NetParams, Network, RetryPolicy, Verdict};
 use allscale_trace::{EventKind, TransferPurpose};
-use common::{Program, ProgramSpec, Scenario};
+use common::{family, Scenario};
 
 /// Deterministic xorshift64 PRNG — the shared kernel, stream-compatible
 /// with the copy this harness historically inlined.
@@ -138,7 +138,7 @@ fn randomized_programs_agree_under_chaotic_placement() {
 /// duplicated, or stale-served a byte.
 fn chaos(seed: u64, batching: bool) -> Scenario {
     Scenario {
-        program: Program::Grid(ProgramSpec::bumps(4)),
+        program: family::bumps(4),
         migrations: true,
         batching,
         ..Scenario::new(seed)

@@ -19,6 +19,11 @@
 //! run populates the cache counters in the `RunReport`, and a lenient
 //! timing smoke test guards the cache's reason to exist (the criterion
 //! bench `index_resolution` carries the real numbers).
+//!
+//! Its `World` is the one index-level model, kept beside the program
+//! family of `tests/common/family.rs` on purpose: it drives the index,
+//! the location cache and the central directory directly, below the
+//! runtime, a level no compiled program reaches (DESIGN.md §7).
 
 use std::collections::BTreeMap;
 

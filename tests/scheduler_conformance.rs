@@ -1,7 +1,7 @@
 //! Scheduler-family conformance: the pluggable schedulers are pure
 //! *performance* policies, never *semantics* policies.
 //!
-//! A randomized family of multi-phase grid programs is run under every
+//! The randomized members of the program family are run under every
 //! scheduler — the direct data-aware default and the work-stealing
 //! family with each victim policy — crossed with the chaos dimensions
 //! the runtime supports (transfer batching, random region migrations,
@@ -20,7 +20,7 @@
 mod common;
 
 use allscale_core::{FaultPlan, RunReport, VictimPolicy};
-use common::{Program, ProgramSpec, Scenario, Sched, FAMILY};
+use common::{family, Scenario, Sched, FAMILY};
 use proptest::prelude::*;
 
 /// Chaos dimensions crossed with the scheduler family.
@@ -131,13 +131,7 @@ fn policies_agree_under_migration_chaos() {
 fn run_imbalanced(sched: Sched) -> (Vec<u64>, RunReport) {
     let sc = Scenario {
         sched,
-        program: Program::Grid(ProgramSpec {
-            n: 256,
-            grain: 8,
-            pieces: 32,
-            ns_per_point: 40.0,
-            ops: vec![0; 3],
-        }),
+        program: family::imbalanced(),
         ..Scenario::new(0)
     };
     let mut rt = sc.rt();

@@ -28,7 +28,7 @@ use allscale_core::{
 use allscale_des::SimDuration;
 use allscale_region::{fnv1a_64, BoxRegion};
 use common::report_json::pre_walk_json;
-use common::{Contended, Program, Scenario, STEALING};
+use common::{family, Scenario, STEALING};
 
 fn total_conflicts(r: &RunReport) -> u64 {
     r.monitor
@@ -172,15 +172,15 @@ const PINNED_SMALL: Pinned = Pinned {
 
 // ------------------------------------------------------ (c) no lost wake-ups
 
-/// The contended program of `seed` (`common::Contended`: neighbour reads
-/// behind export fences, shared counter cells whose ownership hops from
+/// The contended member of `seed` (`family::contended`: halo reads
+/// behind export fences, shared elements whose ownership hops from
 /// writer to writer). `Scenario::run` checks it against the sequential
 /// oracle, and returning at all is the no-deadlock assertion:
 /// `Runtime::run` panics with the wait-for listing when the event queue
 /// drains with tasks left.
 fn contended(seed: u64) -> Scenario {
     Scenario {
-        program: Program::Contended(Contended::draw(seed)),
+        program: family::contended(seed),
         ..Scenario::new(seed)
     }
 }
@@ -200,8 +200,8 @@ fn contended_programs_terminate_exactly() {
     for seed in 0..12u64 {
         let (_, plain) = contended(seed).run();
         let (_, chaos) = chaotic(seed).run();
-        // No bound on refusals here: with every tile behind one counter
-        // cell each release wakes the whole queue and all but one re-park
+        // No bound on refusals here: with every tile behind one shared
+        // element each release wakes the whole queue and all but one re-park
         // (a herd, quadratic in the queue — but driven by releases, not
         // by unrelated completions).
         parked += total_conflicts(&plain) + total_conflicts(&chaos);
@@ -211,20 +211,19 @@ fn contended_programs_terminate_exactly() {
 
 #[test]
 fn parked_behind_inbound_fence_is_woken() {
-    // One shared counter cell, many writers on four localities: the
-    // cell's ownership hops from writer to writer, so while one
+    // One shared element, many writers on four localities: the
+    // element's ownership hops from writer to writer, so while one
     // migration is on the wire (inbound fence at its destination, which
     // the index already advertises) the other writers park *there*.
     for seed in 0..64u64 {
-        let spec = Contended::draw(seed);
-        if spec.counters != 1 {
+        if family::contended(seed).elems(allscale_model::ItemId(2)).len() != 1 {
             continue;
         }
         let (_, r) = contended(seed).run();
         let hops: u64 = r.monitor.per_locality.iter().map(|l| l.migrations_in).sum();
         assert!(
             hops >= 2,
-            "seed {seed}: the shared cell must migrate ({hops} hops)"
+            "seed {seed}: the shared element must migrate ({hops} hops)"
         );
         assert!(
             total_conflicts(&r) > 0,
@@ -232,7 +231,7 @@ fn parked_behind_inbound_fence_is_woken() {
         );
         return;
     }
-    panic!("no single-counter program among the seeds");
+    panic!("no program with a single shared element among the seeds");
 }
 
 #[test]
