@@ -25,6 +25,15 @@ pub struct Trace {
     pub steps: Vec<Transition>,
 }
 
+/// Frees the states here, in the crate the dev profile optimizes: a trace
+/// holds one full state per step, and the drop glue an unoptimized caller
+/// would instantiate costs more than the run that made the trace.
+impl Drop for Trace {
+    fn drop(&mut self) {
+        drop(std::mem::take(&mut self.states));
+    }
+}
+
 impl Trace {
     /// Whether the trace reached a terminal state.
     pub fn terminated(&self) -> bool {
@@ -76,25 +85,25 @@ impl Driver {
 
     /// Run `program` on `arch`, returning the trace and its outcome.
     pub fn run(&mut self, program: &Program, arch: crate::arch::Architecture) -> (Trace, Outcome) {
-        let mut state = SystemState::initial(program.entry(), arch);
         let mut trace = Trace {
-            states: vec![state.clone()],
+            states: vec![SystemState::initial(program.entry(), arch)],
             steps: Vec::new(),
         };
         for _ in 0..self.max_steps {
+            let state = trace.states.last().expect("the initial state");
             if state.is_terminal() {
                 return (trace, Outcome::Terminated);
             }
-            let Some(t) = self.choose(program, &state) else {
+            let Some(t) = self.choose(program, state) else {
                 return (trace, Outcome::Stuck);
             };
-            state = apply(program, &state, &t).unwrap_or_else(|v| {
+            let next = apply(program, state, &t).unwrap_or_else(|v| {
                 panic!("driver chose an invalid transition {t:?}: {v}")
             });
             trace.steps.push(t);
-            trace.states.push(state.clone());
+            trace.states.push(next);
         }
-        if state.is_terminal() {
+        if trace.terminated() {
             (trace, Outcome::Terminated)
         } else {
             (trace, Outcome::BudgetExhausted)
@@ -365,7 +374,7 @@ mod tests {
         let run = |seed| {
             let mut d = Driver::new(seed);
             let (trace, _) = d.run(&fork_join_program(), Architecture::cluster(2, 2));
-            trace.steps
+            trace.steps.clone()
         };
         assert_eq!(run(7), run(7));
         // Different seeds typically differ (sanity that chaos is live).

@@ -7,7 +7,6 @@ use std::collections::BTreeSet;
 use crate::ids::{ItemId, TaskId, VariantId};
 use crate::program::{Action, Program};
 use crate::rules::Transition;
-use crate::state::SystemState;
 use crate::Trace;
 
 /// A property violation with human-readable context.
@@ -141,16 +140,7 @@ pub fn check_exclusive_writes(trace: &Trace) -> Check {
 /// never shrinks except through an application-issued `destroy` (the
 /// runtime may only drop replicas).
 pub fn check_data_preservation(program: &Program, trace: &Trace) -> Check {
-    let coverage = |s: &SystemState| -> BTreeSet<(ItemId, crate::ids::Elem)> {
-        s.d.iter().map(|&(_, d, e)| (d, e)).collect()
-    };
     for (i, w) in trace.states.windows(2).enumerate() {
-        let before = coverage(&w[0]);
-        let after = coverage(&w[1]);
-        let lost: Vec<_> = before.difference(&after).collect();
-        if lost.is_empty() {
-            continue;
-        }
         // Every loss must be covered by a destroy executed at this step.
         let destroyed: Option<ItemId> = match &trace.steps[i] {
             Transition::Step { variant, pc, .. } => match program.step(*variant, *pc) {
@@ -159,8 +149,9 @@ pub fn check_data_preservation(program: &Program, trace: &Trace) -> Check {
             },
             _ => None,
         };
-        for (d, e) in lost {
-            if Some(*d) != destroyed {
+        // A dropped placement is a loss when no other copy remains.
+        for &(_, d, e) in w[0].d.difference(&w[1].d) {
+            if Some(d) != destroyed && w[1].placements(d, e).is_empty() {
                 return fail(
                     "data-preservation",
                     i,

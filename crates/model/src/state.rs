@@ -80,11 +80,17 @@ impl SystemState {
 
     /// Memories where element `(d, e)` is present.
     pub fn placements(&self, d: ItemId, e: Elem) -> Vec<MemId> {
-        self.d
-            .iter()
-            .filter(|&&(_, di, ei)| di == d && ei == e)
-            .map(|&(m, _, _)| m)
-            .collect()
+        // `D` is ordered by memory first: probe each memory in it once.
+        let mut out = Vec::new();
+        let mut next = self.d.first().map(|&(m, _, _)| m);
+        while let Some(m) = next {
+            if self.present(m, d, e) {
+                out.push(m);
+            }
+            let above = m.0.checked_add(1).map(|n| (MemId(n), ItemId(0), Elem(0)));
+            next = above.and_then(|k| self.d.range(k..).next()).map(|&(m, _, _)| m);
+        }
+        out
     }
 
     /// Whether `(m, d, e) ∈ D`.
@@ -94,14 +100,27 @@ impl SystemState {
 
     /// Whether any lock (read or write) covers `(m, d, e)`.
     pub fn any_lock(&self, m: MemId, d: ItemId, e: Elem) -> bool {
-        self.lr.iter().any(|&(_, lm, ld, le)| (lm, ld, le) == (m, d, e))
-            || self.any_write_lock(m, d, e)
+        locked(&self.lr, m, d, e) || self.any_write_lock(m, d, e)
     }
 
     /// Whether a write lock covers `(m, d, e)`.
     pub fn any_write_lock(&self, m: MemId, d: ItemId, e: Elem) -> bool {
-        self.lw.iter().any(|&(_, lm, ld, le)| (lm, ld, le) == (m, d, e))
+        locked(&self.lw, m, d, e)
     }
+}
+
+/// Whether some variant holds `(m, d, e)` in `locks`, which are ordered by
+/// variant first: probe each holder once.
+fn locked(locks: &BTreeSet<Lock>, m: MemId, d: ItemId, e: Elem) -> bool {
+    let mut next = locks.first().map(|&(v, ..)| v);
+    while let Some(v) = next {
+        if locks.contains(&(v, m, d, e)) {
+            return true;
+        }
+        let above = v.0.checked_add(1).map(|n| (VariantId(n), MemId(0), ItemId(0), Elem(0)));
+        next = above.and_then(|k| locks.range(k..).next()).map(|&(v, ..)| v);
+    }
+    false
 }
 
 #[cfg(test)]
