@@ -173,7 +173,7 @@ fn run_with_kernel(
                 // that imported them, so none outlives the last phase.
                 debug_assert!(
                     ctx.owned_region_at(loc, final_grid.id)
-                        .eq_dyn(&frag.region()),
+                        .eq_dyn(frag.region()),
                     "locality {loc} holds cells of the final grid it does not own"
                 );
                 frag.for_each(|p, v| acc = checksum_fold(acc, checksum_cell(p[0], p[1], *v)));

@@ -322,7 +322,7 @@ impl DataItemManager {
         // part, then union ownership. The fragment's layout is billed
         // bytes, so the new part keeps the box structure it has always
         // had — that of `region` cut down to it.
-        let missing = region.difference_dyn(slot.frag.region_dyn().as_ref());
+        let missing = region.difference_dyn(slot.frag.region_dyn());
         if !missing.is_empty_dyn() {
             let fresh = (slot.desc.alloc_fragment)(region.intersect_dyn(missing.as_ref()).as_ref());
             slot.frag.insert_dyn(fresh);
@@ -370,7 +370,7 @@ impl DataItemManager {
         self.cow_capture(item);
         let slot = self.slot_mut(item);
         let frag = (slot.desc.decode_fragment)(bytes);
-        let region = frag.region_dyn();
+        let region = frag.region_dyn().clone_box();
         slot.frag.insert_dyn(frag);
         slot.holds.push((task, region));
     }
@@ -381,9 +381,8 @@ impl DataItemManager {
         self.cow_capture(item);
         let slot = self.slot_mut(item);
         let frag = (slot.desc.decode_fragment)(bytes);
-        let region = frag.region_dyn();
+        slot.persistent = slot.persistent.union_dyn(frag.region_dyn());
         slot.frag.insert_dyn(frag);
-        slot.persistent = slot.persistent.union_dyn(region.as_ref());
     }
 
     /// Fence `region` as an in-flight inbound migration for `task`: the
@@ -444,9 +443,8 @@ impl DataItemManager {
         self.cow_capture(item);
         let slot = self.slot_mut(item);
         let frag = (slot.desc.decode_fragment)(bytes);
-        let region = frag.region_dyn();
+        slot.owned = slot.owned.union_dyn(frag.region_dyn());
         slot.frag.insert_dyn(frag);
-        slot.owned = slot.owned.union_dyn(region.as_ref());
     }
 
     /// Release the export records of `task` (its replicas elsewhere were
@@ -768,9 +766,8 @@ impl DataItemManager {
             self.cow_capture(*id);
             let slot = self.slot_mut(*id);
             let frag = (slot.desc.decode_fragment)(bytes.as_ref());
-            let region = frag.region_dyn();
+            slot.owned = frag.region_dyn().clone_box();
             slot.frag = frag;
-            slot.owned = region;
             slot.rlocks.clear();
             slot.wlocks.clear();
             slot.exports.clear();
@@ -829,7 +826,7 @@ mod tests {
 
         /// Whether `region` is fully covered by local data.
         fn covers(&self, item: ItemId, region: &dyn DynRegion) -> bool {
-            region.is_subset_dyn(self.slot(item).frag.region_dyn().as_ref())
+            region.is_subset_dyn(self.slot(item).frag.region_dyn())
         }
     }
 

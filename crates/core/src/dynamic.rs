@@ -112,7 +112,7 @@ pub fn downcast<R: Region>(r: &dyn DynRegion) -> &R {
 /// A type-erased fragment held by a locality's data item manager.
 pub trait DynFragment {
     /// The region currently covered.
-    fn region_dyn(&self) -> Box<dyn DynRegion>;
+    fn region_dyn(&self) -> &dyn DynRegion;
     /// Serialize the sub-fragment covering `region` for transmission
     /// between address spaces: the bytes of [`Fragment::extract`]'s copy,
     /// written from this fragment's own storage
@@ -134,8 +134,8 @@ pub trait DynFragment {
 }
 
 impl<F: Fragment> DynFragment for F {
-    fn region_dyn(&self) -> Box<dyn DynRegion> {
-        Box::new(self.region())
+    fn region_dyn(&self) -> &dyn DynRegion {
+        self.region()
     }
     fn export(&self, region: &dyn DynRegion) -> Payload {
         Payload::encode(&self.extract_view(downcast::<F::Region>(region)))

@@ -57,7 +57,9 @@
 //! bytes run out (what [`Reader::take`] reports), [`WireError::InvalidData`]
 //! for a tag, variant index, scalar value or length no value encodes to.
 //! [`Reader::get_len`] checks a length prefix against `usize`; the collections
-//! here reserve at most 1 MiB ahead of the elements actually read. A `get`
+//! here reserve at most 1 MiB ahead of the elements actually read, and a
+//! sequence of fixed-width primitives allocates only once all its bytes
+//! are known to be there ([`Wire::get_all`]). A `get`
 //! built from other `get`s and `?` inherits all of that. [`decode`] adds
 //! [`WireError::TrailingBytes`] for input left over after a whole value.
 
@@ -101,6 +103,31 @@ pub trait Wire {
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError>
     where
         Self: Sized;
+
+    /// Append the encodings of `items` back to back: the body of a
+    /// sequence. Fixed-width primitives write whole blocks at once.
+    fn put_all(items: &[Self], out: &mut impl Sink)
+    where
+        Self: Sized,
+    {
+        for v in items {
+            v.put(out);
+        }
+    }
+
+    /// Read `len` values off the front of `r`: the body of a sequence
+    /// whose length prefix said `len`. Fixed-width primitives take all
+    /// their bytes at once, so they allocate only for bytes that are there.
+    fn get_all(r: &mut Reader<'_>, len: usize) -> Result<Vec<Self>, WireError>
+    where
+        Self: Sized,
+    {
+        let mut out = Vec::with_capacity(cautious::<Self>(len));
+        for _ in 0..len {
+            out.push(Self::get(r)?);
+        }
+        Ok(out)
+    }
 }
 
 /// Encode `value` into a byte vector.
@@ -193,10 +220,12 @@ impl Sink for Fnv1a {
         // The value hashed on every location-cache probe is a task-sized
         // bitmask region: all but one of its words are zero, and a zero
         // word is one multiplication instead of a chain of eight.
-        self.0 = match bytes {
-            [0, 0, 0, 0, 0, 0, 0, 0] => self.0.wrapping_mul(FNV64_PRIME_POW8),
-            _ => fnv1a_64_extend(self.0, bytes),
-        };
+        for word in bytes.chunks(8) {
+            self.0 = match word {
+                [0, 0, 0, 0, 0, 0, 0, 0] => self.0.wrapping_mul(FNV64_PRIME_POW8),
+                _ => fnv1a_64_extend(self.0, word),
+            };
+        }
     }
 }
 
@@ -230,6 +259,50 @@ impl<'a> Reader<'a> {
 
 // ------------------------------------------------------------ standard types
 
+/// Bytes a primitive's [`Wire::put_all`] encodes on the stack before it
+/// hands them to the sink.
+const PUT_BLOCK: usize = 512;
+
+/// Up to this many bytes, [`Wire::put_all`] of a primitive puts element by
+/// element: for a region's few words (a location-cache probe hashes one)
+/// zeroing the block costs more than it saves.
+const PUT_SHORT: usize = 64;
+
+/// [`Wire::put_all`] of a primitive of `W` bytes past [`PUT_SHORT`]: the
+/// encodings of up to [`PUT_BLOCK`] bytes of `items` at a time, handed to
+/// `out` at once.
+fn put_blocks<T: Copy, const W: usize>(
+    items: &[T],
+    out: &mut impl Sink,
+    le: impl Fn(T) -> [u8; W],
+) {
+    let mut block = [0u8; PUT_BLOCK];
+    for run in items.chunks(PUT_BLOCK / W) {
+        let bytes = &mut block[..run.len() * W];
+        for (slot, v) in bytes.chunks_exact_mut(W).zip(run) {
+            slot.copy_from_slice(&le(*v));
+        }
+        out.put(bytes);
+    }
+}
+
+/// [`Wire::get_all`] of a primitive of `W` bytes: all `len · W` bytes in one
+/// [`Reader::take`], so nothing is allocated for bytes that are not there.
+fn get_fixed<T, const W: usize>(
+    r: &mut Reader<'_>,
+    len: usize,
+    le: impl Fn([u8; W]) -> T,
+) -> Result<Vec<T>, WireError> {
+    let n = len.checked_mul(W).ok_or_else(|| {
+        WireError::InvalidData(format!("{len} elements of {W} bytes exceed usize"))
+    })?;
+    let bytes = r.take(n)?;
+    Ok(bytes
+        .chunks_exact(W)
+        .map(|b| le(b.try_into().expect("chunks of the width")))
+        .collect())
+}
+
 macro_rules! wire_prim {
     ($($ty:ty),*) => {$(
         impl Wire for $ty {
@@ -241,6 +314,19 @@ macro_rules! wire_prim {
             fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
                 let bytes = r.take(std::mem::size_of::<$ty>())?;
                 Ok(<$ty>::from_le_bytes(bytes.try_into().expect("took the width")))
+            }
+            #[inline]
+            fn put_all(items: &[Self], out: &mut impl Sink) {
+                if std::mem::size_of_val(items) > PUT_SHORT {
+                    put_blocks(items, out, <$ty>::to_le_bytes);
+                    return;
+                }
+                for v in items {
+                    v.put(out);
+                }
+            }
+            fn get_all(r: &mut Reader<'_>, len: usize) -> Result<Vec<Self>, WireError> {
+                get_fixed(r, len, <$ty>::from_le_bytes)
             }
         }
     )*};
@@ -335,17 +421,11 @@ fn cautious<T>(len: usize) -> usize {
 impl<T: Wire> Wire for Vec<T> {
     fn put(&self, out: &mut impl Sink) {
         out.put_len(self.len());
-        for v in self {
-            v.put(out);
-        }
+        T::put_all(self, out);
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let len = r.get_len()?;
-        let mut out = Vec::with_capacity(cautious::<T>(len));
-        for _ in 0..len {
-            out.push(T::get(r)?);
-        }
-        Ok(out)
+        T::get_all(r, len)
     }
 }
 
@@ -589,7 +669,53 @@ mod tests {
         // What `Vec::get` does with it: the reservation, then what is there.
         let mut hostile = u64::MAX.to_le_bytes().to_vec();
         hostile.extend_from_slice(&encode(&[1.5f64, 2.5]));
-        assert_eq!(decode::<Vec<f64>>(&hostile), Err(WireError::Eof));
+        assert_eq!(decode::<Vec<(f64,)>>(&hostile), Err(WireError::Eof));
+    }
+
+    #[test]
+    fn a_primitive_sequence_whose_bytes_are_not_there_is_refused() {
+        // Truncated: the prefix claims one element more than follows.
+        for len in [1u64, 3, 1000] {
+            let mut short = len.to_le_bytes().to_vec();
+            short.extend_from_slice(&encode(&vec![7u64; len as usize - 1])[8..]);
+            assert_eq!(decode::<Vec<u64>>(&short), Err(WireError::Eof));
+            assert_eq!(decode::<Vec<f64>>(&short), Err(WireError::Eof));
+        }
+        // Overflowing: `len · 8` does not fit a `usize`.
+        for len in [u64::MAX, u64::MAX / 8 + 1] {
+            let mut huge = len.to_le_bytes().to_vec();
+            huge.extend_from_slice(&encode(&[1.5f64, 2.5]));
+            assert!(matches!(decode::<Vec<f64>>(&huge), Err(WireError::InvalidData(_))));
+            assert!(matches!(decode::<Vec<u64>>(&huge), Err(WireError::InvalidData(_))));
+        }
+        // Fits a `usize`, but the bytes are not there.
+        let mut long = (u64::MAX / 8).to_le_bytes().to_vec();
+        long.extend_from_slice(&encode(&[1.5f64, 2.5]));
+        assert_eq!(decode::<Vec<f64>>(&long), Err(WireError::Eof));
+    }
+
+    #[test]
+    fn bulk_sequences_encode_as_their_elements() {
+        // Across the stack block's edge, for every width.
+        fn check<T: Wire + Copy + PartialEq + std::fmt::Debug>(v: T) {
+            for len in [0, 1, 63, 64, 65, 513, 1000] {
+                let items = vec![v; len];
+                let mut one_by_one = (len as u64).to_le_bytes().to_vec();
+                for x in &items {
+                    x.put(&mut one_by_one);
+                }
+                assert_eq!(encode(&items), one_by_one);
+                assert_eq!(fingerprint(&items), crate::fnv::fnv1a_64(&one_by_one));
+                assert_eq!(decode::<Vec<T>>(&one_by_one), Ok(items));
+            }
+        }
+        check(0u64); // zero words through the block, into the hash
+        check(0xA5u8);
+        check(-2i16);
+        check(0x0102_0304u32);
+        check(-1.25f32);
+        check(u64::MAX - 1);
+        check(-0.5f64);
     }
 
     #[test]

@@ -186,13 +186,19 @@ proptest! {
 /// A length prefix is the input's claim. Whatever it says, decoding ends
 /// where the bytes do — `Vec::with_capacity` of any of these claims would
 /// abort instead (what is reserved, at most 1 MiB, is pinned beside
-/// `cautious` in the codec's unit tests).
+/// `cautious` in the codec's unit tests). A sequence of fixed-width
+/// primitives whose byte count does not even fit a `usize` is refused as
+/// `InvalidData` before it is read.
 #[test]
 fn a_hostile_length_prefix_is_eof() {
     for claim in [u64::MAX, u64::MAX / 8, 1 << 48, 1 << 31] {
         let mut hostile = claim.to_le_bytes().to_vec();
         hostile.extend_from_slice(&[0; 40]);
-        assert_eq!(decode::<Vec<f64>>(&hostile), Err(WireError::Eof));
+        let f64s = decode::<Vec<f64>>(&hostile);
+        match claim.checked_mul(8) {
+            Some(_) => assert_eq!(f64s, Err(WireError::Eof)),
+            None => assert!(matches!(f64s, Err(WireError::InvalidData(_))), "{f64s:?}"),
+        }
         assert_eq!(decode::<Vec<u8>>(&hostile), Err(WireError::Eof));
         assert_eq!(decode::<Vec<Vec<String>>>(&hostile), Err(WireError::Eof));
         assert_eq!(decode::<String>(&hostile), Err(WireError::Eof));

@@ -47,9 +47,19 @@ impl<const D: usize> BoxRegion<D> {
 
     /// Build from arbitrary (possibly overlapping) boxes.
     pub fn from_boxes<I: IntoIterator<Item = GridBox<D>>>(boxes: I) -> Self {
+        Self::empty().fold_boxes(boxes)
+    }
+
+    /// Continue [`BoxRegion::from_boxes`]' fold over `boxes`, starting from
+    /// `self`. The fold's only state is its output, so
+    /// `from_boxes(a.chain(b))` and `from_boxes(a).fold_boxes(b)` are the
+    /// same boxes in the same order — what lets a region built from a list
+    /// follow that list's appends without refolding it. `self` must be a
+    /// region this module built (no two of its boxes merge).
+    pub fn fold_boxes<I: IntoIterator<Item = GridBox<D>>>(self, boxes: I) -> Self {
         // A fold of single-box unions, run in place: `out` takes the part
         // of each box it does not hold yet, then re-coalesces.
-        let mut out = Vec::new();
+        let mut out = self.boxes;
         let mut fresh = Vec::new();
         let mut scratch = Scratch::default();
         for b in boxes {
@@ -59,6 +69,12 @@ impl<const D: usize> BoxRegion<D> {
             out = scratch.coalesce(out, settled);
         }
         BoxRegion { boxes: out }
+    }
+
+    /// Whether the region contains every point of `b`, without building
+    /// anything.
+    pub(crate) fn contains_box(&self, b: GridBox<D>) -> bool {
+        covered(b, &self.boxes)
     }
 
     /// The disjoint boxes making up this region.
@@ -321,7 +337,7 @@ impl<const D: usize> Region for BoxRegion<D> {
     }
 
     fn is_subset_of(&self, other: &Self) -> bool {
-        self.boxes.iter().all(|a| covered(*a, &other.boxes))
+        self.boxes.iter().all(|a| other.contains_box(*a))
     }
 }
 

@@ -41,8 +41,9 @@ pub trait Fragment: Wire + Clone + 'static {
     /// paper's (init) rule).
     fn alloc(region: &Self::Region) -> Self;
 
-    /// The region this fragment currently covers.
-    fn region(&self) -> Self::Region;
+    /// The region this fragment currently covers, borrowed: a caller that
+    /// keeps it clones it.
+    fn region(&self) -> &Self::Region;
 
     /// Copy out the sub-fragment covering `region ∩ self.region()`.
     fn extract(&self, region: &Self::Region) -> Self;

@@ -86,11 +86,12 @@ pub struct GridFragment<T, const D: usize> {
     /// hence whichever chunk contains a point is the one a scan would find.
     /// Not part of the wire form.
     finger: [Cell<usize>; FINGERS],
-    /// The covered region, folded from the chunk boxes when first asked for
-    /// and dropped by every edit of the chunk list. Always the same function
-    /// of the same list: [`BoxRegion::from_boxes`] is an order-dependent fold
-    /// and the boxes it yields are billed bytes, so it is never maintained
-    /// incrementally. Not part of the wire form.
+    /// The covered region, folded from the chunk boxes when first asked for.
+    /// Always [`BoxRegion::from_boxes`] of the current list, box for box:
+    /// that fold is order-dependent and the boxes it yields are billed bytes.
+    /// An edit that only appends chunks continues the fold over them
+    /// ([`BoxRegion::fold_boxes`]), which is the same thing; an edit that
+    /// drops or splits a chunk drops the memo. Not part of the wire form.
     region: OnceCell<BoxRegion<D>>,
 }
 
@@ -318,6 +319,18 @@ fn copy_box<T: Clone, const D: usize>(src: &Chunk<T, D>, dst: &mut Chunk<T, D>, 
     }
 }
 
+/// The elements of `bx` (inside `src`'s box), row-major, copied row by row
+/// into a vector of exactly their number.
+fn copy_rows<T: Clone, const D: usize>(src: &Chunk<T, D>, bx: GridBox<D>) -> Vec<T> {
+    let run = (bx.hi()[D - 1] - bx.lo()[D - 1]) as usize;
+    let mut data = Vec::with_capacity(bx.cardinality() as usize);
+    for row_lo in row_starts(bx) {
+        let off = src.offset(&row_lo);
+        data.extend_from_slice(&src.data[off..off + run]);
+    }
+    data
+}
+
 /// The sub-fragment [`Fragment::extract`] would build for `covered` (a
 /// subset of `frag`'s coverage), written from `frag`'s own chunks: one
 /// chunk per box of `covered`, each in row-major order, its rows gathered
@@ -341,9 +354,7 @@ impl<T: Wire, const D: usize> Wire for Export<'_, T, D> {
                         .frag
                         .locate_run(&p, left)
                         .expect("an extract view stays inside the fragment's coverage");
-                    for v in &self.frag.chunks[i].data[off..off + run] {
-                        v.put(out);
-                    }
+                    T::put_all(&self.frag.chunks[i].data[off..off + run], out);
                     left -= run;
                     p[D - 1] += run as i64;
                 }
@@ -369,8 +380,8 @@ where
         GridFragment::new(region)
     }
 
-    fn region(&self) -> BoxRegion<D> {
-        self.covered().clone()
+    fn region(&self) -> &BoxRegion<D> {
+        self.covered()
     }
 
     fn extract(&self, region: &BoxRegion<D>) -> Self {
@@ -394,30 +405,54 @@ where
     fn insert_owned(&mut self, mut other: Self) {
         // Last-writer-wins on overlap: clear the overlap, then adopt
         // other's chunks wholesale (they are disjoint among themselves).
-        self.remove(other.covered());
+        // Chunks disjoint from ours are an append, which the memo follows.
+        let held = &self.chunks;
+        let clash = |o: &Chunk<T, D>| held.iter().any(|c| c.bx.overlaps(&o.bx));
+        if other.chunks.iter().any(clash) {
+            self.remove(other.covered());
+        }
+        if let Some(covered) = self.region.take() {
+            let grown = covered.fold_boxes(other.chunks.iter().map(|c| c.bx));
+            self.region = OnceCell::from(grown);
+        }
         self.chunks.append(&mut other.chunks);
-        self.region.take();
     }
 
     fn remove(&mut self, region: &BoxRegion<D>) {
-        let mut new_chunks = Vec::with_capacity(self.chunks.len());
-        for c in std::mem::take(&mut self.chunks) {
-            if !region.boxes().iter().any(|b| b.overlaps(&c.bx)) {
-                new_chunks.push(c); // untouched
+        let hit = |c: &Chunk<T, D>| region.boxes().iter().any(|b| b.overlaps(&c.bx));
+        let Some(first) = self.chunks.iter().position(hit) else {
+            return; // untouched, memo included
+        };
+        self.region.take();
+        if self.chunks[first..]
+            .iter()
+            .all(|c| !hit(c) || region.contains_box(c.bx))
+        {
+            // Only whole chunks go (a dropped replica): keep the rest in place.
+            self.chunks.retain(|c| !hit(c));
+            return;
+        }
+        // A cut chunk's pieces take its place in the list, in their order.
+        let mut at = first;
+        while at < self.chunks.len() {
+            let c = &self.chunks[at];
+            if !hit(c) {
+                at += 1;
                 continue;
             }
             let keep = BoxRegion::from_box(c.bx).difference(region);
-            for &bx in keep.boxes() {
-                let mut nc = Chunk {
-                    data: vec![T::default(); bx.cardinality() as usize],
+            let pieces: Vec<_> = keep
+                .boxes()
+                .iter()
+                .map(|&bx| Chunk {
+                    data: copy_rows(c, bx),
                     bx,
-                };
-                copy_box(&c, &mut nc, &bx);
-                new_chunks.push(nc);
-            }
+                })
+                .collect();
+            let next = at + pieces.len();
+            self.chunks.splice(at..=at, pieces);
+            at = next;
         }
-        self.chunks = new_chunks;
-        self.region.take();
     }
 }
 
@@ -454,7 +489,7 @@ mod tests {
         assert_eq!(f.len(), 9);
         assert_eq!(f.get(&Point([1, 1])), Some(&0.0));
         assert_eq!(f.get(&Point([3, 3])), None);
-        assert_eq!(f.region(), r2([0, 0], [3, 3]));
+        assert_eq!(*f.region(), r2([0, 0], [3, 3]));
     }
 
     #[test]
@@ -469,7 +504,7 @@ mod tests {
     fn extract_copies_values() {
         let f = filled(&r2([0, 0], [4, 4]));
         let sub = f.extract(&r2([1, 1], [3, 3]));
-        assert_eq!(sub.region(), r2([1, 1], [3, 3]));
+        assert_eq!(*sub.region(), r2([1, 1], [3, 3]));
         assert_eq!(sub.get(&Point([2, 1])), Some(&201));
         assert_eq!(sub.get(&Point([0, 0])), None);
     }
@@ -478,7 +513,7 @@ mod tests {
     fn extract_clips_to_coverage() {
         let f = filled(&r2([0, 0], [2, 2]));
         let sub = f.extract(&r2([1, 1], [5, 5]));
-        assert_eq!(sub.region(), r2([1, 1], [2, 2]));
+        assert_eq!(*sub.region(), r2([1, 1], [2, 2]));
         assert_eq!(sub.len(), 1);
         assert_eq!(sub.get(&Point([1, 1])), Some(&101));
     }
@@ -489,7 +524,7 @@ mod tests {
         let mut g = GridFragment::<i64, 2>::new(&r2([2, 0], [5, 3]));
         g.for_each_mut(|_, v| *v = -7);
         f.insert(&g);
-        assert_eq!(f.region(), r2([0, 0], [5, 3]));
+        assert_eq!(*f.region(), r2([0, 0], [5, 3]));
         assert_eq!(f.get(&Point([1, 1])), Some(&101)); // original
         assert_eq!(f.get(&Point([2, 1])), Some(&-7)); // overwritten
         assert_eq!(f.get(&Point([4, 2])), Some(&-7)); // extended
@@ -499,7 +534,7 @@ mod tests {
     fn remove_preserves_survivors() {
         let mut f = filled(&r2([0, 0], [4, 4]));
         f.remove(&r2([1, 1], [3, 3]));
-        assert_eq!(f.region(), r2([0, 0], [4, 4]).difference(&r2([1, 1], [3, 3])));
+        assert_eq!(*f.region(), r2([0, 0], [4, 4]).difference(&r2([1, 1], [3, 3])));
         assert_eq!(f.len(), 12);
         assert_eq!(f.get(&Point([2, 2])), None);
         assert_eq!(f.get(&Point([0, 3])), Some(&3));

@@ -297,8 +297,8 @@ where
         KeyedFragment::new(region.clone())
     }
 
-    fn region(&self) -> BucketRegion {
-        self.region.clone()
+    fn region(&self) -> &BucketRegion {
+        &self.region
     }
 
     fn extract(&self, region: &BucketRegion) -> Self {

@@ -463,8 +463,8 @@ where
         TreeFragment::new(region.clone())
     }
 
-    fn region(&self) -> R {
-        self.region.clone()
+    fn region(&self) -> &R {
+        &self.region
     }
 
     fn extract(&self, region: &R) -> Self {
@@ -531,7 +531,7 @@ mod tests {
     fn extract_clips_nodes_and_region() {
         let f = sample_flexible();
         let sub = f.extract(&TreeRegion::subtree(p(&[false])));
-        assert_eq!(sub.region(), TreeRegion::subtree(p(&[false])));
+        assert_eq!(*sub.region(), TreeRegion::subtree(p(&[false])));
         // Left subtree of a 15-node tree holds 7 nodes.
         assert_eq!(sub.len(), 7);
         assert!(sub.get(&p(&[false])).is_some());

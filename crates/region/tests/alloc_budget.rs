@@ -1,6 +1,7 @@
 //! Allocation budgets of the data planes, as counts: grid region algebra
 //! between a fragmented region and a box that touches none of it allocates
-//! the result and nothing per box pair; a tree fragment allocates per level
+//! the result and nothing per box pair; a grid fragment's edits allocate
+//! only for what they change; a tree fragment allocates per level
 //! of a block, never per node, per lookup or per subtree view; bucket
 //! algebra with the
 //! canonical empty region allocates its result. A timing would say the same
@@ -77,17 +78,51 @@ fn disjoint_region_algebra_allocates_only_its_result() {
     assert_eq!(n, 1, "one box minus 64 disjoint ones: the result vector");
 }
 
-#[test]
-fn removing_a_region_that_misses_every_chunk_allocates_only_the_chunk_list() {
-    let mut frag = GridFragment::<f64, 2>::empty();
+/// A fragment holding one chunk per tile of [`spaced_tiles`], inserted one
+/// by one.
+fn tiled_fragment() -> GridFragment<f64, 2> {
+    let mut frag = GridFragment::empty();
     for tile in spaced_tiles() {
         frag.insert(&GridFragment::new(&BoxRegion::from_box(tile)));
     }
+    frag
+}
+
+#[test]
+fn removing_a_region_that_misses_every_chunk_allocates_nothing() {
+    let mut frag = tiled_fragment();
     let before = format!("{frag:?}");
     let apart = BoxRegion::cuboid([1000, 0], [1024, 16]);
     let (n, ()) = allocations_of(|| frag.remove(&apart));
-    assert_eq!(n, 1, "remove: the new chunk list, nothing per chunk");
+    assert_eq!(n, 0, "remove of nothing held: the fragment is left as it is");
     assert_eq!(format!("{frag:?}"), before);
+}
+
+#[test]
+fn removing_whole_chunks_allocates_nothing() {
+    let mut frag = tiled_fragment();
+    // The first row of 16 tiles and the gaps between them.
+    let first_row = BoxRegion::cuboid([0, 0], [24, 512]);
+    let (n, ()) = allocations_of(|| frag.remove(&first_row));
+    assert_eq!(n, 0, "remove of whole chunks: the rest stay in place");
+    assert_eq!(frag.region().boxes(), &spaced_tiles()[16..]);
+}
+
+#[test]
+fn a_disjoint_insert_extends_a_warm_coverage_instead_of_refolding_it() {
+    let mut frag = tiled_fragment();
+    assert_eq!(frag.region().boxes().len(), 64, "warm");
+    let tile = GridBox::new(Point([1000, 0]), Point([1024, 16])).expect("non-empty");
+    let piece = GridFragment::new(&BoxRegion::from_box(tile));
+    let (n, boxes) = allocations_of(|| {
+        frag.insert_owned(piece);
+        frag.region().boxes().len()
+    });
+    assert_eq!(boxes, 65);
+    // Folding the 65 chunk boxes afresh grows its output by doubling.
+    assert!(n <= 3, "{n} allocations: the new box, and a full chunk list or coverage growing");
+    let all = spaced_tiles().into_iter().chain([tile]);
+    assert_eq!(frag.region().boxes(), BoxRegion::from_boxes(all).boxes());
 }
 
 /// The ten-level subtree under `base`, depth first from its root.

@@ -263,6 +263,13 @@ proptest! {
     }
 
     #[test]
+    fn fold_boxes_continues_from_boxes(xs in arb_box_list(), ys in arb_box_list()) {
+        let folded = BoxRegion::from_boxes(xs.iter().copied()).fold_boxes(ys.iter().copied());
+        let whole = BoxRegion::from_boxes(xs.iter().chain(&ys).copied());
+        prop_assert_eq!(folded.boxes(), whole.boxes());
+    }
+
+    #[test]
     fn box_subtract_keeps_the_pre_change_pieces(a in arb_box2(), b in arb_box2()) {
         prop_assert_eq!(a.subtract(&b), pre_change::subtract(&a, &b));
     }
@@ -617,7 +624,7 @@ proptest! {
         // a box wholly outside coverage, and every multi-box region the
         // script used (partly outside, across chunks).
         view_matches_extract(&frag, &BoxRegion::empty())?;
-        view_matches_extract(&frag, &frag.region())?;
+        view_matches_extract(&frag, frag.region())?;
         view_matches_extract(&frag, &BoxRegion::cuboid([40, 40], [45, 45]))?;
         for e in &edits {
             if let Edit::Insert(boxes, _) | Edit::Remove(boxes) = e {
@@ -665,7 +672,7 @@ proptest! {
             view_matches_extract(&frag, &BoxRegion::from_boxes(cut.iter().copied()))?;
         }
         view_matches_extract(&frag, &BoxRegion::empty())?;
-        view_matches_extract(&frag, &frag.region())?;
+        view_matches_extract(&frag, frag.region())?;
     }
 
     /// `extract` then `insert` into an empty fragment reproduces exactly
@@ -675,7 +682,7 @@ proptest! {
         let mut src = GridFragment::<i64, 2>::new(&BoxRegion::from_box(b1));
         src.for_each_mut(|p, v| *v = p[0] * 1000 + p[1]);
         let piece = src.extract(&BoxRegion::from_box(b2));
-        prop_assert_eq!(piece.region(), BoxRegion::from_box(b1).intersect(&BoxRegion::from_box(b2)));
+        prop_assert_eq!(*piece.region(), BoxRegion::from_box(b1).intersect(&BoxRegion::from_box(b2)));
         let mut dst = GridFragment::<i64, 2>::empty();
         dst.insert(&piece);
         dst.for_each(|p, v| assert_eq!(*v, p[0] * 1000 + p[1]));

@@ -82,8 +82,8 @@ mod pre_change {
             TreeFragment::new(region.clone())
         }
 
-        fn region(&self) -> R {
-            self.region.clone()
+        fn region(&self) -> &R {
+            &self.region
         }
 
         fn extract(&self, region: &R) -> Self {

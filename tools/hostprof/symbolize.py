@@ -2,6 +2,7 @@
 """Turn sample.so output into self / inclusive tables.
 
     symbolize.py <binary> <samples file>... [--top N] [--under SUBSTRING]
+                 [--skip SUBSTRING]...
 
 Every distinct address goes through one `addr2line -a -f -C -i` call. With
 `-i` an address expands to its chain of inlined functions, innermost first;
@@ -13,6 +14,10 @@ visible although it never exists as a call.
 `--under SUBSTRING` keeps only the samples with a function whose name
 contains SUBSTRING somewhere on the stack, and gives percentages of those:
 "what is under `commit_pending_ckpt`".
+
+`--skip SUBSTRING` (repeatable) drops every sample with a function whose
+name contains SUBSTRING anywhere on the stack before either table is built:
+`--skip warm_up` leaves out each hostbench child's untimed warm-up run.
 """
 import collections
 import subprocess
@@ -21,7 +26,7 @@ import sys
 
 def main():
     args = sys.argv[1:]
-    top, under = 30, None
+    top, under, skip = 30, None, []
     if "--top" in args:
         at = args.index("--top")
         top = int(args[at + 1])
@@ -29,6 +34,10 @@ def main():
     if "--under" in args:
         at = args.index("--under")
         under = args[at + 1]
+        del args[at:at + 2]
+    while "--skip" in args:
+        at = args.index("--skip")
+        skip.append(args[at + 1])
         del args[at:at + 2]
     if len(args) < 2:
         sys.exit(__doc__)
@@ -59,11 +68,14 @@ def main():
 
     self_time = collections.Counter()
     inclusive = collections.Counter()
-    n = 0
+    n, skipped = 0, 0
     for sample in samples:
         stack = [chains[hex(int(a, 16))] if a != "-" else ["[shared object]"]
                  for a in sample]
         on_stack = {fn for chain in stack for fn in chain}
+        if any(s in fn for s in skip for fn in on_stack):
+            skipped += 1
+            continue
         if under is not None and not any(under in fn for fn in on_stack):
             continue
         n += 1
@@ -71,14 +83,16 @@ def main():
         for fn in on_stack:
             inclusive[fn] += 1
     if n == 0:
-        sys.exit(f"no sample has '{under}' on its stack")
+        sys.exit(f"no sample left (under '{under}', skipping {skip})")
 
     # A function on every stack (`main`, the runtime's entry frames) says
     # nothing about where the time went.
     for fn in [fn for fn, count in inclusive.items() if count == n]:
         del inclusive[fn]
     scope = f"{n} samples" if under is None else \
-        f"{n} of {len(samples)} samples, under '{under}'"
+        f"{n} of {len(samples) - skipped} samples, under '{under}'"
+    if skip:
+        scope += f"; {skipped} skipped ({', '.join(skip)})"
     for title, table in (("self", self_time), ("inclusive", inclusive)):
         print(f"--- {title}: {scope} ---")
         for fn, count in table.most_common(top):
