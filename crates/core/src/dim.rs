@@ -258,7 +258,9 @@ impl DataItemManager {
     }
 
     /// Count `item`'s first write under an armed snapshot — where the
-    /// modelled runtime clones the boundary-time pre-image.
+    /// modelled runtime clones the boundary-time pre-image. Every change
+    /// to a slot comes here through `slot_written`, but for the two that
+    /// replace the slot itself (`destroy`, `wipe_all`).
     fn cow_capture(&mut self, item: ItemId) {
         if self.snap_unwritten.remove(&item) {
             self.cow_captures += 1;
@@ -316,8 +318,7 @@ impl DataItemManager {
     /// First-touch allocation (the model's (init) rule): extend ownership
     /// and allocate default-initialized storage for `region`.
     pub fn init_owned(&mut self, item: ItemId, region: &dyn DynRegion) {
-        self.cow_capture(item);
-        let slot = self.slot_mut(item);
+        let slot = self.slot_written(item);
         // Do not clobber data we already hold: only allocate the truly new
         // part, then union ownership. The fragment's layout is billed
         // bytes, so the new part keeps the box structure it has always
@@ -356,8 +357,7 @@ impl DataItemManager {
     /// Extract `region` for a migration: data and ownership leave this
     /// locality.
     pub fn export_migration(&mut self, item: ItemId, region: &dyn DynRegion) -> Payload {
-        self.cow_capture(item);
-        let slot = self.slot_mut(item);
+        let slot = self.slot_written(item);
         let bytes = slot.frag.export(region);
         slot.frag.remove_dyn(region);
         slot.owned = slot.owned.difference_dyn(region);
@@ -367,8 +367,7 @@ impl DataItemManager {
     /// Import serialized fragment data as a read replica held by `task`
     /// for the duration of its execution.
     pub fn import_replica(&mut self, item: ItemId, bytes: &[u8], task: TaskId) {
-        self.cow_capture(item);
-        let slot = self.slot_mut(item);
+        let slot = self.slot_written(item);
         let frag = (slot.desc.decode_fragment)(bytes);
         let region = frag.region_dyn().clone_box();
         slot.frag.insert_dyn(frag);
@@ -378,8 +377,7 @@ impl DataItemManager {
     /// Import serialized fragment data as a persistent replica (broadcast
     /// read-mostly data, e.g. the top levels of a static tree).
     pub fn import_persistent(&mut self, item: ItemId, bytes: &[u8]) {
-        self.cow_capture(item);
-        let slot = self.slot_mut(item);
+        let slot = self.slot_written(item);
         let frag = (slot.desc.decode_fragment)(bytes);
         slot.persistent = slot.persistent.union_dyn(frag.region_dyn());
         slot.frag.insert_dyn(frag);
@@ -440,8 +438,7 @@ impl DataItemManager {
 
     /// Import serialized fragment data as owned (migration arrival).
     pub fn import_owned(&mut self, item: ItemId, bytes: &[u8]) {
-        self.cow_capture(item);
-        let slot = self.slot_mut(item);
+        let slot = self.slot_written(item);
         let frag = (slot.desc.decode_fragment)(bytes);
         slot.owned = slot.owned.union_dyn(frag.region_dyn());
         slot.frag.insert_dyn(frag);
@@ -467,7 +464,7 @@ impl DataItemManager {
     /// owned region) still covers it — the model's "runtime can remove
     /// replicated data" with reference counting.
     pub fn drop_replica_holds(&mut self, item: ItemId, task: TaskId) {
-        let slot = self.slot_mut(item);
+        let slot = self.slot_written(item);
         let mut released: Option<Box<dyn DynRegion>> = None;
         slot.holds.retain(|(t, r)| {
             if *t == task {
@@ -595,8 +592,7 @@ impl DataItemManager {
     /// transient hold — still covers it; the owner's export fence is
     /// unaffected.
     pub fn drop_persistent(&mut self, item: ItemId) {
-        self.cow_capture(item);
-        let slot = self.slot_mut(item);
+        let slot = self.slot_written(item);
         let drop = std::mem::replace(&mut slot.persistent, (slot.desc.empty_region)());
         slot.evict(drop);
     }
@@ -607,8 +603,7 @@ impl DataItemManager {
     /// dropped only where nothing else — owned region or a transient hold
     /// — still covers it, mirroring [`DataItemManager::drop_persistent`].
     pub fn drop_persistent_region(&mut self, item: ItemId, region: &dyn DynRegion) {
-        self.cow_capture(item);
-        let slot = self.slot_mut(item);
+        let slot = self.slot_written(item);
         let drop = slot.persistent.intersect_dyn(region);
         slot.persistent = slot.persistent.difference_dyn(region);
         slot.evict(drop);
@@ -741,8 +736,7 @@ impl DataItemManager {
 
     /// Type-erased mutable fragment access.
     pub(crate) fn fragment_any_mut(&mut self, item: ItemId) -> &mut dyn std::any::Any {
-        self.cow_capture(item);
-        self.slot_mut(item).frag.as_any_mut()
+        self.slot_written(item).frag.as_any_mut()
     }
 
     /// Serialize the *owned* portion of every item — the checkpointing
@@ -763,8 +757,7 @@ impl DataItemManager {
     /// the bytes backing those claims are gone.
     pub fn restore<B: AsRef<[u8]>>(&mut self, snapshot: &[(ItemId, B)]) {
         for (id, bytes) in snapshot {
-            self.cow_capture(*id);
-            let slot = self.slot_mut(*id);
+            let slot = self.slot_written(*id);
             let frag = (slot.desc.decode_fragment)(bytes.as_ref());
             slot.owned = frag.region_dyn().clone_box();
             slot.frag = frag;
@@ -803,6 +796,15 @@ impl DataItemManager {
         self.items
             .get_mut(&item)
             .unwrap_or_else(|| panic!("unknown data item {item:?}"))
+    }
+
+    /// The slot of `item` for a change to its fragment, owned region or
+    /// persistent coverage: the one way such a change reaches a slot, so
+    /// that it counts as the item's first write under an armed snapshot
+    /// (`cow_capture`).
+    fn slot_written(&mut self, item: ItemId) -> &mut ItemSlot {
+        self.cow_capture(item);
+        self.slot_mut(item)
     }
 }
 

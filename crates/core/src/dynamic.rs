@@ -40,8 +40,7 @@ pub trait DynRegion: fmt::Debug {
     fn is_disjoint_dyn(&self, other: &dyn DynRegion) -> bool;
     /// Semantic equality with a region of the same concrete type.
     fn eq_dyn(&self, other: &dyn DynRegion) -> bool;
-    /// Serialize for transmission (control-plane sizing is billed off the
-    /// encoded length).
+    /// The region's wire encoding.
     fn encode(&self) -> Vec<u8>;
     /// A cheap, stable 64-bit fingerprint of the region value, used as the
     /// location-cache key. Computed over the canonical wire encoding (`put`

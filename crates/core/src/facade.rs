@@ -216,9 +216,6 @@ where
     }
 }
 
-/// Requirements builder result for a `pfor` tile: what the body needs.
-pub type TileReqs<const D: usize> = Vec<Requirement>;
-
 /// Configuration of a [`pfor`] loop.
 pub struct PforSpec<const D: usize> {
     /// Loop name (monitoring).
@@ -247,7 +244,7 @@ pub struct PforSpec<const D: usize> {
 ///   giving façade access.
 pub fn pfor<const D: usize>(
     spec: PforSpec<D>,
-    reqs: impl Fn(&GridBox<D>) -> TileReqs<D> + 'static,
+    reqs: impl Fn(&GridBox<D>) -> Vec<Requirement> + 'static,
     body: impl Fn(&mut TaskCtx<'_>, Point<D>) + 'static,
 ) -> Box<dyn WorkItem> {
     pfor_tiles(spec, reqs, move |ctx, tile| {
@@ -264,7 +261,7 @@ pub fn pfor<const D: usize>(
 #[allow(clippy::arc_with_non_send_sync)] // the simulation is single-threaded by design
 pub fn pfor_tiles<const D: usize>(
     spec: PforSpec<D>,
-    reqs: impl Fn(&GridBox<D>) -> TileReqs<D> + 'static,
+    reqs: impl Fn(&GridBox<D>) -> Vec<Requirement> + 'static,
     body: impl Fn(&mut TaskCtx<'_>, &GridBox<D>) + 'static,
 ) -> Box<dyn WorkItem> {
     let full = spec.range;

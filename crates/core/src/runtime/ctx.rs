@@ -133,11 +133,9 @@ impl RtCtx<'_> {
             return;
         }
         let bytes = w.localities[from].dim.export_migration(item, region);
-        let new_src_owned = w.localities[from].dim.owned_region(item).clone_box();
-        let hops1 = index_update(w, now, item, from, new_src_owned);
+        let hops1 = index_update(w, now, item, from);
         w.localities[to].dim.import_owned(item, &bytes);
-        let new_dst_owned = w.localities[to].dim.owned_region(item).clone_box();
-        let hops2 = index_update(w, now, item, to, new_dst_owned);
+        let hops2 = index_update(w, now, item, to);
         // Driver-initiated migration is synchronous bookkeeping; a lost
         // transfer only truncates the billing (recovery restores any
         // halfway state from the checkpoint).

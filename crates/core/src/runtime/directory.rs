@@ -155,20 +155,21 @@ pub(super) fn index_resolve(
     (pieces, hops)
 }
 
-/// Update locality `p`'s advertised region of `item` in the index,
-/// invalidating the item's cached resolutions (epoch bump) *before* the
-/// update becomes visible — the cache must never serve a pre-update owner.
-/// Counts the propagation hops in the monitor; billing stays with the
-/// caller.
-pub(super) fn index_update(
-    w: &mut RtWorld,
-    now: SimTime,
-    item: ItemId,
-    p: usize,
-    region: Box<dyn DynRegion>,
-) -> Vec<Hop> {
+/// Write locality `p`'s leaf of `item` in the index from what its data
+/// item manager advertises — the one writer of leaves — invalidating the
+/// item's cached resolutions (epoch bump) *before* the update becomes
+/// visible: the cache must never serve a pre-update owner.
+fn write_leaf(w: &mut RtWorld, item: ItemId, p: usize) -> Vec<Hop> {
     w.directory.loc_cache.bump(item);
-    let hops = w.directory.index.update_leaf(item, p, region);
+    let leaf = w.localities[p].dim.advertised_region(item);
+    w.directory.index.update_leaf(item, p, leaf)
+}
+
+/// Re-advertise locality `p`'s region of `item` in the index after its
+/// data item manager changed it. Counts the propagation hops in the
+/// monitor; billing stays with the caller.
+pub(super) fn index_update(w: &mut RtWorld, now: SimTime, item: ItemId, p: usize) -> Vec<Hop> {
+    let hops = write_leaf(w, item, p);
     w.monitor.index_update_hops += hops.len() as u64;
     trace_instant(
         w,
@@ -182,15 +183,13 @@ pub(super) fn index_update(
     hops
 }
 
-/// Re-advertise every locality's owned region of every item after the
-/// data plane was rewritten out of band (a restore). Not billed, but the
-/// cache epochs are bumped first so no earlier resolution survives.
+/// Re-advertise every locality's region of every item after the data
+/// plane was rewritten out of band (a restore). Not billed, counted or
+/// traced.
 pub(super) fn readvertise(w: &mut RtWorld) {
     for item in w.directory.items() {
-        w.directory.loc_cache.bump(item);
-        for (p, loc) in w.localities.iter().enumerate() {
-            let owned = loc.dim.owned_region(item).clone_box();
-            w.directory.index.update_leaf(item, p, owned);
+        for p in 0..w.localities.len() {
+            write_leaf(w, item, p);
         }
     }
 }

@@ -120,8 +120,7 @@ fn first_touch(
     region: &dyn DynRegion,
 ) {
     w.localities[loc].dim.init_owned(item, region);
-    let owned = w.localities[loc].dim.advertised_region(item);
-    let hops = index_update(w, now, item, loc, owned);
+    let hops = index_update(w, now, item, loc);
     bill_hops(w, now, &hops, Some(item));
     w.monitor.per_locality[loc].first_touch += 1;
     let kind = EventKind::FirstTouch {
@@ -142,8 +141,7 @@ fn fetch(sim: &mut RtSim, tid: TaskId, loc: usize, kind: Fetch, mv: Move, wire: 
     let now = sim.now();
     let w = &mut sim.world;
     if kind == Fetch::Migrate {
-        let src_owned = w.localities[src].dim.advertised_region(item);
-        let hops = index_update(w, now, item, src, src_owned);
+        let hops = index_update(w, now, item, src);
         bill_hops(w, now, &hops, Some(item));
         // Advertise the destination in the index immediately and
         // fence the region as in-flight. Between the source giving
@@ -157,8 +155,7 @@ fn fetch(sim: &mut RtSim, tid: TaskId, loc: usize, kind: Fetch, mv: Move, wire: 
         w.localities[loc]
             .dim
             .fence_inbound(item, tid, region.as_ref());
-        let dst_adv = w.localities[loc].dim.advertised_region(item);
-        let hops = index_update(w, now, item, loc, dst_adv);
+        let hops = index_update(w, now, item, loc);
         bill_hops(w, now, &hops, Some(item));
     }
     let ctrl = w.cost.control_msg_bytes;
@@ -211,8 +208,7 @@ pub(super) fn fetch_landed(sim: &mut RtSim, leg: FetchLeg, intact: bool) {
                 .dim
                 .release_inbound(item, tid, region.as_ref());
             wake(w, woken);
-            let owned = w.localities[home].dim.advertised_region(item);
-            let hops = index_update(w, t, item, home, owned);
+            let hops = index_update(w, t, item, home);
             bill_hops(w, t, &hops, Some(item));
             w.monitor.per_locality[home].migrations_in += 1;
         }

@@ -5,72 +5,64 @@
 //!
 //! Bit 0 selects the root block (the top `h` levels as a whole); bit
 //! `1 + i` selects the complete subtree hanging below the `i`-th node of
-//! level `h` (left to right). All set operations are plain bitwise logic —
-//! this is the scheme the TPC evaluation code uses to distribute its
-//! kd-tree.
+//! level `h` (left to right). All set operations are plain bitwise logic
+//! ([`Dense`]) — this is the scheme the TPC evaluation code uses to
+//! distribute its kd-tree.
 
-use allscale_des::wire::wire_struct;
-
+use crate::dense::{Dense, Universe};
 use crate::region::Region;
 use crate::tree::TreeRegion;
 use crate::treepath::TreePath;
 
-/// A coarse, bitmask-backed region over a binary tree split at depth `h`.
+/// A coarse, bitmask-backed region over a binary tree split at depth `h`:
+/// a [`Dense`] set whose universe is `h`, slot 0 the root block and slot
+/// `1 + i` subtree `i`.
 ///
-/// Two regions are only compatible (for set operations) if they share the
-/// same split depth `h`; mixing depths is a programming error and panics.
-#[derive(Clone)]
-pub struct BitmaskTreeRegion {
-    h: u8,
-    /// Bit 0: root block; bits 1..=2^h: subtrees, packed into u64 words.
-    words: Vec<u64>,
-}
-wire_struct!(BitmaskTreeRegion { h, words });
+/// Two non-empty regions are only compatible (for set operations) if they
+/// share the same split depth `h`; mixing depths is a programming error and
+/// panics.
+pub type BitmaskTreeRegion = Dense<u8>;
 
-impl PartialEq for BitmaskTreeRegion {
-    fn eq(&self, other: &Self) -> bool {
-        // Semantic equality: all empty regions are equal regardless of
-        // split depth (the canonical `Region::empty()` uses depth 0).
-        if self.h == other.h {
-            self.words == other.words
-        } else {
-            self.is_empty() && other.is_empty()
-        }
+impl Universe for u8 {
+    const CANONICAL: u8 = 0;
+    const MIXED: &'static str = "bitmask regions with different split depths are incompatible";
+    fn slots(self) -> usize {
+        (1 << self) + 1
+    }
+    fn describe(r: &BitmaskTreeRegion, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "BitmaskTreeRegion(h={}, root={}, subtrees={:?})",
+            r.universe,
+            r.has_root_block(),
+            r.subtrees().collect::<Vec<_>>()
+        )
     }
 }
-
-impl Eq for BitmaskTreeRegion {}
 
 impl BitmaskTreeRegion {
     /// An empty region for a tree split at depth `h` (`h <= 24`).
     pub fn new(h: u8) -> Self {
         assert!(h <= 24, "split depth {h} too large for a bitmask region");
-        let bits = (1usize << h) + 1;
-        BitmaskTreeRegion {
-            h,
-            words: vec![0; bits.div_ceil(64)],
-        }
+        Dense::empty_in(h)
     }
 
     /// The split depth.
     #[inline]
     pub fn split_depth(&self) -> u8 {
-        self.h
+        self.universe
     }
 
     /// Number of subtree blocks (`2^h`).
     #[inline]
     pub fn subtree_count(&self) -> usize {
-        1 << self.h
+        1 << self.universe
     }
 
     /// The whole tree: root block plus every subtree.
     pub fn full(h: u8) -> Self {
         let mut r = Self::new(h);
-        r.set_root_block(true);
-        for i in 0..r.subtree_count() {
-            r.set_subtree(i, true);
-        }
+        r.fill(0, h.slots());
         r
     }
 
@@ -81,7 +73,7 @@ impl BitmaskTreeRegion {
 
     /// Whether the root block is selected.
     pub fn has_root_block(&self) -> bool {
-        self.get_bit(0)
+        self.bit(0)
     }
 
     /// Select or deselect subtree `i` (0-based, left to right at depth `h`).
@@ -93,12 +85,12 @@ impl BitmaskTreeRegion {
     /// Whether subtree `i` is selected.
     pub fn has_subtree(&self, i: usize) -> bool {
         assert!(i < self.subtree_count(), "subtree index out of range");
-        self.get_bit(1 + i)
+        self.bit(1 + i)
     }
 
-    /// Indices of all selected subtrees.
+    /// Indices of all selected subtrees, ascending.
     pub fn subtrees(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.subtree_count()).filter(|&i| self.has_subtree(i))
+        self.ones().filter_map(|slot| slot.checked_sub(1))
     }
 
     /// A region containing exactly subtree `i`.
@@ -120,7 +112,7 @@ impl BitmaskTreeRegion {
     /// level `h`).
     pub fn subtree_root(&self, i: usize) -> TreePath {
         assert!(i < self.subtree_count());
-        TreePath::at_level(self.h, i as u64)
+        TreePath::at_level(self.universe, i as u64)
     }
 
     /// Which block a node path belongs to: `None` = root block, `Some(i)` =
@@ -131,7 +123,7 @@ impl BitmaskTreeRegion {
 
     /// Whether the node at `path` is in the region.
     pub fn contains(&self, path: &TreePath) -> bool {
-        match Self::block_of(self.h, path) {
+        match Self::block_of(self.universe, path) {
             None => self.has_root_block(),
             Some(i) => self.has_subtree(i),
         }
@@ -139,19 +131,21 @@ impl BitmaskTreeRegion {
 
     /// Number of member nodes in a complete tree of `height` levels.
     pub fn cardinality(&self, height: u8) -> u64 {
+        let h = self.universe;
+        let root = self.has_root_block();
         let mut n = 0;
-        if self.has_root_block() {
-            n += (1u64 << self.h.min(height)) - 1;
+        if root {
+            n += (1u64 << h.min(height)) - 1;
         }
-        if height > self.h {
-            let per_subtree = (1u64 << (height - self.h)) - 1;
-            n += self.subtrees().count() as u64 * per_subtree;
+        if height > h {
+            let subtrees = self.count() - root as u32;
+            n += subtrees as u64 * ((1u64 << (height - h)) - 1);
         }
         n
     }
 
     /// Convert to the flexible [`TreeRegion`] scheme (exact).
-    pub fn to_tree_region(&self, height: u8) -> TreeRegion {
+    pub fn to_tree_region(&self) -> TreeRegion {
         let mut r = TreeRegion::empty();
         if self.has_root_block() {
             // Root block = whole tree minus all depth-h subtrees, bounded
@@ -165,117 +159,7 @@ impl BitmaskTreeRegion {
         for i in self.subtrees() {
             r = r.union(&TreeRegion::subtree(self.subtree_root(i)));
         }
-        let _ = height; // height only matters for enumeration, not structure
         r
-    }
-
-    fn set_bit(&mut self, i: usize, on: bool) {
-        let (w, b) = (i / 64, i % 64);
-        if on {
-            self.words[w] |= 1 << b;
-        } else {
-            self.words[w] &= !(1 << b);
-        }
-    }
-
-    fn get_bit(&self, i: usize) -> bool {
-        let (w, b) = (i / 64, i % 64);
-        (self.words[w] >> b) & 1 == 1
-    }
-
-    fn assert_one_empty(&self, other: &Self) {
-        assert!(
-            self.is_empty() || other.is_empty(),
-            "bitmask regions with different split depths are incompatible"
-        );
-    }
-
-    fn zip(&self, other: &Self, op: fn(u64, u64) -> u64) -> Self {
-        assert_eq!(
-            self.h, other.h,
-            "bitmask regions with different split depths are incompatible"
-        );
-        BitmaskTreeRegion {
-            h: self.h,
-            words: self
-                .words
-                .iter()
-                .zip(&other.words)
-                .map(|(&a, &b)| op(a, b))
-                .collect(),
-        }
-    }
-}
-
-impl std::fmt::Debug for BitmaskTreeRegion {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "BitmaskTreeRegion(h={}, root={}, subtrees={:?})",
-            self.h,
-            self.has_root_block(),
-            self.subtrees().collect::<Vec<_>>()
-        )
-    }
-}
-
-impl Region for BitmaskTreeRegion {
-    fn empty() -> Self {
-        // The canonical empty region uses split depth 0 (1 subtree). All
-        // operations require matching depths, so `empty()` is mostly useful
-        // through `R::new(h)`; is_empty/union handle the general case.
-        BitmaskTreeRegion::new(0)
-    }
-
-    fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    fn union(&self, other: &Self) -> Self {
-        // Allow the canonical empty value to combine with any depth.
-        if self.is_empty() && self.h != other.h {
-            return other.clone();
-        }
-        if other.is_empty() && self.h != other.h {
-            return self.clone();
-        }
-        self.zip(other, |a, b| a | b)
-    }
-
-    fn intersect(&self, other: &Self) -> Self {
-        if (self.is_empty() || other.is_empty()) && self.h != other.h {
-            return Self::new(self.h.max(other.h));
-        }
-        self.zip(other, |a, b| a & b)
-    }
-
-    fn difference(&self, other: &Self) -> Self {
-        if other.is_empty() && self.h != other.h {
-            return self.clone();
-        }
-        if self.is_empty() && self.h != other.h {
-            return Self::new(self.h);
-        }
-        self.zip(other, |a, b| a & !b)
-    }
-
-    // The predicates read the words in place; across split depths they
-    // give the algebra's answer for an empty operand and panic like it
-    // for two non-empty ones.
-    fn is_disjoint(&self, other: &Self) -> bool {
-        if self.h != other.h {
-            self.assert_one_empty(other);
-            return true;
-        }
-        self.words.iter().zip(&other.words).all(|(&a, &b)| a & b == 0)
-    }
-
-    fn is_subset_of(&self, other: &Self) -> bool {
-        if self.h != other.h {
-            self.assert_one_empty(other);
-            return self.is_empty();
-        }
-        self.words.iter().zip(&other.words).all(|(&a, &b)| a & !b == 0)
     }
 }
 
@@ -423,7 +307,7 @@ mod tests {
         let mut r = BitmaskTreeRegion::new(H_SPLIT);
         r.set_root_block(true);
         r.set_subtree(1, true);
-        let t = r.to_tree_region(HEIGHT);
+        let t = r.to_tree_region();
         // Membership must agree for every node shallower than HEIGHT...
         let mut stack = vec![TreePath::ROOT];
         while let Some(p) = stack.pop() {

@@ -3,8 +3,8 @@
 //! using this interface" (Sections 1 and 3.1), made concrete for maps.
 //!
 //! Elements are addressed by the *hash bucket* of their key: the region
-//! scheme [`BucketRegion`] is a bitmask over `B` buckets (closed under the
-//! set operations trivially), and [`KeyedFragment`] stores the key-value
+//! scheme [`BucketRegion`] is a bitmask over `B` buckets (a
+//! [`Dense`] set, closed under the set operations trivially), and [`KeyedFragment`] stores the key-value
 //! pairs of the covered buckets. Distribution therefore follows consistent
 //! hashing: the runtime can migrate or replicate any subset of buckets.
 
@@ -12,45 +12,33 @@ use allscale_des::fnv::{fnv1a_64, fnv1a_64_extend, FNV64_OFFSET};
 use allscale_des::wire::{wire_struct, Sink, Wire};
 use std::collections::BTreeMap;
 
+use crate::dense::{Dense, Universe};
 use crate::fragment::Fragment;
 use crate::region::Region;
 
-/// A region over the hash buckets of a keyed data item.
+/// A region over the hash buckets of a keyed data item: a [`Dense`] set
+/// whose universe is the bucket count.
 ///
-/// All regions of one item must use the same bucket count; mixing counts
-/// panics (it is a programming error, like mixing items).
-#[derive(Clone)]
-pub struct BucketRegion {
-    buckets: u32,
-    words: Vec<u64>,
-}
-wire_struct!(BucketRegion { buckets, words });
+/// All non-empty regions of one item must use the same bucket count;
+/// mixing counts panics (it is a programming error, like mixing items).
+pub type BucketRegion = Dense<u32>;
 
-impl PartialEq for BucketRegion {
-    fn eq(&self, other: &Self) -> bool {
-        // Semantic equality: empty regions are equal regardless of bucket
-        // count (the canonical `Region::empty()` uses one bucket).
-        if self.buckets == other.buckets {
-            // Same count, same number of words: compared in one pass of
-            // xors, for a handful of words cheaper than a `memcmp` call.
-            let diff = self.words.iter().zip(&other.words);
-            diff.fold(0, |acc, (a, b)| acc | (a ^ b)) == 0
-        } else {
-            self.is_empty() && other.is_empty()
-        }
+impl Universe for u32 {
+    const CANONICAL: u32 = 1;
+    const MIXED: &'static str = "bucket regions with different bucket counts";
+    fn slots(self) -> usize {
+        self as usize
+    }
+    fn describe(r: &BucketRegion, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "BucketRegion({}/{} buckets)", r.cardinality(), r.universe)
     }
 }
-
-impl Eq for BucketRegion {}
 
 impl BucketRegion {
     /// An empty region over `buckets` buckets.
     pub fn new(buckets: u32) -> Self {
         assert!(buckets > 0, "need at least one bucket");
-        BucketRegion {
-            buckets,
-            words: vec![0; (buckets as usize).div_ceil(64)],
-        }
+        Dense::empty_in(buckets)
     }
 
     /// The region covering every bucket.
@@ -69,140 +57,40 @@ impl BucketRegion {
     /// building block.
     pub fn of_range(buckets: u32, lo: u32, hi: u32) -> Self {
         let mut r = Self::new(buckets);
-        let (lo, hi) = (lo as u64, hi.min(buckets) as u64);
-        for (w, word) in r.words.iter_mut().enumerate() {
-            // The part of [lo, hi) inside this word's 64 buckets.
-            let base = w as u64 * 64;
-            let from = lo.max(base) - base;
-            let to = hi.min(base + 64).saturating_sub(base);
-            if from < to {
-                *word = (u64::MAX >> (64 - (to - from))) << from;
-            }
-        }
+        r.fill(lo as usize, hi.min(buckets) as usize);
         r
     }
 
     /// Total bucket count of the item.
     pub fn buckets(&self) -> u32 {
-        self.buckets
+        self.universe
     }
 
     /// Select or deselect a bucket.
     pub fn set(&mut self, b: u32, on: bool) {
-        assert!(b < self.buckets, "bucket out of range");
-        let (w, i) = ((b / 64) as usize, b % 64);
-        if on {
-            self.words[w] |= 1 << i;
-        } else {
-            self.words[w] &= !(1 << i);
-        }
+        assert!(b < self.universe, "bucket out of range");
+        self.set_bit(b as usize, on);
     }
 
     /// Whether bucket `b` is covered.
     pub fn contains(&self, b: u32) -> bool {
-        if b >= self.buckets {
-            return false;
-        }
-        (self.words[(b / 64) as usize] >> (b % 64)) & 1 == 1
+        b < self.universe && self.bit(b as usize)
     }
 
     /// Iterate covered buckets.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words.iter().enumerate().flat_map(|(w, &word)| {
-            let mut rest = word;
-            std::iter::from_fn(move || {
-                let bit = (rest != 0).then(|| rest.trailing_zeros())?;
-                rest &= rest - 1;
-                Some(w as u32 * 64 + bit)
-            })
-        })
+        self.ones().map(|b| b as u32)
     }
 
     /// Number of covered buckets.
     pub fn cardinality(&self) -> u32 {
-        self.words.iter().map(|w| w.count_ones()).sum()
+        self.count()
     }
 
     /// The bucket a key hashes into (FNV-1a 64 of its bytes: stable across
     /// runs and processes, like every other hash of the workspace).
     pub fn bucket_of_bytes(buckets: u32, key_bytes: &[u8]) -> u32 {
         (fnv1a_64(key_bytes) % buckets as u64) as u32
-    }
-
-    /// Regions of different bucket counts combine only when one is empty.
-    #[inline]
-    fn check_counts(&self, other: &Self) {
-        if self.buckets != other.buckets {
-            assert!(
-                self.is_empty() || other.is_empty(),
-                "bucket regions with different bucket counts"
-            );
-        }
-    }
-
-    /// Word-wise for every operand pair. The canonical `Region::empty()`
-    /// has one bucket whatever the item's count — a data item manager's
-    /// replica coverage is that value until a replica arrives — so an empty
-    /// operand of another count reads as zero words of the larger count.
-    fn zip(&self, other: &Self, op: fn(u64, u64) -> u64) -> Self {
-        self.check_counts(other);
-        // An operand has no buckets beyond its own end. Equal lengths — every
-        // pair but those with the canonical empty — skip the padding, which
-        // costs 20 % on hostbench's `region.bucket` probe.
-        fn padded(r: &BucketRegion, len: usize) -> impl Iterator<Item = u64> + '_ {
-            r.words.iter().copied().chain(std::iter::repeat(0)).take(len)
-        }
-        let len = self.words.len().max(other.words.len());
-        let words = if self.words.len() == other.words.len() {
-            self.words.iter().zip(&other.words).map(|(&a, &b)| op(a, b)).collect()
-        } else {
-            padded(self, len).zip(padded(other, len)).map(|(a, b)| op(a, b)).collect()
-        };
-        BucketRegion {
-            buckets: self.buckets.max(other.buckets),
-            words,
-        }
-    }
-}
-
-impl std::fmt::Debug for BucketRegion {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "BucketRegion({}/{} buckets)",
-            self.cardinality(),
-            self.buckets
-        )
-    }
-}
-
-impl Region for BucketRegion {
-    fn empty() -> Self {
-        BucketRegion::new(1)
-    }
-    fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-    fn union(&self, other: &Self) -> Self {
-        self.zip(other, |a, b| a | b)
-    }
-    fn intersect(&self, other: &Self) -> Self {
-        self.zip(other, |a, b| a & b)
-    }
-    fn difference(&self, other: &Self) -> Self {
-        self.zip(other, |a, b| a & !b)
-    }
-    // The predicates read the words in place. An operand has no buckets
-    // beyond its own end, so against the shorter canonical empty region
-    // the missing words count as zero, as in `zip`.
-    fn is_disjoint(&self, other: &Self) -> bool {
-        self.check_counts(other);
-        self.words.iter().zip(&other.words).all(|(&a, &b)| a & b == 0)
-    }
-    fn is_subset_of(&self, other: &Self) -> bool {
-        self.check_counts(other);
-        let theirs = other.words.iter().copied().chain(std::iter::repeat(0));
-        self.words.iter().zip(theirs).all(|(&a, b)| a & !b == 0)
     }
 }
 

@@ -13,7 +13,8 @@
 //!   `2^h` subtrees addressed by a bitmask; TPC's kd-tree);
 //!
 //! plus [`BucketRegion`] for hash-bucketed keyed items (the serving
-//! store).
+//! store). The bitmask and bucket schemes are one [`Dense`] set algebra
+//! over two kinds of universe.
 //!
 //! Element storage is provided by fragments ([`GridFragment`],
 //! [`TreeFragment`], [`KeyedFragment`]) implementing the [`Fragment`]
@@ -24,6 +25,7 @@
 
 mod bitmask;
 mod boxes;
+mod dense;
 mod fragment;
 mod grid_fragment;
 mod keyed;
@@ -35,6 +37,7 @@ mod treepath;
 
 pub use bitmask::BitmaskTreeRegion;
 pub use boxes::BoxRegion;
+pub use dense::{Dense, Universe};
 pub use allscale_des::fnv::fnv1a_64;
 pub use fragment::{Fragment, ItemType};
 pub use grid_fragment::GridFragment;

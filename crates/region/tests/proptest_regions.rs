@@ -349,7 +349,7 @@ proptest! {
 
     #[test]
     fn bitmask_agrees_with_tree_region(a in arb_bitmask(2)) {
-        let t = a.to_tree_region(ORACLE_HEIGHT);
+        let t = a.to_tree_region();
         let mut stack = vec![TreePath::ROOT];
         while let Some(p) = stack.pop() {
             prop_assert_eq!(a.contains(&p), t.contains(&p), "path {:?}", p);
