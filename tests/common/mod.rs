@@ -17,6 +17,7 @@
 #![allow(dead_code)]
 
 pub mod family;
+pub mod recorded;
 pub mod report_json;
 
 use std::cell::RefCell;

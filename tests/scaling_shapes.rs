@@ -1,21 +1,25 @@
 //! Assert the qualitative shapes of the paper's Fig. 7 at reduced node
-//! counts (1-8; the full 1-64 sweep is `cargo run -p allscale-bench --bin
-//! fig7` and recorded in EXPERIMENTS.md):
+//! counts (1-8; the full 1-64 sweep is the `fig7` experiment of
+//! `cargo run -p allscale-bench --bin experiments`, recorded in
+//! EXPERIMENTS.md):
 //!
 //! - stencil / iPiC3D: AllScale within a modest constant of MPI, both
 //!   scaling near-linearly;
 //! - TPC: MPI keeps scaling while AllScale's per-query task forwarding
 //!   caps its gains.
 //!
-//! The `recorded_*` tests run nothing: they parse the checked-in
-//! `results_fig7*.txt` (CI `diff`s those against a fresh run) and hold
-//! every qualitative sentence of EXPERIMENTS.md E2–E4 / A1–A3 against
-//! them, so a regenerated file that flips a claim fails here instead of
-//! passing a `diff` against itself.
+//! The `recorded_*` tests run nothing: they read the checked-in
+//! `BENCH_fig7.json` (CI compares it, minus `host_ms`, against a fresh
+//! run) and hold every qualitative sentence of EXPERIMENTS.md E2–E4 /
+//! A1–A3 against it, so a regenerated file that flips a claim fails here
+//! instead of passing a comparison against itself.
+
+mod common;
 
 use std::collections::BTreeMap;
 
 use allscale_apps::{ipic3d, stencil, tpc};
+use common::recorded;
 
 fn efficiency(base: f64, now: f64, nodes: usize) -> f64 {
     now / (base * nodes as f64)
@@ -105,33 +109,20 @@ fn tpc_batching_recovers_scaling() {
 
 // ------------------------------------------------- the recorded figures
 
-const FIG7: &str = include_str!("../results_fig7.txt");
-const FIG7_TPC_ABLATIONS: &str = include_str!("../results_fig7_tpc_ablations.txt");
-const FIG7_STENCIL_ABLATIONS: &str = include_str!("../results_fig7_stencil_ablations.txt");
-
-/// One app's `csv,` block of a `fig7` stdout: column label → node count →
-/// throughput.
+/// One app's rows of the checked-in `BENCH_fig7.json`: system → node
+/// count → throughput.
 struct Recorded(BTreeMap<String, BTreeMap<usize, f64>>);
 
 impl Recorded {
-    fn parse(stdout: &str, app: &str) -> Recorded {
-        let mut labels: Vec<&str> = Vec::new();
+    fn parse(app: &str) -> Recorded {
         let mut columns: BTreeMap<String, BTreeMap<usize, f64>> = BTreeMap::new();
-        for line in stdout.lines().filter_map(|l| l.strip_prefix("csv,")) {
-            let mut cells = line.split(',');
-            match cells.next() {
-                Some("app") => labels = cells.skip(1).collect(),
-                Some(a) if a == app => {
-                    let nodes: usize = cells.next().unwrap().parse().unwrap();
-                    for (label, cell) in labels.iter().zip(cells) {
-                        let column = columns.entry(label.to_string()).or_default();
-                        column.insert(nodes, cell.parse().unwrap());
-                    }
-                }
-                _ => {}
+        for row in recorded::rows(include_str!("../BENCH_fig7.json")) {
+            if row.label("app") == app {
+                let column = columns.entry(row.label("system").to_string()).or_default();
+                column.insert(row.num("nodes") as usize, row.num("throughput"));
             }
         }
-        assert!(!columns.is_empty(), "no csv rows for {app}");
+        assert!(!columns.is_empty(), "no rows for {app}");
         Recorded(columns)
     }
 
@@ -150,8 +141,8 @@ impl Recorded {
 /// 64 nodes, and AllScale sits at a steady 0.80× of MPI.
 #[test]
 fn recorded_stencil_and_ipic3d_track_mpi_to_64_nodes() {
-    for app in ["Stencil", "Ipic3d"] {
-        let r = Recorded::parse(FIG7, app);
+    for app in ["stencil", "ipic3d"] {
+        let r = Recorded::parse(app);
         for system in ["AllScale", "MPI"] {
             let eff = efficiency(r.at(system, 1), r.at(system, 64), 64);
             assert!(eff > 0.99, "{app} {system}: efficiency {eff:.3} at 64 nodes");
@@ -161,7 +152,7 @@ fn recorded_stencil_and_ipic3d_track_mpi_to_64_nodes() {
         }
     }
     // E2's magnitude: 2.9 TFLOPS at 64 nodes against the paper's ≈ 3.0.
-    let tflops = Recorded::parse(FIG7, "Stencil").at("AllScale", 64) / 1e12;
+    let tflops = Recorded::parse("stencil").at("AllScale", 64) / 1e12;
     assert!((2.8..3.1).contains(&tflops), "{tflops:.2} TFLOPS");
 }
 
@@ -170,7 +161,7 @@ fn recorded_stencil_and_ipic3d_track_mpi_to_64_nodes() {
 /// scaling and ends 14× ahead.
 #[test]
 fn recorded_tpc_allscale_creeps_from_4_to_64_under_a_scaling_mpi() {
-    let r = Recorded::parse(FIG7, "Tpc");
+    let r = Recorded::parse("tpc");
     let gain = r.at("AllScale", 4) / r.at("AllScale", 1);
     assert!((2.5..3.2).contains(&gain), "1 -> 4 nodes: {gain:.2}x");
     for system in ["AllScale", "MPI"] {
@@ -193,7 +184,7 @@ fn recorded_tpc_allscale_creeps_from_4_to_64_under_a_scaling_mpi() {
 /// hierarchical index is 1.7× ahead; the stencil cannot tell them apart.
 #[test]
 fn recorded_a1_central_index_falls_behind_hierarchical_from_4_nodes() {
-    let r = Recorded::parse(FIG7_TPC_ABLATIONS, "Tpc");
+    let r = Recorded::parse("tpc");
     for (n, gap) in r.ratios("AllScale(central-idx)", "AllScale", 1) {
         match n {
             1 | 2 => assert!((gap - 1.0).abs() < 0.01, "{n} nodes: {gap:.3}"),
@@ -204,7 +195,7 @@ fn recorded_a1_central_index_falls_behind_hierarchical_from_4_nodes() {
     assert!(flat.iter().all(|v| (2.9e5..3.1e5).contains(v)), "{flat:?}");
     let lead = r.at("AllScale", 64) / r.at("AllScale(central-idx)", 64);
     assert!((1.5..1.9).contains(&lead), "hierarchical {lead:.2}x ahead at 64");
-    let stencil = Recorded::parse(FIG7_STENCIL_ABLATIONS, "Stencil");
+    let stencil = Recorded::parse("stencil");
     for (n, gap) in stencil.ratios("AllScale(central-idx)", "AllScale", 1) {
         assert!((gap - 1.0).abs() < 1e-3, "stencil, {n} nodes: {gap}");
     }
@@ -214,14 +205,14 @@ fn recorded_a1_central_index_falls_behind_hierarchical_from_4_nodes() {
 /// more than half at 64, and the stencil 20 % at 32.
 #[test]
 fn recorded_a2_round_robin_placement_costs_what_the_prose_says() {
-    let r = Recorded::parse(FIG7_TPC_ABLATIONS, "Tpc");
+    let r = Recorded::parse("tpc");
     for (n, kept) in r.ratios("AllScale(round-robin)", "AllScale", 8) {
         match n {
             64 => assert!(kept < 0.5, "64 nodes: {kept:.3}"),
             _ => assert!((0.80..0.86).contains(&kept), "{n} nodes: {kept:.3}"),
         }
     }
-    let stencil = Recorded::parse(FIG7_STENCIL_ABLATIONS, "Stencil");
+    let stencil = Recorded::parse("stencil");
     let kept = stencil.at("AllScale(round-robin)", 32) / stencil.at("AllScale", 32);
     assert!((0.75..0.85).contains(&kept), "stencil at 32 nodes: {kept:.3}");
 }
@@ -229,7 +220,7 @@ fn recorded_a2_round_robin_placement_costs_what_the_prose_says() {
 /// A3: batching TPC queries raises throughput 1.7–2.0× from 8 nodes on.
 #[test]
 fn recorded_a3_query_batching_nearly_doubles_tpc_from_8_nodes() {
-    let r = Recorded::parse(FIG7_TPC_ABLATIONS, "Tpc");
+    let r = Recorded::parse("tpc");
     for (n, gain) in r.ratios("AllScale(batched)", "AllScale", 8) {
         assert!((1.65..2.05).contains(&gain), "{n} nodes: {gain:.2}x");
     }

@@ -227,3 +227,22 @@ fn scheduler_conformance_soak() {
         killed_run_agrees(seed, FAMILY[(seed % 4) as usize]);
     }
 }
+
+/// S1 as recorded in `BENCH_s1.json`: on the stencil with node 3 at
+/// quarter speed, the best stealing victim policy beats the direct
+/// scheduler's makespan.
+#[test]
+fn recorded_s1_work_stealing_beats_the_direct_scheduler_on_a_degraded_node() {
+    let rows = common::recorded::rows(include_str!("../BENCH_s1.json"));
+    let stencil = rows.iter().filter(|r| r.label("app") == "stencil");
+    let (direct, stealing): (Vec<_>, Vec<_>) =
+        stencil.partition(|r| r.label("scheduler") == "data-aware");
+    let direct = direct[0].num("compute_ns");
+    let best = stealing.iter().map(|r| r.num("compute_ns")).fold(f64::MAX, f64::min);
+    assert_eq!(stealing.len(), 3);
+    assert!(
+        best < direct,
+        "work stealing must beat the direct scheduler on a degraded node \
+         (best {best} ns vs {direct} ns)"
+    );
+}

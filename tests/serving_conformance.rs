@@ -21,7 +21,7 @@ mod common;
 
 use allscale_apps::serve::{run_with, ServeAppConfig, ServeOutcome};
 use allscale_core::{FaultPlan, ResilienceConfig, RtConfig, SloConfig};
-use common::{kill_plan, Scenario, STEALING};
+use common::{kill_plan, recorded, Scenario, STEALING};
 
 fn small_cfg() -> ServeAppConfig {
     ServeAppConfig::small()
@@ -224,31 +224,25 @@ fn mid_drain_kill_loses_no_acknowledged_write() {
 
 #[test]
 fn recorded_slo_replication_beats_static_placement_past_the_knee() {
-    let field = |row: &str, key: &str| -> f64 {
-        let key = format!("\"{key}\":");
-        let tail = &row[row.find(&key).expect("column") + key.len()..];
-        tail[..tail.find([',', '}']).unwrap()].parse().unwrap()
-    };
-    let recorded = include_str!("../BENCH_serve.json");
+    let rows = recorded::rows(include_str!("../BENCH_serve.json"));
     let at = |placement: &str, rate: f64| {
-        let placement = format!("\"placement\":\"{placement}\"");
-        let mut rows = recorded.lines().filter(|row| row.contains(&placement));
-        rows.find(|row| field(row, "offered_rps") == rate).expect("row")
+        let rate = rate.to_string();
+        recorded::find(&rows, &[("placement", placement), ("offered_rps", &rate)])
     };
     for rate in [100_000.0, 200_000.0] {
         let (fixed, slo) = (at("static", rate), at("slo", rate));
         for column in ["achieved_rps", "p50_ns", "p99_ns", "replications"] {
-            assert_eq!(field(fixed, column), field(slo, column), "{column} at {rate}");
+            assert_eq!(fixed.num(column), slo.num(column), "{column} at {rate}");
         }
     }
     // Static placement pins at one node's capacity past the knee …
     for rate in [800_000.0, 1_200_000.0] {
-        let achieved = field(at("static", rate), "achieved_rps");
+        let achieved = at("static", rate).num("achieved_rps");
         assert!((390e3..410e3).contains(&achieved), "{achieved} at {rate}");
     }
     // … where replication carries the cluster further, at a lower p99.
     let (fixed, slo) = (at("static", 800_000.0), at("slo", 800_000.0));
-    assert!(field(slo, "replications") > 0.0);
-    assert!(field(slo, "achieved_rps") > 1.5 * field(fixed, "achieved_rps"));
-    assert!(1.3 * field(slo, "p99_ns") <= field(fixed, "p99_ns"));
+    assert!(slo.num("replications") > 0.0);
+    assert!(slo.num("achieved_rps") > 1.5 * fixed.num("achieved_rps"));
+    assert!(1.3 * slo.num("p99_ns") <= fixed.num("p99_ns"));
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that every repository path the documents name exists.
+"""Check that every repository path and command the documents name exists.
 
     tools/doc_audit.py            # from the repository root
 
@@ -8,18 +8,30 @@ that starts with `crates/`, `tests/`, `tools/`, `examples/`, `hostbench/`
 or `.github/`. Only its first word counts; a `::symbol` or `:line`
 suffix is stripped, `{a,b}` alternatives and glob patterns are expanded,
 and `examples/<name>` also resolves to `examples/<name>.rs`. Prints one
-`MISSING` line per path that matches nothing and exits 1 if there is one.
+`MISSING` line per path that matches nothing.
+
+A command is `--bin X` or `--example X` in those three documents, in
+ROADMAP.md or in `.claude/skills/verify/SKILL.md`: X must be a `[[bin]]`
+or `[[example]]` some `Cargo.toml` declares. Every experiment named on an
+`experiments` command line (`--bin experiments -- [--out DIR] NAME ...`)
+must have a checked-in `BENCH_<NAME>.json`. Prints one `STALE` line per
+command that fails either. Exits 1 on any `MISSING` or `STALE` line.
 
 Symbols and item numbers are not checked (ROADMAP item 15).
 """
 import glob
 import itertools
+import os
 import re
 import sys
 
 DOCS = ["DESIGN.md", "README.md", "EXPERIMENTS.md"]
+COMMAND_DOCS = DOCS + ["ROADMAP.md", ".claude/skills/verify/SKILL.md"]
 ROOTS = ("crates/", "tests/", "tools/", "examples/", "hostbench/", ".github/")
 TOKEN = re.compile(r"`([^`\n]+)`")
+TARGET = re.compile(r"--(bin|example)\s+([A-Za-z0-9_-]+)")
+EXPERIMENTS = re.compile(r"--bin\s+experiments\s+--\s+([^`#|);<>]*)")
+DECLARED = re.compile(r'\[\[(bin|example)\]\]\s*\nname\s*=\s*"([^"]+)"')
 BRACES = re.compile(r"\{([^{}]*)\}")
 
 
@@ -38,8 +50,41 @@ def exists(path):
     return any(glob.glob(c) for c in candidates)
 
 
+def declared_targets():
+    """(kind, name) of every `[[bin]]` and `[[example]]` of every manifest."""
+    found = set()
+    for manifest in ["Cargo.toml", "hostbench/Cargo.toml"] + glob.glob("crates/*/Cargo.toml"):
+        with open(manifest, encoding="utf-8") as f:
+            found.update(DECLARED.findall(f.read()))
+    return found
+
+
+def stale_commands():
+    """One line per `--bin`/`--example` that names no declared target and
+    per experiment named on a command line without a checked-in file."""
+    declared = declared_targets()
+    stale = []
+    for doc in COMMAND_DOCS:
+        with open(doc, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, 1):
+                for kind, name in TARGET.findall(line):
+                    if (kind, name) not in declared:
+                        stale.append(f"STALE {doc}:{lineno}: --{kind} {name} is not declared")
+                for args in EXPERIMENTS.findall(line):
+                    words = args.split()
+                    for i, word in enumerate(words):
+                        if word.startswith("-") or (i > 0 and words[i - 1] == "--out"):
+                            continue
+                        if not os.path.isfile(f"BENCH_{word}.json"):
+                            stale.append(f"STALE {doc}:{lineno}: experiment {word} has no BENCH_{word}.json")
+    return stale
+
+
 def main():
-    missing = 0
+    stale = stale_commands()
+    for line in stale:
+        print(line)
+    missing = len(stale)
     for doc in DOCS:
         with open(doc, encoding="utf-8") as f:
             for lineno, line in enumerate(f, 1):
