@@ -9,6 +9,14 @@
 //! matching the paper's Fig. 5 exactly (`process0: r07 = r03 ∪ r47`, …).
 //! Each process therefore stores O(log₂ P) regions per data item.
 //!
+//! Those subtree regions are built on demand. A leaf write clears the
+//! O(log P) cached totals on its path to the root and builds nothing; a
+//! lookup asks "does `r` meet this side?" of a built total, else of the
+//! side's built descendants or leaves, and builds a side only to cut `r`
+//! with it. A built side is the union of its children in the same order
+//! the eager rebuild used, so it is a pure function of the current leaves
+//! and every resolution is box for box what eager propagation gave.
+//!
 //! [`DistIndex::resolve`] implements Algorithm 1 (region location
 //! resolution): a depth-first traversal starting at the requesting leaf,
 //! escalating to the parent only for the still-unresolved remainder. One
@@ -25,6 +33,7 @@
 //! A [`CentralIndex`] (single directory at process 0) is provided as an
 //! ablation baseline (DESIGN.md, experiment A1).
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
 use crate::dynamic::DynRegion;
@@ -39,15 +48,52 @@ pub type Piece = (Box<dyn DynRegion>, usize);
 /// Pieces of a resolved region: which process hosts which part.
 pub type Resolution = Vec<Piece>;
 
-/// Left/right subtree regions of one inner node.
-type NodeEntry = (Box<dyn DynRegion>, Box<dyn DynRegion>);
-
 struct ItemIndex {
     /// Per process: the region covered by its locally present fragments.
     leaf: Vec<Box<dyn DynRegion>>,
-    /// Per (level ≥ 2, host): regions covered by the left and right
-    /// subtrees of that node.
-    nodes: BTreeMap<(u32, usize), NodeEntry>,
+    /// `totals[l-2][host >> (l-1)]`: the region covered by the subtree of
+    /// the level-`l` node at `host`, for `2 ≤ l < root_level` — the left or
+    /// right side of its parent. Built on demand and cleared on the path
+    /// of every leaf write, so each is a pure function of the leaves; a
+    /// level-1 side is the leaf itself.
+    totals: Vec<Vec<OnceCell<Box<dyn DynRegion>>>>,
+    /// The item's empty region: the side of a right child that does not
+    /// exist (`host + 2^(l-2) ≥ procs`).
+    empty: Box<dyn DynRegion>,
+}
+
+impl ItemIndex {
+    /// Whether `r` meets the subtree of the level-`l` node at `host`.
+    /// Asks the built total, else the children; builds nothing.
+    fn meets(&self, r: &dyn DynRegion, l: u32, host: usize) -> bool {
+        if l == 1 {
+            return !r.is_disjoint_dyn(self.leaf[host].as_ref());
+        }
+        if let Some(total) = self.totals[l as usize - 2][host >> (l - 1)].get() {
+            return !r.is_disjoint_dyn(total.as_ref());
+        }
+        let right = host + (1 << (l - 2));
+        self.meets(r, l - 1, host) || (right < self.leaf.len() && self.meets(r, l - 1, right))
+    }
+
+    /// Region covered by the subtree of the level-`l` node at `host`,
+    /// built (with every total below it) if it is not yet.
+    fn total(&self, l: u32, host: usize) -> &dyn DynRegion {
+        if l == 1 {
+            return self.leaf[host].as_ref();
+        }
+        self.totals[l as usize - 2][host >> (l - 1)]
+            .get_or_init(|| {
+                let right = host + (1 << (l - 2));
+                let right = if right < self.leaf.len() {
+                    self.total(l - 1, right)
+                } else {
+                    self.empty.as_ref()
+                };
+                self.total(l - 1, host).union_dyn(right)
+            })
+            .as_ref()
+    }
 }
 
 /// The distributed hierarchical index.
@@ -87,16 +133,21 @@ impl DistIndex {
     /// Register a data item with its region scheme's empty region.
     pub fn register_item(&mut self, item: ItemId, empty: &dyn DynRegion) {
         let leaf = (0..self.procs).map(|_| empty.clone_box()).collect();
-        let mut nodes = BTreeMap::new();
-        for l in 2..=self.root_level {
-            let block = 1usize << (l - 1);
-            let mut host = 0;
-            while host < self.procs {
-                nodes.insert((l, host), (empty.clone_box(), empty.clone_box()));
-                host += block;
-            }
-        }
-        self.items.insert(item, ItemIndex { leaf, nodes });
+        let totals = (2..self.root_level)
+            .map(|l| {
+                let nodes = self.procs.div_ceil(1 << (l - 1));
+                (0..nodes).map(|_| OnceCell::new()).collect()
+            })
+            .collect();
+        let empty = empty.clone_box();
+        self.items.insert(
+            item,
+            ItemIndex {
+                leaf,
+                totals,
+                empty,
+            },
+        );
     }
 
     /// Remove a data item from the index.
@@ -110,7 +161,9 @@ impl DistIndex {
     }
 
     /// Update process `p`'s advertised region and propagate along the path
-    /// to the root. Returns the inter-process hops used (for billing).
+    /// to the root: every subtree total on it is cleared, to be rebuilt by
+    /// the first lookup that needs it. Returns the inter-process hops used
+    /// (for billing).
     pub fn update_leaf(
         &mut self,
         item: ItemId,
@@ -119,38 +172,19 @@ impl DistIndex {
     ) -> Vec<Hop> {
         let idx = self.items.get_mut(&item).expect("unregistered item");
         idx.leaf[p] = region;
+        for (k, level) in idx.totals.iter_mut().enumerate() {
+            level[p >> (k + 1)].take();
+        }
         let mut hops = Vec::new();
         let mut child_host = p;
         for l in 2..=self.root_level {
             let host = parent_host(p, l - 1);
-            // Recompute the affected side of the parent from the child's
-            // subtree total.
-            let half = 1usize << (l - 2);
-            let child_is_left = child_host == host;
-            let subtree_total = Self::subtree_total(idx, l - 1, child_host);
-            let node = idx.nodes.get_mut(&(l, host)).expect("node exists");
-            if child_is_left {
-                node.0 = subtree_total;
-            } else {
-                debug_assert_eq!(child_host, host + half);
-                node.1 = subtree_total;
-            }
             if child_host != host {
                 hops.push((child_host, host));
             }
             child_host = host;
         }
         hops
-    }
-
-    /// Region covered by the subtree rooted at the level-`l` node at `host`.
-    fn subtree_total(idx: &ItemIndex, l: u32, host: usize) -> Box<dyn DynRegion> {
-        if l == 1 {
-            idx.leaf[host].clone_box()
-        } else {
-            let (left, right) = &idx.nodes[&(l, host)];
-            left.union_dyn(right.as_ref())
-        }
     }
 
     /// Algorithm 1: locate the pieces of `region` of `item`, starting from
@@ -174,35 +208,40 @@ impl DistIndex {
         };
         let mut m: Resolution = Vec::new();
         let mut hops: Vec<Hop> = Vec::new();
-        let remainder = self.resolve_rec(
-            idx,
-            start,
-            1,
-            region.clone_box(),
-            true,
-            &mut m,
-            &mut hops,
-        );
-        let _ = remainder;
+        let mut r = self.descend(idx, start, 1, region.clone_box(), None, &mut m, &mut hops);
+        // Escalate the remainder to the parent until it is resolved or the
+        // root has answered.
+        let (mut i, mut l) = (start, 1);
+        while !r.is_empty_dyn() && l < self.root_level {
+            let host = parent_host(i, l);
+            if host != i {
+                hops.push((i, host));
+            }
+            r = self.descend(idx, host, l + 1, r, Some(i), &mut m, &mut hops);
+            (i, l) = (host, l + 1);
+        }
         (m, hops)
     }
 
-    /// Recursive RESOLVE. Returns the still-unresolved remainder of `r`.
-    /// `may_escalate` is false when the call came *down* from a parent
-    /// (escalation is the caller's job then).
+    /// Recursive RESOLVE below the level-`l` node at `i`: the leaf's share,
+    /// or the share of each child subtree `r` meets. `from` is the child an
+    /// escalating remainder came up from; everything it holds was already
+    /// cut from `r`, so it is not asked again. Returns the still-unresolved
+    /// remainder of `r`.
     #[allow(clippy::too_many_arguments)]
-    fn resolve_rec(
+    fn descend(
         &self,
         idx: &ItemIndex,
         i: usize,
         l: u32,
         mut r: Box<dyn DynRegion>,
-        may_escalate: bool,
+        from: Option<usize>,
         m: &mut Resolution,
         hops: &mut Vec<Hop>,
     ) -> Box<dyn DynRegion> {
         // Each share is built only where `r` reaches into the subtree;
-        // everywhere else the overlap test is the whole visit.
+        // everywhere else the overlap test is the whole visit, and a side
+        // is built only to be cut from `r`.
         if l == 1 {
             // Leaf level: contribute the local share.
             let ri = idx.leaf[i].as_ref();
@@ -210,42 +249,30 @@ impl DistIndex {
                 m.push((r.intersect_dyn(ri), i));
                 r = r.difference_dyn(ri);
             }
-        } else {
-            let half = 1usize << (l - 2);
-            let (rl, rr) = &idx.nodes[&(l, i)];
-            // Left subtree (hosted here: no hop).
-            if !r.is_disjoint_dyn(rl.as_ref()) {
-                let left_part = r.intersect_dyn(rl.as_ref());
-                self.resolve_rec(idx, i, l - 1, left_part, false, m, hops);
-                r = r.difference_dyn(rl.as_ref());
-            }
-            // Right subtree (hosted at i + 2^(l-2): one hop out, and the
-            // reply path is billed by the caller symmetric to request).
-            if !r.is_disjoint_dyn(rr.as_ref()) {
-                let right_host = i + half;
-                if right_host < self.procs {
-                    let right_part = r.intersect_dyn(rr.as_ref());
-                    hops.push((i, right_host));
-                    self.resolve_rec(idx, right_host, l - 1, right_part, false, m, hops);
-                }
-                r = r.difference_dyn(rr.as_ref());
-            }
-        }
-        // Fully resolved → done.
-        if r.is_empty_dyn() || !may_escalate {
             return r;
         }
-        // Escalate the remainder to the parent.
-        if l < self.root_level {
-            let host = parent_host(i, l);
-            if host != i {
-                hops.push((i, host));
-            }
-            return self.resolve_rec(idx, host, l + 1, r, true, m, hops);
+        // Left subtree (hosted here: no hop).
+        if from != Some(i) && idx.meets(r.as_ref(), l - 1, i) {
+            let rl = idx.total(l - 1, i);
+            let left_part = r.intersect_dyn(rl);
+            self.descend(idx, i, l - 1, left_part, None, m, hops);
+            r = r.difference_dyn(rl);
+        }
+        // Right subtree (hosted at i + 2^(l-2): one hop out, and the reply
+        // path is billed by the caller symmetric to request).
+        let right_host = i + (1 << (l - 2));
+        if right_host < self.procs
+            && from != Some(right_host)
+            && idx.meets(r.as_ref(), l - 1, right_host)
+        {
+            let rr = idx.total(l - 1, right_host);
+            let right_part = r.intersect_dyn(rr);
+            hops.push((i, right_host));
+            self.descend(idx, right_host, l - 1, right_part, None, m, hops);
+            r = r.difference_dyn(rr);
         }
         r
     }
-
 }
 
 /// The single process hosting every piece of a resolution that also fully
@@ -385,6 +412,203 @@ mod tests {
     ) -> Option<usize> {
         let (pieces, _) = idx.resolve(item, start, region);
         sole_owner_from(region, &pieces)
+    }
+
+    /// The index as it was before subtree totals were built on demand:
+    /// every leaf write rebuilds `left ∪ right` at every level up to the
+    /// root. The oracle of `lazy_totals_resolve_box_for_box_like_eager`.
+    struct EagerIndex {
+        procs: usize,
+        root_level: u32,
+        leaf: Vec<Box<dyn DynRegion>>,
+        /// Per (level ≥ 2, host): the left and right subtree regions.
+        nodes: BTreeMap<(u32, usize), Sides>,
+    }
+
+    type Sides = (Box<dyn DynRegion>, Box<dyn DynRegion>);
+
+    impl EagerIndex {
+        fn new(procs: usize, empty: &dyn DynRegion) -> Self {
+            let root_level = DistIndex::new(procs).root_level();
+            let mut nodes = BTreeMap::new();
+            for l in 2..=root_level {
+                for host in (0..procs).step_by(1 << (l - 1)) {
+                    nodes.insert((l, host), (empty.clone_box(), empty.clone_box()));
+                }
+            }
+            let leaf = (0..procs).map(|_| empty.clone_box()).collect();
+            EagerIndex {
+                procs,
+                root_level,
+                leaf,
+                nodes,
+            }
+        }
+
+        fn update_leaf(&mut self, p: usize, region: Box<dyn DynRegion>) -> Vec<Hop> {
+            self.leaf[p] = region;
+            let mut hops = Vec::new();
+            let mut child_host = p;
+            for l in 2..=self.root_level {
+                let host = parent_host(p, l - 1);
+                let subtree_total = self.subtree_total(l - 1, child_host);
+                let node = self.nodes.get_mut(&(l, host)).expect("node exists");
+                if child_host == host {
+                    node.0 = subtree_total;
+                } else {
+                    node.1 = subtree_total;
+                }
+                if child_host != host {
+                    hops.push((child_host, host));
+                }
+                child_host = host;
+            }
+            hops
+        }
+
+        fn subtree_total(&self, l: u32, host: usize) -> Box<dyn DynRegion> {
+            if l == 1 {
+                self.leaf[host].clone_box()
+            } else {
+                let (left, right) = &self.nodes[&(l, host)];
+                left.union_dyn(right.as_ref())
+            }
+        }
+
+        fn resolve(&self, start: usize, region: &dyn DynRegion) -> (Resolution, Vec<Hop>) {
+            let (mut m, mut hops) = (Vec::new(), Vec::new());
+            self.resolve_rec(start, 1, region.clone_box(), true, &mut m, &mut hops);
+            (m, hops)
+        }
+
+        fn resolve_rec(
+            &self,
+            i: usize,
+            l: u32,
+            mut r: Box<dyn DynRegion>,
+            may_escalate: bool,
+            m: &mut Resolution,
+            hops: &mut Vec<Hop>,
+        ) -> Box<dyn DynRegion> {
+            if l == 1 {
+                let ri = self.leaf[i].as_ref();
+                if !r.is_disjoint_dyn(ri) {
+                    m.push((r.intersect_dyn(ri), i));
+                    r = r.difference_dyn(ri);
+                }
+            } else {
+                let half = 1usize << (l - 2);
+                let (rl, rr) = &self.nodes[&(l, i)];
+                if !r.is_disjoint_dyn(rl.as_ref()) {
+                    let left_part = r.intersect_dyn(rl.as_ref());
+                    self.resolve_rec(i, l - 1, left_part, false, m, hops);
+                    r = r.difference_dyn(rl.as_ref());
+                }
+                if !r.is_disjoint_dyn(rr.as_ref()) {
+                    let right_host = i + half;
+                    if right_host < self.procs {
+                        let right_part = r.intersect_dyn(rr.as_ref());
+                        hops.push((i, right_host));
+                        self.resolve_rec(right_host, l - 1, right_part, false, m, hops);
+                    }
+                    r = r.difference_dyn(rr.as_ref());
+                }
+            }
+            if r.is_empty_dyn() || !may_escalate {
+                return r;
+            }
+            if l < self.root_level {
+                let host = parent_host(i, l);
+                if host != i {
+                    hops.push((i, host));
+                }
+                return self.resolve_rec(host, l + 1, r, true, m, hops);
+            }
+            r
+        }
+    }
+
+    /// The on-demand index beside its eager oracle, fed the same writes.
+    struct Both {
+        lazy: DistIndex,
+        eager: EagerIndex,
+        leaf: Vec<BoxRegion<2>>,
+    }
+
+    impl Both {
+        fn write(&mut self, p: usize, r: BoxRegion<2>) {
+            let hops = self.lazy.update_leaf(ItemId(0), p, Box::new(r.clone()));
+            assert_eq!(hops, self.eager.update_leaf(p, Box::new(r.clone())));
+            self.leaf[p] = r;
+        }
+    }
+
+    /// Seeded interleavings of leaf writes and lookups on 2-D tiles
+    /// scattered round-robin: the on-demand index gives the eager one's
+    /// pieces — the same boxes, owners and order — and the same hops.
+    /// Set equality would not do: a piece becomes a `Move` region whose
+    /// chunk cuts are billed. Some writes advertise a tile at both ends
+    /// of a move (an inbound fence), so leaves overlap; the process
+    /// counts cover missing right children (3, 6) and a deep tree (64).
+    #[test]
+    fn lazy_totals_resolve_box_for_box_like_eager() {
+        use allscale_des::rng::XorShift64;
+        const SIDE: i64 = 12; // tiles per grid side
+        const TILE: i64 = 4;
+        let tile = |t: i64| {
+            let (x, y) = (t % SIDE * TILE, t / SIDE * TILE);
+            BoxRegion::<2>::cuboid([x, y], [x + TILE, y + TILE])
+        };
+        let show = |m: &Resolution| -> Vec<String> {
+            m.iter().map(|(r, p)| format!("{r:?}@{p}")).collect()
+        };
+        for procs in [1usize, 3, 6, 8, 64] {
+            for seed in 1..=4u64 {
+                let mut rng = XorShift64::new(seed * 1_000 + procs as u64);
+                let empty = BoxRegion::<2>::empty();
+                let mut both = Both {
+                    lazy: DistIndex::new(procs),
+                    eager: EagerIndex::new(procs, &empty),
+                    leaf: vec![empty.clone(); procs],
+                };
+                both.lazy.register_item(ItemId(0), &empty);
+                // Tiles not yet touched, in the order first touch meets them.
+                let mut untouched: Vec<i64> = (0..SIDE * SIDE).rev().collect();
+                for step in 0..400 {
+                    let pick = rng.below(10);
+                    if pick < 4 && !untouched.is_empty() {
+                        // First touch, scattered round-robin.
+                        let t = untouched.pop().unwrap();
+                        let p = t as usize % procs;
+                        both.write(p, both.leaf[p].union(&tile(t)));
+                    } else if pick < 6 {
+                        // A move of one tile: the destination advertises
+                        // it; half the time the source drops it at once,
+                        // otherwise both ends advertise it (a fence).
+                        let t = rng.below((SIDE * SIDE) as u64) as i64;
+                        let Some(src) = (0..procs).find(|&p| !both.leaf[p].is_disjoint(&tile(t)))
+                        else {
+                            continue;
+                        };
+                        let dst = rng.below(procs as u64) as usize;
+                        both.write(dst, both.leaf[dst].union(&tile(t)));
+                        if dst != src && rng.below(2) == 0 {
+                            both.write(src, both.leaf[src].difference(&tile(t)));
+                        }
+                    } else {
+                        let (x, y) = (rng.below(40) as i64, rng.below(40) as i64);
+                        let (w, h) = (1 + rng.below(20) as i64, 1 + rng.below(20) as i64);
+                        let query = BoxRegion::<2>::cuboid([x, y], [x + w, y + h]);
+                        let start = rng.below(procs as u64) as usize;
+                        let (got, got_hops) = both.lazy.resolve(ItemId(0), start, &query);
+                        let (want, want_hops) = both.eager.resolve(start, &query);
+                        let at = format!("P={procs} seed={seed} step={step} from {start}");
+                        assert_eq!(show(&got), show(&want), "{at}: pieces of {query:?}");
+                        assert_eq!(got_hops, want_hops, "{at}: hops");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
