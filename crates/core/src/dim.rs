@@ -13,8 +13,9 @@
 //! - **replica** coverage — read-only copies imported for the duration of
 //!   a task (released at task end, per the model's lock discipline);
 //! - **exports** — records of *our* owned data currently replicated at
-//!   other localities; a write lock cannot be granted while an export of
-//!   the region is outstanding (the model's exclusive-writes property).
+//!   other localities ([`Export`]); a write lock cannot be granted while
+//!   an export of the region is outstanding (the model's exclusive-writes
+//!   property).
 //!
 //! ## Wait lists
 //!
@@ -31,17 +32,43 @@
 //! registered the release paths do exactly the work they did before wait
 //! lists existed.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use allscale_net::frame::Payload;
 
 use crate::dynamic::{DynFragment, DynRegion, ItemDescriptor};
-use crate::task::{AccessMode, ItemId, Requirement, TaskId};
+use crate::task::{AccessMode, ItemId, ItemTable, Requirement, TaskId};
 
-/// The task of a persistent export record: a broadcast replica is held by
-/// no task, and fences writers until it is invalidated.
-const PERSISTENT: TaskId = TaskId(u64::MAX);
+/// Who an export record keeps a replica of our owned data for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Export {
+    /// A transient replica at locality `holder`, read by `task`: released
+    /// when the task ends ([`DataItemManager::release_exports_of`]).
+    Replica {
+        /// The locality holding the replica.
+        holder: usize,
+        /// The task reading it.
+        task: TaskId,
+    },
+    /// A broadcast replica at every other locality, held by no task: it
+    /// fences writers until it is invalidated
+    /// ([`DataItemManager::release_persistent_exports`]).
+    Persistent,
+}
+
+/// A claim on part of an item at one data item manager — what a parked
+/// task may be waiting for (deadlock diagnostics).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Holder {
+    /// A write lock of the task.
+    WriteLock(TaskId),
+    /// A read lock of the task.
+    ReadLock(TaskId),
+    /// An outstanding export of our owned data.
+    Export(Export),
+    /// A migration to the task, still on the wire.
+    Inbound(TaskId),
+}
 
 /// What a refused task is blocked on: `region` of `item` at `locality`'s
 /// data item manager — the key of the wait list it is enqueued on.
@@ -135,9 +162,8 @@ struct ItemSlot {
     rlocks: Vec<(TaskId, Rc<dyn DynRegion>)>,
     /// Granted write locks, each sharing its requirement's region.
     wlocks: Vec<(TaskId, Rc<dyn DynRegion>)>,
-    /// Replicas of our owned data held elsewhere: (holder, reading task,
-    /// region).
-    exports: Vec<(usize, TaskId, Box<dyn DynRegion>)>,
+    /// Replicas of our owned data held elsewhere, in export order.
+    exports: Vec<(Export, Box<dyn DynRegion>)>,
     /// Transient replica coverage imported here, per holding task.
     holds: Vec<(TaskId, Box<dyn DynRegion>)>,
     /// Persistent replica coverage (broadcast read-mostly data).
@@ -151,9 +177,29 @@ struct ItemSlot {
     /// Tasks refused because of a lock, export or inbound fence held
     /// *here*, in enqueue order (see the module docs).
     waiters: Vec<Waiter>,
+    /// Not written since the snapshot was armed (see `slot_written`): an
+    /// armed item without the flag at the end was captured.
+    unwritten: bool,
 }
 
 impl ItemSlot {
+    /// A registered item holding nothing.
+    fn new(desc: ItemDescriptor) -> Self {
+        ItemSlot {
+            frag: (desc.empty_fragment)(),
+            owned: (desc.empty_region)(),
+            persistent: (desc.empty_region)(),
+            desc,
+            rlocks: Vec::new(),
+            wlocks: Vec::new(),
+            exports: Vec::new(),
+            holds: Vec::new(),
+            inbound: Vec::new(),
+            waiters: Vec::new(),
+            unwritten: false,
+        }
+    }
+
     fn drop_locks_of(&mut self, task: TaskId) {
         self.rlocks.retain(|(t, _)| *t != task);
         self.wlocks.retain(|(t, _)| *t != task);
@@ -180,20 +226,14 @@ impl ItemSlot {
 /// The data item manager of one locality.
 pub struct DataItemManager {
     locality: usize,
-    items: BTreeMap<ItemId, ItemSlot>,
-    /// The boundary state an armed snapshot holds until it is finished or
-    /// aborted: every item's owned data as serialized at arming, ascending.
-    /// Copy-on-write is a property of the *modelled* runtime, which would
-    /// clone an item at its first write after the boundary; the simulator
-    /// already serialized everything to fingerprint the boundary, keeps
-    /// those bytes, and only counts the first writes.
+    items: ItemTable<ItemSlot>,
+    /// The boundary state an armed snapshot holds until it ends: every
+    /// item's owned data as serialized at arming, ascending. Copy-on-write
+    /// is a property of the *modelled* runtime, which would clone an item
+    /// at its first write after the boundary; the simulator already
+    /// serialized everything to fingerprint the boundary, keeps those
+    /// bytes, and only counts the first writes.
     snap: Option<Vec<(ItemId, Vec<u8>)>>,
-    /// Items not yet written since the snapshot was armed.
-    snap_unwritten: BTreeSet<ItemId>,
-    /// First writes to items under an armed snapshot — the pre-image clones
-    /// the modelled runtime takes (drained by the runtime's resilience
-    /// accounting).
-    cow_captures: u64,
 }
 
 impl DataItemManager {
@@ -201,10 +241,8 @@ impl DataItemManager {
     pub fn new(locality: usize) -> Self {
         DataItemManager {
             locality,
-            items: BTreeMap::new(),
+            items: ItemTable::default(),
             snap: None,
-            snap_unwritten: BTreeSet::new(),
-            cow_captures: 0,
         }
     }
 
@@ -216,76 +254,46 @@ impl DataItemManager {
     /// Register a data item (the paper's `create` action, executed on every
     /// locality — creation allocates nothing).
     pub fn register(&mut self, item: ItemId, desc: ItemDescriptor) {
-        let frag = (desc.empty_fragment)();
-        let owned = (desc.empty_region)();
-        let persistent = (desc.empty_region)();
-        self.items.insert(
-            item,
-            ItemSlot {
-                desc,
-                frag,
-                owned,
-                rlocks: Vec::new(),
-                wlocks: Vec::new(),
-                exports: Vec::new(),
-                holds: Vec::new(),
-                persistent,
-                inbound: Vec::new(),
-                waiters: Vec::new(),
-            },
-        );
+        self.items.insert(item, ItemSlot::new(desc));
     }
 
-    /// Remove a data item entirely (the paper's `destroy` action);
-    /// returns its descriptor, `None` for an unknown item.
-    pub fn destroy(&mut self, item: ItemId) -> Option<ItemDescriptor> {
-        self.cow_capture(item);
-        self.items.remove(&item).map(|slot| slot.desc)
+    /// Remove a data item entirely (the paper's `destroy` action); an
+    /// unknown item is left alone.
+    pub fn destroy(&mut self, item: ItemId) {
+        self.items.remove(item);
     }
 
     // ---- boundary snapshots ---------------------------------------------
 
     /// Arm a snapshot of the current boundary state: every item's owned
     /// data is serialized once and the bytes are kept for
-    /// [`DataItemManager::finish_snapshot`]. They are also lent to the
+    /// [`DataItemManager::end_snapshot`]. They are also lent to the
     /// caller, in ascending [`ItemId`] order, to be fingerprinted — the
     /// change-detection input of incremental checkpointing — together with
     /// every other locality's in one batch.
     pub fn arm_snapshot(&mut self) -> &[(ItemId, Vec<u8>)] {
         let snap = self.checkpoint();
-        self.snap_unwritten = snap.iter().map(|(id, _)| *id).collect();
+        for slot in self.items.values_mut() {
+            slot.unwritten = true;
+        }
         self.snap.insert(snap)
     }
 
-    /// Count `item`'s first write under an armed snapshot — where the
-    /// modelled runtime clones the boundary-time pre-image. Every change
-    /// to a slot comes here through `slot_written`, but for the two that
-    /// replace the slot itself (`destroy`, `wipe_all`).
-    fn cow_capture(&mut self, item: ItemId) {
-        if self.snap_unwritten.remove(&item) {
-            self.cow_captures += 1;
+    /// End the armed snapshot. Hands back the boundary state — equal to
+    /// what [`DataItemManager::checkpoint`] returned at arm time: items
+    /// created after arming are excluded, items destroyed after arming
+    /// appear with their pre-destruction data — and the count of its
+    /// items first written (or destroyed, or wiped) under it, where the
+    /// modelled runtime cloned a pre-image. A drain torn by a failure
+    /// keeps only the count.
+    pub fn end_snapshot(&mut self) -> (Vec<(ItemId, Vec<u8>)>, u64) {
+        let snap = self.snap.take().unwrap_or_default();
+        let mut unwritten = 0;
+        for slot in self.items.values_mut() {
+            unwritten += u64::from(std::mem::take(&mut slot.unwritten));
         }
-    }
-
-    /// Complete the armed snapshot: hand back the boundary state, equal to
-    /// what [`DataItemManager::checkpoint`] returned at arm time. Items
-    /// created after arming are excluded; items destroyed after arming
-    /// appear with their pre-destruction data.
-    pub fn finish_snapshot(&mut self) -> Vec<(ItemId, Vec<u8>)> {
-        self.snap_unwritten.clear();
-        self.snap.take().unwrap_or_default()
-    }
-
-    /// Abandon the armed snapshot without producing it (the drain it was
-    /// feeding was torn by a failure).
-    pub fn abort_snapshot(&mut self) {
-        self.finish_snapshot();
-    }
-
-    /// Drain the count of first writes under an armed snapshot since the
-    /// last call (resilience accounting).
-    pub fn take_cow_captures(&mut self) -> u64 {
-        std::mem::take(&mut self.cow_captures)
+        let captures = snap.len() as u64 - unwritten;
+        (snap, captures)
     }
 
     /// The region this locality owns (primary copies).
@@ -341,9 +349,13 @@ impl DataItemManager {
         holder: usize,
         task: TaskId,
     ) -> Payload {
+        self.export(item, region, Export::Replica { holder, task })
+    }
+
+    fn export(&mut self, item: ItemId, region: &dyn DynRegion, to: Export) -> Payload {
         let slot = self.slot_mut(item);
         let bytes = slot.frag.export(region);
-        slot.exports.push((holder, task, region.clone_box()));
+        slot.exports.push((to, region.clone_box()));
         bytes
     }
 
@@ -351,7 +363,7 @@ impl DataItemManager {
     /// to every other locality): the export fences writers until
     /// [`DataItemManager::release_persistent_exports`] lifts it.
     pub fn export_persistent(&mut self, item: ItemId, region: &dyn DynRegion) -> Payload {
-        self.export_replica(item, region, usize::MAX, PERSISTENT)
+        self.export(item, region, Export::Persistent)
     }
 
     /// Extract `region` for a migration: data and ownership leave this
@@ -449,13 +461,14 @@ impl DataItemManager {
     pub fn release_exports_of(&mut self, item: ItemId, task: TaskId) -> Vec<TaskId> {
         let slot = self.slot_mut(item);
         let mut woken = Vec::new();
-        let released = slot.exports.iter().filter(|(_, t, _)| *t == task);
+        let of_task = |e: &Export| matches!(e, Export::Replica { task: t, .. } if *t == task);
+        let released = slot.exports.iter().filter(|(e, _)| of_task(e));
         wake_overlapping(
             &mut slot.waiters,
             &mut woken,
-            released.map(|(_, _, e)| e.as_ref()),
+            released.map(|(_, r)| r.as_ref()),
         );
-        slot.exports.retain(|(_, t, _)| *t != task);
+        slot.exports.retain(|(e, _)| !of_task(e));
         woken
     }
 
@@ -514,7 +527,7 @@ impl DataItemManager {
                         }
                     }
                 }
-                for (_, _, e) in &slot.exports {
+                for (_, e) in &slot.exports {
                     if let Some(b) = clash(e.as_ref()) {
                         return Err(LockConflict::Exported(b));
                     }
@@ -539,21 +552,19 @@ impl DataItemManager {
         !slot.rlocks.is_empty() || !slot.wlocks.is_empty()
     }
 
-    /// Whether any lock (read or write) intersects `region`.
-    pub fn locked_any(&self, item: ItemId, region: &dyn DynRegion) -> bool {
+    /// Whether this manager, as the source of a fetch, must refuse to give
+    /// `region` of `item` up to a task needing it in `mode`. A write takes
+    /// ownership away, which any lock or export of the region refuses; a
+    /// read takes a replica, which only a write lock refuses. Either way a
+    /// region still behind an inbound-migration fence is not here to give.
+    pub fn refuses(&self, item: ItemId, region: &dyn DynRegion, mode: AccessMode) -> bool {
         let slot = self.slot(item);
-        slot.wlocks
-            .iter()
-            .chain(slot.rlocks.iter())
-            .any(|(_, r)| overlaps(r.as_ref(), region))
-    }
-
-    /// Whether a write lock intersects `region`.
-    pub fn write_locked(&self, item: ItemId, region: &dyn DynRegion) -> bool {
-        let slot = self.slot(item);
-        slot.wlocks
-            .iter()
-            .any(|(_, r)| overlaps(r.as_ref(), region))
+        let hit = |r: &dyn DynRegion| overlaps(r, region);
+        slot.wlocks.iter().any(|(_, r)| hit(r.as_ref()))
+            || (mode == AccessMode::Write
+                && (slot.rlocks.iter().any(|(_, r)| hit(r.as_ref()))
+                    || slot.exports.iter().any(|(_, r)| hit(r.as_ref()))))
+            || slot.inbound.iter().any(|(_, r)| hit(r.as_ref()))
     }
 
     /// The persistent-replica coverage of `item` held here (broadcast
@@ -570,8 +581,8 @@ impl DataItemManager {
     pub fn persistent_export_region(&self, item: ItemId) -> Box<dyn DynRegion> {
         let slot = self.slot(item);
         let mut acc = (slot.desc.empty_region)();
-        for (_, task, region) in &slot.exports {
-            if *task == PERSISTENT {
+        for (to, region) in &slot.exports {
+            if *to == Export::Persistent {
                 acc = acc.union_dyn(region.as_ref());
             }
         }
@@ -626,26 +637,18 @@ impl DataItemManager {
         let mut woken = Vec::new();
         wake_overlapping(&mut slot.waiters, &mut woken, std::iter::once(region));
         let mut kept = Vec::with_capacity(slot.exports.len());
-        for (holder, task, r) in slot.exports.drain(..) {
-            if task == PERSISTENT {
+        for (to, r) in slot.exports.drain(..) {
+            if to == Export::Persistent {
                 let rest = r.difference_dyn(region);
                 if !rest.is_empty_dyn() {
-                    kept.push((holder, task, rest));
+                    kept.push((to, rest));
                 }
             } else {
-                kept.push((holder, task, r));
+                kept.push((to, r));
             }
         }
         slot.exports = kept;
         woken
-    }
-
-    /// Whether an outstanding export intersects `region`.
-    pub fn exported(&self, item: ItemId, region: &dyn DynRegion) -> bool {
-        let slot = self.slot(item);
-        slot.exports
-            .iter()
-            .any(|(_, _, r)| overlaps(r.as_ref(), region))
     }
 
     /// Release every lock held by `task` (the model's (end) rule). Returns
@@ -704,28 +707,27 @@ impl DataItemManager {
     /// Every waiter enqueued here, per item in enqueue order (deadlock
     /// diagnostics).
     pub fn waiters(&self) -> impl Iterator<Item = (ItemId, TaskId, &dyn DynRegion)> {
-        self.items.iter().flat_map(|(&item, slot)| {
+        self.items.iter().flat_map(|(item, slot)| {
             slot.waiters
                 .iter()
                 .map(move |w| (item, w.task, w.region.as_ref()))
         })
     }
 
-    /// The tasks holding a lock, export or inbound fence overlapping
-    /// `region` of `item`, labelled by kind (deadlock diagnostics; the
-    /// persistent-broadcast sentinel shows as `TaskId(u64::MAX)`).
-    pub fn holders(&self, item: ItemId, region: &dyn DynRegion) -> Vec<(&'static str, TaskId)> {
+    /// The locks, exports and inbound fences overlapping `region` of
+    /// `item` (deadlock diagnostics).
+    pub fn holders(&self, item: ItemId, region: &dyn DynRegion) -> Vec<Holder> {
         let slot = self.slot(item);
-        let wlocks = slot.wlocks.iter().map(|(t, r)| ("wlock", *t, r.as_ref()));
-        let rlocks = slot.rlocks.iter().map(|(t, r)| ("rlock", *t, r.as_ref()));
-        let exports = slot.exports.iter().map(|(_, t, r)| ("export", *t, r.as_ref()));
-        let inbound = slot.inbound.iter().map(|(t, r)| ("inbound", *t, r.as_ref()));
+        let wlocks = slot.wlocks.iter().map(|(t, r)| (Holder::WriteLock(*t), r.as_ref()));
+        let rlocks = slot.rlocks.iter().map(|(t, r)| (Holder::ReadLock(*t), r.as_ref()));
+        let exports = slot.exports.iter().map(|(e, r)| (Holder::Export(*e), r.as_ref()));
+        let inbound = slot.inbound.iter().map(|(t, r)| (Holder::Inbound(*t), r.as_ref()));
         wlocks
             .chain(rlocks)
             .chain(exports)
             .chain(inbound)
-            .filter(|&(_, _, r)| overlaps(r, region))
-            .map(|(kind, t, _)| (kind, t))
+            .filter(|&(_, r)| overlaps(r, region))
+            .map(|(holder, _)| holder)
             .collect()
     }
 
@@ -744,7 +746,7 @@ impl DataItemManager {
     pub fn checkpoint(&self) -> Vec<(ItemId, Vec<u8>)> {
         self.items
             .iter()
-            .map(|(&id, slot)| (id, slot.frag.encode_part(slot.owned.as_ref())))
+            .map(|(id, slot)| (id, slot.frag.encode_part(slot.owned.as_ref())))
             .collect()
     }
 
@@ -775,36 +777,32 @@ impl DataItemManager {
     /// registrations — the state of a replacement process joining after a
     /// fail-stop crash: it knows the item types, but holds nothing.
     pub fn wipe_all(&mut self) {
-        let descs: Vec<(ItemId, ItemDescriptor)> = self
-            .items
-            .iter()
-            .map(|(&id, slot)| (id, slot.desc.clone()))
-            .collect();
-        for (id, desc) in descs {
-            self.cow_capture(id);
-            self.register(id, desc);
+        for slot in self.items.values_mut() {
+            *slot = ItemSlot::new(slot.desc.clone());
         }
     }
 
     fn slot(&self, item: ItemId) -> &ItemSlot {
         self.items
-            .get(&item)
+            .get(item)
             .unwrap_or_else(|| panic!("unknown data item {item:?}"))
     }
 
     fn slot_mut(&mut self, item: ItemId) -> &mut ItemSlot {
         self.items
-            .get_mut(&item)
+            .get_mut(item)
             .unwrap_or_else(|| panic!("unknown data item {item:?}"))
     }
 
     /// The slot of `item` for a change to its fragment, owned region or
     /// persistent coverage: the one way such a change reaches a slot, so
-    /// that it counts as the item's first write under an armed snapshot
-    /// (`cow_capture`).
+    /// that it counts as the item's first write under an armed snapshot —
+    /// where the modelled runtime clones the boundary-time pre-image.
+    /// `destroy` and `wipe_all` replace the slot itself, flag and all.
     fn slot_written(&mut self, item: ItemId) -> &mut ItemSlot {
-        self.cow_capture(item);
-        self.slot_mut(item)
+        let slot = self.slot_mut(item);
+        slot.unwritten = false;
+        slot
     }
 }
 
@@ -823,7 +821,7 @@ mod tests {
     /// Probes of the tests below; the runtime asks `covers_stable`.
     impl DataItemManager {
         fn knows(&self, item: ItemId) -> bool {
-            self.items.contains_key(&item)
+            self.items.get(item).is_some()
         }
 
         /// Whether `region` is fully covered by local data.
@@ -1165,10 +1163,10 @@ mod tests {
         src.try_lock(TaskId(1), &[Requirement::write(ItemId(0), r2([0, 0], [4, 4]))])
             .unwrap();
         let piece = r2([1, 1], [2, 2]);
-        assert!(src.write_locked(ItemId(0), &piece));
+        assert!(src.refuses(ItemId(0), &piece, AccessMode::Read));
         src.enqueue_waiter(ItemId(0), TaskId(5), Box::new(piece.clone()));
         assert_eq!(home.waiters().count(), 0);
-        assert_eq!(src.holders(ItemId(0), &piece), vec![("wlock", TaskId(1))]);
+        assert_eq!(src.holders(ItemId(0), &piece), vec![Holder::WriteLock(TaskId(1))]);
         assert_eq!(src.unlock_all(TaskId(1)), vec![TaskId(5)]);
         assert!(src.holders(ItemId(0), &piece).is_empty());
     }
@@ -1198,6 +1196,29 @@ mod tests {
     }
 
     #[test]
+    fn holders_say_what_they_are() {
+        let mut dim = mk();
+        dim.init_owned(ItemId(0), &r2([0, 0], [8, 8]));
+        let _ = dim.export_replica(ItemId(0), &r2([0, 0], [2, 8]), 3, TaskId(7));
+        let _ = dim.export_persistent(ItemId(0), &r2([2, 0], [4, 8]));
+        dim.try_lock(TaskId(9), &[Requirement::write(ItemId(0), r2([4, 0], [6, 8]))])
+            .unwrap();
+        let replica = Holder::Export(Export::Replica {
+            holder: 3,
+            task: TaskId(7),
+        });
+        let at = |lo: i64, hi: i64| dim.holders(ItemId(0), &r2([lo, 0], [hi, 1]));
+        assert_eq!(at(1, 2), [replica]);
+        assert_eq!(at(3, 4), [Holder::Export(Export::Persistent)]);
+        assert_eq!(at(5, 6), [Holder::WriteLock(TaskId(9))]);
+        assert_eq!(
+            at(0, 8),
+            [Holder::WriteLock(TaskId(9)), replica, Holder::Export(Export::Persistent)]
+        );
+        assert!(at(6, 8).is_empty());
+    }
+
+    #[test]
     fn peek_bytes_is_side_effect_free() {
         let mut owner = mk();
         owner.init_owned(ItemId(0), &r2([0, 0], [4, 4]));
@@ -1209,7 +1230,7 @@ mod tests {
         let peeked = owner.peek_bytes(ItemId(0), &r2([0, 0], [2, 2]));
         // Same bytes an export would produce, but no fence recorded.
         assert!(!peeked.is_empty());
-        assert!(!owner.exported(ItemId(0), &r2([0, 0], [2, 2])));
+        assert!(!owner.refuses(ItemId(0), &r2([0, 0], [2, 2]), AccessMode::Write));
         let exported = owner.export_replica(ItemId(0), &r2([0, 0], [2, 2]), 1, TaskId(1));
         assert_eq!(peeked, exported);
     }
@@ -1296,17 +1317,19 @@ mod tests {
         owner.release_persistent_exports(ItemId(0), &r2([0, 0], [4, 4]));
         assert!(owner.persistent_export_region(ItemId(0)).is_empty_dyn());
         // Task 7's transient export still fences its region.
-        assert!(owner.exported(ItemId(0), &r2([1, 1], [2, 2])));
-        assert!(!owner.exported(ItemId(0), &r2([2, 2], [4, 4])));
+        assert!(owner.refuses(ItemId(0), &r2([1, 1], [2, 2]), AccessMode::Write));
+        assert!(!owner.refuses(ItemId(0), &r2([2, 2], [4, 4]), AccessMode::Write));
     }
 
     #[test]
+    #[should_panic(expected = "unknown data item ItemId(0)")]
     fn destroy_removes_item() {
         let mut dim = mk();
         dim.init_owned(ItemId(0), &r2([0, 0], [2, 2]));
         assert!(dim.knows(ItemId(0)));
         dim.destroy(ItemId(0));
         assert!(!dim.knows(ItemId(0)));
+        dim.owned_region(ItemId(0));
     }
 
     #[test]
@@ -1327,9 +1350,9 @@ mod tests {
             .unwrap()
             .set(&Point([1, 1]), -9.0);
         dim.init_owned(ItemId(0), &r2([0, 0], [6, 6]));
-        let lazy = dim.finish_snapshot();
+        let (lazy, cow_captures) = dim.end_snapshot();
         assert_eq!(lazy, eager, "COW snapshot must be bit-identical to arm-time state");
-        assert_eq!(dim.take_cow_captures(), 1, "one first-write clone for item 0");
+        assert_eq!(cow_captures, 1, "one first-write clone for item 0");
     }
 
     #[test]
@@ -1341,11 +1364,11 @@ mod tests {
             .downcast_mut::<GridFragment<f64, 2>>()
             .unwrap()
             .set(&Point([0, 0]), 1.0);
-        dim.abort_snapshot();
-        // A later finish returns the post-mutation state (nothing armed,
+        let _torn = dim.end_snapshot();
+        // A later end returns the post-mutation state (nothing armed,
         // nothing pre-captured carried over).
         dim.arm_snapshot();
-        let snap = dim.finish_snapshot();
+        let (snap, _) = dim.end_snapshot();
         assert_eq!(snap, dim.checkpoint());
     }
 
@@ -1356,7 +1379,7 @@ mod tests {
         dim.arm_snapshot();
         dim.register(ItemId(7), ItemDescriptor::of::<G2>("late"));
         dim.init_owned(ItemId(7), &r2([0, 0], [1, 1]));
-        let snap = dim.finish_snapshot();
+        let (snap, _) = dim.end_snapshot();
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].0, ItemId(0));
     }
@@ -1368,7 +1391,7 @@ mod tests {
         let eager = dim.checkpoint();
         dim.arm_snapshot();
         dim.destroy(ItemId(0));
-        let snap = dim.finish_snapshot();
+        let (snap, _) = dim.end_snapshot();
         assert_eq!(snap, eager, "pre-destruction data belongs to the boundary");
     }
 

@@ -34,10 +34,9 @@
 //! ablation baseline (DESIGN.md, experiment A1).
 
 use std::cell::OnceCell;
-use std::collections::BTreeMap;
 
 use crate::dynamic::DynRegion;
-use crate::task::ItemId;
+use crate::task::{ItemId, ItemTable};
 
 /// A `(from, to)` control-message edge crossed during an index operation.
 pub type Hop = (usize, usize);
@@ -100,7 +99,7 @@ impl ItemIndex {
 pub struct DistIndex {
     procs: usize,
     root_level: u32,
-    items: BTreeMap<ItemId, ItemIndex>,
+    items: ItemTable<ItemIndex>,
 }
 
 /// `2^l · ⌊i / 2^l⌋` — the host of the level-`l+1` ancestor node.
@@ -113,15 +112,11 @@ impl DistIndex {
     /// An index over `procs` processes.
     pub fn new(procs: usize) -> Self {
         assert!(procs > 0);
-        // Smallest L with 2^(L-1) >= procs.
-        let mut root_level = 1;
-        while (1usize << (root_level - 1)) < procs {
-            root_level += 1;
-        }
         DistIndex {
             procs,
-            root_level: root_level as u32,
-            items: BTreeMap::new(),
+            // The smallest L with 2^(L-1) >= procs.
+            root_level: procs.next_power_of_two().trailing_zeros() + 1,
+            items: ItemTable::default(),
         }
     }
 
@@ -152,12 +147,12 @@ impl DistIndex {
 
     /// Remove a data item from the index.
     pub fn remove_item(&mut self, item: ItemId) {
-        self.items.remove(&item);
+        self.items.remove(item);
     }
 
     /// The region process `p` currently advertises for `item`.
     pub fn leaf_region(&self, item: ItemId, p: usize) -> &dyn DynRegion {
-        self.items[&item].leaf[p].as_ref()
+        self.items.get(item).expect("unregistered item").leaf[p].as_ref()
     }
 
     /// Update process `p`'s advertised region and propagate along the path
@@ -170,7 +165,7 @@ impl DistIndex {
         p: usize,
         region: Box<dyn DynRegion>,
     ) -> Vec<Hop> {
-        let idx = self.items.get_mut(&item).expect("unregistered item");
+        let idx = self.items.get_mut(item).expect("unregistered item");
         idx.leaf[p] = region;
         for (k, level) in idx.totals.iter_mut().enumerate() {
             level[p >> (k + 1)].take();
@@ -203,7 +198,7 @@ impl DistIndex {
         start: usize,
         region: &dyn DynRegion,
     ) -> (Resolution, Vec<Hop>) {
-        let Some(idx) = self.items.get(&item) else {
+        let Some(idx) = self.items.get(item) else {
             return (Vec::new(), Vec::new());
         };
         let mut m: Resolution = Vec::new();
@@ -309,7 +304,7 @@ pub(crate) fn union_of(pieces: &[Piece]) -> Option<Box<dyn DynRegion>> {
 /// every update is a round-trip to process 0.
 pub struct CentralIndex {
     procs: usize,
-    items: BTreeMap<ItemId, Vec<Box<dyn DynRegion>>>,
+    items: ItemTable<Vec<Box<dyn DynRegion>>>,
 }
 
 impl CentralIndex {
@@ -317,7 +312,7 @@ impl CentralIndex {
     pub fn new(procs: usize) -> Self {
         CentralIndex {
             procs,
-            items: BTreeMap::new(),
+            items: ItemTable::default(),
         }
     }
 
@@ -329,7 +324,7 @@ impl CentralIndex {
 
     /// Remove a data item from the directory.
     pub fn remove_item(&mut self, item: ItemId) {
-        self.items.remove(&item);
+        self.items.remove(item);
     }
 
     /// Update process `p`'s region; one message to the directory.
@@ -339,7 +334,7 @@ impl CentralIndex {
         p: usize,
         region: Box<dyn DynRegion>,
     ) -> Vec<Hop> {
-        self.items.get_mut(&item).expect("unregistered")[p] = region;
+        self.items.get_mut(item).expect("unregistered")[p] = region;
         if p != 0 {
             vec![(p, 0)]
         } else {
@@ -363,7 +358,7 @@ impl CentralIndex {
         } else {
             Vec::new()
         };
-        let Some(dir) = self.items.get(&item) else {
+        let Some(dir) = self.items.get(item) else {
             return (Vec::new(), hops);
         };
         let mut m = Vec::new();
@@ -386,6 +381,7 @@ impl CentralIndex {
 mod tests {
     use super::*;
     use allscale_region::{BoxRegion, Region};
+    use std::collections::BTreeMap;
 
     fn r1(lo: i64, hi: i64) -> BoxRegion<1> {
         BoxRegion::cuboid([lo], [hi])

@@ -4,56 +4,44 @@
 //! model": the data-preservation and single-execution properties of the
 //! formal model (Section 2.5) guarantee that a phase either completed
 //! before a checkpoint or can be re-run from it without double-applying
-//! effects. This module holds the *policy* state of that service:
+//! effects. The service has four parts:
 //!
 //! - a **checkpoint cadence** — every `checkpoint_every` phase
 //!   boundaries, the runtime snapshots the owned data of every item on
-//!   every locality;
-//! - a **checkpoint pipeline** ([`CheckpointConfig`]) — checkpoints are
-//!   billed on the simulated clock against the two-tier store of
-//!   [`allscale_net::StorageModel`] (a fast node-local tier lost with
-//!   the locality, a slower off-ring remote tier that survives deaths);
-//!   in [`CkptMode::Async`] the capture is copy-on-write at the
-//!   boundary and the drain overlaps the next phase's compute, and with
-//!   `incremental` only shards whose region fingerprint changed since
-//!   the last checkpoint are written (deltas), with periodic full
-//!   *anchor* snapshots bounding the reconstruction chain;
-//! - a **heartbeat failure detector** — the host locality pings every
-//!   other live locality each `heartbeat_period` on the simulated clock;
-//!   a locality missing three consecutive heartbeats
-//!   (`SUSPICION_THRESHOLD`) is declared dead (fail-stop);
+//!   every locality (only at boundaries whose phase value is `None`: task
+//!   values are not serializable; DESIGN.md §5.5b);
+//! - a **checkpoint chain** ([`CheckpointConfig`]) — billed on the
+//!   simulated clock against the two-tier store of
+//!   [`allscale_net::StorageModel`] (a fast node-local tier lost with the
+//!   locality, a slower remote tier that survives deaths); in
+//!   [`CkptMode::Async`] the capture is copy-on-write at the boundary and
+//!   the drain overlaps the next phase's compute, and with `incremental`
+//!   only shards whose fingerprint changed are written (deltas), with
+//!   periodic full *anchors* bounding the reconstruction chain. With the
+//!   integrity service on, recovery verifies every link's checksums and
+//!   falls back past a rejected point (retention depth
+//!   [`CheckpointConfig::keep`]);
+//! - a **heartbeat failure detector** — the lowest live locality pings
+//!   every other live one each `heartbeat_period`, the next live locality
+//!   pings it in turn, and a locality missing `SUSPICION_THRESHOLD`
+//!   consecutive heartbeats is declared dead (fail-stop);
 //! - a more persistent **retry policy** for the runtime's own messages
-//!   on a faulty fabric (bounded attempts, exponential backoff — see
-//!   [`allscale_net::RetryPolicy`]), chosen by the runtime's comms layer
+//!   ([`allscale_net::RetryPolicy`]), chosen by the runtime's comms layer
 //!   whenever the manager is on.
 //!
-//! The *mechanism* — arming the copy-on-write capture, scheduling the
-//! drain-completion events, driving the heartbeats off the DES clock,
-//! and the `recover(dead)` orchestration that restores shards onto
-//! survivors, re-advertises ownership in the index, bumps
-//! location-cache epochs, and replays the in-flight phase — lives in
-//! [`crate::runtime`], which owns the world the manager acts on.
-//!
-//! The detector is hosted by the lowest-indexed locality not yet
-//! declared dead; the next live locality probes the host itself, so a
-//! host death fails the detection duty over instead of silencing it.
-//! One remaining simplification (documented in DESIGN.md §5.5b): a
-//! checkpoint is only taken at boundaries whose phase value is `None`
-//! (task values are not serializable, so a phase fed by a previous
-//! phase's value cannot be replayed faithfully).
-//!
-//! When the integrity service is on ([`crate::IntegrityConfig`]), each
-//! checkpoint shard is saved together with its FNV-1a checksum; recovery
-//! verifies every link of the anchor+delta chain before restoring and
-//! falls back to the previous restorable checkpoint (the retention
-//! depth is [`CheckpointConfig::keep`]) when one fails.
+//! The chain keeps its own books here (`ResilienceManager`): the
+//! shards' format, retention, the anchor-or-delta choice, the change-
+//! detection reference and the fallback. The runtime's recovery module
+//! drives it — arming captures, scheduling drains and heartbeats on the
+//! DES clock, and restoring what the chain lends back.
 
 use std::collections::BTreeMap;
 
-use allscale_des::fnv::fnv1a_64_batch;
+use allscale_des::fnv::{fnv1a_64, fnv1a_64_batch};
 use allscale_des::SimDuration;
-use allscale_net::{StorageModel, StorageParams};
+use allscale_net::{StorageModel, StorageParams, StorageStats, StorageTier};
 
+use crate::monitor::Monitor;
 use crate::task::ItemId;
 
 /// When checkpoint serialization and storage writes are billed relative
@@ -199,23 +187,23 @@ pub(crate) enum CkptKind {
 /// recovery rewinds the counter to it and re-requests that phase's root
 /// work item from the driver.
 #[derive(Clone)]
-pub(crate) struct SavedCkpt {
+struct SavedCkpt {
     /// Phase counter value at the boundary (the phase about to start).
-    pub phase: usize,
+    phase: usize,
     /// Anchor (full) or delta (changed shards only).
-    pub kind: CkptKind,
+    kind: CkptKind,
     /// Stored shards per locality, ascending `ItemId`. An anchor holds
     /// every item; a delta only the changed ones.
-    pub shards: Vec<Vec<(ItemId, Vec<u8>)>>,
+    shards: Vec<Vec<(ItemId, Vec<u8>)>>,
     /// FNV-1a checksum of each stored shard, aligned with
     /// `shards[loc][k]`. Computed over the in-memory bytes at save time,
     /// *before* any at-rest rot is injected into the stored copy — so a
     /// rotted shard fails verification at reconstruction.
-    pub sums: Vec<Vec<u64>>,
+    sums: Vec<Vec<u64>>,
     /// Every item alive at the boundary, per locality (ascending) — lets
     /// reconstruction drop items that a delta does not mention because
     /// they were destroyed, not because they were unchanged.
-    pub roster: Vec<Vec<ItemId>>,
+    roster: Vec<Vec<ItemId>>,
 }
 
 /// The boundary state a chain reconstructs to — per locality, ascending
@@ -225,17 +213,17 @@ pub(crate) type LentSnapshot<'a> = Vec<Vec<(ItemId, &'a [u8])>>;
 
 /// Byte/shard accounting of one chain reconstruction, per locality —
 /// the recovery restore path bills these against the storage tiers.
-pub(crate) struct ReconstructCost {
+struct ReconstructCost {
     /// The stored checksum of each reconstructed shard, aligned with
     /// `LentSnapshot[loc][k]`. A reconstruction that verified has just
     /// shown each to be the hash of its shard's bytes.
-    pub sums: Vec<Vec<u64>>,
+    sums: Vec<Vec<u64>>,
     /// Chain links (anchor + deltas) read and applied.
-    pub links: u64,
+    links: u64,
     /// Stored bytes read per locality across all links used.
-    pub bytes: Vec<u64>,
+    bytes: Vec<u64>,
     /// Stored shards read per locality across all links used.
-    pub shards: Vec<u64>,
+    shards: Vec<u64>,
 }
 
 /// Replay the anchor+delta chain `chain[..=upto]` into the full
@@ -249,7 +237,7 @@ pub(crate) struct ReconstructCost {
 /// shards if any link is corrupt: a delta chain is only as trustworthy as
 /// its weakest link. Fails with 0 rejected shards if no anchor supports
 /// `upto` (evicted or never taken).
-pub(crate) fn reconstruct(
+fn reconstruct(
     chain: &[SavedCkpt],
     upto: usize,
     verify: bool,
@@ -299,28 +287,50 @@ pub(crate) fn reconstruct(
     Ok((per_locality, cost))
 }
 
-/// Live state of the resilience manager, owned by the runtime world.
+/// A shard's signature: the fingerprint and the length of its bytes.
+type Sig = (u64, u64);
+
+/// A checkpoint the manager planned at a boundary: what its drain
+/// stores, and what that costs on the simulated clock.
+pub(crate) struct Capture {
+    /// Full anchor or delta against the newest committed checkpoint.
+    kind: CkptKind,
+    /// Per locality, aligned with the armed snapshot (ascending
+    /// `ItemId`): each shard's item, signature, and whether the drain
+    /// stores it — every one for an anchor, the changed ones for a delta.
+    shards: Vec<Vec<(ItemId, Sig, bool)>>,
+    /// `Monitor::total_tasks()` at the boundary.
+    tasks_done: u64,
+    /// Full boundary-state bytes the checkpoint represents.
+    pub logical_bytes: u64,
+    /// Bytes written to each tier (stored shards only).
+    pub stored_bytes: u64,
+    /// Shards written, summed over localities.
+    pub stored_shards: u64,
+    /// Simulated ns of the change-detection scan (0 unless incremental).
+    pub fp_ns: u64,
+    /// Simulated ns until the slowest locality's slower tier has drained.
+    pub drain_ns: u64,
+}
+
+/// Live state of the resilience manager, owned by the runtime world: the
+/// policy, the checkpoint chain, and the store the chain is billed
+/// against.
 pub(crate) struct ResilienceManager {
-    /// The configured policy.
-    pub cfg: ResilienceConfig,
+    cfg: ResilienceConfig,
     /// Retained checkpoints, oldest first: the newest
     /// [`CheckpointConfig::keep`] points plus whatever older links their
     /// reconstruction chains need back to an anchor.
-    pub saved: Vec<SavedCkpt>,
-    /// Consecutive missed heartbeats per locality.
-    pub misses: Vec<u32>,
+    saved: Vec<SavedCkpt>,
     /// `Monitor::total_tasks()` at the instant of the last checkpoint —
     /// the baseline for counting re-executed tasks after a recovery.
-    pub tasks_at_checkpoint: u64,
-    /// Per-locality `item -> (fingerprint, len)` of the newest committed
-    /// checkpoint — the reference incremental change detection diffs
-    /// boundary state against.
-    pub last_fps: Vec<BTreeMap<ItemId, (u64, u64)>>,
-    /// Deltas committed since the last anchor (drives
-    /// [`CheckpointConfig::anchor_every`]).
-    pub since_anchor: usize,
+    tasks_at_checkpoint: u64,
+    /// Per locality, the signature of each shard of the newest committed
+    /// checkpoint, or of what a recovery restored — the reference
+    /// incremental change detection diffs boundary state against.
+    last_fps: Vec<BTreeMap<ItemId, Sig>>,
     /// The two-tier checkpoint store (cost math + traffic stats).
-    pub storage: StorageModel,
+    storage: StorageModel,
 }
 
 impl ResilienceManager {
@@ -329,12 +339,30 @@ impl ResilienceManager {
         ResilienceManager {
             cfg,
             saved: Vec::new(),
-            misses: vec![0; nodes],
             tasks_at_checkpoint: 0,
             last_fps: vec![BTreeMap::new(); nodes],
-            since_anchor: 0,
             storage: StorageModel::new(cfg.ckpt.storage),
         }
+    }
+
+    /// Period of the failure detector's heartbeat round.
+    pub fn heartbeat_period(&self) -> SimDuration {
+        self.cfg.heartbeat_period
+    }
+
+    /// Blocking or copy-on-write drains.
+    pub fn mode(&self) -> CkptMode {
+        self.cfg.ckpt.mode
+    }
+
+    /// The checkpoint store's traffic so far.
+    pub fn storage_stats(&self) -> StorageStats {
+        self.storage.stats.clone()
+    }
+
+    /// How many checkpoints (anchors and deltas) are retained.
+    pub fn retained(&self) -> usize {
+        self.saved.len()
     }
 
     /// Whether a checkpoint is due at the boundary entering `phase`.
@@ -350,11 +378,14 @@ impl ResilienceManager {
     }
 
     /// Whether the next checkpoint must be a full anchor: the first one
-    /// ever, non-incremental configs, or an expired delta budget.
-    pub fn next_kind(&self) -> CkptKind {
+    /// ever, non-incremental configs, or an expired delta budget — the
+    /// deltas retained since the newest anchor.
+    fn next_kind(&self) -> CkptKind {
+        let since_anchor = self.saved.iter().rev();
+        let since_anchor = since_anchor.take_while(|s| s.kind == CkptKind::Delta).count();
         if !self.cfg.ckpt.incremental
             || self.saved.is_empty()
-            || self.since_anchor + 1 >= self.cfg.ckpt.anchor_every.max(1)
+            || since_anchor + 1 >= self.cfg.ckpt.anchor_every.max(1)
         {
             CkptKind::Anchor
         } else {
@@ -362,15 +393,126 @@ impl ResilienceManager {
         }
     }
 
+    /// Plan the checkpoint of the boundary state `armed` (per locality,
+    /// ascending `ItemId`): fingerprint every shard in one batch, choose
+    /// anchor or delta, store for a delta only the shards whose signature
+    /// changed, and bill the scan and the drain to `monitor`. Both tiers
+    /// are written; a locality's shards drain one after another through
+    /// each tier, localities in parallel — the drain ends with the
+    /// slowest locality's slower tier.
+    pub fn capture(&mut self, armed: &[&[(ItemId, Vec<u8>)]], monitor: &mut Monitor) -> Capture {
+        let shards = armed.iter().flat_map(|row| row.iter());
+        let shards: Vec<&[u8]> = shards.map(|(_, bytes)| bytes.as_slice()).collect();
+        let mut hashed = fnv1a_64_batch(&shards).into_iter();
+        let kind = self.next_kind();
+        let shards: Vec<Vec<(ItemId, Sig, bool)>> = armed
+            .iter()
+            .zip(&self.last_fps)
+            .map(|(row, last)| {
+                let signed = row.iter().zip(hashed.by_ref());
+                let signed = signed.map(|((id, bytes), fp)| (*id, (fp, bytes.len() as u64)));
+                let stored = |(id, sig): (ItemId, Sig)| {
+                    (id, sig, kind == CkptKind::Anchor || last.get(&id) != Some(&sig))
+                };
+                signed.map(stored).collect()
+            })
+            .collect();
+        let logical_bytes = shards.iter().flatten().map(|(_, (_, len), _)| len).sum();
+        // The change-detection scan is billed (at memory-bandwidth rate)
+        // only when incremental checkpointing actually consumes it.
+        let fp_ns = if self.cfg.ckpt.incremental {
+            self.storage.fingerprint_ns(logical_bytes)
+        } else {
+            0
+        };
+        let (mut drain_ns, mut stored_bytes, mut stored_shards) = (0, 0, 0);
+        for row in &shards {
+            let stored = row.iter().filter(|(_, _, stored)| *stored);
+            let (shards, bytes) = stored.fold((0, 0), |(n, b), (_, (_, len), _)| (n + 1, b + len));
+            stored_bytes += bytes;
+            stored_shards += shards;
+            let local = self.storage.write_ns(StorageTier::Local, shards, bytes);
+            let remote = self.storage.write_ns(StorageTier::Remote, shards, bytes);
+            drain_ns = drain_ns.max(local.max(remote));
+        }
+        monitor.resilience.ckpt_fp_ns += fp_ns;
+        monitor.resilience.ckpt_drain_ns += drain_ns;
+        Capture {
+            kind,
+            shards,
+            tasks_done: monitor.total_tasks(),
+            logical_bytes,
+            stored_bytes,
+            stored_shards,
+            fp_ns,
+            drain_ns,
+        }
+    }
+
+    /// Commit `capture`, taken at the boundary entering `phase`, as the
+    /// chain's newest link: of `full`, the boundary state aligned with the
+    /// capture, the stored shards are moved in, checksummed by their
+    /// boundary fingerprints. With `check`, the chain must reconstruct
+    /// `full` bit for bit. Then `rot` may strike each stored shard — the
+    /// stored copy only, after its checksum was taken.
+    pub fn commit(
+        &mut self,
+        phase: usize,
+        capture: Capture,
+        full: Vec<Vec<(ItemId, Vec<u8>)>>,
+        stats: &mut ResilienceStats,
+        check: bool,
+        mut rot: impl FnMut(&mut [u8]),
+    ) {
+        stats.checkpoints += 1;
+        stats.checkpoint_bytes += capture.stored_bytes;
+        stats.ckpt_logical_bytes += capture.logical_bytes;
+        match capture.kind {
+            CkptKind::Anchor => stats.ckpt_anchors += 1,
+            CkptKind::Delta => stats.ckpt_deltas += 1,
+        }
+        let boundary = check.then(|| full.clone());
+        let (mut shards, mut sums, mut roster) = (Vec::new(), Vec::new(), Vec::new());
+        for (row, sigs) in full.into_iter().zip(&capture.shards) {
+            roster.push(sigs.iter().map(|&(id, _, _)| id).collect());
+            let (mut kept, mut fps) = (Vec::new(), Vec::new());
+            for (shard, &(id, (fp, _), stored)) in row.into_iter().zip(sigs) {
+                if stored {
+                    debug_assert_eq!(fp, fnv1a_64(&shard.1), "{id:?} changed since the boundary");
+                    kept.push(shard);
+                    fps.push(fp);
+                }
+            }
+            shards.push(kept);
+            sums.push(fps);
+        }
+        let entry = SavedCkpt {
+            phase,
+            kind: capture.kind,
+            shards,
+            sums,
+            roster,
+        };
+        self.save(entry, capture.tasks_done);
+        let signed = |row: &Vec<_>| row.iter().map(|&(id, sig, _)| (id, sig)).collect();
+        self.last_fps = capture.shards.iter().map(signed).collect();
+        if let Some(boundary) = boundary {
+            let lend = boundary.iter().map(|row| row.iter().map(|(id, b)| (*id, &b[..])).collect());
+            let boundary: LentSnapshot<'_> = lend.collect();
+            let diverged = "delta reconstruction diverged from the full boundary snapshot";
+            assert!(self.newest() == boundary, "{diverged}");
+        }
+        let stored = self.saved.last_mut().expect("entry just saved");
+        for (_, bytes) in stored.shards.iter_mut().flatten() {
+            rot(bytes);
+        }
+    }
+
     /// Record a committed checkpoint, evicting retained points beyond
     /// the configured depth — but never a link a kept point's
     /// reconstruction chain still needs (the prefix back to the newest
     /// anchor at or before the eviction cut survives).
-    pub fn save(&mut self, entry: SavedCkpt, tasks_done: u64) {
-        match entry.kind {
-            CkptKind::Anchor => self.since_anchor = 0,
-            CkptKind::Delta => self.since_anchor += 1,
-        }
+    fn save(&mut self, entry: SavedCkpt, tasks_done: u64) {
         self.saved.push(entry);
         let keep = self.cfg.ckpt.keep.max(1);
         if self.saved.len() > keep {
@@ -384,12 +526,96 @@ impl ResilienceManager {
         }
         self.tasks_at_checkpoint = tasks_done;
     }
+
+    /// Fall back newest-first to the newest retained point whose chain
+    /// reconstructs, every link checksum-verified when `verify`; return
+    /// its phase and the ns its restore reads take (`None`: restart from
+    /// scratch). A rejected point is dropped for good, leaving the chosen
+    /// one the newest. Survivors read the local tier, a `dead` locality's
+    /// shards only the remote one. Change detection restarts from what is
+    /// restored; `monitor` counts rejections, reads and discarded tasks.
+    pub fn fall_back(
+        &mut self,
+        verify: bool,
+        dead: &[bool],
+        monitor: &mut Monitor,
+    ) -> Option<(usize, u64)> {
+        let reexecuted = monitor.total_tasks().saturating_sub(self.tasks_at_checkpoint);
+        monitor.resilience.tasks_reexecuted += reexecuted;
+        self.last_fps = vec![BTreeMap::new(); dead.len()];
+        while let Some(upto) = self.saved.len().checked_sub(1) {
+            let (snap, cost) = match reconstruct(&self.saved, upto, verify) {
+                Ok(found) => found,
+                Err(bad) => {
+                    monitor.integrity.checkpoint_shards_rejected += bad;
+                    monitor.integrity.checkpoint_fallbacks += 1;
+                    self.saved.pop();
+                    continue;
+                }
+            };
+            if verify {
+                monitor.integrity.ckpt_links_verified += cost.links;
+            }
+            let mut read_ns = 0;
+            for (loc, &is_dead) in dead.iter().enumerate() {
+                let tier = if is_dead {
+                    StorageTier::Remote
+                } else {
+                    StorageTier::Local
+                };
+                let ns = self.storage.read_ns(tier, cost.shards[loc], cost.bytes[loc]);
+                read_ns = read_ns.max(ns);
+            }
+            monitor.resilience.recovery_read_ns += read_ns;
+            // A shard `reconstruct` verified hashes to its stored
+            // checksum; unverified bytes may have rotted since that was
+            // taken, so they are hashed as restored — abreast.
+            let hashed: Vec<u64> = if verify {
+                cost.sums.into_iter().flatten().collect()
+            } else {
+                let shards: Vec<&[u8]> = snap.iter().flatten().map(|(_, b)| *b).collect();
+                fnv1a_64_batch(&shards)
+            };
+            let mut hashed = hashed.into_iter();
+            for (fps, row) in self.last_fps.iter_mut().zip(&snap) {
+                let sig = |(&(id, b), fp): (&(ItemId, &[u8]), u64)| (id, (fp, b.len() as u64));
+                *fps = row.iter().zip(hashed.by_ref()).map(sig).collect();
+            }
+            debug_assert!(
+                snap.iter()
+                    .zip(&self.last_fps)
+                    .all(|(row, fps)| row.iter().all(|(id, b)| fps[id].0 == fnv1a_64(b))),
+                "change detection must restart from the hash of what was restored"
+            );
+            return Some((self.saved[upto].phase, read_ns));
+        }
+        None
+    }
+
+    /// The boundary state of the newest retained checkpoint — the one
+    /// [`ResilienceManager::fall_back`] settled on — lent from the stored
+    /// shards.
+    pub fn newest(&self) -> LentSnapshot<'_> {
+        let newest = self.saved.len() - 1;
+        let (snap, _) = reconstruct(&self.saved, newest, false).expect("the chain reconstructs");
+        snap
+    }
+
+    /// Flip a byte in the first non-empty stored shard of each of the
+    /// newest `n` retained checkpoints (simulated at-rest corruption).
+    pub fn corrupt_newest(&mut self, n: usize) {
+        for entry in self.saved.iter_mut().rev().take(n) {
+            let mut shards = entry.shards.iter_mut().flatten();
+            if let Some((_, bytes)) = shards.find(|(_, bytes)| !bytes.is_empty()) {
+                bytes[0] ^= 0xff;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use allscale_des::fnv::fnv1a_64;
 
     #[test]
     fn default_config_is_sane() {

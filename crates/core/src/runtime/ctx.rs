@@ -3,12 +3,12 @@
 
 use allscale_des::SimTime;
 use allscale_region::ItemType;
-use allscale_trace::{EventKind, TransferPurpose};
+use allscale_trace::TransferPurpose;
 
 use super::comms::{bill_hops, open_payload, seal_payload, send_msg, ship_persistent, Payload};
-use super::directory::index_update;
+use super::directory::{create_item, destroy_item, index_update};
 use super::tasks::wake;
-use super::{trace_instant, RtWorld};
+use super::RtWorld;
 use crate::dynamic::{DynRegion, ItemDescriptor};
 use crate::slo::ServeSpec;
 use crate::task::ItemId;
@@ -34,29 +34,12 @@ impl RtCtx<'_> {
     /// the descriptor on every locality and in the index. No data is
     /// allocated — allocation happens on first touch.
     pub fn create_item<I: ItemType>(&mut self, name: &'static str) -> ItemId {
-        let w = &mut *self.world;
-        let desc = ItemDescriptor::of::<I>(name);
-        let id = w.directory.create(&desc);
-        for loc in &mut w.localities {
-            loc.dim.register(id, desc.clone());
-        }
-        // Items are created (and destroyed) by the phase driver, which
-        // runs on the detector host — not on a locality that may be dead.
-        let host = w.recovery.detector_host();
-        trace_instant(w, self.now, host, EventKind::ItemCreate { item: id.0 });
-        id
+        create_item(self.world, self.now, ItemDescriptor::of::<I>(name))
     }
 
     /// Destroy a data item everywhere (paper action `destroy`).
     pub fn destroy_item(&mut self, item: ItemId) {
-        let w = &mut *self.world;
-        let mut desc = None;
-        for loc in &mut w.localities {
-            desc = loc.dim.destroy(item).or(desc);
-        }
-        w.directory.bury(item, desc);
-        let host = w.recovery.detector_host();
-        trace_instant(w, self.now, host, EventKind::ItemDestroy { item: item.0 });
+        destroy_item(self.world, self.now, item);
     }
 
     /// Read access to the fragment of `item` at `loc` — out-of-band

@@ -1,17 +1,17 @@
 //! The directory: which data items exist and who advertises what part
 //! of each — the index (hierarchical, or the central ablation) behind
-//! the location cache.
-
-use std::collections::{BTreeMap, BTreeSet};
+//! the location cache. Creating, destroying and reviving an item happen
+//! here and only here, in the directory, the index and every locality's
+//! data item manager at once.
 
 use allscale_des::SimTime;
 use allscale_trace::EventKind;
 
-use super::{trace_instant, RtWorld};
+use super::{trace_instant, Locality, RtWorld};
 use crate::dynamic::{DynRegion, ItemDescriptor};
 use crate::index::{CentralIndex, DistIndex, Hop};
 use crate::loc_cache::{CacheStats, LocationCache, SharedResolution};
-use crate::task::ItemId;
+use crate::task::{ItemId, ItemTable};
 
 /// Either index implementation (experiment A1 toggles them).
 enum IndexImpl {
@@ -46,12 +46,11 @@ pub(super) struct Directory {
     /// locality, so it behaves as one private cache per locality). Unused
     /// when the central-directory ablation is active.
     loc_cache: LocationCache,
-    /// The items created and not yet destroyed.
-    live: BTreeSet<ItemId>,
-    /// The types of the destroyed items: a recovery to a checkpoint taken
-    /// before the destruction brings them back ([`Directory::revive`]).
-    graves: BTreeMap<ItemId, ItemDescriptor>,
-    next_item: u32,
+    /// Every item ever created (since the last full restart), by id: its
+    /// type, and whether it is live. A destroyed item keeps its type: a
+    /// recovery to a checkpoint taken before the destruction brings it
+    /// back ([`Directory::revive`]).
+    items: ItemTable<(ItemDescriptor, bool)>,
 }
 
 impl Directory {
@@ -63,47 +62,46 @@ impl Directory {
                 IndexImpl::Dist(DistIndex::new(nodes))
             },
             loc_cache: LocationCache::new(),
-            live: BTreeSet::new(),
-            graves: BTreeMap::new(),
-            next_item: 0,
+            items: ItemTable::default(),
         }
     }
 
-    /// Allocate the next item id and register an item of `desc`'s type
-    /// under it.
-    pub(super) fn create(&mut self, desc: &ItemDescriptor) -> ItemId {
-        let id = ItemId(self.next_item);
-        self.next_item += 1;
-        self.index.register_item(id, (desc.empty_region)().as_ref());
-        self.live.insert(id);
-        id
+    /// Register an item of `desc`'s type under `item` here, in the index
+    /// and at every locality: a creation, or a revival.
+    fn register(&mut self, localities: &mut [Locality], item: ItemId, desc: ItemDescriptor) {
+        self.index.register_item(item, (desc.empty_region)().as_ref());
+        for loc in localities {
+            loc.dim.register(item, desc.clone());
+        }
+        self.items.insert(item, (desc, true));
     }
 
-    pub(super) fn destroy(&mut self, item: ItemId) {
+    /// Destroy `item` at every locality, in the index and in the location
+    /// cache, keeping its type for a revival.
+    fn destroy(&mut self, localities: &mut [Locality], item: ItemId) {
+        for loc in localities {
+            loc.dim.destroy(item);
+        }
         self.index.remove_item(item);
         self.loc_cache.forget(item);
-        self.live.remove(&item);
-    }
-
-    /// [`Directory::destroy`], keeping the item's type for a revival.
-    pub(super) fn bury(&mut self, item: ItemId, desc: Option<ItemDescriptor>) {
-        self.destroy(item);
-        if let Some(desc) = desc {
-            self.graves.insert(item, desc);
+        if let Some((_, live)) = self.items.get_mut(item) {
+            *live = false;
         }
     }
 
-    /// Register the destroyed `item` again under its id and return its
-    /// type; `None` when it was not destroyed.
-    pub(super) fn revive(&mut self, item: ItemId) -> Option<ItemDescriptor> {
-        let desc = self.graves.remove(&item)?;
-        self.index.register_item(item, (desc.empty_region)().as_ref());
-        self.live.insert(item);
-        Some(desc)
+    /// Register the destroyed `item` again under its id, everywhere. A
+    /// live item is left alone.
+    pub(super) fn revive(&mut self, localities: &mut [Locality], item: ItemId) {
+        if let Some((desc, false)) = self.items.get(item) {
+            let desc = desc.clone();
+            self.register(localities, item, desc);
+        }
     }
 
+    /// The live items, ascending.
     pub(super) fn items(&self) -> Vec<ItemId> {
-        self.live.iter().copied().collect()
+        let live = self.items.iter().filter(|(_, (_, live))| *live);
+        live.map(|(item, _)| item).collect()
     }
 
     /// The region locality `p` advertises for `item` in the hierarchical
@@ -194,18 +192,38 @@ pub(super) fn readvertise(w: &mut RtWorld) {
     }
 }
 
+/// Create an item of `desc`'s type under the next id (paper action
+/// `create`): in the directory, the index and every locality's data item
+/// manager. No data is allocated — allocation happens on first touch.
+pub(super) fn create_item(w: &mut RtWorld, now: SimTime, desc: ItemDescriptor) -> ItemId {
+    let d = &mut w.directory;
+    let item = d.items.next_id();
+    d.register(&mut w.localities, item, desc);
+    // Items are created (and destroyed) by the phase driver, which runs
+    // on the detector host — not on a locality that may be dead.
+    let host = w.recovery.detector_host();
+    trace_instant(w, now, host, EventKind::ItemCreate { item: item.0 });
+    item
+}
+
+/// Destroy `item` everywhere (paper action `destroy`).
+pub(super) fn destroy_item(w: &mut RtWorld, now: SimTime, item: ItemId) {
+    w.directory.destroy(&mut w.localities, item);
+    let host = w.recovery.detector_host();
+    trace_instant(w, now, host, EventKind::ItemDestroy { item: item.0 });
+}
+
 /// After a recovery: point the index at the restored data, or — on a
-/// full restart, when nothing was restored — forget every item so the
-/// replayed driver creates them afresh from id 0.
+/// full restart, when nothing was restored — forget every item
+/// everywhere so the replayed driver creates them afresh from id 0.
 pub(super) fn reset_for_recovery(w: &mut RtWorld, restored: bool) {
     if restored {
         return readvertise(w);
     }
     for item in w.directory.items() {
-        w.directory.destroy(item);
+        w.directory.destroy(&mut w.localities, item);
     }
-    w.directory.graves.clear();
-    w.directory.next_item = 0;
+    w.directory.items = ItemTable::default();
 }
 
 #[cfg(test)]
@@ -213,30 +231,51 @@ mod tests {
     use super::*;
     use allscale_region::{BoxRegion, Region};
 
+    use crate::facade::GridItem;
+    use crate::runtime::{RtConfig, RtCtx, Runtime};
+
     /// `destroy` must remove the item from whichever index is active: a
     /// central directory that kept the entry would go on resolving a
-    /// destroyed item to owners that hold nothing.
+    /// destroyed item to owners that hold nothing. A revived item takes
+    /// its id back, ascending in `items()`, at every locality; a full
+    /// restart forgets every item, so ids start over at 0.
     #[test]
     fn destroyed_item_no_longer_resolves_under_either_index() {
         for central in [false, true] {
-            let mut d = Directory::new(central, 2);
-            let item = d.create(&ItemDescriptor::of::<crate::facade::GridItem<f64, 1>>("g"));
+            let mut rt = Runtime::new(RtConfig {
+                central_index: central,
+                ..RtConfig::test(2, 1)
+            });
+            let w = &mut rt.sim.world;
+            let create = |w: &mut RtWorld| {
+                create_item(w, SimTime::ZERO, ItemDescriptor::of::<GridItem<f64, 1>>("g"))
+            };
+            let ids: Vec<ItemId> = (0..3).map(|_| create(w)).collect();
+            let item = ids[1];
             let all = BoxRegion::<1>::cuboid([0], [8]);
-            d.index.update_leaf(item, 1, Box::new(all.clone()));
+            w.directory.index.update_leaf(item, 1, Box::new(all.clone()));
             let resolve = |d: &Directory| match &d.index {
                 IndexImpl::Dist(idx) => idx.resolve(item, 0, &all).0,
                 IndexImpl::Central(idx) => idx.resolve(item, 0, &all).0,
             };
             assert_eq!(
-                resolve(&d).len(),
+                resolve(&w.directory).len(),
                 1,
                 "central={central}: owner 1 advertised"
             );
-            d.destroy(item);
+            destroy_item(w, SimTime::ZERO, item);
             assert!(
-                resolve(&d).is_empty(),
+                resolve(&w.directory).is_empty(),
                 "central={central}: a destroyed item still resolves"
             );
+            assert_eq!(w.directory.items(), [ids[0], ids[2]]);
+            w.directory.revive(&mut w.localities, item);
+            w.directory.revive(&mut w.localities, ids[2]); // live: left alone
+            assert_eq!(w.directory.items(), ids);
+            assert!(w.localities[0].dim.owned_region(item).is_empty_dyn());
+            reset_for_recovery(w, false);
+            assert!(w.directory.items().is_empty());
+            assert_eq!(create(w), ItemId(0));
         }
     }
 
@@ -244,7 +283,6 @@ mod tests {
     /// advertises what its locality's data item manager does not own.
     #[test]
     fn desynchronised_index_leaf_is_reported_on_one_line() {
-        use crate::runtime::{RtConfig, RtCtx, Runtime};
         let mut rt = Runtime::new(RtConfig::test(2, 1));
         let mut ctx = RtCtx {
             world: &mut rt.sim.world,

@@ -10,7 +10,7 @@ use super::events::{schedule, RtEvent};
 use super::tasks::{park, schedule_wakeups, wake};
 use super::{sched, serving, tasks, trace_core_span, trace_instant};
 use super::{RtSim, RtWorld};
-use crate::dim::{Blocker, DataItemManager, LockConflict};
+use crate::dim::{Blocker, LockConflict};
 use crate::dynamic::DynRegion;
 use crate::index::{covered_by, union_of};
 use crate::task::{AccessMode, Done, ItemId, Requirement, TaskCtx, TaskId};
@@ -246,18 +246,6 @@ fn lock_and_plan(
     plan
 }
 
-/// Whether `src` must refuse to give `piece` of `item` up right now.
-/// Migration requires an unfenced source, replication a write-unlocked
-/// one; either way the source must actually hold the data (not still be
-/// awaiting an inbound migration of it).
-fn source_fenced(src: &DataItemManager, kind: Fetch, item: ItemId, piece: &dyn DynRegion) -> bool {
-    let busy = match kind {
-        Fetch::Migrate => src.locked_any(item, piece) || src.exported(item, piece),
-        Fetch::Replicate => src.write_locked(item, piece),
-    };
-    busy || src.inbound_fenced(item, piece)
-}
-
 /// Compute the data movements needed to satisfy `reqs` at `loc`. Errors
 /// with the fenced source when one is behind locks, exports or an
 /// inbound-migration fence.
@@ -304,7 +292,7 @@ fn plan_transfers(
             if *src == loc {
                 continue;
             }
-            if source_fenced(&w.localities[*src].dim, kind, item, piece.as_ref()) {
+            if w.localities[*src].dim.refuses(item, piece.as_ref(), req.mode) {
                 return Err(blocked_at(*src, piece.clone_box()));
             }
             plan.push(Move {

@@ -11,7 +11,6 @@ use allscale_trace::EventKind;
 
 use super::events::{schedule, RtEvent};
 use super::{directory, tasks, trace_instant, RtSim, RtWorld};
-use crate::dim::DataItemManager;
 use crate::resilience::{ResilienceConfig, ResilienceManager, SUSPICION_THRESHOLD};
 
 pub(super) use ckpt::{commit_pending_ckpt, maybe_checkpoint};
@@ -26,6 +25,8 @@ pub(super) struct Recovery {
     pending_ckpt: Option<ckpt::PendingCkpt>,
     /// Localities declared dead by the failure detector.
     dead: Vec<bool>,
+    /// Consecutive heartbeats each locality missed.
+    misses: Vec<u32>,
     /// Bumped on every recovery; events scheduled in an older epoch become
     /// no-ops when they fire (`events::Scheduled`), which is how the
     /// in-flight phase's stale work is discarded wholesale.
@@ -38,6 +39,7 @@ impl Recovery {
             manager: cfg.map(|cfg| ResilienceManager::new(cfg, nodes)),
             pending_ckpt: None,
             dead: vec![false; nodes],
+            misses: vec![0; nodes],
             run_epoch: 0,
         }
     }
@@ -86,36 +88,23 @@ impl Recovery {
     }
 
     pub(super) fn heartbeat_period(&self) -> Option<SimDuration> {
-        self.manager.as_ref().map(|m| m.cfg.heartbeat_period)
+        self.manager.as_ref().map(|m| m.heartbeat_period())
     }
 
     pub(super) fn storage_stats(&self) -> StorageStats {
-        self.manager
-            .as_ref()
-            .map(|m| m.storage.stats.clone())
-            .unwrap_or_default()
+        self.manager.as_ref().map(|m| m.storage_stats()).unwrap_or_default()
     }
 
     /// See [`RtCtx::corrupt_newest_checkpoints`](super::RtCtx::corrupt_newest_checkpoints).
     pub(super) fn corrupt_newest_checkpoints(&mut self, n: usize) {
-        let Some(mgr) = &mut self.manager else {
-            return;
-        };
-        for entry in mgr.saved.iter_mut().rev().take(n) {
-            let first = entry
-                .shards
-                .iter_mut()
-                .flatten()
-                .find(|(_, bytes)| !bytes.is_empty());
-            if let Some((_, bytes)) = first {
-                bytes[0] ^= 0xff;
-            }
+        if let Some(mgr) = &mut self.manager {
+            mgr.corrupt_newest(n);
         }
     }
 
     /// See [`RtCtx::retained_checkpoints`](super::RtCtx::retained_checkpoints).
     pub(super) fn retained_checkpoints(&self) -> usize {
-        self.manager.as_ref().map_or(0, |m| m.saved.len())
+        self.manager.as_ref().map_or(0, |m| m.retained())
     }
 }
 
@@ -167,20 +156,20 @@ pub(super) fn heartbeat_tick(sim: &mut RtSim) {
 /// whose ack found the prober dead counts neither way. Returns whether
 /// `to` has now been silent for [`SUSPICION_THRESHOLD`] rounds in a row.
 fn probe_finds_dead(w: &mut RtWorld, now: SimTime, from: usize, to: usize) -> bool {
-    let Some(mgr) = &mut w.recovery.manager else {
+    if w.recovery.manager.is_none() {
         return false;
-    };
+    }
     w.monitor.resilience.heartbeats += 1;
+    let misses = &mut w.recovery.misses[to];
     match w.comms.ping(now, from, to) {
         None => return false,
         Some(true) => {
-            mgr.misses[to] = 0;
+            *misses = 0;
             return false;
         }
-        Some(false) => {}
+        Some(false) => *misses += 1,
     }
-    mgr.misses[to] += 1;
-    let misses = mgr.misses[to];
+    let misses = *misses;
     trace_instant(
         w,
         now,
@@ -231,50 +220,40 @@ fn detect_and_recover(sim: &mut RtSim, dead: usize) {
     w.comms.reset_for_recovery();
     w.scheduler.reset_for_recovery();
     w.serving.reset_for_recovery();
-    let nodes = w.localities.len();
-    let restored = point.restored;
+    let restored = point.is_some();
     let mut grafted = 0u64;
-    match restored.then(|| ckpt::newest_snapshot(&w.recovery)) {
-        Some(snap) => {
-            // An item destroyed since the checkpoint comes back with it
-            // (the replayed driver destroys it again).
-            for (item, _) in &snap[0] {
-                if let Some(desc) = w.directory.revive(*item) {
-                    for loc in &mut w.localities {
-                        loc.dim.register(*item, desc.clone());
-                    }
-                }
-            }
-            // Pass 1: rewind every survivor, wipe every dead locality
-            // (fail-stop: a crashed process loses its volatile data).
-            for (p, shards) in snap.iter().enumerate() {
-                if w.recovery.dead[p] {
-                    w.localities[p].dim.wipe_all();
-                } else {
-                    w.localities[p].dim.restore(shards);
-                }
-            }
-            // Pass 2: graft each dead locality's checkpointed shards onto
-            // its live ring successor — after the survivors' own restore,
-            // so the graft is not clobbered.
-            for p in (0..nodes).filter(|&p| w.recovery.dead[p]) {
-                let heir = w.recovery.live_successor(p);
-                for (item, bytes) in &snap[p] {
-                    w.localities[heir].dim.import_owned(*item, bytes);
-                    grafted += bytes.len() as u64;
-                }
-            }
-            w.monitor.resilience.restored_bytes += grafted;
+    if restored {
+        let snap = w.recovery.manager.as_ref().expect("restored").newest();
+        // An item destroyed since the checkpoint comes back with it (the
+        // replayed driver destroys it again).
+        for (item, _) in &snap[0] {
+            w.directory.revive(&mut w.localities, *item);
         }
-        // No checkpoint yet: restart the application from scratch.
-        None => {
-            for p in 0..nodes {
-                w.localities[p].dim = DataItemManager::new(p);
+        // Pass 1: rewind every survivor, wipe every dead locality
+        // (fail-stop: a crashed process loses its volatile data).
+        for (p, shards) in snap.iter().enumerate() {
+            if w.recovery.dead[p] {
+                w.localities[p].dim.wipe_all();
+            } else {
+                w.localities[p].dim.restore(shards);
             }
         }
+        // Pass 2: graft each dead locality's checkpointed shards onto its
+        // live ring successor — after the survivors' own restore, so the
+        // graft is not clobbered.
+        for p in (0..snap.len()).filter(|&p| w.recovery.dead[p]) {
+            let heir = w.recovery.live_successor(p);
+            for (item, bytes) in &snap[p] {
+                w.localities[heir].dim.import_owned(*item, bytes);
+                grafted += bytes.len() as u64;
+            }
+        }
+        w.monitor.resilience.restored_bytes += grafted;
     }
+    // Without a checkpoint the application restarts from scratch.
     directory::reset_for_recovery(w, restored);
-    w.phases.reset_for_recovery(point.phase);
+    let (phase, read_ns) = point.unwrap_or((0, 0));
+    w.phases.reset_for_recovery(phase);
     let host = w.recovery.detector_host();
     trace_instant(
         w,
@@ -282,12 +261,12 @@ fn detect_and_recover(sim: &mut RtSim, dead: usize) {
         host,
         EventKind::Recovery {
             dead: dead as u32,
-            phase: point.phase as u32,
+            phase: phase as u32,
             restored_bytes: grafted,
         },
     );
     // Replay from the restored boundary once the tier reads land
     // (guarded: a second recovery before this fires would supersede it).
-    let resume = now + SimDuration::from_nanos(point.read_ns);
+    let resume = now + SimDuration::from_nanos(read_ns);
     schedule(sim, resume, RtEvent::PhaseResume(None));
 }

@@ -24,6 +24,52 @@ use crate::dynamic::DynRegion;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ItemId(pub u32);
 
+/// Per-item state indexed by [`ItemId`]: ids are a dense counter, so an
+/// item's entry is a slot of a `Vec` (`None` for an id not, or no longer,
+/// held), and iteration is in ascending id order.
+pub(crate) struct ItemTable<T>(Vec<Option<T>>);
+
+impl<T> Default for ItemTable<T> {
+    fn default() -> Self {
+        ItemTable(Vec::new())
+    }
+}
+
+impl<T> ItemTable<T> {
+    pub(crate) fn get(&self, item: ItemId) -> Option<&T> {
+        self.0.get(item.0 as usize)?.as_ref()
+    }
+
+    pub(crate) fn get_mut(&mut self, item: ItemId) -> Option<&mut T> {
+        self.0.get_mut(item.0 as usize)?.as_mut()
+    }
+
+    pub(crate) fn insert(&mut self, item: ItemId, value: T) {
+        let i = item.0 as usize;
+        self.0.resize_with(self.0.len().max(i + 1), || None);
+        self.0[i] = Some(value);
+    }
+
+    pub(crate) fn remove(&mut self, item: ItemId) -> Option<T> {
+        self.0.get_mut(item.0 as usize)?.take()
+    }
+
+    /// The id after every one ever held: the next of a counter that
+    /// allocates ids only here.
+    pub(crate) fn next_id(&self) -> ItemId {
+        ItemId(self.0.len() as u32)
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (ItemId, &T)> {
+        let held = self.0.iter().enumerate();
+        held.filter_map(|(i, v)| Some((ItemId(i as u32), v.as_ref()?)))
+    }
+
+    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.0.iter_mut().flatten()
+    }
+}
+
 /// Identifies a task instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(pub u64);

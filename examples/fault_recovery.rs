@@ -3,8 +3,8 @@
 //! fail-stops mid-run — and still finishes with results bit-identical to
 //! the failure-free run.
 //!
-//! Everything is automatic, in contrast to `examples/resilience.rs`
-//! where the driver checkpoints and restores by hand:
+//! Everything is automatic — the driver never checkpoints or restores by
+//! hand:
 //!
 //! - transient message drops are masked by bounded retry with
 //!   exponential backoff, billed on the simulated clock;

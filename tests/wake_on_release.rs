@@ -291,11 +291,11 @@ fn lone_writer_behind_broadcast_replicate_completes() {
 }
 
 #[test]
-#[should_panic(expected = "held by [(\"export\", TaskId(18446744073709551615))]")]
+#[should_panic(expected = "held by [Export(Persistent)]")]
 fn deadlock_panic_names_the_waiter_and_its_holder() {
     // Outside a serving phase a persistent broadcast fences writers for
     // good (`RtCtx::broadcast_replicate` says so): the writers that follow
-    // park behind locality 0's sentinel export and nothing ever releases
+    // park behind locality 0's persistent export and nothing ever releases
     // it. The panic must say exactly that.
     let grid: Rc<RefCell<Option<Grid<f64, 1>>>> = Rc::new(RefCell::new(None));
     Runtime::new(RtConfig::test(2, 1)).run(

@@ -3,15 +3,16 @@
 
     tools/doc_audit.py            # from the repository root
 
-A path is a backticked token in DESIGN.md, README.md or EXPERIMENTS.md
+A path is a backticked token in DESIGN.md, README.md or EXPERIMENTS.md,
+or in a Rust module doc (`//!` lines) under `examples/` or `crates/*/src`,
 that starts with `crates/`, `tests/`, `tools/`, `examples/`, `hostbench/`
 or `.github/`. Only its first word counts; a `::symbol` or `:line`
 suffix is stripped, `{a,b}` alternatives and glob patterns are expanded,
 and `examples/<name>` also resolves to `examples/<name>.rs`. Prints one
 `MISSING` line per path that matches nothing.
 
-A command is `--bin X` or `--example X` in those three documents, in
-ROADMAP.md or in `.claude/skills/verify/SKILL.md`: X must be a `[[bin]]`
+A command is `--bin X` or `--example X` in those documents and module
+docs, in ROADMAP.md or in `.claude/skills/verify/SKILL.md`: X must be a `[[bin]]`
 or `[[example]]` some `Cargo.toml` declares. Every experiment named on an
 `experiments` command line (`--bin experiments -- [--out DIR] NAME ...`)
 must have a checked-in `BENCH_<NAME>.json`. Prints one `STALE` line per
@@ -30,7 +31,8 @@ COMMAND_DOCS = DOCS + ["ROADMAP.md", ".claude/skills/verify/SKILL.md"]
 ROOTS = ("crates/", "tests/", "tools/", "examples/", "hostbench/", ".github/")
 TOKEN = re.compile(r"`([^`\n]+)`")
 TARGET = re.compile(r"--(bin|example)\s+([A-Za-z0-9_-]+)")
-EXPERIMENTS = re.compile(r"--bin\s+experiments\s+--\s+([^`#|);<>]*)")
+# A `[` opens a synopsis placeholder (`[--out DIR] [NAME ...]`), not a name.
+EXPERIMENTS = re.compile(r"--bin\s+experiments\s+--\s+([^`#|);<>\[]*)")
 DECLARED = re.compile(r'\[\[(bin|example)\]\]\s*\nname\s*=\s*"([^"]+)"')
 BRACES = re.compile(r"\{([^{}]*)\}")
 
@@ -59,24 +61,38 @@ def declared_targets():
     return found
 
 
+def lines(docs):
+    """(doc, line number, text) of every line of `docs`, then of every
+    module doc line of the Rust sources under `examples/` and
+    `crates/*/src`."""
+    for doc in docs:
+        with open(doc, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, 1):
+                yield doc, lineno, line
+    sources = glob.glob("examples/*.rs") + glob.glob("crates/*/src/**/*.rs", recursive=True)
+    for src in sorted(sources):
+        with open(src, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, 1):
+                if line.lstrip().startswith("//!"):
+                    yield src, lineno, line
+
+
 def stale_commands():
     """One line per `--bin`/`--example` that names no declared target and
     per experiment named on a command line without a checked-in file."""
     declared = declared_targets()
     stale = []
-    for doc in COMMAND_DOCS:
-        with open(doc, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                for kind, name in TARGET.findall(line):
-                    if (kind, name) not in declared:
-                        stale.append(f"STALE {doc}:{lineno}: --{kind} {name} is not declared")
-                for args in EXPERIMENTS.findall(line):
-                    words = args.split()
-                    for i, word in enumerate(words):
-                        if word.startswith("-") or (i > 0 and words[i - 1] == "--out"):
-                            continue
-                        if not os.path.isfile(f"BENCH_{word}.json"):
-                            stale.append(f"STALE {doc}:{lineno}: experiment {word} has no BENCH_{word}.json")
+    for doc, lineno, line in lines(COMMAND_DOCS):
+        for kind, name in TARGET.findall(line):
+            if (kind, name) not in declared:
+                stale.append(f"STALE {doc}:{lineno}: --{kind} {name} is not declared")
+        for args in EXPERIMENTS.findall(line):
+            words = args.split()
+            for i, word in enumerate(words):
+                if word.startswith("-") or (i > 0 and words[i - 1] == "--out"):
+                    continue
+                if not os.path.isfile(f"BENCH_{word}.json"):
+                    stale.append(f"STALE {doc}:{lineno}: experiment {word} has no BENCH_{word}.json")
     return stale
 
 
@@ -85,18 +101,16 @@ def main():
     for line in stale:
         print(line)
     missing = len(stale)
-    for doc in DOCS:
-        with open(doc, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                for token in TOKEN.findall(line):
-                    word = token.split()[0] if token.split() else ""
-                    if not word.startswith(ROOTS):
-                        continue
-                    path = re.sub(r"(::|:\d).*$", "", word).rstrip(".,;")
-                    for alt in alternatives(path):
-                        if not exists(alt):
-                            print(f"MISSING {doc}:{lineno}: {alt}")
-                            missing += 1
+    for doc, lineno, line in lines(DOCS):
+        for token in TOKEN.findall(line):
+            word = token.split()[0] if token.split() else ""
+            if not word.startswith(ROOTS):
+                continue
+            path = re.sub(r"(::|:\d).*$", "", word).rstrip(".,;")
+            for alt in alternatives(path):
+                if not exists(alt):
+                    print(f"MISSING {doc}:{lineno}: {alt}")
+                    missing += 1
     return 1 if missing else 0
 
 

@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""Write the size ledger: how much code each crate and each runtime module
+is, and how many functions each file makes public (ROADMAP item 15).
+
+    tools/size_audit.py                 # from the repository root
+    tools/size_audit.py --out PATH      # write somewhere else
+
+Writes `SIZE.json` (or PATH):
+
+`crates`   non-test lines per crate: every `.rs` file under
+           `crates/<name>/src`, each counted up to its `#[cfg(test)]`
+           module (the unit tests end a file, as `pub_audit.py` assumes);
+`runtime`  the same count per module under `crates/core/src/runtime`;
+`pub_fns`  per file under `crates/*/src`, the `fn`s declared `pub`,
+           `pub(crate)`, `pub(super)` or `pub(in …)` outside its unit
+           tests (files with none are left out).
+
+CI regenerates the file and diffs it against the checked-in copy, so a
+change that grows or shrinks the code says so in its diff. Exits 1 when a
+file under `crates/core/src/runtime` is over 900 lines, tests included
+(DESIGN.md §3.1: one module per tenant, each small enough to read).
+"""
+import glob
+import json
+import os
+import re
+import sys
+
+RUNTIME = "crates/core/src/runtime"
+BOUND = 900
+VIS = r"pub(?:\((?:crate|super|in [^)]*)\))?"
+PUB_FN = re.compile(rf"^\s*{VIS} (?:(?:const|unsafe|async) )*fn ", re.M)
+
+
+def without_unit_tests(src):
+    """A file's text up to its `#[cfg(test)]` module."""
+    m = re.search(r"^#\[cfg\(test\)\]", src, re.M)
+    return src if not m else src[: m.start()]
+
+
+def sources(root):
+    return sorted(glob.glob(f"{root}/**/*.rs", recursive=True))
+
+
+def read(path):
+    with open(path, encoding="utf-8") as f:
+        return f.read()
+
+
+def main():
+    out = "SIZE.json"
+    if sys.argv[1:2] == ["--out"] and len(sys.argv) == 3:
+        out = sys.argv[2]
+    elif len(sys.argv) > 1:
+        print(__doc__.strip().splitlines()[0], file=sys.stderr)
+        return 2
+    crates, runtime, pub_fns, over = {}, {}, {}, []
+    for crate in sorted(os.listdir("crates")):
+        for path in sources(f"crates/{crate}/src"):
+            src = read(path)
+            code = without_unit_tests(src)
+            lines = code.count("\n")
+            crates[crate] = crates.get(crate, 0) + lines
+            if path.startswith(RUNTIME + "/"):
+                runtime[path[len(RUNTIME) + 1:]] = lines
+                if src.count("\n") > BOUND:
+                    over.append(f"OVER {path}: {src.count(chr(10))} lines (bound {BOUND})")
+            fns = len(PUB_FN.findall(code))
+            if fns:
+                pub_fns[path] = fns
+    ledger = {"crates": crates, "runtime": runtime, "pub_fns": pub_fns}
+    with open(out, "w", encoding="utf-8") as f:
+        json.dump(ledger, f, indent=1, sort_keys=True)
+        f.write("\n")
+    for line in over:
+        print(line)
+    return 1 if over else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
