@@ -1322,13 +1322,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown data item ItemId(0)")]
     fn destroy_removes_item() {
         let mut dim = mk();
         dim.init_owned(ItemId(0), &r2([0, 0], [2, 2]));
         assert!(dim.knows(ItemId(0)));
         dim.destroy(ItemId(0));
         assert!(!dim.knows(ItemId(0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown data item ItemId(0)")]
+    fn destroyed_item_cannot_be_queried() {
+        let mut dim = mk();
+        dim.init_owned(ItemId(0), &r2([0, 0], [2, 2]));
+        dim.destroy(ItemId(0));
         dim.owned_region(ItemId(0));
     }
 
