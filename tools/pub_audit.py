@@ -28,6 +28,8 @@ import glob
 import re
 import sys
 
+from size_audit import without_unit_tests
+
 # Traits kept with one implementation, and why.
 SINGLE_IMPL_KEPT = {
     "Topology": "hostbench/ spells Network<AnyTopology>; goes with ROADMAP item 8",
@@ -50,12 +52,6 @@ def quiet(text):
 def calls(text):
     text = re.sub(r"//[^\n]*", "", text)  # comments and doc links are not callers
     return [a or b for a, b in CALL.findall(text)]
-
-
-def without_unit_tests(src):
-    """A file's text up to its `#[cfg(test)]` module (they end the file)."""
-    m = re.search(r"^#\[cfg\(test\)\]", src, re.M)
-    return src if not m else src[: m.start()]
 
 
 def blocks(text, head):

@@ -8,8 +8,9 @@ is, and how many functions each file makes public (ROADMAP item 15).
 Writes `SIZE.json` (or PATH):
 
 `crates`   non-test lines per crate: every `.rs` file under
-           `crates/<name>/src`, each counted up to its `#[cfg(test)]`
-           module (the unit tests end a file, as `pub_audit.py` assumes);
+           `crates/<name>/src`, each counted up to its `#[cfg(test)]
+           mod <name> {` (the unit tests end a file; `pub_audit.py`
+           shares this cut);
 `runtime`  the same count per module under `crates/core/src/runtime`;
 `pub_fns`  per file under `crates/*/src`, the `fn`s declared `pub`,
            `pub(crate)`, `pub(super)` or `pub(in …)` outside its unit
@@ -32,9 +33,17 @@ VIS = r"pub(?:\((?:crate|super|in [^)]*)\))?"
 PUB_FN = re.compile(rf"^\s*{VIS} (?:(?:const|unsafe|async) )*fn ", re.M)
 
 
+# The unit-test module: a column-0 `#[cfg(test)]` on a `mod <name> {`. A
+# `#[cfg(test)]` on anything else (a `thread_local!`, an out-of-line
+# `mod name;`) is not where the file's code ends.
+TEST_MODULE = re.compile(r"^#\[cfg\(test\)\]\s*mod \w+ \{", re.M)
+
+
 def without_unit_tests(src):
-    """A file's text up to its `#[cfg(test)]` module."""
-    m = re.search(r"^#\[cfg\(test\)\]", src, re.M)
+    """A file's text up to its `#[cfg(test)]` module (the unit tests end
+    a file). `pub_audit.py` imports this cut, so both tools count the
+    same text."""
+    m = TEST_MODULE.search(src)
     return src if not m else src[: m.start()]
 
 
