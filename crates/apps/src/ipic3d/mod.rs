@@ -21,6 +21,7 @@
 pub mod allscale_version;
 pub mod mpi_version;
 
+use allscale_des::rng::{splitmix64, unit};
 use allscale_net::wire::wire_struct;
 
 /// One charged particle.
@@ -127,22 +128,6 @@ impl PicConfig {
     }
 }
 
-/// Deterministic pseudo-random stream from a key (splitmix64) — identical
-/// across versions without sharing RNG state.
-#[inline]
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// A unit-interval float from a key.
-#[inline]
-fn unit(key: u64) -> f64 {
-    (mix(key) >> 11) as f64 / (1u64 << 53) as f64
-}
-
 /// Initial field value of cell `(x, y, z)`.
 #[inline]
 pub fn e_init(x: i64, y: i64, z: i64) -> f64 {
@@ -161,7 +146,7 @@ pub fn seed_cell(x: i64, y: i64, z: i64, shape: [i64; 3], ppc: usize) -> Cell {
     (0..ppc)
         .map(|k| {
             let id = (cell_index as u64) * ppc as u64 + k as u64;
-            let key = mix(id ^ 0x5EED_0FA5);
+            let key = splitmix64(id ^ 0x5EED_0FA5);
             Particle {
                 id,
                 pos: [
@@ -195,7 +180,7 @@ pub fn push(p: &Particle, e: f64, extent: [f64; 3]) -> Particle {
     // Acceleration along a per-particle fixed unit direction scaled by E —
     // a stand-in for the Boris mover that preserves its data access
     // pattern (field gather at the particle's cell).
-    let dir_key = mix(p.id ^ 0xACCE_1E7A);
+    let dir_key = splitmix64(p.id ^ 0xACCE_1E7A);
     let dir = [
         unit(dir_key ^ 1) - 0.5,
         unit(dir_key ^ 2) - 0.5,
@@ -244,10 +229,10 @@ pub fn deposit(p: &Particle) -> f64 {
 
 /// Order-independent exact checksum of a particle.
 pub fn particle_checksum(p: &Particle) -> u64 {
-    let mut acc = mix(p.id);
+    let mut acc = splitmix64(p.id);
     for d in 0..3u64 {
-        acc = acc.wrapping_add(mix(p.pos[d as usize].to_bits() ^ (d << 60)));
-        acc = acc.wrapping_add(mix(p.vel[d as usize].to_bits() ^ (d << 50) ^ 0xF00D));
+        acc = acc.wrapping_add(splitmix64(p.pos[d as usize].to_bits() ^ (d << 60)));
+        acc = acc.wrapping_add(splitmix64(p.vel[d as usize].to_bits() ^ (d << 50) ^ 0xF00D));
     }
     acc
 }

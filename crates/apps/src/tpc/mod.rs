@@ -18,6 +18,7 @@
 pub mod allscale_version;
 pub mod mpi_version;
 
+use allscale_des::rng::unit;
 use allscale_net::wire::wire_struct;
 use allscale_region::TreePath;
 
@@ -99,20 +100,6 @@ impl TpcConfig {
     pub fn total_queries(&self) -> u64 {
         self.queries_per_node * self.nodes as u64
     }
-}
-
-/// splitmix64 (shared with the PIC app's determinism approach).
-#[inline]
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-#[inline]
-fn unit(key: u64) -> f64 {
-    (mix(key) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// The deterministic point cloud.

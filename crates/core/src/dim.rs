@@ -597,26 +597,22 @@ impl DataItemManager {
         self.slot(item).frag.export(region)
     }
 
-    /// Evict the persistent-replica coverage of `item` (the integrity
-    /// scrubber's quarantine of a repeatedly divergent replica). Physical
+    /// Shrink the persistent-replica coverage of `item` by `region`, or
+    /// evict all of it when `region` is `None`: the holder's side of a
+    /// write invalidation or a replica retirement, and the integrity
+    /// scrubber's quarantine of a repeatedly divergent replica. Physical
     /// data is dropped only where nothing else — owned region or a
-    /// transient hold — still covers it; the owner's export fence is
-    /// unaffected.
-    pub fn drop_persistent(&mut self, item: ItemId) {
+    /// transient hold — still covers it; no export fence is touched.
+    pub fn drop_persistent(&mut self, item: ItemId, region: Option<&dyn DynRegion>) {
         let slot = self.slot_written(item);
-        let drop = std::mem::replace(&mut slot.persistent, (slot.desc.empty_region)());
-        slot.evict(drop);
-    }
-
-    /// Shrink the persistent-replica coverage of `item` by `region` — the
-    /// serving subsystem's *write invalidation* (and the SLO controller's
-    /// region-precise replica retirement) at a holder. Physical data is
-    /// dropped only where nothing else — owned region or a transient hold
-    /// — still covers it, mirroring [`DataItemManager::drop_persistent`].
-    pub fn drop_persistent_region(&mut self, item: ItemId, region: &dyn DynRegion) {
-        let slot = self.slot_written(item);
-        let drop = slot.persistent.intersect_dyn(region);
-        slot.persistent = slot.persistent.difference_dyn(region);
+        let drop = match region {
+            None => std::mem::replace(&mut slot.persistent, (slot.desc.empty_region)()),
+            Some(region) => {
+                let drop = slot.persistent.intersect_dyn(region);
+                slot.persistent = slot.persistent.difference_dyn(region);
+                drop
+            }
+        };
         slot.evict(drop);
     }
 
@@ -624,7 +620,7 @@ impl DataItemManager {
     /// `region` at the owner — lifts the broadcast write fence for exactly
     /// the invalidated part, leaving other persistent fences and all
     /// transient (per-task) exports intact. The counterpart of
-    /// [`DataItemManager::drop_persistent_region`] on the owner side; the
+    /// [`DataItemManager::drop_persistent`] on the owner side; the
     /// two must be applied together or the fenced-writes invariant breaks.
     ///
     /// Returns the waiters overlapping `region`.
@@ -1248,7 +1244,7 @@ mod tests {
         let bytes = owner.export_persistent(ItemId(0), &r2([0, 0], [2, 2]));
         holder.import_persistent(ItemId(0), &bytes);
         assert!(holder.covers_stable(ItemId(0), &r2([0, 0], [2, 2])));
-        holder.drop_persistent(ItemId(0));
+        holder.drop_persistent(ItemId(0), None);
         assert!(holder.persistent_region(ItemId(0)).is_empty_dyn());
         assert!(!holder.covers(ItemId(0), &r2([0, 0], [2, 2])));
         assert!(holder.covers(ItemId(0), &r2([4, 0], [6, 2])), "owned data survives");
@@ -1272,7 +1268,7 @@ mod tests {
         assert!(holder.covers_stable(ItemId(0), &r2([1, 0], [3, 2])));
         assert!(!holder.covers_stable(ItemId(0), &r2([0, 0], [5, 2])), "neither");
         assert!(both.eq_dyn(holder.read_base(ItemId(0)).as_ref()));
-        holder.drop_persistent(ItemId(0));
+        holder.drop_persistent(ItemId(0), None);
         assert!(!holder.covers_stable(ItemId(0), &both), "replica half gone");
     }
 
@@ -1292,7 +1288,7 @@ mod tests {
         assert!(matches!(res, Err(LockConflict::Exported(b)) if b.item == ItemId(0)));
         // Invalidate just the written half, on both sides.
         owner.release_persistent_exports(ItemId(0), &r2([0, 0], [2, 4]));
-        holder.drop_persistent_region(ItemId(0), &r2([0, 0], [2, 4]));
+        holder.drop_persistent(ItemId(0), Some(&r2([0, 0], [2, 4])));
         // The writer now proceeds; the untouched half stays fenced and
         // stays readable locally at the holder.
         owner

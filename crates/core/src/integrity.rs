@@ -22,8 +22,8 @@
 //!
 //! The mechanism — frame sealing/opening at the transfer sites, shard
 //! verification during recovery, and the scrub tick — lives in
-//! [`crate::runtime`]; the [`DataItemManager`](crate::DataItemManager)
-//! contributes the `peek_bytes`/`drop_persistent` audit primitives.
+//! [`crate::runtime`]; the scrubber's audit, repair and quarantine are
+//! part of the runtime's one home for persistent replicas, `replicas.rs`.
 //!
 //! Like batching, tracing, and resilience, the whole service is
 //! **off by default** (`RtConfig::integrity = None`): a disabled run is
@@ -100,28 +100,16 @@ allscale_des::stat_struct! {
     }
 }
 
-/// Live state of the integrity service, owned by the runtime world.
-pub(crate) struct IntegrityManager {
-    /// The configured policy.
-    pub cfg: IntegrityConfig,
-    /// Divergence strikes per (holder locality, item), accumulated by the
-    /// scrubber and consulted for quarantine decisions.
-    strikes: BTreeMap<(usize, ItemId), u32>,
-}
+/// The scrubber's divergence strikes per (holder locality, item), consulted
+/// for quarantine decisions. Like the scrubber, they survive a recovery.
+#[derive(Default)]
+pub(crate) struct Strikes(BTreeMap<(usize, ItemId), u32>);
 
-impl IntegrityManager {
-    /// A manager with the given policy.
-    pub fn new(cfg: IntegrityConfig) -> Self {
-        IntegrityManager {
-            cfg,
-            strikes: BTreeMap::new(),
-        }
-    }
-
+impl Strikes {
     /// Record one divergence of `item`'s replica at `holder`; returns the
     /// accumulated strike count.
     pub fn strike(&mut self, holder: usize, item: ItemId) -> u32 {
-        let n = self.strikes.entry((holder, item)).or_insert(0);
+        let n = self.0.entry((holder, item)).or_insert(0);
         *n += 1;
         *n
     }
@@ -140,12 +128,12 @@ mod tests {
 
     #[test]
     fn strikes_accumulate_per_holder_and_item() {
-        let mut mgr = IntegrityManager::new(IntegrityConfig::default());
-        assert_eq!(mgr.strike(1, ItemId(0)), 1);
-        assert_eq!(mgr.strike(1, ItemId(0)), 2);
+        let mut strikes = Strikes::default();
+        assert_eq!(strikes.strike(1, ItemId(0)), 1);
+        assert_eq!(strikes.strike(1, ItemId(0)), 2);
         // Distinct holder or item: independent counters.
-        assert_eq!(mgr.strike(2, ItemId(0)), 1);
-        assert_eq!(mgr.strike(1, ItemId(1)), 1);
-        assert_eq!(mgr.strike(1, ItemId(0)), 3);
+        assert_eq!(strikes.strike(2, ItemId(0)), 1);
+        assert_eq!(strikes.strike(1, ItemId(1)), 1);
+        assert_eq!(strikes.strike(1, ItemId(0)), 3);
     }
 }

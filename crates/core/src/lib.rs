@@ -104,7 +104,7 @@ pub use monitor::{LocalityStats, Monitor, RunReport, SchedulerStats, ServeStats}
 pub use policy::{DataAwarePolicy, PolicyEnv, RoundRobinPolicy, SchedulingPolicy, Variant};
 pub use rebalance::{plan_rebalance, split_off_cells, MoveSuggestion};
 pub use resilience::{CheckpointConfig, CkptMode, ResilienceConfig, ResilienceStats};
-pub use runtime::{Locality, RtConfig, RtCtx, Runtime};
+pub use runtime::{ConfigError, Locality, RtConfig, RtCtx, Runtime};
 pub use scheduler::{
     DataAwareScheduler, Scheduler, StealConfig, VictimPolicy, WorkStealingScheduler,
 };

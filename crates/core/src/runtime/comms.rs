@@ -362,29 +362,6 @@ pub(super) fn open_payload<'a>(w: &mut RtWorld, wire: &'a Wire, intact: bool) ->
     }
 }
 
-/// Ship the sealed copy `wire` of (part of) `item` from `owner` to `dst`
-/// and install it there as a persistent replica — which lives until the
-/// end of the run, long enough for at-rest rot to matter. Returns the
-/// arrival time and the payload size, or `None` when the message was lost.
-pub(super) fn ship_persistent(
-    w: &mut RtWorld,
-    now: SimTime,
-    owner: usize,
-    dst: usize,
-    item: ItemId,
-    wire: &Wire,
-    purpose: TransferPurpose,
-) -> Option<(SimTime, usize)> {
-    let tag = Payload::data(purpose, None, item);
-    let d = send_msg(w, now, owner, dst, wire.len(), tag, false)?;
-    let mut data = open_payload(w, wire, d.intact);
-    if let Some(salt) = w.comms.rot_strike(&mut w.monitor.integrity) {
-        frame::corrupt_in_place(data.to_mut(), salt);
-    }
-    w.localities[dst].dim.import_persistent(item, &data);
-    Some((d.at, data.len()))
-}
-
 // ----------------------------------------------------------------- batching
 
 /// A runtime message parked in the coalescer: its semantic tag plus the

@@ -5,10 +5,9 @@ use allscale_des::SimTime;
 use allscale_region::ItemType;
 use allscale_trace::TransferPurpose;
 
-use super::comms::{bill_hops, open_payload, seal_payload, send_msg, ship_persistent, Payload};
+use super::comms::{bill_hops, open_payload, seal_payload, send_msg, Payload};
 use super::directory::{create_item, destroy_item, index_update};
-use super::tasks::wake;
-use super::RtWorld;
+use super::{replicas, RtWorld};
 use crate::dynamic::{DynRegion, ItemDescriptor};
 use crate::slo::ServeSpec;
 use crate::task::ItemId;
@@ -74,7 +73,7 @@ impl RtCtx<'_> {
     ///
     /// Billed as a binomial broadcast on the simulated network.
     pub fn broadcast_replicate(&mut self, item: ItemId, owner: usize, region: &dyn DynRegion) {
-        broadcast_replicate(self.world, self.now, item, owner, region);
+        replicas::broadcast(self.world, self.now, item, owner, region);
     }
 
     /// Register a request-serving phase: the runtime runs it *as* the
@@ -221,31 +220,7 @@ impl RtCtx<'_> {
             }
             // 4. Fenced writes: persistent replicas stay backed by their
             //    exporter's owned data.
-            let mut fences: Option<Box<dyn DynRegion>> = None;
-            for (p, loc) in localities.iter().enumerate() {
-                let fence = loc.dim.persistent_export_region(item);
-                if !fence.is_subset_dyn(loc.dim.owned_region(item)) {
-                    let stray = fence.difference_dyn(loc.dim.owned_region(item));
-                    violations.push(format!(
-                        "item {item:?}: locality {p} exported {stray:?} as a persistent replica but no longer owns it (fenced region migrated or written away)"
-                    ));
-                }
-                fences = Some(match fences {
-                    None => fence,
-                    Some(f) => f.union_dyn(fence.as_ref()),
-                });
-            }
-            if let Some(fences) = fences {
-                for (p, loc) in localities.iter().enumerate() {
-                    let held = loc.dim.persistent_region(item);
-                    if !held.is_subset_dyn(fences.as_ref()) {
-                        let orphan = held.difference_dyn(fences.as_ref());
-                        violations.push(format!(
-                            "item {item:?}: locality {p} holds persistent replica {orphan:?} with no backing export fence"
-                        ));
-                    }
-                }
-            }
+            replicas::fenced_writes(localities, item, &mut violations);
         }
         violations
     }
@@ -283,43 +258,5 @@ impl RtCtx<'_> {
             .iter()
             .map(|l| l.busy_ns)
             .collect()
-    }
-}
-
-/// The (replicate) rule, runtime-initiated: see
-/// [`RtCtx::broadcast_replicate`]. Also what the SLO controller does to
-/// a hot shard.
-pub(super) fn broadcast_replicate(
-    w: &mut RtWorld,
-    now: SimTime,
-    item: ItemId,
-    owner: usize,
-    region: &dyn DynRegion,
-) {
-    let nodes = w.localities.len();
-    let dim = &mut w.localities[owner].dim;
-    let region = region.intersect_dyn(dim.owned_region(item));
-    let bytes = dim.export_persistent(item, region.as_ref());
-    let wire = seal_payload(w, bytes);
-    let mut t = now;
-    for dst in (0..nodes).filter(|&dst| dst != owner) {
-        // A locality the broadcast cannot reach simply misses out on
-        // the replica (it re-fetches on demand if it ever revives —
-        // under fail-stop it never does).
-        if let Some((arrival, _)) =
-            ship_persistent(w, t, owner, dst, item, &wire, TransferPurpose::Broadcast)
-        {
-            t = arrival;
-            w.monitor.per_locality[dst].replicas_in += 1;
-        }
-    }
-    // An item-wide event for anyone waiting on `item`: a reader
-    // waiting at a remote source may now be covered by its *own*
-    // locality's new replica, and a serving writer waiting behind
-    // anything must meet the new export fence at its next retry so it
-    // invalidates it (`unfence_writes`). Wake them all.
-    for p in 0..nodes {
-        let woken = w.localities[p].dim.wake_item(item);
-        wake(w, woken);
     }
 }

@@ -17,7 +17,7 @@ use allscale_net::coalesce::Entry;
 
 use super::comms::{self, PendingMsg};
 use super::exec::{self, FetchLeg};
-use super::{phases, recovery, sched, scrub, serving, tasks, RtSim, RtWorld};
+use super::{phases, recovery, replicas, sched, serving, tasks, RtSim, RtWorld};
 use crate::task::{ItemId, TaskId, TaskValue, WorkItem};
 
 /// A task's place under its parent: the parent's id and the child's index.
@@ -124,7 +124,7 @@ impl RtEvent {
             ServeArrival => serving::serve_arrival(sim),
             SloTick => serving::slo_tick(sim),
             HeartbeatTick => recovery::heartbeat_tick(sim),
-            ScrubTick => scrub::scrub_tick(sim),
+            ScrubTick => replicas::scrub_tick(sim),
             SplitForward {
                 target,
                 tid,

@@ -40,10 +40,12 @@ mod events;
 mod exec;
 mod phases;
 mod recovery;
+mod replicas;
 mod sched;
-mod scrub;
 mod serving;
 mod tasks;
+
+use std::fmt;
 
 use allscale_des::{CorePool, Sim, SimDuration, SimTime};
 use allscale_net::{BatchParams, ClusterSpec, FaultPlan};
@@ -51,7 +53,7 @@ use allscale_trace::{EventKind, TraceConfig, TraceEvent, TraceSink};
 
 use crate::cost::CostModel;
 use crate::dim::DataItemManager;
-use crate::integrity::{IntegrityConfig, IntegrityManager};
+use crate::integrity::{IntegrityConfig, Strikes};
 use crate::monitor::{Monitor, RunReport};
 use crate::policy::{DataAwarePolicy, SchedulingPolicy};
 use crate::resilience::ResilienceConfig;
@@ -97,9 +99,8 @@ pub struct RtConfig {
     pub faults: Option<FaultPlan>,
     /// Enable the resilience manager: periodic checkpoints, the heartbeat
     /// failure detector, and automatic recovery. `None` (the default)
-    /// keeps the runtime fault-oblivious; combined with an injected
-    /// locality death, such a run deadlocks — enable this whenever the
-    /// fault plan kills nodes.
+    /// keeps the runtime fault-oblivious; a fault plan that kills a node
+    /// needs it, and [`RtConfig::validate`] refuses one without it.
     pub resilience: Option<ResilienceConfig>,
     /// Enable the data-integrity service: checksum framing of every
     /// runtime payload with verify-on-receive and bounded re-requests,
@@ -116,7 +117,51 @@ pub struct RtConfig {
     pub trace: Option<TraceConfig>,
 }
 
+/// Why [`RtConfig::validate`] refuses a configuration: an outcome it
+/// would cause is refused up front rather than met as a hang mid-run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ConfigError {
+    /// The fault plan kills this locality but resilience is off: no
+    /// detector notices the death, no recovery replaces it, the run hangs.
+    KillWithoutResilience(usize),
+    /// The fault plan kills this locality, which the cluster does not have.
+    NoSuchVictim(usize),
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::KillWithoutResilience(victim) => write!(
+                f,
+                "the fault plan kills locality {victim} but resilience is off, \
+                 so the run would deadlock"
+            ),
+            ConfigError::NoSuchVictim(victim) => write!(
+                f,
+                "the fault plan kills locality {victim}, which does not exist"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 impl RtConfig {
+    /// Refuse a configuration whose run could only end in a hang: a node
+    /// death the runtime cannot recover from, or one of a node that does
+    /// not exist. [`Runtime::new`] panics with the error.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        for (victim, _) in self.faults.iter().flat_map(FaultPlan::deaths) {
+            if victim >= self.spec.nodes {
+                return Err(ConfigError::NoSuchVictim(victim));
+            }
+            if self.resilience.is_none() {
+                return Err(ConfigError::KillWithoutResilience(victim));
+            }
+        }
+        Ok(())
+    }
+
     /// Default configuration on a Meggie-like cluster of `nodes` nodes.
     pub fn meggie(nodes: usize) -> Self {
         Self::on(ClusterSpec::meggie(nodes))
@@ -199,8 +244,10 @@ pub struct RtWorld {
     scheduler: sched::Family,
     phases: phases::Phases,
     recovery: recovery::Recovery,
-    /// Integrity-service state (`None` when the service is disabled).
-    integrity: Option<IntegrityManager>,
+    /// The integrity service's policy (`None` when it is disabled).
+    integrity: Option<IntegrityConfig>,
+    /// The replica scrubber's strikes (it survives a recovery).
+    strikes: Strikes,
     serving: serving::Serving,
 }
 
@@ -213,7 +260,14 @@ pub struct Runtime {
 
 impl Runtime {
     /// Build a runtime over the given configuration.
+    ///
+    /// # Panics
+    /// Panics with the [`ConfigError`] when [`RtConfig::validate`]
+    /// refuses `config`.
     pub fn new(config: RtConfig) -> Self {
+        if let Err(refused) = config.validate() {
+            panic!("{refused}");
+        }
         let nodes = config.spec.nodes;
         let trace = match &config.trace {
             Some(cfg) => TraceSink::enabled(nodes, cfg),
@@ -255,7 +309,8 @@ impl Runtime {
             scheduler,
             phases: phases::Phases::default(),
             recovery: recovery::Recovery::new(config.resilience, nodes),
-            integrity: config.integrity.map(IntegrityManager::new),
+            integrity: config.integrity,
+            strikes: Strikes::default(),
             serving: serving::Serving::default(),
         };
         Runtime {
@@ -285,8 +340,7 @@ impl Runtime {
         if let Some(period) = sim.world.recovery.heartbeat_period() {
             events::schedule(sim, start + period, RtEvent::HeartbeatTick);
         }
-        let integrity = sim.world.integrity.as_ref();
-        if let Some(period) = integrity.and_then(|m| m.cfg.scrub_period) {
+        if let Some(period) = sim.world.integrity.and_then(|c| c.scrub_period) {
             events::schedule(sim, start + period, RtEvent::ScrubTick);
         }
         self.sim.run();
@@ -349,4 +403,36 @@ fn trace_core_span(
             .on_core(core)
             .in_epoch(epoch)
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn killing(victim: usize, resilient: bool) -> RtConfig {
+        let mut plan = FaultPlan::new(1);
+        plan.kill_at(victim, SimTime::from_nanos(1_000));
+        let mut cfg = RtConfig::test(4, 1);
+        cfg.faults = Some(plan);
+        cfg.resilience = resilient.then(ResilienceConfig::default);
+        cfg
+    }
+
+    #[test]
+    fn validate_accepts_a_resilient_kill() {
+        assert_eq!(killing(3, true).validate(), Ok(()));
+        assert_eq!(RtConfig::test(4, 1).validate(), Ok(()));
+    }
+
+    #[test]
+    #[should_panic(expected = "the fault plan kills locality 2 but resilience is off")]
+    fn a_kill_without_resilience_is_refused() {
+        Runtime::new(killing(2, false));
+    }
+
+    #[test]
+    #[should_panic(expected = "the fault plan kills locality 4, which does not exist")]
+    fn a_kill_of_a_node_that_does_not_exist_is_refused() {
+        Runtime::new(killing(4, true));
+    }
 }

@@ -1,21 +1,31 @@
-//! Request serving: the open-loop arrival stream of a serving phase, the
-//! write invalidation that keeps replicated shards coherent, and the SLO
-//! controller that replicates hot shards, sheds reads and retires cold
-//! replica sets.
+//! Request serving behind [`crate::slo`]'s API: the open-loop arrival
+//! stream of a serving phase, write invalidation, and the SLO controller.
+//!
+//! A periodic controller watches per-shard latency histograms. When a
+//! shard's p99 over the last control period exceeds the SLO it
+//! replicates the shard to every locality (reads then run node-locally
+//! at whichever frontend admitted them), and optionally sheds read load
+//! at admission while the shard remains hot. Replicas that stay cold
+//! for several consecutive periods are retired. Writes are never shed;
+//! a write to a replicated shard first invalidates the written region
+//! everywhere so the single-writer discipline of the data-item manager
+//! is preserved.
 
-use std::rc::Rc;
-
-use allscale_des::{LogHistogram, SimTime};
-use allscale_trace::{EventKind, TransferPurpose};
+use allscale_des::{ArrivalGen, LogHistogram, SimTime};
+use allscale_trace::EventKind;
 
 use super::comms::{send_msg, Payload};
 use super::events::{schedule, RtEvent};
-use super::tasks::wake;
-use super::{ctx, phases, sched, trace_instant, trace_span};
+use super::{phases, replicas, sched, trace_instant, trace_span};
 use super::{RtSim, RtWorld};
-use crate::dynamic::DynRegion;
-use crate::slo::{PendingReq, ServeSession, ServeSpec, MIN_WINDOW};
-use crate::task::{AccessMode, ItemId, TaskId};
+use crate::slo::{ServeSpec, SloConfig};
+use crate::task::{AccessMode, Requirement, TaskId};
+use crate::task_map::TaskMap;
+
+/// Minimum completed requests in a shard's window before its p99 is
+/// trusted; smaller windows are too noisy to act on (a single straggler
+/// would trigger a broadcast).
+const MIN_WINDOW: u64 = 16;
 
 #[derive(Default)]
 pub(super) struct Serving {
@@ -50,6 +60,97 @@ impl Serving {
     }
 }
 
+/// Live state of the serving phase.
+struct ServeSession {
+    /// The serving phase the driver registered.
+    spec: ServeSpec,
+    /// Arrival-gap generator of `spec.arrivals`.
+    gen: ArrivalGen,
+    /// Next request sequence number.
+    next_req: u64,
+    /// Virtual time the phase started.
+    started: SimTime,
+    /// In-flight request roots, keyed by root task id.
+    roots: TaskMap<PendingReq>,
+    /// Whether all arrivals have been injected.
+    arrivals_done: bool,
+    /// The controller's books, indexed like `spec.shard_regions`.
+    shards: Vec<Shard>,
+}
+
+/// A request admitted but not yet completed (its root task is in
+/// flight).
+struct PendingReq {
+    /// Request sequence number.
+    req: u64,
+    /// Target shard.
+    shard: usize,
+    /// Write request?
+    write: bool,
+    /// Virtual arrival time (latency is measured from here).
+    arrival: SimTime,
+    /// The locality that admitted it (span attribution).
+    frontend: usize,
+}
+
+/// The controller's books on one shard.
+#[derive(Clone, Default)]
+struct Shard {
+    /// Latency window of the current control period.
+    window: LogHistogram,
+    /// What the controller decided at its last tick.
+    state: ShardState,
+}
+
+/// The controller state of one shard between ticks.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct ShardState {
+    /// Replicated everywhere.
+    replicated: bool,
+    /// Replicated, but a write invalidated part of the replicas since the
+    /// last broadcast (re-replicated if still hot).
+    eroded: bool,
+    /// Read load is shed at admission.
+    shedding: bool,
+    /// Consecutive cold periods while replicated.
+    cold_streak: u32,
+}
+
+/// What the controller does to a shard at a tick.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Act {
+    /// Nothing beyond the state change.
+    Keep,
+    /// Broadcast the shard: hot and not (or no longer fully) replicated.
+    Replicate,
+    /// Retire the shard's replica set: cold for `cold_periods` periods.
+    Retire,
+}
+
+/// The controller's verdict on a shard at a tick: whether it ran hot, what
+/// to do to it, and its state after.
+type Verdict = (bool, Act, ShardState);
+
+/// The controller rule for one shard at a tick, from the period's window
+/// (`count` completions, their `p99`), the shard's state and the policy.
+fn decide(count: u64, p99: u64, mut s: ShardState, slo: &SloConfig) -> Verdict {
+    let hot = count >= MIN_WINDOW && p99 > slo.p99_slo_ns;
+    s.shedding = hot && slo.shed_overload;
+    if hot && slo.replicate_hot && (!s.replicated || s.eroded) {
+        (s.replicated, s.eroded, s.cold_streak) = (true, false, 0);
+        return (hot, Act::Replicate, s);
+    }
+    if s.replicated {
+        let cold = count <= slo.cold_window;
+        s.cold_streak = if cold { s.cold_streak + 1 } else { 0 };
+        if slo.retire_cold && s.cold_streak >= slo.cold_periods {
+            (s.replicated, s.eroded, s.cold_streak) = (false, false, 0);
+            return (hot, Act::Retire, s);
+        }
+    }
+    (hot, Act::Keep, s)
+}
+
 /// Begin the serving phase registered by the driver: install the session
 /// and schedule the first open-loop arrival and the first controller
 /// tick. Both chains are epoch-guarded, so a recovery mid-phase disarms
@@ -57,7 +158,17 @@ impl Serving {
 pub(super) fn start(sim: &mut RtSim, spec: ServeSpec) {
     let now = sim.now();
     let shards = spec.shard_regions.len();
-    let mut session = ServeSession::new(spec, now);
+    assert!(shards > 0, "a serving phase needs at least one shard");
+    assert!(spec.max_requests > 0, "a serving phase needs requests");
+    let mut session = ServeSession {
+        gen: ArrivalGen::new(spec.arrivals.clone()),
+        spec,
+        next_req: 0,
+        started: now,
+        roots: TaskMap::default(),
+        arrivals_done: false,
+        shards: vec![Shard::default(); shards],
+    };
     // Replays accumulate into the same per-shard histograms (like
     // `tasks_reexecuted`); only (re)size them on shard-count change.
     if sim.world.monitor.serve.per_shard.len() != shards {
@@ -115,7 +226,8 @@ pub(super) fn serve_arrival(sim: &mut RtSim) {
             write: request.write,
         },
     );
-    if !request.write && session.spec.slo.shed_overload && session.shedding[shard] {
+    let state = session.shards[shard].state;
+    if !request.write && state.shedding {
         // Load shedding applies to reads only — a shed write would be a
         // lost acknowledged update.
         sim.world.monitor.serve.shed += 1;
@@ -129,21 +241,13 @@ pub(super) fn serve_arrival(sim: &mut RtSim) {
             },
         );
     } else {
-        if request.write && session.replicated[shard] {
+        if request.write && state.replicated {
             // A write to a replicated shard first invalidates the
             // written region everywhere, lifting the broadcast's write
             // fences region-precisely; untouched replicas keep serving
             // reads.
-            let mut any = false;
-            for r in request.work.requirements() {
-                if r.mode == AccessMode::Write {
-                    any |= invalidate_persistent(&mut sim.world, now, r.item, r.region.as_ref());
-                }
-            }
-            if any {
-                sim.world.monitor.serve.invalidations += 1;
-                session.eroded[shard] = true;
-            }
+            let reqs = request.work.requirements();
+            invalidate_writes(&mut sim.world, now, &mut session, &reqs);
         }
         sim.world.monitor.serve.admitted += 1;
         let tid = sched::assign_task(sim, frontend, request.work, None);
@@ -175,44 +279,31 @@ pub(super) fn serve_arrival(sim: &mut RtSim) {
     }
 }
 
-/// Release the persistent export fences overlapping `region` of `item`
-/// at every live exporter and drop the matching persistent replicas at
-/// every live holder, each notified by a billed control message (the
-/// invalidation fan-out). Returns whether any replica state was touched.
-/// Like driver-initiated migration, the bookkeeping is synchronous and
-/// the messages only bill the traffic.
-fn invalidate_persistent(
+/// Invalidate the replicas under the served item's write requirements
+/// among `reqs`, and mark every replicated shard they touch eroded — the
+/// one place a shard erodes. Returns whether any replica was touched.
+fn invalidate_writes(
     w: &mut RtWorld,
     now: SimTime,
-    item: ItemId,
-    region: &dyn DynRegion,
+    session: &mut ServeSession,
+    reqs: &[Requirement],
 ) -> bool {
-    let nodes = w.localities.len();
+    let item = session.spec.item;
+    let writes = || {
+        reqs.iter()
+            .filter(move |r| r.item == item && r.mode == AccessMode::Write)
+    };
     let mut any = false;
-    for p in 0..nodes {
-        if w.recovery.dead()[p] {
-            continue;
-        }
-        let fenced = w.localities[p].dim.persistent_export_region(item);
-        if fenced.is_disjoint_dyn(region) {
-            continue;
-        }
-        let overlap = fenced.intersect_dyn(region);
-        any = true;
-        let woken = w.localities[p]
-            .dim
-            .release_persistent_exports(item, overlap.as_ref());
-        wake(w, woken);
-        for q in 0..nodes {
-            if q == p || w.recovery.dead()[q] {
-                continue;
+    for r in writes() {
+        any |= replicas::invalidate(w, now, item, r.region.as_ref());
+    }
+    if any {
+        w.monitor.serve.invalidations += 1;
+        for (shard, region) in session.shards.iter_mut().zip(&session.spec.shard_regions) {
+            let hit = writes().any(|r| !region.is_disjoint_dyn(r.region.as_ref()));
+            if shard.state.replicated && hit {
+                shard.state.eroded = true;
             }
-            w.localities[q]
-                .dim
-                .drop_persistent_region(item, overlap.as_ref());
-            let bytes = w.cost.control_msg_bytes;
-            let tag = Payload::data(TransferPurpose::Control, None, item);
-            let _ = send_msg(w, now, p, q, bytes, tag, false);
         }
     }
     any
@@ -226,29 +317,15 @@ fn invalidate_persistent(
 /// invalidation only lifts fences that already exist. Returns whether
 /// any fence was lifted (the caller then retries lock acquisition).
 pub(super) fn unfence_writes(w: &mut RtWorld, now: SimTime, tid: TaskId) -> bool {
-    let Some(item) = w.serving.session.as_ref().map(|s| s.spec.item) else {
+    let Some(mut session) = w.serving.session.take() else {
         return false;
     };
-    let reqs = &w.tasks.get_mut(tid).reqs;
-    let writes: Vec<Rc<dyn DynRegion>> = reqs
-        .iter()
-        .filter(|r| r.item == item && r.mode == AccessMode::Write)
-        .map(|r| Rc::clone(&r.region))
-        .collect();
-    let mut any = false;
-    for region in &writes {
-        any |= invalidate_persistent(w, now, item, region.as_ref());
-    }
-    if let (true, Some(session)) = (any, w.serving.session.as_mut()) {
-        w.monitor.serve.invalidations += 1;
-        for s in 0..session.spec.shard_regions.len() {
-            let shard = session.spec.shard_regions[s].as_ref();
-            let hit = |r: &dyn DynRegion| !shard.is_disjoint_dyn(r);
-            if session.replicated[s] && writes.iter().any(|r| hit(r.as_ref())) {
-                session.eroded[s] = true;
-            }
-        }
-    }
+    // The requirements leave the inflight record while the invalidation
+    // borrows the world, as in `exec::prepare_task`.
+    let reqs = std::mem::take(&mut w.tasks.get_mut(tid).reqs);
+    let any = invalidate_writes(w, now, &mut session, &reqs);
+    w.tasks.get_mut(tid).reqs = reqs;
+    w.serving.session = Some(session);
     any
 }
 
@@ -265,7 +342,7 @@ pub(super) fn root_done(sim: &mut RtSim, tid: TaskId) -> bool {
         return false;
     };
     let lat = now - p.arrival;
-    session.window[p.shard].record(lat.as_nanos());
+    session.shards[p.shard].window.record(lat.as_nanos());
     let m = &mut sim.world.monitor.serve;
     m.completed += 1;
     m.latency.record(lat.as_nanos());
@@ -288,7 +365,8 @@ pub(super) fn root_done(sim: &mut RtSim, tid: TaskId) -> bool {
 /// End the serving phase once all arrivals are injected and all admitted
 /// trees completed, then hand control back to the phase driver.
 fn maybe_finish(sim: &mut RtSim) {
-    let Some(session) = sim.world.serving.session.take_if(|s| s.finished()) else {
+    let finished = |s: &mut ServeSession| s.arrivals_done && s.roots.is_empty();
+    let Some(session) = sim.world.serving.session.take_if(finished) else {
         return;
     };
     let now = sim.now();
@@ -316,33 +394,21 @@ pub(super) fn slo_tick(sim: &mut RtSim) {
         }
     }
     let (spec, slo) = (&session.spec, &session.spec.slo);
-    for s in 0..spec.shard_regions.len() {
-        let count = session.window[s].tally().count();
-        let p99 = session.window[s].p99();
-        let hot = count >= MIN_WINDOW && p99 > slo.p99_slo_ns;
+    for (s, shard) in session.shards.iter_mut().enumerate() {
+        let p99 = shard.window.p99();
+        let (hot, act, state) = decide(shard.window.tally().count(), p99, shard.state, slo);
         if hot {
             w.monitor.serve.slo_violations += 1;
         }
-        session.shedding[s] = hot && slo.shed_overload;
-        if hot && slo.replicate_hot && (!session.replicated[s] || session.eroded[s]) {
-            replicate_shard(w, now, spec, s, p99);
-            session.replicated[s] = true;
-            session.eroded[s] = false;
-            session.cold_streak[s] = 0;
-        } else if session.replicated[s] {
-            if count <= slo.cold_window {
-                session.cold_streak[s] += 1;
-            } else {
-                session.cold_streak[s] = 0;
-            }
-            if slo.retire_cold && session.cold_streak[s] >= slo.cold_periods {
-                retire_shard(w, now, spec, s);
-                session.replicated[s] = false;
-                session.eroded[s] = false;
-                session.cold_streak[s] = 0;
-            }
+        match act {
+            Act::Keep => {}
+            Act::Replicate => replicate_shard(w, now, spec, s, p99),
+            Act::Retire => retire_shard(w, now, spec, s),
         }
-        session.window[s] = LogHistogram::new();
+        *shard = Shard {
+            window: LogHistogram::new(),
+            state,
+        };
     }
     let period = slo.control_period;
     w.serving.session = Some(session);
@@ -364,7 +430,7 @@ fn replicate_shard(w: &mut RtWorld, now: SimTime, spec: &ServeSpec, s: usize, p9
     let Some(owner) = owner else {
         return;
     };
-    ctx::broadcast_replicate(w, now, item, owner, region);
+    replicas::broadcast(w, now, item, owner, region);
     w.monitor.serve.replications += 1;
     trace_instant(
         w,
@@ -380,8 +446,59 @@ fn replicate_shard(w: &mut RtWorld, now: SimTime, spec: &ServeSpec, s: usize, p9
 /// Retire a cold shard's replica set: the broadcast's write fences lift
 /// and every holder drops its replica, freeing writers and memory.
 fn retire_shard(w: &mut RtWorld, now: SimTime, spec: &ServeSpec, s: usize) {
-    invalidate_persistent(w, now, spec.item, spec.shard_regions[s].as_ref());
+    replicas::invalidate(w, now, spec.item, spec.shard_regions[s].as_ref());
     w.monitor.serve.retirements += 1;
     let host = w.recovery.detector_host();
     trace_instant(w, now, host, EventKind::SloRetire { shard: s as u32 });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn controller_rule_table() {
+        let slo = SloConfig::default();
+        let shed = SloConfig {
+            shed_overload: true,
+            ..SloConfig::default()
+        };
+        let keep_cold = SloConfig {
+            retire_cold: false,
+            ..SloConfig::default()
+        };
+        let observe = SloConfig::default().observe_only();
+        let over = slo.p99_slo_ns + 1;
+        let st = |replicated, eroded, shedding, cold_streak| ShardState {
+            replicated,
+            eroded,
+            shedding,
+            cold_streak,
+        };
+        let idle = ShardState::default();
+        let replicated = st(true, false, false, 0);
+        let cold = slo.cold_window;
+        let last = slo.cold_periods - 1;
+        use Act::{Keep, Replicate, Retire};
+        #[rustfmt::skip]
+        let rows: [(&str, u64, u64, ShardState, &SloConfig, Verdict); 14] = [
+            ("below MIN_WINDOW is never hot", MIN_WINDOW - 1, u64::MAX, idle, &shed, (false, Keep, idle)),
+            ("a p99 at the objective is not hot", MIN_WINDOW, slo.p99_slo_ns, idle, &slo, (false, Keep, idle)),
+            ("hot, shedding off", MIN_WINDOW, over, idle, &slo, (true, Replicate, replicated)),
+            ("hot, shedding on", MIN_WINDOW, over, idle, &shed, (true, Replicate, st(true, false, true, 0))),
+            ("shedding stops once cool", MIN_WINDOW, 0, st(false, false, true, 0), &shed, (false, Keep, idle)),
+            ("hot and replicated: nothing to do", MIN_WINDOW, over, st(true, false, false, 2), &slo, (true, Keep, replicated)),
+            ("hot and eroded: re-replicate", MIN_WINDOW, over, st(true, true, false, 0), &slo, (true, Replicate, replicated)),
+            ("eroded but cool: kept eroded", cold + 1, 0, st(true, true, false, 0), &slo, (false, Keep, st(true, true, false, 0))),
+            ("a cold period grows the streak", cold, 0, st(true, false, false, 1), &slo, (false, Keep, st(true, false, false, 2))),
+            ("a warm period resets it", cold + 1, 0, st(true, false, false, 3), &slo, (false, Keep, replicated)),
+            ("cold_periods cold periods retire", 0, 0, st(true, true, false, last), &slo, (false, Retire, idle)),
+            ("no retiring with retire_cold off", 0, 0, st(true, false, false, last), &keep_cold, (false, Keep, st(true, false, false, last + 1))),
+            ("observe_only: hot is counted, not acted on", MIN_WINDOW, over, idle, &observe, (true, Keep, idle)),
+            ("observe_only: a cold streak retires nothing", 0, 0, st(true, false, false, last), &observe, (false, Keep, st(true, false, false, last + 1))),
+        ];
+        for (name, count, p99, state, slo, want) in rows {
+            assert_eq!(decide(count, p99, state, slo), want, "{name}");
+        }
+    }
 }

@@ -11,28 +11,14 @@
 //! Requests arrive whether or not earlier ones finished, which is what
 //! makes saturation observable: once offered load exceeds capacity,
 //! queues grow and tail latency diverges instead of the arrival rate
-//! politely slowing down.
-//!
-//! A periodic controller watches per-shard latency histograms. When a
-//! shard's p99 over the last control period exceeds the SLO it
-//! replicates the shard to every locality (reads then run node-locally
-//! at whichever frontend admitted them), and optionally sheds read load
-//! at admission while the shard remains hot. Replicas that stay cold
-//! for several consecutive periods are retired. Writes are never shed;
-//! a write to a replicated shard first invalidates the written region
-//! everywhere so the single-writer discipline of the data-item manager
-//! is preserved.
+//! politely slowing down. A periodic controller replicates shards whose
+//! p99 violates the objective, optionally sheds their reads, and retires
+//! replica sets that stay cold ([`SloConfig`]).
 
-use allscale_des::{ArrivalGen, ArrivalProcess, LogHistogram, SimDuration, SimTime};
+use allscale_des::{ArrivalProcess, SimDuration};
 
 use crate::dynamic::DynRegion;
 use crate::task::{ItemId, WorkItem};
-use crate::task_map::TaskMap;
-
-/// Minimum completed requests in a shard's window before its p99 is
-/// trusted; smaller windows are too noisy to act on (a single straggler
-/// would trigger a broadcast).
-pub(crate) const MIN_WINDOW: u64 = 16;
 
 /// The service-level objective and controller policy of a serving phase.
 #[derive(Debug, Clone)]
@@ -116,75 +102,6 @@ pub struct ServeSpec {
     /// deterministic function of `req` and its own seeded state, so a
     /// replayed serving phase regenerates the identical request stream.
     pub factory: Box<dyn FnMut(u64) -> Request>,
-}
-
-/// A request admitted but not yet completed (its root task is in
-/// flight).
-pub(crate) struct PendingReq {
-    /// Request sequence number.
-    pub req: u64,
-    /// Target shard.
-    pub shard: usize,
-    /// Write request?
-    pub write: bool,
-    /// Virtual arrival time (latency is measured from here).
-    pub arrival: SimTime,
-    /// The locality that admitted it (span attribution).
-    pub frontend: usize,
-}
-
-/// Live state of the serving phase inside the runtime world.
-pub(crate) struct ServeSession {
-    /// The serving phase the driver registered.
-    pub spec: ServeSpec,
-    /// Arrival-gap generator of `spec.arrivals`.
-    pub gen: ArrivalGen,
-    /// Next request sequence number.
-    pub next_req: u64,
-    /// Virtual time the phase started.
-    pub started: SimTime,
-    /// In-flight request roots, keyed by root task id.
-    pub roots: TaskMap<PendingReq>,
-    /// Whether all arrivals have been injected.
-    pub arrivals_done: bool,
-    /// Per-shard latency window of the current control period.
-    pub window: Vec<LogHistogram>,
-    /// Which shards are currently replicated everywhere.
-    pub replicated: Vec<bool>,
-    /// Replicated shards whose replicas were partially invalidated by a
-    /// write since the last broadcast (re-replicated if still hot).
-    pub eroded: Vec<bool>,
-    /// Which shards currently shed read load at admission.
-    pub shedding: Vec<bool>,
-    /// Consecutive cold periods per replicated shard.
-    pub cold_streak: Vec<u32>,
-}
-
-impl ServeSession {
-    /// Build the session for `spec`, starting at virtual time `now`.
-    pub(crate) fn new(spec: ServeSpec, now: SimTime) -> Self {
-        let shards = spec.shard_regions.len();
-        assert!(shards > 0, "a serving phase needs at least one shard");
-        assert!(spec.max_requests > 0, "a serving phase needs requests");
-        ServeSession {
-            gen: ArrivalGen::new(spec.arrivals.clone()),
-            spec,
-            next_req: 0,
-            started: now,
-            roots: TaskMap::default(),
-            arrivals_done: false,
-            window: vec![LogHistogram::new(); shards],
-            replicated: vec![false; shards],
-            eroded: vec![false; shards],
-            shedding: vec![false; shards],
-            cold_streak: vec![0; shards],
-        }
-    }
-
-    /// All arrivals injected and all admitted trees completed?
-    pub(crate) fn finished(&self) -> bool {
-        self.arrivals_done && self.roots.is_empty()
-    }
 }
 
 #[cfg(test)]

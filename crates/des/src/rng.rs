@@ -4,7 +4,8 @@
 //! randomness: the network fault arms, the work-stealing victim draw,
 //! the serving workload's key sampler, and the randomized conformance
 //! harnesses. Historically each site carried its own copy of the same
-//! xorshift64 kernel; this module is the single home for all of them.
+//! xorshift64 kernel (and the apps their own splitmix64 key hash); this
+//! module is the single home for all of them.
 //!
 //! Stream compatibility is a hard contract: every constructor and step
 //! function here reproduces, bit for bit, the sequences the inlined
@@ -23,6 +24,27 @@ pub const MIX_CORRUPT: u64 = 0xbf58_476d_1ce4_e5b9;
 pub const MIX_ROT: u64 = 0x94d0_49bb_1331_11eb;
 /// The xorshift64\* output multiplier (Vigna's `M32` constant).
 pub const STAR_MUL: u64 = 0x2545_f491_4f6c_dd1d;
+
+/// splitmix64 of `x`: a stateless, full-avalanche hash of a key, for
+/// inputs that must be a function of *which* value is drawn rather than
+/// of generator state (the iPiC3D particles, the TPC point cloud), so
+/// every version of an application draws the same values in any order.
+/// Over `k · MIX_GOLDEN` (wrapping) for `k = 0, 1, …` it is Vigna's
+/// SplitMix64 stream seeded with 0; its other two constants are the ones
+/// [`MIX_CORRUPT`] and [`MIX_ROT`] borrow.
+#[inline]
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(MIX_GOLDEN);
+    x = (x ^ (x >> 30)).wrapping_mul(MIX_CORRUPT);
+    x = (x ^ (x >> 27)).wrapping_mul(MIX_ROT);
+    x ^ (x >> 31)
+}
+
+/// A uniform `f64` in `[0, 1)` keyed by `key`: [`u01`] of [`splitmix64`].
+#[inline]
+pub fn unit(key: u64) -> f64 {
+    u01(splitmix64(key))
+}
 
 /// Plain xorshift64: the raw 13/7/17 shift kernel with a golden-mixed,
 /// never-zero seed. This is the generator of the work-stealing `Random`
@@ -241,6 +263,28 @@ mod tests {
         let first = b.next();
         let mut legacy = 0x5eed_0bad_cafeu64.wrapping_mul(MIX_GOLDEN) | 1;
         assert_eq!(first, legacy_step(&mut legacy).wrapping_mul(STAR_MUL));
+    }
+
+    #[test]
+    fn pin_splitmix64_to_the_reference_stream() {
+        // SplitMix64 seeded with 0: the published first outputs.
+        let first: Vec<u64> = (0..3u64)
+            .map(|k| splitmix64(k.wrapping_mul(MIX_GOLDEN)))
+            .collect();
+        assert_eq!(
+            first,
+            [
+                0xe220_a839_7b1d_cdaf,
+                0x6e78_9e6a_a1b9_65f4,
+                0x06c4_5d18_8009_454f
+            ]
+        );
+        assert_eq!(splitmix64(1), 0x910a_2dec_8902_5cc1);
+        // `unit` is the top 53 bits of the hash, exactly.
+        assert_eq!(
+            unit(1),
+            (0x910a_2dec_8902_5cc1u64 >> 11) as f64 / (1u64 << 53) as f64
+        );
     }
 
     #[test]

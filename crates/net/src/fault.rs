@@ -166,6 +166,11 @@ impl FaultPlan {
         self.deaths.get(&node).copied()
     }
 
+    /// Every configured death as `(node, time)`, ascending by node.
+    pub fn deaths(&self) -> impl Iterator<Item = (usize, SimTime)> + '_ {
+        self.deaths.iter().map(|(&node, &at)| (node, at))
+    }
+
     /// Whether `node` is dead at simulated time `now`.
     pub fn is_dead(&self, node: usize, now: SimTime) -> bool {
         matches!(self.deaths.get(&node), Some(&t) if now >= t)
@@ -293,6 +298,7 @@ mod tests {
         );
         assert_eq!(plan.death_time(2), Some(t(500)));
         assert_eq!(plan.death_time(0), None);
+        assert_eq!(plan.deaths().collect::<Vec<_>>(), [(2, t(500))]);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 
 use proptest::prelude::*;
 
+use allscale_des::rng::splitmix64;
 use allscale_net::wire;
 use allscale_region::{
     BitmaskTreeRegion, Fragment, PathRegion, TreeFragment, TreePath, TreeRegion,
@@ -344,7 +345,7 @@ impl<R: Scheme> Pair<R> {
             let want = self.old.get(p);
             assert_eq!(self.new.get(p), want, "get {p:?}");
             // Again through the view rooted at some ancestor.
-            let pick = splitmix(self.seed ^ (self.stamp as u64) << 32 ^ i as u64);
+            let pick = splitmix64(self.seed ^ (self.stamp as u64) << 32 ^ i as u64);
             let up = pick % (p.depth() as u64 + 1);
             let mut root = *p;
             for _ in 0..up {
@@ -363,13 +364,6 @@ impl<R: Scheme> Pair<R> {
             "wire bytes"
         );
     }
-}
-
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 fn run_program<R: Scheme>(ops: &[Op], seed: u64) {
