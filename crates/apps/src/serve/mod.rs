@@ -472,10 +472,10 @@ mod tests {
     }
 
     #[test]
-    fn same_seed_is_bit_identical() {
-        let cfg = ServeAppConfig::small();
-        let a = run_with(&cfg, RtConfig::test(4, 2)).report.to_json();
-        let b = run_with(&cfg, RtConfig::test(4, 2)).report.to_json();
-        assert_eq!(a, b);
+    #[should_panic(expected = "an SLO control period of 0 stops time")]
+    fn a_zero_control_period_is_refused() {
+        let mut cfg = ServeAppConfig::small();
+        cfg.slo.control_period = SimDuration::ZERO;
+        run_with(&cfg, RtConfig::test(4, 2));
     }
 }

@@ -83,6 +83,11 @@ impl Comms {
         self.batching.is_some()
     }
 
+    /// Whether a fault plan is installed.
+    pub(super) fn faulty(&self) -> bool {
+        self.net.faults().is_some()
+    }
+
     /// Fail-stop ground truth: whether the fault plan has killed `p` by
     /// `now` (the detector may not know yet).
     pub(super) fn is_down(&self, p: usize, now: SimTime) -> bool {

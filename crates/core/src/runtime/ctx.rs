@@ -1,7 +1,7 @@
 //! [`RtCtx`]: what an application driver may do to the runtime between
 //! phases — create and destroy items, broadcast, migrate, inspect.
 
-use allscale_des::SimTime;
+use allscale_des::{SimDuration, SimTime};
 use allscale_region::ItemType;
 use allscale_trace::TransferPurpose;
 
@@ -90,8 +90,11 @@ impl RtCtx<'_> {
     /// restored boundary replays the exact request stream.
     ///
     /// # Panics
-    /// Panics if a serving phase is already registered.
+    /// Panics if a serving phase is already registered, or if the SLO
+    /// control period is 0 (each tick would re-arm at the same instant).
     pub fn serve(&mut self, spec: ServeSpec) {
+        let period = spec.slo.control_period;
+        assert!(period > SimDuration::ZERO, "an SLO control period of 0 stops time");
         self.world.serving.register(spec);
     }
 

@@ -126,6 +126,16 @@ pub enum ConfigError {
     KillWithoutResilience(usize),
     /// The fault plan kills this locality, which the cluster does not have.
     NoSuchVictim(usize),
+    /// The cluster has no nodes.
+    NoNodes,
+    /// The cluster's nodes have no cores: no task can ever run.
+    NoCores,
+    /// `ResilienceConfig::heartbeat_period` is 0: each heartbeat round
+    /// re-arms itself at the same instant and virtual time stops.
+    ZeroHeartbeatPeriod,
+    /// `IntegrityConfig::scrub_period` is `Some(0)`: each scrub pass
+    /// re-arms itself at the same instant and virtual time stops.
+    ZeroScrubPeriod,
 }
 
 impl fmt::Display for ConfigError {
@@ -140,6 +150,10 @@ impl fmt::Display for ConfigError {
                 f,
                 "the fault plan kills locality {victim}, which does not exist"
             ),
+            ConfigError::NoNodes => write!(f, "the cluster has no nodes, so nothing can run"),
+            ConfigError::NoCores => write!(f, "no node has a core, so the run would deadlock"),
+            ConfigError::ZeroHeartbeatPeriod => write!(f, "a heartbeat period of 0 stops time"),
+            ConfigError::ZeroScrubPeriod => write!(f, "a scrub period of 0 stops time"),
         }
     }
 }
@@ -147,10 +161,21 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 impl RtConfig {
-    /// Refuse a configuration whose run could only end in a hang: a node
-    /// death the runtime cannot recover from, or one of a node that does
-    /// not exist. [`Runtime::new`] panics with the error.
+    /// Refuse a configuration whose run could only end in a hang: an
+    /// empty machine, a period of 0, a node death the runtime cannot
+    /// recover from, or one of a node that does not exist.
+    /// [`Runtime::new`] panics with the error.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        let zero = Some(SimDuration::ZERO);
+        let empty = [
+            (self.spec.nodes == 0, ConfigError::NoNodes),
+            (self.spec.cores_per_node == 0, ConfigError::NoCores),
+            (self.resilience.map(|r| r.heartbeat_period) == zero, ConfigError::ZeroHeartbeatPeriod),
+            (self.integrity.and_then(|i| i.scrub_period) == zero, ConfigError::ZeroScrubPeriod),
+        ];
+        if let Some((_, refused)) = empty.into_iter().find(|(refused, _)| *refused) {
+            return Err(refused);
+        }
         for (victim, _) in self.faults.iter().flat_map(FaultPlan::deaths) {
             if victim >= self.spec.nodes {
                 return Err(ConfigError::NoSuchVictim(victim));
@@ -352,7 +377,7 @@ impl Runtime {
         // where they are, and nothing else does.
         w.monitor.integrity.wire_detected = traffic.corrupt_detected;
         assert!(w.tasks.is_idle(), "{}", tasks::deadlock_report(w));
-        RunReport {
+        let report = RunReport {
             finish_time: w.phases.finish_time(),
             phases: w.phases.phase(),
             monitor: w.monitor.clone(),
@@ -362,8 +387,69 @@ impl Runtime {
             storage: w.recovery.storage_stats(),
             events,
             trace: w.trace.take(),
+        };
+        // The report's own oracle, like §2.5's at every boundary: every
+        // debug-profile run is checked once here, release builds never.
+        if cfg!(debug_assertions) {
+            let shape = RunShape {
+                faulty: w.comms.faulty(),
+                direct: matches!(w.scheduler, sched::Family::Direct(_)),
+                integrity: w.integrity.is_some(),
+            };
+            let broken = broken_identities(&report, shape);
+            assert!(broken.is_empty(), "run report identities broken: {broken:#?}");
         }
+        report
     }
+}
+
+/// What [`broken_identities`] needs to know of a run's configuration: a
+/// fault plan was installed, the direct family ran, integrity was on.
+struct RunShape {
+    faulty: bool,
+    direct: bool,
+    integrity: bool,
+}
+
+/// The accounting identities of a finished run's report; returns each
+/// one that applies and fails, with its numbers. Always: flush causes sum
+/// to `batches`; `batches ≤ batched_msgs`; `batched_bytes ≤ Σ bytes_sent`;
+/// `handoffs ≤ steal_grants`; the frozen duplicates equal their `traffic`
+/// twins. Under the direct family every scheduler counter is 0; with
+/// integrity on, `corrupt_undetected` is 0. Without a fault plan (a lost
+/// or re-sent message is billed where it was sent, a lost steal leg is
+/// never answered): `Σ msgs_sent + batches == local + remote +
+/// batched_msgs` and `steal_requests + handoffs == steal_grants +
+/// steal_denies`. Without a recovery (a rewound phase re-executes tasks
+/// and re-offers requests its first attempt counted): `Σ tasks_executed`
+/// equals the `task_durations` count and `completed + shed == offered`.
+fn broken_identities(r: &RunReport, shape: RunShape) -> Vec<String> {
+    let (m, t, s, v) = (&r.monitor, &r.traffic, &r.monitor.scheduler, &r.monitor.serve);
+    let (clean, whole) = (!shape.faulty, m.resilience.recoveries == 0);
+    let steals = s.tasks_queued + s.steal_requests + s.steal_grants + s.steal_denies + s.handoffs;
+    let wire = t.local.count() + t.remote_msgs() + t.batched_msgs;
+    #[rustfmt::skip]
+    let table = [
+        ("flush causes sum to batches", true, t.flushes_by_cause.iter().sum(), '=', t.batches),
+        ("a batch holds a message", true, t.batches, '≤', t.batched_msgs),
+        ("batched bytes were sent", true, t.batched_bytes, '≤', m.total_bytes()),
+        ("handoffs are grants", true, s.handoffs, '≤', s.steal_grants),
+        ("remote_msgs copies traffic", true, r.remote_msgs, '=', t.remote_msgs()),
+        ("remote_bytes copies traffic", true, r.remote_bytes, '=', t.remote_bytes()),
+        ("wire_detected copies traffic", true, m.integrity.wire_detected, '=', t.corrupt_detected),
+        ("the direct family queues nothing", shape.direct, steals, '=', 0),
+        ("integrity consumes no poison", shape.integrity, t.corrupt_undetected, '=', 0),
+        ("logical sends", clean, m.total_msgs() + t.batches, '=', wire),
+        ("every steal request is answered once", clean, s.steal_requests + s.handoffs, '=', s.steal_grants + s.steal_denies),
+        ("one duration per execution", whole, m.total_tasks(), '=', m.task_durations.tally().count()),
+        ("every request completes or is shed", whole, v.completed + v.shed, '=', v.offered),
+    ];
+    let holds = |lhs: u64, rel: char, rhs: u64| if rel == '≤' { lhs <= rhs } else { lhs == rhs };
+    table
+        .into_iter()
+        .filter(|&(_, applies, lhs, rel, rhs)| applies && !holds(lhs, rel, rhs))
+        .map(|(name, _, lhs, rel, rhs)| format!("{name}: expected {lhs} {rel} {rhs}"))
+        .collect()
 }
 
 // ------------------------------------------------------------------ tracing
@@ -434,5 +520,112 @@ mod tests {
     #[should_panic(expected = "the fault plan kills locality 4, which does not exist")]
     fn a_kill_of_a_node_that_does_not_exist_is_refused() {
         Runtime::new(killing(4, true));
+    }
+
+    #[test]
+    #[should_panic(expected = "the cluster has no nodes, so nothing can run")]
+    fn an_empty_cluster_is_refused() {
+        Runtime::new(RtConfig::test(0, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "no node has a core, so the run would deadlock")]
+    fn nodes_without_cores_are_refused() {
+        Runtime::new(RtConfig::test(4, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "a heartbeat period of 0 stops time")]
+    fn a_zero_heartbeat_period_is_refused() {
+        let mut cfg = RtConfig::test(4, 1);
+        cfg.resilience = Some(ResilienceConfig {
+            heartbeat_period: SimDuration::ZERO,
+            ..ResilienceConfig::default()
+        });
+        Runtime::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "a scrub period of 0 stops time")]
+    fn a_zero_scrub_period_is_refused() {
+        Runtime::new(RtConfig::test(4, 1).with_integrity(IntegrityConfig {
+            scrub_period: Some(SimDuration::ZERO),
+            ..IntegrityConfig::default()
+        }));
+    }
+
+    /// A report that keeps every identity: 2 of 3 logical sends left the
+    /// node, alone or in the one batch, and the 3 executions recorded 3
+    /// durations.
+    fn consistent() -> RunReport {
+        let mut r = RunReport {
+            monitor: Monitor::new(2),
+            ..RunReport::default()
+        };
+        r.monitor.per_locality[0].msgs_sent = 3;
+        r.monitor.per_locality[0].bytes_sent = 300;
+        r.monitor.per_locality[1].tasks_executed = 3;
+        for ns in [10, 20, 30] {
+            r.monitor.task_durations.record(ns);
+        }
+        r.traffic.local.record(0);
+        r.traffic.remote.record(100);
+        r.traffic.batches = 1;
+        r.traffic.batched_msgs = 2;
+        r.traffic.batched_bytes = 200;
+        r.traffic.flushes_by_cause[0] = 1;
+        r.remote_msgs = 1;
+        r.remote_bytes = 100;
+        r
+    }
+
+    const CLEAN: RunShape = RunShape {
+        faulty: false,
+        direct: false,
+        integrity: false,
+    };
+
+    #[test]
+    fn each_broken_identity_names_itself() {
+        assert_eq!(broken_identities(&consistent(), CLEAN), Vec::<String>::new());
+        let direct = RunShape { direct: true, ..CLEAN };
+        let verified = RunShape { integrity: true, ..CLEAN };
+        type Doctor = fn(&mut RunReport);
+        #[rustfmt::skip]
+        let rows: [(&str, RunShape, Doctor); 13] = [
+            ("flush causes sum to batches", CLEAN, |r| r.traffic.flushes_by_cause[2] = 1),
+            ("a batch holds a message", CLEAN, |r| { r.traffic.batched_msgs = 0; r.monitor.per_locality[0].msgs_sent = 1 }),
+            ("batched bytes were sent", CLEAN, |r| r.traffic.batched_bytes = 301),
+            ("handoffs are grants", CLEAN, |r| { r.monitor.scheduler.handoffs = 1; r.monitor.scheduler.steal_denies = 1 }),
+            ("wire_detected copies traffic", CLEAN, |r| r.monitor.integrity.wire_detected = 1),
+            ("remote_msgs copies traffic", CLEAN, |r| r.remote_msgs = 2),
+            ("remote_bytes copies traffic", CLEAN, |r| r.remote_bytes = 99),
+            ("the direct family queues nothing", direct, |r| r.monitor.scheduler.tasks_queued = 1),
+            ("integrity consumes no poison", verified, |r| r.traffic.corrupt_undetected = 1),
+            ("logical sends", CLEAN, |r| r.monitor.per_locality[1].msgs_sent = 1),
+            ("every steal request is answered once", CLEAN, |r| r.monitor.scheduler.steal_requests = 1),
+            ("one duration per execution", CLEAN, |r| r.monitor.per_locality[0].tasks_executed = 1),
+            ("every request completes or is shed", CLEAN, |r| r.monitor.serve.offered = 1),
+        ];
+        for (name, shape, doctor) in rows {
+            let mut r = consistent();
+            doctor(&mut r);
+            let broken = broken_identities(&r, shape);
+            assert!(
+                broken.len() == 1 && broken[0].starts_with(&format!("{name}: ")),
+                "{name}: {broken:?}"
+            );
+        }
+        // The conditions: a fault plan lifts the two send identities, a
+        // recovery the duration and request counts.
+        let mut r = consistent();
+        r.monitor.per_locality[1].msgs_sent = 1;
+        r.monitor.scheduler.steal_requests = 1;
+        assert!(broken_identities(&r, RunShape { faulty: true, ..CLEAN }).is_empty());
+        let mut r = consistent();
+        r.monitor.per_locality[0].tasks_executed = 1;
+        r.monitor.serve.offered = 1;
+        r.monitor.resilience.recoveries = 1;
+        assert!(broken_identities(&r, CLEAN).is_empty());
     }
 }

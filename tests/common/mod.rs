@@ -8,10 +8,13 @@
 //! the result bit for bit against the program's sequential interpreter
 //! (and the model against the same program) and
 //! [`Scenario::run_killed`] adds the one kill
-//! plan ([`kill_plan`]). The §2.5 invariants are *not* asserted here: a
-//! debug-profile `Runtime::run` checks them itself at every phase
-//! boundary (`runtime/phases.rs::advance_phase`), so a suite only asserts
-//! what it is about.
+//! plan ([`kill_plan`]). Neither the §2.5 invariants nor the report's
+//! accounting identities are asserted here: a debug-profile
+//! `Runtime::run` checks the first at every phase boundary
+//! (`runtime/phases.rs::advance_phase`) and the second once at the end
+//! (`broken_identities` in `runtime/mod.rs`), and `report_golden` is the
+//! one home of determinism and record-only tracing, so a suite only
+//! asserts what it is about.
 
 // Each test binary uses a subset.
 #![allow(dead_code)]

@@ -147,17 +147,6 @@ fn tpc_radius_extremes() {
 // ------------------------------------------------------------ whole-system
 
 #[test]
-fn deterministic_end_to_end() {
-    let cfg = stencil::StencilConfig::small(4);
-    let r1 = stencil::allscale_version::run(&cfg);
-    let r2 = stencil::allscale_version::run(&cfg);
-    assert_eq!(r1.checksum, r2.checksum);
-    assert_eq!(r1.remote_msgs, r2.remote_msgs);
-    assert_eq!(r1.remote_bytes, r2.remote_bytes);
-    assert_eq!(r1.compute_seconds, r2.compute_seconds);
-}
-
-#[test]
 fn remote_traffic_appears_only_with_multiple_nodes() {
     let one = stencil::allscale_version::run(&stencil::StencilConfig::small(1));
     assert_eq!(one.remote_msgs, 0);

@@ -19,7 +19,8 @@ use std::rc::Rc;
 
 mod common;
 
-use allscale_core::FaultPlan;
+use allscale_core::{ConfigError, FaultPlan};
+use allscale_des::SimTime;
 use allscale_model as model;
 use allscale_region::GridFragment;
 use common::{family, Scenario, FAMILY};
@@ -64,11 +65,12 @@ fn migration_preserves_model_invariants() {
 
 /// The conformance matrix: every scheduler × batching × integrity ×
 /// driver-side migrations × {lossy fabric, lossy fabric + a fail-stop
-/// kill with checkpointed recovery}, on a random member. The runtime
-/// checks the Section 2.5 invariants itself at every boundary of every
-/// one of these runs and `Scenario::run` checks each result against the
-/// sequential interpreter, so all that is left to assert here is that the
-/// whole family agrees bit for bit.
+/// kill with checkpointed recovery, a kill without resilience}, on a
+/// random member. The runtime checks the Section 2.5 invariants itself at
+/// every boundary of every one of these runs and its report identities at
+/// the end, and `Scenario::run` checks each result against the sequential
+/// interpreter, so all that is left to assert here is that the whole
+/// family agrees bit for bit and that the unrecoverable cell is refused.
 #[test]
 fn conformance_matrix() {
     matrix(0, family::draw(0));
@@ -91,43 +93,87 @@ fn matrix(seed: u64, program: Rc<model::Program>) {
     let mut reference: Option<Vec<u64>> = None;
     let mut point = seed;
     for sched in FAMILY {
-        for (batching, integrity, migrations) in
-            (0..8).map(|m| (m & 1 != 0, m & 2 != 0, m & 4 != 0))
-        {
+        for services in 0..8 {
             let scenario = Scenario {
                 program: program.clone(),
                 sched,
-                batching,
-                integrity,
-                migrations,
-                ..Scenario::new(seed)
+                ..with_services(Scenario::new(seed), services)
             };
-            // Corruption is survivable only with the integrity
-            // service on; without it the fabric just drops.
-            let lossy = || {
-                let plan = FaultPlan::new(seed ^ 0x1055_7ab1e).with_drop_rate(0.005);
-                if integrity {
-                    plan.with_corruption(0.01)
-                } else {
-                    plan
-                }
-            };
-            let on_lossy_fabric = Scenario {
-                faults: Some(lossy()),
-                ..scenario.clone()
-            };
+            let plan = lossy(&scenario);
             // Victim and kill instant walk with the matrix point.
-            // `run_killed` runs the clean arm and asserts the
-            // recovered result equals it.
             point += 1;
             let (victim, percent) = ((point % 4) as usize, 25 + (point % 6) * 11);
-            for bits in [
-                on_lossy_fabric.run().0,
-                scenario.run_killed(victim, percent, lossy()).0,
-            ] {
-                let want = reference.get_or_insert_with(|| bits.clone());
-                assert_eq!(*want, bits, "{scenario:?} left the family");
-            }
+            let on_lossy_fabric = Scenario {
+                faults: Some(plan.clone()),
+                ..scenario.clone()
+            };
+            agree(&mut reference, &scenario, on_lossy_fabric.run().0);
+            agree(&mut reference, &scenario, scenario.run_killed(victim, percent, plan.clone()).0);
+            // What a configuration cannot finish is refused before it starts.
+            let mut unrecoverable = plan;
+            unrecoverable.kill_at(victim, SimTime::from_nanos(1));
+            let refused = Scenario {
+                faults: Some(unrecoverable),
+                ..scenario
+            };
+            assert_eq!(
+                refused.rt().validate(),
+                Err(ConfigError::KillWithoutResilience(victim))
+            );
+        }
+    }
+}
+
+/// `scenario` with the services of the low three bits of `services`:
+/// batching, integrity, driver-side migrations.
+fn with_services(scenario: Scenario, services: u64) -> Scenario {
+    Scenario {
+        batching: services & 1 != 0,
+        integrity: services & 2 != 0,
+        migrations: services & 4 != 0,
+        ..scenario
+    }
+}
+
+/// The lossy fabric of `scenario`: it drops, and it corrupts as well when
+/// the integrity service is on (without it corruption is not survivable).
+fn lossy(scenario: &Scenario) -> FaultPlan {
+    let plan = FaultPlan::new(scenario.seed ^ 0x1055_7ab1e).with_drop_rate(0.005);
+    if scenario.integrity {
+        plan.with_corruption(0.01)
+    } else {
+        plan
+    }
+}
+
+/// `bits` must equal the first result the family produced.
+fn agree(reference: &mut Option<Vec<u64>>, scenario: &Scenario, bits: Vec<u64>) {
+    let want = reference.get_or_insert_with(|| bits.clone());
+    assert_eq!(*want, bits, "{scenario:?} left the family");
+}
+
+/// The program family at its stated scale: 1 000 `family::draw` seeds ×
+/// the four schedulers × {clean, lossy, lossy + kill}, 12 000 runs (the
+/// clean one is `run_killed`'s own arm), the seed's bits choosing the
+/// services. Every run is checked like the matrix's. ≈ 40 s in the dev
+/// profile, so CI runs it in a step of its own.
+#[test]
+#[ignore = "slow: 12 000 runs; CI's tier-1 job runs it under the dev profile"]
+fn family_soak() {
+    for seed in 0..1_000u64 {
+        let mut reference = None;
+        for sched in FAMILY {
+            let scenario = Scenario {
+                sched,
+                ..with_services(Scenario::new(seed), seed)
+            };
+            let on_lossy_fabric = Scenario {
+                faults: Some(lossy(&scenario)),
+                ..scenario.clone()
+            };
+            let (victim, percent) = ((seed % 4) as usize, 25 + (seed % 6) * 11);
+            agree(&mut reference, &scenario, on_lossy_fabric.run().0);
+            agree(&mut reference, &scenario, scenario.run_killed(victim, percent, lossy(&scenario)).0);
         }
     }
 }

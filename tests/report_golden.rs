@@ -1,12 +1,17 @@
-//! Cross-commit golden digests of small end-to-end runs.
+//! Cross-commit golden digests of small end-to-end runs, and the one home
+//! of "same configuration, same bytes" and "tracing is record-only".
 //!
-//! The other suites compare a run with its own rerun (`trace_determinism`)
-//! or five large workloads against `hostbench/golden.json`; this one
-//! compares *across commits*: each row pins, as literal constants, the
+//! `hostbench/golden.json` pins five large workloads; this suite pins
+//! small ones *across commits*: each row holds, as literal constants, the
 //! FNV-1a digest of `RunReport::to_json()`, the digests of the run's
 //! Chrome trace and of its critical path, the virtual finish time and the
 //! application's own answer, for a configuration small enough to run in
-//! milliseconds.
+//! milliseconds. A row with a report also runs untraced, and that run's
+//! JSON (which leaves the trace out) must hash to the same `digest`: the
+//! rerun is the determinism check, and the equal digest says recording
+//! perturbed nothing. The pinned `trace` digest fixes the export byte for
+//! byte. The report's accounting identities are the runtime's own check
+//! (`Runtime::run`, debug builds).
 //! Together the rows enter every module of `crates/core/src/runtime/`
 //! and both arms of every fork in it (index kind, batching, integrity,
 //! scheduler family and victim policy, checkpoint mode, restore vs full
@@ -85,6 +90,8 @@ const GOLDEN: &[Row] = &[
     Row { name: "tpc_mpi_small", digest: 0x0101ab0fc8e15add, trace: 0x0000000000000000, cp: 0x0000000000000000, finish_ns: 12728, answer: 0x1b4 },
     Row { name: "ipic3d_mpi_small", digest: 0x76c05f63de1edb3d, trace: 0x0000000000000000, cp: 0x0000000000000000, finish_ns: 22412, answer: 0xf059e857ddcc7f69 },
     Row { name: "scrub_repair_quarantine", digest: 0x61135dcba8081477, trace: 0x24d3effe7e239d95, cp: 0x3c489e0aa3f3138e, finish_ns: 101372, answer: 0x32 },
+    Row { name: "stencil_steal_kill", digest: 0xd9488e090ea8db47, trace: 0x4db6d5df2e14b8ed, cp: 0x6e2b5df51a1a11d6, finish_ns: 3341597, answer: 0x4f1bb0e4cf53112f },
+    Row { name: "serve_steal", digest: 0x60c6034d9ee5724e, trace: 0x623925e5f37f2f5b, cp: 0x27f0ded365a077d1, finish_ns: 20108913, answer: 0x200 },
 ];
 
 /// The `digest` column as it was pinned while a hand-maintained renderer
@@ -176,13 +183,33 @@ fn stencil_cfg() -> StencilConfig {
     }
 }
 
-/// Run the stencil on `rt`, check its row, and hand the report back for
-/// the caller's own assertions on what the run entered.
-fn check_stencil(name: &'static str, rt: RtConfig) -> RunReport {
-    let (res, mut report) = stencil::run_with_report(&stencil_cfg(), traced(rt));
-    assert!(res.validated, "{name}: the stencil must match its oracle");
-    check(report_row(name, &mut report, res.checksum));
+/// Run `app` traced on `rt()` and untraced: the two reports' JSON (which
+/// leaves the trace out) and answers must be equal — tracing is
+/// record-only, and the run repeats — so the untraced one hashes to the
+/// row's `digest` too; then the row must equal its pin. Hands the traced
+/// report back for the caller's own assertions on what the run entered.
+fn check_run(
+    name: &'static str,
+    rt: impl Fn() -> RtConfig,
+    app: impl Fn(RtConfig) -> (RunReport, u64),
+) -> RunReport {
+    let (mut report, answer) = app(traced(rt()));
+    let (untraced, untraced_answer) = app(rt());
+    assert!(
+        untraced.to_json() == report.to_json() && untraced_answer == answer,
+        "{name}: the untraced run reports differently from the traced one"
+    );
+    check(report_row(name, &mut report, answer));
     report
+}
+
+/// Run the stencil on `rt()`, check its row and its untraced rerun.
+fn check_stencil(name: &'static str, rt: impl Fn() -> RtConfig) -> RunReport {
+    check_run(name, rt, |rt| {
+        let (res, report) = stencil::run_with_report(&stencil_cfg(), rt);
+        assert!(res.validated, "{name}: the stencil must match its oracle");
+        (report, res.checksum)
+    })
 }
 
 /// Resilience with a heartbeat fast enough to notice a kill within one
@@ -219,23 +246,26 @@ fn work_phase(w: Grid<f64, 1>, ns_per_point: f64, pieces: u64) -> Box<dyn WorkIt
     )
 }
 
+fn scrub_rt() -> RtConfig {
+    let mut rt = RtConfig::test(2, 2);
+    rt.faults = Some(FaultPlan::new(7).with_rot(1.0));
+    rt.with_integrity(IntegrityConfig {
+        scrub_period: Some(SimDuration::from_micros(3)),
+        ..IntegrityConfig::default()
+    })
+}
+
 /// A broadcast replica whose holder's storage rots on every write: the
 /// scrubber repairs it until the quarantine threshold evicts it. The
 /// shared grid is first-touched across *both* localities, so the "owner"
 /// found below (the first non-empty one, locality 0) holds only half of
 /// the `full_region()` it is asked to broadcast: that half is what gets
 /// replicated and fenced, the rest stays with locality 1.
-fn scrub_row() -> Row {
+fn scrub_run(rt: RtConfig) -> (RunReport, u64) {
     type Pair = Rc<RefCell<Option<(Grid<f64, 1>, Grid<f64, 1>)>>>;
     let st: Pair = Rc::new(RefCell::new(None));
     let s2 = st.clone();
-    let mut rt = RtConfig::test(2, 2);
-    rt.faults = Some(FaultPlan::new(7).with_rot(1.0));
-    let rt = rt.with_integrity(IntegrityConfig {
-        scrub_period: Some(SimDuration::from_micros(3)),
-        ..IntegrityConfig::default()
-    });
-    let mut report = Runtime::new(traced(rt)).run(
+    let report = Runtime::new(rt).run(
         move |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
             match phase {
                 0 => {
@@ -263,19 +293,23 @@ fn scrub_row() -> Row {
         "scrub: repair and quarantine must both fire ({g:?})"
     );
     let tasks = report.monitor.total_tasks();
-    report_row("scrub_repair_quarantine", &mut report, tasks)
+    (report, tasks)
+}
+
+fn loadbalance_rt() -> RtConfig {
+    let mut rt = RtConfig::test(4, 4);
+    rt.cost.speed_factors = vec![1.0, 0.25, 1.0, 1.0];
+    rt
 }
 
 /// The `loadbalance` example's shape: one slow node, `auto_rebalance`
 /// (hence `migrate_region`) after the second step, then a destroy.
-fn loadbalance_row() -> Row {
+fn loadbalance_run(rt: RtConfig) -> (RunReport, u64) {
     let cell: Rc<RefCell<Option<Grid<f64, 1>>>> = Rc::new(RefCell::new(None));
     let gc = cell.clone();
     let moves = Rc::new(RefCell::new(0usize));
     let mv = moves.clone();
-    let mut rt = RtConfig::test(4, 4);
-    rt.cost.speed_factors = vec![1.0, 0.25, 1.0, 1.0];
-    let mut report = Runtime::new(traced(rt)).run(
+    let report = Runtime::new(rt).run(
         move |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
             if phase == 0 {
                 let grid = Grid::<f64, 1>::create(ctx, "work", [2048]);
@@ -295,15 +329,16 @@ fn loadbalance_row() -> Row {
     );
     let moved = *moves.borrow();
     assert!(moved >= 1, "loadbalance: the planner must migrate something");
-    report_row("loadbalance_auto_rebalance", &mut report, moved as u64)
+    (report, moved as u64)
 }
 
-fn check_serve(name: &'static str, cfg: ServeAppConfig) -> RunReport {
-    let out = serve::run_with(&cfg, traced(RtConfig::test(4, 2)));
-    assert_eq!(out.keys_checked, cfg.keys, "{name}: write oracle");
-    let mut report = out.report;
-    check(report_row(name, &mut report, out.keys_checked));
-    report
+/// Serve `cfg` on `rt()`, check its row and its untraced rerun.
+fn check_serve(name: &'static str, cfg: ServeAppConfig, rt: impl Fn() -> RtConfig) -> RunReport {
+    check_run(name, rt, |rt| {
+        let out = serve::run_with(&cfg, rt);
+        assert_eq!(out.keys_checked, cfg.keys, "{name}: write oracle");
+        (out.report, out.keys_checked)
+    })
 }
 
 /// Kill instants for [`stencil_cfg`], whose clean run on 4×2 takes
@@ -325,29 +360,39 @@ fn check(row: Row) {
 
 #[test]
 fn stencil_default() {
-    check_stencil("stencil_default", RtConfig::test(4, 2));
+    check_stencil("stencil_default", || RtConfig::test(4, 2));
 }
 
 #[test]
 fn stencil_central_index() {
-    let mut rt = RtConfig::test(4, 2);
-    rt.central_index = true;
-    check_stencil("stencil_central_index", rt);
+    check_stencil("stencil_central_index", || {
+        let mut rt = RtConfig::test(4, 2);
+        rt.central_index = true;
+        rt
+    });
 }
 
 #[test]
 fn stencil_batching() {
-    let rt = RtConfig::test(4, 2).with_batching(BatchParams::default());
-    check_stencil("stencil_batching", rt);
+    let r = check_stencil("stencil_batching", || {
+        RtConfig::test(4, 2).with_batching(BatchParams::default())
+    });
+    assert!(r.traffic.batches >= 1, "stencil_batching: nothing batched");
 }
 
-fn stencil_steal(name: &'static str, victim: VictimPolicy) {
-    let cfg = StealConfig {
+/// Work stealing that spills at admission (`queue_threshold: 1`).
+fn eager_stealing(victim: VictimPolicy) -> StealConfig {
+    StealConfig {
         queue_threshold: 1,
         victim,
         ..StealConfig::default()
-    };
-    let r = check_stencil(name, RtConfig::test(4, 2).with_work_stealing(cfg));
+    }
+}
+
+fn stencil_steal(name: &'static str, victim: VictimPolicy) {
+    let r = check_stencil(name, || {
+        RtConfig::test(4, 2).with_work_stealing(eager_stealing(victim))
+    });
     assert!(r.monitor.scheduler.steal_requests >= 1, "{name}: no steal round");
 }
 
@@ -377,14 +422,13 @@ fn stencil_integrity_corrupt_rot_kill() {
         keep: 3,
         ..CheckpointConfig::default()
     };
-    let mut rt = resilient(full_keep3, 1, None);
-    let mut plan = FaultPlan::new(1).with_corruption(0.02).with_rot(0.05);
-    plan.kill_at(2, SimTime::from_nanos(KILL_MID_NS));
-    rt.faults = Some(plan);
-    let r = check_stencil(
-        "stencil_integrity_corrupt_rot_kill",
-        rt.with_integrity(IntegrityConfig::default()),
-    );
+    let r = check_stencil("stencil_integrity_corrupt_rot_kill", || {
+        let mut rt = resilient(full_keep3, 1, None);
+        let mut plan = FaultPlan::new(1).with_corruption(0.02).with_rot(0.05);
+        plan.kill_at(2, SimTime::from_nanos(KILL_MID_NS));
+        rt.faults = Some(plan);
+        rt.with_integrity(IntegrityConfig::default())
+    });
     let g = &r.monitor.integrity;
     assert!(
         r.traffic.re_requests >= 1
@@ -402,20 +446,18 @@ fn stencil_ckpt_sync_full_kill() {
         incremental: false,
         ..CheckpointConfig::default()
     };
-    let r = check_stencil(
-        "stencil_ckpt_sync_full_kill",
-        resilient(sync_full, 1, Some((2, KILL_MID_NS))),
-    );
+    let r = check_stencil("stencil_ckpt_sync_full_kill", || {
+        resilient(sync_full, 1, Some((2, KILL_MID_NS)))
+    });
     let m = &r.monitor.resilience;
     assert!(m.ckpt_stall_ns > 0 && m.recoveries == 1 && m.restored_bytes > 0);
 }
 
 #[test]
 fn stencil_ckpt_async_incremental_kill() {
-    let r = check_stencil(
-        "stencil_ckpt_async_incremental_kill",
-        resilient(CheckpointConfig::default(), 1, Some((2, KILL_MID_NS))),
-    );
+    let r = check_stencil("stencil_ckpt_async_incremental_kill", || {
+        resilient(CheckpointConfig::default(), 1, Some((2, KILL_MID_NS)))
+    });
     let m = &r.monitor.resilience;
     assert!(m.ckpt_deltas >= 1 && m.recoveries == 1 && m.restored_bytes > 0);
 }
@@ -423,12 +465,32 @@ fn stencil_ckpt_async_incremental_kill() {
 /// A kill before the first checkpoint commits: full restart.
 #[test]
 fn stencil_kill_before_first_ckpt() {
-    let r = check_stencil(
-        "stencil_kill_before_first_ckpt",
-        resilient(CheckpointConfig::default(), 4, Some((2, KILL_EARLY_NS))),
-    );
+    let r = check_stencil("stencil_kill_before_first_ckpt", || {
+        resilient(CheckpointConfig::default(), 4, Some((2, KILL_EARLY_NS)))
+    });
     let m = &r.monitor.resilience;
     assert!(m.recoveries == 1 && m.restored_bytes == 0, "must restart from scratch");
+}
+
+/// Work stealing around a node at quarter speed, on a lossy fabric, with
+/// a checkpoint every boundary and a kill mid-run: the steal protocol,
+/// the detector and recovery in one run, replayed byte for byte.
+#[test]
+fn stencil_steal_kill() {
+    let r = check_stencil("stencil_steal_kill", || {
+        let mut rt = resilient(CheckpointConfig::default(), 1, None)
+            .with_work_stealing(eager_stealing(VictimPolicy::RoundRobin));
+        rt.cost.speed_factors = vec![1.0, 1.0, 1.0, 0.25];
+        let mut plan = FaultPlan::new(0x57ea_1f00d).with_drop_rate(0.003);
+        plan.kill_at(2, SimTime::from_nanos(KILL_MID_NS));
+        rt.faults = Some(plan);
+        rt
+    });
+    let (s, m) = (&r.monitor.scheduler, &r.monitor.resilience);
+    assert!(
+        s.steal_requests >= 1 && m.detections >= 1 && m.recoveries >= 1,
+        "steals, a detection and a recovery must all happen ({s:?}, {m:?})"
+    );
 }
 
 /// A row of a run that hands back only its result struct: the digest of
@@ -527,7 +589,7 @@ fn hot_serve() -> ServeAppConfig {
 
 #[test]
 fn serve_replicate_retire() {
-    let r = check_serve("serve_replicate_retire", hot_serve());
+    let r = check_serve("serve_replicate_retire", hot_serve(), || RtConfig::test(4, 2));
     let v = &r.monitor.serve;
     assert!(
         v.replications >= 1 && v.retirements >= 1 && v.invalidations >= 1,
@@ -547,18 +609,28 @@ fn serve_shed_overload() {
         },
         ..hot
     };
-    let r = check_serve("serve_shed_overload", cfg);
+    let r = check_serve("serve_shed_overload", cfg, || RtConfig::test(4, 2));
     assert!(r.monitor.serve.shed >= 1, "reads must be shed");
+}
+
+/// The serving app under work stealing: request spans and admission
+/// events on the stealing family's queues.
+#[test]
+fn serve_steal() {
+    let r = check_serve("serve_steal", ServeAppConfig::small(), || {
+        RtConfig::test(4, 2).with_work_stealing(StealConfig::default())
+    });
+    assert!(r.monitor.scheduler.tasks_queued >= 1, "serve_steal: nothing queued");
 }
 
 #[test]
 fn loadbalance_auto_rebalance() {
-    check(loadbalance_row());
+    check_run("loadbalance_auto_rebalance", loadbalance_rt, loadbalance_run);
 }
 
 #[test]
 fn scrub_repair_quarantine() {
-    check(scrub_row());
+    check_run("scrub_repair_quarantine", scrub_rt, scrub_run);
 }
 
 /// Every key path of `RunReport::to_json` on a run with every service on —

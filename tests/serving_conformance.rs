@@ -1,21 +1,20 @@
 //! Conformance suite of the request-serving subsystem, run end-to-end
-//! through the sharded key-value application:
+//! through the sharded key-value application. Determinism and
+//! record-only tracing are `report_golden`'s `serve_*` rows, and
+//! `offered == completed + shed` is one of the identities `Runtime::run`
+//! checks itself on every run without a recovery; what is left here:
 //!
-//! 1. **Determinism** — same seed, same configuration ⇒ bit-identical
-//!    `RunReport`s (via the canonical JSON serialization), under both
-//!    scheduler families.
-//! 2. **Zero perturbation** — tracing request spans does not change the
-//!    run: traced and untraced reports serialize identically.
-//! 3. **Resilience** — a fail-stop kill mid-serving recovers and the
+//! 1. **Placement, not accounting** — the two scheduler families serve
+//!    the identical request population.
+//! 2. **Resilience** — a fail-stop kill mid-serving recovers and the
 //!    rewound serving phase replays the identical request stream: the
 //!    write oracle inside the application (checked every run) proves no
 //!    acknowledged write is lost.
-//! 4. **Admission control** — overload shedding turns away reads only;
-//!    every planned write still lands (the oracle again) and the
-//!    offered = completed + shed identity holds.
-//! 5. **The recorded sweep** — what EXPERIMENTS.md SV1 says about
+//! 3. **Admission control** — overload shedding turns away reads only;
+//!    every planned write still lands (the oracle again).
+//! 4. **The recorded sweep** — what EXPERIMENTS.md SV1 says about
 //!    `BENCH_serve.json` (CI compares its virtual columns with a fresh
-//!    `serve_bench` run), held against the file; runs nothing.
+//!    `experiments serve` run), held against the file; runs nothing.
 
 mod common;
 
@@ -39,35 +38,13 @@ fn run(cfg: &ServeAppConfig, rt: RtConfig) -> ServeOutcome {
     let out = run_with(cfg, rt);
     let v = &out.report.monitor.serve;
     assert_eq!(v.offered, cfg.requests, "open loop injects every arrival");
-    assert_eq!(
-        v.completed + v.shed,
-        v.offered,
-        "every request completes or is shed"
-    );
     out
-}
-
-#[test]
-fn same_seed_is_bit_identical_data_aware() {
-    let cfg = small_cfg();
-    let a = run(&cfg, RtConfig::test(4, 2)).report.to_json();
-    let b = run(&cfg, RtConfig::test(4, 2)).report.to_json();
-    assert_eq!(a, b, "same-seed serving runs must serialize identically");
-}
-
-#[test]
-fn same_seed_is_bit_identical_work_stealing() {
-    let cfg = small_cfg();
-    let a = run(&cfg, stealing()).report.to_json();
-    let b = run(&cfg, stealing()).report.to_json();
-    assert_eq!(a, b, "work-stealing serving runs must be deterministic too");
 }
 
 #[test]
 fn schedulers_disagree_on_placement_not_on_accounting() {
     // The two families place tasks differently (different reports are
-    // expected) but both must satisfy the serving invariants — `run`
-    // asserts them — and serve the identical request population.
+    // expected) but both serve the identical request population.
     let cfg = small_cfg();
     let da = run(&cfg, RtConfig::test(4, 2));
     let ws = run(&cfg, stealing());
@@ -76,30 +53,6 @@ fn schedulers_disagree_on_placement_not_on_accounting() {
     assert_eq!(a.reads, b.reads);
     assert_eq!(a.writes, b.writes);
     assert_eq!(da.keys_checked, ws.keys_checked);
-}
-
-#[test]
-fn traced_run_equals_untraced_run() {
-    let cfg = small_cfg();
-    let plain = run(&cfg, RtConfig::test(4, 2));
-    let traced = Scenario {
-        traced: true,
-        ..Scenario::new(0)
-    };
-    let traced = run(&cfg, traced.rt());
-    assert_eq!(
-        plain.report.to_json(),
-        traced.report.to_json(),
-        "tracing must be record-only (the canonical JSON excludes the trace)"
-    );
-    let t = traced.report.trace.as_ref().expect("trace recorded");
-    let json = t.to_chrome_json();
-    for name in ["req-arrival", "request", "req-admit"] {
-        assert!(
-            json.contains(&format!("\"name\":\"{name}\"")),
-            "chrome export must carry {name} events"
-        );
-    }
 }
 
 #[test]

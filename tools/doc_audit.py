@@ -18,8 +18,15 @@ or `[[example]]` some `Cargo.toml` declares. Every experiment named on an
 must have a checked-in `BENCH_<NAME>.json`. Prints one `STALE` line per
 command that fails either. Exits 1 on any `MISSING` or `STALE` line.
 
-Symbols and item numbers are not checked (ROADMAP item 15).
+A test name is a backticked `suite::name` or `suite::{a, b}` in
+DESIGN.md, README.md or EXPERIMENTS.md whose `suite` is the stem of a test
+target (`tests/*.rs`, `crates/*/tests/*.rs`): each name (a glob such as
+`recorded_*` matches any) must be a `fn` in some file of that stem.
+Prints one `MISSING` line per name that is not.
+
+Other symbols and item numbers are not checked (ROADMAP item 15).
 """
+import fnmatch
 import glob
 import itertools
 import os
@@ -35,6 +42,8 @@ TARGET = re.compile(r"--(bin|example)\s+([A-Za-z0-9_-]+)")
 EXPERIMENTS = re.compile(r"--bin\s+experiments\s+--\s+([^`#|);<>\[]*)")
 DECLARED = re.compile(r'\[\[(bin|example)\]\]\s*\nname\s*=\s*"([^"]+)"')
 BRACES = re.compile(r"\{([^{}]*)\}")
+TEST_REF = re.compile(r"^([a-z0-9_]+)::(\{[^{}`]*\}|[A-Za-z0-9_*]+)")
+FN = re.compile(r"\bfn\s+([A-Za-z0-9_]+)")
 
 
 def alternatives(path):
@@ -96,8 +105,35 @@ def stale_commands():
     return stale
 
 
+def test_fns():
+    """Stem of every test target -> names of the `fn`s in its files."""
+    fns = {}
+    for src in glob.glob("tests/*.rs") + glob.glob("crates/*/tests/*.rs"):
+        stem = os.path.splitext(os.path.basename(src))[0]
+        with open(src, encoding="utf-8") as f:
+            fns.setdefault(stem, set()).update(FN.findall(f.read()))
+    return fns
+
+
+def unresolved_tests():
+    """One line per test name a document gives its suite without a `fn`."""
+    fns = test_fns()
+    missing = []
+    for doc, lineno, line in lines(DOCS):
+        for token in TOKEN.findall(line):
+            ref = TEST_REF.match(token)
+            if doc not in DOCS or not ref or ref.group(1) not in fns:
+                continue
+            suite, names = ref.groups()
+            for name in names.strip("{}").split(","):
+                name = name.strip()
+                if not fnmatch.filter(fns[suite], name):
+                    missing.append(f"MISSING {doc}:{lineno}: {suite}::{name}")
+    return missing
+
+
 def main():
-    stale = stale_commands()
+    stale = stale_commands() + unresolved_tests()
     for line in stale:
         print(line)
     missing = len(stale)
