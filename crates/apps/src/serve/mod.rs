@@ -108,6 +108,44 @@ fn shard_of(cfg: &ServeAppConfig, key: u64) -> u32 {
     BucketRegion::bucket_of_bytes(cfg.buckets(), &key.to_le_bytes()) / cfg.buckets_per_shard
 }
 
+/// The preloaded keys grouped by the bucket they hash into, each key
+/// hashed once: bucket `b`'s keys, ascending, are
+/// `keys[offsets[b]..offsets[b + 1]]`.
+struct KeysByBucket {
+    keys: Vec<u64>,
+    offsets: Vec<usize>,
+}
+
+impl KeysByBucket {
+    fn new(cfg: &ServeAppConfig) -> Self {
+        let buckets = cfg.buckets() as usize;
+        let bucket_of: Vec<usize> = (0..cfg.keys)
+            .map(|k| BucketRegion::bucket_of_bytes(cfg.buckets(), &k.to_le_bytes()) as usize)
+            .collect();
+        // A counting sort: count per bucket, prefix-sum into offsets, then
+        // place the keys in ascending order.
+        let mut offsets = vec![0usize; buckets + 1];
+        for &b in &bucket_of {
+            offsets[b + 1] += 1;
+        }
+        for b in 0..buckets {
+            offsets[b + 1] += offsets[b];
+        }
+        let mut next = offsets.clone();
+        let mut keys = vec![0u64; bucket_of.len()];
+        for (k, &b) in bucket_of.iter().enumerate() {
+            keys[next[b]] = k as u64;
+            next[b] += 1;
+        }
+        KeysByBucket { keys, offsets }
+    }
+
+    /// The keys of bucket `b`, ascending.
+    fn of(&self, b: u32) -> &[u64] {
+        &self.keys[self.offsets[b as usize]..self.offsets[b as usize + 1]]
+    }
+}
+
 /// One precomputed request.
 #[derive(Debug, Clone)]
 enum PlannedOp {
@@ -294,7 +332,7 @@ pub fn run_with(cfg: &ServeAppConfig, rt: RtConfig) -> ServeOutcome {
                 0 => {
                     let map = DistMap::<u64, u64>::create(ctx, "serve-kv", buckets);
                     *mc.borrow_mut() = Some(map);
-                    let keys = cfg_d.keys;
+                    let by_bucket = Rc::new(KeysByBucket::new(&cfg_d));
                     let per_shard = cfg_d.buckets_per_shard;
                     // One leaf tile per shard: first touch pins each
                     // shard's buckets to one locality, block-wise.
@@ -313,13 +351,8 @@ pub fn run_with(cfg: &ServeAppConfig, rt: RtConfig) -> ServeOutcome {
                             )]
                         },
                         move |tctx, p| {
-                            let my_bucket = p[0] as u32;
-                            for k in 0..keys {
-                                let b =
-                                    BucketRegion::bucket_of_bytes(buckets, &k.to_le_bytes());
-                                if b == my_bucket {
-                                    map.insert(tctx, k, initial_value(k));
-                                }
+                            for &k in by_bucket.of(p[0] as u32) {
+                                map.insert(tctx, k, initial_value(k));
                             }
                         },
                     ))
@@ -455,6 +488,26 @@ mod tests {
             .filter(|(_, op)| matches!(op, PlannedOp::Write(..)))
             .count();
         assert!(writes > 0 && writes < a.reqs.len() / 5);
+    }
+
+    #[test]
+    fn preload_groups_every_key_once_under_its_bucket() {
+        for cfg in [ServeAppConfig::small(), ServeAppConfig::default()] {
+            let by_bucket = KeysByBucket::new(&cfg);
+            let mut seen = vec![0u32; cfg.keys as usize];
+            for b in 0..cfg.buckets() {
+                let keys = by_bucket.of(b);
+                assert!(keys.windows(2).all(|w| w[0] < w[1]), "bucket {b} ascending");
+                for &k in keys {
+                    assert_eq!(
+                        BucketRegion::bucket_of_bytes(cfg.buckets(), &k.to_le_bytes()),
+                        b
+                    );
+                    seen[k as usize] += 1;
+                }
+            }
+            assert!(seen.iter().all(|&n| n == 1), "every key exactly once");
+        }
     }
 
     #[test]

@@ -31,9 +31,20 @@
 //! drops them from the list. Refusing is side-effect free; with no waiter
 //! registered the release paths do exactly the work they did before wait
 //! lists existed.
+//!
+//! ## Lock lists
+//!
+//! The granted locks of one mode on one item are a `LockList`: grant
+//! order for the scans that ask whether anything clashes (the first clash
+//! names the [`Blocker`]), and an index by holder for the release, which
+//! unlinks the finishing task's locks and tests only those against the
+//! wait list — however many other tasks hold locks there.
 
+#[cfg(test)]
+use std::cell::Cell;
 use std::rc::Rc;
 
+use allscale_des::hash::MulXorMap;
 use allscale_net::frame::Payload;
 
 use crate::dynamic::{DynFragment, DynRegion, ItemDescriptor};
@@ -112,7 +123,22 @@ struct Waiter {
     region: Box<dyn DynRegion>,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Lock entries and waiters visited and overlap tests made by this
+    /// thread, for the release path's complexity guard.
+    static VISITS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one visit towards [`VISITS`] (nothing outside tests).
+#[inline]
+fn visit() {
+    #[cfg(test)]
+    VISITS.with(|n| n.set(n.get() + 1));
+}
+
 fn overlaps(a: &dyn DynRegion, b: &dyn DynRegion) -> bool {
+    visit();
     !a.is_disjoint_dyn(b)
 }
 
@@ -141,10 +167,15 @@ fn wake_overlapping_slow<'a>(
     woken: &mut Vec<TaskId>,
     released: impl Iterator<Item = &'a dyn DynRegion>,
 ) {
-    // Collected once: the held-lock list this is filtered out of can be
-    // thousands long above the serving knee, the result is a handful.
+    // Collected once: the export list this is filtered out of can be
+    // long, the result is a handful. Releasing nothing wakes nobody, and
+    // the wait list is not walked to find that out.
     let released: Vec<&dyn DynRegion> = released.collect();
+    if released.is_empty() {
+        return;
+    }
     waiters.retain(|w| {
+        visit();
         let hit = released.iter().any(|r| overlaps(*r, w.region.as_ref()));
         if hit {
             woken.push(w.task);
@@ -153,17 +184,153 @@ fn wake_overlapping_slow<'a>(
     });
 }
 
+/// Marks the end of a [`LockList`] chain.
+const NIL: u32 = u32::MAX;
+
+/// A granted lock of a [`LockList`], or a free node.
+struct LockNode {
+    task: TaskId,
+    /// The requirement's region; `None` on a free node.
+    region: Option<Rc<dyn DynRegion>>,
+    /// The previous lock in grant order.
+    prev: u32,
+    /// The next lock in grant order; on a free node, the next free node.
+    next: u32,
+    /// The holder's next lock in this list.
+    next_of_task: u32,
+}
+
+/// The granted locks of one mode on one item (see the module docs): a
+/// doubly linked list in grant order over a slab whose freed nodes the
+/// next grants reuse, plus each holder's first node. Granting and
+/// releasing allocate nothing once the slab and the index have grown to
+/// the number of locks held at once. The index hashes rather than being
+/// a `TaskMap`: one locality's holders are spread over the whole range of
+/// live ids, which a window would span.
+struct LockList {
+    nodes: Vec<LockNode>,
+    head: u32,
+    tail: u32,
+    free: u32,
+    /// Each holder's first lock; the rest follow `next_of_task`.
+    first_of: MulXorMap<TaskId, u32>,
+}
+
+impl Default for LockList {
+    fn default() -> Self {
+        LockList {
+            nodes: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            free: NIL,
+            first_of: MulXorMap::default(),
+        }
+    }
+}
+
+impl LockList {
+    fn is_empty(&self) -> bool {
+        self.head == NIL
+    }
+
+    /// Grant `task` a lock on `region`, last in grant order.
+    fn push(&mut self, task: TaskId, region: Rc<dyn DynRegion>) {
+        let node = LockNode {
+            task,
+            region: Some(region),
+            prev: self.tail,
+            next: NIL,
+            next_of_task: NIL,
+        };
+        let at = if self.free == NIL {
+            self.nodes.push(node);
+            u32::try_from(self.nodes.len() - 1).expect("fewer than 2^32 locks")
+        } else {
+            let at = self.free;
+            self.free = self.nodes[at as usize].next;
+            self.nodes[at as usize] = node;
+            at
+        };
+        match self.tail {
+            NIL => self.head = at,
+            tail => self.nodes[tail as usize].next = at,
+        }
+        self.tail = at;
+        if let Some(next) = self.first_of.insert(task, at) {
+            self.nodes[at as usize].next_of_task = next;
+        }
+    }
+
+    /// Every lock with its holder, in grant order.
+    fn iter(&self) -> impl Iterator<Item = (TaskId, &dyn DynRegion)> {
+        let mut at = self.head;
+        std::iter::from_fn(move || {
+            let node = self.nodes.get(at as usize)?;
+            at = node.next;
+            Some((node.task, node.region.as_deref()?))
+        })
+    }
+
+    /// The locks `task` holds, without visiting anyone else's. Looked up
+    /// at the first `next`, so that an iterator nobody walks costs nothing.
+    fn held_by(&self, task: TaskId) -> impl Iterator<Item = &dyn DynRegion> {
+        let mut at = None;
+        std::iter::from_fn(move || {
+            let at = at.get_or_insert_with(|| self.first_of.get(&task).copied().unwrap_or(NIL));
+            let node = self.nodes.get(*at as usize)?;
+            visit();
+            *at = node.next_of_task;
+            node.region.as_deref()
+        })
+    }
+
+    /// Drop every lock of `task`; the others keep their grant order.
+    fn release(&mut self, task: TaskId) {
+        if self.is_empty() {
+            return;
+        }
+        let mut at = self.first_of.remove(&task).unwrap_or(NIL);
+        while at != NIL {
+            visit();
+            let node = &mut self.nodes[at as usize];
+            let (prev, next) = (node.prev, node.next);
+            let after = std::mem::replace(&mut node.next_of_task, NIL);
+            node.region = None;
+            node.next = self.free;
+            self.free = at;
+            match prev {
+                NIL => self.head = next,
+                prev => self.nodes[prev as usize].next = next,
+            }
+            match next {
+                NIL => self.tail = prev,
+                next => self.nodes[next as usize].prev = prev,
+            }
+            at = after;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.nodes.clear();
+        self.first_of.clear();
+        (self.head, self.tail, self.free) = (NIL, NIL, NIL);
+    }
+}
+
 struct ItemSlot {
     desc: ItemDescriptor,
     frag: Box<dyn DynFragment>,
     /// Primary-ownership region (what the index advertises for us).
     owned: Box<dyn DynRegion>,
     /// Granted read locks, each sharing its requirement's region.
-    rlocks: Vec<(TaskId, Rc<dyn DynRegion>)>,
+    rlocks: LockList,
     /// Granted write locks, each sharing its requirement's region.
-    wlocks: Vec<(TaskId, Rc<dyn DynRegion>)>,
+    wlocks: LockList,
     /// Replicas of our owned data held elsewhere, in export order.
     exports: Vec<(Export, Box<dyn DynRegion>)>,
+    /// The union of the persistent records of `exports`, folded in export
+    /// order: extended when one is added, refolded when one shrinks.
+    persistent_fence: Box<dyn DynRegion>,
     /// Transient replica coverage imported here, per holding task.
     holds: Vec<(TaskId, Box<dyn DynRegion>)>,
     /// Persistent replica coverage (broadcast read-mostly data).
@@ -189,9 +356,10 @@ impl ItemSlot {
             frag: (desc.empty_fragment)(),
             owned: (desc.empty_region)(),
             persistent: (desc.empty_region)(),
+            persistent_fence: (desc.empty_region)(),
             desc,
-            rlocks: Vec::new(),
-            wlocks: Vec::new(),
+            rlocks: LockList::default(),
+            wlocks: LockList::default(),
             exports: Vec::new(),
             holds: Vec::new(),
             inbound: Vec::new(),
@@ -201,8 +369,19 @@ impl ItemSlot {
     }
 
     fn drop_locks_of(&mut self, task: TaskId) {
-        self.rlocks.retain(|(t, _)| *t != task);
-        self.wlocks.retain(|(t, _)| *t != task);
+        self.rlocks.release(task);
+        self.wlocks.release(task);
+    }
+
+    /// Fold the persistent export records into `persistent_fence` afresh.
+    fn refold_persistent_fence(&mut self) {
+        let records = self
+            .exports
+            .iter()
+            .filter(|(to, _)| *to == Export::Persistent);
+        self.persistent_fence = records.fold((self.desc.empty_region)(), |acc, (_, r)| {
+            acc.union_dyn(r.as_ref())
+        });
     }
 
     /// Remove `drop` from the fragment where nothing else here still
@@ -356,6 +535,10 @@ impl DataItemManager {
         let slot = self.slot_mut(item);
         let bytes = slot.frag.export(region);
         slot.exports.push((to, region.clone_box()));
+        if to == Export::Persistent {
+            // The fold with one more record at its end.
+            slot.persistent_fence = slot.persistent_fence.union_dyn(region);
+        }
         bytes
     }
 
@@ -512,17 +695,17 @@ impl DataItemManager {
                     region: held.intersect_dyn(region),
                 })
             };
-            for (t, w) in &slot.wlocks {
-                if *t != task {
-                    if let Some(b) = clash(w.as_ref()) {
+            for (t, w) in slot.wlocks.iter() {
+                if t != task {
+                    if let Some(b) = clash(w) {
                         return Err(LockConflict::WriteLocked(b));
                     }
                 }
             }
             if req.mode == AccessMode::Write {
-                for (t, r) in &slot.rlocks {
-                    if *t != task {
-                        if let Some(b) = clash(r.as_ref()) {
+                for (t, r) in slot.rlocks.iter() {
+                    if t != task {
+                        if let Some(b) = clash(r) {
                             return Err(LockConflict::ReadLocked(b));
                         }
                     }
@@ -537,10 +720,10 @@ impl DataItemManager {
         // Grant pass: a lock shares its requirement's region.
         for req in reqs {
             let slot = self.slot_mut(req.item);
-            let held = (task, Rc::clone(&req.region));
+            let held = Rc::clone(&req.region);
             match req.mode {
-                AccessMode::Read => slot.rlocks.push(held),
-                AccessMode::Write => slot.wlocks.push(held),
+                AccessMode::Read => slot.rlocks.push(task, held),
+                AccessMode::Write => slot.wlocks.push(task, held),
             }
         }
         Ok(())
@@ -560,9 +743,9 @@ impl DataItemManager {
     pub fn refuses(&self, item: ItemId, region: &dyn DynRegion, mode: AccessMode) -> bool {
         let slot = self.slot(item);
         let hit = |r: &dyn DynRegion| overlaps(r, region);
-        slot.wlocks.iter().any(|(_, r)| hit(r.as_ref()))
+        slot.wlocks.iter().any(|(_, r)| hit(r))
             || (mode == AccessMode::Write
-                && (slot.rlocks.iter().any(|(_, r)| hit(r.as_ref()))
+                && (slot.rlocks.iter().any(|(_, r)| hit(r))
                     || slot.exports.iter().any(|(_, r)| hit(r.as_ref()))))
             || slot.inbound.iter().any(|(_, r)| hit(r.as_ref()))
     }
@@ -577,16 +760,10 @@ impl DataItemManager {
     /// owned data replicated elsewhere for the rest of the run
     /// ([`DataItemManager::export_persistent`]), which must stay
     /// write-fenced and owned here as long as those replicas exist. Input
-    /// to the fenced-writes consistency check.
-    pub fn persistent_export_region(&self, item: ItemId) -> Box<dyn DynRegion> {
-        let slot = self.slot(item);
-        let mut acc = (slot.desc.empty_region)();
-        for (to, region) in &slot.exports {
-            if *to == Export::Persistent {
-                acc = acc.union_dyn(region.as_ref());
-            }
-        }
-        acc
+    /// to the fenced-writes consistency check. Kept up to date by the
+    /// functions that change a persistent record, so asking builds nothing.
+    pub fn persistent_export_region(&self, item: ItemId) -> &dyn DynRegion {
+        self.slot(item).persistent_fence.as_ref()
     }
 
     /// Serialize `region` of the local fragment without recording an
@@ -644,22 +821,19 @@ impl DataItemManager {
             }
         }
         slot.exports = kept;
+        slot.refold_persistent_fence();
         woken
     }
 
     /// Release every lock held by `task` (the model's (end) rule). Returns
-    /// the waiters overlapping a released lock.
+    /// the waiters overlapping a released lock, item by item in enqueue
+    /// order. Only the task's own locks are visited, and only they are
+    /// tested against a wait list.
     pub fn unlock_all(&mut self, task: TaskId) -> Vec<TaskId> {
         let mut woken = Vec::new();
         for slot in self.items.values_mut() {
-            let released = slot.rlocks.iter().chain(&slot.wlocks);
-            wake_overlapping(
-                &mut slot.waiters,
-                &mut woken,
-                released
-                    .filter(|(t, _)| *t == task)
-                    .map(|(_, l)| l.as_ref()),
-            );
+            let released = slot.rlocks.held_by(task).chain(slot.wlocks.held_by(task));
+            wake_overlapping(&mut slot.waiters, &mut woken, released);
             slot.drop_locks_of(task);
         }
         woken
@@ -714,8 +888,8 @@ impl DataItemManager {
     /// `item` (deadlock diagnostics).
     pub fn holders(&self, item: ItemId, region: &dyn DynRegion) -> Vec<Holder> {
         let slot = self.slot(item);
-        let wlocks = slot.wlocks.iter().map(|(t, r)| (Holder::WriteLock(*t), r.as_ref()));
-        let rlocks = slot.rlocks.iter().map(|(t, r)| (Holder::ReadLock(*t), r.as_ref()));
+        let wlocks = slot.wlocks.iter().map(|(t, r)| (Holder::WriteLock(t), r));
+        let rlocks = slot.rlocks.iter().map(|(t, r)| (Holder::ReadLock(t), r));
         let exports = slot.exports.iter().map(|(e, r)| (Holder::Export(*e), r.as_ref()));
         let inbound = slot.inbound.iter().map(|(t, r)| (Holder::Inbound(*t), r.as_ref()));
         wlocks
@@ -762,6 +936,7 @@ impl DataItemManager {
             slot.rlocks.clear();
             slot.wlocks.clear();
             slot.exports.clear();
+            slot.persistent_fence = (slot.desc.empty_region)();
             slot.holds.clear();
             slot.persistent = (slot.desc.empty_region)();
             slot.inbound.clear();
@@ -1120,6 +1295,81 @@ mod tests {
         assert_eq!(dim.unlock_all(TaskId(1)), vec![TaskId(9)]);
     }
 
+    fn visits_of<R>(f: impl FnOnce() -> R) -> (u64, R) {
+        let before = VISITS.with(Cell::get);
+        let out = f();
+        (VISITS.with(Cell::get) - before, out)
+    }
+
+    #[test]
+    fn a_release_visits_only_the_finishing_tasks_locks() {
+        let mut dim = mk();
+        let cell = |i: i64| r2([i / 64, i % 64], [i / 64 + 1, i % 64 + 1]);
+        let read = |i: i64| [Requirement::read(ItemId(0), cell(i))];
+        for i in 0..2_048 {
+            dim.try_lock(TaskId(100 + i as u64), &read(i)).unwrap();
+        }
+        // In the middle of the same list as the others'.
+        let mine = [Requirement::read(ItemId(0), r2([64, 0], [65, 1]))];
+        dim.try_lock(TaskId(1), &mine).unwrap();
+        for i in 2_048..4_096 {
+            dim.try_lock(TaskId(100 + i as u64), &read(i)).unwrap();
+        }
+        let (visits, woken) = visits_of(|| dim.unlock_all(TaskId(1)));
+        assert!(woken.is_empty());
+        assert_eq!(
+            visits, 1,
+            "one lock released, none of the 4 096 others visited"
+        );
+        assert!(!dim.refuses(ItemId(0), &r2([64, 0], [65, 1]), AccessMode::Write));
+
+        // A slot where the task holds nothing does not walk its wait list.
+        dim.register(ItemId(1), ItemDescriptor::of::<G2>("other"));
+        for t in 0..64 {
+            refuse_and_wait(
+                &mut dim,
+                TaskId(10_000 + t),
+                Requirement::write(ItemId(0), cell(0)),
+            );
+        }
+        dim.try_lock(TaskId(2), &[Requirement::read(ItemId(1), cell(0))])
+            .unwrap();
+        let (visits, woken) = visits_of(|| dim.unlock_all(TaskId(2)));
+        assert!(woken.is_empty());
+        assert_eq!(visits, 1, "no overlap test against item 0's 64 waiters");
+        assert_eq!(dim.waiters().count(), 64);
+    }
+
+    #[test]
+    fn a_release_keeps_the_others_grant_order() {
+        let mut dim = mk();
+        let (a, b, c) = (r2([0, 0], [4, 4]), r2([2, 2], [6, 6]), r2([0, 0], [8, 8]));
+        for (t, r) in [(1, &a), (2, &b), (3, &c)] {
+            dim.try_lock(TaskId(t), &[Requirement::read(ItemId(0), r.clone())])
+                .unwrap();
+        }
+        // The first clash in grant order names the blocker.
+        let blocker = |dim: &mut DataItemManager| {
+            let all = [Requirement::write(ItemId(0), r2([0, 0], [8, 8]))];
+            dim.try_lock(TaskId(9), &all)
+                .unwrap_err()
+                .into_blocker()
+                .region
+        };
+        assert!(blocker(&mut dim).eq_dyn(&a));
+        dim.unlock_all(TaskId(1));
+        assert!(blocker(&mut dim).eq_dyn(&b));
+        // A later grant reuses the freed entry but queues behind 2 and 3.
+        dim.try_lock(TaskId(4), &[Requirement::read(ItemId(0), a.clone())])
+            .unwrap();
+        dim.unlock_all(TaskId(2));
+        assert!(blocker(&mut dim).eq_dyn(&c));
+        dim.unlock_all(TaskId(3));
+        assert!(blocker(&mut dim).eq_dyn(&a));
+        dim.unlock_all(TaskId(4));
+        assert!(!dim.has_locks(ItemId(0)));
+    }
+
     #[test]
     fn export_and_fence_releases_wake_their_waiters() {
         let mut dim = mk();
@@ -1301,7 +1551,7 @@ mod tests {
         // Fenced-writes invariant shape: holder persistent == owner fences.
         assert!(holder
             .persistent_region(ItemId(0))
-            .eq_dyn(owner.persistent_export_region(ItemId(0)).as_ref()));
+            .eq_dyn(owner.persistent_export_region(ItemId(0))));
     }
 
     #[test]

@@ -146,10 +146,11 @@ pub(super) fn scrub_tick(sim: &mut RtSim) {
         let mut audited = 0u32;
         let mut divergent = 0u32;
         for &item in &items {
-            let held = w.localities[holder].dim.persistent_region(item).clone_box();
+            let held = w.localities[holder].dim.persistent_region(item);
             if held.is_empty_dyn() {
                 continue;
             }
+            let held = held.clone_box();
             for owner in 0..nodes {
                 if owner == holder || w.recovery.dead()[owner] {
                     continue;
@@ -251,8 +252,8 @@ pub(super) fn fenced_writes(localities: &[Locality], item: ItemId, violations: &
             ));
         }
         fences = Some(match fences {
-            None => fence,
-            Some(f) => f.union_dyn(fence.as_ref()),
+            None => fence.clone_box(),
+            Some(f) => f.union_dyn(fence),
         });
     }
     if let Some(fences) = fences {
