@@ -21,7 +21,7 @@ use allscale_region::{
 
 use crate::cost::CostModel;
 use crate::runtime::RtCtx;
-use crate::task::{ItemId, Prec, PrecOps, Requirement, TaskCtx, WorkItem};
+use crate::task::{AccessMode, ItemId, Prec, PrecOps, Requirement, TaskCtx, WorkItem};
 
 /// Marker type describing an N-dimensional grid data item holding `T`.
 pub struct GridItem<T, const D: usize>(std::marker::PhantomData<T>);
@@ -80,25 +80,24 @@ where
     /// Read an element from the executing task's local fragment.
     ///
     /// # Panics
-    /// Panics when `p` is not covered locally — i.e. the task did not
-    /// declare a read requirement covering `p` (requirement violations
-    /// surface immediately instead of returning stale data).
+    /// Panics when the task declared no read of `p` (in debug builds:
+    /// [`TaskCtx`]'s access rule) or `p` is not held locally (in any build).
     pub fn get(&self, ctx: &TaskCtx<'_>, p: [i64; D]) -> T {
-        ctx.fragment::<GridFragment<T, D>>(self.id)
-            .get(&Point(p))
-            .unwrap_or_else(|| panic!("read of uncovered element {p:?} — missing requirement?"))
-            .clone()
+        let what = format_args!("element {p:?}");
+        ctx.check_access(self.id, AccessMode::Read, what, |r: &BoxRegion<D>| r.contains(&Point(p)));
+        let frag = ctx.fragment::<GridFragment<T, D>>(self.id);
+        held(frag.get(&Point(p)), AccessMode::Read, what).clone()
     }
 
     /// Write an element in the executing task's local fragment.
     ///
     /// # Panics
-    /// Panics when `p` is not covered locally (missing write requirement).
+    /// As [`Grid::get`], for a write.
     pub fn set(&self, ctx: &mut TaskCtx<'_>, p: [i64; D], v: T) {
-        let ok = ctx
-            .fragment_mut::<GridFragment<T, D>>(self.id)
-            .set(&Point(p), v);
-        assert!(ok, "write of uncovered element {p:?} — missing requirement?");
+        let what = format_args!("element {p:?}");
+        ctx.check_access(self.id, AccessMode::Write, what, |r: &BoxRegion<D>| r.contains(&Point(p)));
+        let ok = ctx.fragment_mut::<GridFragment<T, D>>(self.id).set(&Point(p), v);
+        held(ok.then_some(()), AccessMode::Write, what);
     }
 
     /// Read the `out.len()` elements of the innermost-axis run starting at
@@ -106,14 +105,11 @@ where
     /// once for the whole run.
     ///
     /// # Panics
-    /// Panics when some element of the run is not covered locally (missing
-    /// read requirement).
+    /// As [`Grid::get`], for the run as one box.
     pub fn read_row(&self, ctx: &TaskCtx<'_>, start: [i64; D], out: &mut [T]) {
-        let ok = ctx
-            .fragment::<GridFragment<T, D>>(self.id)
-            .read_row(&Point(start), out);
-        let n = out.len();
-        assert!(ok, "read of uncovered run of {n} from {start:?} — missing requirement?");
+        self.check_run(ctx, AccessMode::Read, start, out.len());
+        let ok = ctx.fragment::<GridFragment<T, D>>(self.id).read_row(&Point(start), out);
+        held(ok.then_some(()), AccessMode::Read, format_args!("{} element(s) from {start:?}", out.len()));
     }
 
     /// Write `src` over the innermost-axis run starting at `start` in the
@@ -121,15 +117,27 @@ where
     /// run.
     ///
     /// # Panics
-    /// Panics when some element of the run is not covered locally (missing
-    /// write requirement).
+    /// As [`Grid::set`], for the run as one box.
     pub fn write_row(&self, ctx: &mut TaskCtx<'_>, start: [i64; D], src: &[T]) {
-        let ok = ctx
-            .fragment_mut::<GridFragment<T, D>>(self.id)
-            .write_row(&Point(start), src);
-        let n = src.len();
-        assert!(ok, "write of uncovered run of {n} from {start:?} — missing requirement?");
+        self.check_run(ctx, AccessMode::Write, start, src.len());
+        let ok = ctx.fragment_mut::<GridFragment<T, D>>(self.id).write_row(&Point(start), src);
+        held(ok.then_some(()), AccessMode::Write, format_args!("{} element(s) from {start:?}", src.len()));
     }
+
+    /// The access rule for the innermost-axis run of `n` from `start`, as one box.
+    fn check_run(&self, ctx: &TaskCtx<'_>, mode: AccessMode, start: [i64; D], n: usize) {
+        let mut end = start.map(|x| x + 1);
+        end[D - 1] += n as i64 - 1;
+        if let Some(run) = GridBox::new(Point(start), Point(end)) {
+            let what = format_args!("{n} element(s) from {start:?}");
+            ctx.check_access(self.id, mode, what, |r: &BoxRegion<D>| r.contains_box(run));
+        }
+    }
+}
+
+/// What every build checks of a façade access: the locality holds it.
+fn held<X>(v: Option<X>, mode: AccessMode, what: std::fmt::Arguments<'_>) -> X {
+    v.unwrap_or_else(|| panic!("{mode:?} of {what}, not held here — missing requirement?"))
 }
 
 /// Marker type describing a binary-tree data item holding `T` with region
@@ -178,7 +186,7 @@ impl<K, V> Copy for DistMap<K, V> {}
 
 impl<K, V> DistMap<K, V>
 where
-    K: Ord + Clone + Wire + 'static,
+    K: Ord + Clone + std::fmt::Debug + Wire + 'static,
     V: Clone + Wire + 'static,
 {
     /// Create a distributed map with `buckets` hash buckets.
@@ -201,18 +209,22 @@ where
         BucketRegion::full(self.buckets)
     }
 
-    /// Insert into the local fragment (requires a write requirement on the
-    /// key's bucket).
+    /// Insert into the local fragment: the task must declare a write of
+    /// the key's bucket (checked in debug builds), which must be held here.
     pub fn insert(&self, ctx: &mut TaskCtx<'_>, key: K, value: V) {
-        let ok = ctx
-            .fragment_mut::<KeyedFragment<K, V>>(self.id)
-            .insert(key, value);
-        assert!(ok, "bucket not covered here — missing write requirement?");
+        let bucket = |c: &TaskCtx<'_>| c.fragment::<KeyedFragment<K, V>>(self.id).bucket_of(&key);
+        let covers = |r: &BucketRegion| r.contains(bucket(ctx));
+        ctx.check_access(self.id, AccessMode::Write, format_args!("key {key:?}"), covers);
+        let ok = ctx.fragment_mut::<KeyedFragment<K, V>>(self.id).insert(key, value);
+        held(ok.then_some(()), AccessMode::Write, format_args!("a key's bucket"));
     }
 
-    /// Look up in the local fragment.
+    /// Look up in the local fragment; the task must declare a read of the key's bucket.
     pub fn get(&self, ctx: &TaskCtx<'_>, key: &K) -> Option<V> {
-        ctx.fragment::<KeyedFragment<K, V>>(self.id).get(key).cloned()
+        let frag = ctx.fragment::<KeyedFragment<K, V>>(self.id);
+        let covers = |r: &BucketRegion| r.contains(frag.bucket_of(key));
+        ctx.check_access(self.id, AccessMode::Read, format_args!("key {key:?}"), covers);
+        frag.get(key).cloned()
     }
 }
 

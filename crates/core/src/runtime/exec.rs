@@ -358,6 +358,8 @@ fn start_execution(sim: &mut RtSim, tid: TaskId) {
         locality: loc,
         dim: &mut w.localities[loc].dim,
         charged: SimDuration::ZERO,
+        task: tid,
+        reqs: &inf.reqs,
     };
     let done = wi.process(&mut ctx);
     let charged = ctx.charged;

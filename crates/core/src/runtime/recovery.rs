@@ -219,7 +219,7 @@ fn detect_and_recover(sim: &mut RtSim, dead: usize) {
     tasks::reset_for_recovery(w);
     w.comms.reset_for_recovery();
     w.scheduler.reset_for_recovery();
-    w.serving.reset_for_recovery();
+    w.serving.reset_for_recovery(&mut w.monitor.serve);
     let restored = point.is_some();
     let mut grafted = 0u64;
     if restored {

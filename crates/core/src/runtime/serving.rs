@@ -18,6 +18,7 @@ use super::comms::{send_msg, Payload};
 use super::events::{schedule, RtEvent};
 use super::{phases, replicas, sched, trace_instant, trace_span};
 use super::{RtSim, RtWorld};
+use crate::monitor::ServeStats;
 use crate::slo::{ServeSpec, SloConfig};
 use crate::task::{AccessMode, Requirement, TaskId};
 use crate::task_map::TaskMap;
@@ -35,6 +36,8 @@ pub(super) struct Serving {
     pending: Option<ServeSpec>,
     /// The live serving phase, if one is running.
     session: Option<ServeSession>,
+    /// The report's serving counters when the live session started.
+    tallies: ServeStats,
 }
 
 impl Serving {
@@ -51,12 +54,18 @@ impl Serving {
     }
 
     /// An in-flight serving phase is abandoned wholesale (its arrivals,
-    /// completions and controller ticks are epoch-disarmed). The replayed
+    /// completions and controller ticks are epoch-disarmed) and its
+    /// request tallies in `m` go back to the session's start. The replayed
     /// driver re-registers the spec with the same seeds, so the identical
     /// request stream replays from the restored boundary — acknowledged
-    /// writes are re-applied, none are lost.
-    pub(super) fn reset_for_recovery(&mut self) {
-        *self = Serving::default();
+    /// writes are re-applied, none are lost, and each request is counted
+    /// once. Controller actions stay counted per attempt.
+    pub(super) fn reset_for_recovery(&mut self, m: &mut ServeStats) {
+        let Serving { session, tallies: t, .. } = std::mem::take(self);
+        if session.is_some() {
+            (m.offered, m.admitted, m.completed, m.shed) = (t.offered, t.admitted, t.completed, t.shed);
+            (m.reads, m.writes, m.latency, m.per_shard) = (t.reads, t.writes, t.latency, t.per_shard);
+        }
     }
 }
 
@@ -169,13 +178,14 @@ pub(super) fn start(sim: &mut RtSim, spec: ServeSpec) {
         arrivals_done: false,
         shards: vec![Shard::default(); shards],
     };
-    // Replays accumulate into the same per-shard histograms (like
-    // `tasks_reexecuted`); only (re)size them on shard-count change.
+    // Sessions accumulate into the same per-shard histograms; only
+    // (re)size them on shard-count change.
     if sim.world.monitor.serve.per_shard.len() != shards {
         sim.world.monitor.serve.per_shard = vec![LogHistogram::new(); shards];
     }
     let first = session.gen.next_gap();
     let period = session.spec.slo.control_period;
+    sim.world.serving.tallies = sim.world.monitor.serve.clone();
     sim.world.serving.session = Some(session);
     schedule(sim, now + first, RtEvent::ServeArrival);
     schedule(sim, now + period, RtEvent::SloTick);
@@ -370,8 +380,7 @@ fn maybe_finish(sim: &mut RtSim) {
         return;
     };
     let now = sim.now();
-    // Accumulates across a mid-phase recovery's replay, like the other
-    // re-execution counters — deterministic either way.
+    // Only a finished attempt adds its duration.
     sim.world.monitor.serve.serve_ns += (now - session.started).as_nanos();
     phases::advance_phase(sim, None);
 }

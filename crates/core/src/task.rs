@@ -15,6 +15,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use allscale_des::SimDuration;
+use allscale_region::Fragment;
 
 use crate::cost::CostModel;
 use crate::dim::DataItemManager;
@@ -74,8 +75,8 @@ impl<T> ItemTable<T> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(pub u64);
 
-/// Read or read/write access (paper Definition 2.7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Read or read/write access (paper Definition 2.7); a write grants a read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum AccessMode {
     /// The task only reads the region; replicas are permissible.
     Read,
@@ -132,6 +133,8 @@ pub struct TaskCtx<'a> {
     pub locality: usize,
     pub(crate) dim: &'a mut DataItemManager,
     pub(crate) charged: SimDuration,
+    pub(crate) task: TaskId,
+    pub(crate) reqs: &'a [Requirement],
 }
 
 impl TaskCtx<'_> {
@@ -142,22 +145,45 @@ impl TaskCtx<'_> {
         self.charged += dur;
     }
 
-    /// Immutable access to the local fragment of `item`.
+    /// The access rule (§2.5 over Def 2.7): in debug builds, panic unless a
+    /// requirement of this task on `item` declares `mode` (a write declares
+    /// a read too) over a region `covers` accepts; `what` names the access.
+    pub(crate) fn check_access<R: 'static>(
+        &self,
+        item: ItemId,
+        mode: AccessMode,
+        what: fmt::Arguments<'_>,
+        covers: impl Fn(&R) -> bool,
+    ) {
+        let fits = |q: &Requirement| {
+            q.item == item && q.mode >= mode && q.region.as_any().downcast_ref().is_some_and(&covers)
+        };
+        if cfg!(debug_assertions) && !self.reqs.iter().any(fits) {
+            let declared: Vec<_> = self.reqs.iter().filter(|q| q.item == item).collect();
+            panic!("{:?} {mode:?} of {what} of {item:?} outside its declared {declared:?} — missing requirement", self.task);
+        }
+    }
+
+    /// Immutable access to the local fragment of `item`, declared for reading
+    /// (checked in debug builds); what the caller reads in it is its own affair.
     ///
     /// # Panics
     /// Panics if the item is unknown or `F` is not its fragment type.
-    pub fn fragment<F: 'static>(&self, item: ItemId) -> &F {
+    pub fn fragment<F: Fragment>(&self, item: ItemId) -> &F {
+        self.check_access(item, AccessMode::Read, format_args!("fragment"), |_: &F::Region| true);
         self.dim
             .fragment_any(item)
             .downcast_ref::<F>()
             .expect("wrong fragment type for item")
     }
 
-    /// Mutable access to the local fragment of `item`.
+    /// Mutable access to the local fragment of `item`, declared for writing
+    /// (checked in debug builds); what the caller writes in it is its own affair.
     ///
     /// # Panics
     /// Panics if the item is unknown or `F` is not its fragment type.
-    pub fn fragment_mut<F: 'static>(&mut self, item: ItemId) -> &mut F {
+    pub fn fragment_mut<F: Fragment>(&mut self, item: ItemId) -> &mut F {
+        self.check_access(item, AccessMode::Write, format_args!("fragment"), |_: &F::Region| true);
         self.dim
             .fragment_any_mut(item)
             .downcast_mut::<F>()

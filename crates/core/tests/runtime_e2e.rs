@@ -3,11 +3,11 @@
 //! against sequential oracles.
 
 use allscale_core::{
-    pfor, pfor_tiles, FaultPlan, Grid, IntegrityConfig, ItemId,
-    PforSpec, Requirement, ResilienceConfig, RtConfig, RtCtx, Runtime, TaskValue, WorkItem,
+    pfor, pfor_tiles, DistMap, FaultPlan, Grid, IntegrityConfig, ItemId, PforSpec, Requirement,
+    ResilienceConfig, RtConfig, RtCtx, Runtime, TaskCtx, TaskValue, WorkItem,
 };
 use allscale_des::{SimDuration, SimTime};
-use allscale_region::{BoxRegion, GridBox, GridFragment, Point, Region};
+use allscale_region::{BoxRegion, BucketRegion, GridBox, GridFragment, Point, Region};
 use common::{family, Scenario};
 
 #[path = "../../../tests/common/mod.rs"]
@@ -431,6 +431,116 @@ fn read_row_past_the_requirement_panics() {
 #[should_panic(expected = "missing requirement")]
 fn write_row_past_the_requirement_panics() {
     row_overrunning_its_requirement(true);
+}
+
+/// Two phases on `nodes` nodes over the items `create` makes: phase `k`
+/// tiles `tiles * 8` indices, and each tile declares `reqs[k]` and runs
+/// `bodies[k]` (phase 0 fills, phase 1 probes).
+#[cfg(debug_assertions)]
+fn fill_then_probe<I: Copy + 'static>(
+    nodes: usize,
+    create: fn(&mut RtCtx<'_>) -> I,
+    tiles: i64,
+    reqs: [fn(I, &GridBox<1>) -> Requirement; 2],
+    bodies: [fn(I, &mut TaskCtx<'_>, &GridBox<1>); 2],
+) {
+    let mut items = None;
+    Runtime::new(config(nodes, 2)).run(
+        move |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
+            let i = *items.get_or_insert_with(|| create(ctx));
+            let (req, body) = (*reqs.get(phase)?, bodies[phase]);
+            Some(pfor_tiles(
+                PforSpec {
+                    name: "probe",
+                    range: GridBox::<1>::from_shape([tiles * 8]).unwrap(),
+                    grain: 8,
+                    ns_per_point: 1.0,
+                    axis0_pieces: tiles as u64,
+                },
+                move |tile| vec![req(i, tile)],
+                move |tctx, tile| body(i, tctx, tile),
+            ))
+        },
+    );
+}
+
+/// Tiles of a 64-element grid, filled in phase 0, each declare a write of
+/// their own tile in phase 1 and touch the first element past it,
+/// which lies in the next tile's write requirement (§2.5's exclusive
+/// writes). On one node that element is always held locally, on four
+/// mostly: only the access rule refuses it, naming the task, the element
+/// and the declared region.
+#[cfg(debug_assertions)]
+fn tile_touching_past_its_requirement(nodes: usize, write: bool) {
+    let own = |g: Grid<f64, 1>, tile: &GridBox<1>| Requirement::write(g.id, BoxRegion::from_box(*tile));
+    let fill: fn(Grid<f64, 1>, &mut TaskCtx<'_>, &GridBox<1>) = |g, tctx, tile| {
+        tile.points().for_each(|p| g.set(tctx, p.0, 1.0));
+    };
+    let past: fn(Grid<f64, 1>, &mut TaskCtx<'_>, &GridBox<1>) = match write {
+        true => |g, tctx, tile| g.set(tctx, [tile.hi()[0] % 64], 2.0),
+        false => |g, tctx, tile| assert_eq!(g.get(tctx, [tile.hi()[0] % 64]), 1.0),
+    };
+    let create = |ctx: &mut RtCtx<'_>| Grid::<f64, 1>::create(ctx, "A", [64]);
+    fill_then_probe(nodes, create, 8, [own, own], [fill, past]);
+}
+
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "Read of element [16] of ItemId(0) outside its declared [Write BoxRegion[[(0)..(16))] of ItemId(0)]")]
+fn a_tile_reading_past_its_requirement_on_one_node_panics() {
+    tile_touching_past_its_requirement(1, false);
+}
+
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "Write of element [16] of ItemId(0) outside its declared [Write BoxRegion[[(0)..(16))] of ItemId(0)]")]
+fn a_tile_writing_past_its_requirement_on_one_node_panics() {
+    tile_touching_past_its_requirement(1, true);
+}
+
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "outside its declared [Write BoxRegion[[")]
+fn a_tile_writing_past_its_requirement_on_four_nodes_panics() {
+    tile_touching_past_its_requirement(4, true);
+}
+
+/// A task declaring a read of one bucket of a map, all of whose buckets
+/// are held on its one node, reads a key of another bucket.
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "Read of key 1 of ItemId(0) outside its declared [Read")]
+fn a_map_read_outside_the_declared_bucket_panics() {
+    let create = |ctx: &mut RtCtx<'_>| DistMap::<u64, u64>::create(ctx, "M", 16);
+    let all = |m: DistMap<u64, u64>, _: &GridBox<1>| Requirement::write(m.id, m.full_region());
+    let fill: fn(DistMap<u64, u64>, &mut TaskCtx<'_>, &GridBox<1>) = |m, tctx, _| {
+        (0..64).for_each(|k| m.insert(tctx, k, k));
+    };
+    let one = |m: DistMap<u64, u64>, _: &GridBox<1>| {
+        let key0 = BucketRegion::bucket_of_bytes(16, &0u64.to_le_bytes());
+        Requirement::read(m.id, m.range_region(key0, key0 + 1))
+    };
+    let read: fn(DistMap<u64, u64>, &mut TaskCtx<'_>, &GridBox<1>) = |m, tctx, _| {
+        assert_eq!(m.get(tctx, &0), Some(0));
+        m.get(tctx, &1);
+    };
+    fill_then_probe(1, create, 1, [all, one], [fill, read]);
+}
+
+/// The raw accessor checks the item and the mode: a task that declared a
+/// read of a grid asks for its fragment mutably.
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "Write of fragment of ItemId(0) outside its declared [Read")]
+fn a_mutable_fragment_of_a_read_requirement_panics() {
+    let create = |ctx: &mut RtCtx<'_>| Grid::<f64, 1>::create(ctx, "A", [8]);
+    let whole = |g: Grid<f64, 1>, _: &GridBox<1>| Requirement::write(g.id, g.full_region());
+    let read = |g: Grid<f64, 1>, _: &GridBox<1>| Requirement::read(g.id, g.full_region());
+    let fill: fn(Grid<f64, 1>, &mut TaskCtx<'_>, &GridBox<1>) = |g, tctx, _| g.set(tctx, [0], 1.0);
+    let raw: fn(Grid<f64, 1>, &mut TaskCtx<'_>, &GridBox<1>) = |g, tctx, _| {
+        tctx.fragment_mut::<GridFragment<f64, 1>>(g.id).set(&Point([0]), 2.0);
+    };
+    fill_then_probe(1, create, 1, [whole, read], [fill, raw]);
 }
 
 /// Broadcast a single-owner grid, then migrate part of the fenced region

@@ -73,7 +73,7 @@ impl<const D: usize> BoxRegion<D> {
 
     /// Whether the region contains every point of `b`, without building
     /// anything.
-    pub(crate) fn contains_box(&self, b: GridBox<D>) -> bool {
+    pub fn contains_box(&self, b: GridBox<D>) -> bool {
         covered(b, &self.boxes)
     }
 

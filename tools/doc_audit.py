@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Check that every repository path and command the documents name exists.
 
-    tools/doc_audit.py            # from the repository root
+    tools/doc_audit.py              # from the repository root
+    tools/doc_audit.py --self-test  # seeded staleness must fail the audit
 
 A path is a backticked token in DESIGN.md, README.md or EXPERIMENTS.md,
 or in a Rust module doc (`//!` lines) under `examples/` or `crates/*/src`,
@@ -24,7 +25,19 @@ target (`tests/*.rs`, `crates/*/tests/*.rs`): each name (a glob such as
 `recorded_*` matches any) must be a `fn` in some file of that stem.
 Prints one `MISSING` line per name that is not.
 
-Other symbols and item numbers are not checked (ROADMAP item 15).
+An item reference is "ROADMAP item N" (or "items N, M and K"), a line
+break or comment marker allowed between the words, in those documents,
+ROADMAP.md, SKILL.md, the CI workflow, `tools/*.py` and every Rust file
+under `crates/`, `tests/` and `examples/`: each N must be a numbered item
+under ROADMAP.md's "## Open items". Prints one `STALE` line per number
+that is not.
+
+`--self-test` runs the audit with one seeded document beside the real
+ones: a renamed `suite::test`, a missing path and a closed item number
+must each fail it, and a line naming only what exists must not. Exits 1
+when the audit misses a seeded fault or flags the clean line.
+
+Other symbols are not checked (ROADMAP item 15).
 """
 import fnmatch
 import glob
@@ -44,6 +57,9 @@ DECLARED = re.compile(r'\[\[(bin|example)\]\]\s*\nname\s*=\s*"([^"]+)"')
 BRACES = re.compile(r"\{([^{}]*)\}")
 TEST_REF = re.compile(r"^([a-z0-9_]+)::(\{[^{}`]*\}|[A-Za-z0-9_*]+)")
 FN = re.compile(r"\bfn\s+([A-Za-z0-9_]+)")
+GAP = r"(?:\s|//[/!]?|#)+"
+ITEM_REF = re.compile(rf"ROADMAP{GAP}items?{GAP}(\d+(?:(?:,|{GAP}and|{GAP}or){GAP}\d+)*)")
+OPEN_ITEM = re.compile(r"^(\d+)\. \*\*", re.M)
 
 
 def alternatives(path):
@@ -70,14 +86,18 @@ def declared_targets():
     return found
 
 
-def lines(docs):
-    """(doc, line number, text) of every line of `docs`, then of every
-    module doc line of the Rust sources under `examples/` and
-    `crates/*/src`."""
-    for doc in docs:
-        with open(doc, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                yield doc, lineno, line
+def read(path):
+    with open(path, encoding="utf-8") as f:
+        return f.read()
+
+
+def lines(docs, seeded=()):
+    """(doc, line number, text) of every line of `docs` and of the
+    `(name, text)` documents `seeded`, then of every module doc line of
+    the Rust sources under `examples/` and `crates/*/src`."""
+    for doc, text in [(doc, read(doc)) for doc in docs] + list(seeded):
+        for lineno, line in enumerate(text.split("\n"), 1):
+            yield doc, lineno, line
     sources = glob.glob("examples/*.rs") + glob.glob("crates/*/src/**/*.rs", recursive=True)
     for src in sorted(sources):
         with open(src, encoding="utf-8") as f:
@@ -86,12 +106,12 @@ def lines(docs):
                     yield src, lineno, line
 
 
-def stale_commands():
+def stale_commands(seeded):
     """One line per `--bin`/`--example` that names no declared target and
     per experiment named on a command line without a checked-in file."""
     declared = declared_targets()
     stale = []
-    for doc, lineno, line in lines(COMMAND_DOCS):
+    for doc, lineno, line in lines(COMMAND_DOCS, seeded):
         for kind, name in TARGET.findall(line):
             if (kind, name) not in declared:
                 stale.append(f"STALE {doc}:{lineno}: --{kind} {name} is not declared")
@@ -115,14 +135,14 @@ def test_fns():
     return fns
 
 
-def unresolved_tests():
+def unresolved_tests(seeded):
     """One line per test name a document gives its suite without a `fn`."""
     fns = test_fns()
     missing = []
-    for doc, lineno, line in lines(DOCS):
+    for doc, lineno, line in lines(DOCS, seeded):
         for token in TOKEN.findall(line):
             ref = TEST_REF.match(token)
-            if doc not in DOCS or not ref or ref.group(1) not in fns:
+            if doc.endswith(".rs") or not ref or ref.group(1) not in fns:
                 continue
             suite, names = ref.groups()
             for name in names.strip("{}").split(","):
@@ -132,12 +152,33 @@ def unresolved_tests():
     return missing
 
 
-def main():
-    stale = stale_commands() + unresolved_tests()
-    for line in stale:
-        print(line)
-    missing = len(stale)
-    for doc, lineno, line in lines(DOCS):
+def open_items():
+    """The numbers of ROADMAP.md's open items."""
+    section = read("ROADMAP.md").split("\n## Open items", 1)[1].split("\n## ", 1)[0]
+    return {int(n) for n in OPEN_ITEM.findall(section)}
+
+
+def stale_items(seeded):
+    """One line per "ROADMAP item N" whose N is not an open item."""
+    texts = [".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md", "ROADMAP.md"]
+    texts += DOCS + glob.glob("tools/*.py")
+    for root in ("crates", "tests", "examples"):
+        texts += glob.glob(f"{root}/**/*.rs", recursive=True)
+    live = open_items()
+    stale = []
+    for doc, text in [(t, read(t)) for t in sorted(texts)] + list(seeded):
+        for ref in ITEM_REF.finditer(text):
+            lineno = text.count("\n", 0, ref.start()) + 1
+            for n in map(int, re.findall(r"\d+", ref.group(1))):
+                if n not in live:
+                    stale.append(f"STALE {doc}:{lineno}: ROADMAP item {n} is not an open item")
+    return stale
+
+
+def missing_paths(seeded):
+    """One line per backticked repository path that matches nothing."""
+    missing = []
+    for doc, lineno, line in lines(DOCS, seeded):
         for token in TOKEN.findall(line):
             word = token.split()[0] if token.split() else ""
             if not word.startswith(ROOTS):
@@ -145,9 +186,47 @@ def main():
             path = re.sub(r"(::|:\d).*$", "", word).rstrip(".,;")
             for alt in alternatives(path):
                 if not exists(alt):
-                    print(f"MISSING {doc}:{lineno}: {alt}")
-                    missing += 1
-    return 1 if missing else 0
+                    missing.append(f"MISSING {doc}:{lineno}: {alt}")
+    return missing
+
+
+def audit(seeded=()):
+    """Every `MISSING` and `STALE` line, with `seeded` documents added."""
+    checks = [stale_commands, unresolved_tests, missing_paths, stale_items]
+    return [line for check in checks for line in check(seeded)]
+
+
+def self_test():
+    """Seed one document with a fault per kind, each on its own line after
+    a clean one; the audit must flag exactly the faulty lines."""
+    suite, names = sorted(test_fns().items())[0]
+    name = sorted(names)[0]
+    live = open_items()
+    closed = next(n for n in itertools.count(1) if n not in live)
+    seeded = "\n".join([
+        f"`{suite}::{name}` in `tools/doc_audit.py`, ROADMAP item {min(live)}",
+        f"`{suite}::{name}_renamed`",
+        "`tools/no_such_tool.py`",
+        f"ROADMAP\nitem {closed}",
+    ])
+    flagged = [line for line in audit([("SEEDED.md", seeded)]) if "SEEDED.md" in line]
+    for line in flagged:
+        print(line)
+    lines_hit = sorted({int(line.split(":")[1]) for line in flagged})
+    if lines_hit != [2, 3, 4] or len(flagged) != 3:
+        print(f"SELF-TEST FAILED: expected lines [2, 3, 4] flagged once each, got {flagged}")
+        return 1
+    print("self-test: a renamed test, a missing path and a closed item each fail")
+    return 0
+
+
+def main():
+    if sys.argv[1:] == ["--self-test"]:
+        return self_test()
+    stale = audit()
+    for line in stale:
+        print(line)
+    return 1 if stale else 0
 
 
 if __name__ == "__main__":

@@ -14,12 +14,17 @@ Writes `SIZE.json` (or PATH):
 `runtime`  the same count per module under `crates/core/src/runtime`;
 `pub_fns`  per file under `crates/*/src`, the `fn`s declared `pub`,
            `pub(crate)`, `pub(super)` or `pub(in …)` outside its unit
-           tests (files with none are left out).
+           tests (files with none are left out);
+`tests`    test lines per crate: its `src` files' unit-test modules plus
+           every `.rs` file under `crates/<name>/tests`; and under
+           `tests/` the lines of the workspace's own test suites;
+`docs`     the lines of DESIGN.md, README.md and EXPERIMENTS.md.
 
 CI regenerates the file and diffs it against the checked-in copy, so a
-change that grows or shrinks the code says so in its diff. Exits 1 when a
-file under `crates/core/src/runtime` is over 900 lines, tests included
-(DESIGN.md §3.1: one module per tenant, each small enough to read).
+change that grows or shrinks the code, its tests or its documents says so
+in its diff. Exits 1 when a file under `crates/core/src/runtime` is over
+900 lines, tests included (DESIGN.md §3.1: one module per tenant, each
+small enough to read).
 """
 import glob
 import json
@@ -28,6 +33,7 @@ import re
 import sys
 
 RUNTIME = "crates/core/src/runtime"
+DOCS = ["DESIGN.md", "README.md", "EXPERIMENTS.md"]
 BOUND = 900
 VIS = r"pub(?:\((?:crate|super|in [^)]*)\))?"
 PUB_FN = re.compile(rf"^\s*{VIS} (?:(?:const|unsafe|async) )*fn ", re.M)
@@ -63,13 +69,16 @@ def main():
     elif len(sys.argv) > 1:
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
         return 2
-    crates, runtime, pub_fns, over = {}, {}, {}, []
+    crates, runtime, pub_fns, tests, over = {}, {}, {}, {}, []
     for crate in sorted(os.listdir("crates")):
+        test_files = sources(f"crates/{crate}/tests")
+        tests[crate] = sum(read(path).count("\n") for path in test_files)
         for path in sources(f"crates/{crate}/src"):
             src = read(path)
             code = without_unit_tests(src)
             lines = code.count("\n")
             crates[crate] = crates.get(crate, 0) + lines
+            tests[crate] += src.count("\n") - lines
             if path.startswith(RUNTIME + "/"):
                 runtime[path[len(RUNTIME) + 1:]] = lines
                 if src.count("\n") > BOUND:
@@ -77,7 +86,9 @@ def main():
             fns = len(PUB_FN.findall(code))
             if fns:
                 pub_fns[path] = fns
-    ledger = {"crates": crates, "runtime": runtime, "pub_fns": pub_fns}
+    tests["tests/"] = sum(read(path).count("\n") for path in sources("tests"))
+    docs = {doc: read(doc).count("\n") for doc in DOCS}
+    ledger = {"crates": crates, "runtime": runtime, "pub_fns": pub_fns, "tests": tests, "docs": docs}
     with open(out, "w", encoding="utf-8") as f:
         json.dump(ledger, f, indent=1, sort_keys=True)
         f.write("\n")
