@@ -4,14 +4,15 @@
 //! The store is a [`DistMap<u64, u64>`] whose hash buckets are grouped
 //! into contiguous *shards*; a setup phase preloads every key and pins
 //! each shard to one locality via first touch. The request stream is
-//! precomputed from a seed: shard popularity follows a Zipf distribution
-//! (the classic hot-shard regime), keys within a shard are uniform, and
-//! a configurable fraction of requests are writes. Reads are point gets
-//! or splittable multi-gets (small task trees whose leaves place
-//! data-aware); writes are commutative increments, so the final value of
-//! every key is independent of the interleaving — which is what lets the
-//! conformance suite check "no acknowledged write is lost" across
-//! fail-stop recovery without assuming an order.
+//! drawn in order from a seed as requests arrive: shard popularity
+//! follows a Zipf distribution (the classic hot-shard regime), keys
+//! within a shard are uniform, and a configurable fraction of requests
+//! are writes. Reads are point gets or splittable multi-gets (small task
+//! trees whose leaves place data-aware); writes are commutative
+//! increments, so the final value of every key is independent of the
+//! interleaving — which is what lets the conformance suite check "no
+//! acknowledged write is lost" across fail-stop recovery without assuming
+//! an order.
 //!
 //! [`run_with`] drives the three phases (preload, serve, verify) on any
 //! [`RtConfig`] and panics if the surviving store contents disagree with
@@ -146,51 +147,83 @@ impl KeysByBucket {
     }
 }
 
-/// One precomputed request.
-#[derive(Debug, Clone)]
-enum PlannedOp {
+/// One request of the stream.
+#[derive(Debug)]
+enum Op<K> {
     /// Read `keys` (one key = leaf get, several = splittable multi-get).
-    Read(Vec<u64>),
+    Read(K),
     /// Increment `key` by `delta`.
     Write(u64, u64),
 }
 
-/// The full request stream, precomputed from the seed so the driver, the
-/// factory and the oracle all agree on it — and so a post-recovery
-/// replay regenerates it identically.
-#[derive(Debug, Clone)]
-struct Plan {
-    reqs: Vec<(u32, PlannedOp)>,
+/// A read's keys drawn and dropped: what the write oracle collects them
+/// into, so its draw allocates nothing.
+struct Unread;
+
+impl FromIterator<u64> for Unread {
+    fn from_iter<I: IntoIterator<Item = u64>>(keys: I) -> Self {
+        keys.into_iter().for_each(drop);
+        Unread
+    }
 }
 
-fn build_plan(cfg: &ServeAppConfig) -> Plan {
-    // Group the key space by shard once.
-    let mut shard_keys: Vec<Vec<u64>> = vec![Vec::new(); cfg.shards as usize];
-    for k in 0..cfg.keys {
-        shard_keys[shard_of(cfg, k) as usize].push(k);
+/// The request stream, drawn in order from the seed: the factory and the
+/// write oracle each draw their own copy, and a post-recovery replay gets
+/// a fresh one, so all of them see the same requests. It holds the keys
+/// grouped by shard and the generator state, nothing per request.
+struct Requests {
+    shard_keys: Vec<Vec<u64>>,
+    rng: XorShift64Star,
+    zipf: ZipfSampler,
+    write_ppm: u32,
+    multiget_ppm: u32,
+    fanout: usize,
+    /// Requests drawn so far: the number of the next one.
+    drawn: u64,
+}
+
+impl Requests {
+    fn new(cfg: &ServeAppConfig) -> Self {
+        let mut shard_keys: Vec<Vec<u64>> = vec![Vec::new(); cfg.shards as usize];
+        for k in 0..cfg.keys {
+            shard_keys[shard_of(cfg, k) as usize].push(k);
+        }
+        assert!(
+            shard_keys.iter().all(|ks| !ks.is_empty()),
+            "every shard needs at least one key; use more keys or fewer shards"
+        );
+        Requests {
+            shard_keys,
+            rng: XorShift64Star::with_mix(cfg.seed, MIX_GOLDEN),
+            zipf: ZipfSampler::new(cfg.shards as usize, cfg.zipf_s),
+            write_ppm: cfg.write_ppm,
+            multiget_ppm: cfg.multiget_ppm,
+            fanout: cfg.multiget_fanout.max(2) as usize,
+            drawn: 0,
+        }
     }
-    assert!(
-        shard_keys.iter().all(|ks| !ks.is_empty()),
-        "every shard needs at least one key; use more keys or fewer shards"
-    );
-    let mut rng = XorShift64Star::with_mix(cfg.seed, MIX_GOLDEN);
-    let zipf = ZipfSampler::new(cfg.shards as usize, cfg.zipf_s);
-    let mut reqs = Vec::with_capacity(cfg.requests as usize);
-    for i in 0..cfg.requests {
-        let shard = zipf.sample(&mut rng);
-        let keys = &shard_keys[shard];
+
+    /// Draw the next request: its shard and what it does, a read's keys
+    /// collected into `K`.
+    fn next<K: FromIterator<u64>>(&mut self) -> (u32, Op<K>) {
+        let i = self.drawn;
+        self.drawn += 1;
+        let rng = &mut self.rng;
+        let shard = self.zipf.sample(rng);
+        let keys = &self.shard_keys[shard];
         let pick = |rng: &mut XorShift64Star| keys[(rng.next() % keys.len() as u64) as usize];
-        let op = if rng.next_ppm() < cfg.write_ppm {
-            PlannedOp::Write(pick(&mut rng), (i % 1_000) + 1)
-        } else if rng.next_ppm() < cfg.multiget_ppm {
-            let n = cfg.multiget_fanout.max(2) as usize;
-            PlannedOp::Read((0..n).map(|_| pick(&mut rng)).collect())
+        let op = if rng.next_ppm() < self.write_ppm {
+            Op::Write(pick(rng), (i % 1_000) + 1)
         } else {
-            PlannedOp::Read(vec![pick(&mut rng)])
+            let n = if rng.next_ppm() < self.multiget_ppm {
+                self.fanout
+            } else {
+                1
+            };
+            Op::Read((0..n).map(|_| pick(rng)).collect())
         };
-        reqs.push((shard as u32, op));
+        (shard as u32, op)
     }
-    Plan { reqs }
 }
 
 /// A get over one or more keys. A single key is a leaf; several keys
@@ -308,8 +341,8 @@ pub struct ServeOutcome {
     pub keys_checked: u64,
 }
 
-/// Run the serving benchmark on `rt`: preload, serve the precomputed
-/// stream, verify every key against the write oracle.
+/// Run the serving benchmark on `rt`: preload, serve the stream drawn
+/// from the seed, verify every key against the write oracle.
 ///
 /// # Panics
 /// Panics if any acknowledged write is missing from the surviving store
@@ -317,12 +350,10 @@ pub struct ServeOutcome {
 pub fn run_with(cfg: &ServeAppConfig, rt: RtConfig) -> ServeOutcome {
     let cfg = cfg.clone();
     let buckets = cfg.buckets();
-    let plan = Rc::new(build_plan(&cfg));
     let map_cell: Rc<RefCell<Option<DistMap<u64, u64>>>> = Rc::new(RefCell::new(None));
     let checked: Rc<RefCell<u64>> = Rc::new(RefCell::new(0));
 
     let mc = map_cell.clone();
-    let plan_d = plan.clone();
     let checked_d = checked.clone();
     let cfg_d = cfg.clone();
     let runtime = Runtime::new(rt);
@@ -367,30 +398,34 @@ pub fn run_with(cfg: &ServeAppConfig, rt: RtConfig) -> ServeOutcome {
                             )) as Box<dyn allscale_core::DynRegion>
                         })
                         .collect();
-                    let plan_f = plan_d.clone();
+                    // A replay of this phase asks for a new factory, so
+                    // it draws a fresh stream from the seed.
+                    let mut stream = Requests::new(&cfg_d);
                     let flops = cfg_d.service_flops;
                     let factory = move |req: u64| -> Request {
-                        let (shard, op) = &plan_f.reqs[req as usize];
+                        assert_eq!(req, stream.drawn, "requests are asked for in order");
+                        let (shard, op) = stream.next();
+                        let shard = shard as usize;
                         match op {
-                            PlannedOp::Read(keys) => Request {
-                                shard: *shard as usize,
+                            Op::Read(keys) => Request {
+                                shard,
                                 write: false,
                                 work: Box::new(GetTask {
                                     map,
                                     buckets,
-                                    keys: keys.clone(),
+                                    keys,
                                     flops,
                                     depth: 0,
                                 }),
                             },
-                            PlannedOp::Write(key, delta) => Request {
-                                shard: *shard as usize,
+                            Op::Write(key, delta) => Request {
+                                shard,
                                 write: true,
                                 work: Box::new(PutTask {
                                     map,
                                     buckets,
-                                    key: *key,
-                                    delta: *delta,
+                                    key,
+                                    delta,
                                     flops,
                                 }),
                             },
@@ -412,15 +447,15 @@ pub fn run_with(cfg: &ServeAppConfig, rt: RtConfig) -> ServeOutcome {
                 2 => {
                     // Write oracle: increments commute, so the expected
                     // final value of each key is its initial value plus
-                    // the sum of all planned deltas — regardless of the
-                    // execution interleaving or mid-serving recoveries.
+                    // the sum of all the stream's deltas — regardless of
+                    // the execution interleaving or mid-serving recoveries.
                     let map = mc.borrow().expect("map created in phase 0");
                     let mut expected: Vec<u64> =
                         (0..cfg_d.keys).map(initial_value).collect();
-                    for (_, op) in &plan_d.reqs {
-                        if let PlannedOp::Write(key, delta) = op {
-                            expected[*key as usize] =
-                                expected[*key as usize].wrapping_add(*delta);
+                    let mut stream = Requests::new(&cfg_d);
+                    for _ in 0..cfg_d.requests {
+                        if let (_, Op::Write(key, delta)) = stream.next::<Unread>() {
+                            expected[key as usize] = expected[key as usize].wrapping_add(delta);
                         }
                     }
                     let mut n = 0u64;
@@ -469,25 +504,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn plan_is_deterministic_and_skewed() {
+    fn stream_is_deterministic_and_skewed() {
         let cfg = ServeAppConfig::small();
-        let a = build_plan(&cfg);
-        let b = build_plan(&cfg);
-        assert_eq!(a.reqs.len(), b.reqs.len());
-        for (x, y) in a.reqs.iter().zip(&b.reqs) {
-            assert_eq!(x.0, y.0);
-            assert_eq!(format!("{:?}", x.1), format!("{:?}", y.1));
+        let (mut a, mut b) = (Requests::new(&cfg), Requests::new(&cfg));
+        let (mut hot, mut writes) = (0, 0);
+        for _ in 0..cfg.requests {
+            let (x, y) = (a.next::<Vec<u64>>(), b.next::<Vec<u64>>());
+            assert_eq!(format!("{x:?}"), format!("{y:?}"));
+            hot += u64::from(x.0 == 0);
+            writes += u64::from(matches!(x.1, Op::Write(..)));
         }
         // Shard 0 dominates under Zipf 1.2.
-        let hot = a.reqs.iter().filter(|(s, _)| *s == 0).count();
-        assert!(hot * 2 > a.reqs.len() / 2, "hot shard carries >25%: {hot}");
+        assert!(hot * 2 > cfg.requests / 2, "hot shard carries >25%: {hot}");
         // Writes are present but a small minority.
-        let writes = a
-            .reqs
-            .iter()
-            .filter(|(_, op)| matches!(op, PlannedOp::Write(..)))
-            .count();
-        assert!(writes > 0 && writes < a.reqs.len() / 5);
+        assert!(writes > 0 && writes < cfg.requests / 5);
     }
 
     #[test]

@@ -14,8 +14,8 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use allscale_core::{
-    pfor, CostModel, Done, ItemId, PforSpec, Requirement, RtConfig, RtCtx, Runtime, SplitOutcome,
-    TaskCtx, TaskValue, TreeItem, WorkItem,
+    pfor, CostModel, Done, ItemId, PforSpec, Requirement, RtConfig, RtCtx, RunReport, Runtime,
+    SplitOutcome, TaskCtx, TaskValue, TreeItem, WorkItem,
 };
 use allscale_des::{SimDuration, SimTime};
 use allscale_region::{BitmaskTreeRegion, GridBox, Subtree, TreeFragment, TreePath};
@@ -253,9 +253,12 @@ pub fn run(cfg: &TpcConfig) -> TpcResult {
 
 /// Run with a custom runtime configuration.
 pub fn run_with(cfg: &TpcConfig, rt_cfg: RtConfig) -> TpcResult {
-    let cfg = cfg.clone();
-    let cfg_out = cfg.clone();
-    let tree = Arc::new(KdTree::build(&gen_points(cfg.total_points())));
+    run_with_report(cfg, rt_cfg).0
+}
+
+/// [`run_with`], also handing back the runtime's report.
+fn run_with_report(cfg: &TpcConfig, rt_cfg: RtConfig) -> (TpcResult, RunReport) {
+    let points = cfg.total_points();
     let h = cfg.split_depth;
     let levels = cfg.levels;
     assert!(levels > h, "tree must extend below the split depth");
@@ -279,12 +282,16 @@ pub fn run_with(cfg: &TpcConfig, rt_cfg: RtConfig) -> TpcResult {
         move |phase: usize, ctx: &mut RtCtx<'_>, prev: TaskValue| -> Option<Box<dyn WorkItem>> {
             match phase {
                 0 => {
-                    // Distribute the prebuilt tree: one pfor index per
-                    // block (0 = root block, 1+i = subtree i); first touch
-                    // places each block at its hint target.
+                    // Build the tree and distribute it: one pfor index
+                    // per block (0 = root block, 1+i = subtree i); first
+                    // touch places each block at its hint target. The
+                    // pfor owns the tree and frees it with its last leaf,
+                    // so the run holds it only while it distributes; a
+                    // restart from scratch asks for this phase again and
+                    // builds it anew.
                     let item = ctx.create_item::<KdTreeItem>("kdtree");
                     st.borrow_mut().item = Some(item);
-                    let tree = tree.clone();
+                    let tree = KdTree::build(&gen_points(points));
                     Some(pfor(
                         PforSpec {
                             name: "tpc-distribute",
@@ -372,19 +379,20 @@ pub fn run_with(cfg: &TpcConfig, rt_cfg: RtConfig) -> TpcResult {
 
     let s = state.borrow();
     let compute_seconds = (s.compute_end - s.compute_start).as_secs_f64();
-    let validated = if cfg_out.validate {
-        oracle(&cfg_out).iter().sum::<u64>() == s.total
+    let validated = if cfg.validate {
+        oracle(cfg).iter().sum::<u64>() == s.total
     } else {
         true
     };
-    TpcResult {
+    let result = TpcResult {
         compute_seconds,
         queries_per_sec: q_total as f64 / compute_seconds,
         total_count: s.total,
         validated,
         remote_msgs: report.remote_msgs,
         remote_bytes: report.remote_bytes,
-    }
+    };
+    (result, report)
 }
 
 #[cfg(test)]
@@ -410,5 +418,32 @@ mod tests {
         cfg.batch = 4;
         let res = run(&cfg);
         assert!(res.validated);
+    }
+
+    #[test]
+    fn a_restart_from_scratch_builds_the_tree_again() {
+        use allscale_core::{EventKind, FaultPlan, ResilienceConfig, TraceConfig};
+        let cfg = TpcConfig::small(4);
+        let (clean, report) = run_with_report(&cfg, RtConfig::meggie(4));
+        // Halfway through the run: before the first checkpoint, which the
+        // default policy takes entering phase 2, so recovery restarts
+        // from phase 0 and its driver builds the freed tree again.
+        let mut plan = FaultPlan::new(1);
+        plan.kill_at(3, SimTime::from_nanos(report.finish_time.as_nanos() / 2));
+        let mut rt = RtConfig::meggie(4);
+        rt.faults = Some(plan);
+        rt.resilience = Some(ResilienceConfig::default());
+        rt.trace = Some(TraceConfig::default());
+        let (res, report) = run_with_report(&cfg, rt);
+        assert!(res.validated, "the rebuilt tree answers like the first");
+        assert_eq!(res.total_count, clean.total_count);
+        assert_eq!(report.monitor.resilience.checkpoints, 0);
+        let trace = report.trace.expect("tracing was on");
+        let restarts = trace
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Recovery { phase: 0, .. }))
+            .count();
+        assert_eq!(restarts, 1, "one recovery, replaying phase 0");
     }
 }

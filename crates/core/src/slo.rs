@@ -98,9 +98,10 @@ pub struct ServeSpec {
     pub max_requests: u64,
     /// SLO and controller policy.
     pub slo: SloConfig,
-    /// Builds request number `req` (0-based, dense). It must be a
-    /// deterministic function of `req` and its own seeded state, so a
-    /// replayed serving phase regenerates the identical request stream.
+    /// Builds request number `req`. A session asks for each request once,
+    /// densely and in order from 0, so the factory may draw its stream as
+    /// it goes. A replayed serving phase gets a fresh factory from the
+    /// driver: it must regenerate the identical stream from its seed.
     pub factory: Box<dyn FnMut(u64) -> Request>,
 }
 

@@ -4,8 +4,10 @@
 //! locks and a refusal the one overlap it reports — and a served request
 //! costs a bounded number of allocations end to end. The byte path has
 //! budgets too: a halo row crossing the wire and a checkpoint round trip
-//! allocate what they keep, not a chain of intermediate copies. A timing
-//! would say the same things with noise; `malloc` calls repeat exactly.
+//! allocate what they keep, not a chain of intermediate copies. And a
+//! serving run holds the same bytes at its peak however many requests it
+//! serves. A timing would say the same things with noise; `malloc` calls
+//! and the bytes they hand out repeat exactly.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -24,23 +26,38 @@ thread_local! {
     /// Allocations made by this thread (the test harness runs tests on
     /// threads of their own, and its main thread allocates meanwhile).
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated and has not freed (negative when it
+    /// frees what another thread allocated), and their high-water mark.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
+}
+
+/// Count one allocation of `grown` more live bytes (`grown` < 0 for a
+/// shrinking `realloc`).
+fn note(count: u64, grown: i64) {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + count));
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + grown);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 struct Counting;
 
-// SAFETY: every call is forwarded unchanged to `System`; the counter is a
-// const-initialized thread-local without a destructor, so touching it
-// neither allocates nor runs after thread teardown.
+// SAFETY: every call is forwarded unchanged to `System`; the counters
+// are const-initialized thread-locals without a destructor, so touching
+// them neither allocates nor runs after thread teardown.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        note(1, layout.size() as i64);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(0, -(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        note(1, new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -52,6 +69,14 @@ fn allocations_of<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+/// The most bytes `f` held live at once, over what was live before it.
+fn peak_bytes_of<R>(f: impl FnOnce() -> R) -> (i64, R) {
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(before));
+    let out = f();
+    (PEAK.with(Cell::get) - before, out)
 }
 
 const ITEM: ItemId = ItemId(0);
@@ -154,34 +179,53 @@ fn a_refusal_allocates_only_the_overlap_it_reports() {
     );
 }
 
-/// Allocations of one whole serving run (set-up, preload and verification
-/// included) of `requests` requests.
-fn serving_run(requests: u64) -> u64 {
+/// Allocations and peak live bytes of one whole serving run (set-up,
+/// preload and verification included) of `requests` requests.
+fn serving_run(requests: u64) -> (u64, i64) {
     let cfg = ServeAppConfig {
         rate_rps: 200_000.0,
         requests,
         ..ServeAppConfig::default()
     };
-    let (n, out) = allocations_of(|| serve::run_with(&cfg, RtConfig::test(4, 2)));
+    let (n, (peak, out)) =
+        allocations_of(|| peak_bytes_of(|| serve::run_with(&cfg, RtConfig::test(4, 2))));
     assert_eq!(
         out.report.monitor.serve.completed, requests,
         "below the knee nothing is shed"
     );
-    n
+    (n, peak)
 }
 
 #[test]
 fn a_served_request_stays_within_its_allocation_budget() {
     // The difference of two runs cancels everything that is paid once.
     let (short, long) = (1_000, 3_000);
-    let marginal = (serving_run(long) - serving_run(short)) as f64 / (long - short) as f64;
-    // 43 before predicates replaced built regions, 19.9 while every DES
-    // event was a boxed closure and every granted lock cloned its region;
-    // the rest is the task itself (work item, requirement) and the
-    // application's bookkeeping.
+    let marginal = (serving_run(long).0 - serving_run(short).0) as f64 / (long - short) as f64;
+    // 11.4 today; 12.4 while a read's keys were cloned out of a
+    // precomputed plan, 43 before predicates replaced built regions, 19.9
+    // while every DES event was a boxed closure and every granted lock
+    // cloned its region. The rest is the task itself (work item,
+    // requirement) and the application's bookkeeping.
     assert!(
-        marginal <= 13.0,
-        "{marginal:.1} allocations per additional request (budget: 13)"
+        marginal <= 12.0,
+        "{marginal:.1} allocations per additional request (budget: 12)"
+    );
+}
+
+#[test]
+fn a_serving_run_holds_nothing_per_request() {
+    // Long enough that both runs are past their warm-up, in which the
+    // runtime's tables grow to their working size (a 1 000-request run
+    // peaks 280 kB below a 16 000-request one): past it, what a run holds
+    // at its peak is its state — the store, those tables, the requests
+    // in flight — whatever its length.
+    let (short, long) = (16_000, 32_000);
+    let marginal = (serving_run(long).1 - serving_run(short).1) as f64 / (long - short) as f64;
+    // 0.3 today; 43.7 while the whole request stream was precomputed
+    // before the run (an entry and a read's key list per request).
+    assert!(
+        marginal <= 4.0,
+        "{marginal:.1} bytes held per additional request (budget: 4)"
     );
 }
 

@@ -85,7 +85,7 @@ fn abreast<const K: usize>(lanes: &mut [Lane<'_>]) {
 }
 
 /// [`fnv1a_64`] of every buffer of `bufs`, in order (see the module docs):
-/// up to [`LANES`] buffers are hashed abreast, a lane that reaches the end
+/// up to four buffers are hashed abreast, a lane that reaches the end
 /// of its buffer takes the next one, and the last buffer left alone is
 /// finished by [`fnv1a_64_extend`].
 pub fn fnv1a_64_batch(bufs: &[&[u8]]) -> Vec<u64> {
