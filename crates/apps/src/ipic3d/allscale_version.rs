@@ -82,12 +82,7 @@ pub fn run_with(cfg: &PicConfig, rt_cfg: RtConfig) -> PicResult {
                     rho: Grid::<u64, 3>::create(ctx, "RHO", shape),
                 };
                 let (e0, e1, b, p0, p1, rho) = (
-                    items.e[0],
-                    items.e[1],
-                    items.b,
-                    items.p[0],
-                    items.p[1],
-                    items.rho,
+                    items.e[0], items.e[1], items.b, items.p[0], items.p[1], items.rho,
                 );
                 st.borrow_mut().items = Some(items);
                 return Some(pfor(
@@ -275,7 +270,11 @@ pub fn run_with(cfg: &PicConfig, rt_cfg: RtConfig) -> PicResult {
             let mut s = st.borrow_mut();
             s.compute_end = ctx.now();
             let items = s.items.as_ref().unwrap();
-            let final_p = if steps.is_multiple_of(2) { items.p[0] } else { items.p[1] };
+            let final_p = if steps.is_multiple_of(2) {
+                items.p[0]
+            } else {
+                items.p[1]
+            };
             let rho_item = items.rho;
             let (mut count, mut acc, mut rho_total) = (0u64, 0u64, 0u64);
             for loc in 0..ctx.nodes() {

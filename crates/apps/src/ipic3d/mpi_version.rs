@@ -218,9 +218,7 @@ pub fn run_with(cfg: &PicConfig, spec: &ClusterSpec) -> PicResult {
                 acc = acc.wrapping_add(particle_checksum(p));
             }
         }
-        let rho: u64 = rho_cells
-            .iter()
-            .fold(0u64, |a, &v| a.wrapping_add(v));
+        let rho: u64 = rho_cells.iter().fold(0u64, |a, &v| a.wrapping_add(v));
         (count, acc, rho, t0.as_nanos())
     });
 
@@ -233,7 +231,12 @@ pub fn run_with(cfg: &PicConfig, spec: &ClusterSpec) -> PicResult {
         .results
         .iter()
         .fold(0u64, |a, &(_, _, r, _)| a.wrapping_add(r));
-    let t0 = report.results.iter().map(|&(_, _, _, t)| t).max().unwrap_or(0);
+    let t0 = report
+        .results
+        .iter()
+        .map(|&(_, _, _, t)| t)
+        .max()
+        .unwrap_or(0);
     let seconds = (report.finish_time.as_nanos() - t0) as f64 / 1e9;
     let validated = if cfg.validate {
         (particles, checksum, rho_total) == oracle(cfg)

@@ -450,8 +450,7 @@ pub fn run_with(cfg: &ServeAppConfig, rt: RtConfig) -> ServeOutcome {
                     // the sum of all the stream's deltas — regardless of
                     // the execution interleaving or mid-serving recoveries.
                     let map = mc.borrow().expect("map created in phase 0");
-                    let mut expected: Vec<u64> =
-                        (0..cfg_d.keys).map(initial_value).collect();
+                    let mut expected: Vec<u64> = (0..cfg_d.keys).map(initial_value).collect();
                     let mut stream = Requests::new(&cfg_d);
                     for _ in 0..cfg_d.requests {
                         if let (_, Op::Write(key, delta)) = stream.next::<Unread>() {
@@ -467,11 +466,9 @@ pub fn run_with(cfg: &ServeAppConfig, rt: RtConfig) -> ServeOutcome {
                             .as_any()
                             .downcast_ref::<BucketRegion>()
                             .expect("bucket region");
-                        let frag =
-                            ctx.fragment_at::<KeyedFragment<u64, u64>>(loc, map.id);
+                        let frag = ctx.fragment_at::<KeyedFragment<u64, u64>>(loc, map.id);
                         for (k, v) in frag.iter() {
-                            let b =
-                                BucketRegion::bucket_of_bytes(buckets, &k.to_le_bytes());
+                            let b = BucketRegion::bucket_of_bytes(buckets, &k.to_le_bytes());
                             if owned.contains(b) {
                                 assert_eq!(
                                     *v, expected[*k as usize],

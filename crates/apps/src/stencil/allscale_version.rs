@@ -165,7 +165,11 @@ fn run_with_kernel(
             // Wrap-up: record times and checksum the final field.
             let mut s = st.borrow_mut();
             s.compute_end = ctx.now();
-            let final_grid = if steps % 2 == 1 { s.b.unwrap() } else { s.a.unwrap() };
+            let final_grid = if steps % 2 == 1 {
+                s.b.unwrap()
+            } else {
+                s.a.unwrap()
+            };
             let mut acc = 0u64;
             for loc in 0..ctx.nodes() {
                 let frag = ctx.fragment_at::<GridFragment<f64, 2>>(loc, final_grid.id);

@@ -134,7 +134,8 @@ pub struct StencilResult {
 /// Order-independent exact checksum of field values: XOR-rotate of the bit
 /// patterns keyed by position.
 pub fn checksum_cell(x: i64, y: i64, v: f64) -> u64 {
-    let key = (x as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (y as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
+    let key = (x as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        ^ (y as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
     v.to_bits() ^ key.rotate_left((x % 61) as u32)
 }
 
@@ -170,7 +171,11 @@ mod tests {
         };
         let final_field = oracle(&cfg);
         // Interior variance shrinks under diffusion.
-        let initial_var = variance(&(0..16).map(|x| (0..16).map(|y| initial(x, y)).collect()).collect::<Vec<Vec<f64>>>());
+        let initial_var = variance(
+            &(0..16)
+                .map(|x| (0..16).map(|y| initial(x, y)).collect())
+                .collect::<Vec<Vec<f64>>>(),
+        );
         let final_var = variance(&final_field);
         assert!(final_var < initial_var, "{final_var} !< {initial_var}");
     }
@@ -189,13 +194,12 @@ mod tests {
     #[test]
     fn checksums_are_order_independent() {
         let cells = [(0i64, 1i64, 0.5f64), (3, 4, -2.0), (7, 7, 1e9)];
-        let fwd = cells
-            .iter()
-            .fold(0u64, |a, &(x, y, v)| checksum_fold(a, checksum_cell(x, y, v)));
-        let rev = cells
-            .iter()
-            .rev()
-            .fold(0u64, |a, &(x, y, v)| checksum_fold(a, checksum_cell(x, y, v)));
+        let fwd = cells.iter().fold(0u64, |a, &(x, y, v)| {
+            checksum_fold(a, checksum_cell(x, y, v))
+        });
+        let rev = cells.iter().rev().fold(0u64, |a, &(x, y, v)| {
+            checksum_fold(a, checksum_cell(x, y, v))
+        });
         assert_eq!(fwd, rev);
     }
 

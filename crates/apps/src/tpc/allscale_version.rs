@@ -65,9 +65,7 @@ impl WorkItem for TpcWork {
     fn requirements(&self) -> Vec<Requirement> {
         let region = match &self.param {
             TpcParam::Queries { .. } => BitmaskTreeRegion::of_root_block(self.shared.h),
-            TpcParam::Sub { subtree, .. } => {
-                BitmaskTreeRegion::of_subtree(self.shared.h, *subtree)
-            }
+            TpcParam::Sub { subtree, .. } => BitmaskTreeRegion::of_subtree(self.shared.h, *subtree),
         };
         vec![Requirement::read(self.shared.item, region)]
     }
@@ -76,9 +74,7 @@ impl WorkItem for TpcWork {
     }
     fn placement_hint(&self) -> Option<f64> {
         match &self.param {
-            TpcParam::Queries { lo, .. } => {
-                Some(*lo as f64 / self.shared.total_queries as f64)
-            }
+            TpcParam::Queries { lo, .. } => Some(*lo as f64 / self.shared.total_queries as f64),
             TpcParam::Sub { .. } => None, // pinned by its data requirement
         }
     }
@@ -340,17 +336,12 @@ fn run_with_report(cfg: &TpcConfig, rt_cfg: RtConfig) -> (TpcResult, RunReport) 
                     // (replicate) rule): it is read by every query task.
                     let root_region = BitmaskTreeRegion::of_root_block(h);
                     let owner = (0..ctx.nodes())
-                        .find(|&loc| {
-                            !ctx.owned_region_at(loc, item).is_disjoint_dyn(&root_region)
-                        })
+                        .find(|&loc| !ctx.owned_region_at(loc, item).is_disjoint_dyn(&root_region))
                         .expect("root block owned somewhere");
                     ctx.broadcast_replicate(item, owner, &root_region);
                     st.borrow_mut().compute_start = ctx.now();
                     Some(Box::new(TpcWork {
-                        param: TpcParam::Queries {
-                            lo: 0,
-                            hi: q_total,
-                        },
+                        param: TpcParam::Queries { lo: 0, hi: q_total },
                         depth: 0,
                         shared: Arc::new(TpcShared {
                             item,

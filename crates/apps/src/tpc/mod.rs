@@ -119,7 +119,10 @@ pub fn gen_points(n: u64) -> Vec<[f64; DIMS]> {
 pub fn query_point(qid: u64) -> [f64; DIMS] {
     let mut p = [0.0; DIMS];
     for (d, c) in p.iter_mut().enumerate() {
-        *c = unit(qid.wrapping_mul(0x9FACE).wrapping_add(d as u64 * 0xBEEF_CAFE)) * EXTENT;
+        *c = unit(
+            qid.wrapping_mul(0x9FACE)
+                .wrapping_add(d as u64 * 0xBEEF_CAFE),
+        ) * EXTENT;
     }
     p
 }
@@ -154,7 +157,10 @@ impl KdTree {
         let mut keyed: Vec<(u64, usize)> = (0..n).map(|i| (0, i)).collect();
         build_rec(points, &mut keyed, 0, 0, &mut nodes);
         KdTree {
-            nodes: nodes.into_iter().map(|n| n.expect("complete tree")).collect(),
+            nodes: nodes
+                .into_iter()
+                .map(|n| n.expect("complete tree"))
+                .collect(),
             levels,
         }
     }
@@ -333,9 +339,16 @@ mod tests {
             let reference: Vec<KdNode> = reference.into_iter().map(Option::unwrap).collect();
             // Bit for bit, so that −0.0 and +0.0 tell which point was chosen.
             let bits = |nodes: &[KdNode]| -> Vec<(u8, [u64; DIMS])> {
-                nodes.iter().map(|n| (n.dim, n.point.map(f64::to_bits))).collect()
+                nodes
+                    .iter()
+                    .map(|n| (n.dim, n.point.map(f64::to_bits)))
+                    .collect()
             };
-            assert_eq!(bits(&KdTree::build(&pts).nodes), bits(&reference), "2^{k} - 1 points");
+            assert_eq!(
+                bits(&KdTree::build(&pts).nodes),
+                bits(&reference),
+                "2^{k} - 1 points"
+            );
         }
     }
 
@@ -385,9 +398,7 @@ mod tests {
                 } else {
                     assert!(v >= node.point[d]);
                 }
-                if p.depth() + 1 < tree.levels
-                    && p.depth() == path.depth() + 1
-                {
+                if p.depth() + 1 < tree.levels && p.depth() == path.depth() + 1 {
                     // Only need one extra level to catch gross violations;
                     // full-subtree check would be O(n²).
                     stack.push((p.left(), is_left));

@@ -60,33 +60,30 @@ pub fn run_with(cfg: &TpcConfig, spec: &ClusterSpec) -> TpcResult {
         let mut outbox: Vec<Vec<(u64, u32)>> = vec![Vec::new(); n];
 
         // A bounded traversal of one subtree (or the root block).
-        let traverse_sub = |tree: &KdTree,
-                                start: TreePath,
-                                q: &[f64; 7],
-                                visits: &mut u64|
-         -> u64 {
-            let mut count = 0;
-            let mut stack = vec![start];
-            while let Some(path) = stack.pop() {
-                *visits += 1;
-                let node = tree.node(&path);
-                if dist2(&node.point, q) <= r2 {
-                    count += 1;
+        let traverse_sub =
+            |tree: &KdTree, start: TreePath, q: &[f64; 7], visits: &mut u64| -> u64 {
+                let mut count = 0;
+                let mut stack = vec![start];
+                while let Some(path) = stack.pop() {
+                    *visits += 1;
+                    let node = tree.node(&path);
+                    if dist2(&node.point, q) <= r2 {
+                        count += 1;
+                    }
+                    if path.depth() + 1 >= levels {
+                        continue;
+                    }
+                    let d = node.dim as usize;
+                    let diff = q[d] - node.point[d];
+                    if diff <= radius {
+                        stack.push(path.left());
+                    }
+                    if diff >= -radius {
+                        stack.push(path.right());
+                    }
                 }
-                if path.depth() + 1 >= levels {
-                    continue;
-                }
-                let d = node.dim as usize;
-                let diff = q[d] - node.point[d];
-                if diff <= radius {
-                    stack.push(path.left());
-                }
-                if diff >= -radius {
-                    stack.push(path.right());
-                }
-            }
-            count
-        };
+                count
+            };
 
         let region = allscale_region::BitmaskTreeRegion::new(h);
         for qid in q_lo..q_hi {
@@ -95,8 +92,7 @@ pub fn run_with(cfg: &TpcConfig, spec: &ClusterSpec) -> TpcResult {
             let mut stack = vec![TreePath::ROOT];
             while let Some(path) = stack.pop() {
                 if path.depth() == h {
-                    let block =
-                        allscale_region::BitmaskTreeRegion::block_of(h, &path).unwrap();
+                    let block = allscale_region::BitmaskTreeRegion::block_of(h, &path).unwrap();
                     let owner = owner_of(block, nsub, n);
                     if owner == me {
                         local_count += traverse_sub(&tree, path, &q, &mut visits);

@@ -96,7 +96,12 @@ fn bench_cached_resolution(c: &mut Criterion) {
         store.update_leaf(ItemId(0), p as usize, Box::new(owned));
     }
     let keys: Vec<(usize, BucketRegion)> = (0..512u32)
-        .map(|b| ((b % 4) as usize, BucketRegion::of_bucket(512, (b * 37) % 512)))
+        .map(|b| {
+            (
+                (b % 4) as usize,
+                BucketRegion::of_bucket(512, (b * 37) % 512),
+            )
+        })
         .collect();
     g.bench_function("bucket_512", |b| {
         let mut cache = LocationCache::new();
@@ -132,5 +137,10 @@ fn bench_updates(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_resolution, bench_cached_resolution, bench_updates);
+criterion_group!(
+    benches,
+    bench_resolution,
+    bench_cached_resolution,
+    bench_updates
+);
 criterion_main!(benches);

@@ -104,5 +104,10 @@ fn bench_tree_regions(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_box_regions, bench_halo_pattern, bench_tree_regions);
+criterion_group!(
+    benches,
+    bench_box_regions,
+    bench_halo_pattern,
+    bench_tree_regions
+);
 criterion_main!(benches);

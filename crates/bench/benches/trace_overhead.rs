@@ -14,8 +14,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use allscale_core::{
-    pfor, Grid, PforSpec, Requirement, RtConfig, RtCtx, RunReport, Runtime, TaskValue,
-    TraceConfig, WorkItem,
+    pfor, Grid, PforSpec, Requirement, RtConfig, RtCtx, RunReport, Runtime, TaskValue, TraceConfig,
+    WorkItem,
 };
 use allscale_region::BoxRegion;
 

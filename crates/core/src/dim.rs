@@ -890,8 +890,14 @@ impl DataItemManager {
         let slot = self.slot(item);
         let wlocks = slot.wlocks.iter().map(|(t, r)| (Holder::WriteLock(t), r));
         let rlocks = slot.rlocks.iter().map(|(t, r)| (Holder::ReadLock(t), r));
-        let exports = slot.exports.iter().map(|(e, r)| (Holder::Export(*e), r.as_ref()));
-        let inbound = slot.inbound.iter().map(|(t, r)| (Holder::Inbound(*t), r.as_ref()));
+        let exports = slot
+            .exports
+            .iter()
+            .map(|(e, r)| (Holder::Export(*e), r.as_ref()));
+        let inbound = slot
+            .inbound
+            .iter()
+            .map(|(t, r)| (Holder::Inbound(*t), r.as_ref()));
         wlocks
             .chain(rlocks)
             .chain(exports)
@@ -1078,19 +1084,31 @@ mod tests {
         dim.try_lock(t2, &[Requirement::read(ItemId(0), r2([2, 2], [6, 6]))])
             .unwrap();
         // Writer overlapping a read lock: rejected.
-        let w = dim.try_lock(TaskId(3), &[Requirement::write(ItemId(0), r2([3, 3], [5, 5]))]);
+        let w = dim.try_lock(
+            TaskId(3),
+            &[Requirement::write(ItemId(0), r2([3, 3], [5, 5]))],
+        );
         assert!(matches!(w, Err(LockConflict::ReadLocked(b)) if b.item == ItemId(0)));
         // Disjoint writer: granted.
-        dim.try_lock(TaskId(3), &[Requirement::write(ItemId(0), r2([6, 6], [8, 8]))])
-            .unwrap();
+        dim.try_lock(
+            TaskId(3),
+            &[Requirement::write(ItemId(0), r2([6, 6], [8, 8]))],
+        )
+        .unwrap();
         // Reader overlapping the write: rejected.
-        let r = dim.try_lock(TaskId(4), &[Requirement::read(ItemId(0), r2([7, 7], [8, 8]))]);
+        let r = dim.try_lock(
+            TaskId(4),
+            &[Requirement::read(ItemId(0), r2([7, 7], [8, 8]))],
+        );
         assert!(matches!(r, Err(LockConflict::WriteLocked(b)) if b.item == ItemId(0)));
         // Unlock the readers; now the writer over their region succeeds.
         dim.unlock_all(t1);
         dim.unlock_all(t2);
-        dim.try_lock(TaskId(5), &[Requirement::write(ItemId(0), r2([3, 3], [5, 5]))])
-            .unwrap();
+        dim.try_lock(
+            TaskId(5),
+            &[Requirement::write(ItemId(0), r2([3, 3], [5, 5]))],
+        )
+        .unwrap();
     }
 
     #[test]
@@ -1099,8 +1117,11 @@ mod tests {
         dim.register(ItemId(1), ItemDescriptor::of::<G2>("grid2"));
         dim.init_owned(ItemId(0), &r2([0, 0], [4, 4]));
         dim.init_owned(ItemId(1), &r2([0, 0], [4, 4]));
-        dim.try_lock(TaskId(1), &[Requirement::write(ItemId(1), r2([0, 0], [4, 4]))])
-            .unwrap();
+        dim.try_lock(
+            TaskId(1),
+            &[Requirement::write(ItemId(1), r2([0, 0], [4, 4]))],
+        )
+        .unwrap();
         // Request locks on item0 (free) and item1 (conflicting): must fail
         // without granting the item0 lock.
         let res = dim.try_lock(
@@ -1112,8 +1133,11 @@ mod tests {
         );
         assert!(res.is_err());
         // Item0 must still be lockable by someone else in full.
-        dim.try_lock(TaskId(3), &[Requirement::write(ItemId(0), r2([0, 0], [4, 4]))])
-            .unwrap();
+        dim.try_lock(
+            TaskId(3),
+            &[Requirement::write(ItemId(0), r2([0, 0], [4, 4]))],
+        )
+        .unwrap();
     }
 
     #[test]
@@ -1123,16 +1147,28 @@ mod tests {
         let bytes = dim.export_replica(ItemId(0), &r2([0, 0], [2, 2]), 1, TaskId(9));
         assert!(!bytes.is_empty());
         // Writing the exported region is fenced.
-        let res = dim.try_lock(TaskId(1), &[Requirement::write(ItemId(0), r2([1, 1], [3, 3]))]);
+        let res = dim.try_lock(
+            TaskId(1),
+            &[Requirement::write(ItemId(0), r2([1, 1], [3, 3]))],
+        );
         assert!(matches!(res, Err(LockConflict::Exported(b)) if b.item == ItemId(0)));
         // Reads are fine.
-        dim.try_lock(TaskId(2), &[Requirement::read(ItemId(0), r2([1, 1], [3, 3]))])
-            .unwrap();
+        dim.try_lock(
+            TaskId(2),
+            &[Requirement::read(ItemId(0), r2([1, 1], [3, 3]))],
+        )
+        .unwrap();
         // After release (and the reader finishing), the writer proceeds.
-        assert!(dim.release_exports_of(ItemId(0), TaskId(9)).is_empty(), "nobody waits");
+        assert!(
+            dim.release_exports_of(ItemId(0), TaskId(9)).is_empty(),
+            "nobody waits"
+        );
         dim.unlock_all(TaskId(2));
-        dim.try_lock(TaskId(1), &[Requirement::write(ItemId(0), r2([1, 1], [3, 3]))])
-            .unwrap();
+        dim.try_lock(
+            TaskId(1),
+            &[Requirement::write(ItemId(0), r2([1, 1], [3, 3]))],
+        )
+        .unwrap();
     }
 
     #[test]
@@ -1170,8 +1206,14 @@ mod tests {
         let bytes3 = owner.export_replica(ItemId(0), &r2([0, 0], [1, 4]), 1, TaskId(3));
         reader.import_replica(ItemId(0), &bytes3, TaskId(3));
         reader.drop_replica_holds(ItemId(0), TaskId(2));
-        assert!(reader.covers(ItemId(0), &r2([0, 0], [1, 4])), "task 3 hold survives");
-        assert!(!reader.covers(ItemId(0), &r2([1, 0], [2, 4])), "task 2 part dropped");
+        assert!(
+            reader.covers(ItemId(0), &r2([0, 0], [1, 4])),
+            "task 3 hold survives"
+        );
+        assert!(
+            !reader.covers(ItemId(0), &r2([1, 0], [2, 4])),
+            "task 2 part dropped"
+        );
     }
 
     #[test]
@@ -1218,8 +1260,11 @@ mod tests {
     fn wipe_all_keeps_registrations_drops_data() {
         let mut dim = mk();
         dim.init_owned(ItemId(0), &r2([0, 0], [4, 4]));
-        dim.try_lock(TaskId(1), &[Requirement::write(ItemId(0), r2([0, 0], [2, 2]))])
-            .unwrap();
+        dim.try_lock(
+            TaskId(1),
+            &[Requirement::write(ItemId(0), r2([0, 0], [2, 2]))],
+        )
+        .unwrap();
         dim.wipe_all();
         assert!(dim.knows(ItemId(0)));
         assert!(dim.owned_region(ItemId(0)).is_empty_dyn());
@@ -1247,10 +1292,16 @@ mod tests {
     fn refusal_reports_the_overlap_and_registers_nothing() {
         let mut dim = mk();
         dim.init_owned(ItemId(0), &r2([0, 0], [8, 8]));
-        dim.try_lock(TaskId(1), &[Requirement::write(ItemId(0), r2([0, 0], [4, 4]))])
-            .unwrap();
+        dim.try_lock(
+            TaskId(1),
+            &[Requirement::write(ItemId(0), r2([0, 0], [4, 4]))],
+        )
+        .unwrap();
         let on = dim
-            .try_lock(TaskId(2), &[Requirement::read(ItemId(0), r2([2, 2], [6, 6]))])
+            .try_lock(
+                TaskId(2),
+                &[Requirement::read(ItemId(0), r2([2, 2], [6, 6]))],
+            )
             .unwrap_err()
             .into_blocker();
         assert_eq!((on.locality, on.item), (0, ItemId(0)));
@@ -1266,14 +1317,31 @@ mod tests {
         dim.init_owned(ItemId(0), &r2([0, 0], [8, 8]));
         let left = r2([0, 0], [4, 8]);
         let right = r2([4, 0], [8, 8]);
-        dim.try_lock(TaskId(1), &[Requirement::write(ItemId(0), left)]).unwrap();
-        dim.try_lock(TaskId(2), &[Requirement::write(ItemId(0), right)]).unwrap();
+        dim.try_lock(TaskId(1), &[Requirement::write(ItemId(0), left)])
+            .unwrap();
+        dim.try_lock(TaskId(2), &[Requirement::write(ItemId(0), right)])
+            .unwrap();
         // Enqueue order 12, 10, 11; 10 waits on the right half only.
-        refuse_and_wait(&mut dim, TaskId(12), Requirement::read(ItemId(0), r2([1, 1], [2, 2])));
-        refuse_and_wait(&mut dim, TaskId(10), Requirement::read(ItemId(0), r2([5, 5], [6, 6])));
-        refuse_and_wait(&mut dim, TaskId(11), Requirement::write(ItemId(0), r2([3, 3], [4, 4])));
+        refuse_and_wait(
+            &mut dim,
+            TaskId(12),
+            Requirement::read(ItemId(0), r2([1, 1], [2, 2])),
+        );
+        refuse_and_wait(
+            &mut dim,
+            TaskId(10),
+            Requirement::read(ItemId(0), r2([5, 5], [6, 6])),
+        );
+        refuse_and_wait(
+            &mut dim,
+            TaskId(11),
+            Requirement::write(ItemId(0), r2([3, 3], [4, 4])),
+        );
         assert_eq!(dim.unlock_all(TaskId(1)), vec![TaskId(12), TaskId(11)]);
-        assert_eq!(dim.waiters().map(|(_, t, _)| t).collect::<Vec<_>>(), vec![TaskId(10)]);
+        assert_eq!(
+            dim.waiters().map(|(_, t, _)| t).collect::<Vec<_>>(),
+            vec![TaskId(10)]
+        );
         // A woken waiter is off the list: releasing again returns nothing new.
         assert!(dim.unlock_all(TaskId(1)).is_empty());
         assert_eq!(dim.unlock_all(TaskId(2)), vec![TaskId(10)]);
@@ -1284,12 +1352,22 @@ mod tests {
     fn backing_out_of_locks_wakes_nobody() {
         let mut dim = mk();
         dim.init_owned(ItemId(0), &r2([0, 0], [4, 4]));
-        dim.try_lock(TaskId(1), &[Requirement::read(ItemId(0), r2([0, 0], [4, 4]))])
-            .unwrap();
-        refuse_and_wait(&mut dim, TaskId(9), Requirement::write(ItemId(0), r2([0, 0], [2, 2])));
+        dim.try_lock(
+            TaskId(1),
+            &[Requirement::read(ItemId(0), r2([0, 0], [4, 4]))],
+        )
+        .unwrap();
+        refuse_and_wait(
+            &mut dim,
+            TaskId(9),
+            Requirement::write(ItemId(0), r2([0, 0], [2, 2])),
+        );
         // A second reader locks and backs out within one event.
-        dim.try_lock(TaskId(2), &[Requirement::read(ItemId(0), r2([0, 0], [4, 4]))])
-            .unwrap();
+        dim.try_lock(
+            TaskId(2),
+            &[Requirement::read(ItemId(0), r2([0, 0], [4, 4]))],
+        )
+        .unwrap();
         dim.abort_locks(TaskId(2));
         assert_eq!(dim.waiters().count(), 1);
         assert_eq!(dim.unlock_all(TaskId(1)), vec![TaskId(9)]);
@@ -1376,11 +1454,26 @@ mod tests {
         dim.init_owned(ItemId(0), &r2([0, 0], [8, 8]));
         let _ = dim.export_replica(ItemId(0), &r2([0, 0], [2, 8]), 1, TaskId(7));
         let _ = dim.export_persistent(ItemId(0), &r2([2, 0], [4, 8]));
-        refuse_and_wait(&mut dim, TaskId(20), Requirement::write(ItemId(0), r2([0, 0], [1, 1])));
-        refuse_and_wait(&mut dim, TaskId(21), Requirement::write(ItemId(0), r2([2, 0], [3, 1])));
-        refuse_and_wait(&mut dim, TaskId(22), Requirement::write(ItemId(0), r2([3, 0], [4, 1])));
+        refuse_and_wait(
+            &mut dim,
+            TaskId(20),
+            Requirement::write(ItemId(0), r2([0, 0], [1, 1])),
+        );
+        refuse_and_wait(
+            &mut dim,
+            TaskId(21),
+            Requirement::write(ItemId(0), r2([2, 0], [3, 1])),
+        );
+        refuse_and_wait(
+            &mut dim,
+            TaskId(22),
+            Requirement::write(ItemId(0), r2([3, 0], [4, 1])),
+        );
         // A transient release spares the waiters behind the broadcast fence.
-        assert_eq!(dim.release_exports_of(ItemId(0), TaskId(7)), vec![TaskId(20)]);
+        assert_eq!(
+            dim.release_exports_of(ItemId(0), TaskId(7)),
+            vec![TaskId(20)]
+        );
         // A region-precise invalidation wakes exactly the overlapped one.
         assert_eq!(
             dim.release_persistent_exports(ItemId(0), &r2([3, 0], [4, 8])),
@@ -1389,7 +1482,9 @@ mod tests {
         // An inbound fence wakes its waiters when (and only when) it lifts.
         dim.fence_inbound(ItemId(0), TaskId(30), &r2([8, 0], [9, 8]));
         dim.enqueue_waiter(ItemId(0), TaskId(23), Box::new(r2([8, 0], [9, 1])));
-        assert!(dim.release_inbound(ItemId(0), TaskId(31), &r2([8, 0], [9, 8])).is_empty());
+        assert!(dim
+            .release_inbound(ItemId(0), TaskId(31), &r2([8, 0], [9, 8]))
+            .is_empty());
         assert_eq!(
             dim.release_inbound(ItemId(0), TaskId(30), &r2([8, 0], [9, 8])),
             vec![TaskId(23)]
@@ -1406,13 +1501,19 @@ mod tests {
         let mut src = dim_at(0);
         let home = dim_at(1);
         src.init_owned(ItemId(0), &r2([0, 0], [4, 4]));
-        src.try_lock(TaskId(1), &[Requirement::write(ItemId(0), r2([0, 0], [4, 4]))])
-            .unwrap();
+        src.try_lock(
+            TaskId(1),
+            &[Requirement::write(ItemId(0), r2([0, 0], [4, 4]))],
+        )
+        .unwrap();
         let piece = r2([1, 1], [2, 2]);
         assert!(src.refuses(ItemId(0), &piece, AccessMode::Read));
         src.enqueue_waiter(ItemId(0), TaskId(5), Box::new(piece.clone()));
         assert_eq!(home.waiters().count(), 0);
-        assert_eq!(src.holders(ItemId(0), &piece), vec![Holder::WriteLock(TaskId(1))]);
+        assert_eq!(
+            src.holders(ItemId(0), &piece),
+            vec![Holder::WriteLock(TaskId(1))]
+        );
         assert_eq!(src.unlock_all(TaskId(1)), vec![TaskId(5)]);
         assert!(src.holders(ItemId(0), &piece).is_empty());
     }
@@ -1422,8 +1523,13 @@ mod tests {
         let held = Requirement::write(ItemId(0), r2([0, 0], [2, 2]));
         let park_one = |dim: &mut DataItemManager| {
             dim.init_owned(ItemId(0), &r2([0, 0], [2, 2]));
-            dim.try_lock(TaskId(1), std::slice::from_ref(&held)).unwrap();
-            refuse_and_wait(dim, TaskId(2), Requirement::read(ItemId(0), r2([0, 0], [1, 1])));
+            dim.try_lock(TaskId(1), std::slice::from_ref(&held))
+                .unwrap();
+            refuse_and_wait(
+                dim,
+                TaskId(2),
+                Requirement::read(ItemId(0), r2([0, 0], [1, 1])),
+            );
             assert_eq!(dim.waiters().count(), 1);
         };
         let mut dim = mk();
@@ -1447,8 +1553,11 @@ mod tests {
         dim.init_owned(ItemId(0), &r2([0, 0], [8, 8]));
         let _ = dim.export_replica(ItemId(0), &r2([0, 0], [2, 8]), 3, TaskId(7));
         let _ = dim.export_persistent(ItemId(0), &r2([2, 0], [4, 8]));
-        dim.try_lock(TaskId(9), &[Requirement::write(ItemId(0), r2([4, 0], [6, 8]))])
-            .unwrap();
+        dim.try_lock(
+            TaskId(9),
+            &[Requirement::write(ItemId(0), r2([4, 0], [6, 8]))],
+        )
+        .unwrap();
         let replica = Holder::Export(Export::Replica {
             holder: 3,
             task: TaskId(7),
@@ -1459,7 +1568,11 @@ mod tests {
         assert_eq!(at(5, 6), [Holder::WriteLock(TaskId(9))]);
         assert_eq!(
             at(0, 8),
-            [Holder::WriteLock(TaskId(9)), replica, Holder::Export(Export::Persistent)]
+            [
+                Holder::WriteLock(TaskId(9)),
+                replica,
+                Holder::Export(Export::Persistent)
+            ]
         );
         assert!(at(6, 8).is_empty());
     }
@@ -1497,7 +1610,10 @@ mod tests {
         holder.drop_persistent(ItemId(0), None);
         assert!(holder.persistent_region(ItemId(0)).is_empty_dyn());
         assert!(!holder.covers(ItemId(0), &r2([0, 0], [2, 2])));
-        assert!(holder.covers(ItemId(0), &r2([4, 0], [6, 2])), "owned data survives");
+        assert!(
+            holder.covers(ItemId(0), &r2([4, 0], [6, 2])),
+            "owned data survives"
+        );
     }
 
     #[test]
@@ -1516,7 +1632,10 @@ mod tests {
         holder.import_persistent(ItemId(0), &bytes);
         assert!(holder.covers_stable(ItemId(0), &both), "owned ∪ replica");
         assert!(holder.covers_stable(ItemId(0), &r2([1, 0], [3, 2])));
-        assert!(!holder.covers_stable(ItemId(0), &r2([0, 0], [5, 2])), "neither");
+        assert!(
+            !holder.covers_stable(ItemId(0), &r2([0, 0], [5, 2])),
+            "neither"
+        );
         assert!(both.eq_dyn(holder.read_base(ItemId(0)).as_ref()));
         holder.drop_persistent(ItemId(0), None);
         assert!(!holder.covers_stable(ItemId(0), &both), "replica half gone");
@@ -1534,7 +1653,10 @@ mod tests {
         let bytes = owner.export_persistent(ItemId(0), &r2([0, 0], [4, 4]));
         holder.import_persistent(ItemId(0), &bytes);
         // A writer to any part is fenced while the broadcast stands.
-        let res = owner.try_lock(TaskId(1), &[Requirement::write(ItemId(0), r2([0, 0], [2, 4]))]);
+        let res = owner.try_lock(
+            TaskId(1),
+            &[Requirement::write(ItemId(0), r2([0, 0], [2, 4]))],
+        );
         assert!(matches!(res, Err(LockConflict::Exported(b)) if b.item == ItemId(0)));
         // Invalidate just the written half, on both sides.
         owner.release_persistent_exports(ItemId(0), &r2([0, 0], [2, 4]));
@@ -1542,9 +1664,15 @@ mod tests {
         // The writer now proceeds; the untouched half stays fenced and
         // stays readable locally at the holder.
         owner
-            .try_lock(TaskId(1), &[Requirement::write(ItemId(0), r2([0, 0], [2, 4]))])
+            .try_lock(
+                TaskId(1),
+                &[Requirement::write(ItemId(0), r2([0, 0], [2, 4]))],
+            )
             .unwrap();
-        let res = owner.try_lock(TaskId(2), &[Requirement::write(ItemId(0), r2([2, 0], [4, 4]))]);
+        let res = owner.try_lock(
+            TaskId(2),
+            &[Requirement::write(ItemId(0), r2([2, 0], [4, 4]))],
+        );
         assert!(matches!(res, Err(LockConflict::Exported(b)) if b.item == ItemId(0)));
         assert!(holder.covers_stable(ItemId(0), &r2([2, 0], [4, 4])));
         assert!(!holder.covers(ItemId(0), &r2([0, 0], [2, 4])));
@@ -1604,7 +1732,10 @@ mod tests {
             .set(&Point([1, 1]), -9.0);
         dim.init_owned(ItemId(0), &r2([0, 0], [6, 6]));
         let (lazy, cow_captures) = dim.end_snapshot();
-        assert_eq!(lazy, eager, "COW snapshot must be bit-identical to arm-time state");
+        assert_eq!(
+            lazy, eager,
+            "COW snapshot must be bit-identical to arm-time state"
+        );
         assert_eq!(cow_captures, 1, "one first-write clone for item 0");
     }
 
@@ -1653,7 +1784,8 @@ mod tests {
         let mut dim = mk();
         dim.register(ItemId(1), ItemDescriptor::of::<G2>("grid2"));
         dim.init_owned(ItemId(0), &r2([0, 0], [3, 3]));
-        let hash = |(id, b): &(ItemId, Vec<u8>)| (*id, allscale_region::fnv1a_64(b), b.len() as u64);
+        let hash =
+            |(id, b): &(ItemId, Vec<u8>)| (*id, allscale_region::fnv1a_64(b), b.len() as u64);
         let hashed = |dim: &DataItemManager| -> Vec<(ItemId, u64, u64)> {
             dim.checkpoint().iter().map(hash).collect()
         };
@@ -1661,7 +1793,11 @@ mod tests {
             dim.arm_snapshot().iter().map(hash).collect()
         };
         let before = armed(&mut dim);
-        assert_eq!(before, hashed(&dim), "one entry per item, empty ones included");
+        assert_eq!(
+            before,
+            hashed(&dim),
+            "one entry per item, empty ones included"
+        );
         // A replica import of remote data leaves the owned bytes alone.
         let mut owner = DataItemManager::new(1);
         owner.register(ItemId(0), ItemDescriptor::of::<G2>("grid"));

@@ -245,13 +245,17 @@ mod tests {
         let bytes = f.export(&r2([0, 0], [3, 3]));
         assert_eq!(&*bytes, &wire::encode(&f)[..]);
         let back = (desc.decode_fragment)(&bytes);
-        let typed = back.as_any().downcast_ref::<GridFragment<f64, 2>>().unwrap();
+        let typed = back
+            .as_any()
+            .downcast_ref::<GridFragment<f64, 2>>()
+            .unwrap();
         assert_eq!(typed.get(&allscale_region::Point([1, 2])), Some(&7.5));
     }
 
     #[test]
     fn dyn_fragment_extract_insert() {
-        let mut f: Box<dyn DynFragment> = Box::new(GridFragment::<f64, 2>::new(&r2([0, 0], [4, 4])));
+        let mut f: Box<dyn DynFragment> =
+            Box::new(GridFragment::<f64, 2>::new(&r2([0, 0], [4, 4])));
         {
             let typed = f
                 .as_any_mut()

@@ -84,7 +84,9 @@ where
     /// [`TaskCtx`]'s access rule) or `p` is not held locally (in any build).
     pub fn get(&self, ctx: &TaskCtx<'_>, p: [i64; D]) -> T {
         let what = format_args!("element {p:?}");
-        ctx.check_access(self.id, AccessMode::Read, what, |r: &BoxRegion<D>| r.contains(&Point(p)));
+        ctx.check_access(self.id, AccessMode::Read, what, |r: &BoxRegion<D>| {
+            r.contains(&Point(p))
+        });
         let frag = ctx.fragment::<GridFragment<T, D>>(self.id);
         held(frag.get(&Point(p)), AccessMode::Read, what).clone()
     }
@@ -95,8 +97,12 @@ where
     /// As [`Grid::get`], for a write.
     pub fn set(&self, ctx: &mut TaskCtx<'_>, p: [i64; D], v: T) {
         let what = format_args!("element {p:?}");
-        ctx.check_access(self.id, AccessMode::Write, what, |r: &BoxRegion<D>| r.contains(&Point(p)));
-        let ok = ctx.fragment_mut::<GridFragment<T, D>>(self.id).set(&Point(p), v);
+        ctx.check_access(self.id, AccessMode::Write, what, |r: &BoxRegion<D>| {
+            r.contains(&Point(p))
+        });
+        let ok = ctx
+            .fragment_mut::<GridFragment<T, D>>(self.id)
+            .set(&Point(p), v);
         held(ok.then_some(()), AccessMode::Write, what);
     }
 
@@ -108,8 +114,14 @@ where
     /// As [`Grid::get`], for the run as one box.
     pub fn read_row(&self, ctx: &TaskCtx<'_>, start: [i64; D], out: &mut [T]) {
         self.check_run(ctx, AccessMode::Read, start, out.len());
-        let ok = ctx.fragment::<GridFragment<T, D>>(self.id).read_row(&Point(start), out);
-        held(ok.then_some(()), AccessMode::Read, format_args!("{} element(s) from {start:?}", out.len()));
+        let ok = ctx
+            .fragment::<GridFragment<T, D>>(self.id)
+            .read_row(&Point(start), out);
+        held(
+            ok.then_some(()),
+            AccessMode::Read,
+            format_args!("{} element(s) from {start:?}", out.len()),
+        );
     }
 
     /// Write `src` over the innermost-axis run starting at `start` in the
@@ -120,8 +132,14 @@ where
     /// As [`Grid::set`], for the run as one box.
     pub fn write_row(&self, ctx: &mut TaskCtx<'_>, start: [i64; D], src: &[T]) {
         self.check_run(ctx, AccessMode::Write, start, src.len());
-        let ok = ctx.fragment_mut::<GridFragment<T, D>>(self.id).write_row(&Point(start), src);
-        held(ok.then_some(()), AccessMode::Write, format_args!("{} element(s) from {start:?}", src.len()));
+        let ok = ctx
+            .fragment_mut::<GridFragment<T, D>>(self.id)
+            .write_row(&Point(start), src);
+        held(
+            ok.then_some(()),
+            AccessMode::Write,
+            format_args!("{} element(s) from {start:?}", src.len()),
+        );
     }
 
     /// The access rule for the innermost-axis run of `n` from `start`, as one box.
@@ -214,16 +232,32 @@ where
     pub fn insert(&self, ctx: &mut TaskCtx<'_>, key: K, value: V) {
         let bucket = |c: &TaskCtx<'_>| c.fragment::<KeyedFragment<K, V>>(self.id).bucket_of(&key);
         let covers = |r: &BucketRegion| r.contains(bucket(ctx));
-        ctx.check_access(self.id, AccessMode::Write, format_args!("key {key:?}"), covers);
-        let ok = ctx.fragment_mut::<KeyedFragment<K, V>>(self.id).insert(key, value);
-        held(ok.then_some(()), AccessMode::Write, format_args!("a key's bucket"));
+        ctx.check_access(
+            self.id,
+            AccessMode::Write,
+            format_args!("key {key:?}"),
+            covers,
+        );
+        let ok = ctx
+            .fragment_mut::<KeyedFragment<K, V>>(self.id)
+            .insert(key, value);
+        held(
+            ok.then_some(()),
+            AccessMode::Write,
+            format_args!("a key's bucket"),
+        );
     }
 
     /// Look up in the local fragment; the task must declare a read of the key's bucket.
     pub fn get(&self, ctx: &TaskCtx<'_>, key: &K) -> Option<V> {
         let frag = ctx.fragment::<KeyedFragment<K, V>>(self.id);
         let covers = |r: &BucketRegion| r.contains(frag.bucket_of(key));
-        ctx.check_access(self.id, AccessMode::Read, format_args!("key {key:?}"), covers);
+        ctx.check_access(
+            self.id,
+            AccessMode::Read,
+            format_args!("key {key:?}"),
+            covers,
+        );
         frag.get(key).cloned()
     }
 }

@@ -159,12 +159,7 @@ impl DistIndex {
     /// to the root: every subtree total on it is cleared, to be rebuilt by
     /// the first lookup that needs it. Returns the inter-process hops used
     /// (for billing).
-    pub fn update_leaf(
-        &mut self,
-        item: ItemId,
-        p: usize,
-        region: Box<dyn DynRegion>,
-    ) -> Vec<Hop> {
+    pub fn update_leaf(&mut self, item: ItemId, p: usize, region: Box<dyn DynRegion>) -> Vec<Hop> {
         let idx = self.items.get_mut(item).expect("unregistered item");
         idx.leaf[p] = region;
         for (k, level) in idx.totals.iter_mut().enumerate() {
@@ -328,12 +323,7 @@ impl CentralIndex {
     }
 
     /// Update process `p`'s region; one message to the directory.
-    pub fn update_leaf(
-        &mut self,
-        item: ItemId,
-        p: usize,
-        region: Box<dyn DynRegion>,
-    ) -> Vec<Hop> {
+    pub fn update_leaf(&mut self, item: ItemId, p: usize, region: Box<dyn DynRegion>) -> Vec<Hop> {
         self.items.get_mut(item).expect("unregistered")[p] = region;
         if p != 0 {
             vec![(p, 0)]

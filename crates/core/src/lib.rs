@@ -94,8 +94,8 @@ pub use cost::CostModel;
 pub use dim::{Blocker, DataItemManager, LockConflict};
 pub use dynamic::{DynFragment, DynRegion, ItemDescriptor};
 pub use facade::{
-    bisect, bisect_axis, pfor, pfor_tiles, position_hint, DistMap, Grid, GridItem, MapItem, PforSpec,
-    TreeItem,
+    bisect, bisect_axis, pfor, pfor_tiles, position_hint, DistMap, Grid, GridItem, MapItem,
+    PforSpec, TreeItem,
 };
 pub use index::{CentralIndex, DistIndex};
 pub use integrity::{IntegrityConfig, IntegrityStats};
@@ -125,6 +125,6 @@ pub use allscale_trace::{
     SpawnVariant, Trace, TraceConfig, TraceEvent, TransferPurpose, RUNTIME_TID,
 };
 pub use task::{
-    AccessMode, Done, ItemId, Prec, PrecOps, Requirement, SplitOutcome, TaskCtx, TaskId,
-    TaskValue, WorkItem,
+    AccessMode, Done, ItemId, Prec, PrecOps, Requirement, SplitOutcome, TaskCtx, TaskId, TaskValue,
+    WorkItem,
 };

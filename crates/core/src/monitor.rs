@@ -246,10 +246,15 @@ mod tests {
         let mut detected = idle.clone();
         detected.monitor.resilience.detection_latency_ns = 673;
         assert_ne!(idle.to_json(), detected.to_json());
-        assert!(detected.to_json().contains(",\"detection_latency_ns\":673,"));
+        assert!(detected
+            .to_json()
+            .contains(",\"detection_latency_ns\":673,"));
         assert_eq!(idle.summary(), "", "an all-zero group prints no line");
         let line = detected.summary();
-        assert!(line.starts_with("monitor.resilience: checkpoints=0 "), "{line}");
+        assert!(
+            line.starts_with("monitor.resilience: checkpoints=0 "),
+            "{line}"
+        );
         assert!(line.ends_with(" detection_latency_ns=673 recoveries=0 restored_bytes=0 tasks_reexecuted=0 failed_transfers=0\n"), "{line}");
     }
 

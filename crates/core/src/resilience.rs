@@ -280,7 +280,8 @@ fn reconstruct(
     let mut per_locality = Vec::with_capacity(nloc);
     for (loc, mut items) in acc.into_iter().enumerate() {
         items.retain(|id, _| top.roster[loc].binary_search(id).is_ok());
-        cost.sums.push(items.values().map(|&(_, sum)| sum).collect());
+        cost.sums
+            .push(items.values().map(|&(_, sum)| sum).collect());
         let lent = items.into_iter().map(|(id, (bytes, _))| (id, bytes));
         per_locality.push(lent.collect());
     }
@@ -382,7 +383,9 @@ impl ResilienceManager {
     /// deltas retained since the newest anchor.
     fn next_kind(&self) -> CkptKind {
         let since_anchor = self.saved.iter().rev();
-        let since_anchor = since_anchor.take_while(|s| s.kind == CkptKind::Delta).count();
+        let since_anchor = since_anchor
+            .take_while(|s| s.kind == CkptKind::Delta)
+            .count();
         if !self.cfg.ckpt.incremental
             || self.saved.is_empty()
             || since_anchor + 1 >= self.cfg.ckpt.anchor_every.max(1)
@@ -412,7 +415,11 @@ impl ResilienceManager {
                 let signed = row.iter().zip(hashed.by_ref());
                 let signed = signed.map(|((id, bytes), fp)| (*id, (fp, bytes.len() as u64)));
                 let stored = |(id, sig): (ItemId, Sig)| {
-                    (id, sig, kind == CkptKind::Anchor || last.get(&id) != Some(&sig))
+                    (
+                        id,
+                        sig,
+                        kind == CkptKind::Anchor || last.get(&id) != Some(&sig),
+                    )
                 };
                 signed.map(stored).collect()
             })
@@ -497,7 +504,9 @@ impl ResilienceManager {
         let signed = |row: &Vec<_>| row.iter().map(|&(id, sig, _)| (id, sig)).collect();
         self.last_fps = capture.shards.iter().map(signed).collect();
         if let Some(boundary) = boundary {
-            let lend = boundary.iter().map(|row| row.iter().map(|(id, b)| (*id, &b[..])).collect());
+            let lend = boundary
+                .iter()
+                .map(|row| row.iter().map(|(id, b)| (*id, &b[..])).collect());
             let boundary: LentSnapshot<'_> = lend.collect();
             let diverged = "delta reconstruction diverged from the full boundary snapshot";
             assert!(self.newest() == boundary, "{diverged}");
@@ -540,7 +549,9 @@ impl ResilienceManager {
         dead: &[bool],
         monitor: &mut Monitor,
     ) -> Option<(usize, u64)> {
-        let reexecuted = monitor.total_tasks().saturating_sub(self.tasks_at_checkpoint);
+        let reexecuted = monitor
+            .total_tasks()
+            .saturating_sub(self.tasks_at_checkpoint);
         monitor.resilience.tasks_reexecuted += reexecuted;
         self.last_fps = vec![BTreeMap::new(); dead.len()];
         while let Some(upto) = self.saved.len().checked_sub(1) {
@@ -563,7 +574,9 @@ impl ResilienceManager {
                 } else {
                     StorageTier::Local
                 };
-                let ns = self.storage.read_ns(tier, cost.shards[loc], cost.bytes[loc]);
+                let ns = self
+                    .storage
+                    .read_ns(tier, cost.shards[loc], cost.bytes[loc]);
                 read_ns = read_ns.max(ns);
             }
             monitor.resilience.recovery_read_ns += read_ns;
@@ -777,7 +790,10 @@ mod tests {
     }
 
     fn sh(pairs: &[(u32, &[u8])]) -> Vec<(ItemId, Vec<u8>)> {
-        pairs.iter().map(|&(id, b)| (ItemId(id), b.to_vec())).collect()
+        pairs
+            .iter()
+            .map(|&(id, b)| (ItemId(id), b.to_vec()))
+            .collect()
     }
 
     /// What a reconstruction lends when it amounts to `pairs`.

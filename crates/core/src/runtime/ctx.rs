@@ -94,7 +94,10 @@ impl RtCtx<'_> {
     /// control period is 0 (each tick would re-arm at the same instant).
     pub fn serve(&mut self, spec: ServeSpec) {
         let period = spec.slo.control_period;
-        assert!(period > SimDuration::ZERO, "an SLO control period of 0 stops time");
+        assert!(
+            period > SimDuration::ZERO,
+            "an SLO control period of 0 stops time"
+        );
         self.world.serving.register(spec);
     }
 

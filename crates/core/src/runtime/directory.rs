@@ -69,7 +69,8 @@ impl Directory {
     /// Register an item of `desc`'s type under `item` here, in the index
     /// and at every locality: a creation, or a revival.
     fn register(&mut self, localities: &mut [Locality], item: ItemId, desc: ItemDescriptor) {
-        self.index.register_item(item, (desc.empty_region)().as_ref());
+        self.index
+            .register_item(item, (desc.empty_region)().as_ref());
         for loc in localities {
             loc.dim.register(item, desc.clone());
         }
@@ -248,12 +249,18 @@ mod tests {
             });
             let w = &mut rt.sim.world;
             let create = |w: &mut RtWorld| {
-                create_item(w, SimTime::ZERO, ItemDescriptor::of::<GridItem<f64, 1>>("g"))
+                create_item(
+                    w,
+                    SimTime::ZERO,
+                    ItemDescriptor::of::<GridItem<f64, 1>>("g"),
+                )
             };
             let ids: Vec<ItemId> = (0..3).map(|_| create(w)).collect();
             let item = ids[1];
             let all = BoxRegion::<1>::cuboid([0], [8]);
-            w.directory.index.update_leaf(item, 1, Box::new(all.clone()));
+            w.directory
+                .index
+                .update_leaf(item, 1, Box::new(all.clone()));
             let resolve = |d: &Directory| match &d.index {
                 IndexImpl::Dist(idx) => idx.resolve(item, 0, &all).0,
                 IndexImpl::Central(idx) => idx.resolve(item, 0, &all).0,

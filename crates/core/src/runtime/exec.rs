@@ -169,7 +169,14 @@ fn fetch(sim: &mut RtSim, tid: TaskId, loc: usize, kind: Fetch, mv: Move, wire: 
         region,
         wire,
     };
-    send_deferred(sim, loc, src, ctrl, req_tag, RtEvent::FetchRequest(Box::new(leg)));
+    send_deferred(
+        sim,
+        loc,
+        src,
+        ctrl,
+        req_tag,
+        RtEvent::FetchRequest(Box::new(leg)),
+    );
 }
 
 /// A fetch's request reached its source: the payload goes back.
@@ -292,7 +299,10 @@ fn plan_transfers(
             if *src == loc {
                 continue;
             }
-            if w.localities[*src].dim.refuses(item, piece.as_ref(), req.mode) {
+            if w.localities[*src]
+                .dim
+                .refuses(item, piece.as_ref(), req.mode)
+            {
                 return Err(blocked_at(*src, piece.clone_box()));
             }
             plan.push(Move {

@@ -170,8 +170,14 @@ impl RtConfig {
         let empty = [
             (self.spec.nodes == 0, ConfigError::NoNodes),
             (self.spec.cores_per_node == 0, ConfigError::NoCores),
-            (self.resilience.map(|r| r.heartbeat_period) == zero, ConfigError::ZeroHeartbeatPeriod),
-            (self.integrity.and_then(|i| i.scrub_period) == zero, ConfigError::ZeroScrubPeriod),
+            (
+                self.resilience.map(|r| r.heartbeat_period) == zero,
+                ConfigError::ZeroHeartbeatPeriod,
+            ),
+            (
+                self.integrity.and_then(|i| i.scrub_period) == zero,
+                ConfigError::ZeroScrubPeriod,
+            ),
         ];
         if let Some((_, refused)) = empty.into_iter().find(|(refused, _)| *refused) {
             return Err(refused);
@@ -397,7 +403,10 @@ impl Runtime {
                 integrity: w.integrity.is_some(),
             };
             let broken = broken_identities(&report, shape);
-            assert!(broken.is_empty(), "run report identities broken: {broken:#?}");
+            assert!(
+                broken.is_empty(),
+                "run report identities broken: {broken:#?}"
+            );
         }
         report
     }
@@ -426,7 +435,12 @@ struct RunShape {
 /// its first attempt counted): `Σ tasks_executed` equals the
 /// `task_durations` count.
 fn broken_identities(r: &RunReport, shape: RunShape) -> Vec<String> {
-    let (m, t, s, v) = (&r.monitor, &r.traffic, &r.monitor.scheduler, &r.monitor.serve);
+    let (m, t, s, v) = (
+        &r.monitor,
+        &r.traffic,
+        &r.monitor.scheduler,
+        &r.monitor.serve,
+    );
     let (clean, whole) = (!shape.faulty, m.resilience.recoveries == 0);
     let steals = s.tasks_queued + s.steal_requests + s.steal_grants + s.steal_denies + s.handoffs;
     let wire = t.local.count() + t.remote_msgs() + t.batched_msgs;
@@ -589,9 +603,18 @@ mod tests {
 
     #[test]
     fn each_broken_identity_names_itself() {
-        assert_eq!(broken_identities(&consistent(), CLEAN), Vec::<String>::new());
-        let direct = RunShape { direct: true, ..CLEAN };
-        let verified = RunShape { integrity: true, ..CLEAN };
+        assert_eq!(
+            broken_identities(&consistent(), CLEAN),
+            Vec::<String>::new()
+        );
+        let direct = RunShape {
+            direct: true,
+            ..CLEAN
+        };
+        let verified = RunShape {
+            integrity: true,
+            ..CLEAN
+        };
         type Doctor = fn(&mut RunReport);
         #[rustfmt::skip]
         let rows: [(&str, RunShape, Doctor); 13] = [
@@ -623,7 +646,14 @@ mod tests {
         let mut r = consistent();
         r.monitor.per_locality[1].msgs_sent = 1;
         r.monitor.scheduler.steal_requests = 1;
-        assert!(broken_identities(&r, RunShape { faulty: true, ..CLEAN }).is_empty());
+        assert!(broken_identities(
+            &r,
+            RunShape {
+                faulty: true,
+                ..CLEAN
+            }
+        )
+        .is_empty());
         let mut r = consistent();
         r.monitor.per_locality[0].tasks_executed = 1;
         r.monitor.resilience.recoveries = 1;

@@ -92,7 +92,10 @@ impl Recovery {
     }
 
     pub(super) fn storage_stats(&self) -> StorageStats {
-        self.manager.as_ref().map(|m| m.storage_stats()).unwrap_or_default()
+        self.manager
+            .as_ref()
+            .map(|m| m.storage_stats())
+            .unwrap_or_default()
     }
 
     /// See [`RtCtx::corrupt_newest_checkpoints`](super::RtCtx::corrupt_newest_checkpoints).

@@ -85,8 +85,7 @@ pub(in crate::runtime) fn maybe_checkpoint(sim: &mut RtSim, prev_is_none: bool) 
         .map(|l| l.dim.arm_snapshot())
         .collect();
     let capture = mgr.capture(&armed, &mut w.monitor);
-    let (fp_ns, drain_ns, logical_bytes) =
-        (capture.fp_ns, capture.drain_ns, capture.logical_bytes);
+    let (fp_ns, drain_ns, logical_bytes) = (capture.fp_ns, capture.drain_ns, capture.logical_bytes);
     let mode = mgr.mode();
     let completes_at = now + SimDuration::from_nanos(fp_ns + drain_ns);
     w.recovery.pending_ckpt = Some(PendingCkpt {
@@ -148,7 +147,14 @@ pub(in crate::runtime) fn commit_pending_ckpt(sim: &mut RtSim) {
             frame::corrupt_in_place(bytes, salt);
         }
     };
-    mgr.commit(p.phase, p.capture, full, &mut monitor.resilience, check, rot);
+    mgr.commit(
+        p.phase,
+        p.capture,
+        full,
+        &mut monitor.resilience,
+        check,
+        rot,
+    );
     let host = w.recovery.detector_host();
     trace_span(
         w,
@@ -172,7 +178,11 @@ pub(super) fn tear_pending(w: &mut RtWorld, now: SimTime) {
         return;
     };
     w.monitor.resilience.ckpt_torn += 1;
-    let cow: u64 = w.localities.iter_mut().map(|l| l.dim.end_snapshot().1).sum();
+    let cow: u64 = w
+        .localities
+        .iter_mut()
+        .map(|l| l.dim.end_snapshot().1)
+        .sum();
     w.monitor.resilience.cow_captures += cow;
     let host = w.recovery.detector_host();
     trace_instant(

@@ -80,10 +80,10 @@ pub(super) fn assign_task(
 
     // Line 3: pick the variant.
     let hint = wi.placement_hint();
-    let variant = w
-        .scheduler
-        .decide()
-        .pick_variant(wi.depth(), wi.can_split(), hint, &policy_env!(w));
+    let variant =
+        w.scheduler
+            .decide()
+            .pick_variant(wi.depth(), wi.can_split(), hint, &policy_env!(w));
     let spawn = |variant, target: usize| EventKind::TaskSpawn {
         task: tid.0,
         parent: parent.map(|(p, _)| p.0),

@@ -61,10 +61,16 @@ impl Serving {
     /// writes are re-applied, none are lost, and each request is counted
     /// once. Controller actions stay counted per attempt.
     pub(super) fn reset_for_recovery(&mut self, m: &mut ServeStats) {
-        let Serving { session, tallies: t, .. } = std::mem::take(self);
+        let Serving {
+            session,
+            tallies: t,
+            ..
+        } = std::mem::take(self);
         if session.is_some() {
-            (m.offered, m.admitted, m.completed, m.shed) = (t.offered, t.admitted, t.completed, t.shed);
-            (m.reads, m.writes, m.latency, m.per_shard) = (t.reads, t.writes, t.latency, t.per_shard);
+            (m.offered, m.admitted, m.completed, m.shed) =
+                (t.offered, t.admitted, t.completed, t.shed);
+            (m.reads, m.writes, m.latency, m.per_shard) =
+                (t.reads, t.writes, t.latency, t.per_shard);
         }
     }
 }

@@ -286,7 +286,9 @@ impl WorkStealingScheduler {
         match self.cfg.victim {
             VictimPolicy::RoundRobin => {
                 let start = self.cursors[thief];
-                let victim = (0..nodes).map(|d| (start + d) % nodes).find(|&n| eligible(n))?;
+                let victim = (0..nodes)
+                    .map(|d| (start + d) % nodes)
+                    .find(|&n| eligible(n))?;
                 self.cursors[thief] = (victim + 1) % nodes;
                 Some(victim)
             }
@@ -327,12 +329,12 @@ impl WorkStealingScheduler {
         if self.locs[loc].queue.is_empty() {
             return None;
         }
-        let pos = self
-            .waiters
-            .iter()
-            .position(|&w| w != loc && !dead[w])?;
+        let pos = self.waiters.iter().position(|&w| w != loc && !dead[w])?;
         let waiter = self.waiters.remove(pos).expect("waiter at found position");
-        let task = self.locs[loc].queue.pop_back().expect("queue checked non-empty");
+        let task = self.locs[loc]
+            .queue
+            .pop_back()
+            .expect("queue checked non-empty");
         Some((waiter, task))
     }
 
@@ -434,12 +436,20 @@ mod tests {
         fill(&mut s, 1, 2);
         fill(&mut s, 2, 5);
         fill(&mut s, 3, 5);
-        assert_eq!(s.steal_victim(0, &dead), Some(2), "longest queue, lowest index on tie");
+        assert_eq!(
+            s.steal_victim(0, &dead),
+            Some(2),
+            "longest queue, lowest index on tie"
+        );
     }
 
     #[test]
     fn victims_exclude_dead_self_and_empty() {
-        for victim in [VictimPolicy::RoundRobin, VictimPolicy::LeastLoaded, VictimPolicy::Random] {
+        for victim in [
+            VictimPolicy::RoundRobin,
+            VictimPolicy::LeastLoaded,
+            VictimPolicy::Random,
+        ] {
             let mut s = ws(4, 1, victim, 7);
             let dead = vec![false, true, false, false];
             fill(&mut s, 0, 5); // the thief: never its own victim
@@ -450,7 +460,10 @@ mod tests {
                 let v = s.steal_victim(0, &dead).expect("an eligible victim exists");
                 assert_ne!(v, 1, "{victim:?} picked a dead victim");
                 assert_ne!(v, 0, "{victim:?} picked the thief itself");
-                assert!(!s.locs[v].queue.is_empty(), "{victim:?} picked an empty queue");
+                assert!(
+                    !s.locs[v].queue.is_empty(),
+                    "{victim:?} picked an empty queue"
+                );
             }
             assert_eq!(s.steal_victim(0, &[true; 4]), None, "all dead: no victim");
         }

@@ -156,7 +156,9 @@ impl TaskCtx<'_> {
         covers: impl Fn(&R) -> bool,
     ) {
         let fits = |q: &Requirement| {
-            q.item == item && q.mode >= mode && q.region.as_any().downcast_ref().is_some_and(&covers)
+            q.item == item
+                && q.mode >= mode
+                && q.region.as_any().downcast_ref().is_some_and(&covers)
         };
         if cfg!(debug_assertions) && !self.reqs.iter().any(fits) {
             let declared: Vec<_> = self.reqs.iter().filter(|q| q.item == item).collect();
@@ -170,7 +172,12 @@ impl TaskCtx<'_> {
     /// # Panics
     /// Panics if the item is unknown or `F` is not its fragment type.
     pub fn fragment<F: Fragment>(&self, item: ItemId) -> &F {
-        self.check_access(item, AccessMode::Read, format_args!("fragment"), |_: &F::Region| true);
+        self.check_access(
+            item,
+            AccessMode::Read,
+            format_args!("fragment"),
+            |_: &F::Region| true,
+        );
         self.dim
             .fragment_any(item)
             .downcast_ref::<F>()
@@ -183,7 +190,12 @@ impl TaskCtx<'_> {
     /// # Panics
     /// Panics if the item is unknown or `F` is not its fragment type.
     pub fn fragment_mut<F: Fragment>(&mut self, item: ItemId) -> &mut F {
-        self.check_access(item, AccessMode::Write, format_args!("fragment"), |_: &F::Region| true);
+        self.check_access(
+            item,
+            AccessMode::Write,
+            format_args!("fragment"),
+            |_: &F::Region| true,
+        );
         self.dim
             .fragment_any_mut(item)
             .downcast_mut::<F>()

@@ -297,7 +297,10 @@ fn block_dim(locality: usize, first: i64) -> DataItemManager {
     let mut dim = DataItemManager::new(locality);
     dim.register(ITEM, ItemDescriptor::of::<GridItem<f64, 2>>("A"));
     for tile in (first..first + BLOCK_ROWS).step_by(TILE_ROWS as usize) {
-        dim.init_owned(ITEM, &BoxRegion::cuboid([tile, 0], [tile + TILE_ROWS, COLS]));
+        dim.init_owned(
+            ITEM,
+            &BoxRegion::cuboid([tile, 0], [tile + TILE_ROWS, COLS]),
+        );
     }
     dim
 }
@@ -337,5 +340,9 @@ fn a_checkpoint_round_trip_stays_within_its_allocation_budget() {
     });
     // 40 before: the block copied into a zeroed extract, then encoded into
     // a buffer grown by doubling.
-    assert!(n.0 <= 14, "{} allocations for checkpoint + restore (budget: 14)", n.0);
+    assert!(
+        n.0 <= 14,
+        "{} allocations for checkpoint + restore (budget: 14)",
+        n.0
+    );
 }

@@ -28,7 +28,10 @@ fn first_touch_initialization_distributes_data() {
                 .map(|l| ctx.fragment_at::<GridFragment<u64, 1>>(l, *item).len())
                 .collect();
             assert_eq!(held.iter().sum::<usize>(), 96, "covered once: {held:?}");
-            assert!(held.iter().all(|&n| n > 0), "spread over all 4 nodes: {held:?}");
+            assert!(
+                held.iter().all(|&n| n > 0),
+                "spread over all 4 nodes: {held:?}"
+            );
         }
     });
 }
@@ -42,7 +45,12 @@ fn halo_reads_replicate_and_release() {
         ..Scenario::new(0)
     }
     .run();
-    let replicas: u64 = report.monitor.per_locality.iter().map(|l| l.replicas_in).sum();
+    let replicas: u64 = report
+        .monitor
+        .per_locality
+        .iter()
+        .map(|l| l.replicas_in)
+        .sum();
     assert!(replicas > 0, "expected cross-node halo replication");
     assert!(report.remote_msgs > 0);
 }
@@ -53,7 +61,12 @@ fn halo_reads_replicate_and_release() {
 #[test]
 fn tasks_follow_their_data() {
     let report = bump_roundtrip(config(4, 2), 3);
-    let migrations: u64 = report.monitor.per_locality.iter().map(|l| l.migrations_in).sum();
+    let migrations: u64 = report
+        .monitor
+        .per_locality
+        .iter()
+        .map(|l| l.migrations_in)
+        .sum();
     assert_eq!(migrations, 0, "steady-state phases must not migrate data");
 }
 
@@ -177,9 +190,7 @@ fn broadcast_replicas_serve_reads_without_traffic() {
                         .unwrap();
                     ctx.broadcast_replicate(g.id, owner, &g.full_region());
                     // Remember replica count right after the broadcast.
-                    st.borrow_mut().1 = (0..ctx.nodes())
-                        .map(|_| 0u64)
-                        .sum::<u64>();
+                    st.borrow_mut().1 = (0..ctx.nodes()).map(|_| 0u64).sum::<u64>();
                     // Read-only phase: every node sums the whole grid.
                     Some(pfor(
                         PforSpec {
@@ -258,19 +269,20 @@ fn tree_facade_distributes_and_reads() {
                             vec![Requirement::write(tree, region)]
                         },
                         move |tctx, p| {
-                            let write_all = |tctx: &mut allscale_core::TaskCtx<'_>,
-                                             root: TreePath,
-                                             max_depth: u8| {
-                                let mut stack = vec![root];
-                                while let Some(path) = stack.pop() {
-                                    let frag = tctx.fragment_mut::<Frag>(tree);
-                                    assert!(frag.set(path, path.bfs_index()));
-                                    if path.depth() + 1 < max_depth {
-                                        stack.push(path.left());
-                                        stack.push(path.right());
+                            let write_all =
+                                |tctx: &mut allscale_core::TaskCtx<'_>,
+                                 root: TreePath,
+                                 max_depth: u8| {
+                                    let mut stack = vec![root];
+                                    while let Some(path) = stack.pop() {
+                                        let frag = tctx.fragment_mut::<Frag>(tree);
+                                        assert!(frag.set(path, path.bfs_index()));
+                                        if path.depth() + 1 < max_depth {
+                                            stack.push(path.left());
+                                            stack.push(path.right());
+                                        }
                                     }
-                                }
-                            };
+                                };
                             if p[0] == 0 {
                                 // Root block: depths 0..H.
                                 let mut stack = vec![TreePath::ROOT];
@@ -359,7 +371,7 @@ fn tree_facade_distributes_and_reads() {
 
 /// The run report's summary renders and contains the headline counters.
 #[test]
-fn run_report_summary_renders()  {
+fn run_report_summary_renders() {
     let rt = Runtime::new(config(2, 2));
     let report = rt.run(
         move |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
@@ -382,8 +394,14 @@ fn run_report_summary_renders()  {
     );
     let s = report.summary();
     let finish = report.finish_time.as_nanos();
-    assert!(s.starts_with(&format!("finish_time={finish} phases=")), "{s}");
-    assert!(s.contains("\nmonitor.per_locality[0]: tasks_executed="), "{s}");
+    assert!(
+        s.starts_with(&format!("finish_time={finish} phases=")),
+        "{s}"
+    );
+    assert!(
+        s.contains("\nmonitor.per_locality[0]: tasks_executed="),
+        "{s}"
+    );
     assert!(s.contains(" first_touch="), "{s}");
 }
 
@@ -472,7 +490,8 @@ fn fill_then_probe<I: Copy + 'static>(
 /// and the declared region.
 #[cfg(debug_assertions)]
 fn tile_touching_past_its_requirement(nodes: usize, write: bool) {
-    let own = |g: Grid<f64, 1>, tile: &GridBox<1>| Requirement::write(g.id, BoxRegion::from_box(*tile));
+    let own =
+        |g: Grid<f64, 1>, tile: &GridBox<1>| Requirement::write(g.id, BoxRegion::from_box(*tile));
     let fill: fn(Grid<f64, 1>, &mut TaskCtx<'_>, &GridBox<1>) = |g, tctx, tile| {
         tile.points().for_each(|p| g.set(tctx, p.0, 1.0));
     };
@@ -486,14 +505,18 @@ fn tile_touching_past_its_requirement(nodes: usize, write: bool) {
 
 #[test]
 #[cfg(debug_assertions)]
-#[should_panic(expected = "Read of element [16] of ItemId(0) outside its declared [Write BoxRegion[[(0)..(16))] of ItemId(0)]")]
+#[should_panic(
+    expected = "Read of element [16] of ItemId(0) outside its declared [Write BoxRegion[[(0)..(16))] of ItemId(0)]"
+)]
 fn a_tile_reading_past_its_requirement_on_one_node_panics() {
     tile_touching_past_its_requirement(1, false);
 }
 
 #[test]
 #[cfg(debug_assertions)]
-#[should_panic(expected = "Write of element [16] of ItemId(0) outside its declared [Write BoxRegion[[(0)..(16))] of ItemId(0)]")]
+#[should_panic(
+    expected = "Write of element [16] of ItemId(0) outside its declared [Write BoxRegion[[(0)..(16))] of ItemId(0)]"
+)]
 fn a_tile_writing_past_its_requirement_on_one_node_panics() {
     tile_touching_past_its_requirement(1, true);
 }
@@ -538,7 +561,8 @@ fn a_mutable_fragment_of_a_read_requirement_panics() {
     let read = |g: Grid<f64, 1>, _: &GridBox<1>| Requirement::read(g.id, g.full_region());
     let fill: fn(Grid<f64, 1>, &mut TaskCtx<'_>, &GridBox<1>) = |g, tctx, _| g.set(tctx, [0], 1.0);
     let raw: fn(Grid<f64, 1>, &mut TaskCtx<'_>, &GridBox<1>) = |g, tctx, _| {
-        tctx.fragment_mut::<GridFragment<f64, 1>>(g.id).set(&Point([0]), 2.0);
+        tctx.fragment_mut::<GridFragment<f64, 1>>(g.id)
+            .set(&Point([0]), 2.0);
     };
     fill_then_probe(1, create, 1, [whole, read], [fill, raw]);
 }
@@ -859,7 +883,10 @@ fn checksummed_transfers_mask_wire_corruption() {
         t.corrupted > 0 && t.corrupt_detected > 0,
         "the 2% corruption arm must have struck and been caught ({t:?})"
     );
-    assert_eq!(t.corrupt_undetected, 0, "verification must catch every hit ({t:?})");
+    assert_eq!(
+        t.corrupt_undetected, 0,
+        "verification must catch every hit ({t:?})"
+    );
     assert!(
         t.re_requests > 0,
         "detected corruptions are re-requested, not consumed ({t:?})"

@@ -61,12 +61,7 @@ impl Harness {
             ..StealConfig::default()
         };
         Harness {
-            sched: WorkStealingScheduler::new(
-                Box::new(DataAwarePolicy),
-                cfg,
-                nodes,
-                cores,
-            ),
+            sched: WorkStealingScheduler::new(Box::new(DataAwarePolicy), cfg, nodes, cores),
             nodes,
             dead: vec![false; nodes],
             outstanding: HashSet::new(),
@@ -214,7 +209,9 @@ impl Harness {
             self.outstanding.is_empty(),
             "drain left tasks stranded: {:?} (queues: {:?})",
             self.outstanding,
-            (0..self.nodes).map(|n| self.sched.queue_len(n)).collect::<Vec<_>>()
+            (0..self.nodes)
+                .map(|n| self.sched.queue_len(n))
+                .collect::<Vec<_>>()
         );
     }
 }

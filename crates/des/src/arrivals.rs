@@ -72,7 +72,9 @@ mod tests {
                 rate_rps: 100_000.0,
                 seed,
             });
-            (0..256).map(|_| g.next_gap().as_nanos()).collect::<Vec<_>>()
+            (0..256)
+                .map(|_| g.next_gap().as_nanos())
+                .collect::<Vec<_>>()
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
@@ -81,7 +83,10 @@ mod tests {
     #[test]
     fn poisson_mean_gap_matches_rate() {
         let rate = 1_000_000.0; // 1M rps => mean gap 1000 ns
-        let mut g = ArrivalGen::new(ArrivalProcess::Poisson { rate_rps: rate, seed: 3 });
+        let mut g = ArrivalGen::new(ArrivalProcess::Poisson {
+            rate_rps: rate,
+            seed: 3,
+        });
         let n = 20_000;
         let total: u64 = (0..n).map(|_| g.next_gap().as_nanos()).sum();
         let mean = total as f64 / n as f64;
@@ -103,6 +108,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "rate must be positive")]
     fn zero_rate_rejected() {
-        let _ = ArrivalGen::new(ArrivalProcess::Poisson { rate_rps: 0.0, seed: 1 });
+        let _ = ArrivalGen::new(ArrivalProcess::Poisson {
+            rate_rps: 0.0,
+            seed: 1,
+        });
     }
 }

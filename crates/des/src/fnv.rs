@@ -152,7 +152,9 @@ mod tests {
             let bufs: Vec<Vec<u8>> = (0..count)
                 .map(|_| {
                     let own = (rng.next() % 301) as usize;
-                    (0..if equal { len } else { own }).map(|_| rng.next() as u8).collect()
+                    (0..if equal { len } else { own })
+                        .map(|_| rng.next() as u8)
+                        .collect()
                 })
                 .collect();
             let refs: Vec<&[u8]> = bufs.iter().map(Vec::as_slice).collect();

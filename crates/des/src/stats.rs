@@ -459,7 +459,11 @@ mod tests {
             for v in [lo, hi] {
                 let mut h = LogHistogram::new();
                 h.record(v);
-                assert_eq!(h.percentile(100.0), hi, "value {v} should report bucket {i}'s bound");
+                assert_eq!(
+                    h.percentile(100.0),
+                    hi,
+                    "value {v} should report bucket {i}'s bound"
+                );
             }
         }
         // Zero shares bucket 0 with value 1.
@@ -495,7 +499,10 @@ mod tests {
         assert_eq!(a.p50(), 15); // bucket of 10
         assert_eq!(a.p99(), a.percentile(100.0));
         let shown = summary(&a);
-        assert!(shown.starts_with("count=3 "), "the walk carries the count: {shown}");
+        assert!(
+            shown.starts_with("count=3 "),
+            "the walk carries the count: {shown}"
+        );
     }
 
     #[test]
@@ -546,7 +553,10 @@ mod tests {
         a.record(90_000);
         let before = (a.tally().count(), a.tally().sum(), a.p50(), a.p99());
         a.merge(&LogHistogram::new());
-        assert_eq!(before, (a.tally().count(), a.tally().sum(), a.p50(), a.p99()));
+        assert_eq!(
+            before,
+            (a.tally().count(), a.tally().sum(), a.p50(), a.p99())
+        );
         let mut empty = LogHistogram::new();
         empty.merge(&a);
         assert_eq!(empty.p99(), a.p99());

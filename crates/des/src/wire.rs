@@ -568,7 +568,12 @@ mod tests {
         charge: f64,
         id: u64,
     }
-    wire_struct!(Particle { pos, vel, charge, id });
+    wire_struct!(Particle {
+        pos,
+        vel,
+        charge,
+        id
+    });
 
     #[derive(PartialEq, Debug)]
     enum Msg {
@@ -685,8 +690,14 @@ mod tests {
         for len in [u64::MAX, u64::MAX / 8 + 1] {
             let mut huge = len.to_le_bytes().to_vec();
             huge.extend_from_slice(&encode(&[1.5f64, 2.5]));
-            assert!(matches!(decode::<Vec<f64>>(&huge), Err(WireError::InvalidData(_))));
-            assert!(matches!(decode::<Vec<u64>>(&huge), Err(WireError::InvalidData(_))));
+            assert!(matches!(
+                decode::<Vec<f64>>(&huge),
+                Err(WireError::InvalidData(_))
+            ));
+            assert!(matches!(
+                decode::<Vec<u64>>(&huge),
+                Err(WireError::InvalidData(_))
+            ));
         }
         // Fits a `usize`, but the bytes are not there.
         let mut long = (u64::MAX / 8).to_le_bytes().to_vec();

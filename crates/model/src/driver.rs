@@ -97,9 +97,8 @@ impl Driver {
             let Some(t) = self.choose(program, state) else {
                 return (trace, Outcome::Stuck);
             };
-            let next = apply(program, state, &t).unwrap_or_else(|v| {
-                panic!("driver chose an invalid transition {t:?}: {v}")
-            });
+            let next = apply(program, state, &t)
+                .unwrap_or_else(|v| panic!("driver chose an invalid transition {t:?}: {v}"));
             trace.steps.push(t);
             trace.states.push(next);
         }
@@ -168,16 +167,24 @@ impl Driver {
                             .required_elems(d)
                             .iter()
                             .all(|&e| state.present(m, d, e));
-                        let writes_exclusive = spec.write_elems(d).iter().all(|&e| {
-                            state.placements(d, e).iter().all(|&pm| pm == m)
-                        });
+                        let writes_exclusive = spec
+                            .write_elems(d)
+                            .iter()
+                            .all(|&e| state.placements(d, e).iter().all(|&pm| pm == m));
                         if all_there && writes_exclusive {
                             assign.insert(d, m);
                             continue 'items;
                         }
                     }
                     // Otherwise produce one staging move toward `target`.
-                    staging = self.stage_toward(program, state, d, &spec.required_elems(d), &spec.write_elems(d), target);
+                    staging = self.stage_toward(
+                        program,
+                        state,
+                        d,
+                        &spec.required_elems(d),
+                        &spec.write_elems(d),
+                        target,
+                    );
                     break;
                 }
                 if let Some(mv) = staging {

@@ -41,7 +41,11 @@ pub struct VariantSpec {
 impl VariantSpec {
     /// Items with at least one required element.
     pub fn required_items(&self) -> BTreeSet<ItemId> {
-        self.reads.keys().chain(self.writes.keys()).copied().collect()
+        self.reads
+            .keys()
+            .chain(self.writes.keys())
+            .copied()
+            .collect()
     }
 
     /// `read(v, d) ∪ write(v, d)`.
@@ -140,8 +144,7 @@ impl ProgramBuilder {
 
     /// Declare a data item with elements `0..n_elems`.
     pub fn item(&mut self, d: ItemId, n_elems: u32) -> &mut Self {
-        self.items
-            .insert(d, (0..n_elems).map(Elem).collect());
+        self.items.insert(d, (0..n_elems).map(Elem).collect());
         self
     }
 
@@ -204,10 +207,7 @@ impl ProgramBuilder {
                 assert!(self.items.contains_key(&d), "undeclared item {d:?}");
                 let universe = &self.items[&d];
                 for e in spec.required_elems(d) {
-                    assert!(
-                        universe.contains(&e),
-                        "element {e:?} outside elems({d:?})"
-                    );
+                    assert!(universe.contains(&e), "element {e:?} outside elems({d:?})");
                 }
             }
         }
@@ -320,10 +320,7 @@ mod tests {
     #[should_panic(expected = "two spawn points")]
     fn duplicate_spawn_points_rejected() {
         let mut b = ProgramBuilder::new();
-        b.variant(
-            TaskId(1),
-            VariantSpec::default(),
-        );
+        b.variant(TaskId(1), VariantSpec::default());
         b.variant(
             TaskId(0),
             VariantSpec {

@@ -68,12 +68,11 @@ pub fn check_single_execution(trace: &Trace) -> Check {
 /// its compute unit and covered by the matching lock.
 pub fn check_satisfied_requirements(program: &Program, trace: &Trace) -> Check {
     for (i, s) in trace.states.iter().enumerate() {
-        let occupied: Vec<(crate::ids::CoreId, VariantId)> = s
-            .r
-            .iter()
-            .map(|&(c, v, _)| (c, v))
-            .chain(s.b.iter().map(|&(c, v, _, _)| (c, v)))
-            .collect();
+        let occupied: Vec<(crate::ids::CoreId, VariantId)> =
+            s.r.iter()
+                .map(|&(c, v, _)| (c, v))
+                .chain(s.b.iter().map(|&(c, v, _, _)| (c, v)))
+                .collect();
         for (core, v) in occupied {
             let spec = program.variant(v);
             for d in spec.required_items() {

@@ -152,9 +152,7 @@ pub fn apply(
             core,
             mem_assign,
         } => apply_start(program, state, *task, *variant, *core, mem_assign),
-        Transition::Step { core, variant, pc } => {
-            apply_step(program, state, *core, *variant, *pc)
-        }
+        Transition::Step { core, variant, pc } => apply_step(program, state, *core, *variant, *pc),
         Transition::Continue {
             core,
             variant,

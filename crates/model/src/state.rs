@@ -88,7 +88,9 @@ impl SystemState {
                 out.push(m);
             }
             let above = m.0.checked_add(1).map(|n| (MemId(n), ItemId(0), Elem(0)));
-            next = above.and_then(|k| self.d.range(k..).next()).map(|&(m, _, _)| m);
+            next = above
+                .and_then(|k| self.d.range(k..).next())
+                .map(|&(m, _, _)| m);
         }
         out
     }
@@ -117,8 +119,12 @@ fn locked(locks: &BTreeSet<Lock>, m: MemId, d: ItemId, e: Elem) -> bool {
         if locks.contains(&(v, m, d, e)) {
             return true;
         }
-        let above = v.0.checked_add(1).map(|n| (VariantId(n), MemId(0), ItemId(0), Elem(0)));
-        next = above.and_then(|k| locks.range(k..).next()).map(|&(v, ..)| v);
+        let above =
+            v.0.checked_add(1)
+                .map(|n| (VariantId(n), MemId(0), ItemId(0), Elem(0)));
+        next = above
+            .and_then(|k| locks.range(k..).next())
+            .map(|&(v, ..)| v);
     }
     false
 }

@@ -129,9 +129,8 @@ where
         if all_barrier || all_reduce {
             // Cost: a reduce+broadcast tree of small messages.
             let depth = (n.max(2) as f64).log2().ceil() as u64;
-            let hop = SimDuration::from_nanos(
-                spec.net.base_latency_ns + 2 * spec.net.per_hop_latency_ns,
-            );
+            let hop =
+                SimDuration::from_nanos(spec.net.base_latency_ns + 2 * spec.net.per_hop_latency_ns);
             let t_sync = live
                 .iter()
                 .map(|&r| clock[r])

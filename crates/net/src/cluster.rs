@@ -58,6 +58,10 @@ mod tests {
         let c = ClusterSpec::meggie(64);
         assert_eq!(c.nodes, 64);
         assert_eq!(c.cores_per_node, 20);
-        assert_eq!(c.build_topology().hops(0, 63), 4, "64 nodes span four 16-node leaves");
+        assert_eq!(
+            c.build_topology().hops(0, 63),
+            4,
+            "64 nodes span four 16-node leaves"
+        );
     }
 }

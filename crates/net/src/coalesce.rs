@@ -134,9 +134,20 @@ impl<P> Coalescer<P> {
     /// Returns [`Enqueue::Full`] when the message filled the batch to a
     /// cap — including the degenerate case where a single message meets a
     /// cap on its own (the caller flushes immediately; no timer exists).
-    pub fn enqueue(&mut self, now: SimTime, src: usize, dst: usize, bytes: usize, payload: P) -> Enqueue {
+    pub fn enqueue(
+        &mut self,
+        now: SimTime,
+        src: usize,
+        dst: usize,
+        bytes: usize,
+        payload: P,
+    ) -> Enqueue {
         let slot = self.open.entry((src, dst));
-        let entry = Entry { at: now, bytes, payload };
+        let entry = Entry {
+            at: now,
+            bytes,
+            payload,
+        };
         match slot {
             std::collections::btree_map::Entry::Vacant(v) => {
                 let gen = self.next_gen;
@@ -151,7 +162,8 @@ impl<P> Coalescer<P> {
                     Enqueue::Full
                 } else {
                     Enqueue::Opened {
-                        deadline: now + allscale_des::SimDuration::from_nanos(self.params.max_delay_ns),
+                        deadline: now
+                            + allscale_des::SimDuration::from_nanos(self.params.max_delay_ns),
                         gen,
                     }
                 }
@@ -160,7 +172,8 @@ impl<P> Coalescer<P> {
                 let open = o.get_mut();
                 open.bytes += bytes;
                 open.entries.push(entry);
-                if open.bytes >= self.params.max_bytes || open.entries.len() >= self.params.max_msgs {
+                if open.bytes >= self.params.max_bytes || open.entries.len() >= self.params.max_msgs
+                {
                     Enqueue::Full
                 } else {
                     Enqueue::Joined
@@ -259,8 +272,14 @@ mod tests {
 
     #[test]
     fn msg_cap_flushes_full() {
-        let mut co = c(BatchParams { max_msgs: 3, ..BatchParams::default() });
-        assert!(matches!(co.enqueue(t(0), 0, 1, 1, "a"), Enqueue::Opened { .. }));
+        let mut co = c(BatchParams {
+            max_msgs: 3,
+            ..BatchParams::default()
+        });
+        assert!(matches!(
+            co.enqueue(t(0), 0, 1, 1, "a"),
+            Enqueue::Opened { .. }
+        ));
         assert_eq!(co.enqueue(t(1), 0, 1, 1, "b"), Enqueue::Joined);
         assert_eq!(co.enqueue(t(2), 0, 1, 1, "c"), Enqueue::Full);
         let batch = co.take(0, 1).unwrap();
@@ -270,8 +289,15 @@ mod tests {
 
     #[test]
     fn byte_cap_flushes_full_and_wins_ties() {
-        let mut co = c(BatchParams { max_bytes: 100, max_msgs: 2, ..BatchParams::default() });
-        assert!(matches!(co.enqueue(t(0), 0, 1, 40, "a"), Enqueue::Opened { .. }));
+        let mut co = c(BatchParams {
+            max_bytes: 100,
+            max_msgs: 2,
+            ..BatchParams::default()
+        });
+        assert!(matches!(
+            co.enqueue(t(0), 0, 1, 40, "a"),
+            Enqueue::Opened { .. }
+        ));
         // Second message hits BOTH caps; bytes is reported.
         assert_eq!(co.enqueue(t(1), 0, 1, 60, "b"), Enqueue::Full);
         assert_eq!(co.take(0, 1).unwrap().cause, FlushCause::Bytes);
@@ -279,7 +305,10 @@ mod tests {
 
     #[test]
     fn single_oversized_message_is_full_at_once() {
-        let mut co = c(BatchParams { max_bytes: 100, ..BatchParams::default() });
+        let mut co = c(BatchParams {
+            max_bytes: 100,
+            ..BatchParams::default()
+        });
         assert_eq!(co.enqueue(t(0), 2, 3, 1_000, "big"), Enqueue::Full);
         let batch = co.take(2, 3).unwrap();
         assert_eq!(batch.entries.len(), 1);
@@ -288,7 +317,10 @@ mod tests {
 
     #[test]
     fn stale_generation_timer_is_a_no_op() {
-        let mut co = c(BatchParams { max_msgs: 2, ..BatchParams::default() });
+        let mut co = c(BatchParams {
+            max_msgs: 2,
+            ..BatchParams::default()
+        });
         let gen = match co.enqueue(t(0), 0, 1, 1, "a") {
             Enqueue::Opened { gen, .. } => gen,
             other => panic!("{other:?}"),
@@ -301,7 +333,10 @@ mod tests {
             other => panic!("{other:?}"),
         };
         assert_ne!(gen, gen2);
-        assert!(co.take_if_gen(0, 1, gen).is_none(), "stale timer must not steal the young batch");
+        assert!(
+            co.take_if_gen(0, 1, gen).is_none(),
+            "stale timer must not steal the young batch"
+        );
         assert_eq!(co.pending(0, 1), 1);
         assert_eq!(co.take_if_gen(0, 1, gen2).unwrap().entries.len(), 1);
     }

@@ -247,7 +247,10 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// The wait between a failed `attempt` (1-based) and its retry.
     pub fn backoff(&self, attempt: u32) -> SimDuration {
-        self.ack_timeout + self.base_backoff.saturating_mul(1u64 << attempt.min(20).saturating_sub(1))
+        self.ack_timeout
+            + self
+                .base_backoff
+                .saturating_mul(1u64 << attempt.min(20).saturating_sub(1))
     }
 }
 
@@ -278,7 +281,10 @@ mod tests {
         assert_eq!(run(1), run(1));
         assert_ne!(run(1), run(2));
         let delivered = run(1).iter().filter(|&&d| d).count();
-        assert!(delivered > 20 && delivered < 60, "rate wildly off: {delivered}/64");
+        assert!(
+            delivered > 20 && delivered < 60,
+            "rate wildly off: {delivered}/64"
+        );
     }
 
     #[test]
@@ -331,8 +337,14 @@ mod tests {
             (0..256).map(|i| plan.judge(t(i), 0, 1)).collect::<Vec<_>>()
         };
         assert_eq!(verdicts(5), verdicts(5), "seeded stream is reproducible");
-        let corrupted = verdicts(5).iter().filter(|v| **v == Verdict::Corrupt).count();
-        assert!((50..160).contains(&corrupted), "rate wildly off: {corrupted}/256");
+        let corrupted = verdicts(5)
+            .iter()
+            .filter(|v| **v == Verdict::Corrupt)
+            .count();
+        assert!(
+            (50..160).contains(&corrupted),
+            "rate wildly off: {corrupted}/256"
+        );
     }
 
     #[test]
@@ -342,7 +354,10 @@ mod tests {
             .with_corruption(1.0);
         assert_eq!(plan.judge(t(0), 0, 1), Verdict::Corrupt);
         let mut plan = FaultPlan::new(2).with_drop_rate(1.0).with_corruption(1.0);
-        assert_eq!(plan.judge(t(0), 0, 1), Verdict::Fault(TransferFault::Dropped));
+        assert_eq!(
+            plan.judge(t(0), 0, 1),
+            Verdict::Fault(TransferFault::Dropped)
+        );
         let mut plan = FaultPlan::new(2).with_corruption(1.0);
         plan.kill_at(1, t(0));
         assert_eq!(

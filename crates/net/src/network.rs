@@ -528,7 +528,7 @@ mod tests {
     fn local_transfer_is_memcpy() {
         let mut n = net(4);
         let arrival = n.transfer(t(0), 2, 2, 60_000_000); // 60 MB
-        // 60e6 / 60e9 B/s = 1 ms
+                                                          // 60e6 / 60e9 B/s = 1 ms
         assert_eq!(arrival.as_nanos(), 1_000_000);
         assert_eq!(n.stats().remote_msgs(), 0);
         assert_eq!(n.stats().local.count(), 1);
@@ -568,9 +568,7 @@ mod tests {
     fn receiver_nic_congests_hot_receivers() {
         let mut n = net(8);
         // Four senders target node 0 simultaneously.
-        let arrivals: Vec<_> = (1..5)
-            .map(|s| n.transfer(t(0), s, 0, 125_000))
-            .collect();
+        let arrivals: Vec<_> = (1..5).map(|s| n.transfer(t(0), s, 0, 125_000)).collect();
         // Arrivals are serialized by the receive NIC: 10µs apart.
         for w in arrivals.windows(2) {
             assert_eq!(w[1].as_nanos() - w[0].as_nanos(), 10_000);
@@ -618,11 +616,16 @@ mod tests {
         };
         let mut delivered = 0;
         for i in 0..50 {
-            if n.transfer_with_retry_frame(t(i * 10_000), 0, 1, 256, &policy).is_ok() {
+            if n.transfer_with_retry_frame(t(i * 10_000), 0, 1, 256, &policy)
+                .is_ok()
+            {
                 delivered += 1;
             }
         }
-        assert_eq!(delivered, 50, "16 attempts at 50% loss practically always deliver");
+        assert_eq!(
+            delivered, 50,
+            "16 attempts at 50% loss practically always deliver"
+        );
         let s = n.stats();
         assert!(s.retries > 0, "some messages needed retries");
         assert_eq!(s.dropped, s.retries, "every drop was retried");
@@ -643,7 +646,11 @@ mod tests {
             Err(TransferFault::Dropped)
         );
         assert_eq!(n.stats().dropped, 3);
-        assert_eq!(n.stats().retries, 2, "attempts - 1 retries before giving up");
+        assert_eq!(
+            n.stats().retries,
+            2,
+            "attempts - 1 retries before giving up"
+        );
     }
 
     #[test]
@@ -671,8 +678,16 @@ mod tests {
         };
         let _ = n.transfer_with_retry_frame(t(0), 0, 1, 256, &policy);
         let trace = sink.take().unwrap();
-        let drops = trace.events.iter().filter(|e| e.kind.name() == "drop").count();
-        let retries = trace.events.iter().filter(|e| e.kind.name() == "retry").count();
+        let drops = trace
+            .events
+            .iter()
+            .filter(|e| e.kind.name() == "drop")
+            .count();
+        let retries = trace
+            .events
+            .iter()
+            .filter(|e| e.kind.name() == "retry")
+            .count();
         assert_eq!(drops, 3, "every dropped attempt is recorded");
         assert_eq!(retries, 2, "every re-send is recorded");
         // Retry instants carry the simulated backoff, so they sit strictly
@@ -692,7 +707,15 @@ mod tests {
         // Batched: one latency over the summed payload.
         let mut batched = net(2);
         let one = batched
-            .transfer_batch_frame(t(0), 0, 1, n_msgs * b, n_msgs as u64, FlushCause::Window, &policy)
+            .transfer_batch_frame(
+                t(0),
+                0,
+                1,
+                n_msgs * b,
+                n_msgs as u64,
+                FlushCause::Window,
+                &policy,
+            )
             .unwrap()
             .at
             .as_nanos();
@@ -762,7 +785,10 @@ mod tests {
         assert_eq!(d.at, clean);
         assert!(!d.intact);
         let s = n.stats();
-        assert_eq!((s.corrupted, s.corrupt_undetected, s.corrupt_detected), (1, 1, 0));
+        assert_eq!(
+            (s.corrupted, s.corrupt_undetected, s.corrupt_detected),
+            (1, 1, 0)
+        );
         // The legacy API consumes it silently — the pre-integrity world.
         assert!(n.try_transfer_frame(t(0), 0, 1, 1_000).is_ok());
         assert_eq!(n.stats().corrupt_undetected, 2);
@@ -785,7 +811,10 @@ mod tests {
         let s = n.stats();
         assert_eq!(s.corrupted, 3, "every attempt crossed the wire corrupt");
         assert_eq!(s.corrupt_detected, 3, "every arrival failed verification");
-        assert_eq!(s.re_requests, 2, "attempts - 1 re-requests before giving up");
+        assert_eq!(
+            s.re_requests, 2,
+            "attempts - 1 re-requests before giving up"
+        );
         assert_eq!(s.retries, 0, "re-requests are not drop retries");
         assert!(s.backoff_ns > 0, "re-request backoff is billed");
         assert_eq!(

@@ -16,13 +16,7 @@ fn t(ns: u64) -> SimTime {
 
 /// Build a plan from ppm-valued knobs (the strategy space) and collect
 /// its verdicts for `n` back-to-back remote attempts.
-fn verdicts(
-    seed: u64,
-    drop_ppm: u32,
-    delay_ppm: u32,
-    corrupt_ppm: u32,
-    n: usize,
-) -> Vec<Verdict> {
+fn verdicts(seed: u64, drop_ppm: u32, delay_ppm: u32, corrupt_ppm: u32, n: usize) -> Vec<Verdict> {
     let mut plan = FaultPlan::new(seed)
         .with_drop_rate(drop_ppm as f64 / 1e6)
         .with_delay(delay_ppm as f64 / 1e6, SimDuration::from_nanos(321))

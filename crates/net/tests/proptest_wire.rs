@@ -8,9 +8,7 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 use allscale_des::fnv::fnv1a_64;
-use allscale_net::wire::{
-    decode, encode, fingerprint, wire_struct, Reader, Sink, Wire, WireError,
-};
+use allscale_net::wire::{decode, encode, fingerprint, wire_struct, Reader, Sink, Wire, WireError};
 
 #[derive(Debug, Clone, PartialEq)]
 struct Inner {
@@ -70,19 +68,24 @@ struct Outer {
     tree: Node,
     flags: (bool, bool, char),
 }
-wire_struct!(Outer { items, lookup, tree, flags });
+wire_struct!(Outer {
+    items,
+    lookup,
+    tree,
+    flags
+});
 
 fn arb_inner() -> impl Strategy<Value = Inner> {
-    (any::<u64>(), any::<f64>(), proptest::option::of(".{0,12}")).prop_map(
-        |(id, weight, tag)| Inner {
+    (any::<u64>(), any::<f64>(), proptest::option::of(".{0,12}")).prop_map(|(id, weight, tag)| {
+        Inner {
             id,
             // NaN breaks PartialEq-based comparison, not the codec; keep
             // comparable values here (bit-exactness of NaN is covered by
             // the unit tests in the wire module).
             weight: if weight.is_nan() { 0.0 } else { weight },
             tag,
-        },
-    )
+        }
+    })
 }
 
 fn arb_node() -> impl Strategy<Value = Node> {
@@ -99,7 +102,11 @@ fn arb_node() -> impl Strategy<Value = Node> {
 fn arb_outer() -> impl Strategy<Value = Outer> {
     (
         prop::collection::vec(arb_inner(), 0..6),
-        prop::collection::btree_map(any::<u32>(), prop::collection::vec(any::<u8>(), 0..16), 0..4),
+        prop::collection::btree_map(
+            any::<u32>(),
+            prop::collection::vec(any::<u8>(), 0..16),
+            0..4,
+        ),
         arb_node(),
         (any::<bool>(), any::<bool>(), any::<char>()),
     )

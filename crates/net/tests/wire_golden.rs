@@ -56,7 +56,11 @@ fn check_row(what: &str, bytes: &[u8], fingerprint: u64, want_fp: u64, want_hex:
             lines.join("\n")
         );
     }
-    assert_eq!(fnv1a_64(bytes), want_fp, "{what}: fingerprint ≠ hash of the bytes");
+    assert_eq!(
+        fnv1a_64(bytes),
+        want_fp,
+        "{what}: fingerprint ≠ hash of the bytes"
+    );
 }
 
 /// `pin!(Type, value, fingerprint, hex)`: the value encodes to `hex`,
@@ -105,7 +109,12 @@ fn box_region() {
         0400000000000000f9ffffffffffffff0900000000000000fbffffffffffffff\
         0c00000000000000",
     );
-    pin!(BoxRegion<3>, BoxRegion::empty(), 0xa8c7f832281a39c5, "0000000000000000");
+    pin!(
+        BoxRegion<3>,
+        BoxRegion::empty(),
+        0xa8c7f832281a39c5,
+        "0000000000000000"
+    );
 }
 
 #[test]
@@ -116,7 +125,8 @@ fn bitmask_tree_region() {
     r.set_subtree(3, true);
     r.set_subtree(127, true);
     pin!(
-        BitmaskTreeRegion, r,
+        BitmaskTreeRegion,
+        r,
         0x058323598afe5b15,
         "\
         0703000000000000001100000000000000000000000000000001000000000000\
@@ -136,7 +146,12 @@ fn tree_region() {
         0200000000020000000100000000020000000101000000000000000200000000\
         0100000002000000010100000001000000",
     );
-    pin!(TreeRegion, TreeRegion::subtree(TreePath::ROOT), 0x4d25767f9dce13f5, "00000000");
+    pin!(
+        TreeRegion,
+        TreeRegion::subtree(TreePath::ROOT),
+        0x4d25767f9dce13f5,
+        "00000000"
+    );
 }
 
 #[test]
@@ -153,8 +168,18 @@ fn bucket_region() {
 
 #[test]
 fn tree_path() {
-    pin!(TreePath, path(&[1, 0, 1, 1]), 0xa0438652e26112c4, "0d0000000000000004");
-    pin!(TreePath, TreePath::ROOT, 0xe604823a249029bf, "000000000000000000");
+    pin!(
+        TreePath,
+        path(&[1, 0, 1, 1]),
+        0xa0438652e26112c4,
+        "0d0000000000000004"
+    );
+    pin!(
+        TreePath,
+        TreePath::ROOT,
+        0xe604823a249029bf,
+        "000000000000000000"
+    );
 }
 
 /// Three chunks: two allocated, one inserted, the first then split by a
@@ -190,7 +215,9 @@ fn grid_fragment_f64() {
     let bytes: Vec<u8> = wire::encode(&f.extract_view(&part)).plain();
     let fingerprint: u64 = wire::fingerprint(&f.extract_view(&part)).plain();
     check_row(
-        "extract_view", &bytes, fingerprint,
+        "extract_view",
+        &bytes,
+        fingerprint,
         0x988b3bb9f094e10c,
         "\
         0300000000000000010000000000000001000000000000000200000000000000\
@@ -312,7 +339,8 @@ fn keyed_fragment() {
 #[test]
 fn particle_and_kd_node() {
     pin!(
-        Particle, particle(99),
+        Particle,
+        particle(99),
         0xcb89bec82906bf44,
         "\
         63000000000000000000000000e058400000000000c058c0141414141414843f\
@@ -335,7 +363,8 @@ fn particle_and_kd_node() {
 fn mpi_messages() {
     // The stencil's and iPiC3D's halo row.
     pin!(
-        Vec<f64>, vec![0.0, 1.5, -2.25, f64::MIN_POSITIVE, 1e9],
+        Vec<f64>,
+        vec![0.0, 1.5, -2.25, f64::MIN_POSITIVE, 1e9],
         0xce299aa6e44a888f,
         "\
         05000000000000000000000000000000000000000000f83f00000000000002c0\
@@ -343,7 +372,8 @@ fn mpi_messages() {
     );
     // iPiC3D's migrating particles.
     pin!(
-        Vec<Particle>, vec![particle(0), particle(12)],
+        Vec<Particle>,
+        vec![particle(0), particle(12)],
         0xd6db5fca2695bde9,
         "\
         02000000000000000000000000000000000000000000e03f0000000000000080\

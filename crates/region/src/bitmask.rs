@@ -343,7 +343,11 @@ mod tests {
             BitmaskTreeRegion::full(8),
         ] {
             for (a, b) in [(&x, &nothing), (&nothing, &x)] {
-                assert_eq!(a.is_subset_of(b), a.difference(b).is_empty(), "{a:?} ⊆ {b:?}");
+                assert_eq!(
+                    a.is_subset_of(b),
+                    a.difference(b).is_empty(),
+                    "{a:?} ⊆ {b:?}"
+                );
                 assert_eq!(a.is_disjoint(b), a.intersect(b).is_empty(), "{a:?} ∩ {b:?}");
             }
         }

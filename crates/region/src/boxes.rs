@@ -27,7 +27,9 @@ impl<const D: usize> Wire for BoxRegion<D> {
         self.boxes.put(out);
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(BoxRegion { boxes: Wire::get(r)? })
+        Ok(BoxRegion {
+            boxes: Wire::get(r)?,
+        })
     }
 }
 
@@ -425,7 +427,12 @@ mod tests {
             r = r.union(&r2([i, 0], [i + 1, 1]));
         }
         assert_eq!(r.boxes().len(), 1);
-        assert_eq!(r, r2([0, 8], [8, 9]).difference(&r2([0, 8], [8, 9])).union(&r2([0, 0], [8, 1])));
+        assert_eq!(
+            r,
+            r2([0, 8], [8, 9])
+                .difference(&r2([0, 8], [8, 9]))
+                .union(&r2([0, 0], [8, 1]))
+        );
     }
 
     #[test]

@@ -310,7 +310,11 @@ fn row_starts<const D: usize>(bx: GridBox<D>) -> impl Iterator<Item = Point<D>> 
 
 /// Copy the elements of `overlap` from chunk `src` to chunk `dst` using
 /// contiguous innermost-axis row slices.
-fn copy_box<T: Clone, const D: usize>(src: &Chunk<T, D>, dst: &mut Chunk<T, D>, overlap: &GridBox<D>) {
+fn copy_box<T: Clone, const D: usize>(
+    src: &Chunk<T, D>,
+    dst: &mut Chunk<T, D>,
+    overlap: &GridBox<D>,
+) {
     let run = (overlap.hi()[D - 1] - overlap.lo()[D - 1]) as usize;
     for row_lo in row_starts(*overlap) {
         let s_off = src.offset(&row_lo);
@@ -362,7 +366,9 @@ impl<T: Wire, const D: usize> Wire for Export<'_, T, D> {
         }
     }
     fn get(_: &mut Reader<'_>) -> Result<Self, WireError> {
-        Err(WireError::InvalidData("a view is written, never read".into()))
+        Err(WireError::InvalidData(
+            "a view is written, never read".into(),
+        ))
     }
 }
 
@@ -534,7 +540,10 @@ mod tests {
     fn remove_preserves_survivors() {
         let mut f = filled(&r2([0, 0], [4, 4]));
         f.remove(&r2([1, 1], [3, 3]));
-        assert_eq!(*f.region(), r2([0, 0], [4, 4]).difference(&r2([1, 1], [3, 3])));
+        assert_eq!(
+            *f.region(),
+            r2([0, 0], [4, 4]).difference(&r2([1, 1], [3, 3]))
+        );
         assert_eq!(f.len(), 12);
         assert_eq!(f.get(&Point([2, 2])), None);
         assert_eq!(f.get(&Point([0, 3])), Some(&3));

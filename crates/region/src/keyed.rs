@@ -30,7 +30,12 @@ impl Universe for u32 {
         self as usize
     }
     fn describe(r: &BucketRegion, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "BucketRegion({}/{} buckets)", r.cardinality(), r.universe)
+        write!(
+            f,
+            "BucketRegion({}/{} buckets)",
+            r.cardinality(),
+            r.universe
+        )
     }
 }
 
@@ -278,8 +283,16 @@ mod tests {
         for a in &operands {
             for b in &operands {
                 // The predicates never index past the shorter operand.
-                assert_eq!(a.is_subset_of(b), oracle(a).is_subset(&oracle(b)), "{a:?} ⊆ {b:?}");
-                assert_eq!(a.is_disjoint(b), oracle(a).is_disjoint(&oracle(b)), "{a:?} ∩ {b:?}");
+                assert_eq!(
+                    a.is_subset_of(b),
+                    oracle(a).is_subset(&oracle(b)),
+                    "{a:?} ⊆ {b:?}"
+                );
+                assert_eq!(
+                    a.is_disjoint(b),
+                    oracle(a).is_disjoint(&oracle(b)),
+                    "{a:?} ∩ {b:?}"
+                );
                 for (op, set_op) in &ops {
                     let r = op(a, b);
                     assert_eq!(oracle(&r), set_op(&oracle(a), &oracle(b)), "{a:?} {b:?}");
@@ -306,10 +319,22 @@ mod tests {
     #[test]
     fn ranges_and_iteration_cross_word_boundaries() {
         for buckets in [1, 63, 64, 65, 130, 512] {
-            for (lo, hi) in [(0, 0), (0, 1), (3, 64), (60, 70), (64, 128), (0, 600), (70, 60)] {
+            for (lo, hi) in [
+                (0, 0),
+                (0, 1),
+                (3, 64),
+                (60, 70),
+                (64, 128),
+                (0, 600),
+                (70, 60),
+            ] {
                 let r = BucketRegion::of_range(buckets, lo, hi);
                 let want: Vec<u32> = (lo..hi.min(buckets)).collect();
-                assert_eq!(r.iter().collect::<Vec<_>>(), want, "{buckets}: [{lo}, {hi})");
+                assert_eq!(
+                    r.iter().collect::<Vec<_>>(),
+                    want,
+                    "{buckets}: [{lo}, {hi})"
+                );
                 assert!(want.iter().all(|&b| r.contains(b)));
                 assert_eq!(r.cardinality() as usize, want.len());
             }

@@ -35,10 +35,10 @@ mod tree;
 mod tree_fragment;
 mod treepath;
 
+pub use allscale_des::fnv::fnv1a_64;
 pub use bitmask::BitmaskTreeRegion;
 pub use boxes::BoxRegion;
 pub use dense::{Dense, Universe};
-pub use allscale_des::fnv::fnv1a_64;
 pub use fragment::{Fragment, ItemType};
 pub use grid_fragment::GridFragment;
 pub use keyed::{BucketRegion, KeyedFragment};

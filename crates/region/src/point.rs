@@ -399,11 +399,8 @@ mod tests {
                         assert!(covered.insert(pt.0), "overlapping parts");
                     }
                 }
-                let expect: std::collections::BTreeSet<_> = a
-                    .points()
-                    .filter(|p| !b.contains(p))
-                    .map(|p| p.0)
-                    .collect();
+                let expect: std::collections::BTreeSet<_> =
+                    a.points().filter(|p| !b.contains(p)).map(|p| p.0).collect();
                 assert_eq!(covered, expect, "a={a:?} b={b:?}");
             }
         }

@@ -128,7 +128,11 @@ where
     assert_eq!(a.union(a), *a, "union not idempotent for {a:?}");
     assert_eq!(a.intersect(a), *a, "intersection not idempotent for {a:?}");
     assert_eq!(a.union(b), b.union(a), "union not commutative");
-    assert_eq!(a.intersect(b), b.intersect(a), "intersection not commutative");
+    assert_eq!(
+        a.intersect(b),
+        b.intersect(a),
+        "intersection not commutative"
+    );
     assert!(empty.is_empty(), "R::empty() must be empty");
     assert_eq!(a.union(&empty), *a, "a ∪ ∅ ≠ a for {a:?}");
     assert_eq!(a.intersect(&empty), empty, "a ∩ ∅ ≠ ∅ for {a:?}");

@@ -43,7 +43,11 @@ impl Wire for Trie {
         match self {
             Trie::Full => 0u32.put(out),
             Trie::Empty => 1u32.put(out),
-            Trie::Node { self_in, left, right } => {
+            Trie::Node {
+                self_in,
+                left,
+                right,
+            } => {
                 2u32.put(out);
                 self_in.put(out);
                 left.put(out);
@@ -139,9 +143,7 @@ impl Trie {
                 self_in,
                 left,
                 right,
-            } => {
-                (*self_in as u64) + left.cardinality(height - 1) + right.cardinality(height - 1)
-            }
+            } => (*self_in as u64) + left.cardinality(height - 1) + right.cardinality(height - 1),
         }
     }
 
@@ -375,8 +377,7 @@ mod tests {
             TreeRegion::subtree(p(&[true, true])),
             TreeRegion::single(TreePath::ROOT),
             TreeRegion::from_include_exclude(&[p(&[false])], &[p(&[false, false])]),
-            TreeRegion::single(p(&[true]))
-                .union(&TreeRegion::subtree(p(&[false, true]))),
+            TreeRegion::single(p(&[true])).union(&TreeRegion::subtree(p(&[false, true]))),
         ];
         for a in &cases {
             for b in &cases {

@@ -106,7 +106,9 @@ impl<T> Block<T> {
     }
 
     fn entries(&self) -> impl Iterator<Item = (TreePath, &T)> {
-        self.nodes.iter().map(|(slot, v)| (path_at(self.root, *slot), v))
+        self.nodes
+            .iter()
+            .map(|(slot, v)| (path_at(self.root, *slot), v))
     }
 
     fn retain(&mut self, mut keep: impl FnMut(&TreePath) -> bool) {
@@ -731,9 +733,19 @@ mod tests {
             most_located = most_located.max(located);
             most_grown = most_grown.max(grown);
         }
-        assert!(f.nodes.blocks.len() > 4_096, "{} blocks", f.nodes.blocks.len());
-        assert!(most_located <= SPAN as u64, "{most_located} probes for a lookup");
-        assert!(most_grown <= SPAN as u64, "{most_grown} probes for a growth");
+        assert!(
+            f.nodes.blocks.len() > 4_096,
+            "{} blocks",
+            f.nodes.blocks.len()
+        );
+        assert!(
+            most_located <= SPAN as u64,
+            "{most_located} probes for a lookup"
+        );
+        assert!(
+            most_grown <= SPAN as u64,
+            "{most_grown} probes for a growth"
+        );
         for (i, path) in paths.iter().enumerate() {
             f.nodes.finger.set(usize::MAX);
             let (n, got) = probes_of(|| f.get(path));

@@ -94,7 +94,10 @@ fn removing_a_region_that_misses_every_chunk_allocates_nothing() {
     let before = format!("{frag:?}");
     let apart = BoxRegion::cuboid([1000, 0], [1024, 16]);
     let (n, ()) = allocations_of(|| frag.remove(&apart));
-    assert_eq!(n, 0, "remove of nothing held: the fragment is left as it is");
+    assert_eq!(
+        n, 0,
+        "remove of nothing held: the fragment is left as it is"
+    );
     assert_eq!(format!("{frag:?}"), before);
 }
 
@@ -120,7 +123,10 @@ fn a_disjoint_insert_extends_a_warm_coverage_instead_of_refolding_it() {
     });
     assert_eq!(boxes, 65);
     // Folding the 65 chunk boxes afresh grows its output by doubling.
-    assert!(n <= 3, "{n} allocations: the new box, and a full chunk list or coverage growing");
+    assert!(
+        n <= 3,
+        "{n} allocations: the new box, and a full chunk list or coverage growing"
+    );
     let all = spaced_tiles().into_iter().chain([tile]);
     assert_eq!(frag.region().boxes(), BoxRegion::from_boxes(all).boxes());
 }
@@ -201,7 +207,10 @@ fn bucket_algebra_with_the_canonical_empty_allocates_only_its_result() {
     let nothing = BucketRegion::empty();
     let (n, u) = allocations_of(|| owned.union(&nothing));
     assert_eq!(u, owned);
-    assert_eq!(n, 1, "union with the 1-bucket empty region: the result's words");
+    assert_eq!(
+        n, 1,
+        "union with the 1-bucket empty region: the result's words"
+    );
     let (n, d) = allocations_of(|| owned.difference(&nothing));
     assert_eq!(d, owned);
     assert_eq!(n, 1, "difference: the result's words");

@@ -401,11 +401,7 @@ proptest! {
 /// misses, and misses are billed.
 fn fingerprint_matches_encoding<R: Region>(r: &R) {
     let bytes = wire::encode(r);
-    assert_eq!(
-        wire::fingerprint(r),
-        fnv1a_64(&bytes),
-        "{r:?}"
-    );
+    assert_eq!(wire::fingerprint(r), fnv1a_64(&bytes), "{r:?}");
 }
 
 proptest! {

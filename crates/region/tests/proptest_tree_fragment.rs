@@ -170,17 +170,37 @@ enum Order {
 #[derive(Debug, Clone)]
 enum Op {
     /// Store the complete subtree of `levels` levels under `base`.
-    Fill { base: TreePath, levels: u8, order: Order },
+    Fill {
+        base: TreePath,
+        levels: u8,
+        order: Order,
+    },
     /// Store the `len` nodes of the all-`step` path under `base` — deeper
     /// than one block spans.
-    Chain { base: TreePath, len: u8, step: bool, order: Order },
+    Chain {
+        base: TreePath,
+        len: u8,
+        step: bool,
+        order: Order,
+    },
     /// Store again at a path touched before.
-    Reset { pick: usize },
+    Reset {
+        pick: usize,
+    },
     /// Keep only the extracted part, or only check it.
-    Extract { sel: u64, keep: bool },
+    Extract {
+        sel: u64,
+        keep: bool,
+    },
     /// Insert a fragment over `part(sel)` filled like `Fill`.
-    Insert { sel: u64, base: TreePath, levels: u8 },
-    Remove { sel: u64 },
+    Insert {
+        sel: u64,
+        base: TreePath,
+        levels: u8,
+    },
+    Remove {
+        sel: u64,
+    },
     /// Continue on a clone (its finger is only a hint).
     Clone,
     /// Continue on what a transfer would deliver.
@@ -202,16 +222,31 @@ fn arb_order() -> impl Strategy<Value = Order> {
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         // Twice: fills are what builds blocks for the other arms to edit.
-        (arb_path(), 1u8..6, arb_order())
-            .prop_map(|(base, levels, order)| Op::Fill { base, levels, order }),
-        (arb_path(), 1u8..6, arb_order())
-            .prop_map(|(base, levels, order)| Op::Fill { base, levels, order }),
-        (arb_path(), 1u8..30, any::<bool>(), arb_order())
-            .prop_map(|(base, len, step, order)| Op::Chain { base, len, step, order }),
+        (arb_path(), 1u8..6, arb_order()).prop_map(|(base, levels, order)| Op::Fill {
+            base,
+            levels,
+            order
+        }),
+        (arb_path(), 1u8..6, arb_order()).prop_map(|(base, levels, order)| Op::Fill {
+            base,
+            levels,
+            order
+        }),
+        (arb_path(), 1u8..30, any::<bool>(), arb_order()).prop_map(|(base, len, step, order)| {
+            Op::Chain {
+                base,
+                len,
+                step,
+                order,
+            }
+        }),
         (0usize..1000).prop_map(|pick| Op::Reset { pick }),
         (any::<u64>(), any::<bool>()).prop_map(|(sel, keep)| Op::Extract { sel, keep }),
-        (any::<u64>(), arb_path(), 1u8..5)
-            .prop_map(|(sel, base, levels)| Op::Insert { sel, base, levels }),
+        (any::<u64>(), arb_path(), 1u8..5).prop_map(|(sel, base, levels)| Op::Insert {
+            sel,
+            base,
+            levels
+        }),
         any::<u64>().prop_map(|sel| Op::Remove { sel }),
         Just(Op::Clone),
         Just(Op::Roundtrip),
@@ -274,17 +309,28 @@ impl<R: Scheme> Pair<R> {
     fn set_all(&mut self, paths: Vec<TreePath>) {
         for p in paths {
             self.stamp += 1;
-            assert_eq!(self.new.set(p, self.stamp), self.old.set(p, self.stamp), "set {p:?}");
+            assert_eq!(
+                self.new.set(p, self.stamp),
+                self.old.set(p, self.stamp),
+                "set {p:?}"
+            );
             self.touched.push(p);
         }
     }
 
     fn apply(&mut self, op: &Op) {
         match *op {
-            Op::Fill { base, levels, order } => {
-                self.set_all(ordered(subtree_paths(base, levels), order))
-            }
-            Op::Chain { base, len, step, order } => {
+            Op::Fill {
+                base,
+                levels,
+                order,
+            } => self.set_all(ordered(subtree_paths(base, levels), order)),
+            Op::Chain {
+                base,
+                len,
+                step,
+                order,
+            } => {
                 let mut chain = vec![base];
                 for _ in 1..len {
                     chain.push(chain.last().unwrap().child(step));
@@ -353,7 +399,11 @@ impl<R: Scheme> Pair<R> {
             }
             let steps = (0..up as u8).fold(0, |s, i| s | (p.step(root.depth() + i) as u64) << i);
             assert_eq!(root.descend(up as u8, steps), *p);
-            assert_eq!(self.new.subtree(root).get(up as u8, steps), want, "{p:?} below {root:?}");
+            assert_eq!(
+                self.new.subtree(root).get(up as u8, steps),
+                want,
+                "{p:?} below {root:?}"
+            );
         }
         let new: Vec<(TreePath, u32)> = self.new.iter().map(|(p, v)| (p, *v)).collect();
         let old: Vec<(TreePath, u32)> = self.old.iter().map(|(p, v)| (*p, *v)).collect();
@@ -437,7 +487,8 @@ fn subtree_block_first_then_root_block() {
     pair.set_all(subtree_block(5));
     let mut replica = Pair::over(BitmaskTreeRegion::of_root_block(H));
     replica.set_all(root_block());
-    pair.new.insert(&wire::decode(&wire::encode(&replica.new)).unwrap());
+    pair.new
+        .insert(&wire::decode(&wire::encode(&replica.new)).unwrap());
     pair.old.insert(&replica.old);
     pair.touched.extend(replica.touched);
     get_and_reset_everything(&mut pair);

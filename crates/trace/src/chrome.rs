@@ -145,76 +145,193 @@ impl Trace {
                 // batched member's arrow ends at its batch's flush slice
                 // (same locality, flush time) instead of at the receiver —
                 // the batching wait is the visible gap it crosses.
-                EventKind::Transfer { src, dst, batch, .. } => {
+                EventKind::Transfer {
+                    src, dst, batch, ..
+                } => {
                     sep(&mut out);
                     let extra = format!(",\"dur\":0{args}");
-                    emit(&mut out, "send", cat, "X", ev.ts_ns, src, RUNTIME_TID, &extra);
+                    emit(
+                        &mut out,
+                        "send",
+                        cat,
+                        "X",
+                        ev.ts_ns,
+                        src,
+                        RUNTIME_TID,
+                        &extra,
+                    );
                     sep(&mut out);
                     let extra = format!(",\"dur\":{}{args}", us(ev.dur_ns));
                     emit(&mut out, name, cat, "X", ev.ts_ns, dst, RUNTIME_TID, &extra);
                     let flush_ts = batch.and_then(|b| flushes.get(&b).copied());
                     sep(&mut out);
                     let extra = format!(",\"id\":\"x{}\"", ev.id);
-                    emit(&mut out, "wire", "flow-net", "s", ev.ts_ns, src, RUNTIME_TID, &extra);
+                    emit(
+                        &mut out,
+                        "wire",
+                        "flow-net",
+                        "s",
+                        ev.ts_ns,
+                        src,
+                        RUNTIME_TID,
+                        &extra,
+                    );
                     sep(&mut out);
                     let extra = format!(",\"bp\":\"e\",\"id\":\"x{}\"", ev.id);
                     match flush_ts {
-                        Some(ts) => {
-                            emit(&mut out, "wire", "flow-net", "f", ts, src, RUNTIME_TID, &extra)
-                        }
+                        Some(ts) => emit(
+                            &mut out,
+                            "wire",
+                            "flow-net",
+                            "f",
+                            ts,
+                            src,
+                            RUNTIME_TID,
+                            &extra,
+                        ),
                         None => emit(
-                            &mut out, "wire", "flow-net", "f", ev.end_ns(), dst, RUNTIME_TID, &extra,
+                            &mut out,
+                            "wire",
+                            "flow-net",
+                            "f",
+                            ev.end_ns(),
+                            dst,
+                            RUNTIME_TID,
+                            &extra,
                         ),
                     }
                 }
                 // Batch flushes: a flush slice at the source (the anchor
                 // member arrows point at), the batch span at the
                 // destination, and the wire arrow of the priced message.
-                EventKind::BatchFlush { src, dst, batch, .. } => {
+                EventKind::BatchFlush {
+                    src, dst, batch, ..
+                } => {
                     sep(&mut out);
                     let extra = format!(",\"dur\":0{args}");
-                    emit(&mut out, "flush", cat, "X", ev.ts_ns, src, RUNTIME_TID, &extra);
+                    emit(
+                        &mut out,
+                        "flush",
+                        cat,
+                        "X",
+                        ev.ts_ns,
+                        src,
+                        RUNTIME_TID,
+                        &extra,
+                    );
                     sep(&mut out);
                     let extra = format!(",\"dur\":{}{args}", us(ev.dur_ns));
                     emit(&mut out, name, cat, "X", ev.ts_ns, dst, RUNTIME_TID, &extra);
                     sep(&mut out);
                     let extra = format!(",\"id\":\"b{batch}\"");
-                    emit(&mut out, "wire", "flow-net", "s", ev.ts_ns, src, RUNTIME_TID, &extra);
+                    emit(
+                        &mut out,
+                        "wire",
+                        "flow-net",
+                        "s",
+                        ev.ts_ns,
+                        src,
+                        RUNTIME_TID,
+                        &extra,
+                    );
                     sep(&mut out);
                     let extra = format!(",\"bp\":\"e\",\"id\":\"b{batch}\"");
-                    emit(&mut out, "wire", "flow-net", "f", ev.end_ns(), dst, RUNTIME_TID, &extra);
+                    emit(
+                        &mut out,
+                        "wire",
+                        "flow-net",
+                        "f",
+                        ev.end_ns(),
+                        dst,
+                        RUNTIME_TID,
+                        &extra,
+                    );
                 }
                 // Spawns: a zero-duration slice (so the flow anchors) plus
                 // the spawn→execute flow start when the task ran.
                 EventKind::TaskSpawn { task, .. } => {
                     sep(&mut out);
                     let extra = format!(",\"dur\":0{args}");
-                    emit(&mut out, name, cat, "X", ev.ts_ns, ev.loc, tid_of(ev), &extra);
+                    emit(
+                        &mut out,
+                        name,
+                        cat,
+                        "X",
+                        ev.ts_ns,
+                        ev.loc,
+                        tid_of(ev),
+                        &extra,
+                    );
                     if executed.binary_search(&task).is_ok() {
                         sep(&mut out);
                         let extra = format!(",\"id\":\"t{task}\"");
-                        emit(&mut out, "task", "flow-task", "s", ev.ts_ns, ev.loc, tid_of(ev), &extra);
+                        emit(
+                            &mut out,
+                            "task",
+                            "flow-task",
+                            "s",
+                            ev.ts_ns,
+                            ev.loc,
+                            tid_of(ev),
+                            &extra,
+                        );
                     }
                 }
                 EventKind::TaskExec { task, .. } => {
                     sep(&mut out);
                     let extra = format!(",\"dur\":{}{args}", us(ev.dur_ns));
-                    emit(&mut out, name, cat, "X", ev.ts_ns, ev.loc, tid_of(ev), &extra);
+                    emit(
+                        &mut out,
+                        name,
+                        cat,
+                        "X",
+                        ev.ts_ns,
+                        ev.loc,
+                        tid_of(ev),
+                        &extra,
+                    );
                     if spawned.binary_search(&task).is_ok() {
                         sep(&mut out);
                         let extra = format!(",\"bp\":\"e\",\"id\":\"t{task}\"");
-                        emit(&mut out, "task", "flow-task", "f", ev.ts_ns, ev.loc, tid_of(ev), &extra);
+                        emit(
+                            &mut out,
+                            "task",
+                            "flow-task",
+                            "f",
+                            ev.ts_ns,
+                            ev.loc,
+                            tid_of(ev),
+                            &extra,
+                        );
                     }
                 }
                 _ if ev.dur_ns > 0 => {
                     sep(&mut out);
                     let extra = format!(",\"dur\":{}{args}", us(ev.dur_ns));
-                    emit(&mut out, name, cat, "X", ev.ts_ns, ev.loc, tid_of(ev), &extra);
+                    emit(
+                        &mut out,
+                        name,
+                        cat,
+                        "X",
+                        ev.ts_ns,
+                        ev.loc,
+                        tid_of(ev),
+                        &extra,
+                    );
                 }
                 _ => {
                     sep(&mut out);
                     let extra = format!(",\"s\":\"t\"{args}");
-                    emit(&mut out, name, cat, "i", ev.ts_ns, ev.loc, tid_of(ev), &extra);
+                    emit(
+                        &mut out,
+                        name,
+                        cat,
+                        "i",
+                        ev.ts_ns,
+                        ev.loc,
+                        tid_of(ev),
+                        &extra,
+                    );
                 }
             }
         }
@@ -260,7 +377,16 @@ mod tests {
             )
         });
         sink.record(|| TraceEvent::span(500, 2000, 1, EventKind::TaskExec { task: 1 }).on_core(0));
-        sink.record(|| TraceEvent::instant(2500, 1, EventKind::TaskEnd { task: 1, parent: None }));
+        sink.record(|| {
+            TraceEvent::instant(
+                2500,
+                1,
+                EventKind::TaskEnd {
+                    task: 1,
+                    parent: None,
+                },
+            )
+        });
         sink.take().unwrap()
     }
 
@@ -300,10 +426,18 @@ mod tests {
         use crate::event::{FlushCause, SpawnVariant};
         use EventKind::*;
         vec![
-            TaskSpawn { task: 1, parent: Some(2), variant: SpawnVariant::Split, target: 3 },
+            TaskSpawn {
+                task: 1,
+                parent: Some(2),
+                variant: SpawnVariant::Split,
+                target: 3,
+            },
             TaskSplit { task: 4 },
             TaskExec { task: 5 },
-            TaskEnd { task: 6, parent: Some(7) },
+            TaskEnd {
+                task: 6,
+                parent: Some(7),
+            },
             TaskParked { task: 8 },
             ItemCreate { item: 9 },
             ItemDestroy { item: 10 },
@@ -317,31 +451,111 @@ mod tests {
                 item: Some(17),
                 batch: Some(18),
             },
-            BatchFlush { src: 19, dst: 20, msgs: 21, bytes: 22, cause: FlushCause::Bytes, batch: 23 },
-            TransferLost { purpose: TransferPurpose::Scrub, src: 24, dst: 25, bytes: 26, task: Some(27) },
-            IndexLookup { item: 28, hops: 29, cache_hit: true },
+            BatchFlush {
+                src: 19,
+                dst: 20,
+                msgs: 21,
+                bytes: 22,
+                cause: FlushCause::Bytes,
+                batch: 23,
+            },
+            TransferLost {
+                purpose: TransferPurpose::Scrub,
+                src: 24,
+                dst: 25,
+                bytes: 26,
+                task: Some(27),
+            },
+            IndexLookup {
+                item: 28,
+                hops: 29,
+                cache_hit: true,
+            },
             IndexUpdate { item: 30, hops: 31 },
-            NetDrop { src: 32, dst: 33, bytes: 34 },
-            NetDelay { src: 35, dst: 36, extra_ns: 37 },
-            NetRetry { src: 38, dst: 39, attempt: 40, backoff_ns: 41 },
-            NetCorrupt { src: 42, dst: 43, bytes: 44, detected: true },
-            ScrubPass { replicas: 45, divergent: 46 },
-            ScrubRepair { item: 47, owner: 48, bytes: 49 },
-            Quarantine { item: 50, strikes: 51 },
-            Checkpoint { phase: 52, bytes: 53 },
-            CheckpointDrain { phase: 54, shards: 55, bytes: 56 },
+            NetDrop {
+                src: 32,
+                dst: 33,
+                bytes: 34,
+            },
+            NetDelay {
+                src: 35,
+                dst: 36,
+                extra_ns: 37,
+            },
+            NetRetry {
+                src: 38,
+                dst: 39,
+                attempt: 40,
+                backoff_ns: 41,
+            },
+            NetCorrupt {
+                src: 42,
+                dst: 43,
+                bytes: 44,
+                detected: true,
+            },
+            ScrubPass {
+                replicas: 45,
+                divergent: 46,
+            },
+            ScrubRepair {
+                item: 47,
+                owner: 48,
+                bytes: 49,
+            },
+            Quarantine {
+                item: 50,
+                strikes: 51,
+            },
+            Checkpoint {
+                phase: 52,
+                bytes: 53,
+            },
+            CheckpointDrain {
+                phase: 54,
+                shards: 55,
+                bytes: 56,
+            },
             CheckpointFence { phase: 57 },
             CheckpointTorn { phase: 58 },
-            Suspicion { suspect: 59, misses: 60 },
-            Recovery { dead: 61, phase: 62, restored_bytes: 63 },
-            StealRequest { thief: 64, victim: 65 },
-            StealGrant { victim: 66, thief: 67, task: 68 },
-            StealDeny { victim: 69, thief: 70 },
-            RequestArrival { req: 71, shard: 72, write: true },
-            Request { req: 73, shard: 74, write: true },
+            Suspicion {
+                suspect: 59,
+                misses: 60,
+            },
+            Recovery {
+                dead: 61,
+                phase: 62,
+                restored_bytes: 63,
+            },
+            StealRequest {
+                thief: 64,
+                victim: 65,
+            },
+            StealGrant {
+                victim: 66,
+                thief: 67,
+                task: 68,
+            },
+            StealDeny {
+                victim: 69,
+                thief: 70,
+            },
+            RequestArrival {
+                req: 71,
+                shard: 72,
+                write: true,
+            },
+            Request {
+                req: 73,
+                shard: 74,
+                write: true,
+            },
             RequestAdmit { req: 75, task: 76 },
             RequestShed { req: 77, shard: 78 },
-            SloReplicate { shard: 79, p99_ns: 80 },
+            SloReplicate {
+                shard: 79,
+                p99_ns: 80,
+            },
             SloRetire { shard: 81 },
             PhaseBegin { phase: 82 },
             PhaseEnd { phase: 83 },
@@ -365,7 +579,9 @@ mod tests {
             for field in fields.trim_end_matches(" }").split(", ") {
                 let (name, value) = field.split_once(": ").unwrap();
                 let value = value.trim_start_matches("Some(").trim_end_matches(')');
-                let label = value.starts_with(char::is_uppercase).then(|| value.to_lowercase());
+                let label = value
+                    .starts_with(char::is_uppercase)
+                    .then(|| value.to_lowercase());
                 let exported = match &label {
                     Some(l) => format!("\"{name}\":\"{l}\""),
                     None => format!("\"{name}\":{value}"),

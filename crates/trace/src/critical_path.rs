@@ -543,35 +543,113 @@ mod tests {
         let s = |ts, dur, loc, kind| TraceEvent::span(ts, dur, loc, kind);
         sink.record(|| i(0, 0, EventKind::PhaseBegin { phase: 0 }));
         sink.record(|| {
-            i(0, 0, EventKind::TaskSpawn { task: 0, parent: None, variant: SpawnVariant::Split, target: 0 })
+            i(
+                0,
+                0,
+                EventKind::TaskSpawn {
+                    task: 0,
+                    parent: None,
+                    variant: SpawnVariant::Split,
+                    target: 0,
+                },
+            )
         });
         sink.record(|| s(0, 100, 0, EventKind::TaskSplit { task: 0 }));
         for t in [1u64, 2u64] {
             sink.record(|| {
-                i(100, 0, EventKind::TaskSpawn { task: t, parent: Some(0), variant: SpawnVariant::Process, target: 1 })
+                i(
+                    100,
+                    0,
+                    EventKind::TaskSpawn {
+                        task: t,
+                        parent: Some(0),
+                        variant: SpawnVariant::Process,
+                        target: 1,
+                    },
+                )
             });
         }
         sink.record(|| {
-            s(100, 200, 1, EventKind::Transfer {
-                purpose: TransferPurpose::TaskForward, src: 0, dst: 1, bytes: 64, task: Some(2), item: None, batch: None,
-            })
+            s(
+                100,
+                200,
+                1,
+                EventKind::Transfer {
+                    purpose: TransferPurpose::TaskForward,
+                    src: 0,
+                    dst: 1,
+                    bytes: 64,
+                    task: Some(2),
+                    item: None,
+                    batch: None,
+                },
+            )
         });
         sink.record(|| s(150, 300, 0, EventKind::TaskExec { task: 1 }).on_core(0));
-        sink.record(|| i(450, 0, EventKind::TaskEnd { task: 1, parent: Some(0) }));
+        sink.record(|| {
+            i(
+                450,
+                0,
+                EventKind::TaskEnd {
+                    task: 1,
+                    parent: Some(0),
+                },
+            )
+        });
         // Task 2's boundary data arrives at t=800; it executes 800..1800.
         sink.record(|| {
-            s(300, 500, 1, EventKind::Transfer {
-                purpose: TransferPurpose::Replicate, src: 0, dst: 1, bytes: 4096, task: Some(2), item: Some(0), batch: None,
-            })
+            s(
+                300,
+                500,
+                1,
+                EventKind::Transfer {
+                    purpose: TransferPurpose::Replicate,
+                    src: 0,
+                    dst: 1,
+                    bytes: 4096,
+                    task: Some(2),
+                    item: Some(0),
+                    batch: None,
+                },
+            )
         });
         sink.record(|| s(800, 1000, 1, EventKind::TaskExec { task: 2 }).on_core(1));
-        sink.record(|| i(1800, 1, EventKind::TaskEnd { task: 2, parent: Some(0) }));
         sink.record(|| {
-            s(1800, 150, 0, EventKind::Transfer {
-                purpose: TransferPurpose::Result, src: 1, dst: 0, bytes: 16, task: Some(2), item: None, batch: None,
-            })
+            i(
+                1800,
+                1,
+                EventKind::TaskEnd {
+                    task: 2,
+                    parent: Some(0),
+                },
+            )
         });
-        sink.record(|| i(1950, 0, EventKind::TaskEnd { task: 0, parent: None }));
+        sink.record(|| {
+            s(
+                1800,
+                150,
+                0,
+                EventKind::Transfer {
+                    purpose: TransferPurpose::Result,
+                    src: 1,
+                    dst: 0,
+                    bytes: 16,
+                    task: Some(2),
+                    item: None,
+                    batch: None,
+                },
+            )
+        });
+        sink.record(|| {
+            i(
+                1950,
+                0,
+                EventKind::TaskEnd {
+                    task: 0,
+                    parent: None,
+                },
+            )
+        });
         sink.record(|| i(1950, 0, EventKind::PhaseEnd { phase: 0 }));
         sink.take().unwrap()
     }
@@ -610,30 +688,85 @@ mod tests {
         let sink = TraceSink::enabled(2, &TraceConfig::default());
         for r in 0..50u64 {
             let (t0, root, leaf) = (r * 1000, 2 * r, 2 * r + 1);
-            let spawn = |task, parent| EventKind::TaskSpawn { task, parent, variant: SpawnVariant::Process, target: 1 };
+            let spawn = |task, parent| EventKind::TaskSpawn {
+                task,
+                parent,
+                variant: SpawnVariant::Process,
+                target: 1,
+            };
             sink.record(|| TraceEvent::instant(t0, 0, spawn(root, None)));
             sink.record(|| TraceEvent::instant(t0 + 10, 0, spawn(leaf, Some(root))));
             if r % 3 == 0 {
-                sink.record(|| TraceEvent::instant(t0 + 10, 0, EventKind::StealGrant { victim: 0, thief: 1, task: leaf }));
+                sink.record(|| {
+                    TraceEvent::instant(
+                        t0 + 10,
+                        0,
+                        EventKind::StealGrant {
+                            victim: 0,
+                            thief: 1,
+                            task: leaf,
+                        },
+                    )
+                });
             }
             sink.record(|| {
-                TraceEvent::span(t0 + 10, 90, 1, EventKind::Transfer {
-                    purpose: TransferPurpose::TaskForward, src: 0, dst: 1, bytes: 64, task: Some(leaf), item: None, batch: None,
-                })
+                TraceEvent::span(
+                    t0 + 10,
+                    90,
+                    1,
+                    EventKind::Transfer {
+                        purpose: TransferPurpose::TaskForward,
+                        src: 0,
+                        dst: 1,
+                        bytes: 64,
+                        task: Some(leaf),
+                        item: None,
+                        batch: None,
+                    },
+                )
             });
-            sink.record(|| TraceEvent::span(t0 + 100, 500, 1, EventKind::TaskExec { task: leaf }).on_core(0));
-            sink.record(|| TraceEvent::instant(t0 + 600, 1, EventKind::TaskEnd { task: leaf, parent: Some(root) }));
-            sink.record(|| TraceEvent::instant(t0 + 700, 0, EventKind::TaskEnd { task: root, parent: None }));
+            sink.record(|| {
+                TraceEvent::span(t0 + 100, 500, 1, EventKind::TaskExec { task: leaf }).on_core(0)
+            });
+            sink.record(|| {
+                TraceEvent::instant(
+                    t0 + 600,
+                    1,
+                    EventKind::TaskEnd {
+                        task: leaf,
+                        parent: Some(root),
+                    },
+                )
+            });
+            sink.record(|| {
+                TraceEvent::instant(
+                    t0 + 700,
+                    0,
+                    EventKind::TaskEnd {
+                        task: root,
+                        parent: None,
+                    },
+                )
+            });
         }
         let report = critical_path(&sink.take().unwrap());
         assert_eq!(report.total_ns, 49_700);
         assert_eq!(report.category_ns(PathCategory::Compute), 50 * 500);
         for r in 0..50u64 {
             let verb = if r % 3 == 0 { "steal" } else { "forward" };
-            let labels = [format!("exec task {}", 2 * r + 1), format!("{verb} 64 B 0→1")];
+            let labels = [
+                format!("exec task {}", 2 * r + 1),
+                format!("{verb} 64 B 0→1"),
+            ];
             for label in labels {
                 let within = |s: &PathSegment| s.start_ns >= r * 1000 && s.end_ns <= r * 1000 + 600;
-                assert!(report.segments.iter().any(|s| s.label == label && within(s)), "{label}");
+                assert!(
+                    report
+                        .segments
+                        .iter()
+                        .any(|s| s.label == label && within(s)),
+                    "{label}"
+                );
             }
         }
     }

@@ -70,7 +70,9 @@ pub struct TraceBuffer {
 impl TraceBuffer {
     fn new(nodes: usize, cfg: &TraceConfig) -> Self {
         TraceBuffer {
-            rings: (0..nodes.max(1)).map(|_| Ring::new(cfg.ring_capacity)).collect(),
+            rings: (0..nodes.max(1))
+                .map(|_| Ring::new(cfg.ring_capacity))
+                .collect(),
             next_id: 0,
         }
     }

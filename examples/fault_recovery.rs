@@ -90,15 +90,24 @@ fn main() {
         clean.checksum, faulted.checksum,
     );
 
-    assert!(faulted.validated, "recovered run must validate against the oracle");
+    assert!(
+        faulted.validated,
+        "recovered run must validate against the oracle"
+    );
     assert_eq!(
         clean.checksum, faulted.checksum,
         "recovery must reproduce the failure-free result bit-identically"
     );
     assert!(r.checkpoints >= 1, "cadence must have taken checkpoints");
-    assert!(r.detections >= 1, "the heartbeat detector must notice the death");
+    assert!(
+        r.detections >= 1,
+        "the heartbeat detector must notice the death"
+    );
     assert!(r.recoveries >= 1, "at least one recovery must have run");
-    assert!(r.detection_latency_ns > 0, "detection latency must be measured");
+    assert!(
+        r.detection_latency_ns > 0,
+        "detection latency must be measured"
+    );
     assert!(
         r.failed_transfers >= 1,
         "messages to/from the dead locality must have been lost"

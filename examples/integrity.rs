@@ -96,11 +96,10 @@ fn main() {
     // The verified run: identical fault plan, integrity on. Detected
     // corruptions are re-requested under the retry policy; the result
     // must match the baseline exactly.
-    let mut verified = RtConfig::test(NODES, CORES)
-        .with_integrity(IntegrityConfig {
-            scrub_period: None, // no replicas rot here; scrubbing is idle
-            ..IntegrityConfig::default()
-        });
+    let mut verified = RtConfig::test(NODES, CORES).with_integrity(IntegrityConfig {
+        scrub_period: None, // no replicas rot here; scrubbing is idle
+        ..IntegrityConfig::default()
+    });
     verified.faults = Some(FaultPlan::new(seed).with_corruption(CORRUPT_RATE));
     println!("\nverified run (same fault plan, checksummed transfers):");
     let (repaired, report) = allscale_version::run_with_report(&cfg, verified);
@@ -111,7 +110,10 @@ fn main() {
         "\n  clean    checksum: {:#018x}\n  verified checksum: {:#018x}",
         clean.checksum, repaired.checksum,
     );
-    assert!(repaired.validated, "verified run must validate against the oracle");
+    assert!(
+        repaired.validated,
+        "verified run must validate against the oracle"
+    );
     assert_eq!(
         clean.checksum, repaired.checksum,
         "verified transfers must reproduce the failure-free result bit-identically"
@@ -125,7 +127,10 @@ fn main() {
         t.corrupt_detected, t.corrupted,
         "every injected corruption must be caught by the checksum"
     );
-    assert_eq!(t.corrupt_undetected, 0, "no poison may reach the application");
+    assert_eq!(
+        t.corrupt_undetected, 0,
+        "no poison may reach the application"
+    );
     assert!(
         t.re_requests >= 1,
         "detected corruptions must be repaired by re-requesting the transfer"

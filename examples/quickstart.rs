@@ -44,8 +44,8 @@ fn main() {
                     println!("data distribution after first touch:");
                     for loc in 0..ctx.nodes() {
                         // Item id 0 is the grid created in phase 0.
-                        let frag = ctx
-                            .fragment_at::<GridFragment<f64, 2>>(loc, allscale_core::ItemId(0));
+                        let frag =
+                            ctx.fragment_at::<GridFragment<f64, 2>>(loc, allscale_core::ItemId(0));
                         println!("  locality {loc}: {:6} cells owned", frag.len());
                     }
                     None

@@ -49,7 +49,10 @@ fn main() {
         nodes
     );
     let (result, report) = allscale_version::run_with_report(&cfg, rt_cfg);
-    assert!(result.validated, "stencil must still match the oracle when traced");
+    assert!(
+        result.validated,
+        "stencil must still match the oracle when traced"
+    );
 
     println!("\nrun summary:\n{}", report.summary());
 
@@ -64,7 +67,10 @@ fn main() {
         .filter(|e| {
             matches!(
                 e.kind,
-                EventKind::Transfer { purpose: TransferPurpose::Replicate, .. }
+                EventKind::Transfer {
+                    purpose: TransferPurpose::Replicate,
+                    ..
+                }
             )
         })
         .count();
@@ -87,13 +93,19 @@ fn main() {
     }
     let json = trace.to_chrome_json();
     std::fs::write(&out, &json).expect("write Chrome trace JSON");
-    println!("wrote {} ({} bytes) — load it at ui.perfetto.dev", out.display(), json.len());
+    println!(
+        "wrote {} ({} bytes) — load it at ui.perfetto.dev",
+        out.display(),
+        json.len()
+    );
     let report_out = out.with_extension("report.json");
     std::fs::write(&report_out, report.to_json()).expect("write the report JSON");
     println!("wrote {}", report_out.display());
 
     // ---- critical-path analysis -------------------------------------
-    let cp = report.critical_path().expect("traced run has a critical path");
+    let cp = report
+        .critical_path()
+        .expect("traced run has a critical path");
     println!("\n{}", cp.summary());
 
     assert_eq!(

@@ -115,8 +115,7 @@ fn main() {
                     let mut totals: std::collections::BTreeMap<String, u64> = Default::default();
                     for loc in 0..ctx.nodes() {
                         let frag = ctx.fragment_at::<allscale_region::KeyedFragment<String, u64>>(
-                            loc,
-                            map.id,
+                            loc, map.id,
                         );
                         for (k, v) in frag.iter() {
                             *totals.entry(k.clone()).or_default() += v;

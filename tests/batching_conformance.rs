@@ -193,7 +193,10 @@ fn corrupted_batch_flushes_rerequest_and_agree() {
         );
         corruptions += t.corrupted;
     }
-    assert!(corruptions > 0, "no corruption ever struck; rate too low to test anything");
+    assert!(
+        corruptions > 0,
+        "no corruption ever struck; rate too low to test anything"
+    );
 }
 
 /// The net-layer contract of a corrupted flush, stated exactly: the
@@ -248,8 +251,14 @@ fn corrupted_batch_flush_rerequests_as_a_unit() {
     assert_eq!(s.corrupted, 1, "exactly one corruption injected");
     assert_eq!(s.corrupt_detected, 1, "and the checksum caught it");
     assert_eq!(s.corrupt_undetected, 0);
-    assert_eq!(s.re_requests, 1, "the flush is re-requested once, as a unit");
-    assert_eq!(s.batches, 1, "batch counters bill the flush once, not per attempt");
+    assert_eq!(
+        s.re_requests, 1,
+        "the flush is re-requested once, as a unit"
+    );
+    assert_eq!(
+        s.batches, 1,
+        "batch counters bill the flush once, not per attempt"
+    );
     assert_eq!(s.batched_msgs, 6);
     assert_eq!(s.batched_bytes, 48_000);
 
@@ -371,9 +380,17 @@ fn recorded_b1_batching_changes_no_result_bits_and_does_not_slow_tpc() {
     let rows = common::recorded::rows(include_str!("../BENCH_b1.json"));
     let at = |app, batching| common::recorded::find(&rows, &[("app", app), ("batching", batching)]);
     let (off, on) = (at("stencil", "off"), at("stencil", "on"));
-    assert_eq!(off.label("checksum"), on.label("checksum"), "bit-identical results");
+    assert_eq!(
+        off.label("checksum"),
+        on.label("checksum"),
+        "bit-identical results"
+    );
     let (off, on) = (at("tpc", "off"), at("tpc", "on"));
-    assert_eq!(off.num("total_count"), on.num("total_count"), "identical counts");
+    assert_eq!(
+        off.num("total_count"),
+        on.num("total_count"),
+        "identical counts"
+    );
     assert!(
         on.num("compute_ns") <= off.num("compute_ns"),
         "batching must not slow TPC down"

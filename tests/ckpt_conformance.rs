@@ -253,5 +253,8 @@ fn change_detection_restarts_from_what_a_rotted_chain_restored() {
             fell_back_onto_a_checkpoint += 1;
         }
     }
-    assert!(fell_back_onto_a_checkpoint > 0, "no seed fell back onto a verified link");
+    assert!(
+        fell_back_onto_a_checkpoint > 0,
+        "no seed fell back onto a verified link"
+    );
 }

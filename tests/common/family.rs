@@ -20,8 +20,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use allscale_core::{
-    CostModel, Done, Grid, Requirement, RtConfig, RtCtx, SplitOutcome, TaskCtx, TaskValue,
-    WorkItem,
+    CostModel, Done, Grid, Requirement, RtConfig, RtCtx, SplitOutcome, TaskCtx, TaskValue, WorkItem,
 };
 use allscale_des::rng::XorShift64;
 use allscale_des::SimDuration;
@@ -61,8 +60,9 @@ fn phased(seed: u64, destroy: bool) -> Program {
         let owner: Vec<u32> = if rng.below(2) == 0 {
             (0..n).map(|e| m.tile_of(d, e)).collect()
         } else {
-            let run_owner: Vec<u32> =
-                (0..n.div_ceil(4)).map(|_| rng.below(m.pieces as u64) as u32).collect();
+            let run_owner: Vec<u32> = (0..n.div_ceil(4))
+                .map(|_| rng.below(m.pieces as u64) as u32)
+                .collect();
             (0..n).map(|e| run_owner[e as usize / 4]).collect()
         };
         let reads = rng.below(3);
@@ -72,7 +72,9 @@ fn phased(seed: u64, destroy: bool) -> Program {
             add(&mut leaf.writes, d, mine.clone());
             match reads {
                 1 => add(&mut leaf.reads, d, mine),
-                2 if other != d => add(&mut leaf.reads, other, (0..n).filter(|_| rng.below(4) == 0)),
+                2 if other != d => {
+                    add(&mut leaf.reads, other, (0..n).filter(|_| rng.below(4) == 0))
+                }
                 _ => {}
             }
             leaf
@@ -108,7 +110,11 @@ fn contended_member(seed: u64) -> Program {
         let leaves = (0..pieces).map(|j| {
             let tile = m.tile(dst, j);
             let mut leaf = VariantSpec::default();
-            add(&mut leaf.reads, src, tile.start.saturating_sub(1)..(tile.end + 1).min(n));
+            add(
+                &mut leaf.reads,
+                src,
+                tile.start.saturating_sub(1)..(tile.end + 1).min(n),
+            );
             add(&mut leaf.writes, dst, tile.clone());
             add(&mut leaf.writes, 2, tile.map(|e| (e / stride) % shared));
             leaf
@@ -234,7 +240,8 @@ impl Member {
             })
             .collect();
         let root = self.tree(&ids);
-        self.script.extend([Action::Spawn(root), Action::Sync(root)]);
+        self.script
+            .extend([Action::Spawn(root), Action::Sync(root)]);
     }
 
     fn tree(&mut self, leaves: &[TaskId]) -> TaskId {
@@ -244,7 +251,12 @@ impl Member {
         let (l, r) = leaves.split_at(leaves.len() / 2);
         let (l, r) = (self.tree(l), self.tree(r));
         let t = self.fresh();
-        let actions = vec![Action::Spawn(l), Action::Spawn(r), Action::Sync(l), Action::Sync(r)];
+        let actions = vec![
+            Action::Spawn(l),
+            Action::Spawn(r),
+            Action::Sync(l),
+            Action::Sync(r),
+        ];
         self.b.variant(
             t,
             VariantSpec {
@@ -488,9 +500,16 @@ fn tree(p: &Program, t: TaskId, depth: u32, live: &BTreeSet<u32>, wave: &mut Vec
         }
         let (mut reqs, mut ns) = (Vec::new(), 0.0);
         for (d, es) in &leaf.reads {
-            let written = leaf.writes.iter().find(|(w, _)| w == d).map(|(_, w)| &w[..]);
-            let only: Vec<u32> =
-                es.iter().copied().filter(|e| !written.is_some_and(|w| w.contains(e))).collect();
+            let written = leaf
+                .writes
+                .iter()
+                .find(|(w, _)| w == d)
+                .map(|(_, w)| &w[..]);
+            let only: Vec<u32> = es
+                .iter()
+                .copied()
+                .filter(|e| !written.is_some_and(|w| w.contains(e)))
+                .collect();
             if !only.is_empty() {
                 ns += only.len() as f64;
                 reqs.push((*d, runs(&only), false));
@@ -503,11 +522,21 @@ fn tree(p: &Program, t: TaskId, depth: u32, live: &BTreeSet<u32>, wave: &mut Vec
         let span = match leaf.writes.first().or(leaf.reads.first()) {
             Some((d, es)) => {
                 let n = p.elems(model::ItemId(*d)).len() as f64;
-                (f64::from(es[0]) / n, (f64::from(es[es.len() - 1]) + 1.0) / n)
+                (
+                    f64::from(es[0]) / n,
+                    (f64::from(es[es.len() - 1]) + 1.0) / n,
+                )
             }
             None => (0.0, 1.0),
         };
-        wave.push(Node { depth, kids: Vec::new(), leaf, reqs, ns, span });
+        wave.push(Node {
+            depth,
+            kids: Vec::new(),
+            leaf,
+            reqs,
+            ns,
+            span,
+        });
         return at;
     }
     if !spec.required_items().is_empty() {
@@ -529,7 +558,14 @@ fn tree(p: &Program, t: TaskId, depth: u32, live: &BTreeSet<u32>, wave: &mut Vec
         refuse("a split that does not sync its children in spawn order");
     }
     let span = (1.0, 0.0);
-    wave.push(Node { depth, kids: Vec::new(), leaf, reqs: Vec::new(), ns: 0.0, span });
+    wave.push(Node {
+        depth,
+        kids: Vec::new(),
+        leaf,
+        reqs: Vec::new(),
+        ns: 0.0,
+        span,
+    });
     for kid in spawned {
         let k = tree(p, kid, depth + 1, live, wave);
         let (lo, hi) = wave[k].span;
@@ -552,7 +588,11 @@ fn check_rule(wave: &[Node]) {
     }
     for (i, node) in wave.iter().enumerate() {
         for (d, es) in &node.leaf.reads {
-            if es.iter().any(|&e| writers.get(&(*d, e)).is_some_and(|w| w.iter().any(|&j| j != i))) {
+            if es.iter().any(|&e| {
+                writers
+                    .get(&(*d, e))
+                    .is_some_and(|w| w.iter().any(|&j| j != i))
+            }) {
                 refuse("a wave where one leaf reads an element that another leaf of the same wave writes");
             }
         }
@@ -697,7 +737,12 @@ impl WorkItem for Task {
     }
     fn split(self: Box<Self>) -> SplitOutcome {
         let children = (self.node().kids.iter())
-            .map(|&node| Box::new(Task { run: self.run.clone(), node }) as Box<dyn WorkItem>)
+            .map(|&node| {
+                Box::new(Task {
+                    run: self.run.clone(),
+                    node,
+                }) as Box<dyn WorkItem>
+            })
             .collect();
         SplitOutcome {
             children,

@@ -149,13 +149,7 @@ impl Scenario {
         let compiled = Rc::new(family::compile(&self.program));
         let want = family::interpret(&self.program);
         let seen = Rc::new(RefCell::new(family::Readback::new()));
-        let driver = compiled.driver(
-            &rt,
-            self.seed,
-            self.migrations,
-            seen.clone(),
-            at_boundary,
-        );
+        let driver = compiled.driver(&rt, self.seed, self.migrations, seen.clone(), at_boundary);
         let report = Runtime::new(rt).run(driver);
         let got = seen.take();
         assert!(got == want, "{self:?}: result differs from the oracle");

@@ -267,7 +267,9 @@ impl World {
     /// Migrate a random sub-region of a random process's holdings of a
     /// random live item to another process.
     fn migrate(&mut self, rng: &mut XorShift) {
-        let Some(item) = self.pick_item(rng) else { return };
+        let Some(item) = self.pick_item(rng) else {
+            return;
+        };
         let src = rng.below(self.procs as u64) as usize;
         let dst = rng.below(self.procs as u64) as usize;
         let q = random_interval(rng);
@@ -287,7 +289,9 @@ impl World {
     /// directory keeps a registered slot), so its leaves are emptied to
     /// express the same fact; the oracle and `DistIndex` drop the item.
     fn destroy(&mut self, rng: &mut XorShift) {
-        let Some(item) = self.pick_item(rng) else { return };
+        let Some(item) = self.pick_item(rng) else {
+            return;
+        };
         for p in 0..self.procs {
             self.central
                 .update_leaf(item, p, Box::new(BoxRegion::<1>::empty()));
@@ -342,7 +346,11 @@ impl World {
         // pre-change cache is asked too, so the counters stay comparable.
         let (again, _) = self.cache.resolve(&self.dist, item, start, &q);
         self.old_cache.resolve(&self.dist, item, start, &q);
-        assert_eq!(self.cache.stats(), self.old_cache.stats(), "stats moved ({ctx})");
+        assert_eq!(
+            self.cache.stats(),
+            self.old_cache.stats(),
+            "stats moved ({ctx})"
+        );
         assert_same_coverage(&coverage(&again), &want, "repeated vs oracle", &ctx);
     }
 
@@ -364,9 +372,21 @@ impl World {
         };
         assert_eq!(wire(pieces), wire(&old_pieces), "pieces moved ({ctx})");
         assert_eq!(hops, old_hops, "hops moved ({ctx})");
-        assert_eq!(self.cache.stats(), self.old_cache.stats(), "stats moved ({ctx})");
-        assert_eq!(self.cache.epoch(item), self.old_cache.epoch(item), "epoch ({ctx})");
-        assert_eq!(self.cache.len(), self.old_cache.len(), "occupancy moved ({ctx})");
+        assert_eq!(
+            self.cache.stats(),
+            self.old_cache.stats(),
+            "stats moved ({ctx})"
+        );
+        assert_eq!(
+            self.cache.epoch(item),
+            self.old_cache.epoch(item),
+            "epoch ({ctx})"
+        );
+        assert_eq!(
+            self.cache.len(),
+            self.old_cache.len(),
+            "occupancy moved ({ctx})"
+        );
     }
 
     fn pick_item(&self, rng: &mut XorShift) -> Option<ItemId> {
@@ -470,7 +490,10 @@ fn migration_invalidates_cached_owner() {
         let (m, _) = cache.resolve(&dist, item, start, &q);
         assert_eq!(m.len(), 1, "start {start}");
         assert_eq!(m[0].1, 5, "start {start}: stale owner served");
-        assert!(q.is_subset_dyn(m[0].0.as_ref()), "start {start}: p5 owns all of it");
+        assert!(
+            q.is_subset_dyn(m[0].0.as_ref()),
+            "start {start}: p5 owns all of it"
+        );
     }
     assert!(cache.stats().invalidations >= procs as u64);
 }

@@ -13,7 +13,10 @@ fn stencil_allscale_matches_oracle_across_node_counts() {
     for nodes in [1, 2, 3, 4, 8] {
         let cfg = stencil::StencilConfig::small(nodes);
         let r = stencil::allscale_version::run(&cfg);
-        assert!(r.validated, "stencil AllScale oracle mismatch at {nodes} nodes");
+        assert!(
+            r.validated,
+            "stencil AllScale oracle mismatch at {nodes} nodes"
+        );
     }
 }
 
@@ -43,7 +46,10 @@ fn stencil_results_are_independent_of_scheduling_policy() {
     let mut rt_cfg = RtConfig::test(4, 2);
     rt_cfg.policy = Box::new(RoundRobinPolicy::default());
     let scattered = stencil::allscale_version::run_with(&cfg, rt_cfg);
-    assert!(scattered.validated, "round-robin placement must stay correct");
+    assert!(
+        scattered.validated,
+        "round-robin placement must stay correct"
+    );
 }
 
 #[test]
@@ -65,7 +71,10 @@ fn ipic3d_conserves_particles_and_matches_oracle() {
         let cfg = ipic3d::PicConfig::small(nodes);
         let r = ipic3d::allscale_version::run(&cfg);
         assert_eq!(r.particles, cfg.total_particles(), "{nodes} nodes");
-        assert!(r.validated, "ipic3d AllScale oracle mismatch at {nodes} nodes");
+        assert!(
+            r.validated,
+            "ipic3d AllScale oracle mismatch at {nodes} nodes"
+        );
     }
 }
 
@@ -138,10 +147,7 @@ fn tpc_radius_extremes() {
     cfg.radius = 100.0 * (7.0f64).sqrt() + 1.0;
     let all = tpc::allscale_version::run(&cfg);
     assert!(all.validated);
-    assert_eq!(
-        all.total_count,
-        cfg.total_points() * cfg.total_queries()
-    );
+    assert_eq!(all.total_count, cfg.total_points() * cfg.total_queries());
 }
 
 // ------------------------------------------------------------ whole-system

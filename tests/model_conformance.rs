@@ -108,7 +108,11 @@ fn matrix(seed: u64, program: Rc<model::Program>) {
                 ..scenario.clone()
             };
             agree(&mut reference, &scenario, on_lossy_fabric.run().0);
-            agree(&mut reference, &scenario, scenario.run_killed(victim, percent, plan.clone()).0);
+            agree(
+                &mut reference,
+                &scenario,
+                scenario.run_killed(victim, percent, plan.clone()).0,
+            );
             // What a configuration cannot finish is refused before it starts.
             let mut unrecoverable = plan;
             unrecoverable.kill_at(victim, SimTime::from_nanos(1));
@@ -173,7 +177,11 @@ fn family_soak() {
             };
             let (victim, percent) = ((seed % 4) as usize, 25 + (seed % 6) * 11);
             agree(&mut reference, &scenario, on_lossy_fabric.run().0);
-            agree(&mut reference, &scenario, scenario.run_killed(victim, percent, lossy(&scenario)).0);
+            agree(
+                &mut reference,
+                &scenario,
+                scenario.run_killed(victim, percent, lossy(&scenario)).0,
+            );
         }
     }
 }
@@ -203,7 +211,10 @@ fn the_compiler_refuses_what_the_runtime_cannot_run() {
         ),
         (
             "a Create inside a non-entry task",
-            vec![split(vec![Create(d), Spawn(T(2)), Sync(T(2))]), leaf(&[], &[0])],
+            vec![
+                split(vec![Create(d), Spawn(T(2)), Sync(T(2))]),
+                leaf(&[], &[0]),
+            ],
         ),
         (
             "a wave where one leaf reads an element that another leaf of the same wave writes",
@@ -269,7 +280,10 @@ fn pfor_shaped_model_programs_satisfy_all_properties() {
 #[test]
 fn deep_task_trees_satisfy_all_properties() {
     for seed in 0..10 {
-        for arch in [model::Architecture::shared(4), model::Architecture::cluster(4, 2)] {
+        for arch in [
+            model::Architecture::shared(4),
+            model::Architecture::cluster(4, 2),
+        ] {
             model_accepts(&family::imbalanced(), model::Driver::new(seed), arch);
         }
     }
@@ -315,8 +329,15 @@ fn randomized_migrations_preserve_data_and_invariants() {
         };
         let p = &scenario.program;
         let entry = p.variant(p.variants_of(p.entry())[0]);
-        let waves = entry.actions.iter().filter(|a| matches!(a, model::Action::Spawn(_)));
-        assert_eq!(waves.count(), 5, "seed {seed}: fill, three update waves, read-back");
+        let waves = entry
+            .actions
+            .iter()
+            .filter(|a| matches!(a, model::Action::Spawn(_)));
+        assert_eq!(
+            waves.count(),
+            5,
+            "seed {seed}: fill, three update waves, read-back"
+        );
         // A draw's items have one size.
         let n = scenario.program.elems(model::ItemId(0)).len();
         scenario.run_hooked(scenario.rt(), move |phase, ctx, items| {

@@ -156,12 +156,18 @@ fn report_row(name: &'static str, report: &mut RunReport, answer: u64) -> Row {
     let json = report.to_json();
     if let Some(&(_, pinned)) = PRE_WALK_DIGESTS.iter().find(|(n, _)| *n == name) {
         let renamed = fnv1a_64(pre_walk_json(&json).as_bytes());
-        assert!(renamed == pinned, "{name}: renamed back, the report is not the pre-walk one");
+        assert!(
+            renamed == pinned,
+            "{name}: renamed back, the report is not the pre-walk one"
+        );
     }
     let export = trace.to_chrome_json();
     if let Some(&(_, pinned)) = PRE_PURPOSE_TRACES.iter().find(|(n, _)| *n == name) {
         let stripped = fnv1a_64(without_purpose(&export).as_bytes());
-        assert!(stripped == pinned, "{name}: without its purposes, the trace is not the old one");
+        assert!(
+            stripped == pinned,
+            "{name}: without its purposes, the trace is not the old one"
+        );
     }
     Row {
         name,
@@ -328,7 +334,10 @@ fn loadbalance_run(rt: RtConfig) -> (RunReport, u64) {
         },
     );
     let moved = *moves.borrow();
-    assert!(moved >= 1, "loadbalance: the planner must migrate something");
+    assert!(
+        moved >= 1,
+        "loadbalance: the planner must migrate something"
+    );
     (report, moved as u64)
 }
 
@@ -393,7 +402,10 @@ fn stencil_steal(name: &'static str, victim: VictimPolicy) {
     let r = check_stencil(name, || {
         RtConfig::test(4, 2).with_work_stealing(eager_stealing(victim))
     });
-    assert!(r.monitor.scheduler.steal_requests >= 1, "{name}: no steal round");
+    assert!(
+        r.monitor.scheduler.steal_requests >= 1,
+        "{name}: no steal round"
+    );
 }
 
 #[test]
@@ -469,7 +481,10 @@ fn stencil_kill_before_first_ckpt() {
         resilient(CheckpointConfig::default(), 4, Some((2, KILL_EARLY_NS)))
     });
     let m = &r.monitor.resilience;
-    assert!(m.recoveries == 1 && m.restored_bytes == 0, "must restart from scratch");
+    assert!(
+        m.recoveries == 1 && m.restored_bytes == 0,
+        "must restart from scratch"
+    );
 }
 
 /// Work stealing around a node at quarter speed, on a lossy fabric, with
@@ -589,7 +604,9 @@ fn hot_serve() -> ServeAppConfig {
 
 #[test]
 fn serve_replicate_retire() {
-    let r = check_serve("serve_replicate_retire", hot_serve(), || RtConfig::test(4, 2));
+    let r = check_serve("serve_replicate_retire", hot_serve(), || {
+        RtConfig::test(4, 2)
+    });
     let v = &r.monitor.serve;
     assert!(
         v.replications >= 1 && v.retirements >= 1 && v.invalidations >= 1,
@@ -620,12 +637,19 @@ fn serve_steal() {
     let r = check_serve("serve_steal", ServeAppConfig::small(), || {
         RtConfig::test(4, 2).with_work_stealing(StealConfig::default())
     });
-    assert!(r.monitor.scheduler.tasks_queued >= 1, "serve_steal: nothing queued");
+    assert!(
+        r.monitor.scheduler.tasks_queued >= 1,
+        "serve_steal: nothing queued"
+    );
 }
 
 #[test]
 fn loadbalance_auto_rebalance() {
-    check_run("loadbalance_auto_rebalance", loadbalance_rt, loadbalance_run);
+    check_run(
+        "loadbalance_auto_rebalance",
+        loadbalance_rt,
+        loadbalance_run,
+    );
 }
 
 #[test]

@@ -38,7 +38,10 @@ fn stencil_both_versions_scale_nearly_linearly() {
     let (a8, m8) = t(8);
     let eff_a = efficiency(a1, a8, 8);
     let eff_m = efficiency(m1, m8, 8);
-    assert!(eff_a > 0.8, "AllScale stencil efficiency {eff_a:.2} at 8 nodes");
+    assert!(
+        eff_a > 0.8,
+        "AllScale stencil efficiency {eff_a:.2} at 8 nodes"
+    );
     assert!(eff_m > 0.8, "MPI stencil efficiency {eff_m:.2} at 8 nodes");
     // Comparable performance (paper: "comparable performance and
     // scalability"): AllScale within 2x of MPI.
@@ -74,7 +77,10 @@ fn tpc_mpi_scales_while_allscale_saturates() {
     let (a4, m4) = t(4);
     let (a8, m8) = t(8);
     // MPI keeps gaining.
-    assert!(m8 > m4 && m4 > m1, "MPI TPC must keep scaling: {m1:.0} {m4:.0} {m8:.0}");
+    assert!(
+        m8 > m4 && m4 > m1,
+        "MPI TPC must keep scaling: {m1:.0} {m4:.0} {m8:.0}"
+    );
     // AllScale's efficiency collapses: far below linear by 8 nodes.
     let eff_a8 = efficiency(a1, a8, 8);
     assert!(
@@ -145,10 +151,16 @@ fn recorded_stencil_and_ipic3d_track_mpi_to_64_nodes() {
         let r = Recorded::parse(app);
         for system in ["AllScale", "MPI"] {
             let eff = efficiency(r.at(system, 1), r.at(system, 64), 64);
-            assert!(eff > 0.99, "{app} {system}: efficiency {eff:.3} at 64 nodes");
+            assert!(
+                eff > 0.99,
+                "{app} {system}: efficiency {eff:.3} at 64 nodes"
+            );
         }
         for (n, gap) in r.ratios("AllScale", "MPI", 1) {
-            assert!((0.78..0.82).contains(&gap), "{app}: AllScale at {gap:.3}x of MPI on {n}");
+            assert!(
+                (0.78..0.82).contains(&gap),
+                "{app}: AllScale at {gap:.3}x of MPI on {n}"
+            );
         }
     }
     // E2's magnitude: 2.9 TFLOPS at 64 nodes against the paper's ≈ 3.0.
@@ -166,7 +178,10 @@ fn recorded_tpc_allscale_creeps_from_4_to_64_under_a_scaling_mpi() {
     assert!((2.5..3.2).contains(&gain), "1 -> 4 nodes: {gain:.2}x");
     for system in ["AllScale", "MPI"] {
         let column: Vec<f64> = r.0[system].values().copied().collect();
-        assert!(column.windows(2).all(|w| w[0] < w[1]), "{system} not monotone: {column:?}");
+        assert!(
+            column.windows(2).all(|w| w[0] < w[1]),
+            "{system} not monotone: {column:?}"
+        );
     }
     let creep = r.at("AllScale", 64) / r.at("AllScale", 4);
     assert!((1.2..1.6).contains(&creep), "4 -> 64 nodes: {creep:.2}x");
@@ -176,7 +191,10 @@ fn recorded_tpc_allscale_creeps_from_4_to_64_under_a_scaling_mpi() {
         assert!(gap > 1.0, "MPI behind AllScale on {n} nodes ({gap:.2}x)");
     }
     let lead = r.at("MPI", 64) / r.at("AllScale", 64);
-    assert!((12.0..16.0).contains(&lead), "MPI {lead:.1}x ahead at 64 nodes");
+    assert!(
+        (12.0..16.0).contains(&lead),
+        "MPI {lead:.1}x ahead at 64 nodes"
+    );
 }
 
 /// A1: the central directory is level with the hierarchical index at 1
@@ -191,10 +209,16 @@ fn recorded_a1_central_index_falls_behind_hierarchical_from_4_nodes() {
             _ => assert!(gap < 0.9, "{n} nodes: central index at {gap:.3}x"),
         }
     }
-    let flat: Vec<f64> = r.0["AllScale(central-idx)"].range(4..).map(|(_, &v)| v).collect();
+    let flat: Vec<f64> = r.0["AllScale(central-idx)"]
+        .range(4..)
+        .map(|(_, &v)| v)
+        .collect();
     assert!(flat.iter().all(|v| (2.9e5..3.1e5).contains(v)), "{flat:?}");
     let lead = r.at("AllScale", 64) / r.at("AllScale(central-idx)", 64);
-    assert!((1.5..1.9).contains(&lead), "hierarchical {lead:.2}x ahead at 64");
+    assert!(
+        (1.5..1.9).contains(&lead),
+        "hierarchical {lead:.2}x ahead at 64"
+    );
     let stencil = Recorded::parse("stencil");
     for (n, gap) in stencil.ratios("AllScale(central-idx)", "AllScale", 1) {
         assert!((gap - 1.0).abs() < 1e-3, "stencil, {n} nodes: {gap}");
@@ -214,7 +238,10 @@ fn recorded_a2_round_robin_placement_costs_what_the_prose_says() {
     }
     let stencil = Recorded::parse("stencil");
     let kept = stencil.at("AllScale(round-robin)", 32) / stencil.at("AllScale", 32);
-    assert!((0.75..0.85).contains(&kept), "stencil at 32 nodes: {kept:.3}");
+    assert!(
+        (0.75..0.85).contains(&kept),
+        "stencil at 32 nodes: {kept:.3}"
+    );
 }
 
 /// A3: batching TPC queries raises throughput 1.7–2.0× from 8 nodes on.

@@ -43,9 +43,15 @@ fn stealing_family_actually_steals_and_still_agrees() {
     ] {
         let sched = Sched::Stealing(victim);
         let (bits, report) = run_imbalanced(sched);
-        assert_eq!(reference, bits, "{sched:?} diverged on the imbalanced fixture");
+        assert_eq!(
+            reference, bits,
+            "{sched:?} diverged on the imbalanced fixture"
+        );
         let s = &report.monitor.scheduler;
-        assert!(s.tasks_queued > 0, "{sched:?}: queued admissions expected ({s:?})");
+        assert!(
+            s.tasks_queued > 0,
+            "{sched:?}: queued admissions expected ({s:?})"
+        );
         assert!(
             s.steal_requests > 0,
             "{sched:?}: no steal request on a 4x-imbalanced cluster ({s:?})"
@@ -67,7 +73,10 @@ fn recorded_s1_work_stealing_beats_the_direct_scheduler_on_a_degraded_node() {
     let (direct, stealing): (Vec<_>, Vec<_>) =
         stencil.partition(|r| r.label("scheduler") == "data-aware");
     let direct = direct[0].num("compute_ns");
-    let best = stealing.iter().map(|r| r.num("compute_ns")).fold(f64::MAX, f64::min);
+    let best = stealing
+        .iter()
+        .map(|r| r.num("compute_ns"))
+        .fold(f64::MAX, f64::min);
     assert_eq!(stealing.len(), 3);
     assert!(
         best < direct,

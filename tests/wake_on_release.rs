@@ -216,7 +216,11 @@ fn parked_behind_inbound_fence_is_woken() {
     // migration is on the wire (inbound fence at its destination, which
     // the index already advertises) the other writers park *there*.
     for seed in 0..64u64 {
-        if family::contended(seed).elems(allscale_model::ItemId(2)).len() != 1 {
+        if family::contended(seed)
+            .elems(allscale_model::ItemId(2))
+            .len()
+            != 1
+        {
             continue;
         }
         let (_, r) = contended(seed).run();
