@@ -11,11 +11,10 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use allscale_core::{
-    pfor, CostModel, Done, ItemId, PforSpec, Requirement, RtConfig, RtCtx, RunReport, Runtime,
-    SplitOutcome, TaskCtx, TaskValue, TreeItem, WorkItem,
+    pfor, AccessMode, CostModel, Done, DynRegion, ItemId, PforSpec, Requirement, RtConfig, RtCtx,
+    RunReport, Runtime, SplitOutcome, TaskCtx, TaskValue, TreeItem, WorkItem,
 };
 use allscale_des::{SimDuration, SimTime};
 use allscale_region::{BitmaskTreeRegion, GridBox, Subtree, TreeFragment, TreePath};
@@ -32,6 +31,9 @@ struct TpcShared {
     h: u8,
     /// An empty region split at `h`, which names each subtree's root.
     split: BitmaskTreeRegion,
+    /// The region of each block, built once and shared by every task's
+    /// requirement: 0 is the root block, `1 + i` subtree `i`.
+    blocks: Vec<Rc<dyn DynRegion>>,
     levels: u8,
     radius: f64,
     total_queries: u64,
@@ -43,13 +45,36 @@ enum TpcParam {
     /// A contiguous range of query ids.
     Queries { lo: u64, hi: u64 },
     /// Continue the given queries inside one subtree block.
-    Sub { subtree: usize, qids: Vec<u64> },
+    Sub { subtree: usize, qids: Qids },
+}
+
+/// The queries a Sub task continues. Most crossings of a batch into a
+/// subtree carry a single query, which needs no vector of its own.
+enum Qids {
+    One(u64),
+    Many(Vec<u64>),
+}
+
+impl Qids {
+    fn push(&mut self, qid: u64) {
+        match self {
+            Qids::One(first) => *self = Qids::Many(vec![*first, qid]),
+            Qids::Many(qids) => qids.push(qid),
+        }
+    }
+
+    fn as_slice(&self) -> &[u64] {
+        match self {
+            Qids::One(qid) => std::slice::from_ref(qid),
+            Qids::Many(qids) => qids,
+        }
+    }
 }
 
 struct TpcWork {
     param: TpcParam,
     depth: u32,
-    shared: Arc<TpcShared>,
+    shared: Rc<TpcShared>,
 }
 
 impl WorkItem for TpcWork {
@@ -63,11 +88,15 @@ impl WorkItem for TpcWork {
         matches!(self.param, TpcParam::Queries { lo, hi } if hi - lo > self.shared.batch)
     }
     fn requirements(&self) -> Vec<Requirement> {
-        let region = match &self.param {
-            TpcParam::Queries { .. } => BitmaskTreeRegion::of_root_block(self.shared.h),
-            TpcParam::Sub { subtree, .. } => BitmaskTreeRegion::of_subtree(self.shared.h, *subtree),
+        let block = match &self.param {
+            TpcParam::Queries { .. } => 0,
+            TpcParam::Sub { subtree, .. } => 1 + subtree,
         };
-        vec![Requirement::read(self.shared.item, region)]
+        vec![Requirement {
+            item: self.shared.item,
+            region: self.shared.blocks[block].clone(),
+            mode: AccessMode::Read,
+        }]
     }
     fn cost(&self, _cost: &CostModel, _loc: usize) -> SimDuration {
         SimDuration::ZERO // charged per visited node via TaskCtx::charge
@@ -112,13 +141,16 @@ impl WorkItem for TpcWork {
             TpcParam::Queries { lo, hi } => {
                 // Traverse the root block for each query; collect the
                 // subtree crossings.
-                let mut crossings: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
+                let mut crossings: BTreeMap<usize, Qids> = BTreeMap::new();
                 let tree = ctx.fragment::<TreeFrag>(sh.item).subtree(TreePath::ROOT);
                 for qid in *lo..*hi {
                     walk.query(&tree, 0, sh.h, qid, |steps| {
                         let root = TreePath::ROOT.descend(sh.h, steps);
                         let block = BitmaskTreeRegion::block_of(sh.h, &root).expect("below split");
-                        crossings.entry(block).or_default().push(qid);
+                        crossings
+                            .entry(block)
+                            .and_modify(|qids| qids.push(qid))
+                            .or_insert(Qids::One(qid));
                     });
                 }
                 let local = walk.count;
@@ -150,7 +182,7 @@ impl WorkItem for TpcWork {
                 let tree = ctx.fragment::<TreeFrag>(sh.item).subtree(root);
                 // Subtrees are the leaves of the block decomposition: the
                 // walk crosses nothing (it never gets `levels` down).
-                for &qid in qids {
+                for &qid in qids.as_slice() {
                     walk.query(&tree, sh.h, sh.levels, qid, |_| unreachable!());
                 }
                 ctx.charge(SimDuration::from_nanos_f64(walk.visits as f64 * ns));
@@ -161,7 +193,7 @@ impl WorkItem for TpcWork {
     fn descriptor_bytes(&self) -> usize {
         match &self.param {
             TpcParam::Queries { .. } => 96,
-            TpcParam::Sub { qids, .. } => 64 + qids.len() * 8,
+            TpcParam::Sub { qids, .. } => 64 + qids.as_slice().len() * 8,
         }
     }
     fn result_bytes(&self) -> usize {
@@ -223,6 +255,18 @@ impl Walk<'_> {
         self.count += count;
         self.visits += visits;
     }
+}
+
+/// Every block's region: the root block, then each subtree in order.
+fn block_regions(h: u8) -> Vec<Rc<dyn DynRegion>> {
+    (0..=1usize << h)
+        .map(|block| -> Rc<dyn DynRegion> {
+            match block {
+                0 => Rc::new(BitmaskTreeRegion::of_root_block(h)),
+                _ => Rc::new(BitmaskTreeRegion::of_subtree(h, block - 1)),
+            }
+        })
+        .collect()
 }
 
 fn sum_value(vals: Vec<TaskValue>) -> u64 {
@@ -343,10 +387,11 @@ fn run_with_report(cfg: &TpcConfig, rt_cfg: RtConfig) -> (TpcResult, RunReport) 
                     Some(Box::new(TpcWork {
                         param: TpcParam::Queries { lo: 0, hi: q_total },
                         depth: 0,
-                        shared: Arc::new(TpcShared {
+                        shared: Rc::new(TpcShared {
                             item,
                             h,
                             split: BitmaskTreeRegion::new(h),
+                            blocks: block_regions(h),
                             levels,
                             radius,
                             total_queries: q_total,

@@ -18,7 +18,7 @@ use allscale_net::coalesce::Entry;
 use super::comms::{self, PendingMsg};
 use super::exec::{self, FetchLeg};
 use super::{phases, recovery, replicas, sched, serving, tasks, RtSim, RtWorld};
-use crate::task::{ItemId, TaskId, TaskValue, WorkItem};
+use crate::task::{Done, ItemId, TaskId, TaskValue, WorkItem};
 
 /// A task's place under its parent: the parent's id and the child's index.
 type Parent = Option<(TaskId, usize)>;
@@ -62,8 +62,13 @@ pub(super) enum RtEvent {
         wi: Box<dyn WorkItem>,
         parent: Parent,
     },
-    /// A process task's core time elapsed.
-    FinishExecution(TaskId),
+    /// A process task's core time elapsed; its body's outcome travels
+    /// here, not in its record (`result_bytes`: the size of its result).
+    FinishExecution {
+        tid: TaskId,
+        done: Done,
+        result_bytes: usize,
+    },
     /// Child `idx` of `parent` reported `value`.
     ResultArrival {
         parent: TaskId,
@@ -142,7 +147,11 @@ impl RtEvent {
                 wi,
                 parent,
             } => sched::split_end(sim, loc, tid, wi, parent),
-            FinishExecution(tid) => exec::finish_execution(sim, tid),
+            FinishExecution {
+                tid,
+                done,
+                result_bytes,
+            } => exec::finish_execution(sim, tid, done, result_bytes),
             // A lost result orphans the parent; the phase stalls until the
             // failure detector triggers recovery.
             ResultArrival { parent, idx, value } if arrived => {

@@ -53,7 +53,7 @@ pub(super) fn prepare_task(sim: &mut RtSim, tid: TaskId) {
     // The requirements leave the inflight record for the duration of
     // the two borrowing steps, so neither clones a region.
     let inf = sim.world.tasks.get_mut(tid);
-    let (loc, reqs) = (inf.loc, std::mem::take(&mut inf.reqs));
+    let (loc, reqs) = (inf.loc(), std::mem::take(&mut inf.reqs));
     let staged = lock_and_plan(&mut sim.world, now, tid, loc, &reqs);
     sim.world.tasks.get_mut(tid).reqs = reqs;
     let plan = match staged {
@@ -70,7 +70,7 @@ pub(super) fn prepare_task(sim: &mut RtSim, tid: TaskId) {
     // send: a transfer that is lost must strand the task (never let it
     // run without its data), so the phase stalls until recovery reaps it.
     let pending = plan.iter().filter(|mv| mv.fetch.is_some()).count();
-    sim.world.tasks.get_mut(tid).pending_transfers = pending;
+    sim.world.tasks.get_mut(tid).pending_transfers = pending as u32;
     // Most tasks find their data where they were sent and fetch nothing.
     let mut wires = match pending {
         0 => Vec::new(),
@@ -207,7 +207,7 @@ pub(super) fn fetch_landed(sim: &mut RtSim, leg: FetchLeg, intact: bool) {
     let w = &mut sim.world;
     let data = open_payload(w, &wire, intact);
     // The task may have been stolen since it planned.
-    let home = w.tasks.get_mut(tid).loc;
+    let home = w.tasks.get_mut(tid).loc();
     match kind {
         Fetch::Migrate => {
             w.localities[home].dim.import_owned(item, &data);
@@ -222,7 +222,7 @@ pub(super) fn fetch_landed(sim: &mut RtSim, leg: FetchLeg, intact: bool) {
         Fetch::Replicate => {
             w.localities[home].dim.import_replica(item, &data, tid);
             w.monitor.per_locality[home].replicas_in += 1;
-            w.tasks.get_mut(tid).replicas.push((item, src));
+            w.tasks.get_mut(tid).add_replica(item, src);
         }
     }
     let inf = w.tasks.get_mut(tid);
@@ -360,7 +360,7 @@ fn start_execution(sim: &mut RtSim, tid: TaskId) {
     // completion — lock release, replica drop, result propagation — fires
     // when the core time elapses.
     let inf = w.tasks.get_mut(tid);
-    let loc = inf.loc;
+    let loc = inf.loc();
     let wi = inf.wi.take().expect("work item present");
     let declared = wi.cost(&w.cost, loc);
     let result_bytes = wi.result_bytes();
@@ -373,7 +373,6 @@ fn start_execution(sim: &mut RtSim, tid: TaskId) {
     };
     let done = wi.process(&mut ctx);
     let charged = ctx.charged;
-    w.tasks.get_mut(tid).pending_done = Some((done, result_bytes));
     let speed = w.cost.speed(loc);
     let charged = SimDuration::from_nanos_f64(charged.as_nanos() as f64 / speed);
     let dur = declared + charged + w.cost.task_overhead(loc);
@@ -390,15 +389,20 @@ fn start_execution(sim: &mut RtSim, tid: TaskId) {
         core,
         EventKind::TaskExec { task: tid.0 },
     );
-    schedule(sim, end, RtEvent::FinishExecution(tid));
+    let then = RtEvent::FinishExecution {
+        tid,
+        done,
+        result_bytes,
+    };
+    schedule(sim, end, then);
 }
 
-pub(super) fn finish_execution(sim: &mut RtSim, tid: TaskId) {
+/// Task `tid`'s core time elapsed with `done`, the outcome its body
+/// produced when it started (`result_bytes`: the size of its result).
+pub(super) fn finish_execution(sim: &mut RtSim, tid: TaskId, done: Done, result_bytes: usize) {
     let inf = sim.world.tasks.get_mut(tid);
-    let loc = inf.loc;
-    let (done, result_bytes) = inf.pending_done.take().expect("process ran");
-    let parent = inf.parent;
-    let replicas = std::mem::take(&mut inf.replicas);
+    let (loc, parent) = (inf.loc(), inf.parent());
+    let replicas = inf.take_replicas();
     sim.world.monitor.per_locality[loc].tasks_executed += 1;
 
     // Release locks (model rule (end)) and drop imported replicas

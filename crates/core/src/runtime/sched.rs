@@ -387,7 +387,7 @@ fn grant_steal(sim: &mut RtSim, victim: usize, thief: usize, tid: TaskId) {
         },
     );
     let inf = sim.world.tasks.get_mut(tid);
-    inf.loc = thief;
+    inf.set_loc(thief);
     let bytes = inf
         .wi
         .as_ref()

@@ -9,23 +9,75 @@ use super::comms::{deliver, Payload};
 use super::events::{schedule, RtEvent};
 use super::{exec, phases, sched, serving, trace_instant, RtSim, RtWorld};
 use crate::dim::Blocker;
-use crate::task::{Done, ItemId, Requirement, SplitOutcome, TaskId, TaskValue, WorkItem};
+use crate::task::{ItemId, Requirement, SplitOutcome, TaskId, TaskValue, WorkItem};
 use crate::task_map::TaskMap;
 
-/// A process task between admission and completion.
+/// A process task between admission and completion: 72 bytes, so a run
+/// that holds tens of thousands in flight at once (TPC's forwarded
+/// queries) holds little besides their work items and requirements. The
+/// body's outcome travels in the [`RtEvent::FinishExecution`] it
+/// schedules, not here, and what only some tasks need sits in [`Cold`].
 pub(super) struct Inflight {
-    pub(super) loc: usize,
     pub(super) wi: Option<Box<dyn WorkItem>>,
-    pub(super) parent: Option<(TaskId, usize)>,
     pub(super) reqs: Vec<Requirement>,
+    cold: Option<Box<Cold>>,
+    /// The parent's id; meaningful unless `child` is [`ROOT`].
+    parent: TaskId,
+    loc: u32,
+    pub(super) pending_transfers: u32,
+    /// This task's index among its parent's children.
+    child: u32,
+}
+
+/// The `child` index of a task without a parent.
+const ROOT: u32 = u32::MAX;
+
+/// A locality or a child index, in the 32 bits a record keeps for it.
+fn packed(n: usize) -> u32 {
+    u32::try_from(n).expect("fits in 32 bits")
+}
+
+/// What a task in flight holds only once it imports a replica or is
+/// refused: most tasks find their data in place and never allocate it.
+#[derive(Default)]
+struct Cold {
     /// Read replicas imported for this task: (item, owner).
-    pub(super) replicas: Vec<(ItemId, usize)>,
-    pub(super) pending_transfers: usize,
-    pub(super) pending_done: Option<(Done, usize)>,
+    replicas: Vec<(ItemId, usize)>,
     /// Drawn from [`Wakeups::next_ticket`] the first time the task is
     /// refused and kept across later refusals: woken tasks retry in
     /// ticket order.
     ticket: Option<u64>,
+}
+
+impl Inflight {
+    pub(super) fn loc(&self) -> usize {
+        self.loc as usize
+    }
+
+    pub(super) fn set_loc(&mut self, loc: usize) {
+        self.loc = packed(loc);
+    }
+
+    pub(super) fn parent(&self) -> Option<(TaskId, usize)> {
+        (self.child != ROOT).then_some((self.parent, self.child as usize))
+    }
+
+    fn cold(&mut self) -> &mut Cold {
+        self.cold.get_or_insert_with(Box::default)
+    }
+
+    /// Note a read replica of `item` imported from `owner` for this task.
+    pub(super) fn add_replica(&mut self, item: ItemId, owner: usize) {
+        self.cold().replicas.push((item, owner));
+    }
+
+    /// The replicas imported for this task, which it gives up now.
+    pub(super) fn take_replicas(&mut self) -> Vec<(ItemId, usize)> {
+        self.cold
+            .as_mut()
+            .map(|c| std::mem::take(&mut c.replicas))
+            .unwrap_or_default()
+    }
 }
 
 /// Bookkeeping for tasks the (start) rule refused. The tasks themselves
@@ -75,19 +127,20 @@ impl TaskTable {
         parent: Option<(TaskId, usize)>,
         reqs: Vec<Requirement>,
     ) {
-        self.inflight.insert(
-            tid,
-            Inflight {
-                loc,
-                wi: Some(wi),
-                parent,
-                reqs,
-                replicas: Vec::new(),
-                pending_transfers: 0,
-                pending_done: None,
-                ticket: None,
-            },
-        );
+        let (parent, child) = match parent {
+            Some((ptid, idx)) => (ptid, packed(idx)),
+            None => (TaskId(0), ROOT),
+        };
+        let inf = Inflight {
+            wi: Some(wi),
+            reqs,
+            cold: None,
+            parent,
+            loc: packed(loc),
+            pending_transfers: 0,
+            child,
+        };
+        self.inflight.insert(tid, inf);
     }
 
     #[inline]
@@ -161,8 +214,9 @@ pub(super) fn park(sim: &mut RtSim, tid: TaskId, loc: usize, on: Blocker) {
     w.monitor.per_locality[loc].lock_conflicts += 1;
     let t = &mut w.tasks;
     let inf = t.inflight.get_mut(tid).expect("task in flight");
-    if inf.ticket.is_none() {
-        inf.ticket = Some(t.wakeups.next_ticket);
+    let cold = inf.cold();
+    if cold.ticket.is_none() {
+        cold.ticket = Some(t.wakeups.next_ticket);
         t.wakeups.next_ticket += 1;
     }
     t.wakeups.waiting += 1;
@@ -200,7 +254,10 @@ pub(super) fn wakeup_tick(sim: &mut RtSim) {
     let t = &mut sim.world.tasks;
     t.wakeups.tick_armed = false;
     let mut woken = std::mem::take(&mut t.wakeups.woken);
-    woken.sort_by_cached_key(|&tid| t.inflight.get(tid).expect("task in flight").ticket);
+    woken.sort_by_cached_key(|&tid| {
+        let inf = t.inflight.get(tid).expect("task in flight");
+        inf.cold.as_ref().and_then(|c| c.ticket)
+    });
     for tid in woken {
         exec::prepare_task(sim, tid);
     }
@@ -294,4 +351,21 @@ pub(super) fn child_done(sim: &mut RtSim, ptid: TaskId, idx: usize, value: TaskV
         .collect();
     let combined = (p.combine)(values);
     finish_task(sim, p.loc, ptid, p.parent, combined);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_task_in_flight_fits_in_80_bytes() {
+        // The table's entries are `(TaskId, Inflight)`: 176 bytes while
+        // the record held its body's outcome, its replica list and its
+        // wake-up ticket, and kept locality, parent index and transfer
+        // count in words.
+        assert!(std::mem::size_of::<(TaskId, Inflight)>() <= 80);
+        // The outcome now rides in `FinishExecution`, within the size the
+        // largest variant already set.
+        assert!(std::mem::size_of::<RtEvent>() <= 64);
+    }
 }

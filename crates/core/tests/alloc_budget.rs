@@ -6,8 +6,9 @@
 //! budgets too: a halo row crossing the wire and a checkpoint round trip
 //! allocate what they keep, not a chain of intermediate copies. And a
 //! serving run holds the same bytes at its peak however many requests it
-//! serves. A timing would say the same things with noise; `malloc` calls
-//! and the bytes they hand out repeat exactly.
+//! serves, and a task in flight holds its record, its work item and its
+//! queued event, little else. A timing would say the same things with
+//! noise; `malloc` calls and the bytes they hand out repeat exactly.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -282,6 +283,69 @@ fn a_runtime_event_allocates_nothing_once_the_queue_is_warm() {
         "{beats} → {more_beats} heartbeats"
     );
     assert_eq!(dense, sparse, "allocations with twice the ticks");
+}
+
+/// A process task that forks `0` sleeping children at once.
+struct Fan(usize);
+
+impl WorkItem for Fan {
+    fn name(&self) -> &'static str {
+        "fan"
+    }
+    fn depth(&self) -> u32 {
+        0
+    }
+    fn can_split(&self) -> bool {
+        false
+    }
+    fn requirements(&self) -> Vec<Requirement> {
+        Vec::new()
+    }
+    fn cost(&self, _: &CostModel, _: usize) -> SimDuration {
+        SimDuration::ZERO
+    }
+    fn process(self: Box<Self>, _: &mut TaskCtx<'_>) -> Done {
+        let children = (0..self.0).map(|_| Box::new(Sleep(1)) as _).collect();
+        Done::Children(SplitOutcome {
+            children,
+            combine: Box::new(|_| None),
+        })
+    }
+    fn split(self: Box<Self>) -> SplitOutcome {
+        unreachable!("a fan does not split")
+    }
+}
+
+/// Peak live bytes of a run on one core that holds `tasks` sleeping
+/// tasks in flight at once.
+fn fan_run(tasks: usize) -> i64 {
+    let (peak, report) = peak_bytes_of(|| {
+        Runtime::new(RtConfig::test(1, 1))
+            .run(move |phase, _, _| (phase == 0).then(|| Box::new(Fan(tasks)) as _))
+    });
+    assert_eq!(
+        report.monitor.per_locality[0].tasks_executed,
+        tasks as u64 + 1
+    );
+    peak
+}
+
+#[test]
+fn a_task_in_flight_holds_its_record_and_little_else() {
+    // Powers of two, so every table the tasks fill doubles exactly and the
+    // difference is the cost of one task times the extra tasks: its
+    // record, its work item, its queued event and its slots in the
+    // parent's result list and the tables' windows.
+    let (few, many) = (4_096, 8_192);
+    let marginal = (fan_run(many) - fan_run(few)) as f64 / (many - few) as f64;
+    // 228 today; 324 while each record (176 bytes with its id, 80 now)
+    // held its body's outcome, its replica list and its wake-up ticket
+    // inline and kept its locality, parent index and transfer count in
+    // words.
+    assert!(
+        marginal <= 240.0,
+        "{marginal:.1} bytes held per additional task in flight (budget: 240)"
+    );
 }
 
 // ----------------------------------------------------------- the byte path

@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
-"""Turn sample.so output into self / inclusive tables.
+"""Turn sample.so (or live.so) output into self / inclusive tables.
 
     symbolize.py <binary> <samples file>... [--top N] [--under SUBSTRING]
                  [--skip SUBSTRING]...
+
+A line of sample.so output is one sample. A line of live.so output starts
+with `W<bytes>`: one live block, weighted by its bytes, so the tables give
+shares of the live heap instead of shares of the time.
 
 Every distinct address goes through one `addr2line -a -f -C -i` call. With
 `-i` an address expands to its chain of inlined functions, innermost first;
@@ -43,11 +47,17 @@ def main():
         sys.exit(__doc__)
     binary, files = args[0], args[1:]
 
-    samples = []
+    samples = []  # (weight, addresses)
+    unit = "samples"
     for name in files:
         with open(name) as f:
-            samples += [line.split() for line in f if line.strip()]
-    addrs = sorted({a for s in samples for a in s if a != "-"})
+            for fields in (line.split() for line in f):
+                if fields and fields[0].startswith("W"):
+                    samples.append((int(fields[0][1:]), fields[1:]))
+                    unit = "bytes"
+                elif fields:
+                    samples.append((1, fields))
+    addrs = sorted({a for _, s in samples for a in s if a != "-"})
     if not addrs:
         sys.exit("no samples inside the executable")
 
@@ -69,19 +79,19 @@ def main():
     self_time = collections.Counter()
     inclusive = collections.Counter()
     n, skipped = 0, 0
-    for sample in samples:
+    for weight, sample in samples:
         stack = [chains[hex(int(a, 16))] if a != "-" else ["[shared object]"]
-                 for a in sample]
+                 for a in sample] or [["[no frame]"]]
         on_stack = {fn for chain in stack for fn in chain}
         if any(s in fn for s in skip for fn in on_stack):
-            skipped += 1
+            skipped += weight
             continue
         if under is not None and not any(under in fn for fn in on_stack):
             continue
-        n += 1
-        self_time[stack[0][0]] += 1
+        n += weight
+        self_time[stack[0][0]] += weight
         for fn in on_stack:
-            inclusive[fn] += 1
+            inclusive[fn] += weight
     if n == 0:
         sys.exit(f"no sample left (under '{under}', skipping {skip})")
 
@@ -89,14 +99,15 @@ def main():
     # nothing about where the time went.
     for fn in [fn for fn, count in inclusive.items() if count == n]:
         del inclusive[fn]
-    scope = f"{n} samples" if under is None else \
-        f"{n} of {len(samples) - skipped} samples, under '{under}'"
+    total = sum(weight for weight, _ in samples)
+    scope = f"{n} {unit}" if under is None else \
+        f"{n} of {total - skipped} {unit}, under '{under}'"
     if skip:
         scope += f"; {skipped} skipped ({', '.join(skip)})"
     for title, table in (("self", self_time), ("inclusive", inclusive)):
         print(f"--- {title}: {scope} ---")
         for fn, count in table.most_common(top):
-            print(f"{100 * count / n:6.1f}%  {count:6d}  {fn}")
+            print(f"{100 * count / n:6.1f}%  {count:9d}  {fn}")
 
 
 if __name__ == "__main__":
