@@ -23,6 +23,7 @@
  * does not measure itself. See README.md. */
 #define _GNU_SOURCE
 #include <dlfcn.h>
+#include <errno.h>
 #include <execinfo.h>
 #include <link.h>
 #include <malloc.h>
@@ -228,7 +229,7 @@ void *aligned_alloc(size_t align, size_t n) { return memalign(align, n); }
 int posix_memalign(void **out, size_t align, size_t n) {
     void *p = memalign(align, n);
     if (!p)
-        return 12; /* ENOMEM */
+        return ENOMEM;
     *out = p;
     return 0;
 }
