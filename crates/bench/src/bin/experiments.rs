@@ -1,7 +1,8 @@
 //! Runs the selected experiments (all when none is named) and writes each
 //! one's `BENCH_<name>.json` into the output directory (default: the
 //! current one; created if missing), printing its table. A failed row
-//! check exits 1 and names the row.
+//! check exits 1 and names the row, a broken conclusion the experiment
+//! and the conclusion; neither writes a file.
 //!
 //! ```text
 //! cargo run --release -p allscale-bench --bin experiments -- [--out DIR] [NAME ...]
@@ -19,7 +20,7 @@ fn main() {
     let started = Instant::now();
     let tables = run(&selected).unwrap_or_else(|failures| {
         for failure in failures {
-            eprintln!("row check failed: {failure}");
+            eprintln!("{failure}");
         }
         std::process::exit(1);
     });

@@ -2,11 +2,12 @@
 //!
 //! Every table of EXPERIMENTS.md — the paper's Table 1 and Fig. 7 with
 //! the A1–A3 ablations, and the B1, S1, I1, SV1 and C1 sweeps — is one
-//! [`Experiment`]: a name and a list of rows. A row is plain data (app,
-//! system, node count, configuration values, seed), and running it yields
-//! named columns. [`run`] runs the selected experiments' rows on one
-//! worker per core, pulling from one shared queue; every row is an
-//! independent single-threaded simulation, so the worker count changes
+//! [`Experiment`]: a name, a list of rows and the conclusions drawn from
+//! them. A row is plain data (app, system, node count, configuration
+//! values, seed), and running it yields named columns. [`run`] runs the
+//! selected experiments' rows on one worker per core, pulling from one
+//! shared queue, then judges each table by its conclusions; every row is
+//! an independent single-threaded simulation, so the worker count changes
 //! no virtual number. [`json`] writes one experiment's rows as
 //! `BENCH_<name>.json` (one object per line, declaration order, the
 //! virtual columns plus `host_ms`), and [`text`] renders them as a table.
@@ -67,12 +68,35 @@ impl fmt::Display for Value {
 /// A row's named cells, in order.
 pub type Columns = Vec<(&'static str, Value)>;
 
-/// One table: a name (its file is `BENCH_<name>.json`) and its rows.
+/// One table: a name (its file is `BENCH_<name>.json`), rows, conclusions.
 #[derive(Debug)]
 pub struct Experiment {
     /// The experiment's name.
     pub name: &'static str,
     rows: Vec<rows::Row>,
+    conclusions: &'static [Conclusion],
+}
+
+/// A claim EXPERIMENTS.md makes about one experiment's table (its rows in
+/// declaration order), cited as `<experiment>::<name>`.
+#[derive(Debug)]
+struct Conclusion {
+    name: &'static str,
+    check: fn(&[Columns]) -> Verdict,
+}
+
+/// A check's outcome: `Err` says what broke.
+type Verdict = Result<(), String>;
+
+impl Experiment {
+    /// One failure line per conclusion that `table` breaks.
+    fn judge(&self, table: &[Columns]) -> Vec<String> {
+        let broken = self.conclusions.iter().filter_map(|c| {
+            let (x, why) = (self.name, (c.check)(table).err()?);
+            Some(format!("conclusion failed: {x}::{}: {why}", c.name))
+        });
+        broken.collect()
+    }
 }
 
 /// The `experiments` bin's command line, `[--out DIR] [NAME ...]`: the
@@ -105,9 +129,10 @@ pub fn select<S: Into<String>>(
 }
 
 /// Run every row of `experiments` on one worker per available core, each
-/// worker taking the next row in declaration order. Per experiment, its
-/// rows' columns in declaration order, each ending in `host_ms`; or one
-/// line per failed row check, naming the row.
+/// worker taking the next row in declaration order, then judge each table
+/// by its conclusions. Per experiment, its rows' columns in declaration
+/// order, each ending in `host_ms`; or one line per failed row check, or
+/// else per broken conclusion, naming the row or the conclusion.
 pub fn run(experiments: &[Experiment]) -> Result<Vec<Vec<Columns>>, Vec<String>> {
     run_on(
         experiments,
@@ -153,7 +178,7 @@ fn run_on(experiments: &[Experiment], workers: usize) -> Result<Vec<Vec<Columns>
             result
                 .as_ref()
                 .err()
-                .map(|what| format!("{name} {row:?}: {what}"))
+                .map(|what| format!("row check failed: {name} {row:?}: {what}"))
         })
         .collect();
     if !failures.is_empty() {
@@ -163,20 +188,74 @@ fn run_on(experiments: &[Experiment], workers: usize) -> Result<Vec<Vec<Columns>
     for (e, _, row) in done {
         tables[e].extend(row);
     }
-    Ok(tables)
+    let broken = (experiments.iter().zip(&tables)).flat_map(|(x, t)| x.judge(t));
+    let broken: Vec<String> = broken.collect();
+    broken.is_empty().then_some(tables).ok_or(broken)
 }
 
 /// An experiment's rows as its `BENCH_<name>.json`: a JSON array with one
 /// object per line.
 pub fn json(rows: &[Columns]) -> String {
-    let objects: Vec<String> = rows
-        .iter()
-        .map(|row| {
-            let cells: Vec<String> = row.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
-            format!("{{{}}}", cells.join(","))
-        })
-        .collect();
+    let objects: Vec<String> = rows.iter().map(object).collect();
     format!("[\n  {}\n]\n", objects.join(",\n  "))
+}
+
+/// One row as a JSON object.
+fn object(row: &Columns) -> String {
+    let cells: Vec<String> = row.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+    format!("{{{}}}", cells.join(","))
+}
+
+/// The rows of a `BENCH_<name>.json` as [`json`] writes it (one flat
+/// object per line; no string holds `,"`): a string reads as `Text`, a
+/// whole number as `Int`, any other number as `Num`.
+#[cfg(test)]
+fn read(json: &'static str) -> Vec<Columns> {
+    let mut rows = Vec::new();
+    for object in (json.lines()).filter_map(|l| l.trim().strip_prefix("{\"")) {
+        let mut row = Columns::new();
+        for cell in object.trim_end_matches([',', '}']).split(",\"") {
+            let (key, token) = cell.split_once("\":").expect("a cell");
+            let value = match token.strip_prefix('"') {
+                Some(s) => Value::Text(s.trim_end_matches('"').to_string()),
+                None => (token.parse()).map_or(Value::Num(token.parse().unwrap()), Value::Int),
+            };
+            row.push((key, value));
+        }
+        rows.push(row);
+    }
+    rows
+}
+
+/// The rows of `table` whose leading cells read `key`, a space-separated
+/// list of labels (a string's contents, or a number's JSON form).
+fn rows_of<'t>(table: &'t [Columns], key: &str) -> Vec<&'t Columns> {
+    let label = |l: &str, v: &Value| matches!(v, Value::Text(s) if s == l) || v.to_string() == l;
+    let reads = |row: &&Columns| (key.split(' ').zip(row.iter())).all(|(l, (_, v))| label(l, v));
+    table.iter().filter(reads).collect()
+}
+
+/// The one row of `table` whose leading cells read `key`.
+fn the<'t>(table: &'t [Columns], key: &str) -> Result<&'t Columns, String> {
+    match rows_of(table, key)[..] {
+        [row] => Ok(row),
+        _ => Err(format!("not one row {key:?}")),
+    }
+}
+
+/// `row`'s `column`.
+fn get<'r>(row: &'r Columns, column: &str) -> Result<&'r Value, String> {
+    let (_, v) = (row.iter().find(|(k, _)| *k == column)).ok_or(format!("no {column}"))?;
+    Ok(v)
+}
+
+/// `row`'s `column` as a number.
+fn num(row: &Columns, column: &str) -> Result<f64, String> {
+    match *get(row, column)? {
+        Value::Int(n) => Ok(n as f64),
+        Value::Num(x) | Value::Fixed(x, _) => Ok(x),
+        Value::Text(ref s) => Err(format!("{column} {s:?} is not a number")),
+    }
 }
 
 /// An experiment's rows as a text table: one column per name any row has,
@@ -258,28 +337,118 @@ mod tests {
         assert!(fmt_throughput(999.0).trim().starts_with("999"));
     }
 
-    /// The worker count changes no table: the same rows on one worker and
-    /// on four give byte-identical JSON minus `host_ms`, in declaration
-    /// order. (B1, S1 and I1: multi-node runs of every app but iPiC3D,
-    /// with batching, stealing, rot and the scrubber; cheap in a debug
-    /// build, unlike Fig. 7's paper-scaled rows.)
+    /// Every checked-in `BENCH_<name>.json`.
+    const CHECKED_IN: [(&str, &str); 7] = [
+        ("table1", include_str!("../../../BENCH_table1.json")),
+        ("fig7", include_str!("../../../BENCH_fig7.json")),
+        ("b1", include_str!("../../../BENCH_b1.json")),
+        ("s1", include_str!("../../../BENCH_s1.json")),
+        ("i1", include_str!("../../../BENCH_i1.json")),
+        ("serve", include_str!("../../../BENCH_serve.json")),
+        ("ckpt", include_str!("../../../BENCH_ckpt.json")),
+    ];
+
+    fn checked_in(name: &str) -> Vec<Columns> {
+        let found = CHECKED_IN.iter().find(|(n, _)| *n == name);
+        read(found.expect("every experiment has a file").1)
+    }
+
+    /// A row as its JSON object without `host_ms`.
+    fn virtual_cells(row: &Columns) -> String {
+        let mut row = row.clone();
+        row.retain(|(k, _)| *k != "host_ms");
+        object(&row)
+    }
+
+    /// Every conclusion holds on the table it judges as checked in: a
+    /// regenerated file that flips a claim fails here, not only in CI's
+    /// fresh run.
     #[test]
-    fn threads_do_not_change_a_table() {
-        let mut small = experiments();
-        small.retain(|x| ["b1", "s1", "i1"].contains(&x.name));
-        let without_host_ms = |workers| -> Vec<String> {
-            let tables = run_on(&small, workers).expect("rows pass their checks");
-            let tables = small.iter().zip(tables).map(|(x, rows)| {
-                let keys: Vec<Columns> = x.rows.iter().map(|r| r.key()).collect();
-                let rows: Vec<Columns> = rows
-                    .into_iter()
-                    .map(|row| row.into_iter().filter(|(k, _)| *k != "host_ms").collect())
-                    .collect();
-                assert!(keys.iter().zip(&rows).all(|(k, row)| row.starts_with(k)));
-                json(&rows)
-            });
-            tables.collect()
-        };
-        assert_eq!(without_host_ms(1), without_host_ms(4));
+    fn every_conclusion_holds_on_its_checked_in_table() {
+        for x in experiments() {
+            let broken = x.judge(&checked_in(x.name));
+            assert!(broken.is_empty(), "{broken:#?}");
+        }
+    }
+
+    /// The rows a debug build runs in seconds: every row of `table1`, `b1`,
+    /// `s1` and `i1`, and the Fig. 7 rows at 1, 4 and 8 nodes.
+    fn cheap(row: &rows::Row) -> bool {
+        use rows::{App::*, Row::*, System::*};
+        match *row {
+            Fig7(Tpc, Batched, n) => n == 8,
+            Fig7(Tpc, AllScale | Mpi, n) => [1, 4, 8].contains(&n),
+            Fig7(_, AllScale | Mpi, n) => [1, 8].contains(&n),
+            Fig7(..) | Serve(..) | Ckpt(..) => false,
+            Table1(_) | Batching(..) | Stealing(..) | Scrub(..) => true,
+        }
+    }
+
+    /// Each row `keep` picks, run on `workers` without conclusions (a part
+    /// of a table does not hold them), equals its twin minus `host_ms`.
+    fn run_against_twins(keep: fn(&rows::Row) -> bool, workers: usize) {
+        let (mut picked, mut twins) = (Vec::new(), Vec::new());
+        for mut x in experiments() {
+            let file = checked_in(x.name);
+            assert_eq!(file.len(), x.rows.len(), "BENCH_{}.json", x.name);
+            let kept = x.rows.iter().zip(&file).filter(|(row, _)| keep(row));
+            twins.extend(kept.map(|(_, twin)| virtual_cells(twin)));
+            x.rows.retain(keep);
+            x.conclusions = &[];
+            picked.push(x);
+        }
+        let tables = run_on(&picked, workers).expect("rows pass their checks");
+        let rows: Vec<String> = tables.iter().flatten().map(virtual_cells).collect();
+        assert_eq!(rows, twins, "on {workers} workers");
+    }
+
+    /// The code behind the conclusions: every cheap row equals its twin on
+    /// four workers, and the B1, S1 and I1 rows on one worker too, so the
+    /// worker count changes no table (Fig. 7's rows would double the wall).
+    /// The two passes share nothing and run side by side.
+    #[test]
+    fn every_cheap_row_equals_its_checked_in_twin() {
+        let alone = |row: &rows::Row| cheap(row) && !matches!(row, rows::Row::Fig7(..));
+        #[allow(clippy::disallowed_methods)]
+        std::thread::scope(|s| {
+            s.spawn(|| run_against_twins(alone, 1));
+            run_against_twins(cheap, 4);
+        });
+    }
+
+    /// Each conclusion, fed its checked-in table with one cell moved past
+    /// its bound, breaks, and the failure line `run` reports names the
+    /// experiment and the conclusion.
+    #[test]
+    fn a_broken_conclusion_names_itself() {
+        // One cell per conclusion, in declaration order: the row (its
+        // key), the column, and the factor that moves it past the bound.
+        const BREAKS: [(&str, &str, f64); 9] = [
+            ("stencil MPI 64", "throughput", 0.9),
+            ("tpc AllScale 64", "throughput", 2.0),
+            ("tpc AllScale 8", "throughput", 1.5),
+            ("tpc AllScale(central-idx) 64", "throughput", 1.2),
+            ("tpc AllScale(round-robin) 16", "throughput", 1.1),
+            ("tpc AllScale(batched) 16", "throughput", 1.2),
+            ("tpc on", "compute_ns", 1.6),
+            ("stencil data-aware", "compute_ns", 0.5),
+            ("static 800000", "achieved_rps", 1.1),
+        ];
+        let mut breaks = BREAKS.into_iter();
+        for x in experiments() {
+            for c in x.conclusions {
+                let (key, column, factor) = breaks.next().expect("a cell per conclusion");
+                let mut table = checked_in(x.name);
+                let row = (table.iter()).position(|r| the(std::slice::from_ref(r), key).is_ok());
+                let row = &mut table[row.expect("the row")];
+                let moved = Value::Num(num(row, column).unwrap() * factor);
+                row.iter_mut().find(|(k, _)| *k == column).unwrap().1 = moved;
+                let name = format!("{}::{}", x.name, c.name);
+                assert!((c.check)(&table).is_err(), "{name} holds");
+                let named = format!("conclusion failed: {name}: ");
+                assert!(x.judge(&table).iter().any(|l| l.starts_with(&named)));
+            }
+        }
+        assert_eq!(breaks.next(), None, "a cell per conclusion");
     }
 }

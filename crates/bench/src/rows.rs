@@ -1,7 +1,8 @@
 //! Every experiment's rows: what one row runs and which columns it
-//! yields. A row is plain data; [`Row::run`] is the only code that turns
-//! it into a simulated run, and a row check that fails returns `Err`
-//! naming what broke (the engine adds which row).
+//! yields, each beside the conclusions drawn from its table. A row is
+//! plain data; [`Row::run`] is the only code that turns it into a
+//! simulated run, and a row check that fails returns `Err` naming what
+//! broke (the engine adds which row). A conclusion reads only the table.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -19,7 +20,14 @@ use stencil::StencilConfig;
 use tpc::TpcConfig;
 
 use crate::Value::{Fixed, Int, Num, Text};
-use crate::{Columns, Experiment};
+use crate::{get, num, rows_of, the, Columns, Conclusion, Experiment, Verdict};
+
+/// Conclusions named after their check fns.
+macro_rules! conclusions {
+    ($($check:ident),* $(,)?) => {
+        &[$(Conclusion { name: stringify!($check), check: $check }),*]
+    };
+}
 
 /// Which application a row runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,28 +117,36 @@ pub(crate) fn experiments() -> Vec<Experiment> {
     let rates = [100_000.0, 200_000.0, 400_000.0, 800_000.0, 1_200_000.0];
     let modes = [CkptMode::Sync, CkptMode::Async];
     let pipelines = modes.into_iter().flat_map(|m| [(m, false), (m, true)]);
-    let experiment = |name, rows| Experiment { name, rows };
+    let experiment = |name, rows, conclusions| Experiment {
+        name,
+        rows,
+        conclusions,
+    };
     vec![
         experiment(
             "table1",
             vec![Row::Table1(Stencil), Row::Table1(Ipic3d), Row::Table1(Tpc)],
+            &[],
         ),
-        experiment("fig7", fig7),
+        experiment("fig7", fig7, FIG7),
         experiment(
             "b1",
             grid([Stencil, Tpc], [false, true], |a, on| {
                 Row::Batching(a, on, 8)
             }),
+            B1,
         ),
-        experiment("s1", grid([Stencil, Tpc], victims, Row::Stealing)),
+        experiment("s1", grid([Stencil, Tpc], victims, Row::Stealing), S1),
         experiment(
             "i1",
             grid([0.1, 0.5, 1.0], cadences, |r, p| Row::Scrub(r, p, 0x5c2b)),
+            &[],
         ),
-        experiment("serve", grid([false, true], rates, Row::Serve)),
+        experiment("serve", grid([false, true], rates, Row::Serve), SERVE),
         experiment(
             "ckpt",
             grid(pipelines, [1, 2, 4], |(m, i), e| Row::Ckpt(m, i, e)),
+            &[],
         ),
     ]
 }
@@ -151,8 +167,13 @@ fn text(s: impl Into<String>) -> crate::Value {
     Text(s.into())
 }
 
-fn check(ok: bool, what: &str) -> Result<(), String> {
+fn check(ok: bool, what: &str) -> Verdict {
     ok.then_some(()).ok_or_else(|| what.to_string())
+}
+
+fn within(v: f64, range: std::ops::Range<f64>, what: &str) -> Verdict {
+    let why = format!("{what}: {v:.3} outside {range:?}");
+    check(range.contains(&v), &why)
 }
 
 fn ns_of(seconds: f64) -> crate::Value {
@@ -323,6 +344,145 @@ fn fig7(app: App, system: System, nodes: usize) -> Columns {
     ]
 }
 
+/// The claims of EXPERIMENTS.md E2–E4 and A1–A3, each over the whole
+/// `fig7` table; B1, S1 and SV1 follow their rows below.
+const FIG7: &[Conclusion] = conclusions![
+    e2_e3_stencil_and_ipic3d_track_mpi_to_64_nodes,
+    e4_tpc_allscale_creeps_from_4_to_64_under_a_scaling_mpi,
+    e4_tpc_mpi_scales_while_allscale_saturates,
+    a1_central_index_falls_behind_hierarchical_from_4_nodes,
+    a2_round_robin_placement_costs_what_the_prose_says,
+    a3_query_batching_nearly_doubles_tpc_from_8_nodes,
+];
+
+/// The throughput of the Fig. 7 row of `app system nodes`.
+fn at(t: &[Columns], app: &str, system: &str, nodes: u64) -> Result<f64, String> {
+    num(the(t, &format!("{app} {system} {nodes}"))?, "throughput")
+}
+
+/// The throughput at `nodes` per node over the one-node throughput.
+fn efficiency(t: &[Columns], app: &str, system: &str, nodes: u64) -> Result<f64, String> {
+    Ok(at(t, app, system, nodes)? / at(t, app, system, 1)? / nodes as f64)
+}
+
+/// `(nodes, throughput)` of the `app system` rows from `from` nodes on.
+fn series(t: &[Columns], app: &str, system: &str, from: u64) -> Result<Vec<(u64, f64)>, String> {
+    let mut series = Vec::new();
+    for row in rows_of(t, &format!("{app} {system}")) {
+        let n = num(row, "nodes")? as u64;
+        if n >= from {
+            series.push((n, num(row, "throughput")?));
+        }
+    }
+    check(!series.is_empty(), &format!("no {app} {system} rows"))?;
+    Ok(series)
+}
+
+/// `(nodes, a / b)` throughput at every node count of `a` from `n` on.
+fn ratios(t: &[Columns], app: &str, a: &str, b: &str, n: u64) -> Result<Vec<(u64, f64)>, String> {
+    let ratio = |(nodes, v)| Ok((nodes, v / at(t, app, b, nodes)?));
+    series(t, app, a, n)?.into_iter().map(ratio).collect()
+}
+
+/// E2, E3: both ports weak-scale at > 99 % of their own one-node rate at
+/// every node count to 64, and AllScale sits at a steady 0.80× of MPI;
+/// E2's magnitude is 2.9 TFLOPS at 64 nodes against the paper's ≈ 3.0.
+fn e2_e3_stencil_and_ipic3d_track_mpi_to_64_nodes(t: &[Columns]) -> Verdict {
+    for app in ["stencil", "ipic3d"] {
+        for system in ["AllScale", "MPI"] {
+            for (n, _) in series(t, app, system, 2)? {
+                let eff = efficiency(t, app, system, n)?;
+                check(eff > 0.99, &format!("{app} {system}: {eff:.3} at {n}"))?;
+            }
+        }
+        for (n, gap) in ratios(t, app, "AllScale", "MPI", 1)? {
+            within(gap, 0.78..0.82, &format!("{app} AllScale/MPI at {n}"))?;
+        }
+    }
+    let tflops = at(t, "stencil", "AllScale", 64)? / 1e12;
+    within(tflops, 2.8..3.1, "stencil TFLOPS at 64")
+}
+
+/// E4: AllScale gains 2.9× to 4 nodes, then creeps — monotone, 1.4× for
+/// 16× the machine, 6 % efficiency at 64 — under an MPI port that keeps
+/// scaling and ends 14× ahead.
+fn e4_tpc_allscale_creeps_from_4_to_64_under_a_scaling_mpi(t: &[Columns]) -> Verdict {
+    let tpc = |system, nodes| at(t, "tpc", system, nodes);
+    let gain = tpc("AllScale", 4)? / tpc("AllScale", 1)?;
+    within(gain, 2.5..3.2, "AllScale 1 -> 4")?;
+    for system in ["AllScale", "MPI"] {
+        let column = series(t, "tpc", system, 1)?;
+        let monotone = column.windows(2).all(|w| w[0].1 < w[1].1);
+        check(monotone, &format!("{system} not monotone: {column:?}"))?;
+    }
+    let creep = tpc("AllScale", 64)? / tpc("AllScale", 4)?;
+    within(creep, 1.2..1.6, "AllScale 4 -> 64")?;
+    let eff = efficiency(t, "tpc", "AllScale", 64)?;
+    check(eff < 0.1, &format!("AllScale efficiency {eff:.3} at 64"))?;
+    for (n, gap) in ratios(t, "tpc", "MPI", "AllScale", 1)? {
+        check(gap > 1.0, &format!("MPI at {gap:.2}x on {n}"))?;
+    }
+    let lead = tpc("MPI", 64)? / tpc("AllScale", 64)?;
+    within(lead, 12.0..16.0, "MPI lead at 64")
+}
+
+/// E4, the paper's "AllScale can only gain performance improvements up to
+/// 8 nodes": AllScale keeps less than half its one-node rate per node at
+/// 8 nodes, where MPI is more than 2× ahead.
+fn e4_tpc_mpi_scales_while_allscale_saturates(t: &[Columns]) -> Verdict {
+    let eff = efficiency(t, "tpc", "AllScale", 8)?;
+    check(eff < 0.5, &format!("AllScale efficiency {eff:.2} at 8"))?;
+    let lead = at(t, "tpc", "MPI", 8)? / at(t, "tpc", "AllScale", 8)?;
+    check(lead > 2.0, &format!("MPI {lead:.2}x ahead at 8"))
+}
+
+/// A1: the central directory is level with the hierarchical index at 1
+/// and 2 nodes, behind it from 4 on, flat at ≈ 300 k to 64 where the
+/// hierarchical index is 1.7× ahead; the stencil cannot tell them apart.
+fn a1_central_index_falls_behind_hierarchical_from_4_nodes(t: &[Columns]) -> Verdict {
+    const CENTRAL: &str = "AllScale(central-idx)";
+    for (n, gap) in ratios(t, "tpc", CENTRAL, "AllScale", 1)? {
+        let ok = (n <= 2 && (gap - 1.0).abs() < 0.01) || (n > 2 && gap < 0.9);
+        check(ok, &format!("central index at {gap:.3}x on {n}"))?;
+    }
+    for (n, v) in series(t, "tpc", CENTRAL, 4)? {
+        within(v, 2.9e5..3.1e5, &format!("central index at {n}"))?;
+    }
+    let lead = at(t, "tpc", "AllScale", 64)? / at(t, "tpc", CENTRAL, 64)?;
+    within(lead, 1.5..1.9, "hierarchical lead at 64")?;
+    for (n, gap) in ratios(t, "stencil", CENTRAL, "AllScale", 1)? {
+        check((gap - 1.0).abs() < 1e-3, &format!("stencil {gap}x at {n}"))?;
+    }
+    Ok(())
+}
+
+/// A2: round-robin placement costs TPC 15–19 % from 8 to 32 nodes and
+/// more than half at 64, and the stencil 20 % at 32.
+fn a2_round_robin_placement_costs_what_the_prose_says(t: &[Columns]) -> Verdict {
+    const RR: &str = "AllScale(round-robin)";
+    for (n, kept) in ratios(t, "tpc", RR, "AllScale", 8)? {
+        let bound = if n == 64 { 0.0..0.5 } else { 0.80..0.86 };
+        within(kept, bound, &format!("TPC kept at {n}"))?;
+    }
+    let kept = at(t, "stencil", RR, 32)? / at(t, "stencil", "AllScale", 32)?;
+    within(kept, 0.75..0.85, "stencil kept at 32")
+}
+
+/// A3: batching TPC queries raises throughput 1.7–2.0× from 8 nodes on,
+/// where it ships fewer remote messages than the plain port.
+fn a3_query_batching_nearly_doubles_tpc_from_8_nodes(t: &[Columns]) -> Verdict {
+    for (n, gain) in ratios(t, "tpc", "AllScale(batched)", "AllScale", 8)? {
+        within(gain, 1.65..2.05, &format!("gain at {n}"))?;
+        let msgs = |system| num(the(t, &format!("tpc {system} {n}"))?, "remote_msgs");
+        let (batched, plain) = (msgs("AllScale(batched)")?, msgs("AllScale")?);
+        check(
+            batched < plain,
+            &format!("{batched} vs {plain} msgs at {n}"),
+        )?;
+    }
+    Ok(())
+}
+
 /// The 64 × 64-per-node, 4-step stencil B1 and S1 run.
 fn stencil_64(nodes: usize, work_scale: f64) -> StencilConfig {
     StencilConfig {
@@ -371,6 +531,21 @@ fn b1(app: App, batching: bool, nodes: usize) -> Result<Columns, String> {
     ])
 }
 
+const B1: &[Conclusion] = conclusions![batching_changes_no_result_bits_and_does_not_slow_tpc];
+
+/// B1: on the eight-node stencil and TPC runs, batching changes no result
+/// bit, and it does not slow TPC's query phase down.
+fn batching_changes_no_result_bits_and_does_not_slow_tpc(t: &[Columns]) -> Verdict {
+    let cell = |app, batching, column| get(the(t, &format!("{app} {batching}"))?, column);
+    for (app, column) in [("stencil", "checksum"), ("tpc", "total_count")] {
+        let same = cell(app, "off", column)? == cell(app, "on", column)?;
+        check(same, &format!("{app} {column} differs"))?;
+    }
+    let ns = |batching| num(the(t, &format!("tpc {batching}"))?, "compute_ns");
+    let (off, on) = (ns("off")?, ns("on")?);
+    check(on <= off, &format!("TPC {on} ns batched vs {off} ns"))
+}
+
 fn s1(app: App, victim: Option<VictimPolicy>) -> Result<Columns, String> {
     const NODES: usize = 4;
     let mut rt = RtConfig::meggie(NODES);
@@ -402,6 +577,18 @@ fn s1(app: App, victim: Option<VictimPolicy>) -> Result<Columns, String> {
         ("steal_requests", Int(s.steal_requests)),
         ("steal_grants", Int(s.steal_grants)),
     ])
+}
+
+const S1: &[Conclusion] = conclusions![work_stealing_beats_the_direct_scheduler_on_a_degraded_node];
+
+/// S1: on the stencil with node 3 at quarter speed, the best of the three
+/// stealing victim policies beats the direct scheduler's makespan.
+fn work_stealing_beats_the_direct_scheduler_on_a_degraded_node(t: &[Columns]) -> Verdict {
+    let direct = num(the(t, "stencil data-aware")?, "compute_ns")?;
+    let stencil = rows_of(t, "stencil");
+    check(stencil.len() == 4, "not three stealing rows")?;
+    let faster = |row: &&Columns| num(row, "compute_ns").is_ok_and(|ns| ns < direct);
+    check(stencil.iter().any(faster), &format!("{direct} ns is best"))
 }
 
 /// A 64-cell item is broadcast from its owner to the 3 other nodes, the
@@ -480,6 +667,30 @@ fn sv1(slo: bool, rate_rps: f64) -> Columns {
         ("replications", Int(v.replications)),
         ("virtual_ms", Fixed(v.serve_ns as f64 / 1e6, 3)),
     ]
+}
+
+const SERVE: &[Conclusion] = conclusions![slo_replication_beats_static_placement_past_the_knee];
+
+/// SV1: below the knee the two placements serve alike; past it static
+/// placement pins at one node's capacity, where replication carries the
+/// cluster further at a lower p99.
+fn slo_replication_beats_static_placement_past_the_knee(t: &[Columns]) -> Verdict {
+    let at = |placement, rate, column| num(the(t, &format!("{placement} {rate}"))?, column);
+    for rate in [100_000, 200_000] {
+        for column in ["achieved_rps", "p50_ns", "p99_ns", "replications"] {
+            let same = at("static", rate, column)? == at("slo", rate, column)?;
+            check(same, &format!("{column} differs at {rate}"))?;
+        }
+    }
+    for rate in [800_000, 1_200_000] {
+        within(at("static", rate, "achieved_rps")?, 390e3..410e3, "static")?;
+    }
+    check(at("slo", 800_000, "replications")? > 0.0, "no replication")?;
+    let gain = at("slo", 800_000, "achieved_rps")? / at("static", 800_000, "achieved_rps")?;
+    check(gain > 1.5, &format!("slo serves {gain:.2}x static"))?;
+    let p99 = |placement| at(placement, 800_000, "p99_ns");
+    let (fixed, slo) = (p99("static")?, p99("slo")?);
+    check(1.3 * slo <= fixed, &format!("p99 {slo} ns vs {fixed} ns"))
 }
 
 fn c1(mode: CkptMode, incremental: bool, every: usize) -> Result<Columns, String> {

@@ -371,28 +371,3 @@ fn stencil_default_knobs_cut_replicate_messages_4x() {
         ur.finish_time
     );
 }
-
-/// B1 as recorded in `BENCH_b1.json`: on the eight-node stencil and TPC
-/// runs, batching changes no result bit, and it does not slow TPC's
-/// query phase down.
-#[test]
-fn recorded_b1_batching_changes_no_result_bits_and_does_not_slow_tpc() {
-    let rows = common::recorded::rows(include_str!("../BENCH_b1.json"));
-    let at = |app, batching| common::recorded::find(&rows, &[("app", app), ("batching", batching)]);
-    let (off, on) = (at("stencil", "off"), at("stencil", "on"));
-    assert_eq!(
-        off.label("checksum"),
-        on.label("checksum"),
-        "bit-identical results"
-    );
-    let (off, on) = (at("tpc", "off"), at("tpc", "on"));
-    assert_eq!(
-        off.num("total_count"),
-        on.num("total_count"),
-        "identical counts"
-    );
-    assert!(
-        on.num("compute_ns") <= off.num("compute_ns"),
-        "batching must not slow TPC down"
-    );
-}

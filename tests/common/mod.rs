@@ -20,7 +20,6 @@
 #![allow(dead_code)]
 
 pub mod family;
-pub mod recorded;
 pub mod report_json;
 
 use std::cell::RefCell;

@@ -12,15 +12,15 @@
 //!    acknowledged write is lost, and each request is counted once.
 //! 3. **Admission control** — overload shedding turns away reads only;
 //!    every planned write still lands (the oracle again).
-//! 4. **The recorded sweep** — what EXPERIMENTS.md SV1 says about
-//!    `BENCH_serve.json` (CI compares its virtual columns with a fresh
-//!    `experiments serve` run), held against the file; runs nothing.
+//!
+//! What EXPERIMENTS.md SV1 says about the sweep is the `serve`
+//! experiment's conclusion in `crates/bench/src/rows.rs`.
 
 mod common;
 
 use allscale_apps::serve::{run_with, ServeAppConfig, ServeOutcome};
 use allscale_core::{FaultPlan, ResilienceConfig, RtConfig, SloConfig};
-use common::{kill_plan, recorded, Scenario, STEALING};
+use common::{kill_plan, Scenario, STEALING};
 
 fn small_cfg() -> ServeAppConfig {
     ServeAppConfig::small()
@@ -157,29 +157,4 @@ fn mid_drain_kill_loses_no_acknowledged_write() {
         "the kill must land mid-drain and tear the capture ({r:?})"
     );
     assert_eq!(out.keys_checked, cfg.keys, "full key space verified");
-}
-
-#[test]
-fn recorded_slo_replication_beats_static_placement_past_the_knee() {
-    let rows = recorded::rows(include_str!("../BENCH_serve.json"));
-    let at = |placement: &str, rate: f64| {
-        let rate = rate.to_string();
-        recorded::find(&rows, &[("placement", placement), ("offered_rps", &rate)])
-    };
-    for rate in [100_000.0, 200_000.0] {
-        let (fixed, slo) = (at("static", rate), at("slo", rate));
-        for column in ["achieved_rps", "p50_ns", "p99_ns", "replications"] {
-            assert_eq!(fixed.num(column), slo.num(column), "{column} at {rate}");
-        }
-    }
-    // Static placement pins at one node's capacity past the knee …
-    for rate in [800_000.0, 1_200_000.0] {
-        let achieved = at("static", rate).num("achieved_rps");
-        assert!((390e3..410e3).contains(&achieved), "{achieved} at {rate}");
-    }
-    // … where replication carries the cluster further, at a lower p99.
-    let (fixed, slo) = (at("static", 800_000.0), at("slo", 800_000.0));
-    assert!(slo.num("replications") > 0.0);
-    assert!(slo.num("achieved_rps") > 1.5 * fixed.num("achieved_rps"));
-    assert!(1.3 * slo.num("p99_ns") <= fixed.num("p99_ns"));
 }

@@ -22,8 +22,12 @@ command that fails either. Exits 1 on any `MISSING` or `STALE` line.
 A test name is a backticked `suite::name` or `suite::{a, b}` in
 DESIGN.md, README.md or EXPERIMENTS.md whose `suite` is the stem of a test
 target (`tests/*.rs`, `crates/*/tests/*.rs`): each name (a glob such as
-`recorded_*` matches any) must be a `fn` in some file of that stem.
-Prints one `MISSING` line per name that is not.
+`stencil_*` matches any) must be a `fn` in some file of that stem. A
+conclusion is the same form whose `suite` is an experiment with a
+`const <EXPERIMENT>: &[Conclusion] = conclusions![...]` under
+`crates/bench/src`: each name must be in that list, or be a `fn` or `mod`
+of a module of that name under `crates/*/src` (`serve::run_with` names
+the app's). Prints one `MISSING` line per name that is neither.
 
 An item reference is "ROADMAP item N" (or "items N, M and K"), a line
 break or comment marker allowed between the words, in those documents,
@@ -33,9 +37,10 @@ under ROADMAP.md's "## Open items". Prints one `STALE` line per number
 that is not.
 
 `--self-test` runs the audit with one seeded document beside the real
-ones: a renamed `suite::test`, a missing path and a closed item number
-must each fail it, and a line naming only what exists must not. Exits 1
-when the audit misses a seeded fault or flags the clean line.
+ones: a renamed `suite::test`, a renamed `experiment::conclusion`, a
+missing path and a closed item number must each fail it, and a line
+naming only what exists must not. Exits 1 when the audit misses a
+seeded fault or flags the clean line.
 
 Other symbols are not checked (ROADMAP item 15).
 """
@@ -57,6 +62,8 @@ DECLARED = re.compile(r'\[\[(bin|example)\]\]\s*\nname\s*=\s*"([^"]+)"')
 BRACES = re.compile(r"\{([^{}]*)\}")
 TEST_REF = re.compile(r"^([a-z0-9_]+)::(\{[^{}`]*\}|[A-Za-z0-9_*]+)")
 FN = re.compile(r"\bfn\s+([A-Za-z0-9_]+)")
+ITEM = re.compile(r"\b(?:fn|mod)\s+([A-Za-z0-9_]+)")
+CONCLUSIONS = re.compile(r"const ([A-Z0-9_]+): &\[Conclusion\] = conclusions!\[([^\]]*)\]")
 GAP = r"(?:\s|//[/!]?|#)+"
 ITEM_REF = re.compile(rf"ROADMAP{GAP}items?{GAP}(\d+(?:(?:,|{GAP}and|{GAP}or){GAP}\d+)*)")
 OPEN_ITEM = re.compile(r"^(\d+)\. \*\*", re.M)
@@ -135,9 +142,23 @@ def test_fns():
     return fns
 
 
+def conclusions():
+    """Experiment -> names of the `Conclusion`s declared for it."""
+    found = {}
+    for src in glob.glob("crates/bench/src/**/*.rs", recursive=True):
+        for const, names in CONCLUSIONS.findall(read(src)):
+            found[const.lower()] = {n.strip() for n in names.split(",") if n.strip()}
+    return found
+
+
 def unresolved_tests(seeded):
-    """One line per test name a document gives its suite without a `fn`."""
+    """One line per test name a document gives its suite without a `fn`,
+    and per conclusion name its experiment does not declare."""
     fns = test_fns()
+    for experiment, names in conclusions().items():
+        module = glob.glob(f"crates/*/src/**/{experiment}.rs", recursive=True)
+        module += glob.glob(f"crates/*/src/**/{experiment}/*.rs", recursive=True)
+        fns[experiment] = names | {n for src in module for n in ITEM.findall(read(src))}
     missing = []
     for doc, lineno, line in lines(DOCS, seeded):
         for token in TOKEN.findall(line):
@@ -201,11 +222,14 @@ def self_test():
     a clean one; the audit must flag exactly the faulty lines."""
     suite, names = sorted(test_fns().items())[0]
     name = sorted(names)[0]
+    experiment, claims = sorted(conclusions().items())[0]
+    claim = sorted(claims)[0]
     live = open_items()
     closed = next(n for n in itertools.count(1) if n not in live)
     seeded = "\n".join([
-        f"`{suite}::{name}` in `tools/doc_audit.py`, ROADMAP item {min(live)}",
+        f"`{suite}::{name}`, `{experiment}::{claim}` in `tools/doc_audit.py`, ROADMAP item {min(live)}",
         f"`{suite}::{name}_renamed`",
+        f"`{experiment}::{claim}_renamed`",
         "`tools/no_such_tool.py`",
         f"ROADMAP\nitem {closed}",
     ])
@@ -213,10 +237,10 @@ def self_test():
     for line in flagged:
         print(line)
     lines_hit = sorted({int(line.split(":")[1]) for line in flagged})
-    if lines_hit != [2, 3, 4] or len(flagged) != 3:
-        print(f"SELF-TEST FAILED: expected lines [2, 3, 4] flagged once each, got {flagged}")
+    if lines_hit != [2, 3, 4, 5] or len(flagged) != 4:
+        print(f"SELF-TEST FAILED: expected lines [2, 3, 4, 5] flagged once each, got {flagged}")
         return 1
-    print("self-test: a renamed test, a missing path and a closed item each fail")
+    print("self-test: a renamed test, a renamed conclusion, a missing path and a closed item each fail")
     return 0
 
 
