@@ -209,7 +209,6 @@ fn object(row: &Columns) -> String {
 /// The rows of a `BENCH_<name>.json` as [`json`] writes it (one flat
 /// object per line; no string holds `,"`): a string reads as `Text`, a
 /// whole number as `Int`, any other number as `Num`.
-#[cfg(test)]
 fn read(json: &'static str) -> Vec<Columns> {
     let mut rows = Vec::new();
     for object in (json.lines()).filter_map(|l| l.trim().strip_prefix("{\"")) {
@@ -225,6 +224,79 @@ fn read(json: &'static str) -> Vec<Columns> {
         rows.push(row);
     }
     rows
+}
+
+/// Every checked-in `BENCH_<name>.json`.
+const CHECKED_IN: [(&str, &str); 7] = [
+    ("table1", include_str!("../../../BENCH_table1.json")),
+    ("fig7", include_str!("../../../BENCH_fig7.json")),
+    ("b1", include_str!("../../../BENCH_b1.json")),
+    ("s1", include_str!("../../../BENCH_s1.json")),
+    ("i1", include_str!("../../../BENCH_i1.json")),
+    ("serve", include_str!("../../../BENCH_serve.json")),
+    ("ckpt", include_str!("../../../BENCH_ckpt.json")),
+];
+
+/// The rows of experiment `name`'s checked-in file.
+fn checked_in(name: &str) -> Vec<Columns> {
+    let found = CHECKED_IN.iter().find(|(n, _)| *n == name);
+    read(found.expect("every experiment has a file").1)
+}
+
+/// A row as its JSON object without `host_ms`.
+fn virtual_cells(row: &Columns) -> String {
+    let mut row = row.clone();
+    row.retain(|(k, _)| *k != "host_ms");
+    object(&row)
+}
+
+/// Whether `experiment`'s conclusion `name` holds on its checked-in
+/// table; `Err` names the conclusion and what broke.
+pub fn holds(experiment: &str, name: &str) -> Result<(), String> {
+    let x = (experiments().into_iter()).find(|x| x.name == experiment);
+    let x = x.ok_or(format!("no experiment {experiment:?}"))?;
+    let c = (x.conclusions.iter()).find(|c| c.name == name);
+    let c = c.ok_or(format!("no conclusion {experiment}::{name}"))?;
+    (c.check)(&checked_in(experiment)).map_err(|why| format!("{experiment}::{name}: {why}"))
+}
+
+/// Rerun the rows of `experiment` whose leading cells read one of `keys`
+/// (as a conclusion names a row: `"tpc AllScale 8"`) on one worker per
+/// core; `Err` unless each key names one row and each row equals its
+/// checked-in twin minus `host_ms`.
+pub fn replays(experiment: &str, keys: &[&str]) -> Result<(), String> {
+    let named = |row: &rows::Row| keys.iter().filter(|k| the(&[row.key()], k).is_ok()).count();
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let replayed = replay(|x, row| x == experiment && named(row) == 1, workers)?;
+    let why = format!("{} keys name {replayed} rows of {experiment}", keys.len());
+    (replayed == keys.len()).then_some(()).ok_or(why)
+}
+
+/// Rerun each row `keep` picks (by its experiment's name and the row) on
+/// `workers`, without conclusions (a part of a table does not hold
+/// them): how many rows, or else which row differs from its checked-in
+/// twin minus `host_ms`.
+fn replay(keep: impl Fn(&str, &rows::Row) -> bool, workers: usize) -> Result<usize, String> {
+    let (mut picked, mut twins) = (Vec::new(), Vec::new());
+    for mut x in experiments() {
+        let (name, file) = (x.name, checked_in(x.name));
+        if file.len() != x.rows.len() {
+            return Err(format!("BENCH_{name}.json does not hold {name}'s rows"));
+        }
+        let kept = x.rows.iter().zip(&file).filter(|(row, _)| keep(name, row));
+        twins.extend(kept.map(|(_, twin)| virtual_cells(twin)));
+        x.rows.retain(|row| keep(name, row));
+        x.conclusions = &[];
+        picked.push(x);
+    }
+    let tables = run_on(&picked, workers).map_err(|failed| failed.join("\n"))?;
+    let rows = tables.iter().flatten().map(virtual_cells);
+    for (row, twin) in rows.zip(&twins) {
+        if row != *twin {
+            return Err(format!("on {workers} workers {row} is not its twin {twin}"));
+        }
+    }
+    Ok(twins.len())
 }
 
 /// The rows of `table` whose leading cells read `key`, a space-separated
@@ -337,29 +409,6 @@ mod tests {
         assert!(fmt_throughput(999.0).trim().starts_with("999"));
     }
 
-    /// Every checked-in `BENCH_<name>.json`.
-    const CHECKED_IN: [(&str, &str); 7] = [
-        ("table1", include_str!("../../../BENCH_table1.json")),
-        ("fig7", include_str!("../../../BENCH_fig7.json")),
-        ("b1", include_str!("../../../BENCH_b1.json")),
-        ("s1", include_str!("../../../BENCH_s1.json")),
-        ("i1", include_str!("../../../BENCH_i1.json")),
-        ("serve", include_str!("../../../BENCH_serve.json")),
-        ("ckpt", include_str!("../../../BENCH_ckpt.json")),
-    ];
-
-    fn checked_in(name: &str) -> Vec<Columns> {
-        let found = CHECKED_IN.iter().find(|(n, _)| *n == name);
-        read(found.expect("every experiment has a file").1)
-    }
-
-    /// A row as its JSON object without `host_ms`.
-    fn virtual_cells(row: &Columns) -> String {
-        let mut row = row.clone();
-        row.retain(|(k, _)| *k != "host_ms");
-        object(&row)
-    }
-
     /// Every conclusion holds on the table it judges as checked in: a
     /// regenerated file that flips a claim fails here, not only in CI's
     /// fresh run.
@@ -371,49 +420,29 @@ mod tests {
         }
     }
 
-    /// The rows a debug build runs in seconds: every row of `table1`, `b1`,
-    /// `s1` and `i1`, and the Fig. 7 rows at 1, 4 and 8 nodes.
+    /// The rows a debug build runs in seconds beside the 1–8-node Fig. 7
+    /// rows `tests/scaling_shapes.rs` replays: every row of `table1`,
+    /// `b1`, `s1` and `i1`.
     fn cheap(row: &rows::Row) -> bool {
-        use rows::{App::*, Row::*, System::*};
-        match *row {
-            Fig7(Tpc, Batched, n) => n == 8,
-            Fig7(Tpc, AllScale | Mpi, n) => [1, 4, 8].contains(&n),
-            Fig7(_, AllScale | Mpi, n) => [1, 8].contains(&n),
-            Fig7(..) | Serve(..) | Ckpt(..) => false,
-            Table1(_) | Batching(..) | Stealing(..) | Scrub(..) => true,
-        }
+        use rows::Row::*;
+        matches!(row, Table1(_) | Batching(..) | Stealing(..) | Scrub(..))
     }
 
-    /// Each row `keep` picks, run on `workers` without conclusions (a part
-    /// of a table does not hold them), equals its twin minus `host_ms`.
-    fn run_against_twins(keep: fn(&rows::Row) -> bool, workers: usize) {
-        let (mut picked, mut twins) = (Vec::new(), Vec::new());
-        for mut x in experiments() {
-            let file = checked_in(x.name);
-            assert_eq!(file.len(), x.rows.len(), "BENCH_{}.json", x.name);
-            let kept = x.rows.iter().zip(&file).filter(|(row, _)| keep(row));
-            twins.extend(kept.map(|(_, twin)| virtual_cells(twin)));
-            x.rows.retain(keep);
-            x.conclusions = &[];
-            picked.push(x);
-        }
-        let tables = run_on(&picked, workers).expect("rows pass their checks");
-        let rows: Vec<String> = tables.iter().flatten().map(virtual_cells).collect();
-        assert_eq!(rows, twins, "on {workers} workers");
-    }
-
-    /// The code behind the conclusions: every cheap row equals its twin on
-    /// four workers, and the B1, S1 and I1 rows on one worker too, so the
-    /// worker count changes no table (Fig. 7's rows would double the wall).
-    /// The two passes share nothing and run side by side.
+    /// The code behind the conclusions: every cheap row, run on four
+    /// workers, equals its twin.
     #[test]
     fn every_cheap_row_equals_its_checked_in_twin() {
-        let alone = |row: &rows::Row| cheap(row) && !matches!(row, rows::Row::Fig7(..));
-        #[allow(clippy::disallowed_methods)]
-        std::thread::scope(|s| {
-            s.spawn(|| run_against_twins(alone, 1));
-            run_against_twins(cheap, 4);
-        });
+        replay(|_, row| cheap(row), 4).unwrap();
+    }
+
+    /// The worker count changes no table: the B1, S1 and I1 rows (multi-
+    /// node runs of every app but iPiC3D, with batching, stealing, rot and
+    /// the scrubber) on one worker equal the twins the four-worker pass
+    /// above equals too.
+    #[test]
+    fn threads_do_not_change_a_table() {
+        let small = |x: &str, _: &rows::Row| ["b1", "s1", "i1"].contains(&x);
+        replay(small, 1).unwrap();
     }
 
     /// Each conclusion, fed its checked-in table with one cell moved past

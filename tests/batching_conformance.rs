@@ -371,3 +371,15 @@ fn stencil_default_knobs_cut_replicate_messages_4x() {
         ur.finish_time
     );
 }
+
+/// B1 as recorded in `BENCH_b1.json`: the `b1` experiment's conclusion
+/// that, on the eight-node stencil and TPC runs, batching changes no
+/// result bit and does not slow TPC's query phase down.
+#[test]
+fn recorded_b1_batching_changes_no_result_bits_and_does_not_slow_tpc() {
+    allscale_bench::holds(
+        "b1",
+        "batching_changes_no_result_bits_and_does_not_slow_tpc",
+    )
+    .unwrap();
+}

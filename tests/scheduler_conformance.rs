@@ -9,8 +9,9 @@
 //! queue; every fault-free steal request is answered exactly once; a
 //! handoff is a grant) is checked by `Runtime::run` at the end of every
 //! run. What is left here is that the stealing family genuinely steals
-//! on a workload built for it; the S1 sentence EXPERIMENTS.md states is
-//! the `s1` experiment's conclusion in `crates/bench/src/rows.rs`.
+//! on a workload built for it, and the S1 sentence EXPERIMENTS.md states:
+//! the `s1` experiment's conclusion in `crates/bench/src/rows.rs`, held
+//! here against the checked-in table.
 
 mod common;
 
@@ -62,4 +63,13 @@ fn stealing_family_actually_steals_and_still_agrees() {
             "{sched:?}: victims never handed over work ({s:?})"
         );
     }
+}
+
+/// S1 as recorded in `BENCH_s1.json`: the `s1` experiment's conclusion
+/// that, on the stencil with node 3 at quarter speed, the best stealing
+/// victim policy beats the direct scheduler's makespan.
+#[test]
+fn recorded_s1_work_stealing_beats_the_direct_scheduler_on_a_degraded_node() {
+    let name = "work_stealing_beats_the_direct_scheduler_on_a_degraded_node";
+    allscale_bench::holds("s1", name).unwrap();
 }

@@ -12,9 +12,9 @@
 //!    acknowledged write is lost, and each request is counted once.
 //! 3. **Admission control** — overload shedding turns away reads only;
 //!    every planned write still lands (the oracle again).
-//!
-//! What EXPERIMENTS.md SV1 says about the sweep is the `serve`
-//! experiment's conclusion in `crates/bench/src/rows.rs`.
+//! 4. **The recorded sweep** — what EXPERIMENTS.md SV1 says about
+//!    `BENCH_serve.json`: the `serve` experiment's conclusion in
+//!    `crates/bench/src/rows.rs`, held against the checked-in table.
 
 mod common;
 
@@ -157,4 +157,13 @@ fn mid_drain_kill_loses_no_acknowledged_write() {
         "the kill must land mid-drain and tear the capture ({r:?})"
     );
     assert_eq!(out.keys_checked, cfg.keys, "full key space verified");
+}
+
+/// SV1 as recorded in `BENCH_serve.json`: the `serve` experiment's
+/// conclusion that SLO-driven replication equals static placement below
+/// the knee and carries the cluster further, at a lower p99, past it.
+#[test]
+fn recorded_slo_replication_beats_static_placement_past_the_knee() {
+    let name = "slo_replication_beats_static_placement_past_the_knee";
+    allscale_bench::holds("serve", name).unwrap();
 }
