@@ -534,16 +534,19 @@ fn b1(app: App, batching: bool, nodes: usize) -> Result<Columns, String> {
 const B1: &[Conclusion] = conclusions![batching_changes_no_result_bits_and_does_not_slow_tpc];
 
 /// B1: on the eight-node stencil and TPC runs, batching changes no result
-/// bit, and it does not slow TPC's query phase down.
+/// bit, and it does not slow TPC's query phase down while shipping fewer
+/// remote messages.
 fn batching_changes_no_result_bits_and_does_not_slow_tpc(t: &[Columns]) -> Verdict {
     let cell = |app, batching, column| get(the(t, &format!("{app} {batching}"))?, column);
     for (app, column) in [("stencil", "checksum"), ("tpc", "total_count")] {
         let same = cell(app, "off", column)? == cell(app, "on", column)?;
         check(same, &format!("{app} {column} differs"))?;
     }
-    let ns = |batching| num(the(t, &format!("tpc {batching}"))?, "compute_ns");
-    let (off, on) = (ns("off")?, ns("on")?);
-    check(on <= off, &format!("TPC {on} ns batched vs {off} ns"))
+    let tpc = |batching, column| num(the(t, &format!("tpc {batching}"))?, column);
+    let (off, on) = (tpc("off", "compute_ns")?, tpc("on", "compute_ns")?);
+    check(on <= off, &format!("TPC {on} ns batched vs {off} ns"))?;
+    let (off, on) = (tpc("off", "remote_msgs")?, tpc("on", "remote_msgs")?);
+    check(on < off, &format!("TPC {on} remote msgs batched vs {off}"))
 }
 
 fn s1(app: App, victim: Option<VictimPolicy>) -> Result<Columns, String> {

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Write the size ledger: how much code each crate and each runtime module
-is, and how many functions each file makes public (ROADMAP item 15).
+is, and how many functions each file makes public.
 
     tools/size_audit.py                 # from the repository root
     tools/size_audit.py --out PATH      # write somewhere else
