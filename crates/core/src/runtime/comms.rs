@@ -18,6 +18,7 @@ use allscale_net::{
 use allscale_trace::{EventKind, TraceSink, TransferPurpose};
 
 use super::events::{schedule, RtEvent};
+use super::tasks::packed;
 use super::{trace_instant, trace_span, RtSim, RtWorld};
 use crate::index::Hop;
 use crate::integrity::IntegrityStats;
@@ -421,6 +422,7 @@ pub(super) fn send_deferred(
             // none at all when the wire is idle.
             let eager = sim.world.comms.net.tx_free_at(from).max(now);
             let fire = eager.min(deadline);
+            let (from, to) = (packed(from), packed(to));
             schedule(sim, fire, RtEvent::BatchFlush { from, to, gen });
         }
         Enqueue::Full => {

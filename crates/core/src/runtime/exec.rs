@@ -6,14 +6,14 @@ use allscale_trace::{EventKind, TransferPurpose};
 
 use super::comms::{bill_hops, open_payload, seal_payloads, send_deferred, Payload, Wire};
 use super::directory::{index_resolve, index_update};
-use super::events::{schedule, RtEvent};
-use super::tasks::{park, schedule_wakeups, wake};
+use super::events::{schedule, Outcome, RtEvent};
+use super::tasks::{packed, park, schedule_wakeups, wake};
 use super::{sched, serving, tasks, trace_core_span, trace_instant};
 use super::{RtSim, RtWorld};
 use crate::dim::{Blocker, LockConflict};
 use crate::dynamic::DynRegion;
 use crate::index::{covered_by, union_of};
-use crate::task::{AccessMode, Done, ItemId, Requirement, TaskCtx, TaskId};
+use crate::task::{AccessMode, ItemId, Requirement, TaskCtx, TaskId};
 
 // ------------------------------------------------------------- preparation
 
@@ -391,7 +391,7 @@ fn start_execution(sim: &mut RtSim, tid: TaskId) {
     );
     let then = RtEvent::FinishExecution {
         tid,
-        done,
+        done: done.into(),
         result_bytes,
     };
     schedule(sim, end, then);
@@ -399,7 +399,7 @@ fn start_execution(sim: &mut RtSim, tid: TaskId) {
 
 /// Task `tid`'s core time elapsed with `done`, the outcome its body
 /// produced when it started (`result_bytes`: the size of its result).
-pub(super) fn finish_execution(sim: &mut RtSim, tid: TaskId, done: Done, result_bytes: usize) {
+pub(super) fn finish_execution(sim: &mut RtSim, tid: TaskId, done: Outcome, result_bytes: usize) {
     let inf = sim.world.tasks.get_mut(tid);
     let (loc, parent) = (inf.loc(), inf.parent());
     let replicas = inf.take_replicas();
@@ -417,7 +417,11 @@ pub(super) fn finish_execution(sim: &mut RtSim, tid: TaskId, done: Done, result_
         }
         let bytes = sim.world.cost.control_msg_bytes;
         let tag = Payload::data(TransferPurpose::Control, Some(tid), item);
-        let then = RtEvent::ReplicaRelease { owner, item, tid };
+        let then = RtEvent::ReplicaRelease {
+            owner: packed(owner),
+            item,
+            tid,
+        };
         send_deferred(sim, loc, owner, bytes, tag, then);
     }
     sim.world.tasks.remove(tid);
@@ -425,9 +429,9 @@ pub(super) fn finish_execution(sim: &mut RtSim, tid: TaskId, done: Done, result_
     sched::slot_freed(sim, loc);
 
     match done {
-        Done::Value(v) => tasks::finish_task(sim, loc, tid, parent, v),
-        Done::Children(outcome) => {
-            if !tasks::spawn_children(sim, loc, tid, parent, outcome, result_bytes) {
+        Outcome::Value(v) => tasks::finish_task(sim, loc, tid, parent, v),
+        Outcome::Children(outcome) => {
+            if !tasks::spawn_children(sim, loc, tid, parent, *outcome, result_bytes) {
                 return;
             }
         }

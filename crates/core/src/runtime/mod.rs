@@ -477,7 +477,7 @@ fn broken_identities(r: &RunReport, shape: RunShape) -> Vec<String> {
 fn trace_instant(w: &RtWorld, now: SimTime, loc: usize, kind: EventKind) {
     let epoch = w.recovery.epoch();
     w.trace
-        .record(|| TraceEvent::instant(now.as_nanos(), loc as u32, kind).in_epoch(epoch));
+        .record(|| TraceEvent::instant(now.as_nanos(), loc as u32, kind).in_epoch(epoch.into()));
 }
 
 /// Record an epoch-stamped span on `loc`'s runtime track.
@@ -485,7 +485,7 @@ fn trace_instant(w: &RtWorld, now: SimTime, loc: usize, kind: EventKind) {
 fn trace_span(w: &RtWorld, start: SimTime, dur: SimDuration, loc: usize, kind: EventKind) {
     let epoch = w.recovery.epoch();
     w.trace.record(|| {
-        TraceEvent::span(start.as_nanos(), dur.as_nanos(), loc as u32, kind).in_epoch(epoch)
+        TraceEvent::span(start.as_nanos(), dur.as_nanos(), loc as u32, kind).in_epoch(epoch.into())
     });
 }
 
@@ -503,7 +503,7 @@ fn trace_core_span(
     w.trace.record(|| {
         TraceEvent::span(start.as_nanos(), dur.as_nanos(), loc as u32, kind)
             .on_core(core)
-            .in_epoch(epoch)
+            .in_epoch(epoch.into())
     });
 }
 

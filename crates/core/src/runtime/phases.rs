@@ -5,6 +5,7 @@ use allscale_des::SimTime;
 use allscale_trace::EventKind;
 
 use super::events::{schedule, RtEvent};
+use super::tasks::Parent;
 use super::{recovery, sched, serving, trace_instant, RtCtx, RtSim};
 use crate::task::{TaskValue, WorkItem};
 
@@ -87,7 +88,7 @@ pub(super) fn advance_phase(sim: &mut RtSim, prev: TaskValue) {
     match next {
         Some(root) => {
             begin_phase(sim, home);
-            sched::assign_task(sim, home, root, None);
+            sched::assign_task(sim, home, root, Parent::NONE);
         }
         None => match sim.world.serving.take_registered() {
             // The driver registered a serving phase instead of a root

@@ -30,7 +30,7 @@ pub(super) struct Recovery {
     /// Bumped on every recovery; events scheduled in an older epoch become
     /// no-ops when they fire (`events::Scheduled`), which is how the
     /// in-flight phase's stale work is discarded wholesale.
-    run_epoch: u64,
+    run_epoch: u32,
 }
 
 impl Recovery {
@@ -45,7 +45,7 @@ impl Recovery {
     }
 
     #[inline]
-    pub(super) fn epoch(&self) -> u64 {
+    pub(super) fn epoch(&self) -> u32 {
         self.run_epoch
     }
 

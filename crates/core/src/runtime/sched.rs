@@ -9,7 +9,8 @@ use allscale_trace::{EventKind, SpawnVariant, TransferPurpose};
 use super::comms::{bill_hops, deliver, send_deferred, Payload};
 use super::directory::index_resolve;
 use super::events::{schedule, RtEvent};
-use super::{exec, tasks, trace_core_span, trace_instant, RtSim, RtWorld};
+use super::tasks::{self, packed, Parent};
+use super::{exec, trace_core_span, trace_instant, RtSim, RtWorld};
 use crate::index::sole_owner_from;
 use crate::policy::{PolicyEnv, Variant};
 use crate::scheduler::{DataAwareScheduler, Scheduler, WorkStealingScheduler, STEAL_ATTEMPTS};
@@ -72,7 +73,7 @@ pub(super) fn assign_task(
     sim: &mut RtSim,
     at: usize,
     wi: Box<dyn WorkItem>,
-    parent: Option<(TaskId, usize)>,
+    parent: Parent,
 ) -> TaskId {
     let now = sim.now();
     let w = &mut sim.world;
@@ -86,7 +87,7 @@ pub(super) fn assign_task(
             .pick_variant(wi.depth(), wi.can_split(), hint, &policy_env!(w));
     let spawn = |variant, target: usize| EventKind::TaskSpawn {
         task: tid.0,
-        parent: parent.map(|(p, _)| p.0),
+        parent: parent.get().map(|(p, _)| p.0),
         variant,
         target: target as u32,
     };
@@ -102,7 +103,7 @@ pub(super) fn assign_task(
             trace_instant(w, now, at, spawn(SpawnVariant::Split, target));
             w.load[target] += 1;
             let then = RtEvent::SplitForward {
-                target,
+                target: packed(target),
                 tid,
                 wi,
                 parent,
@@ -123,7 +124,7 @@ pub(super) fn assign_task(
             w.load[target] += 1;
             w.tasks.admit(tid, target, wi, parent, reqs);
             let then = RtEvent::ProcessForward {
-                target,
+                target: packed(target),
                 tid,
                 queued,
             };
@@ -141,7 +142,7 @@ pub(super) fn split_arrived(
     target: usize,
     tid: TaskId,
     wi: Box<dyn WorkItem>,
-    parent: Option<(TaskId, usize)>,
+    parent: Parent,
     arrived: bool,
 ) {
     if !arrived {
@@ -318,8 +319,8 @@ fn steal_attempt(sim: &mut RtSim, thief: usize, attempt: usize) {
     );
     let ctrl = sim.world.cost.control_msg_bytes;
     let then = RtEvent::StealRequest {
-        thief,
-        victim,
+        thief: packed(thief),
+        victim: packed(victim),
         attempt,
     };
     send_deferred(sim, thief, victim, ctrl, Payload::CONTROL, then);
@@ -344,7 +345,10 @@ pub(super) fn steal_requested(sim: &mut RtSim, thief: usize, victim: usize, atte
                 },
             );
             let ctrl = sim.world.cost.control_msg_bytes;
-            let then = RtEvent::StealDeny { thief, attempt };
+            let then = RtEvent::StealDeny {
+                thief: packed(thief),
+                attempt,
+            };
             send_deferred(sim, victim, thief, ctrl, Payload::CONTROL, then);
         }
     }
@@ -396,7 +400,10 @@ fn grant_steal(sim: &mut RtSim, victim: usize, thief: usize, tid: TaskId) {
     sim.world.load[victim] -= 1;
     sim.world.load[thief] += 1;
     let tag = Payload::task(TransferPurpose::TaskForward, tid);
-    let then = RtEvent::StealGrant { thief, tid };
+    let then = RtEvent::StealGrant {
+        thief: packed(thief),
+        tid,
+    };
     send_deferred(sim, victim, thief, bytes, tag, then);
 }
 
@@ -417,13 +424,7 @@ pub(super) fn steal_granted(sim: &mut RtSim, thief: usize, tid: TaskId, arrived:
 
 // -------------------------------------------------------------------- split
 
-fn do_split(
-    sim: &mut RtSim,
-    loc: usize,
-    tid: TaskId,
-    wi: Box<dyn WorkItem>,
-    parent: Option<(TaskId, usize)>,
-) {
+fn do_split(sim: &mut RtSim, loc: usize, tid: TaskId, wi: Box<dyn WorkItem>, parent: Parent) {
     let overhead = sim.world.cost.task_overhead(loc);
     let now = sim.now();
     let (core, start, end) = sim.world.localities[loc]
@@ -440,7 +441,7 @@ fn do_split(
         EventKind::TaskSplit { task: tid.0 },
     );
     let then = RtEvent::SplitEnd {
-        loc,
+        loc: packed(loc),
         tid,
         wi,
         parent,
@@ -455,7 +456,7 @@ pub(super) fn split_end(
     loc: usize,
     tid: TaskId,
     wi: Box<dyn WorkItem>,
-    parent: Option<(TaskId, usize)>,
+    parent: Parent,
 ) {
     let result_bytes = wi.result_bytes();
     let outcome = wi.split();

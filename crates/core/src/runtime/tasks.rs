@@ -21,19 +21,41 @@ pub(super) struct Inflight {
     pub(super) wi: Option<Box<dyn WorkItem>>,
     pub(super) reqs: Vec<Requirement>,
     cold: Option<Box<Cold>>,
-    /// The parent's id; meaningful unless `child` is [`ROOT`].
-    parent: TaskId,
+    parent: Parent,
     loc: u32,
     pub(super) pending_transfers: u32,
-    /// This task's index among its parent's children.
-    child: u32,
 }
 
-/// The `child` index of a task without a parent.
+/// A task's place under its parent: the parent's id and the task's index
+/// among the parent's children, or the index [`ROOT`] for a task without
+/// a parent. Records and queued events keep it in 16 bytes, where an
+/// `Option<(TaskId, usize)>` takes 24.
+#[derive(Clone, Copy)]
+pub(super) struct Parent(TaskId, u32);
+
+/// The child index of a task without a parent.
 const ROOT: u32 = u32::MAX;
 
-/// A locality or a child index, in the 32 bits a record keeps for it.
-fn packed(n: usize) -> u32 {
+impl Parent {
+    /// The place of a task without a parent.
+    pub(super) const NONE: Parent = Parent(TaskId(0), ROOT);
+
+    /// Child `idx` of `parent`.
+    pub(super) fn child(parent: TaskId, idx: usize) -> Parent {
+        let idx = packed(idx);
+        assert_ne!(idx, ROOT, "a child index is not the root sentinel");
+        Parent(parent, idx)
+    }
+
+    /// The parent's id and the task's index, unless it has no parent.
+    pub(super) fn get(self) -> Option<(TaskId, usize)> {
+        (self.1 != ROOT).then_some((self.0, self.1 as usize))
+    }
+}
+
+/// A locality or a child index, in the 32 bits a record or an event keeps
+/// for it.
+pub(super) fn packed(n: usize) -> u32 {
     u32::try_from(n).expect("fits in 32 bits")
 }
 
@@ -58,8 +80,8 @@ impl Inflight {
         self.loc = packed(loc);
     }
 
-    pub(super) fn parent(&self) -> Option<(TaskId, usize)> {
-        (self.child != ROOT).then_some((self.parent, self.child as usize))
+    pub(super) fn parent(&self) -> Parent {
+        self.parent
     }
 
     fn cold(&mut self) -> &mut Cold {
@@ -100,7 +122,7 @@ struct ParentRecord {
     pending: usize,
     results: Vec<Option<TaskValue>>,
     combine: Box<dyn FnOnce(Vec<TaskValue>) -> TaskValue>,
-    parent: Option<(TaskId, usize)>,
+    parent: Parent,
     result_bytes: usize,
 }
 
@@ -124,13 +146,9 @@ impl TaskTable {
         tid: TaskId,
         loc: usize,
         wi: Box<dyn WorkItem>,
-        parent: Option<(TaskId, usize)>,
+        parent: Parent,
         reqs: Vec<Requirement>,
     ) {
-        let (parent, child) = match parent {
-            Some((ptid, idx)) => (ptid, packed(idx)),
-            None => (TaskId(0), ROOT),
-        };
         let inf = Inflight {
             wi: Some(wi),
             reqs,
@@ -138,7 +156,6 @@ impl TaskTable {
             parent,
             loc: packed(loc),
             pending_transfers: 0,
-            child,
         };
         self.inflight.insert(tid, inf);
     }
@@ -272,7 +289,7 @@ pub(super) fn spawn_children(
     sim: &mut RtSim,
     loc: usize,
     tid: TaskId,
-    parent: Option<(TaskId, usize)>,
+    parent: Parent,
     SplitOutcome { children, combine }: SplitOutcome,
     result_bytes: usize,
 ) -> bool {
@@ -292,7 +309,7 @@ pub(super) fn spawn_children(
         },
     );
     for (i, child) in children.into_iter().enumerate() {
-        sched::assign_task(sim, loc, child, Some((tid, i)));
+        sched::assign_task(sim, loc, child, Parent::child(tid, i));
     }
     true
 }
@@ -304,7 +321,7 @@ pub(super) fn finish_task(
     sim: &mut RtSim,
     loc: usize,
     tid: TaskId,
-    parent: Option<(TaskId, usize)>,
+    parent: Parent,
     value: TaskValue,
 ) {
     trace_instant(
@@ -313,10 +330,10 @@ pub(super) fn finish_task(
         loc,
         EventKind::TaskEnd {
             task: tid.0,
-            parent: parent.map(|(p, _)| p.0),
+            parent: parent.get().map(|(p, _)| p.0),
         },
     );
-    let Some((ptid, idx)) = parent else {
+    let Some((ptid, idx)) = parent.get() else {
         if !serving::root_done(sim, tid) {
             phases::advance_phase(sim, value);
         }
@@ -327,7 +344,7 @@ pub(super) fn finish_task(
     let tag = Payload::task(TransferPurpose::Result, tid);
     let then = RtEvent::ResultArrival {
         parent: ptid,
-        idx,
+        idx: packed(idx),
         value,
     };
     deliver(sim, loc, p_loc, bytes, tag, false, then);
@@ -356,6 +373,7 @@ pub(super) fn child_done(sim: &mut RtSim, ptid: TaskId, idx: usize, value: TaskV
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::events::Scheduled;
 
     #[test]
     fn a_task_in_flight_fits_in_80_bytes() {
@@ -364,8 +382,10 @@ mod tests {
         // wake-up ticket, and kept locality, parent index and transfer
         // count in words.
         assert!(std::mem::size_of::<(TaskId, Inflight)>() <= 80);
-        // The outcome now rides in `FinishExecution`, within the size the
-        // largest variant already set.
-        assert!(std::mem::size_of::<RtEvent>() <= 64);
+        // The outcome rides in `FinishExecution`, boxed when it is a split,
+        // and no variant needs more than 40 bytes: a queued event, with
+        // its epoch and its slot's tag, fits in 56.
+        assert!(std::mem::size_of::<RtEvent>() <= 48);
+        assert!(std::mem::size_of::<Option<Scheduled>>() <= 56);
     }
 }

@@ -14,6 +14,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use allscale_apps::serve::{self, ServeAppConfig};
+use allscale_apps::tpc::{KdNode, DIMS};
 use allscale_core::{
     CostModel, DataItemManager, DistIndex, Done, GridItem, ItemDescriptor, ItemId, LocationCache,
     LockConflict, MapItem, Requirement, ResilienceConfig, RtConfig, Runtime, SplitOutcome, TaskCtx,
@@ -21,7 +22,7 @@ use allscale_core::{
 };
 use allscale_des::SimDuration;
 use allscale_net::frame;
-use allscale_region::{BoxRegion, BucketRegion, Region};
+use allscale_region::{BoxRegion, BucketRegion, Region, TreeFragment, TreePath, TreeRegion};
 
 thread_local! {
     /// Allocations made by this thread (the test harness runs tests on
@@ -338,13 +339,46 @@ fn a_task_in_flight_holds_its_record_and_little_else() {
     // parent's result list and the tables' windows.
     let (few, many) = (4_096, 8_192);
     let marginal = (fan_run(many) - fan_run(few)) as f64 / (many - few) as f64;
-    // 228 today; 324 while each record (176 bytes with its id, 80 now)
-    // held its body's outcome, its replica list and its wake-up ticket
-    // inline and kept its locality, parent index and transfer count in
-    // words.
+    // 204 today; 228 while a queued event took a 72-byte slot and a
+    // 24-byte key (56 and 16 now), and 324 while each record (176 bytes
+    // with its id, 80 now) held its body's outcome, its replica list and
+    // its wake-up ticket inline and kept its locality, parent index and
+    // transfer count in words.
     assert!(
         marginal <= 240.0,
         "{marginal:.1} bytes held per additional task in flight (budget: 240)"
+    );
+}
+
+/// Peak live bytes of a fragment holding the complete subtree of
+/// `levels` levels below the root, filled from the root down.
+fn kd_tree_peak(levels: u32) -> i64 {
+    let node = KdNode {
+        point: [0.5; DIMS],
+        dim: 0,
+    };
+    let (peak, _) = peak_bytes_of(|| {
+        let mut f = TreeFragment::new(TreeRegion::subtree(TreePath::ROOT));
+        for idx in 0..(1u64 << levels) - 1 {
+            assert!(f.set(TreePath::from_bfs_index(idx), node.clone()));
+        }
+        f
+    });
+    peak
+}
+
+#[test]
+fn a_stored_tree_node_costs_its_value() {
+    // Eleven and ten levels, both inside one block: the slot map and the
+    // value list double exactly, so the difference is the cost of one
+    // stored node times the extra nodes.
+    assert_eq!(std::mem::size_of::<KdNode>(), 64);
+    let (k, extra) = (10, 1 << 10);
+    let marginal = (kd_tree_peak(k + 1) - kd_tree_peak(k)) as f64 / extra as f64;
+    // 76 while each value sat beside a copy of its slot.
+    assert!(
+        marginal <= 68.0,
+        "{marginal:.1} bytes per stored 64-byte node (budget: the value and its 4-byte slot)"
     );
 }
 

@@ -8,10 +8,11 @@
 //! allocation per event; a caller with a fixed set of continuations
 //! schedules an enum of them instead and allocates nothing per event.
 //!
-//! A 4-ary heap orders small keys, `(time, sequence, slot)`; the events
-//! wait in a slab whose freed slots are reused, so once the queue has been
-//! as deep as it gets, scheduling allocates nothing. Ties in firing time are broken
-//! by the monotonically increasing sequence number, which makes every run
+//! A 4-ary heap orders 16-byte keys, the firing time and one word holding
+//! the sequence number above the slab slot; the events wait in a slab
+//! whose freed slots are reused, so once the queue has been as deep as it
+//! gets, scheduling allocates nothing. Ties in firing time are broken by
+//! the monotonically increasing sequence number, which makes every run
 //! fully deterministic — a property the test suite and the experiment
 //! harness rely on.
 
@@ -38,13 +39,41 @@ impl<W> Event<W> for Closure<W> {
 }
 
 /// A queue entry: when, in which order among ties, and where the event
-/// waits. Ordering is on `(at, seq)`; `seq` is unique, so `slot` never
-/// decides.
+/// waits. `order` holds the sequence number in its high [`SEQ_BITS`] and
+/// the slab slot in its low [`SLOT_BITS`]; the sequence number is unique,
+/// so ordering on `(at, order)` is ordering on `(at, seq)` and the slot
+/// never decides.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Key {
     at: SimTime,
-    seq: u64,
-    slot: u32,
+    order: u64,
+}
+
+/// Bits of a key's slab slot: at most 2^24 (16.7 M) events pending at once.
+const SLOT_BITS: u32 = 24;
+/// Bits of a key's sequence number: 2^40 (10^12) events scheduled per run.
+const SEQ_BITS: u32 = 64 - SLOT_BITS;
+
+impl Key {
+    fn new(at: SimTime, seq: u64, slot: usize) -> Key {
+        assert!(
+            seq < 1 << SEQ_BITS,
+            "more than 2^{SEQ_BITS} events scheduled"
+        );
+        assert!(
+            slot < 1 << SLOT_BITS,
+            "more than 2^{SLOT_BITS} events pending"
+        );
+        Key {
+            at,
+            order: seq << SLOT_BITS | slot as u64,
+        }
+    }
+
+    #[inline]
+    fn slot(self) -> usize {
+        (self.order & ((1 << SLOT_BITS) - 1)) as usize
+    }
 }
 
 /// Children per node of the queue's heap: half as deep as a binary heap,
@@ -111,15 +140,16 @@ impl<W, E: Event<W>> Sim<W, E> {
         self.seq += 1;
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.slab[slot as usize] = Some(event);
+                let slot = slot as usize;
+                self.slab[slot] = Some(event);
                 slot
             }
             None => {
                 self.slab.push(Some(event));
-                (self.slab.len() - 1) as u32
+                self.slab.len() - 1
             }
         };
-        self.push(Key { at, seq, slot });
+        self.push(Key::new(at, seq, slot));
     }
 
     /// Sift `key` up from a new leaf.
@@ -174,10 +204,10 @@ impl<W, E: Event<W>> Sim<W, E> {
             return false;
         };
         debug_assert!(key.at >= self.now);
-        let event = self.slab[key.slot as usize]
+        let event = self.slab[key.slot()]
             .take()
             .expect("a queued key names an occupied slot");
-        self.free.push(key.slot);
+        self.free.push(key.slot() as u32);
         self.now = key.at;
         self.events_run += 1;
         event.fire(self);
@@ -360,5 +390,38 @@ mod tests {
         // The closure event is a fat pointer, and its slab slot needs no
         // tag beyond the pointer's niche.
         assert_eq!(std::mem::size_of::<Option<Closure<()>>>(), 16);
+    }
+
+    #[test]
+    fn a_queue_entry_fits_in_16_bytes() {
+        assert_eq!(std::mem::size_of::<Key>(), 16);
+        // An event of six words without a niche takes one more word for
+        // its slot's tag: the runtime's 48-byte event waits in 56 bytes.
+        assert_eq!(std::mem::size_of::<Option<[u64; 6]>>(), 56);
+    }
+
+    #[test]
+    fn a_key_packs_its_sequence_above_its_slot() {
+        let (seq, slot) = ((1 << SEQ_BITS) - 1, (1 << SLOT_BITS) - 1);
+        let last = Key::new(SimTime::from_nanos(7), seq, slot);
+        assert_eq!((last.order >> SLOT_BITS, last.slot()), (seq, slot));
+        // The sequence number decides ties whatever the slots.
+        let first = Key::new(SimTime::from_nanos(7), 0, slot);
+        let next = Key::new(SimTime::from_nanos(7), 1, 0);
+        assert!(first < next && next < last);
+        assert_eq!(next.slot(), 0);
+        assert!(Key::new(SimTime::from_nanos(6), seq, slot) < first);
+    }
+
+    #[test]
+    #[should_panic(expected = "events pending")]
+    fn a_slot_past_24_bits_panics() {
+        Key::new(SimTime::ZERO, 0, 1 << SLOT_BITS);
+    }
+
+    #[test]
+    #[should_panic(expected = "events scheduled")]
+    fn a_sequence_number_past_40_bits_panics() {
+        Key::new(SimTime::ZERO, 1 << SEQ_BITS, 0);
     }
 }

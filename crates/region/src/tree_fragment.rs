@@ -55,13 +55,15 @@ const SPAN: u8 = 12;
 /// `(1 << n) - 1 + s` — and holds 0 for "no node", else 1 + the node's
 /// position in `nodes`. It always ends on a level boundary: the block
 /// *claims* every path of its `levels` levels, stored or not. Values sit
-/// out of line so that an empty slot costs four bytes.
+/// out of line so that an empty slot costs four bytes, and hold nothing
+/// but the value: the two rare walks that need a value's slot
+/// ([`Block::entries`], [`Block::retain`]) invert `slots` to find it.
 #[derive(Clone)]
 struct Block<T> {
     root: TreePath,
     slots: Vec<u32>,
-    /// The stored nodes with their slots, in arrival order.
-    nodes: Vec<(u32, T)>,
+    /// The stored values, in arrival order.
+    nodes: Vec<T>,
 }
 
 /// The slot `levels` down from a block's root along `steps`.
@@ -92,35 +94,54 @@ impl<T> Block<T> {
     #[inline]
     fn get(&self, slot: usize) -> Option<&T> {
         let at = self.slots[slot].checked_sub(1)?;
-        Some(&self.nodes[at as usize].1)
+        Some(&self.nodes[at as usize])
     }
 
     fn store(&mut self, slot: usize, value: T) {
         match self.slots[slot].checked_sub(1) {
-            Some(at) => self.nodes[at as usize].1 = value,
+            Some(at) => self.nodes[at as usize] = value,
             None => {
-                self.nodes.push((slot as u32, value));
+                self.nodes.push(value);
                 self.slots[slot] = self.nodes.len() as u32;
             }
         }
     }
 
-    fn entries(&self) -> impl Iterator<Item = (TreePath, &T)> {
-        self.nodes
-            .iter()
-            .map(|(slot, v)| (path_at(self.root, *slot), v))
-    }
-
-    fn retain(&mut self, mut keep: impl FnMut(&TreePath) -> bool) {
-        let root = self.root;
-        let before = self.nodes.len();
-        self.nodes.retain(|(slot, _)| keep(&path_at(root, *slot)));
-        if self.nodes.len() < before {
-            self.slots.fill(0);
-            for (at, (slot, _)) in self.nodes.iter().enumerate() {
-                self.slots[*slot as usize] = at as u32 + 1;
+    /// Each stored value's slot, by the value's position in `nodes`.
+    fn slots_by_arrival(&self) -> Vec<u32> {
+        let mut by_arrival = vec![0; self.nodes.len()];
+        for (slot, &at) in self.slots.iter().enumerate() {
+            if let Some(at) = at.checked_sub(1) {
+                by_arrival[at as usize] = slot as u32;
             }
         }
+        by_arrival
+    }
+
+    /// Stored nodes in arrival order.
+    fn entries(&self) -> impl Iterator<Item = (TreePath, &T)> {
+        let root = self.root;
+        self.slots_by_arrival()
+            .into_iter()
+            .zip(&self.nodes)
+            .map(move |(slot, v)| (path_at(root, slot), v))
+    }
+
+    /// Keep the nodes whose paths `keep` accepts, in arrival order.
+    fn retain(&mut self, mut keep: impl FnMut(&TreePath) -> bool) {
+        let by_arrival = self.slots_by_arrival();
+        let mut at = 0;
+        for &slot in &by_arrival {
+            let stays = keep(&path_at(self.root, slot));
+            at += u32::from(stays);
+            self.slots[slot as usize] = if stays { at } else { 0 };
+        }
+        let (slots, mut by_arrival) = (&self.slots, by_arrival.into_iter());
+        self.nodes.retain(|_| {
+            by_arrival
+                .next()
+                .is_some_and(|slot| slots[slot as usize] != 0)
+        });
     }
 }
 
@@ -420,7 +441,7 @@ pub struct Subtree<'a, T> {
     root: TreePath,
     /// The slots and values of the block claiming `root` (empty if none).
     slots: &'a [u32],
-    values: &'a [(u32, T)],
+    values: &'a [T],
     /// How many levels from `root` down that block claims (0 if none).
     reach: u8,
     /// Where `root` sits below that block's root: levels and steps.
@@ -441,7 +462,7 @@ impl<'a, T> Subtree<'a, T> {
         let steps = steps & ((1 << levels) - 1);
         let slot = slot_at(self.down + levels, self.base | steps << self.down);
         let at = self.slots[slot].checked_sub(1)?;
-        Some(&self.values[at as usize].1)
+        Some(&self.values[at as usize])
     }
 
     #[inline(never)]
