@@ -617,10 +617,7 @@ fn i1(rot: f64, period_us: Option<u64>, seed: u64) -> Columns {
     let mut cfg = RtConfig::test(4, 2);
     cfg.faults = Some(FaultPlan::new(seed).with_rot(rot));
     let scrub_period = period_us.map(SimDuration::from_micros);
-    cfg = cfg.with_integrity(IntegrityConfig {
-        scrub_period,
-        ..IntegrityConfig::default()
-    });
+    cfg = cfg.with_integrity(IntegrityConfig { scrub_period });
     let r = Runtime::new(cfg).run(move |phase: usize, ctx: &mut RtCtx<'_>, _: TaskValue| {
         if phase == 0 {
             let g = Grid::<f64, 1>::create(ctx, "shared", [64]);

@@ -38,15 +38,14 @@ use crate::task::ItemId;
 /// Configuration of the data-integrity service. With the service on,
 /// every runtime payload is framed with a checksum and verified on
 /// receipt: a detected corruption is re-requested under the retry policy
-/// instead of delivered. The ablation baseline — poisoned bytes consumed
-/// silently under a corrupting fault plan — is the service off
+/// instead of delivered, and recovery verifies every checkpoint link's
+/// stored checksums, falling back to an older checkpoint (or a full
+/// restart) when a shard fails its check. The ablation baseline —
+/// poisoned bytes consumed silently under a corrupting fault plan, rotted
+/// checkpoints restored unchecked — is the service off
 /// (`RtConfig::integrity = None`).
 #[derive(Debug, Clone, Copy)]
 pub struct IntegrityConfig {
-    /// Store per-shard checksums with every checkpoint and verify them
-    /// during recovery, falling back to an older checkpoint (or a full
-    /// restart) when a shard fails its check.
-    pub verify_checkpoints: bool,
     /// Period of the background replica scrubber (`None` disables it).
     pub scrub_period: Option<SimDuration>,
 }
@@ -59,7 +58,6 @@ pub(crate) const QUARANTINE_AFTER: u32 = 3;
 impl Default for IntegrityConfig {
     fn default() -> Self {
         IntegrityConfig {
-            verify_checkpoints: true,
             scrub_period: Some(SimDuration::from_micros(100)),
         }
     }
@@ -122,7 +120,6 @@ mod tests {
     #[test]
     fn default_config_is_sane() {
         let cfg = IntegrityConfig::default();
-        assert!(cfg.verify_checkpoints);
         assert!(cfg.scrub_period.unwrap() > SimDuration::ZERO);
     }
 

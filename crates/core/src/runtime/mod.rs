@@ -218,9 +218,9 @@ impl RtConfig {
         }
     }
 
-    /// Enable the data-integrity service with the given policy. See
-    /// [`IntegrityConfig`] for the knobs; [`IntegrityConfig::default`]
-    /// turns on transfer and checkpoint verification plus the scrubber.
+    /// Enable the data-integrity service: transfer and checkpoint
+    /// verification, plus the scrubber at [`IntegrityConfig::scrub_period`]
+    /// ([`IntegrityConfig::default`] runs it every 100 µs).
     pub fn with_integrity(mut self, cfg: IntegrityConfig) -> Self {
         self.integrity = Some(cfg);
         self
@@ -566,7 +566,6 @@ mod tests {
     fn a_zero_scrub_period_is_refused() {
         Runtime::new(RtConfig::test(4, 1).with_integrity(IntegrityConfig {
             scrub_period: Some(SimDuration::ZERO),
-            ..IntegrityConfig::default()
         }));
     }
 

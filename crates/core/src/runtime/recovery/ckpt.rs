@@ -201,7 +201,7 @@ pub(super) fn tear_pending(w: &mut RtWorld, now: SimTime) {
 /// Also resets the detector's suspicion counters.
 pub(super) fn restore_point(w: &mut RtWorld) -> Option<(usize, u64)> {
     w.recovery.misses.fill(0);
-    let verify = w.integrity.is_some_and(|c| c.verify_checkpoints);
+    let verify = w.integrity.is_some();
     let mgr = w.recovery.manager.as_mut()?;
     mgr.fall_back(verify, &w.recovery.dead, &mut w.monitor)
 }

@@ -873,7 +873,6 @@ fn checksummed_transfers_mask_wire_corruption() {
     cfg.faults = Some(FaultPlan::new(0xc0ffee).with_corruption(0.1));
     cfg = cfg.with_integrity(IntegrityConfig {
         scrub_period: None, // isolate the wire-verification path
-        ..IntegrityConfig::default()
     });
     // bump_roundtrip asserts exact values, so completing at all proves
     // the corrupted run computed the same data as a fault-free one.
@@ -926,7 +925,6 @@ fn scrubber_repairs_and_quarantines_rotting_replicas() {
     cfg.faults = Some(FaultPlan::new(7).with_rot(1.0));
     cfg = cfg.with_integrity(IntegrityConfig {
         scrub_period: Some(SimDuration::from_micros(3)),
-        ..IntegrityConfig::default()
     });
     let rt = Runtime::new(cfg);
     let report = rt.run(
@@ -1028,10 +1026,7 @@ fn recovery_rejects_rotted_checkpoints_and_restarts() {
         heartbeat_period: SimDuration::from_nanos((total / 50).max(500)),
         ..ResilienceConfig::default()
     });
-    cfg = cfg.with_integrity(IntegrityConfig {
-        scrub_period: None,
-        ..IntegrityConfig::default()
-    });
+    cfg = cfg.with_integrity(IntegrityConfig { scrub_period: None });
     let report = bump_roundtrip(cfg, 2);
     let g = &report.monitor.integrity;
     assert!(
@@ -1088,10 +1083,7 @@ fn recovery_falls_back_the_configured_retention_depth() {
     // a fresh checkpoint (any kill in 68–82 % of the run does).
     let mut cfg = config(4, 2);
     cfg.resilience = Some(res(4, SimDuration::from_micros(50)));
-    cfg = cfg.with_integrity(IntegrityConfig {
-        scrub_period: None,
-        ..IntegrityConfig::default()
-    });
+    cfg = cfg.with_integrity(IntegrityConfig { scrub_period: None });
     let (_, clean) = run(cfg, false);
     let total = clean.finish_time.as_nanos();
     let hb = SimDuration::from_nanos((total / 200).max(100));
@@ -1103,10 +1095,7 @@ fn recovery_falls_back_the_configured_retention_depth() {
     let mut cfg4 = config(4, 2);
     cfg4.faults = Some(plan.clone());
     cfg4.resilience = Some(res(4, hb));
-    cfg4 = cfg4.with_integrity(IntegrityConfig {
-        scrub_period: None,
-        ..IntegrityConfig::default()
-    });
+    cfg4 = cfg4.with_integrity(IntegrityConfig { scrub_period: None });
     let (retained, report) = run(cfg4, true);
     assert_eq!(retained, 4, "keep=4 retains four checkpoints");
     let g = &report.monitor.integrity;
@@ -1126,10 +1115,7 @@ fn recovery_falls_back_the_configured_retention_depth() {
     let mut cfg2 = config(4, 2);
     cfg2.faults = Some(plan);
     cfg2.resilience = Some(res(2, hb));
-    cfg2 = cfg2.with_integrity(IntegrityConfig {
-        scrub_period: None,
-        ..IntegrityConfig::default()
-    });
+    cfg2 = cfg2.with_integrity(IntegrityConfig { scrub_period: None });
     let (retained, report) = run(cfg2, true);
     assert_eq!(retained, 2, "keep=2 retains two checkpoints");
     let r = &report.monitor.resilience;

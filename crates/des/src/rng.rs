@@ -18,7 +18,7 @@
 pub const MIX_GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
 /// Mixing constant of the wire-corruption fault arm (splitmix64's first
 /// round constant) — distinct from [`MIX_GOLDEN`] so enabling the arm
-/// never reshuffles the drop/delay stream.
+/// never reshuffles the drop stream.
 pub const MIX_CORRUPT: u64 = 0xbf58_476d_1ce4_e5b9;
 /// Mixing constant of the at-rest rot fault arm.
 pub const MIX_ROT: u64 = 0x94d0_49bb_1331_11eb;
@@ -237,7 +237,7 @@ mod tests {
         // FaultPlan's historical arms: three mixes, output multiplied by
         // STAR_MUL, probability draws reduced mod 1e6.
         for (mix, name) in [
-            (MIX_GOLDEN, "drop/delay"),
+            (MIX_GOLDEN, "drop"),
             (MIX_CORRUPT, "corrupt"),
             (MIX_ROT, "rot"),
         ] {

@@ -5,10 +5,10 @@
 //! requires a cluster that can actually fail. A [`FaultPlan`] makes the
 //! simulated network misbehave in a fully reproducible way:
 //!
-//! - **transient message faults** — individual transfers are dropped or
-//!   delayed with configurable probabilities, drawn from a seeded
-//!   xorshift generator so every run with the same seed observes the
-//!   identical fault sequence;
+//! - **transient message faults** — individual transfers are dropped
+//!   with a configurable probability, drawn from a seeded xorshift
+//!   generator so every run with the same seed observes the identical
+//!   fault sequence;
 //! - **fail-stop node deaths** — a locality can be marked *dead* from a
 //!   chosen simulated time onward; after that instant it neither sends
 //!   nor receives (its volatile data is considered lost — wiping it is
@@ -16,10 +16,9 @@
 //! - **silent corruption** — a delivered message arrives with a bit
 //!   flipped ([`Verdict::Corrupt`]), and a replica sitting on disk can
 //!   *rot* between writes ([`FaultPlan::rot_strikes`]). Both draw from
-//!   generators seeded independently of the drop/delay stream, so
-//!   enabling corruption never perturbs the drop/delay sequence of an
-//!   otherwise identical run, and the three arms are statistically
-//!   independent.
+//!   generators seeded independently of the drop stream, so enabling
+//!   corruption never perturbs the drop sequence of an otherwise
+//!   identical run, and the three arms are statistically independent.
 //!
 //! The plan is consulted by [`Network::try_transfer_frame`] and the
 //! retry wrapper [`Network::transfer_with_retry_frame`]; the plain infallible
@@ -55,8 +54,6 @@ pub enum TransferFault {
 pub enum Verdict {
     /// Deliver normally.
     Deliver,
-    /// Deliver, but `SimDuration` later than the cost model says.
-    Delay(SimDuration),
     /// Deliver on time, but with the payload silently mangled in transit.
     /// Whether anyone *notices* is the integrity layer's business.
     Corrupt,
@@ -76,10 +73,8 @@ pub struct FaultPlan {
     corrupt_rng: XorShift64Star,
     rot_rng: XorShift64Star,
     drop_ppm: u32,
-    delay_ppm: u32,
     corrupt_ppm: u32,
     rot_ppm: u32,
-    delay: SimDuration,
     deaths: BTreeMap<usize, SimTime>,
 }
 
@@ -90,14 +85,12 @@ impl FaultPlan {
             rng: XorShift64Star::with_mix(seed, MIX_GOLDEN),
             // Corruption and rot get their own generators, seeded with
             // different odd mixing constants: turning either arm on must
-            // not advance (and thereby reshuffle) the drop/delay stream.
+            // not advance (and thereby reshuffle) the drop stream.
             corrupt_rng: XorShift64Star::with_mix(seed, MIX_CORRUPT),
             rot_rng: XorShift64Star::with_mix(seed, MIX_ROT),
             drop_ppm: 0,
-            delay_ppm: 0,
             corrupt_ppm: 0,
             rot_ppm: 0,
-            delay: SimDuration::ZERO,
             deaths: BTreeMap::new(),
         }
     }
@@ -108,16 +101,9 @@ impl FaultPlan {
         self
     }
 
-    /// Delay each (delivered) message by `delay` with probability `p`.
-    pub fn with_delay(mut self, p: f64, delay: SimDuration) -> Self {
-        self.delay_ppm = (p.clamp(0.0, 1.0) * 1e6) as u32;
-        self.delay = delay;
-        self
-    }
-
     /// Silently corrupt each delivered message's payload with
     /// probability `p` (clamped to `[0, 1]`). Drawn from a generator
-    /// independent of the drop/delay stream.
+    /// independent of the drop stream.
     pub fn with_corruption(mut self, p: f64) -> Self {
         self.corrupt_ppm = (p.clamp(0.0, 1.0) * 1e6) as u32;
         self
@@ -179,16 +165,14 @@ impl FaultPlan {
     /// Judge one message attempt from `src` to `dst` submitted at `now`.
     ///
     /// Death checks come first (they are schedule-independent). The
-    /// drop/delay draws advance the main generator exactly as they did
-    /// before corruption existed — one draw per configured probability,
-    /// delay drawn only when the message was not dropped — so the
-    /// drop/delay stream of a seed is invariant under the corruption
-    /// knob. The corruption draw comes from its own generator, advanced
-    /// once per remote judgement whenever corruption is configured (even
-    /// for messages that end up dropped), which keeps the arms
-    /// independent. Precedence: a dropped message cannot also arrive
-    /// corrupt; corruption preempts an injected delay (the mangled bytes
-    /// arrive on time — lateness would only make them easier to notice).
+    /// drop draw advances the main generator exactly as it did before
+    /// corruption existed — once per remote judgement when a drop rate is
+    /// configured — so the drop stream of a seed is invariant under the
+    /// corruption knob. The corruption draw comes from its own generator,
+    /// advanced once per remote judgement whenever corruption is
+    /// configured (even for messages that end up dropped), which keeps
+    /// the arms independent. Precedence: a dropped message cannot also
+    /// arrive corrupt.
     pub fn judge(&mut self, now: SimTime, src: usize, dst: usize) -> Verdict {
         if self.is_dead(src, now) {
             return Verdict::Fault(TransferFault::SenderDead);
@@ -200,18 +184,14 @@ impl FaultPlan {
             // Local copies never traverse the faulty fabric.
             return Verdict::Deliver;
         }
-        let base = if self.drop_ppm > 0 && self.rng.next_ppm() < self.drop_ppm {
+        let dropped = self.drop_ppm > 0 && self.rng.next_ppm() < self.drop_ppm;
+        let corrupt = self.corrupt_ppm > 0 && self.corrupt_rng.next_ppm() < self.corrupt_ppm;
+        if dropped {
             Verdict::Fault(TransferFault::Dropped)
-        } else if self.delay_ppm > 0 && self.rng.next_ppm() < self.delay_ppm {
-            Verdict::Delay(self.delay)
+        } else if corrupt {
+            Verdict::Corrupt
         } else {
             Verdict::Deliver
-        };
-        let corrupt = self.corrupt_ppm > 0 && self.corrupt_rng.next_ppm() < self.corrupt_ppm;
-        match base {
-            Verdict::Fault(f) => Verdict::Fault(f),
-            _ if corrupt => Verdict::Corrupt,
-            other => other,
         }
     }
 }
@@ -308,15 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn delays_have_the_configured_magnitude() {
-        let mut plan = FaultPlan::new(3).with_delay(1.0, SimDuration::from_nanos(777));
-        assert_eq!(
-            plan.judge(t(0), 0, 1),
-            Verdict::Delay(SimDuration::from_nanos(777))
-        );
-    }
-
-    #[test]
     fn corruption_draws_are_deterministic_and_independent_of_drop_stream() {
         // Same seed, corruption on/off: the drop outcomes must coincide
         // attempt for attempt (corruption only upgrades non-faulted
@@ -349,9 +320,7 @@ mod tests {
 
     #[test]
     fn corruption_preempts_delay_but_not_drops_or_deaths() {
-        let mut plan = FaultPlan::new(2)
-            .with_delay(1.0, SimDuration::from_nanos(500))
-            .with_corruption(1.0);
+        let mut plan = FaultPlan::new(2).with_corruption(1.0);
         assert_eq!(plan.judge(t(0), 0, 1), Verdict::Corrupt);
         let mut plan = FaultPlan::new(2).with_drop_rate(1.0).with_corruption(1.0);
         assert_eq!(

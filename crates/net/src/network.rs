@@ -96,8 +96,6 @@ allscale_des::stat_struct! {
         pub local: Tally,
         /// Messages lost to transient faults (each retry attempt counts).
         pub dropped: u64,
-        /// Messages delivered late because of an injected delay.
-        pub delayed: u64,
         /// Retry attempts made by [`Network::transfer_with_retry_frame`].
         pub retries: u64,
         /// Simulated nanoseconds spent in ack timeouts and backoff.
@@ -201,7 +199,7 @@ impl<T: Topology> Network<T> {
     }
 
     /// Install a tracing sink; the network then records fault-layer
-    /// instants (drops, injected delays, retries) as they happen. Transfer
+    /// instants (drops, corruptions, retries) as they happen. Transfer
     /// spans themselves are recorded by the caller, which knows *why* each
     /// message was sent.
     pub fn install_trace(&mut self, sink: TraceSink) {
@@ -270,8 +268,6 @@ impl<T: Topology> Network<T> {
     /// - A transient drop still occupies the sender's NIC — the bytes
     ///   left, they just never arrived — and is reported as
     ///   [`TransferFault::Dropped`].
-    /// - An injected delay postpones arrival past the cost model's time.
-    ///
     /// - A corruption is made visible: the returned [`Delivered`] carries
     ///   an `intact` flag, and with integrity enabled a corrupt arrival is
     ///   refused as [`TransferFault::Corrupted`] after billing the full
@@ -293,22 +289,6 @@ impl<T: Topology> Network<T> {
         match verdict {
             Verdict::Deliver => {
                 let at = self.transfer(now, src, dst, bytes);
-                Ok(Delivered { at, intact: true })
-            }
-            Verdict::Delay(extra) => {
-                self.stats.delayed += 1;
-                self.trace.record(|| {
-                    TraceEvent::instant(
-                        now.as_nanos(),
-                        src as u32,
-                        EventKind::NetDelay {
-                            src: src as u32,
-                            dst: dst as u32,
-                            extra_ns: extra.as_nanos(),
-                        },
-                    )
-                });
-                let at = self.transfer(now, src, dst, bytes) + extra;
                 Ok(Delivered { at, intact: true })
             }
             Verdict::Corrupt => {
@@ -368,8 +348,8 @@ impl<T: Topology> Network<T> {
     /// waits behind bulk data and occupies no serialization resources —
     /// paying wire latency only. The fault plan applies exactly as for
     /// [`Network::try_transfer_frame`] (dead endpoints refuse it, drops lose
-    /// it, injected delays postpone it, and the generator draws advance
-    /// identically), so probes and data see the same fault schedule.
+    /// it, and the generator draws advance identically), so probes and data
+    /// see the same fault schedule.
     ///
     /// Keeping probes out of the bandwidth queues keeps the failure
     /// detector *causal*: a probe submitted at `now` is judged against
@@ -390,10 +370,6 @@ impl<T: Topology> Network<T> {
         let lat = self.params.latency(self.topology.hops(src, dst));
         match verdict {
             Verdict::Deliver => Ok(now + lat),
-            Verdict::Delay(extra) => {
-                self.stats.delayed += 1;
-                Ok(now + lat + extra)
-            }
             // A mangled probe still proves its sender alive: liveness is
             // carried by arrival, not by payload integrity.
             Verdict::Corrupt => {
@@ -651,17 +627,6 @@ mod tests {
             2,
             "attempts - 1 retries before giving up"
         );
-    }
-
-    #[test]
-    fn injected_delay_postpones_arrival() {
-        use crate::fault::FaultPlan;
-        let clean = net(2).transfer(t(0), 0, 1, 1_000);
-        let mut n = net(2);
-        n.install_faults(FaultPlan::new(2).with_delay(1.0, SimDuration::from_nanos(5_000)));
-        let arrival = n.try_transfer_frame(t(0), 0, 1, 1_000).unwrap();
-        assert_eq!(arrival.at.as_nanos(), clean.as_nanos() + 5_000);
-        assert_eq!(n.stats().delayed, 1);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Property-based tests of the deterministic fault plan: a seed's
 //! verdict stream is exactly reproducible (including the corruption
-//! draws), and the drop/delay, corruption and rot arms draw from
+//! draws), and the drop, corruption and rot arms draw from
 //! independent generators — turning one arm on or off never reshuffles
 //! the others. These are the invariants the integrity layer's
 //! "disabled runs are byte-identical" guarantee rests on.
 
 use proptest::prelude::*;
 
-use allscale_des::{SimDuration, SimTime};
+use allscale_des::SimTime;
 use allscale_net::{FaultPlan, TransferFault, Verdict};
 
 fn t(ns: u64) -> SimTime {
@@ -16,10 +16,9 @@ fn t(ns: u64) -> SimTime {
 
 /// Build a plan from ppm-valued knobs (the strategy space) and collect
 /// its verdicts for `n` back-to-back remote attempts.
-fn verdicts(seed: u64, drop_ppm: u32, delay_ppm: u32, corrupt_ppm: u32, n: usize) -> Vec<Verdict> {
+fn verdicts(seed: u64, drop_ppm: u32, corrupt_ppm: u32, n: usize) -> Vec<Verdict> {
     let mut plan = FaultPlan::new(seed)
         .with_drop_rate(drop_ppm as f64 / 1e6)
-        .with_delay(delay_ppm as f64 / 1e6, SimDuration::from_nanos(321))
         .with_corruption(corrupt_ppm as f64 / 1e6);
     (0..n).map(|i| plan.judge(t(i as u64), 0, 1)).collect()
 }
@@ -27,36 +26,34 @@ fn verdicts(seed: u64, drop_ppm: u32, delay_ppm: u32, corrupt_ppm: u32, n: usize
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Replaying a seed replays the exact verdict stream — drops, delays
-    /// and corruptions strike the same attempts in the same order.
+    /// Replaying a seed replays the exact verdict stream — drops and
+    /// corruptions strike the same attempts in the same order.
     #[test]
     fn verdict_stream_is_a_pure_function_of_the_seed(
         seed in 0u64..1_000_000,
         drop_ppm in 0u32..400_000,
-        delay_ppm in 0u32..400_000,
         corrupt_ppm in 0u32..400_000,
     ) {
-        let a = verdicts(seed, drop_ppm, delay_ppm, corrupt_ppm, 256);
-        let b = verdicts(seed, drop_ppm, delay_ppm, corrupt_ppm, 256);
+        let a = verdicts(seed, drop_ppm, corrupt_ppm, 256);
+        let b = verdicts(seed, drop_ppm, corrupt_ppm, 256);
         prop_assert_eq!(a, b);
     }
 
-    /// Enabling the corruption arm never changes *which* attempts drop
-    /// or get delayed: the non-corrupt projection of the stream is
-    /// invariant, corruption only upgrades would-be deliveries.
+    /// Enabling the corruption arm never changes *which* attempts drop:
+    /// the non-corrupt projection of the stream is invariant, corruption
+    /// only upgrades would-be deliveries.
     #[test]
-    fn corruption_knob_does_not_perturb_drop_delay_stream(
+    fn corruption_knob_does_not_perturb_drop_stream(
         seed in 0u64..1_000_000,
         drop_ppm in 0u32..400_000,
-        delay_ppm in 0u32..400_000,
         corrupt_ppm in 1u32..1_000_000,
     ) {
-        let off = verdicts(seed, drop_ppm, delay_ppm, 0, 256);
-        let on = verdicts(seed, drop_ppm, delay_ppm, corrupt_ppm, 256);
+        let off = verdicts(seed, drop_ppm, 0, 256);
+        let on = verdicts(seed, drop_ppm, corrupt_ppm, 256);
         for (i, (v_off, v_on)) in off.iter().zip(&on).enumerate() {
             match v_on {
-                // A corrupt verdict replaces a delivery or delay, never
-                // a drop (a lost message has no payload to mangle).
+                // A corrupt verdict replaces a delivery, never a drop (a
+                // lost message has no payload to mangle).
                 Verdict::Corrupt => prop_assert!(
                     !matches!(v_off, Verdict::Fault(_)),
                     "attempt {i}: corruption overwrote fault {v_off:?}"
@@ -69,17 +66,17 @@ proptest! {
         }
     }
 
-    /// The reverse direction: drop/delay settings never move the
-    /// corruption strikes. An attempt that corrupts under one drop rate
-    /// corrupts (or is masked by a drop) under any other.
+    /// The reverse direction: drop settings never move the corruption
+    /// strikes. An attempt that corrupts under one drop rate corrupts (or
+    /// is masked by a drop) under any other.
     #[test]
     fn drop_knob_does_not_perturb_corruption_stream(
         seed in 0u64..1_000_000,
         drop_ppm in 1u32..500_000,
         corrupt_ppm in 1u32..1_000_000,
     ) {
-        let clean = verdicts(seed, 0, 0, corrupt_ppm, 256);
-        let lossy = verdicts(seed, drop_ppm, 0, corrupt_ppm, 256);
+        let clean = verdicts(seed, 0, corrupt_ppm, 256);
+        let lossy = verdicts(seed, drop_ppm, corrupt_ppm, 256);
         for (i, (c, l)) in clean.iter().zip(&lossy).enumerate() {
             if *c == Verdict::Corrupt {
                 prop_assert!(
@@ -108,7 +105,7 @@ proptest! {
         corrupt_ppm in 0u32..400_000,
         locals in prop::collection::vec(0usize..8, 0..64),
     ) {
-        let plain = verdicts(seed, drop_ppm, 0, corrupt_ppm, 64);
+        let plain = verdicts(seed, drop_ppm, corrupt_ppm, 64);
         let mut plan = FaultPlan::new(seed)
             .with_drop_rate(drop_ppm as f64 / 1e6)
             .with_corruption(corrupt_ppm as f64 / 1e6);
@@ -143,7 +140,7 @@ proptest! {
         corrupt_ppm in 0u32..400_000,
         rot_ppm in 1u32..1_000_000,
     ) {
-        let plain = verdicts(seed, drop_ppm, 0, corrupt_ppm, 128);
+        let plain = verdicts(seed, drop_ppm, corrupt_ppm, 128);
         let mut plan = FaultPlan::new(seed)
             .with_drop_rate(drop_ppm as f64 / 1e6)
             .with_corruption(corrupt_ppm as f64 / 1e6)

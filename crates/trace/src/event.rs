@@ -334,15 +334,6 @@ event_kinds! {
                 /// Payload size of the lost attempt.
                 bytes: u64,
             }
-            /// A transfer delivered late because of an injected delay (instant).
-            NetDelay as "delay" {
-                /// Sending locality.
-                src: u32,
-                /// Receiving locality.
-                dst: u32,
-                /// Injected extra latency.
-                extra_ns: u64,
-            }
             /// A retry attempt after a dropped transfer (instant at the moment the
             /// sender re-sends, backoff already elapsed).
             NetRetry as "retry" {

@@ -98,7 +98,6 @@ fn main() {
     // must match the baseline exactly.
     let mut verified = RtConfig::test(NODES, CORES).with_integrity(IntegrityConfig {
         scrub_period: None, // no replicas rot here; scrubbing is idle
-        ..IntegrityConfig::default()
     });
     verified.faults = Some(FaultPlan::new(seed).with_corruption(CORRUPT_RATE));
     println!("\nverified run (same fault plan, checksummed transfers):");

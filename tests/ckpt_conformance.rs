@@ -209,10 +209,10 @@ fn mid_drain_kill_sweep_never_restores_torn_state() {
 
 /// After a recovery, incremental change detection restarts from the hash of
 /// the bytes that were restored (a debug assertion inside the recovery
-/// compares the two). With verification on that hash is the checksum
-/// `reconstruct` just verified, and the recovery falls back past a rotted
-/// link onto one that still verifies; with verification off a rotted shard
-/// is restored as it is, and its stored checksum no longer describes it.
+/// compares the two). With the integrity service on that hash is the
+/// checksum `reconstruct` just verified, and the recovery falls back past a
+/// rotted link onto one that still verifies; with it off a rotted shard is
+/// restored as it is, and its stored checksum no longer describes it.
 #[test]
 fn change_detection_restarts_from_what_a_rotted_chain_restored() {
     let cfg = stencil(6);
@@ -225,23 +225,22 @@ fn change_detection_restarts_from_what_a_rotted_chain_restored() {
     rt.resilience = Some(resilience(ckpt, 1));
     let (clean, clean_report) = allscale_version::run_with_report(&cfg, rt);
 
-    let faulted = |seed: u64, rot: f64, verify_checkpoints: bool| {
-        let rt = killed(&clean_report, 70, FaultPlan::new(seed).with_rot(rot), ckpt);
-        let rt = rt.with_integrity(IntegrityConfig {
-            verify_checkpoints,
-            scrub_period: None,
-        });
+    let faulted = |seed: u64, rot: f64, integrity: bool| {
+        let mut rt = killed(&clean_report, 70, FaultPlan::new(seed).with_rot(rot), ckpt);
+        if integrity {
+            rt = rt.with_integrity(IntegrityConfig { scrub_period: None });
+        }
         allscale_version::run_with_report(&cfg, rt)
     };
 
-    // Verification off, every stored shard rotted: the newest chain is
+    // Integrity off, every stored shard rotted: the newest chain is
     // restored, poison and all.
     let (_, report) = faulted(1, 1.0, false);
     let (r, i) = (&report.monitor.resilience, &report.monitor.integrity);
     assert!(r.recoveries >= 1 && r.restored_bytes > 0, "{r:?}");
     assert!(i.rot_injected > 0 && i.checkpoint_fallbacks == 0, "{i:?}");
 
-    // Verification on, some shards rotted: exact results throughout, and
+    // Integrity on, some shards rotted: exact results throughout, and
     // at least one seed restores an older link behind a rejected one.
     let mut fell_back_onto_a_checkpoint = 0;
     for seed in 0..9 {

@@ -24,6 +24,7 @@ name contains SUBSTRING anywhere on the stack before either table is built:
 `--skip warm_up` leaves out each hostbench child's untimed warm-up run.
 """
 import collections
+import os
 import subprocess
 import sys
 
@@ -111,4 +112,11 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early (`| head -1`): nobody wants the rest.
+        # Point stdout at /dev/null so the interpreter's last flush at
+        # exit cannot raise again, and leave quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
