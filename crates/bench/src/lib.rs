@@ -19,8 +19,8 @@
 //! cargo run --release -p allscale-bench --bin experiments -- --out target fig7
 //! ```
 //!
-//! Criterion microbenches for the runtime's building blocks live under
-//! `benches/`.
+//! Host time per layer is measured by `hostbench/` (its README lists the
+//! probes); a row's `host_ms` here is only that row's wall time.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -17,8 +17,8 @@
 //!
 //! A directed end-to-end test additionally checks that a real `Runtime`
 //! run populates the cache counters in the `RunReport`, and a lenient
-//! timing smoke test guards the cache's reason to exist (the criterion
-//! bench `index_resolution` carries the real numbers).
+//! timing smoke test guards the cache's reason to exist (hostbench's
+//! `loc_cache.hit.ns_per_op`, `index.resolve.ns_per_op` are the numbers).
 //!
 //! Its `World` is the one index-level model, kept beside the program
 //! family of `tests/common/family.rs` on purpose: it drives the index,
@@ -585,8 +585,8 @@ fn central_index_runs_bypass_the_cache() {
 
 /// Lenient timing smoke test: warm repeat-resolutions through the cache
 /// must be at least 2× faster than uncached traversals on a 64-process
-/// index (the criterion bench asserts nothing but measures the real
-/// margin, which should be far larger).
+/// index (hostbench's `loc_cache.hit.ns_per_op` and
+/// `index.resolve.ns_per_op` measure the real margin, far larger).
 #[test]
 fn warm_hits_beat_uncached_traversals() {
     use std::time::Instant;

@@ -12,9 +12,10 @@ suffix is stripped, `{a,b}` alternatives and glob patterns are expanded,
 and `examples/<name>` also resolves to `examples/<name>.rs`. Prints one
 `MISSING` line per path that matches nothing.
 
-A command is `--bin X` or `--example X` in those documents and module
-docs, in ROADMAP.md or in `.claude/skills/verify/SKILL.md`: X must be a `[[bin]]`
-or `[[example]]` some `Cargo.toml` declares. Every experiment named on an
+A command is `--K X`, K one of `bin`, `example` and `bench`, in those
+documents and module docs, in ROADMAP.md or in
+`.claude/skills/verify/SKILL.md`: X must be a `[[K]]` some `Cargo.toml`
+declares. Every experiment named on an
 `experiments` command line (`--bin experiments -- [--out DIR] NAME ...`)
 must have a checked-in `BENCH_<NAME>.json`. Prints one `STALE` line per
 command that fails either. Exits 1 on any `MISSING` or `STALE` line.
@@ -65,7 +66,8 @@ field or arm without a row and one `STALE` line per count that is off.
 Rust source beside the real ones: a renamed `suite::test`, a renamed
 `experiment::conclusion`, a missing path, a closed item number, a
 renamed `fn` behind a test path, a section DESIGN.md does not have, a
-renamed method and a config field with no knob row must each fail it,
+renamed method, an undeclared bench target and a config field with no
+knob row must each fail it,
 and a line naming only what exists must not. Exits 1 when the audit
 misses a seeded fault or flags the clean line.
 """
@@ -80,10 +82,11 @@ DOCS = ["DESIGN.md", "README.md", "EXPERIMENTS.md"]
 COMMAND_DOCS = DOCS + ["ROADMAP.md", ".claude/skills/verify/SKILL.md"]
 ROOTS = ("crates/", "tests/", "tools/", "examples/", "hostbench/", ".github/")
 TOKEN = re.compile(r"`([^`\n]+)`")
-TARGET = re.compile(r"--(bin|example)\s+([A-Za-z0-9_-]+)")
+KINDS = "bin|example|bench"
+TARGET = re.compile(rf"--({KINDS})\s+([A-Za-z0-9_-]+)")
 # A `[` opens a synopsis placeholder (`[--out DIR] [NAME ...]`), not a name.
 EXPERIMENTS = re.compile(r"--bin\s+experiments\s+--\s+([^`#|);<>\[]*)")
-DECLARED = re.compile(r'\[\[(bin|example)\]\]\s*\nname\s*=\s*"([^"]+)"')
+DECLARED = re.compile(rf'\[\[({KINDS})\]\]\s*\nname\s*=\s*"([^"]+)"')
 BRACES = re.compile(r"\{([^{}]*)\}")
 TEST_REF = re.compile(r"^([a-z0-9_]+)::(\{[^{}`]*\}|[A-Za-z0-9_*]+)")
 FN = re.compile(r"\bfn\s+([A-Za-z0-9_]+)")
@@ -121,7 +124,7 @@ def exists(path):
 
 
 def declared_targets():
-    """(kind, name) of every `[[bin]]` and `[[example]]` of every manifest."""
+    """(kind, name) of every `[[bin]]`, `[[example]]` and `[[bench]]` of every manifest."""
     found = set()
     for manifest in ["Cargo.toml", "hostbench/Cargo.toml"] + glob.glob("crates/*/Cargo.toml"):
         with open(manifest, encoding="utf-8") as f:
@@ -150,7 +153,7 @@ def lines(docs, seeded=()):
 
 
 def stale_commands(seeded):
-    """One line per `--bin`/`--example` that names no declared target and
+    """One line per `--bin`/`--example`/`--bench` that names no declared target and
     per experiment named on a command line without a checked-in file."""
     declared = declared_targets()
     stale = []
@@ -426,6 +429,7 @@ def self_test():
         f"`{test_file}::{test_fn}_renamed`",
         f"DESIGN.md §{missing_section}",
         f"`{type_name}::{member}_renamed`",
+        f"`--{KINDS.split('|')[-1]} no_such_target`",
     ])
     source = "pub struct RtConfig {\n    pub seeded_knob: bool,\n}\n"
     flagged = audit([("SEEDED.md", seeded), ("SEEDED.rs", source)])
@@ -435,11 +439,11 @@ def self_test():
     lines_hit = sorted(int(line.split(":")[1]) for line in flagged if "SEEDED.md" in line)
     knob = [line for line in flagged if line.startswith("MISSING SEEDED.rs:2: RtConfig::seeded_knob")]
     counts = [line for line in flagged if "§7 counts" in line]
-    if lines_hit != [2, 3, 4, 5, 7, 8, 9] or len(knob) != 1 or len(counts) != 2:
-        print(f"SELF-TEST FAILED: expected lines 2-5 and 7-9 once each, the field and two counts, got {flagged}")
+    if lines_hit != [2, 3, 4, 5, 7, 8, 9, 10] or len(knob) != 1 or len(counts) != 2:
+        print(f"SELF-TEST FAILED: expected lines 2-5 and 7-10 once each, the field and two counts, got {flagged}")
         return 1
     print("self-test: a renamed test, conclusion, test fn and method, a missing path, a closed item,")
-    print("a missing section and a config field without a knob row each fail")
+    print("a missing section, an undeclared bench target and a config field without a knob row each fail")
     return 0
 
 

@@ -8,7 +8,7 @@ exactly one implementation outside `#[cfg(test)]` code.
     tools/pub_audit.py            # from the repository root
 
 `UNUSED`      nothing reads it anywhere but its own crate's unit tests;
-`ext-only`    only tests/, examples/, benches or hostbench/ do (listed);
+`ext-only`    only tests/, examples/ or hostbench/ do (listed);
 `SINGLE-IMPL` a trait with one implementation (named after `<-`). A
               blanket impl over an `Fn*` bound is one implementation; a
               blanket impl over another of the workspace's traits is type
@@ -137,7 +137,7 @@ def single_impls(sources):
 crates = {p: without_unit_tests(open(p).read())
           for p in glob.glob("crates/*/src/**/*.rs", recursive=True)}
 outside = [p for pat in ("tests/**/*.rs", "examples/*.rs", "hostbench/src/**/*.rs",
-                         "crates/*/tests/*.rs", "crates/*/benches/*.rs")
+                         "crates/*/tests/*.rs")
            for p in glob.glob(pat, recursive=True)]
 
 defined = collections.defaultdict(set)
