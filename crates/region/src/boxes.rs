@@ -5,6 +5,8 @@
 //! region scheme the AllScale prototype ships for its `Grid` data item and
 //! the one used by the stencil and iPiC3D evaluation codes.
 
+use std::ops::{Deref, DerefMut};
+
 use allscale_des::wire::{Reader, Sink, Wire, WireError};
 
 use crate::point::{GridBox, Point};
@@ -19,24 +21,121 @@ use crate::region::Region;
 /// inclusion, so structurally different decompositions compare equal.
 #[derive(Clone)]
 pub struct BoxRegion<const D: usize> {
-    boxes: Vec<GridBox<D>>,
+    boxes: Boxes<D>,
 }
 
+/// The boxes of a region. Up to one is held inline, so a one-box region —
+/// a tile, a halo, most intersections — owns no heap block; a second box
+/// spills to a vector, which then grows as a vector does.
+#[derive(Default)]
+enum Boxes<const D: usize> {
+    #[default]
+    Zero,
+    One(GridBox<D>),
+    Many(Vec<GridBox<D>>),
+}
+
+impl<const D: usize> Boxes<D> {
+    /// Room for `n` boxes: inline up to one, a vector of that capacity past
+    /// it.
+    fn with_capacity(n: usize) -> Self {
+        if n > 1 {
+            Boxes::Many(Vec::with_capacity(n))
+        } else {
+            Boxes::Zero
+        }
+    }
+
+    fn push(&mut self, b: GridBox<D>) {
+        self.extend_from_slice(std::slice::from_ref(&b));
+    }
+
+    fn extend_from_slice(&mut self, bs: &[GridBox<D>]) {
+        match (&mut *self, bs) {
+            (_, []) => {}
+            (Boxes::Many(v), _) => v.extend_from_slice(bs),
+            (Boxes::Zero, [b]) => *self = Boxes::One(*b),
+            _ => {
+                // Room as a vector grown from empty gets it: not less
+                // than four boxes, so the next few pieces fit.
+                let mut v = Vec::new();
+                v.extend(self.iter().chain(bs));
+                *self = Boxes::Many(v);
+            }
+        }
+    }
+
+    fn swap_remove(&mut self, i: usize) {
+        match self {
+            Boxes::Many(v) => drop(v.swap_remove(i)),
+            Boxes::One(_) if i == 0 => *self = Boxes::Zero,
+            _ => panic!("swap_remove index {i} out of bounds"),
+        }
+    }
+
+    /// Forget the boxes, keeping a spilled vector's capacity.
+    fn clear(&mut self) {
+        match self {
+            Boxes::Many(v) => v.clear(),
+            _ => *self = Boxes::Zero,
+        }
+    }
+}
+
+impl<const D: usize> Deref for Boxes<D> {
+    type Target = [GridBox<D>];
+    fn deref(&self) -> &[GridBox<D>] {
+        match self {
+            Boxes::Zero => &[],
+            Boxes::One(b) => std::slice::from_ref(b),
+            Boxes::Many(v) => v,
+        }
+    }
+}
+
+impl<const D: usize> DerefMut for Boxes<D> {
+    fn deref_mut(&mut self) -> &mut [GridBox<D>] {
+        match self {
+            Boxes::Zero => &mut [],
+            Boxes::One(b) => std::slice::from_mut(b),
+            Boxes::Many(v) => v,
+        }
+    }
+}
+
+impl<const D: usize> Clone for Boxes<D> {
+    /// A copy that holds one box inline even where `self` spilled it.
+    fn clone(&self) -> Self {
+        match &**self {
+            [] => Boxes::Zero,
+            [b] => Boxes::One(*b),
+            bs => Boxes::Many(bs.to_vec()),
+        }
+    }
+}
+
+/// The encoding of a `Vec<GridBox<D>>`: the count, then the boxes.
 impl<const D: usize> Wire for BoxRegion<D> {
     fn put(&self, out: &mut impl Sink) {
-        self.boxes.put(out);
+        out.put_len(self.boxes.len());
+        GridBox::put_all(&self.boxes, out);
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(BoxRegion {
-            boxes: Wire::get(r)?,
-        })
+        let boxes = match r.get_len()? {
+            0 => Boxes::Zero,
+            1 => Boxes::One(GridBox::get(r)?),
+            n => Boxes::Many(GridBox::get_all(r, n)?),
+        };
+        Ok(BoxRegion { boxes })
     }
 }
 
 impl<const D: usize> BoxRegion<D> {
     /// The region of a single box.
     pub fn from_box(b: GridBox<D>) -> Self {
-        BoxRegion { boxes: vec![b] }
+        BoxRegion {
+            boxes: Boxes::One(b),
+        }
     }
 
     /// The region `[lo, hi)`; empty if the box is degenerate.
@@ -62,12 +161,13 @@ impl<const D: usize> BoxRegion<D> {
         // A fold of single-box unions, run in place: `out` takes the part
         // of each box it does not hold yet, then re-coalesces.
         let mut out = self.boxes;
-        let mut fresh = Vec::new();
+        let mut fresh = Boxes::Zero;
         let mut scratch = Scratch::default();
         for b in boxes {
             scratch.subtract_all(b, &out, &mut fresh);
             let settled = out.len();
-            out.append(&mut fresh);
+            out.extend_from_slice(&fresh);
+            fresh.clear();
             out = scratch.coalesce(out, settled);
         }
         BoxRegion { boxes: out }
@@ -113,7 +213,7 @@ impl<const D: usize> BoxRegion<D> {
 /// One step of [`Scratch::coalesce`]: `merged` replaces box `i`, the last
 /// box moves into slot `j`, and `dirty` (ascending indices) follows suit.
 fn merge_pair<const D: usize>(
-    boxes: &mut Vec<GridBox<D>>,
+    boxes: &mut Boxes<D>,
     dirty: &mut Vec<usize>,
     i: usize,
     j: usize,
@@ -140,8 +240,8 @@ fn merge_pair<const D: usize>(
 /// (ascending) of the boxes [`Scratch::coalesce`] still has to test.
 #[derive(Default)]
 struct Scratch<const D: usize> {
-    parts: Vec<GridBox<D>>,
-    next: Vec<GridBox<D>>,
+    parts: Boxes<D>,
+    next: Boxes<D>,
     dirty: Vec<usize>,
 }
 
@@ -150,20 +250,26 @@ impl<const D: usize> Scratch<D> {
     /// `cut` one after another leaves of `b`, in slab-decomposition order.
     /// A `b` that no box of `cut` touches — the common case between tiles —
     /// costs one overlap test per box and touches no buffer.
-    fn subtract_all(&mut self, b: GridBox<D>, cut: &[GridBox<D>], out: &mut Vec<GridBox<D>>) {
+    fn subtract_all(&mut self, b: GridBox<D>, cut: &[GridBox<D>], out: &mut Boxes<D>) {
         let Some(first) = cut.iter().position(|a| a.overlaps(&b)) else {
             out.push(b);
             return;
         };
         self.parts.clear();
-        b.subtract_into(&cut[first], &mut self.parts);
+        b.all_outside(&cut[first], |piece| {
+            self.parts.push(piece);
+            true
+        });
         for a in &cut[first + 1..] {
             if self.parts.is_empty() {
                 break;
             }
             self.next.clear();
-            for p in &self.parts {
-                p.subtract_into(a, &mut self.next);
+            for p in self.parts.iter() {
+                p.all_outside(a, |piece| {
+                    self.next.push(piece);
+                    true
+                });
             }
             std::mem::swap(&mut self.parts, &mut self.next);
         }
@@ -187,7 +293,7 @@ impl<const D: usize> Scratch<D> {
     /// - After merging at `(i, j)` every pair before `(i, j)` is still known
     ///   not to merge except `(a, i)` for `a < i`, so the search resumes
     ///   there instead of at `(0, 1)`.
-    fn coalesce(&mut self, mut boxes: Vec<GridBox<D>>, settled: usize) -> Vec<GridBox<D>> {
+    fn coalesce(&mut self, mut boxes: Boxes<D>, settled: usize) -> Boxes<D> {
         debug_assert!(
             (0..settled).all(|i| (i..settled).all(|j| try_merge(&boxes[i], &boxes[j]).is_none())),
             "settled prefix is not coalesced"
@@ -265,7 +371,7 @@ impl<const D: usize> PartialEq for BoxRegion<D> {
     fn eq(&self, other: &Self) -> bool {
         // Semantic set equality via mutual inclusion. Fast path: identical
         // normalized representations.
-        if self.boxes == other.boxes {
+        if *self.boxes == *other.boxes {
             return true;
         }
         if self.cardinality() != other.cardinality() {
@@ -279,13 +385,13 @@ impl<const D: usize> Eq for BoxRegion<D> {}
 
 impl<const D: usize> std::fmt::Debug for BoxRegion<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "BoxRegion{:?}", self.boxes)
+        write!(f, "BoxRegion{:?}", &*self.boxes)
     }
 }
 
 impl<const D: usize> Region for BoxRegion<D> {
     fn empty() -> Self {
-        BoxRegion { boxes: Vec::new() }
+        BoxRegion { boxes: Boxes::Zero }
     }
 
     fn is_empty(&self) -> bool {
@@ -293,12 +399,19 @@ impl<const D: usize> Region for BoxRegion<D> {
     }
 
     fn union(&self, other: &Self) -> Self {
+        // Two face-adjacent boxes are disjoint, and `coalesce` would merge
+        // the pair into the first slot; merging here needs no second slot.
+        if let ([a], [b]) = (&*self.boxes, &*other.boxes) {
+            if let Some(merged) = try_merge(a, b) {
+                return Self::from_box(merged);
+            }
+        }
         // A ∪ B = A ⊎ (B \ A): keep A's boxes, add the parts of B's boxes
         // that survive subtracting every box of A.
-        let mut out = Vec::with_capacity(self.boxes.len() + other.boxes.len());
+        let mut out = Boxes::with_capacity(self.boxes.len() + other.boxes.len());
         out.extend_from_slice(&self.boxes);
         let mut scratch = Scratch::default();
-        for b in &other.boxes {
+        for b in other.boxes.iter() {
             scratch.subtract_all(*b, &self.boxes, &mut out);
         }
         BoxRegion {
@@ -307,9 +420,9 @@ impl<const D: usize> Region for BoxRegion<D> {
     }
 
     fn intersect(&self, other: &Self) -> Self {
-        let mut out = Vec::new();
-        for a in &self.boxes {
-            for b in &other.boxes {
+        let mut out = Boxes::Zero;
+        for a in self.boxes.iter() {
+            for b in other.boxes.iter() {
                 if let Some(i) = a.intersect(b) {
                     out.push(i);
                 }
@@ -322,9 +435,9 @@ impl<const D: usize> Region for BoxRegion<D> {
     }
 
     fn difference(&self, other: &Self) -> Self {
-        let mut out = Vec::with_capacity(self.boxes.len());
+        let mut out = Boxes::with_capacity(self.boxes.len());
         let mut scratch = Scratch::default();
-        for a in &self.boxes {
+        for a in self.boxes.iter() {
             scratch.subtract_all(*a, &other.boxes, &mut out);
         }
         BoxRegion {

@@ -195,18 +195,11 @@ impl<const D: usize> GridBox<D> {
     /// the overlap and continue with the next axis.
     pub fn subtract(&self, other: &GridBox<D>) -> Vec<GridBox<D>> {
         let mut out = Vec::new();
-        self.subtract_into(other, &mut out);
-        out
-    }
-
-    /// [`GridBox::subtract`], appending the pieces to `out` instead of
-    /// returning a fresh vector — what lets the region algebra run a whole
-    /// subtraction chain in two reused buffers.
-    pub(crate) fn subtract_into(&self, other: &GridBox<D>, out: &mut Vec<GridBox<D>>) {
         self.all_outside(other, |piece| {
             out.push(piece);
             true
         });
+        out
     }
 
     /// Whether every box of the slab decomposition of `self \ other`

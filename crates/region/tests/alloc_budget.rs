@@ -1,6 +1,7 @@
-//! Allocation budgets of the data planes, as counts: grid region algebra
-//! between a fragmented region and a box that touches none of it allocates
-//! the result and nothing per box pair; a grid fragment's edits allocate
+//! Allocation budgets of the data planes, as counts: a one-box grid region
+//! owns no heap block; grid region algebra between a fragmented region and
+//! a box that touches none of it allocates the result and nothing per box
+//! pair; a grid fragment's edits allocate
 //! only for what they change; a tree fragment allocates per level
 //! of a block, never per node, per lookup or per subtree view; bucket
 //! algebra with the
@@ -10,6 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use allscale_net::wire;
 use allscale_region::{
     BoxRegion, BucketRegion, Fragment, GridBox, GridFragment, Point, Region, TreeFragment,
     TreePath, TreeRegion,
@@ -75,7 +77,35 @@ fn disjoint_region_algebra_allocates_only_its_result() {
 
     let (n, d) = allocations_of(|| apart.difference(&region));
     assert_eq!(d.boxes(), apart.boxes());
-    assert_eq!(n, 1, "one box minus 64 disjoint ones: the result vector");
+    assert_eq!(n, 0, "one box minus 64 disjoint ones: one box, held inline");
+}
+
+#[test]
+fn a_one_box_region_allocates_nothing() {
+    assert!(std::mem::size_of::<BoxRegion<2>>() <= 40, "one box inline");
+    let tile = GridBox::new(Point([0, 0]), Point([8, 8])).expect("non-empty");
+    let (n, a) = allocations_of(|| BoxRegion::from_box(tile));
+    assert_eq!(n, 0, "from_box");
+    let (n, b) = allocations_of(|| BoxRegion::cuboid([8, 0], [16, 8]));
+    assert_eq!(n, 0, "cuboid");
+    let (n, c) = allocations_of(|| a.clone());
+    assert_eq!((n, c.boxes()), (0, a.boxes()), "clone");
+
+    let halo = BoxRegion::cuboid([7, 0], [9, 8]);
+    let (n, i) = allocations_of(|| a.intersect(&halo));
+    assert_eq!(i, BoxRegion::cuboid([7, 0], [8, 8]));
+    assert_eq!(n, 0, "intersection of two boxes");
+    let (n, d) = allocations_of(|| a.difference(&halo));
+    assert_eq!(d, BoxRegion::cuboid([0, 0], [7, 8]));
+    assert_eq!(n, 0, "difference that leaves one box");
+    let (n, u) = allocations_of(|| a.union(&b));
+    assert_eq!(u.boxes(), BoxRegion::cuboid([0, 0], [16, 8]).boxes());
+    assert_eq!(n, 0, "union of two face-adjacent boxes, which merge");
+
+    let bytes = wire::encode(&a);
+    let (n, back) = allocations_of(|| wire::decode::<BoxRegion<2>>(&bytes));
+    assert_eq!(back.expect("decodes").boxes(), a.boxes());
+    assert_eq!(n, 0, "decode of one box");
 }
 
 /// A fragment holding one chunk per tile of [`spaced_tiles`], inserted one

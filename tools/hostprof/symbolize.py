@@ -6,7 +6,9 @@
 
 A line of sample.so output is one sample. A line of live.so output starts
 with `W<bytes>`: one live block, weighted by its bytes, so the tables give
-shares of the live heap instead of shares of the time.
+shares of the live heap instead of shares of the time. A line of mallocs.so
+output starts with `W1`: one allocation, so the tables give shares of the
+allocation count.
 
 Every distinct address goes through one `addr2line -a -f -C -i` call. With
 `-i` an address expands to its chain of inlined functions, innermost first;
@@ -55,7 +57,7 @@ def main():
             for fields in (line.split() for line in f):
                 if fields and fields[0].startswith("W"):
                     samples.append((int(fields[0][1:]), fields[1:]))
-                    unit = "bytes"
+                    unit = "allocations" if fields[0] == "W1" else "bytes"
                 elif fields:
                     samples.append((1, fields))
     addrs = sorted({a for _, s in samples for a in s if a != "-"})
