@@ -15,7 +15,11 @@ Every distinct address goes through one `addr2line -a -f -C -i` call. With
 a sample's *self* time goes to the innermost function of its innermost
 frame, and its *inclusive* time once to every distinct function anywhere on
 its stack — inlined ones included, which is what makes `TreeFragment::get`
-visible although it never exists as a call.
+visible although it never exists as a call. The inclusive table leaves out
+the entry frames (C `main`, `lang_start`, the program's own `main` and the
+wrappers between them): every function on every stack that reaches a
+`<crate>::main`, or on every stack when none does. A row short of every
+stack reads at most 99.9 %.
 
 `--under SUBSTRING` keeps only the samples with a function whose name
 contains SUBSTRING somewhere on the stack, and gives percentages of those:
@@ -81,7 +85,8 @@ def main():
 
     self_time = collections.Counter()
     inclusive = collections.Counter()
-    n, skipped = 0, 0
+    under_main = collections.Counter()
+    n, skipped, at_main = 0, 0, 0
     for weight, sample in samples:
         stack = [chains[hex(int(a, 16))] if a != "-" else ["[shared object]"]
                  for a in sample] or [["[no frame]"]]
@@ -95,12 +100,19 @@ def main():
         self_time[stack[0][0]] += weight
         for fn in on_stack:
             inclusive[fn] += weight
+        if any(fn.endswith("::main") for fn in on_stack):
+            at_main += weight
+            for fn in on_stack:
+                under_main[fn] += weight
     if n == 0:
         sys.exit(f"no sample left (under '{under}', skipping {skip})")
 
     # A function on every stack (`main`, the runtime's entry frames) says
-    # nothing about where the time went.
-    for fn in [fn for fn, count in inclusive.items() if count == n]:
+    # nothing about where the time went. The few allocations std makes
+    # before the program's `main` (its runtime set-up) miss most of those
+    # frames, so the rule holds over the stacks that reach `main`.
+    entry, every = (under_main, at_main) if at_main else (inclusive, n)
+    for fn in [fn for fn, count in entry.items() if count == every]:
         del inclusive[fn]
     total = sum(weight for weight, _ in samples)
     scope = f"{n} {unit}" if under is None else \
@@ -110,7 +122,8 @@ def main():
     for title, table in (("self", self_time), ("inclusive", inclusive)):
         print(f"--- {title}: {scope} ---")
         for fn, count in table.most_common(top):
-            print(f"{100 * count / n:6.1f}%  {count:9d}  {fn}")
+            share = 100.0 if count == n else min(100 * count / n, 99.9)
+            print(f"{share:6.1f}%  {count:9d}  {fn}")
 
 
 if __name__ == "__main__":
