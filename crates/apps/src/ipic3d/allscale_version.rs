@@ -5,13 +5,9 @@
 //! grid. All particle movement between address spaces happens implicitly
 //! through the runtime's replica/migration machinery.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use allscale_core::{
     pfor, CostModel, Grid, PforSpec, Requirement, RtConfig, RtCtx, Runtime, TaskValue, WorkItem,
 };
-use allscale_des::SimTime;
 use allscale_region::{BoxRegion, GridBox, GridFragment};
 
 use super::{
@@ -19,20 +15,12 @@ use super::{
     seed_cell, Cell, PicConfig, PicResult,
 };
 
+#[derive(Clone, Copy)]
 struct Items {
     e: [Grid<f64, 3>; 2],
     b: Grid<f64, 3>,
     p: [Grid<Cell, 3>; 2],
     rho: Grid<u64, 3>,
-}
-
-struct DriverState {
-    items: Option<Items>,
-    compute_start: SimTime,
-    compute_end: SimTime,
-    count: u64,
-    checksum: u64,
-    rho_total: u64,
 }
 
 /// Run the AllScale version on a fresh simulated cluster.
@@ -42,8 +30,6 @@ pub fn run(cfg: &PicConfig) -> PicResult {
 
 /// Run with a custom runtime configuration.
 pub fn run_with(cfg: &PicConfig, rt_cfg: RtConfig) -> PicResult {
-    let cfg = cfg.clone();
-    let cfg_out = cfg.clone();
     let shape = cfg.shape();
     let extent = [shape[0] as f64, shape[1] as f64, shape[2] as f64];
     let steps = cfg.steps;
@@ -52,24 +38,17 @@ pub fn run_with(cfg: &PicConfig, rt_cfg: RtConfig) -> PicResult {
     let ns_field = cost.ns_per_flop * 10.0 * cfg.work_scale; // ~10 flops/cell
     let ns_particle = cost.ns_per_particle_update * cfg.work_scale;
     let grain = (cfg.total_cells() / (cfg.nodes as u64 * 40)).max(8);
+    let axis0_pieces = cfg.nodes as u64 * 4;
 
-    let state = Rc::new(RefCell::new(DriverState {
-        items: None,
-        compute_start: SimTime::ZERO,
-        compute_end: SimTime::ZERO,
-        count: 0,
-        checksum: 0,
-        rho_total: 0,
-    }));
-    let st = state.clone();
-
-    let runtime = Runtime::new(rt_cfg);
-    let report = runtime.run(
-        move |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
+    let mut items = None;
+    let (mut compute_start, mut compute_end) = Default::default();
+    let (mut count, mut checksum, mut rho_total) = (0u64, 0u64, 0u64);
+    let report = Runtime::new(rt_cfg).run(
+        |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
             // Phases: 0 init; then per step two phases (field, particles);
             // final wrap-up.
             if phase == 0 {
-                let items = Items {
+                let made = Items {
                     e: [
                         Grid::<f64, 3>::create(ctx, "E0", shape),
                         Grid::<f64, 3>::create(ctx, "E1", shape),
@@ -81,17 +60,20 @@ pub fn run_with(cfg: &PicConfig, rt_cfg: RtConfig) -> PicResult {
                     ],
                     rho: Grid::<u64, 3>::create(ctx, "RHO", shape),
                 };
-                let (e0, e1, b, p0, p1, rho) = (
-                    items.e[0], items.e[1], items.b, items.p[0], items.p[1], items.rho,
-                );
-                st.borrow_mut().items = Some(items);
+                let Items {
+                    e: [e0, e1],
+                    b,
+                    p: [p0, p1],
+                    rho,
+                } = made;
+                items = Some(made);
                 return Some(pfor(
                     PforSpec {
                         name: "pic-init",
                         range: GridBox::from_shape(shape).unwrap(),
                         grain,
                         ns_per_point: ns_particle * ppc as f64 / 4.0,
-                        axis0_pieces: cfg.nodes as u64 * 4,
+                        axis0_pieces,
                     },
                     move |tile| {
                         let r = BoxRegion::from_box(*tile);
@@ -116,26 +98,22 @@ pub fn run_with(cfg: &PicConfig, rt_cfg: RtConfig) -> PicResult {
                 ));
             }
 
+            let Items { e, b, p, rho } = items.expect("created in phase 0");
             let step = (phase - 1) / 3;
             if step < steps {
                 if phase == 1 {
-                    st.borrow_mut().compute_start = ctx.now();
+                    compute_start = ctx.now();
                 }
-                let s = st.borrow();
-                let items = s.items.as_ref().unwrap();
                 let (e_src, e_dst) = if step.is_multiple_of(2) {
-                    (items.e[0], items.e[1])
+                    (e[0], e[1])
                 } else {
-                    (items.e[1], items.e[0])
+                    (e[1], e[0])
                 };
                 let (p_src, p_dst) = if step.is_multiple_of(2) {
-                    (items.p[0], items.p[1])
+                    (p[0], p[1])
                 } else {
-                    (items.p[1], items.p[0])
+                    (p[1], p[0])
                 };
-                let b = items.b;
-                let rho = items.rho;
-                drop(s);
                 let universe = GridBox::from_shape(shape).unwrap();
 
                 if (phase - 1).is_multiple_of(3) {
@@ -146,7 +124,7 @@ pub fn run_with(cfg: &PicConfig, rt_cfg: RtConfig) -> PicResult {
                             range: universe,
                             grain,
                             ns_per_point: ns_field,
-                            axis0_pieces: cfg.nodes as u64 * 4,
+                            axis0_pieces,
                         },
                         move |tile| {
                             let r = BoxRegion::from_box(*tile);
@@ -197,7 +175,7 @@ pub fn run_with(cfg: &PicConfig, rt_cfg: RtConfig) -> PicResult {
                             range: universe,
                             grain,
                             ns_per_point: ns_particle * ppc as f64 / 4.0,
-                            axis0_pieces: cfg.nodes as u64 * 4,
+                            axis0_pieces,
                         },
                         move |tile| {
                             let r = BoxRegion::from_box(*tile);
@@ -221,7 +199,7 @@ pub fn run_with(cfg: &PicConfig, rt_cfg: RtConfig) -> PicResult {
                         range: universe,
                         grain,
                         ns_per_point: ns_particle * ppc as f64,
-                        axis0_pieces: cfg.nodes as u64 * 4,
+                        axis0_pieces,
                     },
                     move |tile| {
                         let r = BoxRegion::from_box(*tile);
@@ -267,47 +245,35 @@ pub fn run_with(cfg: &PicConfig, rt_cfg: RtConfig) -> PicResult {
             }
 
             // Wrap-up: count + checksum from the final particle buffer.
-            let mut s = st.borrow_mut();
-            s.compute_end = ctx.now();
-            let items = s.items.as_ref().unwrap();
-            let final_p = if steps.is_multiple_of(2) {
-                items.p[0]
-            } else {
-                items.p[1]
-            };
-            let rho_item = items.rho;
-            let (mut count, mut acc, mut rho_total) = (0u64, 0u64, 0u64);
+            compute_end = ctx.now();
+            let final_p = if steps.is_multiple_of(2) { p[0] } else { p[1] };
             for loc in 0..ctx.nodes() {
                 let frag = ctx.fragment_at::<GridFragment<Cell, 3>>(loc, final_p.id);
                 frag.for_each(|_, cell| {
                     for particle in cell {
                         count += 1;
-                        acc = acc.wrapping_add(particle_checksum(particle));
+                        checksum = checksum.wrapping_add(particle_checksum(particle));
                     }
                 });
-                let rfrag = ctx.fragment_at::<GridFragment<u64, 3>>(loc, rho_item.id);
+                let rfrag = ctx.fragment_at::<GridFragment<u64, 3>>(loc, rho.id);
                 rfrag.for_each(|_, v| rho_total = rho_total.wrapping_add(*v));
             }
-            s.count = count;
-            s.checksum = acc;
-            s.rho_total = rho_total;
             None
         },
     );
 
-    let s = state.borrow();
-    let compute_seconds = (s.compute_end - s.compute_start).as_secs_f64();
-    let validated = if cfg_out.validate {
-        (s.count, s.checksum, s.rho_total) == oracle(&cfg_out)
+    let compute_seconds = (compute_end - compute_start).as_secs_f64();
+    let validated = if cfg.validate {
+        (count, checksum, rho_total) == oracle(cfg)
     } else {
-        s.count == cfg_out.total_particles()
+        count == cfg.total_particles()
     };
     PicResult {
         compute_seconds,
-        updates_per_sec: cfg_out.total_updates() / compute_seconds,
-        particles: s.count,
-        checksum: s.checksum,
-        rho_total: s.rho_total,
+        updates_per_sec: cfg.total_updates() / compute_seconds,
+        particles: count,
+        checksum,
+        rho_total,
         validated,
         remote_msgs: report.remote_msgs,
         remote_bytes: report.remote_bytes,

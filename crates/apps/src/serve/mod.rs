@@ -18,7 +18,6 @@
 //! [`RtConfig`] and panics if the surviving store contents disagree with
 //! the write oracle.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use allscale_core::{
@@ -348,23 +347,17 @@ pub struct ServeOutcome {
 /// Panics if any acknowledged write is missing from the surviving store
 /// (the oracle check) — including across fail-stop recoveries.
 pub fn run_with(cfg: &ServeAppConfig, rt: RtConfig) -> ServeOutcome {
-    let cfg = cfg.clone();
     let buckets = cfg.buckets();
-    let map_cell: Rc<RefCell<Option<DistMap<u64, u64>>>> = Rc::new(RefCell::new(None));
-    let checked: Rc<RefCell<u64>> = Rc::new(RefCell::new(0));
-
-    let mc = map_cell.clone();
-    let checked_d = checked.clone();
-    let cfg_d = cfg.clone();
-    let runtime = Runtime::new(rt);
-    let report = runtime.run(
-        move |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
+    let mut kv = None;
+    let mut keys_checked = 0;
+    let report = Runtime::new(rt).run(
+        |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
             match phase {
                 0 => {
                     let map = DistMap::<u64, u64>::create(ctx, "serve-kv", buckets);
-                    *mc.borrow_mut() = Some(map);
-                    let by_bucket = Rc::new(KeysByBucket::new(&cfg_d));
-                    let per_shard = cfg_d.buckets_per_shard;
+                    kv = Some(map);
+                    let by_bucket = Rc::new(KeysByBucket::new(cfg));
+                    let per_shard = cfg.buckets_per_shard;
                     // One leaf tile per shard: first touch pins each
                     // shard's buckets to one locality, block-wise.
                     Some(pfor(
@@ -373,7 +366,7 @@ pub fn run_with(cfg: &ServeAppConfig, rt: RtConfig) -> ServeOutcome {
                             range: GridBox::<1>::from_shape([buckets as i64]).unwrap(),
                             grain: per_shard as u64,
                             ns_per_point: 800.0,
-                            axis0_pieces: cfg_d.shards as u64,
+                            axis0_pieces: cfg.shards as u64,
                         },
                         move |tile| {
                             vec![Requirement::write(
@@ -389,19 +382,19 @@ pub fn run_with(cfg: &ServeAppConfig, rt: RtConfig) -> ServeOutcome {
                     ))
                 }
                 1 => {
-                    let map = mc.borrow().expect("map created in phase 0");
-                    let shard_regions: Vec<_> = (0..cfg_d.shards)
+                    let map = kv.expect("map created in phase 0");
+                    let shard_regions: Vec<_> = (0..cfg.shards)
                         .map(|s| {
                             Box::new(map.range_region(
-                                s * cfg_d.buckets_per_shard,
-                                (s + 1) * cfg_d.buckets_per_shard,
+                                s * cfg.buckets_per_shard,
+                                (s + 1) * cfg.buckets_per_shard,
                             )) as Box<dyn allscale_core::DynRegion>
                         })
                         .collect();
                     // A replay of this phase asks for a new factory, so
                     // it draws a fresh stream from the seed.
-                    let mut stream = Requests::new(&cfg_d);
-                    let flops = cfg_d.service_flops;
+                    let mut stream = Requests::new(cfg);
+                    let flops = cfg.service_flops;
                     let factory = move |req: u64| -> Request {
                         assert_eq!(req, stream.drawn, "requests are asked for in order");
                         let (shard, op) = stream.next();
@@ -435,11 +428,11 @@ pub fn run_with(cfg: &ServeAppConfig, rt: RtConfig) -> ServeOutcome {
                         item: map.id,
                         shard_regions,
                         arrivals: ArrivalProcess::Poisson {
-                            rate_rps: cfg_d.rate_rps,
-                            seed: cfg_d.seed,
+                            rate_rps: cfg.rate_rps,
+                            seed: cfg.seed,
                         },
-                        max_requests: cfg_d.requests,
-                        slo: cfg_d.slo.clone(),
+                        max_requests: cfg.requests,
+                        slo: cfg.slo.clone(),
                         factory: Box::new(factory),
                     });
                     None
@@ -449,10 +442,10 @@ pub fn run_with(cfg: &ServeAppConfig, rt: RtConfig) -> ServeOutcome {
                     // final value of each key is its initial value plus
                     // the sum of all the stream's deltas — regardless of
                     // the execution interleaving or mid-serving recoveries.
-                    let map = mc.borrow().expect("map created in phase 0");
-                    let mut expected: Vec<u64> = (0..cfg_d.keys).map(initial_value).collect();
-                    let mut stream = Requests::new(&cfg_d);
-                    for _ in 0..cfg_d.requests {
+                    let map = kv.expect("map created in phase 0");
+                    let mut expected: Vec<u64> = (0..cfg.keys).map(initial_value).collect();
+                    let mut stream = Requests::new(cfg);
+                    for _ in 0..cfg.requests {
                         if let (_, Op::Write(key, delta)) = stream.next::<Unread>() {
                             expected[key as usize] = expected[key as usize].wrapping_add(delta);
                         }
@@ -479,17 +472,16 @@ pub fn run_with(cfg: &ServeAppConfig, rt: RtConfig) -> ServeOutcome {
                         }
                     }
                     assert_eq!(
-                        n, cfg_d.keys,
+                        n, cfg.keys,
                         "ownership must cover every preloaded key exactly once"
                     );
-                    *checked_d.borrow_mut() = n;
+                    keys_checked = n;
                     None
                 }
                 _ => unreachable!("three phases"),
             }
         },
     );
-    let keys_checked = *checked.borrow();
     ServeOutcome {
         report,
         keys_checked,

@@ -3,28 +3,16 @@
 //! management. Compare with the explicit halo exchange of
 //! [`crate::stencil::mpi_version`].
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use allscale_core::{
     pfor_tiles, CostModel, Grid, PforSpec, Requirement, RtConfig, RtCtx, RunReport, Runtime,
     TaskCtx, TaskValue, WorkItem,
 };
-use allscale_des::SimTime;
 use allscale_region::{BoxRegion, Fragment, GridBox, GridFragment, Point};
 
 use super::{
     checksum_cell, checksum_fold, initial, oracle, oracle_checksum, update, StencilConfig,
     StencilResult, FLOPS_PER_CELL,
 };
-
-struct DriverState {
-    a: Option<Grid<f64, 2>>,
-    b: Option<Grid<f64, 2>>,
-    compute_start: SimTime,
-    compute_end: SimTime,
-    checksum: u64,
-}
 
 /// Run the AllScale version on a fresh simulated cluster.
 pub fn run(cfg: &StencilConfig) -> StencilResult {
@@ -75,44 +63,32 @@ fn run_with_kernel(
     rt_cfg: RtConfig,
     step: StepKernel,
 ) -> (StencilResult, RunReport) {
-    let cfg = cfg.clone();
-    let cfg_out = cfg.clone();
     let rows = cfg.total_rows();
     let cols = cfg.cols;
     let steps = cfg.steps;
     let cost = CostModel::default();
     let ns_per_cell = cost.ns_per_flop * FLOPS_PER_CELL as f64 * cfg.work_scale;
+    let grain = tile_grain(cfg);
+    let axis0_pieces = cfg.nodes as u64 * 4;
 
-    let state = Rc::new(RefCell::new(DriverState {
-        a: None,
-        b: None,
-        compute_start: SimTime::ZERO,
-        compute_end: SimTime::ZERO,
-        checksum: 0,
-    }));
-    let st = state.clone();
-
-    let runtime = Runtime::new(rt_cfg);
-    let report = runtime.run(
-        move |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
+    let mut grids = None;
+    let (mut compute_start, mut compute_end, mut checksum) = Default::default();
+    let report = Runtime::new(rt_cfg).run(
+        |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
             // Phase layout: 0 = init, 1..=steps = time steps, steps+1 = wrap-up.
             if phase == 0 {
                 let a = Grid::<f64, 2>::create(ctx, "A", [rows, cols]);
                 let b = Grid::<f64, 2>::create(ctx, "B", [rows, cols]);
-                {
-                    let mut s = st.borrow_mut();
-                    s.a = Some(a);
-                    s.b = Some(b);
-                }
+                grids = Some((a, b));
                 // Initialize both buffers over the full grid (Fig. 6b
                 // lines 5-7); first touch distributes the data.
                 return Some(pfor_tiles(
                     PforSpec {
                         name: "stencil-init",
                         range: a.full_box(),
-                        grain: tile_grain(&cfg),
+                        grain,
                         ns_per_point: cfg.work_scale.max(1.0),
-                        axis0_pieces: cfg.nodes as u64 * 4,
+                        axis0_pieces,
                     },
                     move |tile| {
                         vec![
@@ -133,24 +109,22 @@ fn run_with_kernel(
                     },
                 ));
             }
+            let (a, b) = grids.expect("created in phase 0");
             if phase <= steps {
                 if phase == 1 {
-                    st.borrow_mut().compute_start = ctx.now();
+                    compute_start = ctx.now();
                 }
-                let s = st.borrow();
-                let (a, b) = (s.a.unwrap(), s.b.unwrap());
                 // Double buffering: swap roles per step (Fig. 6b line 18).
                 let (src, dst) = if phase % 2 == 1 { (a, b) } else { (b, a) };
-                drop(s);
                 let universe = GridBox::from_shape([rows, cols]).unwrap();
                 let interior = GridBox::new(Point([1, 1]), Point([rows - 1, cols - 1])).unwrap();
                 return Some(pfor_tiles(
                     PforSpec {
                         name: "stencil-step",
                         range: interior,
-                        grain: tile_grain(&cfg),
+                        grain,
                         ns_per_point: ns_per_cell,
-                        axis0_pieces: cfg.nodes as u64 * 4,
+                        axis0_pieces,
                     },
                     move |tile| {
                         let read = BoxRegion::from_box(*tile).dilate_within(1, &universe);
@@ -163,14 +137,8 @@ fn run_with_kernel(
                 ));
             }
             // Wrap-up: record times and checksum the final field.
-            let mut s = st.borrow_mut();
-            s.compute_end = ctx.now();
-            let final_grid = if steps % 2 == 1 {
-                s.b.unwrap()
-            } else {
-                s.a.unwrap()
-            };
-            let mut acc = 0u64;
+            compute_end = ctx.now();
+            let final_grid = if steps % 2 == 1 { b } else { a };
             for loc in 0..ctx.nodes() {
                 let frag = ctx.fragment_at::<GridFragment<f64, 2>>(loc, final_grid.id);
                 // Every held cell counts: read replicas die with the task
@@ -180,24 +148,20 @@ fn run_with_kernel(
                         .eq_dyn(frag.region()),
                     "locality {loc} holds cells of the final grid it does not own"
                 );
-                frag.for_each(|p, v| acc = checksum_fold(acc, checksum_cell(p[0], p[1], *v)));
+                frag.for_each(|p, v| {
+                    checksum = checksum_fold(checksum, checksum_cell(p[0], p[1], *v));
+                });
             }
-            s.checksum = acc;
             None
         },
     );
 
-    let s = state.borrow();
-    let compute_seconds = (s.compute_end - s.compute_start).as_secs_f64();
-    let validated = if cfg_out.validate {
-        oracle_checksum(&oracle(&cfg_out)) == s.checksum
-    } else {
-        true
-    };
+    let compute_seconds = (compute_end - compute_start).as_secs_f64();
+    let validated = !cfg.validate || oracle_checksum(&oracle(cfg)) == checksum;
     let result = StencilResult {
         compute_seconds,
-        gflops: cfg_out.total_flops() / compute_seconds / 1e9,
-        checksum: s.checksum,
+        gflops: cfg.total_flops() / compute_seconds / 1e9,
+        checksum,
         validated,
         remote_msgs: report.remote_msgs,
         remote_bytes: report.remote_bytes,

@@ -8,7 +8,6 @@
 //! exactly the fine-grained task forwarding whose communication overhead
 //! the paper reports as the AllScale TPC bottleneck.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -279,13 +278,6 @@ fn sum_counts(vals: Vec<TaskValue>) -> TaskValue {
     Some(Box::new(sum_value(vals)))
 }
 
-struct DriverState {
-    item: Option<ItemId>,
-    compute_start: SimTime,
-    compute_end: SimTime,
-    total: u64,
-}
-
 /// Run the AllScale version on a fresh simulated cluster.
 pub fn run(cfg: &TpcConfig) -> TpcResult {
     run_with(cfg, RtConfig::meggie(cfg.nodes))
@@ -307,19 +299,11 @@ fn run_with_report(cfg: &TpcConfig, rt_cfg: RtConfig) -> (TpcResult, RunReport) 
     let cost = CostModel::default();
     let ns_node = cost.ns_per_tree_node * cfg.work_scale;
 
-    let state = Rc::new(RefCell::new(DriverState {
-        item: None,
-        compute_start: SimTime::ZERO,
-        compute_end: SimTime::ZERO,
-        total: 0,
-    }));
-    let st = state.clone();
-    let batch = cfg.batch as u64;
-    let radius = cfg.radius;
-
-    let runtime = Runtime::new(rt_cfg);
-    let report = runtime.run(
-        move |phase: usize, ctx: &mut RtCtx<'_>, prev: TaskValue| -> Option<Box<dyn WorkItem>> {
+    let mut tree_item = None;
+    let (mut compute_start, mut compute_end) = (SimTime::ZERO, SimTime::ZERO);
+    let mut total = 0;
+    let report = Runtime::new(rt_cfg).run(
+        |phase: usize, ctx: &mut RtCtx<'_>, prev: TaskValue| -> Option<Box<dyn WorkItem>> {
             match phase {
                 0 => {
                     // Build the tree and distribute it: one pfor index
@@ -330,7 +314,7 @@ fn run_with_report(cfg: &TpcConfig, rt_cfg: RtConfig) -> (TpcResult, RunReport) 
                     // restart from scratch asks for this phase again and
                     // builds it anew.
                     let item = ctx.create_item::<KdTreeItem>("kdtree");
-                    st.borrow_mut().item = Some(item);
+                    tree_item = Some(item);
                     let tree = KdTree::build(&gen_points(points));
                     Some(pfor(
                         PforSpec {
@@ -375,7 +359,7 @@ fn run_with_report(cfg: &TpcConfig, rt_cfg: RtConfig) -> (TpcResult, RunReport) 
                     ))
                 }
                 1 => {
-                    let item = st.borrow().item.unwrap();
+                    let item = tree_item.expect("created in phase 0");
                     // Replicate the root block everywhere (runtime
                     // (replicate) rule): it is read by every query task.
                     let root_region = BitmaskTreeRegion::of_root_block(h);
@@ -383,7 +367,7 @@ fn run_with_report(cfg: &TpcConfig, rt_cfg: RtConfig) -> (TpcResult, RunReport) 
                         .find(|&loc| !ctx.owned_region_at(loc, item).is_disjoint_dyn(&root_region))
                         .expect("root block owned somewhere");
                     ctx.broadcast_replicate(item, owner, &root_region);
-                    st.borrow_mut().compute_start = ctx.now();
+                    compute_start = ctx.now();
                     Some(Box::new(TpcWork {
                         param: TpcParam::Queries { lo: 0, hi: q_total },
                         depth: 0,
@@ -393,17 +377,16 @@ fn run_with_report(cfg: &TpcConfig, rt_cfg: RtConfig) -> (TpcResult, RunReport) 
                             split: BitmaskTreeRegion::new(h),
                             blocks: block_regions(h),
                             levels,
-                            radius,
+                            radius: cfg.radius,
                             total_queries: q_total,
-                            batch,
+                            batch: cfg.batch as u64,
                             ns_per_node: ns_node,
                         }),
                     }))
                 }
                 _ => {
-                    let mut s = st.borrow_mut();
-                    s.compute_end = ctx.now();
-                    s.total = *prev
+                    compute_end = ctx.now();
+                    total = *prev
                         .expect("query phase yields a count")
                         .downcast::<u64>()
                         .expect("u64 total");
@@ -413,17 +396,12 @@ fn run_with_report(cfg: &TpcConfig, rt_cfg: RtConfig) -> (TpcResult, RunReport) 
         },
     );
 
-    let s = state.borrow();
-    let compute_seconds = (s.compute_end - s.compute_start).as_secs_f64();
-    let validated = if cfg.validate {
-        oracle(cfg).iter().sum::<u64>() == s.total
-    } else {
-        true
-    };
+    let compute_seconds = (compute_end - compute_start).as_secs_f64();
+    let validated = !cfg.validate || oracle(cfg).iter().sum::<u64>() == total;
     let result = TpcResult {
         compute_seconds,
         queries_per_sec: q_total as f64 / compute_seconds,
-        total_count: s.total,
+        total_count: total,
         validated,
         remote_msgs: report.remote_msgs,
         remote_bytes: report.remote_bytes,

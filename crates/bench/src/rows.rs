@@ -4,9 +4,6 @@
 //! simulated run, and a row check that fails returns `Err` naming what
 //! broke (the engine adds which row). A conclusion reads only the table.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use allscale_apps::{ipic3d, serve, stencil, tpc};
 use allscale_core::{
     pfor, BatchParams, CheckpointConfig, CkptMode, FaultPlan, Grid, IntegrityConfig, PforSpec,
@@ -613,18 +610,18 @@ fn i1(rot: f64, period_us: Option<u64>, seed: u64) -> Columns {
         ns_per_point,
         axis0_pieces,
     };
-    let grids: Rc<RefCell<Option<[Grid<f64, 1>; 2]>>> = Rc::default();
+    let mut grids = None;
     let mut cfg = RtConfig::test(4, 2);
     cfg.faults = Some(FaultPlan::new(seed).with_rot(rot));
     let scrub_period = period_us.map(SimDuration::from_micros);
     cfg = cfg.with_integrity(IntegrityConfig { scrub_period });
-    let r = Runtime::new(cfg).run(move |phase: usize, ctx: &mut RtCtx<'_>, _: TaskValue| {
+    let r = Runtime::new(cfg).run(|phase: usize, ctx: &mut RtCtx<'_>, _: TaskValue| {
         if phase == 0 {
             let g = Grid::<f64, 1>::create(ctx, "shared", [64]);
-            *grids.borrow_mut() = Some([g, Grid::create(ctx, "work", [512])]);
+            grids = Some([g, Grid::create(ctx, "work", [512])]);
             return Some(fill(g, spec("init", g, 64, 4.0, 0), |i| i as f64));
         }
-        let [g, w] = grids.borrow().expect("phase 0 created both grids");
+        let [g, w] = grids.expect("phase 0 created both grids");
         if phase == 1 {
             let owned = |l| !ctx.owned_region_at(l, g.id).is_empty_dyn();
             let owner = (0..ctx.nodes())

@@ -45,20 +45,21 @@
 //! use allscale_region::{BoxRegion, GridFragment};
 //!
 //! let runtime = Runtime::new(RtConfig::test(2, 2)); // 2 nodes × 2 cores
+//! let mut grid = None; // the driver borrows its state
 //! let report = runtime.run(
 //!     |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue|
 //!             -> Option<Box<dyn WorkItem>> {
 //!         if phase > 0 {
 //!             // Verify distribution between phases.
+//!             let g: Grid<u64, 1> = grid.expect("created in phase 0");
 //!             let total: usize = (0..ctx.nodes())
-//!                 .map(|l| ctx
-//!                     .fragment_at::<GridFragment<u64, 1>>(l, allscale_core::ItemId(0))
-//!                     .len())
+//!                 .map(|l| ctx.fragment_at::<GridFragment<u64, 1>>(l, g.id).len())
 //!                 .sum();
 //!             assert_eq!(total, 64);
 //!             return None;
 //!         }
 //!         let g = Grid::<u64, 1>::create(ctx, "v", [64]);
+//!         grid = Some(g);
 //!         Some(pfor(
 //!             PforSpec { name: "fill", range: g.full_box(), grain: 8,
 //!                        ns_per_point: 5.0, axis0_pieces: 8 },

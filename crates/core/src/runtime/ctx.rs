@@ -181,7 +181,7 @@ impl RtCtx<'_> {
     ///    this check.
     ///
     /// Returns a list of violations (empty = consistent). The runtime calls
-    /// this itself: in a debug-profile build `advance_phase` checks every
+    /// this itself: in a debug-profile build `cross_boundary` checks every
     /// phase boundary of every run — first, replayed after a recovery,
     /// after a serving phase, final — and panics on a violation; release
     /// builds carry no call. It stays public for tests that are *about*

@@ -25,7 +25,8 @@
 //! Applications are sequences of *phases* (the driver closure of
 //! [`Runtime::run`]): the root work item of phase *k+1* is requested once
 //! phase *k*'s task tree has fully completed — the `sync` points of the
-//! application's main function.
+//! application's main function. The event loop stops at each such
+//! boundary and calls the driver from `run`'s own frame.
 //!
 //! One module per tenant of [`RtWorld`]: each owns a state struct whose
 //! fields are private to it, so a sibling reaches another tenant's state
@@ -358,13 +359,18 @@ impl Runtime {
     /// begins only after phase *k*'s entire task tree has completed (the
     /// application's `sync`).
     ///
+    /// The driver is called from this function's own frame, between
+    /// events, at the virtual instant of the boundary, so it may borrow
+    /// the caller's state: its grids, clocks and results can be plain
+    /// locals. (A work item's closures still outlive the call, so what
+    /// a task body shares with the caller goes in an `Rc`.)
+    ///
     /// # Panics
     /// Panics if the application deadlocks (tasks parked forever).
     pub fn run(
         mut self,
-        driver: impl FnMut(usize, &mut RtCtx<'_>, TaskValue) -> Option<Box<dyn WorkItem>> + 'static,
+        mut driver: impl FnMut(usize, &mut RtCtx<'_>, TaskValue) -> Option<Box<dyn WorkItem>>,
     ) -> RunReport {
-        self.sim.world.phases.install(Box::new(driver));
         let sim = &mut self.sim;
         let start = SimTime::ZERO;
         events::schedule(sim, start, RtEvent::PhaseResume(None));
@@ -374,7 +380,9 @@ impl Runtime {
         if let Some(period) = sim.world.integrity.and_then(|c| c.scrub_period) {
             events::schedule(sim, start + period, RtEvent::ScrubTick);
         }
-        self.sim.run();
+        while sim.run_until(|w| w.phases.at_boundary()) {
+            phases::cross_boundary(sim, &mut driver);
+        }
         let events = self.sim.events_run();
         let w = &mut self.sim.world;
         let traffic = w.comms.stats().clone();

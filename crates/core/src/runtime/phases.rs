@@ -1,5 +1,10 @@
 //! The phase driver: an application is a sequence of phases, each the
 //! task tree of one root work item (or one serving phase).
+//!
+//! The event that ends a phase only marks the boundary
+//! ([`advance_phase`]); the event loop in [`Runtime::run`](super::Runtime::run)
+//! stops right after it, and [`cross_boundary`] calls the driver from
+//! that stack frame at the same instant, before the next event fires.
 
 use allscale_des::SimTime;
 use allscale_trace::EventKind;
@@ -9,13 +14,10 @@ use super::tasks::Parent;
 use super::{recovery, sched, serving, trace_instant, RtCtx, RtSim};
 use crate::task::{TaskValue, WorkItem};
 
-/// The application: the closure [`Runtime::run`](super::Runtime::run)
-/// asks for each phase's root work item.
-type Driver = dyn FnMut(usize, &mut RtCtx<'_>, TaskValue) -> Option<Box<dyn WorkItem>>;
-
 #[derive(Default)]
 pub(super) struct Phases {
-    driver: Option<Box<Driver>>,
+    /// The previous phase's value while a boundary waits for the driver.
+    boundary: Option<TaskValue>,
     /// The next phase to request from the driver.
     phase: usize,
     finish_time: SimTime,
@@ -23,12 +25,13 @@ pub(super) struct Phases {
 }
 
 impl Phases {
-    pub(super) fn install(&mut self, driver: Box<Driver>) {
-        self.driver = Some(driver);
-    }
-
     pub(super) fn phase(&self) -> usize {
         self.phase
+    }
+
+    /// Whether a boundary waits for [`cross_boundary`].
+    pub(super) fn at_boundary(&self) -> bool {
+        self.boundary.is_some()
     }
 
     /// Whether the driver has declared the application finished (the
@@ -48,6 +51,8 @@ impl Phases {
     }
 }
 
+/// The previous phase ended with `prev`: take the boundary's checkpoint
+/// (or stall for it) and mark the boundary for [`cross_boundary`].
 pub(super) fn advance_phase(sim: &mut RtSim, prev: TaskValue) {
     if let Some(resume) = recovery::maybe_checkpoint(sim, prev.is_none()) {
         // The boundary stalls — a synchronous drain, an incremental
@@ -56,6 +61,23 @@ pub(super) fn advance_phase(sim: &mut RtSim, prev: TaskValue) {
         schedule(sim, resume, RtEvent::PhaseResume(prev));
         return;
     }
+    let boundary = &mut sim.world.phases.boundary;
+    assert!(boundary.is_none(), "a phase boundary is already pending");
+    *boundary = Some(prev);
+}
+
+/// Cross the pending boundary: ask `driver` for the next phase and start
+/// it, or finish the application.
+pub(super) fn cross_boundary(
+    sim: &mut RtSim,
+    driver: &mut impl FnMut(usize, &mut RtCtx<'_>, TaskValue) -> Option<Box<dyn WorkItem>>,
+) {
+    let prev = sim
+        .world
+        .phases
+        .boundary
+        .take()
+        .expect("a pending boundary");
     let phase = sim.world.phases.phase;
     let now = sim.now();
     // Phase orchestration is hosted by the detector locality: the lowest-
@@ -71,9 +93,10 @@ pub(super) fn advance_phase(sim: &mut RtSim, prev: TaskValue) {
             },
         );
     }
-    let mut driver = sim.world.phases.driver.take().expect("driver present");
-    let world = &mut sim.world;
-    let mut ctx = RtCtx { world, now };
+    let mut ctx = RtCtx {
+        world: &mut sim.world,
+        now,
+    };
     // The §2.5 oracle, `debug_assert!`-style: every boundary of every
     // debug-profile run is checked here, and release builds carry no call.
     if cfg!(debug_assertions) {
@@ -83,9 +106,7 @@ pub(super) fn advance_phase(sim: &mut RtSim, prev: TaskValue) {
             "model invariants (§2.5) violated at the boundary before phase {phase}: {violations:#?}"
         );
     }
-    let next = driver(phase, &mut ctx, prev);
-    sim.world.phases.driver = Some(driver);
-    match next {
+    match driver(phase, &mut ctx, prev) {
         Some(root) => {
             begin_phase(sim, home);
             sched::assign_task(sim, home, root, Parent::NONE);

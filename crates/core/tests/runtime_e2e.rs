@@ -159,17 +159,13 @@ fn recovery_revives_an_item_destroyed_since_its_checkpoint() {
 /// transfers: a read-only phase after the broadcast moves no more data.
 #[test]
 fn broadcast_replicas_serve_reads_without_traffic() {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-    let state: Rc<RefCell<(Option<Grid<f64, 1>>, u64)>> = Rc::new(RefCell::new((None, 0)));
-    let st = state.clone();
-    let rt = Runtime::new(config(4, 2));
-    let report = rt.run(
-        move |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
+    let mut grid = None;
+    let report = Runtime::new(config(4, 2)).run(
+        |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
             match phase {
                 0 => {
                     let g = Grid::<f64, 1>::create(ctx, "shared", [64]);
-                    st.borrow_mut().0 = Some(g);
+                    grid = Some(g);
                     // Keep the data on one node (no axis-0 spreading).
                     Some(pfor(
                         PforSpec {
@@ -184,13 +180,11 @@ fn broadcast_replicas_serve_reads_without_traffic() {
                     ))
                 }
                 1 => {
-                    let g = st.borrow().0.unwrap();
+                    let g = grid.unwrap();
                     let owner = (0..ctx.nodes())
                         .find(|&l| !ctx.owned_region_at(l, g.id).is_empty_dyn())
                         .unwrap();
                     ctx.broadcast_replicate(g.id, owner, &g.full_region());
-                    // Remember replica count right after the broadcast.
-                    st.borrow_mut().1 = (0..ctx.nodes()).map(|_| 0u64).sum::<u64>();
                     // Read-only phase: every node sums the whole grid.
                     Some(pfor(
                         PforSpec {
@@ -226,26 +220,20 @@ fn broadcast_replicas_serve_reads_without_traffic() {
 /// first touch, then run read tasks pinned to the block owners.
 #[test]
 fn tree_facade_distributes_and_reads() {
-    use allscale_core::{ItemId, TreeItem};
+    use allscale_core::TreeItem;
     use allscale_region::{BitmaskTreeRegion, TreeFragment, TreePath};
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     const H: u8 = 2; // 4 subtree blocks
     const LEVELS: u8 = 5;
     type Frag = TreeFragment<u64, BitmaskTreeRegion>;
-    let st: Rc<RefCell<Option<ItemId>>> = Rc::new(RefCell::new(None));
-    let s2 = st.clone();
-    let total: Rc<RefCell<u64>> = Rc::new(RefCell::new(0));
-    let t2 = total.clone();
-
-    let rt = Runtime::new(config(4, 2));
-    rt.run(
-        move |phase: usize, ctx: &mut RtCtx<'_>, prev: TaskValue| -> Option<Box<dyn WorkItem>> {
+    let mut tree_item = None;
+    let mut total = 0;
+    Runtime::new(config(4, 2)).run(
+        |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
             match phase {
                 0 => {
                     let tree = ctx.create_item::<TreeItem<u64, BitmaskTreeRegion>>("tree");
-                    *s2.borrow_mut() = Some(tree);
+                    tree_item = Some(tree);
                     // Distribute: one pfor index per block (0 = root
                     // block, 1..=4 subtrees), writing node values = their
                     // BFS index.
@@ -304,7 +292,7 @@ fn tree_facade_distributes_and_reads() {
                 1 => {
                     // Sum every node via read tasks per block (forwarded to
                     // the block owners by the scheduler).
-                    let tree = s2.borrow().unwrap();
+                    let tree = tree_item.unwrap();
                     Some(pfor(
                         PforSpec {
                             name: "tree-sum",
@@ -346,7 +334,7 @@ fn tree_facade_distributes_and_reads() {
                 _ => {
                     // Driver-side: total of all node values equals the sum
                     // of BFS indices 0..2^LEVELS-1.
-                    let tree = s2.borrow().unwrap();
+                    let tree = tree_item.unwrap();
                     let mut sum = 0u64;
                     let mut count = 0u64;
                     for loc in 0..ctx.nodes() {
@@ -359,14 +347,13 @@ fn tree_facade_distributes_and_reads() {
                     let n = (1u64 << LEVELS) - 1;
                     assert_eq!(count, n, "complete tree stored");
                     assert_eq!(sum, n * (n - 1) / 2, "sum of BFS indices");
-                    *t2.borrow_mut() = sum;
-                    let _ = prev;
+                    total = sum;
                     None
                 }
             }
         },
     );
-    assert!(*total.borrow() > 0);
+    assert!(total > 0);
 }
 
 /// The run report's summary renders and contains the headline counters.
@@ -727,6 +714,69 @@ fn bumps(steps: usize) -> Scenario {
     }
 }
 
+/// The driver contract, stated with a borrowed local: the driver is
+/// asked for phase 0, 1, … in order, and after a fail-stop kill it is
+/// asked again from the boundary the recovery restored. It runs between
+/// events, so the `Vec` it writes is the caller's own.
+#[test]
+fn the_driver_is_asked_every_phase_and_again_from_the_restored_boundary() {
+    const STEPS: usize = 6;
+    fn run(cfg: RtConfig, asked: &mut Vec<usize>) -> allscale_core::RunReport {
+        let mut grid = None;
+        Runtime::new(cfg).run(|phase, ctx, _| {
+            asked.push(phase);
+            if phase == 0 {
+                grid = Some(Grid::<f64, 1>::create(ctx, "v", [256]));
+            }
+            let g = grid.expect("created in phase 0");
+            (phase <= STEPS).then(|| {
+                pfor(
+                    PforSpec {
+                        name: "bump",
+                        range: g.full_box(),
+                        grain: 16,
+                        ns_per_point: 40.0,
+                        axis0_pieces: 8,
+                    },
+                    move |tile| vec![Requirement::write(g.id, BoxRegion::from_box(*tile))],
+                    move |tctx, p| g.set(tctx, p.0, p[0] as f64),
+                )
+            })
+        })
+    }
+    let mut asked = Vec::new();
+    let clean = run(config(4, 2), &mut asked);
+    assert_eq!(asked, (0..=STEPS + 1).collect::<Vec<_>>());
+
+    let (faults, resilience) = common::kill_plan(
+        &clean,
+        2,
+        50,
+        FaultPlan::new(1),
+        ResilienceConfig::default(),
+    );
+    let mut cfg = config(4, 2);
+    cfg.faults = Some(faults);
+    cfg.resilience = Some(resilience);
+    cfg.trace = Some(allscale_core::TraceConfig::default());
+    asked.clear();
+    let report = run(cfg, &mut asked);
+    let restored: Vec<u32> = (report.trace.expect("traced").events.iter())
+        .filter_map(|e| match e.kind {
+            allscale_core::EventKind::Recovery { phase, .. } => Some(phase),
+            _ => None,
+        })
+        .collect();
+    // Killed while phase 3 runs: the recovery restores the checkpoint of
+    // the boundary before it, and the driver is asked for phase 3 again.
+    assert_eq!(
+        restored,
+        [3],
+        "one recovery, to the boundary before phase 3"
+    );
+    assert_eq!(asked, [0, 1, 2, 3, 3, 4, 5, 6, 7]);
+}
+
 /// Regression for the detector single point of failure: killing locality
 /// 0 — the failure-detector host — must fail the detection duty over to
 /// the next live locality instead of silencing it. The death is still
@@ -914,21 +964,16 @@ fn unverified_transfers_consume_wire_corruption() {
 /// owner's authoritative copy stays pristine throughout.
 #[test]
 fn scrubber_repairs_and_quarantines_rotting_replicas() {
-    use std::cell::RefCell;
-    use std::rc::Rc;
     const N: i64 = 64;
-    type GridPair = Rc<RefCell<Option<(Grid<f64, 1>, Grid<f64, 1>)>>>;
-    let st: GridPair = Rc::new(RefCell::new(None));
-    let s2 = st.clone();
+    let mut grids = None;
 
     let mut cfg = config(2, 2);
     cfg.faults = Some(FaultPlan::new(7).with_rot(1.0));
     cfg = cfg.with_integrity(IntegrityConfig {
         scrub_period: Some(SimDuration::from_micros(3)),
     });
-    let rt = Runtime::new(cfg);
-    let report = rt.run(
-        move |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
+    let report = Runtime::new(cfg).run(
+        |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
             match phase {
                 0 => {
                     // The broadcast item, kept whole on one owner, and a
@@ -936,7 +981,7 @@ fn scrubber_repairs_and_quarantines_rotting_replicas() {
                     // while the scrubber runs.
                     let g = Grid::<f64, 1>::create(ctx, "shared", [N]);
                     let w = Grid::<f64, 1>::create(ctx, "work", [256]);
-                    *s2.borrow_mut() = Some((g, w));
+                    grids = Some((g, w));
                     Some(pfor(
                         PforSpec {
                             name: "init",
@@ -950,7 +995,7 @@ fn scrubber_repairs_and_quarantines_rotting_replicas() {
                     ))
                 }
                 1 => {
-                    let (g, w) = s2.borrow().unwrap();
+                    let (g, w) = grids.unwrap();
                     let owner = (0..ctx.nodes())
                         .find(|&l| !ctx.owned_region_at(l, g.id).is_empty_dyn())
                         .expect("grid owned somewhere");
@@ -959,11 +1004,11 @@ fn scrubber_repairs_and_quarantines_rotting_replicas() {
                     ctx.broadcast_replicate(g.id, owner, &g.full_region());
                     Some(work_phase(w))
                 }
-                2..=6 => Some(work_phase(s2.borrow().unwrap().1)),
+                2..=6 => Some(work_phase(grids.unwrap().1)),
                 _ => {
                     // The owner's copy must be pristine: rot strikes
                     // replicas at rest, never the authoritative data.
-                    let (g, _) = s2.borrow().unwrap();
+                    let (g, _) = grids.unwrap();
                     let owner = (0..ctx.nodes())
                         .find(|&l| !ctx.owned_region_at(l, g.id).is_empty_dyn())
                         .unwrap();
@@ -1045,8 +1090,6 @@ fn recovery_rejects_rotted_checkpoints_and_restarts() {
 #[test]
 fn recovery_falls_back_the_configured_retention_depth() {
     use allscale_core::{CheckpointConfig, CkptMode};
-    use std::cell::Cell;
-    use std::rc::Rc;
     const STEPS: usize = 4;
 
     // `bump_roundtrip`, but the driver flips a byte in the two newest
@@ -1054,15 +1097,14 @@ fn recovery_falls_back_the_configured_retention_depth() {
     // corruption via the test hook, no random rot arm. Returns how many
     // checkpoints were retained at that boundary, and the report.
     fn run(cfg: RtConfig, corrupt: bool) -> (usize, allscale_core::RunReport) {
-        let retained = Rc::new(Cell::new(0));
-        let seen = retained.clone();
-        let (_, report) = bumps(STEPS).run_hooked(cfg, move |phase, ctx, _| {
+        let mut retained = 0;
+        let (_, report) = bumps(STEPS).run_hooked(cfg, |phase, ctx, _| {
             if corrupt && phase == STEPS {
-                seen.set(ctx.retained_checkpoints());
+                retained = ctx.retained_checkpoints();
                 ctx.corrupt_newest_checkpoints(2);
             }
         });
-        (retained.get(), report)
+        (retained, report)
     }
 
     // Blocking full snapshots keep the commit/corruption ordering at the

@@ -216,8 +216,23 @@ impl<W, E: Event<W>> Sim<W, E> {
 
     /// Run until the event queue drains. Returns the final virtual time.
     pub fn run(&mut self) -> SimTime {
-        while self.step() {}
+        self.run_until(|_| false);
         self.now
+    }
+
+    /// Run until `stop` holds of the world after an event (returns
+    /// `true`; later events stay queued and [`Sim::now`] is that event's
+    /// time) or the queue drains (returns `false`). Between two calls the
+    /// caller may mutate the world and schedule: a resumed run fires what
+    /// it scheduled in the same time/FIFO order as events scheduled by
+    /// that event itself.
+    pub fn run_until(&mut self, stop: impl Fn(&W) -> bool) -> bool {
+        while self.step() {
+            if stop(&self.world) {
+                return true;
+            }
+        }
+        false
     }
 }
 
@@ -343,6 +358,30 @@ mod tests {
         });
         sim.run();
         assert_eq!(sim.world, vec![SimTime::from_nanos(3_000_000)]);
+    }
+
+    #[test]
+    fn run_until_stops_after_the_event_that_makes_stop_true() {
+        let mut sim: Sim<Log, Note> = Sim::new(Log::new());
+        for (at, label) in [(10, 1), (20, 2), (20, 3), (30, 4)] {
+            sim.schedule_event_at(SimTime::from_nanos(at), Note::Record(label));
+        }
+        let second = |log: &Log| log.len() == 2;
+        assert!(sim.run_until(second));
+        assert_eq!(sim.world, vec![(10, 1), (20, 2)]);
+        assert_eq!(sim.now(), SimTime::from_nanos(20));
+        // Scheduled between runs at the stopping instant: it fires after
+        // the tie already queued there, and before anything later.
+        sim.schedule_event_at(sim.now(), Note::Record(5));
+        sim.schedule_event_at(SimTime::from_nanos(25), Note::Record(6));
+        assert!(!sim.run_until(|log| log.len() == 100));
+        assert_eq!(
+            sim.world,
+            vec![(10, 1), (20, 2), (20, 3), (20, 5), (25, 6), (30, 4)]
+        );
+        assert_eq!(sim.events_run(), 6);
+        // A drained queue stops at once.
+        assert!(!sim.run_until(|_| true));
     }
 
     #[test]

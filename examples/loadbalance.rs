@@ -13,9 +13,6 @@
 //! cargo run --release --example loadbalance
 //! ```
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use allscale_core::{
     pfor, Grid, PforSpec, Requirement, RtConfig, RtCtx, Runtime, TaskValue, WorkItem,
 };
@@ -53,21 +50,17 @@ fn step_pfor(grid: Grid<f64, 1>) -> Box<dyn WorkItem> {
 /// Run the workload; when `rebalance`, let the runtime's automatic
 /// planner migrate work off the slow node after the second step.
 fn run(rebalance: bool) -> (f64, f64) {
-    let grid_cell: Rc<RefCell<Option<Grid<f64, 1>>>> = Rc::new(RefCell::new(None));
-    let gc = grid_cell.clone();
-    let imbalance = Rc::new(RefCell::new(0.0f64));
-    let imb = imbalance.clone();
-
-    let runtime = Runtime::new(degraded_config());
-    let report = runtime.run(
-        move |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
+    let mut work = None;
+    let mut imbalance = 0.0;
+    let report = Runtime::new(degraded_config()).run(
+        |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
             if phase == 0 {
                 let grid = Grid::<f64, 1>::create(ctx, "work", [ROWS * COLS]);
-                *gc.borrow_mut() = Some(grid);
+                work = Some(grid);
                 return Some(step_pfor(grid));
             }
             if phase <= STEPS {
-                let grid = gc.borrow().unwrap();
+                let grid = work.unwrap();
                 if rebalance && phase == 2 {
                     // The runtime observed per-locality busy times; the
                     // planner equalizes predicted time (the slow node
@@ -82,13 +75,11 @@ fn run(rebalance: bool) -> (f64, f64) {
             let busy = ctx.busy_ns();
             let mean = busy.iter().sum::<u64>() as f64 / busy.len() as f64;
             let max = *busy.iter().max().unwrap() as f64;
-            *imb.borrow_mut() = max / mean;
+            imbalance = max / mean;
             None
         },
     );
-    let t = report.finish_time.as_secs_f64() * 1e3;
-    let i = *imbalance.borrow();
-    (t, i)
+    (report.finish_time.as_secs_f64() * 1e3, imbalance)
 }
 
 fn main() {

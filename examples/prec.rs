@@ -13,8 +13,6 @@
 //! cargo run --release --example prec
 //! ```
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use allscale_core::{
@@ -27,19 +25,15 @@ const N: i64 = 1 << 14;
 const NODES: usize = 8;
 
 fn main() {
-    let grid_cell: Rc<RefCell<Option<Grid<u64, 1>>>> = Rc::new(RefCell::new(None));
-    let gc = grid_cell.clone();
-    let result: Rc<RefCell<u64>> = Rc::new(RefCell::new(0));
-    let rc = result.clone();
-
-    let runtime = Runtime::new(RtConfig::meggie(NODES));
-    let report = runtime.run(
-        move |phase: usize, ctx: &mut RtCtx<'_>, prev: TaskValue| -> Option<Box<dyn WorkItem>> {
+    let mut grid = None;
+    let mut measured = 0;
+    let report = Runtime::new(RtConfig::meggie(NODES)).run(
+        |phase: usize, ctx: &mut RtCtx<'_>, prev: TaskValue| -> Option<Box<dyn WorkItem>> {
             match phase {
                 0 => {
                     // Fill a distributed vector with v[i] = i.
                     let g = Grid::<u64, 1>::create(ctx, "v", [N]);
-                    *gc.borrow_mut() = Some(g);
+                    grid = Some(g);
                     Some(pfor(
                         PforSpec {
                             name: "fill",
@@ -54,7 +48,7 @@ fn main() {
                 }
                 1 => {
                     // A hand-built prec: recursive range sum.
-                    let g = gc.borrow().unwrap();
+                    let g = grid.unwrap();
                     let grain = (N / (NODES as i64 * 40)).max(1) as u64;
                     #[allow(clippy::arc_with_non_send_sync)] // single-threaded sim
                     let ops: Arc<PrecOps<(i64, i64)>> = Arc::new(PrecOps {
@@ -92,7 +86,7 @@ fn main() {
                     Some(Prec::root((0, N), ops))
                 }
                 _ => {
-                    *rc.borrow_mut() = *prev
+                    measured = *prev
                         .expect("prec yields a sum")
                         .downcast::<u64>()
                         .expect("u64 sum");
@@ -102,7 +96,6 @@ fn main() {
         },
     );
 
-    let measured = *result.borrow();
     let expect = (N as u64) * (N as u64 - 1) / 2;
     println!("prec sum over {N} distributed elements = {measured}");
     println!("closed form                            = {expect}");

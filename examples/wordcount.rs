@@ -11,9 +11,6 @@
 //! cargo run --release --example wordcount
 //! ```
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use allscale_core::{
     pfor, DistMap, PforSpec, Requirement, RtConfig, RtCtx, Runtime, TaskValue, WorkItem,
 };
@@ -34,18 +31,14 @@ fn document(i: i64) -> Vec<String> {
 }
 
 fn main() {
-    let map_cell: Rc<RefCell<Option<DistMap<String, u64>>>> = Rc::new(RefCell::new(None));
-    let mc = map_cell.clone();
-    let total_cell: Rc<RefCell<u64>> = Rc::new(RefCell::new(0));
-    let tc = total_cell.clone();
-
-    let runtime = Runtime::new(RtConfig::meggie(4));
-    let report = runtime.run(
-        move |phase: usize, ctx: &mut RtCtx<'_>, prev: TaskValue| -> Option<Box<dyn WorkItem>> {
+    let mut words = None;
+    let mut total = 0;
+    let report = Runtime::new(RtConfig::meggie(4)).run(
+        |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
             match phase {
                 0 => {
                     let map = DistMap::<String, u64>::create(ctx, "wordcount", BUCKETS);
-                    *mc.borrow_mut() = Some(map);
+                    words = Some(map);
                     // Ingest phase: one task range per bucket block; each
                     // task scans ALL documents but only counts the words
                     // hashing into its buckets (a map-side shuffle).
@@ -87,7 +80,7 @@ fn main() {
                 }
                 1 => {
                     // Reduce phase: read-only tasks fold their bucket range.
-                    let map = mc.borrow().unwrap();
+                    let map = words.unwrap();
                     Some(pfor(
                         PforSpec {
                             name: "reduce",
@@ -111,7 +104,7 @@ fn main() {
                 }
                 2 => {
                     // Driver-side verification and output.
-                    let map = mc.borrow().unwrap();
+                    let map = words.unwrap();
                     let mut totals: std::collections::BTreeMap<String, u64> = Default::default();
                     for loc in 0..ctx.nodes() {
                         let frag = ctx.fragment_at::<allscale_region::KeyedFragment<String, u64>>(
@@ -125,8 +118,7 @@ fn main() {
                     for (w, n) in &totals {
                         println!("  {w:10} {n:6}");
                     }
-                    *tc.borrow_mut() = totals.values().sum::<u64>();
-                    let _ = prev;
+                    total = totals.values().sum::<u64>();
                     None
                 }
                 _ => unreachable!(),
@@ -142,7 +134,7 @@ fn main() {
         }
     }
     let expect: u64 = oracle.values().sum();
-    assert_eq!(*total_cell.borrow(), expect, "distributed == sequential");
+    assert_eq!(total, expect, "distributed == sequential");
     println!(
         "\ntotal {} word occurrences verified against the sequential oracle ✓",
         expect

@@ -609,14 +609,14 @@ impl Compiled {
     /// `(seed, phase)`); then `at_boundary(phase, ctx, live items)` runs
     /// at every boundary after phase 0. The last wave's reads land
     /// in `readback`.
-    pub fn driver(
-        self: Rc<Self>,
+    pub fn driver<'a>(
+        &'a self,
         rt: &RtConfig,
         seed: u64,
         migrations: bool,
         readback: Rc<RefCell<Readback>>,
-        mut at_boundary: impl FnMut(usize, &mut RtCtx<'_>, &[allscale_core::ItemId]) + 'static,
-    ) -> impl FnMut(usize, &mut RtCtx<'_>, TaskValue) -> Option<Box<dyn WorkItem>> + 'static {
+        mut at_boundary: impl FnMut(usize, &mut RtCtx<'_>, &[allscale_core::ItemId]) + 'a,
+    ) -> impl FnMut(usize, &mut RtCtx<'_>, TaskValue) -> Option<Box<dyn WorkItem>> + 'a {
         // `policy::pick_variant` splits a task at depth `d` only while
         // 2^d < 2 leaves per core.
         let splits = (2 * rt.spec.nodes * rt.spec.cores_per_node) as u64;

@@ -143,9 +143,9 @@ impl Scenario {
     pub fn run_hooked(
         &self,
         rt: RtConfig,
-        at_boundary: impl FnMut(usize, &mut RtCtx<'_>, &[ItemId]) + 'static,
+        at_boundary: impl FnMut(usize, &mut RtCtx<'_>, &[ItemId]),
     ) -> (Vec<u64>, RunReport) {
-        let compiled = Rc::new(family::compile(&self.program));
+        let compiled = family::compile(&self.program);
         let want = family::interpret(&self.program);
         let seen = Rc::new(RefCell::new(family::Readback::new()));
         let driver = compiled.driver(&rt, self.seed, self.migrations, seen.clone(), at_boundary);

@@ -507,21 +507,16 @@ fn runtime_run_reports_cache_effectiveness() {
     use allscale_core::{
         pfor, Grid, PforSpec, Requirement, RtConfig, RtCtx, Runtime, TaskValue, WorkItem,
     };
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    let grid: Rc<RefCell<Option<Grid<f64, 1>>>> = Rc::new(RefCell::new(None));
-    let gc = grid.clone();
-    let runtime = Runtime::new(RtConfig::test(4, 2));
-    let report = runtime.run(
-        move |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
+    let mut grid = None;
+    let report = Runtime::new(RtConfig::test(4, 2)).run(
+        |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
             if phase >= 4 {
                 return None;
             }
             if phase == 0 {
-                *gc.borrow_mut() = Some(Grid::<f64, 1>::create(ctx, "v", [256]));
+                grid = Some(Grid::<f64, 1>::create(ctx, "v", [256]));
             }
-            let g = gc.borrow().unwrap();
+            let g = grid.unwrap();
             Some(pfor(
                 PforSpec {
                     name: "sweep",

@@ -14,7 +14,6 @@
 //! - the family's compiler refuses, by name, every shape the runtime
 //!   cannot run.
 
-use std::cell::Cell;
 use std::rc::Rc;
 
 mod common;
@@ -37,10 +36,9 @@ fn runtime_state_satisfies_model_invariants_every_phase() {
         program: family::contended(3),
         ..Scenario::new(3)
     };
-    let boundaries = Rc::new(Cell::new(0));
-    let seen = boundaries.clone();
-    let (_, report) = scenario.run_hooked(scenario.rt(), move |_, _, _| seen.set(seen.get() + 1));
-    assert_eq!(boundaries.get(), report.phases, "passed every boundary");
+    let mut boundaries = 0;
+    let (_, report) = scenario.run_hooked(scenario.rt(), |_, _, _| boundaries += 1);
+    assert_eq!(boundaries, report.phases, "passed every boundary");
 }
 
 /// Ownership migration (load balancing) preserves the invariants, and

@@ -31,9 +31,6 @@
 //! re-capture, run the suite: each mismatching test prints its row as it
 //! is now, in source form.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use allscale_apps::ipic3d::{self, PicConfig};
 use allscale_apps::serve::{self, ServeAppConfig};
 use allscale_apps::stencil::{
@@ -203,27 +200,25 @@ fn scrub_rt() -> RtConfig {
 /// the `full_region()` it is asked to broadcast: that half is what gets
 /// replicated and fenced, the rest stays with locality 1.
 fn scrub_run(rt: RtConfig) -> (RunReport, u64) {
-    type Pair = Rc<RefCell<Option<(Grid<f64, 1>, Grid<f64, 1>)>>>;
-    let st: Pair = Rc::new(RefCell::new(None));
-    let s2 = st.clone();
+    let mut grids = None;
     let report = Runtime::new(rt).run(
-        move |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
+        |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
             match phase {
                 0 => {
                     let g = Grid::<f64, 1>::create(ctx, "shared", [64]);
                     let w = Grid::<f64, 1>::create(ctx, "work", [256]);
-                    *s2.borrow_mut() = Some((g, w));
+                    grids = Some((g, w));
                     Some(work_phase(g, 4.0, 0))
                 }
                 1 => {
-                    let (g, w) = s2.borrow().unwrap();
+                    let (g, w) = grids.unwrap();
                     let owner = (0..ctx.nodes())
                         .find(|&l| !ctx.owned_region_at(l, g.id).is_empty_dyn())
                         .expect("grid owned somewhere");
                     ctx.broadcast_replicate(g.id, owner, &g.full_region());
                     Some(work_phase(w, 60.0, 4))
                 }
-                2..=6 => Some(work_phase(s2.borrow().unwrap().1, 60.0, 4)),
+                2..=6 => Some(work_phase(grids.unwrap().1, 60.0, 4)),
                 _ => None,
             }
         },
@@ -246,20 +241,18 @@ fn loadbalance_rt() -> RtConfig {
 /// The `loadbalance` example's shape: one slow node, `auto_rebalance`
 /// (hence `migrate_region`) after the second step, then a destroy.
 fn loadbalance_run(rt: RtConfig) -> (RunReport, u64) {
-    let cell: Rc<RefCell<Option<Grid<f64, 1>>>> = Rc::new(RefCell::new(None));
-    let gc = cell.clone();
-    let moves = Rc::new(RefCell::new(0usize));
-    let mv = moves.clone();
+    let mut work = None;
+    let mut moved = 0;
     let report = Runtime::new(rt).run(
-        move |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
+        |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
             if phase == 0 {
                 let grid = Grid::<f64, 1>::create(ctx, "work", [2048]);
-                *gc.borrow_mut() = Some(grid);
+                work = Some(grid);
                 return Some(work_phase(grid, 400.0, 16));
             }
-            let grid = gc.borrow().unwrap();
+            let grid = work.unwrap();
             if phase == 2 {
-                *mv.borrow_mut() = ctx.auto_rebalance::<1>(grid.id, 1.25);
+                moved = ctx.auto_rebalance::<1>(grid.id, 1.25);
             }
             if phase <= 4 {
                 return Some(work_phase(grid, 400.0, 16));
@@ -268,7 +261,6 @@ fn loadbalance_run(rt: RtConfig) -> (RunReport, u64) {
             None
         },
     );
-    let moved = *moves.borrow();
     assert!(
         moved >= 1,
         "loadbalance: the planner must migrate something"

@@ -16,9 +16,6 @@
 
 mod common;
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use allscale_apps::serve::{run_with, ServeAppConfig};
 use allscale_apps::stencil::{self, StencilConfig};
 use allscale_core::{
@@ -288,13 +285,13 @@ fn deadlock_panic_names_the_waiter_and_its_holder() {
     // good (`RtCtx::broadcast_replicate` says so): the writers that follow
     // park behind locality 0's persistent export and nothing ever releases
     // it. The panic must say exactly that.
-    let grid: Rc<RefCell<Option<Grid<f64, 1>>>> = Rc::new(RefCell::new(None));
+    let mut grid = None;
     Runtime::new(RtConfig::test(2, 1)).run(
-        move |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
+        |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
             if phase == 0 {
-                *grid.borrow_mut() = Some(Grid::<f64, 1>::create(ctx, "g", [16]));
+                grid = Some(Grid::<f64, 1>::create(ctx, "g", [16]));
             }
-            let g = grid.borrow().expect("created in phase 0");
+            let g = grid.expect("created in phase 0");
             match phase {
                 1 => {
                     let owned = ctx.owned_region_at(0, g.id);

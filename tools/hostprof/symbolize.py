@@ -121,7 +121,10 @@ def main():
         scope += f"; {skipped} skipped ({', '.join(skip)})"
     for title, table in (("self", self_time), ("inclusive", inclusive)):
         print(f"--- {title}: {scope} ---")
-        for fn, count in table.most_common(top):
+        # Ties rank by name: `on_stack` is a set, so the order a table
+        # meets its keys in follows the per-process hash seed.
+        ranked = sorted(table.items(), key=lambda row: (-row[1], row[0]))
+        for fn, count in ranked[:top]:
             share = 100.0 if count == n else min(100 * count / n, 99.9)
             print(f"{share:6.1f}%  {count:9d}  {fn}")
 

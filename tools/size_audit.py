@@ -18,7 +18,12 @@ Writes `SIZE.json` (or PATH):
 `tests`    test lines per crate: its `src` files' unit-test modules plus
            every `.rs` file under `crates/<name>/tests`; and under
            `tests/` the lines of the workspace's own test suites;
-`docs`     the lines of DESIGN.md, README.md and EXPERIMENTS.md.
+`docs`     the lines of DESIGN.md, README.md and EXPERIMENTS.md;
+`ports`    per app under `crates/apps/src` with both ports, the lines of
+           its AllScale port (`allscale_version.rs`) and of its MPI port
+           (`mpi_version.rs`) that are code: up to the unit tests, as for
+           `crates`, and neither blank nor a `//` comment (EXPERIMENTS.md
+           E9 compares the two).
 
 CI regenerates the file and diffs it against the checked-in copy, so a
 change that grows or shrinks the code, its tests or its documents says so
@@ -34,6 +39,8 @@ import sys
 
 RUNTIME = "crates/core/src/runtime"
 DOCS = ["DESIGN.md", "README.md", "EXPERIMENTS.md"]
+APPS = "crates/apps/src"
+PORTS = {"allscale": "allscale_version.rs", "mpi": "mpi_version.rs"}
 BOUND = 900
 VIS = r"pub(?:\((?:crate|super|in [^)]*)\))?"
 PUB_FN = re.compile(rf"^\s*{VIS} (?:(?:const|unsafe|async) )*fn ", re.M)
@@ -51,6 +58,13 @@ def without_unit_tests(src):
     same text."""
     m = TEST_MODULE.search(src)
     return src if not m else src[: m.start()]
+
+
+def code_lines(path):
+    """A port's lines of code: before its unit tests, neither blank nor a
+    `//` comment (doc comments included)."""
+    lines = without_unit_tests(read(path)).splitlines()
+    return sum(1 for line in lines if line.strip() and not line.strip().startswith("//"))
 
 
 def sources(root):
@@ -88,7 +102,13 @@ def main():
                 pub_fns[path] = fns
     tests["tests/"] = sum(read(path).count("\n") for path in sources("tests"))
     docs = {doc: read(doc).count("\n") for doc in DOCS}
-    ledger = {"crates": crates, "runtime": runtime, "pub_fns": pub_fns, "tests": tests, "docs": docs}
+    ports = {}
+    for app in sorted(os.listdir(APPS)):
+        paths = {port: f"{APPS}/{app}/{name}" for port, name in PORTS.items()}
+        if all(os.path.exists(path) for path in paths.values()):
+            ports[app] = {port: code_lines(path) for port, path in paths.items()}
+    ledger = {"crates": crates, "runtime": runtime, "pub_fns": pub_fns, "tests": tests,
+              "docs": docs, "ports": ports}
     with open(out, "w", encoding="utf-8") as f:
         json.dump(ledger, f, indent=1, sort_keys=True)
         f.write("\n")
