@@ -34,6 +34,16 @@
 //! detection reference and the fallback. The runtime's recovery module
 //! drives it — arming captures, scheduling drains and heartbeats on the
 //! DES clock, and restoring what the chain lends back.
+//!
+//! The chain holds only the bytes a recovery can still read. Each stored
+//! shard's verdict — does its stored copy still hash to its checksum? —
+//! is fixed when its link commits, since at-rest rot (and the test
+//! hook's flip) strikes there and nothing touches a stored copy
+//! afterwards. So the restore point is known at every commit: the newest
+//! link whose chain verifies (with verification off, the newest link).
+//! Every shard of an older link that point's reconstruction does not
+//! lend keeps its item, length, checksum and verdict but drops its bytes:
+//! a recovery only ever bills or counts such a shard, never reads it.
 
 use std::collections::BTreeMap;
 
@@ -72,7 +82,10 @@ pub struct CheckpointConfig {
     pub anchor_every: usize,
     /// Retention depth: recovery can fall back across this many retained
     /// checkpoints when newer ones are corrupt (≥ 1; deltas additionally
-    /// retain their supporting anchor chain).
+    /// retain their supporting anchor chain). Every retained point is
+    /// billed and verified in full, but only the bytes the newest point
+    /// whose chain verifies still lends are held: a shard's verdict is
+    /// fixed at commit, so recovery never falls back past that point.
     pub keep: usize,
     /// Cost envelope of the two-tier checkpoint store.
     pub storage: StorageParams,
@@ -186,24 +199,41 @@ pub(crate) enum CkptKind {
 /// `phase` is the value of the runtime's phase counter at the boundary:
 /// recovery rewinds the counter to it and re-requests that phase's root
 /// work item from the driver.
-#[derive(Clone)]
+///
+/// A link holds the bytes of a stored shard only while a recovery can
+/// still lend them: [`ResilienceManager::commit`] drops the rest and
+/// keeps what a reconstruction bills and verifies (item, length,
+/// checksum and verdict) — exact because a verdict is fixed when its link
+/// commits and a dropped shard is only ever billed or counted, never read.
 struct SavedCkpt {
     /// Phase counter value at the boundary (the phase about to start).
     phase: usize,
     /// Anchor (full) or delta (changed shards only).
     kind: CkptKind,
     /// Stored shards per locality, ascending `ItemId`. An anchor holds
-    /// every item; a delta only the changed ones.
-    shards: Vec<Vec<(ItemId, Vec<u8>)>>,
-    /// FNV-1a checksum of each stored shard, aligned with
-    /// `shards[loc][k]`. Computed over the in-memory bytes at save time,
-    /// *before* any at-rest rot is injected into the stored copy — so a
-    /// rotted shard fails verification at reconstruction.
-    sums: Vec<Vec<u64>>,
+    /// every item; a delta the changed ones and every one its
+    /// predecessor's roster lacks.
+    shards: Vec<Vec<StoredShard>>,
     /// Every item alive at the boundary, per locality (ascending) — lets
     /// reconstruction drop items that a delta does not mention because
     /// they were destroyed, not because they were unchanged.
     roster: Vec<Vec<ItemId>>,
+}
+
+/// One shard a link stored: what a reconstruction bills and verifies for
+/// it, and its bytes for as long as a recovery can still lend them.
+struct StoredShard {
+    id: ItemId,
+    /// FNV-1a checksum of the shard's boundary bytes (its capture
+    /// fingerprint), taken before any at-rest rot struck the stored copy.
+    sum: u64,
+    /// Length of the stored copy, billed whether or not it is held.
+    len: u64,
+    /// Whether the stored copy hashes to `sum`. Fixed at commit: nothing
+    /// touches a stored copy after its link committed.
+    intact: bool,
+    /// The stored copy; `None` once no recovery can lend it.
+    bytes: Option<Vec<u8>>,
 }
 
 /// The boundary state a chain reconstructs to — per locality, ascending
@@ -214,9 +244,8 @@ pub(crate) type LentSnapshot<'a> = Vec<Vec<(ItemId, &'a [u8])>>;
 /// Byte/shard accounting of one chain reconstruction, per locality —
 /// the recovery restore path bills these against the storage tiers.
 struct ReconstructCost {
-    /// The stored checksum of each reconstructed shard, aligned with
-    /// `LentSnapshot[loc][k]`. A reconstruction that verified has just
-    /// shown each to be the hash of its shard's bytes.
+    /// The hash of each reconstructed shard's stored copy, aligned with
+    /// `LentSnapshot[loc][k]`: its checksum, unless it rotted.
     sums: Vec<Vec<u64>>,
     /// Chain links (anchor + deltas) read and applied.
     links: u64,
@@ -226,22 +255,12 @@ struct ReconstructCost {
     shards: Vec<u64>,
 }
 
-/// Replay the anchor+delta chain `chain[..=upto]` into the full
-/// boundary state of `chain[upto]`.
-///
-/// Scans back from `upto` to the nearest anchor, then applies each
-/// link's shards forward (newer shards overwrite older ones) and prunes
-/// the result to `chain[upto]`'s roster. With `verify`, every link's
-/// shards are checksummed first — all of them in one batch, hashed
-/// abreast — and the reconstruction fails with the number of rejected
-/// shards if any link is corrupt: a delta chain is only as trustworthy as
-/// its weakest link. Fails with 0 rejected shards if no anchor supports
-/// `upto` (evicted or never taken).
-fn reconstruct(
-    chain: &[SavedCkpt],
-    upto: usize,
-    verify: bool,
-) -> Result<(LentSnapshot<'_>, ReconstructCost), u64> {
+/// The links `chain[upto]` reconstructs from: back to its nearest anchor.
+/// With `verify`, fails with the number of shards among them that did
+/// not store intact — a delta chain is only as trustworthy as its
+/// weakest link. Fails with 0 if no anchor supports `upto` (evicted or
+/// never taken).
+fn chain_of(chain: &[SavedCkpt], upto: usize, verify: bool) -> Result<&[SavedCkpt], u64> {
     let Some(base) = chain[..=upto]
         .iter()
         .rposition(|s| s.kind == CkptKind::Anchor)
@@ -251,14 +270,26 @@ fn reconstruct(
     let links = &chain[base..=upto];
     if verify {
         let stored = links.iter().flat_map(|link| link.shards.iter().flatten());
-        let stored: Vec<&[u8]> = stored.map(|(_, bytes)| bytes.as_slice()).collect();
-        let sums = links.iter().flat_map(|link| link.sums.iter().flatten());
-        let hashed = fnv1a_64_batch(&stored);
-        let bad = hashed.iter().zip(sums).filter(|(h, sum)| h != sum).count() as u64;
+        let bad = stored.filter(|s| !s.intact).count() as u64;
         if bad > 0 {
             return Err(bad);
         }
     }
+    Ok(links)
+}
+
+/// Replay the anchor+delta chain `chain[..=upto]` into the full
+/// boundary state of `chain[upto]`.
+///
+/// Takes the links of [`chain_of`] (failing as it does), applies each
+/// link's shards forward (newer shards overwrite older ones) and prunes
+/// the result to `chain[upto]`'s roster.
+fn reconstruct(
+    chain: &[SavedCkpt],
+    upto: usize,
+    verify: bool,
+) -> Result<(LentSnapshot<'_>, ReconstructCost), u64> {
+    let links = chain_of(chain, upto, verify)?;
     let nloc = links[0].shards.len();
     let mut cost = ReconstructCost {
         sums: Vec::with_capacity(nloc),
@@ -266,13 +297,13 @@ fn reconstruct(
         bytes: vec![0; nloc],
         shards: vec![0; nloc],
     };
-    let mut acc: Vec<BTreeMap<ItemId, (&[u8], u64)>> = vec![BTreeMap::new(); nloc];
+    let mut acc: Vec<BTreeMap<ItemId, &StoredShard>> = vec![BTreeMap::new(); nloc];
     for link in links {
-        for (loc, (shards, sums)) in link.shards.iter().zip(&link.sums).enumerate() {
-            for ((id, bytes), &sum) in shards.iter().zip(sums) {
-                cost.bytes[loc] += bytes.len() as u64;
+        for (loc, shards) in link.shards.iter().enumerate() {
+            for shard in shards {
+                cost.bytes[loc] += shard.len;
                 cost.shards[loc] += 1;
-                acc[loc].insert(*id, (bytes.as_slice(), sum));
+                acc[loc].insert(shard.id, shard);
             }
         }
     }
@@ -280,10 +311,15 @@ fn reconstruct(
     let mut per_locality = Vec::with_capacity(nloc);
     for (loc, mut items) in acc.into_iter().enumerate() {
         items.retain(|id, _| top.roster[loc].binary_search(id).is_ok());
-        cost.sums
-            .push(items.values().map(|&(_, sum)| sum).collect());
-        let lent = items.into_iter().map(|(id, (bytes, _))| (id, bytes));
-        per_locality.push(lent.collect());
+        let lent = items.into_values().map(|s| {
+            let bytes = s.bytes.as_deref();
+            let bytes = bytes.expect("a shard the chain lends holds its bytes");
+            let hash = if s.intact { s.sum } else { fnv1a_64(bytes) };
+            ((s.id, bytes), hash)
+        });
+        let (lent, sums) = lent.unzip();
+        per_locality.push(lent);
+        cost.sums.push(sums);
     }
     Ok((per_locality, cost))
 }
@@ -319,10 +355,16 @@ pub(crate) struct Capture {
 /// against.
 pub(crate) struct ResilienceManager {
     cfg: ResilienceConfig,
+    /// Whether recovery verifies a chain before restoring from it (the
+    /// integrity service is on).
+    verify: bool,
     /// Retained checkpoints, oldest first: the newest
     /// [`CheckpointConfig::keep`] points plus whatever older links their
     /// reconstruction chains need back to an anchor.
     saved: Vec<SavedCkpt>,
+    /// How many of the next commits store their first non-empty shard
+    /// with its first byte flipped (the test hook's at-rest corruption).
+    corrupt_next: usize,
     /// `Monitor::total_tasks()` at the instant of the last checkpoint —
     /// the baseline for counting re-executed tasks after a recovery.
     tasks_at_checkpoint: u64,
@@ -335,11 +377,14 @@ pub(crate) struct ResilienceManager {
 }
 
 impl ResilienceManager {
-    /// A manager over `nodes` localities.
-    pub fn new(cfg: ResilienceConfig, nodes: usize) -> Self {
+    /// A manager over `nodes` localities; with `verify`, recovery
+    /// restores only from a chain every shard of which stored intact.
+    pub fn new(cfg: ResilienceConfig, nodes: usize, verify: bool) -> Self {
         ResilienceManager {
             cfg,
+            verify,
             saved: Vec::new(),
+            corrupt_next: 0,
             tasks_at_checkpoint: 0,
             last_fps: vec![BTreeMap::new(); nodes],
             storage: StorageModel::new(cfg.ckpt.storage),
@@ -459,9 +504,13 @@ impl ResilienceManager {
     /// Commit `capture`, taken at the boundary entering `phase`, as the
     /// chain's newest link: of `full`, the boundary state aligned with the
     /// capture, the stored shards are moved in, checksummed by their
-    /// boundary fingerprints. With `check`, the chain must reconstruct
-    /// `full` bit for bit. Then `rot` may strike each stored shard — the
-    /// stored copy only, after its checksum was taken.
+    /// boundary fingerprints. With `check`, a chain that verifies must
+    /// reconstruct `full` bit for bit (one with a rotted link may not).
+    /// Then `rot` may strike each stored shard — the stored copy only,
+    /// after its checksum was taken; it returns whether it struck — and
+    /// so may the test hook ([`ResilienceManager::corrupt_commits`]).
+    /// Each shard's verdict is fixed there, and the chain drops the bytes
+    /// no recovery can lend any more (`prune`).
     pub fn commit(
         &mut self,
         phase: usize,
@@ -469,7 +518,7 @@ impl ResilienceManager {
         full: Vec<Vec<(ItemId, Vec<u8>)>>,
         stats: &mut ResilienceStats,
         check: bool,
-        mut rot: impl FnMut(&mut [u8]),
+        mut rot: impl FnMut(&mut [u8]) -> bool,
     ) {
         stats.checkpoints += 1;
         stats.checkpoint_bytes += capture.stored_bytes;
@@ -479,31 +528,33 @@ impl ResilienceManager {
             CkptKind::Delta => stats.ckpt_deltas += 1,
         }
         let boundary = check.then(|| full.clone());
-        let (mut shards, mut sums, mut roster) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut shards, mut roster) = (Vec::new(), Vec::new());
         for (row, sigs) in full.into_iter().zip(&capture.shards) {
             roster.push(sigs.iter().map(|&(id, _, _)| id).collect());
-            let (mut kept, mut fps) = (Vec::new(), Vec::new());
-            for (shard, &(id, (fp, _), stored)) in row.into_iter().zip(sigs) {
-                if stored {
-                    debug_assert_eq!(fp, fnv1a_64(&shard.1), "{id:?} changed since the boundary");
-                    kept.push(shard);
-                    fps.push(fp);
+            let stored = row.into_iter().zip(sigs).filter(|(_, sig)| sig.2);
+            let kept = stored.map(|((_, bytes), &(id, (sum, len), _))| {
+                debug_assert_eq!(sum, fnv1a_64(&bytes), "{id:?} changed since the boundary");
+                StoredShard {
+                    id,
+                    sum,
+                    len,
+                    intact: true,
+                    bytes: Some(bytes),
                 }
-            }
-            shards.push(kept);
-            sums.push(fps);
+            });
+            shards.push(kept.collect());
         }
         let entry = SavedCkpt {
             phase,
             kind: capture.kind,
             shards,
-            sums,
             roster,
         };
         self.save(entry, capture.tasks_done);
         let signed = |row: &Vec<_>| row.iter().map(|&(id, sig, _)| (id, sig)).collect();
         self.last_fps = capture.shards.iter().map(signed).collect();
-        if let Some(boundary) = boundary {
+        let newest = self.saved.len() - 1;
+        if let Some(boundary) = boundary.filter(|_| chain_of(&self.saved, newest, true).is_ok()) {
             let lend = boundary
                 .iter()
                 .map(|row| row.iter().map(|(id, b)| (*id, &b[..])).collect());
@@ -511,9 +562,64 @@ impl ResilienceManager {
             let diverged = "delta reconstruction diverged from the full boundary snapshot";
             assert!(self.newest() == boundary, "{diverged}");
         }
-        let stored = self.saved.last_mut().expect("entry just saved");
-        for (_, bytes) in stored.shards.iter_mut().flatten() {
-            rot(bytes);
+        let mut hook = self.corrupt_next > 0;
+        self.corrupt_next = self.corrupt_next.saturating_sub(1);
+        for shard in self.saved[newest].shards.iter_mut().flatten() {
+            let bytes = shard.bytes.as_mut().expect("a new link holds its bytes");
+            let mut struck = rot(bytes);
+            if hook && !bytes.is_empty() {
+                bytes[0] ^= 0xff;
+                (hook, struck) = (false, true);
+            }
+            shard.intact = !struck || fnv1a_64(bytes) == shard.sum;
+        }
+        self.prune();
+    }
+
+    /// Drop the bytes of every stored shard no recovery can lend any
+    /// more, keeping what a reconstruction bills and verifies.
+    ///
+    /// A recovery restores from the target: the newest link whose chain
+    /// verifies (with verification off, the newest link). Links newer
+    /// than the target keep their bytes — a recovery may reject them, but
+    /// never restores from them. Of the older links, a shard keeps its
+    /// bytes only if the target's reconstruction lends it: its item is on
+    /// the target's roster and no newer link of the chain stored it.
+    /// Exact because verdicts are fixed at commit, so no later recovery
+    /// falls back past the target, and because a delta stores every item
+    /// its predecessor's roster lacks, so a later target lends an older
+    /// link's shard only where this one does. A fall-back pops only links
+    /// newer than the target, so it leaves nothing more to drop.
+    fn prune(&mut self) {
+        let chains = (0..self.saved.len()).rev();
+        let mut targets = chains.filter_map(|t| {
+            let links = chain_of(&self.saved, t, self.verify).ok()?;
+            Some((t, t + 1 - links.len()))
+        });
+        let Some((target, base)) = targets.next() else {
+            return;
+        };
+        for link in &mut self.saved[..base] {
+            for shard in link.shards.iter_mut().flatten() {
+                shard.bytes = None;
+            }
+        }
+        for l in base..target {
+            let (older, newer) = self.saved.split_at_mut(l + 1);
+            let newer = &newer[..target - l];
+            let top = &newer[newer.len() - 1];
+            for (loc, row) in older[l].shards.iter_mut().enumerate() {
+                for shard in row.iter_mut().filter(|s| s.bytes.is_some()) {
+                    let on_roster = top.roster[loc].binary_search(&shard.id).is_ok();
+                    let stores_it = |link: &SavedCkpt| {
+                        let row = &link.shards[loc];
+                        row.binary_search_by_key(&shard.id, |s| s.id).is_ok()
+                    };
+                    if !on_roster || newer.iter().any(stores_it) {
+                        shard.bytes = None;
+                    }
+                }
+            }
         }
     }
 
@@ -537,25 +643,20 @@ impl ResilienceManager {
     }
 
     /// Fall back newest-first to the newest retained point whose chain
-    /// reconstructs, every link checksum-verified when `verify`; return
+    /// reconstructs, every link verified when the manager verifies; return
     /// its phase and the ns its restore reads take (`None`: restart from
     /// scratch). A rejected point is dropped for good, leaving the chosen
     /// one the newest. Survivors read the local tier, a `dead` locality's
     /// shards only the remote one. Change detection restarts from what is
     /// restored; `monitor` counts rejections, reads and discarded tasks.
-    pub fn fall_back(
-        &mut self,
-        verify: bool,
-        dead: &[bool],
-        monitor: &mut Monitor,
-    ) -> Option<(usize, u64)> {
+    pub fn fall_back(&mut self, dead: &[bool], monitor: &mut Monitor) -> Option<(usize, u64)> {
         let reexecuted = monitor
             .total_tasks()
             .saturating_sub(self.tasks_at_checkpoint);
         monitor.resilience.tasks_reexecuted += reexecuted;
         self.last_fps = vec![BTreeMap::new(); dead.len()];
         while let Some(upto) = self.saved.len().checked_sub(1) {
-            let (snap, cost) = match reconstruct(&self.saved, upto, verify) {
+            let (snap, cost) = match reconstruct(&self.saved, upto, self.verify) {
                 Ok(found) => found,
                 Err(bad) => {
                     monitor.integrity.checkpoint_shards_rejected += bad;
@@ -564,7 +665,7 @@ impl ResilienceManager {
                     continue;
                 }
             };
-            if verify {
+            if self.verify {
                 monitor.integrity.ckpt_links_verified += cost.links;
             }
             let mut read_ns = 0;
@@ -580,16 +681,7 @@ impl ResilienceManager {
                 read_ns = read_ns.max(ns);
             }
             monitor.resilience.recovery_read_ns += read_ns;
-            // A shard `reconstruct` verified hashes to its stored
-            // checksum; unverified bytes may have rotted since that was
-            // taken, so they are hashed as restored — abreast.
-            let hashed: Vec<u64> = if verify {
-                cost.sums.into_iter().flatten().collect()
-            } else {
-                let shards: Vec<&[u8]> = snap.iter().flatten().map(|(_, b)| *b).collect();
-                fnv1a_64_batch(&shards)
-            };
-            let mut hashed = hashed.into_iter();
+            let mut hashed = cost.sums.into_iter().flatten();
             for (fps, row) in self.last_fps.iter_mut().zip(&snap) {
                 let sig = |(&(id, b), fp): (&(ItemId, &[u8]), u64)| (id, (fp, b.len() as u64));
                 *fps = row.iter().zip(hashed.by_ref()).map(sig).collect();
@@ -614,15 +706,11 @@ impl ResilienceManager {
         snap
     }
 
-    /// Flip a byte in the first non-empty stored shard of each of the
-    /// newest `n` retained checkpoints (simulated at-rest corruption).
-    pub fn corrupt_newest(&mut self, n: usize) {
-        for entry in self.saved.iter_mut().rev().take(n) {
-            let mut shards = entry.shards.iter_mut().flatten();
-            if let Some((_, bytes)) = shards.find(|(_, bytes)| !bytes.is_empty()) {
-                bytes[0] ^= 0xff;
-            }
-        }
+    /// Store the first non-empty shard of each of the next `n` commits
+    /// with its first byte flipped (simulated at-rest corruption; replaces
+    /// any count still pending).
+    pub fn corrupt_commits(&mut self, n: usize) {
+        self.corrupt_next = n;
     }
 }
 
@@ -649,6 +737,7 @@ mod tests {
                 ..ResilienceConfig::default()
             },
             4,
+            true,
         );
         assert!(!mgr.due(0));
         assert!(!mgr.due(1));
@@ -658,19 +747,23 @@ mod tests {
     }
 
     fn entry(phase: usize, kind: CkptKind, shards: Vec<Vec<(ItemId, Vec<u8>)>>) -> SavedCkpt {
-        let sums = shards
-            .iter()
-            .map(|loc| loc.iter().map(|(_, b)| fnv1a_64(b)).collect())
-            .collect();
         let roster = shards
             .iter()
             .map(|loc| loc.iter().map(|(id, _)| *id).collect())
             .collect();
+        let stored = |(id, bytes): (ItemId, Vec<u8>)| StoredShard {
+            id,
+            sum: fnv1a_64(&bytes),
+            len: bytes.len() as u64,
+            intact: true,
+            bytes: Some(bytes),
+        };
+        let shards = shards.into_iter();
+        let shards = shards.map(|loc| loc.into_iter().map(stored).collect());
         SavedCkpt {
             phase,
             kind,
-            shards,
-            sums,
+            shards: shards.collect(),
             roster,
         }
     }
@@ -681,7 +774,7 @@ mod tests {
 
     #[test]
     fn replayed_boundary_is_not_recheckpointed() {
-        let mut mgr = ResilienceManager::new(ResilienceConfig::default(), 2);
+        let mut mgr = ResilienceManager::new(ResilienceConfig::default(), 2, true);
         assert!(mgr.due(2));
         mgr.save(empty(2, CkptKind::Anchor), 7);
         assert!(!mgr.due(2), "restored boundary must not re-snapshot");
@@ -702,6 +795,7 @@ mod tests {
                     ..ResilienceConfig::default()
                 },
                 2,
+                true,
             );
             for phase in [2, 4, 6, 8, 10, 12] {
                 mgr.save(empty(phase, CkptKind::Anchor), 0);
@@ -726,6 +820,7 @@ mod tests {
                 ..ResilienceConfig::default()
             },
             2,
+            true,
         );
         // Anchor, then deltas: the kept tail always reconstructs.
         for phase in 1..=6 {
@@ -759,6 +854,7 @@ mod tests {
                 ..ResilienceConfig::default()
             },
             2,
+            true,
         );
         let mut kinds = Vec::new();
         for phase in 1..=7 {
@@ -782,6 +878,7 @@ mod tests {
                 ..ResilienceConfig::default()
             },
             2,
+            true,
         );
         assert!(!mgr.due(0));
         assert!(mgr.due(1));
@@ -845,7 +942,7 @@ mod tests {
         ];
         // Rot the *anchor* shard: the newest delta is intact, but the
         // chain under it is not.
-        chain[0].shards[0][0].1[0] ^= 0xff;
+        chain[0].shards[0][0].intact = false;
         assert_eq!(reconstruct(&chain, 1, true).map(|_| ()).unwrap_err(), 1);
         // Without verification the corruption sails through.
         assert!(reconstruct(&chain, 1, false).is_ok());
@@ -855,5 +952,292 @@ mod tests {
     fn reconstruction_without_anchor_fails_closed() {
         let chain = vec![entry(2, CkptKind::Delta, vec![sh(&[(0, b"A2")])])];
         assert!(reconstruct(&chain, 0, true).is_err());
+    }
+
+    #[test]
+    fn a_delta_storing_every_shard_leaves_the_anchor_no_bytes() {
+        let mut mgr = ResilienceManager::new(ResilienceConfig::default(), 2, true);
+        let mut monitor = Monitor::new(2);
+        for (phase, fill) in [(2, 1u8), (4, 2)] {
+            let full = vec![
+                vec![(ItemId(0), vec![fill; 8]), (ItemId(1), vec![fill; 4])],
+                vec![(ItemId(2), vec![fill; 16])],
+            ];
+            let armed: Vec<&[(ItemId, Vec<u8>)]> = full.iter().map(Vec::as_slice).collect();
+            let capture = mgr.capture(&armed, &mut monitor);
+            mgr.commit(phase, capture, full, &mut monitor.resilience, true, |_| {
+                false
+            });
+        }
+        let kinds: Vec<CkptKind> = mgr.saved.iter().map(|s| s.kind).collect();
+        assert_eq!(kinds, [CkptKind::Anchor, CkptKind::Delta]);
+        let held = |link: &SavedCkpt| {
+            let shards = link.shards.iter().flatten();
+            shards.filter(|s| s.bytes.is_some()).count()
+        };
+        assert_eq!((held(&mgr.saved[0]), held(&mgr.saved[1])), (0, 3));
+        // The anchor's shards are still billed and verified.
+        let (snap, cost) = reconstruct(&mgr.saved, 1, true).unwrap();
+        assert_eq!(
+            (cost.links, cost.bytes, cost.shards),
+            (2, vec![24, 32], vec![4, 2])
+        );
+        assert_eq!(snap[1], lent(&[(2, &[2; 16])]));
+    }
+
+    /// The chain as it was before pruning: every stored copy kept, and
+    /// verification hashes each one.
+    struct Reference {
+        keep: usize,
+        verify: bool,
+        links: Vec<RefLink>,
+        storage: StorageModel,
+    }
+
+    struct RefLink {
+        phase: usize,
+        kind: CkptKind,
+        /// Per locality: each stored shard's item, checksum and copy.
+        shards: Vec<Vec<(ItemId, u64, Vec<u8>)>>,
+        roster: Vec<Vec<ItemId>>,
+    }
+
+    /// What a reconstruction lends, its links, and the bytes and shards
+    /// it reads per locality.
+    type Rebuilt = (Vec<Vec<(ItemId, Vec<u8>)>>, u64, Vec<u64>, Vec<u64>);
+
+    impl Reference {
+        fn save(&mut self, link: RefLink) {
+            self.links.push(link);
+            if self.links.len() > self.keep {
+                let cut = self.links.len() - self.keep;
+                let mut anchors = self.links[..=cut].iter();
+                if let Some(a) = anchors.rposition(|l| l.kind == CkptKind::Anchor) {
+                    self.links.drain(0..a);
+                }
+            }
+        }
+
+        fn reconstruct(&self, upto: usize, verify: bool) -> Result<Rebuilt, u64> {
+            let mut anchors = self.links[..=upto].iter();
+            let base = anchors
+                .rposition(|l| l.kind == CkptKind::Anchor)
+                .ok_or(0u64)?;
+            let links = &self.links[base..=upto];
+            let stored = links.iter().flat_map(|l| l.shards.iter().flatten());
+            let bad = stored.filter(|(_, sum, b)| fnv1a_64(b) != *sum).count() as u64;
+            if verify && bad > 0 {
+                return Err(bad);
+            }
+            let nloc = links[0].shards.len();
+            let (mut bytes, mut shards) = (vec![0; nloc], vec![0; nloc]);
+            let mut acc = vec![BTreeMap::new(); nloc];
+            for link in links {
+                for (loc, row) in link.shards.iter().enumerate() {
+                    for (id, _, b) in row {
+                        bytes[loc] += b.len() as u64;
+                        shards[loc] += 1;
+                        acc[loc].insert(*id, b.clone());
+                    }
+                }
+            }
+            let roster = &self.links[upto].roster;
+            let lent = acc.into_iter().zip(roster).map(|(items, roster)| {
+                let items = items.into_iter();
+                items.filter(|(id, _)| roster.contains(id)).collect()
+            });
+            Ok((lent.collect(), links.len() as u64, bytes, shards))
+        }
+
+        /// The restore point, and the shards rejected, the points
+        /// abandoned and the links verified on the way to it.
+        fn fall_back(&mut self, dead: &[bool]) -> (Option<(usize, u64)>, u64, u64, u64) {
+            let (mut rejected, mut abandoned) = (0, 0);
+            while let Some(upto) = self.links.len().checked_sub(1) {
+                let Ok((_, links, bytes, shards)) = self.reconstruct(upto, self.verify) else {
+                    rejected += self.reconstruct(upto, self.verify).unwrap_err();
+                    abandoned += 1;
+                    self.links.pop();
+                    continue;
+                };
+                let mut read_ns = 0;
+                for (loc, &is_dead) in dead.iter().enumerate() {
+                    let tier = [StorageTier::Local, StorageTier::Remote][is_dead as usize];
+                    read_ns = read_ns.max(self.storage.read_ns(tier, shards[loc], bytes[loc]));
+                }
+                let verified = if self.verify { links } else { 0 };
+                let point = Some((self.links[upto].phase, read_ns));
+                return (point, rejected, abandoned, verified);
+            }
+            (None, rejected, abandoned, 0)
+        }
+    }
+
+    /// The manager and the reference retain the same points, and every
+    /// point a recovery can reach — newest first, down to the first that
+    /// reconstructs — is rejected alike or lends the same bytes at the
+    /// same cost.
+    fn agree(mgr: &ResilienceManager, reference: &Reference) {
+        let points = |it: &mut dyn Iterator<Item = (usize, CkptKind)>| it.collect::<Vec<_>>();
+        assert_eq!(
+            points(&mut mgr.saved.iter().map(|s| (s.phase, s.kind))),
+            points(&mut reference.links.iter().map(|l| (l.phase, l.kind))),
+        );
+        for upto in (0..mgr.saved.len()).rev() {
+            let want = reference.reconstruct(upto, mgr.verify);
+            let got = reconstruct(&mgr.saved, upto, mgr.verify).map(|(snap, cost)| {
+                let hashed = snap.iter().map(|row| row.iter().map(|(_, b)| fnv1a_64(b)));
+                assert_eq!(
+                    cost.sums,
+                    hashed.map(Iterator::collect).collect::<Vec<Vec<_>>>()
+                );
+                let owned = snap
+                    .iter()
+                    .map(|row| row.iter().map(|&(id, b)| (id, b.to_vec())));
+                let owned = owned.map(Iterator::collect).collect();
+                (owned, cost.links, cost.bytes, cost.shards)
+            });
+            assert_eq!(got, want, "point {upto}");
+            if got.is_ok() {
+                break;
+            }
+        }
+        if let Some(newest) = reference.links.len().checked_sub(1) {
+            let (want, ..) = reference.reconstruct(newest, false).unwrap();
+            let got = mgr.newest();
+            let got: Vec<Vec<_>> = got
+                .iter()
+                .map(|row| row.iter().map(|&(id, b)| (id, b.to_vec())).collect())
+                .collect();
+            assert_eq!(got, want, "newest()");
+        }
+    }
+
+    #[test]
+    fn pruning_agrees_with_a_chain_that_keeps_every_byte() {
+        use allscale_des::rng::XorShift64Star;
+        let (mut fall_backs, mut restored, mut rejected) = (0, 0, 0);
+        for seed in 1..=300u64 {
+            let mut rng = XorShift64Star::new(seed);
+            let mut draw = move |n: u64| rng.next() % n;
+            let verify = draw(2) == 0;
+            let ckpt = CheckpointConfig {
+                incremental: draw(4) > 0,
+                anchor_every: 1 + draw(4) as usize,
+                keep: 1 + draw(3) as usize,
+                ..CheckpointConfig::default()
+            };
+            let cfg = ResilienceConfig {
+                checkpoint_every: 1,
+                ckpt,
+                ..ResilienceConfig::default()
+            };
+            let nloc = 2 + draw(2) as usize;
+            let mut mgr = ResilienceManager::new(cfg, nloc, verify);
+            let mut reference = Reference {
+                keep: ckpt.keep,
+                verify,
+                links: Vec::new(),
+                storage: StorageModel::new(ckpt.storage),
+            };
+            let mut monitor = Monitor::new(nloc);
+            let mut state = vec![BTreeMap::new(); nloc];
+            let (mut hook, mut totals) = (0, (0, 0, 0));
+            for phase in 1..=16 {
+                if draw(5) == 0 {
+                    let dead: Vec<bool> = (0..nloc).map(|_| draw(3) == 0).collect();
+                    let got = mgr.fall_back(&dead, &mut monitor);
+                    let (want, bad, abandoned, verified) = reference.fall_back(&dead);
+                    assert_eq!(got, want, "seed {seed} phase {phase}");
+                    totals = (totals.0 + bad, totals.1 + abandoned, totals.2 + verified);
+                    let g = &monitor.integrity;
+                    let counted = (g.checkpoint_shards_rejected, g.checkpoint_fallbacks);
+                    assert_eq!(counted, (totals.0, totals.1), "seed {seed}");
+                    assert_eq!(g.ckpt_links_verified, totals.2, "seed {seed}");
+                    // The world rewinds to what was restored, and change
+                    // detection restarts from its hash.
+                    state = vec![BTreeMap::new(); nloc];
+                    if let Some(newest) = reference.links.len().checked_sub(1) {
+                        let (lent, ..) = reference.reconstruct(newest, false).unwrap();
+                        state = lent
+                            .into_iter()
+                            .map(|row| row.into_iter().collect())
+                            .collect();
+                    }
+                    let sig = |(id, b): (&ItemId, &Vec<u8>)| (*id, (fnv1a_64(b), b.len() as u64));
+                    let sigs: Vec<BTreeMap<_, _>> =
+                        state.iter().map(|m| m.iter().map(sig).collect()).collect();
+                    assert_eq!(mgr.last_fps, sigs, "seed {seed}");
+                    fall_backs += 1;
+                    restored += want.is_some() as u32;
+                    rejected += bad;
+                    agree(&mgr, &reference);
+                    continue;
+                }
+                for row in &mut state {
+                    for id in 0..6 {
+                        match draw(8) {
+                            0 => drop(row.remove(&ItemId(id))),
+                            1 | 2 => {
+                                let len = draw(6) as usize;
+                                let bytes = (0..len).map(|_| draw(256) as u8).collect();
+                                row.insert(ItemId(id), bytes);
+                            }
+                            _ => {}
+                        }
+                    }
+                }
+                if draw(6) == 0 {
+                    hook = 1 + draw(2) as usize;
+                    mgr.corrupt_commits(hook);
+                }
+                let full: Vec<Vec<(ItemId, Vec<u8>)>> = state
+                    .iter()
+                    .map(|m| m.iter().map(|(id, b)| (*id, b.clone())).collect())
+                    .collect();
+                let armed: Vec<&[(ItemId, Vec<u8>)]> = full.iter().map(Vec::as_slice).collect();
+                let capture = mgr.capture(&armed, &mut monitor);
+                // The reference stores what the capture planned, struck by
+                // the same rot and the same hook.
+                let mut link = RefLink {
+                    phase,
+                    kind: capture.kind,
+                    shards: Vec::new(),
+                    roster: Vec::new(),
+                };
+                for (row, sigs) in full.iter().zip(&capture.shards) {
+                    link.roster
+                        .push(sigs.iter().map(|&(id, _, _)| id).collect());
+                    let stored = row.iter().zip(sigs).filter(|(_, sig)| sig.2);
+                    let stored = stored.map(|((id, b), _)| (*id, fnv1a_64(b), b.clone()));
+                    link.shards.push(stored.collect());
+                }
+                let mut strikes = Vec::new();
+                let mut flip = hook > 0;
+                for (_, _, bytes) in link.shards.iter_mut().flatten() {
+                    let salt = (draw(4) == 0).then(|| draw(u64::MAX));
+                    if let Some(salt) = salt {
+                        allscale_net::frame::corrupt_in_place(bytes, salt);
+                    }
+                    if flip && !bytes.is_empty() {
+                        bytes[0] ^= 0xff;
+                        flip = false;
+                    }
+                    strikes.push(salt);
+                }
+                hook = hook.saturating_sub(1);
+                let mut strikes = strikes.into_iter();
+                let rot = |bytes: &mut [u8]| {
+                    let salt = strikes.next().expect("one draw per stored shard");
+                    salt.map(|salt| allscale_net::frame::corrupt_in_place(bytes, salt))
+                        .is_some()
+                };
+                mgr.commit(phase, capture, full, &mut monitor.resilience, true, rot);
+                reference.save(link);
+                agree(&mgr, &reference);
+            }
+        }
+        // The sequences reach every branch: restores, restarts, rejections.
+        assert!(restored > 100 && fall_backs - restored > 20 && rejected > 50);
     }
 }

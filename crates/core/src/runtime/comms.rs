@@ -127,11 +127,6 @@ impl Comms {
         })
     }
 
-    /// Whether the fault plan can rot stored bytes at rest.
-    pub(super) fn rot_configured(&self) -> bool {
-        self.net.faults().is_some_and(|f| f.rot_ppm() > 0)
-    }
-
     /// Buffered-but-unflushed messages belong to the abandoned run; their
     /// flush timers are already disarmed by the epoch bump.
     pub(super) fn reset_for_recovery(&mut self) {

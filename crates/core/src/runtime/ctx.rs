@@ -144,14 +144,16 @@ impl RtCtx<'_> {
         w.monitor.per_locality[to].migrations_in += 1;
     }
 
-    /// Test hook: flip a byte in the first non-empty stored shard of each
-    /// of the newest `n` retained checkpoints — simulated targeted
-    /// at-rest corruption, for exercising the recovery fallback chain
-    /// without a fault plan's random rot arm. No-op when resilience is
-    /// off or fewer checkpoints are retained.
+    /// Test hook: each of the next `n` checkpoints to commit is stored
+    /// with a byte flipped in its first non-empty shard — simulated
+    /// targeted at-rest corruption, for exercising the recovery fallback
+    /// chain without a fault plan's random rot arm. The flip lands at
+    /// commit, like the rot arm's, so each link's verdict is fixed when
+    /// it commits. Replaces any count still pending; no-op when
+    /// resilience is off.
     #[doc(hidden)]
-    pub fn corrupt_newest_checkpoints(&mut self, n: usize) {
-        self.world.recovery.corrupt_newest_checkpoints(n);
+    pub fn corrupt_next_checkpoints(&mut self, n: usize) {
+        self.world.recovery.corrupt_next_checkpoints(n);
     }
 
     /// Test hook: how many checkpoints (anchor + delta links) the

@@ -340,7 +340,7 @@ impl Runtime {
             tasks: tasks::TaskTable::default(),
             scheduler,
             phases: phases::Phases::default(),
-            recovery: recovery::Recovery::new(config.resilience, nodes),
+            recovery: recovery::Recovery::new(config.resilience, nodes, config.integrity.is_some()),
             integrity: config.integrity,
             strikes: Strikes::default(),
             serving: serving::Serving::default(),

@@ -34,9 +34,11 @@ pub(super) struct Recovery {
 }
 
 impl Recovery {
-    pub(super) fn new(cfg: Option<ResilienceConfig>, nodes: usize) -> Self {
+    /// With `verify` (the integrity service is on), recovery restores
+    /// only from a checkpoint chain that verifies.
+    pub(super) fn new(cfg: Option<ResilienceConfig>, nodes: usize, verify: bool) -> Self {
         Recovery {
-            manager: cfg.map(|cfg| ResilienceManager::new(cfg, nodes)),
+            manager: cfg.map(|cfg| ResilienceManager::new(cfg, nodes, verify)),
             pending_ckpt: None,
             dead: vec![false; nodes],
             misses: vec![0; nodes],
@@ -98,10 +100,10 @@ impl Recovery {
             .unwrap_or_default()
     }
 
-    /// See [`RtCtx::corrupt_newest_checkpoints`](super::RtCtx::corrupt_newest_checkpoints).
-    pub(super) fn corrupt_newest_checkpoints(&mut self, n: usize) {
+    /// See [`RtCtx::corrupt_next_checkpoints`](super::RtCtx::corrupt_next_checkpoints).
+    pub(super) fn corrupt_next_checkpoints(&mut self, n: usize) {
         if let Some(mgr) = &mut self.manager {
-            mgr.corrupt_newest(n);
+            mgr.corrupt_commits(n);
         }
     }
 

@@ -137,22 +137,20 @@ pub(in crate::runtime) fn commit_pending_ckpt(sim: &mut RtSim) {
     let (full, cow): (Vec<_>, Vec<u64>) = ended.unzip();
     w.monitor.resilience.cow_captures += cow.iter().sum::<u64>();
     let (shards, bytes) = (p.capture.stored_shards as u32, p.capture.stored_bytes);
-    // Debug builds check every commit: the anchor+delta chain must
-    // reconstruct the boundary state bit for bit. Skipped when the fault
-    // plan rots stored shards — a rotted older link legitimately breaks it.
-    let check = cfg!(debug_assertions) && !w.comms.rot_configured();
+    // Debug builds check every commit whose chain verifies: the
+    // anchor+delta chain must reconstruct the boundary state bit for bit.
     let (comms, monitor) = (&mut w.comms, &mut w.monitor);
     let rot = |bytes: &mut [u8]| {
-        if let Some(salt) = comms.rot_strike(&mut monitor.integrity) {
-            frame::corrupt_in_place(bytes, salt);
-        }
+        let salt = comms.rot_strike(&mut monitor.integrity);
+        salt.map(|salt| frame::corrupt_in_place(bytes, salt))
+            .is_some()
     };
     mgr.commit(
         p.phase,
         p.capture,
         full,
         &mut monitor.resilience,
-        check,
+        cfg!(debug_assertions),
         rot,
     );
     let host = w.recovery.detector_host();
@@ -201,7 +199,6 @@ pub(super) fn tear_pending(w: &mut RtWorld, now: SimTime) {
 /// Also resets the detector's suspicion counters.
 pub(super) fn restore_point(w: &mut RtWorld) -> Option<(usize, u64)> {
     w.recovery.misses.fill(0);
-    let verify = w.integrity.is_some();
     let mgr = w.recovery.manager.as_mut()?;
-    mgr.fall_back(verify, &w.recovery.dead, &mut w.monitor)
+    mgr.fall_back(&w.recovery.dead, &mut w.monitor)
 }

@@ -220,7 +220,7 @@ fn broadcast_replicas_serve_reads_without_traffic() {
 /// first touch, then run read tasks pinned to the block owners.
 #[test]
 fn tree_facade_distributes_and_reads() {
-    use allscale_core::TreeItem;
+    use allscale_core::{bisect, Prec, PrecOps, TreeItem};
     use allscale_region::{BitmaskTreeRegion, TreeFragment, TreePath};
 
     const H: u8 = 2; // 4 subtree blocks
@@ -229,7 +229,7 @@ fn tree_facade_distributes_and_reads() {
     let mut tree_item = None;
     let mut total = 0;
     Runtime::new(config(4, 2)).run(
-        |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
+        |phase: usize, ctx: &mut RtCtx<'_>, prev: TaskValue| -> Option<Box<dyn WorkItem>> {
             match phase {
                 0 => {
                     let tree = ctx.create_item::<TreeItem<u64, BitmaskTreeRegion>>("tree");
@@ -291,49 +291,55 @@ fn tree_facade_distributes_and_reads() {
                 }
                 1 => {
                     // Sum every node via read tasks per block (forwarded to
-                    // the block owners by the scheduler).
+                    // the block owners by the scheduler); the sums come
+                    // back as the phase value.
                     let tree = tree_item.unwrap();
-                    Some(pfor(
-                        PforSpec {
-                            name: "tree-sum",
-                            range: allscale_region::GridBox::<1>::from_shape([5]).unwrap(),
-                            grain: 1,
-                            ns_per_point: 100.0,
-                            axis0_pieces: 4,
-                        },
-                        move |tile| {
-                            let mut region = BitmaskTreeRegion::new(H);
-                            for idx in tile.points() {
-                                if idx[0] == 0 {
-                                    region.set_root_block(true);
-                                } else {
-                                    region.set_subtree(idx[0] as usize - 1, true);
-                                }
+                    let blocks = move |b: &GridBox<1>| {
+                        let mut region = BitmaskTreeRegion::new(H);
+                        for idx in b.points() {
+                            if idx[0] == 0 {
+                                region.set_root_block(true);
+                            } else {
+                                region.set_subtree(idx[0] as usize - 1, true);
                             }
-                            vec![Requirement::read(tree, region)]
-                        },
-                        move |tctx, p| {
-                            // Sum whatever this task's block holds.
+                        }
+                        region
+                    };
+                    let sum = |v: Vec<TaskValue>| -> TaskValue {
+                        let sums = v.into_iter().flatten();
+                        Some(Box::new(
+                            sums.map(|s| *s.downcast::<u64>().unwrap()).sum::<u64>(),
+                        ))
+                    };
+                    let ops = PrecOps {
+                        name: "tree-sum",
+                        can_split: Box::new(|b: &GridBox<1>, _| b.cardinality() > 1),
+                        split: Box::new(bisect),
+                        combine: Box::new(sum),
+                        process: Box::new(move |tctx, b| {
+                            // Sum whatever this task's blocks hold.
                             let frag = tctx.fragment::<Frag>(tree);
-                            let mut s = 0u64;
-                            let region = BitmaskTreeRegion::new(H);
-                            for (path, v) in frag.iter() {
-                                let in_block = match BitmaskTreeRegion::block_of(H, &path) {
-                                    None => p[0] == 0,
-                                    Some(b) => p[0] as usize == b + 1,
-                                };
-                                if in_block {
-                                    s += v;
-                                }
-                            }
-                            let _ = region;
-                            let _ = s; // effect-only pfor; checked below
-                        },
-                    ))
+                            let mine = |(path, v): (TreePath, &u64)| {
+                                let block =
+                                    BitmaskTreeRegion::block_of(H, &path).map_or(0, |b| b + 1);
+                                b.contains(&Point([block as i64])).then_some(*v)
+                            };
+                            Some(Box::new(frag.iter().filter_map(mine).sum::<u64>()))
+                        }),
+                        hint: Box::new(|b| Some(b.lo()[0] as f64 / 5.0)),
+                        requirements: Box::new(move |b| vec![Requirement::read(tree, blocks(b))]),
+                        cost: Box::new(|b, _, _| SimDuration::from_nanos(100 * b.cardinality())),
+                        descriptor_bytes: 192,
+                        result_bytes: 8,
+                    };
+                    let full = GridBox::<1>::from_shape([5]).unwrap();
+                    #[allow(clippy::arc_with_non_send_sync)] // single-threaded sim
+                    let ops = std::sync::Arc::new(ops);
+                    Some(Prec::root(full, ops))
                 }
                 _ => {
                     // Driver-side: total of all node values equals the sum
-                    // of BFS indices 0..2^LEVELS-1.
+                    // of BFS indices 0..2^LEVELS-1, and so does the phase's.
                     let tree = tree_item.unwrap();
                     let mut sum = 0u64;
                     let mut count = 0u64;
@@ -347,6 +353,8 @@ fn tree_facade_distributes_and_reads() {
                     let n = (1u64 << LEVELS) - 1;
                     assert_eq!(count, n, "complete tree stored");
                     assert_eq!(sum, n * (n - 1) / 2, "sum of BFS indices");
+                    let summed = prev.expect("tree-sum returns its sum");
+                    assert_eq!(*summed.downcast::<u64>().unwrap(), sum, "tasks' block sums");
                     total = sum;
                     None
                 }
@@ -1092,16 +1100,20 @@ fn recovery_falls_back_the_configured_retention_depth() {
     use allscale_core::{CheckpointConfig, CkptMode};
     const STEPS: usize = 4;
 
-    // `bump_roundtrip`, but the driver flips a byte in the two newest
-    // retained checkpoints at the last bump boundary — targeted at-rest
-    // corruption via the test hook, no random rot arm. Returns how many
-    // checkpoints were retained at that boundary, and the report.
+    // `bump_roundtrip`, but the two checkpoints committed after the
+    // driver's call two boundaries before the last bump are stored with a
+    // byte flipped — targeted at-rest corruption via the test hook, no
+    // random rot arm — so the two newest at the last bump boundary are
+    // corrupt. Returns how many checkpoints were retained at that
+    // boundary, and the report.
     fn run(cfg: RtConfig, corrupt: bool) -> (usize, allscale_core::RunReport) {
         let mut retained = 0;
         let (_, report) = bumps(STEPS).run_hooked(cfg, |phase, ctx, _| {
+            if corrupt && phase == STEPS - 2 {
+                ctx.corrupt_next_checkpoints(2);
+            }
             if corrupt && phase == STEPS {
                 retained = ctx.retained_checkpoints();
-                ctx.corrupt_newest_checkpoints(2);
             }
         });
         (retained, report)

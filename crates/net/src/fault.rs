@@ -123,11 +123,6 @@ impl FaultPlan {
         self.corrupt_ppm
     }
 
-    /// The configured at-rest rot probability in parts per million.
-    pub fn rot_ppm(&self) -> u32 {
-        self.rot_ppm
-    }
-
     /// Draw once from the at-rest rot arm: `true` means the buffer the
     /// caller just stored decays and should be bit-flipped. Advances the
     /// rot generator only when rot is configured, so plans without rot
