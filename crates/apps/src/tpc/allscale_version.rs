@@ -166,14 +166,11 @@ impl WorkItem for TpcWork {
                     })
                     .collect();
                 if children.is_empty() {
-                    return Done::Value(Some(Box::new(local)));
+                    return Done::Value(Some(local));
                 }
                 Done::Children(SplitOutcome {
                     children,
-                    combine: Box::new(move |vals| {
-                        let children_sum = sum_value(vals);
-                        Some(Box::new(local + children_sum))
-                    }),
+                    combine: Box::new(move |vals| Some(local + sum_value(vals))),
                 })
             }
             TpcParam::Sub { subtree, qids } => {
@@ -185,7 +182,7 @@ impl WorkItem for TpcWork {
                     walk.query(&tree, sh.h, sh.levels, qid, |_| unreachable!());
                 }
                 ctx.charge(SimDuration::from_nanos_f64(walk.visits as f64 * ns));
-                Done::Value(Some(Box::new(walk.count)))
+                Done::Value(Some(walk.count))
             }
         }
     }
@@ -269,13 +266,11 @@ fn block_regions(h: u8) -> Vec<Rc<dyn DynRegion>> {
 }
 
 fn sum_value(vals: Vec<TaskValue>) -> u64 {
-    vals.into_iter()
-        .map(|v| *v.expect("counts").downcast::<u64>().expect("u64 counts"))
-        .sum()
+    vals.into_iter().map(|v| v.expect("counts")).sum()
 }
 
 fn sum_counts(vals: Vec<TaskValue>) -> TaskValue {
-    Some(Box::new(sum_value(vals)))
+    Some(sum_value(vals))
 }
 
 /// Run the AllScale version on a fresh simulated cluster.
@@ -386,10 +381,7 @@ fn run_with_report(cfg: &TpcConfig, rt_cfg: RtConfig) -> (TpcResult, RunReport) 
                 }
                 _ => {
                     compute_end = ctx.now();
-                    total = *prev
-                        .expect("query phase yields a count")
-                        .downcast::<u64>()
-                        .expect("u64 total");
+                    total = prev.expect("query phase yields a count");
                     None
                 }
             }

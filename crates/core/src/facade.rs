@@ -5,12 +5,13 @@
 //! end user." [`Grid`] is the N-dimensional grid data item the paper's
 //! Fig. 6b uses (`Grid<double,2> A({N,N}); pfor({0,0},{N,N},…)`); the
 //! corresponding fragment/region types come from `allscale-region`.
-//! [`pfor`] builds a `prec` work item that recursively bisects an index
-//! box until the policy stops splitting, with data requirements derived
-//! from the sub-box by a user closure — the artifact the AllScale
-//! compiler generates from a parallel loop.
+//! [`pfor`] builds a [`WorkItem`] that recursively bisects an index box
+//! until the policy stops splitting, with data requirements derived from
+//! the sub-box by a user closure — the artifact the AllScale compiler
+//! generates from a parallel loop, and one implementation of the one task
+//! interface.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use allscale_des::SimDuration;
 use allscale_net::wire::Wire;
@@ -21,7 +22,7 @@ use allscale_region::{
 
 use crate::cost::CostModel;
 use crate::runtime::RtCtx;
-use crate::task::{AccessMode, ItemId, Prec, PrecOps, Requirement, TaskCtx, WorkItem};
+use crate::task::{AccessMode, Done, ItemId, Requirement, SplitOutcome, TaskCtx, WorkItem};
 
 /// Marker type describing an N-dimensional grid data item holding `T`.
 pub struct GridItem<T, const D: usize>(std::marker::PhantomData<T>);
@@ -304,42 +305,89 @@ pub fn pfor<const D: usize>(
 /// a time, so that it can move innermost-axis runs through the façade
 /// ([`Grid::read_row`], [`Grid::write_row`]) rather than single elements.
 /// The virtual cost is unchanged: `ns_per_point` per point of the tile.
-#[allow(clippy::arc_with_non_send_sync)] // the simulation is single-threaded by design
 pub fn pfor_tiles<const D: usize>(
     spec: PforSpec<D>,
     reqs: impl Fn(&GridBox<D>) -> Vec<Requirement> + 'static,
     body: impl Fn(&mut TaskCtx<'_>, &GridBox<D>) + 'static,
 ) -> Box<dyn WorkItem> {
-    let full = spec.range;
-    let grain = spec.grain.max(1);
-    let ns_per_point = spec.ns_per_point;
-    let axis0_pieces = spec.axis0_pieces;
-    let full_extent0 = (full.hi()[0] - full.lo()[0]).max(1) as u64;
-    let ops: Arc<PrecOps<GridBox<D>>> = Arc::new(PrecOps {
-        name: spec.name,
-        can_split: Box::new(move |b, _| b.cardinality() > grain),
-        split: Box::new(move |b| {
-            let extent0 = (b.hi()[0] - b.lo()[0]) as u64;
-            if axis0_pieces > 0 && extent0 > 1 && full_extent0 / extent0 < axis0_pieces {
-                bisect_axis(b, 0)
-            } else {
-                bisect(b)
-            }
-        }),
-        combine: Box::new(|_| None),
-        process: Box::new(move |ctx, b| {
-            body(ctx, b);
-            None
-        }),
-        hint: Box::new(move |b| Some(position_hint(&full, b))),
-        requirements: Box::new(move |b| reqs(b)),
-        cost: Box::new(move |b, c: &CostModel, loc| {
-            SimDuration::from_nanos_f64(b.cardinality() as f64 * ns_per_point / c.speed(loc))
-        }),
-        descriptor_bytes: 192,
-        result_bytes: 8,
-    });
-    Prec::root(full, ops)
+    Box::new(Tile {
+        tile: spec.range,
+        depth: 0,
+        shared: Rc::new(Loop { spec, reqs, body }),
+    })
+}
+
+/// What every tile of one `pfor` shares: its spec, requirement function
+/// and body.
+struct Loop<const D: usize, Q, B> {
+    spec: PforSpec<D>,
+    reqs: Q,
+    body: B,
+}
+
+/// One tile of a `pfor`: a sub-box of the loop's range, split by
+/// bisection until it holds at most `grain` points.
+struct Tile<const D: usize, Q, B> {
+    tile: GridBox<D>,
+    depth: u32,
+    shared: Rc<Loop<D, Q, B>>,
+}
+
+impl<const D: usize, Q, B> WorkItem for Tile<D, Q, B>
+where
+    Q: Fn(&GridBox<D>) -> Vec<Requirement> + 'static,
+    B: Fn(&mut TaskCtx<'_>, &GridBox<D>) + 'static,
+{
+    fn name(&self) -> &'static str {
+        self.shared.spec.name
+    }
+    fn depth(&self) -> u32 {
+        self.depth
+    }
+    fn can_split(&self) -> bool {
+        self.tile.cardinality() > self.shared.spec.grain.max(1)
+    }
+    fn requirements(&self) -> Vec<Requirement> {
+        (self.shared.reqs)(&self.tile)
+    }
+    fn cost(&self, cost: &CostModel, locality: usize) -> SimDuration {
+        let ns = self.tile.cardinality() as f64 * self.shared.spec.ns_per_point;
+        SimDuration::from_nanos_f64(ns / cost.speed(locality))
+    }
+    fn process(self: Box<Self>, ctx: &mut TaskCtx<'_>) -> Done {
+        (self.shared.body)(ctx, &self.tile);
+        Done::Value(None)
+    }
+    fn placement_hint(&self) -> Option<f64> {
+        Some(position_hint(&self.shared.spec.range, &self.tile))
+    }
+    fn split(self: Box<Self>) -> SplitOutcome {
+        let (b, full) = (&self.tile, &self.shared.spec.range);
+        let full_extent0 = (full.hi()[0] - full.lo()[0]).max(1) as u64;
+        let extent0 = (b.hi()[0] - b.lo()[0]) as u64;
+        let pieces = self.shared.spec.axis0_pieces;
+        let halves = if pieces > 0 && extent0 > 1 && full_extent0 / extent0 < pieces {
+            bisect_axis(b, 0)
+        } else {
+            bisect(b)
+        };
+        let depth = self.depth + 1;
+        let children = halves.into_iter().map(|tile| {
+            let shared = self.shared.clone();
+            Box::new(Tile {
+                tile,
+                depth,
+                shared,
+            }) as Box<dyn WorkItem>
+        });
+        SplitOutcome {
+            children: children.collect(),
+            combine: Box::new(|_| None),
+        }
+    }
+    fn result_bytes(&self) -> usize {
+        8
+    }
 }
 
 /// Split a box in half along its longest axis.
@@ -444,8 +492,17 @@ mod tests {
         assert_eq!(cost.as_nanos(), 512); // 256 points × 2 ns
         let out = wi.split();
         assert_eq!(out.children.len(), 2);
+        assert!(out.children.iter().all(|c| c.depth() == 1));
+        assert_eq!(
+            (out.combine)(vec![None, None]),
+            None,
+            "a pfor yields nothing"
+        );
         // Split until grain: a 16-point tile must not split further.
         let mut leaf = out.children.into_iter().next().unwrap();
+        let grandchildren = leaf.split().children;
+        assert!(grandchildren.iter().all(|c| c.depth() == 2));
+        leaf = grandchildren.into_iter().next().unwrap();
         while leaf.can_split() {
             leaf = leaf.split().children.into_iter().next().unwrap();
         }

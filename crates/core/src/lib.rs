@@ -16,8 +16,8 @@
 //!   lookup path of data-aware scheduling free of repeated traversals;
 //! - the scheduler in [`runtime`]: Algorithm 2's data-requirement-aware
 //!   task placement with pluggable [`SchedulingPolicy`];
-//! - [`WorkItem`] / [`Prec`]: tasks with process/split variants and data
-//!   requirement functions — the artifact the AllScale compiler generates;
+//! - [`WorkItem`]: a task with process/split variants and a data
+//!   requirement function — the artifact the AllScale compiler generates;
 //! - [`Grid`] and [`pfor`]: the user-facing API of the paper's Fig. 6b;
 //! - [`Monitor`] / checkpointing in [`RtCtx`]: the monitoring and
 //!   resilience services the model enables;
@@ -126,6 +126,5 @@ pub use allscale_trace::{
     SpawnVariant, Trace, TraceConfig, TraceEvent, TransferPurpose, RUNTIME_TID,
 };
 pub use task::{
-    AccessMode, Done, ItemId, Prec, PrecOps, Requirement, SplitOutcome, TaskCtx, TaskId, TaskValue,
-    WorkItem,
+    AccessMode, Done, ItemId, Requirement, SplitOutcome, TaskCtx, TaskId, TaskValue, WorkItem,
 };

@@ -8,8 +8,9 @@
 //!
 //! - a **checkpoint cadence** — every `checkpoint_every` phase
 //!   boundaries, the runtime snapshots the owned data of every item on
-//!   every locality (only at boundaries whose phase value is `None`: task
-//!   values are not serializable; DESIGN.md §5.5b);
+//!   every locality (only at boundaries whose phase value is `None`: the
+//!   checkpoint does not store the value, and a replay hands the driver
+//!   `None`; DESIGN.md §5.5b);
 //! - a **checkpoint chain** ([`CheckpointConfig`]) — billed on the
 //!   simulated clock against the two-tier store of
 //!   [`allscale_net::StorageModel`] (a fast node-local tier lost with the

@@ -34,11 +34,10 @@ pub(super) struct PendingCkpt {
 /// running previous drain) — the caller reschedules itself and re-enters.
 /// Returns `None` when the phase may proceed immediately.
 ///
-/// Boundaries whose phase value is `Some` never checkpoint: `TaskValue`
-/// is an opaque `Box<dyn Any>` that cannot be serialized into the
-/// checkpoint, so the replay (which feeds `None`) would not be faithful.
-/// Drivers that thread values between phases simply get coarser
-/// checkpoints.
+/// Boundaries whose phase value is `Some` never checkpoint: the value is
+/// not stored in the checkpoint, and a replay from it hands the driver
+/// `None`, so it would not be faithful. Drivers that thread values
+/// between phases simply get coarser checkpoints.
 pub(in crate::runtime) fn maybe_checkpoint(sim: &mut RtSim, prev_is_none: bool) -> Option<SimTime> {
     let now = sim.now();
     let phase = sim.world.phases.phase();

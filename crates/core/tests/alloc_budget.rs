@@ -2,9 +2,10 @@
 //! whether regions overlap or cover one another allocates nothing, a
 //! location-cache hit allocates nothing, locking allocates the granted
 //! locks and a refusal the one overlap it reports — and a served request
-//! costs a bounded number of allocations end to end. The byte path has
-//! budgets too: a halo row crossing the wire and a checkpoint round trip
-//! allocate what they keep, not a chain of intermediate copies. And a
+//! costs a bounded number of allocations end to end, a `pfor` split its
+//! children and nothing else. The byte path has budgets too: a halo row
+//! crossing the wire and a checkpoint round trip allocate what they
+//! keep, not a chain of intermediate copies. And a
 //! serving run holds the same bytes at its peak however many requests it
 //! serves, and a task in flight holds its record, its work item and its
 //! queued event, little else. A timing would say the same things with
@@ -16,13 +17,15 @@ use std::cell::Cell;
 use allscale_apps::serve::{self, ServeAppConfig};
 use allscale_apps::tpc::{KdNode, DIMS};
 use allscale_core::{
-    CostModel, DataItemManager, DistIndex, Done, GridItem, ItemDescriptor, ItemId, LocationCache,
-    LockConflict, MapItem, Requirement, ResilienceConfig, RtConfig, Runtime, SplitOutcome, TaskCtx,
-    TaskId, WorkItem,
+    pfor, CostModel, DataItemManager, DistIndex, Done, GridItem, ItemDescriptor, ItemId,
+    LocationCache, LockConflict, MapItem, PforSpec, Requirement, ResilienceConfig, RtConfig,
+    Runtime, SplitOutcome, TaskCtx, TaskId, WorkItem,
 };
 use allscale_des::SimDuration;
 use allscale_net::frame;
-use allscale_region::{BoxRegion, BucketRegion, Region, TreeFragment, TreePath, TreeRegion};
+use allscale_region::{
+    BoxRegion, BucketRegion, GridBox, Region, TreeFragment, TreePath, TreeRegion,
+};
 
 thread_local! {
     /// Allocations made by this thread (the test harness runs tests on
@@ -229,6 +232,24 @@ fn a_serving_run_holds_nothing_per_request() {
         marginal <= 4.0,
         "{marginal:.1} bytes held per additional request (budget: 4)"
     );
+}
+
+#[test]
+fn a_pfor_split_allocates_only_its_children() {
+    let spec = PforSpec {
+        name: "tiles",
+        range: GridBox::from_shape([64, 64]).unwrap(),
+        grain: 16,
+        ns_per_point: 1.0,
+        axis0_pieces: 0,
+    };
+    let root = pfor(spec, |_| Vec::new(), |_, _| {});
+    let (n, out) = allocations_of(|| root.split());
+    assert_eq!(out.children.len(), 2);
+    // The halves' vector, reused in place as the child vector, and one
+    // box per child: the tiles share the loop, and the combiner holds
+    // nothing. 4 while the combiner was a boxed closure holding an `Arc`.
+    assert_eq!(n, 3, "allocations of one split");
 }
 
 /// A process task with no data that runs for `ms` of virtual time.

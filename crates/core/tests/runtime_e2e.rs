@@ -3,11 +3,15 @@
 //! against sequential oracles.
 
 use allscale_core::{
-    pfor, pfor_tiles, DistMap, FaultPlan, Grid, IntegrityConfig, ItemId, PforSpec, Requirement,
-    ResilienceConfig, RtConfig, RtCtx, Runtime, TaskCtx, TaskValue, WorkItem,
+    bisect, pfor, pfor_tiles, CostModel, DistMap, Done, FaultPlan, Grid, IntegrityConfig, ItemId,
+    PforSpec, Requirement, ResilienceConfig, RtConfig, RtCtx, Runtime, SplitOutcome, TaskCtx,
+    TaskValue, WorkItem,
 };
 use allscale_des::{SimDuration, SimTime};
-use allscale_region::{BoxRegion, BucketRegion, GridBox, GridFragment, Point, Region};
+use allscale_region::{
+    BitmaskTreeRegion, BoxRegion, BucketRegion, GridBox, GridFragment, Point, Region, TreeFragment,
+    TreePath,
+};
 use common::{family, Scenario};
 
 #[path = "../../../tests/common/mod.rs"]
@@ -216,16 +220,85 @@ fn broadcast_replicas_serve_reads_without_traffic() {
     assert_eq!(replicas, 3, "only the broadcast itself replicates");
 }
 
+const H: u8 = 2; // 4 subtree blocks
+const LEVELS: u8 = 5;
+type Frag = TreeFragment<u64, BitmaskTreeRegion>;
+
+/// The tree region of a range of blocks (0 = the root block, 1..=4 the
+/// subtrees).
+fn blocks_region(blocks: &GridBox<1>) -> BitmaskTreeRegion {
+    let mut region = BitmaskTreeRegion::new(H);
+    for idx in blocks.points() {
+        match idx[0] {
+            0 => region.set_root_block(true),
+            b => region.set_subtree(b as usize - 1, true),
+        }
+    }
+    region
+}
+
+/// The sum of the tree nodes in a range of blocks, split down to one
+/// block per task.
+struct BlockSum {
+    tree: ItemId,
+    blocks: GridBox<1>,
+    depth: u32,
+}
+
+impl WorkItem for BlockSum {
+    fn name(&self) -> &'static str {
+        "tree-sum"
+    }
+    fn depth(&self) -> u32 {
+        self.depth
+    }
+    fn can_split(&self) -> bool {
+        self.blocks.cardinality() > 1
+    }
+    fn requirements(&self) -> Vec<Requirement> {
+        vec![Requirement::read(self.tree, blocks_region(&self.blocks))]
+    }
+    fn cost(&self, _: &CostModel, _: usize) -> SimDuration {
+        SimDuration::from_nanos(100 * self.blocks.cardinality())
+    }
+    fn process(self: Box<Self>, tctx: &mut TaskCtx<'_>) -> Done {
+        // Sum whatever this task's blocks hold.
+        let frag = tctx.fragment::<Frag>(self.tree);
+        let mine = |(path, v): (TreePath, &u64)| {
+            let block = BitmaskTreeRegion::block_of(H, &path);
+            let block = block.map_or(0, |b| b + 1);
+            self.blocks.contains(&Point([block as i64])).then_some(*v)
+        };
+        Done::Value(Some(frag.iter().filter_map(mine).sum()))
+    }
+    fn placement_hint(&self) -> Option<f64> {
+        Some(self.blocks.lo()[0] as f64 / 5.0)
+    }
+    fn split(self: Box<Self>) -> SplitOutcome {
+        let depth = self.depth + 1;
+        let half = |blocks| {
+            Box::new(BlockSum {
+                blocks,
+                depth,
+                ..*self
+            }) as Box<dyn WorkItem>
+        };
+        SplitOutcome {
+            children: bisect(&self.blocks).into_iter().map(half).collect(),
+            combine: Box::new(|sums| Some(sums.into_iter().flatten().sum())),
+        }
+    }
+    fn result_bytes(&self) -> usize {
+        8
+    }
+}
+
 /// Tree data items through the facade's `TreeItem`: distribute blocks by
 /// first touch, then run read tasks pinned to the block owners.
 #[test]
 fn tree_facade_distributes_and_reads() {
-    use allscale_core::{bisect, Prec, PrecOps, TreeItem};
-    use allscale_region::{BitmaskTreeRegion, TreeFragment, TreePath};
+    use allscale_core::TreeItem;
 
-    const H: u8 = 2; // 4 subtree blocks
-    const LEVELS: u8 = 5;
-    type Frag = TreeFragment<u64, BitmaskTreeRegion>;
     let mut tree_item = None;
     let mut total = 0;
     Runtime::new(config(4, 2)).run(
@@ -240,22 +313,12 @@ fn tree_facade_distributes_and_reads() {
                     Some(pfor(
                         PforSpec {
                             name: "tree-dist",
-                            range: allscale_region::GridBox::<1>::from_shape([5]).unwrap(),
+                            range: GridBox::<1>::from_shape([5]).unwrap(),
                             grain: 1,
                             ns_per_point: 100.0,
                             axis0_pieces: 4,
                         },
-                        move |tile| {
-                            let mut region = BitmaskTreeRegion::new(H);
-                            for idx in tile.points() {
-                                if idx[0] == 0 {
-                                    region.set_root_block(true);
-                                } else {
-                                    region.set_subtree(idx[0] as usize - 1, true);
-                                }
-                            }
-                            vec![Requirement::write(tree, region)]
-                        },
+                        move |tile| vec![Requirement::write(tree, blocks_region(tile))],
                         move |tctx, p| {
                             let write_all =
                                 |tctx: &mut allscale_core::TaskCtx<'_>,
@@ -293,49 +356,13 @@ fn tree_facade_distributes_and_reads() {
                     // Sum every node via read tasks per block (forwarded to
                     // the block owners by the scheduler); the sums come
                     // back as the phase value.
+                    let blocks = GridBox::<1>::from_shape([5]).unwrap();
                     let tree = tree_item.unwrap();
-                    let blocks = move |b: &GridBox<1>| {
-                        let mut region = BitmaskTreeRegion::new(H);
-                        for idx in b.points() {
-                            if idx[0] == 0 {
-                                region.set_root_block(true);
-                            } else {
-                                region.set_subtree(idx[0] as usize - 1, true);
-                            }
-                        }
-                        region
-                    };
-                    let sum = |v: Vec<TaskValue>| -> TaskValue {
-                        let sums = v.into_iter().flatten();
-                        Some(Box::new(
-                            sums.map(|s| *s.downcast::<u64>().unwrap()).sum::<u64>(),
-                        ))
-                    };
-                    let ops = PrecOps {
-                        name: "tree-sum",
-                        can_split: Box::new(|b: &GridBox<1>, _| b.cardinality() > 1),
-                        split: Box::new(bisect),
-                        combine: Box::new(sum),
-                        process: Box::new(move |tctx, b| {
-                            // Sum whatever this task's blocks hold.
-                            let frag = tctx.fragment::<Frag>(tree);
-                            let mine = |(path, v): (TreePath, &u64)| {
-                                let block =
-                                    BitmaskTreeRegion::block_of(H, &path).map_or(0, |b| b + 1);
-                                b.contains(&Point([block as i64])).then_some(*v)
-                            };
-                            Some(Box::new(frag.iter().filter_map(mine).sum::<u64>()))
-                        }),
-                        hint: Box::new(|b| Some(b.lo()[0] as f64 / 5.0)),
-                        requirements: Box::new(move |b| vec![Requirement::read(tree, blocks(b))]),
-                        cost: Box::new(|b, _, _| SimDuration::from_nanos(100 * b.cardinality())),
-                        descriptor_bytes: 192,
-                        result_bytes: 8,
-                    };
-                    let full = GridBox::<1>::from_shape([5]).unwrap();
-                    #[allow(clippy::arc_with_non_send_sync)] // single-threaded sim
-                    let ops = std::sync::Arc::new(ops);
-                    Some(Prec::root(full, ops))
+                    Some(Box::new(BlockSum {
+                        tree,
+                        blocks,
+                        depth: 0,
+                    }))
                 }
                 _ => {
                     // Driver-side: total of all node values equals the sum
@@ -353,8 +380,7 @@ fn tree_facade_distributes_and_reads() {
                     let n = (1u64 << LEVELS) - 1;
                     assert_eq!(count, n, "complete tree stored");
                     assert_eq!(sum, n * (n - 1) / 2, "sum of BFS indices");
-                    let summed = prev.expect("tree-sum returns its sum");
-                    assert_eq!(*summed.downcast::<u64>().unwrap(), sum, "tasks' block sums");
+                    assert_eq!(prev, Some(sum), "tasks' block sums");
                     total = sum;
                     None
                 }

@@ -1,32 +1,89 @@
-//! The `prec` operator in the raw: a recursive pairwise reduction over a
-//! distributed array — the "context-aware primitive for nested recursive
-//! parallelism" the AllScale API builds every parallel construct on
-//! (paper Section 3.3, reference [10]).
+//! The `prec` pattern written as a task directly: a recursive pairwise
+//! reduction over a distributed array (the "context-aware primitive for
+//! nested recursive parallelism" of paper Section 3.3, reference [10]).
 //!
-//! Unlike `pfor` (which is itself a `prec` instance), this example uses
-//! `prec` directly: the split variant decomposes the range, leaf tasks
-//! carry read requirements pinning them to the data, and the combiner
-//! tree reduces partial sums back up — with the final value delivered to
-//! the phase driver.
+//! A task is one [`WorkItem`]: its split variant halves the range, its
+//! process variant sums a leaf through the grid façade, its requirement
+//! function pins each leaf to the data it reads, and the combiners reduce
+//! the partial sums back up — the final value reaches the phase driver.
+//! `pfor` is another implementation of the same interface; TPC is a
+//! third.
 //!
 //! ```text
 //! cargo run --release --example prec
 //! ```
 
-use std::sync::Arc;
-
 use allscale_core::{
-    pfor, CostModel, Grid, PforSpec, Prec, PrecOps, Requirement, RtConfig, RtCtx, Runtime,
-    TaskValue, WorkItem,
+    pfor, CostModel, Done, Grid, PforSpec, Requirement, RtConfig, RtCtx, Runtime, SplitOutcome,
+    TaskCtx, TaskValue, WorkItem,
 };
-use allscale_region::{BoxRegion, GridFragment};
+use allscale_des::SimDuration;
+use allscale_region::BoxRegion;
 
 const N: i64 = 1 << 14;
 const NODES: usize = 8;
 
+/// The sum of `v[lo..hi]`, split in halves down to `grain` elements.
+struct RangeSum {
+    v: Grid<u64, 1>,
+    lo: i64,
+    hi: i64,
+    grain: u64,
+    depth: u32,
+}
+
+impl WorkItem for RangeSum {
+    fn name(&self) -> &'static str {
+        "sum"
+    }
+    fn depth(&self) -> u32 {
+        self.depth
+    }
+    fn can_split(&self) -> bool {
+        (self.hi - self.lo) as u64 > self.grain
+    }
+    fn requirements(&self) -> Vec<Requirement> {
+        let range = BoxRegion::cuboid([self.lo], [self.hi]);
+        vec![Requirement::read(self.v.id, range)]
+    }
+    fn cost(&self, cost: &CostModel, locality: usize) -> SimDuration {
+        cost.flops(locality, (self.hi - self.lo) as u64)
+    }
+    fn process(self: Box<Self>, ctx: &mut TaskCtx<'_>) -> Done {
+        let mut run = vec![0; (self.hi - self.lo) as usize];
+        self.v.read_row(ctx, [self.lo], &mut run);
+        Done::Value(Some(run.iter().sum()))
+    }
+    fn placement_hint(&self) -> Option<f64> {
+        Some(self.lo as f64 / N as f64)
+    }
+    fn split(self: Box<Self>) -> SplitOutcome {
+        let (mid, depth) = (self.lo + (self.hi - self.lo) / 2, self.depth + 1);
+        let half = |lo, hi| {
+            Box::new(RangeSum {
+                lo,
+                hi,
+                depth,
+                ..*self
+            }) as Box<dyn WorkItem>
+        };
+        SplitOutcome {
+            children: vec![half(self.lo, mid), half(mid, self.hi)],
+            combine: Box::new(|sums| Some(sums.into_iter().map(|s| s.expect("a sum")).sum())),
+        }
+    }
+    fn descriptor_bytes(&self) -> usize {
+        64
+    }
+    fn result_bytes(&self) -> usize {
+        8
+    }
+}
+
 fn main() {
     let mut grid = None;
     let mut measured = 0;
+    let grain = (N / (NODES as i64 * 40)) as u64;
     let report = Runtime::new(RtConfig::meggie(NODES)).run(
         |phase: usize, ctx: &mut RtCtx<'_>, prev: TaskValue| -> Option<Box<dyn WorkItem>> {
             match phase {
@@ -38,7 +95,7 @@ fn main() {
                         PforSpec {
                             name: "fill",
                             range: g.full_box(),
-                            grain: (N / (NODES as i64 * 40)) as u64,
+                            grain,
                             ns_per_point: 2.0,
                             axis0_pieces: NODES as u64 * 4,
                         },
@@ -46,50 +103,15 @@ fn main() {
                         move |tctx, p| g.set(tctx, p.0, p[0] as u64),
                     ))
                 }
-                1 => {
-                    // A hand-built prec: recursive range sum.
-                    let g = grid.unwrap();
-                    let grain = (N / (NODES as i64 * 40)).max(1) as u64;
-                    #[allow(clippy::arc_with_non_send_sync)] // single-threaded sim
-                    let ops: Arc<PrecOps<(i64, i64)>> = Arc::new(PrecOps {
-                        name: "sum",
-                        can_split: Box::new(move |&(lo, hi), _| (hi - lo) as u64 > grain),
-                        split: Box::new(|&(lo, hi)| {
-                            let mid = lo + (hi - lo) / 2;
-                            vec![(lo, mid), (mid, hi)]
-                        }),
-                        combine: Box::new(|vals| {
-                            let total: u64 = vals
-                                .into_iter()
-                                .map(|v| *v.unwrap().downcast::<u64>().unwrap())
-                                .sum();
-                            Some(Box::new(total))
-                        }),
-                        process: Box::new(move |tctx, &(lo, hi)| {
-                            let frag = tctx.fragment::<GridFragment<u64, 1>>(g.id);
-                            let mut s = 0u64;
-                            for i in lo..hi {
-                                s += *frag.get(&allscale_region::Point([i])).unwrap();
-                            }
-                            Some(Box::new(s))
-                        }),
-                        requirements: Box::new(move |&(lo, hi)| {
-                            vec![Requirement::read(g.id, BoxRegion::cuboid([lo], [hi]))]
-                        }),
-                        cost: Box::new(|&(lo, hi), c: &CostModel, loc| {
-                            c.flops(loc, (hi - lo) as u64)
-                        }),
-                        hint: Box::new(move |&(lo, _)| Some(lo as f64 / N as f64)),
-                        descriptor_bytes: 64,
-                        result_bytes: 8,
-                    });
-                    Some(Prec::root((0, N), ops))
-                }
+                1 => Some(Box::new(RangeSum {
+                    v: grid.expect("created in phase 0"),
+                    lo: 0,
+                    hi: N,
+                    grain,
+                    depth: 0,
+                })),
                 _ => {
-                    measured = *prev
-                        .expect("prec yields a sum")
-                        .downcast::<u64>()
-                        .expect("u64 sum");
+                    measured = prev.expect("the sum reaches the driver");
                     None
                 }
             }

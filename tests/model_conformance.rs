@@ -157,10 +157,9 @@ fn agree(reference: &mut Option<Vec<u64>>, scenario: &Scenario, bits: Vec<u64>) 
 /// The program family at its stated scale: 1 000 `family::draw` seeds ×
 /// the four schedulers × {clean, lossy, lossy + kill}, 12 000 runs (the
 /// clean one is `run_killed`'s own arm), the seed's bits choosing the
-/// services. Every run is checked like the matrix's. ≈ 40 s in the dev
-/// profile, so CI runs it in a step of its own.
+/// services. Every run is checked like the matrix's: ≈ 6 s of tier-1's
+/// test time on 2 cores.
 #[test]
-#[ignore = "slow: 12 000 runs; CI's tier-1 job runs it under the dev profile"]
 fn family_soak() {
     for seed in 0..1_000u64 {
         let mut reference = None;
