@@ -22,7 +22,7 @@ use std::rc::Rc;
 
 use allscale_core::{
     pfor, CostModel, DistMap, Done, PforSpec, Request, Requirement, RtConfig, RtCtx, RunReport,
-    Runtime, ServeSpec, SloConfig, SplitOutcome, TaskCtx, TaskValue, WorkItem,
+    Runtime, ServeSpec, SloConfig, TaskCtx, TaskValue, WorkItem,
 };
 use allscale_des::rng::{XorShift64Star, ZipfSampler, MIX_GOLDEN};
 use allscale_des::{ArrivalProcess, SimDuration};
@@ -232,7 +232,6 @@ struct GetTask {
     buckets: u32,
     keys: Vec<u64>,
     flops: u64,
-    depth: u32,
 }
 
 impl GetTask {
@@ -249,12 +248,6 @@ impl GetTask {
 }
 
 impl WorkItem for GetTask {
-    fn name(&self) -> &'static str {
-        "serve-get"
-    }
-    fn depth(&self) -> u32 {
-        self.depth
-    }
     fn can_split(&self) -> bool {
         self.keys.len() > 1
     }
@@ -272,9 +265,8 @@ impl WorkItem for GetTask {
         }
         Done::Value(None)
     }
-    fn split(self: Box<Self>) -> SplitOutcome {
-        let children: Vec<Box<dyn WorkItem>> = self
-            .keys
+    fn split(self: Box<Self>) -> Vec<Box<dyn WorkItem>> {
+        self.keys
             .iter()
             .map(|&k| {
                 Box::new(GetTask {
@@ -282,14 +274,9 @@ impl WorkItem for GetTask {
                     buckets: self.buckets,
                     keys: vec![k],
                     flops: self.flops,
-                    depth: self.depth + 1,
                 }) as Box<dyn WorkItem>
             })
-            .collect();
-        SplitOutcome {
-            children,
-            combine: Box::new(|_| None),
-        }
+            .collect()
     }
 }
 
@@ -303,12 +290,6 @@ struct PutTask {
 }
 
 impl WorkItem for PutTask {
-    fn name(&self) -> &'static str {
-        "serve-put"
-    }
-    fn depth(&self) -> u32 {
-        0
-    }
     fn can_split(&self) -> bool {
         false
     }
@@ -327,7 +308,7 @@ impl WorkItem for PutTask {
         self.map.insert(ctx, self.key, cur.wrapping_add(self.delta));
         Done::Value(None)
     }
-    fn split(self: Box<Self>) -> SplitOutcome {
+    fn split(self: Box<Self>) -> Vec<Box<dyn WorkItem>> {
         unreachable!("puts never split")
     }
 }
@@ -408,7 +389,6 @@ pub fn run_with(cfg: &ServeAppConfig, rt: RtConfig) -> ServeOutcome {
                                     buckets,
                                     keys,
                                     flops,
-                                    depth: 0,
                                 }),
                             },
                             Op::Write(key, delta) => Request {

@@ -13,7 +13,7 @@ use std::rc::Rc;
 
 use allscale_core::{
     pfor, AccessMode, CostModel, Done, DynRegion, ItemId, PforSpec, Requirement, RtConfig, RtCtx,
-    RunReport, Runtime, SplitOutcome, TaskCtx, TaskValue, TreeItem, WorkItem,
+    RunReport, Runtime, TaskCtx, TaskValue, TreeItem, WorkItem,
 };
 use allscale_des::{SimDuration, SimTime};
 use allscale_region::{BitmaskTreeRegion, GridBox, Subtree, TreeFragment, TreePath};
@@ -72,17 +72,10 @@ impl Qids {
 
 struct TpcWork {
     param: TpcParam,
-    depth: u32,
     shared: Rc<TpcShared>,
 }
 
 impl WorkItem for TpcWork {
-    fn name(&self) -> &'static str {
-        "tpc-query"
-    }
-    fn depth(&self) -> u32 {
-        self.depth
-    }
     fn can_split(&self) -> bool {
         matches!(self.param, TpcParam::Queries { lo, hi } if hi - lo > self.shared.batch)
     }
@@ -106,26 +99,20 @@ impl WorkItem for TpcWork {
             TpcParam::Sub { .. } => None, // pinned by its data requirement
         }
     }
-    fn split(self: Box<Self>) -> SplitOutcome {
+    fn split(self: Box<Self>) -> Vec<Box<dyn WorkItem>> {
         let TpcParam::Queries { lo, hi } = self.param else {
             unreachable!("Sub tasks never split");
         };
         let mid = lo + (hi - lo) / 2;
-        let depth = self.depth + 1;
-        let children: Vec<Box<dyn WorkItem>> = [(lo, mid), (mid, hi)]
+        [(lo, mid), (mid, hi)]
             .into_iter()
             .map(|(l, h)| {
                 Box::new(TpcWork {
                     param: TpcParam::Queries { lo: l, hi: h },
-                    depth,
                     shared: self.shared.clone(),
                 }) as Box<dyn WorkItem>
             })
-            .collect();
-        SplitOutcome {
-            children,
-            combine: Box::new(sum_counts),
-        }
+            .collect()
     }
     fn process(self: Box<Self>, ctx: &mut TaskCtx<'_>) -> Done {
         let sh = &self.shared;
@@ -152,26 +139,21 @@ impl WorkItem for TpcWork {
                             .or_insert(Qids::One(qid));
                     });
                 }
-                let local = walk.count;
                 ctx.charge(SimDuration::from_nanos_f64(walk.visits as f64 * ns));
-                let depth = self.depth + 1;
-                let children: Vec<Box<dyn WorkItem>> = crossings
+                if crossings.is_empty() {
+                    return Done::Value(Some(walk.count));
+                }
+                // This task's matches plus those of its Sub tasks.
+                let children = crossings
                     .into_iter()
                     .map(|(subtree, qids)| {
                         Box::new(TpcWork {
                             param: TpcParam::Sub { subtree, qids },
-                            depth,
                             shared: sh.clone(),
                         }) as Box<dyn WorkItem>
                     })
                     .collect();
-                if children.is_empty() {
-                    return Done::Value(Some(local));
-                }
-                Done::Children(SplitOutcome {
-                    children,
-                    combine: Box::new(move |vals| Some(local + sum_value(vals))),
-                })
+                Done::Children(Some(walk.count), children)
             }
             TpcParam::Sub { subtree, qids } => {
                 let root = sh.split.subtree_root(*subtree);
@@ -263,14 +245,6 @@ fn block_regions(h: u8) -> Vec<Rc<dyn DynRegion>> {
             }
         })
         .collect()
-}
-
-fn sum_value(vals: Vec<TaskValue>) -> u64 {
-    vals.into_iter().map(|v| v.expect("counts")).sum()
-}
-
-fn sum_counts(vals: Vec<TaskValue>) -> TaskValue {
-    Some(sum_value(vals))
 }
 
 /// Run the AllScale version on a fresh simulated cluster.
@@ -365,7 +339,6 @@ fn run_with_report(cfg: &TpcConfig, rt_cfg: RtConfig) -> (TpcResult, RunReport) 
                     compute_start = ctx.now();
                     Some(Box::new(TpcWork {
                         param: TpcParam::Queries { lo: 0, hi: q_total },
-                        depth: 0,
                         shared: Rc::new(TpcShared {
                             item,
                             h,

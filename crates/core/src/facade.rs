@@ -9,7 +9,8 @@
 //! until the policy stops splitting, with data requirements derived from
 //! the sub-box by a user closure — the artifact the AllScale compiler
 //! generates from a parallel loop, and one implementation of the one task
-//! interface.
+//! interface. A tile holds its box and the loop it belongs to; how deep it
+//! sits is the runtime's count, and a loop's value is `None`.
 
 use std::rc::Rc;
 
@@ -22,7 +23,7 @@ use allscale_region::{
 
 use crate::cost::CostModel;
 use crate::runtime::RtCtx;
-use crate::task::{AccessMode, Done, ItemId, Requirement, SplitOutcome, TaskCtx, WorkItem};
+use crate::task::{AccessMode, Done, ItemId, Requirement, TaskCtx, WorkItem};
 
 /// Marker type describing an N-dimensional grid data item holding `T`.
 pub struct GridItem<T, const D: usize>(std::marker::PhantomData<T>);
@@ -265,7 +266,8 @@ where
 
 /// Configuration of a [`pfor`] loop.
 pub struct PforSpec<const D: usize> {
-    /// Loop name (monitoring).
+    /// Loop name. Nothing reads it (a work item states no name); kept
+    /// only because `hostbench/`'s probes spell it (DESIGN.md §7).
     pub name: &'static str,
     /// The iteration space.
     pub range: GridBox<D>,
@@ -312,7 +314,6 @@ pub fn pfor_tiles<const D: usize>(
 ) -> Box<dyn WorkItem> {
     Box::new(Tile {
         tile: spec.range,
-        depth: 0,
         shared: Rc::new(Loop { spec, reqs, body }),
     })
 }
@@ -329,7 +330,6 @@ struct Loop<const D: usize, Q, B> {
 /// bisection until it holds at most `grain` points.
 struct Tile<const D: usize, Q, B> {
     tile: GridBox<D>,
-    depth: u32,
     shared: Rc<Loop<D, Q, B>>,
 }
 
@@ -338,12 +338,6 @@ where
     Q: Fn(&GridBox<D>) -> Vec<Requirement> + 'static,
     B: Fn(&mut TaskCtx<'_>, &GridBox<D>) + 'static,
 {
-    fn name(&self) -> &'static str {
-        self.shared.spec.name
-    }
-    fn depth(&self) -> u32 {
-        self.depth
-    }
     fn can_split(&self) -> bool {
         self.tile.cardinality() > self.shared.spec.grain.max(1)
     }
@@ -361,7 +355,7 @@ where
     fn placement_hint(&self) -> Option<f64> {
         Some(position_hint(&self.shared.spec.range, &self.tile))
     }
-    fn split(self: Box<Self>) -> SplitOutcome {
+    fn split(self: Box<Self>) -> Vec<Box<dyn WorkItem>> {
         let (b, full) = (&self.tile, &self.shared.spec.range);
         let full_extent0 = (full.hi()[0] - full.lo()[0]).max(1) as u64;
         let extent0 = (b.hi()[0] - b.lo()[0]) as u64;
@@ -371,19 +365,11 @@ where
         } else {
             bisect(b)
         };
-        let depth = self.depth + 1;
         let children = halves.into_iter().map(|tile| {
             let shared = self.shared.clone();
-            Box::new(Tile {
-                tile,
-                depth,
-                shared,
-            }) as Box<dyn WorkItem>
+            Box::new(Tile { tile, shared }) as Box<dyn WorkItem>
         });
-        SplitOutcome {
-            children: children.collect(),
-            combine: Box::new(|_| None),
-        }
+        children.collect()
     }
     fn result_bytes(&self) -> usize {
         8
@@ -485,26 +471,31 @@ mod tests {
             ns_per_point: 2.0,
             axis0_pieces: 0,
         };
-        let wi = pfor(spec, |_| Vec::new(), |_, _| {});
+        // Each tile's requirement is its own box, which shows the tile.
+        let wi = pfor(
+            spec,
+            |tile| vec![Requirement::read(ItemId(0), BoxRegion::from_box(*tile))],
+            |_, _| {},
+        );
         assert!(wi.can_split());
-        assert_eq!(wi.name(), "test");
         let cost = wi.cost(&CostModel::default(), 0);
         assert_eq!(cost.as_nanos(), 512); // 256 points × 2 ns
-        let out = wi.split();
-        assert_eq!(out.children.len(), 2);
-        assert!(out.children.iter().all(|c| c.depth() == 1));
-        assert_eq!(
-            (out.combine)(vec![None, None]),
-            None,
-            "a pfor yields nothing"
-        );
+
+        // Two children, the lower half first: the 16×16 range bisects
+        // along axis 0.
+        let children = wi.split();
+        let tiles: Vec<_> = (children.iter())
+            .map(|c| {
+                let region = c.requirements()[0].region.clone();
+                region.as_any().downcast_ref::<BoxRegion<2>>().cloned()
+            })
+            .collect();
+        let half = |lo, hi| Some(BoxRegion::cuboid([lo, 0], [hi, 16]));
+        assert_eq!(tiles, [half(0, 8), half(8, 16)]);
         // Split until grain: a 16-point tile must not split further.
-        let mut leaf = out.children.into_iter().next().unwrap();
-        let grandchildren = leaf.split().children;
-        assert!(grandchildren.iter().all(|c| c.depth() == 2));
-        leaf = grandchildren.into_iter().next().unwrap();
+        let mut leaf = children.into_iter().next().unwrap();
         while leaf.can_split() {
-            leaf = leaf.split().children.into_iter().next().unwrap();
+            leaf = leaf.split().into_iter().next().unwrap();
         }
         assert!(leaf.cost(&CostModel::default(), 0).as_nanos() <= 32);
     }

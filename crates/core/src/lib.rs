@@ -125,6 +125,4 @@ pub use allscale_trace::{
     critical_path, CriticalPathReport, EventKind, FlushCause, PathCategory, PathSegment,
     SpawnVariant, Trace, TraceConfig, TraceEvent, TransferPurpose, RUNTIME_TID,
 };
-pub use task::{
-    AccessMode, Done, ItemId, Requirement, SplitOutcome, TaskCtx, TaskId, TaskValue, WorkItem,
-};
+pub use task::{AccessMode, Done, ItemId, Requirement, TaskCtx, TaskId, TaskValue, WorkItem};

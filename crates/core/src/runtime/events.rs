@@ -14,20 +14,21 @@
 //!
 //! When `tpc_64`'s queue is deepest, 31 497 events wait: 18 842
 //! [`RtEvent::ResultArrival`]s and 12 586 [`RtEvent::ProcessForward`]s,
-//! with payloads of 32 and 16 bytes, against 62
+//! with payloads of 24 and 16 bytes, against 62
 //! [`RtEvent::FinishExecution`]s and 7 [`RtEvent::SplitForward`]s. Every
 //! one takes a slot the size of the largest variant, so the rare ones hold
-//! their payload in 40 bytes — localities, indices and the epoch in 32
-//! bits, a split outcome boxed — and a [`Scheduled`] fits in 56.
+//! their payload in 40 bytes — localities and the epoch in 32 bits, a
+//! task's place in the tree in 16, a body's children boxed — and a
+//! [`Scheduled`] fits in 56.
 
 use allscale_des::{Event, SimTime};
 use allscale_net::coalesce::Entry;
 
 use super::comms::{self, PendingMsg};
 use super::exec::{self, FetchLeg};
-use super::tasks::{self, Parent};
+use super::tasks::{self, Place};
 use super::{phases, recovery, replicas, sched, serving, RtSim, RtWorld};
-use crate::task::{Done, ItemId, SplitOutcome, TaskId, TaskValue, WorkItem};
+use crate::task::{Done, ItemId, TaskId, TaskValue, WorkItem};
 
 /// Everything the runtime schedules.
 pub(super) enum RtEvent {
@@ -52,7 +53,7 @@ pub(super) enum RtEvent {
         target: u32,
         tid: TaskId,
         wi: Box<dyn WorkItem>,
-        parent: Parent,
+        place: Place,
     },
     /// A process task's descriptor reached `target` (its work item waits
     /// in the task table); `queued` when the stealing family admitted it.
@@ -66,7 +67,7 @@ pub(super) enum RtEvent {
         loc: u32,
         tid: TaskId,
         wi: Box<dyn WorkItem>,
-        parent: Parent,
+        place: Place,
     },
     /// A process task's core time elapsed; its body's outcome travels
     /// here, not in its record (`result_bytes`: the size of its result).
@@ -75,12 +76,8 @@ pub(super) enum RtEvent {
         done: Outcome,
         result_bytes: usize,
     },
-    /// Child `idx` of `parent` reported `value`.
-    ResultArrival {
-        parent: TaskId,
-        idx: u32,
-        value: TaskValue,
-    },
+    /// A child of `parent` reported `value`.
+    ResultArrival { parent: TaskId, value: TaskValue },
     /// A fetch's request reached its source. The leg is boxed (one box
     /// for both legs of a fetch) to keep every queued event small.
     FetchRequest(Box<FetchLeg>),
@@ -113,18 +110,18 @@ pub(super) enum RtEvent {
     },
 }
 
-/// A finished body's [`Done`] as it waits in the queue: the split outcome,
-/// rare and 40 bytes, is boxed, so a value keeps the event small.
+/// A finished body's [`Done`] as it waits in the queue: a value with
+/// children, rare and 40 bytes, is boxed, so a value keeps the event small.
 pub(super) enum Outcome {
     Value(TaskValue),
-    Children(Box<SplitOutcome>),
+    Children(Box<(TaskValue, Vec<Box<dyn WorkItem>>)>),
 }
 
 impl From<Done> for Outcome {
     fn from(done: Done) -> Self {
         match done {
             Done::Value(v) => Outcome::Value(v),
-            Done::Children(outcome) => Outcome::Children(Box::new(outcome)),
+            Done::Children(v, children) => Outcome::Children(Box::new((v, children))),
         }
     }
 }
@@ -156,8 +153,8 @@ impl RtEvent {
                 target,
                 tid,
                 wi,
-                parent,
-            } => sched::split_arrived(sim, target as usize, tid, wi, parent, arrived),
+                place,
+            } => sched::split_arrived(sim, target as usize, tid, wi, place, arrived),
             ProcessForward {
                 target,
                 tid,
@@ -167,8 +164,8 @@ impl RtEvent {
                 loc,
                 tid,
                 wi,
-                parent,
-            } => sched::split_end(sim, loc as usize, tid, wi, parent),
+                place,
+            } => sched::split_end(sim, loc as usize, tid, wi, place),
             FinishExecution {
                 tid,
                 done,
@@ -176,9 +173,7 @@ impl RtEvent {
             } => exec::finish_execution(sim, tid, done, result_bytes),
             // A lost result orphans the parent; the phase stalls until the
             // failure detector triggers recovery.
-            ResultArrival { parent, idx, value } if arrived => {
-                tasks::child_done(sim, parent, idx as usize, value)
-            }
+            ResultArrival { parent, value } if arrived => tasks::child_done(sim, parent, value),
             FetchRequest(leg) if arrived => exec::fetch_requested(sim, leg),
             FetchData { leg, intact } if arrived => exec::fetch_landed(sim, *leg, intact),
             ReplicaRelease { owner, item, tid } if arrived => {

@@ -401,7 +401,7 @@ fn start_execution(sim: &mut RtSim, tid: TaskId) {
 /// produced when it started (`result_bytes`: the size of its result).
 pub(super) fn finish_execution(sim: &mut RtSim, tid: TaskId, done: Outcome, result_bytes: usize) {
     let inf = sim.world.tasks.get_mut(tid);
-    let (loc, parent) = (inf.loc(), inf.parent());
+    let (loc, place) = (inf.loc(), inf.place());
     let replicas = inf.take_replicas();
     sim.world.monitor.per_locality[loc].tasks_executed += 1;
 
@@ -429,11 +429,10 @@ pub(super) fn finish_execution(sim: &mut RtSim, tid: TaskId, done: Outcome, resu
     sched::slot_freed(sim, loc);
 
     match done {
-        Outcome::Value(v) => tasks::finish_task(sim, loc, tid, parent, v),
+        Outcome::Value(v) => tasks::finish_task(sim, loc, tid, place, v),
         Outcome::Children(outcome) => {
-            if !tasks::spawn_children(sim, loc, tid, parent, *outcome, result_bytes) {
-                return;
-            }
+            let (v, children) = *outcome;
+            tasks::spawn_children(sim, loc, tid, place, v, children, result_bytes);
         }
     }
     schedule_wakeups(sim);

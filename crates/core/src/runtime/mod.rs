@@ -19,8 +19,8 @@
 //! 3. **execute**: the process body runs as real Rust code against the
 //!    local fragments; its virtual duration occupies a core.
 //! 4. **complete**: locks release, replicas drop (with release messages to
-//!    their owners), the result travels to the parent, and combiners fire
-//!    when all children are done.
+//!    their owners), the result travels to the parent and adds into its
+//!    value, and a parent completes when all its children are done.
 //!
 //! Applications are sequences of *phases* (the driver closure of
 //! [`Runtime::run`]): the root work item of phase *k+1* is requested once
@@ -137,6 +137,10 @@ pub enum ConfigError {
     /// `IntegrityConfig::scrub_period` is `Some(0)`: each scrub pass
     /// re-arms itself at the same instant and virtual time stops.
     ZeroScrubPeriod,
+    /// `CostModel::speed_factors` gives this locality a speed that is not
+    /// finite and positive: the cost model divides by it, so 0 saturates
+    /// the clock and NaN or a negative speed makes its tasks cost nothing.
+    BadSpeedFactor(usize),
 }
 
 impl fmt::Display for ConfigError {
@@ -155,6 +159,10 @@ impl fmt::Display for ConfigError {
             ConfigError::NoCores => write!(f, "no node has a core, so the run would deadlock"),
             ConfigError::ZeroHeartbeatPeriod => write!(f, "a heartbeat period of 0 stops time"),
             ConfigError::ZeroScrubPeriod => write!(f, "a scrub period of 0 stops time"),
+            ConfigError::BadSpeedFactor(loc) => write!(
+                f,
+                "locality {loc}'s speed factor is not finite and positive"
+            ),
         }
     }
 }
@@ -162,9 +170,10 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 impl RtConfig {
-    /// Refuse a configuration whose run could only end in a hang: an
-    /// empty machine, a period of 0, a node death the runtime cannot
-    /// recover from, or one of a node that does not exist.
+    /// Refuse a configuration whose run could only end in a hang or in
+    /// nonsense: an empty machine, a period of 0, a node speed the cost
+    /// model cannot divide by, a node death the runtime cannot recover
+    /// from, or one of a node that does not exist.
     /// [`Runtime::new`] panics with the error.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let zero = Some(SimDuration::ZERO);
@@ -182,6 +191,10 @@ impl RtConfig {
         ];
         if let Some((_, refused)) = empty.into_iter().find(|(refused, _)| *refused) {
             return Err(refused);
+        }
+        let nonsense = |s: &f64| !(s.is_finite() && *s > 0.0);
+        if let Some(loc) = self.cost.speed_factors.iter().position(nonsense) {
+            return Err(ConfigError::BadSpeedFactor(loc));
         }
         for (victim, _) in self.faults.iter().flat_map(FaultPlan::deaths) {
             if victim >= self.spec.nodes {
@@ -575,6 +588,19 @@ mod tests {
         Runtime::new(RtConfig::test(4, 1).with_integrity(IntegrityConfig {
             scrub_period: Some(SimDuration::ZERO),
         }));
+    }
+
+    #[test]
+    #[should_panic(expected = "locality 1's speed factor is not finite and positive")]
+    fn a_speed_factor_that_is_not_finite_and_positive_is_refused() {
+        for speed in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut cfg = RtConfig::test(2, 2);
+            cfg.cost.speed_factors = vec![1.0, speed];
+            assert_eq!(cfg.validate(), Err(ConfigError::BadSpeedFactor(1)));
+        }
+        let mut cfg = RtConfig::test(2, 2);
+        cfg.cost.speed_factors = vec![1.0, 0.0];
+        Runtime::new(cfg);
     }
 
     /// A report that keeps every identity: 2 of 3 logical sends left the

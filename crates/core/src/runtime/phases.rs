@@ -10,7 +10,7 @@ use allscale_des::SimTime;
 use allscale_trace::EventKind;
 
 use super::events::{schedule, RtEvent};
-use super::tasks::Parent;
+use super::tasks::Place;
 use super::{recovery, sched, serving, trace_instant, RtCtx, RtSim};
 use crate::task::{TaskValue, WorkItem};
 
@@ -109,7 +109,7 @@ pub(super) fn cross_boundary(
     match driver(phase, &mut ctx, prev) {
         Some(root) => {
             begin_phase(sim, home);
-            sched::assign_task(sim, home, root, Parent::NONE);
+            sched::assign_task(sim, home, root, Place::ROOT);
         }
         None => match sim.world.serving.take_registered() {
             // The driver registered a serving phase instead of a root

@@ -9,7 +9,7 @@ use allscale_trace::{EventKind, SpawnVariant, TransferPurpose};
 use super::comms::{bill_hops, deliver, send_deferred, Payload};
 use super::directory::index_resolve;
 use super::events::{schedule, RtEvent};
-use super::tasks::{self, packed, Parent};
+use super::tasks::{self, packed, Place};
 use super::{exec, trace_core_span, trace_instant, RtSim, RtWorld};
 use crate::index::sole_owner_from;
 use crate::policy::{PolicyEnv, Variant};
@@ -67,13 +67,14 @@ macro_rules! policy_env {
     };
 }
 
-/// Assign a task to a node (paper Algorithm 2); returns the new task's
+/// Assign a task at `place` in the tree to a node (paper Algorithm 2;
+/// the variant policy reads the place's depth); returns the new task's
 /// id (the serving subsystem keys in-flight requests by it).
 pub(super) fn assign_task(
     sim: &mut RtSim,
     at: usize,
     wi: Box<dyn WorkItem>,
-    parent: Parent,
+    place: Place,
 ) -> TaskId {
     let now = sim.now();
     let w = &mut sim.world;
@@ -84,10 +85,10 @@ pub(super) fn assign_task(
     let variant =
         w.scheduler
             .decide()
-            .pick_variant(wi.depth(), wi.can_split(), hint, &policy_env!(w));
+            .pick_variant(place.depth, wi.can_split(), hint, &policy_env!(w));
     let spawn = |variant, target: usize| EventKind::TaskSpawn {
         task: tid.0,
-        parent: parent.get().map(|(p, _)| p.0),
+        parent: place.parent().map(|p| p.0),
         variant,
         target: target as u32,
     };
@@ -106,7 +107,7 @@ pub(super) fn assign_task(
                 target: packed(target),
                 tid,
                 wi,
-                parent,
+                place,
             };
             deliver(sim, at, target, bytes, tag, true, then);
         }
@@ -122,7 +123,7 @@ pub(super) fn assign_task(
             };
             trace_instant(w, now, at, spawn(SpawnVariant::Process, target));
             w.load[target] += 1;
-            w.tasks.admit(tid, target, wi, parent, reqs);
+            w.tasks.admit(tid, target, wi, place, reqs);
             let then = RtEvent::ProcessForward {
                 target: packed(target),
                 tid,
@@ -142,14 +143,14 @@ pub(super) fn split_arrived(
     target: usize,
     tid: TaskId,
     wi: Box<dyn WorkItem>,
-    parent: Parent,
+    place: Place,
     arrived: bool,
 ) {
     if !arrived {
         sim.world.load[target] -= 1;
         return;
     }
-    do_split(sim, target, tid, wi, parent);
+    do_split(sim, target, tid, wi, place);
 }
 
 /// A process task's descriptor reached `target`: queue or prepare it. A
@@ -424,7 +425,7 @@ pub(super) fn steal_granted(sim: &mut RtSim, thief: usize, tid: TaskId, arrived:
 
 // -------------------------------------------------------------------- split
 
-fn do_split(sim: &mut RtSim, loc: usize, tid: TaskId, wi: Box<dyn WorkItem>, parent: Parent) {
+fn do_split(sim: &mut RtSim, loc: usize, tid: TaskId, wi: Box<dyn WorkItem>, place: Place) {
     let overhead = sim.world.cost.task_overhead(loc);
     let now = sim.now();
     let (core, start, end) = sim.world.localities[loc]
@@ -444,7 +445,7 @@ fn do_split(sim: &mut RtSim, loc: usize, tid: TaskId, wi: Box<dyn WorkItem>, par
         loc: packed(loc),
         tid,
         wi,
-        parent,
+        place,
     };
     schedule(sim, end, then);
 }
@@ -456,10 +457,10 @@ pub(super) fn split_end(
     loc: usize,
     tid: TaskId,
     wi: Box<dyn WorkItem>,
-    parent: Parent,
+    place: Place,
 ) {
     let result_bytes = wi.result_bytes();
-    let outcome = wi.split();
+    let children = wi.split();
     sim.world.load[loc] -= 1;
-    tasks::spawn_children(sim, loc, tid, parent, outcome, result_bytes);
+    tasks::spawn_children(sim, loc, tid, place, None, children, result_bytes);
 }

@@ -16,7 +16,7 @@ use allscale_trace::EventKind;
 
 use super::comms::{send_msg, Payload};
 use super::events::{schedule, RtEvent};
-use super::tasks::Parent;
+use super::tasks::Place;
 use super::{phases, replicas, sched, trace_instant, trace_span};
 use super::{RtSim, RtWorld};
 use crate::monitor::ServeStats;
@@ -267,7 +267,7 @@ pub(super) fn serve_arrival(sim: &mut RtSim) {
             invalidate_writes(&mut sim.world, now, &mut session, &reqs);
         }
         sim.world.monitor.serve.admitted += 1;
-        let tid = sched::assign_task(sim, frontend, request.work, Parent::NONE);
+        let tid = sched::assign_task(sim, frontend, request.work, Place::ROOT);
         trace_instant(
             &sim.world,
             now,

@@ -1,6 +1,11 @@
 //! The task table: tasks in flight, the tree of parents awaiting their
 //! children, and the wake-up bookkeeping of tasks the (start) rule
 //! refused — plus the completion path that walks results up the tree.
+//!
+//! The tree is the runtime's, not the work items': each task's [`Place`]
+//! (its parent and its depth) travels with it from assignment to
+//! completion, and a parent holds one record — its value so far, which
+//! each child's value adds into — and nothing per child.
 
 use allscale_des::SimDuration;
 use allscale_trace::{EventKind, TransferPurpose};
@@ -9,7 +14,7 @@ use super::comms::{deliver, Payload};
 use super::events::{schedule, RtEvent};
 use super::{exec, phases, sched, serving, trace_instant, RtSim, RtWorld};
 use crate::dim::Blocker;
-use crate::task::{ItemId, Requirement, SplitOutcome, TaskId, TaskValue, WorkItem};
+use crate::task::{ItemId, Requirement, TaskId, TaskValue, WorkItem};
 use crate::task_map::TaskMap;
 
 /// A process task between admission and completion: 72 bytes, so a run
@@ -21,40 +26,43 @@ pub(super) struct Inflight {
     pub(super) wi: Option<Box<dyn WorkItem>>,
     pub(super) reqs: Vec<Requirement>,
     cold: Option<Box<Cold>>,
-    parent: Parent,
+    place: Place,
     loc: u32,
     pub(super) pending_transfers: u32,
 }
 
-/// A task's place under its parent: the parent's id and the task's index
-/// among the parent's children, or the index [`ROOT`] for a task without
-/// a parent. Records and queued events keep it in 16 bytes, where an
-/// `Option<(TaskId, usize)>` takes 24.
+/// A task's place in the tree the runtime keeps: its parent's id and its
+/// own depth, 0 for a root (whose parent id means nothing) and its
+/// parent's + 1 for a child. Records and queued events keep it in 16
+/// bytes, where an `Option<TaskId>` beside the depth takes 24.
 #[derive(Clone, Copy)]
-pub(super) struct Parent(TaskId, u32);
+pub(super) struct Place {
+    parent: TaskId,
+    pub(super) depth: u32,
+}
 
-/// The child index of a task without a parent.
-const ROOT: u32 = u32::MAX;
-
-impl Parent {
+impl Place {
     /// The place of a task without a parent.
-    pub(super) const NONE: Parent = Parent(TaskId(0), ROOT);
+    pub(super) const ROOT: Place = Place {
+        parent: TaskId(0),
+        depth: 0,
+    };
 
-    /// Child `idx` of `parent`.
-    pub(super) fn child(parent: TaskId, idx: usize) -> Parent {
-        let idx = packed(idx);
-        assert_ne!(idx, ROOT, "a child index is not the root sentinel");
-        Parent(parent, idx)
+    /// The place of a child of `tid`, which sits at `self`.
+    fn child_of(self, tid: TaskId) -> Place {
+        Place {
+            parent: tid,
+            depth: self.depth + 1,
+        }
     }
 
-    /// The parent's id and the task's index, unless it has no parent.
-    pub(super) fn get(self) -> Option<(TaskId, usize)> {
-        (self.1 != ROOT).then_some((self.0, self.1 as usize))
+    /// The parent's id, unless the task is a root.
+    pub(super) fn parent(self) -> Option<TaskId> {
+        (self.depth > 0).then_some(self.parent)
     }
 }
 
-/// A locality or a child index, in the 32 bits a record or an event keeps
-/// for it.
+/// A locality in the 32 bits a record or an event keeps for it.
 pub(super) fn packed(n: usize) -> u32 {
     u32::try_from(n).expect("fits in 32 bits")
 }
@@ -80,8 +88,8 @@ impl Inflight {
         self.loc = packed(loc);
     }
 
-    pub(super) fn parent(&self) -> Parent {
-        self.parent
+    pub(super) fn place(&self) -> Place {
+        self.place
     }
 
     fn cold(&mut self) -> &mut Cold {
@@ -117,12 +125,13 @@ struct Wakeups {
     tick_armed: bool,
 }
 
+/// A task waiting for its children: where it completes, how many have
+/// yet to report, and its value so far — nothing per child.
 struct ParentRecord {
     loc: usize,
     pending: usize,
-    results: Vec<Option<TaskValue>>,
-    combine: Box<dyn FnOnce(Vec<TaskValue>) -> TaskValue>,
-    parent: Parent,
+    value: TaskValue,
+    place: Place,
     result_bytes: usize,
 }
 
@@ -146,14 +155,14 @@ impl TaskTable {
         tid: TaskId,
         loc: usize,
         wi: Box<dyn WorkItem>,
-        parent: Parent,
+        place: Place,
         reqs: Vec<Requirement>,
     ) {
         let inf = Inflight {
             wi: Some(wi),
             reqs,
             cold: None,
-            parent,
+            place,
             loc: packed(loc),
             pending_transfers: 0,
         };
@@ -282,36 +291,35 @@ pub(super) fn wakeup_tick(sim: &mut RtSim) {
 
 // --------------------------------------------------------------- completion
 
-/// Task `tid` at `loc` decomposed: record it as a parent and assign its
-/// children from here. Returns `false` when there were none — the task
-/// then completes on the spot with its combiner's value of nothing.
+/// Task `tid` at `loc`, sitting at `place`, decomposed with `value` of
+/// its own: record it as a parent and assign its children from here —
+/// or, when there are none, complete it on the spot with `value`.
 pub(super) fn spawn_children(
     sim: &mut RtSim,
     loc: usize,
     tid: TaskId,
-    parent: Parent,
-    SplitOutcome { children, combine }: SplitOutcome,
+    place: Place,
+    value: TaskValue,
+    children: Vec<Box<dyn WorkItem>>,
     result_bytes: usize,
-) -> bool {
+) {
     if children.is_empty() {
-        finish_task(sim, loc, tid, parent, combine(Vec::new()));
-        return false;
+        finish_task(sim, loc, tid, place, value);
+        return;
     }
     sim.world.tasks.parents.insert(
         tid,
         ParentRecord {
             loc,
             pending: children.len(),
-            results: children.iter().map(|_| None).collect(),
-            combine,
-            parent,
+            value,
+            place,
             result_bytes,
         },
     );
-    for (i, child) in children.into_iter().enumerate() {
-        sched::assign_task(sim, loc, child, Parent::child(tid, i));
+    for child in children {
+        sched::assign_task(sim, loc, child, place.child_of(tid));
     }
-    true
 }
 
 /// Task `tid` produced `value` at `loc`: hand it to the parent (a billed
@@ -321,53 +329,49 @@ pub(super) fn finish_task(
     sim: &mut RtSim,
     loc: usize,
     tid: TaskId,
-    parent: Parent,
+    place: Place,
     value: TaskValue,
 ) {
-    trace_instant(
-        &sim.world,
-        sim.now(),
-        loc,
-        EventKind::TaskEnd {
-            task: tid.0,
-            parent: parent.get().map(|(p, _)| p.0),
-        },
-    );
-    let Some((ptid, idx)) = parent.get() else {
+    let parent = place.parent();
+    let end = EventKind::TaskEnd {
+        task: tid.0,
+        parent: parent.map(|p| p.0),
+    };
+    trace_instant(&sim.world, sim.now(), loc, end);
+    let Some(parent) = parent else {
         if !serving::root_done(sim, tid) {
             phases::advance_phase(sim, value);
         }
         return;
     };
-    let p = sim.world.tasks.parents.get(ptid).expect("parent record");
+    let p = sim.world.tasks.parents.get(parent).expect("parent record");
     let (p_loc, bytes) = (p.loc, p.result_bytes);
     let tag = Payload::task(TransferPurpose::Result, tid);
-    let then = RtEvent::ResultArrival {
-        parent: ptid,
-        idx: packed(idx),
-        value,
-    };
+    let then = RtEvent::ResultArrival { parent, value };
     deliver(sim, loc, p_loc, bytes, tag, false, then);
 }
 
-/// Child `idx` of `ptid` reported `value`; the last one to report fires
-/// the combiner and finishes the parent in turn.
-pub(super) fn child_done(sim: &mut RtSim, ptid: TaskId, idx: usize, value: TaskValue) {
+/// A child of `ptid` reported `value`, which adds into the parent's; the
+/// last one to report finishes the parent in turn.
+pub(super) fn child_done(sim: &mut RtSim, ptid: TaskId, value: TaskValue) {
     let parents = &mut sim.world.tasks.parents;
     let p = parents.get_mut(ptid).expect("parent record");
-    p.results[idx] = Some(value);
+    p.value = add(p.value, value);
     p.pending -= 1;
     if p.pending > 0 {
         return;
     }
     let p = parents.remove(ptid).expect("parent record");
-    let values: Vec<TaskValue> = p
-        .results
-        .into_iter()
-        .map(|r| r.expect("all children reported"))
-        .collect();
-    let combined = (p.combine)(values);
-    finish_task(sim, p.loc, ptid, p.parent, combined);
+    finish_task(sim, p.loc, ptid, p.place, p.value);
+}
+
+/// The sum of two task values: `None` adds nothing, `Some`s add up.
+fn add(a: TaskValue, b: TaskValue) -> TaskValue {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a + b),
+        (a, None) => a,
+        (None, b) => b,
+    }
 }
 
 #[cfg(test)]

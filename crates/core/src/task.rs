@@ -6,10 +6,16 @@
 //! computing requirements with each code variant". In this reproduction the
 //! same artifact is expressed directly, and [`WorkItem`] is the one way to
 //! write a task: a *process* variant (`process` + `requirements` + `cost`)
-//! and, when `can_split`, a *split* variant producing child work items and
-//! a combiner — the variant structure of the `prec` operator the AllScale
-//! API builds on (Def 2.3). [`pfor`](crate::pfor) is one implementation of
-//! it; TPC, serving and every test task implement it directly.
+//! and, when `can_split`, a *split* variant producing child work items —
+//! the variant structure of the `prec` operator the AllScale API builds on
+//! (Def 2.3). [`pfor`](crate::pfor) is one implementation of it; TPC,
+//! serving and every test task implement it directly.
+//!
+//! The spawn/sync tree is the runtime's (Fig. 2's `spawn`, `sync` and
+//! `end` rules): it counts each task's depth (0 for a root, one more than
+//! its parent's for a child) and makes a parent's value the sum of its own
+//! and its children's ([`TaskValue`]). A work item states only what the
+//! runtime reads from it.
 
 use std::fmt;
 use std::rc::Rc;
@@ -122,9 +128,10 @@ impl fmt::Debug for Requirement {
     }
 }
 
-/// The value a task produces (consumed by its parent's combiner, or handed
-/// to the phase driver by a phase's root): a count such as TPC's query
-/// matches, or `None` for effect-only tasks such as `pfor` tiles.
+/// The value a task produces (added into its parent's, or handed to the
+/// phase driver by a phase's root): a count such as TPC's query matches,
+/// or `None` for effect-only tasks such as `pfor` tiles. A parent's value
+/// is its own plus its children's, where `None` adds nothing.
 pub type TaskValue = Option<u64>;
 
 /// Execution context handed to a task's process variant: typed access to
@@ -210,32 +217,16 @@ pub enum Done {
     Value(TaskValue),
     /// The task continues as a set of child tasks (the model's `spawn` +
     /// `sync` from within a running task, e.g. TPC forwarding traversal
-    /// tasks to the localities owning remote subtrees). The task's locks
-    /// are released before the children are scheduled.
-    Children(SplitOutcome),
-}
-
-/// Result of running a task's split variant.
-#[allow(clippy::type_complexity)]
-pub struct SplitOutcome {
-    /// Child work items, scheduled independently.
-    pub children: Vec<Box<dyn WorkItem>>,
-    /// Combiner running (at the parent's locality) once all children have
-    /// completed, receiving their values in order.
-    pub combine: Box<dyn FnOnce(Vec<TaskValue>) -> TaskValue>,
+    /// tasks to the localities owning remote subtrees), its value so far
+    /// first: the task completes with it plus its children's values. The
+    /// task's locks are released before the children are scheduled.
+    Children(TaskValue, Vec<Box<dyn WorkItem>>),
 }
 
 /// A schedulable unit of work with up to two variants (paper Def. 2.3,
 /// Section 3.3): a *process* variant executing the work directly, and —
 /// when [`WorkItem::can_split`] — a *split* variant decomposing it.
 pub trait WorkItem: 'static {
-    /// Short name for monitoring and traces.
-    fn name(&self) -> &'static str;
-
-    /// Recursion depth (the scheduler's variant policy splits shallow tasks
-    /// and processes deep ones).
-    fn depth(&self) -> u32;
-
     /// Whether a split variant exists.
     fn can_split(&self) -> bool;
 
@@ -257,12 +248,13 @@ pub trait WorkItem: 'static {
         None
     }
 
-    /// Execute the split variant.
+    /// Execute the split variant: the children, scheduled independently.
+    /// The task's value is the sum of theirs.
     ///
     /// # Panics
     /// May panic when `can_split()` is false; the scheduler never calls it
     /// in that case.
-    fn split(self: Box<Self>) -> SplitOutcome;
+    fn split(self: Box<Self>) -> Vec<Box<dyn WorkItem>>;
 
     /// Serialized size of the task descriptor when forwarded to another
     /// locality (bills the network).

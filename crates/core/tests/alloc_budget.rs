@@ -19,7 +19,7 @@ use allscale_apps::tpc::{KdNode, DIMS};
 use allscale_core::{
     pfor, CostModel, DataItemManager, DistIndex, Done, GridItem, ItemDescriptor, ItemId,
     LocationCache, LockConflict, MapItem, PforSpec, Requirement, ResilienceConfig, RtConfig,
-    Runtime, SplitOutcome, TaskCtx, TaskId, WorkItem,
+    Runtime, TaskCtx, TaskId, WorkItem,
 };
 use allscale_des::SimDuration;
 use allscale_net::frame;
@@ -244,11 +244,12 @@ fn a_pfor_split_allocates_only_its_children() {
         axis0_pieces: 0,
     };
     let root = pfor(spec, |_| Vec::new(), |_, _| {});
-    let (n, out) = allocations_of(|| root.split());
-    assert_eq!(out.children.len(), 2);
+    let (n, children) = allocations_of(|| root.split());
+    assert_eq!(children.len(), 2);
     // The halves' vector, reused in place as the child vector, and one
-    // box per child: the tiles share the loop, and the combiner holds
-    // nothing. 4 while the combiner was a boxed closure holding an `Arc`.
+    // box per child: the tiles share the loop, and the runtime sums the
+    // children's values. 4 while the combiner was a boxed closure holding
+    // an `Arc`.
     assert_eq!(n, 3, "allocations of one split");
 }
 
@@ -256,12 +257,6 @@ fn a_pfor_split_allocates_only_its_children() {
 struct Sleep(u64);
 
 impl WorkItem for Sleep {
-    fn name(&self) -> &'static str {
-        "sleep"
-    }
-    fn depth(&self) -> u32 {
-        0
-    }
     fn can_split(&self) -> bool {
         false
     }
@@ -274,7 +269,7 @@ impl WorkItem for Sleep {
     fn process(self: Box<Self>, _: &mut TaskCtx<'_>) -> Done {
         Done::Value(None)
     }
-    fn split(self: Box<Self>) -> SplitOutcome {
+    fn split(self: Box<Self>) -> Vec<Box<dyn WorkItem>> {
         unreachable!("a sleep does not split")
     }
 }
@@ -311,12 +306,6 @@ fn a_runtime_event_allocates_nothing_once_the_queue_is_warm() {
 struct Fan(usize);
 
 impl WorkItem for Fan {
-    fn name(&self) -> &'static str {
-        "fan"
-    }
-    fn depth(&self) -> u32 {
-        0
-    }
     fn can_split(&self) -> bool {
         false
     }
@@ -328,12 +317,9 @@ impl WorkItem for Fan {
     }
     fn process(self: Box<Self>, _: &mut TaskCtx<'_>) -> Done {
         let children = (0..self.0).map(|_| Box::new(Sleep(1)) as _).collect();
-        Done::Children(SplitOutcome {
-            children,
-            combine: Box::new(|_| None),
-        })
+        Done::Children(None, children)
     }
-    fn split(self: Box<Self>) -> SplitOutcome {
+    fn split(self: Box<Self>) -> Vec<Box<dyn WorkItem>> {
         unreachable!("a fan does not split")
     }
 }
@@ -357,10 +343,11 @@ fn a_task_in_flight_holds_its_record_and_little_else() {
     // Powers of two, so every table the tasks fill doubles exactly and the
     // difference is the cost of one task times the extra tasks: its
     // record, its work item, its queued event and its slots in the
-    // parent's result list and the tables' windows.
+    // tables' windows.
     let (few, many) = (4_096, 8_192);
     let marginal = (fan_run(many) - fan_run(few)) as f64 / (many - few) as f64;
-    // 204 today; 228 while a queued event took a 72-byte slot and a
+    // 180 today; 204 while each child held a slot in its parent's result
+    // list; 228 while a queued event took a 72-byte slot and a
     // 24-byte key (56 and 16 now), and 324 while each record (176 bytes
     // with its id, 80 now) held its body's outcome, its replica list and
     // its wake-up ticket inline and kept its locality, parent index and

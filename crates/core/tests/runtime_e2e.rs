@@ -4,8 +4,8 @@
 
 use allscale_core::{
     bisect, pfor, pfor_tiles, CostModel, DistMap, Done, FaultPlan, Grid, IntegrityConfig, ItemId,
-    PforSpec, Requirement, ResilienceConfig, RtConfig, RtCtx, Runtime, SplitOutcome, TaskCtx,
-    TaskValue, WorkItem,
+    PforSpec, Requirement, ResilienceConfig, RtConfig, RtCtx, Runtime, TaskCtx, TaskValue,
+    WorkItem,
 };
 use allscale_des::{SimDuration, SimTime};
 use allscale_region::{
@@ -96,6 +96,90 @@ fn speed_factors_shift_completion_time() {
         slow > fast + fast / 2,
         "slow node must delay completion: fast={fast} slow={slow}"
     );
+}
+
+/// The runtime counts a task's depth: a 64-point `pfor` cut down to
+/// single points splits once on one core (the policy splits at depth `d`
+/// only while 2^d < 2 leaves per core) and processes its two halves. A
+/// depth that did not grow with each split would split it 63 times.
+#[test]
+fn the_runtime_counts_a_tasks_depth() {
+    let report = Runtime::new(config(1, 1)).run(|phase, ctx, _| {
+        let g = (phase == 0).then(|| Grid::<u64, 1>::create(ctx, "v", [64]))?;
+        Some(pfor(
+            PforSpec {
+                name: "fill",
+                range: g.full_box(),
+                grain: 1,
+                ns_per_point: 1.0,
+                axis0_pieces: 0,
+            },
+            move |tile| vec![Requirement::write(g.id, BoxRegion::from_box(*tile))],
+            move |tctx, p| g.set(tctx, p.0, 1),
+        ))
+    });
+    let node = &report.monitor.per_locality[0];
+    assert_eq!((node.tasks_split, node.tasks_executed), (1, 2));
+}
+
+/// A process task with no data that yields `value` and continues as one
+/// such task per entry of `children` — none for a leaf, which then
+/// completes with its own value.
+struct Yields {
+    value: TaskValue,
+    children: Vec<TaskValue>,
+}
+
+impl WorkItem for Yields {
+    fn can_split(&self) -> bool {
+        false
+    }
+    fn requirements(&self) -> Vec<Requirement> {
+        Vec::new()
+    }
+    fn cost(&self, _: &CostModel, _: usize) -> SimDuration {
+        SimDuration::from_nanos(100)
+    }
+    fn process(self: Box<Self>, _: &mut TaskCtx<'_>) -> Done {
+        let leaf = |value| {
+            let children = Vec::new();
+            Box::new(Yields { value, children }) as Box<dyn WorkItem>
+        };
+        Done::Children(self.value, self.children.into_iter().map(leaf).collect())
+    }
+    fn split(self: Box<Self>) -> Vec<Box<dyn WorkItem>> {
+        unreachable!("a yield does not split")
+    }
+}
+
+/// A parent's value is its own plus its children's, `None` adding
+/// nothing: 5 over children yielding 1, 2 and nothing reaches the driver
+/// as 8. A `pfor` yields nothing, and its phase hands the driver `None`.
+#[test]
+fn a_parents_value_is_its_own_plus_its_childrens() {
+    let mut seen = Vec::new();
+    Runtime::new(config(2, 1)).run(|phase, _, prev| {
+        seen.push(prev);
+        match phase {
+            0 => Some(pfor(
+                PforSpec {
+                    name: "empty",
+                    range: GridBox::<1>::from_shape([8]).unwrap(),
+                    grain: 1,
+                    ns_per_point: 1.0,
+                    axis0_pieces: 0,
+                },
+                |_| Vec::new(),
+                |_, _| {},
+            )),
+            1 => Some(Box::new(Yields {
+                value: Some(5),
+                children: vec![Some(1), Some(2), None],
+            })),
+            _ => None,
+        }
+    });
+    assert_eq!(seen, [None, None, Some(8)]);
 }
 
 /// Destroying an item removes it everywhere; a new item can reuse storage.
@@ -242,16 +326,9 @@ fn blocks_region(blocks: &GridBox<1>) -> BitmaskTreeRegion {
 struct BlockSum {
     tree: ItemId,
     blocks: GridBox<1>,
-    depth: u32,
 }
 
 impl WorkItem for BlockSum {
-    fn name(&self) -> &'static str {
-        "tree-sum"
-    }
-    fn depth(&self) -> u32 {
-        self.depth
-    }
     fn can_split(&self) -> bool {
         self.blocks.cardinality() > 1
     }
@@ -274,19 +351,9 @@ impl WorkItem for BlockSum {
     fn placement_hint(&self) -> Option<f64> {
         Some(self.blocks.lo()[0] as f64 / 5.0)
     }
-    fn split(self: Box<Self>) -> SplitOutcome {
-        let depth = self.depth + 1;
-        let half = |blocks| {
-            Box::new(BlockSum {
-                blocks,
-                depth,
-                ..*self
-            }) as Box<dyn WorkItem>
-        };
-        SplitOutcome {
-            children: bisect(&self.blocks).into_iter().map(half).collect(),
-            combine: Box::new(|sums| Some(sums.into_iter().flatten().sum())),
-        }
+    fn split(self: Box<Self>) -> Vec<Box<dyn WorkItem>> {
+        let half = |blocks| Box::new(BlockSum { blocks, ..*self }) as Box<dyn WorkItem>;
+        bisect(&self.blocks).into_iter().map(half).collect()
     }
     fn result_bytes(&self) -> usize {
         8
@@ -358,11 +425,7 @@ fn tree_facade_distributes_and_reads() {
                     // back as the phase value.
                     let blocks = GridBox::<1>::from_shape([5]).unwrap();
                     let tree = tree_item.unwrap();
-                    Some(Box::new(BlockSum {
-                        tree,
-                        blocks,
-                        depth: 0,
-                    }))
+                    Some(Box::new(BlockSum { tree, blocks }))
                 }
                 _ => {
                     // Driver-side: total of all node values equals the sum

@@ -4,8 +4,9 @@
 //!
 //! A task is one [`WorkItem`]: its split variant halves the range, its
 //! process variant sums a leaf through the grid façade, its requirement
-//! function pins each leaf to the data it reads, and the combiners reduce
-//! the partial sums back up — the final value reaches the phase driver.
+//! function pins each leaf to the data it reads, and the runtime adds the
+//! partial sums back up the task tree — a parent's value is the sum of
+//! its children's — so the final value reaches the phase driver.
 //! `pfor` is another implementation of the same interface; TPC is a
 //! third.
 //!
@@ -14,8 +15,8 @@
 //! ```
 
 use allscale_core::{
-    pfor, CostModel, Done, Grid, PforSpec, Requirement, RtConfig, RtCtx, Runtime, SplitOutcome,
-    TaskCtx, TaskValue, WorkItem,
+    pfor, CostModel, Done, Grid, PforSpec, Requirement, RtConfig, RtCtx, Runtime, TaskCtx,
+    TaskValue, WorkItem,
 };
 use allscale_des::SimDuration;
 use allscale_region::BoxRegion;
@@ -29,16 +30,9 @@ struct RangeSum {
     lo: i64,
     hi: i64,
     grain: u64,
-    depth: u32,
 }
 
 impl WorkItem for RangeSum {
-    fn name(&self) -> &'static str {
-        "sum"
-    }
-    fn depth(&self) -> u32 {
-        self.depth
-    }
     fn can_split(&self) -> bool {
         (self.hi - self.lo) as u64 > self.grain
     }
@@ -57,20 +51,10 @@ impl WorkItem for RangeSum {
     fn placement_hint(&self) -> Option<f64> {
         Some(self.lo as f64 / N as f64)
     }
-    fn split(self: Box<Self>) -> SplitOutcome {
-        let (mid, depth) = (self.lo + (self.hi - self.lo) / 2, self.depth + 1);
-        let half = |lo, hi| {
-            Box::new(RangeSum {
-                lo,
-                hi,
-                depth,
-                ..*self
-            }) as Box<dyn WorkItem>
-        };
-        SplitOutcome {
-            children: vec![half(self.lo, mid), half(mid, self.hi)],
-            combine: Box::new(|sums| Some(sums.into_iter().map(|s| s.expect("a sum")).sum())),
-        }
+    fn split(self: Box<Self>) -> Vec<Box<dyn WorkItem>> {
+        let mid = self.lo + (self.hi - self.lo) / 2;
+        let half = |lo, hi| Box::new(RangeSum { lo, hi, ..*self }) as Box<dyn WorkItem>;
+        vec![half(self.lo, mid), half(mid, self.hi)]
     }
     fn descriptor_bytes(&self) -> usize {
         64
@@ -108,7 +92,6 @@ fn main() {
                     lo: 0,
                     hi: N,
                     grain,
-                    depth: 0,
                 })),
                 _ => {
                     measured = prev.expect("the sum reaches the driver");

@@ -4,8 +4,8 @@
 //!
 //! Documents are ingested by parallel tasks writing into hash-bucketed
 //! regions of a `DistMap<String, u64>`; first touch spreads the buckets
-//! over the cluster. A second phase folds the counts per bucket range and
-//! the combiner tree reduces them to a global top list.
+//! over the cluster. A second phase reads the map per bucket range, and
+//! the driver folds the counts into one list at the last boundary.
 //!
 //! ```text
 //! cargo run --release --example wordcount

@@ -20,7 +20,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use allscale_core::{
-    CostModel, Done, Grid, Requirement, RtConfig, RtCtx, SplitOutcome, TaskCtx, TaskValue, WorkItem,
+    CostModel, Done, Grid, Requirement, RtConfig, RtCtx, TaskCtx, TaskValue, WorkItem,
 };
 use allscale_des::rng::XorShift64;
 use allscale_des::SimDuration;
@@ -689,12 +689,6 @@ impl Task {
 }
 
 impl WorkItem for Task {
-    fn name(&self) -> &'static str {
-        "wave"
-    }
-    fn depth(&self) -> u32 {
-        self.node().depth
-    }
     fn can_split(&self) -> bool {
         !self.node().kids.is_empty()
     }
@@ -735,19 +729,15 @@ impl WorkItem for Task {
         let (lo, hi) = self.node().span;
         Some(((lo + hi) / 2.0).clamp(0.0, 0.999_999))
     }
-    fn split(self: Box<Self>) -> SplitOutcome {
-        let children = (self.node().kids.iter())
+    fn split(self: Box<Self>) -> Vec<Box<dyn WorkItem>> {
+        (self.node().kids.iter())
             .map(|&node| {
                 Box::new(Task {
                     run: self.run.clone(),
                     node,
                 }) as Box<dyn WorkItem>
             })
-            .collect();
-        SplitOutcome {
-            children,
-            combine: Box::new(|_| None),
-        }
+            .collect()
     }
     fn result_bytes(&self) -> usize {
         8
